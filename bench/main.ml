@@ -317,290 +317,13 @@ let shard_bench quick =
   print_newline ();
   rows
 
-(* ---------------- batched data-plane throughput ---------------- *)
-
-(* Lookups/sec of the batched forwarding engine against the per-lookup
-   drivers it replaces, across the three layers that expose it: the
-   intradomain engine (with a batch-size sweep showing the batching knee),
-   the interdomain engine, and the protocol engine's pure-read walk.
-   Before anything is timed, every batched verdict is checked byte-identical
-   to the sequential reference — a throughput number from a wrong data
-   plane is worthless, so a mismatch exits 1.  Bechamel measures ns and
-   minor words per run; rows report both divided down to per-lookup. *)
-
-type dataplane_row = {
-  dp_name : string;
-  dp_lookups : int;              (* lookups per timed run *)
-  dp_ns_per_lookup : float;
-  dp_words_per_lookup : float;
-  dp_lookups_per_s : float;
-  dp_passes : int;               (* engine passes of one run; 0 = per-lookup driver *)
-}
-
-let dataplane_bench (scale : E.Common.scale) quick =
-  let open Bechamel in
-  let open Toolkit in
-  let module Id = Rofl_idspace.Id in
-  let module Isp = Rofl_topology.Isp in
-  let module Network = Rofl_intra.Network in
-  let module Vnode = Rofl_core.Vnode in
-  let module Msg = Rofl_core.Msg in
-  let module Net = Rofl_inter.Net in
-  let module Route = Rofl_inter.Route in
-  let module Proto = Rofl_proto.Proto in
-  let module Dintra = Rofl_dataplane.Intra in
-  let module Dinter = Rofl_dataplane.Inter in
-  let gate_fail fmt =
-    Printf.ksprintf
-      (fun s ->
-        Printf.eprintf "dataplane bench: EQUIVALENCE GATE FAILED: %s\n" s;
-        exit 1)
-      fmt
-  in
-  (* --- intradomain: the memoised figure-scale ISP net --- *)
-  let profile = if quick then Isp.as3967 else Isp.as1239 in
-  let profile =
-    if List.mem profile scale.E.Common.isps then profile
-    else List.hd scale.E.Common.isps
-  in
-  let run = E.Common.default_intra_run scale profile in
-  let net = run.E.Common.net and ids = run.E.Common.ids in
-  let total = if quick then 2048 else 8192 in
-  let rng = Rofl_util.Prng.create (scale.E.Common.seed + 77) in
-  let from = Array.init total (fun _ -> run.E.Common.gateway ()) in
-  let targets =
-    Array.init total (fun k ->
-        if k mod 4 = 3 then Id.random rng else ids.(k * 7 mod Array.length ids))
-  in
-  let same_status a b =
-    match (a, b) with
-    | Network.Delivered x, Network.Delivered y
-    | Network.Predecessor x, Network.Predecessor y ->
-      Id.equal x.Vnode.id y.Vnode.id
-    | Network.Stuck x, Network.Stuck y -> x = y
-    | _ -> false
-  in
-  (* Gate 1: engine vs [Network.lookup], per lookup from identical state. *)
-  let dpg = Dintra.create net in
-  let gate = min 256 total in
-  for k = 0 to gate - 1 do
-    Dintra.run dpg ~from:[| from.(k) |] ~targets:[| targets.(k) |];
-    let r =
-      Network.lookup net ~from:from.(k) ~target:targets.(k) ~category:Msg.data
-        ~use_cache:true
-    in
-    if
-      (not (same_status (Dintra.status dpg 0) r.Network.status))
-      || Dintra.msgs dpg 0 <> r.Network.msgs
-      || Dintra.latency_ms dpg 0 <> r.Network.latency_ms
-    then
-      gate_fail "intra lookup %d: engine %d msgs vs walk %d msgs" k
-        (Dintra.msgs dpg 0) r.Network.msgs;
-    Dintra.apply_nacks dpg
-  done;
-  (* Gate 2: batched vs sequential over the whole set (both read-only). *)
-  let dp = Dintra.create net in
-  let dps = Dintra.create net in
-  Dintra.run dp ~from ~targets;
-  Dintra.run_sequential dps ~from ~targets;
-  for k = 0 to total - 1 do
-    if
-      (not (same_status (Dintra.status dp k) (Dintra.status dps k)))
-      || Dintra.msgs dp k <> Dintra.msgs dps k
-      || Dintra.latency_ms dp k <> Dintra.latency_ms dps k
-      || Dintra.restarts dp k <> Dintra.restarts dps k
-    then gate_fail "intra batch/sequential diverge at lookup %d" k
-  done;
-  let full_passes = Dintra.passes dp in
-  (* Chunks are pre-sliced so the timed thunks allocate nothing of their
-     own; the engine reuses its registers across runs. *)
-  let batch_sizes = List.filter (fun b -> b <= total) [ 1; 8; 64; 512; 4096 ] in
-  let chunks b =
-    Array.init
-      ((total + b - 1) / b)
-      (fun c ->
-        let off = c * b in
-        let len = min b (total - off) in
-        (Array.sub from off len, Array.sub targets off len))
-  in
-  let intra_tests =
-    Test.make ~name:"walk-driver"
-      (Staged.stage (fun () ->
-           for k = 0 to total - 1 do
-             ignore
-               (Network.lookup net ~from:from.(k) ~target:targets.(k)
-                  ~category:Msg.data ~use_cache:true)
-           done))
-    :: Test.make ~name:"engine-seq"
-         (Staged.stage (fun () -> Dintra.run_sequential dp ~from ~targets))
-    :: List.map
-         (fun b ->
-           let cs = chunks b in
-           Test.make ~name:(Printf.sprintf "batch-%d" b)
-             (Staged.stage (fun () ->
-                  Array.iter (fun (f, t) -> Dintra.run dp ~from:f ~targets:t) cs)))
-         batch_sizes
-  in
-  (* --- interdomain: figure-scale Internet, single-homed population --- *)
-  let irun =
-    E.Common.build_inter ~seed:scale.E.Common.seed
-      ~hosts:(min scale.E.Common.inter_hosts (if quick then 1_500 else 6_000))
-      ~strategy:Net.Single_homed scale.E.Common.inter_params
-  in
-  let inet = irun.E.Common.net and ihosts = irun.E.Common.hosts_arr in
-  let itotal = if quick then 512 else 2048 in
-  let isrcs =
-    Array.init itotal (fun k -> ihosts.(k * 13 mod Array.length ihosts))
-  in
-  let idsts =
-    Array.init itotal (fun k ->
-        if k mod 5 = 4 then Id.random rng
-        else ihosts.(((k * 7) + 3) mod Array.length ihosts).Net.id)
-  in
-  let di = Dinter.create inet in
-  Dinter.run di ~srcs:isrcs ~dsts:idsts;
-  let inter_passes = Dinter.passes di in
-  for k = 0 to itotal - 1 do
-    let r = Route.route_from inet ~src:isrcs.(k) ~dst:idsts.(k) in
-    if
-      Dinter.delivered di k <> r.Route.delivered
-      || Dinter.as_hops di k <> r.Route.as_hops
-      || Dinter.pointer_hops di k <> r.Route.pointer_hops
-      || Dinter.cache_hops di k <> r.Route.cache_hops
-    then gate_fail "inter lookup %d: engine/route_from diverge" k;
-    Dinter.apply_purges di
-  done;
-  let inter_tests =
-    [
-      Test.make ~name:"inter-route-driver"
-        (Staged.stage (fun () ->
-             for k = 0 to itotal - 1 do
-               ignore (Route.route_from inet ~src:isrcs.(k) ~dst:idsts.(k))
-             done));
-      Test.make ~name:"inter-batch"
-        (Staged.stage (fun () -> Dinter.run di ~srcs:isrcs ~dsts:idsts));
-    ]
-  in
-  (* --- protocol engine: pure-read walk over actor tables --- *)
-  let isp = run.E.Common.isp in
-  let proto =
-    Proto.create
-      ~rng:(Rofl_util.Prng.create (scale.E.Common.seed + 5))
-      ~bootstrap_hosts:(if quick then 2_000 else 10_000)
-      isp.Isp.graph
-  in
-  let pn = Rofl_topology.Graph.n isp.Isp.graph in
-  let members = Array.of_list (Proto.members proto) in
-  let ptotal = if quick then 2048 else 8192 in
-  let pfrom = Array.init ptotal (fun k -> k * 31 mod pn) in
-  let ptargets =
-    Array.init ptotal (fun k ->
-        if k mod 4 = 3 then Id.random rng
-        else members.(k * 11 mod Array.length members))
-  in
-  let pres = Proto.lookup_owner_batch proto ~from:pfrom ~targets:ptargets in
-  Array.iteri
-    (fun k expect ->
-      let got = Proto.lookup_owner proto ~from:pfrom.(k) ptargets.(k) in
-      let same =
-        match (expect, got) with
-        | None, None -> true
-        | Some a, Some b -> Id.equal a b
-        | _ -> false
-      in
-      if not same then gate_fail "proto lookup %d: batch/lookup_owner diverge" k)
-    pres;
-  let proto_tests =
-    [
-      Test.make ~name:"proto-walk-driver"
-        (Staged.stage (fun () ->
-             for k = 0 to ptotal - 1 do
-               ignore (Proto.lookup_owner proto ~from:pfrom.(k) ptargets.(k))
-             done));
-      Test.make ~name:"proto-batch"
-        (Staged.stage (fun () ->
-             ignore (Proto.lookup_owner_batch proto ~from:pfrom ~targets:ptargets)));
-    ]
-  in
-  Printf.printf
-    "equivalence gates passed: %d intra walks, %d inter routes, %d proto walks\n"
-    gate itotal ptotal;
-  (* --- measure --- *)
-  let groups =
-    [
-      ("intra", intra_tests, total);
-      ("inter", inter_tests, itotal);
-      ("proto", proto_tests, ptotal);
-    ]
-  in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let instances = Instance.[ monotonic_clock; minor_allocated ] in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~stabilize:false ()
-  in
-  let rows =
-    List.concat_map
-      (fun (group, tests, lookups) ->
-        let test = Test.make_grouped ~name:group ~fmt:"%s/%s" tests in
-        let raw = Benchmark.all cfg instances test in
-        let clock_tbl = Analyze.all ols Instance.monotonic_clock raw in
-        let alloc_tbl = Analyze.all ols Instance.minor_allocated raw in
-        let estimate tbl name =
-          match Hashtbl.find_opt tbl name with
-          | Some o ->
-            (match Analyze.OLS.estimates o with Some (e :: _) -> Some e | _ -> None)
-          | None -> None
-        in
-        Hashtbl.fold (fun name _ acc -> name :: acc) clock_tbl []
-        |> List.sort compare
-        |> List.map (fun name ->
-               let ns_run =
-                 match estimate clock_tbl name with Some e -> e | None -> nan
-               in
-               let w_run =
-                 match estimate alloc_tbl name with Some e -> e | None -> nan
-               in
-               let l = float_of_int lookups in
-               let short =
-                 match String.index_opt name '/' with
-                 | Some i -> String.sub name (i + 1) (String.length name - i - 1)
-                 | None -> name
-               in
-               {
-                 dp_name = short;
-                 dp_lookups = lookups;
-                 dp_ns_per_lookup = ns_run /. l;
-                 dp_words_per_lookup = w_run /. l;
-                 dp_lookups_per_s =
-                   (if ns_run > 0.0 then l /. (ns_run *. 1e-9) else nan);
-                 dp_passes =
-                   (match short with
-                   | "engine-seq" -> 0
-                   | "inter-batch" -> inter_passes
-                   | s when String.length s > 6 && String.sub s 0 6 = "batch-" ->
-                     full_passes
-                   | _ -> 0);
-               }))
-      groups
-  in
-  Printf.printf
-    "== Data-plane throughput (%s, %d/%d/%d lookups per run) ==\n"
-    profile.Isp.profile_name total itotal ptotal;
-  List.iter
-    (fun r ->
-      Printf.printf "%-24s %12.0f lookups/s %10.1f ns/lookup %10.3f w/lookup\n"
-        r.dp_name r.dp_lookups_per_s r.dp_ns_per_lookup r.dp_words_per_lookup)
-    rows;
-  print_newline ();
-  rows
-
 (* ---------------- service-discovery throughput ---------------- *)
 
 (* Resolutions/sec of the service layer's three hot paths over one placed
    directory: cache hits (local answers), cache misses (fused owner walks +
    record reads + cache installs, measured against a capacity-0 directory so
-   every run actually walks), and the republish sweep.  As with the data
-   plane, correctness is gated before anything is timed: every resolution
+   every run actually walks), and the republish sweep.  As with the alpha
+   target, correctness is gated before anything is timed: every resolution
    must carry the oracle-correct sign, hits must hit and misses must miss —
    a throughput number from a wrong resolver is worthless. *)
 
@@ -661,7 +384,7 @@ let services_bench (scale : E.Common.scale) quick =
              ~origin:gateways.(Hashtbl.hash (rank, j) mod Array.length gateways))
       done
     done;
-    (* Place every record through the batched data plane (synchronous
+    (* Place every record through the batched owner walk (synchronous
        pure-read walks; no engine time needed at a quiescent ring). *)
     ignore (Directory.republish_due dir ~now:0.0);
     dir
@@ -755,10 +478,11 @@ let services_bench (scale : E.Common.scale) quick =
 
 (* Lookups/sec of the α-parallel register file at α ∈ {1, 2, 4} over one
    bootstrapped ring with pointer caches enabled, so the diversified branch
-   starts are live.  α=1 is gated byte-identical to the sequential
-   [Proto_batch] walk (status, owner, hops, latency) and α>1 is gated to
-   the sequential verdict with an empty freelist — a throughput number from
-   a wrong or slot-leaking engine is worthless.  Rows report the
+   starts are live.  α=1 is gated to the sequential [Proto.lookup_owner]
+   verdicts and to the recorded owner-walk goldens ({!Owner_golden}: owner,
+   hops, latency), and α>1 to the sequential verdict with an empty freelist
+   — a throughput number from a wrong or slot-leaking engine is
+   worthless.  Rows report the
    duplicate-work price alongside the rate: wasted ring hops per lookup is
    what redundancy costs, and the gate keeps it a tracked number. *)
 
@@ -778,8 +502,7 @@ let alpha_bench (scale : E.Common.scale) quick =
   let module Id = Rofl_idspace.Id in
   let module Isp = Rofl_topology.Isp in
   let module Proto = Rofl_proto.Proto in
-  let module Proto_batch = Rofl_dataplane.Proto_batch in
-  let module Alpha = Rofl_dataplane.Alpha in
+  let module Alpha = Rofl_proto.Alpha in
   let gate_fail fmt =
     Printf.ksprintf
       (fun s ->
@@ -810,26 +533,23 @@ let alpha_bench (scale : E.Common.scale) quick =
         if k mod 4 = 3 then Id.random rng
         else members.(k * 11 mod Array.length members))
   in
-  (* Gate 1: α=1 must be byte-identical to the sequential register file. *)
-  let pb = Proto_batch.create ~hint:total proto in
-  let a1 = Alpha.create ~hint:total ~alpha:1 proto in
-  for k = 0 to total - 1 do
-    ignore (Proto_batch.stage pb ~from:from.(k) ~target:targets.(k));
-    ignore (Alpha.stage a1 ~from:from.(k) ~target:targets.(k))
-  done;
-  Proto_batch.run pb;
-  Alpha.run a1;
-  for k = 0 to total - 1 do
-    if
-      Proto_batch.resolved pb k <> Alpha.resolved a1 k
-      || Proto_batch.owner_router pb k <> Alpha.owner_router a1 k
-      || Proto_batch.ring_hops pb k <> Alpha.ring_hops a1 k
-      || Proto_batch.link_hops pb k <> Alpha.link_hops a1 k
-      || Proto_batch.latency_ms pb k <> Alpha.latency_ms a1 k
-      || Alpha.wasted_hops a1 k <> 0
-    then gate_fail "alpha=1 diverges from Proto_batch at lookup %d" k
-  done;
-  (* Gate 2: any α agrees with the sequential verdict; freelist drains. *)
+  (* Gate 1: the recorded goldens reproduce at α=1 and α=3. *)
+  let gt, gfrom, gtargets = Owner_golden.ring () in
+  List.iter
+    (fun (alpha, expect) ->
+      let ab = Alpha.create ~alpha gt in
+      Array.iteri
+        (fun k f -> ignore (Alpha.stage ab ~from:f ~target:gtargets.(k)))
+        gfrom;
+      Alpha.run ab;
+      let got = Owner_golden.summary ab in
+      if got <> expect then
+        gate_fail "alpha=%d golden diverges:\n  got    %s\n  expect %s" alpha got
+          expect)
+    Owner_golden.expected;
+  (* Gate 2: any α agrees with the sequential verdict — every lookup at
+     α=1 (with no duplicate work), the first [gate] at α>1 — and the
+     freelist drains. *)
   let gate = min 256 total in
   let files =
     List.map
@@ -846,7 +566,9 @@ let alpha_bench (scale : E.Common.scale) quick =
       if Alpha.slots_in_flight ab <> 0 then
         gate_fail "alpha=%d stranded %d branch slot(s)" alpha
           (Alpha.slots_in_flight ab);
-      for k = 0 to gate - 1 do
+      for k = 0 to (if alpha = 1 then total else gate) - 1 do
+        if alpha = 1 && Alpha.wasted_hops ab k <> 0 then
+          gate_fail "alpha=1 lookup %d wasted %d hops" k (Alpha.wasted_hops ab k);
         let seq = Proto.lookup_owner proto ~from:from.(k) targets.(k) in
         let same =
           match (seq, Alpha.resolved ab k) with
@@ -875,9 +597,9 @@ let alpha_bench (scale : E.Common.scale) quick =
       files
   in
   Printf.printf
-    "equivalence gates passed: %d byte-identity walks at alpha=1, %d verdicts \
-     per alpha\n"
-    total gate;
+    "equivalence gates passed: %d goldens, %d verdicts at alpha=1, %d per \
+     alpha>1\n"
+    (List.length Owner_golden.expected) total gate;
   let tests =
     List.map
       (fun (alpha, ab) ->
@@ -971,7 +693,7 @@ let json_escape s =
 let json_float f = if Float.is_nan f then "null" else Printf.sprintf "%.3f" f
 
 let write_bench_json ~path ~quick ~jobs ~seed timings shard_rows micro_rows
-    dataplane_rows services_rows alpha_rows =
+    services_rows alpha_rows =
   let oc = open_out path in
   Printf.fprintf oc "{\n";
   Printf.fprintf oc "  \"scale\": \"%s\",\n" (if quick then "quick" else "full");
@@ -1011,19 +733,6 @@ let write_bench_json ~path ~quick ~jobs ~seed timings shard_rows micro_rows
         (json_float r.minor_words_per_run)
         (if i = List.length micro_rows - 1 then "" else ","))
     micro_rows;
-  Printf.fprintf oc "  },\n";
-  Printf.fprintf oc "  \"dataplane\": {\n";
-  List.iteri
-    (fun i (r : dataplane_row) ->
-      Printf.fprintf oc
-        "    \"%s\": {\"lookups\": %d, \"lookups_per_s\": %s, \"ns_per_lookup\": %s, \
-         \"minor_words_per_lookup\": %s, \"passes\": %d}%s\n"
-        (json_escape r.dp_name) r.dp_lookups
-        (json_float r.dp_lookups_per_s)
-        (json_float r.dp_ns_per_lookup)
-        (json_float r.dp_words_per_lookup) r.dp_passes
-        (if i = List.length dataplane_rows - 1 then "" else ","))
-    dataplane_rows;
   Printf.fprintf oc "  },\n";
   Printf.fprintf oc "  \"services\": {\n";
   List.iteri
@@ -1085,15 +794,13 @@ let field_value line field =
     in
     float_of_string_opt (String.trim (String.sub rest 0 stop))
 
-(* Returns (micro rows: name * words/run, dataplane rows: name * words/lookup
-   * lookups/s, services rows: name * words/resolution * resolutions/s, alpha
-   rows: the same pair as dataplane).  The row kinds are told apart by which
-   fields the line carries — alpha rows carry the same per-lookup fields as
-   dataplane rows plus a distinguishing ["alpha"] field, so that one is
-   tested first — and one baseline file can hold all sections verbatim. *)
+(* Returns (micro rows: name * words/run, services rows: name *
+   words/resolution * resolutions/s, alpha rows: name * words/lookup *
+   lookups/s).  The row kinds are told apart by which fields the line
+   carries, so one baseline file can hold all sections verbatim. *)
 let baseline_rows path =
   let ic = open_in path in
-  let micro = ref [] and dataplane = ref [] and services = ref [] in
+  let micro = ref [] and services = ref [] in
   let alpha = ref [] in
   (try
      while true do
@@ -1107,10 +814,7 @@ let baseline_rows path =
              ( field_value line "\"minor_words_per_lookup\":",
                field_value line "\"lookups_per_s\":" )
            with
-           | Some w, Some rate ->
-             if field_value line "\"alpha\":" <> None then
-               alpha := (name, w, rate) :: !alpha
-             else dataplane := (name, w, rate) :: !dataplane
+           | Some w, Some rate -> alpha := (name, w, rate) :: !alpha
            | _ -> (
              match
                ( field_value line "\"minor_words_per_resolution\":",
@@ -1125,7 +829,7 @@ let baseline_rows path =
      done
    with End_of_file -> ());
   close_in ic;
-  (List.rev !micro, List.rev !dataplane, List.rev !services, List.rev !alpha)
+  (List.rev !micro, List.rev !services, List.rev !alpha)
 
 (* Fail when a gated row allocates >25% more minor words per run than the
    baseline.  The +0.5-word slack keeps allocation-free rows (baseline 0)
@@ -1150,37 +854,12 @@ let check_alloc ~baseline rows =
     baseline;
   !failures
 
-(* The throughput side of the gate: a dataplane row may not allocate more
-   than the micro-style words limit, and may not fall below half the
-   baseline's lookups/sec.  Wall-clock on shared CI runners is noisy, so
-   the 50% margin catches a lost optimisation (batching regressions cost
-   integer factors), not scheduler jitter. *)
-let check_dataplane ~baseline rows =
-  let failures = ref 0 in
-  List.iter
-    (fun (name, base_w, base_rate) ->
-      match List.find_opt (fun (r : dataplane_row) -> r.dp_name = name) rows with
-      | None ->
-        Printf.printf "dataplane-gate: %-24s MISSING from this run\n" name;
-        incr failures
-      | Some r ->
-        let w_limit = (base_w *. 1.25) +. 0.5 in
-        let rate_floor = base_rate *. 0.5 in
-        let w_ok = r.dp_words_per_lookup <= w_limit in
-        let rate_ok = r.dp_lookups_per_s >= rate_floor in
-        Printf.printf
-          "dataplane-gate: %-24s %8.3f w/lookup (limit %8.3f) %12.0f lookups/s \
-           (floor %12.0f) %s\n"
-          name r.dp_words_per_lookup w_limit r.dp_lookups_per_s rate_floor
-          (if w_ok && rate_ok then "ok"
-           else if w_ok then "FAIL(throughput)"
-           else "FAIL(alloc)");
-        if not (w_ok && rate_ok) then incr failures)
-    baseline;
-  !failures
-
-(* Services rows gate the same two axes as the dataplane: minor words per
-   resolution (25% + slack) and a 50%-of-baseline resolutions/sec floor. *)
+(* The throughput side of the gate: a services row may not allocate more
+   than the micro-style words limit per resolution (25% + slack), and may
+   not fall below half the baseline's resolutions/sec.  Wall-clock on
+   shared CI runners is noisy, so the 50% margin catches a lost
+   optimisation (batching regressions cost integer factors), not scheduler
+   jitter. *)
 let check_services ~baseline rows =
   let failures = ref 0 in
   List.iter
@@ -1206,7 +885,7 @@ let check_services ~baseline rows =
   !failures
 
 (* Alpha rows gate words/lookup (25% + slack) and a 50%-of-baseline
-   lookups/sec floor, exactly like the dataplane: losing the allocation-free
+   lookups/sec floor, exactly like the services rows: losing the allocation-free
    walk or the register-reuse discipline at α>1 costs integer factors, which
    the margin catches through CI scheduler noise. *)
 let check_alpha ~baseline rows =
@@ -1273,7 +952,7 @@ let () =
     match args with
     | [] ->
       List.map (fun (n, _, _) -> n) targets
-      @ [ "shards"; "micro"; "dataplane"; "services"; "alpha" ]
+      @ [ "shards"; "micro"; "services"; "alpha" ]
     | _ -> args
   in
   Printf.printf "ROFL reproduction benchmarks (%s scale, seed %d, %d jobs)\n\n"
@@ -1282,7 +961,6 @@ let () =
   let timings = ref [] in
   let micro_rows = ref [] in
   let shard_rows = ref [] in
-  let dataplane_rows = ref [] in
   let services_rows = ref [] in
   let alpha_rows = ref [] in
   List.iter
@@ -1296,11 +974,6 @@ let () =
         let rows, cost = measure (fun () -> shard_bench quick) in
         shard_rows := rows;
         timings := ("shards", cost) :: !timings
-      end
-      else if name = "dataplane" then begin
-        let rows, cost = measure (fun () -> dataplane_bench scale quick) in
-        dataplane_rows := rows;
-        timings := ("dataplane", cost) :: !timings
       end
       else if name = "services" then begin
         let rows, cost = measure (fun () -> services_bench scale quick) in
@@ -1332,7 +1005,7 @@ let () =
     wanted;
   write_bench_json ~path:"BENCH.json" ~quick ~jobs:(E.Common.jobs ())
     ~seed:scale.E.Common.seed (List.rev !timings) !shard_rows !micro_rows
-    !dataplane_rows !services_rows !alpha_rows;
+    !services_rows !alpha_rows;
   match !check_alloc_path with
   | None -> ()
   | Some path ->
@@ -1340,24 +1013,15 @@ let () =
       Printf.eprintf "--check-alloc needs the micro target in the run\n";
       exit 2
     end;
-    let baseline, dp_baseline, sv_baseline, al_baseline = baseline_rows path in
+    let baseline, sv_baseline, al_baseline = baseline_rows path in
     if baseline = [] then begin
       Printf.eprintf "--check-alloc: no rows parsed from %s (one \"name\": {...\"minor_words_per_run\": N} per line)\n" path;
       exit 2
     end;
     let failures = check_alloc ~baseline !micro_rows in
-    (* Dataplane rows are gated only when the target ran: micro-only CI
-       invocations with a combined baseline file must stay valid. *)
-    let failures =
-      if !dataplane_rows = [] then begin
-        if dp_baseline <> [] then
-          Printf.printf
-            "dataplane-gate: skipped (%d baseline row(s), dataplane target not run)\n"
-            (List.length dp_baseline);
-        failures
-      end
-      else failures + check_dataplane ~baseline:dp_baseline !dataplane_rows
-    in
+    (* Services and alpha rows are gated only when their target ran:
+       micro-only CI invocations with a combined baseline file must stay
+       valid. *)
     let failures =
       if !services_rows = [] then begin
         if sv_baseline <> [] then

@@ -86,7 +86,16 @@ let alpha_opt =
      losers are cooperatively cancelled).  Unlike --jobs/--shards this \
      changes results: redundancy trades control traffic for tail latency."
   in
-  Arg.(value & opt (some int) None & info [ "alpha" ] ~doc ~docv:"N")
+  let at_least_one =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n >= 1 -> Ok n
+      | Some n -> Error (`Msg (Printf.sprintf "must be at least 1, got %d" n))
+      | None -> Error (`Msg (Printf.sprintf "invalid integer %S" s))
+    in
+    Arg.conv (parse, Format.pp_print_int)
+  in
+  Arg.(value & opt (some at_least_one) None & info [ "alpha" ] ~doc ~docv:"N")
 
 let scale_of quick seed hosts =
   let base = if quick then E.Common.quick else E.Common.full in

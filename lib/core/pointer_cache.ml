@@ -22,8 +22,6 @@ let insert c (p : Pointer.t) =
 
 let find c id = Lru.find c.lru id
 
-let ring_index c = c.index
-
 let best_match c ~cur ~target =
   (* Exact hit first, else the ring predecessor of target (closest not
      past), accepted only if it improves on cur. *)

@@ -23,13 +23,6 @@ val insert : t -> Pointer.t -> unit
 val find : t -> Rofl_idspace.Id.t -> Pointer.t option
 (** Exact lookup (refreshes recency). *)
 
-val ring_index : t -> Pointer.t Rofl_idspace.Ring.t
-(** The live ring-ordered index over the cached destinations — a read-only
-    window for allocation-free cursor probes (the batched data plane walks
-    it instead of {!best_match}, which allocates an option and touches LRU
-    recency).  The handle is only current until the next mutation of the
-    cache. *)
-
 val best_match : t -> cur:Rofl_idspace.Id.t -> target:Rofl_idspace.Id.t -> Pointer.t option
 (** The cached pointer whose identifier lies in the ring interval
     [(cur, target]] and is closest to [target] — i.e. strictly better greedy

@@ -61,8 +61,6 @@ let add_pred v p ~max_group =
 
 let remove_succ v id = v.succs <- List.filter (fun (p : Pointer.t) -> not (Id.equal p.dst id)) v.succs
 
-let remove_pred v id = v.preds <- List.filter (fun (p : Pointer.t) -> not (Id.equal p.dst id)) v.preds
-
 let drop_pointers_if v doomed =
   let count = ref 0 in
   let keep p = if doomed p then begin incr count; false end else true in

@@ -44,8 +44,6 @@ val add_pred : t -> Pointer.t -> max_group:int -> unit
 
 val remove_succ : t -> Rofl_idspace.Id.t -> unit
 
-val remove_pred : t -> Rofl_idspace.Id.t -> unit
-
 val drop_pointers_if : t -> (Pointer.t -> bool) -> int
 (** Remove every succ/pred pointer satisfying the predicate; returns how many
     were dropped (used on failure notifications). *)

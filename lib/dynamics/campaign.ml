@@ -670,7 +670,8 @@ let params_of_strings kvs =
         Ok { p with proto_cfg = { c with Proto.untwist = x } }
       | "lookup_alpha" ->
         let* x = it k v in
-        Ok { p with proto_cfg = { c with Proto.lookup_alpha = x } }
+        if x < 1 then Error (Printf.sprintf "param %s: must be >= 1, got %d" k x)
+        else Ok { p with proto_cfg = { c with Proto.lookup_alpha = x } }
       | "pcache_capacity" ->
         let* x = it k v in
         Ok { p with proto_cfg = { c with Proto.pcache_capacity = x } }

@@ -180,5 +180,5 @@ val params_to_strings : params -> (string * string) list
     bit-identical. *)
 
 val params_of_strings : (string * string) list -> (params, string) result
-(** Rebuild params from artifact lines over {!default_params}; unknown keys
-    and malformed scalars are errors. *)
+(** Rebuild params from artifact lines over {!default_params}; unknown keys,
+    malformed scalars and a [lookup_alpha] below 1 are errors. *)

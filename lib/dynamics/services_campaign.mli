@@ -7,7 +7,7 @@
     Zipf-skewed resolutions ({!Rofl_workload.Services}) batched on a tick
     cadence through {!Rofl_services.Directory.resolve_batch} — cache hits
     local, misses fused into one priced
-    {!Rofl_proto.Proto.lookup_owner_batch} walk per tick.  Provider flaps
+    {!Rofl_proto.Alpha} owner walk per tick.  Provider flaps
     toggle intents (the stale-answer source), republish runs on the
     directory's phase-staggered schedule (or all at once as a storm), and
     TTL sweeps drop decayed records.  The report is the layer's SLO sheet:

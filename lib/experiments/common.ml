@@ -157,7 +157,9 @@ let alpha_setting = ref 1
 
 let alpha () = !alpha_setting
 
-let set_alpha n = alpha_setting := max 1 n
+let set_alpha n =
+  if n < 1 then invalid_arg "Common.set_alpha: alpha must be >= 1";
+  alpha_setting := n
 
 (* Memo tables are shared across figure modules and now across domains: a
    missing entry is built outside the lock (concurrent requests for *other*

@@ -61,8 +61,8 @@ val set_shards : int -> unit
 val shards : unit -> int
 
 val set_alpha : int -> unit
-(** Parallel lookup branches for campaign engines ([--alpha], clamped to at
-    least 1, the default).  Unlike jobs/shards this is experiment identity,
+(** Parallel lookup branches for campaign engines ([--alpha], default 1;
+    raises [Invalid_argument] below 1).  Unlike jobs/shards this is experiment identity,
     not execution configuration: α changes which walks run and what they
     cost, so tables at different α legitimately differ. *)
 

@@ -88,15 +88,13 @@ val members_between : Id.t -> Id.t -> 'a t -> (Id.t * 'a) list
 type cursor = int
 (** [< 0] means "no position" (empty ring / not found). *)
 
-val cursor_none : cursor
-
 val cursor_is_none : cursor -> bool
 
 val cursor_equal : cursor -> cursor -> bool
 
 val cursor_gt : Id.t -> 'a t -> cursor
 (** First member strictly clockwise of [x] in linear order, wrapping to the
-    minimum; {!cursor_none} iff empty.  Mirrors {!successor}. *)
+    minimum; none iff empty.  Mirrors {!successor}. *)
 
 val cursor_geq : Id.t -> 'a t -> cursor
 (** Mirrors {!successor_incl}. *)
@@ -105,7 +103,7 @@ val cursor_lt : Id.t -> 'a t -> cursor
 (** Mirrors {!predecessor}. *)
 
 val cursor_find : Id.t -> 'a t -> cursor
-(** Exact member, or {!cursor_none}. *)
+(** Exact member, or none. *)
 
 val cursor_next : 'a t -> cursor -> cursor
 (** The next member clockwise, wrapping from the maximum to the minimum. *)

@@ -102,9 +102,6 @@ val bloom_check : t -> int -> Id.t -> bool
 val bloom_state_bits : t -> int -> float
 (** Modelled bloom state at an AS (bits). *)
 
-val cache_insert : t -> int -> Id.t -> int -> unit
-(** [cache_insert t as_idx id home] caches a pointer to [id] at an AS. *)
-
 val strategy_to_string : strategy -> string
 
 val effective_levels : t -> int -> strategy -> Level.t list

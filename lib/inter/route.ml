@@ -438,11 +438,6 @@ let route_from (t : Net.t) ~src ~dst =
   Charge.inject t.Net.metrics Msg.data src.Net.home_as;
   Route_walk.run st ~start:()
 
-let route_between_ases t ~src_as ~dst =
-  match Ring.min_binding !(t.Net.resident_rings.(src_as)) with
-  | None -> None
-  | Some (_, h) -> Some (route_from t ~src:h ~dst)
-
 let stretch_vs_bgp t ~src ~dst =
   match Net.locate t dst with
   | None -> None

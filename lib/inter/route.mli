@@ -24,11 +24,6 @@ val route_from : Net.t -> src:Net.host -> dst:Rofl_idspace.Id.t -> result
 (** Route one packet from a source host's AS towards an identifier.
     Charged to the [data] category. *)
 
-val route_between_ases :
-  Net.t -> src_as:int -> dst:Rofl_idspace.Id.t -> result option
-(** Like {!route_from} starting from an arbitrary resident of [src_as];
-    [None] when the AS hosts no identifiers. *)
-
 val stretch_vs_bgp : Net.t -> src:Net.host -> dst:Rofl_idspace.Id.t -> float option
 (** ROFL AS-hops over the BGP policy-path length between the two home ASes —
     the paper's interdomain stretch metric (§6.1).  Same-AS pairs and
@@ -42,37 +37,3 @@ val isolation_respected : Net.t -> result -> src:Net.host -> dst:Rofl_idspace.Id
     lca-containment form of the property for stretch while still keeping
     subtree-internal traffic internal (§4.1–4.2). *)
 
-(** {2 Substrate pieces exposed for the batched data plane}
-
-    The batched interdomain engine ({!Rofl_dataplane} [.Inter]) re-runs the
-    walk's per-step decisions over struct-of-arrays registers; it calls
-    these exact functions so candidate choice and charge accounting cannot
-    drift from {!route_from}. *)
-
-val best_local_resident :
-  Net.t ->
-  int ->
-  pos:Rofl_idspace.Id.t ->
-  dst:Rofl_idspace.Id.t ->
-  (Rofl_idspace.Id.t * Net.host) option
-(** Closest live resident of the AS in the clockwise interval [(pos, dst]]
-    — the walk's free intra-AS [prepare] move. *)
-
-val lowest_level_candidate :
-  Net.t ->
-  Net.host ->
-  cur:int ->
-  pos:Rofl_idspace.Id.t ->
-  dst:Rofl_idspace.Id.t ->
-  ceiling:Level.t ->
-  (Level.t * Rofl_idspace.Id.t * Net.host * bool) option
-(** Best ring candidate at the lowest usable level
-    (destination-containing levels preferred bottom-up); the [bool] is
-    whether taking it narrows the packet's level ceiling. *)
-
-val charge_move :
-  Net.t -> Level.t -> int -> int -> (int * int list) option
-(** Charge a level-restricted AS move; returns (hops, path tail). *)
-
-val charge_unrestricted : Net.t -> int -> int -> (int * int list) option
-(** Charge a root-level (cache shortcut) move. *)

@@ -8,7 +8,7 @@ type event =
   | Router_up of int
 
 (* Resumable Dijkstra state for one source.  The tree is grown on demand:
-   single-pair queries ([path_to], [distance_to], [reachable]) settle only as
+   single-pair queries ([path], [distance_to], [reachable]) settle only as
    far as their destination; whole-tree consumers ([eccentricity_hops]) run
    the frontier dry.  A node is "labeled" once [dist] is finite: its entry in
    [parent] then records the path the label came from, whether or not the
@@ -342,7 +342,7 @@ let distance_to t src dst =
     if st.dist.(dst) < infinity then Some st.dist.(dst) else None
   end
 
-let path_to t src dst =
+let path t src dst =
   if not (router_alive t src && router_alive t dst) then None
   else begin
     let st = settle_to t src dst in
@@ -358,8 +358,6 @@ let path_to t src dst =
 let reachable t src dst =
   router_alive t src && router_alive t dst
   && (settle_to t src dst).dist.(dst) < infinity
-
-let path = path_to
 
 let distance_hops t src dst =
   if not (router_alive t src && router_alive t dst) then None
@@ -403,7 +401,7 @@ let price_hop_into t src dst ~latency i =
 let distance_latency = distance_to
 
 let next_hop t src dst =
-  match path_to t src dst with
+  match path t src dst with
   | None | Some [ _ ] -> None
   | Some (_ :: hop :: _) -> Some hop
   | Some [] -> None

@@ -52,12 +52,6 @@ val path : t -> int -> int -> int list option
 (** Latency-shortest live path, inclusive of both endpoints
     ([Some [src]] when [src = dst]).  [None] when partitioned. *)
 
-val path_to : t -> int -> int -> int list option
-(** Single-pair form of {!path}: Dijkstra from [src] stops as soon as [dst]
-    is settled (and the partial tree is cached and resumed by later
-    queries).  Same results as {!path}; this is the hot-path entry point for
-    one-off reachability probes and stretch denominators. *)
-
 val distance_to : t -> int -> int -> float option
 (** Early-exit single-pair latency distance; equals {!distance_latency}. *)
 
@@ -102,9 +96,6 @@ val lsa_flood_cost : t -> int
 val live_router_count : t -> int
 
 val live_link_count : t -> int
-
-val eccentricity_hops : t -> int -> int
-(** Max live hop distance from a router to any reachable router. *)
 
 val diameter_hops : t -> int
 (** Max eccentricity over live routers (0 if none). *)

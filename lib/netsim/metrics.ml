@@ -32,15 +32,6 @@ let incr m category k =
 
 let handle = counter
 
-let charge_hop_via m r router =
-  r := !r + 1;
-  if router >= 0 && router < Array.length m.load then
-    m.load.(router) <- m.load.(router) + 1
-
-let charge_load m router =
-  if router >= 0 && router < Array.length m.load then
-    m.load.(router) <- m.load.(router) + 1
-
 let charge_hop m category router =
   incr m category 1;
   if router >= 0 && router < Array.length m.load then

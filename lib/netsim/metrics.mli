@@ -18,14 +18,6 @@ val handle : t -> string -> int ref
     {!charge_hop}/{!incr} update — counts stay coherent however they are
     charged. *)
 
-val charge_hop_via : t -> int ref -> int -> unit
-(** {!charge_hop} through a pre-interned {!handle}: bumps the cell and the
-    router's load without touching the category table.  Allocation-free. *)
-
-val charge_load : t -> int -> unit
-(** Bump only the per-router load table — the message-injection charge
-    ([Charge.inject] nets out to exactly this).  Allocation-free. *)
-
 val charge_hop : t -> string -> int -> unit
 (** [charge_hop m category router] counts one message traversing [router]
     under [category], and adds it to that router's load. *)

@@ -1,18 +1,16 @@
-(* α-parallel register file over [Proto.lookup_owner_alpha_into]: the
-   batched data plane's front-end for redundant lookups.  Like
-   [Proto_batch] it persists registers across rounds — stage, run, read —
-   but each staged lookup owns up to α branch-register slots, acquired from
-   the file's freelist when [run] seeds the branches and released as
-   branches win, die, or are cancelled.  [slots_in_flight] must read 0
-   after every run: a cancellation path that strands a slot is a bug the
-   test suite pins directly against this counter.
+(* α-parallel register file over [Proto.lookup_owner_alpha_into], the one
+   batched owner walk.  It persists registers across rounds — stage, run,
+   read — and each staged lookup owns up to α branch-register slots,
+   acquired from the file's freelist when [run] seeds the branches and
+   released as branches win, die, or are cancelled.  [slots_in_flight] must
+   read 0 after every run: a cancellation path that strands a slot is a bug
+   the test suite pins directly against this counter.
 
-   The engine itself lives in [Proto] (the walk needs store internals);
-   this layer owns the memory, the freelist discipline, and the
-   duplicate-work ledger the α sweeps report. *)
+   The walk itself lives in [Proto] (it needs store internals); this layer
+   owns the memory, the freelist discipline, and the duplicate-work ledger
+   the α sweeps report. *)
 
 module Id = Rofl_idspace.Id
-module Proto = Rofl_proto.Proto
 
 type t = {
   proto : Proto.t;
@@ -86,10 +84,6 @@ let create ?(hint = 16) ?(alpha = 1) proto =
     total_cancellations = 0;
     total_wasted = 0;
   }
-
-let proto t = t.proto
-
-let alpha t = t.alpha
 
 let grow t cap =
   let cap = max cap (2 * t.cap) in

@@ -1,12 +1,15 @@
-(** α-parallel register file for the batched data plane.
+(** α-parallel register file for the batched owner walk.
 
-    Same stage/run/read discipline as {!Proto_batch}, but every staged
-    lookup is walked by up to α concurrent greedy branches with
-    first-success semantics: branch 0 starts at the staged origin, extra
-    branches start from diversified pointers (pointer-cache entry closest
-    to the target, successor-list backups, predecessor).  The first branch
-    to reach the owner wins; live siblings are cooperatively cancelled and
-    their hops land in the duplicate-work ledger.
+    Stage lookups, {!run} them, read the verdicts through the accessors,
+    {!clear}, repeat — the registers persist across rounds, so steady-state
+    callers (the service directory's publish and resolve paths, the bench
+    hot loop) allocate nothing per round beyond the walk's shortest-path
+    pricing.  Every staged lookup is walked by up to α concurrent greedy
+    branches with first-success semantics: branch 0 starts at the staged
+    origin, extra branches start from diversified pointers (pointer-cache
+    entry closest to the target, successor-list backups, predecessor).  The
+    first branch to reach the owner wins; live siblings are cooperatively
+    cancelled and their hops land in the duplicate-work ledger.
 
     Branch registers are acquired from this file's slot pool when [run]
     seeds the branches and released as branches win, die, or are
@@ -20,15 +23,11 @@
 
 type t
 
-val create : ?hint:int -> ?alpha:int -> Rofl_proto.Proto.t -> t
+val create : ?hint:int -> ?alpha:int -> Proto.t -> t
 (** [create ?hint ?alpha proto] sizes the file for about [hint] lookups
     (default 16, growing by doubling) of [alpha] branches each (default 1,
-    which walks exactly like {!Proto_batch}).  Raises [Invalid_argument]
-    if [alpha < 1]. *)
-
-val proto : t -> Rofl_proto.Proto.t
-
-val alpha : t -> int
+    whose verdicts are exactly {!Proto.lookup_owner}'s).  Raises
+    [Invalid_argument] if [alpha < 1]. *)
 
 val clear : t -> unit
 (** Forget staged lookups; registers and ledgers are retained. *)
@@ -70,8 +69,11 @@ val wasted_link_hops : t -> int -> int
     accounting should charge on top of {!link_hops}. *)
 
 val link_hops : t -> int -> int
+(** Physical link traversals under the winning branch (each ring hop priced
+    by the link-state shortest path). *)
 
 val latency_ms : t -> int -> float
+(** Summed shortest-path latency of the winning branch's ring hops. *)
 
 val slots_in_flight : t -> int
 (** Branch slots acquired but never released by the last [run] — the

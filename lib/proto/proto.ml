@@ -467,6 +467,7 @@ let create ~rng ?(cfg = default_config) ?(shards = 1) ?pool ?(bootstrap_hosts = 
     ?(lookup_hint = 0) ?(groups = [||]) ?behaviours graph =
   if shards < 1 then invalid_arg "Proto.create: shards must be >= 1";
   if bootstrap_hosts < 0 then invalid_arg "Proto.create: bootstrap_hosts < 0";
+  if cfg.lookup_alpha < 1 then invalid_arg "Proto.create: lookup_alpha must be >= 1";
   let n = Graph.n graph in
   if Array.length groups <> 0 && Array.length groups <> n then
     invalid_arg "Proto.create: groups must have one entry per router";
@@ -1395,7 +1396,7 @@ and start_lookup_attempt t st =
      first (charged like any routed message), then greedy-walks from that
      router's local knowledge.  The primary branch above is byte-identical
      to the α=1 engine — extras only add events after it. *)
-  let alpha = max 1 t.cfg.lookup_alpha in
+  let alpha = t.cfg.lookup_alpha in
   if alpha > 1 then begin
     let starts = Array.make (alpha - 1) (-1) in
     let k =
@@ -2158,166 +2159,16 @@ let lookup_owner t ~from target =
   in
   walk from (Id.succ_id target) 0
 
-(* Batched owner resolution: the same pure-read greedy walk as
-   {!lookup_owner}, advanced one hop per pass across a whole batch of
-   lookups so campaigns can resolve owner sets without re-entering the walk
-   per query.  Registers live in parallel arrays; the two [Store.iter_router]
-   visitors are allocated once per batch and communicate through scratch
-   cells, so the per-hop path allocates nothing beyond what the sequential
-   walk does.  Results are exactly [Array.map (lookup_owner t ~from) targets]
-   — the walk reads only resident-store state, which the batch never
-   mutates.
+(* ---- the batched owner walk ----------------------------------------------
 
-   [stats], when provided, adds data-plane accounting per lookup: the router
-   where the verdict landed, the ring hops taken, and the physical cost of
-   each ring hop priced by the link-state shortest path between the two
-   routers (link traversals and latency).  The pricing queries the owning
-   shard's Dijkstra cache, which only warms memoised trees — results are
-   unchanged and nothing is scheduled, so a stats walk is still pure-read
-   with respect to the protocol. *)
-type batch_stats = {
-  bs_owner_router : int array;  (* verdict router, -1 when unresolved *)
-  bs_ring_hops : int array;     (* greedy walk hops taken *)
-  bs_link_hops : int array;     (* physical link traversals under the walk *)
-  bs_latency_ms : float array;  (* summed per-hop shortest-path latency *)
-}
+   The same pure-read greedy walk as {!lookup_owner}, advanced one hop per
+   pass across a whole batch of lookups so campaigns can resolve owner sets
+   without re-entering the walk per query.  The two [Store.iter_router]
+   visitors are allocated once per call and communicate through scratch
+   cells, so the per-hop path allocates nothing.  At [alpha = 1] the
+   verdicts are exactly [Array.map (lookup_owner t ~from) targets].
 
-let batch_walk t ~n ~from ~targets ~found ~(owner : Id.t array) ~stats =
-  if Array.length from < n || Array.length targets < n then
-    invalid_arg "Proto.lookup_owner_batch: from/targets shorter than batch";
-  let guard_max = 4 * Graph.n t.graph in
-  let router = Array.make (max n 1) 0 in
-  let best = Array.make (max n 1) Id.zero in
-  let best_valid = Array.make (max n 1) false in
-  let guard = Array.make (max n 1) 0 in
-  let live = Array.make (max n 1) true in
-  (* scratch registers for the shared visitors *)
-  let cur_store = ref (shd t 0).store in
-  let cur_router = ref 0 in
-  let cur_target = ref Id.zero in
-  let cand_some = ref false in
-  let cand_here = ref false in
-  let cand_id = ref Id.zero in
-  let cand_next = ref 0 in
-  let consider_slot s =
-    let store = !cur_store in
-    let rid = Store.rid store s in
-    (if (not !cand_some) || Id.closer_clockwise ~target:!cur_target rid !cand_id
-     then begin
-       cand_some := true;
-       cand_here := true;
-       cand_id := rid
-     end);
-    let srouter = Store.succ_router store s in
-    if srouter >= 0 && srouter <> !cur_router then begin
-      let sid = Store.succ_rid store s in
-      if (not !cand_some) || Id.closer_clockwise ~target:!cur_target sid !cand_id
-      then begin
-        cand_some := true;
-        cand_here := false;
-        cand_id := sid;
-        cand_next := srouter
-      end
-    end
-  in
-  let settle_some = ref false in
-  let settle_id = ref Id.zero in
-  let settle_slot s =
-    let rid = Store.rid !cur_store s in
-    if (not !settle_some) || Id.closer_clockwise ~target:!cur_target rid !settle_id
-    then begin
-      settle_some := true;
-      settle_id := rid
-    end
-  in
-  (* verdict bookkeeping: where lookup [i] ended, when stats are wanted *)
-  let landed i =
-    match stats with
-    | None -> ()
-    | Some st -> st.bs_owner_router.(i) <- router.(i)
-  in
-  let priced_hop i r next =
-    match stats with
-    | None -> ()
-    | Some st ->
-      st.bs_ring_hops.(i) <- st.bs_ring_hops.(i) + 1;
-      let ls = (shd t r).s_ls in
-      let h = Linkstate.price_hop_into ls r next ~latency:st.bs_latency_ms i in
-      if h >= 0 then st.bs_link_hops.(i) <- st.bs_link_hops.(i) + h
-  in
-  (* one walk hop for lookup [i]; false when a verdict landed *)
-  let step i =
-    if guard.(i) > guard_max then false
-    else begin
-      let r = router.(i) in
-      cur_router := r;
-      cur_target := targets.(i);
-      cur_store := (shd t r).store;
-      cand_some := false;
-      Store.iter_router !cur_store r consider_slot;
-      if not !cand_some then false
-      else if !cand_here then begin
-        found.(i) <- true;
-        owner.(i) <- !cand_id;
-        landed i;
-        false
-      end
-      else begin
-        let id = !cand_id and next = !cand_next in
-        let progress =
-          if best_valid.(i) then Id.closer_clockwise ~target:targets.(i) id best.(i)
-          else
-            (* cleared horizon = [succ target]: anything at less than the
-               maximal clockwise distance is strictly closer *)
-            Id.compare_dist id targets.(i) Id.zero Id.max_value < 0
-        in
-        if not progress then begin
-          (* No progress: settle on the best local resident. *)
-          settle_some := false;
-          Store.iter_router !cur_store r settle_slot;
-          if !settle_some then begin
-            found.(i) <- true;
-            owner.(i) <- !settle_id;
-            landed i
-          end;
-          false
-        end
-        else begin
-          priced_hop i r next;
-          router.(i) <- next;
-          best.(i) <- id;
-          best_valid.(i) <- true;
-          guard.(i) <- guard.(i) + 1;
-          true
-        end
-      end
-    end
-  in
-  let remaining = ref n in
-  for i = 0 to n - 1 do
-    router.(i) <- from.(i);
-    found.(i) <- false;
-    match stats with
-    | None -> ()
-    | Some st ->
-      st.bs_owner_router.(i) <- -1;
-      st.bs_ring_hops.(i) <- 0;
-      st.bs_link_hops.(i) <- 0;
-      st.bs_latency_ms.(i) <- 0.0
-  done;
-  while !remaining > 0 do
-    for i = 0 to n - 1 do
-      if live.(i) then
-        if not (step i) then begin
-          live.(i) <- false;
-          decr remaining
-        end
-    done
-  done
-
-(* ---- α-parallel batched walks --------------------------------------------
-
-   The α engine runs up to [alpha] concurrent greedy walk *branches* per
+   The walk runs up to [alpha] concurrent greedy walk *branches* per
    lookup — branch 0 from the caller's router, the rest from diversified
    starts ({!branch_starts_into}) — with first-success semantics: the first
    branch to land a verdict resolves the lookup and the surviving siblings
@@ -2432,7 +2283,10 @@ let lookup_owner_alpha_into t ~n ~alpha ~from ~targets ~found
         let progress =
           if Bytes.unsafe_get br_best_valid j <> '\000' then
             Id.closer_clockwise ~target:targets.(i) id br_best.(j)
-          else Id.compare_dist id targets.(i) Id.zero Id.max_value < 0
+          else
+            (* cleared horizon = [succ target]: anything at less than the
+               maximal clockwise distance is strictly closer *)
+            Id.compare_dist id targets.(i) Id.zero Id.max_value < 0
         in
         if not progress then begin
           (* No progress: settle on the best local resident. *)
@@ -2579,41 +2433,19 @@ let lookup_owner_alpha_into t ~n ~alpha ~from ~targets ~found
   (!cancellations, !released)
 
 let lookup_owner_batch ?(alpha = 1) t ~from ~targets =
+  if alpha < 1 then invalid_arg "Proto.lookup_owner_batch: alpha must be >= 1";
   let n = Array.length targets in
   if Array.length from <> n then
     invalid_arg "Proto.lookup_owner_batch: from/targets length mismatch";
   let found = Array.make (max n 1) false in
   let owner = Array.make (max n 1) Id.zero in
-  if alpha <= 1 then batch_walk t ~n ~from ~targets ~found ~owner ~stats:None
-  else begin
-    let na = max 1 (n * alpha) in
-    ignore
-      (lookup_owner_alpha_into t ~n ~alpha ~from ~targets ~found ~owner
-         ~lk_done:(Bytes.create (max n 1))
-         ~br_count:(Array.make (max n 1) 0)
-         ~br_router:(Array.make na 0) ~br_best:(Array.make na Id.zero)
-         ~br_best_valid:(Bytes.create na) ~br_guard:(Array.make na 0)
-         ~br_hops:(Array.make na 0) ~br_link_hops:[||] ~br_latency_ms:[||]
-         ~br_live:(Bytes.create na) ~stats:None)
-  end;
+  let na = max 1 (n * alpha) in
+  ignore
+    (lookup_owner_alpha_into t ~n ~alpha ~from ~targets ~found ~owner
+       ~lk_done:(Bytes.create (max n 1))
+       ~br_count:(Array.make (max n 1) 0)
+       ~br_router:(Array.make na 0) ~br_best:(Array.make na Id.zero)
+       ~br_best_valid:(Bytes.create na) ~br_guard:(Array.make na 0)
+       ~br_hops:(Array.make na 0) ~br_link_hops:[||] ~br_latency_ms:[||]
+       ~br_live:(Bytes.create na) ~stats:None);
   Array.init n (fun i -> if found.(i) then Some owner.(i) else None)
-
-let lookup_owner_batch_into t ~n ~from ~targets ~found ~owner ~owner_router
-    ~ring_hops ~link_hops ~latency_ms =
-  if
-    Array.length found < n || Array.length owner < n
-    || Array.length owner_router < n
-    || Array.length ring_hops < n
-    || Array.length link_hops < n
-    || Array.length latency_ms < n
-  then invalid_arg "Proto.lookup_owner_batch_into: output arrays shorter than batch";
-  batch_walk t ~n ~from ~targets ~found ~owner
-    ~stats:
-      (Some
-         {
-           bs_owner_router = owner_router;
-           bs_ring_hops = ring_hops;
-           bs_link_hops = link_hops;
-           bs_latency_ms = latency_ms;
-         })
-

@@ -59,7 +59,8 @@ type config = {
       routers (pointer-cache best match, successor-list backups,
       predecessor routers) and the first success wins — losers are
       cancelled at the origin and their hops charged to the duplicate-work
-      ledger.  1 (the default) is byte-identical to the pre-α engine. *)
+      ledger.  1 (the default) is byte-identical to the pre-α engine;
+      {!create} rejects values below 1. *)
   pcache_capacity : int;
   (** per-router pointer-cache entries (owner pointers learned from lookup
       responses), 0 (the default) disables the cache entirely. *)
@@ -144,7 +145,7 @@ val create :
     {!Rofl_topology.Isp.pop_of_router}) — the key the successor-list and
     pointer-cache quotas count by.  [behaviours] assigns each router its
     conduct policy (default: all {!Honest}); both must have one entry per
-    router when given. *)
+    router when given.  Raises [Invalid_argument] if [cfg.lookup_alpha < 1]. *)
 
 val router_label : int -> Rofl_idspace.Id.t
 (** The deterministic default identifier of router [i]. *)
@@ -300,7 +301,8 @@ val stale_open : t -> int
 
 val lookup_owner : t -> from:int -> Rofl_idspace.Id.t -> Rofl_idspace.Id.t option
 (** Synchronously walk the current pointer state greedily from a router —
-    the data-plane view of this actor network's tables. *)
+    the data-plane view of this actor network's tables, and the short
+    sequential reference the batched walk below is tested against. *)
 
 val lookup_owner_batch :
   ?alpha:int ->
@@ -309,13 +311,12 @@ val lookup_owner_batch :
   targets:Rofl_idspace.Id.t array ->
   Rofl_idspace.Id.t option array
 (** Batched {!lookup_owner}: lookup [i] starts at [from.(i)] toward
-    [targets.(i)], all walks advanced one hop per pass over flat registers
-    (shared store visitors, no per-hop closures).  The walk is pure-read,
-    so the result is exactly the per-lookup [lookup_owner] map — pinned in
-    [test_dataplane].  With [alpha > 1] each lookup runs α concurrent
-    branches through the α engine ({!lookup_owner_alpha_into}); on a
-    converged ring the verdicts are unchanged — diversification only buys
-    speed and robustness, pinned in [test_alpha]. *)
+    [targets.(i)] and runs [alpha] (default 1) concurrent branches through
+    {!lookup_owner_alpha_into}.  At [alpha = 1] the result is exactly the
+    per-lookup [lookup_owner] map; with [alpha > 1] the verdicts on a
+    converged ring are unchanged — diversification only buys speed and
+    robustness.  Both pinned in [test_alpha].  Raises [Invalid_argument]
+    if [alpha < 1]. *)
 
 type alpha_stats = {
   al_owner_router : int array;  (** verdict router, -1 when unresolved *)
@@ -347,46 +348,27 @@ val lookup_owner_alpha_into :
   br_live:Bytes.t ->
   stats:alpha_stats option ->
   int * int
-(** The α-parallel walk engine in register form: up to [alpha] concurrent
-    greedy branches per lookup — branch 0 from [from.(i)], the rest from
-    diversified starts (pointer-cache best match toward the target, then
-    successor-list backup routers, then predecessor routers, deduplicated)
-    — advanced one walk-iteration per pass across every in-flight branch,
-    first success wins, surviving siblings cancelled on the spot.  Branch
-    registers are flat arrays indexed [i*alpha + b]; per-lookup arrays must
-    hold [n] entries, branch registers [n*alpha] ([br_link_hops] and
-    [br_latency_ms] only when [stats] is given).  Within a pass branches
+(** The batched owner walk in register form — the one kernel behind
+    {!lookup_owner_batch} and the {!Alpha} register file.  Up to [alpha]
+    concurrent greedy branches per lookup — branch 0 from [from.(i)], the
+    rest from diversified starts (pointer-cache best match toward the
+    target, then successor-list backup routers, then predecessor routers,
+    deduplicated) — advanced one walk-iteration per pass across every
+    in-flight branch, first success wins, surviving siblings cancelled on
+    the spot.  Branch registers are flat arrays indexed [i*alpha + b];
+    per-lookup arrays must hold [n] entries, branch registers [n*alpha]
+    ([br_link_hops] and [br_latency_ms] only when [stats] is given).  With
+    [stats], every ring hop is priced by the link-state shortest path
+    between its two routers; the Dijkstra pricing only warms per-shard
+    memoised trees, so the walk stays pure-read.  Within a pass branches
     step in (lookup, branch) order, so ties resolve to the lowest branch
     index — results are a deterministic function of the workload.  Waste is
     settled once per lookup at resolution: ring hops of every branch except
     the charged one (winner, or branch 0 when unresolved).  Returns
     [(cancellations, released)]: branches cancelled live, and total branch
     slots handed back — the caller's freelist drains to empty exactly when
-    [released = Σ br_count.(i)].  At [alpha = 1] the verdicts are
-    byte-identical to {!lookup_owner_batch}. *)
-
-val lookup_owner_batch_into :
-  t ->
-  n:int ->
-  from:int array ->
-  targets:Rofl_idspace.Id.t array ->
-  found:bool array ->
-  owner:Rofl_idspace.Id.t array ->
-  owner_router:int array ->
-  ring_hops:int array ->
-  link_hops:int array ->
-  latency_ms:float array ->
-  unit
-(** Register form of {!lookup_owner_batch} for callers that reuse their
-    batch arrays across rounds (the service-discovery resolver): lookups
-    [0..n-1] are read from [from]/[targets] and verdicts written in place —
-    [owner.(i)] is meaningful iff [found.(i)], [owner_router.(i)] is the
-    router where the verdict landed ([-1] when unresolved), [ring_hops] the
-    greedy hops taken, and [link_hops]/[latency_ms] the physical cost of the
-    walk with every ring hop priced by the link-state shortest path between
-    the two routers.  All arrays may be longer than [n].  Verdicts are
-    byte-identical to {!lookup_owner_batch}; the Dijkstra pricing only warms
-    per-shard memoised trees, so the walk stays pure-read. *)
+    [released = Σ br_count.(i)].  Raises [Invalid_argument] if
+    [alpha < 1] or a register is shorter than the batch. *)
 
 val latency_between : t -> int -> int -> float
 (** Link-state shortest-path latency between two routers (0 when equal or

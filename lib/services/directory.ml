@@ -1,8 +1,7 @@
 module Id = Rofl_idspace.Id
 module Metrics = Rofl_netsim.Metrics
 module Proto = Rofl_proto.Proto
-module Proto_batch = Rofl_dataplane.Proto_batch
-module Alpha = Rofl_dataplane.Alpha
+module Alpha = Rofl_proto.Alpha
 
 (* The service-discovery directory over one actor network.
 
@@ -17,9 +16,8 @@ module Alpha = Rofl_dataplane.Alpha
    - *Placed records* — the {!Provider_store}: the copy of each intent that
      currently lives at the ring owner of its service identifier, plus any
      decaying copies at previous owners.  Placement is resolved through the
-     batched data plane ({!Rofl_dataplane.Proto_batch} over
-     [Proto.lookup_owner_batch_into]), never through an oracle: a publish
-     goes where the walk says the owner is.
+     batched owner walk (an α=1 {!Rofl_proto.Alpha} register file), never
+     through an oracle: a publish goes where the walk says the owner is.
 
    - *Resolver caches* — one bounded LRU {!Resolver} per querying router,
      created lazily.
@@ -52,8 +50,8 @@ type t = {
   routers : int;
   metrics : Metrics.t;
   store : Provider_store.t;
-  pb : Proto_batch.t;
-  ab : Alpha.t;                      (* resolve-miss walks when alpha > 1 *)
+  place : Alpha.t;                   (* publish walks, alpha = 1 *)
+  miss : Alpha.t;                    (* resolve-miss walks, cfg.alpha *)
   resolvers : Resolver.t option array;
   (* intents: struct-of-arrays, never compacted (inactive rows stay) *)
   mutable icap : int;
@@ -95,8 +93,8 @@ let create ~proto ~routers ~hint cfg =
     routers;
     metrics;
     store = Provider_store.create ~routers ~hint ();
-    pb = Proto_batch.create ~hint proto;
-    ab = Alpha.create ~hint ~alpha:(max 1 cfg.alpha) proto;
+    place = Alpha.create ~hint proto;
+    miss = Alpha.create ~hint ~alpha:cfg.alpha proto;
     resolvers = Array.make routers None;
     icap;
     icount = 0;
@@ -260,24 +258,24 @@ let ensure_midx t n =
    router each walk's verdict landed on.  The publish message is charged
    one-way (origin -> owner) in link traversals priced by the walk. *)
 let publish_matching t ~now pred =
-  Proto_batch.clear t.pb;
+  Alpha.clear t.place;
   ensure_midx t t.icount;
   let staged = ref 0 in
   for k = 0 to t.icount - 1 do
     if t.i_active.(k) && pred k then begin
       let j =
-        Proto_batch.stage t.pb ~from:t.i_origin.(k) ~target:t.i_service.(k)
+        Alpha.stage t.place ~from:t.i_origin.(k) ~target:t.i_service.(k)
       in
       t.m_idx.(j) <- k;
       incr staged
     end
   done;
   if !staged > 0 then begin
-    Proto_batch.run t.pb;
-    for j = 0 to Proto_batch.length t.pb - 1 do
+    Alpha.run t.place;
+    for j = 0 to Alpha.length t.place - 1 do
       let k = t.m_idx.(j) in
-      if Proto_batch.resolved t.pb j then begin
-        let owner = Proto_batch.owner_router t.pb j in
+      if Alpha.resolved t.place j then begin
+        let owner = Alpha.owner_router t.place j in
         let slot =
           match
             Provider_store.publish t.store ~service:t.i_service.(k)
@@ -291,7 +289,7 @@ let publish_matching t ~now pred =
         t.i_last_ms.(k) <-
           (if t.i_last_ms.(k) = neg_infinity then now -. t.i_offset_ms.(k)
            else now);
-        t.h_pub_msg := !(t.h_pub_msg) + Proto_batch.link_hops t.pb j;
+        t.h_pub_msg := !(t.h_pub_msg) + Alpha.link_hops t.place j;
         incr t.h_republish
       end
       (* an unresolved walk (empty ring) leaves the intent due: retried on
@@ -351,17 +349,14 @@ let judge t ~service ~(served : Id.t array) =
     if truth = 0 then (false, true) else (true, !dead)
   end
 
-(* Misses ride the α-parallel register file when [cfg.alpha > 1] (the
-   winning branch prices latency; losing-branch hops are billed to
-   [svc-resolve-msg] too — redundancy is real traffic) and the plain
-   sequential batch walk otherwise, keeping α=1 campaigns byte-identical
-   to the pre-α engine. *)
+(* Misses ride the α-parallel register file: the winning branch prices
+   latency, and losing-branch hops are billed to [svc-resolve-msg] too —
+   redundancy is real traffic (at α=1 there are no losing branches). *)
 let resolve_batch t ~now ~n ~(from : int array) ~(services : Id.t array) =
   if Array.length from < n || Array.length services < n then
     invalid_arg "Directory.resolve_batch: input arrays shorter than batch";
   ensure_registers t n;
-  let use_alpha = t.cfg.alpha > 1 in
-  if use_alpha then Alpha.clear t.ab else Proto_batch.clear t.pb;
+  Alpha.clear t.miss;
   let misses = ref 0 in
   for i = 0 to n - 1 do
     let rv = resolver_for t from.(i) in
@@ -376,40 +371,18 @@ let resolve_batch t ~now ~n ~(from : int array) ~(services : Id.t array) =
       if stale then incr t.h_stale
     | None ->
       t.r_hit.(i) <- false;
-      let j =
-        if use_alpha then Alpha.stage t.ab ~from:from.(i) ~target:services.(i)
-        else Proto_batch.stage t.pb ~from:from.(i) ~target:services.(i)
-      in
+      let j = Alpha.stage t.miss ~from:from.(i) ~target:services.(i) in
       t.m_idx.(j) <- i;
       incr misses
   done;
   if !misses > 0 then begin
-    let blen =
-      if use_alpha then begin
-        Alpha.run t.ab;
-        Alpha.length t.ab
-      end
-      else begin
-        Proto_batch.run t.pb;
-        Proto_batch.length t.pb
-      end
-    in
-    let resolved j =
-      if use_alpha then Alpha.resolved t.ab j else Proto_batch.resolved t.pb j
-    and owner_router j =
-      if use_alpha then Alpha.owner_router t.ab j
-      else Proto_batch.owner_router t.pb j
-    and latency_ms j =
-      if use_alpha then Alpha.latency_ms t.ab j else Proto_batch.latency_ms t.pb j
-    and link_hops j =
-      if use_alpha then Alpha.link_hops t.ab j + Alpha.wasted_link_hops t.ab j
-      else Proto_batch.link_hops t.pb j
-    in
-    for j = 0 to blen - 1 do
+    Alpha.run t.miss;
+    for j = 0 to Alpha.length t.miss - 1 do
       let i = t.m_idx.(j) in
       let service = services.(i) in
-      if resolved j then begin
-        let owner = owner_router j in
+      let link_hops = Alpha.link_hops t.miss j + Alpha.wasted_link_hops t.miss j in
+      if Alpha.resolved t.miss j then begin
+        let owner = Alpha.owner_router t.miss j in
         ensure_pbuf t (Provider_store.service_records t.store service);
         let cnt =
           Provider_store.providers_at_into t.store ~service ~at:owner ~now t.pbuf
@@ -418,9 +391,9 @@ let resolve_batch t ~now ~n ~(from : int array) ~(services : Id.t array) =
         Resolver.install (resolver_for t from.(i)) ~now service answer;
         t.r_pos.(i) <- cnt > 0;
         t.r_lat.(i) <-
-          latency_ms j +. Proto.latency_between t.proto owner from.(i);
+          Alpha.latency_ms t.miss j +. Proto.latency_between t.proto owner from.(i);
         t.h_res_msg :=
-          !(t.h_res_msg) + link_hops j
+          !(t.h_res_msg) + link_hops
           + Proto.link_hops_between t.proto owner from.(i);
         let ok, stale = judge t ~service ~served:answer in
         t.r_ok.(i) <- ok;
@@ -433,15 +406,15 @@ let resolve_batch t ~now ~n ~(from : int array) ~(services : Id.t array) =
         t.r_pos.(i) <- false;
         t.r_ok.(i) <- false;
         t.r_stale.(i) <- false;
-        t.r_lat.(i) <- latency_ms j;
-        t.h_res_msg := !(t.h_res_msg) + link_hops j
+        t.r_lat.(i) <- Alpha.latency_ms t.miss j;
+        t.h_res_msg := !(t.h_res_msg) + link_hops
       end
     done
   end
 
-let resolve_wasted_hops t = Alpha.total_wasted_hops t.ab
+let resolve_wasted_hops t = Alpha.total_wasted_hops t.miss
 
-let resolve_cancellations t = Alpha.total_cancellations t.ab
+let resolve_cancellations t = Alpha.total_cancellations t.miss
 
 let res_hit t i = t.r_hit.(i)
 let res_positive t i = t.r_pos.(i)

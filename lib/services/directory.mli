@@ -9,9 +9,9 @@
       origin keeps republishing while active; also the instrumentation
       oracle stale-answer SLOs compare against;
     - {e placed records} — the {!Provider_store} copies at ring owners,
-      placed through the batched data plane
-      ({!Rofl_dataplane.Proto_batch}), refreshed each republish period and
-      decaying by TTL;
+      placed through the batched owner walk (an α=1
+      {!Rofl_proto.Alpha} register file), refreshed each republish period
+      and decaying by TTL;
     - {e resolver caches} — one bounded LRU {!Resolver} per querying
       router, with negative entries.
 
@@ -27,8 +27,8 @@
 type config = {
   ttl_ms : float;               (** record TTL granted by each publish *)
   republish_period_ms : float;  (** origin republish cadence *)
-  alpha : int;                  (** parallel walk branches per resolve miss;
-                                    1 = the sequential pre-α engine *)
+  alpha : int;                  (** parallel walk branches per resolve miss
+                                    (≥ 1); 1 = the sequential pre-α walk *)
   cache : Resolver.config;
 }
 
@@ -41,7 +41,8 @@ type t
 val create : proto:Rofl_proto.Proto.t -> routers:int -> hint:int -> config -> t
 (** [hint] is the Little's-law load hint — the expected record population
     (active intents) — and pre-sizes the provider store, the intent index,
-    and the batch registers; everything grows regardless. *)
+    and the batch registers; everything grows regardless.  Raises
+    [Invalid_argument] if [config.alpha < 1]. *)
 
 val proto : t -> Rofl_proto.Proto.t
 val config : t -> config
@@ -106,14 +107,13 @@ val last_sweep_ms : t -> float
 val resolve_batch :
   t -> now:float -> n:int -> from:int array -> services:Rofl_idspace.Id.t array -> unit
 (** Resolve [services.(i)] from router [from.(i)] for [i < n]: cache hits
-    answer locally at zero latency; misses ride one fused
-    [Proto.lookup_owner_batch] walk to their ring owners, read the provider
-    records there, and install (positive or negative) cache entries.  Miss
-    latency is the walk's priced latency plus the shortest-path response
-    leg.  With [config.alpha > 1] the misses ride the α-parallel register
-    file ({!Rofl_dataplane.Alpha}) instead: the winning branch prices the
-    latency, and losing-branch link traversals are billed to
-    [svc-resolve-msg] on top — redundancy is real traffic.  Read the
+    answer locally at zero latency; misses ride one fused α-parallel
+    owner walk ({!Rofl_proto.Alpha} at [config.alpha]) to their ring
+    owners, read the provider records there, and install (positive or
+    negative) cache entries.  Miss latency is the winning branch's priced
+    latency plus the shortest-path response leg; losing-branch link
+    traversals are billed to [svc-resolve-msg] on top — redundancy is real
+    traffic.  Read the
     per-lookup verdicts with the accessors below before the next batch
     reuses the registers. *)
 

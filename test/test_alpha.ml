@@ -1,17 +1,18 @@
-(* α-parallel lookup engine: α=1 must be byte-identical to the sequential
-   batch walk, any α must agree with the sequential verdict on first
-   success, cancellation must never strand a branch register slot (the
-   freelist drains to empty after every run), and the network-size
-   estimator feeding the self-tuner must land near the true membership at
-   several ring sizes. *)
+(* The batched owner walk ([Proto.lookup_owner_alpha_into] behind the
+   [Alpha] register file): at α=1 it must reproduce the recorded sequential
+   batch-walk golden and the per-lookup [lookup_owner] reference, any α
+   must agree with the sequential verdict on first success, cancellation
+   must never strand a branch register slot (the freelist drains to empty
+   after every run), α < 1 is rejected at every entry point, and the
+   network-size estimator feeding the self-tuner must land near the true
+   membership at several ring sizes. *)
 
 module Id = Rofl_idspace.Id
 module Prng = Rofl_util.Prng
 module Gen = Rofl_topology.Gen
 module Sha256 = Rofl_crypto.Sha256
 module Proto = Rofl_proto.Proto
-module Proto_batch = Rofl_dataplane.Proto_batch
-module Alpha = Rofl_dataplane.Alpha
+module Alpha = Rofl_proto.Alpha
 
 let spread_id k =
   Id.of_bytes_exn (String.sub (Sha256.digest (Printf.sprintf "a:%d" k)) 0 16)
@@ -44,52 +45,44 @@ let lookup_set ~n ~count members =
   in
   (from, targets)
 
-(* ---- α=1 byte-identity against the sequential register file ------------- *)
+let same_verdict a b =
+  match (a, b) with
+  | None, None -> true
+  | Some a, Some b -> Id.equal a b
+  | _ -> false
 
-let test_alpha1_eq_proto_batch () =
-  let t, members, n = build_proto ~crash:true () in
-  let from, targets = lookup_set ~n ~count:40 members in
-  let count = Array.length from in
-  let pb = Proto_batch.create t in
-  let ab = Alpha.create ~alpha:1 t in
-  for i = 0 to count - 1 do
-    ignore (Proto_batch.stage pb ~from:from.(i) ~target:targets.(i));
-    ignore (Alpha.stage ab ~from:from.(i) ~target:targets.(i))
-  done;
-  Proto_batch.run pb;
-  Alpha.run ab;
-  for i = 0 to count - 1 do
-    Alcotest.(check bool)
-      (Printf.sprintf "#%d resolved" i)
-      (Proto_batch.resolved pb i) (Alpha.resolved ab i);
-    if Proto_batch.resolved pb i then begin
-      Alcotest.(check bool)
-        (Printf.sprintf "#%d owner id" i)
-        true
-        (Id.equal (Proto_batch.owner_id pb i) (Alpha.owner_id ab i));
+(* ---- goldens of the sequential batch walk (see {!Owner_golden}) ---------- *)
+
+let test_alpha_goldens () =
+  let t, from, targets = Owner_golden.ring () in
+  List.iter
+    (fun (alpha, expect) ->
+      let ab = Alpha.create ~alpha t in
+      Array.iteri
+        (fun i f -> ignore (Alpha.stage ab ~from:f ~target:targets.(i)))
+        from;
+      Alpha.run ab;
+      Alcotest.(check string) (Printf.sprintf "alpha=%d golden" alpha) expect
+        (Owner_golden.summary ab);
       Alcotest.(check int)
-        (Printf.sprintf "#%d winner branch" i)
-        0 (Alpha.winner_branch ab i)
-    end;
-    Alcotest.(check int)
-      (Printf.sprintf "#%d owner router" i)
-      (Proto_batch.owner_router pb i) (Alpha.owner_router ab i);
-    Alcotest.(check int)
-      (Printf.sprintf "#%d ring hops" i)
-      (Proto_batch.ring_hops pb i) (Alpha.ring_hops ab i);
-    Alcotest.(check int)
-      (Printf.sprintf "#%d link hops" i)
-      (Proto_batch.link_hops pb i) (Alpha.link_hops ab i);
-    Alcotest.(check bool)
-      (Printf.sprintf "#%d latency %.17g=%.17g" i (Proto_batch.latency_ms pb i)
-         (Alpha.latency_ms ab i))
-      true
-      (Proto_batch.latency_ms pb i = Alpha.latency_ms ab i);
-    Alcotest.(check int) (Printf.sprintf "#%d branches" i) 1 (Alpha.branches ab i);
-    Alcotest.(check int) (Printf.sprintf "#%d wasted" i) 0 (Alpha.wasted_hops ab i)
-  done;
-  Alcotest.(check int) "no slots in flight" 0 (Alpha.slots_in_flight ab);
-  Alcotest.(check int) "no cancellations at alpha 1" 0 (Alpha.cancellations ab)
+        (Printf.sprintf "alpha=%d no slots in flight" alpha)
+        0 (Alpha.slots_in_flight ab);
+      if alpha = 1 then
+        for i = 0 to Array.length from - 1 do
+          Alcotest.(check int) (Printf.sprintf "#%d branches" i) 1 (Alpha.branches ab i);
+          (match Proto.lookup_owner t ~from:from.(i) targets.(i) with
+           | Some owner ->
+             Alcotest.(check bool)
+               (Printf.sprintf "#%d owner = lookup_owner" i)
+               true
+               (Alpha.resolved ab i && Id.equal owner (Alpha.owner_id ab i));
+             Alcotest.(check int) (Printf.sprintf "#%d winner" i) 0
+               (Alpha.winner_branch ab i)
+           | None ->
+             Alcotest.(check bool) (Printf.sprintf "#%d unresolved" i) false
+               (Alpha.resolved ab i))
+        done)
+    Owner_golden.expected
 
 (* ---- first-success verdict equality at any α ----------------------------- *)
 
@@ -140,10 +133,7 @@ let test_any_alpha_verdict_eq_sequential () =
       Alcotest.(check bool)
         (Printf.sprintf "facade #%d agrees" i)
         true
-        (match (expect, reference.(i)) with
-        | None, None -> true
-        | Some a, Some b -> Id.equal a b
-        | _ -> false))
+        (same_verdict expect reference.(i)))
     facade
 
 (* ---- QCheck: cancellation never strands register slots ------------------- *)
@@ -179,6 +169,56 @@ let qcheck_freelist_drains =
       done;
       true)
 
+(* ---- the batch facade against the sequential reference ------------------ *)
+
+let test_batch_eq_lookup_owner () =
+  let t, members, n = build_proto ~seed:42 ~crash:true () in
+  let from, targets = lookup_set ~n ~count:40 members in
+  Array.iteri
+    (fun k got ->
+      Alcotest.(check bool)
+        (Printf.sprintf "proto#%d owner agrees" k)
+        true
+        (same_verdict got (Proto.lookup_owner t ~from:from.(k) targets.(k))))
+    (Proto.lookup_owner_batch t ~from ~targets)
+
+let test_empty_batch () =
+  let t, _, _ = build_proto ~joins:8 () in
+  List.iter
+    (fun alpha ->
+      Alcotest.(check int)
+        (Printf.sprintf "alpha=%d facade" alpha)
+        0
+        (Array.length (Proto.lookup_owner_batch ~alpha t ~from:[||] ~targets:[||]));
+      let ab = Alpha.create ~alpha t in
+      Alpha.run ab;
+      Alcotest.(check int) (Printf.sprintf "alpha=%d staged" alpha) 0 (Alpha.length ab);
+      Alcotest.(check int)
+        (Printf.sprintf "alpha=%d no slots in flight" alpha)
+        0 (Alpha.slots_in_flight ab))
+    [ 1; 3 ]
+
+let test_alpha_below_one_rejected () =
+  let t, members, n = build_proto ~joins:8 () in
+  let from, targets = lookup_set ~n ~count:4 members in
+  let topo = Gen.waxman (Prng.create 3) ~n:8 ~alpha:0.4 ~beta:0.2 in
+  List.iter
+    (fun alpha ->
+      let raises label f =
+        match f () with
+        | _ -> Alcotest.failf "%s accepted alpha=%d" label alpha
+        | exception Invalid_argument _ -> ()
+      in
+      raises "lookup_owner_batch" (fun () ->
+          ignore (Proto.lookup_owner_batch ~alpha t ~from ~targets));
+      raises "Alpha.create" (fun () -> ignore (Alpha.create ~alpha t));
+      raises "Proto.create" (fun () ->
+          ignore
+            (Proto.create ~rng:(Prng.create 3)
+               ~cfg:{ Proto.default_config with lookup_alpha = alpha }
+               topo)))
+    [ 0; -3 ]
+
 (* ---- network-size estimation accuracy ------------------------------------ *)
 
 (* The estimator feeds the self-tuner through its median (per-node samples
@@ -207,11 +247,18 @@ let () =
     [
       ( "engine",
         [
-          Alcotest.test_case "alpha=1 byte-identical to sequential batch" `Slow
-            test_alpha1_eq_proto_batch;
+          Alcotest.test_case "alpha=1 byte-identical to sequential batch golden"
+            `Slow test_alpha_goldens;
           Alcotest.test_case "any alpha: first-success verdict = sequential" `Slow
             test_any_alpha_verdict_eq_sequential;
           QCheck_alcotest.to_alcotest qcheck_freelist_drains;
+        ] );
+      ( "proto",
+        [
+          Alcotest.test_case "lookup_owner_batch = mapped lookup_owner" `Slow
+            test_batch_eq_lookup_owner;
+          Alcotest.test_case "empty batch" `Quick test_empty_batch;
+          Alcotest.test_case "alpha < 1 rejected" `Quick test_alpha_below_one_rejected;
         ] );
       ( "estimate",
         [

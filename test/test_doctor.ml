@@ -190,6 +190,19 @@ let test_graph_spec_round_trip () =
   | Ok p -> Alcotest.(check bool) "profile round trips" true (p = mini)
   | Error e -> Alcotest.fail e
 
+(* An artifact naming fewer than one lookup branch is malformed, not a
+   request for α=1. *)
+let test_params_reject_alpha_below_one () =
+  List.iter
+    (fun v ->
+      match Campaign.params_of_strings [ ("lookup_alpha", v) ] with
+      | Ok _ -> Alcotest.failf "lookup_alpha=%s accepted" v
+      | Error _ -> ())
+    [ "0"; "-3" ];
+  match Campaign.params_of_strings [ ("lookup_alpha", "2") ] with
+  | Ok p -> Alcotest.(check int) "lookup_alpha=2 kept" 2 p.Campaign.proto_cfg.lookup_alpha
+  | Error e -> Alcotest.fail e
+
 let () =
   Alcotest.run "rofl_doctor"
     [
@@ -211,6 +224,8 @@ let () =
         [
           Alcotest.test_case "garbage rejected" `Quick test_artifact_rejects_garbage;
           Alcotest.test_case "graph spec round trip" `Quick test_graph_spec_round_trip;
+          Alcotest.test_case "lookup_alpha < 1 rejected" `Quick
+            test_params_reject_alpha_below_one;
         ] );
       ( "shrink", [ Alcotest.test_case "synthetic oracle" `Quick test_shrink_minimizes ] );
     ]

@@ -199,6 +199,15 @@ let test_golden_tables_jobs4 () =
   E.Common.set_jobs 4;
   check_digests tiny4 golden_jobs4
 
+let test_set_alpha_rejects_below_one () =
+  List.iter
+    (fun n ->
+      match E.Common.set_alpha n with
+      | () -> Alcotest.failf "set_alpha %d accepted" n
+      | exception Invalid_argument _ -> ())
+    [ 0; -3 ];
+  Alcotest.(check int) "setting untouched" 1 (E.Common.alpha ())
+
 let () =
   Alcotest.run "rofl_experiments"
     [
@@ -206,6 +215,8 @@ let () =
         [
           Alcotest.test_case "checkpoints" `Quick test_checkpoints_cover_scale;
           Alcotest.test_case "intra run shapes" `Slow test_intra_run_shapes;
+          Alcotest.test_case "set_alpha rejects < 1" `Quick
+            test_set_alpha_rejects_below_one;
         ] );
       ( "figures",
         [

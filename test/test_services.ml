@@ -1,9 +1,9 @@
 (* The service-discovery layer: provider records with TTL/republish/caching
-   resolved through the batched data plane.
+   resolved through the batched owner walk.
 
    Pins (1) the provider store against a records-present-iff-not-expired
    model, (2) the stat-collecting batch walk against the sequential
-   [lookup_owner] reference, (3) the doctor's service checks — green on a
+   [lookup_owner] reference, and a directory α below 1 rejected, (3) the doctor's service checks — green on a
    healthy directory, firing on an injected residency fault (ring ownership
    moved under a placed record) and on the serve-stale fault knob — and
    (4) campaign byte-identity across shard counts. *)
@@ -15,6 +15,7 @@ module Graph = Rofl_topology.Graph
 module Shard = Rofl_netsim.Shard
 module Metrics = Rofl_netsim.Metrics
 module Proto = Rofl_proto.Proto
+module Alpha = Rofl_proto.Alpha
 module Provider_store = Rofl_services.Provider_store
 module Resolver = Rofl_services.Resolver
 module Directory = Rofl_services.Directory
@@ -127,34 +128,45 @@ let test_batch_stats_equivalence () =
         if k mod 3 = 0 then Id.random rng
         else members.(Prng.int rng (Array.length members)))
   in
-  let found = Array.make n false in
-  let owner = Array.make n Id.zero in
-  let owner_router = Array.make n (-1) in
-  let ring_hops = Array.make n 0 in
-  let link_hops = Array.make n 0 in
-  let latency_ms = Array.make n 0.0 in
-  Proto.lookup_owner_batch_into proto ~n ~from ~targets ~found ~owner ~owner_router
-    ~ring_hops ~link_hops ~latency_ms;
+  (* the α=1 register file the directory places and resolves through *)
+  let ab = Alpha.create ~hint:n proto in
+  Array.iteri (fun k f -> ignore (Alpha.stage ab ~from:f ~target:targets.(k))) from;
+  Alpha.run ab;
   for k = 0 to n - 1 do
-    (match (Proto.lookup_owner proto ~from:from.(k) targets.(k), found.(k)) with
+    let owner_router = Alpha.owner_router ab k in
+    (match (Proto.lookup_owner proto ~from:from.(k) targets.(k), Alpha.resolved ab k) with
      | Some expect, true ->
+       let owner = Alpha.owner_id ab k in
        Alcotest.(check bool)
          (Printf.sprintf "owner %d matches lookup_owner" k)
-         true (Id.equal expect owner.(k));
+         true (Id.equal expect owner);
        (* the verdict router is where the owner identifier actually lives *)
-       (match Proto.locate proto owner.(k) with
-        | Some r -> Alcotest.(check int) "owner router" r owner_router.(k)
+       (match Proto.locate proto owner with
+        | Some r -> Alcotest.(check int) "owner router" r owner_router
         | None -> Alcotest.fail "resolved owner not locatable")
      | None, false -> ()
      | Some _, false | None, true ->
        Alcotest.failf "lookup %d: batch and sequential disagree on success" k);
-    if found.(k) then begin
-      if latency_ms.(k) < 0.0 then Alcotest.fail "negative latency";
-      if link_hops.(k) < 0 then Alcotest.fail "negative link hops";
-      if from.(k) <> owner_router.(k) && ring_hops.(k) = 0 && link_hops.(k) > 0 then
+    if Alpha.resolved ab k then begin
+      let link_hops = Alpha.link_hops ab k in
+      if Alpha.latency_ms ab k < 0.0 then Alcotest.fail "negative latency";
+      if link_hops < 0 then Alcotest.fail "negative link hops";
+      if from.(k) <> owner_router && Alpha.ring_hops ab k = 0 && link_hops > 0 then
         Alcotest.fail "link hops without ring hops"
     end
   done
+
+let test_directory_rejects_alpha_below_one () =
+  let proto, _ = make_proto ~hosts:20 43 in
+  List.iter
+    (fun alpha ->
+      match
+        Directory.create ~proto ~routers:8 ~hint:4
+          { Directory.default_config with alpha }
+      with
+      | _ -> Alcotest.failf "Directory.create accepted alpha=%d" alpha
+      | exception Invalid_argument _ -> ())
+    [ 0; -3 ]
 
 (* ---- doctor checks ------------------------------------------------------- *)
 
@@ -315,6 +327,8 @@ let () =
         [
           Alcotest.test_case "batch stats match sequential walks" `Quick
             test_batch_stats_equivalence;
+          Alcotest.test_case "directory rejects alpha < 1" `Quick
+            test_directory_rejects_alpha_below_one;
         ] );
       ( "doctor",
         [
