@@ -137,7 +137,36 @@ let micro () =
      cache).  512 random probes defeat the predictor without adding
      measurable per-run overhead. *)
   let probes = Array.init 512 (fun _ -> Id.random rng) in
-  let succ_i = ref 0 and msucc_i = ref 0 in
+  let succ_i = ref 0 and msucc_i = ref 0 and match_i = ref 0 in
+  (* A full 128-entry cache fed 512 rotating destinations: every insert is
+     a fresh identifier, so every insert evicts. *)
+  let full_cache = Rofl_core.Pointer_cache.create ~capacity:128 in
+  let fresh =
+    Array.init 512 (fun i ->
+        let router = i mod Rofl_topology.Graph.n isp.Rofl_topology.Isp.graph in
+        Rofl_core.Pointer.make Rofl_core.Pointer.Cached ~dst:(Id.random rng) ~dst_router:router
+          ~route:(Rofl_core.Sourceroute.singleton router))
+  in
+  Array.iter (Rofl_core.Pointer_cache.insert full_cache) fresh;
+  let evict_i = ref 0 in
+  (* Greedy lookups on AS3967 after 500 joins have filled the pointer
+     caches, rotating through 512 precomputed (source, target) pairs. *)
+  let net = Rofl_intra.Network.create ~rng isp.Rofl_topology.Isp.graph in
+  let routers = Rofl_topology.Graph.n isp.Rofl_topology.Isp.graph in
+  let hosts =
+    Array.init 500 (fun _ ->
+        match
+          Rofl_intra.Network.join_fresh_host net ~gateway:(Rofl_util.Prng.int rng routers)
+            ~cls:Rofl_core.Vnode.Stable
+        with
+        | Ok (id, _) -> id
+        | Error e -> failwith ("bench: warm-up join failed: " ^ e))
+  in
+  let lookups =
+    Array.init 512 (fun _ ->
+        (Rofl_util.Prng.int rng routers, hosts.(Rofl_util.Prng.int rng (Array.length hosts))))
+  in
+  let lookup_i = ref 0 in
   let verify_cred = Rofl_crypto.Identity.credential_for id_a in
   let verify_rng = Rofl_util.Prng.create 0x7e11f in
   let grind_rng = Rofl_util.Prng.create 0x0c4a7 in
@@ -175,7 +204,24 @@ let micro () =
         (Staged.stage (fun () -> ignore (Rofl_linkstate.Linkstate.distance_hops ls 0 100)));
       Test.make ~name:"cache-best-match"
         (Staged.stage (fun () ->
-             ignore (Rofl_core.Pointer_cache.best_match cache ~cur:id_a ~target:id_b)));
+             let i = !match_i land 511 in
+             incr match_i;
+             ignore
+               (Rofl_core.Pointer_cache.best_match cache ~cur:id_a
+                  ~target:(Array.unsafe_get probes i))));
+      Test.make ~name:"cache-insert-evict"
+        (Staged.stage (fun () ->
+             let i = !evict_i land 511 in
+             incr evict_i;
+             Rofl_core.Pointer_cache.insert full_cache (Array.unsafe_get fresh i)));
+      Test.make ~name:"intra-lookup-as3967"
+        (Staged.stage (fun () ->
+             let i = !lookup_i land 511 in
+             incr lookup_i;
+             let from, target = Array.unsafe_get lookups i in
+             ignore
+               (Rofl_intra.Network.lookup net ~from ~target ~category:Rofl_core.Msg.data
+                  ~use_cache:true)));
       Test.make ~name:"chord-lookup-2k"
         (Staged.stage (fun () ->
              ignore (Rofl_baselines.Chord.lookup chord ~from:members.(0) id_b)));

@@ -9,6 +9,9 @@ let make kind ~dst ~dst_router ~route =
     invalid_arg "Pointer.make: route does not end at dst_router";
   { dst; dst_router; route; kind }
 
+let placeholder =
+  { dst = Id.zero; dst_router = 0; route = Sourceroute.singleton 0; kind = Cached }
+
 let is_ring_state p = match p.kind with Successor | Predecessor -> true | Finger | Cached -> false
 
 let route_length p = Sourceroute.length p.route

@@ -18,6 +18,10 @@ type t = {
 val make :
   kind -> dst:Rofl_idspace.Id.t -> dst_router:int -> route:Sourceroute.t -> t
 
+val placeholder : t
+(** A cached pointer to {!Rofl_idspace.Id.zero} at router 0: the fill value
+    of preallocated pointer slots and registers, never a real route. *)
+
 val is_ring_state : t -> bool
 (** Successor or predecessor — the protected class. *)
 

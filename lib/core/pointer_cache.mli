@@ -6,7 +6,9 @@
     cache stores the {e cached} class: ring state lives in vnodes and is
     never evicted.  Lookup answers the greedy question — the cached
     identifier closest to, but not past, a destination — in O(log n) via a
-    ring-ordered index kept in sync with the LRU recency list. *)
+    ring-ordered index kept in sync with the LRU recency list.  The index is
+    flat and mutated in place (no copy per insert), so a full cache inserts
+    and evicts in a few words of allocation, all of it the LRU's. *)
 
 type t
 
@@ -44,6 +46,8 @@ val resize : t -> capacity:int -> unit
 val audit : t -> string list
 (** Structural agreement between the LRU recency list and the ring-ordered
     index: same cardinality, every LRU binding present in the index with the
-    same destination pointer, no index entry the LRU has forgotten.  Empty
+    same destination pointer, no index entry the LRU has forgotten, the
+    index strictly sorted under its current keys, and every pointer slot
+    either indexed or free.  Empty
     iff consistent — the ring doctor runs this at checkpoints, since a
     divergence silently corrupts {!best_match} answers. *)

@@ -207,24 +207,22 @@ module Route_substrate = struct
      | Some _ | None -> ());
     ()
 
-  (* Ring candidate first, cache shortcut last: under {!Walk.best}'s
-     keep-first ranking a cached pointer overrides the ring candidate only
-     when strictly closer. *)
-  let candidates st () =
+  (* {!Walk.best} over [ring move; cache move]: the cached pointer
+     overrides the ring candidate only when strictly closer.  The cache
+     lookup runs whichever wins, after the ring scan: it draws from the
+     network's rng. *)
+  let select st () =
     let ring =
-      match
-        lowest_level_candidate st.net st.pos_host ~cur:st.cur ~pos:st.pos ~dst:st.dst
-          ~ceiling:st.ceiling
-      with
-      | Some (level, cid, ch, narrows) -> [ Ring_move (level, cid, ch, narrows) ]
-      | None -> []
+      lowest_level_candidate st.net st.pos_host ~cur:st.cur ~pos:st.pos ~dst:st.dst
+        ~ceiling:st.ceiling
     in
-    let cache =
-      match cache_candidate st.net st.cur ~pos:st.pos ~dst:st.dst with
-      | Some (cid, ch) -> [ Cache_move (cid, ch) ]
-      | None -> []
-    in
-    ring @ cache
+    match ring, cache_candidate st.net st.cur ~pos:st.pos ~dst:st.dst with
+    | Some (level, rid, rh, narrows), Some (cid, ch) ->
+      if Id.closer_clockwise ~target:st.dst cid rid then Some (Cache_move (cid, ch))
+      else Some (Ring_move (level, rid, rh, narrows))
+    | Some (level, rid, rh, narrows), None -> Some (Ring_move (level, rid, rh, narrows))
+    | None, Some (cid, ch) -> Some (Cache_move (cid, ch))
+    | None, None -> None
 
   let target st = st.dst
 

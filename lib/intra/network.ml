@@ -211,7 +211,15 @@ module Lookup_substrate = struct
     mutable commit_kind : Trace.kind;
     mutable commit_dist : Id.t;
     tracer : Trace.builder;
+    (* Running-best registers of [select]: the winner so far and its
+       identifier.  Only the final winner is boxed into a [candidate]. *)
+    mutable pick : pick;
+    mutable pick_id : Id.t;
+    mutable pick_vn : Vnode.t;
+    mutable pick_ptr : Pointer.t;
   }
+
+  and pick = No_pick | Pick_local | Pick_remote
 
   type pos = int
   type cand = candidate
@@ -233,10 +241,11 @@ module Lookup_substrate = struct
       trace = Trace.events st.tracer;
     }
 
-  let resident_alive st cur id =
-    List.exists
-      (fun (vn : Vnode.t) -> vn.Vnode.alive && Id.equal vn.Vnode.id id)
-      st.net.routers.(cur).residents
+  let rec alive_in id = function
+    | [] -> false
+    | (vn : Vnode.t) :: rest -> (vn.Vnode.alive && Id.equal vn.Vnode.id id) || alive_in id rest
+
+  let resident_alive st cur id = alive_in id st.net.routers.(cur).residents
 
   (* Negative acknowledgement: the router that handed out a pointer to an
      identifier no longer resident at its target prunes it (the lazy probe
@@ -267,48 +276,72 @@ module Lookup_substrate = struct
   let target st = st.target
   let cand_id _st c = candidate_id c
 
-  (* Enumeration order encodes tie precedence for {!Walk.best}: residents
-     (and their successor pointers) first, the cache shortcut last. *)
-  let candidates st cur =
+  (* {!Walk.best} fused into the scan, in its precedence order: residents
+     (and their successor pointers) first, the cache shortcut last.  A
+     candidate replaces the running best only when strictly closer, so a
+     tie keeps the earlier one. *)
+  let[@inline] improves st id =
+    (match st.exclude with Some e -> not (Id.equal e id) | None -> true)
+    && (match st.pick with
+        | No_pick -> true
+        | Pick_local | Pick_remote -> Id.closer_clockwise ~target:st.target id st.pick_id)
+
+  (* Pointer routes are recorded from links actually traversed (or SPF
+     paths), so consecutive pairs are always graph links: with no failure
+     outstanding they are valid by construction and the per-hop scan can be
+     skipped.  Validity is checked last: it is the costly test. *)
+  let consider_remote st cur ~healthy (p : Pointer.t) =
+    (* Same-router pointers are covered by Local candidates (or are stale);
+       a remote candidate must actually lead elsewhere. *)
+    if p.Pointer.dst_router <> cur && improves st p.Pointer.dst
+       && (healthy || Sourceroute.is_valid st.net.ls p.Pointer.route)
+    then begin
+      st.pick <- Pick_remote;
+      st.pick_id <- p.Pointer.dst;
+      st.pick_ptr <- p
+    end
+
+  let rec consider_succs st cur ~healthy = function
+    | [] -> ()
+    | p :: rest ->
+      consider_remote st cur ~healthy p;
+      consider_succs st cur ~healthy rest
+
+  let rec consider_residents st cur ~healthy = function
+    | [] -> ()
+    | (vn : Vnode.t) :: rest ->
+      if vn.Vnode.alive then begin
+        (* Ephemeral identifiers never serve as ring hops (§2.2); they are
+           only candidates when they are the packet's own destination. *)
+        let routable =
+          match vn.Vnode.host_class with
+          | Vnode.Stable | Vnode.Router_default -> true
+          | Vnode.Ephemeral -> Id.equal vn.Vnode.id st.target
+        in
+        if routable && improves st vn.Vnode.id then begin
+          st.pick <- Pick_local;
+          st.pick_id <- vn.Vnode.id;
+          st.pick_vn <- vn
+        end;
+        consider_succs st cur ~healthy vn.Vnode.succs
+      end;
+      consider_residents st cur ~healthy rest
+
+  let select st cur =
     let t = st.net in
     let r = t.routers.(cur) in
-    (* Pointer routes are recorded from links actually traversed (or SPF
-       paths), so consecutive pairs are always graph links: with no failure
-       outstanding they are valid by construction and the per-hop scan can
-       be skipped. *)
     let healthy = Linkstate.healthy t.ls in
-    let route_valid route = healthy || Sourceroute.is_valid t.ls route in
-    let excluded id = match st.exclude with Some e -> Id.equal e id | None -> false in
-    let acc = ref [] in
-    let consider c = if not (excluded (candidate_id c)) then acc := c :: !acc in
-    List.iter
-      (fun (vn : Vnode.t) ->
-        if vn.Vnode.alive then begin
-          (* Ephemeral identifiers never serve as ring hops (§2.2); they are
-             only candidates when they are the packet's own destination. *)
-          let routable =
-            match vn.Vnode.host_class with
-            | Vnode.Stable | Vnode.Router_default -> true
-            | Vnode.Ephemeral -> Id.equal vn.Vnode.id st.target
-          in
-          if routable then consider (Local vn);
-          List.iter
-            (fun (p : Pointer.t) ->
-              (* Same-router pointers are covered by Local candidates (or are
-                 stale); a remote candidate must actually lead elsewhere. *)
-              if p.Pointer.dst_router <> r.idx && route_valid p.Pointer.route
-              then consider (Remote p))
-            vn.Vnode.succs
-        end)
-      r.residents;
+    st.pick <- No_pick;
+    consider_residents st cur ~healthy r.residents;
     if st.use_cache then begin
       match Pointer_cache.best_match r.cache ~cur:st.target ~target:st.target with
-      | Some p ->
-        if p.Pointer.dst_router <> r.idx && route_valid p.Pointer.route then
-          consider (Remote p)
+      | Some p -> consider_remote st cur ~healthy p
       | None -> ()
     end;
-    List.rev !acc
+    match st.pick with
+    | No_pick -> None
+    | Pick_local -> Some (Local st.pick_vn)
+    | Pick_remote -> Some (Remote st.pick_ptr)
 
   let deliver_here st _cur = function
     | Local vn when Id.equal vn.Vnode.id st.target -> Some (finish st (Delivered vn))
@@ -391,6 +424,10 @@ let lookup ?exclude t ~from ~target ~category ~use_cache =
       commit_kind = Trace.Ring;
       commit_dist = Id.max_value;
       tracer = Trace.builder ();
+      pick = Lookup_substrate.No_pick;
+      pick_id = target;
+      pick_vn = t.routers.(from).default_vnode;
+      pick_ptr = Pointer.placeholder;
     }
   in
   Charge.inject t.metrics category from;
@@ -426,21 +463,21 @@ let avg_router_state_entries t =
 
 (* -- cache filling ------------------------------------------------------ *)
 
+let rec ends_at r = function [ x ] -> x = r | _ :: rest -> ends_at r rest | [] -> false
+
 let cache_route_to t id dst_router visited =
-  if t.cfg.cache_control_paths && t.cfg.cache_capacity > 0 then begin
+  (* Every suffix of [visited] ends where [visited] does, so one check
+     decides whether the suffixes are usable source routes to [dst_router]. *)
+  if t.cfg.cache_control_paths && t.cfg.cache_capacity > 0
+     && ends_at dst_router visited
+  then begin
     let rec go = function
       | [] -> ()
-      | r :: rest ->
+      | r :: rest as suffix ->
         if r <> dst_router then begin
-          let suffix = r :: rest in
-          (* The visited list must end at dst_router for the suffix to be a
-             usable source route. *)
-          match List.rev suffix with
-          | last :: _ when last = dst_router ->
-            let route = Sourceroute.of_hops suffix in
-            let p = Pointer.make Pointer.Cached ~dst:id ~dst_router ~route in
-            Pointer_cache.insert t.routers.(r).cache p
-          | _ -> ()
+          let route = Sourceroute.of_hops suffix in
+          let p = Pointer.make Pointer.Cached ~dst:id ~dst_router ~route in
+          Pointer_cache.insert t.routers.(r).cache p
         end;
         go rest
     in

@@ -30,7 +30,7 @@ module type SUBSTRATE = sig
   val arrived : st -> pos -> verdict option
   val prepare : st -> pos -> pos
   val stale_commit : st -> pos -> bool
-  val candidates : st -> pos -> cand list
+  val select : st -> pos -> cand option
   val target : st -> Id.t
   val cand_id : st -> cand -> Id.t
   val deliver_here : st -> pos -> cand -> verdict option
@@ -73,7 +73,7 @@ module Make (S : SUBSTRATE) = struct
             match S.arrived st pos with
             | Some v -> v
             | None ->
-              (match best ~target ~id_of:(S.cand_id st) (S.candidates st pos) with
+              (match S.select st pos with
                | None -> S.no_candidate st pos
                | Some c ->
                  (match S.deliver_here st pos c with

@@ -5,10 +5,11 @@
     same loop in the intradomain layer (router-granularity walks over SPF
     source routes, {!Rofl_intra.Network.lookup}) and the interdomain layer
     (AS-granularity walks over per-level rings, {!Rofl_inter.Route}).  This
-    functor owns that loop once: candidate ranking by clockwise distance,
-    commit-to-route versus strictly-closer replacement, stale-pointer
-    NACK/restart, and the step guard.  A {!SUBSTRATE} supplies what differs
-    between layers: the position type, candidate enumeration, move-cost
+    functor owns that loop once: commit-to-route versus strictly-closer
+    replacement, stale-pointer NACK/restart, and the step guard.  A
+    {!SUBSTRATE} supplies what differs between layers: the position type,
+    fused candidate selection (the {!best} ranking applied while the
+    substrate scans its state, so no candidate list is built), move-cost
     charging, and the termination predicates. *)
 
 module Id = Rofl_idspace.Id
@@ -27,7 +28,8 @@ val best : target:Id.t -> id_of:('a -> Id.t) -> 'a list -> 'a option
     — both layers list ring state before cache shortcuts, which is how "a
     cached pointer wins only when strictly closer" falls out of the
     ranking.  Allocation-free per comparison: candidates are ranked with
-    {!Id.closer_clockwise} rather than materialised distances. *)
+    {!Id.closer_clockwise} rather than materialised distances.  This is the
+    reference definition of {!SUBSTRATE.select}. *)
 
 module type SUBSTRATE = sig
   type st
@@ -68,7 +70,7 @@ module type SUBSTRATE = sig
   (** Checked first each iteration: has the walk already terminated here? *)
 
   val prepare : st -> pos -> pos
-  (** Free normalisation before candidate enumeration (e.g. the free
+  (** Free normalisation before candidate selection (e.g. the free
       intra-AS move to the closest local resident); identity if none. *)
 
   val stale_commit : st -> pos -> bool
@@ -78,17 +80,21 @@ module type SUBSTRATE = sig
       restart the walk from here with a cleared horizon.  Must return
       [false] when nothing was committed. *)
 
-  val candidates : st -> pos -> cand list
-  (** Enumerate progress candidates, already filtered for validity
-      (liveness, route validity, exclusions).  Order encodes tie precedence
-      (see {!best}): ring state first, cache shortcuts last. *)
+  val select : st -> pos -> cand option
+  (** The best progress candidate here: exactly {!best} over the valid
+      candidates (liveness, route validity, exclusions) in precedence order —
+      ring state first, cache shortcuts last, a later candidate winning only
+      when strictly closer to {!target}.  Substrates fuse the ranking into
+      their scan, keeping running-best registers and boxing only the
+      winner; [None] when nothing qualifies. *)
 
   val target : st -> Id.t
   (** The identifier the walk is chasing; fixed for the walk's lifetime. *)
 
   val cand_id : st -> cand -> Id.t
-  (** The candidate's identifier; the loop ranks candidates by clockwise
-      distance from this to {!target} without allocating distances. *)
+  (** The candidate's identifier; under [`Persistent] the loop compares
+      its clockwise distance to {!target} against the committed horizon
+      without allocating distances. *)
 
   val deliver_here : st -> pos -> cand -> verdict option
   (** If selecting this candidate terminates the walk at [pos] (the target
@@ -120,7 +126,7 @@ module Make (S : SUBSTRATE) : sig
   val run : S.st -> start:S.pos -> S.verdict
   (** Drive the greedy loop from [start] until a verdict.  Each iteration:
       guard check, arrival check, stale-commit NACK/restart, free
-      normalisation, candidate ranking, then either terminal delivery,
+      normalisation, candidate selection, then either terminal delivery,
       commit to a strictly closer candidate, continuation along the
       committed route, or settling. *)
 end

@@ -98,6 +98,37 @@ let test_minhop_vs_spf () =
     | _ -> Alcotest.fail "reachability disagreement"
   done
 
+(* The stretch BFS keeps per-domain scratch: figures take stretch samples on
+   [Pool] domains.  Two domains hammering networks of different sizes, with
+   links down, must see exactly the sequential answers -- a buffer shared
+   between domains would be resized and overwritten under the other's feet. *)
+let test_minhop_domain_safety () =
+  let setup seed profile =
+    let rng = Prng.create seed in
+    let isp = Isp.generate rng profile in
+    let net = Network.create ~rng isp.Isp.graph in
+    let n = Graph.n isp.Isp.graph in
+    List.iteri
+      (fun i (l : Graph.link) ->
+        if i mod 7 = 0 then Linkstate.fail_link net.Network.ls l.Graph.u l.Graph.v)
+      (Graph.links isp.Isp.graph);
+    let pairs = List.init 400 (fun _ -> (Prng.int rng n, Prng.int rng n)) in
+    (net, pairs)
+  in
+  let jobs = [ setup 5 Isp.as3967; setup 6 Isp.as1239 ] in
+  let answers (net, pairs) =
+    List.init 20 (fun _ -> List.map (fun (a, b) -> Forward.shortest_hops net a b) pairs)
+  in
+  let sequential = List.map answers jobs in
+  let pool = Rofl_util.Pool.create ~jobs:2 in
+  let concurrent = Rofl_util.Pool.map pool answers jobs in
+  Rofl_util.Pool.shutdown pool;
+  List.iter2
+    (fun name (want, got) ->
+      Alcotest.(check (list (list (option int)))) name want got)
+    [ "AS3967"; "AS1239" ]
+    (List.combine sequential concurrent)
+
 (* Message accounting balances: the per-category counters sum to the total,
    and a join's reported cost appears in the join-ish categories. *)
 let test_metrics_balance () =
@@ -199,6 +230,7 @@ let () =
             test_level_vs_policy_distances;
           Alcotest.test_case "route shape valley-free" `Quick test_route_within_path_shape;
           Alcotest.test_case "minhop <= spf hops" `Quick test_minhop_vs_spf;
+          Alcotest.test_case "minhop scratch is per-domain" `Quick test_minhop_domain_safety;
           Alcotest.test_case "metrics balance" `Quick test_metrics_balance;
           Alcotest.test_case "forward accounting" `Quick test_forward_accounting;
           Alcotest.test_case "lookup walk" `Quick test_lookup_visited_is_walk;

@@ -174,6 +174,139 @@ let prop_pointer_cache_agreement =
       && (Pointer_cache.resize cache ~capacity:3;
           Pointer_cache.audit cache = []))
 
+(* ---- Pointer_cache vs a brute-force model ------------------------------- *)
+
+(* The model is the cache's contents, most-recently-used first, as
+   (identifier, dst_router) pairs; [best_match] is answered by scanning it
+   for the identifier in (cur, target] closest to target.  Identifiers come
+   from a dense pool: a few [hi] words whose [Id.key] coincides (the key
+   drops the low two bits of [hi]) crossed with a few [lo] words, including
+   the ring's wrap point, so key ties and the cyclic predecessor both get
+   exercised. *)
+
+let dense_ids =
+  let his = [ 0L; 1L; 3L; 4L; -4L; -1L ] and los = [ 0L; 1L; 5L; Int64.min_int; -1L ] in
+  Array.of_list
+    (List.concat_map (fun hi -> List.map (fun lo -> Id.of_int64_pair hi lo) los) his)
+
+type cop =
+  | C_insert of int * int
+  | C_find of int
+  | C_best of int * int  (** cur, target *)
+  | C_remove of int
+  | C_drop_odd
+  | C_resize of int
+  | C_clear
+
+let cop_gen =
+  let idx = QCheck.Gen.int_bound (Array.length dense_ids - 1) in
+  QCheck.Gen.(
+    frequency
+      [
+        (8, map2 (fun i r -> C_insert (i, r)) idx (int_bound 9));
+        (2, map (fun i -> C_find i) idx);
+        (6, map2 (fun c t -> C_best (c, t)) idx idx);
+        (2, map (fun i -> C_remove i) idx);
+        (1, return C_drop_odd);
+        (1, map (fun c -> C_resize c) (int_bound 8));
+        (1, return C_clear);
+      ])
+
+let cop_print = function
+  | C_insert (i, r) -> Printf.sprintf "insert %d@%d" i r
+  | C_find i -> Printf.sprintf "find %d" i
+  | C_best (c, t) -> Printf.sprintf "best cur=%d target=%d" c t
+  | C_remove i -> Printf.sprintf "remove %d" i
+  | C_drop_odd -> "drop-odd"
+  | C_resize c -> Printf.sprintf "resize %d" c
+  | C_clear -> "clear"
+
+let cops_arb =
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map cop_print ops))
+    QCheck.Gen.(list_size (int_bound 120) cop_gen)
+
+let cptr id router =
+  Pointer.make Pointer.Cached ~dst:id ~dst_router:router ~route:(Sourceroute.singleton router)
+
+let model_best entries ~cur ~target =
+  List.fold_left
+    (fun acc (id, r) ->
+      if not (Id.between_incl cur id target) then acc
+      else
+        match acc with
+        | Some (bid, _) when Id.compare (Id.distance id target) (Id.distance bid target) >= 0 ->
+          acc
+        | Some _ | None -> Some (id, r))
+    None entries
+
+let cache_contents c =
+  let acc = ref [] in
+  Pointer_cache.iter c (fun p -> acc := (p.Pointer.dst, p.Pointer.dst_router) :: !acc);
+  List.rev !acc
+
+let touch m id =
+  match List.assoc_opt id !m with
+  | Some r -> m := (id, r) :: List.remove_assoc id !m
+  | None -> ()
+
+let pointer_cache_step c cap m op =
+  let as_pair = Option.map (fun (p : Pointer.t) -> (p.Pointer.dst, p.Pointer.dst_router)) in
+  match op with
+  | C_insert (i, r) ->
+    let id = dense_ids.(i) in
+    Pointer_cache.insert c (cptr id r);
+    if !cap > 0 then begin
+      let rest = List.remove_assoc id !m in
+      let rest =
+        if List.length rest >= !cap then List.filteri (fun j _ -> j < !cap - 1) rest else rest
+      in
+      m := (id, r) :: rest
+    end;
+    true
+  | C_find i ->
+    let id = dense_ids.(i) in
+    let want = Option.map (fun r -> (id, r)) (List.assoc_opt id !m) in
+    touch m id;
+    as_pair (Pointer_cache.find c id) = want
+  | C_best (ci, ti) ->
+    let cur = dense_ids.(ci) and target = dense_ids.(ti) in
+    let want = model_best !m ~cur ~target in
+    Option.iter (fun (id, _) -> touch m id) want;
+    as_pair (Pointer_cache.best_match c ~cur ~target) = want
+  | C_remove i ->
+    Pointer_cache.remove c dense_ids.(i);
+    m := List.remove_assoc dense_ids.(i) !m;
+    true
+  | C_drop_odd ->
+    let dropped = Pointer_cache.drop_if c (fun p -> p.Pointer.dst_router mod 2 = 1) in
+    let kept = List.filter (fun (_, r) -> r mod 2 = 0) !m in
+    let want = List.length !m - List.length kept in
+    m := kept;
+    dropped = want
+  | C_resize n ->
+    Pointer_cache.resize c ~capacity:n;
+    cap := n;
+    m := List.filteri (fun j _ -> j < n) !m;
+    true
+  | C_clear ->
+    Pointer_cache.clear c;
+    m := [];
+    true
+
+let prop_pointer_cache_matches_model =
+  QCheck.Test.make ~name:"Pointer_cache agrees with a brute-force ring model" ~count:500
+    cops_arb (fun ops ->
+      let cap = ref 6 in
+      let c = Pointer_cache.create ~capacity:!cap in
+      let m = ref [] in
+      List.for_all
+        (fun op ->
+          pointer_cache_step c cap m op
+          && Pointer_cache.audit c = []
+          && cache_contents c = !m)
+        ops)
+
 (* ---- Resolver cache: LRU + TTL + negative entries vs a model ------------ *)
 
 (* The resolver cache layers TTL decay and negative entries on the LRU; the
@@ -265,6 +398,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_lru_matches_model;
           QCheck_alcotest.to_alcotest prop_pointer_cache_agreement;
+          QCheck_alcotest.to_alcotest prop_pointer_cache_matches_model;
           QCheck_alcotest.to_alcotest prop_resolver_matches_model;
         ] );
     ]
