@@ -220,7 +220,7 @@ let micro () =
              incr lookup_i;
              let from, target = Array.unsafe_get lookups i in
              ignore
-               (Rofl_intra.Network.lookup net ~from ~target ~category:Rofl_core.Msg.data
+               (Rofl_intra.Network.lookup net ~from ~target ~category:Rofl_netsim.Metrics.Data
                   ~use_cache:true)));
       Test.make ~name:"chord-lookup-2k"
         (Staged.stage (fun () ->

@@ -15,7 +15,6 @@ module Trace = Rofl_routing.Trace
 module Gen = Rofl_topology.Gen
 module Network = Rofl_intra.Network
 module Vnode = Rofl_core.Vnode
-module Msg = Rofl_core.Msg
 module Internet = Rofl_asgraph.Internet
 module Net = Rofl_inter.Net
 module Route = Rofl_inter.Route
@@ -147,7 +146,7 @@ let run_trace seed =
     | Error _ -> ()
   done;
   let target = List.nth !ids (List.length !ids / 2) in
-  let r = Network.lookup net ~from:0 ~target ~category:Msg.data ~use_cache:true in
+  let r = Network.lookup net ~from:0 ~target ~category:Rofl_netsim.Metrics.Data ~use_cache:true in
   Printf.printf "intradomain lookup from router 0 towards %s (%s, %d msgs):\n"
     (Id.to_short_string target)
     (match r.Network.status with

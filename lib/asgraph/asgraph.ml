@@ -29,7 +29,7 @@ let n g = g.size
 let check g a = if a < 0 || a >= g.size then invalid_arg "Asgraph: AS index out of range"
 
 let invalidate g =
-  if g.cone_valid || Array.exists Option.is_some g.cone_cache then begin
+  if g.cone_valid then begin
     Array.fill g.cone_cache 0 g.size None;
     g.cone_valid <- false
   end
@@ -135,6 +135,9 @@ let topo_order g =
 
 let compute_cones g =
   let order = topo_order g in
+  (* Built aside and installed whole, so [cone_cache] holds cones exactly
+     when [cone_valid]. *)
+  let cones = Array.make g.size None in
   (* Walk customers-first (reverse of providers-first order) so each cone can
      union its customers' finished cones. *)
   for i = g.size - 1 downto 0 do
@@ -143,12 +146,13 @@ let compute_cones g =
     Bitset.set cone a;
     List.iter
       (fun c ->
-        match g.cone_cache.(c) with
+        match cones.(c) with
         | Some child -> Bitset.union_into ~dst:cone child
         | None -> invalid_arg "Asgraph: cone ordering bug")
       g.customers.(a);
-    g.cone_cache.(a) <- Some cone
+    cones.(a) <- Some cone
   done;
+  Array.blit cones 0 g.cone_cache 0 g.size;
   g.cone_valid <- true
 
 let customer_cone g a =

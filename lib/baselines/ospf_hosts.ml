@@ -10,7 +10,7 @@ let create graph =
 let route t ~src ~dst =
   match Linkstate.path t.ls src dst with
   | Some hops ->
-    Metrics.charge_path t.metrics "ospf-data" hops;
+    Metrics.charge_path t.metrics Metrics.Ospf_data hops;
     Some hops
   | None -> None
 

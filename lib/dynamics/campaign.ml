@@ -4,6 +4,7 @@ module Stats = Rofl_util.Stats
 module Graph = Rofl_topology.Graph
 module Isp = Rofl_topology.Isp
 module Shard = Rofl_netsim.Shard
+module Metrics = Rofl_netsim.Metrics
 module Proto = Rofl_proto.Proto
 module Identity = Rofl_crypto.Identity
 module Churn = Rofl_workload.Churn
@@ -492,6 +493,7 @@ let run_events ~seed ~name ~graph ~gateways ?audit ?(shards = 1) ?pool
   let joins_evt, leaves_evt, moves_evt, crashes_evt = Churn.count trace in
   let events_n = joins_evt + leaves_evt + moves_evt + crashes_evt in
   let sim_end = Shard.now coord in
+  let m = Proto.metrics proto in
   {
     name;
     params = p;
@@ -517,10 +519,10 @@ let run_events ~seed ~name ~graph ~gateways ?audit ?(shards = 1) ?pool
        | None -> Float.nan);
     failovers = s.Proto.failovers;
     rpc_timeouts = s.Proto.rpc_timeouts;
-    wasted_hops = Rofl_netsim.Metrics.wasted_hops (Proto.metrics proto);
-    cancellations = Rofl_netsim.Metrics.cancellations (Proto.metrics proto);
+    wasted_hops = Metrics.get m Metrics.Wasted_hops;
+    cancellations = Metrics.get m Metrics.Cancellations;
     auto_state = Proto.auto_state proto;
-    ctrl_msgs = Rofl_netsim.Metrics.categories (Proto.metrics proto);
+    ctrl_msgs = Metrics.categories m;
     total_msgs = s.Proto.messages;
     msgs_per_event =
       (if events_n = 0 then 0.0

@@ -103,8 +103,6 @@ type report = {
   served_expired : int;        (* must be 0 without the fault knob *)
   records_live : int;          (* placed records at the end *)
   intents_active : int;
-  svc_counters : (string * int) list;  (* the directory's Metrics table *)
-  proto_ctrl : (string * int) list;    (* proto per-category control messages *)
   ctrl_msgs : int;             (* proto messages + publish/resolve traversals *)
   ctrl_per_s : float;
   peak_queue : int;
@@ -296,8 +294,8 @@ let run_graph ~seed ~name ~graph ~gateways ?audit ?(shards = 1) ?pool (p : param
   in
   let sim_end = Shard.now coord in
   let m = Directory.metrics dir in
-  let publish_msgs = Metrics.get m "svc-publish-msg" in
-  let resolve_msgs = Metrics.get m "svc-resolve-msg" in
+  let publish_msgs = Metrics.get m Metrics.Svc_publish_msg in
+  let resolve_msgs = Metrics.get m Metrics.Svc_resolve_msg in
   let proto_msgs = (Proto.stats proto).Proto.messages in
   let ctrl_msgs = proto_msgs + publish_msgs + resolve_msgs in
   let nresolves = !resolves in
@@ -319,17 +317,15 @@ let run_graph ~seed ~name ~graph ~gateways ?audit ?(shards = 1) ?pool (p : param
     lat_p95_ms = percentile_or lats 95.0 ~default:0.0;
     lat_p99_ms = percentile_or lats 99.0 ~default:0.0;
     miss_p95_ms = percentile_or miss_lats 95.0 ~default:0.0;
-    republishes = Metrics.get m "svc-republish";
+    republishes = Metrics.get m Metrics.Svc_republish;
     publish_msgs;
     resolve_msgs;
     resolve_wasted = Directory.resolve_wasted_hops dir;
     resolve_cancels = Directory.resolve_cancellations dir;
-    expired = Metrics.get m "svc-expired";
+    expired = Metrics.get m Metrics.Svc_expired;
     served_expired = Directory.served_expired_total dir;
     records_live = Provider_store.live (Directory.store dir);
     intents_active = Directory.intents_active dir;
-    svc_counters = Metrics.categories m;
-    proto_ctrl = Metrics.categories (Proto.metrics proto);
     ctrl_msgs;
     ctrl_per_s = (if sim_end <= 0.0 then 0.0 else float_of_int ctrl_msgs /. (sim_end /. 1000.0));
     peak_queue = Shard.peak_global coord;

@@ -69,8 +69,6 @@ type report = {
   served_expired : int;        (** must be 0 without the serve-stale knob *)
   records_live : int;
   intents_active : int;
-  svc_counters : (string * int) list;  (** the directory's metrics table *)
-  proto_ctrl : (string * int) list;    (** proto control messages by category *)
   ctrl_msgs : int;             (** proto + publish + resolve traversals *)
   ctrl_per_s : float;
   peak_queue : int;

@@ -7,9 +7,9 @@ module Linkstate = Rofl_linkstate.Linkstate
 module Network = Rofl_intra.Network
 module Failure = Rofl_intra.Failure
 module Invariant = Rofl_intra.Invariant
-module Msg = Rofl_core.Msg
 module Net = Rofl_inter.Net
 module Route = Rofl_inter.Route
+module Metrics = Rofl_netsim.Metrics
 
 let first_profile (scale : Common.scale) =
   match scale.Common.isps with p :: _ -> p | [] -> Isp.as3967
@@ -80,7 +80,7 @@ let ablate_zero_id (scale : Common.scale) =
     routers;
   let before = Invariant.check net in
   (* Now run the zero-ID-driven stabilisation and re-check. *)
-  let repair_msgs = Network.stabilize net ~category:Msg.repair in
+  let repair_msgs = Network.stabilize net ~category:Metrics.Repair in
   let after = Invariant.check net in
   let t =
     Table.create ~title:"Ablation: zero-ID partition repair (ring state after merge)"

@@ -3,11 +3,11 @@ module Stats = Rofl_util.Stats
 module Prng = Rofl_util.Prng
 module Isp = Rofl_topology.Isp
 module Network = Rofl_intra.Network
-module Msg = Rofl_core.Msg
 module Net = Rofl_inter.Net
 module Route = Rofl_inter.Route
 module Asfailure = Rofl_inter.Asfailure
 module Internet = Rofl_asgraph.Internet
+module Metrics = Rofl_netsim.Metrics
 
 let pct samples p = if samples = [] then nan else Stats.percentile samples p
 
@@ -132,7 +132,7 @@ let summary (scale : Common.scale) =
        let dst = Prng.sample rng run.Common.ids in
        let r =
          Network.lookup run.Common.net ~from:(run.Common.gateway ()) ~target:dst
-           ~category:Msg.data ~use_cache:true
+           ~category:Metrics.Data ~use_cache:true
        in
        traces := r.Network.trace :: !traces
      done;

@@ -3,7 +3,7 @@ module Prng = Rofl_util.Prng
 module Network = Rofl_intra.Network
 module Vnode = Rofl_core.Vnode
 module Pointer = Rofl_core.Pointer
-module Msg = Rofl_core.Msg
+module Metrics = Rofl_netsim.Metrics
 
 type group = Id.t (* suffix zeroed *)
 
@@ -21,7 +21,7 @@ type delivery = { server : Id.t option; hops : int }
 let route net ~from g rng =
   let r = Int64.to_int32 (Prng.bits64 rng) in
   let target = member_id g ~suffix:r in
-  let res = Network.lookup net ~from ~target ~category:Msg.data ~use_cache:true in
+  let res = Network.lookup net ~from ~target ~category:Metrics.Data ~use_cache:true in
   match res.Network.status with
   | Network.Delivered vn -> { server = Some vn.Vnode.id; hops = res.Network.msgs }
   | Network.Predecessor vn when Id.same_group vn.Vnode.id target ->
@@ -33,7 +33,7 @@ let route net ~from g rng =
      | Some (p : Pointer.t) when Id.same_group p.Pointer.dst target ->
        (match Rofl_linkstate.Linkstate.path net.Network.ls vn.Vnode.hosted_at p.Pointer.dst_router with
         | Some hops ->
-          Rofl_netsim.Metrics.charge_path net.Network.metrics Msg.data hops;
+          Metrics.charge_path net.Network.metrics Metrics.Data hops;
           { server = Some p.Pointer.dst; hops = res.Network.msgs + List.length hops - 1 }
         | None -> { server = None; hops = res.Network.msgs })
      | Some _ | None -> { server = None; hops = res.Network.msgs })

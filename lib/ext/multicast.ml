@@ -1,7 +1,6 @@
 module Id = Rofl_idspace.Id
 module Network = Rofl_intra.Network
 module Vnode = Rofl_core.Vnode
-module Msg = Rofl_core.Msg
 module Metrics = Rofl_netsim.Metrics
 
 type t = {
@@ -39,7 +38,7 @@ let join_member t ~gateway ~suffix =
          grafts onto the existing tree. *)
       let target = Anycast.member_id t.g ~suffix in
       let res =
-        Network.lookup t.net ~from:gateway ~target ~category:Msg.join ~use_cache:true
+        Network.lookup t.net ~from:gateway ~target ~category:Metrics.Join ~use_cache:true
       in
       paint_msgs := res.Network.msgs;
       (* The greedy walk may revisit routers; paint the loop-free reduction
@@ -116,7 +115,7 @@ let send t ~from_suffix =
           if not (Hashtbl.mem seen nb) then begin
             Hashtbl.replace seen nb ();
             incr msgs;
-            Rofl_routing.Charge.hop t.net.Network.metrics Msg.data nb;
+            Metrics.charge_hop t.net.Network.metrics Metrics.Data nb;
             Queue.push nb q
           end)
         (match Hashtbl.find_opt t.adj r with Some ns -> ns | None -> [])

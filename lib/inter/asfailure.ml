@@ -2,8 +2,6 @@ module Id = Rofl_idspace.Id
 module Ring = Rofl_idspace.Ring
 module Asgraph = Rofl_asgraph.Asgraph
 module Metrics = Rofl_netsim.Metrics
-module Charge = Rofl_routing.Charge
-module Msg = Rofl_core.Msg
 module Pointer_cache = Rofl_core.Pointer_cache
 
 type stub_failure = {
@@ -86,7 +84,7 @@ let fail_stub (t : Net.t) as_idx ~samples =
           | Some (pid, _) when not (Id.equal pid h.Net.id) ->
             if not (Hashtbl.mem repaired pid) then begin
               Hashtbl.add repaired pid ();
-              Charge.bulk t.Net.metrics Msg.repair 1
+              Metrics.incr t.Net.metrics Metrics.Repair 1
             end
           | Some _ | None -> ())
         h.Net.joined)

@@ -3,11 +3,9 @@ module Ring = Rofl_idspace.Ring
 module Prng = Rofl_util.Prng
 module Asgraph = Rofl_asgraph.Asgraph
 module Metrics = Rofl_netsim.Metrics
-module Charge = Rofl_routing.Charge
 module Pointer = Rofl_core.Pointer
 module Pointer_cache = Rofl_core.Pointer_cache
 module Sourceroute = Rofl_core.Sourceroute
-module Msg = Rofl_core.Msg
 
 type peering_mode = No_peering | Virtual_as | Bloom_filters
 
@@ -135,10 +133,10 @@ let as_levels t x =
 let charge_route t category level a b =
   match Level.route_within t.ctx level a b with
   | Some (0, _) ->
-    Charge.hop t.metrics category a;
+    Metrics.charge_hop t.metrics category a;
     (1, [ a ])
   | Some (d, path) ->
-    Charge.span t.metrics category ~hops:d path;
+    Metrics.charge_span t.metrics category ~hops:d path;
     (d, path)
   | None -> (0, [])
 
@@ -213,7 +211,7 @@ let acquire_fingers t (h : host) =
                   Hashtbl.add have (Level.key t.ctx level, fid) ();
                   h.fingers <- (level, fid) :: h.fingers;
                   incr msgs;
-                  Charge.bulk t.metrics Msg.finger 1;
+                  Metrics.incr t.metrics Metrics.Finger 1;
                   progressed := true
                 end
               | Some _ | None -> exhausted.(i) <- true
@@ -242,7 +240,7 @@ let join_with_levels t ~as_idx ~id ~strategy ~levels =
          | None ->
            (* First member at this level: bootstrap registration. *)
            let d = anchor_distance t as_idx level in
-           Charge.bulk t.metrics Msg.join d;
+           Metrics.incr t.metrics Metrics.Join d;
            lookup_msgs := !lookup_msgs + d
          | Some (sid, succ_h) ->
            let dedup =
@@ -255,13 +253,13 @@ let join_with_levels t ~as_idx ~id ~strategy ~levels =
                 reply back, plus one successor notification (Algorithm 3). *)
              (match Ring.predecessor id !rr with
               | Some (pid, pred_h) ->
-                let d1, path = charge_route t Msg.join level as_idx pred_h.home_as in
-                let d2, _ = charge_route t Msg.join_reply level pred_h.home_as as_idx in
+                let d1, path = charge_route t Metrics.Join level as_idx pred_h.home_as in
+                let d2, _ = charge_route t Metrics.Join_reply level pred_h.home_as as_idx in
                 lookup_msgs := !lookup_msgs + d1 + d2;
                 List.iter (fun a -> cache_insert t a id as_idx) path;
                 List.iter (fun a -> cache_insert t a pid pred_h.home_as) path
               | None -> ());
-             let d3, _ = charge_route t Msg.join level as_idx succ_h.home_as in
+             let d3, _ = charge_route t Metrics.Join level as_idx succ_h.home_as in
              lookup_msgs := !lookup_msgs + d3
            end;
            prev_succ := Some sid);
@@ -321,7 +319,7 @@ let remove_host t id =
          | Some (pid, pred_h), Some (sid, _) when not (Id.equal pid sid) ->
            if not (Hashtbl.mem seen (pid, sid)) then begin
              Hashtbl.add seen (pid, sid) ();
-             let d, _ = charge_route t Msg.teardown level h.home_as pred_h.home_as in
+             let d, _ = charge_route t Metrics.Teardown level h.home_as pred_h.home_as in
              ignore d
            end
          | _ -> ());

@@ -4,11 +4,10 @@ module Prng = Rofl_util.Prng
 module Asgraph = Rofl_asgraph.Asgraph
 module Policy = Rofl_asgraph.Policy
 module Walk = Rofl_routing.Walk
-module Charge = Rofl_routing.Charge
 module Trace = Rofl_routing.Trace
+module Metrics = Rofl_netsim.Metrics
 module Pointer = Rofl_core.Pointer
 module Pointer_cache = Rofl_core.Pointer_cache
-module Msg = Rofl_core.Msg
 
 type result = {
   delivered : bool;
@@ -130,7 +129,7 @@ let charge_move (t : Net.t) level a b =
   match Level.route_within t.Net.ctx level a b with
   | Some (0, _) -> Some (0, [])
   | Some (d, path) ->
-    Charge.span t.Net.metrics Msg.data ~hops:d path;
+    Metrics.charge_span t.Net.metrics Metrics.Data ~hops:d path;
     (match path with
      | [] -> Some (d, [])
      | _ :: tail -> Some (d, tail))
@@ -248,7 +247,7 @@ module Route_substrate = struct
           Hashtbl.add st.tried_peers (st.cur, p) ();
           if Net.bloom_check t p st.dst then begin
             (* Cross the peering link. *)
-            Charge.hop t.Net.metrics Msg.data p;
+            Metrics.charge_hop t.Net.metrics Metrics.Data p;
             st.as_hops <- st.as_hops + 1;
             st.peer_crossings <- st.peer_crossings + 1;
             st.rev_path <- p :: st.rev_path;
@@ -275,7 +274,7 @@ module Route_substrate = struct
             else begin
               (* False positive: the packet comes back over the peering
                  link and continues (§4.2). *)
-              Charge.hop t.Net.metrics Msg.data st.cur;
+              Metrics.charge_hop t.Net.metrics Metrics.Data st.cur;
               st.as_hops <- st.as_hops + 1;
               st.backtracks <- st.backtracks + 1;
               st.rev_path <- st.cur :: st.rev_path;
@@ -314,7 +313,7 @@ module Route_substrate = struct
               else begin
                 Hashtbl.add st.tried_peers (a, p) ();
                 if Net.bloom_check t p st.dst then begin
-                  Charge.hop t.Net.metrics Msg.data p;
+                  Metrics.charge_hop t.Net.metrics Metrics.Data p;
                   st.as_hops <- st.as_hops + 1;
                   st.peer_crossings <- st.peer_crossings + 1;
                   Trace.record st.tracer ~kind:Trace.Flood ~router:p ~level:"peer"
@@ -327,7 +326,7 @@ module Route_substrate = struct
                   if really_below then Some (a, p)
                   else begin
                     (* False positive: back over the peering link. *)
-                    Charge.hop t.Net.metrics Msg.data a;
+                    Metrics.charge_hop t.Net.metrics Metrics.Data a;
                     st.as_hops <- st.as_hops + 1;
                     st.backtracks <- st.backtracks + 1;
                     Trace.record st.tracer ~kind:Trace.Backtrack ~router:a ~level:"peer"
@@ -433,7 +432,7 @@ let route_from (t : Net.t) ~src ~dst =
       tracer = Trace.builder ();
     }
   in
-  Charge.inject t.Net.metrics Msg.data src.Net.home_as;
+  Metrics.inject t.Net.metrics Metrics.Data src.Net.home_as;
   Route_walk.run st ~start:()
 
 let stretch_vs_bgp t ~src ~dst =

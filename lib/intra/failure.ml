@@ -3,11 +3,9 @@ module Ring = Rofl_idspace.Ring
 module Vnode = Rofl_core.Vnode
 module Pointer = Rofl_core.Pointer
 module Pointer_cache = Rofl_core.Pointer_cache
-module Msg = Rofl_core.Msg
 module Graph = Rofl_topology.Graph
 module Linkstate = Rofl_linkstate.Linkstate
 module Metrics = Rofl_netsim.Metrics
-module Charge = Rofl_routing.Charge
 module Identity = Rofl_crypto.Identity
 
 let total (t : Network.t) = Metrics.total t.Network.metrics
@@ -23,7 +21,7 @@ let teardown_and_repair (t : Network.t) ~doomed =
       if vn.Vnode.alive then begin
         let dropped = Vnode.drop_pointers_if vn doomed in
         if dropped > 0 then begin
-          Charge.bulk t.Network.metrics Msg.teardown dropped;
+          Metrics.incr t.Network.metrics Metrics.Teardown dropped;
           (match vn.Vnode.host_class with
            | Vnode.Stable | Vnode.Router_default ->
              if vn.Vnode.succs = [] then Network.repair_successor t vn;
@@ -32,7 +30,7 @@ let teardown_and_repair (t : Network.t) ~doomed =
              (* Re-attach below the current ring predecessor. *)
              let res =
                Network.lookup t ~from:vn.Vnode.hosted_at ~target:vn.Vnode.id
-                 ~category:Msg.repair ~use_cache:true
+                 ~category:Metrics.Repair ~use_cache:true
              in
              (match res.Network.status with
               | Network.Predecessor pred ->
@@ -66,7 +64,7 @@ let fail_host (t : Network.t) id =
   | Error e -> Error e
 
 let charge_lsa (t : Network.t) category =
-  Charge.bulk t.Network.metrics category (Linkstate.lsa_flood_cost t.Network.ls)
+  Metrics.incr t.Network.metrics category (Linkstate.lsa_flood_cost t.Network.ls)
 
 let fail_router (t : Network.t) idx ~pick_gateway =
   let before = total t in
@@ -79,7 +77,7 @@ let fail_router (t : Network.t) idx ~pick_gateway =
   in
   (* The link-state layer floods the failure. *)
   Linkstate.fail_router t.Network.ls idx;
-  charge_lsa t Msg.flood;
+  charge_lsa t Metrics.Flood;
   (* Everything resident here is gone. *)
   let kill (vn : Vnode.t) =
     vn.Vnode.alive <- false;
@@ -111,7 +109,7 @@ let fail_router (t : Network.t) idx ~pick_gateway =
       match Network.find_vnode t id with
       | Some (vn : Vnode.t) when vn.Vnode.alive ->
         let res =
-          Network.lookup t ~from:host_router ~target:id ~category:Msg.repair
+          Network.lookup t ~from:host_router ~target:id ~category:Metrics.Repair
             ~use_cache:true
         in
         (match res.Network.status with
@@ -121,26 +119,26 @@ let fail_router (t : Network.t) idx ~pick_gateway =
          | Network.Delivered _ | Network.Stuck _ -> ())
       | Some _ | None -> ())
     orphan_attachments;
-  ignore (Network.stabilize t ~category:Msg.repair);
+  ignore (Network.stabilize t ~category:Metrics.Repair);
   total t - before
 
 let restore_router (t : Network.t) idx =
   let before = total t in
   Linkstate.restore_router t.Network.ls idx;
-  charge_lsa t Msg.flood;
+  charge_lsa t Metrics.Flood;
   let r = t.Network.routers.(idx) in
   let vn = Vnode.create (Network.router_id idx) Vnode.Router_default ~hosted_at:idx in
   r.Network.residents <- [ vn ];
   Hashtbl.replace t.Network.vnodes vn.Vnode.id vn;
   t.Network.oracle <- Ring.add vn.Vnode.id vn t.Network.oracle;
-  ignore (Network.rejoin_ring t vn ~category:Msg.repair);
-  ignore (Network.stabilize t ~category:Msg.repair);
+  ignore (Network.rejoin_ring t vn ~category:Metrics.Repair);
+  ignore (Network.stabilize t ~category:Metrics.Repair);
   total t - before
 
 let fail_link (t : Network.t) u v =
   let before = total t in
   Linkstate.fail_link t.Network.ls u v;
-  charge_lsa t Msg.flood;
+  charge_lsa t Metrics.Flood;
   let crosses (p : Pointer.t) = Pointer.uses_link p u v in
   purge_caches t ~doomed:crosses;
   (* The network map reroutes ring pointers transparently: refresh source
@@ -169,7 +167,7 @@ let fail_link (t : Network.t) u v =
 let restore_link (t : Network.t) u v =
   let before = total t in
   Linkstate.restore_link t.Network.ls u v;
-  charge_lsa t Msg.flood;
+  charge_lsa t Metrics.Flood;
   total t - before
 
 let cut_links (t : Network.t) routers =
@@ -191,10 +189,10 @@ let cut_links (t : Network.t) routers =
 let disconnect_routers (t : Network.t) routers =
   let before = total t in
   let _cut = cut_links t routers in
-  charge_lsa t Msg.flood;
+  charge_lsa t Metrics.Flood;
   (* Zero-ID advertisements piggyback on the link-state flood in each
      component; charged once over the surviving links. *)
-  charge_lsa t Msg.zero_id;
+  charge_lsa t Metrics.Zero_id;
   let doomed (p : Pointer.t) =
     not (Rofl_core.Sourceroute.is_valid t.Network.ls p.Pointer.route)
     ||
@@ -228,7 +226,7 @@ let disconnect_routers (t : Network.t) routers =
         | Vnode.Ephemeral -> ()
       end)
     (all_vnodes t);
-  ignore (Network.stabilize t ~category:Msg.repair);
+  ignore (Network.stabilize t ~category:Metrics.Repair);
   total t - before
 
 let reconnect_routers (t : Network.t) routers =
@@ -243,10 +241,10 @@ let reconnect_routers (t : Network.t) routers =
           then Linkstate.restore_link t.Network.ls r v)
         (Graph.neighbors t.Network.graph r))
     routers;
-  charge_lsa t Msg.flood;
+  charge_lsa t Metrics.Flood;
   (* The zero-ID advertisement reveals the other ring and triggers the
      merge (§3.2): members of the reconnected component re-splice. *)
-  charge_lsa t Msg.zero_id;
+  charge_lsa t Metrics.Zero_id;
   List.iter
     (fun r ->
       List.iter
@@ -254,7 +252,7 @@ let reconnect_routers (t : Network.t) routers =
           if vn.Vnode.alive then begin
             match vn.Vnode.host_class with
             | Vnode.Stable | Vnode.Router_default ->
-              ignore (Network.rejoin_ring t vn ~category:Msg.repair)
+              ignore (Network.rejoin_ring t vn ~category:Metrics.Repair)
             | Vnode.Ephemeral -> ()
           end)
         t.Network.routers.(r).Network.residents)
@@ -265,7 +263,7 @@ let reconnect_routers (t : Network.t) routers =
     (fun (vn : Vnode.t) ->
       if vn.Vnode.alive && vn.Vnode.succs = [] then Network.repair_successor t vn)
     (all_vnodes t);
-  ignore (Network.stabilize t ~category:Msg.repair);
+  ignore (Network.stabilize t ~category:Metrics.Repair);
   total t - before
 
 let mobile_rehome (t : Network.t) id ~new_gateway =

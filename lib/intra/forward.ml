@@ -1,7 +1,7 @@
 module Id = Rofl_idspace.Id
 module Vnode = Rofl_core.Vnode
-module Msg = Rofl_core.Msg
 module Linkstate = Rofl_linkstate.Linkstate
+module Metrics = Rofl_netsim.Metrics
 
 type delivery = {
   delivered_to : Vnode.t option;
@@ -11,7 +11,7 @@ type delivery = {
 }
 
 let route_packet ?(use_cache = true) (t : Network.t) ~from ~dest =
-  let res = Network.lookup t ~from ~target:dest ~category:Msg.data ~use_cache in
+  let res = Network.lookup t ~from ~target:dest ~category:Metrics.Data ~use_cache in
   match res.Network.status with
   | Network.Delivered vn ->
     { delivered_to = Some vn; hops = res.Network.msgs; latency_ms = res.Network.latency_ms; via_predecessor = false }
@@ -22,7 +22,7 @@ let route_packet ?(use_cache = true) (t : Network.t) ~from ~dest =
      | Some host_router ->
        (match Linkstate.path t.Network.ls pred.Vnode.hosted_at host_router with
         | Some hops_list ->
-          Rofl_netsim.Metrics.charge_path t.Network.metrics Msg.data hops_list;
+          Metrics.charge_path t.Network.metrics Metrics.Data hops_list;
           let extra = List.length hops_list - 1 in
           let lat = ref 0.0 in
           let rec add = function

@@ -4,12 +4,10 @@ module Vnode = Rofl_core.Vnode
 module Pointer = Rofl_core.Pointer
 module Pointer_cache = Rofl_core.Pointer_cache
 module Sourceroute = Rofl_core.Sourceroute
-module Msg = Rofl_core.Msg
 module Graph = Rofl_topology.Graph
 module Linkstate = Rofl_linkstate.Linkstate
 module Metrics = Rofl_netsim.Metrics
 module Walk = Rofl_routing.Walk
-module Charge = Rofl_routing.Charge
 module Trace = Rofl_routing.Trace
 module Prng = Rofl_util.Prng
 module Identity = Rofl_crypto.Identity
@@ -88,7 +86,7 @@ let make_pointer t kind ~from_router ~dst ~dst_router =
 let charge_spf t category src dst =
   match Linkstate.path t.ls src dst with
   | Some hops ->
-    Charge.path t.metrics category hops;
+    Metrics.charge_path t.metrics category hops;
     (List.length hops - 1, path_latency t hops)
   | None -> (0, 0.0)
 
@@ -131,7 +129,7 @@ let create ?(cfg = default_config) ~rng graph =
       Hashtbl.replace t.vnodes r.default_vnode.Vnode.id r.default_vnode;
       t.oracle <- Ring.add r.default_vnode.Vnode.id r.default_vnode t.oracle;
       let cost = Linkstate.lsa_flood_cost ls in
-      Charge.bulk t.metrics Msg.flood cost;
+      Metrics.incr t.metrics Metrics.Flood cost;
       t.bootstrap_msgs <- t.bootstrap_msgs + cost)
     routers;
   Array.iter
@@ -198,7 +196,7 @@ module Lookup_substrate = struct
   type st = {
     net : t;
     target : Id.t;
-    category : string;
+    category : Metrics.counter;
     use_cache : bool;
     exclude : Id.t option;
     step_limit : int;
@@ -252,7 +250,7 @@ module Lookup_substrate = struct
      repair of group tails, §4.1). *)
   let nack st cur owner chased =
     let t = st.net in
-    let _ = charge_spf t Msg.teardown cur owner in
+    let _ = charge_spf t Metrics.Teardown cur owner in
     List.iter
       (fun (vn : Vnode.t) ->
         ignore
@@ -373,7 +371,7 @@ module Lookup_substrate = struct
 
   let follow st cur = function
     | next :: rest when Graph.has_link st.net.graph cur next ->
-      Charge.hop st.net.metrics st.category next;
+      Metrics.charge_hop st.net.metrics st.category next;
       st.msgs <- st.msgs + 1;
       st.latency <- st.latency +. Graph.latency st.net.graph cur next;
       st.rev_visited <- next :: st.rev_visited;
@@ -430,7 +428,7 @@ let lookup ?exclude t ~from ~target ~category ~use_cache =
       pick_ptr = Pointer.placeholder;
     }
   in
-  Charge.inject t.metrics category from;
+  Metrics.inject t.metrics category from;
   Lookup_walk.run st ~start:from
 
 let find_vnode t id = Hashtbl.find_opt t.vnodes id
@@ -538,7 +536,7 @@ let repair_successor t (vn : Vnode.t) =
   | (first : Pointer.t) :: _ ->
     (* Shift the successor group down (§3.2) and confirm with the new head. *)
     Vnode.set_succs vn survivors;
-    let _ = charge_spf t Msg.repair vn.Vnode.hosted_at first.Pointer.dst_router in
+    let _ = charge_spf t Metrics.Repair vn.Vnode.hosted_at first.Pointer.dst_router in
     ()
   | [] ->
     (* Group exhausted: re-discover via the network map / ring walk. *)
@@ -550,8 +548,8 @@ let repair_successor t (vn : Vnode.t) =
         with
         | Some p ->
           Vnode.set_succs vn [ p ];
-          let _ = charge_spf t Msg.repair vn.Vnode.hosted_at sv.Vnode.hosted_at in
-          let _ = charge_spf t Msg.repair sv.Vnode.hosted_at vn.Vnode.hosted_at in
+          let _ = charge_spf t Metrics.Repair vn.Vnode.hosted_at sv.Vnode.hosted_at in
+          let _ = charge_spf t Metrics.Repair sv.Vnode.hosted_at vn.Vnode.hosted_at in
           ()
         | None -> Vnode.set_succs vn [])
      | None -> Vnode.set_succs vn [])
@@ -574,7 +572,7 @@ let repair_predecessor t (vn : Vnode.t) =
         with
         | Some p ->
           Vnode.set_preds vn [ p ];
-          let _ = charge_spf t Msg.repair vn.Vnode.hosted_at pv.Vnode.hosted_at in
+          let _ = charge_spf t Metrics.Repair vn.Vnode.hosted_at pv.Vnode.hosted_at in
           ()
         | None -> Vnode.set_preds vn [])
      | None -> Vnode.set_preds vn [])
@@ -587,7 +585,7 @@ let splice_stable t ~gateway (vn : Vnode.t) (pred : Vnode.t) =
   let msgs = ref 0 and latency = ref 0.0 in
   let pred_router = pred.Vnode.hosted_at in
   (* Reply from the predecessor carrying its successor list (becomes ours). *)
-  let reply_hops, reply_lat = charge_spf t Msg.join_reply pred_router gateway in
+  let reply_hops, reply_lat = charge_spf t Metrics.Join_reply pred_router gateway in
   msgs := !msgs + reply_hops;
   latency := !latency +. reply_lat;
   let inherited =
@@ -629,8 +627,8 @@ let splice_stable t ~gateway (vn : Vnode.t) (pred : Vnode.t) =
    | Some (sp : Pointer.t) ->
      (match find_vnode t sp.Pointer.dst with
       | Some (sv : Vnode.t) ->
-        let h1, l1 = charge_spf t Msg.join gateway sv.Vnode.hosted_at in
-        let h2, _ = charge_spf t Msg.join_reply sv.Vnode.hosted_at gateway in
+        let h1, l1 = charge_spf t Metrics.Join gateway sv.Vnode.hosted_at in
+        let h2, _ = charge_spf t Metrics.Join_reply sv.Vnode.hosted_at gateway in
         msgs := !msgs + h1 + h2;
         latency := !latency +. l1;
         (match
@@ -654,7 +652,7 @@ let join_host t ~gateway ~id ~cls =
     | Error e -> Error e
     | Ok () ->
       let vn = Vnode.create id cls ~hosted_at:gateway in
-      let res = lookup t ~from:gateway ~target:id ~category:Msg.join ~use_cache:true in
+      let res = lookup t ~from:gateway ~target:id ~category:Metrics.Join ~use_cache:true in
       (match res.status with
        | Stuck _ ->
          Identity.release r.auditor id;
@@ -681,7 +679,7 @@ let join_host t ~gateway ~id ~cls =
              | Some p -> Vnode.set_preds vn [ p ]
              | None -> ());
             Hashtbl.replace t.routers.(pred_router).attachments id gateway;
-            let h, l = charge_spf t Msg.join_reply pred_router gateway in
+            let h, l = charge_spf t Metrics.Join_reply pred_router gateway in
             msgs := !msgs + h;
             latency := !latency +. l
           | Vnode.Stable | Vnode.Router_default ->
@@ -724,7 +722,7 @@ let leave_host t id =
     let gateway = vn.Vnode.hosted_at in
     (* Tear-down messages to every successor and predecessor (§3.2). *)
     let notify (p : Pointer.t) =
-      let _ = charge_spf t Msg.teardown gateway p.Pointer.dst_router in
+      let _ = charge_spf t Metrics.Teardown gateway p.Pointer.dst_router in
       ()
     in
     List.iter notify vn.Vnode.succs;
@@ -748,7 +746,7 @@ let leave_host t id =
         | Some _ ->
           if not (Hashtbl.mem flooded r'.idx) then begin
             Hashtbl.add flooded r'.idx ();
-            let _ = charge_spf t Msg.directed_flood gateway r'.idx in
+            let _ = charge_spf t Metrics.Directed_flood gateway r'.idx in
             Pointer_cache.remove r'.cache id
           end
         | None -> ())
@@ -785,7 +783,7 @@ let leave_host t id =
         in
         let dropped = Vnode.drop_pointers_if pv is_dead in
         if dropped > 0 || head_was_dead then begin
-          let _ = charge_spf t Msg.teardown gateway pv.Vnode.hosted_at in
+          let _ = charge_spf t Metrics.Teardown gateway pv.Vnode.hosted_at in
           (* Hand over the departed vnode's successors. *)
           List.iter
             (fun (sp : Pointer.t) ->
@@ -811,7 +809,7 @@ let leave_host t id =
         in
         let dropped = Vnode.drop_pointers_if sv is_dead in
         if dropped > 0 || head_was_dead then begin
-          let _ = charge_spf t Msg.teardown gateway sv.Vnode.hosted_at in
+          let _ = charge_spf t Metrics.Teardown gateway sv.Vnode.hosted_at in
           List.iter
             (fun (pp : Pointer.t) ->
               match find_vnode t pp.Pointer.dst with

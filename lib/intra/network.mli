@@ -73,7 +73,8 @@ type lookup_result = {
 
 val lookup :
   ?exclude:Id.t ->
-  t -> from:int -> target:Id.t -> category:string -> use_cache:bool -> lookup_result
+  t -> from:int -> target:Id.t -> category:Rofl_netsim.Metrics.counter ->
+  use_cache:bool -> lookup_result
 (** Greedy walk from a router towards [target]: at each router the closest
     non-overshooting identifier known (resident IDs, their successor
     pointers, pointer-cache) picks the next source route (Algorithm 2
@@ -132,14 +133,14 @@ val router_state_entries : t -> int -> int
 
 val avg_router_state_entries : t -> float
 
-val stabilize : t -> category:string -> int
+val stabilize : t -> category:Rofl_netsim.Metrics.counter -> int
 (** Ring-order stabilisation sweep (the §3.2 zero-ID chain repair): every
     member whose successor pointer disagrees with its component's expected
     successor re-points, charging a repair round trip; dead and unreachable
     group entries are pruned.  Idempotent once converged (then it charges
     nothing).  Returns messages charged under [category]. *)
 
-val rejoin_ring : t -> Vnode.t -> category:string -> int
+val rejoin_ring : t -> Vnode.t -> category:Rofl_netsim.Metrics.counter -> int
 (** Re-run the ring splice for an already-resident member (partition merge,
     §3.2): locate its current predecessor — excluding itself — and splice
     succ/pred state afresh.  Returns messages charged under [category]. *)

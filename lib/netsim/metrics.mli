@@ -1,70 +1,104 @@
-(** Message and load accounting for the simulations.
+(** Message, load and event accounting for the simulations: the one counter
+    registry every layer charges and every report reads.
 
     Every control or data message a protocol sends is charged here, tagged
     with a category, so experiments can report join overhead, repair
-    overhead, and per-router load exactly the way the paper does. *)
+    overhead, and per-router load exactly the way the paper does.  Protocol
+    events (timeouts, failovers, rejections, duplicate work) are counted in
+    the same registry but never enter the message totals.
+
+    Walk convention: a walk charges its origin router once at injection and
+    then one hop per link traversal, but message counts cover link
+    traversals only — {!inject} adds the origin's load and no message. *)
+
+type counter =
+  (* Message categories. *)
+  | Join                (** join request/iteration traffic (Algorithms 1, 3) *)
+  | Join_reply          (** replies carrying successor/predecessor state back *)
+  | Teardown            (** pointer tear-down on host/router failure (§3.2) *)
+  | Flood               (** bootstrap floods and link-state floods *)
+  | Directed_flood      (** source-routed invalidation to predecessor-path routers *)
+  | Zero_id             (** zero-ID advertisements for partition repair *)
+  | Repair              (** re-join traffic triggered by failure recovery *)
+  | Finger              (** finger acquisition and maintenance (§4.1) *)
+  | Data                (** data-plane packets *)
+  | Ospf_data           (** data packets of the OSPF-over-hosts baseline *)
+  | Lookup              (** message-driven lookups *)
+  | Stabilize           (** stabilisation probes and replies *)
+  | Verify              (** identifier challenge/response round trips *)
+  | Refresh             (** pointer-cache liveness refresh *)
+  | Svc_publish_msg     (** link traversals of service publish walks *)
+  | Svc_resolve_msg     (** link traversals of service resolve misses *)
+  | Svc_republish       (** publish operations completed *)
+  | Svc_expired         (** records dropped by TTL sweeps *)
+  | Svc_stale_answer    (** answers that disagreed with the oracle *)
+  | Svc_cache_hit
+  | Svc_cache_miss
+  | Svc_cache_neg_hit
+  | Svc_cache_evict
+  (* Events. *)
+  | Wasted_hops
+      (** ring hops walked by a losing α-branch whose answer was discarded;
+          the hops were already charged to a category when they happened *)
+  | Cancellations       (** cooperative cancellations of in-flight sibling branches *)
+  | Join_rejects        (** join claims that failed verification at the gateway *)
+  | Promo_rejects       (** successor-list backups that failed promotion verification *)
+  | Joins_done
+  | Joins_failed        (** joins abandoned after every retry timed out *)
+  | Failovers           (** successor-list promotions after probe timeouts *)
+  | Rpc_timeouts
+  | Join_retries
+  | Lookup_retries
+
+val name : counter -> string
+(** Stable report name (["join"], ["join-reply"], ["svc-cache-hit"], ...). *)
+
+val messages : counter list
+(** The message categories, in declaration order. *)
+
+val events : counter list
+(** The event counters, in declaration order. *)
 
 type t
 
 val create : routers:int -> t
 (** [routers] sizes the per-router load table. *)
 
-val incr : t -> string -> int -> unit
-(** [incr m category k] adds [k] messages to a category. *)
+val incr : t -> counter -> int -> unit
+(** [incr m c k] adds [k] to [c], with no per-router load. *)
 
-val handle : t -> string -> int ref
-(** Interned counter cell for a category: hoists the hashtable probe out of
-    hot loops so per-hop charging is allocation-free.  The same cell
-    {!charge_hop}/{!incr} update — counts stay coherent however they are
-    charged. *)
+val charge_hop : t -> counter -> int -> unit
+(** [charge_hop m c router] counts one message traversing [router] under
+    [c], and adds it to that router's load. *)
 
-val charge_hop : t -> string -> int -> unit
-(** [charge_hop m category router] counts one message traversing [router]
-    under [category], and adds it to that router's load. *)
-
-val charge_path : t -> string -> int list -> unit
+val charge_path : t -> counter -> int list -> unit
 (** Charge a message travelling a hop-by-hop router path: one message per
     link traversed, and load at every router the message transits
     (intermediate and endpoints). *)
 
-val get : t -> string -> int
+val inject : t -> counter -> int -> unit
+(** [inject m c origin] accounts a walk's injection: load at the origin
+    router, zero messages; [c] is listed by {!categories} from now on. *)
+
+val charge_span : t -> counter -> hops:int -> int list -> unit
+(** [charge_span m c ~hops routers] charges a move modelled as [hops]
+    messages of which only [routers] are individually visible: each listed
+    router gets load, and [c] gets [hops]. *)
+
+val get : t -> counter -> int
 
 val total : t -> int
-(** Sum over all categories. *)
+(** Sum over the message categories. *)
 
 val categories : t -> (string * int) list
-(** Sorted by category name. *)
+(** Every message category charged since creation or the last {!reset}
+    (even if its net count is 0), with its count, sorted by name. *)
 
 val router_load : t -> int array
 (** Per-router message-traversal counts (copy). *)
 
-val charge_wasted : t -> int -> unit
-(** Duplicate-work accounting for α-parallel lookups: ring hops walked by a
-    losing branch whose answer was discarded.  Kept apart from the message
-    categories — the hops were already charged there when they happened;
-    this ledger answers "how much of that traffic was redundancy?". *)
-
-val charge_cancelled : t -> int -> unit
-(** Count cooperative cancellations issued to in-flight sibling branches
-    once a lookup's first branch succeeds. *)
-
-val wasted_hops : t -> int
-
-val cancellations : t -> int
-
-val charge_join_reject : t -> unit
-(** Count a join claim that failed challenge/response verification and was
-    turned away at the gateway — the headline defense of the attack lab. *)
-
-val charge_promo_reject : t -> unit
-(** Count a successor-list backup that failed verification (absent, forged,
-    or unresponsive) during failover promotion. *)
-
-val join_rejects : t -> int
-
-val promo_rejects : t -> int
-
 val reset : t -> unit
 
 val merge_into : dst:t -> t -> unit
-(** Add counts of another metrics object (router tables must be same size). *)
+(** Add every counter and the load table of another registry, and carry
+    which categories were charged (router tables must be same size). *)

@@ -357,16 +357,7 @@ type shard_state = {
   verifies : (int, verify_state) Hashtbl.t;
   mutable olog : oev list; (* oracle events, newest first *)
   mutable next_token : int;
-  mutable msg_count : int;
-  mutable joins_done : int;
-  mutable joins_failed : int;
-  mutable failovers : int;
-  mutable rpc_timeouts : int;
-  mutable join_retries : int;
-  mutable lookup_retries : int;
   mutable lookups_open : int;
-  mutable join_rejects : int;
-  mutable promo_rejects : int;
 }
 
 type t = {
@@ -536,16 +527,7 @@ let create ~rng ?(cfg = default_config) ?(shards = 1) ?pool ?(bootstrap_hosts = 
           verifies = Hashtbl.create 16;
           olog = [];
           next_token = 0;
-          msg_count = 0;
-          joins_done = 0;
-          joins_failed = 0;
-          failovers = 0;
-          rpc_timeouts = 0;
-          join_retries = 0;
-          lookup_retries = 0;
           lookups_open = 0;
-          join_rejects = 0;
-          promo_rejects = 0;
         })
   in
   let t =
@@ -842,7 +824,6 @@ let send_direct t ~cat ~from ~dest msg k =
   | None -> ()
   | Some hops ->
     let links = List.length hops - 1 in
-    sh.msg_count <- sh.msg_count + max links 0;
     Metrics.incr sh.s_metrics cat (max links 0);
     let latency =
       let rec go acc = function
@@ -1001,7 +982,7 @@ let rec forward_join t ~at (m : message) =
         Store.set_succ_list sh.store s
           (normalize_succ_list t ~self:rid ~succ:joining
              (match old_succ with Some p -> p :: old_list | None -> old_list));
-        send_direct t ~cat:"join" ~from:at ~dest:gateway
+        send_direct t ~cat:Metrics.Join ~from:at ~dest:gateway
           (Join_resp { joining; pred = (rid, at); succ = old_succ; succ_list = old_list })
           (handle t gateway)
     in
@@ -1009,8 +990,7 @@ let rec forward_join t ~at (m : message) =
       match Linkstate.next_hop sh.s_ls at dest with
       | None -> ()
       | Some hop ->
-        sh.msg_count <- sh.msg_count + 1;
-        Metrics.incr sh.s_metrics "join" 1;
+        Metrics.incr sh.s_metrics Metrics.Join 1;
         sched t ~rail:at ~at:hop
           ~time_ms:(now_at t at +. Graph.latency t.graph at hop)
           (fun () -> forward_join t ~at:hop m')
@@ -1038,7 +1018,7 @@ and forward_lookup t ~at (m : message) =
   | Lookup_req { target; origin; token; chasing = _; avoid = _; waited = _; hops } ->
     let sh = shd t at in
     let respond owner =
-      send_direct t ~cat:"lookup" ~from:at ~dest:origin
+      send_direct t ~cat:Metrics.Lookup ~from:at ~dest:origin
         (Lookup_resp { token; owner; hops })
         (handle t origin)
     in
@@ -1093,8 +1073,7 @@ and honest_lookup t ~at ~sh ~respond (m : message) =
       match Linkstate.next_hop sh.s_ls at dest with
       | None -> respond None
       | Some hop ->
-        sh.msg_count <- sh.msg_count + 1;
-        Metrics.incr sh.s_metrics "lookup" 1;
+        Metrics.incr sh.s_metrics Metrics.Lookup 1;
         sched t ~rail:at ~at:hop
           ~time_ms:(now_at t at +. Graph.latency t.graph at hop)
           (fun () -> forward_lookup t ~at:hop m')
@@ -1141,7 +1120,7 @@ and handle t at (m : message) =
          match succ with
          | Some (sid, srouter) ->
            (* Tell the successor about us. *)
-           send_direct t ~cat:"join" ~from:at ~dest:srouter
+           send_direct t ~cat:Metrics.Join ~from:at ~dest:srouter
              (Notify { candidate = joining; candidate_router = at; target = sid })
              (handle t srouter);
            Some (sid, srouter)
@@ -1150,7 +1129,7 @@ and handle t at (m : message) =
        Store.set_succ sh.store s final_succ;
        sh.olog <- O_join (now, joining) :: sh.olog;
        sh.olog <- O_repoint (now, joining, Option.map fst final_succ) :: sh.olog;
-       sh.joins_done <- sh.joins_done + 1)
+       Metrics.incr sh.s_metrics Metrics.Joins_done 1)
   | Get_pred { asker; asker_router; target; token } ->
     let sh = shd t at in
     (* Successor-list poisoning: fabricated identifiers placed immediately
@@ -1173,7 +1152,7 @@ and handle t at (m : message) =
             genuine death would suppress the failovers the promotion attack
             feeds on (and hand the victim a silent succ forever, which no
             promotion defense could ever be measured against). *)
-         send_direct t ~cat:"stabilize" ~from:at ~dest:asker_router
+         send_direct t ~cat:Metrics.Stabilize ~from:at ~dest:asker_router
            (Pred_info { of_id = target; pred = None; succ_list = poison ();
                         to_id = asker; token })
            (handle t asker_router)
@@ -1193,7 +1172,7 @@ and handle t at (m : message) =
          if t.behaviours.(at) = Poison_succs then poison () @ succ_list
          else succ_list
        in
-       send_direct t ~cat:"stabilize" ~from:at ~dest:asker_router
+       send_direct t ~cat:Metrics.Stabilize ~from:at ~dest:asker_router
          (Pred_info
             { of_id = target; pred = Store.pred sh.store s; succ_list; to_id = asker; token })
          (handle t asker_router))
@@ -1219,14 +1198,14 @@ and handle t at (m : message) =
           Store.set_succ_list sh.store s
             (normalize_succ_list t ~self:rid ~succ:pid
                (old_succ :: Store.succ_list sh.store s));
-          send_direct t ~cat:"stabilize" ~from:at ~dest:prouter
+          send_direct t ~cat:Metrics.Stabilize ~from:at ~dest:prouter
             (Notify { candidate = rid; candidate_router = at; target = pid })
             (handle t prouter)
         | _ ->
           (* Confirmed: tell the successor we believe we are its pred. *)
           (match Store.succ sh.store s with
            | Some (sid, srouter) ->
-             send_direct t ~cat:"stabilize" ~from:at ~dest:srouter
+             send_direct t ~cat:Metrics.Stabilize ~from:at ~dest:srouter
                (Notify { candidate = rid; candidate_router = at; target = sid })
                (handle t srouter)
            | None -> ())))
@@ -1257,7 +1236,7 @@ and handle t at (m : message) =
           (* Introduce ourselves to the inherited successor right away. *)
           (match new_succ with
            | Some (nid, nrouter) when not (Id.equal nid rid) ->
-             send_direct t ~cat:"repair" ~from:at ~dest:nrouter
+             send_direct t ~cat:Metrics.Repair ~from:at ~dest:nrouter
                (Notify { candidate = rid; candidate_router = at; target = nid })
                (handle t nrouter)
            | Some _ | None -> ())
@@ -1284,7 +1263,7 @@ and handle t at (m : message) =
      | None ->
        (* A cancelled branch or a superseded attempt coming home: the work
           it charged along the way bought nothing. *)
-       Metrics.charge_wasted sh.s_metrics hops
+       Metrics.incr sh.s_metrics Metrics.Wasted_hops hops
      | Some st ->
        Hashtbl.remove sh.lookups token;
        st.lk_outstanding <- st.lk_outstanding - 1;
@@ -1304,7 +1283,7 @@ and handle t at (m : message) =
              List.iter
                (fun tk -> if tk <> token then Hashtbl.remove sh.lookups tk)
                st.lk_tokens;
-             Metrics.charge_cancelled sh.s_metrics st.lk_outstanding;
+             Metrics.incr sh.s_metrics Metrics.Cancellations st.lk_outstanding;
              st.lk_outstanding <- 0
            end;
            st.lk_tokens <- [];
@@ -1312,7 +1291,7 @@ and handle t at (m : message) =
          end
          else if st.lk_outstanding > 0 then
            (* A losing branch with siblings still racing: let them run. *)
-           Metrics.charge_wasted sh.s_metrics hops
+           Metrics.incr sh.s_metrics Metrics.Wasted_hops hops
          else if st.lk_attempts > t.cfg.lookup_retries then begin
            st.lk_tokens <- [];
            finish_lookup t st ~ok:false
@@ -1321,7 +1300,7 @@ and handle t at (m : message) =
            (* Every branch came back wrong or empty: give stabilisation one
               period to repair the pointers, then retry. *)
            st.lk_tokens <- [];
-           sh.lookup_retries <- sh.lookup_retries + 1;
+           Metrics.incr sh.s_metrics Metrics.Lookup_retries 1;
            sched t ~rail:at ~at
              ~time_ms:(now_at t at +. t.cfg.stabilize_period_ms)
              (fun () -> if not st.finished then start_lookup_attempt t st)
@@ -1348,7 +1327,7 @@ and handle t at (m : message) =
           Some (Identity.respond kp challenge)
         end
     in
-    send_direct t ~cat:"verify" ~from:at ~dest:asker_router
+    send_direct t ~cat:Metrics.Verify ~from:at ~dest:asker_router
       (Verify_resp { token; resp })
       (handle t asker_router)
   | Verify_resp { token; resp } ->
@@ -1410,7 +1389,7 @@ and start_lookup_attempt t st =
       st.lk_outstanding <- st.lk_outstanding + 1;
       Hashtbl.replace sh.lookups btoken st;
       let hops = link_hops_between t st.origin start in
-      send_direct t ~cat:"lookup" ~from:st.origin ~dest:start
+      send_direct t ~cat:Metrics.Lookup ~from:st.origin ~dest:start
         (Lookup_req
            { target = st.lk_target; origin = st.origin; token = btoken;
              chasing = None; avoid = []; waited = 0; hops })
@@ -1427,10 +1406,10 @@ and start_lookup_attempt t st =
         List.iter (fun tk -> Hashtbl.remove sh.lookups tk) st.lk_tokens;
         st.lk_tokens <- [];
         st.lk_outstanding <- 0;
-        sh.rpc_timeouts <- sh.rpc_timeouts + 1;
+        Metrics.incr sh.s_metrics Metrics.Rpc_timeouts 1;
         if st.lk_attempts > t.cfg.lookup_retries then finish_lookup t st ~ok:false
         else begin
-          sh.lookup_retries <- sh.lookup_retries + 1;
+          Metrics.incr sh.s_metrics Metrics.Lookup_retries 1;
           start_lookup_attempt t st
         end
       end)
@@ -1468,13 +1447,13 @@ let rec start_join_attempt t joining (st : join_state) =
   in
   sched t ~rail:st.gateway ~at:st.gateway ~time_ms:(now +. timeout) (fun () ->
       if (not st.completed) && st.join_attempts = attempt then begin
-        sh.rpc_timeouts <- sh.rpc_timeouts + 1;
+        Metrics.incr sh.s_metrics Metrics.Rpc_timeouts 1;
         if st.join_attempts > t.cfg.join_retries then begin
-          sh.joins_failed <- sh.joins_failed + 1;
+          Metrics.incr sh.s_metrics Metrics.Joins_failed 1;
           Hashtbl.remove sh.joins joining
         end
         else begin
-          sh.join_retries <- sh.join_retries + 1;
+          Metrics.incr sh.s_metrics Metrics.Join_retries 1;
           start_join_attempt t joining st
         end
       end)
@@ -1507,12 +1486,10 @@ let join t ~gateway ?cred joining =
       Result.is_ok (Identity.verify_claim g ~claimed:joining (Identity.respond cred))
     in
     if t.cfg.verify_joins then begin
-      sh.msg_count <- sh.msg_count + 2;
-      Metrics.incr sh.s_metrics "verify" 2
+      Metrics.incr sh.s_metrics Metrics.Verify 2
     end;
     if t.cfg.verify_joins && not valid then begin
-      sh.join_rejects <- sh.join_rejects + 1;
-      Metrics.charge_join_reject sh.s_metrics
+      Metrics.incr sh.s_metrics Metrics.Join_rejects 1
     end
     else begin
       if valid then Hashtbl.remove t.tainted joining
@@ -1537,7 +1514,7 @@ let depart t ~graceful rid =
     if graceful then begin
       (match Store.pred sh.store s with
        | Some (pid, prouter) when not (Id.equal pid rid) ->
-         send_direct t ~cat:"repair" ~from:router ~dest:prouter
+         send_direct t ~cat:Metrics.Repair ~from:router ~dest:prouter
            (Leave_pred
               {
                 departing = rid;
@@ -1549,7 +1526,7 @@ let depart t ~graceful rid =
        | Some _ | None -> ());
       (match Store.succ sh.store s with
        | Some (sid, srouter) when not (Id.equal sid rid) ->
-         send_direct t ~cat:"repair" ~from:router ~dest:srouter
+         send_direct t ~cat:Metrics.Repair ~from:router ~dest:srouter
            (Leave_succ { departing = rid; to_id = sid; new_pred = Store.pred sh.store s })
            (handle t srouter)
        | Some _ | None -> ())
@@ -1592,7 +1569,7 @@ let rec send_probe t ~router rid (sid, srouter) attempt =
   let sh = shd t router in
   let token = fresh_token sh in
   Hashtbl.replace sh.probes token ();
-  send_direct t ~cat:"stabilize" ~from:router ~dest:srouter
+  send_direct t ~cat:Metrics.Stabilize ~from:router ~dest:srouter
     (Get_pred { asker = rid; asker_router = router; target = sid; token })
     (handle t srouter);
   let timeout =
@@ -1602,7 +1579,7 @@ let rec send_probe t ~router rid (sid, srouter) attempt =
     (fun () ->
       if Hashtbl.mem sh.probes token then begin
         Hashtbl.remove sh.probes token;
-        sh.rpc_timeouts <- sh.rpc_timeouts + 1;
+        Metrics.incr sh.s_metrics Metrics.Rpc_timeouts 1;
         (* Only act if we are still resident and the pointer is unchanged. *)
         match find_slot t router rid with
         | Some s
@@ -1629,7 +1606,7 @@ let rec send_probe t ~router rid (sid, srouter) attempt =
    for the same stale pointer; every settling path clears it. *)
 and failover t ~router s dead =
   let sh = shd t router in
-  sh.failovers <- sh.failovers + 1;
+  Metrics.incr sh.s_metrics Metrics.Failovers 1;
   let rid = Store.rid sh.store s in
   let backups =
     List.filter (fun (i, _) -> not (Id.equal i dead)) (Store.succ_list sh.store s)
@@ -1641,7 +1618,7 @@ and failover t ~router s dead =
     | (nid, nrouter) :: rest ->
       repoint t ~router s (Some (nid, nrouter));
       Store.set_succ_list sh.store s rest;
-      send_direct t ~cat:"repair" ~from:router ~dest:nrouter
+      send_direct t ~cat:Metrics.Repair ~from:router ~dest:nrouter
         (Notify { candidate = rid; candidate_router = router; target = nid })
         (handle t nrouter)
     | [] -> promote_anchor t ~router s rid
@@ -1675,8 +1652,7 @@ and try_promote t ~router rid ~dead candidates =
         in
         if ok then promote_verified t ~router rid ~dead (nid, nrouter) rest
         else begin
-          sh.promo_rejects <- sh.promo_rejects + 1;
-          Metrics.charge_promo_reject sh.s_metrics;
+          Metrics.incr sh.s_metrics Metrics.Promo_rejects 1;
           try_promote t ~router rid ~dead rest
         end
       end
@@ -1692,14 +1668,13 @@ and try_promote t ~router rid ~dead candidates =
         let k ok =
           if ok then promote_verified t ~router rid ~dead (nid, nrouter) rest
           else begin
-            sh.promo_rejects <- sh.promo_rejects + 1;
-            Metrics.charge_promo_reject sh.s_metrics;
+            Metrics.incr sh.s_metrics Metrics.Promo_rejects 1;
             try_promote t ~router rid ~dead rest
           end
         in
         Hashtbl.replace sh.verifies token
           { v_claimed = nid; v_challenge = challenge; v_done = false; v_k = k };
-        send_direct t ~cat:"verify" ~from:router ~dest:nrouter
+        send_direct t ~cat:Metrics.Verify ~from:router ~dest:nrouter
           (Verify_req { claimant = nid; asker_router = router; token; challenge })
           (handle t nrouter);
         sched t ~rail:router ~at:router
@@ -1709,7 +1684,7 @@ and try_promote t ~router rid ~dead candidates =
             | Some vs when not vs.v_done ->
               vs.v_done <- true;
               Hashtbl.remove sh.verifies token;
-              sh.rpc_timeouts <- sh.rpc_timeouts + 1;
+              Metrics.incr sh.s_metrics Metrics.Rpc_timeouts 1;
               vs.v_k false
             | Some _ | None -> ())
       end)
@@ -1724,7 +1699,7 @@ and promote_verified t ~router rid ~dead (nid, nrouter) rest =
     then begin
       repoint t ~router s (Some (nid, nrouter));
       Store.set_succ_list sh.store s rest;
-      send_direct t ~cat:"repair" ~from:router ~dest:nrouter
+      send_direct t ~cat:Metrics.Repair ~from:router ~dest:nrouter
         (Notify { candidate = rid; candidate_router = router; target = nid })
         (handle t nrouter)
     end
@@ -1764,7 +1739,7 @@ let untwist t ~router s =
        Store.set_succ_list sh.store s
          (normalize_succ_list t ~self:rid ~succ:bid
             (old_succ :: Store.succ_list sh.store s));
-       send_direct t ~cat:"repair" ~from:router ~dest:brouter
+       send_direct t ~cat:Metrics.Repair ~from:router ~dest:brouter
          (Notify { candidate = rid; candidate_router = router; target = bid })
          (handle t brouter))
 
@@ -1832,7 +1807,8 @@ let auto_retune t ~now =
   let nhat = estimate_n t in
   t.auto_nhat <- nhat;
   let deaths =
-    t.leaves_done + Array.fold_left (fun acc sh -> acc + sh.failovers) 0 t.sh
+    t.leaves_done
+    + Array.fold_left (fun acc sh -> acc + Metrics.get sh.s_metrics Metrics.Failovers) 0 t.sh
   in
   let dt = now -. t.auto_last_ms in
   if t.auto_last_ms > 0.0 && dt > 0.0 && nhat >= 1.0 then begin
@@ -1947,8 +1923,7 @@ let refresh_round t =
         decr budget;
         let id = c.Pcache.ids.(!i) and r = c.Pcache.routers.(!i) in
         let links = 2 * link_hops_between t router r in
-        sh.msg_count <- sh.msg_count + links;
-        Metrics.incr sh.s_metrics "refresh" links;
+        Metrics.incr sh.s_metrics Metrics.Refresh links;
         match find_slot t r id with
         | Some _ ->
           c.Pcache.stamp.(!i) <- now;
@@ -2043,21 +2018,22 @@ let run_until_quiescent t ~max_ms =
   go ()
 
 let stats t =
-  let sum f = Array.fold_left (fun acc sh -> acc + f sh) 0 t.sh in
+  let m = metrics t in
+  let get = Metrics.get m in
   {
-    messages = sum (fun sh -> sh.msg_count);
-    joins_completed = sum (fun sh -> sh.joins_done);
+    messages = Metrics.total m;
+    joins_completed = get Metrics.Joins_done;
     stabilize_rounds = t.rounds;
-    joins_failed = sum (fun sh -> sh.joins_failed);
+    joins_failed = get Metrics.Joins_failed;
     leaves_completed = t.leaves_done;
     moves_completed = t.moves_done;
     crashes = t.crashes_done;
-    failovers = sum (fun sh -> sh.failovers);
-    rpc_timeouts = sum (fun sh -> sh.rpc_timeouts);
-    join_retries = sum (fun sh -> sh.join_retries);
-    lookup_retries = sum (fun sh -> sh.lookup_retries);
-    join_rejects = sum (fun sh -> sh.join_rejects);
-    promo_rejects = sum (fun sh -> sh.promo_rejects);
+    failovers = get Metrics.Failovers;
+    rpc_timeouts = get Metrics.Rpc_timeouts;
+    join_retries = get Metrics.Join_retries;
+    lookup_retries = get Metrics.Lookup_retries;
+    join_rejects = get Metrics.Join_rejects;
+    promo_rejects = get Metrics.Promo_rejects;
   }
 
 (* ---- adversarial surface ------------------------------------------------- *)

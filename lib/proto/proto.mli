@@ -163,8 +163,10 @@ val shard_of_router : t -> int -> int
     result buffers. *)
 
 val metrics : t -> Rofl_netsim.Metrics.t
-(** Per-category control-message accounting ([join], [stabilize], [repair],
-    [lookup]); counts equal link traversals, as in {!stats.messages}. *)
+(** The shards' counter registries, merged: control messages by category
+    ([join], [stabilize], [repair], [lookup], [verify], [refresh]; counts
+    equal link traversals) and protocol events (failovers, timeouts,
+    retries, rejections, duplicate α work).  {!stats} reads it. *)
 
 val config : t -> config
 
@@ -272,6 +274,8 @@ val run_until_quiescent : t -> max_ms:float -> float
     simulated time consumed. *)
 
 val stats : t -> stats
+(** A read of {!metrics} ([messages] is its total), plus the stabilisation
+    rounds and completed leaves, moves and crashes. *)
 
 val members : t -> Rofl_idspace.Id.t list
 (** Every identifier resident somewhere, sorted. *)

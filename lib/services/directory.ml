@@ -75,23 +75,16 @@ type t = {
   mutable r_lat : float array;
   mutable m_idx : int array;         (* miss j -> batch position i *)
   mutable pbuf : Id.t array;         (* provider read scratch *)
-  (* interned accounting *)
-  h_pub_msg : int ref;               (* link traversals of publish walks *)
-  h_res_msg : int ref;               (* link traversals of miss resolutions *)
-  h_republish : int ref;             (* publish operations completed *)
-  h_expired : int ref;               (* records dropped by TTL sweeps *)
-  h_stale : int ref;                 (* answers that disagreed with the oracle *)
   mutable last_sweep_ms : float;
 }
 
 let create ~proto ~routers ~hint cfg =
   let icap = max 16 hint in
-  let metrics = Metrics.create ~routers in
   {
     proto;
     cfg;
     routers;
-    metrics;
+    metrics = Metrics.create ~routers;
     store = Provider_store.create ~routers ~hint ();
     place = Alpha.create ~hint proto;
     miss = Alpha.create ~hint ~alpha:cfg.alpha proto;
@@ -116,11 +109,6 @@ let create ~proto ~routers ~hint cfg =
     r_lat = [||];
     m_idx = [||];
     pbuf = Array.make 8 Id.zero;
-    h_pub_msg = Metrics.handle metrics "svc-publish-msg";
-    h_res_msg = Metrics.handle metrics "svc-resolve-msg";
-    h_republish = Metrics.handle metrics "svc-republish";
-    h_expired = Metrics.handle metrics "svc-expired";
-    h_stale = Metrics.handle metrics "svc-stale-answer";
     last_sweep_ms = neg_infinity;
   }
 
@@ -289,8 +277,8 @@ let publish_matching t ~now pred =
         t.i_last_ms.(k) <-
           (if t.i_last_ms.(k) = neg_infinity then now -. t.i_offset_ms.(k)
            else now);
-        t.h_pub_msg := !(t.h_pub_msg) + Alpha.link_hops t.place j;
-        incr t.h_republish
+        Metrics.incr t.metrics Metrics.Svc_publish_msg (Alpha.link_hops t.place j);
+        Metrics.incr t.metrics Metrics.Svc_republish 1
       end
       (* an unresolved walk (empty ring) leaves the intent due: retried on
          the next round *)
@@ -307,7 +295,7 @@ let republish_all t ~now = publish_matching t ~now (fun _ -> true)
 let sweep t ~now =
   t.last_sweep_ms <- now;
   let dropped = Provider_store.sweep t.store ~now in
-  t.h_expired := !(t.h_expired) + dropped;
+  Metrics.incr t.metrics Metrics.Svc_expired dropped;
   dropped
 
 let last_sweep_ms t = t.last_sweep_ms
@@ -368,7 +356,7 @@ let resolve_batch t ~now ~n ~(from : int array) ~(services : Id.t array) =
       let ok, stale = judge t ~service:services.(i) ~served:e.Resolver.providers in
       t.r_ok.(i) <- ok;
       t.r_stale.(i) <- stale;
-      if stale then incr t.h_stale
+      if stale then Metrics.incr t.metrics Metrics.Svc_stale_answer 1
     | None ->
       t.r_hit.(i) <- false;
       let j = Alpha.stage t.miss ~from:from.(i) ~target:services.(i) in
@@ -392,13 +380,12 @@ let resolve_batch t ~now ~n ~(from : int array) ~(services : Id.t array) =
         t.r_pos.(i) <- cnt > 0;
         t.r_lat.(i) <-
           Alpha.latency_ms t.miss j +. Proto.latency_between t.proto owner from.(i);
-        t.h_res_msg :=
-          !(t.h_res_msg) + link_hops
-          + Proto.link_hops_between t.proto owner from.(i);
+        Metrics.incr t.metrics Metrics.Svc_resolve_msg
+          (link_hops + Proto.link_hops_between t.proto owner from.(i));
         let ok, stale = judge t ~service ~served:answer in
         t.r_ok.(i) <- ok;
         t.r_stale.(i) <- stale;
-        if stale then incr t.h_stale
+        if stale then Metrics.incr t.metrics Metrics.Svc_stale_answer 1
       end
       else begin
         (* walk found no owner (empty ring): the query burned its one-way
@@ -407,7 +394,7 @@ let resolve_batch t ~now ~n ~(from : int array) ~(services : Id.t array) =
         t.r_ok.(i) <- false;
         t.r_stale.(i) <- false;
         t.r_lat.(i) <- Alpha.latency_ms t.miss j;
-        t.h_res_msg := !(t.h_res_msg) + link_hops
+        Metrics.incr t.metrics Metrics.Svc_resolve_msg link_hops
       end
     done
   end

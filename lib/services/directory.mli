@@ -49,8 +49,8 @@ val config : t -> config
 val store : t -> Provider_store.t
 
 val metrics : t -> Rofl_netsim.Metrics.t
-(** Shared accounting: cache hit/miss/negative/eviction cells (interned by
-    the resolvers), [svc-publish-msg]/[svc-resolve-msg] link traversals,
+(** Shared accounting: the resolvers' cache hits, misses, negative hits and
+    evictions, [svc-publish-msg]/[svc-resolve-msg] link traversals,
     [svc-republish] operations, [svc-expired] TTL drops and
     [svc-stale-answer] oracle disagreements. *)
 

@@ -11,9 +11,8 @@ module Metrics = Rofl_netsim.Metrics
    [fresh_until_ms] is a miss and is dropped on sight — unless the
    [serve_stale] fault knob is on, which deliberately keeps serving decayed
    entries so the doctor's no-expired-answer invariant has something to
-   catch.  Hit/miss/negative counters are interned {!Metrics} handles on the
-   directory's shared accounting, so the bench rows and the campaign SLOs
-   read the same cells. *)
+   catch.  Hit/miss/negative/eviction counts are charged to the directory's
+   shared {!Metrics} registry. *)
 
 type config = {
   capacity : int;          (* bound on cached services; 0 disables caching *)
@@ -42,10 +41,7 @@ type t = {
   cfg : config;
   router : int;
   cache : (Id.t, entry) Lru.t;
-  hits : int ref;
-  misses : int ref;
-  neg_hits : int ref;
-  evictions : int ref;
+  metrics : Metrics.t;
   mutable served_expired : int;
 }
 
@@ -54,10 +50,7 @@ let create ~metrics ~router cfg =
     cfg;
     router;
     cache = Lru.create ~capacity:cfg.capacity;
-    hits = Metrics.handle metrics "svc-cache-hit";
-    misses = Metrics.handle metrics "svc-cache-miss";
-    neg_hits = Metrics.handle metrics "svc-cache-neg-hit";
-    evictions = Metrics.handle metrics "svc-cache-evict";
+    metrics;
     served_expired = 0;
   }
 
@@ -66,14 +59,21 @@ let config t = t.cfg
 let length t = Lru.length t.cache
 let served_expired t = t.served_expired
 
+let count_hit t e =
+  let c =
+    if Array.length e.providers = 0 then Metrics.Svc_cache_neg_hit
+    else Metrics.Svc_cache_hit
+  in
+  Metrics.incr t.metrics c 1
+
 let find t ~now service =
   match Lru.find t.cache service with
   | None ->
-    incr t.misses;
+    Metrics.incr t.metrics Metrics.Svc_cache_miss 1;
     None
   | Some e ->
     if now < e.fresh_until_ms then begin
-      if Array.length e.providers = 0 then incr t.neg_hits else incr t.hits;
+      count_hit t e;
       Some e
     end
     else if t.cfg.serve_stale then begin
@@ -82,12 +82,12 @@ let find t ~now service =
          served-expired violation the doctor audits for. *)
       if now >= e.fresh_until_ms +. t.cfg.stale_grace_ms then
         t.served_expired <- t.served_expired + 1;
-      if Array.length e.providers = 0 then incr t.neg_hits else incr t.hits;
+      count_hit t e;
       Some e
     end
     else begin
       Lru.remove t.cache service;
-      incr t.misses;
+      Metrics.incr t.metrics Metrics.Svc_cache_miss 1;
       None
     end
 
@@ -97,7 +97,7 @@ let install t ~now service providers =
   in
   let e = { providers; installed_ms = now; fresh_until_ms = now +. ttl } in
   match Lru.put t.cache service e with
-  | Some _ -> incr t.evictions
+  | Some _ -> Metrics.incr t.metrics Metrics.Svc_cache_evict 1
   | None -> ()
 
 let iter t f = Lru.iter t.cache f

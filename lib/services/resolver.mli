@@ -9,9 +9,8 @@
     fault-injection path for the doctor's "no expired record served past
     its stale-grace window" invariant.
 
-    Hit/miss/negative/eviction counters are interned {!Rofl_netsim.Metrics}
-    handles on the directory's shared accounting: bench rows and campaign
-    SLOs read the same cells. *)
+    Hits, misses, negative hits and evictions are charged to the
+    directory's shared {!Rofl_netsim.Metrics} registry. *)
 
 type config = {
   capacity : int;          (** bound on cached services; 0 disables caching *)

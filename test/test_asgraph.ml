@@ -52,7 +52,11 @@ let test_cones () =
   Alcotest.(check int) "stub cone" 1 (Asgraph.cone_size g 3);
   Alcotest.(check bool) "3 in cone(1)" true (Asgraph.in_cone g ~root:1 3);
   Alcotest.(check bool) "5 not in cone(1)" false (Asgraph.in_cone g ~root:1 5);
-  Alcotest.(check bool) "everything in cone(0)" true (Asgraph.in_cone g ~root:0 5)
+  Alcotest.(check bool) "everything in cone(0)" true (Asgraph.in_cone g ~root:0 5);
+  (* A new edge after the cones were computed invalidates them. *)
+  Asgraph.add_provider g ~customer:5 ~provider:1;
+  Alcotest.(check int) "AS1 cone grows" 4 (Asgraph.cone_size g 1);
+  Alcotest.(check bool) "5 now in cone(1)" true (Asgraph.in_cone g ~root:1 5)
 
 let test_up_hierarchy () =
   let g = toy () in

@@ -15,7 +15,6 @@ module Network = Rofl_intra.Network
 module Forward = Rofl_intra.Forward
 module Vnode = Rofl_core.Vnode
 module Metrics = Rofl_netsim.Metrics
-module Msg = Rofl_core.Msg
 
 (* Level.route_within over a real AS must agree with the independent
    Policy.vf_distance_within implementation. *)
@@ -138,10 +137,10 @@ let test_metrics_balance () =
   let m = net.Network.metrics in
   let sum_cats () = List.fold_left (fun acc (_, v) -> acc + v) 0 (Metrics.categories m) in
   Alcotest.(check int) "categories sum to total" (Metrics.total m) (sum_cats ());
-  let before = Metrics.get m Msg.join + Metrics.get m Msg.join_reply in
+  let before = Metrics.get m Metrics.Join + Metrics.get m Metrics.Join_reply in
   (match Network.join_fresh_host net ~gateway:3 ~cls:Vnode.Stable with
    | Ok (_, o) ->
-     let after = Metrics.get m Msg.join + Metrics.get m Msg.join_reply in
+     let after = Metrics.get m Metrics.Join + Metrics.get m Metrics.Join_reply in
      Alcotest.(check int) "join cost lands in join categories" o.Network.join_msgs
        (after - before)
    | Error e -> Alcotest.failf "join: %s" e);
@@ -161,9 +160,9 @@ let test_forward_accounting () =
   done;
   let ids = Array.of_list !ids in
   for _ = 1 to 50 do
-    let before = Metrics.get net.Network.metrics Msg.data in
+    let before = Metrics.get net.Network.metrics Metrics.Data in
     let d = Forward.route_packet net ~from:(Prng.int rng 25) ~dest:(Prng.sample rng ids) in
-    let after = Metrics.get net.Network.metrics Msg.data in
+    let after = Metrics.get net.Network.metrics Metrics.Data in
     Alcotest.(check int) "hops = data delta" d.Forward.hops (after - before);
     if d.Forward.hops = 0 then
       Alcotest.(check (float 1e-9)) "zero hops, zero latency" 0.0 d.Forward.latency_ms
@@ -182,7 +181,7 @@ let test_lookup_visited_is_walk () =
   for _ = 1 to 50 do
     let from = Prng.int rng 25 in
     let res =
-      Network.lookup net ~from ~target:(Id.random rng) ~category:Msg.data ~use_cache:true
+      Network.lookup net ~from ~target:(Id.random rng) ~category:Metrics.Data ~use_cache:true
     in
     (match res.Network.visited with
      | first :: _ -> Alcotest.(check int) "starts at source" from first

@@ -6,10 +6,10 @@ module Sourceroute = Rofl_core.Sourceroute
 module Pointer = Rofl_core.Pointer
 module Vnode = Rofl_core.Vnode
 module Pointer_cache = Rofl_core.Pointer_cache
-module Msg = Rofl_core.Msg
 module Gen = Rofl_topology.Gen
 module Linkstate = Rofl_linkstate.Linkstate
 module Prng = Rofl_util.Prng
+module Metrics = Rofl_netsim.Metrics
 
 let rng = Prng.create 55
 
@@ -307,9 +307,30 @@ let prop_wire_join_request_roundtrip =
       let m = Wire.Join_request { joining = Id.random local; origin_router; as_path } in
       Wire.decode (Wire.encode m) = Ok m)
 
+(* Report names are frozen: tables, benchmark rows and tests look
+   categories up by these exact strings. *)
 let test_msg_categories_distinct () =
-  Alcotest.(check int) "no duplicate categories" (List.length Msg.all)
-    (List.length (List.sort_uniq compare Msg.all))
+  let frozen =
+    Metrics.
+      [ (Join, "join"); (Join_reply, "join-reply"); (Teardown, "teardown");
+        (Flood, "flood"); (Directed_flood, "directed-flood"); (Zero_id, "zero-id");
+        (Repair, "repair"); (Finger, "finger"); (Data, "data");
+        (Ospf_data, "ospf-data"); (Lookup, "lookup"); (Stabilize, "stabilize");
+        (Verify, "verify"); (Refresh, "refresh");
+        (Svc_publish_msg, "svc-publish-msg"); (Svc_resolve_msg, "svc-resolve-msg");
+        (Svc_republish, "svc-republish"); (Svc_expired, "svc-expired");
+        (Svc_stale_answer, "svc-stale-answer"); (Svc_cache_hit, "svc-cache-hit");
+        (Svc_cache_miss, "svc-cache-miss"); (Svc_cache_neg_hit, "svc-cache-neg-hit");
+        (Svc_cache_evict, "svc-cache-evict") ]
+  in
+  Alcotest.(check bool) "every message category frozen" true
+    (List.map fst frozen = Metrics.messages);
+  List.iter
+    (fun (c, s) -> Alcotest.(check string) "frozen name" s (Metrics.name c))
+    frozen;
+  let names = List.map Metrics.name (Metrics.messages @ Metrics.events) in
+  Alcotest.(check int) "no duplicate names" (List.length names)
+    (List.length (List.sort_uniq compare names))
 
 let () =
   ignore rng;

@@ -12,7 +12,6 @@ module Forward = Rofl_intra.Forward
 module Failure = Rofl_intra.Failure
 module Invariant = Rofl_intra.Invariant
 module Vnode = Rofl_core.Vnode
-module Msg = Rofl_core.Msg
 module Metrics = Rofl_netsim.Metrics
 
 let small_net ?cfg seed =
@@ -101,9 +100,9 @@ let test_join_overhead_scales_with_diameter () =
   (* Paper: join overhead ~ 4x diameter, NOT proportional to ring size. *)
   let net, rng = small_net 6 in
   let early = join_n net rng 20 in
-  let m0 = Metrics.get net.Network.metrics Msg.join in
+  let m0 = Metrics.get net.Network.metrics Metrics.Join in
   let _ = join_n net rng 200 in
-  let m1 = Metrics.get net.Network.metrics Msg.join in
+  let m1 = Metrics.get net.Network.metrics Metrics.Join in
   let late_avg = float_of_int (m1 - m0) /. 200.0 in
   let diameter = Graph.diameter_hops net.Network.graph in
   Alcotest.(check bool)
@@ -134,7 +133,7 @@ let test_lookup_finds_exact () =
     (fun i id ->
       if i < 20 then begin
         let res =
-          Network.lookup net ~from:(Prng.int rng 30) ~target:id ~category:Msg.data
+          Network.lookup net ~from:(Prng.int rng 30) ~target:id ~category:Metrics.Data
             ~use_cache:true
         in
         match res.Network.status with
@@ -152,7 +151,7 @@ let test_lookup_predecessor_semantics () =
     let target = Id.random rng in
     if Network.find_vnode net target = None then begin
       let res =
-        Network.lookup net ~from:(Prng.int rng 30) ~target ~category:Msg.data
+        Network.lookup net ~from:(Prng.int rng 30) ~target ~category:Metrics.Data
           ~use_cache:true
       in
       match res.Network.status with
@@ -391,7 +390,7 @@ let test_mobility_keeps_label () =
 let test_stabilize_idempotent () =
   let net, rng = small_net 25 in
   let _ = join_n net rng 60 in
-  let first = Network.stabilize net ~category:Msg.repair in
+  let first = Network.stabilize net ~category:Metrics.Repair in
   Alcotest.(check int) "steady state charges nothing" 0 first
 
 let prop_random_churn_keeps_invariants =

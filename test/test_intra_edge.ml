@@ -11,7 +11,6 @@ module Forward = Rofl_intra.Forward
 module Failure = Rofl_intra.Failure
 module Invariant = Rofl_intra.Invariant
 module Vnode = Rofl_core.Vnode
-module Msg = Rofl_core.Msg
 module Metrics = Rofl_netsim.Metrics
 
 let net_with ?cfg ~n seed =
@@ -80,7 +79,7 @@ let test_lookup_exclude_self () =
         | Some vn ->
           let res =
             Network.lookup ~exclude:id net ~from:vn.Vnode.hosted_at ~target:id
-              ~category:Msg.data ~use_cache:true
+              ~category:Metrics.Data ~use_cache:true
           in
           (match res.Network.status with
            | Network.Predecessor pred ->

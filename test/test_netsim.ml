@@ -5,52 +5,89 @@ module Engine = Rofl_netsim.Engine
 
 let test_metrics_incr () =
   let m = Metrics.create ~routers:4 in
-  Metrics.incr m "join" 3;
-  Metrics.incr m "join" 2;
-  Metrics.incr m "data" 1;
-  Alcotest.(check int) "join" 5 (Metrics.get m "join");
-  Alcotest.(check int) "data" 1 (Metrics.get m "data");
-  Alcotest.(check int) "missing" 0 (Metrics.get m "nothing");
-  Alcotest.(check int) "total" 6 (Metrics.total m)
+  Metrics.incr m Metrics.Join 3;
+  Metrics.incr m Metrics.Join 2;
+  Metrics.incr m Metrics.Data 1;
+  Alcotest.(check int) "join" 5 (Metrics.get m Metrics.Join);
+  Alcotest.(check int) "data" 1 (Metrics.get m Metrics.Data);
+  Alcotest.(check int) "missing" 0 (Metrics.get m Metrics.Repair);
+  Alcotest.(check int) "total" 6 (Metrics.total m);
+  (* Event counters never enter the message totals. *)
+  Metrics.incr m Metrics.Failovers 4;
+  Alcotest.(check int) "failovers" 4 (Metrics.get m Metrics.Failovers);
+  Alcotest.(check int) "total excludes events" 6 (Metrics.total m);
+  Alcotest.(check (list (pair string int))) "categories exclude events"
+    [ ("data", 1); ("join", 5) ] (Metrics.categories m)
 
 let test_metrics_charge_path () =
   let m = Metrics.create ~routers:5 in
-  Metrics.charge_path m "data" [ 0; 1; 2; 3 ];
-  Alcotest.(check int) "three link messages" 3 (Metrics.get m "data");
+  Metrics.charge_path m Metrics.Data [ 0; 1; 2; 3 ];
+  Alcotest.(check int) "three link messages" 3 (Metrics.get m Metrics.Data);
   let load = Metrics.router_load m in
   Alcotest.(check (array int)) "all four routers loaded" [| 1; 1; 1; 1; 0 |] load;
   (* Degenerate paths charge nothing. *)
-  Metrics.charge_path m "data" [ 2 ];
-  Metrics.charge_path m "data" [];
-  Alcotest.(check int) "unchanged" 3 (Metrics.get m "data")
+  Metrics.charge_path m Metrics.Data [ 2 ];
+  Metrics.charge_path m Metrics.Data [];
+  Alcotest.(check int) "unchanged" 3 (Metrics.get m Metrics.Data)
 
 let test_metrics_charge_hop () =
   let m = Metrics.create ~routers:3 in
-  Metrics.charge_hop m "x" 1;
-  Metrics.charge_hop m "x" 1;
-  Alcotest.(check int) "two messages" 2 (Metrics.get m "x");
+  Metrics.charge_hop m Metrics.Data 1;
+  Metrics.charge_hop m Metrics.Data 1;
+  Alcotest.(check int) "two messages" 2 (Metrics.get m Metrics.Data);
   Alcotest.(check (array int)) "load at router 1" [| 0; 2; 0 |] (Metrics.router_load m);
   (* Out-of-range routers count messages but no load. *)
-  Metrics.charge_hop m "x" 99;
-  Alcotest.(check int) "message counted" 3 (Metrics.get m "x")
+  Metrics.charge_hop m Metrics.Data 99;
+  Alcotest.(check int) "message counted" 3 (Metrics.get m Metrics.Data)
 
 let test_metrics_categories_sorted () =
   let m = Metrics.create ~routers:1 in
-  Metrics.incr m "zeta" 1;
-  Metrics.incr m "alpha" 2;
-  Alcotest.(check (list (pair string int))) "sorted" [ ("alpha", 2); ("zeta", 1) ]
+  (* Declared before [Data], sorted after it. *)
+  Metrics.incr m Metrics.Zero_id 1;
+  Metrics.incr m Metrics.Data 2;
+  Alcotest.(check (list (pair string int))) "sorted" [ ("data", 2); ("zero-id", 1) ]
     (Metrics.categories m)
 
 let test_metrics_reset_and_merge () =
   let a = Metrics.create ~routers:2 and b = Metrics.create ~routers:2 in
-  Metrics.charge_path a "x" [ 0; 1 ];
-  Metrics.charge_path b "x" [ 1; 0 ];
+  let all = Metrics.messages @ Metrics.events in
+  List.iteri
+    (fun i c ->
+      Metrics.incr a c (i + 1);
+      Metrics.incr b c (100 * (i + 1)))
+    all;
+  Metrics.charge_path a Metrics.Data [ 0; 1 ];
+  Metrics.charge_path b Metrics.Data [ 1; 0 ];
   Metrics.merge_into ~dst:a b;
-  Alcotest.(check int) "merged" 2 (Metrics.get a "x");
+  List.iteri
+    (fun i c ->
+      let extra = if c = Metrics.Data then 2 else 0 in
+      Alcotest.(check int) ("merged " ^ Metrics.name c) ((101 * (i + 1)) + extra)
+        (Metrics.get a c))
+    all;
+  Alcotest.(check int) "every category listed" (List.length Metrics.messages)
+    (List.length (Metrics.categories a));
   Alcotest.(check (array int)) "merged load" [| 2; 2 |] (Metrics.router_load a);
   Metrics.reset a;
+  List.iter
+    (fun c -> Alcotest.(check int) ("reset " ^ Metrics.name c) 0 (Metrics.get a c))
+    all;
   Alcotest.(check int) "reset" 0 (Metrics.total a);
-  Alcotest.(check (array int)) "load reset" [| 0; 0 |] (Metrics.router_load a)
+  Alcotest.(check (list (pair string int))) "no category after reset" []
+    (Metrics.categories a);
+  Alcotest.(check (array int)) "load reset" [| 0; 0 |] (Metrics.router_load a);
+  (* A category charged only by [inject] is listed with count 0, survives a
+     merge, and is gone after [reset]. *)
+  let c = Metrics.create ~routers:2 in
+  Metrics.inject c Metrics.Verify 1;
+  Alcotest.(check (list (pair string int))) "inject-only listed" [ ("verify", 0) ]
+    (Metrics.categories c);
+  Alcotest.(check (array int)) "inject loads the origin" [| 0; 1 |] (Metrics.router_load c);
+  Metrics.merge_into ~dst:a c;
+  Alcotest.(check (list (pair string int))) "presence merged" [ ("verify", 0) ]
+    (Metrics.categories a);
+  Metrics.reset c;
+  Alcotest.(check (list (pair string int))) "inject-only reset" [] (Metrics.categories c)
 
 let test_engine_ordering () =
   let e = Engine.create () in

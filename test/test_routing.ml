@@ -19,7 +19,6 @@ module Internet = Rofl_asgraph.Internet
 module Network = Rofl_intra.Network
 module Failure = Rofl_intra.Failure
 module Vnode = Rofl_core.Vnode
-module Msg = Rofl_core.Msg
 module Metrics = Rofl_netsim.Metrics
 module Net = Rofl_inter.Net
 module Route = Rofl_inter.Route
@@ -85,7 +84,7 @@ let intra_fingerprint () =
   (match Network.spf_route net 25 wrong with
    | Some r -> Network.cache_route_to net victim wrong (Rofl_core.Sourceroute.hops r)
    | None -> ());
-  let rn = Network.lookup net ~from:25 ~target:victim ~category:Msg.data ~use_cache:true in
+  let rn = Network.lookup net ~from:25 ~target:victim ~category:Metrics.Data ~use_cache:true in
   keep rn;
   add "intra-nack status=%s msgs=%d visited=%d" (status_str rn.Network.status)
     rn.Network.msgs
@@ -100,7 +99,7 @@ let intra_fingerprint () =
       if k mod 3 = 2 then spread_id k else ids.(k * 5 mod Array.length ids)
     in
     let use_cache = k mod 4 <> 1 in
-    let r = Network.lookup net ~from ~target ~category:Msg.data ~use_cache in
+    let r = Network.lookup net ~from ~target ~category:Metrics.Data ~use_cache in
     keep r;
     add "intra#%d status=%s msgs=%d lat=%.12g visited=%d" k (status_str r.Network.status)
       r.Network.msgs r.Network.latency_ms
