@@ -111,6 +111,21 @@ let micro () =
   done;
   let isp = Rofl_topology.Isp.generate rng Rofl_topology.Isp.as3967 in
   let ls = Rofl_linkstate.Linkstate.create isp.Rofl_topology.Isp.graph in
+  let price_reg = [| 0.0 |] in
+  (* A cold full tree per run on its own instance: failing a leaf router's
+     only link drops the tree from router 0, which used it; asking for the
+     now unreachable leaf drains a whole new tree; restoring the link drops
+     that tree again for the next run. *)
+  let cold_ls = Rofl_linkstate.Linkstate.create isp.Rofl_topology.Isp.graph in
+  let leaf, hub =
+    let g = isp.Rofl_topology.Isp.graph in
+    let rec find r =
+      match Rofl_topology.Graph.neighbors g r with
+      | [ (hub, _) ] when r <> 0 -> (r, hub)
+      | _ -> find (r + 1)
+    in
+    find 0
+  in
   let cache = Rofl_core.Pointer_cache.create ~capacity:4096 in
   for i = 0 to 4095 do
     let dst = Id.random rng in
@@ -202,6 +217,14 @@ let micro () =
         (Staged.stage (fun () -> ignore (Rofl_bloom.Bloom.mem bloom id_a)));
       Test.make ~name:"spf-201-routers"
         (Staged.stage (fun () -> ignore (Rofl_linkstate.Linkstate.distance_hops ls 0 100)));
+      Test.make ~name:"spf-price-warm"
+        (Staged.stage (fun () ->
+             ignore (Rofl_linkstate.Linkstate.price_hop_into ls 0 100 ~latency:price_reg 0)));
+      Test.make ~name:"spf-cold-as3967"
+        (Staged.stage (fun () ->
+             Rofl_linkstate.Linkstate.fail_link cold_ls leaf hub;
+             ignore (Rofl_linkstate.Linkstate.reachable cold_ls 0 leaf);
+             Rofl_linkstate.Linkstate.restore_link cold_ls leaf hub));
       Test.make ~name:"cache-best-match"
         (Staged.stage (fun () ->
              let i = !match_i land 511 in

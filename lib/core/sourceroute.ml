@@ -12,9 +12,12 @@ let origin = function
   | r :: _ -> r
   | [] -> invalid_arg "Sourceroute.origin: empty"
 
-let destination t =
-  match List.rev t with
-  | r :: _ -> r
+let rec last r = function
+  | [] -> r
+  | r' :: rest -> last r' rest
+
+let destination = function
+  | r :: rest -> last r rest
   | [] -> invalid_arg "Sourceroute.destination: empty"
 
 let length t = List.length t - 1

@@ -30,12 +30,13 @@ let route net ~from g rng =
     (* The random suffix fell before every member: the group's first member
        is the predecessor's successor. *)
     (match Vnode.first_succ vn with
-     | Some (p : Pointer.t) when Id.same_group p.Pointer.dst target ->
-       (match Rofl_linkstate.Linkstate.path net.Network.ls vn.Vnode.hosted_at p.Pointer.dst_router with
-        | Some hops ->
-          Metrics.charge_path net.Network.metrics Metrics.Data hops;
-          { server = Some p.Pointer.dst; hops = res.Network.msgs + List.length hops - 1 }
-        | None -> { server = None; hops = res.Network.msgs })
+     | Some (p : Pointer.t) when Id.same_group p.Pointer.dst target -> (
+       let extra =
+         Network.charge_spf_into net.Network.ls net.Network.metrics Metrics.Data
+           vn.Vnode.hosted_at p.Pointer.dst_router ~latency:[| 0.0 |] 0
+       in
+       if extra >= 0 then { server = Some p.Pointer.dst; hops = res.Network.msgs + extra }
+       else { server = None; hops = res.Network.msgs })
      | Some _ | None -> { server = None; hops = res.Network.msgs })
   | Network.Stuck _ -> { server = None; hops = res.Network.msgs }
 

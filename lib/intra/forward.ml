@@ -20,27 +20,20 @@ let route_packet ?(use_cache = true) (t : Network.t) ~from ~dest =
     let pred_router = t.Network.routers.(pred.Vnode.hosted_at) in
     (match Hashtbl.find_opt pred_router.Network.attachments dest with
      | Some host_router ->
-       (match Linkstate.path t.Network.ls pred.Vnode.hosted_at host_router with
-        | Some hops_list ->
-          Metrics.charge_path t.Network.metrics Metrics.Data hops_list;
-          let extra = List.length hops_list - 1 in
-          let lat = ref 0.0 in
-          let rec add = function
-            | a :: (b :: _ as rest) ->
-              lat := !lat +. Rofl_topology.Graph.latency t.Network.graph a b;
-              add rest
-            | [ _ ] | [] -> ()
-          in
-          add hops_list;
-          let vn = Network.find_vnode t dest in
-          {
-            delivered_to = vn;
-            hops = res.Network.msgs + extra;
-            latency_ms = res.Network.latency_ms +. !lat;
-            via_predecessor = true;
-          }
-        | None ->
-          { delivered_to = None; hops = res.Network.msgs; latency_ms = res.Network.latency_ms; via_predecessor = false })
+       let lat = [| 0.0 |] in
+       let extra =
+         Network.charge_spf_into t.Network.ls t.Network.metrics Metrics.Data
+           pred.Vnode.hosted_at host_router ~latency:lat 0
+       in
+       if extra >= 0 then
+         {
+           delivered_to = Network.find_vnode t dest;
+           hops = res.Network.msgs + extra;
+           latency_ms = res.Network.latency_ms +. lat.(0);
+           via_predecessor = true;
+         }
+       else
+         { delivered_to = None; hops = res.Network.msgs; latency_ms = res.Network.latency_ms; via_predecessor = false }
      | None ->
        { delivered_to = None; hops = res.Network.msgs; latency_ms = res.Network.latency_ms; via_predecessor = false })
   | Network.Stuck _ ->

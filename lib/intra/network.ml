@@ -62,15 +62,6 @@ let router_id i =
 
 (* -- path helpers ------------------------------------------------------- *)
 
-let path_latency t = function
-  | [] | [ _ ] -> 0.0
-  | hops ->
-    let rec go acc = function
-      | a :: (b :: _ as rest) -> go (acc +. Graph.latency t.graph a b) rest
-      | [ _ ] | [] -> acc
-    in
-    go 0.0 hops
-
 let spf_route t src dst =
   match Linkstate.path t.ls src dst with
   | Some hops -> Some (Sourceroute.of_hops hops)
@@ -81,14 +72,20 @@ let make_pointer t kind ~from_router ~dst ~dst_router =
   | Some route -> Some (Pointer.make kind ~dst ~dst_router ~route)
   | None -> None
 
+let charge_spf_into ls metrics category src dst ~latency i =
+  let hops = Linkstate.price_hop_into ls src dst ~latency i in
+  if hops > 0 then begin
+    Metrics.incr metrics category hops;
+    Linkstate.iter_path ls src dst Metrics.add_load metrics
+  end;
+  hops
+
 (* Charge a message travelling the SPF path between two routers; returns the
    hop count and latency (0 if unreachable). *)
 let charge_spf t category src dst =
-  match Linkstate.path t.ls src dst with
-  | Some hops ->
-    Metrics.charge_path t.metrics category hops;
-    (List.length hops - 1, path_latency t hops)
-  | None -> (0, 0.0)
+  let latency = [| 0.0 |] in
+  let hops = charge_spf_into t.ls t.metrics category src dst ~latency 0 in
+  if hops < 0 then (0, 0.0) else (hops, latency.(0))
 
 (* -- construction ------------------------------------------------------- *)
 

@@ -109,6 +109,17 @@ val find_vnode : t -> Id.t -> Vnode.t option
 val spf_route : t -> int -> int -> Rofl_core.Sourceroute.t option
 (** Link-state shortest route between two routers. *)
 
+val charge_spf_into :
+  Rofl_linkstate.Linkstate.t -> Rofl_netsim.Metrics.t -> Rofl_netsim.Metrics.counter ->
+  int -> int -> latency:float array -> int -> int
+(** [charge_spf_into ls m c src dst ~latency i] charges a message travelling
+    the shortest path from [src] to [dst] exactly as
+    {!Rofl_netsim.Metrics.charge_path} over {!Rofl_linkstate.Linkstate.path}
+    would: one [c] message per link and one load unit per router on the
+    path, nothing for a one-router path.  It adds the path latency into
+    [latency.(i)] and returns the hop count, or [-1] (charging nothing) when
+    unreachable.  Priced from the tree's labels; no list is built. *)
+
 val make_pointer :
   t -> Pointer.kind -> from_router:int -> dst:Id.t -> dst_router:int -> Pointer.t option
 (** Pointer with a fresh SPF source route; [None] if unreachable. *)

@@ -1,5 +1,4 @@
 module Graph = Rofl_topology.Graph
-module Heap = Rofl_util.Heap
 
 type event =
   | Link_down of int * int
@@ -12,14 +11,26 @@ type event =
    far as their destination; whole-tree consumers ([eccentricity_hops]) run
    the frontier dry.  A node is "labeled" once [dist] is finite: its entry in
    [parent] then records the path the label came from, whether or not the
-   node is settled yet. *)
+   node is settled yet.
+
+   The frontier is a binary min-heap over three parallel unboxed arrays,
+   ordered by (distance, push sequence) -- the FIFO tie-break of
+   [Rofl_util.Heap.push].  The order is total, so the settle order, and with
+   it the parent chosen on every equal-latency tie, depends only on the
+   relaxation order, never on the heap's shape.  Entries are not decreased
+   in place: an improving relaxation pushes a fresh entry and the stale one
+   is skipped when popped. *)
 type spf = {
   src : int;
   dist : float array;   (* latency distance, infinity if unlabeled *)
   hops : int array;     (* hop count along the chosen path *)
   parent : int array;   (* predecessor on shortest path, -1 at source *)
   settled : bool array;
-  frontier : int Heap.t;
+  mutable fkey : float array; (* frontier entry: distance when pushed *)
+  mutable fseq : int array;   (* frontier entry: push sequence number *)
+  mutable fnode : int array;  (* frontier entry: router *)
+  mutable fsize : int;
+  mutable pushes : int;       (* sequence number of the next push *)
   mutable complete : bool; (* frontier drained: every [dist] is final *)
 }
 
@@ -33,6 +44,13 @@ type scratch = {
 type t = {
   g : Graph.t;
   n : int;
+  off : int array;
+  nbr : int array;
+  wt : float array;
+  (* Flat adjacency: router [u]'s links are [nbr.(e)]/[wt.(e)] for [e] in
+     [off.(u), off.(u+1)), in exactly [Graph.neighbors] order -- the
+     relaxation order, which decides parents on equal-latency ties.  The
+     graph must not gain links after [create]. *)
   adj : Bytes.t option;
   (* [n * n] liveness matrix: byte (u*n + v) is 1 iff the link exists, is
      not failed, and both endpoints are alive.  [link_alive] sits inside
@@ -51,6 +69,18 @@ let matrix_limit = 4096
 
 let create g =
   let n = Graph.n g in
+  let off = Array.make (n + 1) 0 in
+  for u = 0 to n - 1 do
+    off.(u + 1) <- off.(u) + List.length (Graph.neighbors g u)
+  done;
+  let nbr = Array.make off.(n) 0 and wt = Array.make off.(n) 0.0 in
+  for u = 0 to n - 1 do
+    List.iteri
+      (fun k (v, w) ->
+        nbr.(off.(u) + k) <- v;
+        wt.(off.(u) + k) <- w)
+      (Graph.neighbors g u)
+  done;
   let adj =
     if n <= matrix_limit then begin
       let a = Bytes.make (n * n) '\000' in
@@ -64,6 +94,9 @@ let create g =
   {
     g;
     n;
+    off;
+    nbr;
+    wt;
     adj;
     failed_links = Hashtbl.create 16;
     failed_routers = Hashtbl.create 16;
@@ -101,6 +134,97 @@ let set_adj t u v alive =
     Bytes.set a ((v * t.n) + u) byte
   | None -> ()
 
+(* -- the frontier ---------------------------------------------------------
+
+   Every function here takes and returns immediates only, so no float is
+   boxed crossing a call: a push reads its key from [dist.(v)], which the
+   relaxation has just written. *)
+
+let min_frontier = 16
+
+let no_floats : float array = [||]
+
+let no_ints : int array = [||]
+
+let resize_frontier st cap =
+  let key = Array.make cap 0.0 and seq = Array.make cap 0 and node = Array.make cap 0 in
+  Array.blit st.fkey 0 key 0 st.fsize;
+  Array.blit st.fseq 0 seq 0 st.fsize;
+  Array.blit st.fnode 0 node 0 st.fsize;
+  st.fkey <- key;
+  st.fseq <- seq;
+  st.fnode <- node
+
+(* A new entry carries the largest sequence number so far, so it rises only
+   past strictly larger distances. *)
+let push st v =
+  if st.fsize = Array.length st.fnode then
+    resize_frontier st (max min_frontier (2 * st.fsize));
+  let key = st.fkey and seq = st.fseq and node = st.fnode in
+  let d = st.dist.(v) in
+  let i = ref st.fsize in
+  st.fsize <- st.fsize + 1;
+  while !i > 0 && d < key.((!i - 1) / 2) do
+    let p = (!i - 1) / 2 in
+    key.(!i) <- key.(p);
+    seq.(!i) <- seq.(p);
+    node.(!i) <- node.(p);
+    i := p
+  done;
+  key.(!i) <- d;
+  seq.(!i) <- st.pushes;
+  node.(!i) <- v;
+  st.pushes <- st.pushes + 1
+
+(* Remove and return the (distance, sequence)-least entry's router. *)
+let pop st =
+  let key = st.fkey and seq = st.fseq and node = st.fnode in
+  let top = node.(0) in
+  let last = st.fsize - 1 in
+  st.fsize <- last;
+  if last > 0 then begin
+    let k = key.(last) and s = seq.(last) and x = node.(last) in
+    let i = ref 0 and sifting = ref true in
+    while !sifting do
+      let l = (2 * !i) + 1 in
+      if l >= last then sifting := false
+      else begin
+        let r = l + 1 in
+        let c =
+          if r < last && (key.(r) < key.(l) || (key.(r) = key.(l) && seq.(r) < seq.(l)))
+          then r
+          else l
+        in
+        if key.(c) < k || (key.(c) = k && seq.(c) < s) then begin
+          key.(!i) <- key.(c);
+          seq.(!i) <- seq.(c);
+          node.(!i) <- node.(c);
+          i := c
+        end
+        else sifting := false
+      end
+    done;
+    key.(!i) <- k;
+    seq.(!i) <- s;
+    node.(!i) <- x
+  end;
+  top
+
+(* A drained frontier gives its arrays back to the GC.  A paused one with
+   over four times as many slots as live entries is cut back to twice its
+   entries, so a tree that once had a wide frontier does not pin it while it
+   waits for its next query, and a frontier that grows and shrinks by small
+   steps is not reallocated at every pause. *)
+let release_frontier st =
+  st.fkey <- no_floats;
+  st.fseq <- no_ints;
+  st.fnode <- no_ints
+
+let trim_frontier st =
+  let cap = Array.length st.fnode in
+  if cap > min_frontier && cap > 4 * st.fsize then
+    resize_frontier st (max min_frontier (2 * st.fsize))
+
 (* -- SPF construction and resumption ------------------------------------ *)
 
 let max_recycled = 32
@@ -134,8 +258,7 @@ let recycle t (st : spf) =
       :: t.free_scratch
 
 let new_spf t src =
-  let n = Graph.n t.g in
-  let s = take_scratch t n in
+  let s = take_scratch t t.n in
   let st =
     {
       src;
@@ -143,78 +266,66 @@ let new_spf t src =
       hops = s.s_hops;
       parent = s.s_parent;
       settled = s.s_settled;
-      frontier = Heap.create ();
+      fkey = no_floats;
+      fseq = no_ints;
+      fnode = no_ints;
+      fsize = 0;
+      pushes = 0;
       complete = false;
     }
   in
   if router_alive t src then begin
     st.dist.(src) <- 0.0;
     st.hops.(src) <- 0;
-    Heap.push st.frontier 0.0 src
+    push st src
   end
   else st.complete <- true;
   st
 
-(* Settle frontier nodes until [until] (if any) is settled or the frontier
-   drains.  Relaxations consult the *current* failed sets; the invalidation
-   rules below guarantee any tree kept across an event resumes to the same
-   labels a from-scratch run on the new topology would produce. *)
-let advance t (st : spf) ~until =
-  let stop_at u = match until with Some d -> u = d | None -> false in
-  let rec loop () =
-    match Heap.pop st.frontier with
-    | None -> st.complete <- true
-    | Some (_, u) ->
-      if st.settled.(u) then loop ()
-      else begin
-        st.settled.(u) <- true;
-        List.iter
-          (fun (v, w) ->
-            if link_alive t u v then begin
-              let nd = st.dist.(u) +. w in
-              if
-                nd < st.dist.(v)
-                || (nd = st.dist.(v) && st.hops.(u) + 1 < st.hops.(v))
-              then begin
-                st.dist.(v) <- nd;
-                st.hops.(v) <- st.hops.(u) + 1;
-                st.parent.(v) <- u;
-                Heap.push st.frontier nd v
-              end
-            end)
-          (Graph.neighbors t.g u);
-        if not (stop_at u) then loop ()
+(* Settle frontier nodes until [until] is settled or the frontier drains
+   ([until] = -1 always drains).  Relaxations consult the *current* failed
+   sets; the invalidation rules below guarantee any tree kept across an
+   event resumes to the same labels a from-scratch run on the new topology
+   would produce. *)
+let advance t (st : spf) until =
+  let dist = st.dist and hops = st.hops and parent = st.parent
+  and settled = st.settled in
+  let off = t.off and nbr = t.nbr and wt = t.wt in
+  let running = ref true in
+  while !running do
+    if st.fsize = 0 then begin
+      st.complete <- true;
+      release_frontier st;
+      running := false
+    end
+    else begin
+      let u = pop st in
+      if not settled.(u) then begin
+        settled.(u) <- true;
+        let du = dist.(u) and hu = hops.(u) + 1 in
+        for e = off.(u) to off.(u + 1) - 1 do
+          let v = nbr.(e) in
+          if link_alive t u v then begin
+            let nd = du +. wt.(e) in
+            if nd < dist.(v) || (nd = dist.(v) && hu < hops.(v)) then begin
+              dist.(v) <- nd;
+              hops.(v) <- hu;
+              parent.(v) <- u;
+              push st v
+            end
+          end
+        done;
+        if u = until then begin
+          trim_frontier st;
+          running := false
+        end
       end
-  in
-  let already_done =
-    st.complete || (match until with Some d -> st.settled.(d) | None -> false)
-  in
-  if not already_done then loop ()
+    end
+  done
 
-let state t src =
-  match Hashtbl.find_opt t.spf_cache src with
-  | Some st -> st
-  | None ->
-    let st = new_spf t src in
-    Hashtbl.replace t.spf_cache src st;
-    st
-
-let spf t src =
-  let st = state t src in
-  advance t st ~until:None;
-  st
-
-let settle_to t src dst =
-  let st = state t src in
-  advance t st ~until:(Some dst);
-  st
-
-(* Allocation-free settle for the hot pricing path: on a warm tree the
-   [advance] entry alone costs ~10 words ([stop_at]/[loop] closures built
-   before the already-done check, plus the [Some dst] witness), and
-   [state]'s [find_opt] adds another option — the walk engines price every
-   ring hop through these queries, so the boxes dominate their allocation
-   profile.  The settled check is the same condition [advance] tests. *)
+(* The one entry to a tree: the cached tree for [src] (built on a miss),
+   settled at least as far as [dst] ([-1]: completely).  Allocation-free on
+   a warm tree. *)
 let settled_state t src dst =
   let st =
     match Hashtbl.find t.spf_cache src with
@@ -224,7 +335,7 @@ let settled_state t src dst =
       Hashtbl.replace t.spf_cache src st;
       st
   in
-  if not (st.complete || st.settled.(dst)) then advance t st ~until:(Some dst);
+  if not (st.complete || (dst >= 0 && st.settled.(dst))) then advance t st dst;
   st
 
 (* -- targeted invalidation ----------------------------------------------
@@ -338,14 +449,14 @@ let restore_router t r =
 let distance_to t src dst =
   if not (router_alive t src && router_alive t dst) then None
   else begin
-    let st = settle_to t src dst in
+    let st = settled_state t src dst in
     if st.dist.(dst) < infinity then Some st.dist.(dst) else None
   end
 
 let path t src dst =
   if not (router_alive t src && router_alive t dst) then None
   else begin
-    let st = settle_to t src dst in
+    let st = settled_state t src dst in
     if st.dist.(dst) = infinity then None
     else begin
       (* Every ancestor of a labeled node is settled, so the parent chain is
@@ -357,12 +468,12 @@ let path t src dst =
 
 let reachable t src dst =
   router_alive t src && router_alive t dst
-  && (settle_to t src dst).dist.(dst) < infinity
+  && (settled_state t src dst).dist.(dst) < infinity
 
 let distance_hops t src dst =
   if not (router_alive t src && router_alive t dst) then None
   else begin
-    let st = settle_to t src dst in
+    let st = settled_state t src dst in
     if st.dist.(dst) < infinity then Some st.hops.(dst) else None
   end
 
@@ -382,11 +493,11 @@ let distance_hops_count t src dst =
     if st.dist.(dst) < infinity then st.hops.(dst) else -1
   end
 
-(* Fused pricing for the walk engines: one settle per hop, the latency
-   accumulated straight into a float-array register (never crossing a
-   module boundary as a boxed return), the hop count back as an immediate.
-   This is the only truly allocation-free way to price a hop — even the
-   NaN-sentinel form boxes its float on return. *)
+(* Fused pricing: one settle, the latency accumulated straight into a
+   float-array register (never crossing a module boundary as a boxed
+   return), the hop count back as an immediate.  [dist.(dst)] is the
+   left-to-right sum [((0 + w1) + w2) + ...] along the parent chain, bit for
+   bit what folding [Graph.latency] over [path] gives. *)
 let price_hop_into t src dst ~latency i =
   if not (router_alive t src && router_alive t dst) then -1
   else begin
@@ -398,13 +509,28 @@ let price_hop_into t src dst ~latency i =
     else -1
   end
 
+let rec iter_chain parent src v f x =
+  f x v;
+  if v <> src then iter_chain parent src parent.(v) f x
+
+let iter_path t src dst f x =
+  if router_alive t src && router_alive t dst then begin
+    let st = settled_state t src dst in
+    if st.dist.(dst) < infinity then iter_chain st.parent src dst f x
+  end
+
 let distance_latency = distance_to
 
+let rec first_hop parent src v =
+  let p = parent.(v) in
+  if p = src then v else first_hop parent src p
+
 let next_hop t src dst =
-  match path t src dst with
-  | None | Some [ _ ] -> None
-  | Some (_ :: hop :: _) -> Some hop
-  | Some [] -> None
+  if src = dst || not (router_alive t src && router_alive t dst) then None
+  else begin
+    let st = settled_state t src dst in
+    if st.dist.(dst) < infinity then Some (first_hop st.parent src dst) else None
+  end
 
 let valid_source_route t = function
   | [] -> false
@@ -433,7 +559,7 @@ let live_router_count t =
 let lsa_flood_cost t = 2 * live_link_count t
 
 let eccentricity_hops t src =
-  let st = spf t src in
+  let st = settled_state t src (-1) in
   let best = ref 0 in
   Array.iteri
     (fun v h -> if st.dist.(v) < infinity && h > !best then best := h)

@@ -13,7 +13,13 @@
     and invalidated *per event*: failing or restoring an element drops only
     the cached trees whose paths that element can actually have changed,
     instead of the former global version bump that discarded every tree on
-    every event. *)
+    every event.
+
+    The kernel is allocation-free on a warm tree: flat adjacency arrays, a
+    binary heap over unboxed arrays ordered by (distance, push order), and
+    queries that read the tree's labels directly.  Callers that only price
+    a path use {!price_hop_into} and {!iter_path}; only callers that store a
+    route build the {!path} list. *)
 
 type t
 
@@ -24,6 +30,7 @@ type event =
   | Router_up of int
 
 val create : Rofl_topology.Graph.t -> t
+(** The graph must not gain links afterwards: its adjacency is copied. *)
 
 val graph : t -> Rofl_topology.Graph.t
 
@@ -70,14 +77,22 @@ val price_hop_into : t -> int -> int -> latency:float array -> int -> int
 (** [price_hop_into t src dst ~latency i] adds the src→dst latency into
     [latency.(i)] and returns the hop count of the same path, [-1] (and no
     write) when unreachable.  Fuses {!distance_to_nan} and
-    {!distance_hops_count} into one settle with no boxed return — the
-    walk engines price every ring hop through this, allocation-free. *)
+    {!distance_hops_count} into one settle with no boxed return.  The
+    latency added is bit-identical to folding {!Rofl_topology.Graph.latency}
+    left to right over {!path}.  Allocation-free on a warm tree. *)
+
+val iter_path : t -> int -> int -> ('a -> int -> unit) -> 'a -> unit
+(** [iter_path t src dst f x] calls [f x r] for every router [r] of {!path}
+    [t src dst], from [dst] back to [src]; nothing when unreachable.  Builds
+    no list, and passing a top-level [f] with its argument [x] allocates no
+    closure either. *)
 
 val distance_latency : t -> int -> int -> float option
 (** Total latency of {!path}. *)
 
 val next_hop : t -> int -> int -> int option
-(** First hop on {!path} from [src] towards [dst]. *)
+(** First hop on {!path} from [src] towards [dst] ([None] when [src = dst]
+    or unreachable), found by walking the parent chain. *)
 
 val healthy : t -> bool
 (** No failed links and no failed routers — O(1).  When healthy, every

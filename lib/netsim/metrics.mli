@@ -71,6 +71,10 @@ val charge_hop : t -> counter -> int -> unit
 (** [charge_hop m c router] counts one message traversing [router] under
     [c], and adds it to that router's load. *)
 
+val add_load : t -> int -> unit
+(** [add_load m router] adds one message traversal to [router]'s load
+    (ignored for a router outside the table), with no message counted. *)
+
 val charge_path : t -> counter -> int list -> unit
 (** Charge a message travelling a hop-by-hop router path: one message per
     link traversed, and load at every router the message transits

@@ -350,6 +350,7 @@ type shard_state = {
   store : Store.t;
   where : (Id.t, int) Hashtbl.t; (* id -> slot, for residents of this shard *)
   s_ls : Linkstate.t;
+  s_latency : float array; (* [send_direct]'s pricing register *)
   s_metrics : Metrics.t;
   probes : (int, unit) Hashtbl.t; (* outstanding stabilisation RPC tokens *)
   joins : (Id.t, join_state) Hashtbl.t;
@@ -520,6 +521,7 @@ let create ~rng ?(cfg = default_config) ?(shards = 1) ?pool ?(bootstrap_hosts = 
               ~dummy:(router_label 0);
           where = Hashtbl.create (max 16 (2 * per_shard));
           s_ls = Linkstate.create graph;
+          s_latency = [| 0.0 |];
           s_metrics = Metrics.create ~routers:n;
           probes = Hashtbl.create (max 64 per_shard);
           joins = Hashtbl.create 16;
@@ -820,20 +822,14 @@ let normalize_succ_list t ~self ?succ entries =
    coordinator's barriers rely on. *)
 let send_direct t ~cat ~from ~dest msg k =
   let sh = shd t from in
-  match Linkstate.path sh.s_ls from dest with
-  | None -> ()
-  | Some hops ->
-    let links = List.length hops - 1 in
-    Metrics.incr sh.s_metrics cat (max links 0);
-    let latency =
-      let rec go acc = function
-        | a :: (b :: _ as rest) -> go (acc +. Graph.latency t.graph a b) rest
-        | [ _ ] | [] -> acc
-      in
-      go 0.0 hops
-    in
-    sched t ~rail:from ~at:dest ~time_ms:(now_at t from +. latency) (fun () ->
+  let latency = sh.s_latency in
+  latency.(0) <- 0.0;
+  let links = Linkstate.price_hop_into sh.s_ls from dest ~latency 0 in
+  if links >= 0 then begin
+    Metrics.incr sh.s_metrics cat links;
+    sched t ~rail:from ~at:dest ~time_ms:(now_at t from +. latency.(0)) (fun () ->
         k msg)
+  end
 
 (* Best local knowledge at a router for a target: closest identifier (its
    own residents and their successor pointers) not past the target. *)

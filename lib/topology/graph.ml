@@ -17,7 +17,17 @@ let m g = g.nlinks
 let check_router g r =
   if r < 0 || r >= g.size then invalid_arg "Graph: router index out of range"
 
-let has_link g u v = List.exists (fun (w, _) -> w = v) g.adj.(u)
+(* Direct recursion: [has_link] and [latency] run on every walk hop, where a
+   closure or an [option] per call would be the hop's only allocation. *)
+let rec mem_link v = function
+  | [] -> false
+  | (w, _) :: rest -> w = v || mem_link v rest
+
+let rec link_latency v = function
+  | [] -> raise Not_found
+  | (w, l) :: rest -> if w = v then l else link_latency v rest
+
+let has_link g u v = mem_link v g.adj.(u)
 
 let add_link g u v ~latency_ms =
   check_router g u;
@@ -31,9 +41,7 @@ let add_link g u v ~latency_ms =
 
 let latency g u v =
   check_router g u;
-  match List.assoc_opt v g.adj.(u) with
-  | Some l -> l
-  | None -> raise Not_found
+  link_latency v g.adj.(u)
 
 let neighbors g u =
   check_router g u;

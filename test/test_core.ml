@@ -21,6 +21,8 @@ let test_sourceroute_basic () =
   let r = Sourceroute.of_hops [ 1; 2; 3 ] in
   Alcotest.(check int) "origin" 1 (Sourceroute.origin r);
   Alcotest.(check int) "destination" 3 (Sourceroute.destination r);
+  Alcotest.(check int) "destination of a long route" 9
+    (Sourceroute.destination (Sourceroute.of_hops [ 4; 8; 1; 6; 9 ]));
   Alcotest.(check int) "length" 2 (Sourceroute.length r);
   Alcotest.(check bool) "contains" true (Sourceroute.contains_router r 2);
   Alcotest.(check bool) "not contains" false (Sourceroute.contains_router r 9)

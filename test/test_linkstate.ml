@@ -4,6 +4,8 @@
 module Graph = Rofl_topology.Graph
 module Gen = Rofl_topology.Gen
 module Linkstate = Rofl_linkstate.Linkstate
+module Metrics = Rofl_netsim.Metrics
+module Network = Rofl_intra.Network
 module Prng = Rofl_util.Prng
 
 let line5 () = Linkstate.create (Gen.line 5 ~latency_ms:1.0)
@@ -189,6 +191,289 @@ let test_invalidation_golden () =
     check_against_fresh step
   done
 
+(* -- reference kernel ------------------------------------------------------
+
+   The link-state engine as it stood before the flat kernel: per-source
+   resumable trees over the generic [Rofl_util.Heap], the same targeted
+   invalidation, and every query built on the [path] list.  [advance] is
+   kept verbatim; the property below holds the kernel to it exactly. *)
+module Reference = struct
+  module Heap = Rofl_util.Heap
+
+  type spf = {
+    src : int;
+    dist : float array;
+    hops : int array;
+    parent : int array;
+    settled : bool array;
+    frontier : int Heap.t;
+    mutable complete : bool;
+  }
+
+  type t = {
+    g : Graph.t;
+    failed_links : (int * int, unit) Hashtbl.t;
+    failed_routers : (int, unit) Hashtbl.t;
+    spf_cache : (int, spf) Hashtbl.t;
+  }
+
+  let create g =
+    {
+      g;
+      failed_links = Hashtbl.create 16;
+      failed_routers = Hashtbl.create 16;
+      spf_cache = Hashtbl.create 16;
+    }
+
+  let canonical u v = if u <= v then (u, v) else (v, u)
+
+  let router_alive t r = not (Hashtbl.mem t.failed_routers r)
+
+  let link_alive t u v =
+    router_alive t u && router_alive t v
+    && Graph.has_link t.g u v
+    && not (Hashtbl.mem t.failed_links (canonical u v))
+
+  let new_spf t src =
+    let n = Graph.n t.g in
+    let st =
+      {
+        src;
+        dist = Array.make n infinity;
+        hops = Array.make n max_int;
+        parent = Array.make n (-1);
+        settled = Array.make n false;
+        frontier = Heap.create ();
+        complete = false;
+      }
+    in
+    if router_alive t src then begin
+      st.dist.(src) <- 0.0;
+      st.hops.(src) <- 0;
+      Heap.push st.frontier 0.0 src
+    end
+    else st.complete <- true;
+    st
+
+  let advance t (st : spf) ~until =
+    let stop_at u = match until with Some d -> u = d | None -> false in
+    let rec loop () =
+      match Heap.pop st.frontier with
+      | None -> st.complete <- true
+      | Some (_, u) ->
+        if st.settled.(u) then loop ()
+        else begin
+          st.settled.(u) <- true;
+          List.iter
+            (fun (v, w) ->
+              if link_alive t u v then begin
+                let nd = st.dist.(u) +. w in
+                if
+                  nd < st.dist.(v)
+                  || (nd = st.dist.(v) && st.hops.(u) + 1 < st.hops.(v))
+                then begin
+                  st.dist.(v) <- nd;
+                  st.hops.(v) <- st.hops.(u) + 1;
+                  st.parent.(v) <- u;
+                  Heap.push st.frontier nd v
+                end
+              end)
+            (Graph.neighbors t.g u);
+          if not (stop_at u) then loop ()
+        end
+    in
+    let already_done =
+      st.complete || (match until with Some d -> st.settled.(d) | None -> false)
+    in
+    if not already_done then loop ()
+
+  let state t src =
+    match Hashtbl.find_opt t.spf_cache src with
+    | Some st -> st
+    | None ->
+      let st = new_spf t src in
+      Hashtbl.replace t.spf_cache src st;
+      st
+
+  let settle_to t src until =
+    let st = state t src in
+    advance t st ~until;
+    st
+
+  let drop_trees t pred =
+    Hashtbl.filter_map_inplace (fun _ st -> if pred st then None else Some st) t.spf_cache
+
+  let link_could_improve (st : spf) u v w =
+    let du = st.dist.(u) and dv = st.dist.(v) in
+    du +. w < dv || dv +. w < du
+    || (du +. w = dv && st.hops.(u) + 1 < st.hops.(v))
+    || (dv +. w = du && st.hops.(v) + 1 < st.hops.(u))
+
+  let fail_link t u v =
+    let key = canonical u v in
+    if not (Hashtbl.mem t.failed_links key) then begin
+      Hashtbl.add t.failed_links key ();
+      drop_trees t (fun st -> st.parent.(v) = u || st.parent.(u) = v)
+    end
+
+  let restore_link t u v =
+    let key = canonical u v in
+    if Hashtbl.mem t.failed_links key then begin
+      Hashtbl.remove t.failed_links key;
+      if link_alive t u v then begin
+        let w = Graph.latency t.g u v in
+        drop_trees t (fun st ->
+            if st.complete || (st.settled.(u) && st.settled.(v)) then
+              link_could_improve st u v w
+            else true)
+      end
+    end
+
+  let fail_router t r =
+    if not (Hashtbl.mem t.failed_routers r) then begin
+      Hashtbl.add t.failed_routers r ();
+      drop_trees t (fun st -> st.src = r || st.dist.(r) < infinity)
+    end
+
+  let restore_router t r =
+    if Hashtbl.mem t.failed_routers r then begin
+      Hashtbl.remove t.failed_routers r;
+      drop_trees t (fun st ->
+          st.src = r
+          || (not st.complete)
+          || List.exists
+               (fun (u, _) -> link_alive t u r && st.dist.(u) < infinity)
+               (Graph.neighbors t.g r))
+    end
+
+  let path t src dst =
+    if not (router_alive t src && router_alive t dst) then None
+    else begin
+      let st = settle_to t src (Some dst) in
+      if st.dist.(dst) = infinity then None
+      else begin
+        let rec walk acc v = if v = src then src :: acc else walk (v :: acc) st.parent.(v) in
+        Some (walk [] dst)
+      end
+    end
+
+  let distance_to t src dst =
+    if not (router_alive t src && router_alive t dst) then None
+    else begin
+      let st = settle_to t src (Some dst) in
+      if st.dist.(dst) < infinity then Some st.dist.(dst) else None
+    end
+
+  (* What the callers priced a path with: a left fold over the list. *)
+  let path_latency g hops =
+    let rec go acc = function
+      | a :: (b :: _ as rest) -> go (acc +. Graph.latency g a b) rest
+      | [ _ ] | [] -> acc
+    in
+    go 0.0 hops
+
+  let diameter_hops t =
+    let best = ref 0 in
+    for r = 0 to Graph.n t.g - 1 do
+      if router_alive t r then begin
+        let st = settle_to t r None in
+        Array.iteri
+          (fun v h -> if st.dist.(v) < infinity && h > !best then best := h)
+          st.hops
+      end
+    done;
+    !best
+end
+
+(* Random graph with small integer latencies (zero included), so that
+   equal-latency ties -- decided by relaxation and settle order -- are the
+   common case, not the exception. *)
+let tie_heavy_graph rng =
+  let n = 1 + Prng.int rng 10 in
+  let g = Graph.create n in
+  for u = 0 to n - 1 do
+    for v = u + 1 to n - 1 do
+      if Prng.int rng 100 < 45 then
+        Graph.add_link g u v ~latency_ms:(float_of_int (Prng.int rng 4))
+    done
+  done;
+  g
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_float_opt a b =
+  match (a, b) with
+  | None, None -> true
+  | Some x, Some y -> same_bits x y
+  | _ -> false
+
+(* Every answer of the kernel for (a, b) against the reference: the path list
+   exactly, latencies bit for bit, and the list-free pricing and load walk
+   against what the callers computed from the reference path. *)
+let agrees g ls rf a b =
+  let rpath = Reference.path rf a b in
+  let rdist = Reference.distance_to rf a b in
+  let rhops = Option.map (fun p -> List.length p - 1) rpath in
+  let rnext = match rpath with Some (_ :: hop :: _) -> Some hop | _ -> None in
+  let reg = [| 0.0 |] in
+  let h = Linkstate.price_hop_into ls a b ~latency:reg 0 in
+  let walk = ref [] in
+  Linkstate.iter_path ls a b (fun acc r -> acc := r :: !acc) walk;
+  let kernel_m = Metrics.create ~routers:(Graph.n g)
+  and ref_m = Metrics.create ~routers:(Graph.n g) in
+  let creg = [| 0.0 |] in
+  let ch = Network.charge_spf_into ls kernel_m Metrics.Data a b ~latency:creg 0 in
+  Option.iter (Metrics.charge_path ref_m Metrics.Data) rpath;
+  Linkstate.path ls a b = rpath
+  && same_float_opt (Linkstate.distance_to ls a b) rdist
+  && same_float_opt (Linkstate.distance_latency ls a b) rdist
+  && Linkstate.distance_hops ls a b = rhops
+  && Linkstate.next_hop ls a b = rnext
+  && Linkstate.reachable ls a b = Option.is_some rpath
+  && (match rpath with
+      | None -> h = -1 && same_bits reg.(0) 0.0 && !walk = [] && ch = -1
+      | Some p ->
+        let lat = Reference.path_latency g p in
+        Some h = rhops && same_bits reg.(0) lat && !walk = p && ch = h
+        && same_bits creg.(0) lat)
+  && Metrics.categories kernel_m = Metrics.categories ref_m
+  && Metrics.total kernel_m = Metrics.total ref_m
+  && Metrics.router_load kernel_m = Metrics.router_load ref_m
+
+let prop_kernel_matches_reference =
+  QCheck.Test.make ~name:"kernel = reference Dijkstra under fail/restore" ~count:300
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let rng = Prng.create seed in
+      let g = tie_heavy_graph rng in
+      let n = Graph.n g in
+      let edges = Array.of_list (Graph.links g) in
+      let ls = Linkstate.create g and rf = Reference.create g in
+      let ok = ref true in
+      for _ = 1 to 80 do
+        if !ok then
+          match Prng.int rng 10 with
+          | 0 when Array.length edges > 0 ->
+            let { Graph.u; v; _ } = edges.(Prng.int rng (Array.length edges)) in
+            Linkstate.fail_link ls u v;
+            Reference.fail_link rf u v
+          | 1 when Array.length edges > 0 ->
+            let { Graph.u; v; _ } = edges.(Prng.int rng (Array.length edges)) in
+            Linkstate.restore_link ls u v;
+            Reference.restore_link rf u v
+          | 2 ->
+            let r = Prng.int rng n in
+            Linkstate.fail_router ls r;
+            Reference.fail_router rf r
+          | 3 ->
+            let r = Prng.int rng n in
+            Linkstate.restore_router ls r;
+            Reference.restore_router rf r
+          | 4 -> ok := Linkstate.diameter_hops ls = Reference.diameter_hops rf
+          | _ -> ok := agrees g ls rf (Prng.int rng n) (Prng.int rng n)
+      done;
+      !ok)
+
 let prop_paths_are_valid_routes =
   QCheck.Test.make ~name:"every SPF path is a valid source route" ~count:100
     QCheck.(pair (int_range 1 500) (pair (int_range 0 39) (int_range 0 39)))
@@ -220,6 +505,7 @@ let () =
             test_invalidation_golden;
           QCheck_alcotest.to_alcotest prop_paths_are_valid_routes;
           QCheck_alcotest.to_alcotest prop_hops_symmetric;
+          QCheck_alcotest.to_alcotest prop_kernel_matches_reference;
         ] );
       ( "failures",
         [

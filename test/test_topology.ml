@@ -17,6 +17,12 @@ let test_graph_basic () =
   Alcotest.(check bool) "symmetric" true (Graph.has_link g 1 0);
   Alcotest.(check bool) "no link" false (Graph.has_link g 0 2);
   Alcotest.(check (float 1e-9)) "latency" 2.0 (Graph.latency g 1 2);
+  Alcotest.(check (float 1e-9)) "latency, first neighbour" 1.0 (Graph.latency g 1 0);
+  Alcotest.(check (float 1e-9)) "latency symmetric" 2.0 (Graph.latency g 2 1);
+  Alcotest.check_raises "latency of no link" Not_found (fun () ->
+      ignore (Graph.latency g 0 2));
+  Alcotest.check_raises "latency range" (Invalid_argument "Graph: router index out of range")
+    (fun () -> ignore (Graph.latency g 3 0));
   Alcotest.(check int) "degree hub" 2 (Graph.degree g 1)
 
 let test_graph_rejects () =
