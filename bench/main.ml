@@ -182,6 +182,35 @@ let micro () =
         (Rofl_util.Prng.int rng routers, hosts.(Rofl_util.Prng.int rng (Array.length hosts))))
   in
   let lookup_i = ref 0 in
+  (* Level-restricted valley-free routes on the default ~1,100-AS Internet,
+     rotating through 512 precomputed stub pairs, each priced at [Root]
+     and at the pair's least common ancestor, with every climb memoised by
+     a warm-up pass: the per-level pricing of each interdomain join. *)
+  let inter_ctx, inter_pairs =
+    let module Asgraph = Rofl_asgraph.Asgraph in
+    let module Internet = Rofl_asgraph.Internet in
+    let module Level = Rofl_inter.Level in
+    let irng = Rofl_util.Prng.create 0x1a5 in
+    let inet = Internet.generate irng Internet.default_params in
+    let g = inet.Internet.graph in
+    let stubs = Array.of_list (Internet.stubs inet) in
+    let pick () = stubs.(Rofl_util.Prng.int irng (Array.length stubs)) in
+    let pairs =
+      Array.init 512 (fun _ ->
+          let src = pick () and dst = pick () in
+          match Asgraph.least_common_ancestors g src dst with
+          | a :: _ -> (src, dst, Level.Real a)
+          | [] -> (src, dst, Level.Root))
+    in
+    let ctx = Level.make_ctx g in
+    Array.iter
+      (fun (src, dst, level) ->
+        ignore (Level.route_within ctx Level.Root src dst);
+        ignore (Level.route_within ctx level src dst))
+      pairs;
+    (ctx, pairs)
+  in
+  let route_i = ref 0 in
   let verify_cred = Rofl_crypto.Identity.credential_for id_a in
   let verify_rng = Rofl_util.Prng.create 0x7e11f in
   let grind_rng = Rofl_util.Prng.create 0x0c4a7 in
@@ -237,6 +266,13 @@ let micro () =
              let i = !evict_i land 511 in
              incr evict_i;
              Rofl_core.Pointer_cache.insert full_cache (Array.unsafe_get fresh i)));
+      Test.make ~name:"inter-route-within"
+        (Staged.stage (fun () ->
+             let i = !route_i land 511 in
+             incr route_i;
+             let src, dst, level = Array.unsafe_get inter_pairs i in
+             ignore (Rofl_inter.Level.route_within inter_ctx Rofl_inter.Level.Root src dst);
+             ignore (Rofl_inter.Level.route_within inter_ctx level src dst)));
       Test.make ~name:"intra-lookup-as3967"
         (Staged.stage (fun () ->
              let i = !lookup_i land 511 in

@@ -7,8 +7,18 @@ type t = {
   peer_links : int list array;
   backup_up : int list array;
   backup_down : int list array;
-  cone_cache : Bitset.t option array;
-  mutable cone_valid : bool;
+  mutable derived : derived option;
+}
+
+(* Everything computed from the customer-provider edges, built aside and
+   published whole by one store.  A graph shared across domains (the
+   experiments memoise generated Internets) may race on its first use: a
+   reader then sees either [None], and recomputes identical tables, or a
+   complete record -- never a flag set ahead of its slots. *)
+and derived = {
+  cones : Bitset.t array;
+  sizes : int array;  (* cardinal of each cone *)
+  ups : int list array;  (* up-hierarchies, sorted by (cone size, AS) *)
 }
 
 let create n =
@@ -20,19 +30,14 @@ let create n =
     peer_links = Array.make n [];
     backup_up = Array.make n [];
     backup_down = Array.make n [];
-    cone_cache = Array.make n None;
-    cone_valid = false;
+    derived = None;
   }
 
 let n g = g.size
 
 let check g a = if a < 0 || a >= g.size then invalid_arg "Asgraph: AS index out of range"
 
-let invalidate g =
-  if g.cone_valid then begin
-    Array.fill g.cone_cache 0 g.size None;
-    g.cone_valid <- false
-  end
+let invalidate g = g.derived <- None
 
 let is_provider_edge g ~customer ~provider = List.mem provider g.providers.(customer)
 
@@ -133,53 +138,59 @@ let topo_order g =
   | Ok order -> order
   | Error e -> invalid_arg ("Asgraph.topo_order: " ^ e)
 
-let compute_cones g =
+(* Lowest level first: by cone size, ties by AS index. *)
+let by_cone sizes a b =
+  let c = compare sizes.(a) sizes.(b) in
+  if c <> 0 then c else compare a b
+
+let compute_derived g =
   let order = topo_order g in
-  (* Built aside and installed whole, so [cone_cache] holds cones exactly
-     when [cone_valid]. *)
-  let cones = Array.make g.size None in
+  let cones = Array.make g.size (Bitset.create 0) in
   (* Walk customers-first (reverse of providers-first order) so each cone can
      union its customers' finished cones. *)
   for i = g.size - 1 downto 0 do
     let a = order.(i) in
     let cone = Bitset.create g.size in
     Bitset.set cone a;
-    List.iter
-      (fun c ->
-        match cones.(c) with
-        | Some child -> Bitset.union_into ~dst:cone child
-        | None -> invalid_arg "Asgraph: cone ordering bug")
-      g.customers.(a);
-    cones.(a) <- Some cone
+    List.iter (fun c -> Bitset.union_into ~dst:cone cones.(c)) g.customers.(a);
+    cones.(a) <- cone
   done;
-  Array.blit cones 0 g.cone_cache 0 g.size;
-  g.cone_valid <- true
+  let sizes = Array.map Bitset.cardinal cones in
+  (* [seen.(a) = x] marks [a] as collected for [x]'s up-hierarchy. *)
+  let seen = Array.make g.size (-1) in
+  let ups =
+    Array.init g.size (fun x ->
+        let acc = ref [] in
+        let rec climb a =
+          if seen.(a) <> x then begin
+            seen.(a) <- x;
+            acc := a :: !acc;
+            List.iter climb g.providers.(a)
+          end
+        in
+        climb x;
+        List.sort (by_cone sizes) !acc)
+  in
+  let d = { cones; sizes; ups } in
+  g.derived <- Some d;
+  d
+
+let[@inline] derived g =
+  match g.derived with Some d -> d | None -> compute_derived g
 
 let customer_cone g a =
   check g a;
-  if not g.cone_valid then compute_cones g;
-  match g.cone_cache.(a) with
-  | Some c -> c
-  | None -> invalid_arg "Asgraph.customer_cone: cache miss after compute"
+  (derived g).cones.(a)
 
 let in_cone g ~root a = Bitset.mem (customer_cone g root) a
 
-let cone_size g a = Bitset.cardinal (customer_cone g a)
+let cone_size g a =
+  check g a;
+  (derived g).sizes.(a)
 
 let up_hierarchy g x =
   check g x;
-  let seen = Hashtbl.create 16 in
-  let rec climb a =
-    if not (Hashtbl.mem seen a) then begin
-      Hashtbl.add seen a ();
-      List.iter climb g.providers.(a)
-    end
-  in
-  climb x;
-  Hashtbl.fold (fun a () acc -> a :: acc) seen []
-  |> List.sort (fun a b ->
-       let c = compare (cone_size g a) (cone_size g b) in
-       if c <> 0 then c else compare a b)
+  (derived g).ups.(x)
 
 let up_hierarchy_with_peers g x =
   let base = up_hierarchy g x in
@@ -188,10 +199,7 @@ let up_hierarchy_with_peers g x =
   List.iter
     (fun a -> List.iter (fun p -> Hashtbl.replace seen p ()) g.peer_links.(a))
     base;
-  Hashtbl.fold (fun a () acc -> a :: acc) seen []
-  |> List.sort (fun a b ->
-       let c = compare (cone_size g a) (cone_size g b) in
-       if c <> 0 then c else compare a b)
+  Hashtbl.fold (fun a () acc -> a :: acc) seen [] |> List.sort (by_cone (derived g).sizes)
 
 let tier1s g =
   let acc = ref [] in

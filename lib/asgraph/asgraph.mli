@@ -53,16 +53,19 @@ val topo_order : t -> int array
 
 val customer_cone : t -> int -> Rofl_util.Bitset.t
 (** The AS itself plus all ASes reachable downward via customer edges — the
-    set of identifiers "below" an AS.  Cached after first computation. *)
+    set of identifiers "below" an AS.  Cones, their sizes and every
+    up-hierarchy are computed together on first use, kept until the next
+    {!add_provider}, and read in O(1) afterwards. *)
 
 val in_cone : t -> root:int -> int -> bool
 
 val cone_size : t -> int -> int
+(** Cardinal of {!customer_cone}, precomputed. *)
 
 val up_hierarchy : t -> int -> int list
 (** [G_X]: every AS reachable from [X] by climbing provider edges, including
     [X] itself, ordered by increasing customer-cone size (lowest level
-    first).  The paper reports 75–100 ASes typical (§6.3). *)
+    first).  The paper reports 75–100 ASes typical (§6.3).  Precomputed. *)
 
 val up_hierarchy_with_peers : t -> int -> int list
 (** {!up_hierarchy} of [X] plus the peers of each AS in it — the join set of

@@ -6,13 +6,17 @@
     cache stores the {e cached} class: ring state lives in vnodes and is
     never evicted.  Lookup answers the greedy question — the cached
     identifier closest to, but not past, a destination — in O(log n) via a
-    ring-ordered index kept in sync with the LRU recency list.  The index is
-    flat and mutated in place (no copy per insert), so a full cache inserts
-    and evicts in a few words of allocation, all of it the LRU's. *)
+    ring-ordered index over a slot table, with least-recently-used eviction
+    tracked by a recency list threaded through the same slots.  Both are
+    flat and mutated in place, so once its slot table has grown a full
+    cache inserts, evicts and looks up without allocating (a hit returns
+    one [Some]). *)
 
 type t
 
 val create : capacity:int -> t
+(** @raise Invalid_argument on a negative capacity.  A capacity-0 cache
+    ignores every insert. *)
 
 val capacity : t -> int
 
@@ -38,16 +42,20 @@ val drop_if : t -> (Pointer.t -> bool) -> int
     returns the number dropped. *)
 
 val iter : t -> (Pointer.t -> unit) -> unit
+(** Most recently used first. *)
 
 val clear : t -> unit
 
 val resize : t -> capacity:int -> unit
+(** Evicts least-recently-used entries down to the new capacity.
+    @raise Invalid_argument on a negative capacity. *)
 
 val audit : t -> string list
-(** Structural agreement between the LRU recency list and the ring-ordered
-    index: same cardinality, every LRU binding present in the index with the
-    same destination pointer, no index entry the LRU has forgotten, the
-    index strictly sorted under its current keys, and every pointer slot
-    either indexed or free.  Empty
+(** Structural agreement between the recency list and the ring-ordered
+    index: the list's back-links and tail are consistent, it holds exactly
+    the indexed slots (each of its entries found in the index at its own
+    slot, no index entry off the list), the index is strictly sorted under
+    its current keys, no more entries than the capacity, and every pointer
+    slot either indexed or free.  Empty
     iff consistent — the ring doctor runs this at checkpoints, since a
     divergence silently corrupts {!best_match} answers. *)

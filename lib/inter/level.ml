@@ -3,13 +3,39 @@ module Policy = Rofl_asgraph.Policy
 
 type t = Root | Real of int | Peer_group of int
 
+(* An AS's provider climb: every ancestor with its climb distance, in two
+   orders.  [anc]/[dist] keep the order in which [Hashtbl.iter] visits the
+   breadth-first climb table (see [build_climb]) -- [route_within] scans them, and
+   the first equal-cost peak it offers wins, so this order decides ties.
+   [sorted]/[sorted_dist] hold the same pairs by ancestor, for binary
+   search. *)
+type climb = {
+  anc : int array;
+  dist : int array;
+  sorted : int array;
+  sorted_dist : int array;
+}
+
 type ctx = {
   g : Asgraph.t;
   policy : Policy.t;
-  climbs : (int, (int, int) Hashtbl.t) Hashtbl.t;
+  climbs : climb array;  (* [no_climb] until first asked *)
+  reals : t list array;  (* [levels_for_real] memo; [] until first asked *)
   vas : int array array;
   vas_adj : int list array;
+  (* [route_within]'s scratch: the destination's climb distances, valid
+     where [mark] equals [stamp], and the best offer so far.  A ctx belongs
+     to one [Net], and a [Net] to one task, so the scratch is never
+     shared. *)
+  mark : int array;
+  mark_dist : int array;
+  mutable stamp : int;
+  mutable best_cost : int;
+  mutable best_peak : int;
+  mutable best_peer : int;
 }
+
+let no_climb = { anc = [||]; dist = [||]; sorted = [||]; sorted_dist = [||] }
 
 let make_ctx g =
   let n = Asgraph.n g in
@@ -32,9 +58,16 @@ let make_ctx g =
   {
     g;
     policy = Policy.create g;
-    climbs = Hashtbl.create 256;
+    climbs = Array.make n no_climb;
+    reals = Array.make n [];
     vas = Array.of_list (List.rev !vas);
     vas_adj;
+    mark = Array.make n 0;
+    mark_dist = Array.make n 0;
+    stamp = 0;
+    best_cost = -1;
+    best_peak = -1;
+    best_peer = -1;
   }
 
 let graph ctx = ctx.g
@@ -89,90 +122,143 @@ let subsumes ctx ~outer ~inner =
   | _, Real a -> member ctx outer a
   | _, Peer_group v -> Array.for_all (fun m -> member ctx outer m) ctx.vas.(v)
 
+(* The breadth-first climb table is built exactly as it always was, so
+   that [Hashtbl.iter] visits it in the same order; only the flattened
+   arrays outlive the call. *)
+let build_climb ctx x =
+  let tbl = Hashtbl.create 32 in
+  let q = Queue.create () in
+  Hashtbl.replace tbl x 0;
+  Queue.push x q;
+  while not (Queue.is_empty q) do
+    let cur = Queue.pop q in
+    let d = Hashtbl.find tbl cur in
+    List.iter
+      (fun p ->
+        if not (Hashtbl.mem tbl p) then begin
+          Hashtbl.replace tbl p (d + 1);
+          Queue.push p q
+        end)
+      (Asgraph.providers ctx.g cur)
+  done;
+  let len = Hashtbl.length tbl in
+  let anc = Array.make len 0 and dist = Array.make len 0 in
+  let i = ref 0 in
+  Hashtbl.iter
+    (fun a d ->
+      anc.(!i) <- a;
+      dist.(!i) <- d;
+      incr i)
+    tbl;
+  let perm = Array.init len Fun.id in
+  Array.sort (fun i j -> Int.compare anc.(i) anc.(j)) perm;
+  {
+    anc;
+    dist;
+    sorted = Array.map (fun i -> anc.(i)) perm;
+    sorted_dist = Array.map (fun i -> dist.(i)) perm;
+  }
+
 let climb ctx x =
-  match Hashtbl.find_opt ctx.climbs x with
-  | Some tbl -> tbl
-  | None ->
-    let tbl = Hashtbl.create 32 in
-    let q = Queue.create () in
-    Hashtbl.replace tbl x 0;
-    Queue.push x q;
-    while not (Queue.is_empty q) do
-      let cur = Queue.pop q in
-      let d = Hashtbl.find tbl cur in
-      List.iter
-        (fun p ->
-          if not (Hashtbl.mem tbl p) then begin
-            Hashtbl.replace tbl p (d + 1);
-            Queue.push p q
-          end)
-        (Asgraph.providers ctx.g cur)
-    done;
-    Hashtbl.add ctx.climbs x tbl;
-    tbl
-
-let up_distance ctx x a = Hashtbl.find_opt (climb ctx x) a
-
-(* Inclusive provider-edge path from [x] up to its ancestor [a]. *)
-let rec climb_path ctx x a =
-  if x = a then [ x ]
+  let c = ctx.climbs.(x) in
+  if c != no_climb then c
   else begin
-    let da =
-      match up_distance ctx x a with
-      | Some d -> d
-      | None -> invalid_arg "Level.climb_path: not an ancestor"
-    in
-    let next =
-      List.find_opt
-        (fun p -> match up_distance ctx p a with Some d -> d = da - 1 | None -> false)
-        (Asgraph.providers ctx.g x)
-    in
-    match next with
-    | Some p -> x :: climb_path ctx p a
-    | None -> invalid_arg "Level.climb_path: broken climb"
+    let c = build_climb ctx x in
+    ctx.climbs.(x) <- c;
+    c
   end
+
+let rec search c a lo hi =
+  if lo >= hi then -1
+  else begin
+    let mid = (lo + hi) lsr 1 in
+    let m = Array.unsafe_get c.sorted mid in
+    if m = a then Array.unsafe_get c.sorted_dist mid
+    else if m < a then search c a (mid + 1) hi
+    else search c a lo mid
+  end
+
+(* Climb distance from [x] up to [a], or -1 if [a] is not an ancestor. *)
+let up_dist ctx x a =
+  let c = climb ctx x in
+  search c a 0 (Array.length c.sorted)
+
+let up_distance ctx x a =
+  let d = up_dist ctx x a in
+  if d < 0 then None else Some d
+
+(* The next AS on the climb from [x] up to its ancestor [a]: the first of
+   [x]'s providers one step nearer [a]. *)
+let rec first_nearer ctx a da = function
+  | [] -> invalid_arg "Level.climb_path: broken climb"
+  | p :: rest -> if up_dist ctx p a = da - 1 then p else first_nearer ctx a da rest
+
+let step_up ctx x a =
+  let da = up_dist ctx x a in
+  if da < 0 then invalid_arg "Level.climb_path: not an ancestor";
+  first_nearer ctx a da (Asgraph.providers ctx.g x)
+
+(* The inclusive provider-edge path from [x] up to its ancestor [a],
+   followed by [tail]. *)
+let rec climb_onto ctx x a tail =
+  if x = a then x :: tail else x :: climb_onto ctx (step_up ctx x a) a tail
+
+(* The same path reversed (from [a] down to [x]) onto [acc]; with [~top:false]
+   it stops below [a]. *)
+let rec descend_onto ctx x a ~top acc =
+  if x = a then if top then x :: acc else acc
+  else descend_onto ctx (step_up ctx x a) a ~top (x :: acc)
+
+let[@inline] marked ctx a =
+  if Array.unsafe_get ctx.mark a = ctx.stamp then Array.unsafe_get ctx.mark_dist a else -1
+
+(* First strictly cheaper offer wins: equal-cost peaks keep the earliest. *)
+let[@inline] offer ctx cost a peer =
+  if ctx.best_cost < 0 || cost < ctx.best_cost then begin
+    ctx.best_cost <- cost;
+    ctx.best_peak <- a;
+    ctx.best_peer <- peer
+  end
+
+let rec offer_peers ctx level a da = function
+  | [] -> ()
+  | p :: rest ->
+    if member ctx level p then begin
+      let db = marked ctx p in
+      if db >= 0 then offer ctx (da + 1 + db) a p
+    end;
+    offer_peers ctx level a da rest
 
 let route_within ctx level src dst =
   if src = dst then (if member ctx level src then Some (0, [ src ]) else None)
+  else if not (member ctx level src && member ctx level dst) then None
   else begin
-    let allowed a = member ctx level a in
-    if not (allowed src && allowed dst) then None
+    let up_dst = climb ctx dst in
+    ctx.stamp <- ctx.stamp + 1;
+    for i = 0 to Array.length up_dst.anc - 1 do
+      let a = Array.unsafe_get up_dst.anc i in
+      ctx.mark.(a) <- ctx.stamp;
+      ctx.mark_dist.(a) <- Array.unsafe_get up_dst.dist i
+    done;
+    let up_src = climb ctx src in
+    ctx.best_cost <- -1;
+    for i = 0 to Array.length up_src.anc - 1 do
+      let a = Array.unsafe_get up_src.anc i in
+      if member ctx level a then begin
+        let da = Array.unsafe_get up_src.dist i in
+        let db = marked ctx a in
+        if db >= 0 then offer ctx (da + db) a (-1);
+        offer_peers ctx level a da (Asgraph.peers ctx.g a)
+      end
+    done;
+    if ctx.best_cost < 0 then None
     else begin
-      let up_src = climb ctx src and up_dst = climb ctx dst in
-      (* (cost, peak_src, peer option) *)
-      let best = ref None in
-      let offer cost a peer =
-        match !best with
-        | Some (c, _, _) when c <= cost -> ()
-        | Some _ | None -> best := Some (cost, a, peer)
+      let peak = ctx.best_peak and peer = ctx.best_peer in
+      let down =
+        if peer < 0 then descend_onto ctx dst peak ~top:false []
+        else descend_onto ctx dst peer ~top:true []
       in
-      Hashtbl.iter
-        (fun a da ->
-          if allowed a then begin
-            (match Hashtbl.find_opt up_dst a with
-             | Some db -> offer (da + db) a None
-             | None -> ());
-            List.iter
-              (fun p ->
-                if allowed p then begin
-                  match Hashtbl.find_opt up_dst p with
-                  | Some db -> offer (da + 1 + db) a (Some p)
-                  | None -> ()
-                end)
-              (Asgraph.peers ctx.g a)
-          end)
-        up_src;
-      match !best with
-      | None -> None
-      | Some (cost, peak, peer) ->
-        let up_part = climb_path ctx src peak in
-        let down_from b = List.rev (climb_path ctx dst b) in
-        let path =
-          match peer with
-          | None -> up_part @ List.tl (List.rev (climb_path ctx dst peak))
-          | Some p -> up_part @ down_from p
-        in
-        Some (cost, path)
+      Some (ctx.best_cost, climb_onto ctx src peak down)
     end
   end
 
@@ -189,8 +275,13 @@ let sort_levels ctx ls =
     ls
 
 let levels_for_real ctx x =
-  let ups = Asgraph.up_hierarchy ctx.g x in
-  sort_levels ctx (List.map (fun a -> Real a) ups) @ [ Root ]
+  match ctx.reals.(x) with
+  | _ :: _ as ls -> ls
+  | [] ->
+    let ups = Asgraph.up_hierarchy ctx.g x in
+    let ls = sort_levels ctx (List.map (fun a -> Real a) ups) @ [ Root ] in
+    ctx.reals.(x) <- ls;
+    ls
 
 let single_homed_chain ctx x =
   let rec chain a acc =

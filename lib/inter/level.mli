@@ -5,9 +5,11 @@
     AS wrapping a peering link or clique (§4.2, Fig. 4a), or the root —
     the tier-1 clique's virtual AS, whose ring is the global one.
 
-    The context memoises provider-climb tables so that level-restricted
-    valley-free distances (the cost of following an external pointer at a
-    level without violating isolation) are cheap. *)
+    The context memoises each AS's provider climb (as flat arrays) and its
+    real-level list, so that level-restricted valley-free distances (the
+    cost of following an external pointer at a level without violating
+    isolation) are cheap.  A context carries scratch for {!route_within}:
+    it belongs to one task and must not be shared across domains. *)
 
 type t =
   | Root
@@ -18,7 +20,8 @@ type ctx
 
 val make_ctx : Rofl_asgraph.Asgraph.t -> ctx
 (** Builds the virtual-AS table: one virtual AS per peering link among
-    non-tier-1 ASes (tier-1 peering is the root). *)
+    non-tier-1 ASes (tier-1 peering is the root).  The graph must not gain
+    edges afterwards: the context's memos are never invalidated. *)
 
 val graph : ctx -> Rofl_asgraph.Asgraph.t
 
@@ -61,7 +64,8 @@ val up_distance : ctx -> int -> int -> int option
 val route_within : ctx -> t -> int -> int -> (int * int list) option
 (** Shortest valley-free AS path between two ASes using only ASes inside the
     level (with the virtual AS additionally allowing its peer hop).  Returns
-    (hops, inclusive AS path).  [None] when disconnected at this level. *)
+    (hops, inclusive AS path).  [None] when disconnected at this level.
+    Among equal-cost peaks the first in the source's climb order wins. *)
 
 val distance_within : ctx -> t -> int -> int -> int option
 (** Hops of {!route_within}. *)

@@ -458,7 +458,7 @@ let isolation_respected t r ~src ~dst =
       let ups_src = Asgraph.up_hierarchy g src.Net.home_as in
       (* The guarantee is relative to the hierarchy the destination actually
          joined: an ephemeral or single-homed destination is only reachable
-         through the levels it registered at (Â§2.3). *)
+         through the levels it registered at (§2.3). *)
       let dst_joined = Hashtbl.create 16 in
       List.iter
         (fun level ->

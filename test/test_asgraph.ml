@@ -65,6 +65,52 @@ let test_up_hierarchy () =
   let with_peers = Asgraph.up_hierarchy_with_peers g 3 in
   Alcotest.(check bool) "peers included" true (List.mem 2 with_peers)
 
+(* The derived tables (cones, their sizes, up-hierarchies) are rebuilt
+   after an edge lands on a graph that has already answered queries. *)
+let test_derived_invalidated () =
+  let g = toy () in
+  Alcotest.(check (list int)) "up of 5 before" [ 5; 2; 0 ] (Asgraph.up_hierarchy g 5);
+  Alcotest.(check int) "AS1 cone before" 3 (Asgraph.cone_size g 1);
+  Asgraph.add_provider g ~customer:5 ~provider:1;
+  Alcotest.(check (list int)) "up of 5 after" [ 5; 2; 1; 0 ] (Asgraph.up_hierarchy g 5);
+  Alcotest.(check int) "AS1 cone after" 4 (Asgraph.cone_size g 1);
+  Alcotest.(check (list int)) "lca(3,5) after" [ 1 ] (Asgraph.least_common_ancestors g 3 5)
+
+(* Every derived answer of a graph, in one string. *)
+let derived_answers g =
+  let n = Asgraph.n g in
+  let b = Buffer.create (n * n) in
+  for x = 0 to n - 1 do
+    Buffer.add_string b (string_of_int (Asgraph.cone_size g x));
+    List.iter (fun a -> Buffer.add_string b (" " ^ string_of_int a)) (Asgraph.up_hierarchy g x);
+    Buffer.add_char b ':';
+    for a = 0 to n - 1 do
+      Buffer.add_char b (if Asgraph.in_cone g ~root:x a then '1' else '0')
+    done;
+    Buffer.add_char b '\n'
+  done;
+  Buffer.contents b
+
+(* Experiments share one generated Internet across pool domains, so two
+   domains may race to build its derived tables; both must read the same
+   answers as a sequential pass over an identical graph. *)
+let test_derived_shared_across_domains () =
+  let pool = Rofl_util.Pool.create ~jobs:2 in
+  Fun.protect
+    ~finally:(fun () -> Rofl_util.Pool.shutdown pool)
+    (fun () ->
+      List.iter
+        (fun seed ->
+          let gen () = (Internet.generate (Prng.create seed) Internet.default_params).Internet.graph in
+          let want = derived_answers (gen ()) in
+          let shared = gen () in
+          List.iteri
+            (fun i got ->
+              Alcotest.(check bool) (Printf.sprintf "seed %d, domain task %d" seed i) true
+                (String.equal got want))
+            (Rofl_util.Pool.map pool (fun _ -> derived_answers shared) [ 0; 1 ]))
+        [ 1; 2; 3 ])
+
 let test_tier1s_lca () =
   let g = toy () in
   Alcotest.(check (list int)) "tier1" [ 0 ] (Asgraph.tier1s g);
@@ -250,6 +296,9 @@ let () =
           Alcotest.test_case "cones" `Quick test_cones;
           Alcotest.test_case "up-hierarchy" `Quick test_up_hierarchy;
           Alcotest.test_case "tier1 and LCA" `Quick test_tier1s_lca;
+          Alcotest.test_case "derived tables invalidated" `Quick test_derived_invalidated;
+          Alcotest.test_case "derived tables shared across domains" `Quick
+            test_derived_shared_across_domains;
           Alcotest.test_case "up-hierarchy edges" `Quick test_edges_in_up_hierarchy;
           Alcotest.test_case "topo order" `Quick test_topo_order;
         ] );

@@ -205,7 +205,31 @@ let test_cache_zero_capacity () =
   Pointer_cache.insert c (cptr 1 1);
   Alcotest.(check int) "stores nothing" 0 (Pointer_cache.length c);
   Alcotest.(check bool) "no match" true
-    (Pointer_cache.best_match c ~cur:(id 0) ~target:(id 5) = None)
+    (Pointer_cache.best_match c ~cur:(id 0) ~target:(id 5) = None);
+  List.iter (fun i -> Pointer_cache.insert c (cptr i i)) [ 1; 2; 3; 2 ];
+  Alcotest.(check int) "still nothing" 0 (Pointer_cache.length c);
+  Alcotest.(check bool) "no exact hit" true (Pointer_cache.find c (id 2) = None);
+  Pointer_cache.iter c (fun _ -> Alcotest.fail "iterated an empty cache");
+  (* Shrinking a filled cache to 0 closes it the same way. *)
+  let c = Pointer_cache.create ~capacity:4 in
+  List.iter (fun i -> Pointer_cache.insert c (cptr i i)) [ 1; 2; 3 ];
+  Pointer_cache.resize c ~capacity:0;
+  Pointer_cache.insert c (cptr 4 4);
+  Alcotest.(check int) "closed by resize" 0 (Pointer_cache.length c);
+  Alcotest.(check (list string)) "audit clean" [] (Pointer_cache.audit c)
+
+let test_cache_negative_capacity () =
+  let raises name f =
+    match f () with
+    | () -> Alcotest.failf "%s: accepted a negative capacity" name
+    | exception Invalid_argument _ -> ()
+  in
+  raises "create" (fun () -> ignore (Pointer_cache.create ~capacity:(-1)));
+  let c = Pointer_cache.create ~capacity:2 in
+  Pointer_cache.insert c (cptr 1 1);
+  raises "resize" (fun () -> Pointer_cache.resize c ~capacity:(-1));
+  Alcotest.(check int) "contents kept" 1 (Pointer_cache.length c);
+  Alcotest.(check int) "capacity kept" 2 (Pointer_cache.capacity c)
 
 let prop_cache_best_match_correct =
   QCheck.Test.make ~name:"best_match = brute force over cache contents" ~count:300
@@ -372,6 +396,7 @@ let () =
           Alcotest.test_case "drop_if" `Quick test_cache_drop_if;
           Alcotest.test_case "resize" `Quick test_cache_resize;
           Alcotest.test_case "zero capacity" `Quick test_cache_zero_capacity;
+          Alcotest.test_case "negative capacity" `Quick test_cache_negative_capacity;
           q prop_cache_best_match_correct;
         ] );
       ( "wire",

@@ -101,6 +101,206 @@ let test_level_subsumes () =
   Alcotest.(check bool) "nothing subsumes root" false
     (Level.subsumes ctx ~outer:(Level.Real 0) ~inner:Level.Root)
 
+(* ---------- Level kernel vs the hashtable reference ---------- *)
+
+(* [climb], [climb_path] and [route_within] as they were before the climb
+   tables were flattened into arrays, kept verbatim (only the memo moved
+   into this module's own ctx) as the oracle for the flat kernel.  The
+   first equal-cost peak [route_within] offers wins, so the order
+   [Hashtbl.iter] visits a climb table decides ties; the flat kernel must
+   reproduce it exactly. *)
+module Reference = struct
+  type ctx = {
+    lctx : Level.ctx;
+    g : Asgraph.t;
+    climbs : (int, (int, int) Hashtbl.t) Hashtbl.t;
+  }
+
+  let make lctx = { lctx; g = Level.graph lctx; climbs = Hashtbl.create 256 }
+
+  let member ctx level a = Level.member ctx.lctx level a
+
+  let climb ctx x =
+    match Hashtbl.find_opt ctx.climbs x with
+    | Some tbl -> tbl
+    | None ->
+      let tbl = Hashtbl.create 32 in
+      let q = Queue.create () in
+      Hashtbl.replace tbl x 0;
+      Queue.push x q;
+      while not (Queue.is_empty q) do
+        let cur = Queue.pop q in
+        let d = Hashtbl.find tbl cur in
+        List.iter
+          (fun p ->
+            if not (Hashtbl.mem tbl p) then begin
+              Hashtbl.replace tbl p (d + 1);
+              Queue.push p q
+            end)
+          (Asgraph.providers ctx.g cur)
+      done;
+      Hashtbl.add ctx.climbs x tbl;
+      tbl
+
+  let up_distance ctx x a = Hashtbl.find_opt (climb ctx x) a
+
+  (* Inclusive provider-edge path from [x] up to its ancestor [a]. *)
+  let rec climb_path ctx x a =
+    if x = a then [ x ]
+    else begin
+      let da =
+        match up_distance ctx x a with
+        | Some d -> d
+        | None -> invalid_arg "Level.climb_path: not an ancestor"
+      in
+      let next =
+        List.find_opt
+          (fun p -> match up_distance ctx p a with Some d -> d = da - 1 | None -> false)
+          (Asgraph.providers ctx.g x)
+      in
+      match next with
+      | Some p -> x :: climb_path ctx p a
+      | None -> invalid_arg "Level.climb_path: broken climb"
+    end
+
+  let route_within ctx level src dst =
+    if src = dst then (if member ctx level src then Some (0, [ src ]) else None)
+    else begin
+      let allowed a = member ctx level a in
+      if not (allowed src && allowed dst) then None
+      else begin
+        let up_src = climb ctx src and up_dst = climb ctx dst in
+        (* (cost, peak_src, peer option) *)
+        let best = ref None in
+        let offer cost a peer =
+          match !best with
+          | Some (c, _, _) when c <= cost -> ()
+          | Some _ | None -> best := Some (cost, a, peer)
+        in
+        Hashtbl.iter
+          (fun a da ->
+            if allowed a then begin
+              (match Hashtbl.find_opt up_dst a with
+               | Some db -> offer (da + db) a None
+               | None -> ());
+              List.iter
+                (fun p ->
+                  if allowed p then begin
+                    match Hashtbl.find_opt up_dst p with
+                    | Some db -> offer (da + 1 + db) a (Some p)
+                    | None -> ()
+                  end)
+                (Asgraph.peers ctx.g a)
+            end)
+          up_src;
+        match !best with
+        | None -> None
+        | Some (cost, peak, peer) ->
+          let up_part = climb_path ctx src peak in
+          let down_from b = List.rev (climb_path ctx dst b) in
+          let path =
+            match peer with
+            | None -> up_part @ List.tl (List.rev (climb_path ctx dst peak))
+            | Some p -> up_part @ down_from p
+          in
+          Some (cost, path)
+      end
+    end
+
+  (* Cone sizes and up-hierarchies recomputed from the cones themselves. *)
+  let cone_size g a = Rofl_util.Bitset.cardinal (Asgraph.customer_cone g a)
+
+  let by_cone g a b =
+    let c = compare (cone_size g a) (cone_size g b) in
+    if c <> 0 then c else compare a b
+
+  let up_hierarchy g x =
+    List.init (Asgraph.n g) Fun.id
+    |> List.filter (fun a -> Asgraph.in_cone g ~root:a x)
+    |> List.sort (by_cone g)
+
+  let levels_for_real g x =
+    List.map (fun a -> Level.Real a) (up_hierarchy g x) @ [ Level.Root ]
+end
+
+(* Two tier-1s and a diamond of equal-cost peaks: 5 and 6 both sit under 2
+   and 3, 7 under 3 and 4, and peer links 2-4, 5-7 and 6-8 offer peer
+   crossings that tie with climbs; 8 also has a backup link to 3. *)
+let diamond () =
+  let g = Asgraph.create 10 in
+  Asgraph.add_peer g 0 1;
+  List.iter
+    (fun (customer, provider) -> Asgraph.add_provider g ~customer ~provider)
+    [ (2, 0); (3, 0); (3, 1); (4, 1); (5, 2); (5, 3); (6, 2); (6, 3); (7, 3); (7, 4);
+      (8, 4); (9, 2); (9, 4) ];
+  List.iter (fun (a, b) -> Asgraph.add_peer g a b) [ (2, 4); (5, 7); (6, 8) ];
+  Asgraph.add_backup g ~customer:8 ~provider:3;
+  g
+
+(* A small random Internet (peers and backups included), or the diamond. *)
+let kernel_graph seed =
+  if seed mod 5 = 0 then diamond ()
+  else begin
+    let rng = Prng.create seed in
+    let params =
+      {
+        Internet.n_tier1 = Prng.int_in rng 2 4;
+        n_tier2 = Prng.int rng 7;
+        n_tier3 = Prng.int rng 11;
+        n_stub = Prng.int_in rng 2 24;
+        multihome_fraction = Prng.float rng 0.9;
+        peer_fraction = Prng.float rng 0.6;
+        backup_fraction = Prng.float rng 0.5;
+      }
+    in
+    (Internet.generate rng params).Internet.graph
+  end
+
+let show_route = function
+  | None -> "none"
+  | Some (d, path) -> Printf.sprintf "%d via %s" d (String.concat "," (List.map string_of_int path))
+
+let prop_level_kernel_matches_reference =
+  QCheck.Test.make ~name:"Level kernel = hashtable reference" ~count:200
+    QCheck.(make ~print:string_of_int Gen.(int_bound 100_000))
+    (fun seed ->
+      let g = kernel_graph seed in
+      let n = Asgraph.n g in
+      let ctx = Level.make_ctx g in
+      let r = Reference.make ctx in
+      let rng = Prng.create (seed + 1) in
+      let fail fmt = Printf.ksprintf (fun s -> QCheck.Test.fail_reportf "seed %d: %s" seed s) fmt in
+      for x = 0 to n - 1 do
+        if Asgraph.up_hierarchy g x <> Reference.up_hierarchy g x then fail "up_hierarchy %d" x;
+        if Asgraph.cone_size g x <> Reference.cone_size g x then fail "cone_size %d" x
+      done;
+      let level () =
+        match Prng.int rng 3 with
+        | 0 -> Level.Root
+        | 1 when Level.vas_count ctx > 0 -> Level.Peer_group (Prng.int rng (Level.vas_count ctx))
+        | _ -> Level.Real (Prng.int rng n)
+      in
+      (* Interleave queries so both memos fill in the same random order. *)
+      for _ = 1 to 300 do
+        match Prng.int rng 3 with
+        | 0 ->
+          let x = Prng.int rng n and a = Prng.int rng n in
+          if Level.up_distance ctx x a <> Reference.up_distance r x a then
+            fail "up_distance %d %d" x a
+        | 1 ->
+          let x = Prng.int rng n in
+          if Level.levels_for_real ctx x <> Reference.levels_for_real g x then
+            fail "levels_for_real %d" x
+        | _ ->
+          let l = level () and src = Prng.int rng n and dst = Prng.int rng n in
+          let got = Level.route_within ctx l src dst
+          and want = Reference.route_within r l src dst in
+          if got <> want then
+            fail "route_within %s %d %d: %s, reference %s" (Level.to_string l) src dst
+              (show_route got) (show_route want)
+      done;
+      true)
+
 (* ---------- joins ---------- *)
 
 let test_join_registers_everywhere () =
@@ -398,6 +598,7 @@ let () =
           Alcotest.test_case "route within" `Quick test_level_route_within;
           Alcotest.test_case "level chains" `Quick test_level_chains;
           Alcotest.test_case "subsumes" `Quick test_level_subsumes;
+          QCheck_alcotest.to_alcotest prop_level_kernel_matches_reference;
         ] );
       ( "join",
         [

@@ -1,8 +1,8 @@
 (* Model-based testing of Rofl_util.Lru against a naive assoc-list
-   reference, plus the Pointer_cache LRU/ring-index agreement audit under
-   random workloads.  The LRU backs every pointer cache on the hot lookup
-   path, so a recency or eviction bug here quietly reshapes stretch
-   numbers everywhere — worth a real model, not just point tests. *)
+   reference, plus Pointer_cache's recency-list/ring-index agreement audit
+   and its own LRU model under random workloads.  Pointer caches sit on the
+   hot lookup path, so a recency or eviction bug here quietly reshapes
+   stretch numbers everywhere — worth a real model, not just point tests. *)
 
 module Lru = Rofl_util.Lru
 module Prng = Rofl_util.Prng
@@ -137,7 +137,7 @@ let prop_lru_matches_model =
           && Lru.length c = List.length m.entries)
         ops)
 
-(* ---- Pointer_cache: LRU and ring index stay in agreement ---------------- *)
+(* ---- Pointer_cache: recency list and ring index stay in agreement ------ *)
 
 let ptr rng =
   let router = Prng.int rng 32 in
@@ -294,10 +294,12 @@ let pointer_cache_step c cap m op =
     m := [];
     true
 
-let prop_pointer_cache_matches_model =
-  QCheck.Test.make ~name:"Pointer_cache agrees with a brute-force ring model" ~count:500
+(* From capacity 6, and from capacity 0, where every insert must be a
+   no-op until a resize opens the cache. *)
+let pointer_cache_matches_model ~name ~capacity =
+  QCheck.Test.make ~name ~count:500
     cops_arb (fun ops ->
-      let cap = ref 6 in
+      let cap = ref capacity in
       let c = Pointer_cache.create ~capacity:!cap in
       let m = ref [] in
       List.for_all
@@ -306,6 +308,14 @@ let prop_pointer_cache_matches_model =
           && Pointer_cache.audit c = []
           && cache_contents c = !m)
         ops)
+
+let prop_pointer_cache_matches_model =
+  pointer_cache_matches_model ~name:"Pointer_cache agrees with a brute-force ring model"
+    ~capacity:6
+
+let prop_pointer_cache_matches_model_from_zero =
+  pointer_cache_matches_model
+    ~name:"Pointer_cache from capacity 0 agrees with the ring model" ~capacity:0
 
 (* ---- Resolver cache: LRU + TTL + negative entries vs a model ------------ *)
 
@@ -399,6 +409,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_lru_matches_model;
           QCheck_alcotest.to_alcotest prop_pointer_cache_agreement;
           QCheck_alcotest.to_alcotest prop_pointer_cache_matches_model;
+          QCheck_alcotest.to_alcotest prop_pointer_cache_matches_model_from_zero;
           QCheck_alcotest.to_alcotest prop_resolver_matches_model;
         ] );
     ]
