@@ -211,6 +211,17 @@ let micro () =
     (ctx, pairs)
   in
   let route_i = ref 0 in
+  (* One keyed event scheduled at the engine's current time and dispatched
+     by [run_until]: the heap push, the in-place pop and the dispatch.  1,023
+     later events stay queued, so both sift through ten levels.  The clock
+     does not move, so the row gates the queue path alone; a moving clock
+     re-boxes the time once per distinct event time. *)
+  let engine = Rofl_netsim.Engine.create () in
+  let event () = () in
+  for seq = 0 to 1022 do
+    Rofl_netsim.Engine.schedule_keyed engine ~time_ms:1e9 ~rail:1 ~seq event
+  done;
+  let dispatch_seq = ref 0 in
   let verify_cred = Rofl_crypto.Identity.credential_for id_a in
   let verify_rng = Rofl_util.Prng.create 0x7e11f in
   let grind_rng = Rofl_util.Prng.create 0x0c4a7 in
@@ -249,6 +260,13 @@ let micro () =
       Test.make ~name:"spf-price-warm"
         (Staged.stage (fun () ->
              ignore (Rofl_linkstate.Linkstate.price_hop_into ls 0 100 ~latency:price_reg 0)));
+      Test.make ~name:"engine-dispatch"
+        (Staged.stage (fun () ->
+             let seq = !dispatch_seq in
+             dispatch_seq := seq + 1;
+             let now = Rofl_netsim.Engine.now engine in
+             Rofl_netsim.Engine.schedule_keyed engine ~time_ms:now ~rail:0 ~seq event;
+             Rofl_netsim.Engine.run_until engine now));
       Test.make ~name:"spf-cold-as3967"
         (Staged.stage (fun () ->
              Rofl_linkstate.Linkstate.fail_link cold_ls leaf hub;

@@ -117,6 +117,13 @@ let closer_clockwise ~target x y =
   let dxh = dist_hi x target and dyh = dist_hi y target in
   if dxh = dyh then ult (dist_lo x target) (dist_lo y target) else ult dxh dyh
 
+(* A borrow out of the low 66 bits makes a distance's true top 62 bits its
+   key distance or one less, so two positive key distances 2 or more apart
+   order the distances; a zero one may hide a wrap through zero. *)
+let closer_clockwise_keyed ~target dx x dy y =
+  if dx > 0 && dy > 0 && (dx - dy >= 2 || dy - dx >= 2) then dx < dy
+  else closer_clockwise ~target x y
+
 let compare_dist a b c d =
   let h1 = uflip (dist_hi a b) and h2 = uflip (dist_hi c d) in
   if h1 < h2 then -1

@@ -69,6 +69,12 @@ val closer_clockwise : target:t -> t -> t -> bool
     *to* the target — the greedy-routing progress measure.
     Allocation-free. *)
 
+val closer_clockwise_keyed : target:t -> int -> t -> int -> t -> bool
+(** [closer_clockwise_keyed ~target dx x dy y] is [closer_clockwise ~target
+    x y] given the key distances [dx = (key target - key x) land (2{^62}-1)]
+    and [dy]: decided from those alone when both are positive and 2 or more
+    apart, so scans over {!key} columns skip most identifier loads. *)
+
 val compare_dist : t -> t -> t -> t -> int
 (** [compare_dist a b c d] orders the clockwise distance [a → b] against
     [c → d] without building either distance value; equivalent to

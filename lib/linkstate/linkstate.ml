@@ -59,13 +59,20 @@ type t = {
      bounds-checked byte read replaces them.  [None] only for graphs too
      large for an n^2 table, which falls back to the probe chain. *)
   failed_links : (int * int, unit) Hashtbl.t; (* canonical (min,max) key *)
-  failed_routers : (int, unit) Hashtbl.t;
-  spf_cache : (int, spf) Hashtbl.t; (* src -> partial or complete tree *)
+  dead : Bytes.t; (* byte [r] is 1 iff router [r] is failed *)
+  mutable dead_count : int;
+  spf_cache : spf array; (* src -> partial or complete tree, or [no_tree] *)
   mutable free_scratch : scratch list; (* recycled arrays of dropped trees *)
   mutable listeners : (event -> unit) list;
 }
 
 let matrix_limit = 4096
+
+(* The empty [spf_cache] cell: its negative [src] tells it from a tree.
+   Never mutated. *)
+let no_tree =
+  { src = -1; dist = [||]; hops = [||]; parent = [||]; settled = [||]; fkey = [||];
+    fseq = [||]; fnode = [||]; fsize = 0; pushes = 0; complete = true }
 
 let create g =
   let n = Graph.n g in
@@ -99,8 +106,9 @@ let create g =
     wt;
     adj;
     failed_links = Hashtbl.create 16;
-    failed_routers = Hashtbl.create 16;
-    spf_cache = Hashtbl.create 64;
+    dead = Bytes.make n '\000';
+    dead_count = 0;
+    spf_cache = Array.make n no_tree;
     free_scratch = [];
     listeners = [];
   }
@@ -113,10 +121,10 @@ let notify t ev = List.iter (fun f -> f ev) t.listeners
 
 let canonical u v = if u <= v then (u, v) else (v, u)
 
-let router_alive t r = not (Hashtbl.mem t.failed_routers r)
+(* Indices outside the graph read as alive. *)
+let router_alive t r = r < 0 || r >= t.n || Bytes.unsafe_get t.dead r = '\000'
 
-let healthy t =
-  Hashtbl.length t.failed_links = 0 && Hashtbl.length t.failed_routers = 0
+let healthy t = Hashtbl.length t.failed_links = 0 && t.dead_count = 0
 
 let link_alive t u v =
   match t.adj with
@@ -327,14 +335,8 @@ let advance t (st : spf) until =
    settled at least as far as [dst] ([-1]: completely).  Allocation-free on
    a warm tree. *)
 let settled_state t src dst =
-  let st =
-    match Hashtbl.find t.spf_cache src with
-    | st -> st
-    | exception Not_found ->
-      let st = new_spf t src in
-      Hashtbl.replace t.spf_cache src st;
-      st
-  in
+  if t.spf_cache.(src).src < 0 then t.spf_cache.(src) <- new_spf t src;
+  let st = t.spf_cache.(src) in
   if not (st.complete || (dst >= 0 && st.settled.(dst))) then advance t st dst;
   st
 
@@ -366,13 +368,12 @@ let settled_state t src dst =
    a kept stale tree corrupts every downstream figure. *)
 
 let drop_trees t pred =
-  Hashtbl.filter_map_inplace
-    (fun _src st ->
-      if pred st then begin
+  Array.iteri
+    (fun src st ->
+      if st.src >= 0 && pred st then begin
         recycle t st;
-        None
-      end
-      else Some st)
+        t.spf_cache.(src) <- no_tree
+      end)
     t.spf_cache
 
 let tree_uses_link (st : spf) u v = st.parent.(v) = u || st.parent.(u) = v
@@ -425,16 +426,18 @@ let restore_link t u v =
   end
 
 let fail_router t r =
-  if not (Hashtbl.mem t.failed_routers r) then begin
-    Hashtbl.add t.failed_routers r ();
+  if router_alive t r then begin
+    Bytes.set t.dead r '\001';
+    t.dead_count <- t.dead_count + 1;
     List.iter (fun (v, _) -> set_adj t r v false) (Graph.neighbors t.g r);
     invalidate_router_down t r;
     notify t (Router_down r)
   end
 
 let restore_router t r =
-  if Hashtbl.mem t.failed_routers r then begin
-    Hashtbl.remove t.failed_routers r;
+  if not (router_alive t r) then begin
+    Bytes.set t.dead r '\000';
+    t.dead_count <- t.dead_count - 1;
     List.iter
       (fun (v, _) ->
         set_adj t r v

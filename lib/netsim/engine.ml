@@ -3,6 +3,7 @@ module Heap = Rofl_util.Heap
 type t = {
   mutable clock : float;
   queue : (unit -> unit) Heap.t;
+  next : float array; (* register: the queue's minimum time, read in place *)
   mutable peak : int;
   mutable scheduled : int;
   mutable executed : int;
@@ -17,6 +18,7 @@ let create () =
   {
     clock = 0.0;
     queue = Heap.create ();
+    next = [| 0.0 |];
     peak = 0;
     scheduled = 0;
     executed = 0;
@@ -56,52 +58,52 @@ let schedule_keyed t ~time_ms ~rail ~seq f =
    [digest], so two runs executed the same multiset of (time, rail, seq)
    keys iff the digests agree — regardless of how the events were
    distributed across engines.  Native-int wraparound is deterministic. *)
-let event_hash time rail seq =
+let[@inline] event_hash time rail seq =
   let h = Int64.to_int (Int64.bits_of_float time) in
   let h = (h * 1000003) + rail in
   let h = (h * 1000003) + seq in
   let h = h lxor (h lsr 29) in
   h * 0x9E3779B97F4A7C1
 
-let exec t time rail seq f =
-  t.clock <- time;
+(* Execute the earliest queued event.  Its key is read in place and its
+   closure taken without building a tuple; the clock is re-boxed only when
+   time moves. *)
+let exec_next t =
+  Heap.min_prio_into t.queue t.next 0;
+  let time = t.next.(0) and rail = Heap.min_rail t.queue and seq = Heap.min_seq t.queue in
+  let f = Heap.take t.queue in
+  if time <> t.clock then t.clock <- time;
   t.executed <- t.executed + 1;
   t.digest <- t.digest + event_hash time rail seq;
   f ();
   observe t
 
 let run t =
-  let rec loop () =
-    match Heap.pop_keyed t.queue with
-    | None -> ()
-    | Some (time, rail, seq, f) ->
-      exec t time rail seq f;
-      loop ()
-  in
-  loop ()
+  while not (Heap.is_empty t.queue) do
+    exec_next t
+  done
 
 let run_until t horizon =
-  let rec loop () =
-    match Heap.peek t.queue with
-    | Some (time, _) when time <= horizon ->
-      (match Heap.pop_keyed t.queue with
-       | Some (time, rail, seq, f) ->
-         exec t time rail seq f;
-         loop ()
-       | None -> ())
-    | Some _ | None ->
-      (* Advance the clock to the horizon and give the monitor one look at
-         the idle boundary: a quiescent queue (e.g. a stopped stabilizer)
-         must not blind a checkpoint auditor to time passing. *)
-      t.clock <- Float.max t.clock horizon;
-      observe t
-  in
-  loop ()
+  while
+    (not (Heap.is_empty t.queue)) && (Heap.min_prio_into t.queue t.next 0; t.next.(0) <= horizon)
+  do
+    exec_next t
+  done;
+  (* Advance the clock to the horizon and give the monitor one look at the
+     idle boundary: a quiescent queue (e.g. a stopped stabilizer) must not
+     blind a checkpoint auditor to time passing. *)
+  if horizon > t.clock then t.clock <- horizon;
+  observe t
 
 let pending t = Heap.length t.queue
 
-let next_time t =
-  match Heap.peek t.queue with None -> None | Some (time, _) -> Some time
+let next_time_into t reg =
+  (not (Heap.is_empty t.queue))
+  && begin
+    Heap.min_prio_into t.queue t.next 0;
+    if t.next.(0) < reg.(0) then reg.(0) <- t.next.(0);
+    true
+  end
 
 let peak_pending t = t.peak
 

@@ -51,9 +51,11 @@ val run_until : t -> float -> unit
 val pending : t -> int
 (** In-flight events: scheduled but not yet executed. *)
 
-val next_time : t -> float option
-(** Timestamp of the earliest pending event, if any — what a shard
-    coordinator needs to pick the next conservative window. *)
+val next_time_into : t -> float array -> bool
+(** [next_time_into t reg] lowers [reg.(0)] to the timestamp of the earliest
+    pending event and returns [true], or returns [false] on an empty queue —
+    what a shard coordinator needs to pick the next conservative window.  A
+    register instead of an option: the per-window fold allocates nothing. *)
 
 val peak_pending : t -> int
 (** High-water mark of the event queue over the engine's lifetime — the

@@ -37,6 +37,7 @@ type t = {
      drained only by the coordinator between windows, so no locking. *)
   outbox : (int * float * int * int * (unit -> unit)) list ref array;
   globals : (unit -> unit) Heap.t; (* (time, insertion order) *)
+  next : float array; (* registers: [min_next] at 0, earliest global at 1 *)
   mutable clock : float;           (* merged barrier clock *)
   mutable monitor : (float -> unit) option;
   mutable peak : int;              (* max total pending at sync points *)
@@ -56,6 +57,7 @@ let create ?pool ~shards ~window_ms () =
     window_ms;
     outbox = Array.init shards (fun _ -> ref []);
     globals = Heap.create ();
+    next = [| infinity; infinity |];
     clock = 0.0;
     monitor = None;
     peak = 0;
@@ -105,14 +107,15 @@ let flush t =
           (List.rev msgs))
     t.outbox
 
+(* Is any event pending on any engine?  If so, the earliest one's time is
+   left in [next.(0)]. *)
 let min_next t =
-  Array.fold_left
-    (fun acc e ->
-      match (acc, Engine.next_time e) with
-      | None, nt -> nt
-      | acc, None -> acc
-      | Some a, Some b -> Some (Float.min a b))
-    None t.engines
+  t.next.(0) <- infinity;
+  let any = ref false in
+  for i = 0 to Array.length t.engines - 1 do
+    if Engine.next_time_into t.engines.(i) t.next then any := true
+  done;
+  !any
 
 (* One pass: every engine executes its events up to [b].  Parallel when a
    pool with headroom is attached; engine state is shard-private by the
@@ -152,7 +155,7 @@ let settle t b =
   let rec loop () =
     pass t b;
     flush t;
-    match min_next t with Some tm when tm <= b -> loop () | _ -> ()
+    if min_next t && t.next.(0) <= b then loop ()
   in
   loop ()
 
@@ -171,18 +174,14 @@ let run_until t horizon =
      bound would be computed blind to them. *)
   flush t;
   let rec loop () =
-    if t.clock < horizon || min_next t <> None || not (Heap.is_empty t.globals)
+    if t.clock < horizon || min_next t || not (Heap.is_empty t.globals)
     then begin
-      let next_global = match Heap.peek t.globals with
-        | Some (tm, _) -> Some tm
-        | None -> None
-      in
-      let b = horizon in
-      let b = match next_global with Some g -> Float.min b g | None -> b in
+      let has_global = not (Heap.is_empty t.globals) in
+      if has_global then Heap.min_prio_into t.globals t.next 1;
+      let b = if has_global then Float.min horizon t.next.(1) else horizon in
       let b =
-        match min_next t with
-        | Some e when e +. t.window_ms < b -> e +. t.window_ms
-        | _ -> b
+        if min_next t && t.next.(0) +. t.window_ms < b then t.next.(0) +. t.window_ms
+        else b
       in
       let b = Float.max b t.clock in
       t.windows_run <- t.windows_run + 1;
@@ -190,22 +189,23 @@ let run_until t horizon =
       (* Advance the merged clock before globals fire: a global closure at
          time [b] must read [now t = b]. *)
       t.clock <- Float.max t.clock b;
-      let is_global = next_global = Some b in
+      let is_global = has_global && t.next.(1) = b in
       if is_global then begin
         let rec fire () =
-          match Heap.peek t.globals with
-          | Some (tm, _) when tm <= b ->
-            (match Heap.pop t.globals with
-             | Some (_, f) -> f (); fire ()
-             | None -> ())
-          | _ -> ()
+          if not (Heap.is_empty t.globals) then begin
+            Heap.min_prio_into t.globals t.next 1;
+            if t.next.(1) <= b then begin
+              Heap.take t.globals ();
+              fire ()
+            end
+          end
         in
         fire ();
         (* Globals may emit (directly or via pool fan-out into outboxes);
            settle again so the barrier invariant — nothing pending at or
            before the merged clock — holds when the monitor looks. *)
         flush t;
-        (match min_next t with Some tm when tm <= b -> settle t b | _ -> ())
+        if min_next t && t.next.(0) <= b then settle t b
       end;
       (* Observables only at K-independent instants: global-event times and
          the caller's horizon.  Window barriers in between depend on the

@@ -8,6 +8,12 @@ module Shard = Rofl_netsim.Shard
 module Metrics = Rofl_netsim.Metrics
 module Identity = Rofl_crypto.Identity
 
+(* Protocol tables hashed without [caml_hash] on identifiers and without
+   polymorphic compare on either key. *)
+module Idtbl = Hashtbl.Make (struct type t = Id.t let equal = Id.equal let hash = Id.hash end)
+
+module Inttbl = Hashtbl.Make (Int)
+
 type pointer = Id.t * int (* identifier, hosting router *)
 
 (* Per-router conduct policy.  Honest routers run the protocol; the rest
@@ -350,14 +356,14 @@ type verify_state = {
 type shard_state = {
   sx : int;
   store : Store.t;
-  where : (Id.t, int) Hashtbl.t; (* id -> slot, for residents of this shard *)
+  where : int Idtbl.t; (* id -> slot, for residents of this shard *)
   s_ls : Linkstate.t;
   s_latency : float array; (* [send_direct]'s pricing register *)
   s_metrics : Metrics.t;
-  probes : (int, unit) Hashtbl.t; (* outstanding stabilisation RPC tokens *)
+  probes : unit Inttbl.t; (* outstanding stabilisation RPC tokens *)
   joins : (Id.t, join_state) Hashtbl.t;
-  lookups : (int, lookup_state) Hashtbl.t;
-  verifies : (int, verify_state) Hashtbl.t;
+  lookups : lookup_state Inttbl.t;
+  verifies : verify_state Inttbl.t;
   mutable olog : oev list; (* oracle events, newest first *)
   mutable next_token : int;
   mutable lookups_open : int;
@@ -437,18 +443,20 @@ let sched t ~rail ~at ~time_ms f =
   Shard.send t.coord ~src:t.shard_of.(rail) ~dst:t.shard_of.(at) ~time_ms ~rail
     ~seq f
 
+(* The slot of [rid] resident at [router], or -1. *)
 let find_slot t router rid =
   let sh = shd t router in
-  match Hashtbl.find_opt sh.where rid with
-  | Some s when Store.owner sh.store s = router -> Some s
-  | Some _ | None -> None
+  match Idtbl.find sh.where rid with
+  | s when Store.owner sh.store s = router -> s
+  | _ -> -1
+  | exception Not_found -> -1
 
 let locate_slot t rid =
   let k = Array.length t.sh in
   let rec go i =
     if i >= k then None
     else
-      match Hashtbl.find_opt t.sh.(i).where rid with
+      match Idtbl.find_opt t.sh.(i).where rid with
       | Some s -> Some (t.sh.(i), s)
       | None -> go (i + 1)
   in
@@ -522,14 +530,14 @@ let create ~rng ?(cfg = default_config) ?(shards = 1) ?pool ?(bootstrap_hosts = 
           store =
             Store.create ~routers:n ~cap_list ~hint:(2 * per_shard)
               ~dummy:(router_label 0);
-          where = Hashtbl.create (max 16 (2 * per_shard));
+          where = Idtbl.create (max 16 (2 * per_shard));
           s_ls = Linkstate.create graph;
           s_latency = [| 0.0 |];
           s_metrics = Metrics.create ~routers:n;
-          probes = Hashtbl.create (max 64 per_shard);
+          probes = Inttbl.create (max 64 per_shard);
           joins = Hashtbl.create 16;
-          lookups = Hashtbl.create (max 16 lookup_hint);
-          verifies = Hashtbl.create 16;
+          lookups = Inttbl.create (max 16 lookup_hint);
+          verifies = Inttbl.create 16;
           olog = [];
           next_token = 0;
           lookups_open = 0;
@@ -597,7 +605,7 @@ let create ~rng ?(cfg = default_config) ?(shards = 1) ?pool ?(bootstrap_hosts = 
         (List.init
            (min (cfg.succ_list_len - 1) (max 0 (m - 2)))
            (fun j -> arr.((i + 2 + j) mod m)));
-      Hashtbl.replace shx.where rid s)
+      Idtbl.replace shx.where rid s)
     arr;
   Array.iteri
     (fun i (rid, _) ->
@@ -762,22 +770,16 @@ let repoint t ~router s ptr =
 
 (* ---- message transport -------------------------------------------------- *)
 
-let truncate_list n xs =
-  let rec go n = function
-    | x :: rest when n > 0 -> x :: go (n - 1) rest
-    | _ -> []
-  in
-  go n xs
-
 (* Successor lists must hold pairwise-distinct entries in strictly increasing
    clockwise distance from their holder, never the holder itself and never
    the current successor (which rides in [succ], not the backup tail).
 
    Inherited lists do not arrive that way: a departing member's backups are
    ordered around *its* position, not the adopter's, and in small rings they
-   can even contain the adopter.  Every adoption site funnels through this
-   normaliser: drop self/succ, dedup, re-sort by distance from the new
-   holder, truncate. *)
+   can even contain the adopter.  Every adoption site stages its candidates
+   in the store and funnels through [adopt_staged] ({!Store.normalize}):
+   drop self/succ, dedup, re-sort by distance from the new holder, apply the
+   quota, truncate — written straight into the slot, no list built. *)
 let succ_list_limit t =
   if t.cfg.stabilize_auto then t.auto_sl_limit else t.cfg.succ_list_len - 1
 
@@ -791,33 +793,19 @@ let succ_list_limit t =
    hosted at itself) pass uncounted, because their ring placement is the
    operator's topology, not an admission an attacker can mint — small rings
    legitimately have same-PoP label runs. *)
-let quota_filter t entries =
-  if t.cfg.succ_quota <= 0 || (not t.cfg.quota_enforce) || Array.length t.groups = 0
-  then entries
-  else begin
-    let counts = Hashtbl.create 8 in
-    List.filter
-      (fun (i, r) ->
-        Id.equal i (router_label r)
-        ||
-        let g = t.groups.(r) in
-        let c = match Hashtbl.find_opt counts g with Some c -> c | None -> 0 in
-        if c >= t.cfg.succ_quota then false
-        else begin
-          Hashtbl.replace counts g (c + 1);
-          true
-        end)
-      entries
-  end
+let infrastructure id router = Id.equal id (router_label router)
 
-let normalize_succ_list t ~self ?succ entries =
-  entries
-  |> List.filter (fun (i, _) ->
-         (not (Id.equal i self))
-         && (match succ with Some s -> not (Id.equal i s) | None -> true))
-  |> List.sort_uniq (fun (a, _) (b, _) -> Id.compare_dist self a self b)
-  |> quota_filter t
-  |> truncate_list (succ_list_limit t)
+let adopt_staged t sh s ~self ~succ =
+  Store.normalize sh.store s ~self ~succ ~limit:(succ_list_limit t)
+    ~quota:(if t.cfg.quota_enforce then t.cfg.succ_quota else 0)
+    ~groups:t.groups ~exempt:infrastructure
+
+(* Stage [entries], leaving out those equal to [skip]. *)
+let rec stage_list store ~skip = function
+  | [] -> ()
+  | (id, r) :: rest ->
+    if not (Id.equal id skip) then Store.stage store id r;
+    stage_list store ~skip rest
 
 (* Deliver a message to a router after traversing the physical path there,
    charging one message per link under [cat].  A cross-shard destination is
@@ -847,27 +835,39 @@ let send_direct t ~cat ~from ~dest msg k =
 
 let rec avoided id = function [] -> false | a :: rest -> Id.equal a id || avoided id rest
 
-(* Does [id] displace [best] ([host] = -1: no best yet)? *)
-let[@inline] outranks ~target ~skip_target ~avoid ~host ~best id =
-  (host < 0 || Id.closer_clockwise ~target id best)
+(* Candidates carry their clockwise key distance to the target, which
+   decides most comparisons from the key columns alone. *)
+let key_mask = (1 lsl 62) - 1
+
+(* Does [id], at key distance [d], displace [best] ([host] = -1: no best
+   yet)? *)
+let[@inline] outranks ~target ~skip_target ~avoid ~host ~best ~best_d id d =
+  (host < 0 || Id.closer_clockwise_keyed ~target d id best_d best)
   && not ((skip_target && Id.equal id target) || avoided id avoid)
 
 let rank sh ~router ~target ~skip_target ~avoid =
   let store = sh.store in
-  let host = ref (-1) and best = ref sh.ranked in
+  let tk = Id.key target in
+  let host = ref (-1) and best = ref sh.ranked and best_d = ref 0 in
   let s = ref (Store.chain_head store router) in
   while !s >= 0 do
     let rid = Store.rid store !s in
-    if outranks ~target ~skip_target ~avoid ~host:!host ~best:!best rid then begin
+    let d = (tk - Store.rkey store !s) land key_mask in
+    if outranks ~target ~skip_target ~avoid ~host:!host ~best:!best ~best_d:!best_d rid d
+    then begin
       host := router;
-      best := rid
+      best := rid;
+      best_d := d
     end;
     let srouter = Store.succ_router store !s in
     if srouter >= 0 && srouter <> router then begin
       let sid = Store.succ_rid store !s in
-      if outranks ~target ~skip_target ~avoid ~host:!host ~best:!best sid then begin
+      let d = (tk - Store.succ_key store !s) land key_mask in
+      if outranks ~target ~skip_target ~avoid ~host:!host ~best:!best ~best_d:!best_d sid d
+      then begin
         host := srouter;
-        best := sid
+        best := sid;
+        best_d := d
       end
     end;
     s := Store.chain_next store !s
@@ -1015,15 +1015,16 @@ let rec chase t ~at (m : message) =
 (* At the router where the committed candidate [id] should reside. *)
 and arrive t ~at m ~avoid ~waited id =
   let sh = shd t at in
-  match find_slot t at id with
-  | None when waited < t.cfg.stuck_wait_limit ->
+  let s = find_slot t at id in
+  if s < 0 && waited < t.cfg.stuck_wait_limit then begin
     let m' = recommit m ~chasing:(Some (id, at)) ~avoid ~waited:(waited + 1) ~hops:0 in
     sched t ~rail:at ~at ~time_ms:(now_at t at +. t.cfg.stuck_wait_ms) (fun () ->
         handle t at m')
-  | None ->
+  end
+  else if s < 0 then
     (* Still absent: treat it as dead and re-chase without it. *)
     handle t at (recommit m ~chasing:None ~avoid:(id :: avoid) ~waited:0 ~hops:0)
-  | Some s -> (
+  else
     match m with
     | Join_req { joining; _ }
       when Store.succ_router sh.store s >= 0
@@ -1037,14 +1038,14 @@ and arrive t ~at m ~avoid ~waited id =
       let rid = Store.rid sh.store s in
       let old_succ = Store.succ sh.store s in
       let old_list = Store.succ_list sh.store s in
+      (match old_succ with Some (i, r) -> Store.stage sh.store i r | None -> ());
+      Store.stage_backups sh.store s;
       repoint t ~router:at s (Some (joining, gateway));
-      Store.set_succ_list sh.store s
-        (normalize_succ_list t ~self:rid ~succ:joining
-           (match old_succ with Some p -> p :: old_list | None -> old_list));
+      adopt_staged t sh s ~self:rid ~succ:joining;
       send_direct t ~cat:Metrics.Join ~from:at ~dest:gateway
         (Join_resp { joining; pred = (rid, at); succ = old_succ; succ_list = old_list })
         (handle t gateway)
-    | _ -> answer t ~at m (Some (Store.rid sh.store s, at)))
+    | _ -> answer t ~at m (Some (Store.rid sh.store s, at))
 
 (* A lookup's answer to its origin.  A join has nobody to answer: at a dead
    end ([owner = None]) it is dropped. *)
@@ -1095,9 +1096,10 @@ and handle t at (m : message) =
        let s = Store.alloc sh.store ~router:at joining in
        Store.set_pred sh.store s (Some pred);
        Store.set_pred_heard sh.store s now;
-       Store.set_succ_list sh.store s
-         (normalize_succ_list t ~self:joining ?succ:(Option.map fst succ) succ_list);
-       Hashtbl.replace sh.where joining s;
+       stage_list sh.store ~skip:joining succ_list;
+       adopt_staged t sh s ~self:joining
+         ~succ:(match succ with Some (sid, _) -> sid | None -> joining);
+       Idtbl.replace sh.where joining s;
        let final_succ =
          match succ with
          | Some (sid, srouter) ->
@@ -1125,130 +1127,137 @@ and handle t at (m : message) =
       let p3 = Id.succ_id p2 in
       [ (p1, at); (p2, at); (p3, at) ]
     in
-    (match find_slot t at target with
-     | None ->
-       if t.behaviours.(at) = Poison_succs && not (ever_member t target) then
-         (* Vouch for a ghost: a poisoned router answers probes of
-            identifiers that were never admitted — its own fabrications —
-            so a victim that promoted one keeps believing its successor is
-            alive.  Real dead members are NOT vouched for: concealing a
-            genuine death would suppress the failovers the promotion attack
-            feeds on (and hand the victim a silent succ forever, which no
-            promotion defense could ever be measured against). *)
-         send_direct t ~cat:Metrics.Stabilize ~from:at ~dest:asker_router
-           (Pred_info { of_id = target; pred = None; succ_list = poison ();
-                        to_id = asker; token })
-           (handle t asker_router)
-       (* else dead: the asker's probe timeout handles it *)
-     | Some s ->
-       (* A probe from our predecessor doubles as its liveness heartbeat. *)
-       (match Store.pred sh.store s with
-        | Some (pid, _) when Id.equal pid asker ->
-          Store.set_pred_heard sh.store s (now_at t at)
-        | Some _ | None -> ());
-       let succ_list =
-         match Store.succ sh.store s with
-         | Some sp -> sp :: Store.succ_list sh.store s
-         | None -> Store.succ_list sh.store s
-       in
-       let succ_list =
-         if t.behaviours.(at) = Poison_succs then poison () @ succ_list
-         else succ_list
-       in
-       send_direct t ~cat:Metrics.Stabilize ~from:at ~dest:asker_router
-         (Pred_info
-            { of_id = target; pred = Store.pred sh.store s; succ_list; to_id = asker; token })
-         (handle t asker_router))
+    let s = find_slot t at target in
+    if s < 0 then begin
+      if t.behaviours.(at) = Poison_succs && not (ever_member t target) then
+        (* Vouch for a ghost: a poisoned router answers probes of
+           identifiers that were never admitted — its own fabrications —
+           so a victim that promoted one keeps believing its successor is
+           alive.  Real dead members are NOT vouched for: concealing a
+           genuine death would suppress the failovers the promotion attack
+           feeds on (and hand the victim a silent succ forever, which no
+           promotion defense could ever be measured against). *)
+        send_direct t ~cat:Metrics.Stabilize ~from:at ~dest:asker_router
+          (Pred_info { of_id = target; pred = None; succ_list = poison ();
+                       to_id = asker; token })
+          (handle t asker_router)
+      (* else dead: the asker's probe timeout handles it *)
+    end
+    else begin
+      let store = sh.store in
+      (* A probe from our predecessor doubles as its liveness heartbeat. *)
+      if Store.pred_router_raw store s >= 0 && Id.equal (Store.pred_rid store s) asker then
+        Store.set_pred_heard store s (now_at t at);
+      let succ_list =
+        if Store.succ_router store s >= 0 then
+          (Store.succ_rid store s, Store.succ_router store s) :: Store.succ_list store s
+        else Store.succ_list store s
+      in
+      let succ_list =
+        if t.behaviours.(at) = Poison_succs then poison () @ succ_list
+        else succ_list
+      in
+      send_direct t ~cat:Metrics.Stabilize ~from:at ~dest:asker_router
+        (Pred_info
+           { of_id = target; pred = Store.pred store s; succ_list; to_id = asker; token })
+        (handle t asker_router)
+    end
   | Pred_info { of_id; pred; succ_list; to_id; token } ->
     let sh = shd t at in
-    Hashtbl.remove sh.probes token;
-    (match find_slot t at to_id with
-     | None -> ()
-     | Some s ->
-       Store.set_probe_inflight sh.store s false;
-       let rid = Store.rid sh.store s in
-       (* Adopt the successor's own successors as our backups. *)
-       (match Store.succ sh.store s with
-        | Some (sid, _) when Id.equal sid of_id ->
-          Store.set_succ_list sh.store s
-            (normalize_succ_list t ~self:rid ~succ:sid succ_list)
-        | Some _ | None -> ());
-       (match (pred, Store.succ sh.store s) with
-        | Some (pid, prouter), Some ((sid, _) as old_succ)
-          when Id.equal sid of_id && Id.between rid pid sid ->
-          (* A closer successor surfaced between us and our successor. *)
-          repoint t ~router:at s (Some (pid, prouter));
-          Store.set_succ_list sh.store s
-            (normalize_succ_list t ~self:rid ~succ:pid
-               (old_succ :: Store.succ_list sh.store s));
-          send_direct t ~cat:Metrics.Stabilize ~from:at ~dest:prouter
-            (Notify { candidate = rid; candidate_router = at; target = pid })
-            (handle t prouter)
-        | _ ->
-          (* Confirmed: tell the successor we believe we are its pred. *)
-          (match Store.succ sh.store s with
-           | Some (sid, srouter) ->
-             send_direct t ~cat:Metrics.Stabilize ~from:at ~dest:srouter
-               (Notify { candidate = rid; candidate_router = at; target = sid })
-               (handle t srouter)
-           | None -> ())))
+    let store = sh.store in
+    Inttbl.remove sh.probes token;
+    let s = find_slot t at to_id in
+    if s >= 0 then begin
+      Store.set_probe_inflight store s false;
+      let rid = Store.rid store s in
+      let confirmed = Store.succ_router store s >= 0 && Id.equal (Store.succ_rid store s) of_id in
+      (* Adopt the successor's own successors as our backups. *)
+      if confirmed then begin
+        stage_list store ~skip:rid succ_list;
+        adopt_staged t sh s ~self:rid ~succ:of_id
+      end;
+      match pred with
+      | Some (pid, prouter) when confirmed && Id.between rid pid of_id ->
+        (* A closer successor surfaced between us and our successor. *)
+        Store.stage store of_id (Store.succ_router store s);
+        Store.stage_backups store s;
+        repoint t ~router:at s (Some (pid, prouter));
+        adopt_staged t sh s ~self:rid ~succ:pid;
+        send_direct t ~cat:Metrics.Stabilize ~from:at ~dest:prouter
+          (Notify { candidate = rid; candidate_router = at; target = pid })
+          (handle t prouter)
+      | _ ->
+        (* Confirmed: tell the successor we believe we are its pred. *)
+        let srouter = Store.succ_router store s in
+        if srouter >= 0 then begin
+          let sid = Store.succ_rid store s in
+          send_direct t ~cat:Metrics.Stabilize ~from:at ~dest:srouter
+            (Notify { candidate = rid; candidate_router = at; target = sid })
+            (handle t srouter)
+        end
+    end
   | Notify { candidate; candidate_router; target } ->
     let sh = shd t at in
-    (match find_slot t at target with
-     | None -> ()
-     | Some s ->
-       (match Store.pred sh.store s with
-        | Some (pid, _) when Id.equal pid candidate ->
-          Store.set_pred_heard sh.store s (now_at t at)
-        | Some (pid, _) when not (Id.between pid candidate (Store.rid sh.store s)) -> ()
-        | Some _ | None ->
-          Store.set_pred sh.store s (Some (candidate, candidate_router));
-          Store.set_pred_heard sh.store s (now_at t at)))
+    let store = sh.store in
+    let s = find_slot t at target in
+    if s >= 0 then begin
+      let has_pred = Store.pred_router_raw store s >= 0 in
+      if has_pred && Id.equal (Store.pred_rid store s) candidate then
+        Store.set_pred_heard store s (now_at t at)
+      else if has_pred && not (Id.between (Store.pred_rid store s) candidate (Store.rid store s))
+      then ()
+      else begin
+        Store.set_pred store s (Some (candidate, candidate_router));
+        Store.set_pred_heard store s (now_at t at)
+      end
+    end
   | Leave_pred { departing; to_id; new_succ; new_succ_list } ->
     let sh = shd t at in
-    (match find_slot t at to_id with
-     | None -> ()
-     | Some s ->
-       let rid = Store.rid sh.store s in
-       (match Store.succ sh.store s with
-        | Some (sid, _) when Id.equal sid departing ->
-          repoint t ~router:at s new_succ;
-          Store.set_succ_list sh.store s
-            (normalize_succ_list t ~self:rid ?succ:(Option.map fst new_succ)
-               (List.filter (fun (i, _) -> not (Id.equal i departing)) new_succ_list));
-          (* Introduce ourselves to the inherited successor right away. *)
-          (match new_succ with
-           | Some (nid, nrouter) when not (Id.equal nid rid) ->
-             send_direct t ~cat:Metrics.Repair ~from:at ~dest:nrouter
-               (Notify { candidate = rid; candidate_router = at; target = nid })
-               (handle t nrouter)
-           | Some _ | None -> ())
-        | Some _ | None ->
-          (* Our successor moved on already; just drop the departed identifier
-             from the backup list. *)
-          Store.set_succ_list sh.store s
-            (List.filter
-               (fun (i, _) -> not (Id.equal i departing))
-               (Store.succ_list sh.store s))))
+    let s = find_slot t at to_id in
+    if s >= 0 then begin
+      let rid = Store.rid sh.store s in
+      if Store.succ_router sh.store s >= 0 && Id.equal (Store.succ_rid sh.store s) departing
+      then begin
+        repoint t ~router:at s new_succ;
+        stage_list sh.store ~skip:departing new_succ_list;
+        adopt_staged t sh s ~self:rid
+          ~succ:(match new_succ with Some (nid, _) -> nid | None -> rid);
+        (* Introduce ourselves to the inherited successor right away. *)
+        match new_succ with
+        | Some (nid, nrouter) when not (Id.equal nid rid) ->
+          send_direct t ~cat:Metrics.Repair ~from:at ~dest:nrouter
+            (Notify { candidate = rid; candidate_router = at; target = nid })
+            (handle t nrouter)
+        | Some _ | None -> ()
+      end
+      else
+        (* Our successor moved on already; just drop the departed identifier
+           from the backup list. *)
+        Store.set_succ_list sh.store s
+          (List.filter
+             (fun (i, _) -> not (Id.equal i departing))
+             (Store.succ_list sh.store s))
+    end
   | Leave_succ { departing; to_id; new_pred } ->
     let sh = shd t at in
-    (match find_slot t at to_id with
-     | None -> ()
-     | Some s ->
-       (match Store.pred sh.store s with
-        | Some (pid, _) when Id.equal pid departing ->
-          Store.set_pred sh.store s new_pred;
-          Store.set_pred_heard sh.store s (now_at t at)
-        | Some _ | None -> ()))
+    let s = find_slot t at to_id in
+    if
+      s >= 0
+      && Store.pred_router_raw sh.store s >= 0
+      && Id.equal (Store.pred_rid sh.store s) departing
+    then begin
+      Store.set_pred sh.store s new_pred;
+      Store.set_pred_heard sh.store s (now_at t at)
+    end
   | Lookup_resp { token; owner; hops } ->
     let sh = shd t at in
-    (match Hashtbl.find_opt sh.lookups token with
-     | None ->
+    (match Inttbl.find sh.lookups token with
+     | exception Not_found ->
        (* A cancelled branch or a superseded attempt coming home: the work
           it charged along the way bought nothing. *)
        Metrics.incr sh.s_metrics Metrics.Wasted_hops hops
-     | Some st ->
-       Hashtbl.remove sh.lookups token;
+     | st ->
+       Inttbl.remove sh.lookups token;
        st.lk_outstanding <- st.lk_outstanding - 1;
        if not st.finished then begin
          let ok =
@@ -1264,7 +1273,7 @@ and handle t at (m : message) =
               discarded (and charged as waste) on arrival. *)
            if st.lk_outstanding > 0 then begin
              List.iter
-               (fun tk -> if tk <> token then Hashtbl.remove sh.lookups tk)
+               (fun tk -> if tk <> token then Inttbl.remove sh.lookups tk)
                st.lk_tokens;
              Metrics.incr sh.s_metrics Metrics.Cancellations st.lk_outstanding;
              st.lk_outstanding <- 0
@@ -1297,35 +1306,32 @@ and handle t at (m : message) =
        does not hold the key either way, so replying [None] loses it
        nothing and keeps the wire model small. *)
     let resp =
-      match find_slot t at claimant with
-      | None -> None
-      | Some _ ->
-        if Hashtbl.mem t.tainted claimant then None
-        else begin
-          let kp =
-            match Hashtbl.find_opt t.creds claimant with
-            | Some kp -> kp
-            | None -> Identity.credential_for claimant (* bootstrap labels *)
-          in
-          Some (Identity.respond kp challenge)
-        end
+      if find_slot t at claimant < 0 || Hashtbl.mem t.tainted claimant then None
+      else begin
+        let kp =
+          match Hashtbl.find_opt t.creds claimant with
+          | Some kp -> kp
+          | None -> Identity.credential_for claimant (* bootstrap labels *)
+        in
+        Some (Identity.respond kp challenge)
+      end
     in
     send_direct t ~cat:Metrics.Verify ~from:at ~dest:asker_router
       (Verify_resp { token; resp })
       (handle t asker_router)
   | Verify_resp { token; resp } ->
     let sh = shd t at in
-    (match Hashtbl.find_opt sh.verifies token with
-     | Some vs when not vs.v_done ->
+    (match Inttbl.find sh.verifies token with
+     | vs when not vs.v_done ->
        vs.v_done <- true;
-       Hashtbl.remove sh.verifies token;
+       Inttbl.remove sh.verifies token;
        let ok =
          match resp with
          | Some r -> Identity.check_response ~claimed:vs.v_claimed vs.v_challenge r
          | None -> false
        in
        vs.v_k ok
-     | Some _ | None -> ())
+     | _ | (exception Not_found) -> ())
 
 and finish_lookup t st ~ok =
   let sh = shd t st.origin in
@@ -1347,7 +1353,7 @@ and start_lookup_attempt t st =
   st.lk_token <- token;
   st.lk_tokens <- [ token ];
   st.lk_outstanding <- 1;
-  Hashtbl.replace sh.lookups token st;
+  Inttbl.replace sh.lookups token st;
   let now = now_at t st.origin in
   sched t ~rail:st.origin ~at:st.origin ~time_ms:now (fun () ->
       forward_lookup t ~at:st.origin
@@ -1370,7 +1376,7 @@ and start_lookup_attempt t st =
       let btoken = fresh_token sh in
       st.lk_tokens <- btoken :: st.lk_tokens;
       st.lk_outstanding <- st.lk_outstanding + 1;
-      Hashtbl.replace sh.lookups btoken st;
+      Inttbl.replace sh.lookups btoken st;
       let hops = link_hops_between t st.origin start in
       send_direct t ~cat:Metrics.Lookup ~from:st.origin ~dest:start
         (Lookup_req
@@ -1386,7 +1392,7 @@ and start_lookup_attempt t st =
       if (not st.finished) && st.lk_token = token && st.lk_outstanding > 0
       then begin
         (* Reap every branch of this attempt. *)
-        List.iter (fun tk -> Hashtbl.remove sh.lookups tk) st.lk_tokens;
+        List.iter (fun tk -> Inttbl.remove sh.lookups tk) st.lk_tokens;
         st.lk_tokens <- [];
         st.lk_outstanding <- 0;
         Metrics.incr sh.s_metrics Metrics.Rpc_timeouts 1;
@@ -1514,7 +1520,7 @@ let depart t ~graceful rid =
            (handle t srouter)
        | Some _ | None -> ())
     end;
-    Hashtbl.remove sh.where rid;
+    Idtbl.remove sh.where rid;
     Store.release sh.store s;
     (* Whoever still points at rid is stale from this instant. *)
     t.departs <- (Shard.now t.coord, rid) :: t.departs;
@@ -1548,10 +1554,10 @@ let move t ~new_gateway rid =
    captures (router, rid), never the slot: slots are recycled on departure,
    so it re-resolves when it fires and only acts if the resident is still
    here with the same pointer. *)
-let rec send_probe t ~router rid (sid, srouter) attempt =
+let rec send_probe t ~router rid ~sid ~srouter attempt =
   let sh = shd t router in
   let token = fresh_token sh in
-  Hashtbl.replace sh.probes token ();
+  Inttbl.replace sh.probes token ();
   send_direct t ~cat:Metrics.Stabilize ~from:router ~dest:srouter
     (Get_pred { asker = rid; asker_router = router; target = sid; token })
     (handle t srouter);
@@ -1560,19 +1566,20 @@ let rec send_probe t ~router rid (sid, srouter) attempt =
   in
   sched t ~rail:router ~at:router ~time_ms:(now_at t router +. timeout)
     (fun () ->
-      if Hashtbl.mem sh.probes token then begin
-        Hashtbl.remove sh.probes token;
+      if Inttbl.mem sh.probes token then begin
+        Inttbl.remove sh.probes token;
         Metrics.incr sh.s_metrics Metrics.Rpc_timeouts 1;
         (* Only act if we are still resident and the pointer is unchanged. *)
-        match find_slot t router rid with
-        | Some s
-          when Store.succ_router sh.store s = srouter
-               && Id.equal (Store.succ_rid sh.store s) sid ->
+        let s = find_slot t router rid in
+        if s < 0 then ()
+        else if
+          Store.succ_router sh.store s = srouter && Id.equal (Store.succ_rid sh.store s) sid
+        then begin
           if attempt <= t.cfg.rpc_retries then
-            send_probe t ~router rid (sid, srouter) (attempt + 1)
+            send_probe t ~router rid ~sid ~srouter (attempt + 1)
           else failover t ~router s sid
-        | Some s -> Store.set_probe_inflight sh.store s false
-        | None -> ()
+        end
+        else Store.set_probe_inflight sh.store s false
       end)
 
 (* The successor is unresponsive: drop it and promote the next backup.  With
@@ -1618,9 +1625,9 @@ and promote_anchor t ~router s rid =
 
 and try_promote t ~router rid ~dead candidates =
   let sh = shd t router in
-  match find_slot t router rid with
-  | None -> () (* departed while failing over; nothing left to settle *)
-  | Some s -> (
+  let s = find_slot t router rid in
+  if s < 0 then () (* departed while failing over; nothing left to settle *)
+  else
     match candidates with
     | [] ->
       Store.set_probe_inflight sh.store s false;
@@ -1628,11 +1635,7 @@ and try_promote t ~router rid ~dead candidates =
     | (nid, nrouter) :: rest ->
       if nrouter = router then begin
         (* Co-located candidate: the handshake is a local call, no wire. *)
-        let ok =
-          match find_slot t router nid with
-          | Some _ -> not (Hashtbl.mem t.tainted nid)
-          | None -> false
-        in
+        let ok = find_slot t router nid >= 0 && not (Hashtbl.mem t.tainted nid) in
         if ok then promote_verified t ~router rid ~dead (nid, nrouter) rest
         else begin
           Metrics.incr sh.s_metrics Metrics.Promo_rejects 1;
@@ -1655,7 +1658,7 @@ and try_promote t ~router rid ~dead candidates =
             try_promote t ~router rid ~dead rest
           end
         in
-        Hashtbl.replace sh.verifies token
+        Inttbl.replace sh.verifies token
           { v_claimed = nid; v_challenge = challenge; v_done = false; v_k = k };
         send_direct t ~cat:Metrics.Verify ~from:router ~dest:nrouter
           (Verify_req { claimant = nid; asker_router = router; token; challenge })
@@ -1663,20 +1666,19 @@ and try_promote t ~router rid ~dead candidates =
         sched t ~rail:router ~at:router
           ~time_ms:(now_at t router +. t.cfg.rpc_timeout_ms)
           (fun () ->
-            match Hashtbl.find_opt sh.verifies token with
-            | Some vs when not vs.v_done ->
+            match Inttbl.find sh.verifies token with
+            | vs when not vs.v_done ->
               vs.v_done <- true;
-              Hashtbl.remove sh.verifies token;
+              Inttbl.remove sh.verifies token;
               Metrics.incr sh.s_metrics Metrics.Rpc_timeouts 1;
               vs.v_k false
-            | Some _ | None -> ())
-      end)
+            | _ | (exception Not_found) -> ())
+      end
 
 and promote_verified t ~router rid ~dead (nid, nrouter) rest =
   let sh = shd t router in
-  match find_slot t router rid with
-  | None -> ()
-  | Some s ->
+  let s = find_slot t router rid in
+  if s >= 0 then begin
     Store.set_probe_inflight sh.store s false;
     if Store.succ_router sh.store s >= 0 && Id.equal (Store.succ_rid sh.store s) dead
     then begin
@@ -1687,6 +1689,7 @@ and promote_verified t ~router rid ~dead (nid, nrouter) rest =
         (handle t nrouter)
     end
     (* else: the pointer moved on during verification; leave it be *)
+  end
 
 (* A backup strictly closer (clockwise) than the successor itself means the
    ring went "loopy": concurrent splices and handoffs left a consistent
@@ -1697,34 +1700,35 @@ and promote_verified t ~router rid ~dead (nid, nrouter) rest =
    Notify/rectify re-marry the neighbours. *)
 let untwist t ~router s =
   let sh = shd t router in
-  match Store.succ sh.store s with
-  | None -> ()
-  | Some ((sid, _) as old_succ) ->
-    let rid = Store.rid sh.store s in
-    let closer =
-      List.filter
-        (fun (bid, _) ->
-          (not (Id.equal bid rid)) && Id.compare_dist rid bid rid sid < 0)
-        (Store.succ_list sh.store s)
-    in
-    (match closer with
-     | [] -> ()
-     | first :: rest ->
-       let bid, brouter =
-         List.fold_left
-           (fun (ai, ar) (bi, br) ->
-             if Id.compare_dist rid bi rid ai < 0 then (bi, br) else (ai, ar))
-           first rest
-       in
-       repoint t ~router s (Some (bid, brouter));
-       (* Re-sorting places the demoted old successor at its true clockwise
-          rank. *)
-       Store.set_succ_list sh.store s
-         (normalize_succ_list t ~self:rid ~succ:bid
-            (old_succ :: Store.succ_list sh.store s));
-       send_direct t ~cat:Metrics.Repair ~from:router ~dest:brouter
-         (Notify { candidate = rid; candidate_router = router; target = bid })
-         (handle t brouter))
+  let store = sh.store in
+  let srouter = Store.succ_router store s in
+  if srouter >= 0 then begin
+    let rid = Store.rid store s and sid = Store.succ_rid store s in
+    (* The closest backup strictly closer than the successor; the first of
+       equals. *)
+    let best = ref (-1) in
+    for k = 0 to Store.succ_list_len store s - 1 do
+      let bid = Store.succ_list_id store s k in
+      if
+        (not (Id.equal bid rid))
+        && Id.compare_dist rid bid rid sid < 0
+        && (!best < 0 || Id.compare_dist rid bid rid (Store.succ_list_id store s !best) < 0)
+      then best := k
+    done;
+    if !best >= 0 then begin
+      let bid = Store.succ_list_id store s !best
+      and brouter = Store.succ_list_router store s !best in
+      Store.stage store sid srouter;
+      Store.stage_backups store s;
+      repoint t ~router s (Some (bid, brouter));
+      (* Re-sorting places the demoted old successor at its true clockwise
+         rank. *)
+      adopt_staged t sh s ~self:rid ~succ:bid;
+      send_direct t ~cat:Metrics.Repair ~from:router ~dest:brouter
+        (Notify { candidate = rid; candidate_router = router; target = bid })
+        (handle t brouter)
+    end
+  end
 
 (* ---- network-size estimation --------------------------------------------
 
@@ -1841,12 +1845,11 @@ let stabilize_resident t ~router ~now s =
   let store = sh.store in
   let rid = Store.rid store s in
   (* Expire a silent predecessor so a live Notify can replace it. *)
-  (match Store.pred store s with
-   | Some (pid, _)
-     when (not (Id.equal pid rid))
-          && now -. Store.pred_heard store s > t.cfg.pred_timeout_ms ->
-     Store.set_pred store s None
-   | Some _ | None -> ());
+  if
+    Store.pred_router_raw store s >= 0
+    && (not (Id.equal (Store.pred_rid store s) rid))
+    && now -. Store.pred_heard store s > t.cfg.pred_timeout_ms
+  then Store.set_pred store s None;
   if t.cfg.untwist then untwist t ~router s;
   let srouter = Store.succ_router store s in
   if
@@ -1858,7 +1861,7 @@ let stabilize_resident t ~router ~now s =
     Store.set_probe_inflight store s true;
     if t.cfg.stabilize_auto then
       Store.set_due store s (now +. (t.auto_mult *. t.cfg.stabilize_period_ms));
-    send_probe t ~router rid (Store.succ_rid store s, srouter) 1
+    send_probe t ~router rid ~sid:(Store.succ_rid store s) ~srouter 1
   end
 
 (* One shard's slice of a stabilisation tick: walks only its own routers,
@@ -1907,11 +1910,11 @@ let refresh_round t =
         let id = c.Pcache.ids.(!i) and r = c.Pcache.routers.(!i) in
         let links = 2 * link_hops_between t router r in
         Metrics.incr sh.s_metrics Metrics.Refresh links;
-        match find_slot t r id with
-        | Some _ ->
+        if find_slot t r id >= 0 then begin
           c.Pcache.stamp.(!i) <- now;
           incr i
-        | None -> Pcache.remove_at c !i
+        end
+        else Pcache.remove_at c !i
       end
       else incr i
     done
@@ -1958,7 +1961,7 @@ let run_for t budget_ms =
 
 let members t =
   Array.fold_left
-    (fun acc sh -> Hashtbl.fold (fun rid _ acc -> rid :: acc) sh.where acc)
+    (fun acc sh -> Idtbl.fold (fun rid _ acc -> rid :: acc) sh.where acc)
     [] t.sh
   |> List.sort Id.compare
 

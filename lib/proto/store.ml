@@ -22,7 +22,9 @@ type t = {
   cap_list : int;             (* max successor-list entries per resident *)
   mutable cap : int;
   mutable rid : Id.t array;
+  mutable rkey : int array;        (* [Id.key] of [rid] *)
   mutable succ_id : Id.t array;
+  mutable succ_key : int array;    (* [Id.key] of [succ_id] *)
   mutable succ_router : int array; (* -1 = no successor *)
   mutable pred_id : Id.t array;
   mutable pred_router : int array; (* -1 = no predecessor *)
@@ -38,6 +40,10 @@ type t = {
   head : int array;                (* per-router chain head, -1 = empty *)
   mutable free : int;              (* freelist head, -1 = exhausted *)
   mutable live : int;
+  mutable st_id : Id.t array;      (* the staging run of [normalize] *)
+  mutable st_router : int array;
+  mutable st_pos : int array;
+  mutable st_len : int;
 }
 
 let create ~routers ~cap_list ~hint ~dummy =
@@ -50,7 +56,9 @@ let create ~routers ~cap_list ~hint ~dummy =
       cap_list;
       cap;
       rid = Array.make cap dummy;
+      rkey = Array.make cap 0;
       succ_id = Array.make cap dummy;
+      succ_key = Array.make cap 0;
       succ_router = Array.make cap (-1);
       pred_id = Array.make cap dummy;
       pred_router = Array.make cap (-1);
@@ -66,6 +74,10 @@ let create ~routers ~cap_list ~hint ~dummy =
       head = Array.make routers (-1);
       free = 0;
       live = 0;
+      st_id = Array.make 8 dummy;
+      st_router = Array.make 8 0;
+      st_pos = Array.make 8 0;
+      st_len = 0;
     }
   in
   t
@@ -80,7 +92,9 @@ let grow t =
   let extend_id a = Array.append a (Array.make old t.dummy) in
   let extend_int fill a = Array.append a (Array.make old fill) in
   t.rid <- extend_id t.rid;
+  t.rkey <- extend_int 0 t.rkey;
   t.succ_id <- extend_id t.succ_id;
+  t.succ_key <- extend_int 0 t.succ_key;
   t.succ_router <- extend_int (-1) t.succ_router;
   t.pred_id <- extend_id t.pred_id;
   t.pred_router <- extend_int (-1) t.pred_router;
@@ -105,6 +119,7 @@ let alloc t ~router rid =
   t.free <- t.next.(s);
   t.owner.(s) <- router;
   t.rid.(s) <- rid;
+  t.rkey.(s) <- Id.key rid;
   t.succ_id.(s) <- t.dummy;
   t.succ_router.(s) <- -1;
   t.pred_id.(s) <- t.dummy;
@@ -159,11 +174,15 @@ let owner t s = t.owner.(s)
 
 let rid t s = t.rid.(s)
 
+let rkey t s = t.rkey.(s)
+
 let succ t s =
   let r = t.succ_router.(s) in
   if r < 0 then None else Some (t.succ_id.(s), r)
 
 let succ_rid t s = t.succ_id.(s)
+
+let succ_key t s = t.succ_key.(s)
 
 let succ_router t s = t.succ_router.(s)
 
@@ -173,11 +192,14 @@ let set_succ t s = function
     t.succ_router.(s) <- -1
   | Some (id, r) ->
     t.succ_id.(s) <- id;
+    t.succ_key.(s) <- Id.key id;
     t.succ_router.(s) <- r
 
 let pred t s =
   let r = t.pred_router.(s) in
   if r < 0 then None else Some (t.pred_id.(s), r)
+
+let pred_rid t s = t.pred_id.(s)
 
 let pred_router_raw t s = t.pred_router.(s)
 
@@ -226,3 +248,87 @@ let set_succ_list t s entries =
     | _ -> t.sl_len.(s) <- k
   in
   go 0 entries
+
+(* ---- the normaliser (see the interface) ---------------------------------- *)
+
+let stage t id router =
+  let n = t.st_len in
+  if n = Array.length t.st_id then begin
+    t.st_id <- Array.append t.st_id t.st_id;
+    t.st_router <- Array.append t.st_router t.st_router;
+    t.st_pos <- Array.append t.st_pos t.st_pos
+  end;
+  t.st_id.(n) <- id;
+  t.st_router.(n) <- router;
+  t.st_len <- n + 1
+
+let stage_backups t s =
+  for k = 0 to t.sl_len.(s) - 1 do
+    stage t (succ_list_id t s k) (succ_list_router t s k)
+  done
+
+(* [List.sort_uniq] splits a list of [n >= 4] into halves of [n/2] and
+   [n - n/2] down to runs of two or three, and keeps the earlier of two
+   equal entries — except the first two of a run of three, where the
+   second survives.  Does such a run start at position [p]? *)
+let rec starts_triple n p =
+  if n <= 3 then n = 3 && p = 0
+  else if p < n / 2 then starts_triple (n / 2) p
+  else starts_triple (n - (n / 2)) (p - (n / 2))
+
+let normalize t s ~self ~succ ~limit ~quota ~groups ~exempt =
+  let ids = t.st_id and routers = t.st_router and pos = t.st_pos in
+  let n = ref 0 in
+  for i = 0 to t.st_len - 1 do
+    if not (Id.equal ids.(i) self || Id.equal ids.(i) succ) then begin
+      ids.(!n) <- ids.(i);
+      routers.(!n) <- routers.(i);
+      incr n
+    end
+  done;
+  let n = !n and m = ref 0 in
+  t.st_len <- 0;
+  (* Insertion sort into [0, m), behind the read position; [pos] keeps each
+     survivor's position. *)
+  for i = 0 to n - 1 do
+    let id = ids.(i) and r = routers.(i) in
+    let j = ref !m in
+    while !j > 0 && Id.compare_dist self id self ids.(!j - 1) < 0 do decr j done;
+    let j = !j in
+    if j > 0 && Id.equal ids.(j - 1) id then begin
+      if i = pos.(j - 1) + 1 && starts_triple n pos.(j - 1) then begin
+        routers.(j - 1) <- r;
+        pos.(j - 1) <- i
+      end
+    end
+    else begin
+      Array.blit ids j ids (j + 1) (!m - j);
+      Array.blit routers j routers (j + 1) (!m - j);
+      Array.blit pos j pos (j + 1) (!m - j);
+      ids.(j) <- id;
+      routers.(j) <- r;
+      pos.(j) <- i;
+      incr m
+    end
+  done;
+  (* Quota, then truncation, into the slot; [pos] now holds the group each
+     kept entry counts against ([min_int]: exempt). *)
+  let limit = min limit t.cap_list and base = s * t.cap_list in
+  let k = ref 0 and i = ref 0 in
+  while !k < limit && !i < !m do
+    let id = ids.(!i) and r = routers.(!i) in
+    let counted = quota > 0 && Array.length groups > 0 && not (exempt id r) in
+    let g = if counted then groups.(r) else min_int in
+    let used = ref 0 in
+    for j = 0 to !k - 1 do
+      if pos.(j) = g then incr used
+    done;
+    if (not counted) || !used < quota then begin
+      t.sl_id.(base + !k) <- id;
+      t.sl_router.(base + !k) <- r;
+      pos.(!k) <- g;
+      incr k
+    end;
+    incr i
+  done;
+  t.sl_len.(s) <- !k

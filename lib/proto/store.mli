@@ -52,17 +52,25 @@ val owner : t -> int -> int
 
 val rid : t -> int -> Rofl_idspace.Id.t
 
+val rkey : t -> int -> int
+(** [Id.key] of {!rid}; with {!succ_key}, the ranker's prefilter columns. *)
+
 val succ : t -> int -> (Rofl_idspace.Id.t * int) option
 
 val succ_rid : t -> int -> Rofl_idspace.Id.t
 (** Allocation-free successor accessors for hot paths: meaningful only when
     [succ_router t s >= 0]. *)
 
+val succ_key : t -> int -> int
+
 val succ_router : t -> int -> int
 
 val set_succ : t -> int -> (Rofl_idspace.Id.t * int) option -> unit
 
 val pred : t -> int -> (Rofl_idspace.Id.t * int) option
+
+val pred_rid : t -> int -> Rofl_idspace.Id.t
+(** Meaningful only when [pred_router_raw t s >= 0]. *)
 
 val pred_router_raw : t -> int -> int
 (** The predecessor's router without the option box, [-1] when absent. *)
@@ -96,3 +104,28 @@ val succ_list_router : t -> int -> int -> int
 
 val set_succ_list : t -> int -> (Rofl_idspace.Id.t * int) list -> unit
 (** Store the backups, silently truncated to [cap_list] entries. *)
+
+(** {2 The successor-list normaliser}
+
+    Every adoption stages its candidate backups, then {!normalize} writes
+    the result straight into the slot's columns; no list is built. *)
+
+val stage : t -> Rofl_idspace.Id.t -> int -> unit
+(** Append a candidate [(id, router)] to the staging run. *)
+
+val stage_backups : t -> int -> unit
+(** Append the slot's current backups, nearest first. *)
+
+val normalize :
+  t -> int -> self:Rofl_idspace.Id.t -> succ:Rofl_idspace.Id.t -> limit:int -> quota:int ->
+  groups:int array -> exempt:(Rofl_idspace.Id.t -> int -> bool) -> unit
+(** [normalize t s ~self ~succ ~limit ~quota ~groups ~exempt] replaces slot
+    [s]'s backups by the staging run, and empties the run: entries equal to
+    [self] or [succ] dropped ([~succ:self] when there is none), one entry
+    per identifier (the one [List.sort_uniq] keeps), sorted by clockwise
+    distance from [self]; with [quota > 0] and [groups] (router -> group)
+    non-empty, at most [quota] entries per group, closest first, entries
+    with [exempt id router] uncounted; the first [min limit (cap_list t)]
+    kept.  Entry for entry the list pipeline (filter, [List.sort_uniq],
+    quota filter, truncation) it replaced; allocation-free once the staging
+    run has grown to its largest size. *)

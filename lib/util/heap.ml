@@ -1,101 +1,127 @@
-type 'a entry = { prio : float; rail : int; seq : int; value : 'a }
-
+(* Struct-of-arrays binary min-heap: slot [i] holds the key
+   [(prio.(i), rail.(i), seq.(i))] and the payload [value.(i)], priorities
+   unboxed, so pushes and in-place pops allocate nothing. *)
 type 'a t = {
-  mutable data : 'a entry array;
+  mutable prio : float array;
+  mutable rail : int array;
+  mutable seq : int array;
+  mutable value : 'a array;
   mutable size : int;
   mutable next_seq : int;
 }
 
-(* Slots at index >= [size] are dead storage and must not keep popped entries
-   (and the arbitrarily large closures they carry) reachable between pops.
-   They are filled with an immediate dummy instead of a live entry; every
-   access is guarded by [size], so the dummy is never read.  [Obj.magic] is
-   confined to this one definition. *)
-let vacated : 'a entry = Obj.magic 0
+(* Slots at index >= [size] are dead storage and must not keep popped
+   payloads (and the arbitrarily large closures they carry) reachable
+   between pops.  They hold an immediate dummy instead; every access is
+   guarded by [size], so the dummy is never read.  [Obj.magic] is confined
+   to this one definition. *)
+let vacated : 'a = Obj.magic 0
 
-let create () = { data = [||]; size = 0; next_seq = 0 }
+let create () = { prio = [||]; rail = [||]; seq = [||]; value = [||]; size = 0; next_seq = 0 }
 
 let length h = h.size
 
 let is_empty h = h.size = 0
+
+let grow h =
+  let capacity = Array.length h.rail in
+  if h.size = capacity then begin
+    let cap = if capacity = 0 then 16 else 2 * capacity in
+    let extend a fill = let b = Array.make cap fill in Array.blit a 0 b 0 h.size; b in
+    h.prio <- extend h.prio 0.0;
+    h.rail <- extend h.rail 0;
+    h.seq <- extend h.seq 0;
+    h.value <- extend h.value vacated
+  end
 
 (* Lexicographic (prio, rail, seq).  Plain [push] uses rail -1 with an
    internal counter, so pure-FIFO users keep their insertion order; keyed
    pushes carry content-derived (rail, seq) labels whose order does not
    depend on which heap instance the entry went through — the property the
    sharded engine needs for byte-identical merges. *)
-let less a b =
-  a.prio < b.prio
-  || (a.prio = b.prio
-      && (a.rail < b.rail || (a.rail = b.rail && a.seq < b.seq)))
+let[@inline] lt (p1 : float) (r1 : int) (s1 : int) p2 r2 s2 =
+  p1 < p2 || (p1 = p2 && (r1 < r2 || (r1 = r2 && s1 < s2)))
 
-let grow h =
-  let capacity = Array.length h.data in
-  if h.size = capacity then begin
-    let new_capacity = if capacity = 0 then 16 else 2 * capacity in
-    let data = Array.make new_capacity vacated in
-    Array.blit h.data 0 data 0 h.size;
-    h.data <- data
-  end
+let[@inline] set h i p r s v =
+  h.prio.(i) <- p;
+  h.rail.(i) <- r;
+  h.seq.(i) <- s;
+  h.value.(i) <- v
 
-let rec sift_up h i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if less h.data.(i) h.data.(parent) then begin
-      let tmp = h.data.(i) in
-      h.data.(i) <- h.data.(parent);
-      h.data.(parent) <- tmp;
-      sift_up h parent
-    end
-  end
+let[@inline] move h ~src ~dst = set h dst h.prio.(src) h.rail.(src) h.seq.(src) h.value.(src)
 
-let rec sift_down h i =
-  let left = (2 * i) + 1 and right = (2 * i) + 2 in
-  let smallest = ref i in
-  if left < h.size && less h.data.(left) h.data.(!smallest) then smallest := left;
-  if right < h.size && less h.data.(right) h.data.(!smallest) then smallest := right;
-  if !smallest <> i then begin
-    let tmp = h.data.(i) in
-    h.data.(i) <- h.data.(!smallest);
-    h.data.(!smallest) <- tmp;
-    sift_down h !smallest
-  end
-
-let push_entry h entry =
+(* Sift a hole up from the new last slot, then drop the entry into it. *)
+let push_keyed h prio ~rail ~seq value =
   grow h;
-  h.data.(h.size) <- entry;
+  let i = ref h.size in
   h.size <- h.size + 1;
-  sift_up h (h.size - 1)
+  while
+    !i > 0
+    && let up = (!i - 1) / 2 in
+       lt prio rail seq h.prio.(up) h.rail.(up) h.seq.(up)
+  do
+    move h ~src:((!i - 1) / 2) ~dst:!i;
+    i := (!i - 1) / 2
+  done;
+  set h !i prio rail seq value
 
 let push h prio value =
-  let entry = { prio; rail = -1; seq = h.next_seq; value } in
-  h.next_seq <- h.next_seq + 1;
-  push_entry h entry
+  let seq = h.next_seq in
+  h.next_seq <- seq + 1;
+  push_keyed h prio ~rail:(-1) ~seq value
 
-let push_keyed h prio ~rail ~seq value =
-  push_entry h { prio; rail; seq; value }
+let min_prio_into h reg i = reg.(i) <- h.prio.(0)
 
-let pop_keyed h =
-  if h.size = 0 then None
-  else begin
-    let top = h.data.(0) in
-    h.size <- h.size - 1;
-    if h.size > 0 then begin
-      h.data.(0) <- h.data.(h.size);
-      h.data.(h.size) <- vacated;
-      sift_down h 0
-    end
-    else h.data.(0) <- vacated;
-    Some (top.prio, top.rail, top.seq, top.value)
-  end
+let min_rail h = h.rail.(0)
+
+let min_seq h = h.seq.(0)
+
+(* Remove the root: sift a hole down from slot 0 and drop the former last
+   entry into it.  The last slot is cleared first and the popped payload is
+   overwritten, so nothing popped stays reachable.  Each step takes the
+   least of the moving entry and the children, ties to the entry and then to
+   the left child: the choices of a swap-based sift, so the same layout. *)
+let take h =
+  if h.size = 0 then invalid_arg "Heap.take: empty heap";
+  let top = h.value.(0) and last = h.size - 1 in
+  h.size <- last;
+  let p = h.prio.(last) and r = h.rail.(last) and s = h.seq.(last) and x = h.value.(last) in
+  h.value.(last) <- vacated;
+  if last > 0 then begin
+    let i = ref 0 and sifting = ref true in
+    while !sifting do
+      let l = (2 * !i) + 1 in
+      let c = if l < last && lt h.prio.(l) h.rail.(l) h.seq.(l) p r s then l else -1 in
+      let c =
+        if
+          l + 1 < last
+          && (if c = l then lt h.prio.(l + 1) h.rail.(l + 1) h.seq.(l + 1) h.prio.(l) h.rail.(l) h.seq.(l)
+              else lt h.prio.(l + 1) h.rail.(l + 1) h.seq.(l + 1) p r s)
+        then l + 1
+        else c
+      in
+      if c < 0 then sifting := false
+      else begin
+        move h ~src:c ~dst:!i;
+        i := c
+      end
+    done;
+    set h !i p r s x
+  end;
+  top
 
 let pop h =
-  match pop_keyed h with
-  | None -> None
-  | Some (prio, _, _, value) -> Some (prio, value)
+  if h.size = 0 then None
+  else begin
+    let prio = h.prio.(0) in
+    Some (prio, take h)
+  end
 
-let peek h = if h.size = 0 then None else Some (h.data.(0).prio, h.data.(0).value)
+let peek h = if h.size = 0 then None else Some (h.prio.(0), h.value.(0))
 
 let clear h =
-  h.data <- [||];
+  h.prio <- [||];
+  h.rail <- [||];
+  h.seq <- [||];
+  h.value <- [||];
   h.size <- 0

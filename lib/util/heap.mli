@@ -1,8 +1,11 @@
 (** Binary min-heap keyed by float priority.
 
-    Used as the event queue of the discrete-event simulator and as the
-    frontier of Dijkstra's algorithm.  Ties are broken by insertion order so
-    iteration is deterministic. *)
+    The event queue of the discrete-event engine and of the shard
+    coordinator's global events.  Ties are broken by insertion order (or by
+    caller-supplied keys), so iteration is deterministic.  Parallel columns
+    (unboxed priorities, rails, sequence numbers, payloads): a push, and a
+    pop through {!min_prio_into}, {!min_rail}, {!min_seq} and {!take},
+    allocate nothing. *)
 
 type 'a t
 
@@ -33,10 +36,18 @@ val pop : 'a t -> (float * 'a) option
     through the heap as soon as the caller drops it — draining the simulator
     event queue cannot retain event closures between campaign phases. *)
 
-val pop_keyed : 'a t -> (float * int * int * 'a) option
-(** Like {!pop} but also returns the entry's [(rail, seq)] label —
-    [(prio, rail, seq, value)] — so the engine can fold executed-event
-    fingerprints without re-deriving the key. *)
+val min_prio_into : 'a t -> float array -> int -> unit
+(** [min_prio_into h reg i] writes the minimum priority into [reg.(i)] (a
+    float returned across modules would be boxed).  Not on an empty heap;
+    nor are the next two. *)
+
+val min_rail : 'a t -> int
+
+val min_seq : 'a t -> int
+
+val take : 'a t -> 'a
+(** {!pop} without the option: remove the minimum entry, clear its slot and
+    return its payload.  Raises [Invalid_argument] on an empty heap. *)
 
 val peek : 'a t -> (float * 'a) option
 

@@ -8,6 +8,7 @@ module Isp = Rofl_topology.Isp
 module Proto = Rofl_proto.Proto
 module Network = Rofl_intra.Network
 module Vnode = Rofl_core.Vnode
+module Store = Rofl_proto.Store
 
 let topo seed = Gen.waxman (Prng.create seed) ~n:30 ~alpha:0.4 ~beta:0.2
 
@@ -294,6 +295,144 @@ let test_matches_synchronous_after_leaves () =
       | None -> Alcotest.fail "async projection failed")
     arr
 
+(* ---- the successor-list normaliser against the list pipeline ----------
+
+   The reference is the pipeline the protocol ran before [Store.normalize]:
+   drop self and the successor, [List.sort_uniq] by clockwise distance from
+   the holder, the per-group quota (infrastructure labels exempt), then
+   truncation to the limit and to the store's [cap_list]. *)
+
+let truncate_list n xs =
+  let rec go n = function x :: rest when n > 0 -> x :: go (n - 1) rest | _ -> [] in
+  go n xs
+
+let quota_filter ~quota ~groups entries =
+  if quota <= 0 || Array.length groups = 0 then entries
+  else begin
+    let counts = Hashtbl.create 8 in
+    List.filter
+      (fun (i, r) ->
+        Id.equal i (Proto.router_label r)
+        ||
+        let g = groups.(r) in
+        let c = match Hashtbl.find_opt counts g with Some c -> c | None -> 0 in
+        if c >= quota then false
+        else begin
+          Hashtbl.replace counts g (c + 1);
+          true
+        end)
+      entries
+  end
+
+let reference_normalize ~self ?succ ~limit ~quota ~groups ~cap_list entries =
+  entries
+  |> List.filter (fun (i, _) ->
+         (not (Id.equal i self))
+         && match succ with Some s -> not (Id.equal i s) | None -> true)
+  |> List.sort_uniq (fun (a, _) (b, _) -> Id.compare_dist self a self b)
+  |> quota_filter ~quota ~groups
+  |> truncate_list limit
+  |> truncate_list cap_list
+
+let commit store s ~self ?succ ~limit ~quota ~groups () =
+  Store.normalize store s ~self
+    ~succ:(match succ with Some x -> x | None -> self)
+    ~limit ~quota ~groups
+    ~exempt:(fun i r -> Id.equal i (Proto.router_label r))
+
+(* Candidates come from a small pool — self, the successor, router labels
+   (exempt from quotas when hosted at their own router), random ids — on a
+   handful of routers, so duplicates of one identifier on one router and on
+   different routers are common, and so are equal entries at every
+   position of [List.sort_uniq]'s runs of two and three. *)
+let normalizer_matches_pipeline =
+  QCheck.Test.make ~name:"normaliser = filter/sort_uniq/quota/truncate" ~count:2000
+    QCheck.small_nat (fun seed ->
+      let g = Prng.create (0x5011 + seed) in
+      let routers = 6 in
+      let self = Id.random g and succ_id = Id.random g in
+      let pool =
+        Array.concat
+          [
+            [| self; succ_id |];
+            Array.init 3 (fun r -> Proto.router_label r);
+            Array.init 4 (fun _ -> Id.random g);
+          ]
+      in
+      let entry () =
+        let i = Prng.int g (Array.length pool) in
+        (* a router label mostly rides at its own router *)
+        let r = if i >= 2 && i < 5 && Prng.int g 3 > 0 then i - 2 else Prng.int g routers in
+        (pool.(i), r)
+      in
+      let cap_list = Prng.int g 7 in
+      let limit = Prng.int g (cap_list + 2) in
+      let quota = Prng.int g 3 in
+      let groups = if Prng.bool g then Array.init routers (fun r -> r mod 3) else [||] in
+      let succ = if Prng.int g 4 = 0 then None else Some succ_id in
+      let store = Store.create ~routers ~cap_list ~hint:4 ~dummy:Id.zero in
+      let s = Store.alloc store ~router:0 self in
+      let entries = List.init (Prng.int g 14) (fun _ -> entry ()) in
+      let expect = reference_normalize ~self ?succ ~limit ~quota ~groups ~cap_list entries in
+      List.iter (fun (i, r) -> Store.stage store i r) entries;
+      commit store s ~self ?succ ~limit ~quota ~groups ();
+      let first = Store.succ_list store s = expect in
+      (* Second adoption: one extra pointer ahead of the slot's own backups,
+         the shape of a splice, a closer successor and an untwist. *)
+      let extra = entry () in
+      let expect' =
+        reference_normalize ~self ?succ ~limit ~quota ~groups ~cap_list
+          (extra :: Store.succ_list store s)
+      in
+      Store.stage store (fst extra) (snd extra);
+      Store.stage_backups store s;
+      commit store s ~self ?succ ~limit ~quota ~groups ();
+      first && Store.succ_list store s = expect')
+
+(* ---- the ranker's key prefilter against the 128-bit comparison --------- *)
+
+let key_mask = (1 lsl 62) - 1
+
+let key_dist x ~target = (Id.key target - Id.key x) land key_mask
+
+(* Offsets around the target that put candidates at equal keys, keys one
+   apart (a key unit is 2^66), on both sides of a borrow out of the low 66
+   bits, through zero, and on the target itself. *)
+let adversarial_offsets =
+  let key_unit = Id.of_int64_pair 4L 0L in
+  let units k = List.fold_left (fun acc _ -> Id.add acc key_unit) Id.zero (List.init k Fun.id) in
+  let around x = [ x; Id.succ_id x; Id.pred_id x; Id.add x (Id.of_int64_pair 0L Int64.min_int) ] in
+  List.concat_map around
+    [ Id.zero; units 1; units 2; units 3; Id.sub Id.zero (units 1); Id.sub Id.zero (units 2);
+      Id.of_int64_pair 3L (-1L); Id.of_int64_pair Int64.min_int 0L ]
+
+let test_key_prefilter_adversarial () =
+  let g = Prng.create 0x6b3f in
+  let targets =
+    [ Id.zero; Id.max_value; Id.of_int64_pair 4L 0L; Id.of_int64_pair 3L (-1L);
+      Id.random g; Id.random g; Id.random g ]
+  in
+  List.iter
+    (fun target ->
+      let cands =
+        List.concat_map
+          (fun base -> List.map (fun o -> Id.add base o) adversarial_offsets)
+          [ target; Id.random g ]
+      in
+      List.iter
+        (fun x ->
+          List.iter
+            (fun y ->
+              let keyed =
+                Id.closer_clockwise_keyed ~target (key_dist x ~target) x (key_dist y ~target) y
+              in
+              if keyed <> Id.closer_clockwise ~target x y then
+                Alcotest.failf "prefilter disagrees: target %s x %s y %s" (Id.to_hex target)
+                  (Id.to_hex x) (Id.to_hex y))
+            cands)
+        cands)
+    targets
+
 let () =
   Alcotest.run "rofl_proto"
     [
@@ -316,5 +455,11 @@ let () =
           Alcotest.test_case "concurrent mixed churn" `Quick test_concurrent_churn_converges;
           Alcotest.test_case "matches synchronous after leaves" `Quick
             test_matches_synchronous_after_leaves;
+        ] );
+      ( "oracles",
+        [
+          QCheck_alcotest.to_alcotest normalizer_matches_pipeline;
+          Alcotest.test_case "key prefilter, adversarial ids" `Quick
+            test_key_prefilter_adversarial;
         ] );
     ]

@@ -223,6 +223,116 @@ let heap_property =
       let out = drain [] in
       out = List.sort compare floats)
 
+(* Model check of the event-queue discipline: random interleavings of plain
+   and keyed pushes, pops through both the option API and the in-place
+   accessors, and clears, against a sorted list keyed (prio, rail, seq).
+   Four priorities and three rails make ties the common case.  Plain pushes
+   sit on rail -1 with the heap's own counter, which survives [clear]. *)
+type heap_op = Push of int | Keyed of int * int | Pop | Take | Clear
+
+let heap_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map (fun p -> Push p) (int_bound 3));
+        (3, map2 (fun p r -> Keyed (p, r)) (int_bound 3) (int_bound 2));
+        (2, return Pop);
+        (2, return Take);
+        (1, return Clear);
+      ])
+
+(* Replays [ops] (the payload of op [i] is [payload i]) against [h] and the
+   model; false on the first divergence.  Drains both at the end. *)
+let heap_replay h ~payload ops =
+  let model = ref [] and plain = ref 0 and rails = Array.make 3 0 in
+  let reg = [| nan |] in
+  let pop_matches ~flat =
+    match List.sort compare !model with
+    | [] -> Heap.is_empty h && Heap.pop h = None
+    | (p, r, s, i) :: rest ->
+      model := rest;
+      if flat then begin
+        Heap.min_prio_into h reg 0;
+        let key_ok = reg.(0) = p && Heap.min_rail h = r && Heap.min_seq h = s in
+        key_ok && Heap.take h == payload i
+      end
+      else
+        match Heap.pop h with Some (p', v) -> p' = p && v == payload i | None -> false
+  in
+  let step i op =
+    match op with
+    | Push p ->
+      Heap.push h (float_of_int p) (payload i);
+      model := (float_of_int p, -1, !plain, i) :: !model;
+      incr plain;
+      true
+    | Keyed (p, r) ->
+      let s = rails.(r) in
+      rails.(r) <- s + 1;
+      Heap.push_keyed h (float_of_int p) ~rail:r ~seq:s (payload i);
+      model := (float_of_int p, r, s, i) :: !model;
+      true
+    | Pop -> pop_matches ~flat:false
+    | Take -> pop_matches ~flat:true
+    | Clear ->
+      Heap.clear h;
+      model := [];
+      true
+  in
+  let rec run i = function
+    | [] -> true
+    | op :: rest -> step i op && Heap.length h = List.length !model && run (i + 1) rest
+  in
+  let rec drain k = k = 0 || (pop_matches ~flat:(k land 1 = 0) && drain (k - 1)) in
+  run 0 ops && drain (List.length !model) && Heap.is_empty h
+
+let heap_model_property =
+  QCheck.Test.make ~name:"heap drains in (prio, rail, seq) order" ~count:500
+    (QCheck.make
+       ~print:(fun ops -> Printf.sprintf "%d ops" (List.length ops))
+       QCheck.Gen.(list_size (int_bound 300) heap_op_gen))
+    (fun ops -> heap_replay (Heap.create ()) ~payload:Fun.id ops)
+
+(* The weak-pointer check over a long model run: every payload is a fresh
+   block, the queue grows to hundreds of entries between rare clears, and
+   once the run has drained the heap none of
+   them may stay reachable through the payload column of the heap, which is
+   still alive when the collector runs. *)
+let test_heap_model_releases_payloads () =
+  let g = Prng.create 0x4ea9 in
+  let ops =
+    List.init 5_000 (fun _ ->
+        match Prng.int g 500 with
+        | 0 -> Clear
+        | k when k < 150 -> Push (Prng.int g 4)
+        | k when k < 300 -> Keyed (Prng.int g 4, Prng.int g 3)
+        | k when k < 400 -> Pop
+        | _ -> Take)
+  in
+  let w = Weak.create (List.length ops) in
+  let payloads = Hashtbl.create 64 in
+  let payload i =
+    match Hashtbl.find_opt payloads i with
+    | Some b -> b
+    | None ->
+      let b = Bytes.make 16 'p' in
+      Weak.set w i (Some b);
+      Hashtbl.replace payloads i b;
+      b
+  in
+  let h = Heap.create () in
+  let ok = heap_replay h ~payload ops in
+  Alcotest.(check bool) "model agrees" true ok;
+  Hashtbl.reset payloads;
+  Gc.full_major ();
+  let alive = ref 0 in
+  for i = 0 to Weak.length w - 1 do
+    if Weak.check w i then incr alive
+  done;
+  Alcotest.(check int) "no payload reachable after the drain" 0 !alive;
+  Heap.push h 0.0 (Bytes.make 1 'x');
+  Alcotest.(check int) "heap still usable" 1 (Heap.length h)
+
 (* ---------- Lru ---------- *)
 
 let test_lru_basic () =
@@ -459,6 +569,9 @@ let () =
           Alcotest.test_case "peek nondestructive" `Quick test_heap_peek_nondestructive;
           Alcotest.test_case "pop releases payload" `Quick test_heap_pop_releases_payload;
           q heap_property;
+          q heap_model_property;
+          Alcotest.test_case "model run releases payloads" `Quick
+            test_heap_model_releases_payloads;
         ] );
       ( "lru",
         [
