@@ -126,6 +126,15 @@ let micro () =
     in
     find 0
   in
+  (* Component-label reachability on its own instance, warm after an event:
+     the leaf's cut retires the labels and the first query rebuilds them,
+     so every run reads the published labels only. *)
+  let reach_ls = Rofl_linkstate.Linkstate.create isp.Rofl_topology.Isp.graph in
+  Rofl_linkstate.Linkstate.fail_link reach_ls leaf hub;
+  ignore (Rofl_linkstate.Linkstate.reachable reach_ls 0 leaf);
+  let reach_n = Rofl_topology.Graph.n isp.Rofl_topology.Isp.graph in
+  let reach_i = ref 0 in
+  let one_block = String.sub payload 0 32 in
   let cache = Rofl_core.Pointer_cache.create ~capacity:4096 in
   for i = 0 to 4095 do
     let dst = Id.random rng in
@@ -253,6 +262,8 @@ let micro () =
              ignore (Ring.remove members.(i) (Ring.add id_a 0 ring))));
       Test.make ~name:"sha256-256B"
         (Staged.stage (fun () -> ignore (Rofl_crypto.Sha256.digest payload)));
+      Test.make ~name:"sha256-digest"
+        (Staged.stage (fun () -> ignore (Rofl_crypto.Sha256.digest one_block)));
       Test.make ~name:"bloom-mem"
         (Staged.stage (fun () -> ignore (Rofl_bloom.Bloom.mem bloom id_a)));
       Test.make ~name:"spf-201-routers"
@@ -260,6 +271,11 @@ let micro () =
       Test.make ~name:"spf-price-warm"
         (Staged.stage (fun () ->
              ignore (Rofl_linkstate.Linkstate.price_hop_into ls 0 100 ~latency:price_reg 0)));
+      Test.make ~name:"linkstate-reachable"
+        (Staged.stage (fun () ->
+             let i = !reach_i in
+             reach_i := if i + 1 = reach_n then 0 else i + 1;
+             ignore (Rofl_linkstate.Linkstate.reachable reach_ls i leaf)));
       Test.make ~name:"engine-dispatch"
         (Staged.stage (fun () ->
              let seq = !dispatch_seq in
@@ -270,7 +286,7 @@ let micro () =
       Test.make ~name:"spf-cold-as3967"
         (Staged.stage (fun () ->
              Rofl_linkstate.Linkstate.fail_link cold_ls leaf hub;
-             ignore (Rofl_linkstate.Linkstate.reachable cold_ls 0 leaf);
+             ignore (Rofl_linkstate.Linkstate.distance_hops_count cold_ls 0 leaf);
              Rofl_linkstate.Linkstate.restore_link cold_ls leaf hub));
       Test.make ~name:"cache-best-match"
         (Staged.stage (fun () ->

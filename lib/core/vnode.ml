@@ -4,6 +4,7 @@ type host_class = Router_default | Stable | Ephemeral
 
 type t = {
   id : Id.t;
+  key : int;
   host_class : host_class;
   mutable hosted_at : int;
   mutable succs : Pointer.t list;
@@ -12,7 +13,7 @@ type t = {
 }
 
 let create id host_class ~hosted_at =
-  { id; host_class; hosted_at; succs = []; preds = []; alive = true }
+  { id; key = Id.key id; host_class; hosted_at; succs = []; preds = []; alive = true }
 
 let is_default v = v.host_class = Router_default
 
@@ -30,16 +31,23 @@ let sort_counter_clockwise id ps =
     (fun (a : Pointer.t) (b : Pointer.t) -> Id.compare_dist a.dst id b.dst id)
     ps
 
+let rec mem_dst id = function
+  | [] -> false
+  | (p : Pointer.t) :: rest -> Id.equal p.dst id || mem_dst id rest
+
+let rec has_dup_dst = function
+  | [] -> false
+  | (p : Pointer.t) :: rest -> mem_dst p.dst rest || has_dup_dst rest
+
+(* Groups hold at most a group size plus one pointers, so a quadratic scan
+   beats hashing; a list without duplicates is returned as it is. *)
 let dedup_by_dst ps =
-  let seen = Hashtbl.create 8 in
-  List.filter
-    (fun (p : Pointer.t) ->
-      if Hashtbl.mem seen p.dst then false
-      else begin
-        Hashtbl.add seen p.dst ();
-        true
-      end)
-    ps
+  if not (has_dup_dst ps) then ps
+  else
+    List.rev
+      (List.fold_left
+         (fun kept (p : Pointer.t) -> if mem_dst p.dst kept then kept else p :: kept)
+         [] ps)
 
 let take n l =
   let rec go acc n = function

@@ -13,6 +13,7 @@ type host_class =
 
 type t = {
   id : Rofl_idspace.Id.t;
+  key : int;                        (** [Id.key id], the ranker's prefilter *)
   host_class : host_class;
   mutable hosted_at : int;          (** current gateway router *)
   mutable succs : Pointer.t list;   (** successor group, nearest first *)

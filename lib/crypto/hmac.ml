@@ -13,12 +13,7 @@ let mac ~key msg =
   let inner = Sha256.digest (xor_with 0x36 key ^ msg) in
   Sha256.digest (xor_with 0x5c key ^ inner)
 
-let to_hex s =
-  let buf = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents buf
-
-let mac_hex ~key msg = to_hex (mac ~key msg)
+let mac_hex ~key msg = Sha256.to_hex (mac ~key msg)
 
 let verify ~key ~msg ~tag =
   let expected = mac ~key msg in

@@ -35,21 +35,34 @@ let respond (kp : keypair) challenge =
    cannot produce the tag because it would need SHA-256 preimages.  We model
    verification as recomputing via a registry of issued keypairs.  The
    registry is process-global shared mutable state; campaigns generate keys
-   from several [Pool] domains, so every access takes the lock. *)
-let registry : (public, string) Hashtbl.t = Hashtbl.create 256
+   from several [Pool] domains, so every access takes the lock.  It holds
+   its public keys weakly: a keypair nobody holds any more (a rejected
+   grinding draw, a host whose join is done) can never answer a challenge
+   again, so its entry goes with the next major collection instead of
+   growing the registry by one entry per [generate] for the whole run. *)
+module Registry = Ephemeron.K1.Make (String)
+
+let registry : string Registry.t = Registry.create 256
 
 let registry_lock = Mutex.create ()
 
 let register (kp : keypair) =
   Mutex.lock registry_lock;
-  Hashtbl.replace registry kp.pub kp.secret;
+  Registry.replace registry kp.pub kp.secret;
   Mutex.unlock registry_lock
 
 let registry_find pub =
   Mutex.lock registry_lock;
-  let r = Hashtbl.find_opt registry pub in
+  let r = Registry.find_opt registry pub in
   Mutex.unlock registry_lock;
   r
+
+let registered () =
+  Mutex.lock registry_lock;
+  Registry.clean registry;
+  let n = Registry.length registry in
+  Mutex.unlock registry_lock;
+  n
 
 let verify pub challenge resp =
   resp.pub = pub

@@ -52,6 +52,11 @@ val authenticate :
     identifier matches the hash of the public key, then run one
     challenge/response round trip.  Returns [Error reason] on spoofing. *)
 
+val registered : unit -> int
+(** Keypairs on record whose public key is still reachable.  The registry
+    behind {!verify} holds public keys weakly: once nothing holds a keypair
+    or its public key, the entry goes with the next major collection. *)
+
 val credential_for : Rofl_idspace.Id.t -> keypair
 (** Canonical simulation credential for an identifier minted directly from
     campaign randomness (rather than by hashing a generated key).  Pure

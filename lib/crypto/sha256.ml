@@ -17,72 +17,90 @@ let k = [|
 
 let mask = 0xFFFFFFFF
 
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
+let iv =
+  [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a;
+     0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |]
 
+(* Nothing here allocates per block: a context owns its chaining value,
+   message schedule and one 64-byte block buffer, whole blocks are
+   compressed straight from the message, and padding is written into the
+   block buffer.  Only [init] and the 32-byte result allocate. *)
 type ctx = {
-  mutable h : int array;
-  buf : Bytes.t; (* one 64-byte block *)
+  h : int array;
+  w : int array; (* message schedule *)
+  buf : Bytes.t; (* the partial block; padding is written here *)
   mutable buf_len : int;
   mutable total_len : int; (* bytes *)
-  w : int array; (* message schedule scratch *)
 }
 
 let init () =
-  {
-    h = [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a;
-           0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |];
-    buf = Bytes.create 64;
-    buf_len = 0;
-    total_len = 0;
-    w = Array.make 64 0;
-  }
+  { h = Array.copy iv; w = Array.make 64 0; buf = Bytes.create 64; buf_len = 0; total_len = 0 }
 
+external get_int32_ne : string -> int -> int32 = "%caml_string_get32"
+
+external swap32 : int32 -> int32 = "%bswap_int32"
+
+(* The big-endian 32-bit word at byte [i]; each branch is one primitive
+   chain, so the int32 is never boxed. *)
+let[@inline] word s i =
+  if Sys.big_endian then Int32.to_int (get_int32_ne s i) land mask
+  else Int32.to_int (swap32 (get_int32_ne s i)) land mask
+
+(* Compress the 64-byte block of [block] at [offset].  Only a word that is
+   shifted right must be clean: schedule words and working variables are
+   masked to 32 bits where they are stored, while rotations, sigmas and
+   sums carry garbage above bit 31 that never reaches the low 32 bits. *)
 let compress ctx block offset =
-  let w = ctx.w in
+  let w = ctx.w and h = ctx.h in
   for t = 0 to 15 do
-    let base = offset + (4 * t) in
-    w.(t) <-
-      (Char.code (Bytes.get block base) lsl 24)
-      lor (Char.code (Bytes.get block (base + 1)) lsl 16)
-      lor (Char.code (Bytes.get block (base + 2)) lsl 8)
-      lor Char.code (Bytes.get block (base + 3))
+    Array.unsafe_set w t (word block (offset + (4 * t)))
   done;
   for t = 16 to 63 do
+    let x = Array.unsafe_get w (t - 15) and y = Array.unsafe_get w (t - 2) in
     let s0 =
-      rotr w.(t - 15) 7 lxor rotr w.(t - 15) 18 lxor (w.(t - 15) lsr 3)
+      ((x lsr 7) lor (x lsl 25)) lxor ((x lsr 18) lor (x lsl 14)) lxor (x lsr 3)
     in
     let s1 =
-      rotr w.(t - 2) 17 lxor rotr w.(t - 2) 19 lxor (w.(t - 2) lsr 10)
+      ((y lsr 17) lor (y lsl 15)) lxor ((y lsr 19) lor (y lsl 13)) lxor (y lsr 10)
     in
-    w.(t) <- (w.(t - 16) + s0 + w.(t - 7) + s1) land mask
+    Array.unsafe_set w t
+      ((Array.unsafe_get w (t - 16) + s0 + Array.unsafe_get w (t - 7) + s1) land mask)
   done;
-  let a = ref ctx.h.(0) and b = ref ctx.h.(1) and c = ref ctx.h.(2)
-  and d = ref ctx.h.(3) and e = ref ctx.h.(4) and f = ref ctx.h.(5)
-  and g = ref ctx.h.(6) and hh = ref ctx.h.(7) in
+  let a = ref h.(0) and b = ref h.(1) and c = ref h.(2)
+  and d = ref h.(3) and e = ref h.(4) and f = ref h.(5)
+  and g = ref h.(6) and hh = ref h.(7) in
   for t = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = (!e land !f) lxor (lnot !e land !g) land mask in
-    let t1 = (!hh + s1 + ch + k.(t) + w.(t)) land mask in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
-    let t2 = (s0 + maj) land mask in
+    let e' = !e and a' = !a in
+    let s1 =
+      ((e' lsr 6) lor (e' lsl 26)) lxor ((e' lsr 11) lor (e' lsl 21))
+      lxor ((e' lsr 25) lor (e' lsl 7))
+    in
+    let ch = (e' land !f) lxor (lnot e' land !g) in
+    let t1 = !hh + s1 + ch + Array.unsafe_get k t + Array.unsafe_get w t in
+    let s0 =
+      ((a' lsr 2) lor (a' lsl 30)) lxor ((a' lsr 13) lor (a' lsl 19))
+      lxor ((a' lsr 22) lor (a' lsl 10))
+    in
+    let maj = (a' land !b) lxor (a' land !c) lxor (!b land !c) in
     hh := !g;
     g := !f;
-    f := !e;
+    f := e';
     e := (!d + t1) land mask;
     d := !c;
     c := !b;
-    b := !a;
-    a := (t1 + t2) land mask
+    b := a';
+    a := (t1 + s0 + maj) land mask
   done;
-  ctx.h.(0) <- (ctx.h.(0) + !a) land mask;
-  ctx.h.(1) <- (ctx.h.(1) + !b) land mask;
-  ctx.h.(2) <- (ctx.h.(2) + !c) land mask;
-  ctx.h.(3) <- (ctx.h.(3) + !d) land mask;
-  ctx.h.(4) <- (ctx.h.(4) + !e) land mask;
-  ctx.h.(5) <- (ctx.h.(5) + !f) land mask;
-  ctx.h.(6) <- (ctx.h.(6) + !g) land mask;
-  ctx.h.(7) <- (ctx.h.(7) + !hh) land mask
+  h.(0) <- (h.(0) + !a) land mask;
+  h.(1) <- (h.(1) + !b) land mask;
+  h.(2) <- (h.(2) + !c) land mask;
+  h.(3) <- (h.(3) + !d) land mask;
+  h.(4) <- (h.(4) + !e) land mask;
+  h.(5) <- (h.(5) + !f) land mask;
+  h.(6) <- (h.(6) + !g) land mask;
+  h.(7) <- (h.(7) + !hh) land mask
+
+let compress_buf ctx = compress ctx (Bytes.unsafe_to_string ctx.buf) 0
 
 let update ctx msg =
   let len = String.length msg in
@@ -95,15 +113,13 @@ let update ctx msg =
     ctx.buf_len <- ctx.buf_len + take;
     pos := take;
     if ctx.buf_len = 64 then begin
-      compress ctx ctx.buf 0;
+      compress_buf ctx;
       ctx.buf_len <- 0
     end
   end;
   (* Whole blocks straight from the message. *)
-  let block = Bytes.create 64 in
   while len - !pos >= 64 do
-    Bytes.blit_string msg !pos block 0 64;
-    compress ctx block 0;
+    compress ctx msg !pos;
     pos := !pos + 64
   done;
   (* Stash the tail. *)
@@ -113,33 +129,47 @@ let update ctx msg =
     ctx.buf_len <- ctx.buf_len + rest
   end
 
-let finalize ctx =
-  let bit_len = Int64.of_int (ctx.total_len * 8) in
-  (* Padding: 0x80, zeros, 64-bit big-endian length. *)
-  let pad_len =
-    let rem = (ctx.total_len + 1 + 8) mod 64 in
-    if rem = 0 then 1 else 1 + (64 - rem)
-  in
-  let pad = Bytes.make (pad_len + 8) '\000' in
-  Bytes.set pad 0 '\x80';
-  Bytes.set_int64_be pad pad_len bit_len;
-  (* update must not count padding toward total_len; snapshot first. *)
-  let saved = ctx.total_len in
-  update ctx (Bytes.to_string pad);
-  ctx.total_len <- saved;
-  let out = Bytes.create 32 in
+(* Padding: 0x80, zeros, then the 64-bit big-endian bit length in the last
+   8 bytes of a block -- of the next block when fewer than 9 bytes are
+   left. *)
+let finalize_into ctx out =
+  let buf = ctx.buf and n = ctx.buf_len in
+  Bytes.set buf n '\x80';
+  if n + 1 > 56 then begin
+    Bytes.fill buf (n + 1) (63 - n) '\000';
+    compress_buf ctx;
+    Bytes.fill buf 0 56 '\000'
+  end
+  else Bytes.fill buf (n + 1) (55 - n) '\000';
+  let bits = ctx.total_len * 8 in
   for i = 0 to 7 do
-    Bytes.set out (4 * i) (Char.chr ((ctx.h.(i) lsr 24) land 0xFF));
-    Bytes.set out ((4 * i) + 1) (Char.chr ((ctx.h.(i) lsr 16) land 0xFF));
-    Bytes.set out ((4 * i) + 2) (Char.chr ((ctx.h.(i) lsr 8) land 0xFF));
-    Bytes.set out ((4 * i) + 3) (Char.chr (ctx.h.(i) land 0xFF))
+    Bytes.set buf (56 + i) (Char.unsafe_chr ((bits lsr (56 - (8 * i))) land 0xFF))
   done;
-  Bytes.to_string out
+  compress_buf ctx;
+  for i = 0 to 7 do
+    let x = ctx.h.(i) in
+    Bytes.set out (4 * i) (Char.unsafe_chr (x lsr 24));
+    Bytes.set out ((4 * i) + 1) (Char.unsafe_chr ((x lsr 16) land 0xFF));
+    Bytes.set out ((4 * i) + 2) (Char.unsafe_chr ((x lsr 8) land 0xFF));
+    Bytes.set out ((4 * i) + 3) (Char.unsafe_chr (x land 0xFF))
+  done;
+  Bytes.unsafe_to_string out
+
+let finalize ctx = finalize_into ctx (Bytes.create 32)
+
+(* One context per domain serves every one-shot digest.  The result is
+   allocated first, so nothing can run between resetting the context and
+   reading it out. *)
+let scratch = Domain.DLS.new_key init
 
 let digest msg =
-  let ctx = init () in
+  let out = Bytes.create 32 in
+  let ctx = Domain.DLS.get scratch in
+  Array.blit iv 0 ctx.h 0 8;
+  ctx.buf_len <- 0;
+  ctx.total_len <- 0;
   update ctx msg;
-  finalize ctx
+  finalize_into ctx out
 
 let to_hex s =
   let buf = Buffer.create (2 * String.length s) in

@@ -61,6 +61,8 @@ let equal a b = a.hi = b.hi && a.lo = b.lo
    so the monotone projection is a plain logical shift of [hi]. *)
 let[@inline] key (t : t) = Int64.to_int (Int64.shift_right_logical t.hi 2)
 
+let key_mask = (1 lsl 62) - 1
+
 (* Mixed-word avalanche over both words directly; the previous
    [Hashtbl.hash (a.hi, a.lo)] boxed a tuple per call. *)
 let hash a =

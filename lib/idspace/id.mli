@@ -37,6 +37,10 @@ val key : t -> int
     overflow, enabling branchless sign-mask selects) and fall back to the
     full 128-bit [compare] only on key ties.  Allocation-free. *)
 
+val key_mask : int
+(** [2{^62}-1]: [(key target - key x) land key_mask] is the clockwise key
+    distance from [x] to [target], the [dx] of {!closer_clockwise_keyed}. *)
+
 val succ_id : t -> t
 (** Clockwise neighbour (wraps from all-ones to zero). *)
 

@@ -206,10 +206,13 @@ module Lookup_substrate = struct
     mutable commit_kind : Trace.kind;
     mutable commit_dist : Id.t;
     tracer : Trace.builder;
-    (* Running-best registers of [select]: the winner so far and its
-       identifier.  Only the final winner is boxed into a [candidate]. *)
+    target_key : int;
+    (* Running-best registers of [select]: the winner so far, its
+       identifier and its key distance to the target.  Only the final
+       winner is boxed into a [candidate]. *)
     mutable pick : pick;
     mutable pick_id : Id.t;
+    mutable pick_d : int;
     mutable pick_vn : Vnode.t;
     mutable pick_ptr : Pointer.t;
   }
@@ -274,12 +277,15 @@ module Lookup_substrate = struct
   (* {!Walk.best} fused into the scan, in its precedence order: residents
      (and their successor pointers) first, the cache shortcut last.  A
      candidate replaces the running best only when strictly closer, so a
-     tie keeps the earlier one. *)
-  let[@inline] improves st id =
+     tie keeps the earlier one.  [d] is the candidate's key distance to the
+     target, which decides most comparisons without loading either
+     identifier. *)
+  let[@inline] improves st id d =
     (match st.exclude with Some e -> not (Id.equal e id) | None -> true)
     && (match st.pick with
         | No_pick -> true
-        | Pick_local | Pick_remote -> Id.closer_clockwise ~target:st.target id st.pick_id)
+        | Pick_local | Pick_remote ->
+          Id.closer_clockwise_keyed ~target:st.target d id st.pick_d st.pick_id)
 
   (* Pointer routes are recorded from links actually traversed (or SPF
      paths), so consecutive pairs are always graph links: with no failure
@@ -288,12 +294,16 @@ module Lookup_substrate = struct
   let consider_remote st cur ~healthy (p : Pointer.t) =
     (* Same-router pointers are covered by Local candidates (or are stale);
        a remote candidate must actually lead elsewhere. *)
-    if p.Pointer.dst_router <> cur && improves st p.Pointer.dst
-       && (healthy || Sourceroute.is_valid st.net.ls p.Pointer.route)
-    then begin
-      st.pick <- Pick_remote;
-      st.pick_id <- p.Pointer.dst;
-      st.pick_ptr <- p
+    if p.Pointer.dst_router <> cur then begin
+      let d = (st.target_key - Id.key p.Pointer.dst) land Id.key_mask in
+      if improves st p.Pointer.dst d
+         && (healthy || Sourceroute.is_valid st.net.ls p.Pointer.route)
+      then begin
+        st.pick <- Pick_remote;
+        st.pick_id <- p.Pointer.dst;
+        st.pick_d <- d;
+        st.pick_ptr <- p
+      end
     end
 
   let rec consider_succs st cur ~healthy = function
@@ -313,10 +323,14 @@ module Lookup_substrate = struct
           | Vnode.Stable | Vnode.Router_default -> true
           | Vnode.Ephemeral -> Id.equal vn.Vnode.id st.target
         in
-        if routable && improves st vn.Vnode.id then begin
-          st.pick <- Pick_local;
-          st.pick_id <- vn.Vnode.id;
-          st.pick_vn <- vn
+        if routable then begin
+          let d = (st.target_key - vn.Vnode.key) land Id.key_mask in
+          if improves st vn.Vnode.id d then begin
+            st.pick <- Pick_local;
+            st.pick_id <- vn.Vnode.id;
+            st.pick_d <- d;
+            st.pick_vn <- vn
+          end
         end;
         consider_succs st cur ~healthy vn.Vnode.succs
       end;
@@ -419,8 +433,10 @@ let lookup ?exclude t ~from ~target ~category ~use_cache =
       commit_kind = Trace.Ring;
       commit_dist = Id.max_value;
       tracer = Trace.builder ();
+      target_key = Id.key target;
       pick = Lookup_substrate.No_pick;
       pick_id = target;
+      pick_d = 0;
       pick_vn = t.routers.(from).default_vnode;
       pick_ptr = Pointer.placeholder;
     }

@@ -63,10 +63,17 @@ type t = {
   mutable dead_count : int;
   spf_cache : spf array; (* src -> partial or complete tree, or [no_tree] *)
   mutable free_scratch : scratch list; (* recycled arrays of dropped trees *)
+  mutable comp : int array;
+  (* Connected-component label of every router over the live links, -1 for
+     a dead router; [no_comp] until first asked for and after every event.
+     Built aside and published whole by one store, so a reader sees either
+     [no_comp] or a complete labelling. *)
   mutable listeners : (event -> unit) list;
 }
 
 let matrix_limit = 4096
+
+let no_comp : int array = [||]
 
 (* The empty [spf_cache] cell: its negative [src] tells it from a tree.
    Never mutated. *)
@@ -110,6 +117,7 @@ let create g =
     dead_count = 0;
     spf_cache = Array.make n no_tree;
     free_scratch = [];
+    comp = no_comp;
     listeners = [];
   }
 
@@ -117,7 +125,11 @@ let graph t = t.g
 
 let on_event t f = t.listeners <- f :: t.listeners
 
-let notify t ev = List.iter (fun f -> f ev) t.listeners
+(* Every event changes the live topology, so it retires the component
+   labels before any listener can ask for them. *)
+let notify t ev =
+  t.comp <- no_comp;
+  List.iter (fun f -> f ev) t.listeners
 
 let canonical u v = if u <= v then (u, v) else (v, u)
 
@@ -469,9 +481,42 @@ let path t src dst =
     end
   end
 
+(* One breadth-first search over the live adjacency labels every router
+   with the smallest router of its component, -1 when dead. *)
+let build_components t =
+  let n = t.n in
+  let comp = Array.make n (-1) and queue = Array.make n 0 in
+  for root = 0 to n - 1 do
+    if comp.(root) < 0 && router_alive t root then begin
+      comp.(root) <- root;
+      queue.(0) <- root;
+      let head = ref 0 and tail = ref 1 in
+      while !head < !tail do
+        let u = queue.(!head) in
+        incr head;
+        for e = t.off.(u) to t.off.(u + 1) - 1 do
+          let v = t.nbr.(e) in
+          if comp.(v) < 0 && link_alive t u v then begin
+            comp.(v) <- root;
+            queue.(!tail) <- v;
+            incr tail
+          end
+        done
+      done
+    end
+  done;
+  t.comp <- comp;
+  comp
+
+let components t = if t.comp == no_comp then build_components t else t.comp
+
+(* Same answer as a tree query ([distance_to <> None]), from the labels
+   alone: no tree is grown or cached. *)
 let reachable t src dst =
   router_alive t src && router_alive t dst
-  && (settled_state t src dst).dist.(dst) < infinity
+  &&
+  let comp = components t in
+  comp.(src) = comp.(dst)
 
 let distance_hops t src dst =
   if not (router_alive t src && router_alive t dst) then None

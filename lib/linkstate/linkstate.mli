@@ -54,6 +54,10 @@ val link_alive : t -> int -> int -> bool
 (** Both endpoints alive and the link not failed. *)
 
 val reachable : t -> int -> int -> bool
+(** Both routers alive and connected over live links: [distance_to <> None],
+    read from connected-component labels that the first query after an
+    event rebuilds with one breadth-first search.  Grows no SPF tree; a warm
+    query allocates nothing. *)
 
 val path : t -> int -> int -> int list option
 (** Latency-shortest live path, inclusive of both endpoints

@@ -836,11 +836,8 @@ let send_direct t ~cat ~from ~dest msg k =
 let rec avoided id = function [] -> false | a :: rest -> Id.equal a id || avoided id rest
 
 (* Candidates carry their clockwise key distance to the target, which
-   decides most comparisons from the key columns alone. *)
-let key_mask = (1 lsl 62) - 1
-
-(* Does [id], at key distance [d], displace [best] ([host] = -1: no best
-   yet)? *)
+   decides most comparisons from the key columns alone.  Does [id], at key
+   distance [d], displace [best] ([host] = -1: no best yet)? *)
 let[@inline] outranks ~target ~skip_target ~avoid ~host ~best ~best_d id d =
   (host < 0 || Id.closer_clockwise_keyed ~target d id best_d best)
   && not ((skip_target && Id.equal id target) || avoided id avoid)
@@ -852,7 +849,7 @@ let rank sh ~router ~target ~skip_target ~avoid =
   let s = ref (Store.chain_head store router) in
   while !s >= 0 do
     let rid = Store.rid store !s in
-    let d = (tk - Store.rkey store !s) land key_mask in
+    let d = (tk - Store.rkey store !s) land Id.key_mask in
     if outranks ~target ~skip_target ~avoid ~host:!host ~best:!best ~best_d:!best_d rid d
     then begin
       host := router;
@@ -862,7 +859,7 @@ let rank sh ~router ~target ~skip_target ~avoid =
     let srouter = Store.succ_router store !s in
     if srouter >= 0 && srouter <> router then begin
       let sid = Store.succ_rid store !s in
-      let d = (tk - Store.succ_key store !s) land key_mask in
+      let d = (tk - Store.succ_key store !s) land Id.key_mask in
       if outranks ~target ~skip_target ~avoid ~host:!host ~best:!best ~best_d:!best_d sid d
       then begin
         host := srouter;

@@ -59,6 +59,29 @@ let test_sha_distinct () =
   Alcotest.(check bool) "different inputs differ" false
     (Sha256.digest "hello" = Sha256.digest "hellp")
 
+(* One-shot [digest] (per-domain context, padding in its block buffer)
+   against the streaming interface fed in random chunks, over every padding
+   boundary: 55/56 (length fits or spills into a second block), 63/64 and
+   119/120. *)
+let prop_digest_matches_streaming =
+  QCheck.Test.make ~name:"digest = streaming over random chunkings" ~count:500
+    QCheck.(
+      pair
+        (make ~print:string_of_int
+           Gen.(oneof [ int_range 0 300; oneofl [ 55; 56; 63; 64; 119; 120 ] ]))
+        (int_range 1 1_000_000))
+    (fun (len, seed) ->
+      let g = Prng.create seed in
+      let msg = String.init len (fun _ -> Char.chr (Prng.int g 256)) in
+      let ctx = Sha256.init () in
+      let pos = ref 0 in
+      while !pos < len do
+        let take = min (len - !pos) (Prng.int g 130) in
+        Sha256.update ctx (String.sub msg !pos take);
+        pos := !pos + take
+      done;
+      String.equal (Sha256.digest msg) (Sha256.finalize ctx))
+
 (* ---------- HMAC-SHA256 RFC 4231 vectors ---------- *)
 
 let hex_to_string h =
@@ -156,6 +179,27 @@ let test_identity_authenticate_spoof () =
   | Error _ -> ()
   | Ok () -> Alcotest.fail "forged response accepted"
 
+(* The registry holds public keys weakly: held keypairs still verify after
+   a major collection, dropped ones leave no entry behind. *)
+let test_identity_registry_weak () =
+  let g = Prng.create 2024 in
+  let held = Identity.generate g in
+  for _ = 1 to 10_000 do
+    ignore (Sys.opaque_identity (Identity.generate g))
+  done;
+  Gc.full_major ();
+  let left = Identity.registered () in
+  Alcotest.(check bool) (Printf.sprintf "registry near-empty (%d left)" left) true (left < 100);
+  let c = Identity.fresh_challenge g in
+  Alcotest.(check bool) "held keypair verifies" true
+    (Identity.verify (Identity.public held) c (Identity.respond held c));
+  match
+    Identity.authenticate g ~claimed_id:(Identity.id_of_keypair held) (Identity.public held)
+      (fun c -> Identity.respond held c)
+  with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "held keypair rejected: %s" e
+
 let test_sybil_auditor () =
   let a = Identity.auditor ~limit:2 in
   let id1 = Id.random rng and id2 = Id.random rng and id3 = Id.random rng in
@@ -181,6 +225,7 @@ let () =
           Alcotest.test_case "block boundaries" `Quick test_sha_block_boundaries;
           Alcotest.test_case "streaming chunks" `Quick test_sha_streaming_chunks;
           Alcotest.test_case "distinct inputs" `Quick test_sha_distinct;
+          QCheck_alcotest.to_alcotest prop_digest_matches_streaming;
         ] );
       ( "hmac",
         [
@@ -199,5 +244,6 @@ let () =
           Alcotest.test_case "authenticate ok" `Quick test_identity_authenticate_ok;
           Alcotest.test_case "authenticate spoof" `Quick test_identity_authenticate_spoof;
           Alcotest.test_case "sybil auditor" `Quick test_sybil_auditor;
+          Alcotest.test_case "registry is weak" `Quick test_identity_registry_weak;
         ] );
     ]

@@ -474,6 +474,74 @@ let prop_kernel_matches_reference =
       done;
       !ok)
 
+(* A sparse random graph: a random spanning tree plus a few chords, so
+   single failures often cut it in two. *)
+let sparse_graph rng =
+  let n = 1 + Prng.int rng 12 in
+  let g = Graph.create n in
+  for v = 1 to n - 1 do
+    Graph.add_link g (Prng.int rng v) v ~latency_ms:(float_of_int (1 + Prng.int rng 3))
+  done;
+  for u = 0 to n - 1 do
+    for v = u + 1 to n - 1 do
+      if (not (Graph.has_link g u v)) && Prng.int rng 100 < 8 then
+        Graph.add_link g u v ~latency_ms:1.0
+    done
+  done;
+  g
+
+(* [reachable] reads component labels; after every step of a random
+   fail/restore script it must give, for every pair (src = dst and dead
+   endpoints included), the tree answer of a fresh instance that replays
+   the failed sets. *)
+let prop_reachable_matches_trees =
+  QCheck.Test.make ~name:"reachable = tree answer of a fresh instance" ~count:200
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let rng = Prng.create seed in
+      let g = sparse_graph rng in
+      let n = Graph.n g in
+      let edges = Array.of_list (Graph.links g) in
+      let ls = Linkstate.create g in
+      let failed_links = Hashtbl.create 8 and failed_routers = Hashtbl.create 8 in
+      let agrees () =
+        let fresh = Linkstate.create g in
+        Hashtbl.iter (fun (u, v) () -> Linkstate.fail_link fresh u v) failed_links;
+        Hashtbl.iter (fun r () -> Linkstate.fail_router fresh r) failed_routers;
+        let ok = ref true in
+        for a = 0 to n - 1 do
+          for b = 0 to n - 1 do
+            if Linkstate.reachable ls a b <> Option.is_some (Linkstate.distance_to fresh a b)
+            then ok := false
+          done
+        done;
+        !ok
+      in
+      let ok = ref (agrees ()) in
+      for _ = 1 to 40 do
+        if !ok then begin
+          (match Prng.int rng 4 with
+           | 0 when Array.length edges > 0 ->
+             let { Graph.u; v; _ } = edges.(Prng.int rng (Array.length edges)) in
+             Linkstate.fail_link ls u v;
+             Hashtbl.replace failed_links (min u v, max u v) ()
+           | 1 when Array.length edges > 0 ->
+             let { Graph.u; v; _ } = edges.(Prng.int rng (Array.length edges)) in
+             Linkstate.restore_link ls u v;
+             Hashtbl.remove failed_links (min u v, max u v)
+           | 2 ->
+             let r = Prng.int rng n in
+             Linkstate.fail_router ls r;
+             Hashtbl.replace failed_routers r ()
+           | _ ->
+             let r = Prng.int rng n in
+             Linkstate.restore_router ls r;
+             Hashtbl.remove failed_routers r);
+          ok := agrees ()
+        end
+      done;
+      !ok)
+
 let prop_paths_are_valid_routes =
   QCheck.Test.make ~name:"every SPF path is a valid source route" ~count:100
     QCheck.(pair (int_range 1 500) (pair (int_range 0 39) (int_range 0 39)))
@@ -506,6 +574,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_paths_are_valid_routes;
           QCheck_alcotest.to_alcotest prop_hops_symmetric;
           QCheck_alcotest.to_alcotest prop_kernel_matches_reference;
+          QCheck_alcotest.to_alcotest prop_reachable_matches_trees;
         ] );
       ( "failures",
         [
