@@ -13,12 +13,9 @@ type edge = int * int
 val infer : n:int -> edge list -> Asgraph.t
 (** [infer ~n edges] annotates each undirected edge: the endpoint with the
     much larger degree becomes the provider; endpoints of comparable degree
-    (within the peering ratio) become peers.  Any cycle that inference would
+    (degree ratio under 2) become peers.  Any cycle that inference would
     create in the customer–provider subgraph is broken by re-annotating the
     offending edge as peering, so the result always validates. *)
-
-val peering_ratio : float
-(** Degree ratio under which an edge is classified as peering (2.0). *)
 
 val agreement : truth:Asgraph.t -> Asgraph.t -> float
 (** Fraction of edges whose inferred annotation matches the ground truth

@@ -38,11 +38,9 @@ val route_hops : t -> src:int -> dst:int -> int option
 val stretch : t -> src:int -> dst:int -> float option
 (** Compact route length over the true shortest path. *)
 
-val table_entries : t -> int -> int
-(** Routing-table entries at a router: landmarks + cluster members — the
-    state ROFL's ring pointers and caches are traded against. *)
-
 val avg_table_entries : t -> float
+(** Mean routing-table entries per router: landmarks + cluster members —
+    the state ROFL's ring pointers and caches are traded against. *)
 
 val max_stretch_bound : float
 (** The scheme's worst-case guarantee (3.0). *)

@@ -113,8 +113,6 @@ let fill_ratio f =
   done;
   float_of_int !set /. float_of_int f.m
 
-let size_bits f = f.m
-
 let copy f = { f with bits = Bytes.copy f.bits }
 
 let clear f =

@@ -51,9 +51,6 @@ val estimated_fpr : t -> float
 val fill_ratio : t -> float
 (** Fraction of bits set. *)
 
-val size_bits : t -> int
-(** Total state in bits (the per-AS cost reported in §6.3). *)
-
 val copy : t -> t
 
 val clear : t -> unit

@@ -3,9 +3,11 @@ module Proto = Rofl_proto.Proto
 
 type config = {
   every_ms : float;
-  stale_grace_ms : float option;
-  max_recorded : int;
+  stale_grace_ms : float;
 }
+
+(* Violations kept verbatim; the rest are only counted. *)
+let max_recorded = 64
 
 let config_for (pc : Proto.config) =
   (* Worst-case repair latency for one dead successor: the failure surfaces
@@ -17,15 +19,14 @@ let config_for (pc : Proto.config) =
      of simulated time at default periods. *)
   let rpc_budget =
     let rec go i acc =
-      if i > pc.Proto.rpc_retries then acc
-      else go (i + 1) (acc +. (pc.Proto.rpc_timeout_ms *. (pc.Proto.rpc_backoff ** float_of_int i)))
+      if i > Proto.rpc_retries then acc
+      else go (i + 1) (acc +. (Proto.rpc_timeout_ms *. (Proto.rpc_backoff ** float_of_int i)))
     in
     go 0 0.0
   in
   {
     every_ms = pc.Proto.stabilize_period_ms;
-    stale_grace_ms = Some (8.0 *. (pc.Proto.stabilize_period_ms +. rpc_budget));
-    max_recorded = 64;
+    stale_grace_ms = 8.0 *. (pc.Proto.stabilize_period_ms +. rpc_budget);
   }
 
 type summary = {
@@ -64,12 +65,12 @@ let create ?extra cfg proto =
 
 let checkpoint t now =
   t.checkpoints <- t.checkpoints + 1;
-  let vs = Checks.proto_checks ?stale_grace_ms:t.cfg.stale_grace_ms ~at_ms:now t.proto in
+  let vs = Checks.proto_checks ~stale_grace_ms:t.cfg.stale_grace_ms ~at_ms:now t.proto in
   let vs = match t.extra with None -> vs | Some f -> vs @ f now in
   List.iter
     (fun v ->
       t.total <- t.total + 1;
-      if t.recorded_n < t.cfg.max_recorded then begin
+      if t.recorded_n < max_recorded then begin
         t.recorded <- v :: t.recorded;
         t.recorded_n <- t.recorded_n + 1
       end)

@@ -8,20 +8,20 @@
     leaves every table byte-identical. *)
 
 type config = {
-  every_ms : float;               (** checkpoint cadence (simulated ms, > 0) *)
-  stale_grace_ms : float option;  (** grace for the stale-successor check *)
-  max_recorded : int;             (** violations kept verbatim; the rest only counted *)
+  every_ms : float;        (** checkpoint cadence (simulated ms, > 0) *)
+  stale_grace_ms : float;  (** grace for the stale-successor check *)
 }
 
 val config_for : Rofl_proto.Proto.config -> config
 (** Derive a cadence and grace from a protocol configuration: checkpoints
     every stabilisation period, stale grace of eight worst-case repair
-    chains (period + full probe retry budget each). *)
+    chains (period + the full {!Rofl_proto.Proto.rpc_retries} probe retry
+    budget each). *)
 
 type summary = {
   checkpoints : int;                    (** checkpoint sweeps executed *)
-  violations : Checks.violation list;   (** recorded, in detection order *)
-  total_violations : int;               (** including any past [max_recorded] *)
+  violations : Checks.violation list;   (** the first 64, in detection order *)
+  total_violations : int;               (** including any past the first 64 *)
 }
 
 val ok : summary -> bool

@@ -17,7 +17,7 @@ let to_string v = Format.asprintf "%a" pp_violation v
 
 (* ---- proto-level checks ------------------------------------------------- *)
 
-let proto_checks ?stale_grace_ms ~at_ms (p : Proto.t) =
+let proto_checks ~stale_grace_ms ~at_ms (p : Proto.t) =
   let out = ref [] in
   let emit check subject fmt =
     Printf.ksprintf (fun detail -> out := { check; subject; detail; at_ms } :: !out) fmt
@@ -122,16 +122,13 @@ let proto_checks ?stale_grace_ms ~at_ms (p : Proto.t) =
   end;
   (* A stale successor window still open past the repair grace means
      detection/failover stopped working (e.g. the stabilizer died). *)
-  (match stale_grace_ms with
-   | None -> ()
-   | Some grace ->
-     List.iter
-       (fun (rid, since) ->
-         let open_ms = at_ms -. since in
-         if open_ms > grace then
-           emit "stale-grace" (short rid)
-             "successor stale for %.0f ms (grace %.0f ms)" open_ms grace)
-       (Proto.stale_open_since p));
+  List.iter
+    (fun (rid, since) ->
+      let open_ms = at_ms -. since in
+      if open_ms > stale_grace_ms then
+        emit "stale-grace" (short rid)
+          "successor stale for %.0f ms (grace %.0f ms)" open_ms stale_grace_ms)
+    (Proto.stale_open_since p);
   (* ---- attack-detection invariants.  These audit the *declared* policy
      ([Proto.config]), not the enforcement switch: a ring that declares a
      diversity quota but runs with [quota_enforce = false] is exactly the
@@ -287,7 +284,7 @@ let ring_owner members id =
     Some members.(if !lo = 0 then n - 1 else !lo - 1)
   end
 
-let services_checks ?expiry_grace_ms ~at_ms (dir : Directory.t) =
+let services_checks ~at_ms (dir : Directory.t) =
   let out = ref [] in
   let emit check subject fmt =
     Printf.ksprintf (fun detail -> out := { check; subject; detail; at_ms } :: !out) fmt
@@ -298,14 +295,10 @@ let services_checks ?expiry_grace_ms ~at_ms (dir : Directory.t) =
   let cfg = Directory.config dir in
   (* No expired record may outlive the sweep cadence by more than the grace:
      a record still resident grace-past its TTL means the expiry sweep
-     stopped (or a refresh wrote a past deadline).  The grace defaults to
-     two republish periods — a full period for the sweep that should have
+     stopped (or a refresh wrote a past deadline).  The grace is two
+     republish periods — a full period for the sweep that should have
      caught it, and another for scheduling slack. *)
-  let grace =
-    match expiry_grace_ms with
-    | Some g -> g
-    | None -> 2.0 *. cfg.Directory.republish_period_ms
-  in
+  let grace = 2.0 *. Directory.republish_period_ms in
   Provider_store.iter store (fun s ->
       let deadline = Provider_store.expires_ms store s +. grace in
       if deadline < at_ms then

@@ -18,12 +18,10 @@ val fingerprint : violation -> string
     detail and timestamp vary as events are dropped; the kind of breakage
     and who it happened to must not. *)
 
-val pp_violation : Format.formatter -> violation -> unit
-
 val to_string : violation -> string
 
 val proto_checks :
-  ?stale_grace_ms:float -> at_ms:float -> Rofl_proto.Proto.t -> violation list
+  stale_grace_ms:float -> at_ms:float -> Rofl_proto.Proto.t -> violation list
 (** Checkpoint sweep of the async protocol state: residency-oracle/resident
     agreement (["oracle-agreement"], ["duplicate-resident"]), successor-list
     hygiene (["succ-list-self"], ["succ-list-order"], ["succ-list-dup"]),
@@ -32,8 +30,8 @@ val proto_checks :
     (["pcache-capacity"]), network-size-estimate sanity (["nhat-drift"]:
     on a converged ring of ≥ 64 members the median estimate must land
     within factor 4 of the membership — only the median, per-node samples
-    are Erlang-noisy), and — when [stale_grace_ms] is given — stale
-    successor windows open past the grace (["stale-grace"]).
+    are Erlang-noisy), and stale successor windows open past
+    [stale_grace_ms] (["stale-grace"]).
 
     Attack-detection invariants ride the same sweep, auditing the ring's
     {e declared} policy even when enforcement is off:
@@ -49,26 +47,22 @@ val proto_checks :
     and ["pcache-quota"] (a pointer cache holding more entries of one
     group than its admission quota when enforcement is on). *)
 
-val pointer_cache_checks :
-  at_ms:float -> subject:string -> Rofl_core.Pointer_cache.t -> violation list
-(** LRU/ring-index agreement (["pointer-cache-agreement"]). *)
-
 val intra_checks :
   ?routability_samples:int -> at_ms:float -> Rofl_intra.Network.t -> violation list
 (** The existing {!Rofl_intra.Invariant} sweep (["intra-invariant"]), optional
     routability sampling (["intra-routability"], surfacing the inconclusive
     case as a violation), plus a pointer-cache agreement audit of every
-    router.  Routability sampling draws from the network's own RNG. *)
+    router (["pointer-cache-agreement"]: LRU and ring index agree).
+    Routability sampling draws from the network's own RNG. *)
 
 val inter_checks :
   ?routability_samples:int -> at_ms:float -> Rofl_inter.Net.t -> violation list
 (** The existing {!Rofl_inter.Interinvariant} sweep (["inter-invariant"]) and
     optional routability sampling (["inter-routability"]). *)
 
-val services_checks :
-  ?expiry_grace_ms:float -> at_ms:float -> Rofl_services.Directory.t -> violation list
+val services_checks : at_ms:float -> Rofl_services.Directory.t -> violation list
 (** Checkpoint sweep of the service-discovery layer: no record resident
-    grace-past its TTL (["svc-expiry"]; grace defaults to two republish
+    grace-past its TTL (["svc-expiry"]; the grace is two republish
     periods — a full sweep cadence plus slack), every active intent's
     current placement hosted by the ring owner of its service identifier
     whenever the ring is converged (["svc-residency"]; decaying copies at

@@ -560,140 +560,121 @@ let run ~seed ~profile ?audit ?shards ?pool ?(events : Artifact.event list optio
 
 (* Round-tripping params through repro artifacts.  Hex floats ([%h]) keep
    every scalar bit-identical across write/read, which the shrinker's
-   determinism depends on. *)
+   determinism depends on.  Each key is listed once, in [fields], so the
+   writer and the reader cannot disagree. *)
 
-let params_to_strings (p : params) =
-  let f = Printf.sprintf "%h" in
-  let i = string_of_int in
-  let b = string_of_bool in
-  let c = p.proto_cfg in
+type 'a scalar = { kind : string; show : 'a -> string; parse : string -> 'a option }
+
+let float_s = { kind = "float"; show = Printf.sprintf "%h"; parse = float_of_string_opt }
+let int_s = { kind = "int"; show = string_of_int; parse = int_of_string_opt }
+let bool_s = { kind = "bool"; show = string_of_bool; parse = bool_of_string_opt }
+
+(* A lookup runs at least one walk branch. *)
+let branches_s =
+  {
+    int_s with
+    kind = "branch count (int >= 1)";
+    parse = (fun v -> match int_of_string_opt v with Some x when x >= 1 -> Some x | _ -> None);
+  }
+
+let parse_scalar key sc v =
+  match sc.parse v with
+  | Some x -> Ok x
+  | None -> Error (Printf.sprintf "param %s: malformed %s %S" key sc.kind v)
+
+type field = {
+  key : string;
+  write : params -> string;
+  read : params -> string -> (params, string) result;
+}
+
+let field key sc get set =
+  {
+    key;
+    write = (fun p -> sc.show (get p));
+    read = (fun p v -> Result.map (set p) (parse_scalar key sc v));
+  }
+
+let proto key sc get set =
+  field key sc (fun p -> get p.proto_cfg) (fun p x -> { p with proto_cfg = set p.proto_cfg x })
+
+let fields =
   [
-    ("horizon_ms", f p.horizon_ms);
-    ("arrival_rate_per_s", f p.arrival_rate_per_s);
-    ("mean_lifetime_s", f p.mean_lifetime_s);
-    ("move_fraction", f p.move_fraction);
-    ("crash_fraction", f p.crash_fraction);
-    ("lookup_rate_per_s", f p.lookup_rate_per_s);
-    ("lookup_warmup_ms", f p.lookup_warmup_ms);
-    ("drain_max_ms", f p.drain_max_ms);
-    ("bootstrap_hosts", i p.bootstrap_hosts);
-    ("stabilize_period_ms", f c.Proto.stabilize_period_ms);
-    ("succ_list_len", i c.Proto.succ_list_len);
-    ("rpc_timeout_ms", f c.Proto.rpc_timeout_ms);
-    ("rpc_retries", i c.Proto.rpc_retries);
-    ("rpc_backoff", f c.Proto.rpc_backoff);
-    ("pred_timeout_ms", f c.Proto.pred_timeout_ms);
-    ("join_timeout_ms", f c.Proto.join_timeout_ms);
-    ("join_retries", i c.Proto.join_retries);
-    ("lookup_timeout_ms", f c.Proto.lookup_timeout_ms);
-    ("lookup_retries", i c.Proto.lookup_retries);
-    ("stuck_wait_ms", f c.Proto.stuck_wait_ms);
-    ("stuck_wait_limit", i c.Proto.stuck_wait_limit);
-    ("untwist", b c.Proto.untwist);
-    ("lookup_alpha", i c.Proto.lookup_alpha);
-    ("pcache_capacity", i c.Proto.pcache_capacity);
-    ("pcache_refresh_ttl_ms", f c.Proto.pcache_refresh_ttl_ms);
-    ("pcache_refresh_budget", i c.Proto.pcache_refresh_budget);
-    ("stabilize_auto", b c.Proto.stabilize_auto);
-    ("verify_joins", b c.Proto.verify_joins);
-    ("succ_quota", i c.Proto.succ_quota);
-    ("quota_enforce", b c.Proto.quota_enforce);
+    field "horizon_ms" float_s (fun p -> p.horizon_ms) (fun p x -> { p with horizon_ms = x });
+    field "arrival_rate_per_s" float_s (fun p -> p.arrival_rate_per_s)
+      (fun p x -> { p with arrival_rate_per_s = x });
+    field "mean_lifetime_s" float_s (fun p -> p.mean_lifetime_s)
+      (fun p x -> { p with mean_lifetime_s = x });
+    field "move_fraction" float_s (fun p -> p.move_fraction)
+      (fun p x -> { p with move_fraction = x });
+    field "crash_fraction" float_s (fun p -> p.crash_fraction)
+      (fun p x -> { p with crash_fraction = x });
+    field "lookup_rate_per_s" float_s (fun p -> p.lookup_rate_per_s)
+      (fun p x -> { p with lookup_rate_per_s = x });
+    field "lookup_warmup_ms" float_s (fun p -> p.lookup_warmup_ms)
+      (fun p x -> { p with lookup_warmup_ms = x });
+    field "drain_max_ms" float_s (fun p -> p.drain_max_ms) (fun p x -> { p with drain_max_ms = x });
+    field "bootstrap_hosts" int_s (fun p -> p.bootstrap_hosts)
+      (fun p x -> { p with bootstrap_hosts = x });
+    proto "stabilize_period_ms" float_s (fun c -> c.Proto.stabilize_period_ms)
+      (fun c x -> { c with Proto.stabilize_period_ms = x });
+    proto "join_timeout_ms" float_s (fun c -> c.Proto.join_timeout_ms)
+      (fun c x -> { c with Proto.join_timeout_ms = x });
+    proto "lookup_timeout_ms" float_s (fun c -> c.Proto.lookup_timeout_ms)
+      (fun c x -> { c with Proto.lookup_timeout_ms = x });
+    proto "untwist" bool_s (fun c -> c.Proto.untwist) (fun c x -> { c with Proto.untwist = x });
+    proto "lookup_alpha" branches_s (fun c -> c.Proto.lookup_alpha)
+      (fun c x -> { c with Proto.lookup_alpha = x });
+    proto "pcache_capacity" int_s (fun c -> c.Proto.pcache_capacity)
+      (fun c x -> { c with Proto.pcache_capacity = x });
+    proto "stabilize_auto" bool_s (fun c -> c.Proto.stabilize_auto)
+      (fun c x -> { c with Proto.stabilize_auto = x });
+    proto "verify_joins" bool_s (fun c -> c.Proto.verify_joins)
+      (fun c x -> { c with Proto.verify_joins = x });
+    proto "succ_quota" int_s (fun c -> c.Proto.succ_quota)
+      (fun c x -> { c with Proto.succ_quota = x });
+    proto "quota_enforce" bool_s (fun c -> c.Proto.quota_enforce)
+      (fun c x -> { c with Proto.quota_enforce = x });
   ]
 
+(* Keys that name protocol constants, as artifacts written while they were
+   still [Proto.config] fields carry them: accepted at the constant's
+   value, an error at any other. *)
+let fixed key sc value =
+  ( key,
+    fun v ->
+      Result.bind (parse_scalar key sc v) (fun x ->
+          if x = value then Ok ()
+          else
+            Error
+              (Printf.sprintf "param %s: fixed at %s in this version, got %S" key
+                 (sc.show value) v)) )
+
+let retired =
+  [
+    fixed "succ_list_len" int_s Proto.succ_list_len;
+    fixed "rpc_timeout_ms" float_s Proto.rpc_timeout_ms;
+    fixed "rpc_retries" int_s Proto.rpc_retries;
+    fixed "rpc_backoff" float_s Proto.rpc_backoff;
+    fixed "pred_timeout_ms" float_s Proto.pred_timeout_ms;
+    fixed "join_retries" int_s Proto.join_retries;
+    fixed "lookup_retries" int_s Proto.lookup_retries;
+    fixed "stuck_wait_ms" float_s Proto.stuck_wait_ms;
+    fixed "stuck_wait_limit" int_s Proto.stuck_wait_limit;
+    fixed "pcache_refresh_ttl_ms" float_s Proto.pcache_refresh_ttl_ms;
+    fixed "pcache_refresh_budget" int_s Proto.pcache_refresh_budget;
+  ]
+
+let params_to_strings p = List.map (fun f -> (f.key, f.write p)) fields
+
 let params_of_strings kvs =
-  let ( let* ) = Result.bind in
-  let fl k v =
-    match float_of_string_opt v with
-    | Some x -> Ok x
-    | None -> Error (Printf.sprintf "param %s: malformed float %S" k v)
-  in
-  let it k v =
-    match int_of_string_opt v with
-    | Some x -> Ok x
-    | None -> Error (Printf.sprintf "param %s: malformed int %S" k v)
-  in
-  let bl k v =
-    match bool_of_string_opt v with
-    | Some x -> Ok x
-    | None -> Error (Printf.sprintf "param %s: malformed bool %S" k v)
-  in
   List.fold_left
     (fun acc (k, v) ->
-      let* p = acc in
-      let c = p.proto_cfg in
-      match k with
-      | "horizon_ms" -> let* x = fl k v in Ok { p with horizon_ms = x }
-      | "arrival_rate_per_s" -> let* x = fl k v in Ok { p with arrival_rate_per_s = x }
-      | "mean_lifetime_s" -> let* x = fl k v in Ok { p with mean_lifetime_s = x }
-      | "move_fraction" -> let* x = fl k v in Ok { p with move_fraction = x }
-      | "crash_fraction" -> let* x = fl k v in Ok { p with crash_fraction = x }
-      | "lookup_rate_per_s" -> let* x = fl k v in Ok { p with lookup_rate_per_s = x }
-      | "lookup_warmup_ms" -> let* x = fl k v in Ok { p with lookup_warmup_ms = x }
-      | "drain_max_ms" -> let* x = fl k v in Ok { p with drain_max_ms = x }
-      | "bootstrap_hosts" -> let* x = it k v in Ok { p with bootstrap_hosts = x }
-      | "stabilize_period_ms" ->
-        let* x = fl k v in
-        Ok { p with proto_cfg = { c with Proto.stabilize_period_ms = x } }
-      | "succ_list_len" ->
-        let* x = it k v in
-        Ok { p with proto_cfg = { c with Proto.succ_list_len = x } }
-      | "rpc_timeout_ms" ->
-        let* x = fl k v in
-        Ok { p with proto_cfg = { c with Proto.rpc_timeout_ms = x } }
-      | "rpc_retries" ->
-        let* x = it k v in
-        Ok { p with proto_cfg = { c with Proto.rpc_retries = x } }
-      | "rpc_backoff" ->
-        let* x = fl k v in
-        Ok { p with proto_cfg = { c with Proto.rpc_backoff = x } }
-      | "pred_timeout_ms" ->
-        let* x = fl k v in
-        Ok { p with proto_cfg = { c with Proto.pred_timeout_ms = x } }
-      | "join_timeout_ms" ->
-        let* x = fl k v in
-        Ok { p with proto_cfg = { c with Proto.join_timeout_ms = x } }
-      | "join_retries" ->
-        let* x = it k v in
-        Ok { p with proto_cfg = { c with Proto.join_retries = x } }
-      | "lookup_timeout_ms" ->
-        let* x = fl k v in
-        Ok { p with proto_cfg = { c with Proto.lookup_timeout_ms = x } }
-      | "lookup_retries" ->
-        let* x = it k v in
-        Ok { p with proto_cfg = { c with Proto.lookup_retries = x } }
-      | "stuck_wait_ms" ->
-        let* x = fl k v in
-        Ok { p with proto_cfg = { c with Proto.stuck_wait_ms = x } }
-      | "stuck_wait_limit" ->
-        let* x = it k v in
-        Ok { p with proto_cfg = { c with Proto.stuck_wait_limit = x } }
-      | "untwist" ->
-        let* x = bl k v in
-        Ok { p with proto_cfg = { c with Proto.untwist = x } }
-      | "lookup_alpha" ->
-        let* x = it k v in
-        if x < 1 then Error (Printf.sprintf "param %s: must be >= 1, got %d" k x)
-        else Ok { p with proto_cfg = { c with Proto.lookup_alpha = x } }
-      | "pcache_capacity" ->
-        let* x = it k v in
-        Ok { p with proto_cfg = { c with Proto.pcache_capacity = x } }
-      | "pcache_refresh_ttl_ms" ->
-        let* x = fl k v in
-        Ok { p with proto_cfg = { c with Proto.pcache_refresh_ttl_ms = x } }
-      | "pcache_refresh_budget" ->
-        let* x = it k v in
-        Ok { p with proto_cfg = { c with Proto.pcache_refresh_budget = x } }
-      | "stabilize_auto" ->
-        let* x = bl k v in
-        Ok { p with proto_cfg = { c with Proto.stabilize_auto = x } }
-      | "verify_joins" ->
-        let* x = bl k v in
-        Ok { p with proto_cfg = { c with Proto.verify_joins = x } }
-      | "succ_quota" ->
-        let* x = it k v in
-        Ok { p with proto_cfg = { c with Proto.succ_quota = x } }
-      | "quota_enforce" ->
-        let* x = bl k v in
-        Ok { p with proto_cfg = { c with Proto.quota_enforce = x } }
-      | _ -> Error (Printf.sprintf "unknown param %S" k))
+      Result.bind acc (fun p ->
+          match List.find_opt (fun f -> f.key = k) fields with
+          | Some f -> f.read p v
+          | None -> (
+            match List.assoc_opt k retired with
+            | Some check -> Result.map (fun () -> p) (check v)
+            | None -> Error (Printf.sprintf "unknown param %S" k))))
     (Ok default_params) kvs

@@ -181,4 +181,8 @@ val params_to_strings : params -> (string * string) list
 
 val params_of_strings : (string * string) list -> (params, string) result
 (** Rebuild params from artifact lines over {!default_params}; unknown keys,
-    malformed scalars and a [lookup_alpha] below 1 are errors. *)
+    malformed scalars and a [lookup_alpha] below 1 are errors.  Keys of
+    values that are now {!Rofl_proto.Proto} constants ([succ_list_len],
+    [rpc_timeout_ms], ...), which older artifacts carry, are accepted only
+    at the constant's value; any other value is an error naming the key as
+    fixed. *)

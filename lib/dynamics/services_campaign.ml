@@ -37,20 +37,21 @@ module Checks = Rofl_doctor.Checks
    probing throughout, so resolution traffic shares the network with live
    ring maintenance, sharded and parallel like any proto campaign. *)
 
+let providers_per_service = 2
+let zipf_s = 0.9 (* popularity skew of the demand *)
+let unknown_fraction = 0.05 (* demand aimed at never-published names *)
+let flash_mult = 8.0 (* arrival-rate multiplier during the flash crowd *)
+let flash_focus = 2 (* the crowd hammers the [flash_focus] hottest names *)
+
 type params = {
   horizon_ms : float;
   drain_ms : float;            (* post-horizon ticks: republish/sweep only *)
   tick_ms : float;             (* batching cadence of the open loop *)
   bootstrap_hosts : int;
   services : int;
-  providers_per_service : int;
   rate_per_s : float;
-  zipf_s : float;
-  unknown_fraction : float;    (* demand aimed at never-published names *)
-  flash_mult : float;          (* <= 1 disables the flash crowd *)
-  flash_focus : int;
   flash_start_ms : float;
-  flash_len_ms : float;
+  flash_len_ms : float;        (* <= 0 disables the flash crowd *)
   flap_rate_per_s : float;
   storm_at_ms : float;         (* <= 0 disables the republish storm *)
   dir_cfg : Directory.config;
@@ -64,12 +65,7 @@ let default_params =
     tick_ms = 100.0;
     bootstrap_hosts = 500;
     services = 200;
-    providers_per_service = 2;
     rate_per_s = 200.0;
-    zipf_s = 0.9;
-    unknown_fraction = 0.05;
-    flash_mult = 8.0;
-    flash_focus = 2;
     flash_start_ms = 8_000.0;
     flash_len_ms = 4_000.0;
     flap_rate_per_s = 1.0;
@@ -134,7 +130,7 @@ let run_graph ~seed ~name ~graph ~gateways ?audit ?(shards = 1) ?pool (p : param
   let coord = Proto.coordinator proto in
   (* Little's-law load hint: the steady record population is the intent set,
      and the resolve batch width is rate x tick. *)
-  let intents = p.services * p.providers_per_service in
+  let intents = p.services * providers_per_service in
   let batch_hint =
     16 + int_of_float (ceil (p.rate_per_s *. p.tick_ms /. 1000.0))
   in
@@ -146,7 +142,7 @@ let run_graph ~seed ~name ~graph ~gateways ?audit ?(shards = 1) ?pool (p : param
      content-keyed gateway (where its host attaches to the network). *)
   for rank = 1 to p.services do
     let service = service_id ~seed rank in
-    for j = 0 to p.providers_per_service - 1 do
+    for j = 0 to providers_per_service - 1 do
       let origin_rng = keyed seed "svc-origin" (rank, j) in
       ignore
         (Directory.register dir ~service ~provider:(provider_id ~seed rank j)
@@ -155,21 +151,20 @@ let run_graph ~seed ~name ~graph ~gateways ?audit ?(shards = 1) ?pool (p : param
   done;
   (* Demand trace, bucketed by tick. *)
   let flash =
-    if p.flash_mult > 1.0 && p.flash_len_ms > 0.0 then
+    if p.flash_len_ms > 0.0 then
       Some
         {
           Services.flash_start_ms = p.flash_start_ms;
           flash_len_ms = p.flash_len_ms;
-          flash_mult = p.flash_mult;
-          flash_focus = min p.flash_focus p.services;
+          flash_mult;
+          flash_focus = min flash_focus p.services;
         }
     else None
   in
   let events =
     Services.generate (stream seed "svc-demand") ~horizon_ms:p.horizon_ms
-      ~services:p.services ~providers_per_service:p.providers_per_service
-      ~rate_per_s:p.rate_per_s ~zipf_s:p.zipf_s
-      ~unknown_fraction:p.unknown_fraction ?flash
+      ~services:p.services ~providers_per_service ~rate_per_s:p.rate_per_s
+      ~zipf_s ~unknown_fraction ?flash
       ~flap_rate_per_s:p.flap_rate_per_s ()
   in
   let ticks_horizon = int_of_float (ceil (p.horizon_ms /. p.tick_ms)) in

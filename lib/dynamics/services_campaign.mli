@@ -19,6 +19,21 @@
     from (seed, purpose) or per-event content keys — reports are
     byte-identical at any [--shards]/[--jobs]. *)
 
+val providers_per_service : int
+(** 2 providers registered per service. *)
+
+val zipf_s : float
+(** 0.9: Zipf skew of resolution demand over the services. *)
+
+val unknown_fraction : float
+(** 0.05: share of demand aimed at never-published names. *)
+
+val flash_mult : float
+(** 8: arrival-rate multiplier during the flash crowd. *)
+
+val flash_focus : int
+(** 2: the flash crowd hammers the [flash_focus] hottest names. *)
+
 type params = {
   horizon_ms : float;
   drain_ms : float;            (** extra ticks past the horizon: republish
@@ -26,14 +41,9 @@ type params = {
   tick_ms : float;             (** batching cadence of the open loop *)
   bootstrap_hosts : int;
   services : int;
-  providers_per_service : int;
   rate_per_s : float;
-  zipf_s : float;
-  unknown_fraction : float;    (** demand aimed at never-published names *)
-  flash_mult : float;          (** <= 1 disables the flash crowd *)
-  flash_focus : int;
   flash_start_ms : float;
-  flash_len_ms : float;
+  flash_len_ms : float;        (** <= 0 disables the flash crowd *)
   flap_rate_per_s : float;
   storm_at_ms : float;         (** <= 0 disables the republish storm *)
   dir_cfg : Rofl_services.Directory.config;

@@ -340,10 +340,6 @@ let hop_mix traces =
     (fun acc tr -> List.map2 (fun (k, a) (_, n) -> (k, a + n)) acc (Trace.counts tr))
     (Trace.counts []) traces
 
-let cdf_rows samples ~fractions =
-  let c = Stats.cdf samples in
-  List.map2 (fun q f -> (q, f)) (Stats.quantiles_of_cdf c fractions) fractions
-
 let mean_stretch_intra net ids ~gateway ~pairs ~rng =
   let samples = ref [] in
   if Array.length ids > 0 then

@@ -125,10 +125,6 @@ val hop_mix : Rofl_routing.Trace.t list -> (string * int) list
 (** Aggregate per-hop event totals over many walk traces, keyed by
     {!Rofl_routing.Trace.kind_to_string}; every kind is present. *)
 
-val cdf_rows : float list -> fractions:float list -> (float * float) list
-(** Invert an empirical distribution at the given fractions: rows of
-    (value at fraction, fraction) for printing CDFs as tables. *)
-
 val mean_stretch_intra :
   Rofl_intra.Network.t -> Rofl_idspace.Id.t array -> gateway:(unit -> int) ->
   pairs:int -> rng:Rofl_util.Prng.t -> float list

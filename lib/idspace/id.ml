@@ -6,8 +6,6 @@ let max_value = { hi = -1L; lo = -1L }
 
 let of_int64_pair hi lo = { hi; lo }
 
-let to_int64_pair { hi; lo } = (hi, lo)
-
 let of_int n =
   if n < 0 then invalid_arg "Id.of_int: negative";
   { hi = 0L; lo = Int64.of_int n }

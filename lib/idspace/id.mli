@@ -16,8 +16,6 @@ val max_value : t
 val of_int64_pair : int64 -> int64 -> t
 (** [of_int64_pair hi lo]. *)
 
-val to_int64_pair : t -> int64 * int64
-
 val of_int : int -> t
 (** Embeds a non-negative integer into the low bits. *)
 

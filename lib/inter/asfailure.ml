@@ -42,8 +42,6 @@ let fractions_affected (t : Net.t) ~via ~samples =
     (frac !affected !measured, frac !transit_affected !transit_measured)
   end
 
-let fraction_affected t ~via ~samples = fst (fractions_affected t ~via ~samples)
-
 (* First live member counter-clockwise of [id] in a ring. *)
 let rec alive_predecessor rr id steps =
   if steps > Ring.cardinal rr then None

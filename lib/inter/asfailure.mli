@@ -14,9 +14,6 @@ type stub_failure = {
       paper's containment claim is that this is ~0 *)
 }
 
-val fraction_affected : Net.t -> via:int -> samples:int -> float
-(** Fraction of sampled host-pair routes whose AS path traverses [via]. *)
-
 val fail_stub : Net.t -> int -> samples:int -> stub_failure
 (** Fail an AS: every resident identifier leaves all rings, per-level ring
     neighbours repair (de-duplicated across nested levels, charged to

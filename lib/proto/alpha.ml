@@ -1,10 +1,11 @@
 (* α-parallel register file over [Proto.lookup_owner_alpha_into], the one
-   batched owner walk.  It persists registers across rounds — stage, run,
-   read — and each staged lookup owns up to α branch-register slots,
-   acquired from the file's freelist when [run] seeds the branches and
-   released as branches win, die, or are cancelled.  [slots_in_flight] must
-   read 0 after every run: a cancellation path that strands a slot is a bug
-   the test suite pins directly against this counter.
+   batched owner walk, and its only caller.  It persists registers across
+   rounds — stage, run, read — and each staged lookup owns up to α
+   branch-register slots, acquired from the file's freelist when [run]
+   seeds the branches and released as branches win, die, or are cancelled.
+   [slots_in_flight] must read 0 after every run: a cancellation path that
+   strands a slot is a bug the test suite pins directly against this
+   counter.
 
    The walk itself lives in [Proto] (it needs store internals); this layer
    owns the memory, the freelist discipline, and the duplicate-work ledger
@@ -158,7 +159,7 @@ let run t =
       ~br_count:t.br_count ~br_router:t.br_router ~br_best:t.br_best
       ~br_best_valid:t.br_best_valid ~br_guard:t.br_guard ~br_hops:t.br_hops
       ~br_link_hops:t.br_link_hops ~br_latency_ms:t.br_latency_ms
-      ~br_live:t.br_live ~stats:(Some stats)
+      ~br_live:t.br_live ~stats
   in
   let acquired = ref 0 in
   for i = 0 to t.n - 1 do

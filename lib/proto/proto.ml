@@ -27,24 +27,26 @@ type behaviour =
   | Poison_succs  (** prepend fabricated backups to stabilisation replies,
                       and vouch for those ghosts when they are probed *)
 
+(* Fixed protocol constants: no experiment varies them. *)
+let succ_list_len = 4 (* successor-list redundancy: succ + 3 backups *)
+let rpc_timeout_ms = 100.0 (* base timeout of a stabilisation probe *)
+let rpc_retries = 2 (* probe retries before declaring the successor dead *)
+let rpc_backoff = 2.0 (* timeout multiplier per retry of any RPC *)
+let pred_timeout_ms = 600.0 (* silence after which a predecessor is presumed dead *)
+let join_retries = 4 (* join attempts after the first before giving up *)
+let lookup_retries = 3 (* lookup attempts after the first before failing *)
+let stuck_wait_ms = 5.0 (* wait before re-probing a mid-join candidate *)
+let stuck_wait_limit = 3 (* waits before presuming the candidate dead *)
+let pcache_refresh_ttl_ms = 400.0 (* entry age the refresh manager re-validates *)
+let pcache_refresh_budget = 4 (* refresh probes per router per sweep *)
+
 type config = {
   stabilize_period_ms : float;
-  succ_list_len : int;
-  rpc_timeout_ms : float;
-  rpc_retries : int;
-  rpc_backoff : float;
-  pred_timeout_ms : float;
   join_timeout_ms : float;
-  join_retries : int;
   lookup_timeout_ms : float;
-  lookup_retries : int;
-  stuck_wait_ms : float;
-  stuck_wait_limit : int;
   untwist : bool;
   lookup_alpha : int;
   pcache_capacity : int;
-  pcache_refresh_ttl_ms : float;
-  pcache_refresh_budget : int;
   stabilize_auto : bool;
   verify_joins : bool;
       (** challenge/response identifier verification at the join gateway and
@@ -68,22 +70,11 @@ type config = {
 let default_config =
   {
     stabilize_period_ms = 50.0;
-    succ_list_len = 4;
-    rpc_timeout_ms = 100.0;
-    rpc_retries = 2;
-    rpc_backoff = 2.0;
-    pred_timeout_ms = 600.0;
     join_timeout_ms = 400.0;
-    join_retries = 4;
     lookup_timeout_ms = 300.0;
-    lookup_retries = 3;
-    stuck_wait_ms = 5.0;
-    stuck_wait_limit = 3;
     untwist = true;
     lookup_alpha = 1;
     pcache_capacity = 0;
-    pcache_refresh_ttl_ms = 400.0;
-    pcache_refresh_budget = 4;
     stabilize_auto = false;
     verify_joins = true;
     succ_quota = 0;
@@ -515,9 +506,9 @@ let create ~rng ?(cfg = default_config) ?(shards = 1) ?pool ?(bootstrap_hosts = 
   let per_shard = ((n + bootstrap_hosts) / k) + 1 in
   (* Auto mode sizes successor-list headroom from the bootstrap population:
      the per-resident target is ~log2(N̂), so give the store room to grow
-     lists beyond the static knob as estimates come in. *)
+     lists beyond the static length as estimates come in. *)
   let cap_list =
-    let static = max 0 (cfg.succ_list_len - 1) in
+    let static = succ_list_len - 1 in
     if not cfg.stabilize_auto then static
     else
       let m = float_of_int (n + bootstrap_hosts + 1) in
@@ -581,7 +572,7 @@ let create ~rng ?(cfg = default_config) ?(shards = 1) ?pool ?(bootstrap_hosts = 
       auto_nhat = 0.0;
       auto_rate = 0.0;
       auto_mult = 1.0;
-      auto_sl_limit = max 0 (cfg.succ_list_len - 1);
+      auto_sl_limit = succ_list_len - 1;
       auto_last_deaths = 0;
       auto_last_ms = 0.0;
       auto_rounds = 0;
@@ -603,7 +594,7 @@ let create ~rng ?(cfg = default_config) ?(shards = 1) ?pool ?(bootstrap_hosts = 
       Store.set_pred shx.store s (Some arr.((i + m - 1) mod m));
       Store.set_succ_list shx.store s
         (List.init
-           (min (cfg.succ_list_len - 1) (max 0 (m - 2)))
+           (min (succ_list_len - 1) (max 0 (m - 2)))
            (fun j -> arr.((i + 2 + j) mod m)));
       Idtbl.replace shx.where rid s)
     arr;
@@ -781,7 +772,7 @@ let repoint t ~router s ptr =
    drop self/succ, dedup, re-sort by distance from the new holder, apply the
    quota, truncate — written straight into the slot, no list built. *)
 let succ_list_limit t =
-  if t.cfg.stabilize_auto then t.auto_sl_limit else t.cfg.succ_list_len - 1
+  if t.cfg.stabilize_auto then t.auto_sl_limit else succ_list_len - 1
 
 (* Diversity quota on the backup tail (the Kademlia IP-group-quota pattern,
    group = PoP): keep at most [succ_quota] *admitted* entries per
@@ -1013,9 +1004,9 @@ let rec chase t ~at (m : message) =
 and arrive t ~at m ~avoid ~waited id =
   let sh = shd t at in
   let s = find_slot t at id in
-  if s < 0 && waited < t.cfg.stuck_wait_limit then begin
+  if s < 0 && waited < stuck_wait_limit then begin
     let m' = recommit m ~chasing:(Some (id, at)) ~avoid ~waited:(waited + 1) ~hops:0 in
-    sched t ~rail:at ~at ~time_ms:(now_at t at +. t.cfg.stuck_wait_ms) (fun () ->
+    sched t ~rail:at ~at ~time_ms:(now_at t at +. stuck_wait_ms) (fun () ->
         handle t at m')
   end
   else if s < 0 then
@@ -1281,7 +1272,7 @@ and handle t at (m : message) =
          else if st.lk_outstanding > 0 then
            (* A losing branch with siblings still racing: let them run. *)
            Metrics.incr sh.s_metrics Metrics.Wasted_hops hops
-         else if st.lk_attempts > t.cfg.lookup_retries then begin
+         else if st.lk_attempts > lookup_retries then begin
            st.lk_tokens <- [];
            finish_lookup t st ~ok:false
          end
@@ -1383,7 +1374,7 @@ and start_lookup_attempt t st =
     done
   end;
   let timeout =
-    t.cfg.lookup_timeout_ms *. (t.cfg.rpc_backoff ** float_of_int (st.lk_attempts - 1))
+    t.cfg.lookup_timeout_ms *. (rpc_backoff ** float_of_int (st.lk_attempts - 1))
   in
   sched t ~rail:st.origin ~at:st.origin ~time_ms:(now +. timeout) (fun () ->
       if (not st.finished) && st.lk_token = token && st.lk_outstanding > 0
@@ -1393,7 +1384,7 @@ and start_lookup_attempt t st =
         st.lk_tokens <- [];
         st.lk_outstanding <- 0;
         Metrics.incr sh.s_metrics Metrics.Rpc_timeouts 1;
-        if st.lk_attempts > t.cfg.lookup_retries then finish_lookup t st ~ok:false
+        if st.lk_attempts > lookup_retries then finish_lookup t st ~ok:false
         else begin
           Metrics.incr sh.s_metrics Metrics.Lookup_retries 1;
           start_lookup_attempt t st
@@ -1429,12 +1420,12 @@ let rec start_join_attempt t joining (st : join_state) =
       chase t ~at:st.gateway
         (Join_req { joining; gateway = st.gateway; chasing = None; avoid = []; waited = 0 }));
   let timeout =
-    t.cfg.join_timeout_ms *. (t.cfg.rpc_backoff ** float_of_int (attempt - 1))
+    t.cfg.join_timeout_ms *. (rpc_backoff ** float_of_int (attempt - 1))
   in
   sched t ~rail:st.gateway ~at:st.gateway ~time_ms:(now +. timeout) (fun () ->
       if (not st.completed) && st.join_attempts = attempt then begin
         Metrics.incr sh.s_metrics Metrics.Rpc_timeouts 1;
-        if st.join_attempts > t.cfg.join_retries then begin
+        if st.join_attempts > join_retries then begin
           Metrics.incr sh.s_metrics Metrics.Joins_failed 1;
           Hashtbl.remove sh.joins joining
         end
@@ -1559,7 +1550,7 @@ let rec send_probe t ~router rid ~sid ~srouter attempt =
     (Get_pred { asker = rid; asker_router = router; target = sid; token })
     (handle t srouter);
   let timeout =
-    t.cfg.rpc_timeout_ms *. (t.cfg.rpc_backoff ** float_of_int (attempt - 1))
+    rpc_timeout_ms *. (rpc_backoff ** float_of_int (attempt - 1))
   in
   sched t ~rail:router ~at:router ~time_ms:(now_at t router +. timeout)
     (fun () ->
@@ -1572,7 +1563,7 @@ let rec send_probe t ~router rid ~sid ~srouter attempt =
         else if
           Store.succ_router sh.store s = srouter && Id.equal (Store.succ_rid sh.store s) sid
         then begin
-          if attempt <= t.cfg.rpc_retries then
+          if attempt <= rpc_retries then
             send_probe t ~router rid ~sid ~srouter (attempt + 1)
           else failover t ~router s sid
         end
@@ -1661,7 +1652,7 @@ and try_promote t ~router rid ~dead candidates =
           (Verify_req { claimant = nid; asker_router = router; token; challenge })
           (handle t nrouter);
         sched t ~rail:router ~at:router
-          ~time_ms:(now_at t router +. t.cfg.rpc_timeout_ms)
+          ~time_ms:(now_at t router +. rpc_timeout_ms)
           (fun () ->
             match Inttbl.find sh.verifies token with
             | vs when not vs.v_done ->
@@ -1777,9 +1768,9 @@ let estimate_n t =
    - probe-period multiplier m = clamp(1..16, P*/period) where
      P* = ε/λ̂ keeps the expected stale-successor fraction under ε — the
      churn lab's staleness SLO;
-   - backup-list target ⌈log2 N̂⌉−1 (never below the static knob): longer
-     lists ride along in Pred_info replies, so widening them costs no
-     extra messages, only probe-reply bytes.
+   - backup-list target ⌈log2 N̂⌉−1, never below the static
+     [succ_list_len - 1]: longer lists ride along in Pred_info replies, so
+     widening them costs no extra messages, only probe-reply bytes.
 
    Runs once per global round; the O(members·log) median is fine at lab
    scale and auto mode is opt-in. *)
@@ -1809,7 +1800,7 @@ let auto_retune t ~now =
        Float.max 1.0
          (Float.min 16.0 (stale_eps /. t.auto_rate /. t.cfg.stabilize_period_ms)));
   t.auto_sl_limit <-
-    (let static = max 0 (t.cfg.succ_list_len - 1) in
+    (let static = succ_list_len - 1 in
      if nhat < 2.0 then static
      else
        let l = int_of_float (ceil (log nhat /. log 2.0)) - 1 in
@@ -1845,7 +1836,7 @@ let stabilize_resident t ~router ~now s =
   if
     Store.pred_router_raw store s >= 0
     && (not (Id.equal (Store.pred_rid store s) rid))
-    && now -. Store.pred_heard store s > t.cfg.pred_timeout_ms
+    && now -. Store.pred_heard store s > pred_timeout_ms
   then Store.set_pred store s None;
   if t.cfg.untwist then untwist t ~router s;
   let srouter = Store.succ_router store s in
@@ -1899,10 +1890,10 @@ let refresh_round t =
   for router = 0 to Graph.n t.graph - 1 do
     let c = t.pcaches.(router) in
     let sh = shd t router in
-    let budget = ref t.cfg.pcache_refresh_budget in
+    let budget = ref pcache_refresh_budget in
     let i = ref 0 in
     while !i < c.Pcache.len && !budget > 0 do
-      if now -. c.Pcache.stamp.(!i) > t.cfg.pcache_refresh_ttl_ms then begin
+      if now -. c.Pcache.stamp.(!i) > pcache_refresh_ttl_ms then begin
         decr budget;
         let id = c.Pcache.ids.(!i) and r = c.Pcache.routers.(!i) in
         let links = 2 * link_hops_between t router r in
@@ -2021,7 +2012,6 @@ let stats t =
 
 (* ---- adversarial surface ------------------------------------------------- *)
 
-let behaviour_of t router = t.behaviours.(router)
 
 (* Campaign-event API: behaviours are read from shard contexts on every
    message, so flips must happen with all shards parked (global context) —
@@ -2114,14 +2104,19 @@ let lookup_owner t ~from target =
   in
   walk from (Id.succ_id target) 0
 
+let lookup_owner_batch t ~from ~targets =
+  if Array.length from <> Array.length targets then
+    invalid_arg "Proto.lookup_owner_batch: from/targets length mismatch";
+  Array.map2 (fun from target -> lookup_owner t ~from target) from targets
+
 (* ---- the batched owner walk ----------------------------------------------
 
    The same pure-read greedy walk as {!lookup_owner}, advanced one hop per
    pass across a whole batch of lookups so campaigns can resolve owner sets
-   without re-entering the walk per query.  Each hop ranks with [rank] and
-   settles with [best_resident], so the per-hop path allocates nothing.  At
-   [alpha = 1] the verdicts are exactly
-   [Array.map (lookup_owner t ~from) targets].
+   without re-entering the walk per query.  Each hop ranks with [rank],
+   settles with [best_resident] and is priced by the link-state shortest
+   path between its two routers, so the per-hop path allocates nothing.  At
+   [alpha = 1] the verdicts are exactly {!lookup_owner_batch}'s.
 
    The walk runs up to [alpha] concurrent greedy walk *branches* per
    lookup — branch 0 from the caller's router, the rest from diversified
@@ -2172,10 +2167,8 @@ let lookup_owner_alpha_into t ~n ~alpha ~from ~targets ~found
     || Array.length br_hops < n * alpha
     || Bytes.length br_live < n * alpha
   then invalid_arg "Proto.lookup_owner_alpha_into: branch registers shorter than n*alpha";
-  (match stats with
-   | Some _ when Array.length br_link_hops < n * alpha || Array.length br_latency_ms < n * alpha ->
-     invalid_arg "Proto.lookup_owner_alpha_into: branch stat registers shorter than n*alpha"
-   | _ -> ());
+  if Array.length br_link_hops < n * alpha || Array.length br_latency_ms < n * alpha then
+    invalid_arg "Proto.lookup_owner_alpha_into: branch stat registers shorter than n*alpha";
   let guard_max = 4 * Graph.n t.graph in
   let win_id = ref Id.zero in
   (* one walk hop for branch register [j] of lookup [i]:
@@ -2211,11 +2204,8 @@ let lookup_owner_alpha_into t ~n ~alpha ~from ~targets ~found
           else 2
         end
         else begin
-          (match stats with
-           | None -> ()
-           | Some _ ->
-             let h = Linkstate.price_hop_into sh.s_ls r next ~latency:br_latency_ms j in
-             if h >= 0 then br_link_hops.(j) <- br_link_hops.(j) + h);
+          let h = Linkstate.price_hop_into sh.s_ls r next ~latency:br_latency_ms j in
+          if h >= 0 then br_link_hops.(j) <- br_link_hops.(j) + h;
           br_hops.(j) <- br_hops.(j) + 1;
           br_router.(j) <- next;
           br_best.(j) <- id;
@@ -2247,22 +2237,16 @@ let lookup_owner_alpha_into t ~n ~alpha ~from ~targets ~found
       br_guard.(j) <- 0;
       br_hops.(j) <- 0;
       Bytes.unsafe_set br_live j '\001';
-      match stats with
-      | None -> ()
-      | Some _ ->
-        br_link_hops.(j) <- 0;
-        br_latency_ms.(j) <- 0.0
+      br_link_hops.(j) <- 0;
+      br_latency_ms.(j) <- 0.0
     done;
-    match stats with
-    | None -> ()
-    | Some st ->
-      st.al_owner_router.(i) <- -1;
-      st.al_winner_branch.(i) <- -1;
-      st.al_branches.(i) <- 1 + extra;
-      st.al_ring_hops.(i) <- 0;
-      st.al_wasted_hops.(i) <- 0;
-      st.al_link_hops.(i) <- 0;
-      st.al_latency_ms.(i) <- 0.0
+    stats.al_owner_router.(i) <- -1;
+    stats.al_winner_branch.(i) <- -1;
+    stats.al_branches.(i) <- 1 + extra;
+    stats.al_ring_hops.(i) <- 0;
+    stats.al_wasted_hops.(i) <- 0;
+    stats.al_link_hops.(i) <- 0;
+    stats.al_latency_ms.(i) <- 0.0
   done;
   let remaining = ref n in
   while !remaining > 0 do
@@ -2292,19 +2276,16 @@ let lookup_owner_alpha_into t ~n ~alpha ~from ~targets ~found
                   end
                 end
               done;
-              (match stats with
-               | None -> ()
-               | Some st ->
-                 st.al_owner_router.(i) <- br_router.(j);
-                 st.al_winner_branch.(i) <- !b;
-                 st.al_ring_hops.(i) <- br_hops.(j);
-                 st.al_link_hops.(i) <- br_link_hops.(j);
-                 st.al_latency_ms.(i) <- br_latency_ms.(j);
-                 let waste = ref 0 in
-                 for b' = 0 to cnt - 1 do
-                   if b' <> !b then waste := !waste + br_hops.(base + b')
-                 done;
-                 st.al_wasted_hops.(i) <- !waste);
+              stats.al_owner_router.(i) <- br_router.(j);
+              stats.al_winner_branch.(i) <- !b;
+              stats.al_ring_hops.(i) <- br_hops.(j);
+              stats.al_link_hops.(i) <- br_link_hops.(j);
+              stats.al_latency_ms.(i) <- br_latency_ms.(j);
+              let waste = ref 0 in
+              for b' = 0 to cnt - 1 do
+                if b' <> !b then waste := !waste + br_hops.(base + b')
+              done;
+              stats.al_wasted_hops.(i) <- !waste;
               Bytes.unsafe_set lk_done i '\001';
               decr remaining
             end
@@ -2320,17 +2301,14 @@ let lookup_owner_alpha_into t ~n ~alpha ~from ~targets ~found
                 (* Every branch dead: unresolved.  Branch 0 is the charged
                    walk (what the sequential engine would have done), the
                    rest is waste. *)
-                (match stats with
-                 | None -> ()
-                 | Some st ->
-                   st.al_ring_hops.(i) <- br_hops.(base);
-                   st.al_link_hops.(i) <- br_link_hops.(base);
-                   st.al_latency_ms.(i) <- br_latency_ms.(base);
-                   let waste = ref 0 in
-                   for b' = 1 to cnt - 1 do
-                     waste := !waste + br_hops.(base + b')
-                   done;
-                   st.al_wasted_hops.(i) <- !waste);
+                stats.al_ring_hops.(i) <- br_hops.(base);
+                stats.al_link_hops.(i) <- br_link_hops.(base);
+                stats.al_latency_ms.(i) <- br_latency_ms.(base);
+                let waste = ref 0 in
+                for b' = 1 to cnt - 1 do
+                  waste := !waste + br_hops.(base + b')
+                done;
+                stats.al_wasted_hops.(i) <- !waste;
                 Bytes.unsafe_set lk_done i '\001';
                 decr remaining
               end
@@ -2342,21 +2320,3 @@ let lookup_owner_alpha_into t ~n ~alpha ~from ~targets ~found
     done
   done;
   (!cancellations, !released)
-
-let lookup_owner_batch ?(alpha = 1) t ~from ~targets =
-  if alpha < 1 then invalid_arg "Proto.lookup_owner_batch: alpha must be >= 1";
-  let n = Array.length targets in
-  if Array.length from <> n then
-    invalid_arg "Proto.lookup_owner_batch: from/targets length mismatch";
-  let found = Array.make (max n 1) false in
-  let owner = Array.make (max n 1) Id.zero in
-  let na = max 1 (n * alpha) in
-  ignore
-    (lookup_owner_alpha_into t ~n ~alpha ~from ~targets ~found ~owner
-       ~lk_done:(Bytes.create (max n 1))
-       ~br_count:(Array.make (max n 1) 0)
-       ~br_router:(Array.make na 0) ~br_best:(Array.make na Id.zero)
-       ~br_best_valid:(Bytes.create na) ~br_guard:(Array.make na 0)
-       ~br_hops:(Array.make na 0) ~br_link_hops:[||] ~br_latency_ms:[||]
-       ~br_live:(Bytes.create na) ~stats:None);
-  Array.init n (fun i -> if found.(i) then Some owner.(i) else None)

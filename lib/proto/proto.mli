@@ -17,8 +17,8 @@
     Beyond joins, hosts can {!leave} gracefully (succ/pred state handed to
     the neighbours), {!move} (leave + rejoin elsewhere), or {!crash}
     silently; crashes are detected by stabilisation probe timeouts and
-    healed from the Chord-style successor list ({!config.succ_list_len}
-    backups per member).  Join and lookup RPCs carry timeouts and retry
+    healed from the Chord-style successor list ({!succ_list_len} entries
+    per member).  Join and lookup RPCs carry timeouts and retry
     with exponential backoff, so in-flight operations survive a dying next
     hop.  The test suite drives identical workloads through this engine and
     the synchronous one and requires both to converge to the same ring. *)
@@ -36,19 +36,53 @@ type behaviour =
     change what a router {e says} in its own execution context, so
     campaigns stay byte-identical at any shard count. *)
 
+(** {2 Fixed protocol constants}
+
+    Timing and redundancy values no experiment varies.  They are part of
+    the protocol, not of {!config}. *)
+
+val succ_list_len : int
+(** 4: successor-list redundancy, the successor plus 3 backups (the
+    static target; {!config.stabilize_auto} may grow the tail). *)
+
+val rpc_timeout_ms : float
+(** 100 ms: base timeout of a stabilisation probe and of a promotion
+    challenge. *)
+
+val rpc_retries : int
+(** 2: probe retries before the successor is declared dead. *)
+
+val rpc_backoff : float
+(** 2: timeout multiplier per retry of a probe, join or lookup
+    (exponential backoff). *)
+
+val pred_timeout_ms : float
+(** 600 ms: silence after which a predecessor is presumed dead. *)
+
+val join_retries : int
+(** 4: join retries before the join counts as [joins_failed]. *)
+
+val lookup_retries : int
+(** 3: lookup retries before the lookup fails. *)
+
+val stuck_wait_ms : float
+(** 5 ms: wait before re-probing a committed candidate that is absent
+    where it should reside (it may be mid-join). *)
+
+val stuck_wait_limit : int
+(** 3: such waits before the candidate is presumed dead. *)
+
+val pcache_refresh_ttl_ms : float
+(** 400 ms: pointer-cache entry age beyond which the refresh manager
+    re-validates it. *)
+
+val pcache_refresh_budget : int
+(** 4: refresh probes per router per refresh sweep. *)
+
 type config = {
   stabilize_period_ms : float; (** period of {!stabilize_round} timers *)
-  succ_list_len : int;         (** successor-list redundancy (succ + backups) *)
-  rpc_timeout_ms : float;      (** base timeout of a stabilisation probe *)
-  rpc_retries : int;           (** probe retries before declaring the successor dead *)
-  rpc_backoff : float;         (** timeout multiplier per retry (exponential backoff) *)
-  pred_timeout_ms : float;     (** silence after which a predecessor is presumed dead *)
   join_timeout_ms : float;     (** base timeout of a join attempt *)
-  join_retries : int;
   lookup_timeout_ms : float;   (** base timeout of a lookup attempt *)
-  lookup_retries : int;
-  stuck_wait_ms : float;       (** wait before re-probing a mid-join candidate *)
-  stuck_wait_limit : int;      (** waits before presuming the candidate dead *)
   untwist : bool;
   (** enable the succ-list-inversion "untwist" repair for loopy rings.  On by
       default; turning it off deliberately reintroduces Chord's loopy-network
@@ -64,15 +98,11 @@ type config = {
   pcache_capacity : int;
   (** per-router pointer-cache entries (owner pointers learned from lookup
       responses), 0 (the default) disables the cache entirely. *)
-  pcache_refresh_ttl_ms : float;
-  (** entry age beyond which the refresh manager re-validates it. *)
-  pcache_refresh_budget : int;
-  (** max refresh probes per router per refresh sweep. *)
   stabilize_auto : bool;
   (** derive the per-resident probe period and successor-list length from
       the protocol's own network-size estimate ({!estimate_n}) and observed
-      churn rate instead of the static knobs; false (the default) keeps the
-      static behaviour byte-identical. *)
+      churn rate instead of [stabilize_period_ms] and {!succ_list_len};
+      false (the default) keeps the static behaviour byte-identical. *)
   verify_joins : bool;
   (** challenge/response identifier verification at the join gateway and on
       successor-list failover promotion (paper §2.1 self-certifying labels).
@@ -94,11 +124,10 @@ type config = {
 }
 
 val default_config : config
-(** 50 ms stabilisation, 4-deep successor lists, 100 ms probe timeout with
-    2 retries at 2x backoff, 600 ms predecessor timeout, 400 ms join and
-    300 ms lookup timeouts; untwist repair on.  α=1, pointer cache off,
-    static stabilisation — the exact pre-α engine.  Join/promotion
-    verification on; no successor-list quota. *)
+(** 50 ms stabilisation, 400 ms join and 300 ms lookup timeouts; untwist
+    repair on.  α=1, pointer cache off, static stabilisation — the exact
+    pre-α engine.  Join/promotion verification on; no successor-list
+    quota. *)
 
 type stats = {
   messages : int;        (** total link traversals *)
@@ -175,7 +204,7 @@ val join :
 (** Schedule a host join at the current simulated time.  The join completes
     asynchronously; run the engine to let it finish.  Joins retry with
     backoff when no response arrives within the join timeout, and count as
-    [joins_failed] after [join_retries] retries.  Already-present (or
+    [joins_failed] after {!join_retries} retries.  Already-present (or
     already-joining) identifiers are ignored.
 
     With {!config.verify_joins} on, the gateway first runs one
@@ -309,18 +338,13 @@ val lookup_owner : t -> from:int -> Rofl_idspace.Id.t -> Rofl_idspace.Id.t optio
     sequential reference the batched walk below is tested against. *)
 
 val lookup_owner_batch :
-  ?alpha:int ->
   t ->
   from:int array ->
   targets:Rofl_idspace.Id.t array ->
   Rofl_idspace.Id.t option array
-(** Batched {!lookup_owner}: lookup [i] starts at [from.(i)] toward
-    [targets.(i)] and runs [alpha] (default 1) concurrent branches through
-    {!lookup_owner_alpha_into}.  At [alpha = 1] the result is exactly the
-    per-lookup [lookup_owner] map; with [alpha > 1] the verdicts on a
-    converged ring are unchanged — diversification only buys speed and
-    robustness.  Both pinned in [test_alpha].  Raises [Invalid_argument]
-    if [alpha < 1]. *)
+(** {!lookup_owner} mapped over a batch: lookup [i] starts at [from.(i)]
+    toward [targets.(i)].  Raises [Invalid_argument] if the arrays differ
+    in length. *)
 
 type alpha_stats = {
   al_owner_router : int array;  (** verdict router, -1 when unresolved *)
@@ -350,21 +374,21 @@ val lookup_owner_alpha_into :
   br_link_hops:int array ->
   br_latency_ms:float array ->
   br_live:Bytes.t ->
-  stats:alpha_stats option ->
+  stats:alpha_stats ->
   int * int
-(** The batched owner walk in register form — the one kernel behind
-    {!lookup_owner_batch} and the {!Alpha} register file.  Up to [alpha]
+(** The batched owner walk in register form, behind the {!Alpha} register
+    file (its only caller).  At [alpha = 1] its verdicts are
+    {!lookup_owner}'s.  Up to [alpha]
     concurrent greedy branches per lookup — branch 0 from [from.(i)], the
     rest from diversified starts (pointer-cache best match toward the
     target, then successor-list backup routers, then predecessor routers,
     deduplicated) — advanced one walk-iteration per pass across every
     in-flight branch, first success wins, surviving siblings cancelled on
     the spot.  Branch registers are flat arrays indexed [i*alpha + b];
-    per-lookup arrays must hold [n] entries, branch registers [n*alpha]
-    ([br_link_hops] and [br_latency_ms] only when [stats] is given).  With
-    [stats], every ring hop is priced by the link-state shortest path
-    between its two routers; the Dijkstra pricing only warms per-shard
-    memoised trees, so the walk stays pure-read.  Within a pass branches
+    per-lookup arrays must hold [n] entries, branch registers [n*alpha].
+    Every ring hop is priced by the link-state shortest path between its
+    two routers; the Dijkstra pricing only warms per-shard memoised trees,
+    so the walk stays pure-read.  Within a pass branches
     step in (lookup, branch) order, so ties resolve to the lowest branch
     index — results are a deterministic function of the workload.  Waste is
     settled once per lookup at resolution: ring hops of every branch except
@@ -399,8 +423,6 @@ type resident_view = {
 
 val residents_view : t -> resident_view list
 (** A snapshot of every resident's pointer state, sorted by identifier. *)
-
-val behaviour_of : t -> int -> behaviour
 
 val set_behaviour : t -> int -> behaviour -> unit
 (** Flip a router's conduct policy.  Call only from the global context

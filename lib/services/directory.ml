@@ -27,22 +27,21 @@ module Alpha = Rofl_proto.Alpha
    per-shard buckets; determinism follows from intents being processed in
    index order and batches in staging order.
 
-   Timing discipline: [ttl_ms > republish_period_ms] (default 2.5x) so a
+   Timing discipline: [ttl_ms > republish_period_ms] (2.5x) so a
    steadily-republished record never expires; after an ownership change the
    next republish re-places the record at the new owner and the old copy
    decays by TTL — the residency the doctor audits, and the staleness the
    campaign measures. *)
 
+let ttl_ms = 10_000.0 (* record TTL granted by each publish *)
+let republish_period_ms = 4_000.0 (* origin republish cadence *)
+
 type config = {
-  ttl_ms : float;                (* record TTL granted by each publish *)
-  republish_period_ms : float;   (* origin republish cadence *)
   alpha : int;                   (* parallel branches per resolve miss *)
   cache : Resolver.config;
 }
 
-let default_config =
-  { ttl_ms = 10_000.0; republish_period_ms = 4_000.0; alpha = 1;
-    cache = Resolver.default_config }
+let default_config = { alpha = 1; cache = Resolver.default_config }
 
 type t = {
   proto : Proto.t;
@@ -75,7 +74,6 @@ type t = {
   mutable r_lat : float array;
   mutable m_idx : int array;         (* miss j -> batch position i *)
   mutable pbuf : Id.t array;         (* provider read scratch *)
-  mutable last_sweep_ms : float;
 }
 
 let create ~proto ~routers ~hint cfg =
@@ -109,7 +107,6 @@ let create ~proto ~routers ~hint cfg =
     r_lat = [||];
     m_idx = [||];
     pbuf = Array.make 8 Id.zero;
-    last_sweep_ms = neg_infinity;
   }
 
 let proto t = t.proto
@@ -161,9 +158,9 @@ let find_intent t ~service ~provider =
 
 (* The stagger phase is keyed by the intent's content, not its registration
    order: shrinking a campaign trace must not rephase every other intent. *)
-let stagger_of t ~service ~provider =
+let stagger_of ~service ~provider =
   let h = Hashtbl.hash (Id.hash service, Id.hash provider, 0x0c4a7) in
-  t.cfg.republish_period_ms *. float_of_int (h land 0xffff) /. 65536.0
+  republish_period_ms *. float_of_int (h land 0xffff) /. 65536.0
 
 let register t ~service ~provider ~origin =
   let k = find_intent t ~service ~provider in
@@ -185,7 +182,7 @@ let register t ~service ~provider ~origin =
     t.i_origin.(k) <- origin;
     t.i_active.(k) <- true;
     t.i_last_ms.(k) <- neg_infinity;
-    t.i_offset_ms.(k) <- stagger_of t ~service ~provider;
+    t.i_offset_ms.(k) <- stagger_of ~service ~provider;
     t.i_slot.(k) <- -1;
     t.i_gen.(k) <- 0;
     let h = match Hashtbl.find_opt t.ihead service with Some h -> h | None -> -1 in
@@ -208,8 +205,6 @@ let intent_count t = t.icount
 let intent_active t k = t.i_active.(k)
 let intent_service t k = t.i_service.(k)
 let intent_provider t k = t.i_provider.(k)
-let intent_origin t k = t.i_origin.(k)
-let intent_last_ms t k = t.i_last_ms.(k)
 
 let intent_placement t k =
   let s = t.i_slot.(k) in
@@ -268,7 +263,7 @@ let publish_matching t ~now pred =
           match
             Provider_store.publish t.store ~service:t.i_service.(k)
               ~provider:t.i_provider.(k) ~origin:t.i_origin.(k) ~owner ~now
-              ~ttl_ms:t.cfg.ttl_ms
+              ~ttl_ms
           with
           | `Placed s | `Refreshed s -> s
         in
@@ -287,18 +282,14 @@ let publish_matching t ~now pred =
   !staged
 
 let republish_due t ~now =
-  let period = t.cfg.republish_period_ms in
-  publish_matching t ~now (fun k -> now -. t.i_last_ms.(k) >= period)
+  publish_matching t ~now (fun k -> now -. t.i_last_ms.(k) >= republish_period_ms)
 
 let republish_all t ~now = publish_matching t ~now (fun _ -> true)
 
 let sweep t ~now =
-  t.last_sweep_ms <- now;
   let dropped = Provider_store.sweep t.store ~now in
   Metrics.incr t.metrics Metrics.Svc_expired dropped;
   dropped
-
-let last_sweep_ms t = t.last_sweep_ms
 
 (* ---- batched resolution --------------------------------------------------- *)
 

@@ -19,22 +19,25 @@
     so one directory is deterministic at any [--shards]/[--jobs]: intents
     are processed in index order and batches in staging order.
 
-    Timing discipline: [ttl_ms > republish_period_ms] (default 2.5x) so a
+    Timing discipline: [ttl_ms > republish_period_ms] (2.5x) so a
     steadily-republished record never expires; after an ownership change
     the next republish re-places at the new owner and the old copy decays —
     the residency invariant the doctor audits. *)
 
+val ttl_ms : float
+(** 10 s: the record TTL granted by each publish. *)
+
+val republish_period_ms : float
+(** 4 s: the origin republish cadence. *)
+
 type config = {
-  ttl_ms : float;               (** record TTL granted by each publish *)
-  republish_period_ms : float;  (** origin republish cadence *)
   alpha : int;                  (** parallel walk branches per resolve miss
                                     (≥ 1); 1 = the sequential pre-α walk *)
   cache : Resolver.config;
 }
 
 val default_config : config
-(** 10 s TTL, 4 s republish period, α = 1,
-    {!Resolver.default_config} caches. *)
+(** α = 1, {!Resolver.default_config} caches. *)
 
 type t
 
@@ -72,8 +75,6 @@ val intents_active : t -> int
 val intent_active : t -> int -> bool
 val intent_service : t -> int -> Rofl_idspace.Id.t
 val intent_provider : t -> int -> Rofl_idspace.Id.t
-val intent_origin : t -> int -> int
-val intent_last_ms : t -> int -> float
 
 val intent_placement : t -> int -> int
 (** Store slot of the intent's current placed copy, revalidated through the
@@ -81,9 +82,6 @@ val intent_placement : t -> int -> int
 
 val provider_active :
   t -> service:Rofl_idspace.Id.t -> provider:Rofl_idspace.Id.t -> bool
-
-val true_provider_count : t -> service:Rofl_idspace.Id.t -> int
-(** Oracle: active providers registered for the service right now. *)
 
 (** {2 Periodic work (call from campaign global events)} *)
 
@@ -99,8 +97,6 @@ val republish_all : t -> now:float -> int
 val sweep : t -> now:float -> int
 (** Drop TTL-expired records; returns the count (also charged to
     [svc-expired]). *)
-
-val last_sweep_ms : t -> float
 
 (** {2 Batched resolution} *)
 

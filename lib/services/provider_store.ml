@@ -23,7 +23,6 @@ type t = {
   mutable provider : Id.t array;
   mutable origin : int array;      (* publishing router *)
   mutable owner : int array;       (* hosting router, -1 = free slot *)
-  mutable placed_ms : float array; (* last publish/refresh time *)
   mutable expires_ms : float array;
   mutable version : int array;     (* bumped on every refresh *)
   mutable gen : int array;         (* bumped on every alloc: slot-handle epoch *)
@@ -46,7 +45,6 @@ let create ~routers ~hint () =
     provider = Array.make cap Id.zero;
     origin = Array.make cap (-1);
     owner = Array.make cap (-1);
-    placed_ms = Array.make cap 0.0;
     expires_ms = Array.make cap 0.0;
     version = Array.make cap 0;
     gen = Array.make cap 0;
@@ -73,7 +71,6 @@ let grow t =
   t.provider <- extend_id t.provider;
   t.origin <- extend_int (-1) t.origin;
   t.owner <- extend_int (-1) t.owner;
-  t.placed_ms <- Array.append t.placed_ms (Array.make old 0.0);
   t.expires_ms <- Array.append t.expires_ms (Array.make old 0.0);
   t.version <- extend_int 0 t.version;
   t.gen <- extend_int 0 t.gen;
@@ -105,7 +102,6 @@ let alloc t ~service ~provider ~origin ~owner ~now ~ttl_ms =
   t.provider.(s) <- provider;
   t.origin.(s) <- origin;
   t.owner.(s) <- owner;
-  t.placed_ms.(s) <- now;
   t.expires_ms.(s) <- now +. ttl_ms;
   t.version.(s) <- 0;
   t.gen.(s) <- t.gen.(s) + 1;
@@ -126,7 +122,6 @@ let publish t ~service ~provider ~origin ~owner ~now ~ttl_ms =
   let s = find t ~service ~provider ~owner in
   if s >= 0 then begin
     t.origin.(s) <- origin;
-    t.placed_ms.(s) <- now;
     t.expires_ms.(s) <- now +. ttl_ms;
     t.version.(s) <- t.version.(s) + 1;
     `Refreshed s
@@ -171,7 +166,6 @@ let service t s = t.service.(s)
 let provider t s = t.provider.(s)
 let origin t s = t.origin.(s)
 let owner t s = t.owner.(s)
-let placed_ms t s = t.placed_ms.(s)
 let expires_ms t s = t.expires_ms.(s)
 let version t s = t.version.(s)
 let gen t s = t.gen.(s)

@@ -68,7 +68,6 @@ val service : t -> int -> Rofl_idspace.Id.t
 val provider : t -> int -> Rofl_idspace.Id.t
 val origin : t -> int -> int
 val owner : t -> int -> int
-val placed_ms : t -> int -> float
 val expires_ms : t -> int -> float
 val version : t -> int -> int
 
@@ -78,4 +77,3 @@ val gen : t -> int -> int
 
 val iter : t -> (int -> unit) -> unit
 val iter_router : t -> int -> (int -> unit) -> unit
-val iter_service : t -> Rofl_idspace.Id.t -> (int -> unit) -> unit

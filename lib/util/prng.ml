@@ -44,10 +44,6 @@ let exponential g mean =
   let u = float g 1.0 in
   -. mean *. log (1.0 -. u)
 
-let pareto g ~alpha ~xmin =
-  let u = float g 1.0 in
-  xmin /. ((1.0 -. u) ** (1.0 /. alpha))
-
 (* Rejection-inversion sampling for the Zipf distribution, after
    W. Hormann & G. Derflinger, "Rejection-inversion to generate variates
    from monotone discrete distributions" (1996). *)

@@ -38,9 +38,6 @@ val bool : t -> bool
 val exponential : t -> float -> float
 (** [exponential g mean] draws from Exp with the given mean. *)
 
-val pareto : t -> alpha:float -> xmin:float -> float
-(** Pareto-distributed draw with shape [alpha] and scale [xmin]. *)
-
 val zipf : t -> n:int -> s:float -> int
 (** [zipf g ~n ~s] draws a rank in [\[1, n\]] with probability proportional to
     [1 / rank^s] (rejection-inversion, constant expected time). *)

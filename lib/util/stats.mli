@@ -7,8 +7,6 @@
 val mean : float list -> float
 (** Arithmetic mean; 0 for the empty list. *)
 
-val mean_a : float array -> float
-
 val stddev : float list -> float
 (** Population standard deviation; 0 for fewer than two samples. *)
 
@@ -17,8 +15,6 @@ val median : float list -> float
 val percentile : float list -> float -> float
 (** [percentile xs p] with [p] in [\[0,100\]], linear interpolation between
     order statistics.  Raises [Invalid_argument] on an empty list. *)
-
-val min_max : float list -> float * float
 
 val cdf : float list -> (float * float) list
 (** [cdf xs] returns the empirical CDF as sorted [(value, fraction <= value)]

@@ -45,12 +45,6 @@ let lookup_set ~n ~count members =
   in
   (from, targets)
 
-let same_verdict a b =
-  match (a, b) with
-  | None, None -> true
-  | Some a, Some b -> Id.equal a b
-  | _ -> false
-
 (* ---- goldens of the sequential batch walk (see {!Owner_golden}) ---------- *)
 
 let test_alpha_goldens () =
@@ -125,16 +119,7 @@ let test_any_alpha_verdict_eq_sequential () =
       Alcotest.(check int)
         (Printf.sprintf "alpha=%d no slots in flight" alpha)
         0 (Alpha.slots_in_flight ab))
-    [ 2; 3; 4 ];
-  (* the batch facade agrees too *)
-  let facade = Proto.lookup_owner_batch ~alpha:3 t ~from ~targets in
-  Array.iteri
-    (fun i expect ->
-      Alcotest.(check bool)
-        (Printf.sprintf "facade #%d agrees" i)
-        true
-        (same_verdict expect reference.(i)))
-    facade
+    [ 2; 3; 4 ]
 
 (* ---- QCheck: cancellation never strands register slots ------------------- *)
 
@@ -169,27 +154,30 @@ let qcheck_freelist_drains =
       done;
       true)
 
-(* ---- the batch facade against the sequential reference ------------------ *)
+(* ---- the kernel against the sequential reference, mid-repair ------------ *)
 
-let test_batch_eq_lookup_owner () =
+let test_alpha1_eq_lookup_owner_mid_repair () =
   let t, members, n = build_proto ~seed:42 ~crash:true () in
   let from, targets = lookup_set ~n ~count:40 members in
+  let ab = Alpha.create t in
+  Array.iteri (fun k f -> ignore (Alpha.stage ab ~from:f ~target:targets.(k))) from;
+  Alpha.run ab;
   Array.iteri
-    (fun k got ->
+    (fun k f ->
       Alcotest.(check bool)
         (Printf.sprintf "proto#%d owner agrees" k)
         true
-        (same_verdict got (Proto.lookup_owner t ~from:from.(k) targets.(k))))
-    (Proto.lookup_owner_batch t ~from ~targets)
+        (match Proto.lookup_owner t ~from:f targets.(k) with
+         | Some owner -> Alpha.resolved ab k && Id.equal owner (Alpha.owner_id ab k)
+         | None -> not (Alpha.resolved ab k)))
+    from
 
 let test_empty_batch () =
   let t, _, _ = build_proto ~joins:8 () in
+  Alcotest.(check int) "lookup_owner_batch" 0
+    (Array.length (Proto.lookup_owner_batch t ~from:[||] ~targets:[||]));
   List.iter
     (fun alpha ->
-      Alcotest.(check int)
-        (Printf.sprintf "alpha=%d facade" alpha)
-        0
-        (Array.length (Proto.lookup_owner_batch ~alpha t ~from:[||] ~targets:[||]));
       let ab = Alpha.create ~alpha t in
       Alpha.run ab;
       Alcotest.(check int) (Printf.sprintf "alpha=%d staged" alpha) 0 (Alpha.length ab);
@@ -199,8 +187,7 @@ let test_empty_batch () =
     [ 1; 3 ]
 
 let test_alpha_below_one_rejected () =
-  let t, members, n = build_proto ~joins:8 () in
-  let from, targets = lookup_set ~n ~count:4 members in
+  let t, _, _ = build_proto ~joins:8 () in
   let topo = Gen.waxman (Prng.create 3) ~n:8 ~alpha:0.4 ~beta:0.2 in
   List.iter
     (fun alpha ->
@@ -209,8 +196,6 @@ let test_alpha_below_one_rejected () =
         | _ -> Alcotest.failf "%s accepted alpha=%d" label alpha
         | exception Invalid_argument _ -> ()
       in
-      raises "lookup_owner_batch" (fun () ->
-          ignore (Proto.lookup_owner_batch ~alpha t ~from ~targets));
       raises "Alpha.create" (fun () -> ignore (Alpha.create ~alpha t));
       raises "Proto.create" (fun () ->
           ignore
@@ -255,8 +240,8 @@ let () =
         ] );
       ( "proto",
         [
-          Alcotest.test_case "lookup_owner_batch = mapped lookup_owner" `Slow
-            test_batch_eq_lookup_owner;
+          Alcotest.test_case "alpha=1 = lookup_owner mid-repair" `Slow
+            test_alpha1_eq_lookup_owner_mid_repair;
           Alcotest.test_case "empty batch" `Quick test_empty_batch;
           Alcotest.test_case "alpha < 1 rejected" `Quick test_alpha_below_one_rejected;
         ] );

@@ -203,6 +203,113 @@ let test_params_reject_alpha_below_one () =
   | Ok p -> Alcotest.(check int) "lookup_alpha=2 kept" 2 p.Campaign.proto_cfg.lookup_alpha
   | Error e -> Alcotest.fail e
 
+(* ---- the params codec of repro artifacts --------------------------------- *)
+
+(* Written by [rofl_sim doctor --inject stab-off --seed 7] while the protocol
+   constants below were still [Proto.config] fields, so it names each of
+   them. *)
+let fixture = "repro_stab_off_seed7.txt"
+
+let retired_keys =
+  [ "succ_list_len"; "rpc_timeout_ms"; "rpc_retries"; "rpc_backoff"; "pred_timeout_ms";
+    "join_retries"; "lookup_retries"; "stuck_wait_ms"; "stuck_wait_limit";
+    "pcache_refresh_ttl_ms"; "pcache_refresh_budget" ]
+
+let fixture_params () =
+  match Artifact.read ~path:fixture with
+  | Ok a -> a.Artifact.params
+  | Error e -> Alcotest.fail e
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let test_fixture_params_accepted () =
+  let kvs = fixture_params () in
+  List.iter
+    (fun k -> Alcotest.(check bool) (k ^ " named by the fixture") true (List.mem_assoc k kvs))
+    retired_keys;
+  match Campaign.params_of_strings kvs with
+  | Error e -> Alcotest.fail e
+  | Ok p ->
+    (* every other key is still written, in the same order and spelling *)
+    Alcotest.(check (list (pair string string)))
+      "remaining keys written back unchanged"
+      (List.filter (fun (k, _) -> not (List.mem k retired_keys)) kvs)
+      (Campaign.params_to_strings p)
+
+let test_retired_keys_fixed () =
+  let kvs = fixture_params () in
+  List.iter
+    (fun (k, v) ->
+      let kvs = List.map (fun (k', v') -> if k' = k then (k, v) else (k', v')) kvs in
+      match Campaign.params_of_strings kvs with
+      | Ok _ -> Alcotest.failf "%s=%s accepted" k v
+      | Error e ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s=%s: error %S names the key as fixed" k v e)
+          true
+          (contains e k && contains e "fixed"))
+    [ ("succ_list_len", "5"); ("rpc_timeout_ms", "0x1.9p+5"); ("rpc_retries", "3");
+      ("rpc_backoff", "0x1.8p+0"); ("pred_timeout_ms", "0x1p+9"); ("join_retries", "0");
+      ("lookup_retries", "4"); ("stuck_wait_ms", "0x1p+0"); ("stuck_wait_limit", "1");
+      ("pcache_refresh_ttl_ms", "0x1p+8"); ("pcache_refresh_budget", "8") ];
+  match Campaign.params_of_strings [ ("rpc_retries", "two") ] with
+  | Ok _ -> Alcotest.fail "malformed retired value accepted"
+  | Error _ -> ()
+
+(* Any float [%h] can carry: full 53-bit mantissas at any exponent,
+   subnormals, signed zeros and infinities (NaN has no single value to
+   round-trip). *)
+let float_gen =
+  let open QCheck.Gen in
+  frequency
+    [
+      (4, map Int64.float_of_bits ui64 >|= fun x -> if Float.is_nan x then 1.0 else x);
+      (2, map (fun m -> Int64.float_of_bits (Int64.logand m 0x800F_FFFF_FFFF_FFFFL)) ui64);
+      ( 1,
+        oneofl
+          [ 0.0; -0.0; 5e-324; Float.min_float; Float.max_float; infinity; neg_infinity;
+            Float.succ 1.0 ] );
+    ]
+
+let params_gen =
+  let open QCheck.Gen in
+  let* horizon_ms = float_gen and* arrival_rate_per_s = float_gen
+  and* mean_lifetime_s = float_gen and* move_fraction = float_gen
+  and* crash_fraction = float_gen and* lookup_rate_per_s = float_gen
+  and* lookup_warmup_ms = float_gen and* drain_max_ms = float_gen
+  and* bootstrap_hosts = int and* stabilize_period_ms = float_gen
+  and* join_timeout_ms = float_gen and* lookup_timeout_ms = float_gen
+  and* untwist = bool and* lookup_alpha = int_range 1 max_int
+  and* pcache_capacity = int and* stabilize_auto = bool and* verify_joins = bool
+  and* succ_quota = int and* quota_enforce = bool in
+  return
+    {
+      Campaign.horizon_ms; arrival_rate_per_s; mean_lifetime_s; move_fraction;
+      crash_fraction; lookup_rate_per_s; lookup_warmup_ms; drain_max_ms; bootstrap_hosts;
+      proto_cfg =
+        {
+          Rofl_proto.Proto.stabilize_period_ms; join_timeout_ms; lookup_timeout_ms; untwist;
+          lookup_alpha; pcache_capacity; stabilize_auto; verify_joins; succ_quota;
+          quota_enforce;
+        };
+    }
+
+let qcheck_params_round_trip =
+  QCheck.Test.make ~count:500 ~name:"params_of_strings (params_to_strings p) = Ok p"
+    (QCheck.make
+       ~print:(fun p ->
+         String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) (Campaign.params_to_strings p)))
+       params_gen)
+    (fun p ->
+      let kvs = Campaign.params_to_strings p in
+      match Campaign.params_of_strings kvs with
+      | Error e -> QCheck.Test.fail_reportf "rejected: %s" e
+      (* [=] equates 0.0 and -0.0, so also compare what the copy writes *)
+      | Ok p' -> p' = p && Campaign.params_to_strings p' = kvs)
+
 let () =
   Alcotest.run "rofl_doctor"
     [
@@ -226,6 +333,11 @@ let () =
           Alcotest.test_case "graph spec round trip" `Quick test_graph_spec_round_trip;
           Alcotest.test_case "lookup_alpha < 1 rejected" `Quick
             test_params_reject_alpha_below_one;
+          Alcotest.test_case "older artifact's fixed keys accepted" `Quick
+            test_fixture_params_accepted;
+          Alcotest.test_case "fixed keys rejected off their value" `Quick
+            test_retired_keys_fixed;
+          QCheck_alcotest.to_alcotest qcheck_params_round_trip;
         ] );
       ( "shrink", [ Alcotest.test_case "synthetic oracle" `Quick test_shrink_minimizes ] );
     ]

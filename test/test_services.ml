@@ -214,9 +214,7 @@ let test_checks_residency_fault () =
   Alcotest.(check bool) "residency fault caught" true (residency <> []);
   (* the repair is a republish: records re-place at the new owners *)
   ignore (Directory.republish_all dir ~now:3_000.0);
-  ignore
-    (Directory.sweep dir
-       ~now:(3_000.0 +. Directory.default_config.Directory.ttl_ms));
+  ignore (Directory.sweep dir ~now:(3_000.0 +. Directory.ttl_ms));
   let vs = Checks.services_checks ~at_ms:3_000.0 dir in
   Alcotest.(check int) "republish repairs residency" 0
     (List.length (List.filter (fun v -> v.Checks.check = "svc-residency") vs))
@@ -229,7 +227,7 @@ let test_checks_expiry_fault () =
   ignore
     (Provider_store.publish (Directory.store dir) ~service:(Id.random (Prng.create 99))
        ~provider:(Id.random (Prng.create 98)) ~origin:0 ~owner:1 ~now:0.0 ~ttl_ms:1.0);
-  let grace = 2.0 *. Directory.default_config.Directory.republish_period_ms in
+  let grace = 2.0 *. Directory.republish_period_ms in
   let vs = Checks.services_checks ~at_ms:(1.0 +. grace +. 1.0) dir in
   let expiry = List.filter (fun v -> v.Checks.check = "svc-expiry") vs in
   Alcotest.(check bool) "unswept expired record caught" true (expiry <> []);
