@@ -220,6 +220,28 @@ let micro () =
     (ctx, pairs)
   in
   let route_i = ref 0 in
+  (* Greedy interdomain walks on the small Internet after 300 mixed joins,
+     rotating through 512 precomputed (source host, destination) pairs:
+     [Route.route_from] as the figures call it, with no trace sink. *)
+  let inter_net, inter_walks =
+    let module Internet = Rofl_asgraph.Internet in
+    let module Net = Rofl_inter.Net in
+    let irng = Rofl_util.Prng.create 0x1a6 in
+    let inet = Internet.generate irng Internet.small_params in
+    let net = Net.create ~rng:irng inet.Internet.graph in
+    let stubs = Array.of_list (Internet.stubs inet) in
+    let hosts =
+      Array.init 300 (fun i ->
+          let strategy =
+            match i mod 3 with 0 -> Net.Single_homed | 1 -> Net.Multihomed | _ -> Net.Peering
+          in
+          let as_idx = stubs.(Rofl_util.Prng.int irng (Array.length stubs)) in
+          (Net.join net ~as_idx ~strategy).Net.host)
+    in
+    let pick () = hosts.(Rofl_util.Prng.int irng (Array.length hosts)) in
+    (net, Array.init 512 (fun _ -> (pick (), (pick ()).Net.id)))
+  in
+  let walk_i = ref 0 in
   (* One keyed event scheduled at the engine's current time and dispatched
      by [run_until]: the heap push, the in-place pop and the dispatch.  1,023
      later events stay queued, so both sift through ten levels.  The clock
@@ -307,6 +329,12 @@ let micro () =
              let src, dst, level = Array.unsafe_get inter_pairs i in
              ignore (Rofl_inter.Level.route_within inter_ctx Rofl_inter.Level.Root src dst);
              ignore (Rofl_inter.Level.route_within inter_ctx level src dst)));
+      Test.make ~name:"inter-route"
+        (Staged.stage (fun () ->
+             let i = !walk_i land 511 in
+             incr walk_i;
+             let src, dst = Array.unsafe_get inter_walks i in
+             ignore (Rofl_inter.Route.route_from inter_net ~src ~dst)));
       Test.make ~name:"intra-lookup-as3967"
         (Staged.stage (fun () ->
              let i = !lookup_i land 511 in

@@ -146,7 +146,10 @@ let run_trace seed =
     | Error _ -> ()
   done;
   let target = List.nth !ids (List.length !ids / 2) in
-  let r = Network.lookup net ~from:0 ~target ~category:Rofl_netsim.Metrics.Data ~use_cache:true in
+  let r =
+    Network.lookup ~trace:(Trace.builder ()) net ~from:0 ~target
+      ~category:Rofl_netsim.Metrics.Data ~use_cache:true
+  in
   Printf.printf "intradomain lookup from router 0 towards %s (%s, %d msgs):\n"
     (Id.to_short_string target)
     (match r.Network.status with
@@ -181,7 +184,7 @@ let run_trace seed =
   done;
   let hosts = Array.of_list !hosts in
   let src = hosts.(0) and dst = hosts.(Array.length hosts / 2) in
-  let r = Route.route_from inter ~src ~dst:dst.Net.id in
+  let r = Route.route_from ~trace:(Trace.builder ()) inter ~src ~dst:dst.Net.id in
   Printf.printf "\ninterdomain route from AS%d towards %s (%s, %d AS hops):\n"
     src.Net.home_as (Id.to_short_string dst.Net.id)
     (if r.Route.delivered then "delivered" else "undelivered")

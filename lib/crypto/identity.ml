@@ -3,15 +3,30 @@ module Prng = Rofl_util.Prng
 
 type public = string
 
-type keypair = { secret : string; pub : public }
+(* [hkey] is the secret's HMAC key schedule (its ipad/opad midstates),
+   built by the first response and then reused by every response and, via
+   the registry, every verification. *)
+type keypair = { secret : string; pub : public; mutable hkey : Hmac.key option }
+
+let derive_public secret =
+  let ctx = Sha256.domain_ctx () in
+  Sha256.update ctx "pk-derive:";
+  Sha256.update ctx secret;
+  Sha256.finalize ctx
 
 let generate g =
-  let raw =
-    String.concat ""
-      (List.map (fun _ -> Id.to_bytes (Id.random g)) [ (); () ])
-  in
-  let secret = "sk:" ^ raw in
-  { secret; pub = Sha256.digest ("pk-derive:" ^ secret) }
+  let a = Id.to_bytes (Id.random g) in
+  let b = Id.to_bytes (Id.random g) in
+  let secret = String.concat "" [ "sk:"; a; b ] in
+  { secret; pub = derive_public secret; hkey = None }
+
+let hmac_key kp =
+  match kp.hkey with
+  | Some k -> k
+  | None ->
+    let k = Hmac.key kp.secret in
+    kp.hkey <- Some k;
+    k
 
 let public kp = kp.pub
 
@@ -26,7 +41,7 @@ let fresh_challenge g = Id.to_bytes (Id.random g)
 type response = { pub : public; tag : string }
 
 let respond (kp : keypair) challenge =
-  { pub = kp.pub; tag = Hmac.mac ~key:kp.secret ("resp:" ^ challenge ^ kp.pub) }
+  { pub = kp.pub; tag = Hmac.mac_keyed (hmac_key kp) ("resp:" ^ challenge ^ kp.pub) }
 
 (* Without real signatures the verifier cannot recompute an HMAC keyed by the
    prover's secret, so the simulation verifies the binding structurally: the
@@ -39,16 +54,18 @@ let respond (kp : keypair) challenge =
    its public keys weakly: a keypair nobody holds any more (a rejected
    grinding draw, a host whose join is done) can never answer a challenge
    again, so its entry goes with the next major collection instead of
-   growing the registry by one entry per [generate] for the whole run. *)
+   growing the registry by one entry per [generate] for the whole run.
+   An entry is the keypair itself, so the secret's HMAC key schedule sits
+   beside the public key and a verification hashes only the message. *)
 module Registry = Ephemeron.K1.Make (String)
 
-let registry : string Registry.t = Registry.create 256
+let registry : keypair Registry.t = Registry.create 256
 
 let registry_lock = Mutex.create ()
 
 let register (kp : keypair) =
   Mutex.lock registry_lock;
-  Registry.replace registry kp.pub kp.secret;
+  Registry.replace registry kp.pub kp;
   Mutex.unlock registry_lock
 
 let registry_find pub =
@@ -69,7 +86,7 @@ let verify pub challenge resp =
   &&
   match registry_find pub with
   | None -> false
-  | Some secret -> Hmac.verify ~key:secret ~msg:("resp:" ^ challenge ^ pub) ~tag:resp.tag
+  | Some kp -> Hmac.verify_keyed (hmac_key kp) ~msg:("resp:" ^ challenge ^ pub) ~tag:resp.tag
 
 (* Registration happens implicitly at generation time in the simulation. *)
 let generate g =
@@ -90,7 +107,7 @@ let credential_for id =
   let g = Prng.create (Hashtbl.hash (Id.to_bytes id, 0x1dc5ed)) in
   let raw = Id.to_bytes (Id.random g) ^ Id.to_bytes (Id.random g) in
   let secret = "sk-for:" ^ raw ^ Id.to_bytes id in
-  { secret; pub = Sha256.digest ("pk-derive:" ^ secret) }
+  { secret; pub = derive_public secret; hkey = None }
 
 (* A response proves ownership of [claimed] iff the public key it carries is
    bound to the identifier — either genuinely self-certifying
@@ -102,7 +119,7 @@ let check_response ~claimed challenge (resp : response) =
   if Id.equal claimed (id_of_public resp.pub) then
     match registry_find resp.pub with
     | None -> false
-    | Some secret -> Hmac.verify ~key:secret ~msg ~tag:resp.tag
+    | Some kp -> Hmac.verify_keyed (hmac_key kp) ~msg ~tag:resp.tag
   else begin
     let kp = credential_for claimed in
     String.equal resp.pub kp.pub && Hmac.verify ~key:kp.secret ~msg ~tag:resp.tag

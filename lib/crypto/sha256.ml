@@ -152,24 +152,45 @@ let finalize_into ctx out =
     Bytes.set out ((4 * i) + 1) (Char.unsafe_chr ((x lsr 16) land 0xFF));
     Bytes.set out ((4 * i) + 2) (Char.unsafe_chr ((x lsr 8) land 0xFF));
     Bytes.set out ((4 * i) + 3) (Char.unsafe_chr (x land 0xFF))
-  done;
-  Bytes.unsafe_to_string out
+  done
 
-let finalize ctx = finalize_into ctx (Bytes.create 32)
+let finalize ctx =
+  let out = Bytes.create 32 in
+  finalize_into ctx out;
+  Bytes.unsafe_to_string out
 
 (* One context per domain serves every one-shot digest.  The result is
    allocated first, so nothing can run between resetting the context and
    reading it out. *)
 let scratch = Domain.DLS.new_key init
 
-let digest msg =
-  let out = Bytes.create 32 in
+let domain_ctx () =
   let ctx = Domain.DLS.get scratch in
   Array.blit iv 0 ctx.h 0 8;
   ctx.buf_len <- 0;
   ctx.total_len <- 0;
+  ctx
+
+let digest msg =
+  let out = Bytes.create 32 in
+  let ctx = domain_ctx () in
   update ctx msg;
-  finalize_into ctx out
+  finalize_into ctx out;
+  Bytes.unsafe_to_string out
+
+(* A midstate is the eight chaining words followed by the byte count. *)
+type midstate = int array
+
+let midstate ctx =
+  if ctx.buf_len <> 0 then invalid_arg "Sha256.midstate: partial block pending";
+  let m = Array.make 9 ctx.total_len in
+  Array.blit ctx.h 0 m 0 8;
+  m
+
+let resume ctx (m : midstate) =
+  Array.blit m 0 ctx.h 0 8;
+  ctx.buf_len <- 0;
+  ctx.total_len <- m.(8)
 
 let to_hex s =
   let buf = Buffer.create (2 * String.length s) in

@@ -23,3 +23,22 @@ val update : ctx -> string -> unit
 
 val finalize : ctx -> string
 (** Finish and return the 32-byte digest; the context must not be reused. *)
+
+val finalize_into : ctx -> Bytes.t -> unit
+(** {!finalize} into the first 32 bytes of a caller's buffer. *)
+
+val domain_ctx : unit -> ctx
+(** The calling domain's own context, reset to the start state: streaming
+    through it allocates nothing.  {!digest} runs on the same context, so
+    finish with it before the next [digest] on this domain. *)
+
+type midstate
+(** The state after whole blocks: chaining value and byte count. *)
+
+val midstate : ctx -> midstate
+(** Snapshot of a context that holds no partial block (its byte count is a
+    multiple of 64); [Invalid_argument] otherwise. *)
+
+val resume : ctx -> midstate -> unit
+(** Put a context back in a snapshotted state, e.g. a keyed prefix that is
+    then hashed once instead of per message. *)

@@ -37,11 +37,6 @@ module Checks = Rofl_doctor.Checks
    probing throughout, so resolution traffic shares the network with live
    ring maintenance, sharded and parallel like any proto campaign. *)
 
-let providers_per_service = 2
-let zipf_s = 0.9 (* popularity skew of the demand *)
-let unknown_fraction = 0.05 (* demand aimed at never-published names *)
-let flash_mult = 8.0 (* arrival-rate multiplier during the flash crowd *)
-let flash_focus = 2 (* the crowd hammers the [flash_focus] hottest names *)
 
 type params = {
   horizon_ms : float;
@@ -130,7 +125,7 @@ let run_graph ~seed ~name ~graph ~gateways ?audit ?(shards = 1) ?pool (p : param
   let coord = Proto.coordinator proto in
   (* Little's-law load hint: the steady record population is the intent set,
      and the resolve batch width is rate x tick. *)
-  let intents = p.services * providers_per_service in
+  let intents = p.services * Services.providers_per_service in
   let batch_hint =
     16 + int_of_float (ceil (p.rate_per_s *. p.tick_ms /. 1000.0))
   in
@@ -142,7 +137,7 @@ let run_graph ~seed ~name ~graph ~gateways ?audit ?(shards = 1) ?pool (p : param
      content-keyed gateway (where its host attaches to the network). *)
   for rank = 1 to p.services do
     let service = service_id ~seed rank in
-    for j = 0 to providers_per_service - 1 do
+    for j = 0 to Services.providers_per_service - 1 do
       let origin_rng = keyed seed "svc-origin" (rank, j) in
       ignore
         (Directory.register dir ~service ~provider:(provider_id ~seed rank j)
@@ -150,22 +145,10 @@ let run_graph ~seed ~name ~graph ~gateways ?audit ?(shards = 1) ?pool (p : param
     done
   done;
   (* Demand trace, bucketed by tick. *)
-  let flash =
-    if p.flash_len_ms > 0.0 then
-      Some
-        {
-          Services.flash_start_ms = p.flash_start_ms;
-          flash_len_ms = p.flash_len_ms;
-          flash_mult;
-          flash_focus = min flash_focus p.services;
-        }
-    else None
-  in
   let events =
     Services.generate (stream seed "svc-demand") ~horizon_ms:p.horizon_ms
-      ~services:p.services ~providers_per_service ~rate_per_s:p.rate_per_s
-      ~zipf_s ~unknown_fraction ?flash
-      ~flap_rate_per_s:p.flap_rate_per_s ()
+      ~services:p.services ~rate_per_s:p.rate_per_s ~flash_start_ms:p.flash_start_ms
+      ~flash_len_ms:p.flash_len_ms ~flap_rate_per_s:p.flap_rate_per_s
   in
   let ticks_horizon = int_of_float (ceil (p.horizon_ms /. p.tick_ms)) in
   let ticks_total =

@@ -2,9 +2,10 @@
     resolver caching, and flash-crowd resolution demand over one running
     actor network.
 
-    A campaign registers [services x providers_per_service] provider
-    intents at content-keyed edge gateways, then drives an open loop of
-    Zipf-skewed resolutions ({!Rofl_workload.Services}) batched on a tick
+    A campaign registers [services x
+    Rofl_workload.Services.providers_per_service] provider intents at
+    content-keyed edge gateways, then drives an open loop of Zipf-skewed
+    resolutions ({!Rofl_workload.Services}) batched on a tick
     cadence through {!Rofl_services.Directory.resolve_batch} — cache hits
     local, misses fused into one priced
     {!Rofl_proto.Alpha} owner walk per tick.  Provider flaps
@@ -18,21 +19,6 @@
     in a global event with all shards parked, and all randomness derives
     from (seed, purpose) or per-event content keys — reports are
     byte-identical at any [--shards]/[--jobs]. *)
-
-val providers_per_service : int
-(** 2 providers registered per service. *)
-
-val zipf_s : float
-(** 0.9: Zipf skew of resolution demand over the services. *)
-
-val unknown_fraction : float
-(** 0.05: share of demand aimed at never-published names. *)
-
-val flash_mult : float
-(** 8: arrival-rate multiplier during the flash crowd. *)
-
-val flash_focus : int
-(** 2: the flash crowd hammers the [flash_focus] hottest names. *)
 
 type params = {
   horizon_ms : float;

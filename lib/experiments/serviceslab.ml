@@ -110,8 +110,8 @@ let services (scale : Common.scale) =
         (Printf.sprintf
            "Services lab: flash crowd vs resolver cache capacity (%s, %d services, \
             %.0f resolves/s x%.0f flash on top-%d, %.0f s horizon, doctor audits on)"
-           profile.Isp.profile_name p0.Sc.services p0.Sc.rate_per_s Sc.flash_mult
-           Sc.flash_focus
+           profile.Isp.profile_name p0.Sc.services p0.Sc.rate_per_s
+           Rofl_workload.Services.flash_mult Rofl_workload.Services.flash_focus
            (p0.Sc.horizon_ms /. 1000.0))
       ~columns:("cache cap" :: metric_columns)
   in

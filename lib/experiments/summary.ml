@@ -8,6 +8,7 @@ module Route = Rofl_inter.Route
 module Asfailure = Rofl_inter.Asfailure
 module Internet = Rofl_asgraph.Internet
 module Metrics = Rofl_netsim.Metrics
+module Trace = Rofl_routing.Trace
 
 let pct samples p = if samples = [] then nan else Stats.percentile samples p
 
@@ -131,8 +132,8 @@ let summary (scale : Common.scale) =
      for _ = 1 to min 200 scale.Common.intra_pairs do
        let dst = Prng.sample rng run.Common.ids in
        let r =
-         Network.lookup run.Common.net ~from:(run.Common.gateway ()) ~target:dst
-           ~category:Metrics.Data ~use_cache:true
+         Network.lookup ~trace:(Trace.builder ()) run.Common.net
+           ~from:(run.Common.gateway ()) ~target:dst ~category:Metrics.Data ~use_cache:true
        in
        traces := r.Network.trace :: !traces
      done;
@@ -144,7 +145,9 @@ let summary (scale : Common.scale) =
    for _ = 1 to min 200 scale.Common.inter_pairs do
      let a = Prng.sample rng failure_run.Common.hosts_arr in
      let b = Prng.sample rng failure_run.Common.hosts_arr in
-     let r = Route.route_from failure_run.Common.net ~src:a ~dst:b.Net.id in
+     let r =
+       Route.route_from ~trace:(Trace.builder ()) failure_run.Common.net ~src:a ~dst:b.Net.id
+     in
      traces := r.Route.trace :: !traces
    done;
    Table.add_row t

@@ -160,7 +160,7 @@ module Route_substrate = struct
     mutable rev_path : int list;
     mutable ceiling : Level.t;
     tried_peers : (int * int, unit) Hashtbl.t;
-    tracer : Trace.builder;
+    tracer : Trace.builder option; (* [None]: record nothing *)
   }
 
   type pos = unit
@@ -189,8 +189,21 @@ module Route_substrate = struct
       peer_crossings = st.peer_crossings;
       backtracks = st.backtracks;
       max_level_breadth = st.max_breadth;
-      trace = Trace.events st.tracer;
+      trace = (match st.tracer with Some b -> Trace.events b | None -> []);
     }
+
+  (* Distances and level names are built only for a sink. *)
+  let record st kind ~router level id =
+    match st.tracer with
+    | Some b ->
+      Trace.record b ~kind ~router ~level:(Level.to_string level)
+        ~dist:(Id.distance id st.dst)
+    | None -> ()
+
+  let record_peer st kind ~router =
+    match st.tracer with
+    | Some b -> Trace.record b ~kind ~router ~level:"peer" ~dist:(Id.distance st.pos st.dst)
+    | None -> ()
 
   let extend_path st tail = List.iter (fun a -> st.rev_path <- a :: st.rev_path) tail
 
@@ -251,8 +264,7 @@ module Route_substrate = struct
             st.as_hops <- st.as_hops + 1;
             st.peer_crossings <- st.peer_crossings + 1;
             st.rev_path <- p :: st.rev_path;
-            Trace.record st.tracer ~kind:Trace.Flood ~router:p ~level:"peer"
-              ~dist:(Id.distance st.pos st.dst);
+            record_peer st Trace.Flood ~router:p;
             let really_below =
               match Net.locate t st.dst with
               | Some home -> Asgraph.in_cone g ~root:p home
@@ -278,8 +290,7 @@ module Route_substrate = struct
               st.as_hops <- st.as_hops + 1;
               st.backtracks <- st.backtracks + 1;
               st.rev_path <- st.cur :: st.rev_path;
-              Trace.record st.tracer ~kind:Trace.Backtrack ~router:st.cur ~level:"peer"
-                ~dist:(Id.distance st.pos st.dst);
+              record_peer st Trace.Backtrack ~router:st.cur;
               attempt rest
             end
           end
@@ -316,8 +327,7 @@ module Route_substrate = struct
                   Metrics.charge_hop t.Net.metrics Metrics.Data p;
                   st.as_hops <- st.as_hops + 1;
                   st.peer_crossings <- st.peer_crossings + 1;
-                  Trace.record st.tracer ~kind:Trace.Flood ~router:p ~level:"peer"
-                    ~dist:(Id.distance st.pos st.dst);
+                  record_peer st Trace.Flood ~router:p;
                   let really_below =
                     match dst_home with
                     | Some home -> Asgraph.in_cone g ~root:p home
@@ -329,8 +339,7 @@ module Route_substrate = struct
                     Metrics.charge_hop t.Net.metrics Metrics.Data a;
                     st.as_hops <- st.as_hops + 1;
                     st.backtracks <- st.backtracks + 1;
-                    Trace.record st.tracer ~kind:Trace.Backtrack ~router:a ~level:"peer"
-                      ~dist:(Id.distance st.pos st.dst);
+                    record_peer st Trace.Backtrack ~router:a;
                     scan_peers more
                   end
                 end
@@ -356,8 +365,7 @@ module Route_substrate = struct
          st.cur <- ch.Net.home_as;
          st.pos <- cid;
          st.pos_host <- ch;
-         Trace.record st.tracer ~kind:Trace.Cache ~router:ch.Net.home_as
-           ~level:(Level.to_string Level.Root) ~dist:(Id.distance cid st.dst);
+         record st Trace.Cache ~router:ch.Net.home_as Level.Root cid;
          Walk.Stepped ((), c))
     | Ring_move (level, cid, ch, narrows) ->
       (* Before taking a root-level (blind) move in bloom-filter mode,
@@ -397,8 +405,7 @@ module Route_substrate = struct
                st.pos <- cid;
                st.pos_host <- ch;
                if narrows then st.ceiling <- level;
-               Trace.record st.tracer ~kind:Trace.Ring ~router:ch.Net.home_as
-                 ~level:(Level.to_string level) ~dist:(Id.distance cid st.dst);
+               record st Trace.Ring ~router:ch.Net.home_as level cid;
                Walk.Stepped ((), c))))
 
   let no_candidate st () =
@@ -412,7 +419,7 @@ end
 
 module Route_walk = Walk.Make (Route_substrate)
 
-let route_from (t : Net.t) ~src ~dst =
+let route_from ?trace (t : Net.t) ~src ~dst =
   let st =
     {
       Route_substrate.net = t;
@@ -429,7 +436,7 @@ let route_from (t : Net.t) ~src ~dst =
       rev_path = [ src.Net.home_as ];
       ceiling = Level.Root;
       tried_peers = Hashtbl.create 4;
-      tracer = Trace.builder ();
+      tracer = trace;
     }
   in
   Metrics.inject t.Net.metrics Metrics.Data src.Net.home_as;

@@ -17,12 +17,18 @@ type result = {
   peer_crossings : int;
   backtracks : int;        (** bloom false-positive reversals *)
   max_level_breadth : int; (** cone size of the widest level used *)
-  trace : Rofl_routing.Trace.t; (** per-hop events, in walk order *)
+  trace : Rofl_routing.Trace.t;
+  (** per-hop events, in walk order: those of the [trace] sink, [[]]
+      without one *)
 }
 
-val route_from : Net.t -> src:Net.host -> dst:Rofl_idspace.Id.t -> result
+val route_from :
+  ?trace:Rofl_routing.Trace.builder ->
+  Net.t -> src:Net.host -> dst:Rofl_idspace.Id.t -> result
 (** Route one packet from a source host's AS towards an identifier.
-    Charged to the [data] category. *)
+    Charged to the [data] category.  [trace] is the sink for per-hop
+    events, as in {!Rofl_intra.Network.lookup}: only trace readers pass
+    one, and without it the walk records nothing. *)
 
 val stretch_vs_bgp : Net.t -> src:Net.host -> dst:Rofl_idspace.Id.t -> float option
 (** ROFL AS-hops over the BGP policy-path length between the two home ASes —

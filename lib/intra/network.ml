@@ -200,12 +200,14 @@ module Lookup_substrate = struct
     mutable msgs : int;
     mutable latency : float;
     mutable rev_visited : int list;
-    (* Router that handed out the committed pointer and the identifier it
-       chases: the NACK addressee when the pointer turns out stale. *)
-    mutable commit_src : (int * Id.t) option;
+    (* Router that handed out the committed pointer (-1: nothing committed)
+       and the identifier it chases: the NACK addressee when the pointer
+       turns out stale. *)
+    mutable commit_owner : int;
+    mutable commit_chased : Id.t;
     mutable commit_kind : Trace.kind;
-    mutable commit_dist : Id.t;
-    tracer : Trace.builder;
+    (* The trace sink; [None] records nothing and boxes no distance. *)
+    tracer : Trace.builder option;
     target_key : int;
     (* Running-best registers of [select]: the winner so far, its
        identifier and its key distance to the target.  Only the final
@@ -236,8 +238,15 @@ module Lookup_substrate = struct
       msgs = st.msgs;
       latency_ms = st.latency;
       visited = List.rev st.rev_visited;
-      trace = Trace.events st.tracer;
+      trace = (match st.tracer with Some b -> Trace.events b | None -> []);
     }
+
+  (* The distance is boxed only for a sink. *)
+  let record st kind ~router chased =
+    match st.tracer with
+    | Some b ->
+      Trace.record b ~kind ~router ~level:"intra" ~dist:(Id.distance chased st.target)
+    | None -> ()
 
   let rec alive_in id = function
     | [] -> false
@@ -260,16 +269,16 @@ module Lookup_substrate = struct
     Pointer_cache.remove t.routers.(cur).cache chased
 
   let stale_commit st cur =
-    match st.commit_src with
-    | Some (owner, chased) when not (resident_alive st cur chased) ->
+    let owner = st.commit_owner and chased = st.commit_chased in
+    if owner >= 0 && not (resident_alive st cur chased) then begin
       (* Arrived where the chased identifier should live, but it is gone:
          stale pointer. *)
       nack st cur owner chased;
-      Trace.record st.tracer ~kind:Trace.Backtrack ~router:cur ~level:"intra"
-        ~dist:(Id.distance chased st.target);
-      st.commit_src <- None;
+      record st Trace.Backtrack ~router:cur chased;
+      st.commit_owner <- -1;
       true
-    | Some _ | None -> false
+    end
+    else false
 
   let target st = st.target
   let cand_id _st c = candidate_id c
@@ -363,12 +372,12 @@ module Lookup_substrate = struct
   let commit st cur = function
     | Local _ -> None (* unreachable: deliver_here terminates on locals *)
     | Remote (p : Pointer.t) ->
-      st.commit_src <- Some (cur, p.Pointer.dst);
+      st.commit_owner <- cur;
+      st.commit_chased <- p.Pointer.dst;
       st.commit_kind <-
         (match p.Pointer.kind with
          | Pointer.Cached -> Trace.Cache
          | Pointer.Successor | Pointer.Predecessor | Pointer.Finger -> Trace.Ring);
-      st.commit_dist <- Id.distance p.Pointer.dst st.target;
       (match Sourceroute.hops p.Pointer.route with
        | hd :: rest when hd = cur -> Some rest
        | _ ->
@@ -386,8 +395,7 @@ module Lookup_substrate = struct
       st.msgs <- st.msgs + 1;
       st.latency <- st.latency +. Graph.latency st.net.graph cur next;
       st.rev_visited <- next :: st.rev_visited;
-      Trace.record st.tracer ~kind:st.commit_kind ~router:next ~level:"intra"
-        ~dist:st.commit_dist;
+      record st st.commit_kind ~router:next st.commit_chased;
       Walk.Stepped (next, rest)
     | _ :: _ | [] -> Walk.Blocked
 
@@ -417,7 +425,7 @@ end
 
 module Lookup_walk = Walk.Make (Lookup_substrate)
 
-let lookup ?exclude t ~from ~target ~category ~use_cache =
+let lookup ?exclude ?trace t ~from ~target ~category ~use_cache =
   let st =
     {
       Lookup_substrate.net = t;
@@ -429,10 +437,10 @@ let lookup ?exclude t ~from ~target ~category ~use_cache =
       msgs = 0;
       latency = 0.0;
       rev_visited = [ from ];
-      commit_src = None;
+      commit_owner = -1;
+      commit_chased = target;
       commit_kind = Trace.Ring;
-      commit_dist = Id.max_value;
-      tracer = Trace.builder ();
+      tracer = trace;
       target_key = Id.key target;
       pick = Lookup_substrate.No_pick;
       pick_id = target;

@@ -68,11 +68,14 @@ type lookup_result = {
   msgs : int;          (** physical messages charged *)
   latency_ms : float;  (** serial propagation latency of the walk *)
   visited : int list;  (** routers traversed, in order, inclusive of start *)
-  trace : Rofl_routing.Trace.t; (** per-hop events, in walk order *)
+  trace : Rofl_routing.Trace.t;
+  (** per-hop events, in walk order: those of the [trace] sink, [[]]
+      without one *)
 }
 
 val lookup :
   ?exclude:Id.t ->
+  ?trace:Rofl_routing.Trace.builder ->
   t -> from:int -> target:Id.t -> category:Rofl_netsim.Metrics.counter ->
   use_cache:bool -> lookup_result
 (** Greedy walk from a router towards [target]: at each router the closest
@@ -80,7 +83,10 @@ val lookup :
     pointers, pointer-cache) picks the next source route (Algorithm 2
     generalised to termination at the predecessor).  [exclude] removes one
     identifier from candidacy — used when an existing member re-joins and
-    must not find itself. *)
+    must not find itself.  [trace] is the sink for per-hop events; only
+    trace readers pass one, and without it the walk records nothing.  Give
+    each lookup a fresh builder: the result's [trace] is all of its
+    events. *)
 
 type join_outcome = {
   vnode : Vnode.t;

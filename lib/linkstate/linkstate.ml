@@ -68,12 +68,22 @@ type t = {
      a dead router; [no_comp] until first asked for and after every event.
      Built aside and published whole by one store, so a reader sees either
      [no_comp] or a complete labelling. *)
+  mutable hop_rows : Bytes.t array;
+  (* Min-hop rows: [hop_rows.(src)] holds, as a little-endian uint16 per
+     router, the live hop distance from [src] ([0xFFFF] unreachable), or is
+     [no_row] until first asked for.  The array itself is [no_rows] after
+     every event.  Like [comp], each row is built aside and published by
+     one store. *)
   mutable listeners : (event -> unit) list;
 }
 
 let matrix_limit = 4096
 
 let no_comp : int array = [||]
+
+let no_row = Bytes.empty
+
+let no_rows : Bytes.t array = [||]
 
 (* The empty [spf_cache] cell: its negative [src] tells it from a tree.
    Never mutated. *)
@@ -118,6 +128,7 @@ let create g =
     spf_cache = Array.make n no_tree;
     free_scratch = [];
     comp = no_comp;
+    hop_rows = no_rows;
     listeners = [];
   }
 
@@ -126,9 +137,10 @@ let graph t = t.g
 let on_event t f = t.listeners <- f :: t.listeners
 
 (* Every event changes the live topology, so it retires the component
-   labels before any listener can ask for them. *)
+   labels and the min-hop rows before any listener can ask for them. *)
 let notify t ev =
   t.comp <- no_comp;
+  t.hop_rows <- no_rows;
   List.iter (fun f -> f ev) t.listeners
 
 let canonical u v = if u <= v then (u, v) else (v, u)
@@ -481,30 +493,70 @@ let path t src dst =
     end
   end
 
-(* One breadth-first search over the live adjacency labels every router
-   with the smallest router of its component, -1 when dead. *)
+(* -- breadth-first labels -------------------------------------------------
+
+   One kernel serves the component labels and the min-hop rows.  Its
+   scratch is per domain ([Pool] domains read different networks at once):
+   [level] is -1 everywhere between calls, and [queue] holds the visit
+   order, which is also the list of entries to reset. *)
+
+type bfs_scratch = { mutable level : int array; mutable queue : int array }
+
+let bfs_scratch = Domain.DLS.new_key (fun () -> { level = [||]; queue = [||] })
+
+let scratch_for n =
+  let sc = Domain.DLS.get bfs_scratch in
+  if Array.length sc.level < n then begin
+    sc.level <- Array.make n (-1);
+    sc.queue <- Array.make n 0
+  end;
+  sc
+
+(* Breadth-first over live links from [root], which [sc.level] must still
+   mark -1: every router reached gets its hop distance from [root] in
+   [sc.level] and is appended to [sc.queue] from [tail].  Returns the new
+   tail. *)
+let bfs t sc root tail =
+  let level = sc.level and queue = sc.queue in
+  level.(root) <- 0;
+  queue.(tail) <- root;
+  let head = ref tail and tail = ref (tail + 1) in
+  while !head < !tail do
+    let u = queue.(!head) in
+    incr head;
+    let d = level.(u) + 1 in
+    for e = t.off.(u) to t.off.(u + 1) - 1 do
+      let v = t.nbr.(e) in
+      if level.(v) < 0 && link_alive t u v then begin
+        level.(v) <- d;
+        queue.(!tail) <- v;
+        incr tail
+      end
+    done
+  done;
+  !tail
+
+let reset_scratch sc tail =
+  for i = 0 to tail - 1 do
+    sc.level.(sc.queue.(i)) <- -1
+  done
+
+(* Label every router with the smallest router of its component, -1 when
+   dead: one search per component, in router order. *)
 let build_components t =
   let n = t.n in
-  let comp = Array.make n (-1) and queue = Array.make n 0 in
+  let comp = Array.make n (-1) and sc = scratch_for n in
+  let tail = ref 0 in
   for root = 0 to n - 1 do
     if comp.(root) < 0 && router_alive t root then begin
-      comp.(root) <- root;
-      queue.(0) <- root;
-      let head = ref 0 and tail = ref 1 in
-      while !head < !tail do
-        let u = queue.(!head) in
-        incr head;
-        for e = t.off.(u) to t.off.(u + 1) - 1 do
-          let v = t.nbr.(e) in
-          if comp.(v) < 0 && link_alive t u v then begin
-            comp.(v) <- root;
-            queue.(!tail) <- v;
-            incr tail
-          end
-        done
+      let start = !tail in
+      tail := bfs t sc root start;
+      for i = start to !tail - 1 do
+        comp.(sc.queue.(i)) <- root
       done
     end
   done;
+  reset_scratch sc !tail;
   t.comp <- comp;
   comp
 
@@ -517,6 +569,38 @@ let reachable t src dst =
   &&
   let comp = components t in
   comp.(src) = comp.(dst)
+
+let unreachable_hops = 0xFFFF
+
+let build_hop_row t rows src =
+  if t.n >= unreachable_hops then invalid_arg "Linkstate.min_hops: graph too large";
+  let row = Bytes.make (2 * t.n) '\xff' and sc = scratch_for t.n in
+  let tail = bfs t sc src 0 in
+  for i = 0 to tail - 1 do
+    let v = sc.queue.(i) in
+    Bytes.set_uint16_le row (2 * v) sc.level.(v)
+  done;
+  reset_scratch sc tail;
+  rows.(src) <- row;
+  row
+
+let min_hops t a b =
+  if a < 0 || a >= t.n || b < 0 || b >= t.n then invalid_arg "Linkstate.min_hops: no such router";
+  if not (router_alive t a && router_alive t b) then -1
+  else if a = b then 0
+  else begin
+    let rows =
+      if t.hop_rows == no_rows then begin
+        let rows = Array.make t.n no_row in
+        t.hop_rows <- rows;
+        rows
+      end
+      else t.hop_rows
+    in
+    let row = if rows.(a) == no_row then build_hop_row t rows a else rows.(a) in
+    let h = Bytes.get_uint16_le row (2 * b) in
+    if h = unreachable_hops then -1 else h
+  end
 
 let distance_hops t src dst =
   if not (router_alive t src && router_alive t dst) then None

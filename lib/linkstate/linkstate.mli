@@ -59,6 +59,14 @@ val reachable : t -> int -> int -> bool
     event rebuilds with one breadth-first search.  Grows no SPF tree; a warm
     query allocates nothing. *)
 
+val min_hops : t -> int -> int -> int
+(** Minimum hop count between two routers over live links, ignoring
+    latency; -1 when either is dead or they are partitioned.  Read from a
+    per-source row that the first query from [a] after an event fills with
+    one breadth-first search (the kernel behind {!reachable}); every event
+    retires all rows.  Grows no SPF tree; a warm query allocates nothing.
+    Raises [Invalid_argument] for a router outside the graph. *)
+
 val path : t -> int -> int -> int list option
 (** Latency-shortest live path, inclusive of both endpoints
     ([Some [src]] when [src = dst]).  [None] when partitioned. *)

@@ -2084,17 +2084,20 @@ let inject_cross_splice t =
   end
 
 let lookup_owner t ~from target =
-  (* [succ target] sits at maximal clockwise distance from the target, so it
-     is the cleared-horizon register: everything is strictly closer. *)
-  let rec walk router best_id guard =
+  (* [has_best = false] is the cleared horizon, [succ target]: anything at
+     less than the maximal clockwise distance is strictly closer, the test
+     the batched walk makes, with no horizon identifier built. *)
+  let rec walk router has_best best_id guard =
     if guard > 4 * Graph.n t.graph then None
     else begin
       let sh = shd t router in
       let host = rank sh ~router ~target ~skip_target:false ~avoid:[] in
       if host < 0 then None
       else if host = router then Some sh.ranked
-      else if Id.closer_clockwise ~target sh.ranked best_id then
-        walk host sh.ranked (guard + 1)
+      else if
+        if has_best then Id.closer_clockwise ~target sh.ranked best_id
+        else Id.compare_dist sh.ranked target Id.zero Id.max_value < 0
+      then walk host true sh.ranked (guard + 1)
       else begin
         (* No progress: settle on the best local resident. *)
         let s = best_resident sh.store ~router ~target in
@@ -2102,7 +2105,7 @@ let lookup_owner t ~from target =
       end
     end
   in
-  walk from (Id.succ_id target) 0
+  walk from false target 0
 
 let lookup_owner_batch t ~from ~targets =
   if Array.length from <> Array.length targets then

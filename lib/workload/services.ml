@@ -3,7 +3,7 @@ module Prng = Rofl_util.Prng
 (* Open-loop service-resolution workload with phases.
 
    Demand is Zipf-skewed over service ranks (rank 1 = hottest) with a
-   tunable fraction of queries for names that were never published (the
+   fixed fraction of queries for names that were never published (the
    negative-caching traffic).  Two phases stress the layer the way real
    deployments break:
 
@@ -30,62 +30,39 @@ type event =
   | Flap of { at_ms : float; service : int; provider : int; seq : int }
       (** toggle provider [provider] of service [service] (1-based rank) *)
 
-type flash = {
-  flash_start_ms : float;
-  flash_len_ms : float;
-  flash_mult : float;   (* arrival-rate multiplier during the crowd *)
-  flash_focus : int;    (* the crowd hammers ranks [1..flash_focus] *)
-}
+let providers_per_service = 2
+let zipf_s = 0.9
+let unknown_fraction = 0.05
+let flash_mult = 8.0
+let flash_focus = 2
 
 let event_time = function Resolve { at_ms; _ } | Flap { at_ms; _ } -> at_ms
 
-let generate rng ~horizon_ms ~services ~providers_per_service ~rate_per_s ~zipf_s
-    ?(unknown_fraction = 0.0) ?flash ?(flap_rate_per_s = 0.0) () =
+let generate rng ~horizon_ms ~services ~rate_per_s ~flash_start_ms ~flash_len_ms
+    ~flap_rate_per_s =
   if services < 1 then invalid_arg "Services.generate: services must be >= 1";
-  if providers_per_service < 1 then
-    invalid_arg "Services.generate: providers_per_service must be >= 1";
   if rate_per_s <= 0.0 then invalid_arg "Services.generate: rate must be positive";
-  if unknown_fraction < 0.0 || unknown_fraction > 1.0 then
-    invalid_arg "Services.generate: unknown fraction out of [0,1]";
-  (match flash with
-   | Some f ->
-     if f.flash_mult < 1.0 then invalid_arg "Services.generate: flash_mult must be >= 1";
-     if f.flash_focus < 1 || f.flash_focus > services then
-       invalid_arg "Services.generate: flash_focus out of [1,services]"
-   | None -> ());
+  let flash = flash_len_ms > 0.0 in
+  let focus = min flash_focus services in
+  let in_flash at = flash && at >= flash_start_ms && at < flash_start_ms +. flash_len_ms in
   let events = ref [] in
   let seq = ref 0 in
-  let in_flash at =
-    match flash with
-    | None -> false
-    | Some f -> at >= f.flash_start_ms && at < f.flash_start_ms +. f.flash_len_ms
-  in
-  let rate_at at =
-    match flash with
-    | Some f when in_flash at -> rate_per_s *. f.flash_mult
-    | _ -> rate_per_s
-  in
+  let rate_at at = if in_flash at then rate_per_s *. flash_mult else rate_per_s in
   (* Piecewise-constant Poisson arrivals by thinning against the peak rate:
      one exponential stream at the maximum, arrivals kept with probability
      rate(t)/peak — exact for piecewise-constant rates and immune to the
      boundary drift of segment-by-segment generation. *)
-  let peak = match flash with Some f -> rate_per_s *. f.flash_mult | None -> rate_per_s in
+  let peak = if flash then rate_per_s *. flash_mult else rate_per_s in
   let gap_ms = 1000.0 /. peak in
   let clock = ref (Prng.exponential rng gap_ms) in
   while !clock < horizon_ms do
     let at = !clock in
     if Prng.float rng 1.0 < rate_at at /. peak then begin
       let rank =
-        let hot =
-          match flash with
-          | Some f when in_flash at ->
-            (* the crowd's excess traffic is all focus-ranked *)
-            Prng.float rng 1.0 < (f.flash_mult -. 1.0) /. f.flash_mult
-          | _ -> false
-        in
-        if hot then
-          1 + Prng.int rng (match flash with Some f -> f.flash_focus | None -> 1)
-        else if unknown_fraction > 0.0 && Prng.float rng 1.0 < unknown_fraction then 0
+        (* the crowd's excess traffic is all focus-ranked *)
+        let hot = in_flash at && Prng.float rng 1.0 < (flash_mult -. 1.0) /. flash_mult in
+        if hot then 1 + Prng.int rng focus
+        else if Prng.float rng 1.0 < unknown_fraction then 0
         else Prng.zipf rng ~n:services ~s:zipf_s
       in
       let s = !seq in

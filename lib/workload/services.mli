@@ -3,7 +3,7 @@
 
     The demand side of the service-discovery campaign: Poisson resolution
     arrivals whose targets follow a Zipf popularity law (rank 1 hottest),
-    with an optional fraction aimed at never-published names (negative
+    with a fixed fraction aimed at never-published names (negative
     caching traffic), a flash-crowd window during which the rate multiplies
     and the excess concentrates on the hottest ranks, and a Poisson stream
     of provider up/down toggles — the source of genuinely stale cached
@@ -20,12 +20,21 @@ type event =
   | Flap of { at_ms : float; service : int; provider : int; seq : int }
       (** toggle provider index [provider] of service rank [service] *)
 
-type flash = {
-  flash_start_ms : float;
-  flash_len_ms : float;
-  flash_mult : float;  (** arrival-rate multiplier during the crowd *)
-  flash_focus : int;   (** the crowd hammers ranks [1..flash_focus] *)
-}
+val providers_per_service : int
+(** 2 providers per service; flaps pick one of them. *)
+
+val zipf_s : float
+(** 0.9: Zipf skew of the demand over the services. *)
+
+val unknown_fraction : float
+(** 0.05: share of demand aimed at never-published names. *)
+
+val flash_mult : float
+(** 8: arrival-rate multiplier during the flash crowd. *)
+
+val flash_focus : int
+(** 2: the flash crowd hammers the [min flash_focus services] hottest
+    ranks. *)
 
 val event_time : event -> float
 
@@ -33,14 +42,14 @@ val generate :
   Rofl_util.Prng.t ->
   horizon_ms:float ->
   services:int ->
-  providers_per_service:int ->
   rate_per_s:float ->
-  zipf_s:float ->
-  ?unknown_fraction:float ->
-  ?flash:flash ->
-  ?flap_rate_per_s:float ->
-  unit ->
+  flash_start_ms:float ->
+  flash_len_ms:float ->
+  flap_rate_per_s:float ->
   event list
+(** The flash crowd covers [\[flash_start_ms, flash_start_ms +
+    flash_len_ms)]; [flash_len_ms <= 0] disables it, and
+    [flap_rate_per_s <= 0] generates no flaps. *)
 
 val count : event list -> int * int
 (** (resolves, flaps). *)

@@ -118,6 +118,26 @@ let test_hmac_verify () =
   Alcotest.(check bool) "truncated tag" false
     (Hmac.verify ~key ~msg ~tag:(String.sub tag 0 16))
 
+(* RFC 2104 written out over one-shot digests: the reference both the
+   streaming and the prepared-key paths must reproduce. *)
+let reference_mac ~key msg =
+  let key = if String.length key > 64 then Sha256.digest key else key in
+  let key = key ^ String.make (64 - String.length key) '\000' in
+  let pad byte = String.map (fun c -> Char.chr (Char.code c lxor byte)) key in
+  Sha256.digest (pad 0x5c ^ Sha256.digest (pad 0x36 ^ msg))
+
+let prop_hmac_matches_reference =
+  QCheck.Test.make ~name:"mac and mac_keyed = RFC 2104 reference, keys of 0-200 bytes"
+    ~count:300
+    QCheck.(pair (string_of_size (Gen.int_range 0 200)) (string_of_size (Gen.int_range 0 300)))
+    (fun (key, msg) ->
+      let want = reference_mac ~key msg in
+      let k = Hmac.key key in
+      String.equal want (Hmac.mac ~key msg)
+      && String.equal want (Hmac.mac_keyed k msg)
+      && Hmac.verify_keyed k ~msg ~tag:want
+      && String.equal want (Hmac.mac_keyed k msg))
+
 let test_hex_helper_sanity () =
   Alcotest.(check string) "roundtrip" "\x0b\x0b" (hex_to_string "0b0b")
 
@@ -235,6 +255,7 @@ let () =
           Alcotest.test_case "RFC 4231 case 6" `Quick test_hmac_rfc4231_case6_long_key;
           Alcotest.test_case "verify" `Quick test_hmac_verify;
           Alcotest.test_case "hex helper" `Quick test_hex_helper_sanity;
+          QCheck_alcotest.to_alcotest prop_hmac_matches_reference;
         ] );
       ( "identity",
         [

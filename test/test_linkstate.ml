@@ -542,6 +542,77 @@ let prop_reachable_matches_trees =
       done;
       !ok)
 
+(* Reference minimum-hop distance: a plain breadth-first search over
+   [Graph.neighbors], skipping failed routers and links; -1 unreachable. *)
+let reference_min_hops g failed_links failed_routers a b =
+  let n = Graph.n g in
+  let up r = not (Hashtbl.mem failed_routers r) in
+  if not (up a && up b) then -1
+  else begin
+    let dist = Array.make n (-1) and q = Queue.create () in
+    dist.(a) <- 0;
+    Queue.add a q;
+    while not (Queue.is_empty q) do
+      let u = Queue.pop q in
+      List.iter
+        (fun (v, _) ->
+          if dist.(v) < 0 && up v && not (Hashtbl.mem failed_links (min u v, max u v)) then begin
+            dist.(v) <- dist.(u) + 1;
+            Queue.add v q
+          end)
+        (Graph.neighbors g u)
+    done;
+    dist.(b)
+  end
+
+(* [min_hops] serves memoised rows; after every step of a random
+   fail/restore script, with every row of the previous step still cached,
+   it must give the reference answer for every pair. *)
+let prop_min_hops_matches_bfs =
+  QCheck.Test.make ~name:"min_hops = fresh BFS under fail/restore" ~count:200
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let rng = Prng.create seed in
+      let g = sparse_graph rng in
+      let n = Graph.n g in
+      let edges = Array.of_list (Graph.links g) in
+      let ls = Linkstate.create g in
+      let failed_links = Hashtbl.create 8 and failed_routers = Hashtbl.create 8 in
+      let agrees () =
+        let ok = ref true in
+        for a = 0 to n - 1 do
+          for b = 0 to n - 1 do
+            if Linkstate.min_hops ls a b <> reference_min_hops g failed_links failed_routers a b
+            then ok := false
+          done
+        done;
+        !ok
+      in
+      let ok = ref (agrees ()) in
+      for _ = 1 to 40 do
+        if !ok then begin
+          (match Prng.int rng 4 with
+           | 0 when Array.length edges > 0 ->
+             let { Graph.u; v; _ } = edges.(Prng.int rng (Array.length edges)) in
+             Linkstate.fail_link ls u v;
+             Hashtbl.replace failed_links (min u v, max u v) ()
+           | 1 when Array.length edges > 0 ->
+             let { Graph.u; v; _ } = edges.(Prng.int rng (Array.length edges)) in
+             Linkstate.restore_link ls u v;
+             Hashtbl.remove failed_links (min u v, max u v)
+           | 2 ->
+             let r = Prng.int rng n in
+             Linkstate.fail_router ls r;
+             Hashtbl.replace failed_routers r ()
+           | _ ->
+             let r = Prng.int rng n in
+             Linkstate.restore_router ls r;
+             Hashtbl.remove failed_routers r);
+          ok := agrees ()
+        end
+      done;
+      !ok)
+
 let prop_paths_are_valid_routes =
   QCheck.Test.make ~name:"every SPF path is a valid source route" ~count:100
     QCheck.(pair (int_range 1 500) (pair (int_range 0 39) (int_range 0 39)))
@@ -575,6 +646,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_hops_symmetric;
           QCheck_alcotest.to_alcotest prop_kernel_matches_reference;
           QCheck_alcotest.to_alcotest prop_reachable_matches_trees;
+          QCheck_alcotest.to_alcotest prop_min_hops_matches_bfs;
         ] );
       ( "failures",
         [

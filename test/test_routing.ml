@@ -40,7 +40,11 @@ type intra_outcome = {
   intra_results : Network.lookup_result list;
 }
 
-let intra_fingerprint () =
+(* [traced] hands every scenario walk a fresh trace sink; the fingerprint
+   must not depend on it. *)
+let sink traced = if traced then Some (Trace.builder ()) else None
+
+let intra_fingerprint ~traced () =
   let lines = ref [] and results = ref [] in
   let add fmt = Printf.ksprintf (fun s -> lines := s :: !lines) fmt in
   let keep (r : Network.lookup_result) = results := r :: !results in
@@ -84,7 +88,10 @@ let intra_fingerprint () =
   (match Network.spf_route net 25 wrong with
    | Some r -> Network.cache_route_to net victim wrong (Rofl_core.Sourceroute.hops r)
    | None -> ());
-  let rn = Network.lookup net ~from:25 ~target:victim ~category:Metrics.Data ~use_cache:true in
+  let rn =
+    Network.lookup ?trace:(sink traced) net ~from:25 ~target:victim ~category:Metrics.Data
+      ~use_cache:true
+  in
   keep rn;
   add "intra-nack status=%s msgs=%d visited=%d" (status_str rn.Network.status)
     rn.Network.msgs
@@ -99,7 +106,9 @@ let intra_fingerprint () =
       if k mod 3 = 2 then spread_id k else ids.(k * 5 mod Array.length ids)
     in
     let use_cache = k mod 4 <> 1 in
-    let r = Network.lookup net ~from ~target ~category:Metrics.Data ~use_cache in
+    let r =
+      Network.lookup ?trace:(sink traced) net ~from ~target ~category:Metrics.Data ~use_cache
+    in
     keep r;
     add "intra#%d status=%s msgs=%d lat=%.12g visited=%d" k (status_str r.Network.status)
       r.Network.msgs r.Network.latency_ms
@@ -115,7 +124,7 @@ type inter_outcome = {
   inter_results : Route.result list;
 }
 
-let inter_fingerprint ~name cfg =
+let inter_fingerprint ~traced ~name cfg =
   let lines = ref [] and results = ref [] in
   let add fmt = Printf.ksprintf (fun s -> lines := s :: !lines) fmt in
   let rng = Prng.create 11 in
@@ -138,7 +147,7 @@ let inter_fingerprint ~name cfg =
   let hosts = Array.of_list (List.rev !hosts) in
   add "inter[%s]-joins hosts=%d" name (Net.host_count net);
   let route k src dst =
-    let r = Route.route_from net ~src ~dst in
+    let r = Route.route_from ?trace:(sink traced) net ~src ~dst in
     results := r :: !results;
     add "inter[%s]#%d del=%b as=%d ptr=%d cache=%d peer=%d back=%d breadth=%d path=%d"
       name k r.Route.delivered r.Route.as_hops r.Route.pointer_hops r.Route.cache_hops
@@ -161,25 +170,18 @@ let inter_fingerprint ~name cfg =
     (Metrics.categories net.Net.metrics);
   { inter_lines = List.rev !lines; inter_results = List.rev !results }
 
-(* Each scenario runs once; the golden check and the trace-invariant checks
-   share the outcome. *)
-let intra = lazy (intra_fingerprint ())
-let inter_default = lazy (inter_fingerprint ~name:"default" Net.default_config)
+(* The golden checks run each scenario without trace sinks; the
+   trace-invariant checks run it again with them. *)
+let bloom_cfg =
+  {
+    Net.default_config with
+    Net.cache_capacity = 64;
+    Net.peering_mode = Net.Bloom_filters;
+    Net.finger_budget = 30;
+  }
 
-let inter_bloom =
-  lazy
-    (inter_fingerprint ~name:"bloom"
-       {
-         Net.default_config with
-         Net.cache_capacity = 64;
-         Net.peering_mode = Net.Bloom_filters;
-         Net.finger_budget = 30;
-       })
+let fpr_cfg = { Net.default_config with Net.peering_mode = Net.Bloom_filters; Net.bloom_fpr = 0.35 }
 
-let inter_fpr =
-  lazy
-    (inter_fingerprint ~name:"fpr"
-       { Net.default_config with Net.peering_mode = Net.Bloom_filters; Net.bloom_fpr = 0.35 })
 
 (* --- golden values (recorded from the pre-refactor implementations) ----- *)
 
@@ -341,18 +343,19 @@ let check_lines name expected actual =
   Alcotest.(check (list string)) name expected actual
 
 let test_golden_intra () =
-  check_lines "intra fingerprint" golden_intra (Lazy.force intra).intra_lines
+  check_lines "intra fingerprint" golden_intra (intra_fingerprint ~traced:false ()).intra_lines
 
 let test_golden_inter_default () =
   check_lines "inter default fingerprint" golden_inter_default
-    (Lazy.force inter_default).inter_lines
+    (inter_fingerprint ~traced:false ~name:"default" Net.default_config).inter_lines
 
 let test_golden_inter_bloom () =
   check_lines "inter bloom fingerprint" golden_inter_bloom
-    (Lazy.force inter_bloom).inter_lines
+    (inter_fingerprint ~traced:false ~name:"bloom" bloom_cfg).inter_lines
 
 let test_golden_inter_fpr () =
-  check_lines "inter fpr fingerprint" golden_inter_fpr (Lazy.force inter_fpr).inter_lines
+  check_lines "inter fpr fingerprint" golden_inter_fpr
+    (inter_fingerprint ~traced:false ~name:"fpr" fpr_cfg).inter_lines
 
 (* Walk.best: minimum clockwise distance wins; ties keep the earliest
    element, which is how enumeration order encodes ring-before-cache
@@ -376,9 +379,11 @@ let test_walk_best () =
   Alcotest.(check string) "zero is the target itself" "t" (pick [ (1, "x"); (0, "t") ])
 
 (* The trace is not a separate account of the walk: its event totals must
-   agree with the counters each layer already maintained. *)
+   agree with the counters each layer already maintained.  The scenarios
+   run again with a sink per walk, and must still match their goldens. *)
 let test_trace_invariants_intra () =
-  let o = Lazy.force intra in
+  let o = intra_fingerprint ~traced:true () in
+  check_lines "intra fingerprint with sinks" golden_intra o.intra_lines;
   Alcotest.(check bool) "ran lookups" true (o.intra_results <> []);
   List.iter
     (fun (r : Network.lookup_result) ->
@@ -407,9 +412,80 @@ let test_trace_invariants_inter () =
           (Trace.count tr Trace.Ring <= r.Route.pointer_hops - r.Route.cache_hops))
       o.inter_results
   in
-  check_outcome (Lazy.force inter_default);
-  check_outcome (Lazy.force inter_bloom);
-  check_outcome (Lazy.force inter_fpr)
+  List.iter
+    (fun (name, cfg, golden) ->
+      let o = inter_fingerprint ~traced:true ~name cfg in
+      check_lines ("inter " ^ name ^ " fingerprint with sinks") golden o.inter_lines;
+      check_outcome o)
+    [
+      ("default", Net.default_config, golden_inter_default);
+      ("bloom", bloom_cfg, golden_inter_bloom);
+      ("fpr", fpr_cfg, golden_inter_fpr);
+    ]
+
+(* A sink only observes.  Twin networks built from one seed take the same
+   random walks, one twin with a sink per walk and one without: every
+   verdict, cost and path must agree, and so must the charged counters
+   (stale-pointer NACKs prune state, so a diverging walk would show). *)
+let intra_twin seed =
+  let rng = Prng.create seed in
+  let g = Gen.waxman rng ~n:30 ~alpha:0.4 ~beta:0.2 in
+  let net = Network.create ~rng g in
+  let ids = ref [] in
+  while List.length !ids < 30 do
+    match Network.join_fresh_host net ~gateway:(Prng.int rng 30) ~cls:Vnode.Stable with
+    | Ok (id, _) -> ids := id :: !ids
+    | Error _ -> ()
+  done;
+  let dead = seed mod 30 in
+  ignore (Failure.fail_router net dead ~pick_gateway:(fun _ -> Some ((dead + 1) mod 30)));
+  (net, Array.of_list !ids, dead, rng)
+
+let intra_walks ~traced seed =
+  let net, ids, dead, rng = intra_twin seed in
+  let walks =
+    List.init 40 (fun _ ->
+        let from = Prng.int rng 30 in
+        let from = if from = dead then (from + 1) mod 30 else from in
+        let target = if Prng.bool rng then Prng.sample rng ids else Id.random rng in
+        let r =
+          Network.lookup ?trace:(sink traced) net ~from ~target ~category:Metrics.Data
+            ~use_cache:(Prng.bool rng)
+        in
+        (status_str r.Network.status, r.Network.msgs, r.Network.latency_ms, r.Network.visited))
+  in
+  (walks, Metrics.categories net.Network.metrics)
+
+let prop_intra_sink_observes =
+  QCheck.Test.make ~name:"intra walk: same verdict, cost and path with or without a sink"
+    ~count:15 QCheck.(int_range 1 100_000)
+    (fun seed -> intra_walks ~traced:true seed = intra_walks ~traced:false seed)
+
+let inter_walks ~traced seed =
+  let rng = Prng.create seed in
+  let inet = Internet.generate rng Internet.small_params in
+  let net = Net.create ~cfg:bloom_cfg ~rng inet.Internet.graph in
+  let stubs = Array.of_list (Internet.stubs inet) in
+  let hosts =
+    Array.init 60 (fun i ->
+        let strategy = if i mod 2 = 0 then Net.Multihomed else Net.Peering in
+        (Net.join net ~as_idx:(Prng.sample rng stubs) ~strategy).Net.host)
+  in
+  let walks =
+    List.init 30 (fun _ ->
+        let src = Prng.sample rng hosts and dst = Prng.sample rng hosts in
+        let r = Route.route_from ?trace:(sink traced) net ~src ~dst:dst.Net.id in
+        ( r.Route.delivered,
+          r.Route.as_path,
+          [ r.Route.as_hops; r.Route.pointer_hops; r.Route.cache_hops;
+            r.Route.peer_crossings; r.Route.backtracks ] ))
+  in
+  (walks, Metrics.categories net.Net.metrics)
+
+let prop_inter_sink_observes =
+  QCheck.Test.make ~name:"inter walk: same verdict, cost and path with or without a sink"
+    ~count:8 QCheck.(int_range 1 100_000)
+    (fun seed -> inter_walks ~traced:true seed = inter_walks ~traced:false seed)
 
 let test_trace_counts_shape () =
   Alcotest.(check (list (pair string int)))
@@ -433,5 +509,7 @@ let () =
           Alcotest.test_case "trace counts shape" `Quick test_trace_counts_shape;
           Alcotest.test_case "intra trace invariants" `Slow test_trace_invariants_intra;
           Alcotest.test_case "inter trace invariants" `Slow test_trace_invariants_inter;
+          QCheck_alcotest.to_alcotest prop_intra_sink_observes;
+          QCheck_alcotest.to_alcotest prop_inter_sink_observes;
         ] );
     ]
