@@ -72,7 +72,10 @@ let rec search c id k lo hi =
 
 let lower_bound c id = search c id (Id.key id) 0 c.n
 
-let[@inline] holds c i id = i < c.n && Id.equal (ptr_at c i).Pointer.dst id
+(* The stored key answers most misses; the pointer's identifier is loaded
+   only on a key match. *)
+let[@inline] holds c i id =
+  i < c.n && key_at c i = Id.key id && Id.equal (ptr_at c i).Pointer.dst id
 
 (* Grow the slot table (with its links and free stack) to at least one
    free slot; growth doubles, so a cache reaches its fill in O(log

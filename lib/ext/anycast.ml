@@ -41,8 +41,7 @@ let route net ~from g rng =
   | Network.Stuck _ -> { server = None; hops = res.Network.msgs }
 
 let members_alive net g =
-  Hashtbl.fold
-    (fun id (vn : Vnode.t) acc ->
-      if vn.Vnode.alive && Id.same_group id g then id :: acc else acc)
-    net.Network.vnodes []
-  |> List.sort Id.compare
+  let rev = ref [] in
+  Network.iter_members net (fun (vn : Vnode.t) ->
+      if vn.Vnode.alive && Id.same_group vn.Vnode.id g then rev := vn.Vnode.id :: !rev);
+  List.sort Id.compare !rev

@@ -39,6 +39,7 @@ let join_member t ~gateway ~suffix =
       let target = Anycast.member_id t.g ~suffix in
       let res =
         Network.lookup t.net ~from:gateway ~target ~category:Metrics.Join ~use_cache:true
+          ~visited:true
       in
       paint_msgs := res.Network.msgs;
       (* The greedy walk may revisit routers; paint the loop-free reduction

@@ -103,10 +103,12 @@ let key ctx = function
   | Real a -> a
   | Peer_group v -> Asgraph.n ctx.g + v
 
-let to_string = function
-  | Root -> "root"
-  | Real a -> Printf.sprintf "AS%d" a
-  | Peer_group v -> Printf.sprintf "vAS%d" v
+let to_trace = function
+  | Root -> Rofl_routing.Trace.Root
+  | Real a -> Rofl_routing.Trace.As a
+  | Peer_group v -> Rofl_routing.Trace.Virtual_as v
+
+let to_string l = Rofl_routing.Trace.level_to_string (to_trace l)
 
 let member ctx level x =
   match level with

@@ -36,6 +36,9 @@ val equal : t -> t -> bool
 val key : ctx -> t -> int
 (** Dense integer encoding for hashtables. *)
 
+val to_trace : t -> Rofl_routing.Trace.level
+(** The level as a per-hop trace event names it. *)
+
 val to_string : t -> string
 
 val member : ctx -> t -> int -> bool

@@ -143,7 +143,9 @@ let charge_unrestricted (t : Net.t) a b =
    state.  One Walk step is one pointer traversal: a level-restricted ring
    move (possibly diverted mid-path over a bloom peering link, §4.2) or an
    unrestricted cache shortcut.  Position lives in the state record (the
-   packet's AS, ring position, and position host move together). *)
+   packet's AS, ring position, and position host move together), and so
+   does the picked move, which is also the committed route: a move is
+   consumed whole. *)
 module Route_substrate = struct
   type st = {
     net : Net.t;
@@ -161,22 +163,20 @@ module Route_substrate = struct
     mutable ceiling : Level.t;
     tried_peers : (int * int, unit) Hashtbl.t;
     tracer : Trace.builder option; (* [None]: record nothing *)
+    mutable move : move;
   }
 
-  type pos = unit
-
-  type cand =
+  and move =
     | Ring_move of Level.t * Id.t * Net.host * bool  (** level, id, host, narrows *)
     | Cache_move of Id.t * Net.host
 
-  type route = cand
   type verdict = result
 
   (* The seed guard admitted 4096 working iterations; [run] counts from 0. *)
   let max_steps _ = 4095
   let restart_limit _ = 0
   let horizon = `Per_move
-  let stale_commit _ _ = false
+  let stale_commit _ = false
   let exhausted _ = true
 
   let finish st delivered =
@@ -196,54 +196,57 @@ module Route_substrate = struct
   let record st kind ~router level id =
     match st.tracer with
     | Some b ->
-      Trace.record b ~kind ~router ~level:(Level.to_string level)
+      Trace.record b ~kind ~router ~level:(Level.to_trace level)
         ~dist:(Id.distance id st.dst)
     | None -> ()
 
   let record_peer st kind ~router =
     match st.tracer with
-    | Some b -> Trace.record b ~kind ~router ~level:"peer" ~dist:(Id.distance st.pos st.dst)
+    | Some b ->
+      Trace.record b ~kind ~router ~level:Trace.Peer ~dist:(Id.distance st.pos st.dst)
     | None -> ()
 
   let extend_path st tail = List.iter (fun a -> st.rev_path <- a :: st.rev_path) tail
 
-  let arrived st () =
+  let arrived st =
     if Net.locate st.net st.dst = Some st.cur then Some (finish st true) else None
 
   (* Free intra-AS move to the closest local resident. *)
-  let prepare st () =
-    (match best_local_resident st.net st.cur ~pos:st.pos ~dst:st.dst with
-     | Some (mid, mh) when not (Id.equal mid st.pos) ->
-       st.pos <- mid;
-       st.pos_host <- mh
-     | Some _ | None -> ());
-    ()
+  let prepare st =
+    match best_local_resident st.net st.cur ~pos:st.pos ~dst:st.dst with
+    | Some (mid, mh) when not (Id.equal mid st.pos) ->
+      st.pos <- mid;
+      st.pos_host <- mh
+    | Some _ | None -> ()
 
   (* {!Walk.best} over [ring move; cache move]: the cached pointer
      overrides the ring candidate only when strictly closer.  The cache
      lookup runs whichever wins, after the ring scan: it draws from the
      network's rng. *)
-  let select st () =
+  let pick st m =
+    st.move <- m;
+    true
+
+  let select st =
     let ring =
       lowest_level_candidate st.net st.pos_host ~cur:st.cur ~pos:st.pos ~dst:st.dst
         ~ceiling:st.ceiling
     in
     match ring, cache_candidate st.net st.cur ~pos:st.pos ~dst:st.dst with
     | Some (level, rid, rh, narrows), Some (cid, ch) ->
-      if Id.closer_clockwise ~target:st.dst cid rid then Some (Cache_move (cid, ch))
-      else Some (Ring_move (level, rid, rh, narrows))
-    | Some (level, rid, rh, narrows), None -> Some (Ring_move (level, rid, rh, narrows))
-    | None, Some (cid, ch) -> Some (Cache_move (cid, ch))
-    | None, None -> None
+      if Id.closer_clockwise ~target:st.dst cid rid then pick st (Cache_move (cid, ch))
+      else pick st (Ring_move (level, rid, rh, narrows))
+    | Some (level, rid, rh, narrows), None -> pick st (Ring_move (level, rid, rh, narrows))
+    | None, Some (cid, ch) -> pick st (Cache_move (cid, ch))
+    | None, None -> false
 
   let target st = st.dst
 
-  let cand_id _st = function
-    | Ring_move (_, cid, _, _) -> cid
-    | Cache_move (cid, _) -> cid
+  let picked_id st =
+    match st.move with Ring_move (_, cid, _, _) -> cid | Cache_move (cid, _) -> cid
 
-  let deliver_here _ () _ = None
-  let commit _ () c = Some c
+  let deliver_here _ = None
+  let commit _ = true
 
   (* Bloom-filter peering (§4.2): consult the peers' filters; a hit crosses
      the peering link and descends, a false positive backtracks. *)
@@ -351,11 +354,13 @@ module Route_substrate = struct
       scan_as 2 path_tail
     end
 
-  let follow st () c =
-    match c with
+  let stuck st = finish st false
+
+  let follow st =
+    match st.move with
     | Cache_move (cid, ch) ->
       (match charge_unrestricted st.net st.cur ch.Net.home_as with
-       | None -> Walk.Blocked
+       | None -> Some (stuck st)
        | Some (d, tail) ->
          st.as_hops <- st.as_hops + d;
          extend_path st tail;
@@ -366,7 +371,7 @@ module Route_substrate = struct
          st.pos <- cid;
          st.pos_host <- ch;
          record st Trace.Cache ~router:ch.Net.home_as Level.Root cid;
-         Walk.Stepped ((), c))
+         None)
     | Ring_move (level, cid, ch, narrows) ->
       (* Before taking a root-level (blind) move in bloom-filter mode,
          consult the peers' filters. *)
@@ -378,10 +383,10 @@ module Route_substrate = struct
         else None
       in
       (match peer_shortcut with
-       | Some r -> Walk.Finished r
+       | Some _ as finished -> finished
        | None ->
          (match charge_move st.net level st.cur ch.Net.home_as with
-          | None -> Walk.Blocked
+          | None -> Some (stuck st)
           | Some (d, tail) ->
             st.as_hops <- st.as_hops + d;
             extend_path st tail;
@@ -397,24 +402,23 @@ module Route_substrate = struct
                      st.as_hops <- st.as_hops + dd;
                      extend_path st dtail;
                      st.cur <- home;
-                     Walk.Finished (finish st true)
-                   | None -> Walk.Finished (finish st false))
-                | None -> Walk.Finished (finish st false))
+                     Some (finish st true)
+                   | None -> Some (finish st false))
+                | None -> Some (finish st false))
              | None ->
                st.cur <- ch.Net.home_as;
                st.pos <- cid;
                st.pos_host <- ch;
                if narrows then st.ceiling <- level;
                record st Trace.Ring ~router:ch.Net.home_as level cid;
-               Walk.Stepped ((), c))))
+               None)))
 
-  let no_candidate st () =
+  let no_candidate st =
     if st.net.Net.cfg.Net.peering_mode = Net.Bloom_filters then
       match try_peers st with Some r -> r | None -> finish st false
     else finish st false
 
-  let settle st () = finish st false (* unreachable under [`Per_move] *)
-  let stuck st () = finish st false
+  let settle st = finish st false (* unreachable under [`Per_move] *)
 end
 
 module Route_walk = Walk.Make (Route_substrate)
@@ -437,10 +441,11 @@ let route_from ?trace (t : Net.t) ~src ~dst =
       ceiling = Level.Root;
       tried_peers = Hashtbl.create 4;
       tracer = trace;
+      move = Route_substrate.Cache_move (src.Net.id, src);
     }
   in
   Metrics.inject t.Net.metrics Metrics.Data src.Net.home_as;
-  Route_walk.run st ~start:()
+  Route_walk.run st
 
 let stretch_vs_bgp t ~src ~dst =
   match Net.locate t dst with

@@ -10,13 +10,12 @@ module Identity = Rofl_crypto.Identity
 
 let total (t : Network.t) = Metrics.total t.Network.metrics
 
-let all_vnodes (t : Network.t) =
-  Hashtbl.fold (fun _ vn acc -> vn :: acc) t.Network.vnodes []
-
 (* Drop every pointer that leads to or through dead equipment, charging
-   tear-downs along the surviving prefix of each path, then repair. *)
+   tear-downs along the surviving prefix of each path, then repair.  Here
+   and below, members are visited in {!Network.iter_members}' order, not
+   the identifier table's hash order. *)
 let teardown_and_repair (t : Network.t) ~doomed =
-  List.iter
+  Network.iter_members t
     (fun (vn : Vnode.t) ->
       if vn.Vnode.alive then begin
         let dropped = Vnode.drop_pointers_if vn doomed in
@@ -24,7 +23,7 @@ let teardown_and_repair (t : Network.t) ~doomed =
           Metrics.incr t.Network.metrics Metrics.Teardown dropped;
           (match vn.Vnode.host_class with
            | Vnode.Stable | Vnode.Router_default ->
-             if vn.Vnode.succs = [] then Network.repair_successor t vn;
+             if Vnode.succ_count vn = 0 then Network.repair_successor t vn;
              if vn.Vnode.preds = [] then Network.repair_predecessor t vn
            | Vnode.Ephemeral ->
              (* Re-attach below the current ring predecessor. *)
@@ -47,7 +46,6 @@ let teardown_and_repair (t : Network.t) ~doomed =
               | Network.Delivered _ | Network.Stuck _ -> ()))
         end
       end)
-    (all_vnodes t)
 
 let purge_caches (t : Network.t) ~doomed =
   Array.iter
@@ -80,8 +78,8 @@ let fail_router (t : Network.t) idx ~pick_gateway =
   charge_lsa t Metrics.Flood;
   (* Everything resident here is gone. *)
   let kill (vn : Vnode.t) =
-    vn.Vnode.alive <- false;
-    Hashtbl.remove t.Network.vnodes vn.Vnode.id;
+    Vnode.mark_dead vn;
+    Network.Vnode_table.remove t.Network.vnodes vn.Vnode.id;
     t.Network.oracle <- Ring.remove vn.Vnode.id t.Network.oracle;
     Identity.release r.Network.auditor vn.Vnode.id
   in
@@ -129,7 +127,7 @@ let restore_router (t : Network.t) idx =
   let r = t.Network.routers.(idx) in
   let vn = Vnode.create (Network.router_id idx) Vnode.Router_default ~hosted_at:idx in
   r.Network.residents <- [ vn ];
-  Hashtbl.replace t.Network.vnodes vn.Vnode.id vn;
+  Network.Vnode_table.replace t.Network.vnodes vn.Vnode.id vn;
   t.Network.oracle <- Ring.add vn.Vnode.id vn t.Network.oracle;
   ignore (Network.rejoin_ring t vn ~category:Metrics.Repair);
   ignore (Network.stabilize t ~category:Metrics.Repair);
@@ -143,7 +141,7 @@ let fail_link (t : Network.t) u v =
   purge_caches t ~doomed:crosses;
   (* The network map reroutes ring pointers transparently: refresh source
      routes that crossed the link; tear down only if now unreachable. *)
-  List.iter
+  Network.iter_members t
     (fun (vn : Vnode.t) ->
       if vn.Vnode.alive then begin
         let reroute (p : Pointer.t) =
@@ -156,12 +154,10 @@ let fail_link (t : Network.t) u v =
             | None -> None
           else Some p
         in
-        vn.Vnode.succs <- List.filter_map reroute vn.Vnode.succs;
-        vn.Vnode.preds <- List.filter_map reroute vn.Vnode.preds;
-        if vn.Vnode.succs = [] && not (Ring.is_empty t.Network.oracle) then
+        Vnode.filter_map_pointers vn reroute;
+        if Vnode.succ_count vn = 0 && not (Ring.is_empty t.Network.oracle) then
           Network.repair_successor t vn
-      end)
-    (all_vnodes t);
+      end);
   total t - before
 
 let restore_link (t : Network.t) u v =
@@ -204,7 +200,7 @@ let disconnect_routers (t : Network.t) routers =
   teardown_and_repair t ~doomed;
   (* Per-component consistency: every member whose successor is now across
      the cut re-points within its component. *)
-  List.iter
+  Network.iter_members t
     (fun (vn : Vnode.t) ->
       if vn.Vnode.alive then begin
         match vn.Vnode.host_class with
@@ -224,8 +220,7 @@ let disconnect_routers (t : Network.t) routers =
           in
           if not pred_ok then Network.repair_predecessor t vn
         | Vnode.Ephemeral -> ()
-      end)
-    (all_vnodes t);
+      end);
   ignore (Network.stabilize t ~category:Metrics.Repair);
   total t - before
 
@@ -259,10 +254,9 @@ let reconnect_routers (t : Network.t) routers =
     routers;
   (* Main-side members whose true successor lives in the reconnected set got
      fixed by the splices above; verify and repair any stragglers. *)
-  List.iter
+  Network.iter_members t
     (fun (vn : Vnode.t) ->
-      if vn.Vnode.alive && vn.Vnode.succs = [] then Network.repair_successor t vn)
-    (all_vnodes t);
+      if vn.Vnode.alive && Vnode.succ_count vn = 0 then Network.repair_successor t vn);
   ignore (Network.stabilize t ~category:Metrics.Repair);
   total t - before
 

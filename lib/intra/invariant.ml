@@ -37,8 +37,8 @@ let check (t : Network.t) =
   let checked = ref 0 in
   let stale_tails = ref 0 in
   let bad fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
-  Hashtbl.iter
-    (fun id (vn : Vnode.t) ->
+  Network.iter_members t (fun (vn : Vnode.t) ->
+      let id = vn.Vnode.id in
       if vn.Vnode.alive then begin
         incr checked;
         match vn.Vnode.host_class with
@@ -60,16 +60,15 @@ let check (t : Network.t) =
             | Some (dv : Vnode.t) -> not dv.Vnode.alive
             | None -> true
           in
-          let check_group label = function
-            | [] -> ()
-            | (head : Pointer.t) :: tail ->
-              if dead head then
+          let check_entry label i (p : Pointer.t) =
+            if dead p then
+              if i = 0 then
                 bad "%s: %s head points to dead id %s" (Id.to_short_string id) label
-                  (Id.to_short_string head.Pointer.dst);
-              List.iter (fun p -> if dead p then incr stale_tails) tail
+                  (Id.to_short_string p.Pointer.dst)
+              else incr stale_tails
           in
-          check_group "successor" vn.Vnode.succs;
-          check_group "predecessor" vn.Vnode.preds
+          Array.iteri (check_entry "successor") vn.Vnode.succ_ptrs;
+          List.iteri (check_entry "predecessor") vn.Vnode.preds
         | Vnode.Ephemeral ->
           (* Attachment present at the ring predecessor. *)
           (match Vnode.first_pred vn with
@@ -84,8 +83,7 @@ let check (t : Network.t) =
                 bad "%s: no attachment at predecessor router %d" (Id.to_short_string id)
                   p.Pointer.dst_router)
            | None -> bad "%s: ephemeral id with no predecessor" (Id.to_short_string id))
-      end)
-    t.Network.vnodes;
+      end);
   {
     ok = !violations = [];
     violations = List.rev !violations;
@@ -97,10 +95,10 @@ let check (t : Network.t) =
 
 let check_routability (t : Network.t) ~samples =
   let ids =
-    Hashtbl.fold
-      (fun id (vn : Vnode.t) acc -> if vn.Vnode.alive then (id, vn) :: acc else acc)
-      t.Network.vnodes []
-    |> Array.of_list
+    let rev = ref [] in
+    Network.iter_members t (fun (vn : Vnode.t) ->
+        if vn.Vnode.alive then rev := (vn.Vnode.id, vn) :: !rev);
+    Array.of_list (List.rev !rev)
   in
   let violations = ref [] in
   let checked = ref 0 in

@@ -36,6 +36,13 @@ let default_config =
     sybil_limit = 100_000;
   }
 
+module Vnode_table = Hashtbl.Make (struct
+  type t = Id.t
+
+  let equal = Id.equal
+  let hash = Id.hash
+end)
+
 type router = {
   idx : int;
   default_vnode : Vnode.t;
@@ -52,7 +59,7 @@ type t = {
   cfg : config;
   routers : router array;
   metrics : Metrics.t;
-  vnodes : (Id.t, Vnode.t) Hashtbl.t;
+  vnodes : Vnode.t Vnode_table.t;
   mutable oracle : Vnode.t Ring.t;
   mutable bootstrap_msgs : int;
 }
@@ -112,7 +119,7 @@ let create ?(cfg = default_config) ~rng graph =
       cfg;
       routers;
       metrics = Metrics.create ~routers:n;
-      vnodes = Hashtbl.create (4 * n);
+      vnodes = Vnode_table.create (4 * n);
       oracle = Ring.empty;
       bootstrap_msgs = 0;
     }
@@ -123,7 +130,7 @@ let create ?(cfg = default_config) ~rng graph =
   Array.iter
     (fun r ->
       r.residents <- [ r.default_vnode ];
-      Hashtbl.replace t.vnodes r.default_vnode.Vnode.id r.default_vnode;
+      Vnode_table.replace t.vnodes r.default_vnode.Vnode.id r.default_vnode;
       t.oracle <- Ring.add r.default_vnode.Vnode.id r.default_vnode t.oracle;
       let cost = Linkstate.lsa_flood_cost ls in
       Metrics.incr t.metrics Metrics.Flood cost;
@@ -178,17 +185,15 @@ type lookup_result = {
 
 type candidate = Local of Vnode.t | Remote of Pointer.t
 
-let candidate_id = function
-  | Local vn -> vn.Vnode.id
-  | Remote (p : Pointer.t) -> p.Pointer.dst
-
 (* The walk moves ONE physical hop at a time: Algorithm 2's route() runs at
    every router a message transits, so transit routers can shortcut through
    their own residents and pointer caches.  The greedy loop itself —
    closest-without-overshoot ranking, strictly-closer replacement of the
    committed source route, stale-pointer NACK/restart, step guard — lives in
    {!Rofl_routing.Walk}; this substrate supplies the router-granularity
-   state: candidate enumeration, source-route commits, per-link charging. *)
+   state: candidate enumeration, source-route commits, per-link charging.
+   The packet's router, the picked candidate and the committed route are
+   registers of [st], so a hop allocates nothing. *)
 module Lookup_substrate = struct
   type st = {
     net : t;
@@ -197,8 +202,13 @@ module Lookup_substrate = struct
     use_cache : bool;
     exclude : Id.t option;
     step_limit : int;
+    mutable cur : int;  (* the router the packet is at *)
+    mutable route : int list;  (* the committed source route's routers still ahead *)
     mutable msgs : int;
-    mutable latency : float;
+    latency : float array;  (* one unboxed cell *)
+    (* The routers traversed, newest first; kept only for callers that read
+       them. *)
+    keep_visited : bool;
     mutable rev_visited : int list;
     (* Router that handed out the committed pointer (-1: nothing committed)
        and the identifier it chases: the NACK addressee when the pointer
@@ -210,8 +220,7 @@ module Lookup_substrate = struct
     tracer : Trace.builder option;
     target_key : int;
     (* Running-best registers of [select]: the winner so far, its
-       identifier and its key distance to the target.  Only the final
-       winner is boxed into a [candidate]. *)
+       identifier and its key distance to the target. *)
     mutable pick : pick;
     mutable pick_id : Id.t;
     mutable pick_d : int;
@@ -221,22 +230,19 @@ module Lookup_substrate = struct
 
   and pick = No_pick | Pick_local | Pick_remote
 
-  type pos = int
-  type cand = candidate
-  type route = int list
   type verdict = lookup_result
 
   let max_steps st = st.step_limit
   let restart_limit _ = 4
   let horizon = `Persistent
-  let arrived _ _ = None
-  let prepare _ cur = cur
+  let arrived _ = None
+  let prepare _ = ()
 
   let finish st status =
     {
       status;
       msgs = st.msgs;
-      latency_ms = st.latency;
+      latency_ms = st.latency.(0);
       visited = List.rev st.rev_visited;
       trace = (match st.tracer with Some b -> Trace.events b | None -> []);
     }
@@ -245,7 +251,7 @@ module Lookup_substrate = struct
   let record st kind ~router chased =
     match st.tracer with
     | Some b ->
-      Trace.record b ~kind ~router ~level:"intra" ~dist:(Id.distance chased st.target)
+      Trace.record b ~kind ~router ~level:Trace.Intra ~dist:(Id.distance chased st.target)
     | None -> ()
 
   let rec alive_in id = function
@@ -268,8 +274,8 @@ module Lookup_substrate = struct
     Pointer_cache.remove t.routers.(owner).cache chased;
     Pointer_cache.remove t.routers.(cur).cache chased
 
-  let stale_commit st cur =
-    let owner = st.commit_owner and chased = st.commit_chased in
+  let stale_commit st =
+    let cur = st.cur and owner = st.commit_owner and chased = st.commit_chased in
     if owner >= 0 && not (resident_alive st cur chased) then begin
       (* Arrived where the chased identifier should live, but it is gone:
          stale pointer. *)
@@ -281,7 +287,7 @@ module Lookup_substrate = struct
     else false
 
   let target st = st.target
-  let cand_id _st c = candidate_id c
+  let picked_id st = st.pick_id
 
   (* {!Walk.best} fused into the scan, in its precedence order: residents
      (and their successor pointers) first, the cache shortcut last.  A
@@ -300,26 +306,42 @@ module Lookup_substrate = struct
      paths), so consecutive pairs are always graph links: with no failure
      outstanding they are valid by construction and the per-hop scan can be
      skipped.  Validity is checked last: it is the costly test. *)
+  let consider_pointer st ~healthy (p : Pointer.t) d =
+    if improves st p.Pointer.dst d
+       && (healthy || Sourceroute.is_valid st.net.ls p.Pointer.route)
+    then begin
+      st.pick <- Pick_remote;
+      st.pick_id <- p.Pointer.dst;
+      st.pick_d <- d;
+      st.pick_ptr <- p
+    end
+
   let consider_remote st cur ~healthy (p : Pointer.t) =
     (* Same-router pointers are covered by Local candidates (or are stale);
        a remote candidate must actually lead elsewhere. *)
-    if p.Pointer.dst_router <> cur then begin
-      let d = (st.target_key - Id.key p.Pointer.dst) land Id.key_mask in
-      if improves st p.Pointer.dst d
-         && (healthy || Sourceroute.is_valid st.net.ls p.Pointer.route)
-      then begin
-        st.pick <- Pick_remote;
-        st.pick_id <- p.Pointer.dst;
-        st.pick_d <- d;
-        st.pick_ptr <- p
-      end
-    end
+    if p.Pointer.dst_router <> cur then
+      consider_pointer st ~healthy p ((st.target_key - Id.key p.Pointer.dst) land Id.key_mask)
 
-  let rec consider_succs st cur ~healthy = function
-    | [] -> ()
-    | p :: rest ->
-      consider_remote st cur ~healthy p;
-      consider_succs st cur ~healthy rest
+  (* A successor whose key distance is positive and at least [reject_gap]
+     above a positive running best is farther from the target whatever the
+     identifiers' low bits: exactly where {!Id.closer_clockwise_keyed}
+     answers "not closer" from the keys alone.  Such a successor is
+     rejected from the vnode's columns without loading its pointer. *)
+  let reject_gap = 2
+
+  (* The successor columns of [vn] from slot [i] on: the same candidates in
+     the same order as [consider_remote] over the group, reading the
+     router and key columns first. *)
+  let rec consider_succs st cur ~healthy (vn : Vnode.t) i =
+    let cols = vn.Vnode.succ_cols in
+    if 2 * i < Array.length cols then begin
+      if Array.unsafe_get cols ((2 * i) + 1) <> cur then begin
+        let d = (st.target_key - Array.unsafe_get cols (2 * i)) land Id.key_mask in
+        if not (st.pick <> No_pick && d > 0 && st.pick_d > 0 && d - st.pick_d >= reject_gap)
+        then consider_pointer st ~healthy (Array.unsafe_get vn.Vnode.succ_ptrs i) d
+      end;
+      consider_succs st cur ~healthy vn (i + 1)
+    end
 
   let rec consider_residents st cur ~healthy = function
     | [] -> ()
@@ -341,37 +363,42 @@ module Lookup_substrate = struct
             st.pick_vn <- vn
           end
         end;
-        consider_succs st cur ~healthy vn.Vnode.succs
+        consider_succs st cur ~healthy vn 0
       end;
       consider_residents st cur ~healthy rest
 
-  let select st cur =
-    let t = st.net in
-    let r = t.routers.(cur) in
-    let healthy = Linkstate.healthy t.ls in
+  let select_among st ~healthy residents =
     st.pick <- No_pick;
-    consider_residents st cur ~healthy r.residents;
+    consider_residents st st.cur ~healthy residents
+
+  let select st =
+    let cur = st.cur in
+    let r = st.net.routers.(cur) in
+    let healthy = Linkstate.healthy st.net.ls in
+    select_among st ~healthy r.residents;
     if st.use_cache then begin
       match Pointer_cache.best_match r.cache ~cur:st.target ~target:st.target with
       | Some p -> consider_remote st cur ~healthy p
       | None -> ()
     end;
+    st.pick <> No_pick
+
+  let deliver_here st =
     match st.pick with
-    | No_pick -> None
-    | Pick_local -> Some (Local st.pick_vn)
-    | Pick_remote -> Some (Remote st.pick_ptr)
+    | Pick_local ->
+      let vn = st.pick_vn in
+      if Id.equal vn.Vnode.id st.target then Some (finish st (Delivered vn))
+      else
+        (* The closest known identifier is resident right here and its
+           successors all overshoot: this vnode is the predecessor. *)
+        Some (finish st (Predecessor vn))
+    | Pick_remote | No_pick -> None
 
-  let deliver_here st _cur = function
-    | Local vn when Id.equal vn.Vnode.id st.target -> Some (finish st (Delivered vn))
-    | Local vn ->
-      (* The closest known identifier is resident right here and its
-         successors all overshoot: this vnode is the predecessor. *)
-      Some (finish st (Predecessor vn))
-    | Remote _ -> None
-
-  let commit st cur = function
-    | Local _ -> None (* unreachable: deliver_here terminates on locals *)
-    | Remote (p : Pointer.t) ->
+  let commit st =
+    match st.pick with
+    | Pick_local | No_pick -> false (* unreachable: deliver_here terminates on locals *)
+    | Pick_remote ->
+      let cur = st.cur and p = st.pick_ptr in
       st.commit_owner <- cur;
       st.commit_chased <- p.Pointer.dst;
       st.commit_kind <-
@@ -379,31 +406,41 @@ module Lookup_substrate = struct
          | Pointer.Cached -> Trace.Cache
          | Pointer.Successor | Pointer.Predecessor | Pointer.Finger -> Trace.Ring);
       (match Sourceroute.hops p.Pointer.route with
-       | hd :: rest when hd = cur -> Some rest
+       | hd :: rest when hd = cur ->
+         st.route <- rest;
+         true
        | _ ->
          (* Route does not start here (cached suffix mismatch): fall back to
             the network map. *)
          (match Linkstate.path st.net.ls cur p.Pointer.dst_router with
-          | Some (_ :: rest) -> Some rest
-          | Some [] | None -> None))
+          | Some (_ :: rest) ->
+            st.route <- rest;
+            true
+          | Some [] | None -> false))
 
-  let exhausted = function [] -> true | _ :: _ -> false
+  let exhausted st = match st.route with [] -> true | _ :: _ -> false
 
-  let follow st cur = function
+  let stuck st = finish st (Stuck st.cur)
+
+  let follow st =
+    let cur = st.cur in
+    match st.route with
     | next :: rest when Graph.has_link st.net.graph cur next ->
       Metrics.charge_hop st.net.metrics st.category next;
       st.msgs <- st.msgs + 1;
-      st.latency <- st.latency +. Graph.latency st.net.graph cur next;
-      st.rev_visited <- next :: st.rev_visited;
+      st.latency.(0) <- st.latency.(0) +. Graph.latency st.net.graph cur next;
+      if st.keep_visited then st.rev_visited <- next :: st.rev_visited;
       record st st.commit_kind ~router:next st.commit_chased;
-      Walk.Stepped (next, rest)
-    | _ :: _ | [] -> Walk.Blocked
+      st.cur <- next;
+      st.route <- rest;
+      None
+    | _ :: _ | [] -> Some (stuck st)
 
-  let no_candidate st cur = finish st (Stuck cur)
-  let stuck st cur = finish st (Stuck cur)
+  let no_candidate = stuck
 
   (* Recovery exhausted: settle for the best local member. *)
-  let settle st cur =
+  let settle st =
+    let cur = st.cur in
     let eligible =
       List.filter
         (fun (vn : Vnode.t) ->
@@ -421,38 +458,71 @@ module Lookup_substrate = struct
     | Some vn when Id.equal vn.Vnode.id st.target -> finish st (Delivered vn)
     | Some vn -> finish st (Predecessor vn)
     | None -> finish st (Stuck cur)
-end
 
-module Lookup_walk = Walk.Make (Lookup_substrate)
-
-let lookup ?exclude ?trace t ~from ~target ~category ~use_cache =
-  let st =
+  let create ?exclude ?trace ~visited t ~from ~target ~category ~use_cache =
     {
-      Lookup_substrate.net = t;
+      net = t;
       target;
       category;
       use_cache;
       exclude;
       step_limit = (4 * Graph.n t.graph) + (2 * Ring.cardinal t.oracle) + 16;
+      cur = from;
+      route = [];
       msgs = 0;
-      latency = 0.0;
-      rev_visited = [ from ];
+      latency = [| 0.0 |];
+      keep_visited = visited;
+      rev_visited = (if visited then [ from ] else []);
       commit_owner = -1;
       commit_chased = target;
       commit_kind = Trace.Ring;
       tracer = trace;
       target_key = Id.key target;
-      pick = Lookup_substrate.No_pick;
+      pick = No_pick;
       pick_id = target;
       pick_d = 0;
       pick_vn = t.routers.(from).default_vnode;
       pick_ptr = Pointer.placeholder;
     }
+end
+
+module Lookup_walk = Walk.Make (Lookup_substrate)
+
+let lookup ?exclude ?trace ?(visited = false) t ~from ~target ~category ~use_cache =
+  let st =
+    Lookup_substrate.create ?exclude ?trace ~visited t ~from ~target ~category ~use_cache
   in
   Metrics.inject t.metrics category from;
-  Lookup_walk.run st ~start:from
+  Lookup_walk.run st
 
-let find_vnode t id = Hashtbl.find_opt t.vnodes id
+let rank_residents ?exclude t ~cur ~target residents =
+  let st =
+    Lookup_substrate.create ?exclude ~visited:false t ~from:cur ~target
+      ~category:Metrics.Data ~use_cache:false
+  in
+  Lookup_substrate.select_among st ~healthy:(Linkstate.healthy t.ls) residents;
+  match st.Lookup_substrate.pick with
+  | Lookup_substrate.No_pick -> None
+  | Lookup_substrate.Pick_local -> Some (Local st.Lookup_substrate.pick_vn)
+  | Lookup_substrate.Pick_remote -> Some (Remote st.Lookup_substrate.pick_ptr)
+
+let find_vnode t id = Vnode_table.find_opt t.vnodes id
+
+(* The oracle holds exactly the table's default and stable vnodes, in ring
+   order; only the ephemeral ones need sorting.  Both are snapshots taken
+   before [f] first runs. *)
+let iter_members t f =
+  let ephemerals =
+    Vnode_table.fold
+      (fun _ (vn : Vnode.t) acc ->
+        match vn.Vnode.host_class with
+        | Vnode.Ephemeral -> vn :: acc
+        | Vnode.Stable | Vnode.Router_default -> acc)
+      t.vnodes []
+    |> List.sort (fun (a : Vnode.t) (b : Vnode.t) -> Id.compare a.Vnode.id b.Vnode.id)
+  in
+  Ring.iter (fun _ vn -> f vn) t.oracle;
+  List.iter f ephemerals
 
 let resident_ids t idx =
   List.filter_map
@@ -462,7 +532,7 @@ let resident_ids t idx =
 let ring_size t = Ring.cardinal t.oracle
 
 let host_count t =
-  Hashtbl.fold
+  Vnode_table.fold
     (fun _ (vn : Vnode.t) acc ->
       match vn.Vnode.host_class with
       | Vnode.Stable | Vnode.Ephemeral -> acc + 1
@@ -552,7 +622,7 @@ let repair_successor t (vn : Vnode.t) =
     | Some v -> v.Vnode.alive && Linkstate.reachable t.ls vn.Vnode.hosted_at v.Vnode.hosted_at
     | None -> false
   in
-  let survivors = List.filter alive vn.Vnode.succs in
+  let survivors = List.filter alive (Vnode.succs vn) in
   match survivors with
   | (first : Pointer.t) :: _ ->
     (* Shift the successor group down (§3.2) and confirm with the new head. *)
@@ -619,16 +689,9 @@ let splice_stable t ~gateway (vn : Vnode.t) (pred : Vnode.t) =
             make_pointer t Pointer.Successor ~from_router:gateway ~dst:p.Pointer.dst
               ~dst_router:sv.Vnode.hosted_at
           | Some _ | None -> None)
-      pred.Vnode.succs
+      (Vnode.succs pred)
   in
-  Vnode.set_succs vn inherited;
-  (* Trim to group size. *)
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | x :: rest -> x :: take (n - 1) rest
-  in
-  Vnode.set_succs vn (take t.cfg.succ_group_size vn.Vnode.succs);
+  Vnode.set_succs vn inherited ~max_group:t.cfg.succ_group_size;
   (* Predecessor adopts us as its first successor. *)
   (match
      make_pointer t Pointer.Successor ~from_router:pred_router ~dst:vn.Vnode.id
@@ -666,14 +729,17 @@ let join_host t ~gateway ~id ~cls =
   if gateway < 0 || gateway >= Array.length t.routers then
     invalid_arg "Network.join_host: bad gateway";
   if not (Linkstate.router_alive t.ls gateway) then Error "gateway router is down"
-  else if Hashtbl.mem t.vnodes id then Error "identifier already resident"
+  else if Vnode_table.mem t.vnodes id then Error "identifier already resident"
   else begin
     let r = t.routers.(gateway) in
     match Identity.admit r.auditor id with
     | Error e -> Error e
     | Ok () ->
       let vn = Vnode.create id cls ~hosted_at:gateway in
-      let res = lookup t ~from:gateway ~target:id ~category:Metrics.Join ~use_cache:true in
+      let res =
+        lookup t ~from:gateway ~target:id ~category:Metrics.Join ~use_cache:true
+          ~visited:t.cfg.cache_control_paths
+      in
       (match res.status with
        | Stuck _ ->
          Identity.release r.auditor id;
@@ -686,7 +752,7 @@ let join_host t ~gateway ~id ~cls =
              m "join %s at router %d (pred %s)" (Id.to_short_string id) gateway
                (Id.to_short_string pred.Vnode.id));
          r.residents <- vn :: r.residents;
-         Hashtbl.replace t.vnodes id vn;
+         Vnode_table.replace t.vnodes id vn;
          let msgs = ref res.msgs and latency = ref res.latency_ms in
          (match cls with
           | Vnode.Ephemeral ->
@@ -746,11 +812,11 @@ let leave_host t id =
       let _ = charge_spf t Metrics.Teardown gateway p.Pointer.dst_router in
       ()
     in
-    List.iter notify vn.Vnode.succs;
+    Array.iter notify vn.Vnode.succ_ptrs;
     List.iter notify vn.Vnode.preds;
     Log.debug (fun m -> m "leave %s from router %d" (Id.to_short_string id) gateway);
-    vn.Vnode.alive <- false;
-    Hashtbl.remove t.vnodes id;
+    Vnode.mark_dead vn;
+    Vnode_table.remove t.vnodes id;
     t.oracle <- Ring.remove id t.oracle;
     let r = t.routers.(gateway) in
     r.residents <- List.filter (fun (v : Vnode.t) -> not (Id.equal v.Vnode.id id)) r.residents;
@@ -806,7 +872,7 @@ let leave_host t id =
         if dropped > 0 || head_was_dead then begin
           let _ = charge_spf t Metrics.Teardown gateway pv.Vnode.hosted_at in
           (* Hand over the departed vnode's successors. *)
-          List.iter
+          Array.iter
             (fun (sp : Pointer.t) ->
               match find_vnode t sp.Pointer.dst with
               | Some (sv : Vnode.t) when sv.Vnode.alive ->
@@ -817,7 +883,7 @@ let leave_host t id =
                  | Some fresh -> Vnode.add_succ pv fresh ~max_group:t.cfg.succ_group_size
                  | None -> ())
               | Some _ | None -> ())
-            vn.Vnode.succs;
+            vn.Vnode.succ_ptrs;
           if head_was_dead then repair_successor t pv
         end)
       ccw;
@@ -871,9 +937,8 @@ let rejoin_ring t (vn : Vnode.t) ~category =
    entries.  Returns messages charged. *)
 let stabilize t ~category =
   let before = Metrics.total t.metrics in
-  let members = Ring.to_list t.oracle in
-  List.iter
-    (fun (_, (vn : Vnode.t)) ->
+  Ring.iter
+    (fun _ (vn : Vnode.t) ->
       if vn.Vnode.alive then begin
         let dead (p : Pointer.t) =
           Id.equal p.Pointer.dst vn.Vnode.id
@@ -911,5 +976,5 @@ let stabilize t ~category =
              | None -> ())
           end
       end)
-    members;
+    t.oracle;
   Metrics.total t.metrics - before

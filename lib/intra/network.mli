@@ -28,6 +28,10 @@ val default_config : config
 (** 4 successors, 2 predecessors, 1024 cache entries, caching and
     authentication on, sybil limit 100k. *)
 
+module Vnode_table : Hashtbl.S with type key = Id.t
+(** Tables keyed by identifier, hashed with {!Id.hash}.  Their iteration
+    order is the hash's: {!members} gives the stated one. *)
+
 type router = {
   idx : int;
   default_vnode : Vnode.t;
@@ -46,7 +50,7 @@ type t = {
   cfg : config;
   routers : router array;
   metrics : Rofl_netsim.Metrics.t;
-  vnodes : (Id.t, Vnode.t) Hashtbl.t; (** every alive vnode, any class *)
+  vnodes : Vnode.t Vnode_table.t;     (** every alive vnode, any class *)
   mutable oracle : Vnode.t Ring.t;    (** ring members (default + stable) *)
   mutable bootstrap_msgs : int;       (** flood cost of router bootstrap *)
 }
@@ -76,6 +80,7 @@ type lookup_result = {
 val lookup :
   ?exclude:Id.t ->
   ?trace:Rofl_routing.Trace.builder ->
+  ?visited:bool ->
   t -> from:int -> target:Id.t -> category:Rofl_netsim.Metrics.counter ->
   use_cache:bool -> lookup_result
 (** Greedy walk from a router towards [target]: at each router the closest
@@ -86,7 +91,23 @@ val lookup :
     must not find itself.  [trace] is the sink for per-hop events; only
     trace readers pass one, and without it the walk records nothing.  Give
     each lookup a fresh builder: the result's [trace] is all of its
-    events. *)
+    events.  The result's [visited] holds the routers traversed only with
+    [~visited:true]; by default it is [[]] and the walk allocates nothing
+    per hop. *)
+
+type candidate =
+  | Local of Vnode.t    (** an identifier resident at the ranking router *)
+  | Remote of Pointer.t (** a successor pointer (or a cache entry) *)
+
+val rank_residents :
+  ?exclude:Id.t -> t -> cur:int -> target:Id.t -> Vnode.t list -> candidate option
+(** The resident stage of a lookup's per-hop ranking at router [cur],
+    over the given residents and their successor columns (a walk passes
+    the router's own residents, then probes the pointer cache): the
+    closest candidate to [target] that does not overshoot, ties to the
+    earlier.  Dead residents, ephemeral ones other than [target] itself,
+    successors hosted at [cur], [exclude] and, after a failure, successors
+    whose source route is broken are skipped. *)
 
 type join_outcome = {
   vnode : Vnode.t;
@@ -111,6 +132,12 @@ val leave_host : t -> Id.t -> (unit, string) result
     down and repairs neighbours (charged to [teardown]/[repair]). *)
 
 val find_vnode : t -> Id.t -> Vnode.t option
+
+val iter_members : t -> (Vnode.t -> unit) -> unit
+(** Every vnode of {!t.vnodes} in a stated order, not the table's hash
+    order: the ring members (default and stable) in ring order from
+    {!Id.zero}, then the ephemeral identifiers in identifier order.  The
+    members are those present when the call starts. *)
 
 val spf_route : t -> int -> int -> Rofl_core.Sourceroute.t option
 (** Link-state shortest route between two routers. *)

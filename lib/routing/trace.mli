@@ -15,16 +15,28 @@ type kind =
       (** a reversal: bloom false positive back over the peering link, or a
           stale-pointer NACK restart (§4.1) *)
 
+(** The ring an event moves on. *)
+type level =
+  | Intra  (** an intradomain walk's ring *)
+  | Peer  (** a bloom-filter peering link, outside any ring *)
+  | Root  (** the interdomain root ring *)
+  | As of int  (** the ring of an AS's customer cone *)
+  | Virtual_as of int  (** the ring of a peering group's virtual AS *)
+
 type event = {
   kind : kind;
   router : int;  (** router (intra) or AS (inter) the event lands on *)
-  level : string;  (** ["intra"], or the interdomain level's name *)
+  level : level;
   dist : Id.t;  (** clockwise distance to the walk's target at this event *)
 }
 
 type t = event list
 
 val kind_to_string : kind -> string
+
+val level_to_string : level -> string
+(** ["intra"], ["peer"], ["root"], ["AS<n>"] or ["vAS<n>"]: the names
+    interdomain levels print under. *)
 
 val count : t -> kind -> int
 
@@ -39,6 +51,6 @@ type builder
 
 val builder : unit -> builder
 
-val record : builder -> kind:kind -> router:int -> level:string -> dist:Id.t -> unit
+val record : builder -> kind:kind -> router:int -> level:level -> dist:Id.t -> unit
 
 val events : builder -> t

@@ -7,19 +7,12 @@
     (AS-granularity walks over per-level rings, {!Rofl_inter.Route}).  This
     functor owns that loop once: commit-to-route versus strictly-closer
     replacement, stale-pointer NACK/restart, and the step guard.  A
-    {!SUBSTRATE} supplies what differs between layers: the position type,
+    {!SUBSTRATE} supplies what differs between layers: the walk's registers,
     fused candidate selection (the {!best} ranking applied while the
     substrate scans its state, so no candidate list is built), move-cost
     charging, and the termination predicates. *)
 
 module Id = Rofl_idspace.Id
-
-type ('pos, 'route, 'verdict) moved =
-  | Stepped of 'pos * 'route
-      (** Advanced one unit; the remaining committed route is carried along
-          (exhausted for substrates whose moves are atomic). *)
-  | Finished of 'verdict  (** The move itself terminated the walk. *)
-  | Blocked  (** The committed route cannot be followed from here. *)
 
 val best : target:Id.t -> id_of:('a -> Id.t) -> 'a list -> 'a option
 (** Greedy candidate ranking: the element whose identifier minimises the
@@ -31,21 +24,15 @@ val best : target:Id.t -> id_of:('a -> Id.t) -> 'a list -> 'a option
     {!Id.closer_clockwise} rather than materialised distances.  This is the
     reference definition of {!SUBSTRATE.select}. *)
 
+(** A substrate keeps the walk's whole moving state in the registers of its
+    [st]: the packet's position, the candidate {!SUBSTRATE.select} picked
+    and the route {!SUBSTRATE.commit} committed to.  The loop passes only
+    [st], so a hop that neither terminates nor restarts the walk boxes
+    nothing in the loop itself; options are built only for verdicts. *)
 module type SUBSTRATE = sig
   type st
   (** Per-walk state: the network plus the walk's mutable registers
-      (counters, trace builder, commit bookkeeping). *)
-
-  type pos
-  (** Where the packet is (a router index, or unit when the substrate keeps
-      the position in [st]). *)
-
-  type cand
-  (** A way to make progress: a locally resident identifier, a successor /
-      finger pointer, or a cache entry. *)
-
-  type route
-  (** The committed tail towards the best identifier seen so far. *)
+      (position, selection, committed route, counters, trace sink). *)
 
   type verdict
   (** Terminal outcome of the walk. *)
@@ -66,67 +53,74 @@ module type SUBSTRATE = sig
       route atomically and the next iteration re-selects from scratch (the
       interdomain discipline). *)
 
-  val arrived : st -> pos -> verdict option
-  (** Checked first each iteration: has the walk already terminated here? *)
+  val arrived : st -> verdict option
+  (** Checked first each iteration: has the walk already terminated at the
+      current position? *)
 
-  val prepare : st -> pos -> pos
-  (** Free normalisation before candidate selection (e.g. the free
-      intra-AS move to the closest local resident); identity if none. *)
+  val prepare : st -> unit
+  (** Free normalisation of the position before candidate selection (e.g.
+      the free intra-AS move to the closest local resident); nothing if
+      none. *)
 
-  val stale_commit : st -> pos -> bool
+  val stale_commit : st -> bool
   (** Called when the committed route is exhausted (or nothing is committed):
-      if the identifier the walk was chasing is gone from this position,
-      prune the stale pointer (NACK back to its owner) and return [true] to
-      restart the walk from here with a cleared horizon.  Must return
-      [false] when nothing was committed. *)
+      if the identifier the walk was chasing is gone from the current
+      position, prune the stale pointer (NACK back to its owner) and return
+      [true] to restart the walk from here with a cleared horizon.  Must
+      return [false] when nothing was committed. *)
 
-  val select : st -> pos -> cand option
-  (** The best progress candidate here: exactly {!best} over the valid
-      candidates (liveness, route validity, exclusions) in precedence order —
-      ring state first, cache shortcuts last, a later candidate winning only
-      when strictly closer to {!target}.  Substrates fuse the ranking into
-      their scan, keeping running-best registers and boxing only the
-      winner; [None] when nothing qualifies. *)
+  val select : st -> bool
+  (** Pick the best progress candidate here into the selection registers:
+      exactly {!best} over the valid candidates (liveness, route validity,
+      exclusions) in precedence order — ring state first, cache shortcuts
+      last, a later candidate winning only when strictly closer to
+      {!target}.  [false] when nothing qualifies. *)
 
   val target : st -> Id.t
   (** The identifier the walk is chasing; fixed for the walk's lifetime. *)
 
-  val cand_id : st -> cand -> Id.t
-  (** The candidate's identifier; under [`Persistent] the loop compares
-      its clockwise distance to {!target} against the committed horizon
-      without allocating distances. *)
+  val picked_id : st -> Id.t
+  (** The identifier of the candidate the last {!select} picked; under
+      [`Persistent] the loop compares its clockwise distance to {!target}
+      against the committed horizon without allocating distances. *)
 
-  val deliver_here : st -> pos -> cand -> verdict option
-  (** If selecting this candidate terminates the walk at [pos] (the target
-      or its predecessor is resident right here), the verdict. *)
+  val deliver_here : st -> verdict option
+  (** If the picked candidate terminates the walk at the current position
+      (the target or its predecessor is resident right here), the
+      verdict. *)
 
-  val commit : st -> pos -> cand -> route option
-  (** Turn the selected candidate into a followable route, recording any
-      commit bookkeeping (owner/chased for NACKs, trace tags); [None] when
-      no route can be constructed (the walk is stuck). *)
+  val commit : st -> bool
+  (** Turn the picked candidate into the followable route of the route
+      register, recording any commit bookkeeping (owner/chased for NACKs,
+      trace tags); [false] when no route can be constructed (the walk is
+      stuck). *)
 
-  val exhausted : route -> bool
+  val exhausted : st -> bool
+  (** Nothing of the committed route is left to follow. *)
 
-  val follow : st -> pos -> route -> (pos, route, verdict) moved
-  (** Advance one unit along the route, charging costs and tracing. *)
+  val follow : st -> verdict option
+  (** Advance one unit along the committed route, charging costs and
+      tracing: [None] when the walk moved on, the verdict when the move
+      itself terminated the walk or the route cannot be followed from
+      here. *)
 
-  val no_candidate : st -> pos -> verdict
+  val no_candidate : st -> verdict
   (** Nothing to select at all (after any substrate-specific last resort,
       e.g. the interdomain peer-filter consultation). *)
 
-  val settle : st -> pos -> verdict
+  val settle : st -> verdict
   (** Recovery exhausted under [`Persistent]: no closer candidate, nothing
       committed left to follow. *)
 
-  val stuck : st -> pos -> verdict
-  (** Guard exceeded, un-followable route, or unconstructible route. *)
+  val stuck : st -> verdict
+  (** Guard exceeded, or unconstructible route. *)
 end
 
 module Make (S : SUBSTRATE) : sig
-  val run : S.st -> start:S.pos -> S.verdict
-  (** Drive the greedy loop from [start] until a verdict.  Each iteration:
-      guard check, arrival check, stale-commit NACK/restart, free
-      normalisation, candidate selection, then either terminal delivery,
-      commit to a strictly closer candidate, continuation along the
-      committed route, or settling. *)
+  val run : S.st -> S.verdict
+  (** Drive the greedy loop from the position held in [st] until a
+      verdict.  Each iteration: guard check, arrival check, stale-commit
+      NACK/restart, free normalisation, candidate selection, then either
+      terminal delivery, commit to a strictly closer candidate, continuation
+      along the committed route, or settling. *)
 end

@@ -182,6 +182,7 @@ let test_lookup_visited_is_walk () =
     let from = Prng.int rng 25 in
     let res =
       Network.lookup net ~from ~target:(Id.random rng) ~category:Metrics.Data ~use_cache:true
+        ~visited:true
     in
     (match res.Network.visited with
      | first :: _ -> Alcotest.(check int) "starts at source" from first

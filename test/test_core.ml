@@ -93,7 +93,7 @@ let test_vnode_succ_ordering () =
   (match Vnode.first_succ vn with
    | Some p -> Alcotest.(check bool) "nearest clockwise first" true (Id.equal p.Pointer.dst (id 20))
    | None -> Alcotest.fail "no successor");
-  Alcotest.(check int) "three entries" 3 (List.length vn.Vnode.succs)
+  Alcotest.(check int) "three entries" 3 (Vnode.succ_count vn)
 
 let test_vnode_succ_wraparound_order () =
   (* From id 200, successor 5 (wrapped) is farther than 250. *)
@@ -109,9 +109,9 @@ let test_vnode_group_trim_dedup () =
   for i = 1 to 6 do
     Vnode.add_succ vn (ptr Pointer.Successor i i) ~max_group:3
   done;
-  Alcotest.(check int) "trimmed to 3" 3 (List.length vn.Vnode.succs);
+  Alcotest.(check int) "trimmed to 3" 3 (Vnode.succ_count vn);
   Vnode.add_succ vn (ptr Pointer.Successor 1 9) ~max_group:3;
-  Alcotest.(check int) "dedup by id" 3 (List.length vn.Vnode.succs)
+  Alcotest.(check int) "dedup by id" 3 (Vnode.succ_count vn)
 
 let test_vnode_pred_ordering () =
   let vn = Vnode.create (id 100) Vnode.Stable ~hosted_at:0 in
@@ -126,7 +126,7 @@ let test_vnode_remove_drop () =
   Vnode.add_succ vn (ptr Pointer.Successor 1 1) ~max_group:4;
   Vnode.add_succ vn (ptr Pointer.Successor 2 2) ~max_group:4;
   Vnode.remove_succ vn (id 1);
-  Alcotest.(check int) "removed" 1 (List.length vn.Vnode.succs);
+  Alcotest.(check int) "removed" 1 (Vnode.succ_count vn);
   let dropped = Vnode.drop_pointers_if vn (fun p -> p.Pointer.dst_router = 2) in
   Alcotest.(check int) "dropped count" 1 dropped;
   Alcotest.(check int) "empty" 0 (Vnode.state_entries vn)

@@ -12,6 +12,8 @@ module Forward = Rofl_intra.Forward
 module Failure = Rofl_intra.Failure
 module Invariant = Rofl_intra.Invariant
 module Vnode = Rofl_core.Vnode
+module Pointer = Rofl_core.Pointer
+module Sourceroute = Rofl_core.Sourceroute
 module Metrics = Rofl_netsim.Metrics
 
 let small_net ?cfg seed =
@@ -42,7 +44,11 @@ let assert_invariant net label =
   if not r.Invariant.ok then
     Alcotest.failf "%s: %d violations, e.g. %s" label
       (List.length r.Invariant.violations)
-      (match r.Invariant.violations with v :: _ -> v | [] -> "?")
+      (match r.Invariant.violations with v :: _ -> v | [] -> "?");
+  Network.iter_members net (fun vn ->
+      match Vnode.audit vn with
+      | [] -> ()
+      | e :: _ -> Alcotest.failf "%s: %s: %s" label (Id.to_short_string vn.Vnode.id) e)
 
 (* ---------- bootstrap ---------- *)
 
@@ -418,6 +424,249 @@ let prop_random_churn_keeps_invariants =
       done;
       (Invariant.check net).Invariant.ok)
 
+(* ---------- successor columns ---------- *)
+
+(* Identifiers clustered so that their keys (the top 62 bits) fall 0, 1,
+   2 or 3 apart, equal keys differing below them, around [base]. *)
+let near_id rng base =
+  let hi = Int64.add base (Int64.of_int ((4 * Prng.int rng 4) + Prng.int rng 4)) in
+  Id.of_int64_pair hi (Int64.of_int (Prng.int rng 4 - 2))
+
+(* The resident ranking as a scan over each vnode's successor list: the
+   per-hop ranker before the successor columns, kept as the reference. *)
+let reference_rank ?exclude (net : Network.t) ~cur ~target residents =
+  let healthy = Linkstate.healthy net.Network.ls in
+  let target_key = Id.key target in
+  let best = ref None in
+  let improves id d =
+    (match exclude with Some e -> not (Id.equal e id) | None -> true)
+    &&
+    match !best with
+    | None -> true
+    | Some (_, bid, bd) -> Id.closer_clockwise_keyed ~target d id bd bid
+  in
+  let consider_remote (p : Pointer.t) =
+    if p.Pointer.dst_router <> cur then begin
+      let d = (target_key - Id.key p.Pointer.dst) land Id.key_mask in
+      if improves p.Pointer.dst d
+         && (healthy || Sourceroute.is_valid net.Network.ls p.Pointer.route)
+      then best := Some (Network.Remote p, p.Pointer.dst, d)
+    end
+  in
+  List.iter
+    (fun (vn : Vnode.t) ->
+      if vn.Vnode.alive then begin
+        let routable =
+          match vn.Vnode.host_class with
+          | Vnode.Stable | Vnode.Router_default -> true
+          | Vnode.Ephemeral -> Id.equal vn.Vnode.id target
+        in
+        if routable then begin
+          let d = (target_key - vn.Vnode.key) land Id.key_mask in
+          if improves vn.Vnode.id d then best := Some (Network.Local vn, vn.Vnode.id, d)
+        end;
+        List.iter consider_remote (Vnode.succs vn)
+      end)
+    residents;
+  Option.map (fun (c, _, _) -> c) !best
+
+let same_candidate a b =
+  match (a, b) with
+  | None, None -> true
+  | Some (Network.Local x), Some (Network.Local y) -> x == y
+  | Some (Network.Remote p), Some (Network.Remote q) -> p == q
+  | _ -> false
+
+let show_candidate = function
+  | None -> "none"
+  | Some (Network.Local vn) -> "local " ^ Id.to_hex vn.Vnode.id
+  | Some (Network.Remote p) -> "remote " ^ Id.to_hex p.Pointer.dst
+
+(* One network with every link up and one with a link down, so that route
+   validity is checked on the second. *)
+let ranking_nets =
+  lazy
+    (let healthy, _ = small_net 31 in
+     let broken, _ = small_net 31 in
+     let g = broken.Network.graph in
+     (match Graph.neighbors g 0 with
+      | (v, _) :: _ -> Linkstate.fail_link broken.Network.ls 0 v
+      | [] -> ());
+     (healthy, broken))
+
+let prop_columns_rank_like_lists =
+  QCheck.Test.make ~name:"successor columns rank like the successor lists" ~count:600
+    QCheck.int
+    (fun seed ->
+      let rng = Prng.create seed in
+      let healthy, broken = Lazy.force ranking_nets in
+      let net = if Prng.bool rng then healthy else broken in
+      let cur = 0 in
+      let g = net.Network.graph in
+      let nbrs = Array.of_list (List.map fst (Graph.neighbors g cur)) in
+      let base = Int64.of_int (Prng.int rng 1_000_000 * 64) in
+      let target = near_id rng base in
+      let ids = ref [ target ] in
+      let fresh () =
+        let id = near_id rng base in
+        ids := id :: !ids;
+        id
+      in
+      let pointer () =
+        (* On [cur] now and then, else one link away, over any of cur's
+           links (one of them is down on the broken network). *)
+        let dst = fresh () in
+        let hop = nbrs.(Prng.int rng (Array.length nbrs)) in
+        if Prng.int rng 6 = 0 then
+          Pointer.make Pointer.Successor ~dst ~dst_router:cur
+            ~route:(Sourceroute.singleton cur)
+        else
+          Pointer.make Pointer.Successor ~dst ~dst_router:hop
+            ~route:(Sourceroute.of_hops [ cur; hop ])
+      in
+      let resident () =
+        let cls =
+          match Prng.int rng 4 with
+          | 0 -> Vnode.Ephemeral
+          | 1 -> Vnode.Router_default
+          | _ -> Vnode.Stable
+        in
+        let id =
+          if cls = Vnode.Ephemeral && Prng.bool rng then target else fresh ()
+        in
+        let vn = Vnode.create id cls ~hosted_at:cur in
+        Vnode.set_succs vn (List.init (Prng.int rng 6) (fun _ -> pointer ()));
+        if Prng.int rng 8 = 0 then Vnode.mark_dead vn;
+        vn
+      in
+      let residents = List.init (1 + Prng.int rng 4) (fun _ -> resident ()) in
+      let exclude =
+        if Prng.int rng 3 = 0 then Some (List.nth !ids (Prng.int rng (List.length !ids)))
+        else None
+      in
+      let got = Network.rank_residents ?exclude net ~cur ~target residents in
+      let want = reference_rank ?exclude net ~cur ~target residents in
+      same_candidate got want
+      || QCheck.Test.fail_reportf "columns picked %s, lists picked %s"
+           (show_candidate got) (show_candidate want))
+
+(* The successor-group mutations before the columns, on lists: the model
+   the columns must mirror. *)
+module Group_model = struct
+  let sort_cw id ps =
+    List.sort (fun (a : Pointer.t) (b : Pointer.t) -> Id.compare_dist id a.dst id b.dst) ps
+
+  let dedup ps =
+    List.rev
+      (List.fold_left
+         (fun kept (p : Pointer.t) ->
+           if List.exists (fun (q : Pointer.t) -> Id.equal q.dst p.dst) kept then kept
+           else p :: kept)
+         [] ps)
+
+  let take n l = List.filteri (fun i _ -> i < n) l
+  let set id ps = dedup (sort_cw id ps)
+  let add id p ~max_group succs = take max_group (set id (p :: succs))
+end
+
+let prop_columns_mirror_succs =
+  QCheck.Test.make ~name:"successor columns mirror the group under every mutation"
+    ~count:300 QCheck.int
+    (fun seed ->
+      let rng = Prng.create seed in
+      let base = Int64.of_int (Prng.int rng 1_000_000 * 64) in
+      let vn = Vnode.create (near_id rng base) Vnode.Stable ~hosted_at:0 in
+      let pool = Array.init 8 (fun _ -> near_id rng base) in
+      let pointer_to kind dst_router =
+        Pointer.make kind ~dst:pool.(Prng.int rng 8) ~dst_router
+          ~route:(Sourceroute.singleton dst_router)
+      in
+      let pointer () = pointer_to Pointer.Successor (Prng.int rng 5) in
+      let model = ref [] and preds = ref [] in
+      let ok = ref true and why = ref "" in
+      let check op =
+        if !ok then begin
+          let succs = Vnode.succs vn in
+          if Vnode.audit vn <> [] then (ok := false; why := op ^ ": " ^ List.hd (Vnode.audit vn))
+          else if not (List.length succs = List.length !model && List.for_all2 ( == ) succs !model)
+          then (ok := false; why := op ^ ": successors differ from the model")
+          else if not (List.length vn.Vnode.preds = List.length !preds
+                       && List.for_all2 ( == ) vn.Vnode.preds !preds)
+          then (ok := false; why := op ^ ": predecessors differ from the model")
+          else if Vnode.succ_count vn <> List.length !model then
+            (ok := false; why := op ^ ": succ_count")
+        end
+      in
+      for _ = 1 to 40 do
+        match Prng.int rng 7 with
+        | 0 ->
+          let ps = List.init (Prng.int rng 7) (fun _ -> pointer ()) in
+          if Prng.bool rng then begin
+            Vnode.set_succs vn ps;
+            model := Group_model.set vn.Vnode.id ps
+          end
+          else begin
+            let n = Prng.int rng 5 in
+            Vnode.set_succs ~max_group:n vn ps;
+            model := Group_model.take n (Group_model.set vn.Vnode.id ps)
+          end;
+          check "set_succs"
+        | 1 | 2 ->
+          let p = pointer () and max_group = 1 + Prng.int rng 5 in
+          Vnode.add_succ vn p ~max_group;
+          model := Group_model.add vn.Vnode.id p ~max_group !model;
+          check "add_succ"
+        | 3 ->
+          let id = pool.(Prng.int rng 8) in
+          Vnode.remove_succ vn id;
+          model := List.filter (fun (p : Pointer.t) -> not (Id.equal p.dst id)) !model;
+          check "remove_succ"
+        | 4 ->
+          let r = Prng.int rng 5 in
+          let doomed (p : Pointer.t) = p.dst_router = r in
+          let dropped = Vnode.drop_pointers_if vn doomed in
+          let before = List.length !model + List.length !preds in
+          model := List.filter (fun p -> not (doomed p)) !model;
+          preds := List.filter (fun p -> not (doomed p)) !preds;
+          if dropped <> before - List.length !model - List.length !preds then begin
+            ok := false;
+            why := "drop_pointers_if: count"
+          end;
+          check "drop_pointers_if"
+        | 5 ->
+          (* Failure's reroute: fresh routes, possibly to a new router, or
+             gone. *)
+          let r = Prng.int rng 5 in
+          let reroute (p : Pointer.t) =
+            if p.dst_router <> r then Some p
+            else if Prng.bool rng then None
+            else
+              let dst_router = (r + 1) mod 5 in
+              Some
+                (Pointer.make p.kind ~dst:p.dst ~dst_router
+                   ~route:(Sourceroute.singleton dst_router))
+          in
+          (* One decision per pointer, shared by the vnode and the model. *)
+          let decided = Hashtbl.create 8 in
+          let once (p : Pointer.t) =
+            match Hashtbl.find_opt decided p with
+            | Some q -> q
+            | None ->
+              let q = reroute p in
+              Hashtbl.replace decided p q;
+              q
+          in
+          Vnode.filter_map_pointers vn once;
+          model := List.filter_map once !model;
+          preds := List.filter_map once !preds;
+          check "filter_map_pointers"
+        | _ ->
+          Vnode.add_pred vn (pointer_to Pointer.Predecessor (Prng.int rng 5)) ~max_group:3;
+          preds := vn.Vnode.preds;
+          check "add_pred"
+      done;
+      !ok || QCheck.Test.fail_reportf "%s" !why)
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "rofl_intra"
@@ -465,4 +714,6 @@ let () =
           Alcotest.test_case "stabilize idempotent" `Quick test_stabilize_idempotent;
           q prop_random_churn_keeps_invariants;
         ] );
+      ( "columns",
+        [ q prop_columns_rank_like_lists; q prop_columns_mirror_succs ] );
     ]

@@ -89,8 +89,8 @@ let intra_fingerprint ~traced () =
    | Some r -> Network.cache_route_to net victim wrong (Rofl_core.Sourceroute.hops r)
    | None -> ());
   let rn =
-    Network.lookup ?trace:(sink traced) net ~from:25 ~target:victim ~category:Metrics.Data
-      ~use_cache:true
+    Network.lookup ?trace:(sink traced) ~visited:true net ~from:25 ~target:victim
+      ~category:Metrics.Data ~use_cache:true
   in
   keep rn;
   add "intra-nack status=%s msgs=%d visited=%d" (status_str rn.Network.status)
@@ -107,7 +107,8 @@ let intra_fingerprint ~traced () =
     in
     let use_cache = k mod 4 <> 1 in
     let r =
-      Network.lookup ?trace:(sink traced) net ~from ~target ~category:Metrics.Data ~use_cache
+      Network.lookup ?trace:(sink traced) ~visited:true net ~from ~target
+        ~category:Metrics.Data ~use_cache
     in
     keep r;
     add "intra#%d status=%s msgs=%d lat=%.12g visited=%d" k (status_str r.Network.status)
@@ -449,8 +450,8 @@ let intra_walks ~traced seed =
         let from = if from = dead then (from + 1) mod 30 else from in
         let target = if Prng.bool rng then Prng.sample rng ids else Id.random rng in
         let r =
-          Network.lookup ?trace:(sink traced) net ~from ~target ~category:Metrics.Data
-            ~use_cache:(Prng.bool rng)
+          Network.lookup ?trace:(sink traced) ~visited:true net ~from ~target
+            ~category:Metrics.Data ~use_cache:(Prng.bool rng)
         in
         (status_str r.Network.status, r.Network.msgs, r.Network.latency_ms, r.Network.visited))
   in
