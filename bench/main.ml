@@ -143,10 +143,7 @@ let micro () =
       (Rofl_core.Pointer.make Rofl_core.Pointer.Cached ~dst ~dst_router:router
          ~route:(Rofl_core.Sourceroute.singleton router))
   done;
-  let chord = Rofl_baselines.Chord.create ~succ_group:4 ~finger_rows:128 in
   let members = Array.init 2048 (fun _ -> Id.random rng) in
-  Array.iter (fun id -> ignore (Rofl_baselines.Chord.join chord id)) members;
-  Rofl_baselines.Chord.refresh_fingers chord;
   (* Flat ring vs the seed's Map ring over the same 2048 members. *)
   let ring =
     Array.fold_left (fun acc id -> Ring.add id 0 acc) Ring.empty members
@@ -343,9 +340,6 @@ let micro () =
              ignore
                (Rofl_intra.Network.lookup net ~from ~target ~category:Rofl_netsim.Metrics.Data
                   ~use_cache:true)));
-      Test.make ~name:"chord-lookup-2k"
-        (Staged.stage (fun () ->
-             ignore (Rofl_baselines.Chord.lookup chord ~from:members.(0) id_b)));
       (* Attack-lab rows: the defense's per-admission price (one full
          challenge/response residency handshake — what every verified join
          and failover promotion charges) and the attacker's per-draw price

@@ -3,7 +3,10 @@
    reaching it by the same identifier, with no resolution infrastructure
    and no address change.  A churn trace then stresses the ring.
 
-     dune exec examples/mobility.exe *)
+     dune exec examples/mobility.exe
+
+   Exits 1 if a ring or routability invariant fails after the churn;
+   dune runtest runs it. *)
 
 module Prng = Rofl_util.Prng
 module Id = Rofl_idspace.Id
@@ -124,4 +127,5 @@ let () =
   let rr = Invariant.check_routability net ~samples:100 in
   Printf.printf "routability after churn: %s (%d sampled pairs)\n"
     (if rr.Invariant.ok then "OK" else "VIOLATED")
-    rr.Invariant.checked_members
+    rr.Invariant.checked_members;
+  if not (r.Invariant.ok && rr.Invariant.ok) then exit 1

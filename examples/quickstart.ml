@@ -2,7 +2,10 @@
    self-certifying identifiers, and route packets directly on the flat
    labels — no addresses anywhere.
 
-     dune exec examples/quickstart.exe *)
+     dune exec examples/quickstart.exe
+
+   Exits 1 if a spoofed join is accepted or a ring invariant fails;
+   dune runtest runs it. *)
 
 module Prng = Rofl_util.Prng
 module Id = Rofl_idspace.Id
@@ -82,10 +85,13 @@ let () =
        (fun c -> Identity.respond mallory c)
    with
    | Error reason -> Printf.printf "Spoofed join rejected: %s\n" reason
-   | Ok () -> print_endline "BUG: spoofed join accepted");
+   | Ok () ->
+     print_endline "BUG: spoofed join accepted";
+     exit 1);
 
   (* 6. The ring invariant holds. *)
   let r = Invariant.check net in
   Printf.printf "Ring invariants: %s (%d members checked)\n"
     (if r.Invariant.ok then "OK" else "VIOLATED")
-    r.Invariant.checked_members
+    r.Invariant.checked_members;
+  if not r.Invariant.ok then exit 1

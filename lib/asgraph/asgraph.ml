@@ -90,12 +90,6 @@ let backup_customers g a =
   check g a;
   g.backup_down.(a)
 
-let degree g a =
-  List.length (providers g a) + List.length (customers g a)
-  + List.length (peers g a)
-  + List.length (backup_providers g a)
-  + List.length (backup_customers g a)
-
 let multihomed g a = List.length (providers g a) > 1
 
 (* Kahn's algorithm over customer->provider edges; providers come first in

@@ -38,9 +38,6 @@ val is_provider_edge : t -> customer:int -> provider:int -> bool
 
 val is_peer_edge : t -> int -> int -> bool
 
-val degree : t -> int -> int
-(** Total adjacent links of all kinds. *)
-
 val multihomed : t -> int -> bool
 (** More than one (non-backup) provider. *)
 

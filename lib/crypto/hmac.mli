@@ -1,8 +1,8 @@
 (** HMAC-SHA256 (RFC 2104).
 
-    Used by the simulated identity layer for challenge/response proofs and by
-    capabilities (§5.3) as the token MAC.  Every call streams through the
-    calling domain's SHA-256 context and allocates only its tag. *)
+    Used by the simulated identity layer for challenge/response proofs.
+    Every call streams through the calling domain's SHA-256 context and
+    allocates only its tag. *)
 
 val mac : key:string -> string -> string
 (** 32-byte binary tag. *)

@@ -161,18 +161,6 @@ let common_prefix_bits a b =
     if y = 0L then 128 else 64 + leading_zeros y 0 0
   end
 
-let low32_mask = 0xFFFFFFFFL
-
-let with_low32 id x =
-  let suffix = Int64.logand (Int64.of_int32 x) low32_mask in
-  { id with lo = Int64.logor (Int64.logand id.lo (Int64.lognot low32_mask)) suffix }
-
-let low32 id = Int64.to_int32 (Int64.logand id.lo low32_mask)
-
-let group_key id = { id with lo = Int64.logand id.lo (Int64.lognot low32_mask) }
-
-let same_group a b = equal (group_key a) (group_key b)
-
 let random g =
   { hi = Rofl_util.Prng.bits64 g; lo = Rofl_util.Prng.bits64 g }
 

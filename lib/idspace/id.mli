@@ -93,18 +93,6 @@ val digit : t -> base_bits:int -> int -> int
 val common_prefix_bits : t -> t -> int
 (** Length of the shared most-significant-bit prefix (0..128). *)
 
-val with_low32 : t -> int32 -> t
-(** Replace the low 32 bits — used for group identifiers [(G, x)] where the
-    group is the high 96 bits and the suffix is the low 32 (§5.2). *)
-
-val low32 : t -> int32
-
-val group_key : t -> t
-(** The identifier with its 32-bit suffix zeroed: the anycast/multicast group
-    [G] of an [(G, x)] identifier. *)
-
-val same_group : t -> t -> bool
-
 val random : Rofl_util.Prng.t -> t
 (** Uniformly random identifier. *)
 

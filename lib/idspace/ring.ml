@@ -242,12 +242,6 @@ let k_successors k x t =
     go [] (cursor_gt x t) n
   end
 
-let min_binding = function
-  | Empty -> None
-  | R r ->
-    let ch = r.chunks.(0) in
-    Some (ch.ids.(0), ch.vals.(0))
-
 let iter f = function
   | Empty -> ()
   | R r ->

@@ -54,10 +54,6 @@ val k_successors : int -> Id.t -> 'a t -> (Id.t * 'a) list
     the ring is smaller.  One O(log n) search then O(1) per step (the seed
     re-ran a full tree search per step). *)
 
-val min_binding : 'a t -> (Id.t * 'a) option
-(** The member closest to zero — the "zero-ID" of the partition-repair
-    protocol (§3.2).  O(1). *)
-
 val to_list : 'a t -> (Id.t * 'a) list
 (** Members in increasing identifier order.  O(n). *)
 

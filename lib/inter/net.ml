@@ -283,18 +283,6 @@ let join_with_levels t ~as_idx ~id ~strategy ~levels =
 let join_id t ~as_idx ~id ~strategy =
   join_with_levels t ~as_idx ~id ~strategy ~levels:(effective_levels t as_idx strategy)
 
-let join_via t ~as_idx ~id ~via_provider =
-  let g = Level.graph t.ctx in
-  if
-    not
-      (List.mem via_provider (Asgraph.providers g as_idx)
-      || List.mem via_provider (Asgraph.backup_providers g as_idx))
-  then Error "not a provider of this AS"
-  else begin
-    let levels = Level.Real as_idx :: Level.single_homed_chain t.ctx via_provider in
-    join_with_levels t ~as_idx ~id ~strategy:Single_homed ~levels
-  end
-
 let join t ~as_idx ~strategy =
   let rec fresh () =
     let id = Id.random t.rng in

@@ -84,12 +84,6 @@ val join : t -> as_idx:int -> strategy:strategy -> join_outcome
 
 val join_id : t -> as_idx:int -> id:Id.t -> strategy:strategy -> (join_outcome, string) result
 
-val join_via :
-  t -> as_idx:int -> id:Id.t -> via_provider:int -> (join_outcome, string) result
-(** Single-homed join forced through a specific provider — the §5.1
-    traffic-engineering join: the level chain is the AS, the chosen
-    provider, that provider's primary chain, then Root. *)
-
 val remove_host : t -> Id.t -> int
 (** Graceful teardown: the ID leaves every ring; per-level neighbours that
     lose their successor are notified (charged to [teardown]).  Returns

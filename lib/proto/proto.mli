@@ -80,7 +80,7 @@ val pcache_refresh_budget : int
 (** 4: refresh probes per router per refresh sweep. *)
 
 type config = {
-  stabilize_period_ms : float; (** period of {!stabilize_round} timers *)
+  stabilize_period_ms : float; (** period of {!start_stabilizer}'s rounds *)
   join_timeout_ms : float;     (** base timeout of a join attempt *)
   lookup_timeout_ms : float;   (** base timeout of a lookup attempt *)
   untwist : bool;
@@ -251,18 +251,15 @@ val lookups_outstanding : t -> int
 val start_stabilizer : t -> unit
 (** Schedule self-repeating stabilisation rounds every
     [stabilize_period_ms] on the engine — the mode churn campaigns run in.
+    In a round every resident probes its successor (skipping those with a
+    probe already in flight) and expires silent predecessors.  In auto mode
+    ({!config.stabilize_auto}) the round first re-tunes the probe multiplier
+    and successor-list target from {!estimate_n} and the EWMA churn rate,
+    and each resident only probes when its due time has arrived.
     (With the stabilizer on, the engine never drains; drive it with
     {!run_for} and poll {!ring_converged}.) *)
 
 val stop_stabilizer : t -> unit
-
-val stabilize_round : t -> unit
-(** One explicit round: every resident probes its successor (skipping those
-    with a probe already in flight) and expires silent predecessors.  In
-    auto mode ({!config.stabilize_auto}) the round first re-tunes the probe
-    multiplier and successor-list target from {!estimate_n} and the EWMA
-    churn rate, and each resident only probes when its due time has
-    arrived. *)
 
 val estimate_n : t -> float
 (** The protocol's own network-size estimate: the median over residents of

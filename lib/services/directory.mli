@@ -120,9 +120,6 @@ val resolve_wasted_hops : t -> int
 val resolve_cancellations : t -> int
 (** Cumulative cooperative cancellations issued by resolve misses. *)
 
-val resolver_for : t -> int -> Resolver.t
-val iter_resolvers : t -> (Resolver.t -> unit) -> unit
-
 val served_expired_total : t -> int
 (** Sum of {!Resolver.served_expired} over all resolver caches — the
     doctor's no-expired-answer invariant reads this. *)

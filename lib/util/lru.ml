@@ -9,7 +9,7 @@ type ('k, 'v) node = {
 }
 
 type ('k, 'v) t = {
-  mutable cap : int;
+  cap : int;
   table : ('k, ('k, 'v) node) Hashtbl.t;
   mutable head : ('k, 'v) node option;
   mutable tail : ('k, 'v) node option;
@@ -19,11 +19,7 @@ let create ~capacity =
   if capacity < 0 then invalid_arg "Lru.create: negative capacity";
   { cap = capacity; table = Hashtbl.create 64; head = None; tail = None }
 
-let capacity c = c.cap
-
 let length c = Hashtbl.length c.table
-
-let mem c k = Hashtbl.mem c.table k
 
 let unlink c node =
   (match node.prev with
@@ -53,11 +49,6 @@ let find c k =
   | Some node ->
     promote c node;
     Some node.value
-
-let peek c k =
-  match Hashtbl.find_opt c.table k with
-  | None -> None
-  | Some node -> Some node.value
 
 let evict_one c =
   match c.tail with
@@ -99,23 +90,7 @@ let iter c f =
   in
   go c.head
 
-let fold c ~init ~f =
-  let acc = ref init in
-  iter c (fun k v -> acc := f !acc k v);
-  !acc
-
-let filter_inplace c keep =
-  let doomed = fold c ~init:[] ~f:(fun acc k v -> if keep k v then acc else k :: acc) in
-  List.iter (remove c) doomed
-
 let clear c =
   Hashtbl.reset c.table;
   c.head <- None;
   c.tail <- None
-
-let resize c ~capacity =
-  if capacity < 0 then invalid_arg "Lru.resize: negative capacity";
-  c.cap <- capacity;
-  while Hashtbl.length c.table > c.cap do
-    ignore (evict_one c)
-  done

@@ -1,8 +1,9 @@
 (** Bounded LRU map.
 
-    Backs ROFL pointer caches: bounded capacity, O(1) lookup and insert,
-    least-recently-used eviction.  Keys are hashed with polymorphic hashing;
-    use only with keys whose structural equality is the intended one. *)
+    Backs the service resolvers' response caches: bounded capacity, O(1)
+    lookup and insert, least-recently-used eviction.  Keys are hashed with
+    polymorphic hashing; use only with keys whose structural equality is the
+    intended one. *)
 
 type ('k, 'v) t
 
@@ -10,18 +11,10 @@ val create : capacity:int -> ('k, 'v) t
 (** [create ~capacity] makes an empty cache.  [capacity < 0] is an error;
     capacity 0 means the cache stores nothing. *)
 
-val capacity : ('k, 'v) t -> int
-
 val length : ('k, 'v) t -> int
-
-val mem : ('k, 'v) t -> 'k -> bool
-(** Membership test; does not touch recency. *)
 
 val find : ('k, 'v) t -> 'k -> 'v option
 (** Lookup; promotes the entry to most-recently-used. *)
-
-val peek : ('k, 'v) t -> 'k -> 'v option
-(** Lookup without touching recency. *)
 
 val put : ('k, 'v) t -> 'k -> 'v -> ('k * 'v) option
 (** Insert or replace; returns the binding evicted to make room, if any
@@ -32,12 +25,4 @@ val remove : ('k, 'v) t -> 'k -> unit
 val iter : ('k, 'v) t -> ('k -> 'v -> unit) -> unit
 (** Iterate from most- to least-recently used. *)
 
-val fold : ('k, 'v) t -> init:'a -> f:('a -> 'k -> 'v -> 'a) -> 'a
-
-val filter_inplace : ('k, 'v) t -> ('k -> 'v -> bool) -> unit
-(** Drop every binding for which the predicate is false. *)
-
 val clear : ('k, 'v) t -> unit
-
-val resize : ('k, 'v) t -> capacity:int -> unit
-(** Change the capacity, evicting LRU entries if shrinking. *)

@@ -1,10 +1,9 @@
 (* AS-graph substrate tests: relationships, cones, hierarchy generation,
-   policy routing (valley-free and BGP-like), and relationship inference. *)
+   policy routing (valley-free and BGP-like). *)
 
 module Asgraph = Rofl_asgraph.Asgraph
 module Internet = Rofl_asgraph.Internet
 module Policy = Rofl_asgraph.Policy
-module Infer = Rofl_asgraph.Infer
 module Prng = Rofl_util.Prng
 
 (* A small hand-built hierarchy:
@@ -253,38 +252,6 @@ let test_bgp_at_least_shortest () =
     | _ -> ()
   done
 
-(* ---------- Inference ---------- *)
-
-let test_infer_roundtrip_validates () =
-  let inet = Internet.generate (Prng.create 9) Internet.small_params in
-  let edges = Infer.export_edges inet.Internet.graph in
-  let inferred = Infer.infer ~n:(Asgraph.n inet.Internet.graph) edges in
-  (match Asgraph.validate inferred with
-   | Ok () -> ()
-   | Error e -> Alcotest.failf "inferred graph invalid: %s" e);
-  let agreement = Infer.agreement ~truth:inet.Internet.graph inferred in
-  Alcotest.(check bool)
-    (Printf.sprintf "agreement %.2f above 0.6" agreement)
-    true (agreement > 0.6)
-
-let test_infer_degree_heuristic () =
-  (* A clear star: centre has degree 5, leaves degree 1 → centre is the
-     provider of every leaf. *)
-  let edges = [ (0, 1); (0, 2); (0, 3); (0, 4); (0, 5) ] in
-  let g = Infer.infer ~n:6 edges in
-  List.iter
-    (fun leaf ->
-      Alcotest.(check bool)
-        (Printf.sprintf "0 provides %d" leaf)
-        true
-        (Asgraph.is_provider_edge g ~customer:leaf ~provider:0))
-    [ 1; 2; 3; 4; 5 ]
-
-let test_infer_peer_on_equal_degree () =
-  let edges = [ (0, 1) ] in
-  let g = Infer.infer ~n:2 edges in
-  Alcotest.(check bool) "equal degrees peer" true (Asgraph.is_peer_edge g 0 1)
-
 let () =
   Alcotest.run "rofl_asgraph"
     [
@@ -319,11 +286,5 @@ let () =
           Alcotest.test_case "structure" `Quick test_internet_structure;
           Alcotest.test_case "policy reachability" `Quick test_internet_policy_reachability;
           Alcotest.test_case "bgp >= shortest" `Quick test_bgp_at_least_shortest;
-        ] );
-      ( "inference",
-        [
-          Alcotest.test_case "roundtrip validates" `Quick test_infer_roundtrip_validates;
-          Alcotest.test_case "degree heuristic" `Quick test_infer_degree_heuristic;
-          Alcotest.test_case "equal degrees peer" `Quick test_infer_peer_on_equal_degree;
         ] );
     ]

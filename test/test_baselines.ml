@@ -1,5 +1,5 @@
 (* Baseline implementations: CMU-ETHERNET cost model, OSPF loads,
-   BGP-policy stretch, plain Chord. *)
+   BGP-policy stretch, compact routing. *)
 
 module Id = Rofl_idspace.Id
 module Prng = Rofl_util.Prng
@@ -9,7 +9,6 @@ module Internet = Rofl_asgraph.Internet
 module Cmu = Rofl_baselines.Cmu_ethernet
 module Ospf = Rofl_baselines.Ospf_hosts
 module Bgp = Rofl_baselines.Bgp_policy
-module Chord = Rofl_baselines.Chord
 
 let test_cmu_flood_cost () =
   let g = Gen.ring 10 ~latency_ms:1.0 in
@@ -127,93 +126,6 @@ let test_compact_self_and_home () =
     Alcotest.(check bool) "home landmark valid" true (l >= 0 && l < 12)
   done
 
-(* ---------- Chord ---------- *)
-
-let rng = Prng.create 6
-
-let build_chord n =
-  let c = Chord.create ~succ_group:4 ~finger_rows:128 in
-  let ids = Array.init n (fun _ -> Id.random rng) in
-  Array.iter (fun id -> ignore (Chord.join c id)) ids;
-  Chord.refresh_fingers c;
-  (c, ids)
-
-let test_chord_ring_forms () =
-  let c, ids = build_chord 100 in
-  Alcotest.(check int) "size" 100 (Chord.size c);
-  Alcotest.(check bool) "single cycle" true (Chord.check_ring c);
-  ignore ids
-
-let test_chord_lookup_owner () =
-  let c, ids = build_chord 100 in
-  (* Looking up a member's own id from anywhere lands on that member. *)
-  for i = 0 to 30 do
-    match Chord.lookup c ~from:ids.(0) ids.(i) with
-    | Ok r -> Alcotest.(check bool) "owner is the member" true (Id.equal r.Chord.owner ids.(i))
-    | Error e -> Alcotest.failf "lookup failed: %s" e
-  done
-
-let test_chord_lookup_log_hops () =
-  let c, ids = build_chord 512 in
-  let total = ref 0 in
-  for _ = 1 to 100 do
-    let key = Id.random rng in
-    match Chord.lookup c ~from:ids.(0) key with
-    | Ok r -> total := !total + r.Chord.hops
-    | Error e -> Alcotest.failf "lookup failed: %s" e
-  done;
-  let avg = float_of_int !total /. 100.0 in
-  (* log2 512 = 9; allow generous slack. *)
-  Alcotest.(check bool) (Printf.sprintf "avg hops %.1f <= 18" avg) true (avg <= 18.0)
-
-let test_chord_join_duplicate () =
-  let c, ids = build_chord 10 in
-  match Chord.join c ids.(0) with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "duplicate join accepted"
-
-let test_chord_leave () =
-  let c, ids = build_chord 50 in
-  Chord.leave c ids.(0);
-  Chord.refresh_fingers c;
-  Alcotest.(check int) "one fewer" 49 (Chord.size c);
-  Alcotest.(check bool) "ring still a cycle" true (Chord.check_ring c);
-  match Chord.lookup c ~from:ids.(1) ids.(2) with
-  | Ok r -> Alcotest.(check bool) "still routable" true (Id.equal r.Chord.owner ids.(2))
-  | Error e -> Alcotest.failf "lookup failed: %s" e
-
-let test_chord_lookup_from_nonmember () =
-  let c, _ = build_chord 10 in
-  match Chord.lookup c ~from:(Id.random rng) (Id.random rng) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "lookup from non-member accepted"
-
-let prop_chord_owner_is_ring_successor =
-  QCheck.Test.make ~name:"chord owner = first member at/after key" ~count:50
-    (QCheck.int_range 2 64)
-    (fun n ->
-      let c = Chord.create ~succ_group:3 ~finger_rows:64 in
-      let local = Prng.create n in
-      let ids = Array.init n (fun _ -> Id.random local) in
-      Array.iter (fun id -> ignore (Chord.join c id)) ids;
-      Chord.refresh_fingers c;
-      let key = Id.random local in
-      match Chord.lookup c ~from:ids.(0) key with
-      | Ok r ->
-        (* Brute force expected owner. *)
-        let expected =
-          Array.fold_left
-            (fun acc m ->
-              match acc with
-              | Some best
-                when Id.compare (Id.distance key best) (Id.distance key m) <= 0 ->
-                acc
-              | _ -> Some m)
-            None ids
-        in
-        (match expected with Some e -> Id.equal e r.Chord.owner | None -> false)
-      | Error _ -> false)
-
 let () =
   Alcotest.run "rofl_baselines"
     [
@@ -239,15 +151,5 @@ let () =
           Alcotest.test_case "cluster direct" `Quick test_compact_cluster_direct;
           Alcotest.test_case "sublinear tables" `Quick test_compact_tables_sublinear;
           Alcotest.test_case "self and home" `Quick test_compact_self_and_home;
-        ] );
-      ( "chord",
-        [
-          Alcotest.test_case "ring forms" `Quick test_chord_ring_forms;
-          Alcotest.test_case "lookup owner" `Quick test_chord_lookup_owner;
-          Alcotest.test_case "log hops" `Quick test_chord_lookup_log_hops;
-          Alcotest.test_case "duplicate join" `Quick test_chord_join_duplicate;
-          Alcotest.test_case "leave" `Quick test_chord_leave;
-          Alcotest.test_case "nonmember lookup" `Quick test_chord_lookup_from_nonmember;
-          QCheck_alcotest.to_alcotest prop_chord_owner_is_ring_successor;
         ] );
     ]

@@ -90,15 +90,6 @@ let test_common_prefix () =
   let c = Id.of_int64_pair Int64.min_int 0L in
   Alcotest.(check int) "0 bits shared" 0 (Id.common_prefix_bits a c)
 
-let test_group_suffix () =
-  let g = Id.group_key (Id.random rng) in
-  let m1 = Id.with_low32 g 7l and m2 = Id.with_low32 g 99l in
-  Alcotest.(check bool) "same group" true (Id.same_group m1 m2);
-  Alcotest.(check int32) "suffix read back" 7l (Id.low32 m1);
-  Alcotest.check id_testable "group key stable" g (Id.group_key m1);
-  let other = Id.with_low32 (Id.group_key (Id.random rng)) 7l in
-  Alcotest.(check bool) "different group" false (Id.same_group m1 other)
-
 let test_hex_roundtrip () =
   for _ = 1 to 100 do
     let a = Id.random rng in
@@ -181,8 +172,7 @@ let test_ring_singleton () =
 let test_ring_empty () =
   let r : int Ring.t = Ring.empty in
   Alcotest.(check bool) "no successor" true (Ring.successor (id 1) r = None);
-  Alcotest.(check bool) "no predecessor" true (Ring.predecessor (id 1) r = None);
-  Alcotest.(check bool) "no min" true (Ring.min_binding r = None)
+  Alcotest.(check bool) "no predecessor" true (Ring.predecessor (id 1) r = None)
 
 let test_ring_k_successors () =
   let r = ring_of [ 10; 20; 30; 40 ] in
@@ -204,10 +194,6 @@ let test_ring_remove () =
   Alcotest.(check (option int)) "succ skips removed" (Some 30)
     (Option.map snd (Ring.successor (id 10) r));
   Alcotest.(check int) "cardinal" 2 (Ring.cardinal r)
-
-let test_ring_min_binding () =
-  let r = ring_of [ 30; 10; 20 ] in
-  Alcotest.(check (option int)) "zero-ID" (Some 10) (Option.map snd (Ring.min_binding r))
 
 let prop_ring_successor_is_closest =
   QCheck.Test.make ~name:"ring successor minimises clockwise distance" ~count:200
@@ -232,9 +218,9 @@ let prop_ring_walk_covers_all =
     (fun ids ->
       let uniq = List.sort_uniq Id.compare ids in
       let r = Ring.of_list (List.map (fun i -> (i, ())) uniq) in
-      match Ring.min_binding r with
-      | None -> true
-      | Some (start, ()) ->
+      match uniq with
+      | [] -> true
+      | start :: _ ->
         let rec walk cur seen =
           match Ring.successor cur r with
           | Some (next, ()) when Id.equal next start -> List.length seen
@@ -264,9 +250,10 @@ let test_hash_distribution () =
   in
   check_spread "random" (List.init 20_000 (fun _ -> Id.random rng));
   check_spread "dense low" (List.init 20_000 id);
-  check_spread "group suffixes"
-    (let g = Id.group_key (Id.random rng) in
-     List.init 20_000 (fun i -> Id.with_low32 g (Int32.of_int i)))
+  check_spread "shared high 96 bits"
+    (let hi = Prng.bits64 rng in
+     let lo = Int64.logand (Prng.bits64 rng) 0xFFFFFFFF00000000L in
+     List.init 20_000 (fun i -> Id.of_int64_pair hi (Int64.logor lo (Int64.of_int i))))
 
 let test_hash_no_collision_burst () =
   let tbl = Hashtbl.create 4096 in
@@ -366,7 +353,6 @@ let prop_ring_matches_map =
         | _ -> false
       in
       Ring.cardinal ring = M.cardinal map
-      && same_opt (Ring.min_binding ring) (M.min_binding_opt map)
       && Ring.to_list ring = M.bindings map
       && Array.for_all
            (fun x ->
@@ -469,7 +455,6 @@ let () =
           Alcotest.test_case "closer_clockwise" `Quick test_closer_clockwise;
           Alcotest.test_case "bits and digits" `Quick test_bits_digits;
           Alcotest.test_case "common prefix" `Quick test_common_prefix;
-          Alcotest.test_case "group suffixes" `Quick test_group_suffix;
           Alcotest.test_case "hex roundtrip" `Quick test_hex_roundtrip;
           Alcotest.test_case "bytes roundtrip" `Quick test_bytes_roundtrip;
           Alcotest.test_case "bad inputs" `Quick test_bad_inputs;
@@ -488,7 +473,6 @@ let () =
           Alcotest.test_case "k successors" `Quick test_ring_k_successors;
           Alcotest.test_case "members between" `Quick test_ring_members_between;
           Alcotest.test_case "remove" `Quick test_ring_remove;
-          Alcotest.test_case "min binding" `Quick test_ring_min_binding;
           q prop_ring_successor_is_closest;
           q prop_ring_walk_covers_all;
         ] );

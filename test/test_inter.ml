@@ -394,20 +394,6 @@ let test_fingers_acquired () =
   Alcotest.(check int) "one message per finger" (List.length o.Net.host.Net.fingers)
     o.Net.finger_msgs
 
-let test_join_via_provider () =
-  let net, _ = toy_net 7 in
-  (match Net.join_via net ~as_idx:5 ~id:(Id.of_int 77) ~via_provider:1 with
-   | Ok o ->
-     Alcotest.(check bool) "joined ring of chosen provider" true
-       (Ring.mem (Id.of_int 77) (Net.ring net (Level.Real 1)));
-     Alcotest.(check bool) "not in other provider's ring" false
-       (Ring.mem (Id.of_int 77) (Net.ring net (Level.Real 2)));
-     ignore o
-   | Error e -> Alcotest.failf "join_via failed: %s" e);
-  match Net.join_via net ~as_idx:3 ~id:(Id.of_int 78) ~via_provider:2 with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "join via non-provider accepted"
-
 let test_remove_host () =
   let net, inet, rng = small_internet 8 in
   let hosts = populate net rng inet 50 Net.Multihomed in
@@ -608,7 +594,6 @@ let () =
           Alcotest.test_case "cost ordering" `Quick test_join_cost_ordering;
           Alcotest.test_case "dedup optimisation" `Quick test_dedup_reduces_join_cost;
           Alcotest.test_case "fingers acquired" `Quick test_fingers_acquired;
-          Alcotest.test_case "join via provider" `Quick test_join_via_provider;
           Alcotest.test_case "remove host" `Quick test_remove_host;
         ] );
       ( "route",

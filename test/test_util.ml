@@ -363,30 +363,12 @@ let test_lru_zero_capacity () =
    | _ -> Alcotest.fail "zero-capacity put should bounce the new binding");
   check Alcotest.int "empty" 0 (Lru.length c)
 
-let test_lru_peek_no_promote () =
-  let c = Lru.create ~capacity:2 in
-  ignore (Lru.put c "a" 1);
-  ignore (Lru.put c "b" 2);
-  ignore (Lru.peek c "a");
-  (* peek must not promote: adding "c" evicts "a". *)
-  (match Lru.put c "c" 3 with
-   | Some (k, _) -> check Alcotest.string "evicts a" "a" k
-   | None -> Alcotest.fail "expected eviction")
-
 let test_lru_remove () =
   let c = Lru.create ~capacity:4 in
   ignore (Lru.put c "a" 1);
   Lru.remove c "a";
   check Alcotest.(option int) "removed" None (Lru.find c "a");
   Lru.remove c "never-there"
-
-let test_lru_resize_shrink () =
-  let c = Lru.create ~capacity:4 in
-  List.iter (fun (k, v) -> ignore (Lru.put c k v)) [ ("a", 1); ("b", 2); ("c", 3); ("d", 4) ];
-  Lru.resize c ~capacity:2;
-  check Alcotest.int "two left" 2 (Lru.length c);
-  check Alcotest.(option int) "most recent kept" (Some 4) (Lru.peek c "d");
-  check Alcotest.(option int) "second most recent kept" (Some 3) (Lru.peek c "c")
 
 let test_lru_iter_order () =
   let c = Lru.create ~capacity:3 in
@@ -395,16 +377,6 @@ let test_lru_iter_order () =
   let order = ref [] in
   Lru.iter c (fun k _ -> order := k :: !order);
   check Alcotest.(list string) "MRU first" [ "a"; "c"; "b" ] (List.rev !order)
-
-let test_lru_filter_inplace () =
-  let c = Lru.create ~capacity:8 in
-  for i = 1 to 6 do
-    ignore (Lru.put c i (i * 10))
-  done;
-  Lru.filter_inplace c (fun k _ -> k mod 2 = 0);
-  check Alcotest.int "three left" 3 (Lru.length c);
-  check Alcotest.(option int) "odd gone" None (Lru.peek c 3);
-  check Alcotest.(option int) "even kept" (Some 40) (Lru.peek c 4)
 
 let lru_capacity_property =
   QCheck.Test.make ~name:"lru never exceeds capacity" ~count:100
@@ -578,11 +550,8 @@ let () =
           Alcotest.test_case "basic eviction" `Quick test_lru_basic;
           Alcotest.test_case "replace" `Quick test_lru_replace;
           Alcotest.test_case "zero capacity" `Quick test_lru_zero_capacity;
-          Alcotest.test_case "peek no promote" `Quick test_lru_peek_no_promote;
           Alcotest.test_case "remove" `Quick test_lru_remove;
-          Alcotest.test_case "resize shrink" `Quick test_lru_resize_shrink;
           Alcotest.test_case "iter order" `Quick test_lru_iter_order;
-          Alcotest.test_case "filter_inplace" `Quick test_lru_filter_inplace;
           q lru_capacity_property;
         ] );
       ( "stats",
