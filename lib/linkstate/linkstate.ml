@@ -318,7 +318,10 @@ let new_spf t src =
    ([until] = -1 always drains).  Relaxations consult the *current* failed
    sets; the invalidation rules below guarantee any tree kept across an
    event resumes to the same labels a from-scratch run on the new topology
-   would produce. *)
+   would produce.  A settled router is never relabelled: over a zero-latency
+   link a later router can reach it again at the same distance in fewer
+   hops, and moving it then would leave the hop counts of the routers
+   already labelled through it longer than their parent chains. *)
 let advance t (st : spf) until =
   let dist = st.dist and hops = st.hops and parent = st.parent
   and settled = st.settled in
@@ -337,7 +340,7 @@ let advance t (st : spf) until =
         let du = dist.(u) and hu = hops.(u) + 1 in
         for e = off.(u) to off.(u + 1) - 1 do
           let v = nbr.(e) in
-          if link_alive t u v then begin
+          if (not settled.(v)) && link_alive t u v then begin
             let nd = du +. wt.(e) in
             if nd < dist.(v) || (nd = dist.(v) && hu < hops.(v)) then begin
               dist.(v) <- nd;

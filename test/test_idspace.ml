@@ -459,8 +459,8 @@ let () =
           Alcotest.test_case "bytes roundtrip" `Quick test_bytes_roundtrip;
           Alcotest.test_case "bad inputs" `Quick test_bad_inputs;
           Alcotest.test_case "unsigned compare" `Quick test_compare_unsigned;
-          q prop_between_distance;
           q prop_succ_pred_inverse;
+          q prop_between_distance;
           q prop_distance_triangle_on_ring;
         ] );
       ( "ring",

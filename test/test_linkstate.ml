@@ -97,6 +97,27 @@ let test_diameter_tracks_failures () =
   Linkstate.fail_link ls 0 5;
   Alcotest.(check int) "line diameter after cut" 5 (Linkstate.diameter_hops ls)
 
+(* Routers 0-1-2-3 are joined by zero-latency links, so 4 is pushed at
+   latency 1 with four hops before 6, also at latency 1 but two hops away
+   over 5, is pushed; 4 settles first.  6 then reaches 4 again over a
+   zero-latency link in fewer hops.  Relabelling the settled 4 would leave
+   7, labelled through it, one hop longer than its path. *)
+let test_zero_latency_hops () =
+  let g = Graph.create 8 in
+  List.iter
+    (fun (u, v, l) -> Graph.add_link g u v ~latency_ms:l)
+    [ (0, 1, 0.0); (1, 2, 0.0); (2, 3, 0.0); (3, 4, 1.0); (0, 5, 0.5); (5, 6, 0.5);
+      (6, 4, 0.0); (4, 7, 1.0) ];
+  let ls = Linkstate.create g in
+  for dst = 0 to 7 do
+    let hops = Option.map (fun p -> List.length p - 1) (Linkstate.path ls 0 dst) in
+    Alcotest.(check (option int))
+      (Printf.sprintf "hops to %d = path" dst)
+      hops (Linkstate.distance_hops ls 0 dst)
+  done;
+  Alcotest.(check (option (list int))) "7 through the settled 4" (Some [ 0; 1; 2; 3; 4; 7 ])
+    (Linkstate.path ls 0 7)
+
 let test_spf_cache_invalidation () =
   let ls = line5 () in
   ignore (Linkstate.path ls 0 4);
@@ -266,7 +287,7 @@ module Reference = struct
           st.settled.(u) <- true;
           List.iter
             (fun (v, w) ->
-              if link_alive t u v then begin
+              if (not st.settled.(v)) && link_alive t u v then begin
                 let nd = st.dist.(u) +. w in
                 if
                   nd < st.dist.(v)
@@ -657,5 +678,6 @@ let () =
           Alcotest.test_case "source-route validity" `Quick test_valid_source_route;
           Alcotest.test_case "counts and flood cost" `Quick test_counts_and_flood;
           Alcotest.test_case "diameter tracks failures" `Quick test_diameter_tracks_failures;
+          Alcotest.test_case "zero-latency ties keep hops = path" `Quick test_zero_latency_hops;
         ] );
     ]
