@@ -217,6 +217,14 @@ let micro () =
     (ctx, pairs)
   in
   let route_i = ref 0 in
+  (* The BGP stretch denominator on the same Internet and pairs: one
+     provider climb from the destination, then the source's preference read
+     upwards, on scratch sized by a warm-up pass. *)
+  let bgp = Rofl_asgraph.Policy.create (Rofl_inter.Level.graph inter_ctx) in
+  Array.iter
+    (fun (src, dst, _) -> ignore (Rofl_asgraph.Policy.bgp_distance bgp ~src ~dst))
+    inter_pairs;
+  let bgp_i = ref 0 in
   (* Greedy interdomain walks on the small Internet after 300 mixed joins,
      rotating through 512 precomputed (source host, destination) pairs:
      [Route.route_from] as the figures call it, with no trace sink. *)
@@ -326,6 +334,12 @@ let micro () =
              let src, dst, level = Array.unsafe_get inter_pairs i in
              ignore (Rofl_inter.Level.route_within inter_ctx Rofl_inter.Level.Root src dst);
              ignore (Rofl_inter.Level.route_within inter_ctx level src dst)));
+      Test.make ~name:"bgp-distance"
+        (Staged.stage (fun () ->
+             let i = !bgp_i land 511 in
+             incr bgp_i;
+             let src, dst, _ = Array.unsafe_get inter_pairs i in
+             ignore (Rofl_asgraph.Policy.bgp_distance bgp ~src ~dst)));
       Test.make ~name:"inter-route"
         (Staged.stage (fun () ->
              let i = !walk_i land 511 in

@@ -1,144 +1,114 @@
 let inf = max_int
 
-type tables = { cust : int array; peer : int array; prov : int array }
-
 type t = {
   g : Asgraph.t;
-  mutable order : int array option; (* providers-first topo order *)
-  bgp_cache : (int, tables) Hashtbl.t; (* per destination *)
   bfs_cache : (int, int array) Hashtbl.t; (* per source, all-links BFS *)
+  (* [bgp_distance]'s scratch, sized on the first query (empty until then).
+     The destination's customer-route lengths are valid where [cust_mark]
+     equals [stamp], the memoised best route of an ancestor of the source
+     where [best_mark] does; [queue] holds the destination's climb.  A
+     policy belongs to one task, like the interdomain [Level]'s routing
+     scratch, so the scratch is never shared. *)
+  mutable cust : int array;
+  mutable cust_mark : int array;
+  mutable best : int array;
+  mutable best_mark : int array;
+  mutable queue : int array;
+  mutable stamp : int;
 }
 
-let create g = { g; order = None; bgp_cache = Hashtbl.create 64; bfs_cache = Hashtbl.create 64 }
+let create g =
+  {
+    g;
+    bfs_cache = Hashtbl.create 64;
+    cust = [||];
+    cust_mark = [||];
+    best = [||];
+    best_mark = [||];
+    queue = [||];
+    stamp = 0;
+  }
 
 let graph t = t.g
 
-let invalidate t =
-  t.order <- None;
-  Hashtbl.reset t.bgp_cache;
-  Hashtbl.reset t.bfs_cache
+let rec push_providers t dx tail = function
+  | [] -> tail
+  | p :: rest ->
+    if t.cust_mark.(p) = t.stamp then push_providers t dx tail rest
+    else begin
+      t.cust_mark.(p) <- t.stamp;
+      t.cust.(p) <- dx + 1;
+      t.queue.(tail) <- p;
+      push_providers t dx (tail + 1) rest
+    end
 
-let topo t =
-  match t.order with
-  | Some o -> o
-  | None ->
-    let o = Asgraph.topo_order t.g in
-    t.order <- Some o;
-    o
-
-(* Gao–Rexford route propagation for one destination [d]:
-   - customer routes exist at every ancestor of d (learned from a customer),
-   - peer routes at ASes with a peer holding a customer route,
-   - provider routes trickle down from any AS holding any route. *)
-let compute_tables t d =
-  let n = Asgraph.n t.g in
-  let cust = Array.make n inf in
-  let peer = Array.make n inf in
-  let prov = Array.make n inf in
-  (* Customer routes: climb provider edges from d. *)
-  let q = Queue.create () in
-  cust.(d) <- 0;
-  Queue.push d q;
-  while not (Queue.is_empty q) do
-    let x = Queue.pop q in
-    List.iter
-      (fun p ->
-        if cust.(p) = inf then begin
-          cust.(p) <- cust.(x) + 1;
-          Queue.push p q
-        end)
-      (Asgraph.providers t.g x)
-  done;
-  (* Peer routes: one peer hop onto a customer route. *)
-  for x = 0 to n - 1 do
-    List.iter
-      (fun p -> if cust.(p) <> inf && cust.(p) + 1 < peer.(x) then peer.(x) <- cust.(p) + 1)
-      (Asgraph.peers t.g x)
-  done;
-  (* Provider routes: providers-first order so a provider's best route is
-     final before its customers read it. *)
-  let order = topo t in
-  Array.iter
-    (fun x ->
-      let best_x = min cust.(x) (min peer.(x) prov.(x)) in
-      if best_x <> inf then
-        List.iter
-          (fun c -> if best_x + 1 < prov.(c) then prov.(c) <- best_x + 1)
-          (Asgraph.customers t.g x))
-    order;
-  { cust; peer; prov }
-
-let tables t d =
-  match Hashtbl.find_opt t.bgp_cache d with
-  | Some tb -> tb
-  | None ->
-    let tb = compute_tables t d in
-    Hashtbl.add t.bgp_cache d tb;
-    tb
-
-let bgp_route_class t ~src ~dst =
-  if src = dst then Some `Customer
-  else begin
-    let tb = tables t dst in
-    if tb.cust.(src) <> inf then Some `Customer
-    else if tb.peer.(src) <> inf then Some `Peer
-    else if tb.prov.(src) <> inf then Some `Provider
-    else None
+let rec drain t head tail =
+  if head < tail then begin
+    let x = t.queue.(head) in
+    drain t (head + 1) (push_providers t t.cust.(x) tail (Asgraph.providers t.g x))
   end
 
+(* Customer routes towards [d]: every ancestor of [d], at its climb
+   distance, breadth-first over provider edges. *)
+let climb_from t d =
+  if Array.length t.cust = 0 then begin
+    let n = Asgraph.n t.g in
+    t.cust <- Array.make n 0;
+    t.cust_mark <- Array.make n 0;
+    t.best <- Array.make n 0;
+    t.best_mark <- Array.make n 0;
+    t.queue <- Array.make n 0
+  end;
+  t.stamp <- t.stamp + 1;
+  t.cust.(d) <- 0;
+  t.cust_mark.(d) <- t.stamp;
+  t.queue.(0) <- d;
+  drain t 0 1
+
+let cust_route t x = if t.cust_mark.(x) = t.stamp then t.cust.(x) else inf
+
+(* One peer hop onto a customer route. *)
+let rec peer_route t acc = function
+  | [] -> acc
+  | p :: rest ->
+    let c = cust_route t p in
+    peer_route t (if c <> inf && c + 1 < acc then c + 1 else acc) rest
+
+(* Gao–Rexford propagation, read upwards from [x]: a provider route is one
+   hop below the best route of any provider, whatever its class. *)
+let rec best_route t x =
+  if t.best_mark.(x) = t.stamp then t.best.(x)
+  else begin
+    let b = min (cust_route t x) (peer_route t inf (Asgraph.peers t.g x)) in
+    let b = min b (provider_route t inf (Asgraph.providers t.g x)) in
+    t.best.(x) <- b;
+    t.best_mark.(x) <- t.stamp;
+    b
+  end
+
+and provider_route t acc = function
+  | [] -> acc
+  | q :: rest ->
+    let b = best_route t q in
+    provider_route t (if b <> inf && b + 1 < acc then b + 1 else acc) rest
+
+(* The source prefers a customer route, then a peer route, then a provider
+   route; only within a class does length decide. *)
 let bgp_distance t ~src ~dst =
   if src = dst then Some 0
   else begin
-    let tb = tables t dst in
-    if tb.cust.(src) <> inf then Some tb.cust.(src)
-    else if tb.peer.(src) <> inf then Some tb.peer.(src)
-    else if tb.prov.(src) <> inf then Some tb.prov.(src)
-    else None
+    climb_from t dst;
+    let c = cust_route t src in
+    if c <> inf then Some c
+    else begin
+      let p = peer_route t inf (Asgraph.peers t.g src) in
+      if p <> inf then Some p
+      else begin
+        let v = provider_route t inf (Asgraph.providers t.g src) in
+        if v <> inf then Some v else None
+      end
+    end
   end
-
-(* Reconstruct the selected path hop by hop using the same preference order
-   routers would apply.  Deterministic tie-break on AS index. *)
-let bgp_path t ~src ~dst =
-  if src = dst then Some [ src ]
-  else begin
-    let tb = tables t dst in
-    let pick candidates target_dist value =
-      List.fold_left
-        (fun acc c ->
-          if value c = target_dist then
-            match acc with Some best when best <= c -> acc | _ -> Some c
-          else acc)
-        None candidates
-    in
-    let rec walk x acc guard =
-      if guard > Asgraph.n t.g then None
-      else if x = dst then Some (List.rev (x :: acc))
-      else if tb.cust.(x) <> inf then begin
-        (* Descend along customers towards d. *)
-        match pick (Asgraph.customers t.g x) (tb.cust.(x) - 1) (fun c -> tb.cust.(c)) with
-        | Some c -> walk c (x :: acc) (guard + 1)
-        | None -> None
-      end
-      else if tb.peer.(x) <> inf then begin
-        match pick (Asgraph.peers t.g x) (tb.peer.(x) - 1) (fun p -> tb.cust.(p)) with
-        | Some p -> walk p (x :: acc) (guard + 1)
-        | None -> None
-      end
-      else if tb.prov.(x) <> inf then begin
-        let best q = min tb.cust.(q) (min tb.peer.(q) tb.prov.(q)) in
-        match pick (Asgraph.providers t.g x) (tb.prov.(x) - 1) best with
-        | Some q -> walk q (x :: acc) (guard + 1)
-        | None -> None
-      end
-      else None
-    in
-    walk src [] 0
-  end
-
-let bgp_uses_as t ~src ~dst ~via =
-  match bgp_path t ~src ~dst with
-  | None -> false
-  | Some path -> List.mem via path
 
 let shortest_distance t ~src ~dst =
   if src = dst then Some 0

@@ -21,14 +21,13 @@ val graph : t -> Asgraph.t
 
 val bgp_distance : t -> src:int -> dst:int -> int option
 (** AS-hop length of the BGP-selected path, [None] if no policy-compliant
-    path exists.  [Some 0] when [src = dst].  Memoised per destination. *)
-
-val bgp_route_class : t -> src:int -> dst:int -> [ `Customer | `Peer | `Provider ] option
-(** Which local-pref class the selected route falls in. *)
-
-val bgp_uses_as : t -> src:int -> dst:int -> via:int -> bool
-(** Whether the BGP-selected path (as reconstructed hop-by-hop from the
-    route tables) traverses [via]. *)
+    path exists.  [Some 0] when [src = dst].  Each query climbs provider
+    edges from [dst] (its customer routes) and then reads the Gao–Rexford
+    choice upwards from [src], memoising the best route of each ancestor of
+    [src] it visits: O(ancestors × peers), no per-destination table.  The
+    scratch arrays live in [t], sized on the first query, so a policy
+    belongs to one task, as the interdomain [Level.route_within]'s scratch
+    does. *)
 
 val shortest_distance : t -> src:int -> dst:int -> int option
 (** Plain BFS over every link (providers, peers, backups), ignoring policy —
@@ -44,6 +43,3 @@ val vf_distance_within :
 val up_distances : t -> ?blocked:(int -> bool) -> int -> (int * int) list
 (** [(ancestor, hops)] for every AS reachable by climbing provider edges,
     including the AS itself at distance 0. *)
-
-val invalidate : t -> unit
-(** Drop memoised tables (call after mutating the graph). *)

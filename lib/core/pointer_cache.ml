@@ -181,22 +181,22 @@ let find c id =
 let best_match c ~cur ~target =
   (* Exact hit first, else the cyclic ring predecessor of target (closest
      not past), accepted only if it improves on cur. *)
-  if c.n = 0 then None
+  if c.n = 0 then Pointer.placeholder
   else begin
     let i = lower_bound c target in
     if holds c i target then begin
       let s = slot_at c i in
       promote c s;
-      Some c.slots.(s)
+      c.slots.(s)
     end
     else begin
       let s = slot_at c (if i = 0 then c.n - 1 else i - 1) in
       let p = c.slots.(s) in
       if Id.between_incl cur p.Pointer.dst target then begin
         promote c s;
-        Some p
+        p
       end
-      else None
+      else Pointer.placeholder
     end
   end
 

@@ -9,8 +9,7 @@
     ring-ordered index over a slot table, with least-recently-used eviction
     tracked by a recency list threaded through the same slots.  Both are
     flat and mutated in place, so once its slot table has grown a full
-    cache inserts, evicts and looks up without allocating (a hit returns
-    one [Some]). *)
+    cache inserts, evicts and looks up without allocating. *)
 
 type t
 
@@ -29,11 +28,13 @@ val insert : t -> Pointer.t -> unit
 val find : t -> Rofl_idspace.Id.t -> Pointer.t option
 (** Exact lookup (refreshes recency). *)
 
-val best_match : t -> cur:Rofl_idspace.Id.t -> target:Rofl_idspace.Id.t -> Pointer.t option
+val best_match : t -> cur:Rofl_idspace.Id.t -> target:Rofl_idspace.Id.t -> Pointer.t
 (** The cached pointer whose identifier lies in the ring interval
     [(cur, target]] and is closest to [target] — i.e. strictly better greedy
-    progress than standing still at [cur], and never past the target.
-    Refreshes recency of the returned entry. *)
+    progress than standing still at [cur], and never past the target —
+    or {!Pointer.placeholder} (physically) when there is none.  Refreshes
+    recency of the returned entry.  The stored pointer itself is returned,
+    so a probe allocates nothing. *)
 
 val remove : t -> Rofl_idspace.Id.t -> unit
 

@@ -18,16 +18,6 @@ type fault =
 
 type event = Churn of Churn.event | Fault of fault
 
-let event_time = function
-  | Churn e -> Churn.event_time e
-  | Fault
-      ( Cross_splice { at_ms }
-      | Stab_off { at_ms }
-      | Eclipse { at_ms; _ }
-      | Poison { at_ms; _ }
-      | Forge { at_ms; _ } ) ->
-    at_ms
-
 type t = {
   seed : int;
   graph : string;

@@ -42,8 +42,6 @@ type fault =
 
 type event = Churn of Rofl_workload.Churn.event | Fault of fault
 
-val event_time : event -> float
-
 type t = {
   seed : int;
   graph : string;                   (** opaque topology spec tokens *)

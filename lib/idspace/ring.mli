@@ -61,8 +61,6 @@ val of_list : (Id.t * 'a) list -> 'a t
 
 val iter : (Id.t -> 'a -> unit) -> 'a t -> unit
 
-val fold : (Id.t -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
-
 val filter : (Id.t -> 'a -> bool) -> 'a t -> 'a t
 (** Single O(n) pass; the surviving count is tallied during the filter
     (the seed recomputed it with a second O(n) walk). *)

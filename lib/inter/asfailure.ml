@@ -54,9 +54,7 @@ let rec alive_predecessor rr id steps =
 let fail_stub (t : Net.t) as_idx ~samples =
   let frac, transit_frac = fractions_affected t ~via:as_idx ~samples in
   let before = Metrics.total t.Net.metrics in
-  let resident =
-    Hashtbl.fold (fun id _ acc -> id :: acc) t.Net.residents.(as_idx) []
-  in
+  let resident = List.map fst (Ring.to_list !(t.Net.resident_rings.(as_idx))) in
   Hashtbl.replace t.Net.failed_as as_idx ();
   (* Phase 1: the whole AS goes dark at once. *)
   let dead_hosts =
@@ -98,14 +96,8 @@ let fail_stub (t : Net.t) as_idx ~samples =
           | None -> ())
         h.Net.joined;
       Hashtbl.remove t.Net.hosts h.Net.id;
-      (match t.Net.cfg.Net.peering_mode with
-       | Net.Bloom_filters ->
-         List.iter
-           (fun a -> Hashtbl.remove t.Net.bloom_members.(a) h.Net.id)
-           (Asgraph.up_hierarchy (Level.graph t.Net.ctx) as_idx)
-       | Net.No_peering | Net.Virtual_as -> ()))
+      Net.count_in_blooms t as_idx (-1))
     dead_hosts;
-  Hashtbl.reset t.Net.residents.(as_idx);
   t.Net.resident_rings.(as_idx) := Ring.empty;
   Array.iter
     (fun c ->

@@ -34,12 +34,9 @@ let check (t : Net.t) =
               bad "%s joined level %s not covering AS%d" (Id.to_short_string id)
                 (Level.to_string level) h.Net.home_as)
           h.Net.joined;
-        (* Residents table agrees. *)
-        (match Hashtbl.find_opt t.Net.residents.(h.Net.home_as) id with
-         | Some _ -> ()
-         | None ->
-           bad "%s not in residents of its home AS%d" (Id.to_short_string id)
-             h.Net.home_as);
+        (* Residents ring agrees. *)
+        if not (Ring.mem id !(t.Net.resident_rings.(h.Net.home_as))) then
+          bad "%s not in residents of its home AS%d" (Id.to_short_string id) h.Net.home_as;
         (* Fingers point at live members of the right ring. *)
         List.iter
           (fun (level, fid) ->
@@ -57,31 +54,41 @@ let check (t : Net.t) =
           h.Net.fingers
       end)
     t.Net.hosts;
-  (* Per-ring checks: every member is a live host that joined this level. *)
+  (* Per-ring checks: every member is a live host that joined this level.
+     With the per-host check above, a ring holds an identifier exactly when
+     its host's [joined] names the level, which lets a walk answer ring
+     membership from the destination's host record. *)
   let rings_checked = ref 0 in
   Hashtbl.iter
-    (fun _key rr ->
+    (fun key rr ->
       incr rings_checked;
       Ring.iter
         (fun id (h : Net.host) ->
-          if not h.Net.alive_h then
-            bad "ring member %s is dead" (Id.to_short_string id))
+          if not h.Net.alive_h then bad "ring member %s is dead" (Id.to_short_string id);
+          match Hashtbl.find_opt t.Net.hosts id with
+          | Some th when th == h ->
+            if not (List.exists (fun l -> Level.key t.Net.ctx l = key) h.Net.joined) then
+              bad "ring member %s did not join that ring's level" (Id.to_short_string id)
+          | Some _ | None ->
+            bad "ring member %s is not the host the host table holds" (Id.to_short_string id))
         !rr)
     t.Net.rings;
-  (* Bloom summaries match cones (bloom-peering mode only). *)
+  (* Bloom counts match the live identifiers in each cone (bloom-peering
+     mode only; elsewhere they stay 0). *)
+  let expected = Array.make (Array.length t.Net.bloom_counts) 0 in
   if t.Net.cfg.Net.peering_mode = Net.Bloom_filters then
-    Array.iteri
-      (fun a members ->
-        Hashtbl.iter
-          (fun id () ->
-            match Net.locate t id with
-            | Some home ->
-              if not (Asgraph.in_cone g ~root:a home) then
-                bad "AS%d bloom holds %s homed outside its cone" a
-                  (Id.to_short_string id)
-            | None -> bad "AS%d bloom holds dead id %s" a (Id.to_short_string id))
-          members)
-      t.Net.bloom_members;
+    Hashtbl.iter
+      (fun _ (h : Net.host) ->
+        if h.Net.alive_h then
+          List.iter
+            (fun a -> expected.(a) <- expected.(a) + 1)
+            (Asgraph.up_hierarchy g h.Net.home_as))
+      t.Net.hosts;
+  Array.iteri
+    (fun a c ->
+      if c <> expected.(a) then
+        bad "AS%d bloom counts %d ids, %d live below it" a c expected.(a))
+    t.Net.bloom_counts;
   {
     ok = !violations = [];
     violations = List.rev !violations;

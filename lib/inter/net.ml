@@ -48,10 +48,9 @@ type t = {
   rings : (int, host Ring.t ref) Hashtbl.t;
   as_level_cache : (int, Level.t list) Hashtbl.t;
   hosts : (Id.t, host) Hashtbl.t;
-  residents : (Id.t, host) Hashtbl.t array;
   resident_rings : host Ring.t ref array;
   caches : Pointer_cache.t array;
-  bloom_members : (Id.t, unit) Hashtbl.t array;
+  bloom_counts : int array;
   failed_as : (int, unit) Hashtbl.t;
   metrics : Metrics.t;
 }
@@ -65,10 +64,9 @@ let create ?(cfg = default_config) ~rng g =
     rings = Hashtbl.create 256;
     as_level_cache = Hashtbl.create 256;
     hosts = Hashtbl.create 4096;
-    residents = Array.init n (fun _ -> Hashtbl.create 16);
     resident_rings = Array.init n (fun _ -> ref Ring.empty);
     caches = Array.init n (fun _ -> Pointer_cache.create ~capacity:cfg.cache_capacity);
-    bloom_members = Array.init n (fun _ -> Hashtbl.create 16);
+    bloom_counts = Array.make n 0;
     failed_as = Hashtbl.create 8;
     metrics = Metrics.create ~routers:n;
   }
@@ -149,12 +147,24 @@ let cache_insert t as_idx id home =
     Pointer_cache.insert t.caches.(as_idx) p
   end
 
-let bloom_check t a id =
-  Hashtbl.mem t.bloom_members.(a) id
+(* An AS's filter summarises exactly the live identifiers homed in its
+   customer cone, so membership is a cone test; only the count is kept, for
+   the state cost. *)
+let bloom_check t a ~home =
+  (t.cfg.peering_mode = Bloom_filters
+  && home >= 0
+  && Asgraph.in_cone (Level.graph t.ctx) ~root:a home)
   || Prng.float t.rng 1.0 < t.cfg.bloom_fpr
 
-let bloom_state_bits t a =
-  t.cfg.bloom_bits_per_entry *. float_of_int (Hashtbl.length t.bloom_members.(a))
+let bloom_state_bits t a = t.cfg.bloom_bits_per_entry *. float_of_int t.bloom_counts.(a)
+
+let count_in_blooms t home delta =
+  match t.cfg.peering_mode with
+  | Bloom_filters ->
+    List.iter
+      (fun a -> t.bloom_counts.(a) <- t.bloom_counts.(a) + delta)
+      (Asgraph.up_hierarchy (Level.graph t.ctx) home)
+  | No_peering | Virtual_as -> ()
 
 (* Anchor distance for bootstrapping into an empty level: the registration
    with the provider chain (§4.1 Joining). *)
@@ -267,15 +277,9 @@ let join_with_levels t ~as_idx ~id ~strategy ~levels =
         h.joined <- h.joined @ [ level ])
       levels;
     Hashtbl.replace t.hosts id h;
-    Hashtbl.replace t.residents.(as_idx) id h;
     t.resident_rings.(as_idx) := Ring.add id h !(t.resident_rings.(as_idx));
     (* Bloom aggregation: the ID is summarised at every AS above it. *)
-    (match t.cfg.peering_mode with
-     | Bloom_filters ->
-       List.iter
-         (fun a -> Hashtbl.replace t.bloom_members.(a) id ())
-         (Asgraph.up_hierarchy (Level.graph t.ctx) as_idx)
-     | No_peering | Virtual_as -> ());
+    count_in_blooms t as_idx 1;
     let finger_msgs = acquire_fingers t h in
     Ok { host = h; lookup_msgs = !lookup_msgs; finger_msgs }
   end
@@ -315,13 +319,7 @@ let remove_host t id =
       h.joined;
     h.alive_h <- false;
     Hashtbl.remove t.hosts id;
-    Hashtbl.remove t.residents.(h.home_as) id;
     t.resident_rings.(h.home_as) := Ring.remove id !(t.resident_rings.(h.home_as));
-    (match t.cfg.peering_mode with
-     | Bloom_filters ->
-       List.iter
-         (fun a -> Hashtbl.remove t.bloom_members.(a) id)
-         (Asgraph.up_hierarchy (Level.graph t.ctx) h.home_as)
-     | No_peering | Virtual_as -> ());
+    count_in_blooms t h.home_as (-1);
     Array.iter (fun c -> Pointer_cache.remove c id) t.caches;
     Metrics.total t.metrics - before

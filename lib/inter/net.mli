@@ -49,10 +49,10 @@ type t = {
   rings : (int, host Ring.t ref) Hashtbl.t; (** Level.key -> members *)
   as_level_cache : (int, Level.t list) Hashtbl.t;
   hosts : (Id.t, host) Hashtbl.t;
-  residents : (Id.t, host) Hashtbl.t array; (** per AS *)
   resident_rings : host Ring.t ref array;   (** per AS, ring-ordered *)
   caches : Rofl_core.Pointer_cache.t array; (** per AS; dst_router = AS id *)
-  bloom_members : (Id.t, unit) Hashtbl.t array; (** ids summarised below each AS *)
+  bloom_counts : int array;
+  (** per AS, bloom-filter peering only: live ids summarised below it *)
   failed_as : (int, unit) Hashtbl.t;
   metrics : Rofl_netsim.Metrics.t;
 }
@@ -89,12 +89,18 @@ val remove_host : t -> Id.t -> int
     lose their successor are notified (charged to [teardown]).  Returns
     messages charged. *)
 
-val bloom_check : t -> int -> Id.t -> bool
-(** Is this identifier below the AS according to its bloom filter — exact
-    membership plus false positives at the configured rate. *)
+val bloom_check : t -> int -> home:int -> bool
+(** Is an identifier homed at [home] below the AS according to its bloom
+    filter — exact membership plus false positives at the configured rate.
+    [home] is the identifier's home AS, [-1] when no live host holds it. *)
 
 val bloom_state_bits : t -> int -> float
 (** Modelled bloom state at an AS (bits). *)
+
+val count_in_blooms : t -> int -> int -> unit
+(** [count_in_blooms t home delta] adds [delta] to the bloom count of every
+    AS above [home] (bloom-filter peering only): what a live identifier
+    homed at [home] joining ([1]) or leaving ([-1]) does to them. *)
 
 val strategy_to_string : strategy -> string
 

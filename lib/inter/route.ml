@@ -45,8 +45,10 @@ let best_local_resident (t : Net.t) as_idx ~pos ~dst =
    smallest destination-containing subtree the packet never leaves it, which
    is the isolation property.  Only when no joined level contains the
    destination (wrong branch of the hierarchy) does the walk fall back to
-   the lowest level making any clockwise progress. *)
-let lowest_level_candidate (t : Net.t) (h : Net.host) ~cur ~pos ~dst ~ceiling =
+   the lowest level making any clockwise progress.  A level's ring holds
+   [dst] exactly when [dst_levels], the destination's joined levels, names
+   the level, so [dst_levels] answers the containment test. *)
+let lowest_level_candidate (t : Net.t) (h : Net.host) ~cur ~pos ~dst ~dst_levels ~ceiling =
   let candidate_at level =
     let r = Net.ring t level in
     let succ_cand =
@@ -76,36 +78,36 @@ let lowest_level_candidate (t : Net.t) (h : Net.host) ~cur ~pos ~dst ~ceiling =
     in
     match best with Some (cid, ch) -> Some (level, cid, ch) | None -> None
   in
-  let rec scan = function
+  let rec joined level = function
+    | [] -> false
+    | l :: rest -> Level.equal l level || joined level rest
+  in
+  let rec scan narrows = function
     | [] -> None
     | level :: rest ->
-      (match candidate_at level with Some c -> Some c | None -> scan rest)
+      let c =
+        if narrows
+           && not
+                (Level.subsumes t.Net.ctx ~outer:ceiling ~inner:level
+                && joined level dst_levels)
+        then None
+        else candidate_at level
+      in
+      (match c with
+       | Some (level, cid, ch) -> Some (level, cid, ch, narrows)
+       | None -> scan narrows rest)
   in
   let levels = Net.as_levels t cur in
-  let containing =
-    List.filter
-      (fun level ->
-        Level.subsumes t.Net.ctx ~outer:ceiling ~inner:level
-        && Ring.mem dst (Net.ring t level))
-      levels
-  in
-  match scan containing with
-  | Some (level, cid, ch) -> Some (level, cid, ch, true)
-  | None ->
-    (match scan levels with
-     | Some (level, cid, ch) -> Some (level, cid, ch, false)
-     | None -> None)
+  match scan true levels with Some _ as c -> c | None -> scan false levels
 
 (* Cache shortcut, guarded so it can never violate isolation: if the
    destination is below this AS the bloom filter necessarily says so (no
    false negatives) and the cache is bypassed (§4.1). *)
-let cache_candidate (t : Net.t) as_idx ~pos ~dst =
+let cache_candidate (t : Net.t) as_idx ~pos ~dst ~dst_home =
   if t.Net.cfg.Net.cache_capacity = 0 then None
   else begin
     let dst_below =
-      match Net.locate t dst with
-      | Some home -> Asgraph.in_cone (Level.graph t.Net.ctx) ~root:as_idx home
-      | None -> false
+      dst_home >= 0 && Asgraph.in_cone (Level.graph t.Net.ctx) ~root:as_idx dst_home
     in
     let fp_conservatism =
       t.Net.cfg.Net.peering_mode = Net.Bloom_filters
@@ -113,16 +115,16 @@ let cache_candidate (t : Net.t) as_idx ~pos ~dst =
     in
     if dst_below || fp_conservatism then None
     else
-      match Pointer_cache.best_match t.Net.caches.(as_idx) ~cur:pos ~target:dst with
-      | Some (p : Pointer.t) ->
-        (match Hashtbl.find_opt t.Net.hosts p.Pointer.dst with
-         | Some ch when ch.Net.alive_h && ch.Net.home_as = p.Pointer.dst_router
-                        && Id.between_incl pos p.Pointer.dst dst ->
-           Some (p.Pointer.dst, ch)
-         | Some _ | None ->
-           Pointer_cache.remove t.Net.caches.(as_idx) p.Pointer.dst;
-           None)
-      | None -> None
+      let p = Pointer_cache.best_match t.Net.caches.(as_idx) ~cur:pos ~target:dst in
+      if p == Pointer.placeholder then None
+      else
+        match Hashtbl.find_opt t.Net.hosts p.Pointer.dst with
+        | Some ch when ch.Net.alive_h && ch.Net.home_as = p.Pointer.dst_router
+                       && Id.between_incl pos p.Pointer.dst dst ->
+          Some (p.Pointer.dst, ch)
+        | Some _ | None ->
+          Pointer_cache.remove t.Net.caches.(as_idx) p.Pointer.dst;
+          None
   end
 
 let charge_move (t : Net.t) level a b =
@@ -145,11 +147,14 @@ let charge_unrestricted (t : Net.t) a b =
    unrestricted cache shortcut.  Position lives in the state record (the
    packet's AS, ring position, and position host move together), and so
    does the picked move, which is also the committed route: a move is
-   consumed whole. *)
+   consumed whole.  The destination is looked up once, at the start: its
+   home AS and joined levels cannot change while a packet is in flight. *)
 module Route_substrate = struct
   type st = {
     net : Net.t;
     dst : Id.t;
+    dst_home : int; (* -1: no live host holds [dst] *)
+    dst_levels : Level.t list; (* the levels [dst] joined; [] when unknown *)
     mutable cur : int;
     mutable pos : Id.t;
     mutable pos_host : Net.host;
@@ -161,7 +166,7 @@ module Route_substrate = struct
     mutable max_breadth : int;
     mutable rev_path : int list;
     mutable ceiling : Level.t;
-    tried_peers : (int * int, unit) Hashtbl.t;
+    mutable tried_peers : (int * int, unit) Hashtbl.t option; (* made at first use *)
     tracer : Trace.builder option; (* [None]: record nothing *)
     mutable move : move;
   }
@@ -208,8 +213,18 @@ module Route_substrate = struct
 
   let extend_path st tail = List.iter (fun a -> st.rev_path <- a :: st.rev_path) tail
 
-  let arrived st =
-    if Net.locate st.net st.dst = Some st.cur then Some (finish st true) else None
+  (* After a bloom hit at peer [p] that really holds the destination below
+     it: descend within [p]'s subtree to the destination's AS. *)
+  let descend st p =
+    match charge_move st.net (Level.Real p) p st.dst_home with
+    | Some (d, tail) ->
+      st.as_hops <- st.as_hops + d;
+      extend_path st tail;
+      st.cur <- st.dst_home;
+      finish st true
+    | None -> finish st false
+
+  let arrived st = if st.dst_home = st.cur then Some (finish st true) else None
 
   (* Free intra-AS move to the closest local resident. *)
   let prepare st =
@@ -230,9 +245,9 @@ module Route_substrate = struct
   let select st =
     let ring =
       lowest_level_candidate st.net st.pos_host ~cur:st.cur ~pos:st.pos ~dst:st.dst
-        ~ceiling:st.ceiling
+        ~dst_levels:st.dst_levels ~ceiling:st.ceiling
     in
-    match ring, cache_candidate st.net st.cur ~pos:st.pos ~dst:st.dst with
+    match ring, cache_candidate st.net st.cur ~pos:st.pos ~dst:st.dst ~dst_home:st.dst_home with
     | Some (level, rid, rh, narrows), Some (cid, ch) ->
       if Id.closer_clockwise ~target:st.dst cid rid then pick st (Cache_move (cid, ch))
       else pick st (Ring_move (level, rid, rh, narrows))
@@ -248,6 +263,22 @@ module Route_substrate = struct
   let deliver_here _ = None
   let commit _ = true
 
+  (* Claims the peering link [a]-[p] for this packet: false when it was
+     already tried (or [p] is down), so each filter is consulted once. *)
+  let first_try st a p =
+    if not (Net.as_alive st.net p) then false
+    else
+      match st.tried_peers with
+      | Some tried when Hashtbl.mem tried (a, p) -> false
+      | Some tried ->
+        Hashtbl.add tried (a, p) ();
+        true
+      | None ->
+        let tried = Hashtbl.create 4 in
+        Hashtbl.add tried (a, p) ();
+        st.tried_peers <- Some tried;
+        true
+
   (* Bloom-filter peering (§4.2): consult the peers' filters; a hit crosses
      the peering link and descends, a false positive backtracks. *)
   let try_peers st =
@@ -257,35 +288,18 @@ module Route_substrate = struct
     let rec attempt = function
       | [] -> None
       | p :: rest ->
-        if Hashtbl.mem st.tried_peers (st.cur, p) || not (Net.as_alive t p) then
-          attempt rest
+        if not (first_try st st.cur p) then attempt rest
         else begin
-          Hashtbl.add st.tried_peers (st.cur, p) ();
-          if Net.bloom_check t p st.dst then begin
+          if Net.bloom_check t p ~home:st.dst_home then begin
             (* Cross the peering link. *)
             Metrics.charge_hop t.Net.metrics Metrics.Data p;
             st.as_hops <- st.as_hops + 1;
             st.peer_crossings <- st.peer_crossings + 1;
             st.rev_path <- p :: st.rev_path;
             record_peer st Trace.Flood ~router:p;
-            let really_below =
-              match Net.locate t st.dst with
-              | Some home -> Asgraph.in_cone g ~root:p home
-              | None -> false
-            in
-            if really_below then begin
+            if st.dst_home >= 0 && Asgraph.in_cone g ~root:p st.dst_home then
               (* Descend within the peer's subtree to the destination. *)
-              match Net.locate t st.dst with
-              | Some home ->
-                (match charge_move t (Level.Real p) p home with
-                 | Some (d, tail) ->
-                   st.as_hops <- st.as_hops + d;
-                   extend_path st tail;
-                   st.cur <- home;
-                   Some (finish st true)
-                 | None -> Some (finish st false))
-              | None -> Some (finish st false)
-            end
+              Some (descend st p)
             else begin
               (* False positive: the packet comes back over the peering
                  link and continues (§4.2). *)
@@ -310,7 +324,6 @@ module Route_substrate = struct
     if t.Net.cfg.Net.peering_mode <> Net.Bloom_filters then None
     else begin
       let g = Level.graph t.Net.ctx in
-      let dst_home = Net.locate t st.dst in
       (* Only the ascent of the move consults peers: after crossing, a
          packet may not go back up the hierarchy (§4.2), so checks beyond
          the path's peak are moot. *)
@@ -322,21 +335,14 @@ module Route_substrate = struct
           let rec scan_peers = function
             | [] -> scan_as (budget - 1) rest
             | p :: more ->
-              if Hashtbl.mem st.tried_peers (a, p) || not (Net.as_alive t p) then
-                scan_peers more
+              if not (first_try st a p) then scan_peers more
               else begin
-                Hashtbl.add st.tried_peers (a, p) ();
-                if Net.bloom_check t p st.dst then begin
+                if Net.bloom_check t p ~home:st.dst_home then begin
                   Metrics.charge_hop t.Net.metrics Metrics.Data p;
                   st.as_hops <- st.as_hops + 1;
                   st.peer_crossings <- st.peer_crossings + 1;
                   record_peer st Trace.Flood ~router:p;
-                  let really_below =
-                    match dst_home with
-                    | Some home -> Asgraph.in_cone g ~root:p home
-                    | None -> false
-                  in
-                  if really_below then Some (a, p)
+                  if st.dst_home >= 0 && Asgraph.in_cone g ~root:p st.dst_home then Some (a, p)
                   else begin
                     (* False positive: back over the peering link. *)
                     Metrics.charge_hop t.Net.metrics Metrics.Data a;
@@ -395,16 +401,7 @@ module Route_substrate = struct
             (match transit_divert st tail with
              | Some (_via, p) ->
                st.rev_path <- p :: st.rev_path;
-               (match Net.locate st.net st.dst with
-                | Some home ->
-                  (match charge_move st.net (Level.Real p) p home with
-                   | Some (dd, dtail) ->
-                     st.as_hops <- st.as_hops + dd;
-                     extend_path st dtail;
-                     st.cur <- home;
-                     Some (finish st true)
-                   | None -> Some (finish st false))
-                | None -> Some (finish st false))
+               Some (descend st p)
              | None ->
                st.cur <- ch.Net.home_as;
                st.pos <- cid;
@@ -424,10 +421,17 @@ end
 module Route_walk = Walk.Make (Route_substrate)
 
 let route_from ?trace (t : Net.t) ~src ~dst =
+  let dst_home, dst_levels =
+    match Hashtbl.find_opt t.Net.hosts dst with
+    | Some h -> ((if h.Net.alive_h then h.Net.home_as else -1), h.Net.joined)
+    | None -> (-1, [])
+  in
   let st =
     {
       Route_substrate.net = t;
       dst;
+      dst_home;
+      dst_levels;
       cur = src.Net.home_as;
       pos = src.Net.id;
       pos_host = src;
@@ -439,7 +443,7 @@ let route_from ?trace (t : Net.t) ~src ~dst =
       max_breadth = 0;
       rev_path = [ src.Net.home_as ];
       ceiling = Level.Root;
-      tried_peers = Hashtbl.create 4;
+      tried_peers = None;
       tracer = trace;
       move = Route_substrate.Cache_move (src.Net.id, src);
     }

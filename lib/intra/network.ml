@@ -377,9 +377,8 @@ module Lookup_substrate = struct
     let healthy = Linkstate.healthy st.net.ls in
     select_among st ~healthy r.residents;
     if st.use_cache then begin
-      match Pointer_cache.best_match r.cache ~cur:st.target ~target:st.target with
-      | Some p -> consider_remote st cur ~healthy p
-      | None -> ()
+      let p = Pointer_cache.best_match r.cache ~cur:st.target ~target:st.target in
+      if p != Pointer.placeholder then consider_remote st cur ~healthy p
     end;
     st.pick <> No_pick
 

@@ -170,14 +170,6 @@ let expires_ms t s = t.expires_ms.(s)
 let version t s = t.version.(s)
 let gen t s = t.gen.(s)
 
-let iter_router t router f =
-  let s = ref t.rhead.(router) in
-  while !s >= 0 do
-    let nx = t.r_next.(!s) in
-    f !s;
-    s := nx
-  done
-
 let iter_service t service f =
   match Hashtbl.find_opt t.shead service with
   | None -> ()

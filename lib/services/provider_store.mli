@@ -76,4 +76,3 @@ val gen : t -> int -> int
     [(slot, gen)] pair is valid iff the stored gen still matches. *)
 
 val iter : t -> (int -> unit) -> unit
-val iter_router : t -> int -> (int -> unit) -> unit

@@ -100,6 +100,3 @@ let install t ~now service providers =
   | Some _ -> Metrics.incr t.metrics Metrics.Svc_cache_evict 1
   | None -> ()
 
-let iter t f = Lru.iter t.cache f
-
-let clear t = Lru.clear t.cache

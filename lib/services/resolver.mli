@@ -53,5 +53,3 @@ val served_expired : t -> int
     window — must be 0 unless the fault knob is on; audited by the
     doctor. *)
 
-val iter : t -> (Rofl_idspace.Id.t -> entry -> unit) -> unit
-val clear : t -> unit

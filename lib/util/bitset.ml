@@ -52,7 +52,6 @@ let inter a b =
   done;
   out
 
-let copy b = { bits = Bytes.copy b.bits; n = b.n }
 
 let iter b f =
   for i = 0 to b.n - 1 do

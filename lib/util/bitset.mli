@@ -23,8 +23,6 @@ val union_into : dst:t -> t -> unit
 
 val inter : t -> t -> t
 
-val copy : t -> t
-
 val iter : t -> (int -> unit) -> unit
 (** Visit members in increasing order. *)
 

@@ -80,17 +80,3 @@ let remove c k =
     unlink c node;
     Hashtbl.remove c.table k
 
-let iter c f =
-  let rec go = function
-    | None -> ()
-    | Some node ->
-      let next = node.next in
-      f node.key node.value;
-      go next
-  in
-  go c.head
-
-let clear c =
-  Hashtbl.reset c.table;
-  c.head <- None;
-  c.tail <- None

@@ -22,7 +22,3 @@ val put : ('k, 'v) t -> 'k -> 'v -> ('k * 'v) option
 
 val remove : ('k, 'v) t -> 'k -> unit
 
-val iter : ('k, 'v) t -> ('k -> 'v -> unit) -> unit
-(** Iterate from most- to least-recently used. *)
-
-val clear : ('k, 'v) t -> unit

@@ -132,26 +132,84 @@ let test_topo_order () =
 
 (* ---------- Policy ---------- *)
 
+(* Reference model for [Policy.bgp_distance]: Gao–Rexford route tables for
+   one destination [d] over every AS, the way the policy once kept them per
+   destination.
+   - customer routes exist at every ancestor of d (learned from a customer),
+   - peer routes at ASes with a peer holding a customer route,
+   - provider routes trickle down from any AS holding any route. *)
+type tables = { cust : int array; peer : int array; prov : int array }
+
+let inf = max_int
+
+let reference_tables g d =
+  let n = Asgraph.n g in
+  let cust = Array.make n inf in
+  let peer = Array.make n inf in
+  let prov = Array.make n inf in
+  (* Customer routes: climb provider edges from d. *)
+  let q = Queue.create () in
+  cust.(d) <- 0;
+  Queue.push d q;
+  while not (Queue.is_empty q) do
+    let x = Queue.pop q in
+    List.iter
+      (fun p ->
+        if cust.(p) = inf then begin
+          cust.(p) <- cust.(x) + 1;
+          Queue.push p q
+        end)
+      (Asgraph.providers g x)
+  done;
+  (* Peer routes: one peer hop onto a customer route. *)
+  for x = 0 to n - 1 do
+    List.iter
+      (fun p -> if cust.(p) <> inf && cust.(p) + 1 < peer.(x) then peer.(x) <- cust.(p) + 1)
+      (Asgraph.peers g x)
+  done;
+  (* Provider routes: providers-first order so a provider's best route is
+     final before its customers read it. *)
+  Array.iter
+    (fun x ->
+      let best_x = min cust.(x) (min peer.(x) prov.(x)) in
+      if best_x <> inf then
+        List.iter
+          (fun c -> if best_x + 1 < prov.(c) then prov.(c) <- best_x + 1)
+          (Asgraph.customers g x))
+    (Asgraph.topo_order g);
+  { cust; peer; prov }
+
+(* The selected route at [src]: its local-pref class and length. *)
+let reference_route tb ~src ~dst =
+  if src = dst then Some (`Customer, 0)
+  else if tb.cust.(src) <> inf then Some (`Customer, tb.cust.(src))
+  else if tb.peer.(src) <> inf then Some (`Peer, tb.peer.(src))
+  else if tb.prov.(src) <> inf then Some (`Provider, tb.prov.(src))
+  else None
+
+let reference_class g ~src ~dst =
+  Option.map fst (reference_route (reference_tables g dst) ~src ~dst)
+
 let test_policy_customer_route () =
   let p = Policy.create (toy ()) in
   (* 1 -> 3 is a pure customer route of length 1. *)
   Alcotest.(check (option int)) "1->3" (Some 1) (Policy.bgp_distance p ~src:1 ~dst:3);
   Alcotest.(check bool) "class customer" true
-    (Policy.bgp_route_class p ~src:1 ~dst:3 = Some `Customer)
+    (reference_class (toy ()) ~src:1 ~dst:3 = Some `Customer)
 
 let test_policy_peer_route () =
   let p = Policy.create (toy ()) in
   (* 1 -> 5: peer hop to 2 then down; length 2; class Peer. *)
   Alcotest.(check (option int)) "1->5" (Some 2) (Policy.bgp_distance p ~src:1 ~dst:5);
   Alcotest.(check bool) "class peer" true
-    (Policy.bgp_route_class p ~src:1 ~dst:5 = Some `Peer)
+    (reference_class (toy ()) ~src:1 ~dst:5 = Some `Peer)
 
 let test_policy_provider_route () =
   let p = Policy.create (toy ()) in
   (* 3 -> 4: up to 1 then down: provider route of length 2. *)
   Alcotest.(check (option int)) "3->4" (Some 2) (Policy.bgp_distance p ~src:3 ~dst:4);
   Alcotest.(check bool) "class provider" true
-    (Policy.bgp_route_class p ~src:3 ~dst:4 = Some `Provider);
+    (reference_class (toy ()) ~src:3 ~dst:4 = Some `Provider);
   (* 3 -> 5 goes up to 1, peer to 2, down to 5 (valley-free, length 3). *)
   Alcotest.(check (option int)) "3->5" (Some 3) (Policy.bgp_distance p ~src:3 ~dst:5)
 
@@ -159,13 +217,64 @@ let test_policy_self () =
   let p = Policy.create (toy ()) in
   Alcotest.(check (option int)) "self" (Some 0) (Policy.bgp_distance p ~src:3 ~dst:3)
 
-let test_policy_path_reconstruction () =
-  let p = Policy.create (toy ()) in
-  Alcotest.(check bool) "3->5 via 1" true (Policy.bgp_uses_as p ~src:3 ~dst:5 ~via:1);
-  Alcotest.(check bool) "3->5 via 2" true (Policy.bgp_uses_as p ~src:3 ~dst:5 ~via:2);
-  Alcotest.(check bool) "3->5 not via 0 (peering preferred)" false
-    (Policy.bgp_uses_as p ~src:3 ~dst:5 ~via:0);
-  Alcotest.(check bool) "3->4 not via 0" false (Policy.bgp_uses_as p ~src:3 ~dst:4 ~via:0)
+(* Every (src, dst) pair of [g], destination-major, against the reference
+   tables; the first disagreement, if any. *)
+let bgp_disagreement g =
+  let p = Policy.create g in
+  let n = Asgraph.n g in
+  let found = ref None in
+  for dst = 0 to n - 1 do
+    if !found = None then begin
+      let tb = reference_tables g dst in
+      for src = 0 to n - 1 do
+        let want = Option.map snd (reference_route tb ~src ~dst) in
+        let got = Policy.bgp_distance p ~src ~dst in
+        if got <> want && !found = None then found := Some (src, dst, got, want)
+      done
+    end
+  done;
+  !found
+
+let show_disagreement (src, dst, got, want) =
+  let s = function Some d -> string_of_int d | None -> "none" in
+  Printf.sprintf "%d->%d: kernel %s, tables %s" src dst (s got) (s want)
+
+let prop_bgp_matches_tables =
+  QCheck.Test.make ~name:"bgp_distance = per-destination tables" ~count:40
+    QCheck.(make ~print:string_of_int Gen.(int_bound 100_000))
+    (fun seed ->
+      let inet = Internet.generate (Prng.create seed) Internet.small_params in
+      match bgp_disagreement inet.Internet.graph with
+      | None -> true
+      | Some d -> QCheck.Test.fail_reportf "seed %d: %s" seed (show_disagreement d))
+
+(* A provider whose peer route is shorter than its customer route:
+       1 -> 0 == 5          0 reaches 4 down 0-2-3-4 (customer route, 3)
+            |    \         or over its peer 5 (peer route, 2).  A provider
+            2     |         route is one hop below a provider's shortest
+            |     |         route of any class, so 1 -> 4 is 3.
+            3     |
+             \    |
+               4 -'      (no pair of the generated Internets above needs this) *)
+let test_bgp_peer_shortcut () =
+  let g = Asgraph.create 6 in
+  Asgraph.add_provider g ~customer:1 ~provider:0;
+  Asgraph.add_provider g ~customer:2 ~provider:0;
+  Asgraph.add_provider g ~customer:3 ~provider:2;
+  Asgraph.add_provider g ~customer:4 ~provider:3;
+  Asgraph.add_provider g ~customer:4 ~provider:5;
+  Asgraph.add_peer g 0 5;
+  Alcotest.(check (option int)) "1->4" (Some 3)
+    (Policy.bgp_distance (Policy.create g) ~src:1 ~dst:4);
+  match bgp_disagreement g with
+  | None -> ()
+  | Some d -> Alcotest.fail (show_disagreement d)
+
+let test_bgp_all_pairs_default () =
+  let inet = Internet.generate (Prng.create 4) Internet.default_params in
+  match bgp_disagreement inet.Internet.graph with
+  | None -> ()
+  | Some d -> Alcotest.fail (show_disagreement d)
 
 let test_policy_shortest () =
   let p = Policy.create (toy ()) in
@@ -275,7 +384,10 @@ let () =
           Alcotest.test_case "peer route" `Quick test_policy_peer_route;
           Alcotest.test_case "provider route" `Quick test_policy_provider_route;
           Alcotest.test_case "self" `Quick test_policy_self;
-          Alcotest.test_case "path reconstruction" `Quick test_policy_path_reconstruction;
+          QCheck_alcotest.to_alcotest prop_bgp_matches_tables;
+          Alcotest.test_case "bgp = tables, peer shortcut" `Quick test_bgp_peer_shortcut;
+          Alcotest.test_case "bgp = tables, all pairs, default Internet" `Quick
+            test_bgp_all_pairs_default;
           Alcotest.test_case "shortest" `Quick test_policy_shortest;
           Alcotest.test_case "vf within cone" `Quick test_vf_distance_within;
           Alcotest.test_case "up distances" `Quick test_up_distances;

@@ -142,6 +142,11 @@ let test_vnode_classes () =
 
 let cptr i router = ptr Pointer.Cached i router
 
+(* [Pointer_cache.best_match] with its placeholder miss as [None]. *)
+let best_match c ~cur ~target =
+  let p = Pointer_cache.best_match c ~cur ~target in
+  if p == Pointer.placeholder then None else Some p
+
 let test_cache_insert_find () =
   let c = Pointer_cache.create ~capacity:4 in
   Pointer_cache.insert c (cptr 10 1);
@@ -153,15 +158,15 @@ let test_cache_best_match () =
   let c = Pointer_cache.create ~capacity:8 in
   List.iter (fun i -> Pointer_cache.insert c (cptr i i)) [ 10; 20; 30; 40 ];
   (* Closest not past 35 is 30. *)
-  (match Pointer_cache.best_match c ~cur:(id 5) ~target:(id 35) with
+  (match best_match c ~cur:(id 5) ~target:(id 35) with
    | Some p -> Alcotest.(check bool) "closest not past" true (Id.equal p.Pointer.dst (id 30))
    | None -> Alcotest.fail "expected match");
   (* Exact hit wins. *)
-  (match Pointer_cache.best_match c ~cur:(id 5) ~target:(id 20) with
+  (match best_match c ~cur:(id 5) ~target:(id 20) with
    | Some p -> Alcotest.(check bool) "exact" true (Id.equal p.Pointer.dst (id 20))
    | None -> Alcotest.fail "expected exact match");
   (* Nothing in (cur, target]: no match. *)
-  (match Pointer_cache.best_match c ~cur:(id 41) ~target:(id 45) with
+  (match best_match c ~cur:(id 41) ~target:(id 45) with
    | None -> ()
    | Some _ -> Alcotest.fail "nothing in interval")
 
@@ -169,7 +174,7 @@ let test_cache_best_match_wraparound () =
   let c = Pointer_cache.create ~capacity:4 in
   Pointer_cache.insert c (cptr 250 1);
   (* Target 5 with cur 200: 250 is in (200, 5] across the wrap. *)
-  (match Pointer_cache.best_match c ~cur:(id 200) ~target:(id 5) with
+  (match best_match c ~cur:(id 200) ~target:(id 5) with
    | Some p -> Alcotest.(check bool) "wraps" true (Id.equal p.Pointer.dst (id 250))
    | None -> Alcotest.fail "expected wrap match")
 
@@ -179,7 +184,7 @@ let test_cache_eviction_syncs_index () =
   Pointer_cache.insert c (cptr 20 2);
   Pointer_cache.insert c (cptr 30 3) (* evicts 10 *);
   Alcotest.(check int) "capacity respected" 2 (Pointer_cache.length c);
-  (match Pointer_cache.best_match c ~cur:(id 5) ~target:(id 15) with
+  (match best_match c ~cur:(id 5) ~target:(id 15) with
    | None -> ()
    | Some _ -> Alcotest.fail "evicted entry still matched")
 
@@ -205,7 +210,7 @@ let test_cache_zero_capacity () =
   Pointer_cache.insert c (cptr 1 1);
   Alcotest.(check int) "stores nothing" 0 (Pointer_cache.length c);
   Alcotest.(check bool) "no match" true
-    (Pointer_cache.best_match c ~cur:(id 0) ~target:(id 5) = None);
+    (best_match c ~cur:(id 0) ~target:(id 5) = None);
   List.iter (fun i -> Pointer_cache.insert c (cptr i i)) [ 1; 2; 3; 2 ];
   Alcotest.(check int) "still nothing" 0 (Pointer_cache.length c);
   Alcotest.(check bool) "no exact hit" true (Pointer_cache.find c (id 2) = None);
@@ -251,7 +256,7 @@ let prop_cache_best_match_correct =
           None entries
       in
       let got =
-        Pointer_cache.best_match c ~cur:target ~target |> Option.map (fun p -> p.Pointer.dst)
+        best_match c ~cur:target ~target |> Option.map (fun p -> p.Pointer.dst)
       in
       match (expected, got) with
       | Some e, Some g -> Id.equal e g

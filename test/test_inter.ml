@@ -520,7 +520,7 @@ let test_invariants_after_churn () =
   (* Remove a third, fail a stub, add more. *)
   List.iteri (fun i h -> if i mod 3 = 0 then ignore (Net.remove_host net h.Net.id)) hosts;
   let victim =
-    List.find (fun s -> Hashtbl.length net.Net.residents.(s) > 0) (Internet.stubs inet)
+    List.find (fun s -> Ring.cardinal !(net.Net.resident_rings.(s)) > 0) (Internet.stubs inet)
   in
   ignore (Asfailure.fail_stub net victim ~samples:0);
   Asfailure.restore_as net victim;
@@ -533,6 +533,52 @@ let test_invariants_after_churn () =
   let rr = Inv.check_routability net ~samples:150 in
   Alcotest.(check bool) "routable after churn" true rr.Inv.ok
 
+(* Random joins, graceful removals and stub failures, in bloom-filter or
+   virtual-AS peering mode by seed parity: [check] stays green after every
+   step.  Its ring checks pin the equivalence the walk relies on — a ring
+   holds an identifier exactly when the identifier's host joined the
+   ring's level. *)
+let prop_invariant_under_churn =
+  QCheck.Test.make ~name:"check stays green under join/remove/fail_stub" ~count:40
+    QCheck.(make ~print:string_of_int Gen.(int_bound 100_000))
+    (fun seed ->
+      let peering_mode = if seed mod 2 = 0 then Net.Bloom_filters else Net.Virtual_as in
+      let cfg =
+        { Net.default_config with Net.peering_mode; finger_budget = 4; cache_capacity = 8 }
+      in
+      let net, inet, rng = small_internet ~cfg seed in
+      let stubs = Array.of_list (Internet.stubs inet) in
+      let strategies = [| Net.Peering; Net.Multihomed; Net.Ephemeral |] in
+      let ids = ref [] in
+      let step () =
+        match Prng.int rng 10 with
+        | 0 | 1 | 2 | 3 | 4 | 5 ->
+          let as_idx = Prng.sample rng stubs and strategy = Prng.sample rng strategies in
+          ids := (Net.join net ~as_idx ~strategy).Net.host.Net.id :: !ids;
+          "join"
+        | 6 | 7 | 8 ->
+          (match !ids with
+           | [] -> ()
+           | l -> ignore (Net.remove_host net (List.nth l (Prng.int rng (List.length l)))));
+          "remove_host"
+        | _ ->
+          let victim = Prng.sample rng stubs in
+          ignore (Asfailure.fail_stub net victim ~samples:0);
+          Asfailure.restore_as net victim;
+          "fail_stub"
+      in
+      let rec go i =
+        i = 60
+        ||
+        let what = step () in
+        let r = Inv.check net in
+        if r.Inv.ok then go (i + 1)
+        else
+          QCheck.Test.fail_reportf "seed %d, step %d (%s): %s" seed i what
+            (List.hd r.Inv.violations)
+      in
+      go 0)
+
 (* ---------- failures ---------- *)
 
 let test_stub_failure () =
@@ -541,10 +587,10 @@ let test_stub_failure () =
   (* Pick a populated stub. *)
   let victim =
     List.find
-      (fun s -> Hashtbl.length net.Net.residents.(s) > 0)
+      (fun s -> Ring.cardinal !(net.Net.resident_rings.(s)) > 0)
       (Internet.stubs inet)
   in
-  let lost = Hashtbl.length net.Net.residents.(victim) in
+  let lost = Ring.cardinal !(net.Net.resident_rings.(victim)) in
   let f = Asfailure.fail_stub net victim ~samples:100 in
   Alcotest.(check int) "ids lost" lost f.Asfailure.ids_lost;
   Alcotest.(check bool) "repair charged" true (f.Asfailure.repair_msgs > 0);
@@ -563,7 +609,7 @@ let test_stub_failure_containment () =
   let _ = populate net rng inet 400 Net.Multihomed in
   let victim =
     List.find
-      (fun s -> Hashtbl.length net.Net.residents.(s) > 0)
+      (fun s -> Ring.cardinal !(net.Net.resident_rings.(s)) > 0)
       (Internet.stubs inet)
   in
   let f = Asfailure.fail_stub net victim ~samples:300 in
@@ -610,6 +656,7 @@ let () =
         [
           Alcotest.test_case "steady state" `Quick test_invariants_steady_state;
           Alcotest.test_case "after churn" `Quick test_invariants_after_churn;
+          QCheck_alcotest.to_alcotest prop_invariant_under_churn;
         ] );
       ( "failure",
         [

@@ -370,13 +370,14 @@ let test_lru_remove () =
   check Alcotest.(option int) "removed" None (Lru.find c "a");
   Lru.remove c "never-there"
 
-let test_lru_iter_order () =
+(* Recency is read back through evictions: fresh puts evict the least
+   recently used first. *)
+let test_lru_recency_order () =
   let c = Lru.create ~capacity:3 in
   List.iter (fun (k, v) -> ignore (Lru.put c k v)) [ ("a", 1); ("b", 2); ("c", 3) ];
   ignore (Lru.find c "a");
-  let order = ref [] in
-  Lru.iter c (fun k _ -> order := k :: !order);
-  check Alcotest.(list string) "MRU first" [ "a"; "c"; "b" ] (List.rev !order)
+  let evicted = List.map (fun k -> Option.map fst (Lru.put c k 0)) [ "x"; "y"; "z" ] in
+  check Alcotest.(list (option string)) "LRU first" [ Some "b"; Some "c"; Some "a" ] evicted
 
 let lru_capacity_property =
   QCheck.Test.make ~name:"lru never exceeds capacity" ~count:100
@@ -551,7 +552,7 @@ let () =
           Alcotest.test_case "replace" `Quick test_lru_replace;
           Alcotest.test_case "zero capacity" `Quick test_lru_zero_capacity;
           Alcotest.test_case "remove" `Quick test_lru_remove;
-          Alcotest.test_case "iter order" `Quick test_lru_iter_order;
+          Alcotest.test_case "recency order" `Quick test_lru_recency_order;
           q lru_capacity_property;
         ] );
       ( "stats",
