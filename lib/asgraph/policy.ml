@@ -74,13 +74,19 @@ let rec peer_route t acc = function
     let c = cust_route t p in
     peer_route t (if c <> inf && c + 1 < acc then c + 1 else acc) rest
 
-(* Gao–Rexford propagation, read upwards from [x]: a provider route is one
-   hop below the best route of any provider, whatever its class. *)
+(* Gao–Rexford propagation, read upwards from [x]: [x] selects a customer
+   route, then a peer route, then a provider route — one hop below a
+   provider's own selected route; only within a class does length decide. *)
 let rec best_route t x =
   if t.best_mark.(x) = t.stamp then t.best.(x)
   else begin
-    let b = min (cust_route t x) (peer_route t inf (Asgraph.peers t.g x)) in
-    let b = min b (provider_route t inf (Asgraph.providers t.g x)) in
+    let c = cust_route t x in
+    let b =
+      if c <> inf then c
+      else
+        let p = peer_route t inf (Asgraph.peers t.g x) in
+        if p <> inf then p else provider_route t inf (Asgraph.providers t.g x)
+    in
     t.best.(x) <- b;
     t.best_mark.(x) <- t.stamp;
     b
@@ -92,22 +98,12 @@ and provider_route t acc = function
     let b = best_route t q in
     provider_route t (if b <> inf && b + 1 < acc then b + 1 else acc) rest
 
-(* The source prefers a customer route, then a peer route, then a provider
-   route; only within a class does length decide. *)
 let bgp_distance t ~src ~dst =
   if src = dst then Some 0
   else begin
     climb_from t dst;
-    let c = cust_route t src in
-    if c <> inf then Some c
-    else begin
-      let p = peer_route t inf (Asgraph.peers t.g src) in
-      if p <> inf then Some p
-      else begin
-        let v = provider_route t inf (Asgraph.providers t.g src) in
-        if v <> inf then Some v else None
-      end
-    end
+    let b = best_route t src in
+    if b = inf then None else Some b
   end
 
 let shortest_distance t ~src ~dst =

@@ -311,13 +311,12 @@ let inter_memo : (string, inter_run) memo = make_memo 8
 let inter_cfg_key = function
   | None -> "default"
   | Some (c : Net.config) ->
-    Printf.sprintf "%d/%d/%s/%h/%h/%b/%b" c.Net.finger_budget c.Net.cache_capacity
+    Printf.sprintf "%d/%d/%s/%h/%b/%b" c.Net.finger_budget c.Net.cache_capacity
       (match c.Net.peering_mode with
        | Net.No_peering -> "none"
        | Net.Virtual_as -> "vas"
        | Net.Bloom_filters -> "bloom")
-      c.Net.bloom_fpr c.Net.bloom_bits_per_entry c.Net.dedup_lookups
-      c.Net.fingers_root_only
+      c.Net.bloom_fpr c.Net.dedup_lookups c.Net.fingers_root_only
 
 let inter_params_key (p : Internet.params) =
   Printf.sprintf "%d/%d/%d/%d/%h/%h/%h" p.Internet.n_tier1 p.Internet.n_tier2

@@ -16,7 +16,6 @@ type config = {
   cache_capacity : int;
   peering_mode : peering_mode;
   bloom_fpr : float;
-  bloom_bits_per_entry : float;
   dedup_lookups : bool;
   fingers_root_only : bool;
 }
@@ -27,7 +26,6 @@ let default_config =
     cache_capacity = 0;
     peering_mode = Virtual_as;
     bloom_fpr = 0.01;
-    bloom_bits_per_entry = 10.0; (* ~1% fpr costs ~9.6 bits/entry *)
     dedup_lookups = true;
     fingers_root_only = false;
   }
@@ -156,7 +154,10 @@ let bloom_check t a ~home =
   && Asgraph.in_cone (Level.graph t.ctx) ~root:a home)
   || Prng.float t.rng 1.0 < t.cfg.bloom_fpr
 
-let bloom_state_bits t a = t.cfg.bloom_bits_per_entry *. float_of_int t.bloom_counts.(a)
+(* The state cost model: ~1% fpr costs ~9.6 bits per summarised identifier. *)
+let bloom_bits_per_entry = 10.0
+
+let bloom_state_bits t a = bloom_bits_per_entry *. float_of_int t.bloom_counts.(a)
 
 let count_in_blooms t home delta =
   match t.cfg.peering_mode with

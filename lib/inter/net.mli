@@ -25,7 +25,6 @@ type config = {
   cache_capacity : int;    (** per-AS interdomain pointer-cache entries *)
   peering_mode : peering_mode;
   bloom_fpr : float;       (** false-positive rate of per-AS bloom filters *)
-  bloom_bits_per_entry : float; (** state cost model: bits per summarised ID *)
   dedup_lookups : bool;    (** eliminate redundant same-successor lookups (§6.3) *)
   fingers_root_only : bool; (** ablation: place all fingers at Root instead of
                                 bottom-up across levels *)
@@ -95,7 +94,8 @@ val bloom_check : t -> int -> home:int -> bool
     [home] is the identifier's home AS, [-1] when no live host holds it. *)
 
 val bloom_state_bits : t -> int -> float
-(** Modelled bloom state at an AS (bits). *)
+(** Modelled bloom state at an AS (bits): 10 bits per identifier it
+    summarises. *)
 
 val count_in_blooms : t -> int -> int -> unit
 (** [count_in_blooms t home delta] adds [delta] to the bloom count of every

@@ -1,30 +1,20 @@
-(* α-parallel register file over [Proto.lookup_owner_alpha_into], the one
-   batched owner walk, and its only caller.  It persists registers across
-   rounds — stage, run, read — and each staged lookup owns up to α
-   branch-register slots, acquired from the file's freelist when [run]
-   seeds the branches and released as branches win, die, or are cancelled.
-   [slots_in_flight] must read 0 after every run: a cancellation path that
-   strands a slot is a bug the test suite pins directly against this
-   counter.
-
-   The walk itself lives in [Proto] (it needs store internals); this layer
-   owns the memory, the freelist discipline, and the duplicate-work ledger
-   the α sweeps report. *)
+(* α-parallel register file over [Proto.walk_owner], the α-branch owner
+   walk.  It persists registers across rounds — stage, run, read — and
+   [run] walks the staged lookups one after another through one set of
+   branch registers.  The walk itself lives in [Proto] (it needs store
+   internals); this layer owns the per-lookup result columns and the
+   duplicate-work ledger the α sweeps report. *)
 
 module Id = Rofl_idspace.Id
 
 type t = {
   proto : Proto.t;
-  alpha : int;
+  walk : Proto.owner_walk;
   mutable cap : int;
   mutable n : int;
-  (* per-lookup registers *)
   mutable from : int array;
   mutable targets : Id.t array;
-  mutable found : bool array;
   mutable owner : Id.t array;
-  mutable lk_done : Bytes.t;
-  mutable br_count : int array;
   mutable owner_router : int array;
   mutable winner_branch : int array;
   mutable branches : int array;
@@ -33,37 +23,21 @@ type t = {
   mutable wasted_link : int array;
   mutable link_hops : int array;
   mutable latency_ms : float array;
-  (* branch registers, cap * alpha flat *)
-  mutable br_router : int array;
-  mutable br_best : Id.t array;
-  mutable br_best_valid : Bytes.t;
-  mutable br_guard : int array;
-  mutable br_hops : int array;
-  mutable br_link_hops : int array;
-  mutable br_latency_ms : float array;
-  mutable br_live : Bytes.t;
-  (* freelist + ledgers *)
-  mutable in_flight : int;
   mutable last_cancellations : int;
   mutable total_cancellations : int;
   mutable total_wasted : int;
 }
 
 let create ?(hint = 16) ?(alpha = 1) proto =
-  if alpha < 1 then invalid_arg "Alpha.create: alpha must be >= 1";
   let cap = max 1 hint in
-  let ca = cap * alpha in
   {
     proto;
-    alpha;
+    walk = Proto.owner_walk ~alpha;
     cap;
     n = 0;
     from = Array.make cap 0;
     targets = Array.make cap Id.zero;
-    found = Array.make cap false;
     owner = Array.make cap Id.zero;
-    lk_done = Bytes.create cap;
-    br_count = Array.make cap 0;
     owner_router = Array.make cap (-1);
     winner_branch = Array.make cap (-1);
     branches = Array.make cap 0;
@@ -72,15 +46,6 @@ let create ?(hint = 16) ?(alpha = 1) proto =
     wasted_link = Array.make cap 0;
     link_hops = Array.make cap 0;
     latency_ms = Array.make cap 0.0;
-    br_router = Array.make ca 0;
-    br_best = Array.make ca Id.zero;
-    br_best_valid = Bytes.create ca;
-    br_guard = Array.make ca 0;
-    br_hops = Array.make ca 0;
-    br_link_hops = Array.make ca 0;
-    br_latency_ms = Array.make ca 0.0;
-    br_live = Bytes.make ca '\000';
-    in_flight = 0;
     last_cancellations = 0;
     total_cancellations = 0;
     total_wasted = 0;
@@ -88,25 +53,14 @@ let create ?(hint = 16) ?(alpha = 1) proto =
 
 let grow t cap =
   let cap = max cap (2 * t.cap) in
-  let ca = cap * t.alpha in
   let copy a dummy =
     let b = Array.make cap dummy in
     Array.blit a 0 b 0 t.cap;
     b
   in
-  let copy_br a dummy =
-    let b = Array.make ca dummy in
-    Array.blit a 0 b 0 (t.cap * t.alpha);
-    b
-  in
   t.from <- copy t.from 0;
   t.targets <- copy t.targets Id.zero;
-  t.found <- copy t.found false;
   t.owner <- copy t.owner Id.zero;
-  (let b = Bytes.make cap '\000' in
-   Bytes.blit t.lk_done 0 b 0 t.cap;
-   t.lk_done <- b);
-  t.br_count <- copy t.br_count 0;
   t.owner_router <- copy t.owner_router (-1);
   t.winner_branch <- copy t.winner_branch (-1);
   t.branches <- copy t.branches 0;
@@ -115,18 +69,6 @@ let grow t cap =
   t.wasted_link <- copy t.wasted_link 0;
   t.link_hops <- copy t.link_hops 0;
   t.latency_ms <- copy t.latency_ms 0.0;
-  t.br_router <- copy_br t.br_router 0;
-  t.br_best <- copy_br t.br_best Id.zero;
-  (let b = Bytes.make ca '\000' in
-   Bytes.blit t.br_best_valid 0 b 0 (t.cap * t.alpha);
-   t.br_best_valid <- b);
-  t.br_guard <- copy_br t.br_guard 0;
-  t.br_hops <- copy_br t.br_hops 0;
-  t.br_link_hops <- copy_br t.br_link_hops 0;
-  t.br_latency_ms <- copy_br t.br_latency_ms 0.0;
-  (let b = Bytes.make ca '\000' in
-   Bytes.blit t.br_live 0 b 0 (t.cap * t.alpha);
-   t.br_live <- b);
   t.cap <- cap
 
 let clear t = t.n <- 0
@@ -141,58 +83,47 @@ let stage t ~from ~target =
 
 let length t = t.n
 
+(* The lookup pays for its charged branch — the winner, or branch 0 when
+   unresolved (what the α=1 walk would have done); every other branch's
+   ring hops and link traversals are duplicate work. *)
 let run t =
-  let stats =
-    {
-      Proto.al_owner_router = t.owner_router;
-      al_winner_branch = t.winner_branch;
-      al_branches = t.branches;
-      al_ring_hops = t.ring_hops;
-      al_wasted_hops = t.wasted_hops;
-      al_link_hops = t.link_hops;
-      al_latency_ms = t.latency_ms;
-    }
-  in
-  let cancelled, released =
-    Proto.lookup_owner_alpha_into t.proto ~n:t.n ~alpha:t.alpha ~from:t.from
-      ~targets:t.targets ~found:t.found ~owner:t.owner ~lk_done:t.lk_done
-      ~br_count:t.br_count ~br_router:t.br_router ~br_best:t.br_best
-      ~br_best_valid:t.br_best_valid ~br_guard:t.br_guard ~br_hops:t.br_hops
-      ~br_link_hops:t.br_link_hops ~br_latency_ms:t.br_latency_ms
-      ~br_live:t.br_live ~stats
-  in
-  let acquired = ref 0 in
+  let w = t.walk in
+  t.last_cancellations <- 0;
   for i = 0 to t.n - 1 do
-    acquired := !acquired + t.br_count.(i)
-  done;
-  t.in_flight <- !acquired - released;
-  t.last_cancellations <- cancelled;
-  t.total_cancellations <- t.total_cancellations + cancelled;
-  (* Settle the wasted-LINK ledger from the branch registers: the engine's
-     [wasted_hops] counts ring hops; message accounting needs the link
-     traversals the losers burned (same exclusion rule — the winner, or
-     branch 0 when unresolved, is the answer's own cost). *)
-  for i = 0 to t.n - 1 do
-    t.total_wasted <- t.total_wasted + t.wasted_hops.(i);
-    let base = i * t.alpha in
-    let keep = if t.winner_branch.(i) >= 0 then t.winner_branch.(i) else 0 in
-    let wl = ref 0 in
-    for b = 0 to t.br_count.(i) - 1 do
-      if b <> keep then wl := !wl + t.br_link_hops.(base + b)
+    Proto.walk_owner t.proto w ~from:t.from.(i) ~target:t.targets.(i);
+    let win = w.Proto.w_winner in
+    let charged = max win 0 in
+    t.owner.(i) <- w.w_owner;
+    t.owner_router.(i) <- (if win >= 0 then w.w_router.(win) else -1);
+    t.winner_branch.(i) <- win;
+    t.branches.(i) <- w.w_branches;
+    t.ring_hops.(i) <- w.w_hops.(charged);
+    t.link_hops.(i) <- w.w_link_hops.(charged);
+    t.latency_ms.(i) <- w.w_latency_ms.(charged);
+    let wasted = ref 0 and wasted_link = ref 0 in
+    for b = 0 to w.w_branches - 1 do
+      if b <> charged then begin
+        wasted := !wasted + w.w_hops.(b);
+        wasted_link := !wasted_link + w.w_link_hops.(b)
+      end
     done;
-    t.wasted_link.(i) <- !wl
-  done
+    t.wasted_hops.(i) <- !wasted;
+    t.wasted_link.(i) <- !wasted_link;
+    t.total_wasted <- t.total_wasted + !wasted;
+    t.last_cancellations <- t.last_cancellations + w.w_cancelled
+  done;
+  t.total_cancellations <- t.total_cancellations + t.last_cancellations
 
 let check t i name =
   if i < 0 || i >= t.n then invalid_arg ("Alpha." ^ name ^ ": index out of batch")
 
 let resolved t i =
   check t i "resolved";
-  t.found.(i)
+  t.winner_branch.(i) >= 0
 
 let owner_id t i =
   check t i "owner_id";
-  if not t.found.(i) then invalid_arg "Alpha.owner_id: unresolved lookup";
+  if t.winner_branch.(i) < 0 then invalid_arg "Alpha.owner_id: unresolved lookup";
   t.owner.(i)
 
 let owner_router t i =
@@ -226,8 +157,6 @@ let link_hops t i =
 let latency_ms t i =
   check t i "latency_ms";
   t.latency_ms.(i)
-
-let slots_in_flight t = t.in_flight
 
 let cancellations t = t.last_cancellations
 

@@ -4,22 +4,16 @@
     {!clear}, repeat — the registers persist across rounds, so steady-state
     callers (the service directory's publish and resolve paths, the bench
     hot loop) allocate nothing per round beyond the walk's shortest-path
-    pricing.  Every staged lookup is walked by up to α concurrent greedy
-    branches with first-success semantics: branch 0 starts at the staged
-    origin, extra branches start from diversified pointers (pointer-cache
-    entry closest to the target, successor-list backups, predecessor).  The
-    first branch to reach the owner wins; live siblings are cooperatively
-    cancelled and their hops land in the duplicate-work ledger.
+    pricing.  Every staged lookup is walked by {!Proto.walk_owner}: up to α
+    greedy branches with first-success semantics.  Branch 0 starts at the
+    staged origin, extra branches start from diversified pointers
+    (pointer-cache entry closest to the target, successor-list backups,
+    predecessor).  The first branch to reach the owner wins; live siblings
+    are cancelled and their hops land in the duplicate-work ledger.
 
-    Branch registers are acquired from this file's slot pool when [run]
-    seeds the branches and released as branches win, die, or are
-    cancelled.  {!slots_in_flight} is the freelist invariant: it must read
-    0 after every run — a cancellation path that strands a slot is a bug.
-
-    Determinism: branch seeding and the win tie-break (lowest branch
-    index within the fixed per-pass draw order) depend only on staged
-    order and table state, so results are byte-identical at any
-    [--jobs]/[--shards]. *)
+    Determinism: the walk is pure-read, so a lookup's results depend on the
+    table state alone — not on its position in the batch or on the lookups
+    staged around it — and are byte-identical at any [--jobs]/[--shards]. *)
 
 type t
 
@@ -39,8 +33,9 @@ val stage : t -> from:int -> target:Rofl_idspace.Id.t -> int
 val length : t -> int
 
 val run : t -> unit
-(** Resolve every staged lookup with α-parallel walks.  Allocation-free on
-    the walk path; results persist until the next [run] or {!clear}. *)
+(** Resolve the staged lookups one after another through one set of branch
+    registers.  Allocation-free on the walk path; results persist until the
+    next [run] or {!clear}. *)
 
 val resolved : t -> int -> bool
 
@@ -74,10 +69,6 @@ val link_hops : t -> int -> int
 
 val latency_ms : t -> int -> float
 (** Summed shortest-path latency of the winning branch's ring hops. *)
-
-val slots_in_flight : t -> int
-(** Branch slots acquired but never released by the last [run] — the
-    freelist invariant; always 0 unless the engine is broken. *)
 
 val cancellations : t -> int
 (** Cooperative cancellations issued during the last [run]. *)

@@ -819,7 +819,7 @@ let send_direct t ~cat ~from ~dest msg k =
    A router's best local knowledge of a target: the identifier closest to
    it, not past it, among its residents and their successor pointers,
    excluding [avoid] and (with [skip_target], for a join) the target.  The
-   one ranking of every greedy step: the chase, [lookup_owner], the batched
+   one ranking of every greedy step: the chase, [lookup_owner], the α-branch
    owner walk.  Chain order, each resident before its successor; ties keep
    the first visited.  Returns the router hosting the winner ([router] for
    a resident) or -1, with the winner in the shard's [ranked] register. *)
@@ -905,49 +905,43 @@ let link_hops_between t a b =
    between branches resolves to the lowest branch index, so α results are a
    function of the workload alone.  Writes at most [max_extra] routers into
    [out.(pos..)] and returns how many it wrote.  Traverses the resident
-   chains directly (no visitor closures); the only per-call allocation is
-   the cursor cell. *)
+   chains directly and allocates nothing. *)
+
+let rec drawn out r k stop = k < stop && (out.(k) = r || drawn out r (k + 1) stop)
+
+(* [out.(pos..cur-1)] with router [r] drawn unless it is the origin, already
+   drawn, or past [stop]: the new end. *)
+let draw_start out ~from ~pos ~stop cur r =
+  if r < 0 || r = from || cur >= stop || drawn out r pos cur then cur
+  else begin
+    out.(cur) <- r;
+    cur + 1
+  end
 
 let branch_starts_into t ~from ~target ~out ~pos ~max_extra =
   if max_extra <= 0 then 0
   else begin
     let stop = pos + max_extra in
-    let cursor = ref pos in
-    let scan = ref pos in
-    let push r =
-      if r >= 0 && r <> from && !cursor < stop then begin
-        scan := pos;
-        while !scan < !cursor && out.(!scan) <> r do
-          incr scan
-        done;
-        if !scan = !cursor then begin
-          out.(!cursor) <- r;
-          incr cursor
-        end
-      end
-    in
+    let cur = ref pos in
     if Array.length t.pcaches > 0 then begin
       let c = t.pcaches.(from) in
       let i = Pcache.best_toward c ~target in
-      if i >= 0 then push c.Pcache.routers.(i)
+      if i >= 0 then cur := draw_start out ~from ~pos ~stop !cur c.Pcache.routers.(i)
     end;
     let store = (shd t from).store in
     let s = ref (Store.chain_head store from) in
-    while !s >= 0 && !cursor < stop do
-      let len = Store.succ_list_len store !s in
-      let k = ref 0 in
-      while !k < len && !cursor < stop do
-        push (Store.succ_list_router store !s !k);
-        incr k
+    while !s >= 0 && !cur < stop do
+      for k = 0 to Store.succ_list_len store !s - 1 do
+        cur := draw_start out ~from ~pos ~stop !cur (Store.succ_list_router store !s k)
       done;
       s := Store.chain_next store !s
     done;
     s := Store.chain_head store from;
-    while !s >= 0 && !cursor < stop do
-      push (Store.pred_router_raw store !s);
+    while !s >= 0 && !cur < stop do
+      cur := draw_start out ~from ~pos ~stop !cur (Store.pred_router_raw store !s);
       s := Store.chain_next store !s
     done;
-    !cursor - pos
+    !cur - pos
   end
 
 (* ---- the greedy chase ----------------------------------------------------
@@ -2086,7 +2080,7 @@ let inject_cross_splice t =
 let lookup_owner t ~from target =
   (* [has_best = false] is the cleared horizon, [succ target]: anything at
      less than the maximal clockwise distance is strictly closer, the test
-     the batched walk makes, with no horizon identifier built. *)
+     the α-branch walk makes, with no horizon identifier built. *)
   let rec walk router has_best best_id guard =
     if guard > 4 * Graph.n t.graph then None
     else begin
@@ -2112,214 +2106,127 @@ let lookup_owner_batch t ~from ~targets =
     invalid_arg "Proto.lookup_owner_batch: from/targets length mismatch";
   Array.map2 (fun from target -> lookup_owner t ~from target) from targets
 
-(* ---- the batched owner walk ----------------------------------------------
+(* ---- the α-branch owner walk ---------------------------------------------
 
-   The same pure-read greedy walk as {!lookup_owner}, advanced one hop per
-   pass across a whole batch of lookups so campaigns can resolve owner sets
-   without re-entering the walk per query.  Each hop ranks with [rank],
-   settles with [best_resident] and is priced by the link-state shortest
-   path between its two routers, so the per-hop path allocates nothing.  At
-   [alpha = 1] the verdicts are exactly {!lookup_owner_batch}'s.
+   The same pure-read greedy walk as {!lookup_owner}, run by up to [alpha]
+   branches of one lookup: branch 0 from the caller's router, the rest from
+   diversified starts ({!branch_starts_into}).  Each pass steps every live
+   branch once, in branch order; the first branch to reach a verdict wins
+   and its live siblings are cancelled, so a tie between branches resolves
+   to the lowest branch index.  Each hop ranks with [rank], settles with
+   [best_resident] and is priced by the link-state shortest path between its
+   two routers, so a hop allocates nothing.  The pricing only warms
+   memoised shortest-path trees: a lookup's result depends on the tables
+   alone, never on the lookups walked before it.  At [alpha = 1] the verdict
+   is exactly {!lookup_owner}'s. *)
 
-   The walk runs up to [alpha] concurrent greedy walk *branches* per
-   lookup — branch 0 from the caller's router, the rest from diversified
-   starts ({!branch_starts_into}) — with first-success semantics: the first
-   branch to land a verdict resolves the lookup and the surviving siblings
-   are cancelled on the spot.  Registers are flat parallel arrays indexed
-   [i*alpha + b] so one pass advances every in-flight branch of every
-   lookup one walk-iteration; within a pass, branches step in (lookup,
-   branch-index) order, so any tie between branches resolves to the lowest
-   branch index — the determinism discipline that keeps results a function
-   of the workload alone.
-
-   Duplicate-work accounting is settled at resolution time, not at branch
-   death: the waste of lookup [i] is the ring hops of every branch minus
-   the charged branch (the winner, or branch 0 when no branch succeeds), so
-   nothing is double-counted.  [cancellations] counts branches that were
-   still live when a sibling won; [released] counts every branch slot
-   handed back — the caller's freelist invariant is
-   [released = Σ br_count.(i)]. *)
-
-type alpha_stats = {
-  al_owner_router : int array;  (* verdict router, -1 when unresolved *)
-  al_winner_branch : int array; (* winning branch index, -1 when unresolved *)
-  al_branches : int array;      (* branches actually launched *)
-  al_ring_hops : int array;     (* charged branch's greedy hops *)
-  al_wasted_hops : int array;   (* every other branch's greedy hops *)
-  al_link_hops : int array;     (* charged branch's physical link traversals *)
-  al_latency_ms : float array;  (* charged branch's summed path latency *)
+type owner_walk = {
+  w_alpha : int;
+  mutable w_owner : Id.t;
+  mutable w_winner : int;
+  mutable w_branches : int;
+  mutable w_cancelled : int;
+  w_router : int array;
+  w_hops : int array;
+  w_link_hops : int array;
+  w_latency_ms : float array;
+  w_best : Id.t array;
+  w_has_best : Bytes.t;
+  w_live : Bytes.t;
 }
 
-let lookup_owner_alpha_into t ~n ~alpha ~from ~targets ~found
-    ~(owner : Id.t array) ~(lk_done : Bytes.t) ~br_count ~br_router ~br_best
-    ~(br_best_valid : Bytes.t) ~br_guard ~br_hops ~br_link_hops ~br_latency_ms
-    ~(br_live : Bytes.t) ~stats =
-  if alpha < 1 then invalid_arg "Proto.lookup_owner_alpha_into: alpha must be >= 1";
-  if Array.length from < n || Array.length targets < n then
-    invalid_arg "Proto.lookup_owner_alpha_into: from/targets shorter than batch";
-  if
-    Array.length found < n || Array.length owner < n
-    || Bytes.length lk_done < n
-    || Array.length br_count < n
-  then invalid_arg "Proto.lookup_owner_alpha_into: per-lookup arrays shorter than batch";
-  if
-    Array.length br_router < n * alpha
-    || Array.length br_best < n * alpha
-    || Bytes.length br_best_valid < n * alpha
-    || Array.length br_guard < n * alpha
-    || Array.length br_hops < n * alpha
-    || Bytes.length br_live < n * alpha
-  then invalid_arg "Proto.lookup_owner_alpha_into: branch registers shorter than n*alpha";
-  if Array.length br_link_hops < n * alpha || Array.length br_latency_ms < n * alpha then
-    invalid_arg "Proto.lookup_owner_alpha_into: branch stat registers shorter than n*alpha";
-  let guard_max = 4 * Graph.n t.graph in
-  let win_id = ref Id.zero in
-  (* one walk hop for branch register [j] of lookup [i]:
-     0 = stepped, 1 = verdict in [win_id], 2 = branch dead *)
-  let step i j =
-    if br_guard.(j) > guard_max then 2
-    else begin
-      let r = br_router.(j) and target = targets.(i) in
-      let sh = shd t r in
-      let next = rank sh ~router:r ~target ~skip_target:false ~avoid:[] in
-      if next < 0 then 2
-      else if next = r then begin
-        win_id := sh.ranked;
-        1
-      end
-      else begin
-        let id = sh.ranked in
-        let progress =
-          if Bytes.unsafe_get br_best_valid j <> '\000' then
-            Id.closer_clockwise ~target id br_best.(j)
-          else
-            (* cleared horizon = [succ target]: anything at less than the
-               maximal clockwise distance is strictly closer *)
-            Id.compare_dist id target Id.zero Id.max_value < 0
-        in
-        if not progress then begin
-          (* No progress: settle on the best local resident. *)
-          let s = best_resident sh.store ~router:r ~target in
-          if s >= 0 then begin
-            win_id := Store.rid sh.store s;
-            1
-          end
-          else 2
-        end
-        else begin
-          let h = Linkstate.price_hop_into sh.s_ls r next ~latency:br_latency_ms j in
-          if h >= 0 then br_link_hops.(j) <- br_link_hops.(j) + h;
-          br_hops.(j) <- br_hops.(j) + 1;
-          br_router.(j) <- next;
-          br_best.(j) <- id;
-          Bytes.unsafe_set br_best_valid j '\001';
-          br_guard.(j) <- br_guard.(j) + 1;
-          0
-        end
-      end
-    end
-  in
-  let cancellations = ref 0 in
-  let released = ref 0 in
-  for i = 0 to n - 1 do
-    let base = i * alpha in
-    found.(i) <- false;
-    Bytes.unsafe_set lk_done i '\000';
-    br_router.(base) <- from.(i);
-    let extra =
-      if alpha > 1 then
-        branch_starts_into t ~from:from.(i) ~target:targets.(i) ~out:br_router
-          ~pos:(base + 1) ~max_extra:(alpha - 1)
-      else 0
+let owner_walk ~alpha =
+  if alpha < 1 then invalid_arg "Proto.owner_walk: alpha must be >= 1";
+  {
+    w_alpha = alpha;
+    w_owner = Id.zero;
+    w_winner = -1;
+    w_branches = 0;
+    w_cancelled = 0;
+    w_router = Array.make alpha 0;
+    w_hops = Array.make alpha 0;
+    w_link_hops = Array.make alpha 0;
+    w_latency_ms = Array.make alpha 0.0;
+    w_best = Array.make alpha Id.zero;
+    w_has_best = Bytes.make alpha '\000';
+    w_live = Bytes.make alpha '\000';
+  }
+
+(* One hop of branch [b]; [false] once the branch is done, with a verdict
+   in [w_owner]/[w_winner] or dead. *)
+let step_branch t w ~target ~guard_max b =
+  w.w_hops.(b) <= guard_max
+  &&
+  let r = w.w_router.(b) in
+  let sh = shd t r in
+  let next = rank sh ~router:r ~target ~skip_target:false ~avoid:[] in
+  if next < 0 then false
+  else if next = r then begin
+    w.w_owner <- sh.ranked;
+    w.w_winner <- b;
+    false
+  end
+  else begin
+    let id = sh.ranked in
+    let progress =
+      if Bytes.unsafe_get w.w_has_best b <> '\000' then
+        Id.closer_clockwise ~target id w.w_best.(b)
+      else
+        (* cleared horizon = [succ target]: anything at less than the
+           maximal clockwise distance is strictly closer *)
+        Id.compare_dist id target Id.zero Id.max_value < 0
     in
-    br_count.(i) <- 1 + extra;
-    for b = 0 to extra do
-      let j = base + b in
-      br_best.(j) <- Id.zero;
-      Bytes.unsafe_set br_best_valid j '\000';
-      br_guard.(j) <- 0;
-      br_hops.(j) <- 0;
-      Bytes.unsafe_set br_live j '\001';
-      br_link_hops.(j) <- 0;
-      br_latency_ms.(j) <- 0.0
-    done;
-    stats.al_owner_router.(i) <- -1;
-    stats.al_winner_branch.(i) <- -1;
-    stats.al_branches.(i) <- 1 + extra;
-    stats.al_ring_hops.(i) <- 0;
-    stats.al_wasted_hops.(i) <- 0;
-    stats.al_link_hops.(i) <- 0;
-    stats.al_latency_ms.(i) <- 0.0
+    if progress then begin
+      let h = Linkstate.price_hop_into sh.s_ls r next ~latency:w.w_latency_ms b in
+      if h >= 0 then w.w_link_hops.(b) <- w.w_link_hops.(b) + h;
+      w.w_hops.(b) <- w.w_hops.(b) + 1;
+      w.w_router.(b) <- next;
+      w.w_best.(b) <- id;
+      Bytes.unsafe_set w.w_has_best b '\001';
+      true
+    end
+    else begin
+      (* No progress: settle on the best local resident. *)
+      let s = best_resident sh.store ~router:r ~target in
+      if s >= 0 then begin
+        w.w_owner <- Store.rid sh.store s;
+        w.w_winner <- b
+      end;
+      false
+    end
+  end
+
+let walk_owner t w ~from ~target =
+  w.w_router.(0) <- from;
+  let extra =
+    branch_starts_into t ~from ~target ~out:w.w_router ~pos:1 ~max_extra:(w.w_alpha - 1)
+  in
+  for b = 0 to extra do
+    w.w_hops.(b) <- 0;
+    w.w_link_hops.(b) <- 0;
+    w.w_latency_ms.(b) <- 0.0;
+    Bytes.unsafe_set w.w_has_best b '\000';
+    Bytes.unsafe_set w.w_live b '\001'
   done;
-  let remaining = ref n in
-  while !remaining > 0 do
-    for i = 0 to n - 1 do
-      if Bytes.unsafe_get lk_done i = '\000' then begin
-        let base = i * alpha in
-        let cnt = br_count.(i) in
-        let b = ref 0 in
-        while !b < cnt && Bytes.unsafe_get lk_done i = '\000' do
-          let j = base + !b in
-          if Bytes.unsafe_get br_live j <> '\000' then begin
-            let verdict = step i j in
-            if verdict = 1 then begin
-              (* First success: resolve, cancel surviving siblings, settle
-                 the waste ledger in one place. *)
-              found.(i) <- true;
-              owner.(i) <- !win_id;
-              Bytes.unsafe_set br_live j '\000';
-              incr released;
-              for b' = 0 to cnt - 1 do
-                if b' <> !b then begin
-                  let j' = base + b' in
-                  if Bytes.unsafe_get br_live j' <> '\000' then begin
-                    Bytes.unsafe_set br_live j' '\000';
-                    incr released;
-                    incr cancellations
-                  end
-                end
-              done;
-              stats.al_owner_router.(i) <- br_router.(j);
-              stats.al_winner_branch.(i) <- !b;
-              stats.al_ring_hops.(i) <- br_hops.(j);
-              stats.al_link_hops.(i) <- br_link_hops.(j);
-              stats.al_latency_ms.(i) <- br_latency_ms.(j);
-              let waste = ref 0 in
-              for b' = 0 to cnt - 1 do
-                if b' <> !b then waste := !waste + br_hops.(base + b')
-              done;
-              stats.al_wasted_hops.(i) <- !waste;
-              Bytes.unsafe_set lk_done i '\001';
-              decr remaining
-            end
-            else if verdict = 2 then begin
-              Bytes.unsafe_set br_live j '\000';
-              incr released;
-              let any_live = ref false in
-              for b' = 0 to cnt - 1 do
-                if Bytes.unsafe_get br_live (base + b') <> '\000' then
-                  any_live := true
-              done;
-              if not !any_live then begin
-                (* Every branch dead: unresolved.  Branch 0 is the charged
-                   walk (what the sequential engine would have done), the
-                   rest is waste. *)
-                stats.al_ring_hops.(i) <- br_hops.(base);
-                stats.al_link_hops.(i) <- br_link_hops.(base);
-                stats.al_latency_ms.(i) <- br_latency_ms.(base);
-                let waste = ref 0 in
-                for b' = 1 to cnt - 1 do
-                  waste := !waste + br_hops.(base + b')
-                done;
-                stats.al_wasted_hops.(i) <- !waste;
-                Bytes.unsafe_set lk_done i '\001';
-                decr remaining
-              end
-            end
-          end;
-          incr b
-        done
-      end
+  w.w_winner <- -1;
+  w.w_branches <- extra + 1;
+  w.w_cancelled <- 0;
+  let guard_max = 4 * Graph.n t.graph in
+  let live = ref (extra + 1) in
+  while !live > 0 do
+    let b = ref 0 in
+    while !b <= extra && !live > 0 do
+      if
+        Bytes.unsafe_get w.w_live !b <> '\000'
+        && not (step_branch t w ~target ~guard_max !b)
+      then begin
+        Bytes.unsafe_set w.w_live !b '\000';
+        decr live;
+        if w.w_winner >= 0 then begin
+          w.w_cancelled <- !live;
+          live := 0
+        end
+      end;
+      incr b
     done
-  done;
-  (!cancellations, !released)
+  done

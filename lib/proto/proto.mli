@@ -332,7 +332,7 @@ val stale_open : t -> int
 val lookup_owner : t -> from:int -> Rofl_idspace.Id.t -> Rofl_idspace.Id.t option
 (** Synchronously walk the current pointer state greedily from a router —
     the data-plane view of this actor network's tables, and the short
-    sequential reference the batched walk below is tested against. *)
+    reference the α-branch walk below is tested against. *)
 
 val lookup_owner_batch :
   t ->
@@ -343,57 +343,40 @@ val lookup_owner_batch :
     toward [targets.(i)].  Raises [Invalid_argument] if the arrays differ
     in length. *)
 
-type alpha_stats = {
-  al_owner_router : int array;  (** verdict router, -1 when unresolved *)
-  al_winner_branch : int array; (** winning branch index, -1 when unresolved *)
-  al_branches : int array;      (** branches actually launched (≤ α) *)
-  al_ring_hops : int array;     (** charged branch's greedy hops *)
-  al_wasted_hops : int array;   (** every other branch's greedy hops *)
-  al_link_hops : int array;     (** charged branch's physical link traversals *)
-  al_latency_ms : float array;  (** charged branch's summed path latency *)
+type owner_walk = private {
+  w_alpha : int;                (** branches at most *)
+  mutable w_owner : Rofl_idspace.Id.t;  (** the verdict, when [w_winner >= 0] *)
+  mutable w_winner : int;       (** branch that reached it, -1 when unresolved *)
+  mutable w_branches : int;     (** branches seeded, 1 ≤ [w_branches] ≤ [w_alpha] *)
+  mutable w_cancelled : int;    (** live siblings the win cancelled *)
+  w_router : int array;         (** per branch: its router; the winner's hosts the owner *)
+  w_hops : int array;           (** per branch: ring hops taken *)
+  w_link_hops : int array;      (** per branch: link traversals of those hops *)
+  w_latency_ms : float array;   (** per branch: summed shortest-path latency *)
+  w_best : Rofl_idspace.Id.t array;  (** per branch: the walk's horizon (scratch) *)
+  w_has_best : Bytes.t;         (** scratch *)
+  w_live : Bytes.t;             (** scratch *)
 }
+(** The registers of the α-branch owner walk, made once by {!owner_walk} and
+    reused for every lookup.  Branch arrays are meaningful below
+    [w_branches]. *)
 
-val lookup_owner_alpha_into :
-  t ->
-  n:int ->
-  alpha:int ->
-  from:int array ->
-  targets:Rofl_idspace.Id.t array ->
-  found:bool array ->
-  owner:Rofl_idspace.Id.t array ->
-  lk_done:Bytes.t ->
-  br_count:int array ->
-  br_router:int array ->
-  br_best:Rofl_idspace.Id.t array ->
-  br_best_valid:Bytes.t ->
-  br_guard:int array ->
-  br_hops:int array ->
-  br_link_hops:int array ->
-  br_latency_ms:float array ->
-  br_live:Bytes.t ->
-  stats:alpha_stats ->
-  int * int
-(** The batched owner walk in register form, behind the {!Alpha} register
-    file (its only caller).  At [alpha = 1] its verdicts are
-    {!lookup_owner}'s.  Up to [alpha]
-    concurrent greedy branches per lookup — branch 0 from [from.(i)], the
-    rest from diversified starts (pointer-cache best match toward the
-    target, then successor-list backup routers, then predecessor routers,
-    deduplicated) — advanced one walk-iteration per pass across every
-    in-flight branch, first success wins, surviving siblings cancelled on
-    the spot.  Branch registers are flat arrays indexed [i*alpha + b];
-    per-lookup arrays must hold [n] entries, branch registers [n*alpha].
-    Every ring hop is priced by the link-state shortest path between its
-    two routers; the Dijkstra pricing only warms per-shard memoised trees,
-    so the walk stays pure-read.  Within a pass branches
-    step in (lookup, branch) order, so ties resolve to the lowest branch
-    index — results are a deterministic function of the workload.  Waste is
-    settled once per lookup at resolution: ring hops of every branch except
-    the charged one (winner, or branch 0 when unresolved).  Returns
-    [(cancellations, released)]: branches cancelled live, and total branch
-    slots handed back — the caller's freelist drains to empty exactly when
-    [released = Σ br_count.(i)].  Raises [Invalid_argument] if
-    [alpha < 1] or a register is shorter than the batch. *)
+val owner_walk : alpha:int -> owner_walk
+(** Registers for lookups of up to [alpha] branches.  Raises
+    [Invalid_argument] if [alpha < 1]. *)
+
+val walk_owner : t -> owner_walk -> from:int -> target:Rofl_idspace.Id.t -> unit
+(** Walk one lookup by up to [w_alpha] greedy branches, overwriting the
+    registers: branch 0 from [from], the rest from diversified starts
+    (pointer-cache best match toward the target, then successor-list backup
+    routers, then predecessor routers, deduplicated).  Each pass steps every
+    live branch once, in branch order; the first branch to reach a verdict
+    wins and its live siblings are cancelled, so ties resolve to the lowest
+    branch index.  When every branch dies the lookup is unresolved.  Every
+    ring hop is priced by the link-state shortest path between its two
+    routers; the pricing only warms memoised trees, so the walk stays
+    pure-read, and on warm trees it allocates nothing.  At [alpha = 1] its
+    verdict is {!lookup_owner}'s. *)
 
 val latency_between : t -> int -> int -> float
 (** Link-state shortest-path latency between two routers (0 when equal or

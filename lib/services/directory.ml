@@ -16,7 +16,7 @@ module Alpha = Rofl_proto.Alpha
    - *Placed records* — the {!Provider_store}: the copy of each intent that
      currently lives at the ring owner of its service identifier, plus any
      decaying copies at previous owners.  Placement is resolved through the
-     batched owner walk (an α=1 {!Rofl_proto.Alpha} register file), never
+     owner walk (an α=1 {!Rofl_proto.Alpha} register file), never
      through an oracle: a publish goes where the walk says the owner is.
 
    - *Resolver caches* — one bounded LRU {!Resolver} per querying router,
@@ -236,7 +236,7 @@ let ensure_midx t n =
   if Array.length t.m_idx < n then
     t.m_idx <- Array.make (max n (2 * max 1 (Array.length t.m_idx))) 0
 
-(* Publish every intent the predicate selects: one fused batch walk from
+(* Publish every intent the predicate selects: one owner walk from
    each origin toward its service identifier, then records placed at the
    router each walk's verdict landed on.  The publish message is charged
    one-way (origin -> owner) in link traversals priced by the walk. *)
@@ -330,7 +330,9 @@ let judge t ~service ~(served : Id.t array) =
 
 (* Misses ride the α-parallel register file: the winning branch prices
    latency, and losing-branch hops are billed to [svc-resolve-msg] too —
-   redundancy is real traffic (at α=1 there are no losing branches). *)
+   redundancy is real traffic (at α=1 there are no losing branches).  Two
+   phases: every miss is walked before any answer is installed, so a later
+   miss of the batch cannot hit an answer an earlier one just installed. *)
 let resolve_batch t ~now ~n ~(from : int array) ~(services : Id.t array) =
   if Array.length from < n || Array.length services < n then
     invalid_arg "Directory.resolve_batch: input arrays shorter than batch";

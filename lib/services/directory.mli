@@ -9,8 +9,8 @@
       origin keeps republishing while active; also the instrumentation
       oracle stale-answer SLOs compare against;
     - {e placed records} — the {!Provider_store} copies at ring owners,
-      placed through the batched owner walk (an α=1
-      {!Rofl_proto.Alpha} register file), refreshed each republish period
+      placed through the owner walk (an α=1 {!Rofl_proto.Alpha}
+      register file), refreshed each republish period
       and decaying by TTL;
     - {e resolver caches} — one bounded LRU {!Resolver} per querying
       router, with negative entries.
@@ -103,10 +103,11 @@ val sweep : t -> now:float -> int
 val resolve_batch :
   t -> now:float -> n:int -> from:int array -> services:Rofl_idspace.Id.t array -> unit
 (** Resolve [services.(i)] from router [from.(i)] for [i < n]: cache hits
-    answer locally at zero latency; misses ride one fused α-parallel
-    owner walk ({!Rofl_proto.Alpha} at [config.alpha]) to their ring
-    owners, read the provider records there, and install (positive or
-    negative) cache entries.  Miss latency is the winning branch's priced
+    answer locally at zero latency; misses ride one α-parallel
+    {!Rofl_proto.Alpha} run (at [config.alpha]) to their ring owners, read
+    the provider records there, and install (positive or negative) cache
+    entries.  Every miss is walked before any answer is installed, so no
+    miss hits an answer installed by another miss of the same batch.  Miss latency is the winning branch's priced
     latency plus the shortest-path response leg; losing-branch link
     traversals are billed to [svc-resolve-msg] on top — redundancy is real
     traffic.  Read the

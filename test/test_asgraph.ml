@@ -137,7 +137,7 @@ let test_topo_order () =
    destination.
    - customer routes exist at every ancestor of d (learned from a customer),
    - peer routes at ASes with a peer holding a customer route,
-   - provider routes trickle down from any AS holding any route. *)
+   - provider routes trickle down from each AS's selected route. *)
 type tables = { cust : int array; peer : int array; prov : int array }
 
 let inf = max_int
@@ -167,11 +167,14 @@ let reference_tables g d =
       (fun p -> if cust.(p) <> inf && cust.(p) + 1 < peer.(x) then peer.(x) <- cust.(p) + 1)
       (Asgraph.peers g x)
   done;
-  (* Provider routes: providers-first order so a provider's best route is
-     final before its customers read it. *)
+  (* Provider routes: providers-first order so a provider's selected route
+     is final before its customers read it.  A provider exports only the
+     route it selected: customer, then peer, then provider. *)
   Array.iter
     (fun x ->
-      let best_x = min cust.(x) (min peer.(x) prov.(x)) in
+      let best_x =
+        if cust.(x) <> inf then cust.(x) else if peer.(x) <> inf then peer.(x) else prov.(x)
+      in
       if best_x <> inf then
         List.iter
           (fun c -> if best_x + 1 < prov.(c) then prov.(c) <- best_x + 1)
@@ -250,9 +253,9 @@ let prop_bgp_matches_tables =
 
 (* A provider whose peer route is shorter than its customer route:
        1 -> 0 == 5          0 reaches 4 down 0-2-3-4 (customer route, 3)
-            |    \         or over its peer 5 (peer route, 2).  A provider
-            2     |         route is one hop below a provider's shortest
-            |     |         route of any class, so 1 -> 4 is 3.
+            |    \         or over its peer 5 (peer route, 2).  0 selects
+            2     |         the customer route and exports only that one,
+            |     |         so 1's provider route to 4 is 4, not 3.
             3     |
              \    |
                4 -'      (no pair of the generated Internets above needs this) *)
@@ -264,7 +267,7 @@ let test_bgp_peer_shortcut () =
   Asgraph.add_provider g ~customer:4 ~provider:3;
   Asgraph.add_provider g ~customer:4 ~provider:5;
   Asgraph.add_peer g 0 5;
-  Alcotest.(check (option int)) "1->4" (Some 3)
+  Alcotest.(check (option int)) "1->4" (Some 4)
     (Policy.bgp_distance (Policy.create g) ~src:1 ~dst:4);
   match bgp_disagreement g with
   | None -> ()
