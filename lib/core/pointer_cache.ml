@@ -133,11 +133,6 @@ let index_drop c i =
     ((c.n - i - 1) * entry_bytes);
   c.n <- c.n - 1
 
-let evict_tail c =
-  let s = c.tail in
-  unlink c s;
-  index_drop c (lower_bound c c.slots.(s).Pointer.dst)
-
 (* Index [p] at position [i] (its lower bound) in a fresh slot at the
    head of the recency list. *)
 let index_add c i (p : Pointer.t) =
@@ -164,8 +159,26 @@ let insert c (p : Pointer.t) =
     end
     else if c.n < c.cap then index_add c i p
     else begin
-      evict_tail c;
-      index_add c (lower_bound c p.dst) p
+      (* Full: [p] takes over the tail's slot, and one move of the entries
+         between the evictee's index position [j] and [p]'s closes the one
+         gap and opens the other. *)
+      let s = c.tail in
+      let j = lower_bound c c.slots.(s).Pointer.dst in
+      let i =
+        if j < i then begin
+          Bytes.blit c.order ((j + 1) * entry_bytes) c.order (j * entry_bytes)
+            ((i - j - 1) * entry_bytes);
+          i - 1
+        end
+        else begin
+          Bytes.blit c.order (i * entry_bytes) c.order ((i + 1) * entry_bytes)
+            ((j - i) * entry_bytes);
+          i
+        end
+      in
+      set_entry c i (Id.key p.Pointer.dst) s;
+      c.slots.(s) <- p;
+      promote c s
     end
   end
 

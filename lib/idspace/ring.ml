@@ -1,12 +1,12 @@
-(* Chunked flat sorted-array ring.
+(* Chunked flat sorted-array ring, mutated in place.
 
    The seed implementation was a persistent [Map.Make(Id)]: every
    [successor]/[predecessor] was an O(log n) pointer-chasing tree walk that
-   also allocated closures, and [members_between] folded the whole tree.
-   This version stores members in a two-level structure:
+   also allocated closures.  This version stores members in a two-level
+   structure:
 
      chunks : an array of sorted chunks, each parallel arrays
-              (keys, ids, payloads) of at most [max_chunk] entries;
+              (keys, ids, payloads) whose first [len] entries are live;
      starts : the first identifier of each chunk (plus its [Id.key]), for a
               cache-friendly binary search over the spine.
 
@@ -16,25 +16,31 @@
    never; degenerate key-colliding rings stay correct via the linear
    tie-break scan).
 
-   Handles are immutable: [add]/[remove] copy the touched chunk plus the
-   spine (O(max_chunk + n/max_chunk) words), leaving every previously
-   returned handle valid — so a "snapshot" is the handle itself, O(1), and
-   the experiment memo caches can share rings across domains exactly as
-   they shared the Map.  Reads never allocate: lookups are binary searches
-   driven by immediate ints and the allocation-free [Id.compare], and the
-   cursor API exposes positions as immediate ints so the greedy walk can
-   step the ring without creating a single heap word. *)
+   [add]/[remove] shift the tail of one chunk in place: the rings this
+   serves live as long as their network, so a chunk copied per update
+   would be promoted and swept later.  A chunk is allocated at its exact
+   size and grows by at most half again when full, up to [max_chunk], so
+   spare capacity stays a small share of the ring; only a split or a
+   merge reallocates the spine.  Reads never allocate: lookups are binary
+   searches driven by immediate ints and the allocation-free
+   [Id.compare], and the cursor API exposes positions as immediate ints so
+   the greedy walk can step the ring without creating a single heap
+   word. *)
 
-type 'a chunk = { keys : int array; ids : Id.t array; vals : 'a array }
+type 'a chunk = {
+  mutable len : int;
+  mutable keys : int array;
+  mutable ids : Id.t array;
+  mutable vals : 'a array;
+}
 
-type 'a t =
-  | Empty
-  | R of {
-      chunks : 'a chunk array;
-      starts : Id.t array;
-      skeys : int array;
-      size : int;
-    }
+type 'a t = {
+  mutable chunks : 'a chunk array;
+  mutable starts : Id.t array;
+  mutable skeys : int array;
+  mutable size : int;
+  mutable version : int;  (* bumped by every update, for [iter] *)
+}
 
 (* Chunks split at [max_chunk] into two halves and re-merge with a
    neighbour when a removal shrinks them under [min_chunk]; churn-heavy
@@ -45,11 +51,11 @@ let max_chunk = 128
 
 let min_chunk = 32
 
-let empty = Empty
+let create () = { chunks = [||]; starts = [||]; skeys = [||]; size = 0; version = 0 }
 
-let cardinal = function Empty -> 0 | R r -> r.size
+let cardinal t = t.size
 
-let is_empty = function Empty -> true | R _ -> false
+let is_empty t = t.size = 0
 
 (* ---- cursors ---------------------------------------------------------- *)
 
@@ -103,13 +109,9 @@ let rec skip_le (keys : int array) (ids : Id.t array) x kx i hi =
   else i
 
 (* First index in the chunk holding an id >= x / > x. *)
-let[@inline] lb ch x kx =
-  let hi = Array.length ch.keys in
-  skip_lt ch.keys ch.ids x kx (klb ch.keys kx hi) hi
+let[@inline] lb ch x kx = skip_lt ch.keys ch.ids x kx (klb ch.keys kx ch.len) ch.len
 
-let[@inline] ub ch x kx =
-  let hi = Array.length ch.keys in
-  skip_le ch.keys ch.ids x kx (klb ch.keys kx hi) hi
+let[@inline] ub ch x kx = skip_le ch.keys ch.ids x kx (klb ch.keys kx ch.len) ch.len
 
 (* Largest chunk index whose first id is <= x, or -1 when x precedes every
    member in the linear order. *)
@@ -118,98 +120,85 @@ let[@inline] chunk_le (skeys : int array) (starts : Id.t array) x kx =
   skip_le skeys starts x kx (klb skeys kx n) n - 1
 
 let id_at t c =
-  match t with
-  | Empty -> invalid_arg "Ring.id_at: empty ring"
-  | R r -> (Array.unsafe_get r.chunks (chunk_of c)).ids.(off_of c)
+  if t.size = 0 then invalid_arg "Ring.id_at: empty ring";
+  (Array.unsafe_get t.chunks (chunk_of c)).ids.(off_of c)
 
 let value_at t c =
-  match t with
-  | Empty -> invalid_arg "Ring.value_at: empty ring"
-  | R r -> (Array.unsafe_get r.chunks (chunk_of c)).vals.(off_of c)
+  if t.size = 0 then invalid_arg "Ring.value_at: empty ring";
+  (Array.unsafe_get t.chunks (chunk_of c)).vals.(off_of c)
+
+let[@inline] last t =
+  let nch = Array.length t.chunks in
+  pack (nch - 1) ((Array.unsafe_get t.chunks (nch - 1)).len - 1)
 
 let cursor_next t c =
-  match t with
-  | Empty -> cursor_none
-  | R r ->
+  if t.size = 0 then cursor_none
+  else begin
     let ci = chunk_of c and off = off_of c in
-    if off + 1 < Array.length (Array.unsafe_get r.chunks ci).ids then pack ci (off + 1)
-    else if ci + 1 < Array.length r.chunks then pack (ci + 1) 0
+    if off + 1 < (Array.unsafe_get t.chunks ci).len then pack ci (off + 1)
+    else if ci + 1 < Array.length t.chunks then pack (ci + 1) 0
     else pack 0 0
+  end
 
 let cursor_prev t c =
-  match t with
-  | Empty -> cursor_none
-  | R r ->
+  if t.size = 0 then cursor_none
+  else begin
     let ci = chunk_of c and off = off_of c in
     if off > 0 then pack ci (off - 1)
-    else if ci > 0 then pack (ci - 1) (Array.length r.chunks.(ci - 1).ids - 1)
-    else begin
-      let nch = Array.length r.chunks in
-      pack (nch - 1) (Array.length r.chunks.(nch - 1).ids - 1)
-    end
+    else if ci > 0 then pack (ci - 1) (t.chunks.(ci - 1).len - 1)
+    else last t
+  end
+
+(* The first member at or after in-chunk position [off] of chunk [ci],
+   wrapping to the minimum. *)
+let[@inline] from t ci off =
+  if off < (Array.unsafe_get t.chunks ci).len then pack ci off
+  else if ci + 1 < Array.length t.chunks then pack (ci + 1) 0
+  else pack 0 0
 
 let cursor_geq x t =
-  match t with
-  | Empty -> cursor_none
-  | R r ->
+  if t.size = 0 then cursor_none
+  else begin
     let kx = Id.key x in
-    let ci = chunk_le r.skeys r.starts x kx in
-    if ci < 0 then pack 0 0
-    else begin
-      let ch = Array.unsafe_get r.chunks ci in
-      let len = Array.length ch.ids in
-      let off = lb ch x kx in
-      if off < len then pack ci off
-      else if ci + 1 < Array.length r.chunks then pack (ci + 1) 0
-      else pack 0 0
-    end
+    let ci = chunk_le t.skeys t.starts x kx in
+    if ci < 0 then pack 0 0 else from t ci (lb (Array.unsafe_get t.chunks ci) x kx)
+  end
 
 let cursor_gt x t =
-  match t with
-  | Empty -> cursor_none
-  | R r ->
+  if t.size = 0 then cursor_none
+  else begin
     let kx = Id.key x in
-    let ci = chunk_le r.skeys r.starts x kx in
-    if ci < 0 then pack 0 0
-    else begin
-      let ch = Array.unsafe_get r.chunks ci in
-      let len = Array.length ch.ids in
-      let off = ub ch x kx in
-      if off < len then pack ci off
-      else if ci + 1 < Array.length r.chunks then pack (ci + 1) 0
-      else pack 0 0
-    end
+    let ci = chunk_le t.skeys t.starts x kx in
+    if ci < 0 then pack 0 0 else from t ci (ub (Array.unsafe_get t.chunks ci) x kx)
+  end
 
 let cursor_lt x t =
-  match t with
-  | Empty -> cursor_none
-  | R r ->
-    let nch = Array.length r.chunks in
+  if t.size = 0 then cursor_none
+  else begin
     let kx = Id.key x in
-    let ci = chunk_le r.skeys r.starts x kx in
-    if ci < 0 then pack (nch - 1) (Array.length r.chunks.(nch - 1).ids - 1)
+    let ci = chunk_le t.skeys t.starts x kx in
+    if ci < 0 then last t
     else begin
-      let ch = Array.unsafe_get r.chunks ci in
-      let off = lb ch x kx in
+      let off = lb (Array.unsafe_get t.chunks ci) x kx in
       if off > 0 then pack ci (off - 1)
-      else if ci > 0 then pack (ci - 1) (Array.length r.chunks.(ci - 1).ids - 1)
-      else pack (nch - 1) (Array.length r.chunks.(nch - 1).ids - 1)
+      else if ci > 0 then pack (ci - 1) (t.chunks.(ci - 1).len - 1)
+      else last t
     end
+  end
 
 let cursor_find x t =
-  match t with
-  | Empty -> cursor_none
-  | R r ->
+  if t.size = 0 then cursor_none
+  else begin
     let kx = Id.key x in
-    let ci = chunk_le r.skeys r.starts x kx in
+    let ci = chunk_le t.skeys t.starts x kx in
     if ci < 0 then cursor_none
     else begin
-      let ch = Array.unsafe_get r.chunks ci in
-      let len = Array.length ch.ids in
+      let ch = Array.unsafe_get t.chunks ci in
       let off = lb ch x kx in
-      if off < len && Id.equal (Array.unsafe_get ch.ids off) x then pack ci off
+      if off < ch.len && Id.equal (Array.unsafe_get ch.ids off) x then pack ci off
       else cursor_none
     end
+  end
 
 (* ---- queries ---------------------------------------------------------- *)
 
@@ -232,7 +221,7 @@ let predecessor x t =
   if cursor_is_none c then None else Some (id_at t c, value_at t c)
 
 let k_successors k x t =
-  let n = min k (cardinal t) in
+  let n = min k t.size in
   if n <= 0 then []
   else begin
     let rec go acc c remaining =
@@ -242,268 +231,183 @@ let k_successors k x t =
     go [] (cursor_gt x t) n
   end
 
-let iter f = function
-  | Empty -> ()
-  | R r ->
-    Array.iter
-      (fun ch ->
-        for i = 0 to Array.length ch.ids - 1 do
-          f ch.ids.(i) ch.vals.(i)
-        done)
-      r.chunks
+let iter f t =
+  let version = t.version in
+  Array.iter
+    (fun ch ->
+      for i = 0 to ch.len - 1 do
+        f ch.ids.(i) ch.vals.(i);
+        if t.version <> version then invalid_arg "Ring.iter: the callback changed the ring"
+      done)
+    t.chunks
 
-let fold f t acc =
-  match t with
-  | Empty -> acc
-  | R r ->
-    let acc = ref acc in
-    Array.iter
-      (fun ch ->
-        for i = 0 to Array.length ch.ids - 1 do
-          acc := f ch.ids.(i) ch.vals.(i) !acc
-        done)
-      r.chunks;
-    !acc
-
-let to_list t = List.rev (fold (fun k v acc -> (k, v) :: acc) t [])
-
-let members_between a b t =
-  match t with
-  | Empty -> []
-  | R r ->
-    if Id.equal a b then begin
-      (* Full ring, ordered by clockwise distance from [a]: [a] itself (if
-         present, distance 0) first, then the clockwise walk. *)
-      let rec go acc c remaining =
-        if remaining = 0 then List.rev acc
-        else go ((id_at t c, value_at t c) :: acc) (cursor_next t c) (remaining - 1)
-      in
-      go [] (cursor_geq a t) r.size
-    end
-    else begin
-      (* Members of (a, b] form a prefix of the clockwise walk that starts
-         just after [a] (distance from [a] grows monotonically along it),
-         so stop at the first member past [b]. *)
-      let rec go acc c remaining =
-        if remaining = 0 then List.rev acc
-        else begin
-          let k = id_at t c in
-          if Id.between_incl a k b then
-            go ((k, value_at t c) :: acc) (cursor_next t c) (remaining - 1)
-          else List.rev acc
-        end
-      in
-      go [] (cursor_gt a t) r.size
-    end
+let to_list t =
+  let acc = ref [] in
+  for ci = Array.length t.chunks - 1 downto 0 do
+    let ch = t.chunks.(ci) in
+    for i = ch.len - 1 downto 0 do
+      acc := (ch.ids.(i), ch.vals.(i)) :: !acc
+    done
+  done;
+  !acc
 
 (* ---- updates ---------------------------------------------------------- *)
 
-let singleton id v =
-  R
-    {
-      chunks = [| { keys = [| Id.key id |]; ids = [| id |]; vals = [| v |] } |];
-      starts = [| id |];
-      skeys = [| Id.key id |];
-      size = 1;
-    }
+let chunk_of_sub ch lo len =
+  {
+    len;
+    keys = Array.sub ch.keys lo len;
+    ids = Array.sub ch.ids lo len;
+    vals = Array.sub ch.vals lo len;
+  }
 
-(* Spine rebuilt from scratch when the chunk array changes shape. *)
-let spine chunks =
-  (Array.map (fun ch -> ch.ids.(0)) chunks,
-   Array.map (fun ch -> ch.keys.(0)) chunks)
+(* Replace the chunk array; the spine follows it. *)
+let set_chunks t chunks =
+  t.chunks <- chunks;
+  t.starts <- Array.map (fun ch -> ch.ids.(0)) chunks;
+  t.skeys <- Array.map (fun ch -> ch.keys.(0)) chunks
+
+(* Replace the [n] chunks from [lo] by [repl]. *)
+let replace_chunks t lo n repl =
+  let nch = Array.length t.chunks in
+  set_chunks t
+    (Array.concat [ Array.sub t.chunks 0 lo; repl; Array.sub t.chunks (lo + n) (nch - lo - n) ])
+
+(* Split full chunk [ci] into two exact-size halves. *)
+let split t ci =
+  let ch = t.chunks.(ci) in
+  let half = ch.len / 2 in
+  replace_chunks t ci 1 [| chunk_of_sub ch 0 half; chunk_of_sub ch half (ch.len - half) |]
+
+(* Insert at [off] of a chunk, shifting its tail right; a full chunk
+   array grows in the same copy.  [Array.blit] stores through the write
+   barrier element by element once a chunk lives in the major heap; the
+   [keys] shifts are plain int stores, so they loop instead. *)
+let insert_at ch off kx id v =
+  let len = ch.len in
+  if len = Array.length ch.keys then begin
+    let cap = min max_chunk (max (len + 1) (len + (len / 2))) in
+    let keys = Array.make cap kx and ids = Array.make cap id and vals = Array.make cap v in
+    Array.blit ch.keys 0 keys 0 off;
+    Array.blit ch.ids 0 ids 0 off;
+    Array.blit ch.vals 0 vals 0 off;
+    Array.blit ch.keys off keys (off + 1) (len - off);
+    Array.blit ch.ids off ids (off + 1) (len - off);
+    Array.blit ch.vals off vals (off + 1) (len - off);
+    ch.keys <- keys;
+    ch.ids <- ids;
+    ch.vals <- vals
+  end
+  else begin
+    for i = len downto off + 1 do
+      Array.unsafe_set ch.keys i (Array.unsafe_get ch.keys (i - 1))
+    done;
+    Array.blit ch.ids off ch.ids (off + 1) (len - off);
+    Array.blit ch.vals off ch.vals (off + 1) (len - off);
+    ch.keys.(off) <- kx;
+    ch.ids.(off) <- id;
+    ch.vals.(off) <- v
+  end;
+  ch.len <- len + 1
 
 let add id v t =
-  match t with
-  | Empty -> singleton id v
-  | R r ->
-    let kx = Id.key id in
-    let ci0 = chunk_le r.skeys r.starts id kx in
-    let ci = if ci0 < 0 then 0 else ci0 in
-    let ch = r.chunks.(ci) in
-    let len = Array.length ch.ids in
-    let off = lb ch id kx in
-    if off < len && Id.equal ch.ids.(off) id then begin
-      (* Replace payload: one chunk's value array + the spine. *)
-      let vals = Array.copy ch.vals in
-      vals.(off) <- v;
-      let chunks = Array.copy r.chunks in
-      chunks.(ci) <- { keys = ch.keys; ids = ch.ids; vals };
-      R { chunks; starts = r.starts; skeys = r.skeys; size = r.size }
-    end
-    else begin
-      let nlen = len + 1 in
-      let keys = Array.make nlen kx in
-      let ids = Array.make nlen id and vals = Array.make nlen v in
-      Array.blit ch.keys 0 keys 0 off;
-      Array.blit ch.ids 0 ids 0 off;
-      Array.blit ch.vals 0 vals 0 off;
-      Array.blit ch.keys off keys (off + 1) (len - off);
-      Array.blit ch.ids off ids (off + 1) (len - off);
-      Array.blit ch.vals off vals (off + 1) (len - off);
-      if nlen <= max_chunk then begin
-        let chunks = Array.copy r.chunks in
-        chunks.(ci) <- { keys; ids; vals };
-        let starts, skeys =
-          if off = 0 then begin
-            let s = Array.copy r.starts and sk = Array.copy r.skeys in
-            s.(ci) <- id;
-            sk.(ci) <- kx;
-            (s, sk)
-          end
-          else (r.starts, r.skeys)
-        in
-        R { chunks; starts; skeys; size = r.size + 1 }
-      end
-      else begin
-        (* Split the overfull chunk into two halves. *)
-        let half = nlen / 2 in
-        let left =
-          {
-            keys = Array.sub keys 0 half;
-            ids = Array.sub ids 0 half;
-            vals = Array.sub vals 0 half;
-          }
-        in
-        let right =
-          {
-            keys = Array.sub keys half (nlen - half);
-            ids = Array.sub ids half (nlen - half);
-            vals = Array.sub vals half (nlen - half);
-          }
-        in
-        let nch = Array.length r.chunks in
-        let chunks = Array.make (nch + 1) left in
-        Array.blit r.chunks 0 chunks 0 ci;
-        chunks.(ci + 1) <- right;
-        Array.blit r.chunks (ci + 1) chunks (ci + 2) (nch - ci - 1);
-        let starts = Array.make (nch + 1) left.ids.(0) in
-        let skeys = Array.make (nch + 1) left.keys.(0) in
-        Array.blit r.starts 0 starts 0 ci;
-        Array.blit r.skeys 0 skeys 0 ci;
-        starts.(ci + 1) <- right.ids.(0);
-        skeys.(ci + 1) <- right.keys.(0);
-        Array.blit r.starts (ci + 1) starts (ci + 2) (nch - ci - 1);
-        Array.blit r.skeys (ci + 1) skeys (ci + 2) (nch - ci - 1);
-        R { chunks; starts; skeys; size = r.size + 1 }
-      end
-    end
-
-let remove id t =
-  match t with
-  | Empty -> t
-  | R r ->
-    let kx = Id.key id in
-    let ci = chunk_le r.skeys r.starts id kx in
-    if ci < 0 then t
-    else begin
-      let ch = r.chunks.(ci) in
-      let len = Array.length ch.ids in
-      let off = lb ch id kx in
-      if off >= len || not (Id.equal ch.ids.(off) id) then t
-      else if r.size = 1 then Empty
-      else if len = 1 then begin
-        (* Chunk emptied: drop it from the spine. *)
-        let nch = Array.length r.chunks in
-        let chunks = Array.make (nch - 1) ch in
-        Array.blit r.chunks 0 chunks 0 ci;
-        Array.blit r.chunks (ci + 1) chunks ci (nch - ci - 1);
-        let starts, skeys = spine chunks in
-        R { chunks; starts; skeys; size = r.size - 1 }
-      end
-      else begin
-        let nlen = len - 1 in
-        let keep = if off = 0 then 1 else 0 in
-        let keys = Array.make nlen ch.keys.(keep) in
-        let ids = Array.make nlen ch.ids.(keep) in
-        let vals = Array.make nlen ch.vals.(keep) in
-        Array.blit ch.keys 0 keys 0 off;
-        Array.blit ch.ids 0 ids 0 off;
-        Array.blit ch.vals 0 vals 0 off;
-        Array.blit ch.keys (off + 1) keys off (nlen - off);
-        Array.blit ch.ids (off + 1) ids off (nlen - off);
-        Array.blit ch.vals (off + 1) vals off (nlen - off);
-        let nch = Array.length r.chunks in
-        let can_merge nb =
-          nb >= 0 && nb < nch && Array.length r.chunks.(nb).ids + nlen <= max_chunk
-        in
-        if nlen < min_chunk && nch > 1 && (can_merge (ci + 1) || can_merge (ci - 1))
-        then begin
-          (* Re-merge the shrunken chunk with a neighbour so churn-heavy
-             workloads cannot fragment the spine into tiny chunks. *)
-          let lo = if can_merge (ci + 1) then ci else ci - 1 in
-          let l, r' =
-            if lo = ci then ({ keys; ids; vals }, r.chunks.(ci + 1))
-            else (r.chunks.(ci - 1), { keys; ids; vals })
-          in
-          let merged =
-            {
-              keys = Array.append l.keys r'.keys;
-              ids = Array.append l.ids r'.ids;
-              vals = Array.append l.vals r'.vals;
-            }
-          in
-          let chunks = Array.make (nch - 1) merged in
-          Array.blit r.chunks 0 chunks 0 lo;
-          Array.blit r.chunks (lo + 2) chunks (lo + 1) (nch - lo - 2);
-          let starts, skeys = spine chunks in
-          R { chunks; starts; skeys; size = r.size - 1 }
-        end
-        else begin
-          let chunks = Array.copy r.chunks in
-          chunks.(ci) <- { keys; ids; vals };
-          let starts, skeys =
-            if off = 0 then begin
-              let s = Array.copy r.starts and sk = Array.copy r.skeys in
-              s.(ci) <- ids.(0);
-              sk.(ci) <- keys.(0);
-              (s, sk)
-            end
-            else (r.starts, r.skeys)
-          in
-          R { chunks; starts; skeys; size = r.size - 1 }
-        end
-      end
-    end
-
-let of_list l = List.fold_left (fun acc (id, v) -> add id v acc) empty l
-
-(* Rebuild a ring from the first [n] entries of sorted parallel arrays,
-   packing chunks at 3/4 capacity so follow-up inserts have headroom. *)
-let target_chunk = 96
-
-let build_sorted ids vals n =
-  if n = 0 then Empty
+  t.version <- t.version + 1;
+  let kx = Id.key id in
+  if t.size = 0 then begin
+    set_chunks t [| { len = 1; keys = [| kx |]; ids = [| id |]; vals = [| v |] } |];
+    t.size <- 1
+  end
   else begin
-    let nchunks = (n + target_chunk - 1) / target_chunk in
-    let chunks =
-      Array.init nchunks (fun i ->
-          let lo = i * target_chunk in
-          let len = min target_chunk (n - lo) in
-          {
-            keys = Array.init len (fun j -> Id.key ids.(lo + j));
-            ids = Array.sub ids lo len;
-            vals = Array.sub vals lo len;
-          })
-    in
-    let starts, skeys = spine chunks in
-    R { chunks; starts; skeys; size = n }
+    let ci = max 0 (chunk_le t.skeys t.starts id kx) in
+    let ch = t.chunks.(ci) in
+    let off = lb ch id kx in
+    if off < ch.len && Id.equal ch.ids.(off) id then ch.vals.(off) <- v
+    else begin
+      (* A full chunk splits first; [ch] keeps its old length. *)
+      let full = ch.len = max_chunk and half = max_chunk / 2 in
+      if full then split t ci;
+      if full && off > half then insert_at t.chunks.(ci + 1) (off - half) kx id v
+      else insert_at t.chunks.(ci) off kx id v;
+      if off = 0 then begin
+        t.starts.(ci) <- id;
+        t.skeys.(ci) <- kx
+      end;
+      t.size <- t.size + 1
+    end
   end
 
-let filter f t =
-  match t with
-  | Empty -> t
-  | R r ->
-    (* Single pass: survivors are counted as they are collected instead of
-       the seed's extra O(n) [M.cardinal] walk over the filtered map. *)
-    let ids = Array.make r.size r.chunks.(0).ids.(0) in
-    let vals = Array.make r.size r.chunks.(0).vals.(0) in
-    let n = ref 0 in
-    iter
-      (fun k v ->
-        if f k v then begin
-          ids.(!n) <- k;
-          vals.(!n) <- v;
-          incr n
-        end)
-      t;
-    if !n = r.size then t else build_sorted ids vals !n
+(* Concatenate two chunks into one of exact size. *)
+let merge l r =
+  let len = l.len + r.len in
+  let cat a b =
+    let c = Array.make len a.(0) in
+    Array.blit a 0 c 0 l.len;
+    Array.blit b 0 c l.len r.len;
+    c
+  in
+  { len; keys = cat l.keys r.keys; ids = cat l.ids r.ids; vals = cat l.vals r.vals }
+
+let can_merge t nb len =
+  nb >= 0 && nb < Array.length t.chunks && t.chunks.(nb).len + len <= max_chunk
+
+let remove id t =
+  if t.size > 0 then begin
+    let kx = Id.key id in
+    let ci = chunk_le t.skeys t.starts id kx in
+    if ci >= 0 then begin
+      let ch = t.chunks.(ci) in
+      let off = lb ch id kx in
+      if off < ch.len && Id.equal ch.ids.(off) id then begin
+        t.version <- t.version + 1;
+        t.size <- t.size - 1;
+        if t.size = 0 then set_chunks t [||]
+        else if ch.len = 1 then replace_chunks t ci 1 [||]
+        else begin
+          let len = ch.len - 1 in
+          for i = off to len - 1 do
+            Array.unsafe_set ch.keys i (Array.unsafe_get ch.keys (i + 1))
+          done;
+          Array.blit ch.ids (off + 1) ch.ids off (len - off);
+          Array.blit ch.vals (off + 1) ch.vals off (len - off);
+          (* The vacated slot keeps a live member, not the removed one. *)
+          ch.ids.(len) <- ch.ids.(0);
+          ch.vals.(len) <- ch.vals.(0);
+          ch.len <- len;
+          if off = 0 then begin
+            t.starts.(ci) <- ch.ids.(0);
+            t.skeys.(ci) <- ch.keys.(0)
+          end;
+          (* Re-merge the shrunken chunk with a neighbour so churn-heavy
+             workloads cannot fragment the spine into tiny chunks. *)
+          if len < min_chunk then
+            if can_merge t (ci + 1) len then
+              replace_chunks t ci 2 [| merge ch t.chunks.(ci + 1) |]
+            else if can_merge t (ci - 1) len then
+              replace_chunks t (ci - 1) 2 [| merge t.chunks.(ci - 1) ch |]
+        end
+      end
+    end
+  end
+
+let audit t =
+  let problems = ref [] in
+  let bad fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
+  let nch = Array.length t.chunks in
+  if Array.length t.starts <> nch || Array.length t.skeys <> nch then
+    bad "spine holds %d/%d heads for %d chunks" (Array.length t.starts)
+      (Array.length t.skeys) nch;
+  let total = ref 0 in
+  Array.iteri
+    (fun ci ch ->
+      total := !total + ch.len;
+      if ch.len < 1 || ch.len > max_chunk || ch.len > Array.length ch.keys then
+        bad "chunk %d holds %d entries (capacity %d)" ci ch.len (Array.length ch.keys);
+      if ch.len >= 1 && ci < Array.length t.starts then
+        if not (Id.equal t.starts.(ci) ch.ids.(0) && t.skeys.(ci) = ch.keys.(0)) then
+          bad "spine head %d is not its chunk's first member" ci;
+      for i = 0 to ch.len - 1 do
+        if ch.keys.(i) <> Id.key ch.ids.(i) then bad "chunk %d slot %d has a stale key" ci i
+      done)
+    t.chunks;
+  if !total <> t.size then bad "size %d, chunks hold %d" t.size !total;
+  List.rev !problems

@@ -7,29 +7,33 @@
     hosting router or AS).
 
     Representation: a chunked flat sorted array (spine of first-ids over
-    chunks of at most 128 parallel [Id.t]/payload entries).  Handles are
-    immutable — [add]/[remove] copy one chunk plus the spine and share the
-    rest, so any handle doubles as an O(1) snapshot and rings can be read
-    concurrently from several domains.  All read paths are allocation-free
-    binary searches except where an [option]/list result is part of the
-    signature; the {{!cursors} cursor API} below avoids even that. *)
+    chunks of at most 128 parallel [Id.t]/payload entries), mutated in
+    place.  [add]/[remove] shift one chunk's tail; a chunk starts at its
+    exact size and grows by at most half again, so spare capacity stays
+    small.  A ring is a mutable value owned by one task: there are no
+    snapshots, and a ring must not be read from one domain while another
+    updates it.  All read paths are allocation-free binary searches except
+    where an [option]/list result is part of the signature; the
+    {{!cursors} cursor API} below avoids even that. *)
 
 type 'a t
 
-val empty : 'a t
+val create : unit -> 'a t
+(** A new empty ring. *)
 
 val cardinal : 'a t -> int
-(** O(1): the count rides on the handle. *)
+(** O(1). *)
 
 val is_empty : 'a t -> bool
 
-val add : Id.t -> 'a -> 'a t -> 'a t
-(** Insert or replace.  O(chunk + spine) copied words, i.e. O(sqrt-ish of
-    [n]) with the default chunking; splits an overfull chunk in two. *)
+val add : Id.t -> 'a -> 'a t -> unit
+(** Insert or replace, in place.  Shifts at most one chunk's tail; a full
+    chunk first splits in two, which rebuilds the spine. *)
 
-val remove : Id.t -> 'a t -> 'a t
-(** O(chunk + spine); re-merges a chunk that shrinks below a quarter of the
-    maximum with a neighbour, so churn cannot fragment the spine. *)
+val remove : Id.t -> 'a t -> unit
+(** In place; a no-op for a non-member.  Re-merges a chunk that shrinks
+    below a quarter of the maximum with a neighbour, so churn cannot
+    fragment the spine. *)
 
 val mem : Id.t -> 'a t -> bool
 (** O(log n), allocation-free. *)
@@ -57,26 +61,20 @@ val k_successors : int -> Id.t -> 'a t -> (Id.t * 'a) list
 val to_list : 'a t -> (Id.t * 'a) list
 (** Members in increasing identifier order.  O(n). *)
 
-val of_list : (Id.t * 'a) list -> 'a t
-
 val iter : (Id.t -> 'a -> unit) -> 'a t -> unit
+(** Members in increasing identifier order.
+    @raise Invalid_argument if the callback adds or removes a member. *)
 
-val filter : (Id.t -> 'a -> bool) -> 'a t -> 'a t
-(** Single O(n) pass; the surviving count is tallied during the filter
-    (the seed recomputed it with a second O(n) walk). *)
-
-val members_between : Id.t -> Id.t -> 'a t -> (Id.t * 'a) list
-(** Members in the half-open clockwise interval [(a, b\]], in increasing
-    clockwise distance from [a].  O(log n + k) for [k] results — the
-    qualifying members are a contiguous run of the clockwise walk, so no
-    full-ring fold or sort is needed (the seed did both). *)
+val audit : 'a t -> string list
+(** Structural checks: every chunk holds 1 to 128 entries, the spine names
+    each chunk's first member, the size is the sum of the chunk lengths and
+    every stored key is its identifier's [Id.key].  Empty iff consistent. *)
 
 (** {2:cursors Allocation-free cursors}
 
-    A cursor is a position inside one specific ring handle, packed into an
-    immediate [int] (no heap allocation anywhere in this API).  Cursors are
-    only meaningful against the exact handle they were obtained from:
-    [add]/[remove]/[filter] return a new handle whose cursors are fresh.
+    A cursor is a position inside a ring, packed into an immediate [int]
+    (no heap allocation anywhere in this API).  A cursor is only meaningful
+    until the ring's next [add] or [remove].
     All searches are O(log n); stepping is O(1) and wraps clockwise. *)
 
 type cursor = int

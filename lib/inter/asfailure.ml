@@ -54,7 +54,7 @@ let rec alive_predecessor rr id steps =
 let fail_stub (t : Net.t) as_idx ~samples =
   let frac, transit_frac = fractions_affected t ~via:as_idx ~samples in
   let before = Metrics.total t.Net.metrics in
-  let resident = List.map fst (Ring.to_list !(t.Net.resident_rings.(as_idx))) in
+  let resident = List.map fst (Ring.to_list t.Net.resident_rings.(as_idx)) in
   Hashtbl.replace t.Net.failed_as as_idx ();
   (* Phase 1: the whole AS goes dark at once. *)
   let dead_hosts =
@@ -88,17 +88,11 @@ let fail_stub (t : Net.t) as_idx ~samples =
   (* Phase 3: state cleanup. *)
   List.iter
     (fun (h : Net.host) ->
-      List.iter
-        (fun level ->
-          let k = Level.key t.Net.ctx level in
-          match Hashtbl.find_opt t.Net.rings k with
-          | Some rr -> rr := Ring.remove h.Net.id !rr
-          | None -> ())
-        h.Net.joined;
+      List.iter (fun level -> Ring.remove h.Net.id (Net.ring t level)) h.Net.joined;
       Hashtbl.remove t.Net.hosts h.Net.id;
       Net.count_in_blooms t as_idx (-1))
     dead_hosts;
-  t.Net.resident_rings.(as_idx) := Ring.empty;
+  t.Net.resident_rings.(as_idx) <- Ring.create ();
   Array.iter
     (fun c ->
       ignore

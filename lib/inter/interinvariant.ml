@@ -35,7 +35,7 @@ let check (t : Net.t) =
                 (Level.to_string level) h.Net.home_as)
           h.Net.joined;
         (* Residents ring agrees. *)
-        if not (Ring.mem id !(t.Net.resident_rings.(h.Net.home_as))) then
+        if not (Ring.mem id t.Net.resident_rings.(h.Net.home_as)) then
           bad "%s not in residents of its home AS%d" (Id.to_short_string id) h.Net.home_as;
         (* Fingers point at live members of the right ring. *)
         List.iter
@@ -59,9 +59,9 @@ let check (t : Net.t) =
      its host's [joined] names the level, which lets a walk answer ring
      membership from the destination's host record. *)
   let rings_checked = ref 0 in
-  Hashtbl.iter
-    (fun key rr ->
-      incr rings_checked;
+  Array.iteri
+    (fun key r ->
+      if not (Ring.is_empty r) then incr rings_checked;
       Ring.iter
         (fun id (h : Net.host) ->
           if not h.Net.alive_h then bad "ring member %s is dead" (Id.to_short_string id);
@@ -71,7 +71,7 @@ let check (t : Net.t) =
               bad "ring member %s did not join that ring's level" (Id.to_short_string id)
           | Some _ | None ->
             bad "ring member %s is not the host the host table holds" (Id.to_short_string id))
-        !rr)
+        r)
     t.Net.rings;
   (* Bloom counts match the live identifiers in each cone (bloom-peering
      mode only; elsewhere they stay 0). *)

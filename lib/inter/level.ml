@@ -99,9 +99,9 @@ let compare a b =
 let equal a b = compare a b = 0
 
 let key ctx = function
-  | Root -> -1
   | Real a -> a
   | Peer_group v -> Asgraph.n ctx.g + v
+  | Root -> Asgraph.n ctx.g + Array.length ctx.vas
 
 let to_trace = function
   | Root -> Rofl_routing.Trace.Root
@@ -231,43 +231,53 @@ let rec offer_peers ctx level a da = function
     end;
     offer_peers ctx level a da rest
 
+(* The cost of the cheapest valley-free route from [src] to [dst] inside
+   [level] (both members, [src <> dst]), or -1; its peak and peer hop are
+   left in [best_peak]/[best_peer]. *)
+let best_within ctx level src dst =
+  let up_dst = climb ctx dst in
+  ctx.stamp <- ctx.stamp + 1;
+  for i = 0 to Array.length up_dst.anc - 1 do
+    let a = Array.unsafe_get up_dst.anc i in
+    ctx.mark.(a) <- ctx.stamp;
+    ctx.mark_dist.(a) <- Array.unsafe_get up_dst.dist i
+  done;
+  let up_src = climb ctx src in
+  ctx.best_cost <- -1;
+  for i = 0 to Array.length up_src.anc - 1 do
+    let a = Array.unsafe_get up_src.anc i in
+    if member ctx level a then begin
+      let da = Array.unsafe_get up_src.dist i in
+      let db = marked ctx a in
+      if db >= 0 then offer ctx (da + db) a (-1);
+      offer_peers ctx level a da (Asgraph.peers ctx.g a)
+    end
+  done;
+  ctx.best_cost
+
 let route_within ctx level src dst =
   if src = dst then (if member ctx level src then Some (0, [ src ]) else None)
   else if not (member ctx level src && member ctx level dst) then None
   else begin
-    let up_dst = climb ctx dst in
-    ctx.stamp <- ctx.stamp + 1;
-    for i = 0 to Array.length up_dst.anc - 1 do
-      let a = Array.unsafe_get up_dst.anc i in
-      ctx.mark.(a) <- ctx.stamp;
-      ctx.mark_dist.(a) <- Array.unsafe_get up_dst.dist i
-    done;
-    let up_src = climb ctx src in
-    ctx.best_cost <- -1;
-    for i = 0 to Array.length up_src.anc - 1 do
-      let a = Array.unsafe_get up_src.anc i in
-      if member ctx level a then begin
-        let da = Array.unsafe_get up_src.dist i in
-        let db = marked ctx a in
-        if db >= 0 then offer ctx (da + db) a (-1);
-        offer_peers ctx level a da (Asgraph.peers ctx.g a)
-      end
-    done;
-    if ctx.best_cost < 0 then None
+    let cost = best_within ctx level src dst in
+    if cost < 0 then None
     else begin
       let peak = ctx.best_peak and peer = ctx.best_peer in
       let down =
         if peer < 0 then descend_onto ctx dst peak ~top:false []
         else descend_onto ctx dst peer ~top:true []
       in
-      Some (ctx.best_cost, climb_onto ctx src peak down)
+      Some (cost, climb_onto ctx src peak down)
     end
   end
 
 let distance_within ctx level src dst =
-  match route_within ctx level src dst with
-  | Some (d, _) -> Some d
-  | None -> None
+  if src = dst then (if member ctx level src then Some 0 else None)
+  else if not (member ctx level src && member ctx level dst) then None
+  else begin
+    let cost = best_within ctx level src dst in
+    if cost < 0 then None else Some cost
+  end
 
 let sort_levels ctx ls =
   List.sort_uniq

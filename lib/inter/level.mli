@@ -34,7 +34,8 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 
 val key : ctx -> t -> int
-(** Dense integer encoding for hashtables. *)
+(** Dense index in [\[0, n + vas_count ctx\]] for a graph of [n] ASes: a
+    real AS is its own index, virtual ASes follow, and [Root] is last. *)
 
 val to_trace : t -> Rofl_routing.Trace.level
 (** The level as a per-hop trace event names it. *)
@@ -71,7 +72,9 @@ val route_within : ctx -> t -> int -> int -> (int * int list) option
     Among equal-cost peaks the first in the source's climb order wins. *)
 
 val distance_within : ctx -> t -> int -> int -> int option
-(** Hops of {!route_within}. *)
+(** Hops of {!route_within}, without building the path.  Symmetric: the
+    cost counts provider hops up from both ends and at most one peer hop,
+    with every AS checked against the level on either side. *)
 
 val levels_for_real : ctx -> int -> t list
 (** Bottom-up list of real-AS levels in an AS's up-hierarchy (the AS itself

@@ -34,7 +34,8 @@ type host = {
   id : Id.t;
   home_as : int;
   strategy : strategy;
-  mutable joined : Level.t list;
+  ptr : Pointer.t;
+  joined : Level.t list;
   mutable fingers : (Level.t * Id.t) list;
   mutable alive_h : bool;
 }
@@ -43,10 +44,11 @@ type t = {
   ctx : Level.ctx;
   cfg : config;
   rng : Prng.t;
-  rings : (int, host Ring.t ref) Hashtbl.t;
+  rings : host Ring.t array;
+  unjoined : host Ring.t;
   as_level_cache : (int, Level.t list) Hashtbl.t;
   hosts : (Id.t, host) Hashtbl.t;
-  resident_rings : host Ring.t ref array;
+  resident_rings : host Ring.t array;
   caches : Pointer_cache.t array;
   bloom_counts : int array;
   failed_as : (int, unit) Hashtbl.t;
@@ -55,30 +57,34 @@ type t = {
 
 let create ?(cfg = default_config) ~rng g =
   let n = Asgraph.n g in
+  let ctx = Level.make_ctx g in
+  let unjoined = Ring.create () in
   {
-    ctx = Level.make_ctx g;
+    ctx;
     cfg;
     rng;
-    rings = Hashtbl.create 256;
+    rings = Array.make (Level.key ctx Level.Root + 1) unjoined;
+    unjoined;
     as_level_cache = Hashtbl.create 256;
     hosts = Hashtbl.create 4096;
-    resident_rings = Array.init n (fun _ -> ref Ring.empty);
+    resident_rings = Array.make n unjoined;
     caches = Array.init n (fun _ -> Pointer_cache.create ~capacity:cfg.cache_capacity);
     bloom_counts = Array.make n 0;
     failed_as = Hashtbl.create 8;
     metrics = Metrics.create ~routers:n;
   }
 
-let ring_ref t level =
-  let k = Level.key t.ctx level in
-  match Hashtbl.find_opt t.rings k with
-  | Some r -> r
-  | None ->
-    let r = ref Ring.empty in
-    Hashtbl.add t.rings k r;
+(* Slot [k]'s own ring, made on first use in place of [unjoined]. *)
+let own t rings k =
+  let r = rings.(k) in
+  if r != t.unjoined then r
+  else begin
+    let r = Ring.create () in
+    rings.(k) <- r;
     r
+  end
 
-let ring t level = !(ring_ref t level)
+let ring t level = own t t.rings (Level.key t.ctx level)
 
 let as_alive t a = not (Hashtbl.mem t.failed_as a)
 
@@ -126,24 +132,19 @@ let as_levels t x =
     Hashtbl.add t.as_level_cache x ls;
     ls
 
-let charge_route t category level a b =
-  match Level.route_within t.ctx level a b with
-  | Some (0, _) ->
-    Metrics.charge_hop t.metrics category a;
-    (1, [ a ])
-  | Some (d, path) ->
-    Metrics.charge_span t.metrics category ~hops:d path;
-    (d, path)
-  | None -> (0, [])
+(* A join leg of [d] AS hops costs [d] messages, or one when both ends
+   are the same AS; a leg between ASes the level does not connect is not
+   sent.  Only the count is charged: no reader asks the interdomain
+   registry for per-AS load. *)
+let charge_leg t category d =
+  let msgs = max d 1 in
+  Metrics.incr t.metrics category msgs;
+  msgs
 
-let cache_insert t as_idx id home =
-  if t.cfg.cache_capacity > 0 && as_idx <> home then begin
-    let p =
-      Pointer.make Pointer.Cached ~dst:id ~dst_router:home
-        ~route:(Sourceroute.singleton home)
-    in
-    Pointer_cache.insert t.caches.(as_idx) p
-  end
+(* [h]'s pointer, cached at [as_idx] unless that is [h]'s home. *)
+let cache_insert t as_idx (h : host) =
+  if t.cfg.cache_capacity > 0 && as_idx <> h.home_as then
+    Pointer_cache.insert t.caches.(as_idx) h.ptr
 
 (* An AS's filter summarises exactly the live identifiers homed in its
    customer cone, so membership is a cone test; only the count is kept, for
@@ -239,15 +240,19 @@ let join_with_levels t ~as_idx ~id ~strategy ~levels =
   if Hashtbl.mem t.hosts id then Error "identifier already joined"
   else if not (as_alive t as_idx) then Error "home AS is down"
   else begin
+    let ptr =
+      Pointer.make Pointer.Cached ~dst:id ~dst_router:as_idx
+        ~route:(Sourceroute.singleton as_idx)
+    in
     let h =
-      { id; home_as = as_idx; strategy; joined = []; fingers = []; alive_h = true }
+      { id; home_as = as_idx; strategy; ptr; joined = levels; fingers = []; alive_h = true }
     in
     let lookup_msgs = ref 0 in
     let prev_succ = ref None in
     List.iter
       (fun level ->
-        let rr = ring_ref t level in
-        (match Ring.successor id !rr with
+        let r = ring t level in
+        (match Ring.successor id r with
          | None ->
            (* First member at this level: bootstrap registration. *)
            let d = anchor_distance t as_idx level in
@@ -262,23 +267,28 @@ let join_with_levels t ~as_idx ~id ~strategy ~levels =
            if not dedup then begin
              (* Predecessor lookup: request towards the predecessor's AS and
                 reply back, plus one successor notification (Algorithm 3). *)
-             (match Ring.predecessor id !rr with
-              | Some (pid, pred_h) ->
-                let d1, path = charge_route t Metrics.Join level as_idx pred_h.home_as in
-                let d2, _ = charge_route t Metrics.Join_reply level pred_h.home_as as_idx in
-                lookup_msgs := !lookup_msgs + d1 + d2;
-                List.iter (fun a -> cache_insert t a id as_idx) path;
-                List.iter (fun a -> cache_insert t a pid pred_h.home_as) path
+             (match Ring.predecessor id r with
+              | Some (_, pred_h) ->
+                (match Level.route_within t.ctx level as_idx pred_h.home_as with
+                 | Some (d, path) ->
+                   (* The reply retraces the request, and a level's route
+                      cost is symmetric, so it costs the same. *)
+                   let msgs = charge_leg t Metrics.Join d in
+                   ignore (charge_leg t Metrics.Join_reply d);
+                   lookup_msgs := !lookup_msgs + (2 * msgs);
+                   List.iter (fun a -> cache_insert t a h) path;
+                   List.iter (fun a -> cache_insert t a pred_h) path
+                 | None -> ())
               | None -> ());
-             let d3, _ = charge_route t Metrics.Join level as_idx succ_h.home_as in
-             lookup_msgs := !lookup_msgs + d3
+             match Level.distance_within t.ctx level as_idx succ_h.home_as with
+             | Some d -> lookup_msgs := !lookup_msgs + charge_leg t Metrics.Join d
+             | None -> ()
            end;
            prev_succ := Some sid);
-        rr := Ring.add id h !rr;
-        h.joined <- h.joined @ [ level ])
+        Ring.add id h r)
       levels;
     Hashtbl.replace t.hosts id h;
-    t.resident_rings.(as_idx) := Ring.add id h !(t.resident_rings.(as_idx));
+    Ring.add id h (own t t.resident_rings as_idx);
     (* Bloom aggregation: the ID is summarised at every AS above it. *)
     count_in_blooms t as_idx 1;
     let finger_msgs = acquire_fingers t h in
@@ -307,20 +317,21 @@ let remove_host t id =
     let seen = Hashtbl.create 8 in
     List.iter
       (fun level ->
-        let rr = ring_ref t level in
-        (match (Ring.predecessor id !rr, Ring.successor id !rr) with
+        let r = ring t level in
+        (match (Ring.predecessor id r, Ring.successor id r) with
          | Some (pid, pred_h), Some (sid, _) when not (Id.equal pid sid) ->
            if not (Hashtbl.mem seen (pid, sid)) then begin
              Hashtbl.add seen (pid, sid) ();
-             let d, _ = charge_route t Metrics.Teardown level h.home_as pred_h.home_as in
-             ignore d
+             match Level.distance_within t.ctx level h.home_as pred_h.home_as with
+             | Some d -> ignore (charge_leg t Metrics.Teardown d)
+             | None -> ()
            end
          | _ -> ());
-        rr := Ring.remove id !rr)
+        Ring.remove id r)
       h.joined;
     h.alive_h <- false;
     Hashtbl.remove t.hosts id;
-    t.resident_rings.(h.home_as) := Ring.remove id !(t.resident_rings.(h.home_as));
+    Ring.remove id t.resident_rings.(h.home_as);
     count_in_blooms t h.home_as (-1);
     Array.iter (fun c -> Pointer_cache.remove c id) t.caches;
     Metrics.total t.metrics - before

@@ -36,7 +36,9 @@ type host = {
   id : Id.t;
   home_as : int;
   strategy : strategy;
-  mutable joined : Level.t list; (** bottom-up *)
+  ptr : Rofl_core.Pointer.t;
+  (** the cached pointer every AS on a join path stores for this host *)
+  joined : Level.t list; (** bottom-up *)
   mutable fingers : (Level.t * Id.t) list;
   mutable alive_h : bool;
 }
@@ -45,10 +47,16 @@ type t = {
   ctx : Level.ctx;
   cfg : config;
   rng : Rofl_util.Prng.t;
-  rings : (int, host Ring.t ref) Hashtbl.t; (** Level.key -> members *)
+  rings : host Ring.t array;
+  (** indexed by {!Level.key}; a level holds [unjoined] until {!ring}
+      first asks for it *)
+  unjoined : host Ring.t;
+  (** the empty ring shared by every slot of [rings] and [resident_rings]
+      not yet used; never updated *)
   as_level_cache : (int, Level.t list) Hashtbl.t;
   hosts : (Id.t, host) Hashtbl.t;
-  resident_rings : host Ring.t ref array;   (** per AS, ring-ordered *)
+  resident_rings : host Ring.t array;
+  (** per AS, ring-ordered; [unjoined] until the AS's first resident joins *)
   caches : Rofl_core.Pointer_cache.t array; (** per AS; dst_router = AS id *)
   bloom_counts : int array;
   (** per AS, bloom-filter peering only: live ids summarised below it *)

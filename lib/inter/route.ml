@@ -25,7 +25,7 @@ type result = {
    [dst] itself when resident, otherwise its ring predecessor.  Cursor-based
    so the per-step [prepare] probe allocates nothing on a miss. *)
 let best_local_resident (t : Net.t) as_idx ~pos ~dst =
-  let r = !(t.Net.resident_rings.(as_idx)) in
+  let r = t.Net.resident_rings.(as_idx) in
   let c =
     let cf = Ring.cursor_find dst r in
     if Ring.cursor_is_none cf then Ring.cursor_lt dst r else cf

@@ -80,7 +80,7 @@ let fail_router (t : Network.t) idx ~pick_gateway =
   let kill (vn : Vnode.t) =
     Vnode.mark_dead vn;
     Network.Vnode_table.remove t.Network.vnodes vn.Vnode.id;
-    t.Network.oracle <- Ring.remove vn.Vnode.id t.Network.oracle;
+    Ring.remove vn.Vnode.id t.Network.oracle;
     Identity.release r.Network.auditor vn.Vnode.id
   in
   List.iter kill r.Network.residents;
@@ -128,7 +128,7 @@ let restore_router (t : Network.t) idx =
   let vn = Vnode.create (Network.router_id idx) Vnode.Router_default ~hosted_at:idx in
   r.Network.residents <- [ vn ];
   Network.Vnode_table.replace t.Network.vnodes vn.Vnode.id vn;
-  t.Network.oracle <- Ring.add vn.Vnode.id vn t.Network.oracle;
+  Ring.add vn.Vnode.id vn t.Network.oracle;
   ignore (Network.rejoin_ring t vn ~category:Metrics.Repair);
   ignore (Network.stabilize t ~category:Metrics.Repair);
   total t - before

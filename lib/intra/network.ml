@@ -60,7 +60,7 @@ type t = {
   routers : router array;
   metrics : Metrics.t;
   vnodes : Vnode.t Vnode_table.t;
-  mutable oracle : Vnode.t Ring.t;
+  oracle : Vnode.t Ring.t;
   mutable bootstrap_msgs : int;
 }
 
@@ -120,7 +120,7 @@ let create ?(cfg = default_config) ~rng graph =
       routers;
       metrics = Metrics.create ~routers:n;
       vnodes = Vnode_table.create (4 * n);
-      oracle = Ring.empty;
+      oracle = Ring.create ();
       bootstrap_msgs = 0;
     }
   in
@@ -131,7 +131,7 @@ let create ?(cfg = default_config) ~rng graph =
     (fun r ->
       r.residents <- [ r.default_vnode ];
       Vnode_table.replace t.vnodes r.default_vnode.Vnode.id r.default_vnode;
-      t.oracle <- Ring.add r.default_vnode.Vnode.id r.default_vnode t.oracle;
+      Ring.add r.default_vnode.Vnode.id r.default_vnode t.oracle;
       let cost = Linkstate.lsa_flood_cost ls in
       Metrics.incr t.metrics Metrics.Flood cost;
       t.bootstrap_msgs <- t.bootstrap_msgs + cost)
@@ -508,8 +508,9 @@ let rank_residents ?exclude t ~cur ~target residents =
 let find_vnode t id = Vnode_table.find_opt t.vnodes id
 
 (* The oracle holds exactly the table's default and stable vnodes, in ring
-   order; only the ephemeral ones need sorting.  Both are snapshots taken
-   before [f] first runs. *)
+   order; only the ephemeral ones need sorting.  The ephemeral list is
+   taken before [f] first runs; the oracle is walked in place, and
+   [Ring.iter] raises if [f] changes it. *)
 let iter_members t f =
   let ephemerals =
     Vnode_table.fold
@@ -769,7 +770,7 @@ let join_host t ~gateway ~id ~cls =
             msgs := !msgs + h;
             latency := !latency +. l
           | Vnode.Stable | Vnode.Router_default ->
-            t.oracle <- Ring.add id vn t.oracle;
+            Ring.add id vn t.oracle;
             let m, l = splice_stable t ~gateway vn pred in
             msgs := !msgs + m;
             latency := !latency +. l;
@@ -816,7 +817,7 @@ let leave_host t id =
     Log.debug (fun m -> m "leave %s from router %d" (Id.to_short_string id) gateway);
     Vnode.mark_dead vn;
     Vnode_table.remove t.vnodes id;
-    t.oracle <- Ring.remove id t.oracle;
+    Ring.remove id t.oracle;
     let r = t.routers.(gateway) in
     r.residents <- List.filter (fun (v : Vnode.t) -> not (Id.equal v.Vnode.id id)) r.residents;
     Identity.release r.auditor id;

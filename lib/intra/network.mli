@@ -51,7 +51,7 @@ type t = {
   routers : router array;
   metrics : Rofl_netsim.Metrics.t;
   vnodes : Vnode.t Vnode_table.t;     (** every alive vnode, any class *)
-  mutable oracle : Vnode.t Ring.t;    (** ring members (default + stable) *)
+  oracle : Vnode.t Ring.t;            (** ring members (default + stable) *)
   mutable bootstrap_msgs : int;       (** flood cost of router bootstrap *)
 }
 
@@ -137,7 +137,9 @@ val iter_members : t -> (Vnode.t -> unit) -> unit
 (** Every vnode of {!t.vnodes} in a stated order, not the table's hash
     order: the ring members (default and stable) in ring order from
     {!Id.zero}, then the ephemeral identifiers in identifier order.  The
-    members are those present when the call starts. *)
+    ring members are read in place, so [f] must not join or remove a
+    default or stable identifier (the walk raises [Invalid_argument] if it
+    does); the ephemeral ones are those present when the call starts. *)
 
 val spf_route : t -> int -> int -> Rofl_core.Sourceroute.t option
 (** Link-state shortest route between two routers. *)

@@ -137,7 +137,12 @@ let prop_distance_triangle_on_ring =
 
 (* ---------- Ring ---------- *)
 
-let ring_of ids = Ring.of_list (List.map (fun i -> (id i, i)) ids)
+let of_list l =
+  let r = Ring.create () in
+  List.iter (fun (k, v) -> Ring.add k v r) l;
+  r
+
+let ring_of ids = of_list (List.map (fun i -> (id i, i)) ids)
 
 let test_ring_successor () =
   let r = ring_of [ 10; 20; 30 ] in
@@ -170,7 +175,7 @@ let test_ring_singleton () =
     (Option.map snd (Ring.predecessor (id 5) r))
 
 let test_ring_empty () =
-  let r : int Ring.t = Ring.empty in
+  let r : int Ring.t = Ring.create () in
   Alcotest.(check bool) "no successor" true (Ring.successor (id 1) r = None);
   Alcotest.(check bool) "no predecessor" true (Ring.predecessor (id 1) r = None)
 
@@ -181,25 +186,33 @@ let test_ring_k_successors () =
   let all = Ring.k_successors 10 (id 10) r |> List.map snd in
   Alcotest.(check (list int)) "capped at ring size" [ 20; 30; 40; 10 ] all
 
-let test_ring_members_between () =
-  let r = ring_of [ 10; 20; 30; 40 ] in
-  let ms = Ring.members_between (id 15) (id 35) r |> List.map snd in
-  Alcotest.(check (list int)) "(15,35] = {20,30}" [ 20; 30 ] ms;
-  let wrap = Ring.members_between (id 35) (id 15) r |> List.map snd in
-  Alcotest.(check (list int)) "(35,15] wraps = {40,10}" [ 40; 10 ] wrap
-
 let test_ring_remove () =
   let r = ring_of [ 10; 20; 30 ] in
-  let r = Ring.remove (id 20) r in
+  Ring.remove (id 20) r;
   Alcotest.(check (option int)) "succ skips removed" (Some 30)
     (Option.map snd (Ring.successor (id 10) r));
   Alcotest.(check int) "cardinal" 2 (Ring.cardinal r)
+
+(* The ring is walked in place, so a callback that adds or removes a
+   member must be stopped, not left to read shifted slots. *)
+let test_ring_iter_mutation () =
+  let r = ring_of [ 10; 20; 30 ] in
+  let raises f =
+    match f () with () -> false | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "add in iter raises" true
+    (raises (fun () -> Ring.iter (fun k _ -> Ring.add (Id.succ_id k) 0 r) r));
+  Alcotest.(check bool) "remove in iter raises" true
+    (raises (fun () -> Ring.iter (fun k _ -> Ring.remove k r) r));
+  let seen = ref [] in
+  Ring.iter (fun _ v -> seen := v :: !seen) r;
+  Alcotest.(check int) "reads alone do not raise" (Ring.cardinal r) (List.length !seen)
 
 let prop_ring_successor_is_closest =
   QCheck.Test.make ~name:"ring successor minimises clockwise distance" ~count:200
     QCheck.(pair (list_of_size (Gen.int_range 1 20) arb_id) arb_id)
     (fun (ids, probe) ->
-      let r = Ring.of_list (List.map (fun i -> (i, ())) ids) in
+      let r = of_list (List.map (fun i -> (i, ())) ids) in
       match Ring.successor probe r with
       | None -> ids = []
       | Some (s, ()) ->
@@ -217,7 +230,7 @@ let prop_ring_walk_covers_all =
     (QCheck.list_of_size (QCheck.Gen.int_range 1 30) arb_id)
     (fun ids ->
       let uniq = List.sort_uniq Id.compare ids in
-      let r = Ring.of_list (List.map (fun i -> (i, ())) uniq) in
+      let r = of_list (List.map (fun i -> (i, ())) uniq) in
       match uniq with
       | [] -> true
       | start :: _ ->
@@ -300,16 +313,13 @@ let map_predecessor x m =
   | Some kv -> Some kv
   | None -> M.max_binding_opt m
 
-let map_members_between a b m =
-  (* the seed folded the whole map through [between_incl] and sorted by
-     clockwise distance from [a]; [a = b] means the full ring ([a] itself
-     first, at distance zero) *)
-  M.fold
-    (fun k v acc ->
-      if Id.equal a b || Id.between_incl a k b then (k, v) :: acc else acc)
-    m []
-  |> List.sort (fun (k1, _) (k2, _) ->
-         Id.compare (Id.distance a k1) (Id.distance a k2))
+(* The first [k] members strictly clockwise of [x]; [x] itself, at
+   distance zero, comes a full turn later. *)
+let map_k_successors k x m =
+  let others, self = List.partition (fun (y, _) -> not (Id.equal x y)) (M.bindings m) in
+  List.sort (fun (a, _) (b, _) -> Id.compare (Id.distance x a) (Id.distance x b)) others
+  @ self
+  |> List.filteri (fun i _ -> i < k)
 
 let arb_pool_id =
   QCheck.make
@@ -338,14 +348,19 @@ let prop_ring_matches_map =
       let npool = Array.length pool in
       (* the shrinker may empty the pool below the generator's size bound *)
       QCheck.assume (npool > 0);
-      let step (r, m, v) (is_add, idx) =
+      let ring = Ring.create () in
+      let step (m, v) (is_add, idx) =
         let x = pool.(idx mod npool) in
-        if is_add then (Ring.add x v r, M.add x v m, v + 1)
-        else (Ring.remove x r, M.remove x m, v)
+        if is_add then begin
+          Ring.add x v ring;
+          (M.add x v m, v + 1)
+        end
+        else begin
+          Ring.remove x ring;
+          (M.remove x m, v)
+        end
       in
-      let ring, map, _ =
-        List.fold_left step (Ring.empty, M.empty, 0) ops
-      in
+      let map, _ = List.fold_left step (M.empty, 0) ops in
       let same_opt a b =
         match (a, b) with
         | None, None -> true
@@ -360,15 +375,50 @@ let prop_ring_matches_map =
              && Ring.find x ring = M.find_opt x map
              && same_opt (Ring.successor x ring) (map_successor x map)
              && same_opt (Ring.successor_incl x ring) (map_successor_incl x map)
-             && same_opt (Ring.predecessor x ring) (map_predecessor x map))
-           pool
-      && Array.for_all
-           (fun a ->
-             Array.for_all
-               (fun b ->
-                 Ring.members_between a b ring = map_members_between a b map)
-               pool)
+             && same_opt (Ring.predecessor x ring) (map_predecessor x map)
+             && Ring.k_successors 3 x ring = map_k_successors 3 x map)
            pool)
+
+(* Programs long enough to split chunks (128 entries) and to shrink them
+   back into merges: the chunk audit must stay clean after every step and
+   the ring must end equal to the Map.  Adds dominate the first half of a
+   program and removes the second, over a pool that mixes dense
+   key-colliding ids with random ones. *)
+let prop_ring_chunks_audit =
+  QCheck.Test.make ~name:"chunk audit stays clean under long add/remove programs"
+    ~count:40
+    QCheck.(pair (int_range 1 1_000_000) (int_range 200 700))
+    (fun (seed, npool) ->
+      let rng = Prng.create seed in
+      let pool =
+        Array.init npool (fun i ->
+            if i land 1 = 0 then Id.of_int (Prng.int rng 1000) else Id.random rng)
+      in
+      let ring = Ring.create () in
+      let steps = 4 * npool in
+      let rec go m i =
+        if i = steps then m
+        else begin
+          let x = pool.(Prng.int rng npool) in
+          let add_share = if i < steps / 2 then 85 else 15 in
+          let m =
+            if Prng.int rng 100 < add_share then begin
+              Ring.add x i ring;
+              M.add x i m
+            end
+            else begin
+              Ring.remove x ring;
+              M.remove x m
+            end
+          in
+          (match Ring.audit ring with
+           | [] -> ()
+           | problems -> QCheck.Test.fail_reportf "step %d: %s" i (String.concat "; " problems));
+          go m (i + 1)
+        end
+      in
+      let m = go M.empty 0 in
+      Ring.to_list ring = M.bindings m)
 
 (* ---------- cursors ---------- *)
 
@@ -413,7 +463,7 @@ let test_cursor_stepping () =
   Alcotest.(check bool) "prev inverts next" true (check start 4)
 
 let test_cursor_empty () =
-  let r : int Ring.t = Ring.empty in
+  let r : int Ring.t = Ring.create () in
   Alcotest.(check bool) "gt none" true (Ring.cursor_is_none (Ring.cursor_gt (id 1) r));
   Alcotest.(check bool) "lt none" true (Ring.cursor_is_none (Ring.cursor_lt (id 1) r));
   Alcotest.(check bool) "find none" true
@@ -423,7 +473,7 @@ let prop_cursor_matches_option_api =
   QCheck.Test.make ~name:"cursors agree with the option API" ~count:300
     QCheck.(pair (list_of_size (Gen.int_range 1 200) arb_pool_id) arb_pool_id)
     (fun (ids, probe) ->
-      let r = Ring.of_list (List.map (fun i -> (i, ())) ids) in
+      let r = of_list (List.map (fun i -> (i, ())) ids) in
       let via_cursor mk =
         let c = mk probe r in
         if Ring.cursor_is_none c then None else Some (Ring.id_at r c, Ring.value_at r c)
@@ -471,8 +521,8 @@ let () =
           Alcotest.test_case "singleton" `Quick test_ring_singleton;
           Alcotest.test_case "empty" `Quick test_ring_empty;
           Alcotest.test_case "k successors" `Quick test_ring_k_successors;
-          Alcotest.test_case "members between" `Quick test_ring_members_between;
           Alcotest.test_case "remove" `Quick test_ring_remove;
+          Alcotest.test_case "mutation inside iter raises" `Quick test_ring_iter_mutation;
           q prop_ring_successor_is_closest;
           q prop_ring_walk_covers_all;
         ] );
@@ -483,7 +533,7 @@ let () =
             test_hash_no_collision_burst;
           q prop_key_monotone;
         ] );
-      ("ring model", [ q prop_ring_matches_map ]);
+      ("ring model", [ q prop_ring_matches_map; q prop_ring_chunks_audit ]);
       ( "cursor",
         [
           Alcotest.test_case "searches" `Quick test_cursor_basics;

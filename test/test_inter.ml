@@ -301,6 +301,41 @@ let prop_level_kernel_matches_reference =
       done;
       true)
 
+(* A join prices its reply leg as the request's count, and its successor
+   notification and teardown without building a path.  Both rest on this:
+   at every level of a random pair, [distance_within] is symmetric and is
+   the cost of [route_within].  Every tenth seed runs on the default
+   Internet instead of a small random one. *)
+let prop_distance_within_symmetric =
+  QCheck.Test.make ~name:"distance_within symmetric, = route_within cost" ~count:100
+    QCheck.(make ~print:string_of_int Gen.(int_bound 100_000))
+    (fun seed ->
+      let g =
+        if seed mod 10 = 1 then
+          (Internet.generate (Prng.create seed) Internet.default_params).Internet.graph
+        else kernel_graph seed
+      in
+      let n = Asgraph.n g in
+      let ctx = Level.make_ctx g in
+      let rng = Prng.create (seed + 2) in
+      let show = function None -> "none" | Some d -> string_of_int d in
+      for _ = 1 to 40 do
+        let a = Prng.int rng n and b = Prng.int rng n in
+        let levels =
+          Level.levels_for_real ctx a @ Level.levels_for_real ctx b @ Level.peer_levels ctx a
+          @ Level.peer_levels ctx b
+        in
+        List.iter
+          (fun l ->
+            let ab = Level.distance_within ctx l a b and ba = Level.distance_within ctx l b a in
+            let cost = Option.map fst (Level.route_within ctx l a b) in
+            if ab <> ba || ab <> cost then
+              QCheck.Test.fail_reportf "seed %d, %s %d %d: %s one way, %s back, route %s" seed
+                (Level.to_string l) a b (show ab) (show ba) (show cost))
+          levels
+      done;
+      true)
+
 (* ---------- joins ---------- *)
 
 let test_join_registers_everywhere () =
@@ -520,7 +555,7 @@ let test_invariants_after_churn () =
   (* Remove a third, fail a stub, add more. *)
   List.iteri (fun i h -> if i mod 3 = 0 then ignore (Net.remove_host net h.Net.id)) hosts;
   let victim =
-    List.find (fun s -> Ring.cardinal !(net.Net.resident_rings.(s)) > 0) (Internet.stubs inet)
+    List.find (fun s -> Ring.cardinal net.Net.resident_rings.(s) > 0) (Internet.stubs inet)
   in
   ignore (Asfailure.fail_stub net victim ~samples:0);
   Asfailure.restore_as net victim;
@@ -587,10 +622,10 @@ let test_stub_failure () =
   (* Pick a populated stub. *)
   let victim =
     List.find
-      (fun s -> Ring.cardinal !(net.Net.resident_rings.(s)) > 0)
+      (fun s -> Ring.cardinal net.Net.resident_rings.(s) > 0)
       (Internet.stubs inet)
   in
-  let lost = Ring.cardinal !(net.Net.resident_rings.(victim)) in
+  let lost = Ring.cardinal net.Net.resident_rings.(victim) in
   let f = Asfailure.fail_stub net victim ~samples:100 in
   Alcotest.(check int) "ids lost" lost f.Asfailure.ids_lost;
   Alcotest.(check bool) "repair charged" true (f.Asfailure.repair_msgs > 0);
@@ -609,7 +644,7 @@ let test_stub_failure_containment () =
   let _ = populate net rng inet 400 Net.Multihomed in
   let victim =
     List.find
-      (fun s -> Ring.cardinal !(net.Net.resident_rings.(s)) > 0)
+      (fun s -> Ring.cardinal net.Net.resident_rings.(s) > 0)
       (Internet.stubs inet)
   in
   let f = Asfailure.fail_stub net victim ~samples:300 in
@@ -631,6 +666,7 @@ let () =
           Alcotest.test_case "level chains" `Quick test_level_chains;
           Alcotest.test_case "subsumes" `Quick test_level_subsumes;
           QCheck_alcotest.to_alcotest prop_level_kernel_matches_reference;
+          QCheck_alcotest.to_alcotest prop_distance_within_symmetric;
         ] );
       ( "join",
         [
