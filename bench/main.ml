@@ -97,6 +97,24 @@ let map_ring_successor m x =
 
 type micro_row = { name : string; ns_per_run : float; minor_words_per_run : float }
 
+(* Minor words allocated, read from the allocation pointer.  Bechamel's
+   [Instance.minor_allocated] reads [Gc.quick_stat], whose minor_words
+   advance only at minor collections on OCaml 5: a row allocating a few
+   words per microsecond runs a whole quota without one and reads 0. *)
+module Minor_words = struct
+  type witness = unit
+
+  let load () = ()
+  let unload () = ()
+  let make () = ()
+  let get () = Gc.minor_words ()
+  let label () = "minor-words"
+  let unit () = "mnw"
+end
+
+let minor_words =
+  Bechamel.Measure.instance (module Minor_words) (Bechamel.Measure.register (module Minor_words))
+
 let micro () =
   let open Bechamel in
   let open Toolkit in
@@ -197,6 +215,25 @@ let micro () =
         (Rofl_util.Prng.int rng routers, hosts.(Rofl_util.Prng.int rng (Array.length hosts))))
   in
   let lookup_i = ref 0 in
+  (* Owner reads on a converged AS3967 actor ring of 2,000 bootstrap hosts,
+     rotating through 512 fixed (source router, target) pairs, a quarter of
+     them random targets, the rest members: [Proto.lookup_owner] as
+     async-churn's owner phase calls it. *)
+  let owner_proto, owner_pairs =
+    let orng = Rofl_util.Prng.create 0x0a3e in
+    let proto =
+      Rofl_proto.Proto.create ~rng:orng ~bootstrap_hosts:2_000 isp.Rofl_topology.Isp.graph
+    in
+    let members = Array.of_list (Rofl_proto.Proto.members proto) in
+    let pairs =
+      Array.init 512 (fun k ->
+          ( Rofl_util.Prng.int orng routers,
+            if k mod 4 = 3 then Id.random orng
+            else members.(Rofl_util.Prng.int orng (Array.length members)) ))
+    in
+    (proto, pairs)
+  in
+  let owner_i = ref 0 in
   (* Level-restricted valley-free routes on the default ~1,100-AS Internet,
      rotating through 512 precomputed stub pairs, each priced at [Root]
      and at the pair's least common ancestor, with every climb memoised by
@@ -392,6 +429,12 @@ let micro () =
              ignore
                (Rofl_intra.Network.lookup net ~from ~target ~category:Rofl_netsim.Metrics.Data
                   ~use_cache:true)));
+      Test.make ~name:"lookup-owner-as3967"
+        (Staged.stage (fun () ->
+             let i = !owner_i land 511 in
+             incr owner_i;
+             let from, target = Array.unsafe_get owner_pairs i in
+             ignore (Rofl_proto.Proto.lookup_owner owner_proto ~from target)));
       (* Attack-lab rows: the defense's per-admission price (one full
          challenge/response residency handshake — what every verified join
          and failover promotion charges) and the attacker's per-draw price
@@ -413,7 +456,7 @@ let micro () =
   in
   let test = Test.make_grouped ~name:"rofl" ~fmt:"%s/%s" tests in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let instances = Instance.[ monotonic_clock; minor_allocated ] in
+  let instances = [ Instance.monotonic_clock; minor_words ] in
   (* [stabilize] (the default) runs [Gc.compact] before every sample; with
      the fixtures' live heap that eats the whole quota in compactions and
      leaves a degenerate run≈1 fit (every row ~130ns, every slope 0).  The
@@ -423,7 +466,7 @@ let micro () =
   in
   let raw = Benchmark.all cfg instances test in
   let clock_tbl = Analyze.all ols Instance.monotonic_clock raw in
-  let alloc_tbl = Analyze.all ols Instance.minor_allocated raw in
+  let alloc_tbl = Analyze.all ols minor_words raw in
   let estimate tbl name =
     match Hashtbl.find_opt tbl name with
     | Some o -> (match Analyze.OLS.estimates o with Some (e :: _) -> Some e | _ -> None)
@@ -644,11 +687,11 @@ let services_bench (scale : E.Common.scale) quick =
   let ops name = if name = "svc-republish" then intents else total in
   let test = Test.make_grouped ~name:"services" ~fmt:"%s/%s" tests in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let instances = Instance.[ monotonic_clock; minor_allocated ] in
+  let instances = [ Instance.monotonic_clock; minor_words ] in
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~stabilize:false () in
   let raw = Benchmark.all cfg instances test in
   let clock_tbl = Analyze.all ols Instance.monotonic_clock raw in
-  let alloc_tbl = Analyze.all ols Instance.minor_allocated raw in
+  let alloc_tbl = Analyze.all ols minor_words raw in
   let estimate tbl name =
     match Hashtbl.find_opt tbl name with
     | Some o -> (match Analyze.OLS.estimates o with Some (e :: _) -> Some e | _ -> None)
@@ -822,11 +865,11 @@ let alpha_bench (scale : E.Common.scale) quick =
   in
   let test = Test.make_grouped ~name:"alpha" ~fmt:"%s/%s" tests in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let instances = Instance.[ monotonic_clock; minor_allocated ] in
+  let instances = [ Instance.monotonic_clock; minor_words ] in
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~stabilize:false () in
   let raw = Benchmark.all cfg instances test in
   let clock_tbl = Analyze.all ols Instance.monotonic_clock raw in
-  let alloc_tbl = Analyze.all ols Instance.minor_allocated raw in
+  let alloc_tbl = Analyze.all ols minor_words raw in
   let estimate tbl name =
     match Hashtbl.find_opt tbl name with
     | Some o -> (match Analyze.OLS.estimates o with Some (e :: _) -> Some e | _ -> None)

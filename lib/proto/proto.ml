@@ -359,6 +359,7 @@ type shard_state = {
   mutable next_token : int;
   mutable lookups_open : int;
   mutable ranked : Id.t; (* [rank]'s result register *)
+  mutable ranked_d : int; (* [ranked]'s clockwise key distance to the target *)
 }
 
 type t = {
@@ -533,6 +534,7 @@ let create ~rng ?(cfg = default_config) ?(shards = 1) ?pool ?(bootstrap_hosts = 
           next_token = 0;
           lookups_open = 0;
           ranked = Id.zero;
+          ranked_d = 0;
         })
   in
   let t =
@@ -822,7 +824,8 @@ let send_direct t ~cat ~from ~dest msg k =
    one ranking of every greedy step: the chase, [lookup_owner], the α-branch
    owner walk.  Chain order, each resident before its successor; ties keep
    the first visited.  Returns the router hosting the winner ([router] for
-   a resident) or -1, with the winner in the shard's [ranked] register. *)
+   a resident) or -1, with the winner and its key distance to the target in
+   the shard's [ranked]/[ranked_d] registers. *)
 
 let rec avoided id = function [] -> false | a :: rest -> Id.equal a id || avoided id rest
 
@@ -861,6 +864,7 @@ let rank sh ~router ~target ~skip_target ~avoid =
     s := Store.chain_next store !s
   done;
   sh.ranked <- !best;
+  sh.ranked_d <- !best_d;
   !host
 
 (* The resident of [router] closest to [target]: its slot, or -1 when the
@@ -875,6 +879,31 @@ let best_resident store ~router ~target =
     s := Store.chain_next store !s
   done;
   !best
+
+(* One hop of the pure-read greedy owner walk, shared by [lookup_owner] and
+   [walk_owner]: rank at [router] and take the hop if its winner is closer
+   than the previous hop's [best], at key distance [best_d], else settle on
+   the best local resident.  [best_d < 0] is the cleared horizon, [succ
+   target], which any distance below the maximum beats; a key distance in
+   (0, key_mask) is below it whatever the low bits borrow.  Returns the next
+   router, its winner in the shard's [ranked]/[ranked_d]; [owner_found],
+   the verdict in [ranked]; or [owner_dead]. *)
+let owner_found = -2 and owner_dead = -1
+
+let owner_step sh ~router ~target ~best_d ~best =
+  let next = rank sh ~router ~target ~skip_target:false ~avoid:[] in
+  let d = sh.ranked_d in
+  if next < 0 then owner_dead
+  else if next = router then owner_found
+  else if
+    if best_d >= 0 then Id.closer_clockwise_keyed ~target d sh.ranked best_d best
+    else (d > 0 && d < Id.key_mask) || Id.compare_dist sh.ranked target Id.zero Id.max_value < 0
+  then next
+  else begin
+    let s = best_resident sh.store ~router ~target in
+    if s < 0 then owner_dead
+    else (sh.ranked <- Store.rid sh.store s; owner_found)
+  end
 
 let pcache_insert t router id orouter =
   if Array.length t.pcaches > 0 then
@@ -2078,28 +2107,22 @@ let inject_cross_splice t =
   end
 
 let lookup_owner t ~from target =
-  (* [has_best = false] is the cleared horizon, [succ target]: anything at
-     less than the maximal clockwise distance is strictly closer, the test
-     the α-branch walk makes, with no horizon identifier built. *)
-  let rec walk router has_best best_id guard =
-    if guard > 4 * Graph.n t.graph then None
-    else begin
-      let sh = shd t router in
-      let host = rank sh ~router ~target ~skip_target:false ~avoid:[] in
-      if host < 0 then None
-      else if host = router then Some sh.ranked
-      else if
-        if has_best then Id.closer_clockwise ~target sh.ranked best_id
-        else Id.compare_dist sh.ranked target Id.zero Id.max_value < 0
-      then walk host true sh.ranked (guard + 1)
-      else begin
-        (* No progress: settle on the best local resident. *)
-        let s = best_resident sh.store ~router ~target in
-        if s < 0 then None else Some (Store.rid sh.store s)
-      end
+  let guard_max = 4 * Graph.n t.graph in
+  let router = ref from and best = ref target and best_d = ref (-1) in
+  let hops = ref 0 and step = ref from in
+  while !step >= 0 do
+    let sh = shd t !router in
+    step :=
+      if !hops > guard_max then owner_dead
+      else owner_step sh ~router:!router ~target ~best_d:!best_d ~best:!best;
+    if !step >= 0 then begin
+      router := !step;
+      best := sh.ranked;
+      best_d := sh.ranked_d;
+      incr hops
     end
-  in
-  walk from false target 0
+  done;
+  if !step = owner_found then Some (shd t !router).ranked else None
 
 let lookup_owner_batch t ~from ~targets =
   if Array.length from <> Array.length targets then
@@ -2113,9 +2136,9 @@ let lookup_owner_batch t ~from ~targets =
    diversified starts ({!branch_starts_into}).  Each pass steps every live
    branch once, in branch order; the first branch to reach a verdict wins
    and its live siblings are cancelled, so a tie between branches resolves
-   to the lowest branch index.  Each hop ranks with [rank], settles with
-   [best_resident] and is priced by the link-state shortest path between its
-   two routers, so a hop allocates nothing.  The pricing only warms
+   to the lowest branch index.  Each hop is one [owner_step], priced by the
+   link-state shortest path between its two routers, so a hop allocates
+   nothing.  The pricing only warms
    memoised shortest-path trees: a lookup's result depends on the tables
    alone, never on the lookups walked before it.  At [alpha = 1] the verdict
    is exactly {!lookup_owner}'s. *)
@@ -2131,7 +2154,7 @@ type owner_walk = {
   w_link_hops : int array;
   w_latency_ms : float array;
   w_best : Id.t array;
-  w_has_best : Bytes.t;
+  w_best_d : int array;
   w_live : Bytes.t;
 }
 
@@ -2148,7 +2171,7 @@ let owner_walk ~alpha =
     w_link_hops = Array.make alpha 0;
     w_latency_ms = Array.make alpha 0.0;
     w_best = Array.make alpha Id.zero;
-    w_has_best = Bytes.make alpha '\000';
+    w_best_d = Array.make alpha (-1);
     w_live = Bytes.make alpha '\000';
   }
 
@@ -2159,41 +2182,22 @@ let step_branch t w ~target ~guard_max b =
   &&
   let r = w.w_router.(b) in
   let sh = shd t r in
-  let next = rank sh ~router:r ~target ~skip_target:false ~avoid:[] in
-  if next < 0 then false
-  else if next = r then begin
-    w.w_owner <- sh.ranked;
-    w.w_winner <- b;
-    false
+  let next = owner_step sh ~router:r ~target ~best_d:w.w_best_d.(b) ~best:w.w_best.(b) in
+  if next >= 0 then begin
+    let h = Linkstate.price_hop_into sh.s_ls r next ~latency:w.w_latency_ms b in
+    if h >= 0 then w.w_link_hops.(b) <- w.w_link_hops.(b) + h;
+    w.w_hops.(b) <- w.w_hops.(b) + 1;
+    w.w_router.(b) <- next;
+    w.w_best.(b) <- sh.ranked;
+    w.w_best_d.(b) <- sh.ranked_d;
+    true
   end
   else begin
-    let id = sh.ranked in
-    let progress =
-      if Bytes.unsafe_get w.w_has_best b <> '\000' then
-        Id.closer_clockwise ~target id w.w_best.(b)
-      else
-        (* cleared horizon = [succ target]: anything at less than the
-           maximal clockwise distance is strictly closer *)
-        Id.compare_dist id target Id.zero Id.max_value < 0
-    in
-    if progress then begin
-      let h = Linkstate.price_hop_into sh.s_ls r next ~latency:w.w_latency_ms b in
-      if h >= 0 then w.w_link_hops.(b) <- w.w_link_hops.(b) + h;
-      w.w_hops.(b) <- w.w_hops.(b) + 1;
-      w.w_router.(b) <- next;
-      w.w_best.(b) <- id;
-      Bytes.unsafe_set w.w_has_best b '\001';
-      true
-    end
-    else begin
-      (* No progress: settle on the best local resident. *)
-      let s = best_resident sh.store ~router:r ~target in
-      if s >= 0 then begin
-        w.w_owner <- Store.rid sh.store s;
-        w.w_winner <- b
-      end;
-      false
-    end
+    if next = owner_found then begin
+      w.w_owner <- sh.ranked;
+      w.w_winner <- b
+    end;
+    false
   end
 
 let walk_owner t w ~from ~target =
@@ -2205,7 +2209,7 @@ let walk_owner t w ~from ~target =
     w.w_hops.(b) <- 0;
     w.w_link_hops.(b) <- 0;
     w.w_latency_ms.(b) <- 0.0;
-    Bytes.unsafe_set w.w_has_best b '\000';
+    w.w_best_d.(b) <- -1;
     Bytes.unsafe_set w.w_live b '\001'
   done;
   w.w_winner <- -1;

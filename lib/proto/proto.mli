@@ -331,8 +331,8 @@ val stale_open : t -> int
 
 val lookup_owner : t -> from:int -> Rofl_idspace.Id.t -> Rofl_idspace.Id.t option
 (** Synchronously walk the current pointer state greedily from a router —
-    the data-plane view of this actor network's tables, and the short
-    reference the α-branch walk below is tested against. *)
+    the data-plane view of this actor network's tables.  Each hop is the
+    owner step {!walk_owner} takes too; only the [Some] result allocates. *)
 
 val lookup_owner_batch :
   t ->
@@ -354,7 +354,7 @@ type owner_walk = private {
   w_link_hops : int array;      (** per branch: link traversals of those hops *)
   w_latency_ms : float array;   (** per branch: summed shortest-path latency *)
   w_best : Rofl_idspace.Id.t array;  (** per branch: the walk's horizon (scratch) *)
-  w_has_best : Bytes.t;         (** scratch *)
+  w_best_d : int array;         (** per branch: its key distance, -1 when cleared (scratch) *)
   w_live : Bytes.t;             (** scratch *)
 }
 (** The registers of the α-branch owner walk, made once by {!owner_walk} and

@@ -39,7 +39,6 @@ type t = {
   mutable owner : int array;       (* hosting router, -1 = free slot *)
   head : int array;                (* per-router chain head, -1 = empty *)
   mutable free : int;              (* freelist head, -1 = exhausted *)
-  mutable live : int;
   mutable st_id : Id.t array;      (* the staging run of [normalize] *)
   mutable st_router : int array;
   mutable st_pos : int array;
@@ -73,7 +72,6 @@ let create ~routers ~cap_list ~hint ~dummy =
       owner = Array.make cap (-1);
       head = Array.make routers (-1);
       free = 0;
-      live = 0;
       st_id = Array.make 8 dummy;
       st_router = Array.make 8 0;
       st_pos = Array.make 8 0;
@@ -81,8 +79,6 @@ let create ~routers ~cap_list ~hint ~dummy =
     }
   in
   t
-
-let live t = t.live
 
 let cap_list t = t.cap_list
 
@@ -135,7 +131,6 @@ let alloc t ~router rid =
   t.prev.(s) <- -1;
   if h >= 0 then t.prev.(h) <- s;
   t.head.(router) <- s;
-  t.live <- t.live + 1;
   s
 
 let release t s =
@@ -155,8 +150,7 @@ let release t s =
   t.sl_len.(s) <- 0;
   t.next.(s) <- t.free;
   t.prev.(s) <- -1;
-  t.free <- s;
-  t.live <- t.live - 1
+  t.free <- s
 
 let iter_router t router f =
   let s = ref t.head.(router) in

@@ -23,9 +23,6 @@ val create :
     doubling beyond that), and uses [dummy] to fill vacant identifier
     cells. *)
 
-val live : t -> int
-(** Number of allocated slots. *)
-
 val cap_list : t -> int
 
 val alloc : t -> router:int -> Rofl_idspace.Id.t -> int

@@ -1,6 +1,7 @@
 (* The α-branch owner walk ([Proto.walk_owner] behind the [Alpha] register
    file): at α=1 it must reproduce the recorded sequential batch-walk golden
-   and the per-lookup [lookup_owner] reference, any α must agree with the
+   and the per-lookup [lookup_owner] reference, both must give the verdict
+   of an independent recursive model of the walk, any α must agree with the
    sequential verdict on first success, a lookup's results must not depend
    on where it sits in the batch (the walk is pure-read), α < 1 is rejected
    at every entry point, and the network-size estimator feeding the
@@ -19,14 +20,15 @@ let spread_id k =
 (* A small actor ring; [crash] leaves tables mid-repair so stale pointers
    and settle paths are live (the walk is pure-read either way), and
    [pcache] gives every router a pointer cache, which seeds α > 1 branches. *)
-let build_proto ?(seed = 41) ?(n = 30) ?(joins = 25) ?(crash = false) ?(pcache = 0) () =
+let build_proto ?(seed = 41) ?(n = 30) ?(joins = 25) ?(crash = false) ?(pcache = 0)
+    ?(draw = Id.random) () =
   let topo = Gen.waxman (Prng.create seed) ~n ~alpha:0.4 ~beta:0.2 in
   let cfg = { Proto.default_config with pcache_capacity = pcache } in
   let t = Proto.create ~rng:(Prng.create seed) ~cfg topo in
   let rng = Prng.create (seed + 1) in
   let joined = ref 0 in
   while !joined < joins do
-    Proto.join t ~gateway:(Prng.int rng n) (Id.random rng);
+    Proto.join t ~gateway:(Prng.int rng n) (draw rng);
     incr joined
   done;
   ignore (Proto.run_until_quiescent t ~max_ms:120_000.0);
@@ -45,6 +47,113 @@ let lookup_set ~n ~count members =
         else members.(k * 3 mod Array.length members))
   in
   (from, targets)
+
+(* ---- reference model: the recursive owner walk --------------------------
+
+   The owner walk as written before [lookup_owner] and [walk_owner] shared
+   one keyed step: a recursive walk over a snapshot of the resident tables
+   ([Proto.residents_view]) with full 128-bit comparisons only.  A router
+   ranks its residents and their successor pointers to other routers,
+   keeping the first strictly closest; a hop must beat the previous hop's
+   winner (at first, the cleared horizon [succ target]); else the walk
+   settles on the best local resident.  Residents are visited in identifier
+   order rather than the store's chain order: the two differ only on equal
+   identifiers held for different routers, which needs a moved identifier,
+   and the property below draws no moves. *)
+module Model = struct
+  let by_router t ~n =
+    let rs = Array.make n [] in
+    List.iter
+      (fun (v : Proto.resident_view) -> rs.(v.v_router) <- v :: rs.(v.v_router))
+      (List.rev (Proto.residents_view t));
+    rs
+
+  let closer ~target id = function
+    | Some (best, _) -> Id.closer_clockwise ~target id best
+    | None -> true
+
+  let rank rs ~router ~target =
+    List.fold_left
+      (fun best (v : Proto.resident_view) ->
+        let best = if closer ~target v.v_id best then Some (v.v_id, router) else best in
+        match v.v_succ with
+        | Some (sid, sr) when sr <> router && closer ~target sid best -> Some (sid, sr)
+        | _ -> best)
+      None rs.(router)
+
+  let best_resident rs ~router ~target =
+    List.fold_left
+      (fun best (v : Proto.resident_view) ->
+        if closer ~target v.v_id best then Some (v.v_id, router) else best)
+      None rs.(router)
+    |> Option.map fst
+
+  let lookup_owner rs ~from target =
+    let rec walk router horizon guard =
+      if guard > 4 * Array.length rs then None
+      else
+        match rank rs ~router ~target with
+        | None -> None
+        | Some (id, host) when host = router -> Some id
+        | Some (id, host) ->
+          let progress =
+            match horizon with
+            | Some best -> Id.closer_clockwise ~target id best
+            | None -> Id.compare_dist id target Id.zero Id.max_value < 0
+          in
+          if progress then walk host (Some id) (guard + 1)
+          else best_resident rs ~router ~target
+    in
+    walk from None 0
+end
+
+(* Dense identifiers: high words from a few runs of 8 (at zero, below the
+   top and mid-ring), so keys tie or sit 1-2 apart and the walk's keyed
+   comparisons fall back to full ones; a third are uniform. *)
+let dense_id rng =
+  if Prng.int rng 3 = 0 then Id.random rng
+  else begin
+    let base = [| 0L; -8L; 0x4000_0000_0000_0000L |].(Prng.int rng 3) in
+    let lo = if Prng.bool rng then Int64.of_int (Prng.int rng 64) else Prng.bits64 rng in
+    Id.of_int64_pair (Int64.add base (Int64.of_int (Prng.int rng 8))) lo
+  end
+
+let qcheck_owner_walks_match_model =
+  QCheck.Test.make ~count:25 ~name:"lookup_owner and walk_owner at alpha=1 = recursive model"
+    QCheck.(pair (int_range 1 100_000) (int_range 10 60))
+    (fun (seed, count) ->
+      let seen = Hashtbl.create 64 in
+      let rec draw rng =
+        let id = dense_id rng in
+        if Hashtbl.mem seen id then draw rng else (Hashtbl.add seen id (); id)
+      in
+      let t, members, n =
+        build_proto ~seed ~n:(12 + (seed mod 13)) ~joins:(10 + (seed mod 17))
+          ~crash:(seed mod 2 = 0) ~draw ()
+      in
+      let rs = Model.by_router t ~n in
+      let rng = Prng.create (seed + 7) in
+      let w = Proto.owner_walk ~alpha:1 in
+      for k = 0 to count - 1 do
+        let from = Prng.int rng n in
+        let target =
+          match Prng.int rng 3 with
+          | 0 -> dense_id rng
+          | 1 -> members.(Prng.int rng (Array.length members))
+          | _ ->
+            let m = members.(Prng.int rng (Array.length members)) in
+            if Prng.bool rng then Id.succ_id m else Id.pred_id m
+        in
+        let show = function Some id -> Id.to_hex id | None -> "none" in
+        let want = Model.lookup_owner rs ~from target in
+        let got = Proto.lookup_owner t ~from target in
+        Proto.walk_owner t w ~from ~target;
+        let walked = if w.w_winner >= 0 then Some w.w_owner else None in
+        if not (Option.equal Id.equal want got && Option.equal Id.equal want walked) then
+          QCheck.Test.fail_reportf "#%d from %d to %s: model %s, lookup_owner %s, walk_owner %s"
+            k from (Id.to_hex target) (show want) (show got) (show walked)
+      done;
+      true)
 
 (* ---- goldens of the sequential batch walk (see {!Owner_golden}) ---------- *)
 
@@ -248,6 +357,7 @@ let () =
             test_alpha1_eq_lookup_owner_mid_repair;
           Alcotest.test_case "empty batch" `Quick test_empty_batch;
           Alcotest.test_case "alpha < 1 rejected" `Quick test_alpha_below_one_rejected;
+          QCheck_alcotest.to_alcotest qcheck_owner_walks_match_model;
         ] );
       ( "estimate",
         [

@@ -288,6 +288,58 @@ let prop_key_monotone =
       (* unequal keys must agree with compare; equal keys decide nothing *)
       if k <> 0 then (k < 0) = (c < 0) else true)
 
+(* The keyed comparison must agree with the full one, and a key distance
+   strictly inside (0, key_mask) must put an identifier strictly inside the
+   cleared horizon (distance below the maximum; the owner walk's first-hop
+   shortcut).  Uniform triples rarely come near a key tie, so most draws
+   place [x] and [y] at a chosen distance from the target: a high word
+   within 8 of zero (key distances equal or 1-3 apart, or wrapping to just
+   under 2^62), a low word that is random, 0, 1 or all ones (target - 1
+   and target + 1 among them), and targets near zero so the
+   identifiers wrap through it. *)
+let gen_word =
+  QCheck.Gen.map2
+    (fun a b -> Int64.(logxor (of_int a) (shift_left (of_int b) 31)))
+    QCheck.Gen.int QCheck.Gen.int
+
+let gen_uniform_id = QCheck.Gen.map2 Id.of_int64_pair gen_word gen_word
+
+let gen_near_target =
+  QCheck.Gen.(
+    oneof
+      [
+        gen_uniform_id;
+        map2 Id.of_int64_pair (map Int64.of_int (int_range (-4) 3)) gen_word;
+      ])
+
+let gen_near ~target =
+  QCheck.Gen.(
+    map2
+      (fun dh lo -> Id.sub target (Id.of_int64_pair (Int64.of_int dh) lo))
+      (int_range (-8) 8)
+      (oneof [ gen_word; oneofl [ 0L; 1L; -1L; 2L ] ]))
+
+let arb_keyed_triple =
+  QCheck.make
+    ~print:(fun (t, x, y) -> String.concat " " (List.map Id.to_hex [ t; x; y ]))
+    QCheck.Gen.(
+      frequency
+        [
+          (1, triple gen_uniform_id gen_uniform_id gen_uniform_id);
+          ( 3,
+            gen_near_target >>= fun target ->
+            map2 (fun x y -> (target, x, y)) (gen_near ~target) (gen_near ~target) );
+        ])
+
+let prop_closer_clockwise_keyed =
+  QCheck.Test.make ~name:"keyed comparison = closer_clockwise; keyed horizon test"
+    ~count:3000 arb_keyed_triple (fun (target, x, y) ->
+      let kd z = (Id.key target - Id.key z) land Id.key_mask in
+      let dx = kd x and dy = kd y in
+      Id.closer_clockwise_keyed ~target dx x dy y = Id.closer_clockwise ~target x y
+      && ((not (dx > 0 && dx < Id.key_mask))
+         || Id.compare_dist x target Id.zero Id.max_value < 0))
+
 (* ---------- ring vs reference-Map model ---------- *)
 
 (* The seed's ring was a persistent [Map.Make (Id)]; this model replays a
@@ -532,6 +584,7 @@ let () =
           Alcotest.test_case "dense ids stay distinct" `Quick
             test_hash_no_collision_burst;
           q prop_key_monotone;
+          q prop_closer_clockwise_keyed;
         ] );
       ("ring model", [ q prop_ring_matches_map; q prop_ring_chunks_audit ]);
       ( "cursor",
