@@ -186,15 +186,6 @@ let up_hierarchy g x =
   check g x;
   (derived g).ups.(x)
 
-let up_hierarchy_with_peers g x =
-  let base = up_hierarchy g x in
-  let seen = Hashtbl.create 32 in
-  List.iter (fun a -> Hashtbl.replace seen a ()) base;
-  List.iter
-    (fun a -> List.iter (fun p -> Hashtbl.replace seen p ()) g.peer_links.(a))
-    base;
-  Hashtbl.fold (fun a () acc -> a :: acc) seen [] |> List.sort (by_cone (derived g).sizes)
-
 let tier1s g =
   let acc = ref [] in
   for a = g.size - 1 downto 0 do

@@ -46,7 +46,10 @@ val validate : t -> (unit, string) result
     symmetric. *)
 
 val topo_order : t -> int array
-(** ASes ordered providers-first (valid only after {!validate}). *)
+(** ASes ordered providers-first (valid only after {!validate}).
+
+    Exported for tests: test_asgraph checks the providers-first order the
+    derived tables are built in. *)
 
 val customer_cone : t -> int -> Rofl_util.Bitset.t
 (** The AS itself plus all ASes reachable downward via customer edges — the
@@ -64,16 +67,15 @@ val up_hierarchy : t -> int -> int list
     [X] itself, ordered by increasing customer-cone size (lowest level
     first).  The paper reports 75–100 ASes typical (§6.3).  Precomputed. *)
 
-val up_hierarchy_with_peers : t -> int -> int list
-(** {!up_hierarchy} of [X] plus the peers of each AS in it — the join set of
-    the "recursively multihomed + peering" strategy. *)
-
 val tier1s : t -> int list
 (** ASes with no providers. *)
 
 val least_common_ancestors : t -> int -> int -> int list
 (** ASes that are in both up-hierarchies and minimal by cone size — the
-    "earliest common ancestor" bound of the isolation property. *)
+    "earliest common ancestor" bound of the isolation property.
+
+    Kept as a reference: the isolation bound; the bench inter-route rows
+    pick each pair's level by it. *)
 
 val edges_in_up_hierarchy : t -> int -> int
 (** Number of hierarchy edges visible to [X] (join/maintenance overhead is

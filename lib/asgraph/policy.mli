@@ -38,7 +38,10 @@ val vf_distance_within :
 (** Shortest valley-free path — a climb, one optional peer step, a descent —
     between two ASes.  With [root = Some r] every AS on the path must lie in
     [customer_cone r]; [None] means unrestricted.  [blocked] excludes failed
-    ASes.  Not memoised (it is a cheap bidirectional climb). *)
+    ASes.  Not memoised (it is a cheap bidirectional climb).
+
+    Kept as a reference: the unmemoised valley-free distance test_asgraph
+    and test_consistency check routes against. *)
 
 val up_distances : t -> ?blocked:(int -> bool) -> int -> (int * int) list
 (** [(ancestor, hops)] for every AS reachable by climbing provider edges,

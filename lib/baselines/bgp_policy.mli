@@ -9,10 +9,6 @@ val create : Rofl_asgraph.Asgraph.t -> t
 
 val policy : t -> Rofl_asgraph.Policy.t
 
-val path_stretch : t -> src:int -> dst:int -> float option
-(** BGP-selected path length over the unrestricted shortest path;
-    [None] when either is undefined or [src = dst]. *)
-
 val sample_stretches :
   t -> Rofl_util.Prng.t -> ases:int array -> samples:int -> float list
 (** Stretch over random distinct AS pairs (undefined pairs skipped). *)

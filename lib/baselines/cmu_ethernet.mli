@@ -21,9 +21,6 @@ val leave_host : t -> unit
 
 val total_messages : t -> int
 
-val messages_per_join : t -> int
-(** Cost of one join at the current topology: 2 × links. *)
-
 val hosts : t -> int
 
 val entries_per_router : t -> int

@@ -22,13 +22,21 @@ val build :
     [ceil (sqrt (n * log n))], the Thorup–Zwick balance point. *)
 
 val landmark_count : t -> int
+(** Exported for tests: test_baselines bounds the landmark set (sublinear
+    tables). *)
 
 val home_landmark : t -> int -> int
 (** The landmark closest to a router — the location-bearing part of its
-    compact address. *)
+    compact address.
+
+    Exported for tests: test_baselines checks every router's home landmark
+    is a router. *)
 
 val in_cluster : t -> int -> int -> bool
-(** [in_cluster t u v]: is [v] in [u]'s cluster (direct routes kept)? *)
+(** [in_cluster t u v]: is [v] in [u]'s cluster (direct routes kept)?
+
+    Exported for tests: test_baselines checks cluster members are routed
+    directly (stretch 1). *)
 
 val route_hops : t -> src:int -> dst:int -> int option
 (** Hop count of the compact route ([None] if disconnected):
@@ -43,4 +51,7 @@ val avg_table_entries : t -> float
     the state ROFL's ring pointers and caches are traded against. *)
 
 val max_stretch_bound : float
-(** The scheme's worst-case guarantee (3.0). *)
+(** The scheme's worst-case guarantee (3.0).
+
+    Kept as a reference: the Thorup-Zwick stretch-3 bound test_baselines
+    checks every route against. *)

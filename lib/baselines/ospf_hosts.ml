@@ -14,11 +14,6 @@ let route t ~src ~dst =
     Some hops
   | None -> None
 
-let route_many t pairs =
-  List.fold_left
-    (fun acc (src, dst) -> match route t ~src ~dst with Some _ -> acc + 1 | None -> acc)
-    0 pairs
-
 let router_load t = Metrics.router_load t.metrics
 
 let load_fractions t =
@@ -28,7 +23,3 @@ let load_fractions t =
   else Array.map (fun l -> float_of_int l /. float_of_int total) load
 
 let entries_per_router t = Graph.n t.graph
-
-let entries_per_router_with_host_routes t ~hosts = Graph.n t.graph + hosts
-
-let reset_load t = Metrics.reset t.metrics

@@ -13,9 +13,6 @@ val create : Rofl_topology.Graph.t -> t
 val route : t -> src:int -> dst:int -> int list option
 (** Shortest path (inclusive); accumulates per-router load. *)
 
-val route_many : t -> (int * int) list -> int
-(** Route a batch of gateway pairs; returns packets delivered. *)
-
 val router_load : t -> int array
 (** Traversal counts per router, same accounting as
     {!Rofl_netsim.Metrics.charge_path}. *)
@@ -25,7 +22,3 @@ val load_fractions : t -> float array
 
 val entries_per_router : t -> int
 (** Topology routes only (OSPF proper). *)
-
-val entries_per_router_with_host_routes : t -> hosts:int -> int
-
-val reset_load : t -> unit

@@ -12,8 +12,6 @@ let make kind ~dst ~dst_router ~route =
 let placeholder =
   { dst = Id.zero; dst_router = 0; route = Sourceroute.singleton 0; kind = Cached }
 
-let is_ring_state p = match p.kind with Successor | Predecessor -> true | Finger | Cached -> false
-
 let route_length p = Sourceroute.length p.route
 
 let uses_router p r = Sourceroute.contains_router p.route r

@@ -22,11 +22,6 @@ val placeholder : t
 (** A cached pointer to {!Rofl_idspace.Id.zero} at router 0: the fill value
     of preallocated pointer slots and registers, never a real route. *)
 
-val is_ring_state : t -> bool
-(** Successor or predecessor — the protected class. *)
-
-val route_length : t -> int
-
 val uses_router : t -> int -> bool
 (** The pointer's source route traverses the given router. *)
 

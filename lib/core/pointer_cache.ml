@@ -12,7 +12,7 @@ module Id = Rofl_idspace.Id
    and the copy, living as long as the cache, would be promoted and later
    swept. *)
 type t = {
-  mutable cap : int;
+  cap : int;
   mutable order : Bytes.t;
   mutable n : int;  (* entries in [order] *)
   mutable slots : Pointer.t array;  (* payloads; free slots hold the placeholder *)
@@ -254,29 +254,6 @@ let clear c =
   c.tail <- -1;
   c.free <- [||];
   c.n_free <- 0
-
-let resize c ~capacity =
-  if capacity < 0 then invalid_arg "Pointer_cache.resize: negative capacity";
-  c.cap <- capacity;
-  if c.n > capacity then begin
-    (* Unlink the least recent down to [capacity], then compact the index
-       in place, freeing the slots they left. *)
-    for _ = capacity + 1 to c.n do
-      let s = c.tail in
-      unlink c s;
-      c.prev.(s) <- free_mark
-    done;
-    let kept = ref 0 in
-    for i = 0 to c.n - 1 do
-      let s = slot_at c i in
-      if c.prev.(s) = free_mark then release_slot c s
-      else begin
-        set_entry c !kept (key_at c i) s;
-        incr kept
-      end
-    done;
-    c.n <- !kept
-  end
 
 let audit c =
   let problems = ref [] in

@@ -47,10 +47,6 @@ val iter : t -> (Pointer.t -> unit) -> unit
 
 val clear : t -> unit
 
-val resize : t -> capacity:int -> unit
-(** Evicts least-recently-used entries down to the new capacity.
-    @raise Invalid_argument on a negative capacity. *)
-
 val audit : t -> string list
 (** Structural agreement between the recency list and the ring-ordered
     index: the list's back-links and tail are consistent, it holds exactly

@@ -141,9 +141,6 @@ let filter_succs v keep =
     n - Array.length kept
   end
 
-let remove_succ v id =
-  ignore (filter_succs v (fun (p : Pointer.t) -> not (Id.equal p.dst id)))
-
 (* [List.filter], but the list itself when nothing goes. *)
 let rec filter_shared keep = function
   | [] -> []

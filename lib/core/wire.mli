@@ -25,10 +25,16 @@ type msg =
 
 val encode : msg -> string
 (** Serialise (payload bytes of [Data] are not materialised; only the header
-    and declared length are). *)
+    and declared length are).
+
+    Kept as a reference: test_core pins size_bytes = encoded length, which
+    msg-sizes relies on. *)
 
 val decode : string -> (msg, string) result
-(** Inverse of {!encode}; [Error] on truncated or malformed input. *)
+(** Inverse of {!encode}; [Error] on truncated or malformed input.
+
+    Kept as a reference: round-trips encode in test_core, pinning that
+    msg-sizes' size_bytes prices a decodable message. *)
 
 val size_bytes : msg -> int
 (** [String.length (encode m)], without building the string. *)

@@ -5,9 +5,13 @@
     allocates only its tag. *)
 
 val mac : key:string -> string -> string
-(** 32-byte binary tag. *)
+(** 32-byte binary tag.
+
+    Exported for tests: the one-shot HMAC under verify; test_crypto checks
+    it against an RFC 2104 reference. *)
 
 val mac_hex : key:string -> string -> string
+(** Kept as a reference: the RFC 4231 test vectors pin the HMAC through it. *)
 
 val verify : key:string -> msg:string -> tag:string -> bool
 (** Constant-time comparison of the expected and presented tags. *)

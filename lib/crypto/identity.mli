@@ -24,7 +24,10 @@ val generate : Rofl_util.Prng.t -> keypair
 val public : keypair -> public
 
 val id_of_public : public -> Rofl_idspace.Id.t
-(** The self-certifying flat label: the top 128 bits of SHA-256(public). *)
+(** The self-certifying flat label: the top 128 bits of SHA-256(public).
+
+    Exported for tests: test_crypto checks a key pair's label is the hash of
+    its public key. *)
 
 val id_of_keypair : keypair -> Rofl_idspace.Id.t
 

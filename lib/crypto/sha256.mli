@@ -9,7 +9,10 @@ val digest : string -> string
     per-domain context, so it allocates only its result. *)
 
 val digest_hex : string -> string
-(** Digest as 64 lowercase hex characters. *)
+(** Digest as 64 lowercase hex characters.
+
+    Kept as a reference: the FIPS 180-4 vectors pin SHA-256 through it;
+    test_experiments' golden table digests use it. *)
 
 val to_hex : string -> string
 (** Any string as lowercase hex, two characters per byte. *)

@@ -53,6 +53,8 @@ type t = {
 val to_lines : t -> string list
 
 val of_lines : string list -> (t, string) result
+(** Exported for tests: test_doctor round-trips artifacts and rejects
+    malformed ones without touching files. *)
 
 val write : path:string -> t -> unit
 

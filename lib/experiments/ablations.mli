@@ -1,20 +1,10 @@
 (** Ablations of the design choices DESIGN.md calls out.
 
-    Each returns a table contrasting the mechanism on vs off:
+    Tables contrasting each mechanism on vs off:
     control-path caching (stretch), zero-ID partition repair (ring
     consistency after a merge), peering via virtual ASes vs bloom filters
     (join overhead vs state), bottom-up vs root-only finger placement
     (stretch and isolation), and the redundant-lookup elimination of
     multihomed joins (§6.3). *)
-
-val ablate_cache : Common.scale -> Rofl_util.Table.t list
-
-val ablate_zero_id : Common.scale -> Rofl_util.Table.t list
-
-val ablate_peering : Common.scale -> Rofl_util.Table.t list
-
-val ablate_fingers : Common.scale -> Rofl_util.Table.t list
-
-val ablate_multihomed : Common.scale -> Rofl_util.Table.t list
 
 val all : Common.scale -> Rofl_util.Table.t list

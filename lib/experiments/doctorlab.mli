@@ -17,20 +17,29 @@ type scenario = {
 }
 
 val scenario_events : scenario -> Rofl_doctor.Artifact.event list
-(** The scenario's full event list: its churn trace followed by its faults. *)
+(** The scenario's full event list: its churn trace followed by its faults.
+
+    Kept as a reference: the event list test_doctor's pure-observer
+    comparison replays. *)
 
 val graph_spec : Rofl_topology.Isp.profile -> string
 (** Artifact graph line ([isp name routers hosts pops]) — self-describing,
-    no profile registry needed at replay time. *)
+    no profile registry needed at replay time.
+
+    Exported for tests: test_doctor round-trips an artifact's graph line. *)
 
 val profile_of_spec : string -> (Rofl_topology.Isp.profile, string) result
+(** Exported for tests: test_doctor round-trips an artifact's graph line. *)
 
 val audited_report :
   scenario -> Rofl_doctor.Artifact.event list -> Rofl_dynamics.Campaign.report
 (** Run the scenario's campaign over an explicit event list with a
     checkpoint auditor attached (cadence/grace from
     {!Rofl_doctor.Audit.config_for}); topology derivation matches
-    {!Rofl_dynamics.Campaign.run}. *)
+    {!Rofl_dynamics.Campaign.run}.
+
+    Kept as a reference: test_doctor compares an audited campaign against
+    the plain one (pure observer). *)
 
 type grid = {
   tables : Rofl_util.Table.t list;

@@ -117,12 +117,9 @@ let closer_clockwise ~target x y =
   let dxh = dist_hi x target and dyh = dist_hi y target in
   if dxh = dyh then ult (dist_lo x target) (dist_lo y target) else ult dxh dyh
 
-(* A borrow out of the low 66 bits makes a distance's true top 62 bits its
-   key distance or one less, so two positive key distances 2 or more apart
-   order the distances; a zero one may hide a wrap through zero. *)
+(* Why unequal positive key distances decide: see the interface. *)
 let closer_clockwise_keyed ~target dx x dy y =
-  if dx > 0 && dy > 0 && (dx - dy >= 2 || dy - dx >= 2) then dx < dy
-  else closer_clockwise ~target x y
+  if dx > 0 && dy > 0 && dx <> dy then dx < dy else closer_clockwise ~target x y
 
 let compare_dist a b c d =
   let h1 = uflip (dist_hi a b) and h2 = uflip (dist_hi c d) in
@@ -137,16 +134,6 @@ let bit id i =
   if i < 0 || i > 127 then invalid_arg "Id.bit: index out of range";
   let word, off = if i < 64 then (id.hi, 63 - i) else (id.lo, 127 - i) in
   Int64.to_int (Int64.logand (Int64.shift_right_logical word off) 1L)
-
-let digit id ~base_bits i =
-  if base_bits < 1 || base_bits > 16 then invalid_arg "Id.digit: base_bits out of range";
-  let start = i * base_bits in
-  if start < 0 || start + base_bits > 128 then invalid_arg "Id.digit: index out of range";
-  let value = ref 0 in
-  for b = start to start + base_bits - 1 do
-    value := (!value lsl 1) lor bit id b
-  done;
-  !value
 
 let common_prefix_bits a b =
   let rec leading_zeros word acc i =

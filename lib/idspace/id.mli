@@ -3,15 +3,17 @@
     ROFL identifiers are semantics-free 128-bit values living on a ring of
     size 2^128 (the paper, §2.1).  This module provides unsigned ordering,
     clockwise distance, interval membership (the "between but not past"
-    predicate greedy routing relies on), and the digit/prefix views used by
-    proximity finger tables. *)
+    predicate greedy routing relies on), and bit and prefix views. *)
 
 type t
 (** An immutable 128-bit identifier. *)
 
 val zero : t
 val max_value : t
-(** All-ones, the ID immediately counter-clockwise of {!zero}. *)
+(** All-ones, the ID immediately counter-clockwise of {!zero}.
+
+    Kept as a reference: test_idspace's keyed-comparison property checks the
+    key-distance horizon against it. *)
 
 val of_int64_pair : int64 -> int64 -> t
 (** [of_int64_pair hi lo]. *)
@@ -74,8 +76,18 @@ val closer_clockwise : target:t -> t -> t -> bool
 val closer_clockwise_keyed : target:t -> int -> t -> int -> t -> bool
 (** [closer_clockwise_keyed ~target dx x dy y] is [closer_clockwise ~target
     x y] given the key distances [dx = (key target - key x) land (2{^62}-1)]
-    and [dy]: decided from those alone when both are positive and 2 or more
-    apart, so scans over {!key} columns skip most identifier loads. *)
+    and [dy]: decided from those alone when both are positive and unequal,
+    so scans over {!key} columns skip most identifier loads.
+
+    Why that is exact: for the distance [d] from [x] to [target], [dx] is
+    [d]'s top 62 bits plus a borrow, taken mod 2{^62}.  The borrow is 1
+    exactly when [d]'s low 66 bits exceed [target]'s low 66 bits.  Among
+    distances with the same top bits it therefore only grows with [d], and
+    it adds at most 1, the least step between different top bits.  Unless
+    the sum wraps to 0, the key distance is so monotone in the true
+    distance, and two unequal positive key distances order the true ones the
+    same way.  A zero key distance may be such a wrap, so it falls back to
+    the full compare, as do equal ones. *)
 
 val compare_dist : t -> t -> t -> t -> int
 (** [compare_dist a b c d] orders the clockwise distance [a → b] against
@@ -85,10 +97,6 @@ val compare_dist : t -> t -> t -> t -> int
 
 val bit : t -> int -> int
 (** [bit id i] is bit [i] counted from the most significant (i = 0). *)
-
-val digit : t -> base_bits:int -> int -> int
-(** [digit id ~base_bits i] is the [i]-th base-2^base_bits digit from the
-    top, for Pastry-style prefix tables. *)
 
 val common_prefix_bits : t -> t -> int
 (** Length of the shared most-significant-bit prefix (0..128). *)

@@ -20,3 +20,5 @@ val fail_stub : Net.t -> int -> samples:int -> stub_failure
     [repair]), caches purge, blooms forget. *)
 
 val restore_as : Net.t -> int -> unit
+(** Exported for tests: the recovery half of fail_stub; test_inter's
+    invariant and edge cases restore through it. *)

@@ -78,8 +78,6 @@ let vas_count ctx = Array.length ctx.vas
 
 let vas_members ctx v = Array.to_list ctx.vas.(v)
 
-let vas_of_as ctx a = ctx.vas_adj.(a)
-
 let breadth ctx = function
   | Root -> max_int
   | Real a -> Asgraph.cone_size ctx.g a

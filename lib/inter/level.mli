@@ -54,12 +54,11 @@ val subsumes : ctx -> outer:t -> inner:t -> bool
     packet's level ceiling monotonically narrowing. *)
 
 val vas_count : ctx -> int
+(** Exported for tests: test_inter's level-kernel property draws peer groups
+    by it. *)
 
 val vas_members : ctx -> int -> int list
 (** The (two or more) ASes a virtual AS spans. *)
-
-val vas_of_as : ctx -> int -> int list
-(** Virtual ASes directly adjacent to an AS (peer links it terminates). *)
 
 val up_distance : ctx -> int -> int -> int option
 (** [up_distance ctx x a]: provider-edge hops climbing from [x] to [a];

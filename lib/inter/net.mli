@@ -90,11 +90,21 @@ val join : t -> as_idx:int -> strategy:strategy -> join_outcome
     caches along join paths pick the identifier up. *)
 
 val join_id : t -> as_idx:int -> id:Id.t -> strategy:strategy -> (join_outcome, string) result
+(** Exported for tests: tests join chosen identifiers; join draws random
+    ones through it. *)
 
 val remove_host : t -> Id.t -> int
 (** Graceful teardown: the ID leaves every ring; per-level neighbours that
     lose their successor are notified (charged to [teardown]).  Returns
-    messages charged. *)
+    messages charged.
+
+    Kept as the interdomain host-departure mechanism.  No experiment calls
+    it: the removal arms of the [test_inter] and [test_routing] invariant
+    properties and the bench [rofl/inter-join] row exercise it, and the
+    deferred mobility workload would.  A departure probes every AS's pointer cache
+    for the identifier, O(#AS) (~1,100 on the default Internet); a reverse
+    index would make it O(caches holding it), but no experiment pays this
+    cost yet. *)
 
 val bloom_check : t -> int -> home:int -> bool
 (** Is an identifier homed at [home] below the AS according to its bloom
@@ -113,7 +123,10 @@ val count_in_blooms : t -> int -> int -> unit
 val strategy_to_string : strategy -> string
 
 val effective_levels : t -> int -> strategy -> Level.t list
-(** The bottom-up level set a host with this strategy joins from an AS. *)
+(** The bottom-up level set a host with this strategy joins from an AS.
+
+    Exported for tests: test_inter_edge checks the bottom-up level set each
+    join strategy uses. *)
 
 val as_levels : t -> int -> Level.t list
 (** The bottom-up level set an AS participates in (all its ancestor levels,

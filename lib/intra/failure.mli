@@ -7,7 +7,9 @@
 val fail_host : Network.t -> Rofl_idspace.Id.t -> (int, string) result
 (** The gateway detects the dead session, floods tear-downs to the ID's
     successors/predecessors and a directed invalidation flood over the
-    routers caching it; neighbours repair around the gap. *)
+    routers caching it; neighbours repair around the gap.
+
+    Kept for examples/mobility.ml, which reads it. *)
 
 val fail_router :
   Network.t -> int -> pick_gateway:(Rofl_core.Vnode.t -> int option) -> int
@@ -40,4 +42,6 @@ val reconnect_routers : Network.t -> int list -> int
 val mobile_rehome :
   Network.t -> Rofl_idspace.Id.t -> new_gateway:int -> (int, string) result
 (** Host mobility: the identifier leaves its current gateway and rejoins at
-    a new one, keeping the same flat label.  Returns messages charged. *)
+    a new one, keeping the same flat label.  Returns messages charged.
+
+    Kept for examples/mobility.ml, which reads it. *)

@@ -20,7 +20,9 @@ val route_packet :
 val shortest_hops : Network.t -> int -> int -> int option
 (** Minimum-hop distance between two routers over live equipment — the
     stretch denominator (the link-state layer's latency-weighted paths can
-    be longer in hops).  {!Rofl_linkstate.Linkstate.min_hops} as an option. *)
+    be longer in hops).  {!Rofl_linkstate.Linkstate.min_hops} as an option.
+
+    Kept for the repository benchmark: perfbench/main.ml reads it. *)
 
 val stretch :
   ?use_cache:bool ->

@@ -322,22 +322,18 @@ module Lookup_substrate = struct
     if p.Pointer.dst_router <> cur then
       consider_pointer st ~healthy p ((st.target_key - Id.key p.Pointer.dst) land Id.key_mask)
 
-  (* A successor whose key distance is positive and at least [reject_gap]
-     above a positive running best is farther from the target whatever the
-     identifiers' low bits: exactly where {!Id.closer_clockwise_keyed}
-     answers "not closer" from the keys alone.  Such a successor is
-     rejected from the vnode's columns without loading its pointer. *)
-  let reject_gap = 2
-
   (* The successor columns of [vn] from slot [i] on: the same candidates in
      the same order as [consider_remote] over the group, reading the
-     router and key columns first. *)
+     router and key columns first.  A successor whose key distance exceeds
+     a positive running best's is farther from the target (the argument is
+     in id.mli), so {!Id.closer_clockwise_keyed} would answer "not closer"
+     from the keys alone: it is rejected without loading its pointer. *)
   let rec consider_succs st cur ~healthy (vn : Vnode.t) i =
     let cols = vn.Vnode.succ_cols in
     if 2 * i < Array.length cols then begin
       if Array.unsafe_get cols ((2 * i) + 1) <> cur then begin
         let d = (st.target_key - Array.unsafe_get cols (2 * i)) land Id.key_mask in
-        if not (st.pick <> No_pick && d > 0 && st.pick_d > 0 && d - st.pick_d >= reject_gap)
+        if not (st.pick <> No_pick && st.pick_d > 0 && d > st.pick_d)
         then consider_pointer st ~healthy (Array.unsafe_get vn.Vnode.succ_ptrs i) d
       end;
       consider_succs st cur ~healthy vn (i + 1)
@@ -523,11 +519,6 @@ let iter_members t f =
   in
   Ring.iter (fun _ vn -> f vn) t.oracle;
   List.iter f ephemerals
-
-let resident_ids t idx =
-  List.filter_map
-    (fun (vn : Vnode.t) -> if vn.Vnode.alive then Some vn.Vnode.id else None)
-    t.routers.(idx).residents
 
 let ring_size t = Ring.cardinal t.oracle
 

@@ -107,7 +107,10 @@ val rank_residents :
     closest candidate to [target] that does not overshoot, ties to the
     earlier.  Dead residents, ephemeral ones other than [target] itself,
     successors hosted at [cur], [exclude] and, after a failure, successors
-    whose source route is broken are skipped. *)
+    whose source route is broken are skipped.
+
+    Exported for tests: test_intra checks the resident ranker against a
+    list-scan reference. *)
 
 type join_outcome = {
   vnode : Vnode.t;
@@ -142,7 +145,9 @@ val iter_members : t -> (Vnode.t -> unit) -> unit
     does); the ephemeral ones are those present when the call starts. *)
 
 val spf_route : t -> int -> int -> Rofl_core.Sourceroute.t option
-(** Link-state shortest route between two routers. *)
+(** Link-state shortest route between two routers.
+
+    Exported for tests: test_routing builds the stale route it plants. *)
 
 val charge_spf_into :
   Rofl_linkstate.Linkstate.t -> Rofl_netsim.Metrics.t -> Rofl_netsim.Metrics.counter ->
@@ -162,13 +167,15 @@ val make_pointer :
 val cache_route_to : t -> Id.t -> int -> int list -> unit
 (** [cache_route_to t id dst_router visited] lets every router along
     [visited] cache a pointer to [id] (suffix source routes), when
-    [cache_control_paths] is on. *)
+    [cache_control_paths] is on.
 
-val resident_ids : t -> int -> Id.t list
-(** Identifiers resident at a router (including the default vnode's). *)
+    Exported for tests: test_routing plants a stale cache entry through the
+    join's own control-path caching. *)
 
 val ring_size : t -> int
-(** Ring members (stable + default vnodes). *)
+(** Ring members (stable + default vnodes).
+
+    Kept for the repository benchmark: perfbench/main.ml reads it. *)
 
 val host_count : t -> int
 (** Stable + ephemeral host identifiers currently alive. *)

@@ -684,13 +684,6 @@ let live_link_count t =
   Graph.iter_links t.g (fun { Graph.u; v; _ } -> if link_alive t u v then incr count);
   !count
 
-let live_router_count t =
-  let count = ref 0 in
-  for r = 0 to Graph.n t.g - 1 do
-    if router_alive t r then incr count
-  done;
-  !count
-
 let lsa_flood_cost t = 2 * live_link_count t
 
 let eccentricity_hops t src =

@@ -72,7 +72,10 @@ val path : t -> int -> int -> int list option
     ([Some [src]] when [src = dst]).  [None] when partitioned. *)
 
 val distance_to : t -> int -> int -> float option
-(** Early-exit single-pair latency distance; equals {!distance_latency}. *)
+(** Early-exit single-pair latency distance; equals {!distance_latency}.
+
+    Exported for tests: test_linkstate checks the early-exit query against a
+    reference Dijkstra. *)
 
 val distance_hops : t -> int -> int -> int option
 (** Hop length of {!path} (0 when [src = dst]). *)
@@ -100,7 +103,10 @@ val iter_path : t -> int -> int -> ('a -> int -> unit) -> 'a -> unit
     closure either. *)
 
 val distance_latency : t -> int -> int -> float option
-(** Total latency of {!path}. *)
+(** Total latency of {!path}.
+
+    Exported for tests: test_linkstate checks incremental SPF latencies
+    against fresh builds and a reference Dijkstra. *)
 
 val next_hop : t -> int -> int -> int option
 (** First hop on {!path} from [src] towards [dst] ([None] when [src = dst]
@@ -119,10 +125,6 @@ val lsa_flood_cost : t -> int
 (** Messages for one LSA flood: one per live directed link (2·live links) —
     the cost model for CMU-ETHERNET-style flooding and zero-ID piggyback
     accounting. *)
-
-val live_router_count : t -> int
-
-val live_link_count : t -> int
 
 val diameter_hops : t -> int
 (** Max eccentricity over live routers (0 if none). *)

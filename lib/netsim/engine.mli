@@ -27,7 +27,9 @@ val schedule : t -> delay_ms:float -> (unit -> unit) -> unit
     emission order. *)
 
 val schedule_at : t -> time_ms:float -> (unit -> unit) -> unit
-(** Schedule at an absolute time (must not be in the past). *)
+(** Schedule at an absolute time (must not be in the past).
+
+    Kept for examples/mobility.ml, which reads it. *)
 
 val schedule_keyed : t -> time_ms:float -> rail:int -> seq:int -> (unit -> unit) -> unit
 (** Schedule under the full event key [(time_ms, rail, seq)].  Same-time

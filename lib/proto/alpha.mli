@@ -46,14 +46,20 @@ val owner_router : t -> int -> int
 (** Hosting router of the owner, [-1] when unresolved. *)
 
 val winner_branch : t -> int -> int
-(** Which branch reached the owner first ([-1] when unresolved). *)
+(** Which branch reached the owner first ([-1] when unresolved).
+
+    Kept as a reference: test_alpha checks alpha = 1 wins on branch 0 and
+    pins the branch tie order. *)
 
 val branches : t -> int -> int
 (** Branches actually seeded for this lookup (1 ≤ branches ≤ α — fewer
     when the origin's tables offer no diversified start pointers). *)
 
 val ring_hops : t -> int -> int
-(** Ring hops taken by the winning branch (branch 0 when unresolved). *)
+(** Ring hops taken by the winning branch (branch 0 when unresolved).
+
+    Kept as a reference: the owner goldens (test/owner_golden) fingerprint
+    it. *)
 
 val wasted_hops : t -> int -> int
 (** Ring hops burned by this lookup's losing branches — the

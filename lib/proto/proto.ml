@@ -883,21 +883,20 @@ let best_resident store ~router ~target =
 (* One hop of the pure-read greedy owner walk, shared by [lookup_owner] and
    [walk_owner]: rank at [router] and take the hop if its winner is closer
    than the previous hop's [best], at key distance [best_d], else settle on
-   the best local resident.  [best_d < 0] is the cleared horizon, [succ
-   target], which any distance below the maximum beats; a key distance in
-   (0, key_mask) is below it whatever the low bits borrow.  Returns the next
-   router, its winner in the shard's [ranked]/[ranked_d]; [owner_found],
-   the verdict in [ranked]; or [owner_dead]. *)
+   the best local resident.  [best_d < 0] marks the first hop, whose
+   horizon is [succ target]: a winner on another router always beats it.
+   [rank] visits a resident of [router] first, so such a winner displaced
+   an earlier candidate: it is strictly closer than some distance, hence
+   below the maximum.  Returns the next router, its winner in the
+   shard's [ranked]/[ranked_d]; [owner_found], the verdict in [ranked]; or
+   [owner_dead]. *)
 let owner_found = -2 and owner_dead = -1
 
 let owner_step sh ~router ~target ~best_d ~best =
   let next = rank sh ~router ~target ~skip_target:false ~avoid:[] in
-  let d = sh.ranked_d in
   if next < 0 then owner_dead
   else if next = router then owner_found
-  else if
-    if best_d >= 0 then Id.closer_clockwise_keyed ~target d sh.ranked best_d best
-    else (d > 0 && d < Id.key_mask) || Id.compare_dist sh.ranked target Id.zero Id.max_value < 0
+  else if best_d < 0 || Id.closer_clockwise_keyed ~target sh.ranked_d sh.ranked best_d best
   then next
   else begin
     let s = best_resident sh.store ~router ~target in

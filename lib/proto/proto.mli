@@ -291,13 +291,18 @@ val pcache_iter :
 
 val run_for : t -> float -> unit
 (** Advance simulated time by the given budget (ms), processing messages and
-    timers. *)
+    timers.
+
+    Kept for the repository benchmark: perfbench/main.ml reads it. *)
 
 val run_until_quiescent : t -> max_ms:float -> float
 (** Externally-driven convergence loop (no self-repeating stabilizer): run
     until no protocol message or timer is in flight and a full stabilisation
     round changes nothing, or until the time budget runs out.  Returns the
-    simulated time consumed. *)
+    simulated time consumed.
+
+    Exported for tests: the owner goldens and test_proto converge rings
+    through it. *)
 
 val stats : t -> stats
 (** A read of {!metrics} ([messages] is its total), plus the stabilisation
@@ -315,7 +320,10 @@ val ever_member : t -> Rofl_idspace.Id.t -> bool
     poisoning evidence for the doctor. *)
 
 val successor_of : t -> Rofl_idspace.Id.t -> Rofl_idspace.Id.t option
-(** The first successor pointer currently held for a resident identifier. *)
+(** The first successor pointer currently held for a resident identifier.
+
+    Exported for tests: test_proto projects async rings to compare them with
+    the static engine. *)
 
 val ring_converged : t -> bool
 (** Every resident identifier's successor pointer equals the true ring
@@ -341,7 +349,9 @@ val lookup_owner_batch :
   Rofl_idspace.Id.t option array
 (** {!lookup_owner} mapped over a batch: lookup [i] starts at [from.(i)]
     toward [targets.(i)].  Raises [Invalid_argument] if the arrays differ
-    in length. *)
+    in length.
+
+    Kept for the repository benchmark: perfbench/main.ml reads it. *)
 
 type owner_walk = private {
   w_alpha : int;                (** branches at most *)

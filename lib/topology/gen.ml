@@ -16,14 +16,6 @@ let line n ~latency_ms =
   done;
   g
 
-let star n ~latency_ms =
-  if n < 2 then invalid_arg "Gen.star: need n >= 2";
-  let g = Graph.create n in
-  for i = 1 to n - 1 do
-    Graph.add_link g 0 i ~latency_ms
-  done;
-  g
-
 let waxman rng ~n ~alpha ~beta =
   if n < 2 then invalid_arg "Gen.waxman: need n >= 2";
   let g = Graph.create n in
@@ -47,30 +39,4 @@ let waxman rng ~n ~alpha ~beta =
       if not (Graph.has_link g u v) then Graph.add_link g u v ~latency_ms:(latency u v)
     done
   end;
-  g
-
-let preferential_attachment rng ~n ~links_per_node =
-  if n < 2 then invalid_arg "Gen.preferential_attachment: need n >= 2";
-  if links_per_node < 1 then invalid_arg "Gen.preferential_attachment: need m >= 1";
-  let g = Graph.create n in
-  (* Endpoint pool: every link contributes both endpoints, so sampling from
-     the pool is sampling proportional to degree. *)
-  let pool = ref [ 0 ] in
-  let pool_arr () = Array.of_list !pool in
-  for v = 1 to n - 1 do
-    let targets = ref [] in
-    let tries = ref 0 in
-    while List.length !targets < min links_per_node v && !tries < 100 do
-      incr tries;
-      let candidate = Prng.sample rng (pool_arr ()) in
-      if candidate <> v && not (List.mem candidate !targets) then
-        targets := candidate :: !targets
-    done;
-    if !targets = [] then targets := [ v - 1 ];
-    List.iter
-      (fun u ->
-        Graph.add_link g u v ~latency_ms:(0.5 +. Prng.float rng 4.5);
-        pool := u :: v :: !pool)
-      !targets
-  done;
   g

@@ -1,8 +1,8 @@
 (** Generic random-graph generators.
 
     Used by the test suite and the examples where a full ISP profile would be
-    overkill: Waxman random geometric graphs, preferential attachment, rings
-    and lines.  All generators return connected graphs. *)
+    overkill: Waxman random geometric graphs, rings and lines.  All
+    generators return connected graphs. *)
 
 val ring : int -> latency_ms:float -> Graph.t
 (** A cycle of [n >= 3] routers. *)
@@ -10,18 +10,9 @@ val ring : int -> latency_ms:float -> Graph.t
 val line : int -> latency_ms:float -> Graph.t
 (** A path of [n >= 2] routers. *)
 
-val star : int -> latency_ms:float -> Graph.t
-(** Router 0 linked to all others ([n >= 2]). *)
-
 val waxman :
   Rofl_util.Prng.t -> n:int -> alpha:float -> beta:float -> Graph.t
 (** Waxman (1988) random geometric graph on the unit square; the link
     probability between routers at distance [d] is
     [alpha * exp (-d / (beta * sqrt 2))].  A spanning-tree repair pass
     guarantees connectivity.  Latency is proportional to distance. *)
-
-val preferential_attachment :
-  Rofl_util.Prng.t -> n:int -> links_per_node:int -> Graph.t
-(** Barabási–Albert scale-free graph; each arriving router attaches
-    [links_per_node] links to routers chosen by degree.  Connected by
-    construction. *)

@@ -47,8 +47,6 @@ let neighbors g u =
   check_router g u;
   g.adj.(u)
 
-let degree g u = List.length (neighbors g u)
-
 let iter_links g f =
   for u = 0 to g.size - 1 do
     List.iter (fun (v, latency_ms) -> if u < v then f { u; v; latency_ms }) g.adj.(u)
@@ -115,17 +113,3 @@ let diameter_hops g =
     Array.iter (fun d -> if d <> max_int && d > !best then best := d) dist
   done;
   !best
-
-let avg_degree g = 2.0 *. float_of_int g.nlinks /. float_of_int g.size
-
-let to_dot g ?(label = string_of_int) () =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "graph topology {\n  node [shape=circle fontsize=10];\n";
-  for r = 0 to n g - 1 do
-    Buffer.add_string buf (Printf.sprintf "  n%d [label=\"%s\"];\n" r (label r))
-  done;
-  iter_links g (fun { u; v; latency_ms } ->
-      Buffer.add_string buf
-        (Printf.sprintf "  n%d -- n%d [label=\"%.1f\"];\n" u v latency_ms));
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf

@@ -30,15 +30,16 @@ val latency : t -> int -> int -> float
 val neighbors : t -> int -> (int * float) list
 (** [(neighbor, latency)] pairs. *)
 
-val degree : t -> int -> int
-
 val links : t -> link list
 
 val iter_links : t -> (link -> unit) -> unit
 
 val bfs_distances : t -> int -> ?blocked:(int -> bool) -> unit -> int array
 (** Hop distances from a source; unreachable routers get [max_int].
-    [blocked] marks routers that cannot be traversed (nor reached). *)
+    [blocked] marks routers that cannot be traversed (nor reached).
+
+    Exported for tests: test_topology pins the hop distances diameter_hops
+    is built on. *)
 
 val connected_components : t -> ?blocked:(int -> bool) -> unit -> int array * int
 (** Component label per router and the number of components (blocked routers
@@ -49,9 +50,3 @@ val is_connected : t -> bool
 val diameter_hops : t -> int
 (** Exact unweighted diameter over the largest component (BFS from every
     router; fine at the few-hundred-router scale used here). *)
-
-val avg_degree : t -> float
-
-val to_dot : t -> ?label:(int -> string) -> unit -> string
-(** Graphviz rendering of the topology (undirected; latencies as edge
-    labels), for debugging and documentation. *)

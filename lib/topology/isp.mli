@@ -30,10 +30,15 @@ type profile = {
 }
 
 val as1221 : profile
-(** Telstra: 318 routers, 2.6 M hosts. *)
+(** Telstra: 318 routers, 2.6 M hosts.
+
+    Kept as a reference: test_topology checks the profile against the
+    paper's router count. *)
 
 val as1239 : profile
-(** Sprint: 604 routers, 10 M hosts. *)
+(** Sprint: 604 routers, 10 M hosts.
+
+    Kept for the repository benchmark: perfbench/main.ml reads it. *)
 
 val as3257 : profile
 (** Tiscali: 240 routers, 0.5 M hosts. *)

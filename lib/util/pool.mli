@@ -37,7 +37,11 @@ val worker_minor_words : unit -> int
     domains, across every pool in the process.  OCaml 5 GC counters are
     per-domain, so a caller measuring its own [Gc.quick_stat] delta must add
     the delta of this counter to see the allocations the workers absorbed
-    (caller-drained tasks are already in the caller's own stats). *)
+    (caller-drained tasks are already in the caller's own stats).
+
+    Kept for the repository benchmark: perfbench/main.ml reads it. *)
 
 val worker_major_words : unit -> int
-(** Same accounting for words promoted/allocated on the major heap. *)
+(** Same accounting for words promoted/allocated on the major heap.
+
+    Kept for the bench: bench/main.ml's per-target GC accounting reads it. *)

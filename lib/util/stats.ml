@@ -36,11 +36,6 @@ let percentile xs p =
 
 let median xs = if xs = [] then 0.0 else percentile xs 50.0
 
-let min_max = function
-  | [] -> invalid_arg "Stats.min_max: empty sample"
-  | x :: rest ->
-    List.fold_left (fun (lo, hi) v -> (Float.min lo v, Float.max hi v)) (x, x) rest
-
 let cdf xs =
   let a = sorted_array xs in
   let n = Array.length a in
@@ -55,13 +50,6 @@ let cdf xs =
     done;
     !points
   end
-
-let cdf_at c x =
-  let rec go acc = function
-    | [] -> acc
-    | (v, f) :: rest -> if v <= x then go f rest else acc
-  in
-  go 0.0 c
 
 (* Invert at every fraction in one walk over the CDF: both the CDF points
    and (after sorting) the fractions are ascending, so a single cursor
@@ -90,21 +78,6 @@ let quantiles_of_cdf c ps =
   in
   go c 0;
   Array.to_list out
-
-let histogram xs ~bins =
-  if bins <= 0 then invalid_arg "Stats.histogram: bins must be positive";
-  match xs with
-  | [] -> [||]
-  | _ ->
-    let lo, hi = min_max xs in
-    let width = if hi > lo then (hi -. lo) /. float_of_int bins else 1.0 in
-    let counts = Array.make bins 0 in
-    let index x =
-      let i = int_of_float ((x -. lo) /. width) in
-      if i >= bins then bins - 1 else if i < 0 then 0 else i
-    in
-    List.iter (fun x -> counts.(index x) <- counts.(index x) + 1) xs;
-    Array.mapi (fun i c -> (lo +. (float_of_int i *. width), c)) counts
 
 let moving_average xs ~window =
   if window < 1 then invalid_arg "Stats.moving_average: window must be >= 1";

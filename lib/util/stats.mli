@@ -20,14 +20,8 @@ val cdf : float list -> (float * float) list
 (** [cdf xs] returns the empirical CDF as sorted [(value, fraction <= value)]
     points, one per distinct value. *)
 
-val cdf_at : (float * float) list -> float -> float
-(** Evaluate an empirical CDF (as returned by {!cdf}) at a point. *)
-
 val quantiles_of_cdf : (float * float) list -> float list -> float list
 (** [quantiles_of_cdf c ps] inverts a CDF at each fraction in [ps]. *)
-
-val histogram : float list -> bins:int -> (float * int) array
-(** Equal-width histogram; returns [(bin lower bound, count)]. *)
 
 val moving_average : float list -> window:int -> float list
 (** Trailing moving average with the given window (window >= 1). *)

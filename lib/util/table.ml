@@ -15,8 +15,6 @@ let fmt_float x =
   if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.0f" x
   else Printf.sprintf "%.4g" x
 
-let add_rowf t row = add_row t (List.map fmt_float row)
-
 let render t =
   let rows = List.rev t.rows in
   let all = t.columns :: rows in

@@ -12,24 +12,20 @@ val create : title:string -> columns:string list -> t
 val add_row : t -> string list -> unit
 (** Append a row; must have as many cells as there are columns. *)
 
-val add_rowf : t -> float list -> unit
-(** Append a row of numbers formatted compactly ([%.4g]). *)
-
 val render : t -> string
-(** Render with aligned columns, title, header and separator. *)
+(** Render with aligned columns, title, header and separator.
+
+    Kept as a reference: test_experiments' golden table digests hash it. *)
 
 val print : t -> unit
 (** [render] to stdout followed by a blank line. *)
 
-val render_csv : t -> string
-(** RFC-4180-ish CSV: header row then data rows; cells containing commas,
-    quotes or newlines are quoted. *)
-
 val title : t -> string
 
 val save_csv : t -> dir:string -> string
-(** Write the CSV under [dir] (created if missing) as a slug of the title;
-    returns the path written. *)
+(** Write the table as RFC-4180-ish CSV (header row then data rows; cells
+    containing commas, quotes or newlines are quoted) under [dir] (created
+    if missing) as a slug of the title; returns the path written. *)
 
 val fmt_float : float -> string
-(** Compact number formatting used by [add_rowf]. *)
+(** Compact number formatting: integers without a point, else [%.4g]. *)

@@ -23,12 +23,6 @@ type event =
 val providers_per_service : int
 (** 2 providers per service; flaps pick one of them. *)
 
-val zipf_s : float
-(** 0.9: Zipf skew of the demand over the services. *)
-
-val unknown_fraction : float
-(** 0.05: share of demand aimed at never-published names. *)
-
 val flash_mult : float
 (** 8: arrival-rate multiplier during the flash crowd. *)
 

@@ -60,9 +60,7 @@ let test_cones () =
 let test_up_hierarchy () =
   let g = toy () in
   Alcotest.(check (list int)) "up of 3 (by cone size)" [ 3; 1; 0 ] (Asgraph.up_hierarchy g 3);
-  Alcotest.(check (list int)) "up of 0" [ 0 ] (Asgraph.up_hierarchy g 0);
-  let with_peers = Asgraph.up_hierarchy_with_peers g 3 in
-  Alcotest.(check bool) "peers included" true (List.mem 2 with_peers)
+  Alcotest.(check (list int)) "up of 0" [ 0 ] (Asgraph.up_hierarchy g 0)
 
 (* The derived tables (cones, their sizes, up-hierarchies) are rebuilt
    after an edge lands on a graph that has already answered queries. *)

@@ -13,8 +13,9 @@ module Bgp = Rofl_baselines.Bgp_policy
 let test_cmu_flood_cost () =
   let g = Gen.ring 10 ~latency_ms:1.0 in
   let c = Cmu.create g in
-  Alcotest.(check int) "per-join = 2 links" 20 (Cmu.messages_per_join c);
-  Cmu.join_hosts c 5;
+  Cmu.join_host c;
+  Alcotest.(check int) "per-join = 2 links" 20 (Cmu.total_messages c);
+  Cmu.join_hosts c 4;
   Alcotest.(check int) "cumulative" 100 (Cmu.total_messages c);
   Alcotest.(check int) "hosts" 5 (Cmu.hosts c);
   Cmu.leave_host c;
@@ -34,24 +35,26 @@ let test_cmu_routes_shortest () =
   Alcotest.(check (option int)) "wraps" (Some 3) (Cmu.route_hops c 0 7)
 
 let test_ospf_loads () =
-  let g = Gen.star 5 ~latency_ms:1.0 in
+  let g = Graph.create 5 in
+  for leaf = 1 to 4 do
+    Graph.add_link g 0 leaf ~latency_ms:1.0
+  done;
   let o = Ospf.create g in
-  let delivered = Ospf.route_many o [ (1, 2); (2, 3); (3, 4) ] in
-  Alcotest.(check int) "all delivered" 3 delivered;
+  List.iter
+    (fun (src, dst) ->
+      Alcotest.(check bool) "delivered" true (Ospf.route o ~src ~dst <> None))
+    [ (1, 2); (2, 3); (3, 4) ];
   let load = Ospf.router_load o in
   (* Every star path transits the hub. *)
   Alcotest.(check int) "hub load" 3 load.(0);
   let fracs = Ospf.load_fractions o in
   let sum = Array.fold_left ( +. ) 0.0 fracs in
-  Alcotest.(check (float 1e-9)) "fractions sum to 1" 1.0 sum;
-  Ospf.reset_load o;
-  Alcotest.(check int) "reset" 0 (Ospf.router_load o).(0)
+  Alcotest.(check (float 1e-9)) "fractions sum to 1" 1.0 sum
 
 let test_ospf_memory_models () =
   let g = Gen.ring 8 ~latency_ms:1.0 in
   let o = Ospf.create g in
-  Alcotest.(check int) "router routes" 8 (Ospf.entries_per_router o);
-  Alcotest.(check int) "with host routes" 108 (Ospf.entries_per_router_with_host_routes o ~hosts:100)
+  Alcotest.(check int) "router routes" 8 (Ospf.entries_per_router o)
 
 let test_bgp_policy_stretch () =
   let inet = Internet.generate (Prng.create 3) Internet.small_params in
@@ -69,7 +72,9 @@ let test_bgp_policy_stretch () =
 let test_bgp_stretch_none_for_self () =
   let inet = Internet.generate (Prng.create 5) Internet.small_params in
   let b = Bgp.create inet.Internet.graph in
-  Alcotest.(check (option (float 0.1))) "self" None (Bgp.path_stretch b ~src:3 ~dst:3)
+  (* Only AS 3 to draw from: every pair is (3, 3), which has no stretch. *)
+  Alcotest.(check (list (float 0.1))) "self" []
+    (Bgp.sample_stretches b (Prng.create 6) ~ases:[| 3 |] ~samples:20)
 
 (* ---------- Compact routing ---------- *)
 

@@ -59,8 +59,7 @@ let test_pointer_make () =
     Pointer.make Pointer.Successor ~dst:(id 5) ~dst_router:2
       ~route:(Sourceroute.of_hops [ 0; 1; 2 ])
   in
-  Alcotest.(check int) "route length" 2 (Pointer.route_length p);
-  Alcotest.(check bool) "ring state" true (Pointer.is_ring_state p);
+  Alcotest.(check int) "route length" 2 (Sourceroute.length p.Pointer.route);
   Alcotest.(check bool) "uses router" true (Pointer.uses_router p 1);
   Alcotest.(check bool) "uses link" true (Pointer.uses_link p 1 2);
   Alcotest.(check bool) "uses link reversed" true (Pointer.uses_link p 2 1);
@@ -74,10 +73,6 @@ let test_pointer_route_mismatch () =
            ~route:(Sourceroute.of_hops [ 0; 1 ])))
 
 let test_pointer_kinds () =
-  Alcotest.(check bool) "cached not ring" false
-    (Pointer.is_ring_state
-       (Pointer.make Pointer.Cached ~dst:(id 1) ~dst_router:0
-          ~route:(Sourceroute.singleton 0)));
   Alcotest.(check string) "kind name" "finger" (Pointer.kind_to_string Pointer.Finger)
 
 (* ---------- Vnode ---------- *)
@@ -125,8 +120,9 @@ let test_vnode_remove_drop () =
   let vn = Vnode.create (id 0) Vnode.Stable ~hosted_at:0 in
   Vnode.add_succ vn (ptr Pointer.Successor 1 1) ~max_group:4;
   Vnode.add_succ vn (ptr Pointer.Successor 2 2) ~max_group:4;
-  Vnode.remove_succ vn (id 1);
+  let dropped = Vnode.drop_pointers_if vn (fun p -> p.Pointer.dst_router = 1) in
   Alcotest.(check int) "removed" 1 (Vnode.succ_count vn);
+  Alcotest.(check int) "removed count" 1 dropped;
   let dropped = Vnode.drop_pointers_if vn (fun p -> p.Pointer.dst_router = 2) in
   Alcotest.(check int) "dropped count" 1 dropped;
   Alcotest.(check int) "empty" 0 (Vnode.state_entries vn)
@@ -195,16 +191,6 @@ let test_cache_drop_if () =
   Alcotest.(check int) "two dropped" 2 dropped;
   Alcotest.(check int) "two left" 2 (Pointer_cache.length c)
 
-let test_cache_resize () =
-  let c = Pointer_cache.create ~capacity:8 in
-  List.iter (fun i -> Pointer_cache.insert c (cptr i i)) [ 1; 2; 3; 4; 5; 6 ];
-  Pointer_cache.resize c ~capacity:2;
-  Alcotest.(check int) "shrunk" 2 (Pointer_cache.length c);
-  (* The index must agree with the survivors. *)
-  let live = ref 0 in
-  Pointer_cache.iter c (fun _ -> incr live);
-  Alcotest.(check int) "index consistent" 2 !live
-
 let test_cache_zero_capacity () =
   let c = Pointer_cache.create ~capacity:0 in
   Pointer_cache.insert c (cptr 1 1);
@@ -215,26 +201,12 @@ let test_cache_zero_capacity () =
   Alcotest.(check int) "still nothing" 0 (Pointer_cache.length c);
   Alcotest.(check bool) "no exact hit" true (Pointer_cache.find c (id 2) = None);
   Pointer_cache.iter c (fun _ -> Alcotest.fail "iterated an empty cache");
-  (* Shrinking a filled cache to 0 closes it the same way. *)
-  let c = Pointer_cache.create ~capacity:4 in
-  List.iter (fun i -> Pointer_cache.insert c (cptr i i)) [ 1; 2; 3 ];
-  Pointer_cache.resize c ~capacity:0;
-  Pointer_cache.insert c (cptr 4 4);
-  Alcotest.(check int) "closed by resize" 0 (Pointer_cache.length c);
   Alcotest.(check (list string)) "audit clean" [] (Pointer_cache.audit c)
 
 let test_cache_negative_capacity () =
-  let raises name f =
-    match f () with
-    | () -> Alcotest.failf "%s: accepted a negative capacity" name
-    | exception Invalid_argument _ -> ()
-  in
-  raises "create" (fun () -> ignore (Pointer_cache.create ~capacity:(-1)));
-  let c = Pointer_cache.create ~capacity:2 in
-  Pointer_cache.insert c (cptr 1 1);
-  raises "resize" (fun () -> Pointer_cache.resize c ~capacity:(-1));
-  Alcotest.(check int) "contents kept" 1 (Pointer_cache.length c);
-  Alcotest.(check int) "capacity kept" 2 (Pointer_cache.capacity c)
+  match Pointer_cache.create ~capacity:(-1) with
+  | _ -> Alcotest.fail "create accepted a negative capacity"
+  | exception Invalid_argument _ -> ()
 
 let prop_cache_best_match_correct =
   QCheck.Test.make ~name:"best_match = brute force over cache contents" ~count:300
@@ -399,7 +371,6 @@ let () =
           Alcotest.test_case "best match wraparound" `Quick test_cache_best_match_wraparound;
           Alcotest.test_case "eviction syncs index" `Quick test_cache_eviction_syncs_index;
           Alcotest.test_case "drop_if" `Quick test_cache_drop_if;
-          Alcotest.test_case "resize" `Quick test_cache_resize;
           Alcotest.test_case "zero capacity" `Quick test_cache_zero_capacity;
           Alcotest.test_case "negative capacity" `Quick test_cache_negative_capacity;
           q prop_cache_best_match_correct;

@@ -55,8 +55,7 @@ let test_level_membership () =
 let test_level_vas () =
   let ctx = Level.make_ctx (toy ()) in
   Alcotest.(check int) "one virtual AS (peer 1-2)" 1 (Level.vas_count ctx);
-  Alcotest.(check (list int)) "members" [ 1; 2 ] (List.sort compare (Level.vas_members ctx 0));
-  Alcotest.(check (list int)) "adjacent to 1" [ 0 ] (Level.vas_of_as ctx 1)
+  Alcotest.(check (list int)) "members" [ 1; 2 ] (List.sort compare (Level.vas_members ctx 0))
 
 let test_level_up_distance () =
   let ctx = Level.make_ctx (toy ()) in

@@ -302,14 +302,12 @@ let test_fail_router_recovery () =
   let _ = join_n net rng 80 in
   let victim = 5 in
   let fallback = 6 in
-  let lost = List.length (Network.resident_ids net victim) - 1 in
   let msgs = Failure.fail_router net victim ~pick_gateway:(fun _ -> Some fallback) in
   Alcotest.(check bool) "recovery traffic" true (msgs > 0);
   assert_invariant net "after router failure";
   (* The failed-over hosts are reachable again. *)
   let r = Invariant.check_routability net ~samples:100 in
-  Alcotest.(check bool) "routable" true r.Invariant.ok;
-  ignore lost
+  Alcotest.(check bool) "routable" true r.Invariant.ok
 
 let test_restore_router () =
   let net, rng = small_net 20 in
@@ -611,16 +609,11 @@ let prop_columns_mirror_succs =
             model := Group_model.take n (Group_model.set vn.Vnode.id ps)
           end;
           check "set_succs"
-        | 1 | 2 ->
+        | 1 | 2 | 3 ->
           let p = pointer () and max_group = 1 + Prng.int rng 5 in
           Vnode.add_succ vn p ~max_group;
           model := Group_model.add vn.Vnode.id p ~max_group !model;
           check "add_succ"
-        | 3 ->
-          let id = pool.(Prng.int rng 8) in
-          Vnode.remove_succ vn id;
-          model := List.filter (fun (p : Pointer.t) -> not (Id.equal p.dst id)) !model;
-          check "remove_succ"
         | 4 ->
           let r = Prng.int rng 5 in
           let doomed (p : Pointer.t) = p.dst_router = r in

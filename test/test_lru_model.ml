@@ -134,9 +134,7 @@ let prop_pointer_cache_agreement =
           ignore
             (Pointer_cache.best_match cache ~cur:(Id.random rng) ~target:(Id.random rng))
       done;
-      Pointer_cache.audit cache = []
-      && (Pointer_cache.resize cache ~capacity:3;
-          Pointer_cache.audit cache = []))
+      Pointer_cache.audit cache = [])
 
 (* ---- Pointer_cache vs a brute-force model ------------------------------- *)
 
@@ -159,7 +157,6 @@ type cop =
   | C_best of int * int  (** cur, target *)
   | C_remove of int
   | C_drop_odd
-  | C_resize of int
   | C_clear
 
 let cop_gen =
@@ -172,7 +169,6 @@ let cop_gen =
         (6, map2 (fun c t -> C_best (c, t)) idx idx);
         (2, map (fun i -> C_remove i) idx);
         (1, return C_drop_odd);
-        (1, map (fun c -> C_resize c) (int_bound 8));
         (1, return C_clear);
       ])
 
@@ -182,7 +178,6 @@ let cop_print = function
   | C_best (c, t) -> Printf.sprintf "best cur=%d target=%d" c t
   | C_remove i -> Printf.sprintf "remove %d" i
   | C_drop_odd -> "drop-odd"
-  | C_resize c -> Printf.sprintf "resize %d" c
   | C_clear -> "clear"
 
 let cops_arb =
@@ -220,10 +215,10 @@ let pointer_cache_step c cap m op =
   | C_insert (i, r) ->
     let id = dense_ids.(i) in
     Pointer_cache.insert c (cptr id r);
-    if !cap > 0 then begin
+    if cap > 0 then begin
       let rest = List.remove_assoc id !m in
       let rest =
-        if List.length rest >= !cap then List.filteri (fun j _ -> j < !cap - 1) rest else rest
+        if List.length rest >= cap then List.filteri (fun j _ -> j < cap - 1) rest else rest
       in
       m := (id, r) :: rest
     end;
@@ -249,27 +244,21 @@ let pointer_cache_step c cap m op =
     let want = List.length !m - List.length kept in
     m := kept;
     dropped = want
-  | C_resize n ->
-    Pointer_cache.resize c ~capacity:n;
-    cap := n;
-    m := List.filteri (fun j _ -> j < n) !m;
-    true
   | C_clear ->
     Pointer_cache.clear c;
     m := [];
     true
 
 (* From capacity 6, and from capacity 0, where every insert must be a
-   no-op until a resize opens the cache. *)
+   no-op. *)
 let pointer_cache_matches_model ~name ~capacity =
   QCheck.Test.make ~name ~count:500
     cops_arb (fun ops ->
-      let cap = ref capacity in
-      let c = Pointer_cache.create ~capacity:!cap in
+      let c = Pointer_cache.create ~capacity in
       let m = ref [] in
       List.for_all
         (fun op ->
-          pointer_cache_step c cap m op
+          pointer_cache_step c capacity m op
           && Pointer_cache.audit c = []
           && cache_contents c = !m)
         ops)

@@ -5,8 +5,6 @@ module Gen = Rofl_topology.Gen
 module Isp = Rofl_topology.Isp
 module Prng = Rofl_util.Prng
 
-let rng () = Prng.create 11
-
 let test_graph_basic () =
   let g = Graph.create 3 in
   Graph.add_link g 0 1 ~latency_ms:1.0;
@@ -23,7 +21,7 @@ let test_graph_basic () =
       ignore (Graph.latency g 0 2));
   Alcotest.check_raises "latency range" (Invalid_argument "Graph: router index out of range")
     (fun () -> ignore (Graph.latency g 3 0));
-  Alcotest.(check int) "degree hub" 2 (Graph.degree g 1)
+  Alcotest.(check int) "degree hub" 2 (List.length (Graph.neighbors g 1))
 
 let test_graph_rejects () =
   let g = Graph.create 2 in
@@ -53,40 +51,21 @@ let test_graph_components () =
 let test_graph_diameter () =
   Alcotest.(check int) "line diameter" 4 (Graph.diameter_hops (Gen.line 5 ~latency_ms:1.0));
   Alcotest.(check int) "ring diameter" 3 (Graph.diameter_hops (Gen.ring 6 ~latency_ms:1.0));
-  Alcotest.(check int) "star diameter" 2 (Graph.diameter_hops (Gen.star 6 ~latency_ms:1.0))
+  let star = Graph.create 6 in
+  for leaf = 1 to 5 do
+    Graph.add_link star 0 leaf ~latency_ms:1.0
+  done;
+  Alcotest.(check int) "star diameter" 2 (Graph.diameter_hops star)
 
 let test_graph_links_list () =
   let g = Gen.ring 4 ~latency_ms:0.5 in
-  Alcotest.(check int) "four links" 4 (List.length (Graph.links g));
-  Alcotest.(check (float 1e-9)) "avg degree 2" 2.0 (Graph.avg_degree g)
-
-let test_graph_dot () =
-  let g = Gen.ring 3 ~latency_ms:1.5 in
-  let dot = Graph.to_dot g () in
-  Alcotest.(check bool) "has header" true (String.length dot > 0);
-  let contains needle =
-    let n = String.length needle and h = String.length dot in
-    let rec go i = i + n <= h && (String.sub dot i n = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "edge present" true (contains "n0 -- n1");
-  Alcotest.(check bool) "latency labelled" true (contains "1.5")
+  Alcotest.(check int) "four links" 4 (List.length (Graph.links g))
 
 let test_gen_waxman_connected () =
   for seed = 1 to 5 do
     let g = Gen.waxman (Prng.create seed) ~n:60 ~alpha:0.4 ~beta:0.2 in
     Alcotest.(check bool) "waxman connected" true (Graph.is_connected g)
   done
-
-let test_gen_ba_connected () =
-  let g = Gen.preferential_attachment (rng ()) ~n:100 ~links_per_node:2 in
-  Alcotest.(check bool) "BA connected" true (Graph.is_connected g);
-  Alcotest.(check bool) "BA has hubs" true
-    (let max_deg = ref 0 in
-     for i = 0 to 99 do
-       max_deg := max !max_deg (Graph.degree g i)
-     done;
-     !max_deg >= 8)
 
 let test_gen_degenerate () =
   Alcotest.check_raises "ring too small" (Invalid_argument "Gen.ring: need n >= 3")
@@ -176,12 +155,10 @@ let () =
           Alcotest.test_case "components" `Quick test_graph_components;
           Alcotest.test_case "diameter" `Quick test_graph_diameter;
           Alcotest.test_case "links/degree" `Quick test_graph_links_list;
-          Alcotest.test_case "dot export" `Quick test_graph_dot;
         ] );
       ( "generators",
         [
           Alcotest.test_case "waxman connected" `Quick test_gen_waxman_connected;
-          Alcotest.test_case "preferential attachment" `Quick test_gen_ba_connected;
           Alcotest.test_case "degenerate sizes" `Quick test_gen_degenerate;
           QCheck_alcotest.to_alcotest prop_waxman_always_connected;
         ] );
