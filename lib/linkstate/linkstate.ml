@@ -9,37 +9,39 @@ type event =
 (* Resumable Dijkstra state for one source.  The tree is grown on demand:
    single-pair queries ([path], [distance_to], [reachable]) settle only as
    far as their destination; whole-tree consumers ([eccentricity_hops]) run
-   the frontier dry.  A node is "labeled" once [dist] is finite: its entry in
-   [parent] then records the path the label came from, whether or not the
-   node is settled yet.
+   the frontier dry.  A node is "labeled" once [dist] is finite: its parent
+   then records the path the label came from, whether or not the node is
+   settled yet.
 
-   The frontier is a binary min-heap over three parallel unboxed arrays,
-   ordered by (distance, push sequence) -- the FIFO tie-break of
-   [Rofl_util.Heap.push].  The order is total, so the settle order, and with
-   it the parent chosen on every equal-latency tie, depends only on the
-   relaxation order, never on the heap's shape.  Entries are not decreased
-   in place: an improving relaxation pushes a fresh entry and the stale one
-   is skipped when popped. *)
+   A tree is two blocks the GC never scans: [dist], a flat float array, and
+   [lab], [label_bytes] per router: the parent and the hop count as
+   little-endian uint16 ([none] for no parent or no hops) and a flag byte
+   that is 1 once the router is settled.  A fresh [lab] is all 0xFF: no
+   parent, no hops, not settled.  [create] bounds the graph below [none]
+   routers, so every router and every hop count fits.
+
+   The frontier is a binary min-heap over two parallel unboxed arrays: the
+   distance when pushed, and the push sequence number and router packed as
+   [(seq lsl 16) lor router].  Sequence numbers are unique, so comparing
+   packed entries compares sequences, and the heap is ordered by (distance,
+   push sequence) -- the FIFO tie-break of [Rofl_util.Heap.push].  The order
+   is total, so the settle order, and with it the parent chosen on every
+   equal-latency tie, depends only on the relaxation order, never on the
+   heap's shape.  Entries are not decreased in place: an improving
+   relaxation pushes a fresh entry and the stale one is skipped when
+   popped. *)
 type spf = {
   src : int;
   dist : float array;   (* latency distance, infinity if unlabeled *)
-  hops : int array;     (* hop count along the chosen path *)
-  parent : int array;   (* predecessor on shortest path, -1 at source *)
-  settled : bool array;
+  lab : Bytes.t;        (* per router: parent, hops, settled flag *)
   mutable fkey : float array; (* frontier entry: distance when pushed *)
-  mutable fseq : int array;   (* frontier entry: push sequence number *)
-  mutable fnode : int array;  (* frontier entry: router *)
+  mutable fent : int array;   (* frontier entry: (push sequence, router) *)
   mutable fsize : int;
   mutable pushes : int;       (* sequence number of the next push *)
   mutable complete : bool; (* frontier drained: every [dist] is final *)
 }
 
-type scratch = {
-  s_dist : float array;
-  s_hops : int array;
-  s_parent : int array;
-  s_settled : bool array;
-}
+type scratch = { s_dist : float array; s_lab : Bytes.t }
 
 type t = {
   g : Graph.t;
@@ -52,17 +54,17 @@ type t = {
      relaxation order, which decides parents on equal-latency ties.  The
      graph must not gain links after [create]. *)
   adj : Bytes.t option;
-  (* [n * n] liveness matrix: byte (u*n + v) is 1 iff the link exists, is
-     not failed, and both endpoints are alive.  [link_alive] sits inside
+  (* [n * n] liveness bit matrix: bit (u*n + v) is 1 iff the link exists,
+     is not failed, and both endpoints are alive.  [link_alive] sits inside
      every SPF relaxation and every per-hop source-route validation, where
      the hashtable probes (tuple hashing included) dominate profiles; one
      bounds-checked byte read replaces them.  [None] only for graphs too
-     large for an n^2 table, which falls back to the probe chain. *)
+     large for an n^2 table, which fall back to the probe chain. *)
   failed_links : (int * int, unit) Hashtbl.t; (* canonical (min,max) key *)
   dead : Bytes.t; (* byte [r] is 1 iff router [r] is failed *)
   mutable dead_count : int;
   spf_cache : spf array; (* src -> partial or complete tree, or [no_tree] *)
-  mutable free_scratch : scratch list; (* recycled arrays of dropped trees *)
+  mutable free_scratch : scratch list; (* recycled blocks of dropped trees *)
   mutable comp : int array;
   (* Connected-component label of every router over the live links, -1 for
      a dead router; [no_comp] until first asked for and after every event.
@@ -70,7 +72,7 @@ type t = {
      [no_comp] or a complete labelling. *)
   mutable hop_rows : Bytes.t array;
   (* Min-hop rows: [hop_rows.(src)] holds, as a little-endian uint16 per
-     router, the live hop distance from [src] ([0xFFFF] unreachable), or is
+     router, the live hop distance from [src] ([none] unreachable), or is
      [no_row] until first asked for.  The array itself is [no_rows] after
      every event.  Like [comp], each row is built aside and published by
      one store. *)
@@ -79,58 +81,39 @@ type t = {
 
 let matrix_limit = 4096
 
+(* The uint16 "none": no parent, no hop count, unreachable.  Router indices
+   and hop counts stay below it because [create] refuses larger graphs. *)
+let none = 0xFFFF
+
+let label_bytes = 5
+
+let[@inline] parent lab v = Bytes.get_uint16_le lab (label_bytes * v)
+
+let[@inline] hops lab v = Bytes.get_uint16_le lab ((label_bytes * v) + 2)
+
+let[@inline] settled lab v = Bytes.get lab ((label_bytes * v) + 4) = '\001'
+
+let[@inline] set_label lab v ~parent ~hops =
+  Bytes.set_uint16_le lab (label_bytes * v) parent;
+  Bytes.set_uint16_le lab ((label_bytes * v) + 2) hops
+
+let[@inline] settle lab v = Bytes.set lab ((label_bytes * v) + 4) '\001'
+
 let no_comp : int array = [||]
 
 let no_row = Bytes.empty
 
 let no_rows : Bytes.t array = [||]
 
+let no_floats : float array = [||]
+
+let no_ints : int array = [||]
+
 (* The empty [spf_cache] cell: its negative [src] tells it from a tree.
    Never mutated. *)
 let no_tree =
-  { src = -1; dist = [||]; hops = [||]; parent = [||]; settled = [||]; fkey = [||];
-    fseq = [||]; fnode = [||]; fsize = 0; pushes = 0; complete = true }
-
-let create g =
-  let n = Graph.n g in
-  let off = Array.make (n + 1) 0 in
-  for u = 0 to n - 1 do
-    off.(u + 1) <- off.(u) + List.length (Graph.neighbors g u)
-  done;
-  let nbr = Array.make off.(n) 0 and wt = Array.make off.(n) 0.0 in
-  for u = 0 to n - 1 do
-    List.iteri
-      (fun k (v, w) ->
-        nbr.(off.(u) + k) <- v;
-        wt.(off.(u) + k) <- w)
-      (Graph.neighbors g u)
-  done;
-  let adj =
-    if n <= matrix_limit then begin
-      let a = Bytes.make (n * n) '\000' in
-      Graph.iter_links g (fun { Graph.u; v; _ } ->
-          Bytes.set a ((u * n) + v) '\001';
-          Bytes.set a ((v * n) + u) '\001');
-      Some a
-    end
-    else None
-  in
-  {
-    g;
-    n;
-    off;
-    nbr;
-    wt;
-    adj;
-    failed_links = Hashtbl.create 16;
-    dead = Bytes.make n '\000';
-    dead_count = 0;
-    spf_cache = Array.make n no_tree;
-    free_scratch = [];
-    comp = no_comp;
-    hop_rows = no_rows;
-    listeners = [];
-  }
+  { src = -1; dist = no_floats; lab = Bytes.empty; fkey = no_floats; fent = no_ints;
+    fsize = 0; pushes = 0; complete = true }
 
 let graph t = t.g
 
@@ -152,19 +135,60 @@ let healthy t = Hashtbl.length t.failed_links = 0 && t.dead_count = 0
 
 let link_alive t u v =
   match t.adj with
-  | Some a -> Bytes.get a ((u * t.n) + v) <> '\000'
+  | Some a ->
+    let i = (u * t.n) + v in
+    Char.code (Bytes.get a (i lsr 3)) land (1 lsl (i land 7)) <> 0
   | None ->
     router_alive t u && router_alive t v
     && Graph.has_link t.g u v
     && not (Hashtbl.mem t.failed_links (canonical u v))
 
+let set_bit a i alive =
+  let byte = Char.code (Bytes.get a (i lsr 3)) and bit = 1 lsl (i land 7) in
+  Bytes.set a (i lsr 3) (Char.unsafe_chr (if alive then byte lor bit else byte land lnot bit))
+
 let set_adj t u v alive =
   match t.adj with
   | Some a ->
-    let byte = if alive then '\001' else '\000' in
-    Bytes.set a ((u * t.n) + v) byte;
-    Bytes.set a ((v * t.n) + u) byte
+    set_bit a ((u * t.n) + v) alive;
+    set_bit a ((v * t.n) + u) alive
   | None -> ()
+
+let create g =
+  let n = Graph.n g in
+  if n >= none then invalid_arg "Linkstate.create: graph too large";
+  let off = Array.make (n + 1) 0 in
+  for u = 0 to n - 1 do
+    off.(u + 1) <- off.(u) + List.length (Graph.neighbors g u)
+  done;
+  let nbr = Array.make off.(n) 0 and wt = Array.make off.(n) 0.0 in
+  for u = 0 to n - 1 do
+    List.iteri
+      (fun k (v, w) ->
+        nbr.(off.(u) + k) <- v;
+        wt.(off.(u) + k) <- w)
+      (Graph.neighbors g u)
+  done;
+  let t =
+    {
+      g;
+      n;
+      off;
+      nbr;
+      wt;
+      adj = (if n <= matrix_limit then Some (Bytes.make (((n * n) + 7) / 8) '\000') else None);
+      failed_links = Hashtbl.create 16;
+      dead = Bytes.make n '\000';
+      dead_count = 0;
+      spf_cache = Array.make n no_tree;
+      free_scratch = [];
+      comp = no_comp;
+      hop_rows = no_rows;
+      listeners = [];
+    }
+  in
+  Graph.iter_links g (fun { Graph.u; v; _ } -> set_adj t u v true);
+  t
 
 (* -- the frontier ---------------------------------------------------------
 
@@ -174,48 +198,40 @@ let set_adj t u v alive =
 
 let min_frontier = 16
 
-let no_floats : float array = [||]
-
-let no_ints : int array = [||]
-
 let resize_frontier st cap =
-  let key = Array.make cap 0.0 and seq = Array.make cap 0 and node = Array.make cap 0 in
+  let key = Array.make cap 0.0 and ent = Array.make cap 0 in
   Array.blit st.fkey 0 key 0 st.fsize;
-  Array.blit st.fseq 0 seq 0 st.fsize;
-  Array.blit st.fnode 0 node 0 st.fsize;
+  Array.blit st.fent 0 ent 0 st.fsize;
   st.fkey <- key;
-  st.fseq <- seq;
-  st.fnode <- node
+  st.fent <- ent
 
 (* A new entry carries the largest sequence number so far, so it rises only
    past strictly larger distances. *)
 let push st v =
-  if st.fsize = Array.length st.fnode then
+  if st.fsize = Array.length st.fent then
     resize_frontier st (max min_frontier (2 * st.fsize));
-  let key = st.fkey and seq = st.fseq and node = st.fnode in
+  let key = st.fkey and ent = st.fent in
   let d = st.dist.(v) in
   let i = ref st.fsize in
   st.fsize <- st.fsize + 1;
   while !i > 0 && d < key.((!i - 1) / 2) do
     let p = (!i - 1) / 2 in
     key.(!i) <- key.(p);
-    seq.(!i) <- seq.(p);
-    node.(!i) <- node.(p);
+    ent.(!i) <- ent.(p);
     i := p
   done;
   key.(!i) <- d;
-  seq.(!i) <- st.pushes;
-  node.(!i) <- v;
+  ent.(!i) <- (st.pushes lsl 16) lor v;
   st.pushes <- st.pushes + 1
 
 (* Remove and return the (distance, sequence)-least entry's router. *)
 let pop st =
-  let key = st.fkey and seq = st.fseq and node = st.fnode in
-  let top = node.(0) in
+  let key = st.fkey and ent = st.fent in
+  let top = ent.(0) land 0xFFFF in
   let last = st.fsize - 1 in
   st.fsize <- last;
   if last > 0 then begin
-    let k = key.(last) and s = seq.(last) and x = node.(last) in
+    let k = key.(last) and x = ent.(last) in
     let i = ref 0 and sifting = ref true in
     while !sifting do
       let l = (2 * !i) + 1 in
@@ -223,22 +239,20 @@ let pop st =
       else begin
         let r = l + 1 in
         let c =
-          if r < last && (key.(r) < key.(l) || (key.(r) = key.(l) && seq.(r) < seq.(l)))
+          if r < last && (key.(r) < key.(l) || (key.(r) = key.(l) && ent.(r) < ent.(l)))
           then r
           else l
         in
-        if key.(c) < k || (key.(c) = k && seq.(c) < s) then begin
+        if key.(c) < k || (key.(c) = k && ent.(c) < x) then begin
           key.(!i) <- key.(c);
-          seq.(!i) <- seq.(c);
-          node.(!i) <- node.(c);
+          ent.(!i) <- ent.(c);
           i := c
         end
         else sifting := false
       end
     done;
     key.(!i) <- k;
-    seq.(!i) <- s;
-    node.(!i) <- x
+    ent.(!i) <- x
   end;
   top
 
@@ -249,11 +263,10 @@ let pop st =
    steps is not reallocated at every pause. *)
 let release_frontier st =
   st.fkey <- no_floats;
-  st.fseq <- no_ints;
-  st.fnode <- no_ints
+  st.fent <- no_ints
 
 let trim_frontier st =
-  let cap = Array.length st.fnode in
+  let cap = Array.length st.fent in
   if cap > min_frontier && cap > 4 * st.fsize then
     resize_frontier st (max min_frontier (2 * st.fsize))
 
@@ -266,28 +279,13 @@ let take_scratch t n =
   | s :: rest when Array.length s.s_dist = n ->
     t.free_scratch <- rest;
     Array.fill s.s_dist 0 n infinity;
-    Array.fill s.s_hops 0 n max_int;
-    Array.fill s.s_parent 0 n (-1);
-    Array.fill s.s_settled 0 n false;
+    Bytes.fill s.s_lab 0 (Bytes.length s.s_lab) '\xff';
     s
-  | _ ->
-    {
-      s_dist = Array.make n infinity;
-      s_hops = Array.make n max_int;
-      s_parent = Array.make n (-1);
-      s_settled = Array.make n false;
-    }
+  | _ -> { s_dist = Array.make n infinity; s_lab = Bytes.make (label_bytes * n) '\xff' }
 
 let recycle t (st : spf) =
   if List.length t.free_scratch < max_recycled then
-    t.free_scratch <-
-      {
-        s_dist = st.dist;
-        s_hops = st.hops;
-        s_parent = st.parent;
-        s_settled = st.settled;
-      }
-      :: t.free_scratch
+    t.free_scratch <- { s_dist = st.dist; s_lab = st.lab } :: t.free_scratch
 
 let new_spf t src =
   let s = take_scratch t t.n in
@@ -295,12 +293,9 @@ let new_spf t src =
     {
       src;
       dist = s.s_dist;
-      hops = s.s_hops;
-      parent = s.s_parent;
-      settled = s.s_settled;
+      lab = s.s_lab;
       fkey = no_floats;
-      fseq = no_ints;
-      fnode = no_ints;
+      fent = no_ints;
       fsize = 0;
       pushes = 0;
       complete = false;
@@ -308,7 +303,7 @@ let new_spf t src =
   in
   if router_alive t src then begin
     st.dist.(src) <- 0.0;
-    st.hops.(src) <- 0;
+    set_label st.lab src ~parent:none ~hops:0;
     push st src
   end
   else st.complete <- true;
@@ -321,10 +316,10 @@ let new_spf t src =
    would produce.  A settled router is never relabelled: over a zero-latency
    link a later router can reach it again at the same distance in fewer
    hops, and moving it then would leave the hop counts of the routers
-   already labelled through it longer than their parent chains. *)
+   already labelled through it longer than their parent chains.  An
+   unlabeled router's hop count reads [none], above every real count. *)
 let advance t (st : spf) until =
-  let dist = st.dist and hops = st.hops and parent = st.parent
-  and settled = st.settled in
+  let dist = st.dist and lab = st.lab in
   let off = t.off and nbr = t.nbr and wt = t.wt in
   let running = ref true in
   while !running do
@@ -335,17 +330,16 @@ let advance t (st : spf) until =
     end
     else begin
       let u = pop st in
-      if not settled.(u) then begin
-        settled.(u) <- true;
-        let du = dist.(u) and hu = hops.(u) + 1 in
+      if not (settled lab u) then begin
+        settle lab u;
+        let du = dist.(u) and hu = hops lab u + 1 in
         for e = off.(u) to off.(u + 1) - 1 do
           let v = nbr.(e) in
-          if (not settled.(v)) && link_alive t u v then begin
+          if (not (settled lab v)) && link_alive t u v then begin
             let nd = du +. wt.(e) in
-            if nd < dist.(v) || (nd = dist.(v) && hu < hops.(v)) then begin
+            if nd < dist.(v) || (nd = dist.(v) && hu < hops lab v) then begin
               dist.(v) <- nd;
-              hops.(v) <- hu;
-              parent.(v) <- u;
+              set_label lab v ~parent:u ~hops:hu;
               push st v
             end
           end
@@ -364,7 +358,7 @@ let advance t (st : spf) until =
 let settled_state t src dst =
   if t.spf_cache.(src).src < 0 then t.spf_cache.(src) <- new_spf t src;
   let st = t.spf_cache.(src) in
-  if not (st.complete || (dst >= 0 && st.settled.(dst))) then advance t st dst;
+  if not (st.complete || (dst >= 0 && settled st.lab dst)) then advance t st dst;
   st
 
 (* -- targeted invalidation ----------------------------------------------
@@ -374,7 +368,7 @@ let settled_state t src dst =
    changed:
 
    - fail_link (u,v):   a tree changes only if the edge carried a label
-                        (parent.(v) = u or parent.(u) = v).  Removing a
+                        (parent(v) = u or parent(u) = v).  Removing a
                         non-tree edge removes no used path and can only
                         lengthen alternatives, so every label stays optimal.
    - restore_link (u,v): a tree changes only if the new edge improves some
@@ -403,13 +397,15 @@ let drop_trees t pred =
       end)
     t.spf_cache
 
-let tree_uses_link (st : spf) u v = st.parent.(v) = u || st.parent.(u) = v
+let tree_uses_link (st : spf) u v = parent st.lab v = u || parent st.lab u = v
 
+(* Two unlabeled endpoints never pass: [inf + w = inf], but their hop
+   counts both read [none]. *)
 let link_could_improve (st : spf) u v w =
   let du = st.dist.(u) and dv = st.dist.(v) in
   du +. w < dv || dv +. w < du
-  || (du +. w = dv && st.hops.(u) + 1 < st.hops.(v))
-  || (dv +. w = du && st.hops.(v) + 1 < st.hops.(u))
+  || (du +. w = dv && hops st.lab u + 1 < hops st.lab v)
+  || (dv +. w = du && hops st.lab v + 1 < hops st.lab u)
 
 let invalidate_link_down t u v = drop_trees t (fun st -> tree_uses_link st u v)
 
@@ -417,7 +413,7 @@ let invalidate_link_up t u v =
   if link_alive t u v then begin
     let w = Graph.latency t.g u v in
     drop_trees t (fun st ->
-        if st.complete || (st.settled.(u) && st.settled.(v)) then
+        if st.complete || (settled st.lab u && settled st.lab v) then
           link_could_improve st u v w
         else true)
   end
@@ -491,7 +487,7 @@ let path t src dst =
     else begin
       (* Every ancestor of a labeled node is settled, so the parent chain is
          complete even in a partial tree. *)
-      let rec walk acc v = if v = src then src :: acc else walk (v :: acc) st.parent.(v) in
+      let rec walk acc v = if v = src then src :: acc else walk (v :: acc) (parent st.lab v) in
       Some (walk [] dst)
     end
   end
@@ -573,10 +569,7 @@ let reachable t src dst =
   let comp = components t in
   comp.(src) = comp.(dst)
 
-let unreachable_hops = 0xFFFF
-
 let build_hop_row t rows src =
-  if t.n >= unreachable_hops then invalid_arg "Linkstate.min_hops: graph too large";
   let row = Bytes.make (2 * t.n) '\xff' and sc = scratch_for t.n in
   let tail = bfs t sc src 0 in
   for i = 0 to tail - 1 do
@@ -602,14 +595,14 @@ let min_hops t a b =
     in
     let row = if rows.(a) == no_row then build_hop_row t rows a else rows.(a) in
     let h = Bytes.get_uint16_le row (2 * b) in
-    if h = unreachable_hops then -1 else h
+    if h = none then -1 else h
   end
 
 let distance_hops t src dst =
   if not (router_alive t src && router_alive t dst) then None
   else begin
     let st = settled_state t src dst in
-    if st.dist.(dst) < infinity then Some st.hops.(dst) else None
+    if st.dist.(dst) < infinity then Some (hops st.lab dst) else None
   end
 
 (* Unboxed twins of [distance_to]/[distance_hops] for per-hop pricing:
@@ -625,7 +618,7 @@ let distance_hops_count t src dst =
   if not (router_alive t src && router_alive t dst) then -1
   else begin
     let st = settled_state t src dst in
-    if st.dist.(dst) < infinity then st.hops.(dst) else -1
+    if st.dist.(dst) < infinity then hops st.lab dst else -1
   end
 
 (* Fused pricing: one settle, the latency accumulated straight into a
@@ -639,32 +632,32 @@ let price_hop_into t src dst ~latency i =
     let st = settled_state t src dst in
     if st.dist.(dst) < infinity then begin
       latency.(i) <- latency.(i) +. st.dist.(dst);
-      st.hops.(dst)
+      hops st.lab dst
     end
     else -1
   end
 
-let rec iter_chain parent src v f x =
+let rec iter_chain lab src v f x =
   f x v;
-  if v <> src then iter_chain parent src parent.(v) f x
+  if v <> src then iter_chain lab src (parent lab v) f x
 
 let iter_path t src dst f x =
   if router_alive t src && router_alive t dst then begin
     let st = settled_state t src dst in
-    if st.dist.(dst) < infinity then iter_chain st.parent src dst f x
+    if st.dist.(dst) < infinity then iter_chain st.lab src dst f x
   end
 
 let distance_latency = distance_to
 
-let rec first_hop parent src v =
-  let p = parent.(v) in
-  if p = src then v else first_hop parent src p
+let rec first_hop lab src v =
+  let p = parent lab v in
+  if p = src then v else first_hop lab src p
 
 let next_hop t src dst =
   if src = dst || not (router_alive t src && router_alive t dst) then None
   else begin
     let st = settled_state t src dst in
-    if st.dist.(dst) < infinity then Some (first_hop st.parent src dst) else None
+    if st.dist.(dst) < infinity then Some (first_hop st.lab src dst) else None
   end
 
 let valid_source_route t = function
@@ -689,9 +682,9 @@ let lsa_flood_cost t = 2 * live_link_count t
 let eccentricity_hops t src =
   let st = settled_state t src (-1) in
   let best = ref 0 in
-  Array.iteri
-    (fun v h -> if st.dist.(v) < infinity && h > !best then best := h)
-    st.hops;
+  for v = 0 to t.n - 1 do
+    if st.dist.(v) < infinity && hops st.lab v > !best then best := hops st.lab v
+  done;
   !best
 
 let diameter_hops t =

@@ -17,7 +17,9 @@
 
     The kernel is allocation-free on a warm tree: flat adjacency arrays, a
     binary heap over unboxed arrays ordered by (distance, push order), and
-    queries that read the tree's labels directly.  Callers that only price
+    queries that read the tree's labels directly.  A tree is two blocks the
+    GC never scans: its distances, and one byte block of parents, hop
+    counts and settled flags.  Callers that only price
     a path use {!price_hop_into} and {!iter_path}; only callers that store a
     route build the {!path} list. *)
 
@@ -30,7 +32,9 @@ type event =
   | Router_up of int
 
 val create : Rofl_topology.Graph.t -> t
-(** The graph must not gain links afterwards: its adjacency is copied. *)
+(** The graph must not gain links afterwards: its adjacency is copied.
+    Raises [Invalid_argument] for a graph of 65,535 routers or more: a tree
+    stores parents and hop counts as 16-bit fields. *)
 
 val graph : t -> Rofl_topology.Graph.t
 

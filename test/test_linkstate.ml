@@ -3,6 +3,7 @@
 
 module Graph = Rofl_topology.Graph
 module Gen = Rofl_topology.Gen
+module Isp = Rofl_topology.Isp
 module Linkstate = Rofl_linkstate.Linkstate
 module Metrics = Rofl_netsim.Metrics
 module Network = Rofl_intra.Network
@@ -122,6 +123,60 @@ let test_spf_cache_invalidation () =
   Linkstate.fail_link ls 3 4;
   (* The memoised SPF must not serve the stale path. *)
   Alcotest.(check (option (list int))) "stale path dropped" None (Linkstate.path ls 0 4)
+
+(* The compact-state pin: with a complete tree from every source of
+   AS1239's 604 routers, the whole [Linkstate] (graph, adjacency and every
+   tree included) holds at most [max_words_per_tree] words per router.  A
+   tree is a float array of distances and one byte block of parents, hop
+   counts and settled flags: ~1,028 words per router in all.  A word per
+   router for any of those three would cross the bound. *)
+let max_words_per_tree = 1_100
+
+let test_compact_trees () =
+  let g = (Isp.generate (Prng.create 1) Isp.as1239).Isp.graph in
+  let n = Graph.n g in
+  let ls = Linkstate.create g in
+  ignore (Linkstate.diameter_hops ls);
+  let per_tree = Obj.reachable_words (Obj.repr ls) / n in
+  if per_tree > max_words_per_tree then
+    Alcotest.failf "%d words per settled tree on AS1239, bound %d" per_tree max_words_per_tree
+
+(* A ring too large for the liveness matrix, so every liveness test takes
+   the probe chain.  With link 0-1 down, every query from 0 to 1 goes the
+   long way round, through all 4,100 routers. *)
+let test_large_ring () =
+  let n = 4100 in
+  let ls = Linkstate.create (Gen.ring n ~latency_ms:1.0) in
+  let price () =
+    let reg = [| 0.0 |] in
+    let h = Linkstate.price_hop_into ls 0 1 ~latency:reg 0 in
+    (h, reg.(0))
+  in
+  Alcotest.(check (option (list int))) "direct" (Some [ 0; 1 ]) (Linkstate.path ls 0 1);
+  Linkstate.fail_link ls 0 1;
+  let long_way = 0 :: List.init (n - 1) (fun i -> n - 1 - i) in
+  Alcotest.(check (option (list int))) "long way round" (Some long_way) (Linkstate.path ls 0 1);
+  Alcotest.(check (pair int (float 0.0))) "priced the long way"
+    (n - 1, float_of_int (n - 1))
+    (price ());
+  Alcotest.(check bool) "failed link rejected" false (Linkstate.valid_source_route ls [ 0; 1 ]);
+  Alcotest.(check bool) "long way valid" true (Linkstate.valid_source_route ls long_way);
+  Alcotest.(check bool) "still reachable" true (Linkstate.reachable ls 0 1);
+  Linkstate.fail_link ls 2000 2001;
+  Alcotest.(check bool) "two cuts partition" false (Linkstate.reachable ls 0 1);
+  Alcotest.(check (option (list int))) "no path across the cuts" None (Linkstate.path ls 0 1);
+  Linkstate.restore_link ls 2000 2001;
+  Linkstate.restore_link ls 0 1;
+  Alcotest.(check (option (list int))) "restored" (Some [ 0; 1 ]) (Linkstate.path ls 0 1);
+  Alcotest.(check (pair int (float 0.0))) "priced direct" (1, 1.0) (price ());
+  Alcotest.(check bool) "restored link valid" true (Linkstate.valid_source_route ls [ 0; 1 ])
+
+(* Parents, hop counts and frontier routers are 16-bit fields with 0xFFFF
+   for "none", so [create] takes at most 65,534 routers. *)
+let test_router_bound () =
+  ignore (Linkstate.create (Graph.create 65_534));
+  Alcotest.check_raises "65,535 routers" (Invalid_argument "Linkstate.create: graph too large")
+    (fun () -> ignore (Linkstate.create (Graph.create 65_535)))
 
 (* Golden test for the targeted SPF invalidation: run a randomized
    fail/restore script, interleaving single-pair queries so the per-source
@@ -661,6 +716,8 @@ let () =
           Alcotest.test_case "cache invalidation" `Quick test_spf_cache_invalidation;
           Alcotest.test_case "invalidation golden vs fresh" `Quick
             test_invalidation_golden;
+          Alcotest.test_case "compact trees on AS1239" `Quick test_compact_trees;
+          Alcotest.test_case "router bound" `Quick test_router_bound;
           QCheck_alcotest.to_alcotest prop_paths_are_valid_routes;
           QCheck_alcotest.to_alcotest prop_hops_symmetric;
           QCheck_alcotest.to_alcotest prop_kernel_matches_reference;
@@ -677,5 +734,6 @@ let () =
           Alcotest.test_case "counts and flood cost" `Quick test_counts_and_flood;
           Alcotest.test_case "diameter tracks failures" `Quick test_diameter_tracks_failures;
           Alcotest.test_case "zero-latency ties keep hops = path" `Quick test_zero_latency_hops;
+          Alcotest.test_case "4,100-router ring off the matrix" `Quick test_large_ring;
         ] );
     ]
