@@ -229,6 +229,22 @@ let micro () =
     (proto, pairs)
   in
   let owner_i = ref 0 in
+  (* One stabilisation period ([Proto.run_for] 50 ms) on a converged AS3967
+     actor ring of 2,000 bootstrap hosts with the stabiliser on: every
+     member probes its successor, hears back and notifies it, all by
+     message.  The row draws its topology and hosts from its own generator,
+     seeded by its name, so adding it moved no other row's inputs.  A
+     warm-up second grows the queues and tables to their steady size. *)
+  let stab_proto =
+    let srng = Rofl_util.Prng.create (Hashtbl.hash "proto-stabilize-as3967") in
+    let sisp = Rofl_topology.Isp.generate srng Rofl_topology.Isp.as3967 in
+    let proto =
+      Rofl_proto.Proto.create ~rng:srng ~bootstrap_hosts:2_000 sisp.Rofl_topology.Isp.graph
+    in
+    Rofl_proto.Proto.start_stabilizer proto;
+    Rofl_proto.Proto.run_for proto 1_000.0;
+    proto
+  in
   (* Level-restricted valley-free routes on the default ~1,100-AS Internet,
      rotating through 512 precomputed stub pairs, each priced at [Root]
      and at the pair's least common ancestor, with every climb memoised by
@@ -318,7 +334,7 @@ let micro () =
   let engine = Rofl_netsim.Engine.create () in
   let event () = () in
   for seq = 0 to 1022 do
-    Rofl_netsim.Engine.schedule_keyed engine ~time_ms:1e9 ~rail:1 ~seq event
+    Rofl_netsim.Engine.schedule_keyed engine ~time_ms:1e9 ~rail:1 ~seq ~arg:0 event
   done;
   let dispatch_seq = ref 0 in
   let verify_cred = Rofl_crypto.Identity.credential_for id_a in
@@ -370,7 +386,7 @@ let micro () =
              let seq = !dispatch_seq in
              dispatch_seq := seq + 1;
              let now = Rofl_netsim.Engine.now engine in
-             Rofl_netsim.Engine.schedule_keyed engine ~time_ms:now ~rail:0 ~seq event;
+             Rofl_netsim.Engine.schedule_keyed engine ~time_ms:now ~rail:0 ~seq ~arg:0 event;
              Rofl_netsim.Engine.run_until engine now));
       Test.make ~name:"spf-cold-as3967"
         (Staged.stage (fun () ->
@@ -428,6 +444,8 @@ let micro () =
              incr owner_i;
              let from, target = Array.unsafe_get owner_pairs i in
              ignore (Rofl_proto.Proto.lookup_owner owner_proto ~from target)));
+      Test.make ~name:"proto-stabilize-as3967"
+        (Staged.stage (fun () -> Rofl_proto.Proto.run_for stab_proto 50.0));
       (* Attack-lab rows: the defense's per-admission price (one full
          challenge/response residency handshake — what every verified join
          and failover promotion charges) and the attacker's per-draw price

@@ -2,8 +2,6 @@ type t = { hi : int64; lo : int64 }
 
 let zero = { hi = 0L; lo = 0L }
 
-let max_value = { hi = -1L; lo = -1L }
-
 let of_int64_pair hi lo = { hi; lo }
 
 let of_int n =

@@ -9,11 +9,6 @@ type t
 (** An immutable 128-bit identifier. *)
 
 val zero : t
-val max_value : t
-(** All-ones, the ID immediately counter-clockwise of {!zero}.
-
-    Kept as a reference: test_idspace's keyed-comparison property checks the
-    key-distance horizon against it. *)
 
 val of_int64_pair : int64 -> int64 -> t
 (** [of_int64_pair hi lo]. *)

@@ -129,7 +129,7 @@ let notify t ev =
 let canonical u v = if u <= v then (u, v) else (v, u)
 
 (* Indices outside the graph read as alive. *)
-let router_alive t r = r < 0 || r >= t.n || Bytes.unsafe_get t.dead r = '\000'
+let[@inline] router_alive t r = r < 0 || r >= t.n || Bytes.unsafe_get t.dead r = '\000'
 
 let healthy t = Hashtbl.length t.failed_links = 0 && t.dead_count = 0
 

@@ -1,8 +1,13 @@
 module Heap = Rofl_util.Heap
 
-type t = {
+(* Each queued entry is a payload of type ['e] plus one int, both handed to
+   [exec] when the entry pops: the closure engine's payload is the event
+   itself, a typed engine's is data its [exec] interprets, so scheduling
+   builds no closure. *)
+type 'e t = {
   mutable clock : float;
-  queue : (unit -> unit) Heap.t;
+  queue : 'e Heap.t;
+  exec : int -> 'e -> unit;
   next : float array; (* register: the queue's minimum time, read in place *)
   mutable peak : int;
   mutable scheduled : int;
@@ -14,10 +19,11 @@ type t = {
   mutable monitor : (float -> unit) option;
 }
 
-let create () =
+let create_typed ~exec =
   {
     clock = 0.0;
     queue = Heap.create ();
+    exec;
     next = [| 0.0 |];
     peak = 0;
     scheduled = 0;
@@ -25,6 +31,8 @@ let create () =
     digest = 0;
     monitor = None;
   }
+
+let create () = create_typed ~exec:(fun _ f -> f ())
 
 let now t = t.clock
 
@@ -49,9 +57,9 @@ let schedule t ~delay_ms f =
   if delay_ms < 0.0 then invalid_arg "Engine.schedule: negative delay";
   schedule_at t ~time_ms:(t.clock +. delay_ms) f
 
-let schedule_keyed t ~time_ms ~rail ~seq f =
+let schedule_keyed t ~time_ms ~rail ~seq ~arg e =
   if time_ms < t.clock then invalid_arg "Engine.schedule_keyed: time in the past";
-  Heap.push_keyed t.queue time_ms ~rail ~seq f;
+  Heap.push_keyed t.queue time_ms ~rail ~seq ~arg e;
   bump t
 
 (* Order-insensitive fingerprint of one executed event.  Summed into
@@ -65,17 +73,18 @@ let[@inline] event_hash time rail seq =
   let h = h lxor (h lsr 29) in
   h * 0x9E3779B97F4A7C1
 
-(* Execute the earliest queued event.  Its key is read in place and its
-   closure taken without building a tuple; the clock is re-boxed only when
-   time moves. *)
+(* Execute the earliest queued event.  Its key and int are read in place
+   and its payload taken without building a tuple; the clock is re-boxed
+   only when time moves. *)
 let exec_next t =
   Heap.min_prio_into t.queue t.next 0;
   let time = t.next.(0) and rail = Heap.min_rail t.queue and seq = Heap.min_seq t.queue in
-  let f = Heap.take t.queue in
+  let arg = Heap.min_arg t.queue in
+  let e = Heap.take t.queue in
   if time <> t.clock then t.clock <- time;
   t.executed <- t.executed + 1;
   t.digest <- t.digest + event_hash time rail seq;
-  f ();
+  t.exec arg e;
   observe t
 
 let run t =

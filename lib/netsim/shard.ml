@@ -28,14 +28,27 @@ type stats = {
   elapsed_s : float;    (* wall-clock seconds inside [run_until] *)
 }
 
-type t = {
-  engines : Engine.t array;
+(* Cross-shard messages one shard emitted during the current window, as
+   flat columns in emission order: destination shard, event key, int and
+   payload.  A send writes one slot and allocates nothing once the columns
+   have grown to the window's traffic. *)
+type 'e outbox = {
+  mutable dst : int array;
+  mutable time : float array;
+  mutable rail : int array;
+  mutable seq : int array;
+  mutable arg : int array;
+  mutable ev : 'e array;
+  mutable len : int;
+}
+
+type 'e t = {
+  engines : 'e Engine.t array;
   pool : Pool.t option;
   window_ms : float;
-  (* outbox.(src): cross-shard messages emitted by shard [src] during the
-     current window.  Owned by shard [src]'s domain while a window runs and
+  (* outbox.(src): owned by shard [src]'s domain while a window runs and
      drained only by the coordinator between windows, so no locking. *)
-  outbox : (int * float * int * int * (unit -> unit)) list ref array;
+  outbox : 'e outbox array;
   globals : (unit -> unit) Heap.t; (* (time, insertion order) *)
   next : float array; (* registers: [min_next] at 0, earliest global at 1 *)
   mutable clock : float;           (* merged barrier clock *)
@@ -47,15 +60,18 @@ type t = {
   mutable elapsed_s : float;
 }
 
-let create ?pool ~shards ~window_ms () =
+let new_outbox () =
+  { dst = [||]; time = [||]; rail = [||]; seq = [||]; arg = [||]; ev = [||]; len = 0 }
+
+let create_typed ?pool ~exec ~shards ~window_ms () =
   if shards < 1 then invalid_arg "Shard.create: shards must be >= 1";
   if shards > 1 && not (window_ms > 0.0) then
     invalid_arg "Shard.create: window_ms must be positive with shards > 1";
   {
-    engines = Array.init shards (fun _ -> Engine.create ());
+    engines = Array.init shards (fun _ -> Engine.create_typed ~exec);
     pool;
     window_ms;
-    outbox = Array.init shards (fun _ -> ref []);
+    outbox = Array.init shards (fun _ -> new_outbox ());
     globals = Heap.create ();
     next = [| infinity; infinity |];
     clock = 0.0;
@@ -66,6 +82,9 @@ let create ?pool ~shards ~window_ms () =
     stall_s = 0.0;
     elapsed_s = 0.0;
   }
+
+let create ?pool ~shards ~window_ms () =
+  create_typed ?pool ~exec:(fun _ f -> f ()) ~shards ~window_ms ()
 
 let shards t = Array.length t.engines
 
@@ -79,32 +98,57 @@ let set_monitor t f = t.monitor <- Some f
 
 let clear_monitor t = t.monitor <- None
 
-let send t ~src ~dst ~time_ms ~rail ~seq f =
+(* Flushed and unused payload slots hold an immediate dummy, so the
+   columns keep no delivered payload reachable (the heap's [vacated]);
+   every read is guarded by [len]. *)
+let vacated : 'e = Obj.magic 0
+
+let grow o =
+  let cap = if o.len = 0 then 64 else 2 * o.len in
+  let extend a fill = let b = Array.make cap fill in Array.blit a 0 b 0 o.len; b in
+  o.dst <- extend o.dst 0;
+  o.time <- extend o.time 0.0;
+  o.rail <- extend o.rail 0;
+  o.seq <- extend o.seq 0;
+  o.arg <- extend o.arg 0;
+  o.ev <- extend o.ev vacated
+
+let post o ~dst ~time_ms ~rail ~seq ~arg e =
+  if o.len = Array.length o.dst then grow o;
+  let i = o.len in
+  o.dst.(i) <- dst;
+  o.time.(i) <- time_ms;
+  o.rail.(i) <- rail;
+  o.seq.(i) <- seq;
+  o.arg.(i) <- arg;
+  o.ev.(i) <- e;
+  o.len <- i + 1
+
+let send t ~src ~dst ~time_ms ~rail ~seq ~arg e =
   if src >= 0 && src <> dst then
     (* Emitted from inside shard [src]'s window: buffer until the barrier.
        Conservatism (cross-shard latency >= window_ms) guarantees [time_ms]
        is at or after the barrier that will flush it. *)
-    t.outbox.(src) := (dst, time_ms, rail, seq, f) :: !(t.outbox.(src))
+    post t.outbox.(src) ~dst ~time_ms ~rail ~seq ~arg e
   else
     (* Same shard, or global context (src = -1, every shard parked at the
        barrier): straight into the destination queue. *)
-    Engine.schedule_keyed t.engines.(dst) ~time_ms ~rail ~seq f
+    Engine.schedule_keyed t.engines.(dst) ~time_ms ~rail ~seq ~arg e
 
 let at_global t ~time_ms f =
   if time_ms < t.clock then invalid_arg "Shard.at_global: time in the past";
   Heap.push t.globals time_ms f
 
+(* Deliver every buffered message in emission order, vacating its slot. *)
 let flush t =
   Array.iter
-    (fun box ->
-      match !box with
-      | [] -> ()
-      | msgs ->
-        box := [];
-        List.iter
-          (fun (dst, time_ms, rail, seq, f) ->
-            Engine.schedule_keyed t.engines.(dst) ~time_ms ~rail ~seq f)
-          (List.rev msgs))
+    (fun o ->
+      for i = 0 to o.len - 1 do
+        Engine.schedule_keyed t.engines.(o.dst.(i)) ~time_ms:o.time.(i) ~rail:o.rail.(i)
+          ~seq:o.seq.(i) ~arg:o.arg.(i) o.ev.(i);
+        o.ev.(i) <- vacated
+      done;
+      o.len <- 0)
     t.outbox
 
 (* Is any event pending on any engine?  If so, the earliest one's time is

@@ -128,6 +128,12 @@ type message =
       challenge : Identity.challenge;
     }
   | Verify_resp of { token : int; resp : Identity.response option }
+  (* The two timers a router schedules on its own queue.  A stabilisation
+     probe's RPC timeout is the common one and carries its state as data;
+     rarer timers (join and lookup timeouts, lookup retries, promotion
+     challenges) keep a closure. *)
+  | Probe_timeout of { rid : Id.t; sid : Id.t; srouter : int; token : int; attempt : int }
+  | Timer of (unit -> unit)
 
 type stats = {
   messages : int;
@@ -365,7 +371,7 @@ type shard_state = {
 type t = {
   graph : Graph.t;
   cfg : config;
-  coord : Shard.t;
+  coord : message Shard.t;
   nshards : int;
   shard_of : int array; (* router -> shard, contiguous ranges *)
   (* Per-router monotone sequence counters: every scheduled event is keyed
@@ -425,15 +431,15 @@ let fresh_token sh =
   sh.next_token <- tok + 1;
   tok
 
-(* Schedule [f] at [router]'s shard under the content-derived key
-   [(time, rail, seq)].  [rail] must be the router in whose execution
-   context this call is made (the acting router), so its sequence counter
-   is bumped in a deterministic, K-independent order. *)
-let sched t ~rail ~at ~time_ms f =
+(* Schedule [m] for router [at] (the entry's int) on its shard under the
+   content-derived key [(time, rail, seq)].  [rail] must be the router in
+   whose execution context this call is made (the acting router), so its
+   sequence counter is bumped in a deterministic, K-independent order. *)
+let sched t ~rail ~at ~time_ms m =
   let seq = t.rails.(rail) in
   t.rails.(rail) <- seq + 1;
   Shard.send t.coord ~src:t.shard_of.(rail) ~dst:t.shard_of.(at) ~time_ms ~rail
-    ~seq f
+    ~seq ~arg:at m
 
 (* The slot of [rid] resident at [router], or -1. *)
 let find_slot t router rid =
@@ -455,164 +461,6 @@ let locate_slot t rid =
   go 0
 
 let is_member t rid = locate_slot t rid <> None
-
-(* ---- construction ------------------------------------------------------- *)
-
-let create ~rng ?(cfg = default_config) ?(shards = 1) ?pool ?(bootstrap_hosts = 0)
-    ?(lookup_hint = 0) ?(groups = [||]) ?behaviours graph =
-  if shards < 1 then invalid_arg "Proto.create: shards must be >= 1";
-  if bootstrap_hosts < 0 then invalid_arg "Proto.create: bootstrap_hosts < 0";
-  if cfg.lookup_alpha < 1 then invalid_arg "Proto.create: lookup_alpha must be >= 1";
-  let n = Graph.n graph in
-  if Array.length groups <> 0 && Array.length groups <> n then
-    invalid_arg "Proto.create: groups must have one entry per router";
-  (match behaviours with
-   | Some b when Array.length b <> n ->
-     invalid_arg "Proto.create: behaviours must have one entry per router"
-   | _ -> ());
-  let k = max 1 (min shards n) in
-  let shard_of = Array.init n (fun r -> min (r * k / n) (k - 1)) in
-  (* Conservative window: no message can cross shards faster than the
-     cheapest partition-crossing link. *)
-  let window =
-    if k = 1 then infinity
-    else begin
-      let w = ref infinity in
-      Graph.iter_links graph (fun { Graph.u; v; latency_ms } ->
-          if shard_of.(u) <> shard_of.(v) && latency_ms < !w then w := latency_ms);
-      !w
-    end
-  in
-  if k > 1 && not (window > 0.0) then
-    invalid_arg "Proto.create: cross-shard links must have positive latency";
-  (* Bootstrap membership: one default identifier per router, plus
-     [bootstrap_hosts] extra hosts placed uniformly — drawn before any shard
-     state exists, so placement is identical at every shard count. *)
-  let seen = Hashtbl.create (2 * (n + bootstrap_hosts)) in
-  let boot = ref [] in
-  for router = 0 to n - 1 do
-    let rid = router_label router in
-    Hashtbl.replace seen rid ();
-    boot := (rid, router) :: !boot
-  done;
-  let added = ref 0 in
-  while !added < bootstrap_hosts do
-    let rid = Id.random rng in
-    if not (Hashtbl.mem seen rid) then begin
-      Hashtbl.replace seen rid ();
-      boot := (rid, Prng.int rng n) :: !boot;
-      incr added
-    end
-  done;
-  let per_shard = ((n + bootstrap_hosts) / k) + 1 in
-  (* Auto mode sizes successor-list headroom from the bootstrap population:
-     the per-resident target is ~log2(N̂), so give the store room to grow
-     lists beyond the static length as estimates come in. *)
-  let cap_list =
-    let static = succ_list_len - 1 in
-    if not cfg.stabilize_auto then static
-    else
-      let m = float_of_int (n + bootstrap_hosts + 1) in
-      max static (int_of_float (ceil (log m /. log 2.0)))
-  in
-  let sh =
-    Array.init k (fun sx ->
-        {
-          sx;
-          store =
-            Store.create ~routers:n ~cap_list ~hint:(2 * per_shard)
-              ~dummy:(router_label 0);
-          where = Idtbl.create (max 16 (2 * per_shard));
-          s_ls = Linkstate.create graph;
-          s_latency = [| 0.0 |];
-          s_metrics = Metrics.create ~routers:n;
-          probes = Inttbl.create (max 64 per_shard);
-          joins = Hashtbl.create 16;
-          lookups = Inttbl.create (max 16 lookup_hint);
-          verifies = Inttbl.create 16;
-          olog = [];
-          next_token = 0;
-          lookups_open = 0;
-          ranked = Id.zero;
-          ranked_d = 0;
-        })
-  in
-  let t =
-    {
-      graph;
-      cfg;
-      coord = Shard.create ?pool ~shards:k ~window_ms:window ();
-      nshards = k;
-      shard_of;
-      rails = Array.make n 0;
-      sh;
-      pool;
-      oracle =
-        {
-          ostates = Hashtbl.create (2 * (n + bootstrap_hosts));
-          omarks = Hashtbl.create 16;
-          owindows = [];
-        };
-      pcaches =
-        (if cfg.pcache_capacity > 0 then begin
-           let quota = if cfg.quota_enforce then cfg.succ_quota else 0 in
-           Array.init n (fun _ ->
-               Pcache.create ~quota ~groups cfg.pcache_capacity (router_label 0))
-         end
-         else [||]);
-      behaviours =
-        (match behaviours with Some b -> Array.copy b | None -> Array.make n Honest);
-      groups;
-      tainted = Hashtbl.create 16;
-      creds = Hashtbl.create 64;
-      departs = [];
-      stab_on = false;
-      rounds = 0;
-      leaves_done = 0;
-      moves_done = 0;
-      crashes_done = 0;
-      auto_nhat = 0.0;
-      auto_rate = 0.0;
-      auto_mult = 1.0;
-      auto_sl_limit = succ_list_len - 1;
-      auto_last_deaths = 0;
-      auto_last_ms = 0.0;
-      auto_rounds = 0;
-      refresh_on = false;
-    }
-  in
-  (* Bootstrap shortcut: the identifier ring is spliced locally at time zero
-     (the synchronous simulation charges this as the §3.1 flood; here we
-     start from its outcome and let everything AFTER happen by message). *)
-  let arr =
-    List.sort (fun (a, _) (b, _) -> Id.compare a b) !boot |> Array.of_list
-  in
-  let m = Array.length arr in
-  Array.iteri
-    (fun i (rid, router) ->
-      let shx = sh.(shard_of.(router)) in
-      let s = Store.alloc shx.store ~router rid in
-      Store.set_succ shx.store s (Some arr.((i + 1) mod m));
-      Store.set_pred shx.store s (Some arr.((i + m - 1) mod m));
-      Store.set_succ_list shx.store s
-        (List.init
-           (min (succ_list_len - 1) (max 0 (m - 2)))
-           (fun j -> arr.((i + 2 + j) mod m)));
-      Idtbl.replace shx.where rid s)
-    arr;
-  Array.iteri
-    (fun i (rid, _) ->
-      Hashtbl.replace t.oracle.ostates rid
-        { o_mem = true; o_succ = Some (fst arr.((i + 1) mod m)); o_pointed = [];
-          o_ever = true })
-    arr;
-  Array.iteri
-    (fun i (rid, _) ->
-      let sid, _ = arr.((i + 1) mod m) in
-      let st = Hashtbl.find t.oracle.ostates sid in
-      st.o_pointed <- rid :: st.o_pointed)
-    arr;
-  t
 
 let coordinator t = t.coord
 
@@ -805,15 +653,159 @@ let rec stage_list store ~skip = function
    reached over at least one partition-crossing link, so the delivery time
    is at least the conservative window after now — the invariant the shard
    coordinator's barriers rely on. *)
-let send_direct t ~cat ~from ~dest msg k =
+let send_direct t ~cat ~from ~dest msg =
   let sh = shd t from in
   let latency = sh.s_latency in
   latency.(0) <- 0.0;
   let links = Linkstate.price_hop_into sh.s_ls from dest ~latency 0 in
   if links >= 0 then begin
     Metrics.incr sh.s_metrics cat links;
-    sched t ~rail:from ~at:dest ~time_ms:(now_at t from +. latency.(0)) (fun () ->
-        k msg)
+    sched t ~rail:from ~at:dest ~time_ms:(now_at t from +. latency.(0)) msg
+  end
+
+(* ---- stabilisation probes and failover ---------------------------------- *)
+
+(* One probe of a resident's successor, with timeout/retry/backoff; when
+   every retry times out the successor is declared dead and the first live
+   backup is promoted (Chord successor-list failover).  The timeout names
+   (router, rid), never the slot: slots are recycled on departure, so it
+   re-resolves when it fires and only acts if the resident is still here
+   with the same pointer. *)
+let rec send_probe t ~router rid ~sid ~srouter attempt =
+  let sh = shd t router in
+  let token = fresh_token sh in
+  Inttbl.replace sh.probes token ();
+  send_direct t ~cat:Metrics.Stabilize ~from:router ~dest:srouter
+    (Get_pred { asker = rid; asker_router = router; target = sid; token });
+  let timeout =
+    rpc_timeout_ms *. (rpc_backoff ** float_of_int (attempt - 1))
+  in
+  sched t ~rail:router ~at:router ~time_ms:(now_at t router +. timeout)
+    (Probe_timeout { rid; sid; srouter; token; attempt })
+
+and probe_timeout t ~router rid ~sid ~srouter ~token attempt =
+  let sh = shd t router in
+  if Inttbl.mem sh.probes token then begin
+    Inttbl.remove sh.probes token;
+    Metrics.incr sh.s_metrics Metrics.Rpc_timeouts 1;
+    (* Only act if we are still resident and the pointer is unchanged. *)
+    let s = find_slot t router rid in
+    if s < 0 then ()
+    else if
+      Store.succ_router sh.store s = srouter && Id.equal (Store.succ_rid sh.store s) sid
+    then begin
+      if attempt <= rpc_retries then
+        send_probe t ~router rid ~sid ~srouter (attempt + 1)
+      else failover t ~router s sid
+    end
+    else Store.set_probe_inflight sh.store s false
+  end
+
+(* The successor is unresponsive: drop it and promote the next backup.  With
+   an exhausted backup list, fall back on the local router's default
+   identifier — always alive — and let stabilisation walk the pointer back
+   into place.
+
+   With [verify_joins] on, promotion is no longer blind (the second half of
+   the headline fix): each candidate is challenged at its claimed router
+   before the pointer moves — a Verify_req/Verify_resp round trip with one
+   rpc timeout and no retries, a failed or unanswered challenge rejecting
+   the candidate and moving on to the next.  The probe-inflight flag stays
+   set across the chain so the stabiliser cannot start a second failover
+   for the same stale pointer; every settling path clears it. *)
+and failover t ~router s dead =
+  let sh = shd t router in
+  Metrics.incr sh.s_metrics Metrics.Failovers 1;
+  let rid = Store.rid sh.store s in
+  let backups =
+    List.filter (fun (i, _) -> not (Id.equal i dead)) (Store.succ_list sh.store s)
+  in
+  if t.cfg.verify_joins then try_promote t ~router rid ~dead backups
+  else begin
+    Store.set_probe_inflight sh.store s false;
+    match backups with
+    | (nid, nrouter) :: rest ->
+      repoint t ~router s (Some (nid, nrouter));
+      Store.set_succ_list sh.store s rest;
+      send_direct t ~cat:Metrics.Repair ~from:router ~dest:nrouter
+        (Notify { candidate = rid; candidate_router = router; target = nid })
+    | [] -> promote_anchor t ~router s rid
+  end
+
+and promote_anchor t ~router s rid =
+  let sh = shd t router in
+  let anchor = router_label router in
+  if Id.equal anchor rid then repoint t ~router s (Store.pred sh.store s)
+  else begin
+    repoint t ~router s (Some (anchor, router));
+    Store.set_succ_list sh.store s []
+  end
+
+and try_promote t ~router rid ~dead candidates =
+  let sh = shd t router in
+  let s = find_slot t router rid in
+  if s < 0 then () (* departed while failing over; nothing left to settle *)
+  else
+    match candidates with
+    | [] ->
+      Store.set_probe_inflight sh.store s false;
+      promote_anchor t ~router s rid
+    | (nid, nrouter) :: rest ->
+      if nrouter = router then begin
+        (* Co-located candidate: the handshake is a local call, no wire. *)
+        let ok = find_slot t router nid >= 0 && not (Hashtbl.mem t.tainted nid) in
+        if ok then promote_verified t ~router rid ~dead (nid, nrouter) rest
+        else begin
+          Metrics.incr sh.s_metrics Metrics.Promo_rejects 1;
+          try_promote t ~router rid ~dead rest
+        end
+      end
+      else begin
+        let token = fresh_token sh in
+        (* Challenge bytes are content-keyed on (asker, candidate): the
+           handshake outcome is then a function of the workload alone,
+           identical at any shard or job count. *)
+        let challenge =
+          Identity.fresh_challenge
+            (Prng.create (Hashtbl.hash (Id.to_bytes rid, Id.to_bytes nid, 0x7e11f)))
+        in
+        let k ok =
+          if ok then promote_verified t ~router rid ~dead (nid, nrouter) rest
+          else begin
+            Metrics.incr sh.s_metrics Metrics.Promo_rejects 1;
+            try_promote t ~router rid ~dead rest
+          end
+        in
+        Inttbl.replace sh.verifies token
+          { v_claimed = nid; v_challenge = challenge; v_done = false; v_k = k };
+        send_direct t ~cat:Metrics.Verify ~from:router ~dest:nrouter
+          (Verify_req { claimant = nid; asker_router = router; token; challenge });
+        sched t ~rail:router ~at:router
+          ~time_ms:(now_at t router +. rpc_timeout_ms)
+          (Timer
+             (fun () ->
+               match Inttbl.find sh.verifies token with
+               | vs when not vs.v_done ->
+                 vs.v_done <- true;
+                 Inttbl.remove sh.verifies token;
+                 Metrics.incr sh.s_metrics Metrics.Rpc_timeouts 1;
+                 vs.v_k false
+               | _ | (exception Not_found) -> ()))
+      end
+
+and promote_verified t ~router rid ~dead (nid, nrouter) rest =
+  let sh = shd t router in
+  let s = find_slot t router rid in
+  if s >= 0 then begin
+    Store.set_probe_inflight sh.store s false;
+    if Store.succ_router sh.store s >= 0 && Id.equal (Store.succ_rid sh.store s) dead
+    then begin
+      repoint t ~router s (Some (nid, nrouter));
+      Store.set_succ_list sh.store s rest;
+      send_direct t ~cat:Metrics.Repair ~from:router ~dest:nrouter
+        (Notify { candidate = rid; candidate_router = router; target = nid })
+    end
+    (* else: the pointer moved on during verification; leave it be *)
   end
 
 (* ---- the greedy ranker --------------------------------------------------
@@ -1018,8 +1010,7 @@ let rec chase t ~at (m : message) =
       | Some h ->
         let m' = recommit m ~chasing:commit ~avoid ~waited ~hops:1 in
         Metrics.incr sh.s_metrics (if is_join then Metrics.Join else Metrics.Lookup) 1;
-        sched t ~rail:at ~at:h ~time_ms:(now_at t at +. Graph.latency t.graph at h)
-          (fun () -> handle t h m')))
+        sched t ~rail:at ~at:h ~time_ms:(now_at t at +. Graph.latency t.graph at h) m'))
   | _ -> ()
 
 (* At the router where the committed candidate [id] should reside. *)
@@ -1028,8 +1019,7 @@ and arrive t ~at m ~avoid ~waited id =
   let s = find_slot t at id in
   if s < 0 && waited < stuck_wait_limit then begin
     let m' = recommit m ~chasing:(Some (id, at)) ~avoid ~waited:(waited + 1) ~hops:0 in
-    sched t ~rail:at ~at ~time_ms:(now_at t at +. stuck_wait_ms) (fun () ->
-        handle t at m')
+    sched t ~rail:at ~at ~time_ms:(now_at t at +. stuck_wait_ms) m'
   end
   else if s < 0 then
     (* Still absent: treat it as dead and re-chase without it. *)
@@ -1054,7 +1044,6 @@ and arrive t ~at m ~avoid ~waited id =
       adopt_staged t sh s ~self:rid ~succ:joining;
       send_direct t ~cat:Metrics.Join ~from:at ~dest:gateway
         (Join_resp { joining; pred = (rid, at); succ = old_succ; succ_list = old_list })
-        (handle t gateway)
     | _ -> answer t ~at m (Some (Store.rid sh.store s, at))
 
 (* A lookup's answer to its origin.  A join has nobody to answer: at a dead
@@ -1064,7 +1053,6 @@ and answer t ~at m owner =
   | Lookup_req { origin; token; hops; _ } ->
     send_direct t ~cat:Metrics.Lookup ~from:at ~dest:origin
       (Lookup_resp { token; owner; hops })
-      (handle t origin)
   | _ -> ()
 
 (* ---- lookups ------------------------------------------------------------ *)
@@ -1115,8 +1103,7 @@ and handle t at (m : message) =
          | Some (sid, srouter) ->
            (* Tell the successor about us. *)
            send_direct t ~cat:Metrics.Join ~from:at ~dest:srouter
-             (Notify { candidate = joining; candidate_router = at; target = sid })
-             (handle t srouter);
+             (Notify { candidate = joining; candidate_router = at; target = sid });
            Some (sid, srouter)
          | None -> Some pred
        in
@@ -1150,7 +1137,6 @@ and handle t at (m : message) =
         send_direct t ~cat:Metrics.Stabilize ~from:at ~dest:asker_router
           (Pred_info { of_id = target; pred = None; succ_list = poison ();
                        to_id = asker; token })
-          (handle t asker_router)
       (* else dead: the asker's probe timeout handles it *)
     end
     else begin
@@ -1170,7 +1156,6 @@ and handle t at (m : message) =
       send_direct t ~cat:Metrics.Stabilize ~from:at ~dest:asker_router
         (Pred_info
            { of_id = target; pred = Store.pred store s; succ_list; to_id = asker; token })
-        (handle t asker_router)
     end
   | Pred_info { of_id; pred; succ_list; to_id; token } ->
     let sh = shd t at in
@@ -1195,7 +1180,6 @@ and handle t at (m : message) =
         adopt_staged t sh s ~self:rid ~succ:pid;
         send_direct t ~cat:Metrics.Stabilize ~from:at ~dest:prouter
           (Notify { candidate = rid; candidate_router = at; target = pid })
-          (handle t prouter)
       | _ ->
         (* Confirmed: tell the successor we believe we are its pred. *)
         let srouter = Store.succ_router store s in
@@ -1203,7 +1187,6 @@ and handle t at (m : message) =
           let sid = Store.succ_rid store s in
           send_direct t ~cat:Metrics.Stabilize ~from:at ~dest:srouter
             (Notify { candidate = rid; candidate_router = at; target = sid })
-            (handle t srouter)
         end
     end
   | Notify { candidate; candidate_router; target } ->
@@ -1237,7 +1220,6 @@ and handle t at (m : message) =
         | Some (nid, nrouter) when not (Id.equal nid rid) ->
           send_direct t ~cat:Metrics.Repair ~from:at ~dest:nrouter
             (Notify { candidate = rid; candidate_router = at; target = nid })
-            (handle t nrouter)
         | Some _ | None -> ()
       end
       else
@@ -1305,7 +1287,7 @@ and handle t at (m : message) =
            Metrics.incr sh.s_metrics Metrics.Lookup_retries 1;
            sched t ~rail:at ~at
              ~time_ms:(now_at t at +. t.cfg.stabilize_period_ms)
-             (fun () -> if not st.finished then start_lookup_attempt t st)
+             (Timer (fun () -> if not st.finished then start_lookup_attempt t st))
          end
        end)
   | Verify_req { claimant; asker_router; token; challenge } ->
@@ -1328,7 +1310,6 @@ and handle t at (m : message) =
     in
     send_direct t ~cat:Metrics.Verify ~from:at ~dest:asker_router
       (Verify_resp { token; resp })
-      (handle t asker_router)
   | Verify_resp { token; resp } ->
     let sh = shd t at in
     (match Inttbl.find sh.verifies token with
@@ -1342,6 +1323,9 @@ and handle t at (m : message) =
        in
        vs.v_k ok
      | _ | (exception Not_found) -> ())
+  | Probe_timeout { rid; sid; srouter; token; attempt } ->
+    probe_timeout t ~router:at rid ~sid ~srouter ~token attempt
+  | Timer f -> f ()
 
 and finish_lookup t st ~ok =
   let sh = shd t st.origin in
@@ -1365,11 +1349,10 @@ and start_lookup_attempt t st =
   st.lk_outstanding <- 1;
   Inttbl.replace sh.lookups token st;
   let now = now_at t st.origin in
-  sched t ~rail:st.origin ~at:st.origin ~time_ms:now (fun () ->
-      forward_lookup t ~at:st.origin
-        (Lookup_req
-           { target = st.lk_target; origin = st.origin; token; chasing = None; avoid = [];
-             waited = 0; hops = 0 }));
+  sched t ~rail:st.origin ~at:st.origin ~time_ms:now
+    (Lookup_req
+       { target = st.lk_target; origin = st.origin; token; chasing = None; avoid = [];
+         waited = 0; hops = 0 });
   (* Extra branches start at diversified routers: the request transits there
      first (charged like any routed message), then greedy-walks from that
      router's local knowledge.  The primary branch above is byte-identical
@@ -1392,26 +1375,191 @@ and start_lookup_attempt t st =
         (Lookup_req
            { target = st.lk_target; origin = st.origin; token = btoken;
              chasing = None; avoid = []; waited = 0; hops })
-        (handle t start)
     done
   end;
   let timeout =
     t.cfg.lookup_timeout_ms *. (rpc_backoff ** float_of_int (st.lk_attempts - 1))
   in
-  sched t ~rail:st.origin ~at:st.origin ~time_ms:(now +. timeout) (fun () ->
-      if (not st.finished) && st.lk_token = token && st.lk_outstanding > 0
-      then begin
-        (* Reap every branch of this attempt. *)
-        List.iter (fun tk -> Inttbl.remove sh.lookups tk) st.lk_tokens;
-        st.lk_tokens <- [];
-        st.lk_outstanding <- 0;
-        Metrics.incr sh.s_metrics Metrics.Rpc_timeouts 1;
-        if st.lk_attempts > lookup_retries then finish_lookup t st ~ok:false
-        else begin
-          Metrics.incr sh.s_metrics Metrics.Lookup_retries 1;
-          start_lookup_attempt t st
-        end
-      end)
+  sched t ~rail:st.origin ~at:st.origin ~time_ms:(now +. timeout)
+    (Timer
+       (fun () ->
+         if (not st.finished) && st.lk_token = token && st.lk_outstanding > 0
+         then begin
+           (* Reap every branch of this attempt. *)
+           List.iter (fun tk -> Inttbl.remove sh.lookups tk) st.lk_tokens;
+           st.lk_tokens <- [];
+           st.lk_outstanding <- 0;
+           Metrics.incr sh.s_metrics Metrics.Rpc_timeouts 1;
+           if st.lk_attempts > lookup_retries then finish_lookup t st ~ok:false
+           else begin
+             Metrics.incr sh.s_metrics Metrics.Lookup_retries 1;
+             start_lookup_attempt t st
+           end
+         end))
+
+(* ---- construction ------------------------------------------------------- *)
+
+let create ~rng ?(cfg = default_config) ?(shards = 1) ?pool ?(bootstrap_hosts = 0)
+    ?(lookup_hint = 0) ?(groups = [||]) ?behaviours graph =
+  if shards < 1 then invalid_arg "Proto.create: shards must be >= 1";
+  if bootstrap_hosts < 0 then invalid_arg "Proto.create: bootstrap_hosts < 0";
+  if cfg.lookup_alpha < 1 then invalid_arg "Proto.create: lookup_alpha must be >= 1";
+  let n = Graph.n graph in
+  if Array.length groups <> 0 && Array.length groups <> n then
+    invalid_arg "Proto.create: groups must have one entry per router";
+  (match behaviours with
+   | Some b when Array.length b <> n ->
+     invalid_arg "Proto.create: behaviours must have one entry per router"
+   | _ -> ());
+  let k = max 1 (min shards n) in
+  let shard_of = Array.init n (fun r -> min (r * k / n) (k - 1)) in
+  (* Conservative window: no message can cross shards faster than the
+     cheapest partition-crossing link. *)
+  let window =
+    if k = 1 then infinity
+    else begin
+      let w = ref infinity in
+      Graph.iter_links graph (fun { Graph.u; v; latency_ms } ->
+          if shard_of.(u) <> shard_of.(v) && latency_ms < !w then w := latency_ms);
+      !w
+    end
+  in
+  if k > 1 && not (window > 0.0) then
+    invalid_arg "Proto.create: cross-shard links must have positive latency";
+  (* Bootstrap membership: one default identifier per router, plus
+     [bootstrap_hosts] extra hosts placed uniformly — drawn before any shard
+     state exists, so placement is identical at every shard count. *)
+  let seen = Hashtbl.create (2 * (n + bootstrap_hosts)) in
+  let boot = ref [] in
+  for router = 0 to n - 1 do
+    let rid = router_label router in
+    Hashtbl.replace seen rid ();
+    boot := (rid, router) :: !boot
+  done;
+  let added = ref 0 in
+  while !added < bootstrap_hosts do
+    let rid = Id.random rng in
+    if not (Hashtbl.mem seen rid) then begin
+      Hashtbl.replace seen rid ();
+      boot := (rid, Prng.int rng n) :: !boot;
+      incr added
+    end
+  done;
+  let per_shard = ((n + bootstrap_hosts) / k) + 1 in
+  (* Auto mode sizes successor-list headroom from the bootstrap population:
+     the per-resident target is ~log2(N̂), so give the store room to grow
+     lists beyond the static length as estimates come in. *)
+  let cap_list =
+    let static = succ_list_len - 1 in
+    if not cfg.stabilize_auto then static
+    else
+      let m = float_of_int (n + bootstrap_hosts + 1) in
+      max static (int_of_float (ceil (log m /. log 2.0)))
+  in
+  let sh =
+    Array.init k (fun sx ->
+        {
+          sx;
+          store =
+            Store.create ~routers:n ~cap_list ~hint:(2 * per_shard)
+              ~dummy:(router_label 0);
+          where = Idtbl.create (max 16 (2 * per_shard));
+          s_ls = Linkstate.create graph;
+          s_latency = [| 0.0 |];
+          s_metrics = Metrics.create ~routers:n;
+          probes = Inttbl.create (max 64 per_shard);
+          joins = Hashtbl.create 16;
+          lookups = Inttbl.create (max 16 lookup_hint);
+          verifies = Inttbl.create 16;
+          olog = [];
+          next_token = 0;
+          lookups_open = 0;
+          ranked = Id.zero;
+          ranked_d = 0;
+        })
+  in
+  (* Every queued entry is a message for, or a timer of, the router its int
+     names, run by [handle].  [exec] reads [t] back from [self]: the
+     coordinator is built before [t] exists. *)
+  let self = ref None in
+  let exec at m = match !self with Some t -> handle t at m | None -> () in
+  let t =
+    {
+      graph;
+      cfg;
+      coord = Shard.create_typed ?pool ~exec ~shards:k ~window_ms:window ();
+      nshards = k;
+      shard_of;
+      rails = Array.make n 0;
+      sh;
+      pool;
+      oracle =
+        {
+          ostates = Hashtbl.create (2 * (n + bootstrap_hosts));
+          omarks = Hashtbl.create 16;
+          owindows = [];
+        };
+      pcaches =
+        (if cfg.pcache_capacity > 0 then begin
+           let quota = if cfg.quota_enforce then cfg.succ_quota else 0 in
+           Array.init n (fun _ ->
+               Pcache.create ~quota ~groups cfg.pcache_capacity (router_label 0))
+         end
+         else [||]);
+      behaviours =
+        (match behaviours with Some b -> Array.copy b | None -> Array.make n Honest);
+      groups;
+      tainted = Hashtbl.create 16;
+      creds = Hashtbl.create 64;
+      departs = [];
+      stab_on = false;
+      rounds = 0;
+      leaves_done = 0;
+      moves_done = 0;
+      crashes_done = 0;
+      auto_nhat = 0.0;
+      auto_rate = 0.0;
+      auto_mult = 1.0;
+      auto_sl_limit = succ_list_len - 1;
+      auto_last_deaths = 0;
+      auto_last_ms = 0.0;
+      auto_rounds = 0;
+      refresh_on = false;
+    }
+  in
+  (* Bootstrap shortcut: the identifier ring is spliced locally at time zero
+     (the synchronous simulation charges this as the §3.1 flood; here we
+     start from its outcome and let everything AFTER happen by message). *)
+  let arr =
+    List.sort (fun (a, _) (b, _) -> Id.compare a b) !boot |> Array.of_list
+  in
+  let m = Array.length arr in
+  Array.iteri
+    (fun i (rid, router) ->
+      let shx = sh.(shard_of.(router)) in
+      let s = Store.alloc shx.store ~router rid in
+      Store.set_succ shx.store s (Some arr.((i + 1) mod m));
+      Store.set_pred shx.store s (Some arr.((i + m - 1) mod m));
+      Store.set_succ_list shx.store s
+        (List.init
+           (min (succ_list_len - 1) (max 0 (m - 2)))
+           (fun j -> arr.((i + 2 + j) mod m)));
+      Idtbl.replace shx.where rid s)
+    arr;
+  Array.iteri
+    (fun i (rid, _) ->
+      Hashtbl.replace t.oracle.ostates rid
+        { o_mem = true; o_succ = Some (fst arr.((i + 1) mod m)); o_pointed = [];
+          o_ever = true })
+    arr;
+  Array.iteri
+    (fun i (rid, _) ->
+      let sid, _ = arr.((i + 1) mod m) in
+      let st = Hashtbl.find t.oracle.ostates sid in
+      st.o_pointed <- rid :: st.o_pointed)
+    arr;
+  self := Some t;
+  t
 
 let lookup_async t ~from target cb =
   let sh = shd t from in
@@ -1438,24 +1586,25 @@ let rec start_join_attempt t joining (st : join_state) =
   st.join_attempts <- st.join_attempts + 1;
   let attempt = st.join_attempts in
   let now = now_at t st.gateway in
-  sched t ~rail:st.gateway ~at:st.gateway ~time_ms:now (fun () ->
-      chase t ~at:st.gateway
-        (Join_req { joining; gateway = st.gateway; chasing = None; avoid = []; waited = 0 }));
+  sched t ~rail:st.gateway ~at:st.gateway ~time_ms:now
+    (Join_req { joining; gateway = st.gateway; chasing = None; avoid = []; waited = 0 });
   let timeout =
     t.cfg.join_timeout_ms *. (rpc_backoff ** float_of_int (attempt - 1))
   in
-  sched t ~rail:st.gateway ~at:st.gateway ~time_ms:(now +. timeout) (fun () ->
-      if (not st.completed) && st.join_attempts = attempt then begin
-        Metrics.incr sh.s_metrics Metrics.Rpc_timeouts 1;
-        if st.join_attempts > join_retries then begin
-          Metrics.incr sh.s_metrics Metrics.Joins_failed 1;
-          Hashtbl.remove sh.joins joining
-        end
-        else begin
-          Metrics.incr sh.s_metrics Metrics.Join_retries 1;
-          start_join_attempt t joining st
-        end
-      end)
+  sched t ~rail:st.gateway ~at:st.gateway ~time_ms:(now +. timeout)
+    (Timer
+       (fun () ->
+         if (not st.completed) && st.join_attempts = attempt then begin
+           Metrics.incr sh.s_metrics Metrics.Rpc_timeouts 1;
+           if st.join_attempts > join_retries then begin
+             Metrics.incr sh.s_metrics Metrics.Joins_failed 1;
+             Hashtbl.remove sh.joins joining
+           end
+           else begin
+             Metrics.incr sh.s_metrics Metrics.Join_retries 1;
+             start_join_attempt t joining st
+           end
+         end))
 
 let is_joining t id = Array.exists (fun sh -> Hashtbl.mem sh.joins id) t.sh
 
@@ -1521,13 +1670,11 @@ let depart t ~graceful rid =
                 new_succ = Store.succ sh.store s;
                 new_succ_list = Store.succ_list sh.store s;
               })
-           (handle t prouter)
        | Some _ | None -> ());
       (match Store.succ sh.store s with
        | Some (sid, srouter) when not (Id.equal sid rid) ->
          send_direct t ~cat:Metrics.Repair ~from:router ~dest:srouter
            (Leave_succ { departing = rid; to_id = sid; new_pred = Store.pred sh.store s })
-           (handle t srouter)
        | Some _ | None -> ())
     end;
     Idtbl.remove sh.where rid;
@@ -1557,149 +1704,6 @@ let move t ~new_gateway rid =
   ok
 
 (* ---- stabilisation ------------------------------------------------------ *)
-
-(* One probe of a resident's successor, with timeout/retry/backoff; when
-   every retry times out the successor is declared dead and the first live
-   backup is promoted (Chord successor-list failover).  The timeout closure
-   captures (router, rid), never the slot: slots are recycled on departure,
-   so it re-resolves when it fires and only acts if the resident is still
-   here with the same pointer. *)
-let rec send_probe t ~router rid ~sid ~srouter attempt =
-  let sh = shd t router in
-  let token = fresh_token sh in
-  Inttbl.replace sh.probes token ();
-  send_direct t ~cat:Metrics.Stabilize ~from:router ~dest:srouter
-    (Get_pred { asker = rid; asker_router = router; target = sid; token })
-    (handle t srouter);
-  let timeout =
-    rpc_timeout_ms *. (rpc_backoff ** float_of_int (attempt - 1))
-  in
-  sched t ~rail:router ~at:router ~time_ms:(now_at t router +. timeout)
-    (fun () ->
-      if Inttbl.mem sh.probes token then begin
-        Inttbl.remove sh.probes token;
-        Metrics.incr sh.s_metrics Metrics.Rpc_timeouts 1;
-        (* Only act if we are still resident and the pointer is unchanged. *)
-        let s = find_slot t router rid in
-        if s < 0 then ()
-        else if
-          Store.succ_router sh.store s = srouter && Id.equal (Store.succ_rid sh.store s) sid
-        then begin
-          if attempt <= rpc_retries then
-            send_probe t ~router rid ~sid ~srouter (attempt + 1)
-          else failover t ~router s sid
-        end
-        else Store.set_probe_inflight sh.store s false
-      end)
-
-(* The successor is unresponsive: drop it and promote the next backup.  With
-   an exhausted backup list, fall back on the local router's default
-   identifier — always alive — and let stabilisation walk the pointer back
-   into place.
-
-   With [verify_joins] on, promotion is no longer blind (the second half of
-   the headline fix): each candidate is challenged at its claimed router
-   before the pointer moves — a Verify_req/Verify_resp round trip with one
-   rpc timeout and no retries, a failed or unanswered challenge rejecting
-   the candidate and moving on to the next.  The probe-inflight flag stays
-   set across the chain so the stabiliser cannot start a second failover
-   for the same stale pointer; every settling path clears it. *)
-and failover t ~router s dead =
-  let sh = shd t router in
-  Metrics.incr sh.s_metrics Metrics.Failovers 1;
-  let rid = Store.rid sh.store s in
-  let backups =
-    List.filter (fun (i, _) -> not (Id.equal i dead)) (Store.succ_list sh.store s)
-  in
-  if t.cfg.verify_joins then try_promote t ~router rid ~dead backups
-  else begin
-    Store.set_probe_inflight sh.store s false;
-    match backups with
-    | (nid, nrouter) :: rest ->
-      repoint t ~router s (Some (nid, nrouter));
-      Store.set_succ_list sh.store s rest;
-      send_direct t ~cat:Metrics.Repair ~from:router ~dest:nrouter
-        (Notify { candidate = rid; candidate_router = router; target = nid })
-        (handle t nrouter)
-    | [] -> promote_anchor t ~router s rid
-  end
-
-and promote_anchor t ~router s rid =
-  let sh = shd t router in
-  let anchor = router_label router in
-  if Id.equal anchor rid then repoint t ~router s (Store.pred sh.store s)
-  else begin
-    repoint t ~router s (Some (anchor, router));
-    Store.set_succ_list sh.store s []
-  end
-
-and try_promote t ~router rid ~dead candidates =
-  let sh = shd t router in
-  let s = find_slot t router rid in
-  if s < 0 then () (* departed while failing over; nothing left to settle *)
-  else
-    match candidates with
-    | [] ->
-      Store.set_probe_inflight sh.store s false;
-      promote_anchor t ~router s rid
-    | (nid, nrouter) :: rest ->
-      if nrouter = router then begin
-        (* Co-located candidate: the handshake is a local call, no wire. *)
-        let ok = find_slot t router nid >= 0 && not (Hashtbl.mem t.tainted nid) in
-        if ok then promote_verified t ~router rid ~dead (nid, nrouter) rest
-        else begin
-          Metrics.incr sh.s_metrics Metrics.Promo_rejects 1;
-          try_promote t ~router rid ~dead rest
-        end
-      end
-      else begin
-        let token = fresh_token sh in
-        (* Challenge bytes are content-keyed on (asker, candidate): the
-           handshake outcome is then a function of the workload alone,
-           identical at any shard or job count. *)
-        let challenge =
-          Identity.fresh_challenge
-            (Prng.create (Hashtbl.hash (Id.to_bytes rid, Id.to_bytes nid, 0x7e11f)))
-        in
-        let k ok =
-          if ok then promote_verified t ~router rid ~dead (nid, nrouter) rest
-          else begin
-            Metrics.incr sh.s_metrics Metrics.Promo_rejects 1;
-            try_promote t ~router rid ~dead rest
-          end
-        in
-        Inttbl.replace sh.verifies token
-          { v_claimed = nid; v_challenge = challenge; v_done = false; v_k = k };
-        send_direct t ~cat:Metrics.Verify ~from:router ~dest:nrouter
-          (Verify_req { claimant = nid; asker_router = router; token; challenge })
-          (handle t nrouter);
-        sched t ~rail:router ~at:router
-          ~time_ms:(now_at t router +. rpc_timeout_ms)
-          (fun () ->
-            match Inttbl.find sh.verifies token with
-            | vs when not vs.v_done ->
-              vs.v_done <- true;
-              Inttbl.remove sh.verifies token;
-              Metrics.incr sh.s_metrics Metrics.Rpc_timeouts 1;
-              vs.v_k false
-            | _ | (exception Not_found) -> ())
-      end
-
-and promote_verified t ~router rid ~dead (nid, nrouter) rest =
-  let sh = shd t router in
-  let s = find_slot t router rid in
-  if s >= 0 then begin
-    Store.set_probe_inflight sh.store s false;
-    if Store.succ_router sh.store s >= 0 && Id.equal (Store.succ_rid sh.store s) dead
-    then begin
-      repoint t ~router s (Some (nid, nrouter));
-      Store.set_succ_list sh.store s rest;
-      send_direct t ~cat:Metrics.Repair ~from:router ~dest:nrouter
-        (Notify { candidate = rid; candidate_router = router; target = nid })
-        (handle t nrouter)
-    end
-    (* else: the pointer moved on during verification; leave it be *)
-  end
 
 (* A backup strictly closer (clockwise) than the successor itself means the
    ring went "loopy": concurrent splices and handoffs left a consistent
@@ -1736,7 +1740,6 @@ let untwist t ~router s =
       adopt_staged t sh s ~self:rid ~succ:bid;
       send_direct t ~cat:Metrics.Repair ~from:router ~dest:brouter
         (Notify { candidate = rid; candidate_router = router; target = bid })
-        (handle t brouter)
     end
   end
 

@@ -179,7 +179,12 @@ val create :
 val router_label : int -> Rofl_idspace.Id.t
 (** The deterministic default identifier of router [i]. *)
 
-val coordinator : t -> Rofl_netsim.Shard.t
+type message
+(** What the coordinator's engines carry: a protocol message for the router
+    named by the queue entry's int, or one of that router's timers.  Events
+    are data, not closures, so sending one builds no closure. *)
+
+val coordinator : t -> message Rofl_netsim.Shard.t
 (** The shard coordinator, exposed so campaign drivers can inject timed
     global workload events ({!Rofl_netsim.Shard.at_global}), attach the
     doctor's monitor, and read clock/queue/fingerprint instrumentation. *)

@@ -1,10 +1,12 @@
 (* Struct-of-arrays binary min-heap: slot [i] holds the key
-   [(prio.(i), rail.(i), seq.(i))] and the payload [value.(i)], priorities
-   unboxed, so pushes and in-place pops allocate nothing. *)
+   [(prio.(i), rail.(i), seq.(i))], the caller's int [arg.(i)] and the
+   payload [value.(i)], priorities unboxed, so pushes and in-place pops
+   allocate nothing. *)
 type 'a t = {
   mutable prio : float array;
   mutable rail : int array;
   mutable seq : int array;
+  mutable arg : int array;
   mutable value : 'a array;
   mutable size : int;
   mutable next_seq : int;
@@ -17,7 +19,8 @@ type 'a t = {
    to this one definition. *)
 let vacated : 'a = Obj.magic 0
 
-let create () = { prio = [||]; rail = [||]; seq = [||]; value = [||]; size = 0; next_seq = 0 }
+let create () =
+  { prio = [||]; rail = [||]; seq = [||]; arg = [||]; value = [||]; size = 0; next_seq = 0 }
 
 let length h = h.size
 
@@ -31,6 +34,7 @@ let grow h =
     h.prio <- extend h.prio 0.0;
     h.rail <- extend h.rail 0;
     h.seq <- extend h.seq 0;
+    h.arg <- extend h.arg 0;
     h.value <- extend h.value vacated
   end
 
@@ -42,16 +46,18 @@ let grow h =
 let[@inline] lt (p1 : float) (r1 : int) (s1 : int) p2 r2 s2 =
   p1 < p2 || (p1 = p2 && (r1 < r2 || (r1 = r2 && s1 < s2)))
 
-let[@inline] set h i p r s v =
+let[@inline] set h i p r s a v =
   h.prio.(i) <- p;
   h.rail.(i) <- r;
   h.seq.(i) <- s;
+  h.arg.(i) <- a;
   h.value.(i) <- v
 
-let[@inline] move h ~src ~dst = set h dst h.prio.(src) h.rail.(src) h.seq.(src) h.value.(src)
+let[@inline] move h ~src ~dst =
+  set h dst h.prio.(src) h.rail.(src) h.seq.(src) h.arg.(src) h.value.(src)
 
 (* Sift a hole up from the new last slot, then drop the entry into it. *)
-let push_keyed h prio ~rail ~seq value =
+let push_keyed h prio ~rail ~seq ~arg value =
   grow h;
   let i = ref h.size in
   h.size <- h.size + 1;
@@ -63,18 +69,20 @@ let push_keyed h prio ~rail ~seq value =
     move h ~src:((!i - 1) / 2) ~dst:!i;
     i := (!i - 1) / 2
   done;
-  set h !i prio rail seq value
+  set h !i prio rail seq arg value
 
 let push h prio value =
   let seq = h.next_seq in
   h.next_seq <- seq + 1;
-  push_keyed h prio ~rail:(-1) ~seq value
+  push_keyed h prio ~rail:(-1) ~seq ~arg:0 value
 
 let min_prio_into h reg i = reg.(i) <- h.prio.(0)
 
 let min_rail h = h.rail.(0)
 
 let min_seq h = h.seq.(0)
+
+let min_arg h = h.arg.(0)
 
 (* Remove the root: sift a hole down from slot 0 and drop the former last
    entry into it.  The last slot is cleared first and the popped payload is
@@ -85,7 +93,8 @@ let take h =
   if h.size = 0 then invalid_arg "Heap.take: empty heap";
   let top = h.value.(0) and last = h.size - 1 in
   h.size <- last;
-  let p = h.prio.(last) and r = h.rail.(last) and s = h.seq.(last) and x = h.value.(last) in
+  let p = h.prio.(last) and r = h.rail.(last) and s = h.seq.(last) in
+  let a = h.arg.(last) and x = h.value.(last) in
   h.value.(last) <- vacated;
   if last > 0 then begin
     let i = ref 0 and sifting = ref true in
@@ -106,7 +115,7 @@ let take h =
         i := c
       end
     done;
-    set h !i p r s x
+    set h !i p r s a x
   end;
   top
 
@@ -123,5 +132,6 @@ let clear h =
   h.prio <- [||];
   h.rail <- [||];
   h.seq <- [||];
+  h.arg <- [||];
   h.value <- [||];
   h.size <- 0

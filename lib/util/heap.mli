@@ -3,9 +3,9 @@
     The event queue of the discrete-event engine and of the shard
     coordinator's global events.  Ties are broken by insertion order (or by
     caller-supplied keys), so iteration is deterministic.  Parallel columns
-    (unboxed priorities, rails, sequence numbers, payloads): a push, and a
-    pop through {!min_prio_into}, {!min_rail}, {!min_seq} and {!take},
-    allocate nothing. *)
+    (unboxed priorities, rails, sequence numbers, int arguments, payloads):
+    a push, and a pop through {!min_prio_into}, {!min_rail}, {!min_seq},
+    {!min_arg} and {!take}, allocate nothing. *)
 
 type 'a t
 
@@ -18,11 +18,13 @@ val is_empty : 'a t -> bool
 val push : 'a t -> float -> 'a -> unit
 (** [push h prio v] inserts [v] with priority [prio].  Ties among plain
     pushes pop in insertion order (an internal counter on the heap's
-    tie-break rail [-1]). *)
+    tie-break rail [-1]), with [arg] 0. *)
 
-val push_keyed : 'a t -> float -> rail:int -> seq:int -> 'a -> unit
-(** [push_keyed h prio ~rail ~seq v] inserts [v] under the full key
-    [(prio, rail, seq)].  Entries pop in lexicographic key order, so two
+val push_keyed : 'a t -> float -> rail:int -> seq:int -> arg:int -> 'a -> unit
+(** [push_keyed h prio ~rail ~seq ~arg v] inserts [v] under the full key
+    [(prio, rail, seq)], with the int [arg] stored beside it ({!min_arg}
+    reads it back): the event engine's destination router, kept in a
+    column so a typed payload needs no wrapper.  Entries pop in lexicographic key order, so two
     heaps holding the same keyed entries drain identically no matter which
     heap each entry was pushed through or in what order — the foundation of
     the sharded engine's byte-identical merges.  Callers own the key
@@ -39,11 +41,13 @@ val pop : 'a t -> (float * 'a) option
 val min_prio_into : 'a t -> float array -> int -> unit
 (** [min_prio_into h reg i] writes the minimum priority into [reg.(i)] (a
     float returned across modules would be boxed).  Not on an empty heap;
-    nor are the next two. *)
+    nor are the next three. *)
 
 val min_rail : 'a t -> int
 
 val min_seq : 'a t -> int
+
+val min_arg : 'a t -> int
 
 val take : 'a t -> 'a
 (** {!pop} without the option: remove the minimum entry, clear its slot and

@@ -99,7 +99,7 @@ module Model = struct
           let progress =
             match horizon with
             | Some best -> Id.closer_clockwise ~target id best
-            | None -> Id.compare_dist id target Id.zero Id.max_value < 0
+            | None -> Id.compare_dist id target Id.zero (Id.pred_id Id.zero) < 0
           in
           if progress then walk host (Some id) (guard + 1)
           else best_resident rs ~router ~target

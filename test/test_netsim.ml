@@ -1,7 +1,8 @@
-(* Metrics accounting and discrete-event engine tests. *)
+(* Metrics accounting, discrete-event engine and shard coordinator tests. *)
 
 module Metrics = Rofl_netsim.Metrics
 module Engine = Rofl_netsim.Engine
+module Shard = Rofl_netsim.Shard
 
 let test_metrics_incr () =
   let m = Metrics.create ~routers:4 in
@@ -228,7 +229,7 @@ let test_engine_keyed_order_content_derived () =
         if rail < 0 then
           Engine.schedule e ~delay_ms:1.0 (fun () -> log := (rail, seq) :: !log)
         else
-          Engine.schedule_keyed e ~time_ms:1.0 ~rail ~seq (fun () ->
+          Engine.schedule_keyed e ~time_ms:1.0 ~rail ~seq ~arg:0 (fun () ->
               log := (rail, seq) :: !log))
       pushes;
     Engine.run e;
@@ -248,6 +249,121 @@ let test_engine_keyed_order_content_derived () =
   let expected_i = [ (0, 5); (0, 6); (1, 0); (1, 4) ] in
   let order_i, _ = run_order interleaved in
   Alcotest.(check (list (pair int int))) "seq within rail" expected_i order_i
+
+(* ---------- typed shard coordinator ---------- *)
+
+(* A typed event: its own key, the router it runs at, the int it was sent
+   with, and at most one child it sends when it runs. *)
+type ev = {
+  time : float;
+  rail : int;
+  seq : int;
+  at : int;
+  tag : int;
+  child : (float * int * int) option; (* extra delay, destination router, tag *)
+}
+
+let routers = 6
+
+(* Seeds are sent from global context; each child is sent from its
+   parent's shard window, so with two or more shards most cross an outbox.
+   Seeds sit on a 0.25 ms grid and children land 1.125 ms or more after
+   their parent, strictly past the 1 ms window: conservatism holds, and no
+   child lands exactly on the barrier that flushes it (such an arrival is
+   settled by a re-run, after its shard already ran that instant's other
+   events). *)
+let run_keyed ~shards seeds =
+  let shard_of r = r * shards / routers in
+  let logs = Array.make shards [] in
+  let rails = Array.make routers 0 in
+  let draw rail =
+    let seq = rails.(rail) in
+    rails.(rail) <- seq + 1;
+    seq
+  in
+  let coord = ref None in
+  let send ~src ev =
+    match !coord with
+    | Some c ->
+      Shard.send c ~src ~dst:(shard_of ev.at) ~time_ms:ev.time ~rail:ev.rail ~seq:ev.seq
+        ~arg:ev.tag ev
+    | None -> ()
+  in
+  let exec arg ev =
+    let sx = shard_of ev.at in
+    logs.(sx) <- (ev.time, ev.rail, ev.seq, arg = ev.tag) :: logs.(sx);
+    match ev.child with
+    | Some (delay, dst, tag) ->
+      let time = ev.time +. 1.0 +. delay in
+      send ~src:sx { time; rail = ev.at; seq = draw ev.at; at = dst; tag; child = None }
+    | None -> ()
+  in
+  let c = Shard.create_typed ~exec ~shards ~window_ms:1.0 () in
+  coord := Some c;
+  List.iter
+    (fun (time, at, tag, child) ->
+      send ~src:(-1) { time; rail = at; seq = draw at; at; tag; child })
+    seeds;
+  Shard.run_until c 1_000.0;
+  (Array.map List.rev logs, Shard.fingerprint c, Shard.executed_total c)
+
+let rec sorted = function
+  | (t1, r1, s1, _) :: ((t2, r2, s2, _) :: _ as rest) ->
+    compare (t1, r1, s1) (t2, r2, s2) < 0 && sorted rest
+  | _ -> true
+
+let prop_typed_shards_key_order =
+  let seed =
+    QCheck.Gen.(
+      map4
+        (fun q at tag child -> (0.25 *. float_of_int q, at, tag, child))
+        (int_bound 40) (int_bound (routers - 1)) int
+        (opt
+           (triple
+              (map (fun q -> 0.125 +. (0.25 *. float_of_int q)) (int_bound 8))
+              (int_bound (routers - 1)) int)))
+  in
+  QCheck.Test.make ~name:"typed events: key order, int intact, one fingerprint at 1/2/3 shards"
+    ~count:300
+    (QCheck.make ~print:(fun l -> Printf.sprintf "%d seeds" (List.length l))
+       QCheck.Gen.(list_size (int_bound 60) seed))
+    (fun seeds ->
+      let expected =
+        List.length seeds + List.length (List.filter (fun (_, _, _, c) -> c <> None) seeds)
+      in
+      let logs1, fp1, n1 = run_keyed ~shards:1 seeds in
+      let all1 = logs1.(0) in
+      n1 = expected
+      && List.length all1 = expected
+      && List.for_all
+           (fun shards ->
+             let logs, fp, n = run_keyed ~shards seeds in
+             let merged = List.sort compare (List.concat (Array.to_list logs)) in
+             fp = fp1 && n = n1 && merged = all1 && Array.for_all sorted logs)
+           [ 2; 3 ]
+      && sorted all1
+      && List.for_all (fun (_, _, _, ok) -> ok) all1)
+
+(* Allocated out of line, so no frame of the test keeps the payload. *)
+let[@inline never] send_tracked coord w =
+  let b = Bytes.make 16 'p' in
+  Weak.set w 0 (Some b);
+  let payload () = ignore (Sys.opaque_identity b) in
+  Shard.send coord ~src:(-1) ~dst:0 ~time_ms:0.0 ~rail:0 ~seq:0 ~arg:0 (fun () ->
+      Shard.send coord ~src:0 ~dst:1 ~time_ms:1.0 ~rail:0 ~seq:1 ~arg:0 payload)
+
+(* The outbox twin of the heap's pop-release test: once a cross-shard
+   payload is flushed and run, the outbox columns must not keep it
+   reachable, however long the coordinator lives. *)
+let test_shard_outbox_releases_payloads () =
+  let coord = Shard.create ~shards:2 ~window_ms:1.0 () in
+  let w = Weak.create 1 in
+  send_tracked coord w;
+  Shard.run_until coord 10.0;
+  Alcotest.(check int) "both events ran" 2 (Shard.executed_total coord);
+  Gc.full_major ();
+  Alcotest.(check bool) "flushed payload unreachable" false (Weak.check w 0);
+  Alcotest.(check int) "coordinator still alive" 0 (Shard.pending coord)
 
 let () =
   Alcotest.run "rofl_netsim"
@@ -273,5 +389,11 @@ let () =
             test_engine_clear_keeps_stats_reset_zeroes;
           Alcotest.test_case "keyed order content-derived" `Quick
             test_engine_keyed_order_content_derived;
+        ] );
+      ( "shard",
+        [
+          QCheck_alcotest.to_alcotest prop_typed_shards_key_order;
+          Alcotest.test_case "outbox releases flushed payloads" `Quick
+            test_shard_outbox_releases_payloads;
         ] );
     ]

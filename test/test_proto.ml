@@ -409,7 +409,7 @@ let adversarial_offsets =
 let test_key_prefilter_adversarial () =
   let g = Prng.create 0x6b3f in
   let targets =
-    [ Id.zero; Id.max_value; Id.of_int64_pair 4L 0L; Id.of_int64_pair 3L (-1L);
+    [ Id.zero; Id.of_int64_pair (-1L) (-1L); Id.of_int64_pair 4L 0L; Id.of_int64_pair 3L (-1L);
       Id.random g; Id.random g; Id.random g ]
   in
   List.iter

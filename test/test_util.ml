@@ -227,7 +227,8 @@ let heap_property =
    and keyed pushes, pops through both the option API and the in-place
    accessors, and clears, against a sorted list keyed (prio, rail, seq).
    Four priorities and three rails make ties the common case.  Plain pushes
-   sit on rail -1 with the heap's own counter, which survives [clear]. *)
+   sit on rail -1 with the heap's own counter, which survives [clear], and
+   carry int 0; a keyed push carries its op index, read back on a pop. *)
 type heap_op = Push of int | Keyed of int * int | Pop | Take | Clear
 
 let heap_op_gen =
@@ -253,7 +254,10 @@ let heap_replay h ~payload ops =
       model := rest;
       if flat then begin
         Heap.min_prio_into h reg 0;
-        let key_ok = reg.(0) = p && Heap.min_rail h = r && Heap.min_seq h = s in
+        let key_ok =
+          reg.(0) = p && Heap.min_rail h = r && Heap.min_seq h = s
+          && Heap.min_arg h = (if r < 0 then 0 else i)
+        in
         key_ok && Heap.take h == payload i
       end
       else
@@ -269,7 +273,7 @@ let heap_replay h ~payload ops =
     | Keyed (p, r) ->
       let s = rails.(r) in
       rails.(r) <- s + 1;
-      Heap.push_keyed h (float_of_int p) ~rail:r ~seq:s (payload i);
+      Heap.push_keyed h (float_of_int p) ~rail:r ~seq:s ~arg:i (payload i);
       model := (float_of_int p, r, s, i) :: !model;
       true
     | Pop -> pop_matches ~flat:false
