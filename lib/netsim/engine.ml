@@ -57,7 +57,7 @@ let schedule t ~delay_ms f =
   if delay_ms < 0.0 then invalid_arg "Engine.schedule: negative delay";
   schedule_at t ~time_ms:(t.clock +. delay_ms) f
 
-let schedule_keyed t ~time_ms ~rail ~seq ~arg e =
+let[@inline] schedule_keyed t ~time_ms ~rail ~seq ~arg e =
   if time_ms < t.clock then invalid_arg "Engine.schedule_keyed: time in the past";
   Heap.push_keyed t.queue time_ms ~rail ~seq ~arg e;
   bump t
@@ -103,6 +103,13 @@ let run_until t horizon =
      blind a checkpoint auditor to time passing. *)
   if horizon > t.clock then t.clock <- horizon;
   observe t
+
+let run_before t horizon =
+  while
+    (not (Heap.is_empty t.queue)) && (Heap.min_prio_into t.queue t.next 0; t.next.(0) < horizon)
+  do
+    exec_next t
+  done
 
 let pending t = Heap.length t.queue
 

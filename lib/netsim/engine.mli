@@ -65,6 +65,12 @@ val run_until : 'e t -> float -> unit
     observes the boundary even when no event fired — so checkpoint audits
     keep seeing time pass across quiescent stretches. *)
 
+val run_before : 'e t -> float -> unit
+(** Execute events with time strictly before the horizon.  The clock stays
+    at the last executed event and the monitor sees no boundary: the first
+    half of a {!Shard} window, which then delivers messages landing exactly
+    on the barrier before running that instant with {!run_until}. *)
+
 val pending : 'e t -> int
 (** In-flight events: scheduled but not yet executed. *)
 

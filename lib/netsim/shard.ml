@@ -113,7 +113,7 @@ let grow o =
   o.arg <- extend o.arg 0;
   o.ev <- extend o.ev vacated
 
-let post o ~dst ~time_ms ~rail ~seq ~arg e =
+let[@inline] post o ~dst ~time_ms ~rail ~seq ~arg e =
   if o.len = Array.length o.dst then grow o;
   let i = o.len in
   o.dst.(i) <- dst;
@@ -124,7 +124,7 @@ let post o ~dst ~time_ms ~rail ~seq ~arg e =
   o.ev.(i) <- e;
   o.len <- i + 1
 
-let send t ~src ~dst ~time_ms ~rail ~seq ~arg e =
+let[@inline] send t ~src ~dst ~time_ms ~rail ~seq ~arg e =
   if src >= 0 && src <> dst then
     (* Emitted from inside shard [src]'s window: buffer until the barrier.
        Conservatism (cross-shard latency >= window_ms) guarantees [time_ms]
@@ -161,12 +161,15 @@ let min_next t =
   done;
   !any
 
-(* One pass: every engine executes its events up to [b].  Parallel when a
-   pool with headroom is attached; engine state is shard-private by the
-   caller's contract, and [Pool.map]'s join gives the coordinator a
-   happens-before on everything the workers wrote (engine queues, outboxes,
-   busy counters). *)
-let pass t b =
+let[@inline] run_engine e ~inclusive b =
+  if inclusive then Engine.run_until e b else Engine.run_before e b
+
+(* One pass: every engine executes its events up to [b], inclusive or
+   not.  Parallel when a pool with headroom is attached; engine state is
+   shard-private by the caller's contract, and [Pool.map]'s join gives the
+   coordinator a happens-before on everything the workers wrote (engine
+   queues, outboxes, busy counters). *)
+let pass t ~inclusive b =
   let k = Array.length t.engines in
   match t.pool with
   | Some pool when k > 1 && Pool.jobs pool > 1 ->
@@ -176,32 +179,43 @@ let pass t b =
       (Pool.map pool
          (fun i ->
            let s = Unix.gettimeofday () in
-           Engine.run_until t.engines.(i) b;
+           run_engine t.engines.(i) ~inclusive b;
            t.busy_s.(i) <- t.busy_s.(i) +. (Unix.gettimeofday () -. s))
          (List.init k Fun.id));
     let wall = Unix.gettimeofday () -. t0 in
     let busy = Array.fold_left ( +. ) 0.0 t.busy_s -. busy0 in
     t.stall_s <- t.stall_s +. Float.max 0.0 ((wall *. float_of_int k) -. busy)
   | _ ->
-    Array.iteri
-      (fun i e ->
-        let s = Unix.gettimeofday () in
-        Engine.run_until e b;
-        t.busy_s.(i) <- t.busy_s.(i) +. (Unix.gettimeofday () -. s))
-      t.engines
+    for i = 0 to k - 1 do
+      let s = Unix.gettimeofday () in
+      run_engine t.engines.(i) ~inclusive b;
+      t.busy_s.(i) <- t.busy_s.(i) +. (Unix.gettimeofday () -. s)
+    done
 
-(* Execute everything with time <= b, settling the measure-zero case where
-   a flushed message lands exactly on the barrier (latency exactly equal to
-   the window, emitted at the window's opening instant): re-run until no
-   engine holds an event at or before [b].  Catch-up emissions deliver
-   strictly after [b], so this terminates. *)
+(* Execute everything with time <= b.  Passes run on time < b, flushing,
+   until no engine holds an event before [b]; only then does one pass run
+   the instant [b] itself.  A message that lands exactly on the barrier
+   (latency equal to the window, emitted at the window's opening instant)
+   is thus queued before its destination runs [b], and runs among [b]'s
+   other events in key order, as on one shard.  Sends from the instant [b]
+   cross the partition no earlier than [b + window_ms], so no flush can
+   land at or before [b] after that pass.  With nothing left at [b] the
+   engines' clocks still advance to it, without a pool fan-out. *)
 let settle t b =
-  let rec loop () =
-    pass t b;
+  let rec before () =
+    pass t ~inclusive:false b;
     flush t;
-    if min_next t && t.next.(0) <= b then loop ()
+    if min_next t && t.next.(0) < b then before ()
   in
-  loop ()
+  before ();
+  if min_next t && t.next.(0) <= b then begin
+    pass t ~inclusive:true b;
+    flush t
+  end
+  else
+    for i = 0 to Array.length t.engines - 1 do
+      Engine.run_until t.engines.(i) b
+    done
 
 let pending t =
   Array.fold_left (fun acc e -> acc + Engine.pending e) 0 t.engines

@@ -8,6 +8,9 @@
     every shard up to a barrier [b <= earliest_pending + window_ms], then
     flushes cross-shard messages buffered during the window — conservatism
     guarantees each lands at or after [b], never in another shard's past.
+    A window runs its events strictly before [b] first, then the instant
+    [b] itself after the flush, so a message landing exactly on [b] runs
+    in key order among [b]'s other events, as on one shard.
 
     Runs are byte-identical at any shard count: events carry content-derived
     keys [(time, rail, seq)] (see {!Engine.schedule_keyed}) so each engine's

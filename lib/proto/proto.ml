@@ -81,25 +81,36 @@ let default_config =
     quota_enforce = false;
   }
 
+(* Every message is one flat block: a pointer travels as an identifier and
+   its hosting router, router -1 standing for "none" (the identifier is then
+   meaningless), and a successor group as two columns, identifiers and their
+   routers, nearest first.  Only [avoid] stays a list: it is [[]] unless a
+   request has found a candidate dead. *)
 type message =
   | Join_req of {
       joining : Id.t;
       gateway : int;
-      chasing : pointer option; (** the candidate this request is committed to *)
+      chasing_id : Id.t;        (** the candidate this request is committed to *)
+      chasing_router : int;     (** its router; -1 until the first commitment *)
       avoid : Id.t list;        (** candidates found dead by this request *)
       waited : int;             (** consecutive waits for a mid-join candidate *)
     }
   | Join_resp of {
       joining : Id.t;
-      pred : pointer;
-      succ : pointer option;
-      succ_list : pointer list;
+      pred_id : Id.t;
+      pred_router : int;
+      succ_id : Id.t;
+      succ_router : int;
+      list_ids : Id.t array;    (* the predecessor's backups before the splice *)
+      list_routers : int array;
     }
   | Get_pred of { asker : Id.t; asker_router : int; target : Id.t; token : int }
   | Pred_info of {
       of_id : Id.t;
-      pred : pointer option;
-      succ_list : pointer list; (* the probed member's own succ :: backups *)
+      pred_id : Id.t;
+      pred_router : int;
+      list_ids : Id.t array;    (* the probed member's succ, then its backups *)
+      list_routers : int array;
       to_id : Id.t;
       token : int;
     }
@@ -107,20 +118,23 @@ type message =
   | Leave_pred of {
       departing : Id.t;
       to_id : Id.t;
-      new_succ : pointer option;
-      new_succ_list : pointer list;
+      new_succ_id : Id.t;
+      new_succ_router : int;
+      list_ids : Id.t array;
+      list_routers : int array;
     }
-  | Leave_succ of { departing : Id.t; to_id : Id.t; new_pred : pointer option }
+  | Leave_succ of { departing : Id.t; to_id : Id.t; new_pred_id : Id.t; new_pred_router : int }
   | Lookup_req of {
       target : Id.t;
       origin : int;
       token : int;
-      chasing : pointer option;
+      chasing_id : Id.t;
+      chasing_router : int;
       avoid : Id.t list;
       waited : int;
       hops : int; (** link traversals charged to this branch so far *)
     }
-  | Lookup_resp of { token : int; owner : pointer option; hops : int }
+  | Lookup_resp of { token : int; owner_id : Id.t; owner_router : int; hops : int }
   | Verify_req of {
       claimant : Id.t;        (** identifier whose residency is challenged *)
       asker_router : int;
@@ -435,7 +449,7 @@ let fresh_token sh =
    content-derived key [(time, rail, seq)].  [rail] must be the router in
    whose execution context this call is made (the acting router), so its
    sequence counter is bumped in a deterministic, K-independent order. *)
-let sched t ~rail ~at ~time_ms m =
+let[@inline] sched t ~rail ~at ~time_ms m =
   let seq = t.rails.(rail) in
   t.rails.(rail) <- seq + 1;
   Shard.send t.coord ~src:t.shard_of.(rail) ~dst:t.shard_of.(at) ~time_ms ~rail
@@ -641,12 +655,30 @@ let adopt_staged t sh s ~self ~succ =
     ~quota:(if t.cfg.quota_enforce then t.cfg.succ_quota else 0)
     ~groups:t.groups ~exempt:infrastructure
 
-(* Stage [entries], leaving out those equal to [skip]. *)
-let rec stage_list store ~skip = function
-  | [] -> ()
-  | (id, r) :: rest ->
-    if not (Id.equal id skip) then Store.stage store id r;
-    stage_list store ~skip rest
+(* Stage a message's successor columns in order, leaving out entries equal
+   to [skip]. *)
+let stage_columns store ~skip ids routers =
+  for k = 0 to Array.length ids - 1 do
+    if not (Id.equal ids.(k) skip) then Store.stage store ids.(k) routers.(k)
+  done
+
+(* A message's pointer as the option the store takes. *)
+let pointer_opt id router = if router < 0 then None else Some (id, router)
+
+(* Successor-list poisoning: fabricated identifiers placed immediately
+   clockwise of the probed member [target], all "hosted" at [at] — the
+   asker sorts them as its closest backups.  Content-derived from the
+   probed identifier, so the campaign is byte-identical at any shard count.
+   Fills the first [poison_len] cells of a reply's columns. *)
+let poison_len = 3
+
+let poison ids routers ~at target =
+  let p = ref target in
+  for k = 0 to poison_len - 1 do
+    p := Id.succ_id !p;
+    ids.(k) <- !p;
+    routers.(k) <- at
+  done
 
 (* Deliver a message to a router after traversing the physical path there,
    charging one message per link under [cat].  A cross-shard destination is
@@ -982,35 +1014,38 @@ let branch_starts_into t ~from ~target ~out ~pos ~max_extra =
 
 (* [m] with its chase state replaced, charging [hops] more link traversals
    to a lookup. *)
-let recommit m ~chasing ~avoid ~waited ~hops =
+let recommit m ~chasing_id ~chasing_router ~avoid ~waited ~hops =
   match m with
-  | Join_req r -> Join_req { r with chasing; avoid; waited }
-  | Lookup_req r -> Lookup_req { r with chasing; avoid; waited; hops = r.hops + hops }
+  | Join_req r -> Join_req { r with chasing_id; chasing_router; avoid; waited }
+  | Lookup_req r ->
+    Lookup_req { r with chasing_id; chasing_router; avoid; waited; hops = r.hops + hops }
   | m -> m
 
 let rec chase t ~at (m : message) =
   match m with
-  | Join_req { joining = target; chasing; avoid; waited; _ }
-  | Lookup_req { target; chasing; avoid; waited; _ } -> (
+  | Join_req { joining = target; chasing_id; chasing_router; avoid; waited; _ }
+  | Lookup_req { target; chasing_id; chasing_router; avoid; waited; _ } -> (
     let sh = shd t at in
     let is_join = match m with Join_req _ -> true | _ -> false in
     let host = rank sh ~router:at ~target ~skip_target:is_join ~avoid in
     let improves =
       host >= 0
-      && match chasing with None -> true | Some (cid, _) -> Id.closer_clockwise ~target sh.ranked cid
+      && (chasing_router < 0 || Id.closer_clockwise ~target sh.ranked chasing_id)
     in
     (* Nothing better here: keep chasing the committed candidate. *)
-    let commit = if improves then Some (sh.ranked, host) else chasing in
-    match commit with
-    | None -> answer t ~at m None
-    | Some (cid, crouter) when crouter = at -> arrive t ~at m ~avoid ~waited cid
-    | Some (_, crouter) -> (
+    let cid = if improves then sh.ranked else chasing_id in
+    let crouter = if improves then host else chasing_router in
+    if crouter < 0 then answer t ~at m Id.zero (-1)
+    else if crouter = at then arrive t ~at m ~avoid ~waited cid
+    else
       match Linkstate.next_hop sh.s_ls at crouter with
-      | None -> answer t ~at m None
+      | None -> answer t ~at m Id.zero (-1)
       | Some h ->
-        let m' = recommit m ~chasing:commit ~avoid ~waited ~hops:1 in
+        let m' =
+          recommit m ~chasing_id:cid ~chasing_router:crouter ~avoid ~waited ~hops:1
+        in
         Metrics.incr sh.s_metrics (if is_join then Metrics.Join else Metrics.Lookup) 1;
-        sched t ~rail:at ~at:h ~time_ms:(now_at t at +. Graph.latency t.graph at h) m'))
+        sched t ~rail:at ~at:h ~time_ms:(now_at t at +. Graph.latency t.graph at h) m')
   | _ -> ()
 
 (* At the router where the committed candidate [id] should reside. *)
@@ -1018,12 +1053,16 @@ and arrive t ~at m ~avoid ~waited id =
   let sh = shd t at in
   let s = find_slot t at id in
   if s < 0 && waited < stuck_wait_limit then begin
-    let m' = recommit m ~chasing:(Some (id, at)) ~avoid ~waited:(waited + 1) ~hops:0 in
+    let m' =
+      recommit m ~chasing_id:id ~chasing_router:at ~avoid ~waited:(waited + 1) ~hops:0
+    in
     sched t ~rail:at ~at ~time_ms:(now_at t at +. stuck_wait_ms) m'
   end
   else if s < 0 then
     (* Still absent: treat it as dead and re-chase without it. *)
-    handle t at (recommit m ~chasing:None ~avoid:(id :: avoid) ~waited:0 ~hops:0)
+    handle t at
+      (recommit m ~chasing_id:Id.zero ~chasing_router:(-1) ~avoid:(id :: avoid) ~waited:0
+         ~hops:0)
   else
     match m with
     | Join_req { joining; _ }
@@ -1035,24 +1074,31 @@ and arrive t ~at m ~avoid ~waited id =
       ()
     | Join_req { joining; gateway; _ } ->
       (* The closest known identifier: the predecessor.  Splice. *)
-      let rid = Store.rid sh.store s in
-      let old_succ = Store.succ sh.store s in
-      let old_list = Store.succ_list sh.store s in
-      (match old_succ with Some (i, r) -> Store.stage sh.store i r | None -> ());
-      Store.stage_backups sh.store s;
+      let store = sh.store in
+      let rid = Store.rid store s in
+      let n = Store.succ_list_len store s in
+      let list_ids = Array.make n Id.zero and list_routers = Array.make n 0 in
+      Store.blit_succ_list store s list_ids list_routers 0;
+      let resp =
+        Join_resp
+          { joining; pred_id = rid; pred_router = at; succ_id = Store.succ_rid store s;
+            succ_router = Store.succ_router store s; list_ids; list_routers }
+      in
+      if Store.succ_router store s >= 0 then
+        Store.stage store (Store.succ_rid store s) (Store.succ_router store s);
+      Store.stage_backups store s;
       repoint t ~router:at s (Some (joining, gateway));
       adopt_staged t sh s ~self:rid ~succ:joining;
-      send_direct t ~cat:Metrics.Join ~from:at ~dest:gateway
-        (Join_resp { joining; pred = (rid, at); succ = old_succ; succ_list = old_list })
-    | _ -> answer t ~at m (Some (Store.rid sh.store s, at))
+      send_direct t ~cat:Metrics.Join ~from:at ~dest:gateway resp
+    | _ -> answer t ~at m (Store.rid sh.store s) at
 
 (* A lookup's answer to its origin.  A join has nobody to answer: at a dead
-   end ([owner = None]) it is dropped. *)
-and answer t ~at m owner =
+   end ([owner_router = -1]) it is dropped. *)
+and answer t ~at m owner_id owner_router =
   match m with
   | Lookup_req { origin; token; hops; _ } ->
     send_direct t ~cat:Metrics.Lookup ~from:at ~dest:origin
-      (Lookup_resp { token; owner; hops })
+      (Lookup_resp { token; owner_id; owner_router; hops })
   | _ -> ()
 
 (* ---- lookups ------------------------------------------------------------ *)
@@ -1072,7 +1118,7 @@ and forward_lookup t ~at (m : message) =
          just the wrong one — so the origin burns a retry cycle on it. *)
       let store = (shd t at).store in
       let s = best_resident store ~router:at ~target in
-      answer t ~at m (if s < 0 then None else Some (Store.rid store s, at))
+      if s < 0 then answer t ~at m Id.zero (-1) else answer t ~at m (Store.rid store s) at
     | Honest | Poison_succs -> chase t ~at m)
   | _ -> ()
 
@@ -1082,7 +1128,7 @@ and handle t at (m : message) =
   match m with
   | Join_req _ -> chase t ~at m
   | Lookup_req _ -> forward_lookup t ~at m
-  | Join_resp { joining; pred; succ; succ_list } ->
+  | Join_resp { joining; pred_id; pred_router; succ_id; succ_router; list_ids; list_routers } ->
     let sh = shd t at in
     (match Hashtbl.find_opt sh.joins joining with
      | Some st when st.gateway = at ->
@@ -1092,41 +1138,28 @@ and handle t at (m : message) =
           never visible to concurrent lookups. *)
        let now = now_at t at in
        let s = Store.alloc sh.store ~router:at joining in
-       Store.set_pred sh.store s (Some pred);
+       Store.set_pred sh.store s (Some (pred_id, pred_router));
        Store.set_pred_heard sh.store s now;
-       stage_list sh.store ~skip:joining succ_list;
-       adopt_staged t sh s ~self:joining
-         ~succ:(match succ with Some (sid, _) -> sid | None -> joining);
+       stage_columns sh.store ~skip:joining list_ids list_routers;
+       adopt_staged t sh s ~self:joining ~succ:(if succ_router >= 0 then succ_id else joining);
        Idtbl.replace sh.where joining s;
-       let final_succ =
-         match succ with
-         | Some (sid, srouter) ->
-           (* Tell the successor about us. *)
-           send_direct t ~cat:Metrics.Join ~from:at ~dest:srouter
-             (Notify { candidate = joining; candidate_router = at; target = sid });
-           Some (sid, srouter)
-         | None -> Some pred
-       in
-       Store.set_succ sh.store s final_succ;
+       if succ_router >= 0 then begin
+         (* Tell the successor about us. *)
+         send_direct t ~cat:Metrics.Join ~from:at ~dest:succ_router
+           (Notify { candidate = joining; candidate_router = at; target = succ_id });
+         Store.set_succ sh.store s (Some (succ_id, succ_router))
+       end
+       else Store.set_succ sh.store s (Some (pred_id, pred_router));
        sh.olog <- O_join (now, joining) :: sh.olog;
-       sh.olog <- O_repoint (now, joining, Option.map fst final_succ) :: sh.olog;
+       sh.olog <- O_repoint (now, joining, Some (Store.succ_rid sh.store s)) :: sh.olog;
        Metrics.incr sh.s_metrics Metrics.Joins_done 1
      | Some _ | None -> () (* a duplicate, or superseded by a move elsewhere *))
   | Get_pred { asker; asker_router; target; token } ->
     let sh = shd t at in
-    (* Successor-list poisoning: fabricated identifiers placed immediately
-       clockwise of the probed member, all "hosted" here — the asker sorts
-       them as its closest backups.  Content-derived from the probed
-       identifier, so the campaign is byte-identical at any shard count. *)
-    let poison () =
-      let p1 = Id.succ_id target in
-      let p2 = Id.succ_id p1 in
-      let p3 = Id.succ_id p2 in
-      [ (p1, at); (p2, at); (p3, at) ]
-    in
+    let poisoned = t.behaviours.(at) = Poison_succs in
     let s = find_slot t at target in
     if s < 0 then begin
-      if t.behaviours.(at) = Poison_succs && not (ever_member t target) then
+      if poisoned && not (ever_member t target) then begin
         (* Vouch for a ghost: a poisoned router answers probes of
            identifiers that were never admitted — its own fabrications —
            so a victim that promoted one keeps believing its successor is
@@ -1134,9 +1167,14 @@ and handle t at (m : message) =
            genuine death would suppress the failovers the promotion attack
            feeds on (and hand the victim a silent succ forever, which no
            promotion defense could ever be measured against). *)
+        let list_ids = Array.make poison_len Id.zero
+        and list_routers = Array.make poison_len 0 in
+        poison list_ids list_routers ~at target;
         send_direct t ~cat:Metrics.Stabilize ~from:at ~dest:asker_router
-          (Pred_info { of_id = target; pred = None; succ_list = poison ();
-                       to_id = asker; token })
+          (Pred_info
+             { of_id = target; pred_id = Id.zero; pred_router = -1; list_ids; list_routers;
+               to_id = asker; token })
+      end
       (* else dead: the asker's probe timeout handles it *)
     end
     else begin
@@ -1144,20 +1182,26 @@ and handle t at (m : message) =
       (* A probe from our predecessor doubles as its liveness heartbeat. *)
       if Store.pred_router_raw store s >= 0 && Id.equal (Store.pred_rid store s) asker then
         Store.set_pred_heard store s (now_at t at);
-      let succ_list =
-        if Store.succ_router store s >= 0 then
-          (Store.succ_rid store s, Store.succ_router store s) :: Store.succ_list store s
-        else Store.succ_list store s
-      in
-      let succ_list =
-        if t.behaviours.(at) = Poison_succs then poison () @ succ_list
-        else succ_list
-      in
+      (* The reply's columns: any fabrications, then the successor, then
+         the backups. *)
+      let lead = if poisoned then poison_len else 0 in
+      let srouter = Store.succ_router store s in
+      let first = if srouter >= 0 then lead + 1 else lead in
+      let n = first + Store.succ_list_len store s in
+      let list_ids = Array.make n Id.zero and list_routers = Array.make n 0 in
+      if poisoned then poison list_ids list_routers ~at target;
+      if srouter >= 0 then begin
+        list_ids.(lead) <- Store.succ_rid store s;
+        list_routers.(lead) <- srouter
+      end;
+      Store.blit_succ_list store s list_ids list_routers first;
       send_direct t ~cat:Metrics.Stabilize ~from:at ~dest:asker_router
         (Pred_info
-           { of_id = target; pred = Store.pred store s; succ_list; to_id = asker; token })
+           { of_id = target; pred_id = Store.pred_rid store s;
+             pred_router = Store.pred_router_raw store s; list_ids; list_routers;
+             to_id = asker; token })
     end
-  | Pred_info { of_id; pred; succ_list; to_id; token } ->
+  | Pred_info { of_id; pred_id; pred_router; list_ids; list_routers; to_id; token } ->
     let sh = shd t at in
     let store = sh.store in
     Inttbl.remove sh.probes token;
@@ -1168,19 +1212,19 @@ and handle t at (m : message) =
       let confirmed = Store.succ_router store s >= 0 && Id.equal (Store.succ_rid store s) of_id in
       (* Adopt the successor's own successors as our backups. *)
       if confirmed then begin
-        stage_list store ~skip:rid succ_list;
+        stage_columns store ~skip:rid list_ids list_routers;
         adopt_staged t sh s ~self:rid ~succ:of_id
       end;
-      match pred with
-      | Some (pid, prouter) when confirmed && Id.between rid pid of_id ->
+      if confirmed && pred_router >= 0 && Id.between rid pred_id of_id then begin
         (* A closer successor surfaced between us and our successor. *)
         Store.stage store of_id (Store.succ_router store s);
         Store.stage_backups store s;
-        repoint t ~router:at s (Some (pid, prouter));
-        adopt_staged t sh s ~self:rid ~succ:pid;
-        send_direct t ~cat:Metrics.Stabilize ~from:at ~dest:prouter
-          (Notify { candidate = rid; candidate_router = at; target = pid })
-      | _ ->
+        repoint t ~router:at s (Some (pred_id, pred_router));
+        adopt_staged t sh s ~self:rid ~succ:pred_id;
+        send_direct t ~cat:Metrics.Stabilize ~from:at ~dest:pred_router
+          (Notify { candidate = rid; candidate_router = at; target = pred_id })
+      end
+      else begin
         (* Confirmed: tell the successor we believe we are its pred. *)
         let srouter = Store.succ_router store s in
         if srouter >= 0 then begin
@@ -1188,6 +1232,7 @@ and handle t at (m : message) =
           send_direct t ~cat:Metrics.Stabilize ~from:at ~dest:srouter
             (Notify { candidate = rid; candidate_router = at; target = sid })
         end
+      end
     end
   | Notify { candidate; candidate_router; target } ->
     let sh = shd t at in
@@ -1204,23 +1249,21 @@ and handle t at (m : message) =
         Store.set_pred_heard store s (now_at t at)
       end
     end
-  | Leave_pred { departing; to_id; new_succ; new_succ_list } ->
+  | Leave_pred { departing; to_id; new_succ_id; new_succ_router; list_ids; list_routers } ->
     let sh = shd t at in
     let s = find_slot t at to_id in
     if s >= 0 then begin
       let rid = Store.rid sh.store s in
       if Store.succ_router sh.store s >= 0 && Id.equal (Store.succ_rid sh.store s) departing
       then begin
-        repoint t ~router:at s new_succ;
-        stage_list sh.store ~skip:departing new_succ_list;
+        repoint t ~router:at s (pointer_opt new_succ_id new_succ_router);
+        stage_columns sh.store ~skip:departing list_ids list_routers;
         adopt_staged t sh s ~self:rid
-          ~succ:(match new_succ with Some (nid, _) -> nid | None -> rid);
+          ~succ:(if new_succ_router >= 0 then new_succ_id else rid);
         (* Introduce ourselves to the inherited successor right away. *)
-        match new_succ with
-        | Some (nid, nrouter) when not (Id.equal nid rid) ->
-          send_direct t ~cat:Metrics.Repair ~from:at ~dest:nrouter
-            (Notify { candidate = rid; candidate_router = at; target = nid })
-        | Some _ | None -> ()
+        if new_succ_router >= 0 && not (Id.equal new_succ_id rid) then
+          send_direct t ~cat:Metrics.Repair ~from:at ~dest:new_succ_router
+            (Notify { candidate = rid; candidate_router = at; target = new_succ_id })
       end
       else
         (* Our successor moved on already; just drop the departed identifier
@@ -1230,7 +1273,7 @@ and handle t at (m : message) =
              (fun (i, _) -> not (Id.equal i departing))
              (Store.succ_list sh.store s))
     end
-  | Leave_succ { departing; to_id; new_pred } ->
+  | Leave_succ { departing; to_id; new_pred_id; new_pred_router } ->
     let sh = shd t at in
     let s = find_slot t at to_id in
     if
@@ -1238,10 +1281,10 @@ and handle t at (m : message) =
       && Store.pred_router_raw sh.store s >= 0
       && Id.equal (Store.pred_rid sh.store s) departing
     then begin
-      Store.set_pred sh.store s new_pred;
+      Store.set_pred sh.store s (pointer_opt new_pred_id new_pred_router);
       Store.set_pred_heard sh.store s (now_at t at)
     end
-  | Lookup_resp { token; owner; hops } ->
+  | Lookup_resp { token; owner_id; owner_router; hops } ->
     let sh = shd t at in
     (match Inttbl.find sh.lookups token with
      | exception Not_found ->
@@ -1252,13 +1295,9 @@ and handle t at (m : message) =
        Inttbl.remove sh.lookups token;
        st.lk_outstanding <- st.lk_outstanding - 1;
        if not st.finished then begin
-         let ok =
-           match owner with Some (oid, _) -> Id.equal oid st.lk_target | None -> false
-         in
+         let ok = owner_router >= 0 && Id.equal owner_id st.lk_target in
          (* Any learned owner pointer seeds the origin's pointer cache. *)
-         (match owner with
-          | Some (oid, orouter) -> pcache_insert t at oid orouter
-          | None -> ());
+         if owner_router >= 0 then pcache_insert t at owner_id owner_router;
          if ok then begin
            (* First success wins: cancel the sibling branches still in
               flight — their tokens are dropped so their answers are
@@ -1351,8 +1390,8 @@ and start_lookup_attempt t st =
   let now = now_at t st.origin in
   sched t ~rail:st.origin ~at:st.origin ~time_ms:now
     (Lookup_req
-       { target = st.lk_target; origin = st.origin; token; chasing = None; avoid = [];
-         waited = 0; hops = 0 });
+       { target = st.lk_target; origin = st.origin; token; chasing_id = Id.zero;
+         chasing_router = -1; avoid = []; waited = 0; hops = 0 });
   (* Extra branches start at diversified routers: the request transits there
      first (charged like any routed message), then greedy-walks from that
      router's local knowledge.  The primary branch above is byte-identical
@@ -1374,7 +1413,7 @@ and start_lookup_attempt t st =
       send_direct t ~cat:Metrics.Lookup ~from:st.origin ~dest:start
         (Lookup_req
            { target = st.lk_target; origin = st.origin; token = btoken;
-             chasing = None; avoid = []; waited = 0; hops })
+             chasing_id = Id.zero; chasing_router = -1; avoid = []; waited = 0; hops })
     done
   end;
   let timeout =
@@ -1587,7 +1626,9 @@ let rec start_join_attempt t joining (st : join_state) =
   let attempt = st.join_attempts in
   let now = now_at t st.gateway in
   sched t ~rail:st.gateway ~at:st.gateway ~time_ms:now
-    (Join_req { joining; gateway = st.gateway; chasing = None; avoid = []; waited = 0 });
+    (Join_req
+       { joining; gateway = st.gateway; chasing_id = Id.zero; chasing_router = -1;
+         avoid = []; waited = 0 });
   let timeout =
     t.cfg.join_timeout_ms *. (rpc_backoff ** float_of_int (attempt - 1))
   in
@@ -1660,22 +1701,22 @@ let depart t ~graceful rid =
   | Some (sh, s) ->
     let router = Store.owner sh.store s in
     if graceful then begin
-      (match Store.pred sh.store s with
-       | Some (pid, prouter) when not (Id.equal pid rid) ->
-         send_direct t ~cat:Metrics.Repair ~from:router ~dest:prouter
-           (Leave_pred
-              {
-                departing = rid;
-                to_id = pid;
-                new_succ = Store.succ sh.store s;
-                new_succ_list = Store.succ_list sh.store s;
-              })
-       | Some _ | None -> ());
-      (match Store.succ sh.store s with
-       | Some (sid, srouter) when not (Id.equal sid rid) ->
-         send_direct t ~cat:Metrics.Repair ~from:router ~dest:srouter
-           (Leave_succ { departing = rid; to_id = sid; new_pred = Store.pred sh.store s })
-       | Some _ | None -> ())
+      let store = sh.store in
+      let pid = Store.pred_rid store s and prouter = Store.pred_router_raw store s in
+      let sid = Store.succ_rid store s and srouter = Store.succ_router store s in
+      if prouter >= 0 && not (Id.equal pid rid) then begin
+        let n = Store.succ_list_len store s in
+        let list_ids = Array.make n Id.zero and list_routers = Array.make n 0 in
+        Store.blit_succ_list store s list_ids list_routers 0;
+        send_direct t ~cat:Metrics.Repair ~from:router ~dest:prouter
+          (Leave_pred
+             { departing = rid; to_id = pid; new_succ_id = sid; new_succ_router = srouter;
+               list_ids; list_routers })
+      end;
+      if srouter >= 0 && not (Id.equal sid rid) then
+        send_direct t ~cat:Metrics.Repair ~from:router ~dest:srouter
+          (Leave_succ
+             { departing = rid; to_id = sid; new_pred_id = pid; new_pred_router = prouter })
     end;
     Idtbl.remove sh.where rid;
     Store.release sh.store s;

@@ -182,7 +182,12 @@ val router_label : int -> Rofl_idspace.Id.t
 type message
 (** What the coordinator's engines carry: a protocol message for the router
     named by the queue entry's int, or one of that router's timers.  Events
-    are data, not closures, so sending one builds no closure. *)
+    are data, not closures, so sending one builds no closure.  Each message
+    is one flat block: a pointer travels as an identifier and its router
+    ([-1]: none), and a successor group — a stabilisation reply's, or a
+    join's or leave's hand-off — as an identifier array and a router array
+    filled from the resident store, nearest first, a poisoned router's
+    fabrications ahead of them.  Only the rare timers keep a closure. *)
 
 val coordinator : t -> message Rofl_netsim.Shard.t
 (** The shard coordinator, exposed so campaign drivers can inject timed

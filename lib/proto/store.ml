@@ -232,6 +232,13 @@ let succ_list_id t s k = t.sl_id.((s * t.cap_list) + k)
 
 let succ_list_router t s k = t.sl_router.((s * t.cap_list) + k)
 
+let blit_succ_list t s ids routers pos =
+  let base = s * t.cap_list in
+  for k = 0 to t.sl_len.(s) - 1 do
+    ids.(pos + k) <- t.sl_id.(base + k);
+    routers.(pos + k) <- t.sl_router.(base + k)
+  done
+
 let set_succ_list t s entries =
   let base = s * t.cap_list in
   let rec go k = function

@@ -99,6 +99,11 @@ val succ_list_id : t -> int -> int -> Rofl_idspace.Id.t
 
 val succ_list_router : t -> int -> int -> int
 
+val blit_succ_list : t -> int -> Rofl_idspace.Id.t array -> int array -> int -> unit
+(** [blit_succ_list t s ids routers pos] copies the backups, nearest first,
+    into [ids] and [routers] from index [pos]: the snapshot a protocol
+    reply carries as two flat columns. *)
+
 val set_succ_list : t -> int -> (Rofl_idspace.Id.t * int) list -> unit
 (** Store the backups, silently truncated to [cap_list] entries. *)
 

@@ -57,7 +57,7 @@ let[@inline] move h ~src ~dst =
   set h dst h.prio.(src) h.rail.(src) h.seq.(src) h.arg.(src) h.value.(src)
 
 (* Sift a hole up from the new last slot, then drop the entry into it. *)
-let push_keyed h prio ~rail ~seq ~arg value =
+let[@inline] push_keyed h prio ~rail ~seq ~arg value =
   grow h;
   let i = ref h.size in
   h.size <- h.size + 1;

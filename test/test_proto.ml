@@ -433,6 +433,41 @@ let test_key_prefilter_adversarial () =
         cands)
     targets
 
+(* On a converged ring every resident's backups are the live members right
+   after its successor, clockwise: the successor group a stabilisation
+   reply carries, staged and adopted by the asker.  Default config, so the
+   quota is off; the same at 1 and 2 shards. *)
+let test_succ_group_converged () =
+  List.iter
+    (fun shards ->
+      let t = Proto.create ~rng:(Prng.create 31) ~shards (topo 31) in
+      let rng = Prng.create 32 in
+      List.iter (fun id -> Proto.join t ~gateway:(Prng.int rng 30) id)
+        (List.init 40 (fun _ -> Id.random rng));
+      ignore (Proto.run_until_quiescent t ~max_ms:120_000.0);
+      (* Successors have converged; a few more periods settle the backups. *)
+      Proto.start_stabilizer t;
+      Proto.run_for t 1_000.0;
+      Proto.stop_stabilizer t;
+      Proto.run_for t 1_000.0;
+      Alcotest.(check bool) "ring converged" true (Proto.ring_converged t);
+      let views = Array.of_list (Proto.residents_view t) in
+      let n = Array.length views in
+      Alcotest.(check int) "membership" 70 n;
+      let hex (id, router) = (Id.to_hex id, router) in
+      let entry i = (views.(i mod n).Proto.v_id, views.(i mod n).Proto.v_router) in
+      Array.iteri
+        (fun i v ->
+          let label = Printf.sprintf "%d shard(s), resident %d" shards i in
+          Alcotest.(check (option (pair string int))) (label ^ ": successor")
+            (Some (hex (entry (i + 1))))
+            (Option.map hex v.Proto.v_succ);
+          Alcotest.(check (list (pair string int))) (label ^ ": successor group")
+            (List.init (Proto.succ_list_len - 1) (fun k -> hex (entry (i + 2 + k))))
+            (List.map hex v.Proto.v_succ_list))
+        views)
+    [ 1; 2 ]
+
 let () =
   Alcotest.run "rofl_proto"
     [
@@ -446,6 +481,7 @@ let () =
           Alcotest.test_case "matches synchronous engine" `Quick
             test_matches_synchronous_network;
           Alcotest.test_case "ISP scale" `Slow test_isp_scale_convergence;
+          Alcotest.test_case "converged successor groups" `Quick test_succ_group_converged;
         ] );
       ( "dynamics",
         [
