@@ -114,15 +114,13 @@ let micro () =
   let open Toolkit in
   let module Id = Rofl_idspace.Id in
   let module Ring = Rofl_idspace.Ring in
-  let rng = Rofl_util.Prng.create 99 in
-  let id_a = Id.random rng and id_b = Id.random rng in
+  (* Every fixture draws from its own generator, seeded by a name, so adding,
+     removing or reordering a row moves no other row's inputs. *)
+  let named name = Rofl_util.Prng.create (Hashtbl.hash name) in
+  let id_rng = named "id-pair" in
+  let id_a = Id.random id_rng and id_b = Id.random id_rng in
   let payload = String.init 256 (fun i -> Char.chr (i land 0xff)) in
-  (* Skip 1000 identifiers: the rows below were recorded on the ISP drawn
-     after them. *)
-  for _ = 1 to 1000 do
-    ignore (Id.random rng)
-  done;
-  let isp = Rofl_topology.Isp.generate rng Rofl_topology.Isp.as3967 in
+  let isp = Rofl_topology.Isp.generate (named "isp-as3967") Rofl_topology.Isp.as3967 in
   let ls = Rofl_linkstate.Linkstate.create isp.Rofl_topology.Isp.graph in
   let price_reg = [| 0.0 |] in
   (* A cold full tree per run on its own instance: failing a leaf router's
@@ -149,14 +147,16 @@ let micro () =
   let reach_i = ref 0 in
   let one_block = String.sub payload 0 32 in
   let cache = Rofl_core.Pointer_cache.create ~capacity:4096 in
+  let cache_rng = named "cache-best-match" in
   for i = 0 to 4095 do
-    let dst = Id.random rng in
+    let dst = Id.random cache_rng in
     let router = i mod Rofl_topology.Graph.n isp.Rofl_topology.Isp.graph in
     Rofl_core.Pointer_cache.insert cache
       (Rofl_core.Pointer.make Rofl_core.Pointer.Cached ~dst ~dst_router:router
          ~route:(Rofl_core.Sourceroute.singleton router))
   done;
-  let members = Array.init 2048 (fun _ -> Id.random rng) in
+  let ring_rng = named "ring-2k" in
+  let members = Array.init 2048 (fun _ -> Id.random ring_rng) in
   (* Flat ring vs the seed's Map ring over the same 2048 members. *)
   let ring = Ring.create () in
   Array.iter (fun id -> Ring.add id 0 ring) members;
@@ -169,7 +169,7 @@ let micro () =
      structures (and flatters the Map's pointer chase, which stays hot in
      cache).  512 random probes defeat the predictor without adding
      measurable per-run overhead. *)
-  let probes = Array.init 512 (fun _ -> Id.random rng) in
+  let probes = Array.init 512 (fun _ -> Id.random ring_rng) in
   (* Two add/remove passes over the probes give every chunk they reach its
      spare slot (and split any full one) before measuring, so the churn row
      times the in-place shifts alone. *)
@@ -184,16 +184,19 @@ let micro () =
   (* A full 128-entry cache fed 512 rotating destinations: every insert is
      a fresh identifier, so every insert evicts. *)
   let full_cache = Rofl_core.Pointer_cache.create ~capacity:128 in
+  let evict_rng = named "cache-insert-evict" in
   let fresh =
     Array.init 512 (fun i ->
         let router = i mod Rofl_topology.Graph.n isp.Rofl_topology.Isp.graph in
-        Rofl_core.Pointer.make Rofl_core.Pointer.Cached ~dst:(Id.random rng) ~dst_router:router
+        Rofl_core.Pointer.make Rofl_core.Pointer.Cached ~dst:(Id.random evict_rng)
+          ~dst_router:router
           ~route:(Rofl_core.Sourceroute.singleton router))
   in
   Array.iter (Rofl_core.Pointer_cache.insert full_cache) fresh;
   let evict_i = ref 0 in
   (* Greedy lookups on AS3967 after 500 joins have filled the pointer
      caches, rotating through 512 precomputed (source, target) pairs. *)
+  let rng = named "intra-lookup-as3967" in
   let net = Rofl_intra.Network.create ~rng isp.Rofl_topology.Isp.graph in
   let routers = Rofl_topology.Graph.n isp.Rofl_topology.Isp.graph in
   let hosts =
@@ -215,7 +218,7 @@ let micro () =
      them random targets, the rest members: [Proto.lookup_owner] as
      async-churn's owner phase calls it. *)
   let owner_proto, owner_pairs =
-    let orng = Rofl_util.Prng.create 0x0a3e in
+    let orng = named "lookup-owner-as3967" in
     let proto =
       Rofl_proto.Proto.create ~rng:orng ~bootstrap_hosts:2_000 isp.Rofl_topology.Isp.graph
     in
@@ -232,11 +235,10 @@ let micro () =
   (* One stabilisation period ([Proto.run_for] 50 ms) on a converged AS3967
      actor ring of 2,000 bootstrap hosts with the stabiliser on: every
      member probes its successor, hears back and notifies it, all by
-     message.  The row draws its topology and hosts from its own generator,
-     seeded by its name, so adding it moved no other row's inputs.  A
-     warm-up second grows the queues and tables to their steady size. *)
+     message.  The row draws its topology and hosts from its own generator.
+     A warm-up second grows the queues and tables to their steady size. *)
   let stab_proto =
-    let srng = Rofl_util.Prng.create (Hashtbl.hash "proto-stabilize-as3967") in
+    let srng = named "proto-stabilize-as3967" in
     let sisp = Rofl_topology.Isp.generate srng Rofl_topology.Isp.as3967 in
     let proto =
       Rofl_proto.Proto.create ~rng:srng ~bootstrap_hosts:2_000 sisp.Rofl_topology.Isp.graph
@@ -253,7 +255,7 @@ let micro () =
     let module Asgraph = Rofl_asgraph.Asgraph in
     let module Internet = Rofl_asgraph.Internet in
     let module Level = Rofl_inter.Level in
-    let irng = Rofl_util.Prng.create 0x1a5 in
+    let irng = named "inter-route-within" in
     let inet = Internet.generate irng Internet.default_params in
     let g = inet.Internet.graph in
     let stubs = Array.of_list (Internet.stubs inet) in
@@ -288,7 +290,7 @@ let micro () =
   let inter_net, inter_walks =
     let module Internet = Rofl_asgraph.Internet in
     let module Net = Rofl_inter.Net in
-    let irng = Rofl_util.Prng.create 0x1a6 in
+    let irng = named "inter-route" in
     let inet = Internet.generate irng Internet.small_params in
     let net = Net.create ~rng:irng inet.Internet.graph in
     let stubs = Array.of_list (Internet.stubs inet) in
@@ -312,7 +314,7 @@ let micro () =
   let join_net, join_stubs =
     let module Internet = Rofl_asgraph.Internet in
     let module Net = Rofl_inter.Net in
-    let irng = Rofl_util.Prng.create 0x1a7 in
+    let irng = named "inter-join" in
     let inet = Internet.generate irng Internet.default_params in
     let cfg =
       { Net.default_config with Net.peering_mode = Net.Bloom_filters; Net.cache_capacity = 128 }
@@ -338,8 +340,8 @@ let micro () =
   done;
   let dispatch_seq = ref 0 in
   let verify_cred = Rofl_crypto.Identity.credential_for id_a in
-  let verify_rng = Rofl_util.Prng.create 0x7e11f in
-  let grind_rng = Rofl_util.Prng.create 0x0c4a7 in
+  let verify_rng = named "verify-handshake" in
+  let grind_rng = named "grind-16" in
   let tests =
     [
       Test.make ~name:"id-distance"
@@ -651,8 +653,8 @@ let services_bench (scale : E.Common.scale) quick =
              ~origin:gateways.(Hashtbl.hash (rank, j) mod Array.length gateways))
       done
     done;
-    (* Place every record through the batched owner walk (synchronous
-       pure-read walks; no engine time needed at a quiescent ring). *)
+    (* Place every record through the owner walk (synchronous pure-read
+       walks; no engine time needed at a quiescent ring). *)
     ignore (Directory.republish_due dir ~now:0.0);
     dir
   in
@@ -743,7 +745,7 @@ let services_bench (scale : E.Common.scale) quick =
 
 (* ---------------- alpha-parallel lookup throughput ---------------- *)
 
-(* Lookups/sec of the α-parallel register file at α ∈ {1, 2, 4} over one
+(* Lookups/sec of [Proto.walk_owner] at α ∈ {1, 2, 4} over one
    bootstrapped ring with pointer caches enabled, so the diversified branch
    starts are live.  α=1 is gated to the sequential [Proto.lookup_owner]
    verdicts and to the recorded owner-walk goldens ({!Owner_golden}: owner,
@@ -768,7 +770,6 @@ let alpha_bench (scale : E.Common.scale) quick =
   let module Id = Rofl_idspace.Id in
   let module Isp = Rofl_topology.Isp in
   let module Proto = Rofl_proto.Proto in
-  let module Alpha = Rofl_proto.Alpha in
   let gate_fail fmt =
     Printf.ksprintf
       (fun s ->
@@ -803,12 +804,7 @@ let alpha_bench (scale : E.Common.scale) quick =
   let gt, gfrom, gtargets = Owner_golden.ring () in
   List.iter
     (fun (alpha, expect) ->
-      let ab = Alpha.create ~alpha gt in
-      Array.iteri
-        (fun k f -> ignore (Alpha.stage ab ~from:f ~target:gtargets.(k)))
-        gfrom;
-      Alpha.run ab;
-      let got = Owner_golden.summary ab in
+      let got = Owner_golden.summary gt ~alpha ~from:gfrom ~targets:gtargets in
       if got <> expect then
         gate_fail "alpha=%d golden diverges:\n  got    %s\n  expect %s" alpha got
           expect)
@@ -816,47 +812,37 @@ let alpha_bench (scale : E.Common.scale) quick =
   (* Gate 2: any α agrees with the sequential verdict — every lookup at
      α=1 (with no duplicate work), the first [gate] at α>1. *)
   let gate = min 256 total in
-  let files =
-    List.map
-      (fun alpha -> (alpha, Alpha.create ~hint:total ~alpha proto))
-      [ 1; 2; 4 ]
-  in
+  let walks = List.map (fun alpha -> (alpha, Proto.owner_walk ~alpha)) [ 1; 2; 4 ] in
   List.iter
-    (fun (alpha, ab) ->
-      Alpha.clear ab;
-      for k = 0 to total - 1 do
-        ignore (Alpha.stage ab ~from:from.(k) ~target:targets.(k))
-      done;
-      Alpha.run ab;
+    (fun (alpha, (w : Proto.owner_walk)) ->
       for k = 0 to (if alpha = 1 then total else gate) - 1 do
-        if alpha = 1 && Alpha.wasted_hops ab k <> 0 then
-          gate_fail "alpha=1 lookup %d wasted %d hops" k (Alpha.wasted_hops ab k);
-        let seq = Proto.lookup_owner proto ~from:from.(k) targets.(k) in
+        Proto.walk_owner proto w ~from:from.(k) ~target:targets.(k);
+        if alpha = 1 && w.w_wasted_hops <> 0 then
+          gate_fail "alpha=1 lookup %d wasted %d hops" k w.w_wasted_hops;
         let same =
-          match (seq, Alpha.resolved ab k) with
-          | Some owner, true -> Id.equal owner (Alpha.owner_id ab k)
-          | None, false -> true
-          | _ -> false
+          match Proto.lookup_owner proto ~from:from.(k) targets.(k) with
+          | Some owner -> w.w_winner >= 0 && Id.equal owner w.w_owner
+          | None -> w.w_winner < 0
         in
         if not same then
           gate_fail "alpha=%d verdict diverges from sequential at lookup %d"
             alpha k
       done)
-    files;
-  (* Duplicate-work price, measured outside the timed loop: one more full
-     run per file, the wasted-ledger delta divided down to per-lookup. *)
+    walks;
+  (* Duplicate-work price, measured outside the timed loop: one full pass
+     per α, the losing-branch ring hops divided down to per-lookup. *)
+  let walk_all (w : Proto.owner_walk) =
+    let wasted = ref 0 in
+    for k = 0 to total - 1 do
+      Proto.walk_owner proto w ~from:from.(k) ~target:targets.(k);
+      wasted := !wasted + w.w_wasted_hops
+    done;
+    !wasted
+  in
   let wasted_per_lookup =
     List.map
-      (fun (alpha, ab) ->
-        let w0 = Alpha.total_wasted_hops ab in
-        Alpha.clear ab;
-        for k = 0 to total - 1 do
-          ignore (Alpha.stage ab ~from:from.(k) ~target:targets.(k))
-        done;
-        Alpha.run ab;
-        ( alpha,
-          float_of_int (Alpha.total_wasted_hops ab - w0) /. float_of_int total ))
-      files
+      (fun (alpha, w) -> (alpha, float_of_int (walk_all w) /. float_of_int total))
+      walks
   in
   Printf.printf
     "equivalence gates passed: %d goldens, %d verdicts at alpha=1, %d per \
@@ -864,15 +850,10 @@ let alpha_bench (scale : E.Common.scale) quick =
     (List.length Owner_golden.expected) total gate;
   let tests =
     List.map
-      (fun (alpha, ab) ->
+      (fun (alpha, w) ->
         Test.make ~name:(Printf.sprintf "alpha-%d" alpha)
-          (Staged.stage (fun () ->
-               Alpha.clear ab;
-               for k = 0 to total - 1 do
-                 ignore (Alpha.stage ab ~from:from.(k) ~target:targets.(k))
-               done;
-               Alpha.run ab)))
-      files
+          (Staged.stage (fun () -> ignore (walk_all w))))
+      walks
   in
   let test = Test.make_grouped ~name:"alpha" ~fmt:"%s/%s" tests in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in

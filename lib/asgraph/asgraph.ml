@@ -203,13 +203,3 @@ let least_common_ancestors g x y =
   | first :: _ ->
     let best = cone_size g first in
     List.filter (fun a -> cone_size g a = best) common
-
-let edges_in_up_hierarchy g x =
-  let members = up_hierarchy g x in
-  let set = Hashtbl.create 32 in
-  List.iter (fun a -> Hashtbl.replace set a ()) members;
-  List.fold_left
-    (fun acc a ->
-      acc
-      + List.length (List.filter (Hashtbl.mem set) g.providers.(a)))
-    0 members

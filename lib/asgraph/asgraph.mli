@@ -76,7 +76,3 @@ val least_common_ancestors : t -> int -> int -> int list
 
     Kept as a reference: the isolation bound; the bench inter-route rows
     pick each pair's level by it. *)
-
-val edges_in_up_hierarchy : t -> int -> int
-(** Number of hierarchy edges visible to [X] (join/maintenance overhead is
-    roughly linear in this, §2.3). *)

@@ -158,11 +158,6 @@ let climb t ?(blocked = fun _ -> false) ~allowed start =
   end;
   dists
 
-let up_distances t ?blocked x =
-  let dists = climb t ?blocked ~allowed:(fun _ -> true) x in
-  Hashtbl.fold (fun a d acc -> (a, d) :: acc) dists []
-  |> List.sort (fun (_, d1) (_, d2) -> compare d1 d2)
-
 let vf_distance_within t ~root ?(blocked = fun _ -> false) src dst =
   let allowed =
     match root with

@@ -43,6 +43,3 @@ val vf_distance_within :
     Kept as a reference: the unmemoised valley-free distance test_asgraph
     and test_consistency check routes against. *)
 
-val up_distances : t -> ?blocked:(int -> bool) -> int -> (int * int) list
-(** [(ancestor, hops)] for every AS reachable by climbing provider edges,
-    including the AS itself at distance 0. *)

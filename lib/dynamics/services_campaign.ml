@@ -28,10 +28,10 @@ module Checks = Rofl_doctor.Checks
      one unsharded directory serves any [--shards]/[--jobs] setting;
 
    - demand is quantised to the tick cadence: events in ((k-1)·tick, k·tick]
-     execute at the k·tick boundary, resolutions batched through one fused
-     owner walk ([Rofl_proto.Alpha]) per tick.  Latency is the walk's
-     priced physical latency plus the shortest-path response leg; cache
-     hits answer locally at zero latency.
+     execute at the k·tick boundary, resolutions batched per tick, each
+     miss one owner walk ([Rofl_proto.Proto.walk_owner]).  Latency is the
+     walk's priced physical latency plus the shortest-path response leg;
+     cache hits answer locally at zero latency.
 
    The between-tick time belongs to the protocol: the stabilizer keeps
    probing throughout, so resolution traffic shares the network with live

@@ -133,19 +133,6 @@ let bit id i =
   let word, off = if i < 64 then (id.hi, 63 - i) else (id.lo, 127 - i) in
   Int64.to_int (Int64.logand (Int64.shift_right_logical word off) 1L)
 
-let common_prefix_bits a b =
-  let rec leading_zeros word acc i =
-    if i > 63 then acc
-    else if Int64.logand (Int64.shift_right_logical word (63 - i)) 1L = 1L then acc
-    else leading_zeros word (acc + 1) (i + 1)
-  in
-  let x = Int64.logxor a.hi b.hi in
-  if x <> 0L then leading_zeros x 0 0
-  else begin
-    let y = Int64.logxor a.lo b.lo in
-    if y = 0L then 128 else 64 + leading_zeros y 0 0
-  end
-
 let random g =
   { hi = Rofl_util.Prng.bits64 g; lo = Rofl_util.Prng.bits64 g }
 
@@ -161,15 +148,6 @@ let of_bytes_exn s =
   { hi = Bytes.get_int64_be b 0; lo = Bytes.get_int64_be b 8 }
 
 let to_hex id = Printf.sprintf "%016Lx%016Lx" id.hi id.lo
-
-let of_hex_exn s =
-  if String.length s <> 32 then invalid_arg "Id.of_hex_exn: need 32 hex digits";
-  let parse part =
-    match Int64.of_string_opt ("0x" ^ part) with
-    | Some v -> v
-    | None -> invalid_arg "Id.of_hex_exn: bad hex"
-  in
-  { hi = parse (String.sub s 0 16); lo = parse (String.sub s 16 16) }
 
 let to_short_string id = String.sub (to_hex id) 0 8
 

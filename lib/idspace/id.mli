@@ -93,9 +93,6 @@ val compare_dist : t -> t -> t -> t -> int
 val bit : t -> int -> int
 (** [bit id i] is bit [i] counted from the most significant (i = 0). *)
 
-val common_prefix_bits : t -> t -> int
-(** Length of the shared most-significant-bit prefix (0..128). *)
-
 val random : Rofl_util.Prng.t -> t
 (** Uniformly random identifier. *)
 
@@ -105,9 +102,6 @@ val of_bytes_exn : string -> t
 val to_bytes : t -> string
 
 val to_hex : t -> string
-
-val of_hex_exn : string -> t
-(** Inverse of {!to_hex}; raises [Invalid_argument] on malformed input. *)
 
 val to_short_string : t -> string
 (** First 8 hex digits, for logs. *)

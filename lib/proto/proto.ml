@@ -2192,6 +2192,8 @@ type owner_walk = {
   mutable w_winner : int;
   mutable w_branches : int;
   mutable w_cancelled : int;
+  mutable w_wasted_hops : int;
+  mutable w_wasted_link_hops : int;
   w_router : int array;
   w_hops : int array;
   w_link_hops : int array;
@@ -2209,6 +2211,8 @@ let owner_walk ~alpha =
     w_winner = -1;
     w_branches = 0;
     w_cancelled = 0;
+    w_wasted_hops = 0;
+    w_wasted_link_hops = 0;
     w_router = Array.make alpha 0;
     w_hops = Array.make alpha 0;
     w_link_hops = Array.make alpha 0;
@@ -2217,6 +2221,11 @@ let owner_walk ~alpha =
     w_best_d = Array.make alpha (-1);
     w_live = Bytes.make alpha '\000';
   }
+
+(* The lookup pays for its charged branch: the winner, or branch 0 when
+   unresolved (what the α=1 walk would have done).  Every other branch's
+   ring hops and link traversals are duplicate work. *)
+let charged w = if w.w_winner >= 0 then w.w_winner else 0
 
 (* One hop of branch [b]; [false] once the branch is done, with a verdict
    in [w_owner]/[w_winner] or dead. *)
@@ -2276,4 +2285,13 @@ let walk_owner t w ~from ~target =
       end;
       incr b
     done
+  done;
+  let charged = charged w in
+  w.w_wasted_hops <- 0;
+  w.w_wasted_link_hops <- 0;
+  for b = 0 to extra do
+    if b <> charged then begin
+      w.w_wasted_hops <- w.w_wasted_hops + w.w_hops.(b);
+      w.w_wasted_link_hops <- w.w_wasted_link_hops + w.w_link_hops.(b)
+    end
   done

@@ -369,6 +369,8 @@ type owner_walk = private {
   mutable w_winner : int;       (** branch that reached it, -1 when unresolved *)
   mutable w_branches : int;     (** branches seeded, 1 ≤ [w_branches] ≤ [w_alpha] *)
   mutable w_cancelled : int;    (** live siblings the win cancelled *)
+  mutable w_wasted_hops : int;  (** ring hops of every branch but the {!charged} one *)
+  mutable w_wasted_link_hops : int;  (** link traversals of those hops *)
   w_router : int array;         (** per branch: its router; the winner's hosts the owner *)
   w_hops : int array;           (** per branch: ring hops taken *)
   w_link_hops : int array;      (** per branch: link traversals of those hops *)
@@ -379,7 +381,8 @@ type owner_walk = private {
 }
 (** The registers of the α-branch owner walk, made once by {!owner_walk} and
     reused for every lookup.  Branch arrays are meaningful below
-    [w_branches]. *)
+    [w_branches].  Read them right after {!walk_owner}: the next walk
+    overwrites them. *)
 
 val owner_walk : alpha:int -> owner_walk
 (** Registers for lookups of up to [alpha] branches.  Raises
@@ -397,6 +400,13 @@ val walk_owner : t -> owner_walk -> from:int -> target:Rofl_idspace.Id.t -> unit
     routers; the pricing only warms memoised trees, so the walk stays
     pure-read, and on warm trees it allocates nothing.  At [alpha = 1] its
     verdict is {!lookup_owner}'s. *)
+
+val charged : owner_walk -> int
+(** The branch the last lookup pays for: the winner, or branch 0 when it
+    did not resolve (what the α=1 walk would have done).  Its entries of
+    [w_hops], [w_link_hops] and [w_latency_ms] are the lookup's price; every
+    other branch's ring and link hops are duplicate work, summed in
+    [w_wasted_hops] and [w_wasted_link_hops]. *)
 
 val latency_between : t -> int -> int -> float
 (** Link-state shortest-path latency between two routers (0 when equal or

@@ -1,7 +1,6 @@
 module Id = Rofl_idspace.Id
 module Metrics = Rofl_netsim.Metrics
 module Proto = Rofl_proto.Proto
-module Alpha = Rofl_proto.Alpha
 
 (* The service-discovery directory over one actor network.
 
@@ -16,8 +15,8 @@ module Alpha = Rofl_proto.Alpha
    - *Placed records* — the {!Provider_store}: the copy of each intent that
      currently lives at the ring owner of its service identifier, plus any
      decaying copies at previous owners.  Placement is resolved through the
-     owner walk (an α=1 {!Rofl_proto.Alpha} register file), never
-     through an oracle: a publish goes where the walk says the owner is.
+     α=1 owner walk ({!Proto.walk_owner}), never through an oracle: a
+     publish goes where the walk says the owner is.
 
    - *Resolver caches* — one bounded LRU {!Resolver} per querying router,
      created lazily.
@@ -25,7 +24,7 @@ module Alpha = Rofl_proto.Alpha
    All mutation happens from campaign global events (every shard parked),
    so one directory serves any [--shards]/[--jobs] setting without
    per-shard buckets; determinism follows from intents being processed in
-   index order and batches in staging order.
+   index order and batches in query order.
 
    Timing discipline: [ttl_ms > republish_period_ms] (2.5x) so a
    steadily-republished record never expires; after an ownership change the
@@ -49,8 +48,10 @@ type t = {
   routers : int;
   metrics : Metrics.t;
   store : Provider_store.t;
-  place : Alpha.t;                   (* publish walks, alpha = 1 *)
-  miss : Alpha.t;                    (* resolve-miss walks, cfg.alpha *)
+  place : Proto.owner_walk;          (* publish walks, alpha = 1 *)
+  miss : Proto.owner_walk;           (* resolve-miss walks, cfg.alpha *)
+  mutable miss_wasted : int;         (* losing-branch ring hops, cumulative *)
+  mutable miss_cancelled : int;      (* cancelled branches, cumulative *)
   resolvers : Resolver.t option array;
   (* intents: struct-of-arrays, never compacted (inactive rows stay) *)
   mutable icap : int;
@@ -72,7 +73,6 @@ type t = {
   mutable r_ok : bool array;
   mutable r_stale : bool array;
   mutable r_lat : float array;
-  mutable m_idx : int array;         (* miss j -> batch position i *)
   mutable pbuf : Id.t array;         (* provider read scratch *)
 }
 
@@ -84,8 +84,10 @@ let create ~proto ~routers ~hint cfg =
     routers;
     metrics = Metrics.create ~routers;
     store = Provider_store.create ~routers ~hint ();
-    place = Alpha.create ~hint proto;
-    miss = Alpha.create ~hint ~alpha:cfg.alpha proto;
+    place = Proto.owner_walk ~alpha:1;
+    miss = Proto.owner_walk ~alpha:cfg.alpha;
+    miss_wasted = 0;
+    miss_cancelled = 0;
     resolvers = Array.make routers None;
     icap;
     icount = 0;
@@ -105,7 +107,6 @@ let create ~proto ~routers ~hint cfg =
     r_ok = [||];
     r_stale = [||];
     r_lat = [||];
-    m_idx = [||];
     pbuf = Array.make 8 Id.zero;
   }
 
@@ -232,33 +233,19 @@ let true_provider_count t ~service =
 
 (* ---- periodic work (call from campaign global events) --------------------- *)
 
-let ensure_midx t n =
-  if Array.length t.m_idx < n then
-    t.m_idx <- Array.make (max n (2 * max 1 (Array.length t.m_idx))) 0
-
 (* Publish every intent the predicate selects: one owner walk from
-   each origin toward its service identifier, then records placed at the
-   router each walk's verdict landed on.  The publish message is charged
+   each origin toward its service identifier, then the record placed at the
+   router the walk's verdict landed on.  The publish message is charged
    one-way (origin -> owner) in link traversals priced by the walk. *)
 let publish_matching t ~now pred =
-  Alpha.clear t.place;
-  ensure_midx t t.icount;
-  let staged = ref 0 in
+  let w = t.place in
+  let walked = ref 0 in
   for k = 0 to t.icount - 1 do
     if t.i_active.(k) && pred k then begin
-      let j =
-        Alpha.stage t.place ~from:t.i_origin.(k) ~target:t.i_service.(k)
-      in
-      t.m_idx.(j) <- k;
-      incr staged
-    end
-  done;
-  if !staged > 0 then begin
-    Alpha.run t.place;
-    for j = 0 to Alpha.length t.place - 1 do
-      let k = t.m_idx.(j) in
-      if Alpha.resolved t.place j then begin
-        let owner = Alpha.owner_router t.place j in
+      incr walked;
+      Proto.walk_owner t.proto w ~from:t.i_origin.(k) ~target:t.i_service.(k);
+      if w.w_winner >= 0 then begin
+        let owner = w.w_router.(w.w_winner) in
         let slot =
           match
             Provider_store.publish t.store ~service:t.i_service.(k)
@@ -272,14 +259,14 @@ let publish_matching t ~now pred =
         t.i_last_ms.(k) <-
           (if t.i_last_ms.(k) = neg_infinity then now -. t.i_offset_ms.(k)
            else now);
-        Metrics.incr t.metrics Metrics.Svc_publish_msg (Alpha.link_hops t.place j);
+        Metrics.incr t.metrics Metrics.Svc_publish_msg w.w_link_hops.(w.w_winner);
         Metrics.incr t.metrics Metrics.Svc_republish 1
       end
       (* an unresolved walk (empty ring) leaves the intent due: retried on
          the next round *)
-    done
-  end;
-  !staged
+    end
+  done;
+  !walked
 
 let republish_due t ~now =
   publish_matching t ~now (fun k -> now -. t.i_last_ms.(k) >= republish_period_ms)
@@ -301,7 +288,6 @@ let ensure_registers t n =
     t.r_ok <- Array.make cap false;
     t.r_stale <- Array.make cap false;
     t.r_lat <- Array.make cap 0.0;
-    ensure_midx t cap;
     t.rcap <- cap
   end
 
@@ -328,17 +314,16 @@ let judge t ~service ~(served : Id.t array) =
     if truth = 0 then (false, true) else (true, !dead)
   end
 
-(* Misses ride the α-parallel register file: the winning branch prices
-   latency, and losing-branch hops are billed to [svc-resolve-msg] too —
-   redundancy is real traffic (at α=1 there are no losing branches).  Two
-   phases: every miss is walked before any answer is installed, so a later
-   miss of the batch cannot hit an answer an earlier one just installed. *)
+(* Misses ride the α-branch owner walk: the charged branch prices latency,
+   and losing-branch hops are billed to [svc-resolve-msg] too — redundancy
+   is real traffic (at α=1 there are no losing branches).  Two phases:
+   every query is looked up in its resolver cache before any answer is
+   installed, so a later miss of the batch cannot hit an answer an earlier
+   one just installed. *)
 let resolve_batch t ~now ~n ~(from : int array) ~(services : Id.t array) =
   if Array.length from < n || Array.length services < n then
     invalid_arg "Directory.resolve_batch: input arrays shorter than batch";
   ensure_registers t n;
-  Alpha.clear t.miss;
-  let misses = ref 0 in
   for i = 0 to n - 1 do
     let rv = resolver_for t from.(i) in
     match Resolver.find rv ~now services.(i) with
@@ -350,20 +335,19 @@ let resolve_batch t ~now ~n ~(from : int array) ~(services : Id.t array) =
       t.r_ok.(i) <- ok;
       t.r_stale.(i) <- stale;
       if stale then Metrics.incr t.metrics Metrics.Svc_stale_answer 1
-    | None ->
-      t.r_hit.(i) <- false;
-      let j = Alpha.stage t.miss ~from:from.(i) ~target:services.(i) in
-      t.m_idx.(j) <- i;
-      incr misses
+    | None -> t.r_hit.(i) <- false
   done;
-  if !misses > 0 then begin
-    Alpha.run t.miss;
-    for j = 0 to Alpha.length t.miss - 1 do
-      let i = t.m_idx.(j) in
+  let w = t.miss in
+  for i = 0 to n - 1 do
+    if not t.r_hit.(i) then begin
       let service = services.(i) in
-      let link_hops = Alpha.link_hops t.miss j + Alpha.wasted_link_hops t.miss j in
-      if Alpha.resolved t.miss j then begin
-        let owner = Alpha.owner_router t.miss j in
+      Proto.walk_owner t.proto w ~from:from.(i) ~target:service;
+      t.miss_wasted <- t.miss_wasted + w.w_wasted_hops;
+      t.miss_cancelled <- t.miss_cancelled + w.w_cancelled;
+      let charged = Proto.charged w in
+      let link_hops = w.w_link_hops.(charged) + w.w_wasted_link_hops in
+      if w.w_winner >= 0 then begin
+        let owner = w.w_router.(w.w_winner) in
         ensure_pbuf t (Provider_store.service_records t.store service);
         let cnt =
           Provider_store.providers_at_into t.store ~service ~at:owner ~now t.pbuf
@@ -372,7 +356,7 @@ let resolve_batch t ~now ~n ~(from : int array) ~(services : Id.t array) =
         Resolver.install (resolver_for t from.(i)) ~now service answer;
         t.r_pos.(i) <- cnt > 0;
         t.r_lat.(i) <-
-          Alpha.latency_ms t.miss j +. Proto.latency_between t.proto owner from.(i);
+          w.w_latency_ms.(charged) +. Proto.latency_between t.proto owner from.(i);
         Metrics.incr t.metrics Metrics.Svc_resolve_msg
           (link_hops + Proto.link_hops_between t.proto owner from.(i));
         let ok, stale = judge t ~service ~served:answer in
@@ -386,15 +370,15 @@ let resolve_batch t ~now ~n ~(from : int array) ~(services : Id.t array) =
         t.r_pos.(i) <- false;
         t.r_ok.(i) <- false;
         t.r_stale.(i) <- false;
-        t.r_lat.(i) <- Alpha.latency_ms t.miss j;
+        t.r_lat.(i) <- w.w_latency_ms.(charged);
         Metrics.incr t.metrics Metrics.Svc_resolve_msg link_hops
       end
-    done
-  end
+    end
+  done
 
-let resolve_wasted_hops t = Alpha.total_wasted_hops t.miss
+let resolve_wasted_hops t = t.miss_wasted
 
-let resolve_cancellations t = Alpha.total_cancellations t.miss
+let resolve_cancellations t = t.miss_cancelled
 
 let res_hit t i = t.r_hit.(i)
 let res_positive t i = t.r_pos.(i)

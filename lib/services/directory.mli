@@ -9,15 +9,15 @@
       origin keeps republishing while active; also the instrumentation
       oracle stale-answer SLOs compare against;
     - {e placed records} — the {!Provider_store} copies at ring owners,
-      placed through the owner walk (an α=1 {!Rofl_proto.Alpha}
-      register file), refreshed each republish period
+      placed through the α=1 owner walk
+      ({!Rofl_proto.Proto.walk_owner}), refreshed each republish period
       and decaying by TTL;
     - {e resolver caches} — one bounded LRU {!Resolver} per querying
       router, with negative entries.
 
     All mutation happens from campaign global events (every shard parked),
     so one directory is deterministic at any [--shards]/[--jobs]: intents
-    are processed in index order and batches in staging order.
+    are processed in index order and batches in query order.
 
     Timing discipline: [ttl_ms > republish_period_ms] (2.5x) so a
     steadily-republished record never expires; after an ownership change
@@ -86,9 +86,9 @@ val provider_active :
 (** {2 Periodic work (call from campaign global events)} *)
 
 val republish_due : t -> now:float -> int
-(** Republish every active intent whose period elapsed: one fused batch
-    walk from the origins toward their service identifiers, records placed
-    where each verdict landed.  Returns the number of publishes staged. *)
+(** Republish every active intent whose period elapsed: one owner walk
+    from each origin toward its service identifier, the record placed where
+    the verdict landed.  Returns the number of intents walked. *)
 
 val republish_all : t -> now:float -> int
 (** The republish storm: every active intent publishes right now,
@@ -103,15 +103,15 @@ val sweep : t -> now:float -> int
 val resolve_batch :
   t -> now:float -> n:int -> from:int array -> services:Rofl_idspace.Id.t array -> unit
 (** Resolve [services.(i)] from router [from.(i)] for [i < n]: cache hits
-    answer locally at zero latency; misses ride one α-parallel
-    {!Rofl_proto.Alpha} run (at [config.alpha]) to their ring owners, read
-    the provider records there, and install (positive or negative) cache
-    entries.  Every miss is walked before any answer is installed, so no
-    miss hits an answer installed by another miss of the same batch.  Miss latency is the winning branch's priced
-    latency plus the shortest-path response leg; losing-branch link
-    traversals are billed to [svc-resolve-msg] on top — redundancy is real
-    traffic.  Read the
-    per-lookup verdicts with the accessors below before the next batch
+    answer locally at zero latency; each miss walks to its ring owner with
+    {!Rofl_proto.Proto.walk_owner} (at [config.alpha]), reads the provider
+    records there, and installs a (positive or negative) cache entry.
+    Every query is looked up in its cache before any answer is installed,
+    so no miss hits an answer installed by another miss of the same batch.
+    Miss latency is the charged branch's priced latency plus the
+    shortest-path response leg; losing-branch link traversals are billed to
+    [svc-resolve-msg] on top — redundancy is real traffic.  Read the
+    per-query verdicts with the accessors below before the next batch
     reuses the registers. *)
 
 val resolve_wasted_hops : t -> int

@@ -13,12 +13,6 @@ let set b i =
   let byte = i / 8 and bit = i mod 8 in
   Bytes.set b.bits byte (Char.chr (Char.code (Bytes.get b.bits byte) lor (1 lsl bit)))
 
-let clear_bit b i =
-  check b i;
-  let byte = i / 8 and bit = i mod 8 in
-  Bytes.set b.bits byte
-    (Char.chr (Char.code (Bytes.get b.bits byte) land lnot (1 lsl bit) land 0xFF))
-
 let mem b i =
   check b i;
   let byte = i / 8 and bit = i mod 8 in

@@ -12,8 +12,6 @@ val size : t -> int
 
 val set : t -> int -> unit
 
-val clear_bit : t -> int -> unit
-
 val mem : t -> int -> bool
 
 val cardinal : t -> int

@@ -126,8 +126,6 @@ let pop h =
     Some (prio, take h)
   end
 
-let peek h = if h.size = 0 then None else Some (h.prio.(0), h.value.(0))
-
 let clear h =
   h.prio <- [||];
   h.rail <- [||];

@@ -53,6 +53,4 @@ val take : 'a t -> 'a
 (** {!pop} without the option: remove the minimum entry, clear its slot and
     return its payload.  Raises [Invalid_argument] on an empty heap. *)
 
-val peek : 'a t -> (float * 'a) option
-
 val clear : 'a t -> unit

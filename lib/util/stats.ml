@@ -4,14 +4,6 @@ let mean = function
   | [] -> 0.0
   | xs -> sum xs /. float_of_int (List.length xs)
 
-let stddev xs =
-  match xs with
-  | [] | [ _ ] -> 0.0
-  | _ ->
-    let m = mean xs in
-    let var = mean (List.map (fun x -> (x -. m) *. (x -. m)) xs) in
-    sqrt var
-
 let sorted_array xs =
   let a = Array.of_list xs in
   Array.sort compare a;
@@ -90,12 +82,3 @@ let moving_average xs ~window =
       if Queue.length q > window then running := !running -. Queue.pop q;
       !running /. float_of_int (Queue.length q))
     xs
-
-let geometric_mean = function
-  | [] -> 0.0
-  | xs ->
-    let logs = List.map (fun x ->
-      if x <= 0.0 then invalid_arg "Stats.geometric_mean: non-positive sample";
-      log x) xs
-    in
-    exp (mean logs)

@@ -7,9 +7,6 @@
 val mean : float list -> float
 (** Arithmetic mean; 0 for the empty list. *)
 
-val stddev : float list -> float
-(** Population standard deviation; 0 for fewer than two samples. *)
-
 val median : float list -> float
 
 val percentile : float list -> float -> float
@@ -27,6 +24,3 @@ val moving_average : float list -> window:int -> float list
 (** Trailing moving average with the given window (window >= 1). *)
 
 val sum : float list -> float
-
-val geometric_mean : float list -> float
-(** Geometric mean of positive samples; 0 for the empty list. *)

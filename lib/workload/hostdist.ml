@@ -1,39 +1,5 @@
 module Prng = Rofl_util.Prng
 module Isp = Rofl_topology.Isp
-module Internet = Rofl_asgraph.Internet
-
-let zipf_partition rng ~total ~buckets ~skew =
-  if buckets <= 0 then invalid_arg "Hostdist.zipf_partition: buckets must be positive";
-  if total < 0 then invalid_arg "Hostdist.zipf_partition: negative total";
-  let counts = Array.make buckets 0 in
-  let rank_of = Array.init buckets (fun i -> i) in
-  Prng.shuffle rng rank_of;
-  for _ = 1 to total do
-    let rank = Prng.zipf rng ~n:buckets ~s:skew - 1 in
-    let b = rank_of.(rank) in
-    counts.(b) <- counts.(b) + 1
-  done;
-  counts
-
-let hosts_per_as rng inet ~total ~skew =
-  let n = Rofl_asgraph.Asgraph.n inet.Internet.graph in
-  let stubs = Array.of_list (Internet.stubs inet) in
-  let counts = Array.make n 0 in
-  if Array.length stubs = 0 then counts
-  else begin
-    (* ~90% of hosts live in stubs, the rest in transit ASes. *)
-    let stub_total = total * 9 / 10 in
-    let stub_share = zipf_partition rng ~total:stub_total ~buckets:(Array.length stubs) ~skew in
-    Array.iteri (fun i s -> counts.(s) <- stub_share.(i)) stubs;
-    let transit = Array.of_list (Internet.transit inet) in
-    if Array.length transit > 0 then begin
-      let transit_share =
-        zipf_partition rng ~total:(total - stub_total) ~buckets:(Array.length transit) ~skew
-      in
-      Array.iteri (fun i a -> counts.(a) <- counts.(a) + transit_share.(i)) transit
-    end;
-    counts
-  end
 
 let gateway_sampler rng isp =
   (* Weight PoPs by their access-router count; within a PoP, uniform. *)
@@ -55,7 +21,3 @@ let gateway_sampler rng isp =
     in
     fun () -> Prng.sample rng weighted
   end
-
-let pair_sampler rng arr =
-  if Array.length arr = 0 then invalid_arg "Hostdist.pair_sampler: empty array";
-  fun () -> (Prng.sample rng arr, Prng.sample rng arr)

@@ -1,25 +1,10 @@
-(** Host-population models.
+(** Host placement within an ISP.
 
-    Substitutes for the skitter/Routeviews host-count estimation of §6.1
-    (see DESIGN.md): heavy-tailed (Zipf) populations over ASes or PoPs,
-    normalised to a target total, plus gateway sampling within an ISP. *)
-
-val zipf_partition :
-  Rofl_util.Prng.t -> total:int -> buckets:int -> skew:float -> int array
-(** Split [total] items over [buckets] with Zipf(skew) popularity, bucket
-    ranks shuffled so bucket 0 is not always the largest.  Sums exactly to
-    [total]. *)
-
-val hosts_per_as :
-  Rofl_util.Prng.t -> Rofl_asgraph.Internet.t -> total:int -> skew:float -> int array
-(** Hosts per AS: stubs get the bulk of the population; transit ASes get a
-    small share (they host infrastructure, not users). *)
+    The heavy-tailed hosts-per-AS model that substitutes for the
+    skitter/Routeviews estimation of §6.1 (see DESIGN.md) draws with
+    {!Rofl_util.Prng.zipf} where the experiments place stub hosts. *)
 
 val gateway_sampler :
   Rofl_util.Prng.t -> Rofl_topology.Isp.t -> unit -> int
 (** Draw gateway (edge) routers of an ISP with PoP-weighted popularity:
     bigger PoPs attach more hosts, as Rocketfuel PoP sizes suggest. *)
-
-val pair_sampler :
-  Rofl_util.Prng.t -> 'a array -> unit -> 'a * 'a
-(** Uniform pairs from a non-empty array (entries may coincide). *)

@@ -3,7 +3,6 @@ module Prng = Rofl_util.Prng
 module Isp = Rofl_topology.Isp
 module Graph = Rofl_topology.Graph
 module Proto = Rofl_proto.Proto
-module Alpha = Rofl_proto.Alpha
 
 let ring () =
   let isp = Isp.generate (Prng.create 2006) Isp.as3967 in
@@ -27,26 +26,31 @@ let ring () =
   in
   (t, from, targets)
 
-let summary ab =
+let summary t ~alpha ~from ~targets =
+  let w = Proto.owner_walk ~alpha in
   let resolved = ref 0 and ring = ref 0 and link = ref 0 and lat = ref 0.0 in
-  let wasted = ref 0 and wasted_link = ref 0 in
+  let wasted = ref 0 and wasted_link = ref 0 and cancel = ref 0 in
   let owners = Buffer.create 4096 in
-  for i = 0 to Alpha.length ab - 1 do
-    if Alpha.resolved ab i then begin
-      incr resolved;
-      Buffer.add_string owners (Id.to_hex (Alpha.owner_id ab i));
-      Buffer.add_string owners (string_of_int (Alpha.owner_router ab i))
-    end;
-    ring := !ring + Alpha.ring_hops ab i;
-    link := !link + Alpha.link_hops ab i;
-    lat := !lat +. Alpha.latency_ms ab i;
-    wasted := !wasted + Alpha.wasted_hops ab i;
-    wasted_link := !wasted_link + Alpha.wasted_link_hops ab i
-  done;
+  Array.iteri
+    (fun k from ->
+      Proto.walk_owner t w ~from ~target:targets.(k);
+      if w.w_winner >= 0 then begin
+        incr resolved;
+        Buffer.add_string owners (Id.to_hex w.w_owner);
+        Buffer.add_string owners (string_of_int w.w_router.(w.w_winner))
+      end;
+      let c = Proto.charged w in
+      ring := !ring + w.w_hops.(c);
+      link := !link + w.w_link_hops.(c);
+      lat := !lat +. w.w_latency_ms.(c);
+      wasted := !wasted + w.w_wasted_hops;
+      wasted_link := !wasted_link + w.w_wasted_link_hops;
+      cancel := !cancel + w.w_cancelled)
+    from;
   Printf.sprintf
     "resolved=%d ring=%d link=%d latency=%.6f wasted=%d wasted_link=%d cancel=%d \
      owners=%s"
-    !resolved !ring !link !lat !wasted !wasted_link (Alpha.cancellations ab)
+    !resolved !ring !link !lat !wasted !wasted_link !cancel
     (Digest.to_hex (Digest.string (Buffer.contents owners)))
 
 let expected =

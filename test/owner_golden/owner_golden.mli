@@ -1,4 +1,4 @@
-(** Recorded goldens of the batched owner walk, shared by the test suite
+(** Recorded goldens of the α-branch owner walk, shared by the test suite
     and the bench's α gate.
 
     A seeded AS3967 ring with pointer caches warmed by async lookups and
@@ -13,11 +13,18 @@ val ring :
 (** The scenario: the network, then the origin router and the target of
     each of the 512 lookups.  Deterministic; built fresh on every call. *)
 
-val summary : Rofl_proto.Alpha.t -> string
-(** One line over every lookup of the last {!Rofl_proto.Alpha.run}:
-    resolved count, Σ ring hops, Σ link hops, Σ latency ([%.6f]), Σ wasted
-    ring and link hops, cancellations, and the MD5 of the concatenated
-    (owner hex, owner router) pairs of the resolved lookups. *)
+val summary :
+  Rofl_proto.Proto.t ->
+  alpha:int ->
+  from:int array ->
+  targets:Rofl_idspace.Id.t array ->
+  string
+(** Walks lookup [k] from [from.(k)] toward [targets.(k)] with
+    {!Rofl_proto.Proto.walk_owner} at [alpha], in order, and sums the
+    records into one line: resolved count, Σ ring hops, Σ link hops and
+    Σ latency ([%.6f]) of the charged branches, Σ wasted ring and link hops,
+    cancellations, and the MD5 of the concatenated (owner hex, owner router)
+    pairs of the resolved lookups. *)
 
 val expected : (int * string) list
 (** [(alpha, summary)] recorded for α = 1 and α = 3. *)

@@ -1,18 +1,17 @@
-(* The α-branch owner walk ([Proto.walk_owner] behind the [Alpha] register
-   file): at α=1 it must reproduce the recorded sequential batch-walk golden
-   and the per-lookup [lookup_owner] reference, both must give the verdict
-   of an independent recursive model of the walk, any α must agree with the
-   sequential verdict on first success, a lookup's results must not depend
-   on where it sits in the batch (the walk is pure-read), α < 1 is rejected
-   at every entry point, and the network-size estimator feeding the
-   self-tuner must land near the true membership at several ring sizes. *)
+(* The α-branch owner walk ([Proto.walk_owner]): at α=1 it must reproduce
+   the recorded sequential batch-walk golden and the per-lookup
+   [lookup_owner] reference, both must give the verdict of an independent
+   recursive model of the walk, any α must agree with the sequential verdict
+   on first success, a lookup's results must not depend on the lookups
+   walked before it (the walk is pure-read), α < 1 is rejected at every
+   entry point, and the network-size estimator feeding the self-tuner must
+   land near the true membership at several ring sizes. *)
 
 module Id = Rofl_idspace.Id
 module Prng = Rofl_util.Prng
 module Gen = Rofl_topology.Gen
 module Sha256 = Rofl_crypto.Sha256
 module Proto = Rofl_proto.Proto
-module Alpha = Rofl_proto.Alpha
 
 let spread_id k =
   Id.of_bytes_exn (String.sub (Sha256.digest (Printf.sprintf "a:%d" k)) 0 16)
@@ -161,84 +160,67 @@ let test_alpha_goldens () =
   let t, from, targets = Owner_golden.ring () in
   List.iter
     (fun (alpha, expect) ->
-      let ab = Alpha.create ~alpha t in
-      Array.iteri
-        (fun i f -> ignore (Alpha.stage ab ~from:f ~target:targets.(i)))
-        from;
-      Alpha.run ab;
       Alcotest.(check string) (Printf.sprintf "alpha=%d golden" alpha) expect
-        (Owner_golden.summary ab);
-      if alpha = 1 then
-        for i = 0 to Array.length from - 1 do
-          Alcotest.(check int) (Printf.sprintf "#%d branches" i) 1 (Alpha.branches ab i);
-          (match Proto.lookup_owner t ~from:from.(i) targets.(i) with
-           | Some owner ->
-             Alcotest.(check bool)
-               (Printf.sprintf "#%d owner = lookup_owner" i)
-               true
-               (Alpha.resolved ab i && Id.equal owner (Alpha.owner_id ab i));
-             Alcotest.(check int) (Printf.sprintf "#%d winner" i) 0
-               (Alpha.winner_branch ab i)
-           | None ->
-             Alcotest.(check bool) (Printf.sprintf "#%d unresolved" i) false
-               (Alpha.resolved ab i))
-        done)
-    Owner_golden.expected
+        (Owner_golden.summary t ~alpha ~from ~targets))
+    Owner_golden.expected;
+  let w = Proto.owner_walk ~alpha:1 in
+  Array.iteri
+    (fun i f ->
+      Proto.walk_owner t w ~from:f ~target:targets.(i);
+      Alcotest.(check int) (Printf.sprintf "#%d branches" i) 1 w.w_branches;
+      match Proto.lookup_owner t ~from:f targets.(i) with
+      | Some owner ->
+        Alcotest.(check bool)
+          (Printf.sprintf "#%d owner = lookup_owner" i)
+          true
+          (w.w_winner >= 0 && Id.equal owner w.w_owner);
+        Alcotest.(check int) (Printf.sprintf "#%d winner" i) 0 w.w_winner
+      | None -> Alcotest.(check int) (Printf.sprintf "#%d unresolved" i) (-1) w.w_winner)
+    from
 
 (* ---- first-success verdict equality at any α ----------------------------- *)
 
 let test_any_alpha_verdict_eq_sequential () =
   let t, members, n = build_proto () in
   let from, targets = lookup_set ~n ~count:40 members in
-  let count = Array.length from in
-  let reference =
-    Array.init count (fun i -> Proto.lookup_owner t ~from:from.(i) targets.(i))
-  in
   List.iter
     (fun alpha ->
-      let ab = Alpha.create ~alpha t in
-      for i = 0 to count - 1 do
-        ignore (Alpha.stage ab ~from:from.(i) ~target:targets.(i))
-      done;
-      Alpha.run ab;
-      for i = 0 to count - 1 do
-        let label = Printf.sprintf "alpha=%d #%d" alpha i in
-        (match reference.(i) with
-         | Some owner ->
-           Alcotest.(check bool) (label ^ " resolved") true (Alpha.resolved ab i);
-           Alcotest.(check bool)
-             (label ^ " same owner") true
-             (Id.equal owner (Alpha.owner_id ab i))
-         | None ->
-           Alcotest.(check bool) (label ^ " unresolved") false (Alpha.resolved ab i));
-        let b = Alpha.branches ab i in
-        Alcotest.(check bool)
-          (Printf.sprintf "%s 1 <= branches=%d <= alpha" label b)
-          true
-          (b >= 1 && b <= alpha);
-        if Alpha.resolved ab i then begin
-          let w = Alpha.winner_branch ab i in
+      let w = Proto.owner_walk ~alpha in
+      Array.iteri
+        (fun i f ->
+          Proto.walk_owner t w ~from:f ~target:targets.(i);
+          let label = Printf.sprintf "alpha=%d #%d" alpha i in
+          (match Proto.lookup_owner t ~from:f targets.(i) with
+           | Some owner ->
+             Alcotest.(check bool) (label ^ " resolved") true (w.w_winner >= 0);
+             Alcotest.(check bool) (label ^ " same owner") true (Id.equal owner w.w_owner)
+           | None -> Alcotest.(check int) (label ^ " unresolved") (-1) w.w_winner);
+          let b = w.w_branches in
           Alcotest.(check bool)
-            (Printf.sprintf "%s winner %d in range" label w)
-            true (w >= 0 && w < b)
-        end
-      done)
+            (Printf.sprintf "%s 1 <= branches=%d <= alpha" label b)
+            true
+            (b >= 1 && b <= alpha);
+          Alcotest.(check bool)
+            (Printf.sprintf "%s winner %d in range" label w.w_winner)
+            true (w.w_winner < b))
+        from)
     [ 2; 3; 4 ]
 
-(* ---- QCheck: a lookup's results do not depend on its batch position ----- *)
+(* ---- QCheck: a lookup's results do not depend on the walks before it ----- *)
 
-(* Everything [Alpha] reports for lookup [i], the latency bit for bit. *)
-let results ab i =
-  ( (if Alpha.resolved ab i then Id.to_hex (Alpha.owner_id ab i) else "-"),
-    Alpha.owner_router ab i,
-    Alpha.winner_branch ab i,
-    Alpha.branches ab i,
-    (Alpha.ring_hops ab i, Alpha.link_hops ab i),
-    (Alpha.wasted_hops ab i, Alpha.wasted_link_hops ab i),
-    Int64.bits_of_float (Alpha.latency_ms ab i) )
+(* Everything the walk reports for its last lookup, the latency bit for bit. *)
+let results (w : Proto.owner_walk) =
+  let c = Proto.charged w in
+  ( (if w.w_winner >= 0 then Id.to_hex w.w_owner else "-"),
+    (if w.w_winner >= 0 then w.w_router.(w.w_winner) else -1),
+    w.w_winner,
+    w.w_branches,
+    (w.w_hops.(c), w.w_link_hops.(c)),
+    (w.w_wasted_hops, w.w_wasted_link_hops, w.w_cancelled),
+    Int64.bits_of_float w.w_latency_ms.(c) )
 
-let qcheck_batch_order_free =
-  QCheck.Test.make ~count:10 ~name:"results independent of batch order"
+let qcheck_walk_order_free =
+  QCheck.Test.make ~count:10 ~name:"results independent of walk order"
     QCheck.(triple (int_range 1 1000) (int_range 1 5) (int_range 1 33))
     (fun (seed, alpha, count) ->
       let t, members, n =
@@ -248,14 +230,14 @@ let qcheck_batch_order_free =
       let from, targets = lookup_set ~n ~count members in
       let perm = Array.init count Fun.id in
       Prng.shuffle (Prng.create (seed + 3)) perm;
-      (* two runs through one register file, so the second one reuses what
-         the first one grew *)
-      let ab = Alpha.create ~hint:4 ~alpha t in
+      (* both orders through one set of registers *)
+      let w = Proto.owner_walk ~alpha in
       let run order =
-        Alpha.clear ab;
-        Array.iter (fun k -> ignore (Alpha.stage ab ~from:from.(k) ~target:targets.(k))) order;
-        Alpha.run ab;
-        Array.init count (results ab)
+        Array.map
+          (fun k ->
+            Proto.walk_owner t w ~from:from.(k) ~target:targets.(k);
+            results w)
+          order
       in
       let plain = run (Array.init count Fun.id) in
       let permuted = run perm in
@@ -265,42 +247,34 @@ let qcheck_batch_order_free =
           if b < 1 || b > alpha then
             QCheck.Test.fail_reportf "lookup %d seeded %d branches (alpha=%d)" k b alpha;
           if permuted.(p) <> plain.(k) then
-            QCheck.Test.fail_reportf "lookup %d differs at batch position %d (alpha=%d)"
+            QCheck.Test.fail_reportf "lookup %d differs at walk position %d (alpha=%d)"
               k p alpha)
         perm;
       true)
 
-(* ---- the kernel against the sequential reference, mid-repair ------------ *)
+(* ---- the walk against the sequential reference, mid-repair --------------- *)
 
 let test_alpha1_eq_lookup_owner_mid_repair () =
   let t, members, n = build_proto ~seed:42 ~crash:true () in
   let from, targets = lookup_set ~n ~count:40 members in
-  let ab = Alpha.create t in
-  Array.iteri (fun k f -> ignore (Alpha.stage ab ~from:f ~target:targets.(k))) from;
-  Alpha.run ab;
+  let w = Proto.owner_walk ~alpha:1 in
   Array.iteri
     (fun k f ->
+      Proto.walk_owner t w ~from:f ~target:targets.(k);
       Alcotest.(check bool)
         (Printf.sprintf "proto#%d owner agrees" k)
         true
         (match Proto.lookup_owner t ~from:f targets.(k) with
-         | Some owner -> Alpha.resolved ab k && Id.equal owner (Alpha.owner_id ab k)
-         | None -> not (Alpha.resolved ab k)))
+         | Some owner -> w.w_winner >= 0 && Id.equal owner w.w_owner
+         | None -> w.w_winner < 0))
     from
 
 let test_empty_batch () =
   let t, _, _ = build_proto ~joins:8 () in
   Alcotest.(check int) "lookup_owner_batch" 0
-    (Array.length (Proto.lookup_owner_batch t ~from:[||] ~targets:[||]));
-  List.iter
-    (fun alpha ->
-      let ab = Alpha.create ~alpha t in
-      Alpha.run ab;
-      Alcotest.(check int) (Printf.sprintf "alpha=%d staged" alpha) 0 (Alpha.length ab))
-    [ 1; 3 ]
+    (Array.length (Proto.lookup_owner_batch t ~from:[||] ~targets:[||]))
 
 let test_alpha_below_one_rejected () =
-  let t, _, _ = build_proto ~joins:8 () in
   let topo = Gen.waxman (Prng.create 3) ~n:8 ~alpha:0.4 ~beta:0.2 in
   List.iter
     (fun alpha ->
@@ -309,7 +283,7 @@ let test_alpha_below_one_rejected () =
         | _ -> Alcotest.failf "%s accepted alpha=%d" label alpha
         | exception Invalid_argument _ -> ()
       in
-      raises "Alpha.create" (fun () -> ignore (Alpha.create ~alpha t));
+      raises "Proto.owner_walk" (fun () -> ignore (Proto.owner_walk ~alpha));
       raises "Proto.create" (fun () ->
           ignore
             (Proto.create ~rng:(Prng.create 3)
@@ -349,7 +323,7 @@ let () =
             `Slow test_alpha_goldens;
           Alcotest.test_case "any alpha: first-success verdict = sequential" `Slow
             test_any_alpha_verdict_eq_sequential;
-          QCheck_alcotest.to_alcotest qcheck_batch_order_free;
+          QCheck_alcotest.to_alcotest qcheck_walk_order_free;
         ] );
       ( "proto",
         [

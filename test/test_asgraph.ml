@@ -114,10 +114,6 @@ let test_tier1s_lca () =
   Alcotest.(check (list int)) "lca(3,4)" [ 1 ] (Asgraph.least_common_ancestors g 3 4);
   Alcotest.(check (list int)) "lca(3,5)" [ 0 ] (Asgraph.least_common_ancestors g 3 5)
 
-let test_edges_in_up_hierarchy () =
-  let g = toy () in
-  Alcotest.(check int) "two edges above stub 3" 2 (Asgraph.edges_in_up_hierarchy g 3)
-
 let test_topo_order () =
   let g = toy () in
   let order = Asgraph.topo_order g in
@@ -297,11 +293,6 @@ let test_vf_distance_within () =
   Alcotest.(check (option int)) "3->4 with 1 blocked" None
     (Policy.vf_distance_within p ~root:None ~blocked:(fun a -> a = 1) 3 4)
 
-let test_up_distances () =
-  let p = Policy.create (toy ()) in
-  Alcotest.(check (list (pair int int))) "up distances of 3" [ (3, 0); (1, 1); (0, 2) ]
-    (Policy.up_distances p 3)
-
 (* ---------- Internet generator ---------- *)
 
 let test_internet_valid () =
@@ -376,7 +367,6 @@ let () =
           Alcotest.test_case "derived tables invalidated" `Quick test_derived_invalidated;
           Alcotest.test_case "derived tables shared across domains" `Quick
             test_derived_shared_across_domains;
-          Alcotest.test_case "up-hierarchy edges" `Quick test_edges_in_up_hierarchy;
           Alcotest.test_case "topo order" `Quick test_topo_order;
         ] );
       ( "policy",
@@ -391,7 +381,6 @@ let () =
             test_bgp_all_pairs_default;
           Alcotest.test_case "shortest" `Quick test_policy_shortest;
           Alcotest.test_case "vf within cone" `Quick test_vf_distance_within;
-          Alcotest.test_case "up distances" `Quick test_up_distances;
         ] );
       ( "internet",
         [

@@ -84,19 +84,6 @@ let test_bits_digits () =
   Alcotest.(check int) "second bit" 0 (Id.bit x 1);
   Alcotest.(check int) "last bit" 1 (Id.bit x 127)
 
-let test_common_prefix () =
-  let a = Id.of_int64_pair 0L 0L and b = Id.of_int64_pair 0L 1L in
-  Alcotest.(check int) "127 bits shared" 127 (Id.common_prefix_bits a b);
-  Alcotest.(check int) "identical" 128 (Id.common_prefix_bits a a);
-  let c = Id.of_int64_pair Int64.min_int 0L in
-  Alcotest.(check int) "0 bits shared" 0 (Id.common_prefix_bits a c)
-
-let test_hex_roundtrip () =
-  for _ = 1 to 100 do
-    let a = Id.random rng in
-    Alcotest.check id_testable "hex roundtrip" a (Id.of_hex_exn (Id.to_hex a))
-  done
-
 let test_bytes_roundtrip () =
   for _ = 1 to 100 do
     let a = Id.random rng in
@@ -104,8 +91,6 @@ let test_bytes_roundtrip () =
   done
 
 let test_bad_inputs () =
-  Alcotest.check_raises "short hex" (Invalid_argument "Id.of_hex_exn: need 32 hex digits")
-    (fun () -> ignore (Id.of_hex_exn "abc"));
   Alcotest.check_raises "short bytes" (Invalid_argument "Id.of_bytes_exn: need 16 bytes")
     (fun () -> ignore (Id.of_bytes_exn "abc"));
   Alcotest.check_raises "negative int" (Invalid_argument "Id.of_int: negative") (fun () ->
@@ -115,6 +100,23 @@ let test_compare_unsigned () =
   (* Ids with the top bit set sort above those without (unsigned order). *)
   let small = Id.of_int64_pair 1L 0L and big = Id.of_int64_pair Int64.min_int 0L in
   Alcotest.(check bool) "unsigned order" true (Id.compare small big < 0)
+
+let test_hex_rendering () =
+  let x = Id.of_int64_pair 0x0123456789abcdefL (-1L) in
+  Alcotest.(check string) "32 lowercase digits, high word first"
+    "0123456789abcdefffffffffffffffff" (Id.to_hex x);
+  Alcotest.(check string) "short form is the first 8 digits" "01234567"
+    (Id.to_short_string x);
+  Alcotest.(check string) "zero is padded" (String.make 32 '0') (Id.to_hex Id.zero)
+
+let prop_compare_dist =
+  QCheck.Test.make ~name:"compare_dist agrees with compare of distances" ~count:500
+    QCheck.(pair (pair arb_id arb_id) (pair arb_id arb_id))
+    (fun ((a, b), (c, d)) ->
+      let sign x = compare x 0 in
+      sign (Id.compare_dist a b c d)
+      = sign (Id.compare (Id.distance a b) (Id.distance c d))
+      && Id.compare_dist a b a b = 0)
 
 let prop_between_distance =
   QCheck.Test.make ~name:"between a x b iff 0 < d(a,x) < d(a,b)" ~count:500
@@ -549,12 +551,12 @@ let () =
           Alcotest.test_case "between inclusive" `Quick test_between_incl;
           Alcotest.test_case "closer_clockwise" `Quick test_closer_clockwise;
           Alcotest.test_case "bits and digits" `Quick test_bits_digits;
-          Alcotest.test_case "common prefix" `Quick test_common_prefix;
-          Alcotest.test_case "hex roundtrip" `Quick test_hex_roundtrip;
           Alcotest.test_case "bytes roundtrip" `Quick test_bytes_roundtrip;
           Alcotest.test_case "bad inputs" `Quick test_bad_inputs;
           Alcotest.test_case "unsigned compare" `Quick test_compare_unsigned;
+          Alcotest.test_case "hex rendering" `Quick test_hex_rendering;
           q prop_succ_pred_inverse;
+          q prop_compare_dist;
           q prop_between_distance;
           q prop_distance_triangle_on_ring;
         ] );

@@ -1,12 +1,13 @@
 (* The service-discovery layer: provider records with TTL/republish/caching
-   resolved through the batched owner walk.
+   resolved through the α-branch owner walk.
 
    Pins (1) the provider store against a records-present-iff-not-expired
-   model, (2) the stat-collecting batch walk against the sequential
-   [lookup_owner] reference, and a directory α below 1 rejected, (3) the doctor's service checks — green on a
-   healthy directory, firing on an injected residency fault (ring ownership
-   moved under a placed record) and on the serve-stale fault knob — and
-   (4) campaign byte-identity across shard counts. *)
+   model, (2) the walk's stats against the sequential [lookup_owner]
+   reference, a directory α below 1 rejected and a batch's misses walked
+   before any of its answers is installed, (3) the doctor's service checks
+   — green on a healthy directory, firing on an injected residency fault
+   (ring ownership moved under a placed record) and on the serve-stale
+   fault knob — and (4) campaign byte-identity across shard counts. *)
 
 module Id = Rofl_idspace.Id
 module Prng = Rofl_util.Prng
@@ -15,7 +16,6 @@ module Graph = Rofl_topology.Graph
 module Shard = Rofl_netsim.Shard
 module Metrics = Rofl_netsim.Metrics
 module Proto = Rofl_proto.Proto
-module Alpha = Rofl_proto.Alpha
 module Provider_store = Rofl_services.Provider_store
 module Resolver = Rofl_services.Resolver
 module Directory = Rofl_services.Directory
@@ -114,7 +114,7 @@ let prop_store_matches_model =
           && Provider_store.live st = Hashtbl.length model)
         (List.mapi (fun step op -> (step, op)) ops))
 
-(* ---- batch walk with stats vs the sequential reference ------------------- *)
+(* ---- walk stats vs the sequential reference ----------------------------- *)
 
 let test_batch_stats_equivalence () =
   let proto, isp = make_proto 42 in
@@ -128,31 +128,29 @@ let test_batch_stats_equivalence () =
         if k mod 3 = 0 then Id.random rng
         else members.(Prng.int rng (Array.length members)))
   in
-  (* the α=1 register file the directory places and resolves through *)
-  let ab = Alpha.create ~hint:n proto in
-  Array.iteri (fun k f -> ignore (Alpha.stage ab ~from:f ~target:targets.(k))) from;
-  Alpha.run ab;
+  (* the α=1 walk the directory places and resolves through *)
+  let w = Proto.owner_walk ~alpha:1 in
   for k = 0 to n - 1 do
-    let owner_router = Alpha.owner_router ab k in
-    (match (Proto.lookup_owner proto ~from:from.(k) targets.(k), Alpha.resolved ab k) with
+    Proto.walk_owner proto w ~from:from.(k) ~target:targets.(k);
+    let resolved = w.w_winner >= 0 in
+    (match (Proto.lookup_owner proto ~from:from.(k) targets.(k), resolved) with
      | Some expect, true ->
-       let owner = Alpha.owner_id ab k in
        Alcotest.(check bool)
          (Printf.sprintf "owner %d matches lookup_owner" k)
-         true (Id.equal expect owner);
+         true (Id.equal expect w.w_owner);
        (* the verdict router is where the owner identifier actually lives *)
-       (match Proto.locate proto owner with
-        | Some r -> Alcotest.(check int) "owner router" r owner_router
+       (match Proto.locate proto w.w_owner with
+        | Some r -> Alcotest.(check int) "owner router" r w.w_router.(w.w_winner)
         | None -> Alcotest.fail "resolved owner not locatable")
      | None, false -> ()
      | Some _, false | None, true ->
-       Alcotest.failf "lookup %d: batch and sequential disagree on success" k);
-    if Alpha.resolved ab k then begin
-      let link_hops = Alpha.link_hops ab k in
-      if Alpha.latency_ms ab k < 0.0 then Alcotest.fail "negative latency";
+       Alcotest.failf "lookup %d: walk and sequential disagree on success" k);
+    if resolved then begin
+      let link_hops = w.w_link_hops.(w.w_winner) in
+      if w.w_latency_ms.(w.w_winner) < 0.0 then Alcotest.fail "negative latency";
       if link_hops < 0 then Alcotest.fail "negative link hops";
-      if from.(k) <> owner_router && Alpha.ring_hops ab k = 0 && link_hops > 0 then
-        Alcotest.fail "link hops without ring hops"
+      if from.(k) <> w.w_router.(w.w_winner) && w.w_hops.(w.w_winner) = 0 && link_hops > 0
+      then Alcotest.fail "link hops without ring hops"
     end
   done
 
@@ -167,6 +165,32 @@ let test_directory_rejects_alpha_below_one () =
       | _ -> Alcotest.failf "Directory.create accepted alpha=%d" alpha
       | exception Invalid_argument _ -> ())
     [ 0; -3 ]
+
+(* Every hit/miss decision of a batch is made before any of its answers is
+   installed: a later query of the same (resolver, service) as an earlier
+   miss misses too, walks to the same owner and gets the same answer; the
+   next batch hits the installed entry. *)
+let test_batch_misses_install_after_lookup () =
+  let proto, _ = make_proto 44 in
+  let dir = Directory.create ~proto ~routers:256 ~hint:4 Directory.default_config in
+  let svc = Id.random (Prng.create 41) in
+  ignore (Directory.register dir ~service:svc ~provider:(Id.random (Prng.create 42)) ~origin:2);
+  ignore (Directory.republish_due dir ~now:0.0);
+  let from = [| 5; 5 |] and services = [| svc; svc |] in
+  Directory.resolve_batch dir ~now:10.0 ~n:2 ~from ~services;
+  for i = 0 to 1 do
+    Alcotest.(check bool) (Printf.sprintf "query %d misses" i) false (Directory.res_hit dir i);
+    Alcotest.(check bool) (Printf.sprintf "query %d answered" i) true
+      (Directory.res_positive dir i && Directory.res_ok dir i)
+  done;
+  Alcotest.(check bool) "same answer latency" true
+    (Int64.equal
+       (Int64.bits_of_float (Directory.res_latency_ms dir 0))
+       (Int64.bits_of_float (Directory.res_latency_ms dir 1)));
+  Directory.resolve_batch dir ~now:20.0 ~n:1 ~from ~services;
+  Alcotest.(check bool) "next batch hits" true (Directory.res_hit dir 0);
+  Alcotest.(check bool) "hit answers the same" true
+    (Directory.res_positive dir 0 && Directory.res_ok dir 0)
 
 (* ---- doctor checks ------------------------------------------------------- *)
 
@@ -327,6 +351,8 @@ let () =
             test_batch_stats_equivalence;
           Alcotest.test_case "directory rejects alpha < 1" `Quick
             test_directory_rejects_alpha_below_one;
+          Alcotest.test_case "batch misses install after every lookup" `Quick
+            test_batch_misses_install_after_lookup;
         ] );
       ( "doctor",
         [

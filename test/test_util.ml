@@ -168,14 +168,7 @@ let test_heap_fifo_ties () =
 let test_heap_empty () =
   let h : int Heap.t = Heap.create () in
   Alcotest.(check bool) "empty" true (Heap.is_empty h);
-  Alcotest.(check bool) "pop none" true (Heap.pop h = None);
-  Alcotest.(check bool) "peek none" true (Heap.peek h = None)
-
-let test_heap_peek_nondestructive () =
-  let h = Heap.create () in
-  Heap.push h 2.0 "x";
-  ignore (Heap.peek h);
-  check Alcotest.int "still one element" 1 (Heap.length h)
+  Alcotest.(check bool) "pop none" true (Heap.pop h = None)
 
 (* Regression for the pop-retention bug: pop used to move the last entry
    down without clearing its old slot, so the backing array kept a strong
@@ -397,11 +390,6 @@ let test_stats_mean () =
   checkf "mean" 2.0 (Stats.mean [ 1.0; 2.0; 3.0 ]);
   checkf "empty" 0.0 (Stats.mean [])
 
-let test_stats_stddev () =
-  checkf "constant" 0.0 (Stats.stddev [ 5.0; 5.0; 5.0 ]);
-  let s = Stats.stddev [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ] in
-  checkf "known population stddev" 2.0 s
-
 let test_stats_percentile () =
   let xs = [ 1.0; 2.0; 3.0; 4.0; 5.0 ] in
   checkf "p0" 1.0 (Stats.percentile xs 0.0);
@@ -433,9 +421,6 @@ let test_stats_moving_average () =
     [ 1.0; 1.5; 2.5; 3.5 ]
     (Stats.moving_average [ 1.0; 2.0; 3.0; 4.0 ] ~window:2)
 
-let test_stats_geometric_mean () =
-  checkf "geomean" 2.0 (Stats.geometric_mean [ 1.0; 2.0; 4.0 ])
-
 let percentile_monotone_property =
   QCheck.Test.make ~name:"percentile is monotone in p" ~count:200
     QCheck.(list_of_size (Gen.int_range 1 50) (float_bound_exclusive 100.0))
@@ -457,12 +442,6 @@ let test_bitset_basic () =
   Alcotest.(check bool) "mem 99" true (Bitset.mem b 99);
   Alcotest.(check bool) "not mem 50" false (Bitset.mem b 50);
   check Alcotest.int "cardinal" 3 (Bitset.cardinal b)
-
-let test_bitset_clear () =
-  let b = Bitset.create 10 in
-  Bitset.set b 5;
-  Bitset.clear_bit b 5;
-  Alcotest.(check bool) "cleared" false (Bitset.mem b 5)
 
 let test_bitset_union_inter () =
   let a = Bitset.create 16 and b = Bitset.create 16 in
@@ -542,7 +521,6 @@ let () =
           Alcotest.test_case "ordering" `Quick test_heap_ordering;
           Alcotest.test_case "FIFO ties" `Quick test_heap_fifo_ties;
           Alcotest.test_case "empty" `Quick test_heap_empty;
-          Alcotest.test_case "peek nondestructive" `Quick test_heap_peek_nondestructive;
           Alcotest.test_case "pop releases payload" `Quick test_heap_pop_releases_payload;
           q heap_property;
           q heap_model_property;
@@ -561,19 +539,16 @@ let () =
       ( "stats",
         [
           Alcotest.test_case "mean" `Quick test_stats_mean;
-          Alcotest.test_case "stddev" `Quick test_stats_stddev;
           Alcotest.test_case "percentile" `Quick test_stats_percentile;
           Alcotest.test_case "median even" `Quick test_stats_median_even;
           Alcotest.test_case "cdf" `Quick test_stats_cdf;
           Alcotest.test_case "quantiles invert" `Quick test_stats_quantiles_invert;
           Alcotest.test_case "moving average" `Quick test_stats_moving_average;
-          Alcotest.test_case "geometric mean" `Quick test_stats_geometric_mean;
           q percentile_monotone_property;
         ] );
       ( "bitset",
         [
           Alcotest.test_case "basic" `Quick test_bitset_basic;
-          Alcotest.test_case "clear" `Quick test_bitset_clear;
           Alcotest.test_case "union/inter" `Quick test_bitset_union_inter;
           Alcotest.test_case "bounds" `Quick test_bitset_bounds;
         ] );

@@ -3,37 +3,7 @@
 module Prng = Rofl_util.Prng
 module Hostdist = Rofl_workload.Hostdist
 module Churn = Rofl_workload.Churn
-module Internet = Rofl_asgraph.Internet
 module Isp = Rofl_topology.Isp
-
-let test_zipf_partition_sums () =
-  let rng = Prng.create 1 in
-  let counts = Hostdist.zipf_partition rng ~total:10_000 ~buckets:50 ~skew:1.0 in
-  Alcotest.(check int) "sums to total" 10_000 (Array.fold_left ( + ) 0 counts);
-  Alcotest.(check int) "bucket count" 50 (Array.length counts)
-
-let test_zipf_partition_skewed () =
-  let rng = Prng.create 2 in
-  let counts = Hostdist.zipf_partition rng ~total:50_000 ~buckets:100 ~skew:1.1 in
-  let sorted = Array.copy counts in
-  Array.sort (fun a b -> compare b a) sorted;
-  (* Heavy tail: the biggest bucket dominates the median bucket. *)
-  Alcotest.(check bool) "heavy tail" true (sorted.(0) > 10 * max 1 sorted.(50))
-
-let test_zipf_partition_empty () =
-  let rng = Prng.create 3 in
-  let counts = Hostdist.zipf_partition rng ~total:0 ~buckets:5 ~skew:1.0 in
-  Alcotest.(check int) "all zero" 0 (Array.fold_left ( + ) 0 counts)
-
-let test_hosts_per_as () =
-  let rng = Prng.create 4 in
-  let inet = Internet.generate rng Internet.small_params in
-  let counts = Hostdist.hosts_per_as rng inet ~total:10_000 ~skew:0.9 in
-  Alcotest.(check int) "sums to total" 10_000 (Array.fold_left ( + ) 0 counts);
-  let stub_total =
-    List.fold_left (fun acc s -> acc + counts.(s)) 0 (Internet.stubs inet)
-  in
-  Alcotest.(check bool) "stubs hold most hosts" true (stub_total >= 8_500)
 
 let test_gateway_sampler () =
   let rng = Prng.create 5 in
@@ -43,14 +13,6 @@ let test_gateway_sampler () =
   for _ = 1 to 200 do
     let g = sample () in
     Alcotest.(check bool) "samples access routers" true (List.mem g edges)
-  done
-
-let test_pair_sampler () =
-  let rng = Prng.create 6 in
-  let sample = Hostdist.pair_sampler rng [| 1; 2; 3 |] in
-  for _ = 1 to 50 do
-    let a, b = sample () in
-    Alcotest.(check bool) "in range" true (a >= 1 && a <= 3 && b >= 1 && b <= 3)
   done
 
 (* --- Churn trace properties (the generator now drives the churn lab). --- *)
@@ -207,12 +169,7 @@ let () =
     [
       ( "hostdist",
         [
-          Alcotest.test_case "zipf sums" `Quick test_zipf_partition_sums;
-          Alcotest.test_case "zipf skew" `Quick test_zipf_partition_skewed;
-          Alcotest.test_case "zipf empty" `Quick test_zipf_partition_empty;
-          Alcotest.test_case "hosts per AS" `Quick test_hosts_per_as;
           Alcotest.test_case "gateway sampler" `Quick test_gateway_sampler;
-          Alcotest.test_case "pair sampler" `Quick test_pair_sampler;
         ] );
       ( "churn",
         [

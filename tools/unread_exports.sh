@@ -8,11 +8,12 @@
 # Each allowlist line is "path name # reason".  A kept export's reason is
 # its bin tag, "(a) reference", "(a) test hook", "(a) perfbench" and so on;
 # the why itself is the value's doc comment, which must say "Kept ..." or
-# "Exported for tests ...".  A dead export left for a later sweep is tagged
-# "(c) next sweep" with the tests that still read it.  The script fails
-# when an export is unread and not allowlisted, when an allowlisted export
-# has gained a reader (or is gone), when an allowlist line gives no reason,
-# and when a kept export's doc comment gives none.
+# "Exported for tests ...".  Bin (b), a helper that only builds test state,
+# lives in test/ and needs no line.  Dead code, bin (c), is deleted, not
+# parked: a line tagged "(c)" fails.  The script also fails when an export
+# is unread and not allowlisted, when an allowlisted export has gained a
+# reader (or is gone), when an allowlist line gives no reason, and when a
+# kept export's doc comment gives none.
 #
 # Usage: bash tools/unread_exports.sh            (from the repository root)
 set -eu
@@ -45,6 +46,11 @@ status=0
 if grep -vE '^[^ #]+ [^ #]+ # [^ ].*' "$allow" | grep -v '^$' > /dev/null; then
   echo "allowlist lines without the form \"path name # reason\":"
   grep -vE '^[^ #]+ [^ #]+ # [^ ].*' "$allow" | grep -v '^$'
+  status=1
+fi
+if grep -E '^[^ #]+ [^ #]+ # \(c\)' "$allow" > /dev/null; then
+  echo "allowlist lines parking dead exports (delete the export and its tests):"
+  grep -E '^[^ #]+ [^ #]+ # \(c\)' "$allow"
   status=1
 fi
 got=$(unread)
