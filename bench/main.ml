@@ -153,7 +153,7 @@ let micro () =
     let router = i mod Rofl_topology.Graph.n isp.Rofl_topology.Isp.graph in
     Rofl_core.Pointer_cache.insert cache
       (Rofl_core.Pointer.make Rofl_core.Pointer.Cached ~dst ~dst_router:router
-         ~route:(Rofl_core.Sourceroute.singleton router))
+         ~route:(Rofl_core.Sourceroute.singleton router) ~start:0)
   done;
   let ring_rng = named "ring-2k" in
   let members = Array.init 2048 (fun _ -> Id.random ring_rng) in
@@ -190,7 +190,7 @@ let micro () =
         let router = i mod Rofl_topology.Graph.n isp.Rofl_topology.Isp.graph in
         Rofl_core.Pointer.make Rofl_core.Pointer.Cached ~dst:(Id.random evict_rng)
           ~dst_router:router
-          ~route:(Rofl_core.Sourceroute.singleton router))
+          ~route:(Rofl_core.Sourceroute.singleton router) ~start:0)
   in
   Array.iter (Rofl_core.Pointer_cache.insert full_cache) fresh;
   let evict_i = ref 0 in
@@ -213,6 +213,25 @@ let micro () =
         (Rofl_util.Prng.int rng routers, hosts.(Rofl_util.Prng.int rng (Array.length hosts))))
   in
   let lookup_i = ref 0 in
+  (* One Stable host joining and leaving AS3967 after 500 warm joins, on a
+     network of its own: a pre-drawn identifier and gateway each run, from
+     512 rotating pairs.  The join walk, the splice's SPF routes, the
+     control-path cache fill and the leave's teardown are all on this
+     path. *)
+  let join_intra, join_pairs =
+    let jrng = named "intra-join-as3967" in
+    let net = Rofl_intra.Network.create ~rng:jrng isp.Rofl_topology.Isp.graph in
+    let join id gateway =
+      match Rofl_intra.Network.join_host net ~gateway ~id ~cls:Rofl_core.Vnode.Stable with
+      | Ok _ -> ()
+      | Error e -> failwith ("bench: intra join failed: " ^ e)
+    in
+    for _ = 1 to 500 do
+      join (Id.random jrng) (Rofl_util.Prng.int jrng routers)
+    done;
+    (net, Array.init 512 (fun _ -> (Id.random jrng, Rofl_util.Prng.int jrng routers)))
+  in
+  let intra_join_i = ref 0 in
   (* Owner reads on a converged AS3967 actor ring of 2,000 bootstrap hosts,
      rotating through 512 fixed (source router, target) pairs, a quarter of
      them random targets, the rest members: [Proto.lookup_owner] as
@@ -440,6 +459,13 @@ let micro () =
              ignore
                (Rofl_intra.Network.lookup net ~from ~target ~category:Rofl_netsim.Metrics.Data
                   ~use_cache:true)));
+      Test.make ~name:"intra-join-as3967"
+        (Staged.stage (fun () ->
+             let id, gateway = Array.unsafe_get join_pairs (!intra_join_i land 511) in
+             incr intra_join_i;
+             ignore
+               (Rofl_intra.Network.join_host join_intra ~gateway ~id ~cls:Rofl_core.Vnode.Stable);
+             ignore (Rofl_intra.Network.leave_host join_intra id)));
       Test.make ~name:"lookup-owner-as3967"
         (Staged.stage (fun () ->
              let i = !owner_i land 511 in

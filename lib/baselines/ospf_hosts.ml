@@ -7,12 +7,16 @@ type t = { graph : Graph.t; ls : Linkstate.t; metrics : Metrics.t }
 let create graph =
   { graph; ls = Linkstate.create graph; metrics = Metrics.create ~routers:(Graph.n graph) }
 
+(* Priced as [Metrics.charge_path] over the path's routers would: one
+   message per link and one load unit per router, nothing for a one-router
+   path; read from the tree's labels. *)
 let route t ~src ~dst =
-  match Linkstate.path t.ls src dst with
-  | Some hops ->
-    Metrics.charge_path t.metrics Metrics.Ospf_data hops;
-    Some hops
-  | None -> None
+  let hops = Linkstate.distance_hops_count t.ls src dst in
+  if hops > 0 then begin
+    Metrics.incr t.metrics Metrics.Ospf_data hops;
+    Linkstate.iter_path t.ls src dst Metrics.add_load t.metrics
+  end;
+  hops
 
 let router_load t = Metrics.router_load t.metrics
 

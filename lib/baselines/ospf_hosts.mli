@@ -10,8 +10,10 @@ type t
 
 val create : Rofl_topology.Graph.t -> t
 
-val route : t -> src:int -> dst:int -> int list option
-(** Shortest path (inclusive); accumulates per-router load. *)
+val route : t -> src:int -> dst:int -> int
+(** Charges one message along the link-state shortest path and returns its
+    hop count, [-1] (charging nothing) when unreachable; accumulates
+    per-router load.  Builds no path. *)
 
 val router_load : t -> int array
 (** Traversal counts per router, same accounting as

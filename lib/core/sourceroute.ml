@@ -1,47 +1,38 @@
-type t = int list
+type t = Bytes.t
 
-let of_hops = function
-  | [] -> invalid_arg "Sourceroute.of_hops: empty route"
-  | hops -> hops
+let of_block b =
+  if Bytes.length b land 1 <> 0 then invalid_arg "Sourceroute.of_block: odd length";
+  b
 
-let singleton r = [ r ]
+let singleton r =
+  if r < 0 || r >= 0xFFFF then invalid_arg "Sourceroute.singleton: router out of range";
+  let b = Bytes.create 2 in
+  Bytes.set_uint16_le b 0 r;
+  b
 
-let hops t = t
+let[@inline] routers t = Bytes.length t lsr 1
 
-let origin = function
-  | r :: _ -> r
-  | [] -> invalid_arg "Sourceroute.origin: empty"
+let[@inline] router t i = Bytes.get_uint16_le t (2 * i)
 
-let rec last r = function
-  | [] -> r
-  | r' :: rest -> last r' rest
+let destination t =
+  if Bytes.length t = 0 then invalid_arg "Sourceroute.destination: empty";
+  router t (routers t - 1)
 
-let destination = function
-  | r :: rest -> last r rest
-  | [] -> invalid_arg "Sourceroute.destination: empty"
+let length t start = routers t - 1 - start
 
-let length t = List.length t - 1
+(* The scans are top-level recursions over explicit arguments, so a call
+   builds no closure. *)
+let rec contains_from t r i n = i < n && (router t i = r || contains_from t r (i + 1) n)
 
-let reverse = List.rev
+let contains_router t start r = contains_from t r start (routers t)
 
-let concat a b =
-  match b with
-  | junction :: rest ->
-    if destination a <> junction then
-      invalid_arg "Sourceroute.concat: routes do not meet"
-    else a @ rest
-  | [] -> invalid_arg "Sourceroute.concat: empty second route"
+let rec link_from t u v i last =
+  i < last
+  && begin
+    let a = router t i and b = router t (i + 1) in
+    (a = u && b = v) || (a = v && b = u) || link_from t u v (i + 1) last
+  end
 
-let contains_router t r = List.mem r t
+let uses_link t start u v = link_from t u v start (routers t - 1)
 
-let is_valid ls t =
-  match t with
-  | [] -> false
-  | _ -> Rofl_linkstate.Linkstate.valid_source_route ls t
-
-let pp ppf t =
-  Format.fprintf ppf "[%a]"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "->")
-       Format.pp_print_int)
-    t
+let is_valid ls t start = Rofl_linkstate.Linkstate.valid_source_route ls t start

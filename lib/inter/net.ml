@@ -242,7 +242,7 @@ let join_with_levels t ~as_idx ~id ~strategy ~levels =
   else begin
     let ptr =
       Pointer.make Pointer.Cached ~dst:id ~dst_router:as_idx
-        ~route:(Sourceroute.singleton as_idx)
+        ~route:(Sourceroute.singleton as_idx) ~start:0
     in
     let h =
       { id; home_as = as_idx; strategy; ptr; joined = levels; fingers = []; alive_h = true }

@@ -147,7 +147,7 @@ let fail_link (t : Network.t) u v =
         let reroute (p : Pointer.t) =
           if crosses p then
             match
-              Network.make_pointer t p.Pointer.kind ~from_router:vn.Vnode.hosted_at
+              Network.make_pointer t (Pointer.kind p) ~from_router:vn.Vnode.hosted_at
                 ~dst:p.Pointer.dst ~dst_router:p.Pointer.dst_router
             with
             | Some fresh -> Some fresh
@@ -190,7 +190,7 @@ let disconnect_routers (t : Network.t) routers =
      component; charged once over the surviving links. *)
   charge_lsa t Metrics.Zero_id;
   let doomed (p : Pointer.t) =
-    not (Rofl_core.Sourceroute.is_valid t.Network.ls p.Pointer.route)
+    not (Rofl_core.Sourceroute.is_valid t.Network.ls p.Pointer.route (Pointer.start p))
     ||
     match Network.find_vnode t p.Pointer.dst with
     | Some (dv : Vnode.t) -> not dv.Vnode.alive

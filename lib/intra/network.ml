@@ -62,6 +62,7 @@ type t = {
   vnodes : Vnode.t Vnode_table.t;
   oracle : Vnode.t Ring.t;
   mutable bootstrap_msgs : int;
+  latency_reg : float array;
 }
 
 let router_id i =
@@ -69,15 +70,12 @@ let router_id i =
 
 (* -- path helpers ------------------------------------------------------- *)
 
-let spf_route t src dst =
-  match Linkstate.path t.ls src dst with
-  | Some hops -> Some (Sourceroute.of_hops hops)
-  | None -> None
+let spf_route t src dst = Sourceroute.of_block (Linkstate.route t.ls src dst)
 
 let make_pointer t kind ~from_router ~dst ~dst_router =
-  match spf_route t from_router dst_router with
-  | Some route -> Some (Pointer.make kind ~dst ~dst_router ~route)
-  | None -> None
+  let route = spf_route t from_router dst_router in
+  if Sourceroute.routers route = 0 then None
+  else Some (Pointer.make kind ~dst ~dst_router ~route ~start:0)
 
 let charge_spf_into ls metrics category src dst ~latency i =
   let hops = Linkstate.price_hop_into ls src dst ~latency i in
@@ -87,12 +85,15 @@ let charge_spf_into ls metrics category src dst ~latency i =
   end;
   hops
 
-(* Charge a message travelling the SPF path between two routers; returns the
-   hop count and latency (0 if unreachable). *)
-let charge_spf t category src dst =
-  let latency = [| 0.0 |] in
-  let hops = charge_spf_into t.ls t.metrics category src dst ~latency 0 in
-  if hops < 0 then (0, 0.0) else (hops, latency.(0))
+(* Charge a message travelling the SPF path between two routers: returns the
+   hop count (0 if unreachable) and adds the path latency into
+   [t.latency_reg.(i)], so no latency is boxed.  Cell 0 takes the latencies
+   no caller reads; a caller that reads one zeroes cell 1 first. *)
+let charge_spf_at t i category src dst =
+  let hops = charge_spf_into t.ls t.metrics category src dst ~latency:t.latency_reg i in
+  if hops < 0 then 0 else hops
+
+let charge_spf t category src dst = charge_spf_at t 0 category src dst
 
 (* -- construction ------------------------------------------------------- *)
 
@@ -122,6 +123,7 @@ let create ?(cfg = default_config) ~rng graph =
       vnodes = Vnode_table.create (4 * n);
       oracle = Ring.create ();
       bootstrap_msgs = 0;
+      latency_reg = [| 0.0; 0.0 |];
     }
   in
   (* Bootstrap: every router's default vnode joins by flooding its
@@ -179,9 +181,17 @@ type lookup_result = {
   status : lookup_status;
   msgs : int;
   latency_ms : float;
-  visited : int list;
+  visited : Sourceroute.t;
   trace : Trace.t;
 }
+
+(* The routers a walk traverses are written, 2 bytes each, into a growable
+   block per domain ([Pool] domains walk different networks at once) and
+   copied out once, exact-size, when the walk ends.  A walk never starts
+   another, so one block serves every walk of a domain. *)
+let visited_scratch = Domain.DLS.new_key (fun () -> Bytes.create 64)
+
+let no_route = Sourceroute.of_block Bytes.empty
 
 type candidate = Local of Vnode.t | Remote of Pointer.t
 
@@ -192,8 +202,9 @@ type candidate = Local of Vnode.t | Remote of Pointer.t
    committed source route, stale-pointer NACK/restart, step guard — lives in
    {!Rofl_routing.Walk}; this substrate supplies the router-granularity
    state: candidate enumeration, source-route commits, per-link charging.
-   The packet's router, the picked candidate and the committed route are
-   registers of [st], so a hop allocates nothing. *)
+   The packet's router, the picked candidate and the committed route (a
+   route block and the index of its next hop) are registers of [st], so a
+   hop allocates nothing. *)
 module Lookup_substrate = struct
   type st = {
     net : t;
@@ -203,13 +214,16 @@ module Lookup_substrate = struct
     exclude : Id.t option;
     step_limit : int;
     mutable cur : int;  (* the router the packet is at *)
-    mutable route : int list;  (* the committed source route's routers still ahead *)
+    (* The committed source route: its block, and the hop of the block the
+       packet goes to next. *)
+    mutable route : Sourceroute.t;
+    mutable route_at : int;
     mutable msgs : int;
     latency : float array;  (* one unboxed cell *)
-    (* The routers traversed, newest first; kept only for callers that read
-       them. *)
-    keep_visited : bool;
-    mutable rev_visited : int list;
+    (* The routers traversed, in order, in the first [visited_n] hops of
+       the domain's [visited_scratch]; kept only for callers that read them
+       ([visited_n] is -1 otherwise). *)
+    mutable visited_n : int;
     (* Router that handed out the committed pointer (-1: nothing committed)
        and the identifier it chases: the NACK addressee when the pointer
        turns out stale. *)
@@ -238,12 +252,31 @@ module Lookup_substrate = struct
   let arrived _ = None
   let prepare _ = ()
 
+  let push_visited st r =
+    let i = 2 * st.visited_n in
+    let buf = Domain.DLS.get visited_scratch in
+    let buf =
+      if i + 2 <= Bytes.length buf then buf
+      else begin
+        let b = Bytes.create (2 * Bytes.length buf) in
+        Bytes.blit buf 0 b 0 i;
+        Domain.DLS.set visited_scratch b;
+        b
+      end
+    in
+    Bytes.set_uint16_le buf i r;
+    st.visited_n <- st.visited_n + 1
+
   let finish st status =
     {
       status;
       msgs = st.msgs;
       latency_ms = st.latency.(0);
-      visited = List.rev st.rev_visited;
+      visited =
+        (if st.visited_n < 0 then no_route
+         else
+           Sourceroute.of_block
+             (Bytes.sub (Domain.DLS.get visited_scratch) 0 (2 * st.visited_n)));
       trace = (match st.tracer with Some b -> Trace.events b | None -> []);
     }
 
@@ -308,7 +341,7 @@ module Lookup_substrate = struct
      skipped.  Validity is checked last: it is the costly test. *)
   let consider_pointer st ~healthy (p : Pointer.t) d =
     if improves st p.Pointer.dst d
-       && (healthy || Sourceroute.is_valid st.net.ls p.Pointer.route)
+       && (healthy || Sourceroute.is_valid st.net.ls p.Pointer.route (Pointer.start p))
     then begin
       st.pick <- Pick_remote;
       st.pick_id <- p.Pointer.dst;
@@ -397,39 +430,45 @@ module Lookup_substrate = struct
       st.commit_owner <- cur;
       st.commit_chased <- p.Pointer.dst;
       st.commit_kind <-
-        (match p.Pointer.kind with
+        (match Pointer.kind p with
          | Pointer.Cached -> Trace.Cache
          | Pointer.Successor | Pointer.Predecessor | Pointer.Finger -> Trace.Ring);
-      (match Sourceroute.hops p.Pointer.route with
-       | hd :: rest when hd = cur ->
-         st.route <- rest;
-         true
-       | _ ->
-         (* Route does not start here (cached suffix mismatch): fall back to
-            the network map. *)
-         (match Linkstate.path st.net.ls cur p.Pointer.dst_router with
-          | Some (_ :: rest) ->
-            st.route <- rest;
-            true
-          | Some [] | None -> false))
+      let route = p.Pointer.route and start = Pointer.start p in
+      if Sourceroute.router route start = cur then begin
+        st.route <- route;
+        st.route_at <- start + 1;
+        true
+      end
+      else begin
+        (* Route does not start here (cached suffix mismatch): fall back to
+           the network map. *)
+        let route = spf_route st.net cur p.Pointer.dst_router in
+        if Sourceroute.routers route = 0 then false
+        else begin
+          st.route <- route;
+          st.route_at <- 1;
+          true
+        end
+      end
 
-  let exhausted st = match st.route with [] -> true | _ :: _ -> false
+  let exhausted st = st.route_at >= Sourceroute.routers st.route
 
   let stuck st = finish st (Stuck st.cur)
 
   let follow st =
-    let cur = st.cur in
-    match st.route with
-    | next :: rest when Graph.has_link st.net.graph cur next ->
+    let cur = st.cur and i = st.route_at in
+    let next = if i < Sourceroute.routers st.route then Sourceroute.router st.route i else -1 in
+    if next >= 0 && Graph.has_link st.net.graph cur next then begin
       Metrics.charge_hop st.net.metrics st.category next;
       st.msgs <- st.msgs + 1;
       st.latency.(0) <- st.latency.(0) +. Graph.latency st.net.graph cur next;
-      if st.keep_visited then st.rev_visited <- next :: st.rev_visited;
+      if st.visited_n >= 0 then push_visited st next;
       record st st.commit_kind ~router:next st.commit_chased;
       st.cur <- next;
-      st.route <- rest;
+      st.route_at <- i + 1;
       None
-    | _ :: _ | [] -> Some (stuck st)
+    end
+    else Some (stuck st)
 
   let no_candidate = stuck
 
@@ -455,6 +494,7 @@ module Lookup_substrate = struct
     | None -> finish st (Stuck cur)
 
   let create ?exclude ?trace ~visited t ~from ~target ~category ~use_cache =
+    let st =
     {
       net = t;
       target;
@@ -463,11 +503,11 @@ module Lookup_substrate = struct
       exclude;
       step_limit = (4 * Graph.n t.graph) + (2 * Ring.cardinal t.oracle) + 16;
       cur = from;
-      route = [];
+      route = no_route;
+      route_at = 0;
       msgs = 0;
       latency = [| 0.0 |];
-      keep_visited = visited;
-      rev_visited = (if visited then [ from ] else []);
+      visited_n = (if visited then 0 else -1);
       commit_owner = -1;
       commit_chased = target;
       commit_kind = Trace.Ring;
@@ -479,6 +519,9 @@ module Lookup_substrate = struct
       pick_vn = t.routers.(from).default_vnode;
       pick_ptr = Pointer.placeholder;
     }
+    in
+    if visited then push_visited st from;
+    st
 end
 
 module Lookup_walk = Walk.Make (Lookup_substrate)
@@ -543,26 +586,20 @@ let avg_router_state_entries t =
 
 (* -- cache filling ------------------------------------------------------ *)
 
-let rec ends_at r = function [ x ] -> x = r | _ :: rest -> ends_at r rest | [] -> false
-
-let cache_route_to t id dst_router visited =
-  (* Every suffix of [visited] ends where [visited] does, so one check
-     decides whether the suffixes are usable source routes to [dst_router]. *)
-  if t.cfg.cache_control_paths && t.cfg.cache_capacity > 0
-     && ends_at dst_router visited
-  then begin
-    let rec go = function
-      | [] -> ()
-      | r :: rest as suffix ->
-        if r <> dst_router then begin
-          let route = Sourceroute.of_hops suffix in
-          let p = Pointer.make Pointer.Cached ~dst:id ~dst_router ~route in
-          Pointer_cache.insert t.routers.(r).cache p
-        end;
-        go rest
-    in
-    go visited
-  end
+let cache_route_to t id dst_router route =
+  (* Every slice of [route] ends where the block does, so one check decides
+     whether the slices are usable source routes to [dst_router].  Each
+     router along the path caches the same block at its own hop. *)
+  let n = Sourceroute.routers route in
+  if t.cfg.cache_control_paths && t.cfg.cache_capacity > 0 && n > 0
+     && Sourceroute.destination route = dst_router
+  then
+    for i = 0 to n - 1 do
+      let r = Sourceroute.router route i in
+      if r <> dst_router then
+        Pointer_cache.insert t.routers.(r).cache
+          (Pointer.make Pointer.Cached ~dst:id ~dst_router ~route ~start:i)
+    done
 
 (* -- repairs ------------------------------------------------------------ *)
 
@@ -663,13 +700,15 @@ let repair_predecessor t (vn : Vnode.t) =
 
 type join_outcome = { vnode : Vnode.t; join_msgs : int; join_latency_ms : float }
 
+(* Returns the messages charged, and leaves the splice's latency (the
+   predecessor's reply, then the notice to the successor) in
+   [t.latency_reg.(1)]. *)
 let splice_stable t ~gateway (vn : Vnode.t) (pred : Vnode.t) =
-  let msgs = ref 0 and latency = ref 0.0 in
+  let msgs = ref 0 in
+  t.latency_reg.(1) <- 0.0;
   let pred_router = pred.Vnode.hosted_at in
   (* Reply from the predecessor carrying its successor list (becomes ours). *)
-  let reply_hops, reply_lat = charge_spf t Metrics.Join_reply pred_router gateway in
-  msgs := !msgs + reply_hops;
-  latency := !latency +. reply_lat;
+  msgs := !msgs + charge_spf_at t 1 Metrics.Join_reply pred_router gateway;
   let inherited =
     List.filter_map
       (fun (p : Pointer.t) ->
@@ -702,10 +741,9 @@ let splice_stable t ~gateway (vn : Vnode.t) (pred : Vnode.t) =
    | Some (sp : Pointer.t) ->
      (match find_vnode t sp.Pointer.dst with
       | Some (sv : Vnode.t) ->
-        let h1, l1 = charge_spf t Metrics.Join gateway sv.Vnode.hosted_at in
-        let h2, _ = charge_spf t Metrics.Join_reply sv.Vnode.hosted_at gateway in
+        let h1 = charge_spf_at t 1 Metrics.Join gateway sv.Vnode.hosted_at in
+        let h2 = charge_spf t Metrics.Join_reply sv.Vnode.hosted_at gateway in
         msgs := !msgs + h1 + h2;
-        latency := !latency +. l1;
         (match
            make_pointer t Pointer.Predecessor ~from_router:sv.Vnode.hosted_at
              ~dst:vn.Vnode.id ~dst_router:gateway
@@ -714,7 +752,7 @@ let splice_stable t ~gateway (vn : Vnode.t) (pred : Vnode.t) =
          | None -> ())
       | None -> ())
    | None -> ());
-  (!msgs, !latency)
+  !msgs
 
 let join_host t ~gateway ~id ~cls =
   if gateway < 0 || gateway >= Array.length t.routers then
@@ -757,20 +795,17 @@ let join_host t ~gateway ~id ~cls =
              | Some p -> Vnode.set_preds vn [ p ]
              | None -> ());
             Hashtbl.replace t.routers.(pred_router).attachments id gateway;
-            let h, l = charge_spf t Metrics.Join_reply pred_router gateway in
-            msgs := !msgs + h;
-            latency := !latency +. l
+            t.latency_reg.(1) <- 0.0;
+            msgs := !msgs + charge_spf_at t 1 Metrics.Join_reply pred_router gateway;
+            latency := !latency +. t.latency_reg.(1)
           | Vnode.Stable | Vnode.Router_default ->
             Ring.add id vn t.oracle;
-            let m, l = splice_stable t ~gateway vn pred in
-            msgs := !msgs + m;
-            latency := !latency +. l;
+            msgs := !msgs + splice_stable t ~gateway vn pred;
+            latency := !latency +. t.latency_reg.(1);
             (* Control-path caching: the forward walk saw the predecessor's
                identifier; the reply path saw ours. *)
             cache_route_to t pred.Vnode.id pred.Vnode.hosted_at res.visited;
-            (match Linkstate.path t.ls pred.Vnode.hosted_at gateway with
-             | Some reply_path -> cache_route_to t id gateway reply_path
-             | None -> ()));
+            cache_route_to t id gateway (spf_route t pred.Vnode.hosted_at gateway));
          Ok { vnode = vn; join_msgs = !msgs; join_latency_ms = !latency })
   end
 
@@ -917,8 +952,7 @@ let rejoin_ring t (vn : Vnode.t) ~category =
   | Predecessor pred when not (Id.equal pred.Vnode.id vn.Vnode.id) ->
     Vnode.set_succs vn [];
     Vnode.set_preds vn [];
-    let m, _ = splice_stable t ~gateway vn pred in
-    res.msgs + m
+    res.msgs + splice_stable t ~gateway vn pred
   | Predecessor _ | Delivered _ | Stuck _ -> res.msgs
 
 (* Ring-order stabilisation: the zero-ID repairs its successor, "who in turn

@@ -53,6 +53,9 @@ type t = {
   vnodes : Vnode.t Vnode_table.t;     (** every alive vnode, any class *)
   oracle : Vnode.t Ring.t;            (** ring members (default + stable) *)
   mutable bootstrap_msgs : int;       (** flood cost of router bootstrap *)
+  latency_reg : float array;
+  (** two scratch cells the control messages add their path latency into,
+      so no latency is boxed; not state *)
 }
 
 val create : ?cfg:config -> rng:Rofl_util.Prng.t -> Rofl_topology.Graph.t -> t
@@ -71,7 +74,9 @@ type lookup_result = {
   status : lookup_status;
   msgs : int;          (** physical messages charged *)
   latency_ms : float;  (** serial propagation latency of the walk *)
-  visited : int list;  (** routers traversed, in order, inclusive of start *)
+  visited : Rofl_core.Sourceroute.t;
+  (** routers traversed, in order, inclusive of start, as one exact-size
+      route block; the empty block unless the caller asked for it *)
   trace : Rofl_routing.Trace.t;
   (** per-hop events, in walk order: those of the [trace] sink, [[]]
       without one *)
@@ -92,8 +97,9 @@ val lookup :
     trace readers pass one, and without it the walk records nothing.  Give
     each lookup a fresh builder: the result's [trace] is all of its
     events.  The result's [visited] holds the routers traversed only with
-    [~visited:true]; by default it is [[]] and the walk allocates nothing
-    per hop. *)
+    [~visited:true]: the walk writes them into a per-domain scratch block
+    and copies it out once, exact-size, at the end.  By default it is the
+    empty block and the walk allocates nothing per hop. *)
 
 type candidate =
   | Local of Vnode.t    (** an identifier resident at the ranking router *)
@@ -144,8 +150,9 @@ val iter_members : t -> (Vnode.t -> unit) -> unit
     default or stable identifier (the walk raises [Invalid_argument] if it
     does); the ephemeral ones are those present when the call starts. *)
 
-val spf_route : t -> int -> int -> Rofl_core.Sourceroute.t option
-(** Link-state shortest route between two routers.
+val spf_route : t -> int -> int -> Rofl_core.Sourceroute.t
+(** Link-state shortest route between two routers, a fresh block from
+    {!Rofl_linkstate.Linkstate.route}; the empty block when unreachable.
 
     Exported for tests: test_routing builds the stale route it plants. *)
 
@@ -154,20 +161,22 @@ val charge_spf_into :
   int -> int -> latency:float array -> int -> int
 (** [charge_spf_into ls m c src dst ~latency i] charges a message travelling
     the shortest path from [src] to [dst] exactly as
-    {!Rofl_netsim.Metrics.charge_path} over {!Rofl_linkstate.Linkstate.path}
-    would: one [c] message per link and one load unit per router on the
-    path, nothing for a one-router path.  It adds the path latency into
+    {!Rofl_netsim.Metrics.charge_path} over the routers of
+    {!Rofl_linkstate.Linkstate.route} would: one [c] message per link and
+    one load unit per router on the path, nothing for a one-router path.  It adds the path latency into
     [latency.(i)] and returns the hop count, or [-1] (charging nothing) when
-    unreachable.  Priced from the tree's labels; no list is built. *)
+    unreachable.  Priced from the tree's labels; no route is built. *)
 
 val make_pointer :
   t -> Pointer.kind -> from_router:int -> dst:Id.t -> dst_router:int -> Pointer.t option
 (** Pointer with a fresh SPF source route; [None] if unreachable. *)
 
-val cache_route_to : t -> Id.t -> int -> int list -> unit
-(** [cache_route_to t id dst_router visited] lets every router along
-    [visited] cache a pointer to [id] (suffix source routes), when
-    [cache_control_paths] is on.
+val cache_route_to : t -> Id.t -> int -> Rofl_core.Sourceroute.t -> unit
+(** [cache_route_to t id dst_router route] lets every router along [route]
+    other than [dst_router] cache a pointer to [id], when
+    [cache_control_paths] is on and [route] ends at [dst_router]: each
+    pointer is [route] itself from that router's hop on, so one block
+    serves the whole control path.
 
     Exported for tests: test_routing plants a stale cache entry through the
     join's own control-path caching. *)

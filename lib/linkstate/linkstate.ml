@@ -7,7 +7,7 @@ type event =
   | Router_up of int
 
 (* Resumable Dijkstra state for one source.  The tree is grown on demand:
-   single-pair queries ([path], [distance_to], [reachable]) settle only as
+   single-pair queries ([route], [distance_to]) settle only as
    far as their destination; whole-tree consumers ([eccentricity_hops]) run
    the frontier dry.  A node is "labeled" once [dist] is finite: its parent
    then records the path the label came from, whether or not the node is
@@ -479,16 +479,27 @@ let distance_to t src dst =
     if st.dist.(dst) < infinity then Some st.dist.(dst) else None
   end
 
-let path t src dst =
-  if not (router_alive t src && router_alive t dst) then None
+(* The one route kernel: a route block sized from the destination's hop
+   count and filled back to front from the parent chain.  Every ancestor of
+   a labeled router is settled, so the chain is complete even in a partial
+   tree, and a label's hop count is its chain's length. *)
+let no_route = Bytes.empty
+
+let route t src dst =
+  if not (router_alive t src && router_alive t dst) then no_route
   else begin
     let st = settled_state t src dst in
-    if st.dist.(dst) = infinity then None
+    if st.dist.(dst) = infinity then no_route
     else begin
-      (* Every ancestor of a labeled node is settled, so the parent chain is
-         complete even in a partial tree. *)
-      let rec walk acc v = if v = src then src :: acc else walk (v :: acc) (parent st.lab v) in
-      Some (walk [] dst)
+      let lab = st.lab in
+      let h = hops lab dst in
+      let b = Bytes.create (2 * (h + 1)) in
+      let v = ref dst in
+      for i = h downto 0 do
+        Bytes.set_uint16_le b (2 * i) !v;
+        v := parent lab !v
+      done;
+      b
     end
   end
 
@@ -625,7 +636,7 @@ let distance_hops_count t src dst =
    float-array register (never crossing a module boundary as a boxed
    return), the hop count back as an immediate.  [dist.(dst)] is the
    left-to-right sum [((0 + w1) + w2) + ...] along the parent chain, bit for
-   bit what folding [Graph.latency] over [path] gives. *)
+   bit what folding [Graph.latency] over the links of [route] gives. *)
 let price_hop_into t src dst ~latency i =
   if not (router_alive t src && router_alive t dst) then -1
   else begin
@@ -660,17 +671,22 @@ let next_hop t src dst =
     if st.dist.(dst) < infinity then Some (first_hop st.lab src dst) else None
   end
 
-let valid_source_route t = function
-  | [] -> false
-  | [ r ] -> router_alive t r
-  | first :: _ as route ->
-    router_alive t first
-    &&
-    let rec ok = function
-      | a :: (b :: _ as rest) -> link_alive t a b && ok rest
-      | [ _ ] | [] -> true
-    in
-    ok route
+(* A loop, not a local recursive function: the check runs over every
+   cached pointer after each failure, and a closure would cost words per
+   call. *)
+let[@inline] hop_at route i = Bytes.get_uint16_le route (2 * i)
+
+let valid_source_route t route start =
+  let n = Bytes.length route / 2 in
+  start >= 0 && start < n
+  && begin
+    let ok = ref (router_alive t (hop_at route start)) and i = ref start in
+    while !ok && !i + 1 < n do
+      ok := link_alive t (hop_at route !i) (hop_at route (!i + 1));
+      incr i
+    done;
+    !ok
+  end
 
 let live_link_count t =
   let count = ref 0 in

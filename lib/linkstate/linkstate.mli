@@ -21,7 +21,7 @@
     GC never scans: its distances, and one byte block of parents, hop
     counts and settled flags.  Callers that only price
     a path use {!price_hop_into} and {!iter_path}; only callers that store a
-    route build the {!path} list. *)
+    route build a {!route} block. *)
 
 type t
 
@@ -71,9 +71,12 @@ val min_hops : t -> int -> int -> int
     retires all rows.  Grows no SPF tree; a warm query allocates nothing.
     Raises [Invalid_argument] for a router outside the graph. *)
 
-val path : t -> int -> int -> int list option
-(** Latency-shortest live path, inclusive of both endpoints
-    ([Some [src]] when [src = dst]).  [None] when partitioned. *)
+val route : t -> int -> int -> Bytes.t
+(** Latency-shortest live path as a route block: one little-endian uint16
+    router index per hop, [src] first and [dst] last (one router when
+    [src = dst]).  The block is exactly [2 * (hops + 1)] bytes, one
+    allocation sized from the tree's hop count and filled from its parent
+    chain.  A dead endpoint or a partition gives one shared empty block. *)
 
 val distance_to : t -> int -> int -> float option
 (** Early-exit single-pair latency distance; equals {!distance_latency}.
@@ -82,7 +85,7 @@ val distance_to : t -> int -> int -> float option
     reference Dijkstra. *)
 
 val distance_hops : t -> int -> int -> int option
-(** Hop length of {!path} (0 when [src = dst]). *)
+(** Hop length of {!route} (0 when [src = dst]). *)
 
 val distance_to_nan : t -> int -> int -> float
 (** Unboxed {!distance_to} for per-hop pricing loops: same answer, NaN
@@ -98,22 +101,23 @@ val price_hop_into : t -> int -> int -> latency:float array -> int -> int
     write) when unreachable.  Fuses {!distance_to_nan} and
     {!distance_hops_count} into one settle with no boxed return.  The
     latency added is bit-identical to folding {!Rofl_topology.Graph.latency}
-    left to right over {!path}.  Allocation-free on a warm tree. *)
+    left to right over the links of {!route}.  Allocation-free on a warm
+    tree. *)
 
 val iter_path : t -> int -> int -> ('a -> int -> unit) -> 'a -> unit
-(** [iter_path t src dst f x] calls [f x r] for every router [r] of {!path}
+(** [iter_path t src dst f x] calls [f x r] for every router [r] of {!route}
     [t src dst], from [dst] back to [src]; nothing when unreachable.  Builds
-    no list, and passing a top-level [f] with its argument [x] allocates no
+    no route, and passing a top-level [f] with its argument [x] allocates no
     closure either. *)
 
 val distance_latency : t -> int -> int -> float option
-(** Total latency of {!path}.
+(** Total latency of {!route}.
 
     Exported for tests: test_linkstate checks incremental SPF latencies
     against fresh builds and a reference Dijkstra. *)
 
 val next_hop : t -> int -> int -> int option
-(** First hop on {!path} from [src] towards [dst] ([None] when [src = dst]
+(** First hop on {!route} from [src] towards [dst] ([None] when [src = dst]
     or unreachable), found by walking the parent chain. *)
 
 val healthy : t -> bool
@@ -121,9 +125,11 @@ val healthy : t -> bool
     route whose consecutive pairs are graph links is necessarily valid,
     which lets per-hop route validation short-circuit. *)
 
-val valid_source_route : t -> int list -> bool
-(** All consecutive pairs are live links and all routers alive — the check a
-    router performs before using a cached source route. *)
+val valid_source_route : t -> Bytes.t -> int -> bool
+(** [valid_source_route t b start]: the suffix of route block [b] from hop
+    [start] on is non-empty, all its consecutive pairs are live links and
+    all its routers alive — the check a router performs before using a
+    cached source route.  Scans the slice in place. *)
 
 val lsa_flood_cost : t -> int
 (** Messages for one LSA flood: one per live directed link (2·live links) —

@@ -78,7 +78,11 @@ val add_load : t -> int -> unit
 val charge_path : t -> counter -> int list -> unit
 (** Charge a message travelling a hop-by-hop router path: one message per
     link traversed, and load at every router the message transits
-    (intermediate and endpoints). *)
+    (intermediate and endpoints).
+
+    Kept as the list reference: no product code holds a list path any
+    more ([Network.charge_spf_into] and [Ospf_hosts.route] charge from the
+    SPF tree's labels), and test_linkstate checks them against this. *)
 
 val inject : t -> counter -> int -> unit
 (** [inject m c origin] accounts a walk's injection: load at the origin

@@ -42,7 +42,7 @@ let test_ospf_loads () =
   let o = Ospf.create g in
   List.iter
     (fun (src, dst) ->
-      Alcotest.(check bool) "delivered" true (Ospf.route o ~src ~dst <> None))
+      Alcotest.(check bool) "delivered" true (Ospf.route o ~src ~dst >= 0))
     [ (1, 2); (2, 3); (3, 4) ];
   let load = Ospf.router_load o in
   (* Every star path transits the hub. *)

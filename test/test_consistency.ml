@@ -14,6 +14,7 @@ module Level = Rofl_inter.Level
 module Network = Rofl_intra.Network
 module Forward = Rofl_intra.Forward
 module Vnode = Rofl_core.Vnode
+module Sourceroute = Rofl_core.Sourceroute
 module Metrics = Rofl_netsim.Metrics
 
 (* Level.route_within over a real AS must agree with the independent
@@ -184,16 +185,17 @@ let test_lookup_visited_is_walk () =
       Network.lookup net ~from ~target:(Id.random rng) ~category:Metrics.Data ~use_cache:true
         ~visited:true
     in
-    (match res.Network.visited with
-     | first :: _ -> Alcotest.(check int) "starts at source" from first
-     | [] -> Alcotest.fail "empty walk");
-    Alcotest.(check int) "msgs = walk links" res.Network.msgs
-      (List.length res.Network.visited - 1);
-    let rec adjacent = function
-      | a :: (b :: _ as rest) -> Graph.has_link g a b && adjacent rest
-      | [ _ ] | [] -> true
+    let visited = res.Network.visited in
+    let n = Sourceroute.routers visited in
+    if n = 0 then Alcotest.fail "empty walk";
+    Alcotest.(check int) "starts at source" from (Sourceroute.router visited 0);
+    Alcotest.(check int) "msgs = walk links" res.Network.msgs (n - 1);
+    let rec adjacent i =
+      i + 1 >= n
+      || Graph.has_link g (Sourceroute.router visited i) (Sourceroute.router visited (i + 1))
+         && adjacent (i + 1)
     in
-    Alcotest.(check bool) "physically connected" true (adjacent res.Network.visited)
+    Alcotest.(check bool) "physically connected" true (adjacent 0)
   done
 
 (* Identifiers derived from keypairs are uniform enough to balance a ring:

@@ -17,60 +17,118 @@ let id i = Id.of_int i
 
 (* ---------- Sourceroute ---------- *)
 
+(* The list model of a route: its routers in order, encoded in the block
+   format (a little-endian uint16 per hop). *)
+let route hops =
+  let b = Bytes.create (2 * List.length hops) in
+  List.iteri (fun i r -> Bytes.set_uint16_le b (2 * i) r) hops;
+  Sourceroute.of_block b
+
 let test_sourceroute_basic () =
-  let r = Sourceroute.of_hops [ 1; 2; 3 ] in
-  Alcotest.(check int) "origin" 1 (Sourceroute.origin r);
+  let r = route [ 1; 2; 3 ] in
+  Alcotest.(check int) "routers" 3 (Sourceroute.routers r);
+  Alcotest.(check int) "first hop" 1 (Sourceroute.router r 0);
   Alcotest.(check int) "destination" 3 (Sourceroute.destination r);
   Alcotest.(check int) "destination of a long route" 9
-    (Sourceroute.destination (Sourceroute.of_hops [ 4; 8; 1; 6; 9 ]));
-  Alcotest.(check int) "length" 2 (Sourceroute.length r);
-  Alcotest.(check bool) "contains" true (Sourceroute.contains_router r 2);
-  Alcotest.(check bool) "not contains" false (Sourceroute.contains_router r 9)
+    (Sourceroute.destination (route [ 4; 8; 1; 6; 9 ]));
+  Alcotest.(check int) "length" 2 (Sourceroute.length r 0);
+  Alcotest.(check int) "suffix length" 1 (Sourceroute.length r 1);
+  Alcotest.(check bool) "contains" true (Sourceroute.contains_router r 0 2);
+  Alcotest.(check bool) "not contains" false (Sourceroute.contains_router r 0 9);
+  Alcotest.(check bool) "suffix skips the origin" false (Sourceroute.contains_router r 1 1)
 
 let test_sourceroute_singleton () =
   let r = Sourceroute.singleton 7 in
   Alcotest.(check int) "origin = dest" 7 (Sourceroute.destination r);
-  Alcotest.(check int) "zero hops" 0 (Sourceroute.length r)
-
-let test_sourceroute_concat () =
-  let a = Sourceroute.of_hops [ 1; 2 ] and b = Sourceroute.of_hops [ 2; 3 ] in
-  let c = Sourceroute.concat a b in
-  Alcotest.(check (list int)) "joined" [ 1; 2; 3 ] (Sourceroute.hops c);
-  Alcotest.check_raises "mismatch" (Invalid_argument "Sourceroute.concat: routes do not meet")
-    (fun () -> ignore (Sourceroute.concat a a))
-
-let test_sourceroute_reverse () =
-  let r = Sourceroute.of_hops [ 1; 2; 3 ] in
-  Alcotest.(check (list int)) "reversed" [ 3; 2; 1 ] (Sourceroute.hops (Sourceroute.reverse r))
+  Alcotest.(check int) "zero hops" 0 (Sourceroute.length r 0);
+  Alcotest.(check int) "top router" 0xFFFE
+    (Sourceroute.destination (Sourceroute.singleton 0xFFFE));
+  Alcotest.check_raises "past the uint16 bound"
+    (Invalid_argument "Sourceroute.singleton: router out of range") (fun () ->
+      ignore (Sourceroute.singleton 0xFFFF))
 
 let test_sourceroute_empty_rejected () =
-  Alcotest.check_raises "empty" (Invalid_argument "Sourceroute.of_hops: empty route")
-    (fun () -> ignore (Sourceroute.of_hops []))
+  let empty = Sourceroute.of_block Bytes.empty in
+  Alcotest.(check int) "no routers" 0 (Sourceroute.routers empty);
+  Alcotest.check_raises "no destination" (Invalid_argument "Sourceroute.destination: empty")
+    (fun () -> ignore (Sourceroute.destination empty));
+  Alcotest.check_raises "odd block" (Invalid_argument "Sourceroute.of_block: odd length")
+    (fun () -> ignore (Sourceroute.of_block (Bytes.create 3)))
 
 let test_sourceroute_validity () =
   let ls = Linkstate.create (Gen.line 4 ~latency_ms:1.0) in
-  Alcotest.(check bool) "valid" true (Sourceroute.is_valid ls (Sourceroute.of_hops [ 0; 1; 2 ]));
-  Alcotest.(check bool) "invalid" false (Sourceroute.is_valid ls (Sourceroute.of_hops [ 0; 2 ]))
+  Alcotest.(check bool) "valid" true (Sourceroute.is_valid ls (route [ 0; 1; 2 ]) 0);
+  Alcotest.(check bool) "invalid" false (Sourceroute.is_valid ls (route [ 0; 2 ]) 0);
+  Alcotest.(check bool) "valid suffix past a gap" true
+    (Sourceroute.is_valid ls (route [ 3; 1; 2 ]) 1);
+  Alcotest.(check bool) "empty slice" false (Sourceroute.is_valid ls (route [ 0; 1 ]) 2)
+
+let rec drop k l = if k = 0 then l else drop (k - 1) (List.tl l)
+
+let rec model_uses_link u v = function
+  | a :: (b :: _ as rest) -> (a = u && b = v) || (a = v && b = u) || model_uses_link u v rest
+  | [ _ ] | [] -> false
+
+(* Routers are drawn from 0..14 so that membership and link hits are
+   common, plus 0xFFFE, the largest index a block holds. *)
+let router_arb = QCheck.map (fun r -> if r = 15 then 0xFFFE else r) (QCheck.int_range 0 15)
+
+let prop_slices_match_list_model =
+  QCheck.Test.make ~name:"every suffix slice = list model" ~count:500
+    QCheck.(pair (list_of_size (Gen.int_range 1 12) router_arb) (pair router_arb router_arb))
+    (fun (hops, (u, v)) ->
+      let r = route hops in
+      let dst = List.nth hops (List.length hops - 1) in
+      List.for_all
+        (fun start ->
+          let suffix = drop start hops in
+          let p = Pointer.make Pointer.Cached ~dst:(id 1) ~dst_router:dst ~route:r ~start in
+          let rejected =
+            u = dst
+            ||
+            match Pointer.make Pointer.Cached ~dst:(id 1) ~dst_router:u ~route:r ~start with
+            | _ -> false
+            | exception Invalid_argument _ -> true
+          in
+          Sourceroute.destination r = dst
+          && Sourceroute.length r start = List.length suffix - 1
+          && Sourceroute.contains_router r start u = List.mem u suffix
+          && Sourceroute.uses_link r start u v = model_uses_link u v suffix
+          && Sourceroute.uses_link r start v u = model_uses_link u v suffix
+          && Pointer.start p = start
+          && Pointer.uses_router p u = List.mem u suffix
+          && Pointer.uses_link p v u = model_uses_link u v suffix
+          && rejected)
+        (List.init (List.length hops) Fun.id))
 
 (* ---------- Pointer ---------- *)
 
 let test_pointer_make () =
   let p =
-    Pointer.make Pointer.Successor ~dst:(id 5) ~dst_router:2
-      ~route:(Sourceroute.of_hops [ 0; 1; 2 ])
+    Pointer.make Pointer.Successor ~dst:(id 5) ~dst_router:2 ~route:(route [ 0; 1; 2 ]) ~start:0
   in
-  Alcotest.(check int) "route length" 2 (Sourceroute.length p.Pointer.route);
+  Alcotest.(check int) "route length" 2 (Sourceroute.length p.Pointer.route (Pointer.start p));
   Alcotest.(check bool) "uses router" true (Pointer.uses_router p 1);
   Alcotest.(check bool) "uses link" true (Pointer.uses_link p 1 2);
   Alcotest.(check bool) "uses link reversed" true (Pointer.uses_link p 2 1);
-  Alcotest.(check bool) "no such link" false (Pointer.uses_link p 0 2)
+  Alcotest.(check bool) "no such link" false (Pointer.uses_link p 0 2);
+  List.iter
+    (fun k ->
+      let q = Pointer.make k ~dst:(id 5) ~dst_router:2 ~route:(route [ 0; 1; 2 ]) ~start:1 in
+      Alcotest.(check string) "kind kept" (Pointer.kind_to_string k)
+        (Pointer.kind_to_string (Pointer.kind q));
+      Alcotest.(check int) "start kept" 1 (Pointer.start q))
+    [ Pointer.Successor; Pointer.Predecessor; Pointer.Finger; Pointer.Cached ]
 
 let test_pointer_route_mismatch () =
   Alcotest.check_raises "route/dst mismatch"
     (Invalid_argument "Pointer.make: route does not end at dst_router") (fun () ->
       ignore
-        (Pointer.make Pointer.Cached ~dst:(id 5) ~dst_router:9
-           ~route:(Sourceroute.of_hops [ 0; 1 ])))
+        (Pointer.make Pointer.Cached ~dst:(id 5) ~dst_router:9 ~route:(route [ 0; 1 ]) ~start:0));
+  Alcotest.check_raises "start past the route"
+    (Invalid_argument "Pointer.make: start outside the route") (fun () ->
+      ignore
+        (Pointer.make Pointer.Cached ~dst:(id 5) ~dst_router:1 ~route:(route [ 0; 1 ]) ~start:2))
 
 let test_pointer_kinds () =
   Alcotest.(check string) "kind name" "finger" (Pointer.kind_to_string Pointer.Finger)
@@ -79,6 +137,7 @@ let test_pointer_kinds () =
 
 let ptr kind i router =
   Pointer.make kind ~dst:(id i) ~dst_router:router ~route:(Sourceroute.singleton router)
+    ~start:0
 
 let test_vnode_succ_ordering () =
   let vn = Vnode.create (id 10) Vnode.Stable ~hosted_at:0 in
@@ -344,10 +403,9 @@ let () =
         [
           Alcotest.test_case "basic" `Quick test_sourceroute_basic;
           Alcotest.test_case "singleton" `Quick test_sourceroute_singleton;
-          Alcotest.test_case "concat" `Quick test_sourceroute_concat;
-          Alcotest.test_case "reverse" `Quick test_sourceroute_reverse;
           Alcotest.test_case "empty rejected" `Quick test_sourceroute_empty_rejected;
           Alcotest.test_case "validity" `Quick test_sourceroute_validity;
+          q prop_slices_match_list_model;
         ] );
       ( "pointer",
         [

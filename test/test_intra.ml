@@ -447,7 +447,7 @@ let reference_rank ?exclude (net : Network.t) ~cur ~target residents =
     if p.Pointer.dst_router <> cur then begin
       let d = (target_key - Id.key p.Pointer.dst) land Id.key_mask in
       if improves p.Pointer.dst d
-         && (healthy || Sourceroute.is_valid net.Network.ls p.Pointer.route)
+         && (healthy || Sourceroute.is_valid net.Network.ls p.Pointer.route (Pointer.start p))
       then best := Some (Network.Remote p, p.Pointer.dst, d)
     end
   in
@@ -517,10 +517,14 @@ let prop_columns_rank_like_lists =
         let hop = nbrs.(Prng.int rng (Array.length nbrs)) in
         if Prng.int rng 6 = 0 then
           Pointer.make Pointer.Successor ~dst ~dst_router:cur
-            ~route:(Sourceroute.singleton cur)
-        else
+            ~route:(Sourceroute.singleton cur) ~start:0
+        else begin
+          let link = Bytes.create 4 in
+          Bytes.set_uint16_le link 0 cur;
+          Bytes.set_uint16_le link 2 hop;
           Pointer.make Pointer.Successor ~dst ~dst_router:hop
-            ~route:(Sourceroute.of_hops [ cur; hop ])
+            ~route:(Sourceroute.of_block link) ~start:0
+        end
       in
       let resident () =
         let cls =
@@ -577,7 +581,7 @@ let prop_columns_mirror_succs =
       let pool = Array.init 8 (fun _ -> near_id rng base) in
       let pointer_to kind dst_router =
         Pointer.make kind ~dst:pool.(Prng.int rng 8) ~dst_router
-          ~route:(Sourceroute.singleton dst_router)
+          ~route:(Sourceroute.singleton dst_router) ~start:0
       in
       let pointer () = pointer_to Pointer.Successor (Prng.int rng 5) in
       let model = ref [] and preds = ref [] in
@@ -636,8 +640,8 @@ let prop_columns_mirror_succs =
             else
               let dst_router = (r + 1) mod 5 in
               Some
-                (Pointer.make p.kind ~dst:p.dst ~dst_router
-                   ~route:(Sourceroute.singleton dst_router))
+                (Pointer.make (Pointer.kind p) ~dst:p.dst ~dst_router
+                   ~route:(Sourceroute.singleton dst_router) ~start:0)
           in
           (* One decision per pointer, shared by the vnode and the model. *)
           let decided = Hashtbl.create 8 in
@@ -659,6 +663,47 @@ let prop_columns_mirror_succs =
           check "add_pred"
       done;
       !ok || QCheck.Test.fail_reportf "%s" !why)
+
+(* ---------- compact state ---------- *)
+
+(* The compact-route pin.  A route is one block of 2 bytes a hop, so the
+   route of a vnode pointer over [hops] links reaches [2 + (hops + 1) / 4]
+   words: a header, and the bytes with their padding.  An int list would
+   take 3 words a router.  The cached pointers along one control path share
+   that path's block, each at its own hop, so the distinct blocks the
+   caches reach come to [max_cached_route_words] or less per cached
+   pointer, where a block per pointer would need at least 2. *)
+let max_cached_route_words = 1.0
+
+let test_compact_routes () =
+  let net, _, rng = isp_net 41 in
+  ignore (join_n net rng 500);
+  let vnode_routes = ref 0 in
+  Network.iter_members net (fun vn ->
+      let check (p : Pointer.t) =
+        let hops = Sourceroute.length p.Pointer.route (Pointer.start p) in
+        let words = Obj.reachable_words (Obj.repr p.Pointer.route) in
+        incr vnode_routes;
+        if words > 2 + ((hops + 1) / 4) then
+          Alcotest.failf "%s: a %d-hop route reaches %d words, bound %d"
+            (Id.to_short_string vn.Vnode.id) hops words (2 + ((hops + 1) / 4))
+      in
+      List.iter check (Vnode.succs vn);
+      List.iter check vn.Vnode.preds);
+  Alcotest.(check bool) "vnode routes checked" true (!vnode_routes > 1000);
+  let cached = ref [] in
+  Array.iter
+    (fun (r : Network.router) ->
+      Rofl_core.Pointer_cache.iter r.Network.cache (fun p -> cached := p.Pointer.route :: !cached))
+    net.Network.routers;
+  let n = List.length !cached in
+  (* The array's own header and slots are not route words. *)
+  let words = Obj.reachable_words (Obj.repr (Array.of_list !cached)) - (n + 1) in
+  let per_pointer = float_of_int words /. float_of_int n in
+  Alcotest.(check bool) "cached pointers checked" true (n > 1000);
+  if per_pointer > max_cached_route_words then
+    Alcotest.failf "%d cached pointers reach %d route words (%.2f each), bound %.2f" n words
+      per_pointer max_cached_route_words
 
 let () =
   let q = QCheck_alcotest.to_alcotest in
@@ -709,4 +754,5 @@ let () =
         ] );
       ( "columns",
         [ q prop_columns_rank_like_lists; q prop_columns_mirror_succs ] );
+      ("compact", [ Alcotest.test_case "compact routes on AS3967" `Quick test_compact_routes ]);
     ]

@@ -11,12 +11,28 @@ module Prng = Rofl_util.Prng
 
 let line5 () = Linkstate.create (Gen.line 5 ~latency_ms:1.0)
 
+(* The list model of a route block: its routers, a little-endian uint16
+   each. *)
+let routers_of b = List.init (Bytes.length b / 2) (fun i -> Bytes.get_uint16_le b (2 * i))
+
+let block_of hops =
+  let b = Bytes.create (2 * List.length hops) in
+  List.iteri (fun i r -> Bytes.set_uint16_le b (2 * i) r) hops;
+  b
+
+(* [Linkstate.route] read through the list model: [None] for the empty
+   block. *)
+let path ls a b =
+  match routers_of (Linkstate.route ls a b) with [] -> None | p -> Some p
+
+let valid ls hops = Linkstate.valid_source_route ls (block_of hops) 0
+
 let test_path_line () =
   let ls = line5 () in
   Alcotest.(check (option (list int))) "path 0-4" (Some [ 0; 1; 2; 3; 4 ])
-    (Linkstate.path ls 0 4);
+    (path ls 0 4);
   Alcotest.(check (option int)) "hops" (Some 4) (Linkstate.distance_hops ls 0 4);
-  Alcotest.(check (option (list int))) "self path" (Some [ 2 ]) (Linkstate.path ls 2 2);
+  Alcotest.(check (option (list int))) "self path" (Some [ 2 ]) (path ls 2 2);
   Alcotest.(check (option int)) "self hops" (Some 0) (Linkstate.distance_hops ls 2 2)
 
 let test_latency_weighted () =
@@ -27,7 +43,7 @@ let test_latency_weighted () =
   Graph.add_link g 1 2 ~latency_ms:1.0;
   let ls = Linkstate.create g in
   Alcotest.(check (option (list int))) "takes the cheap detour" (Some [ 0; 1; 2 ])
-    (Linkstate.path ls 0 2);
+    (path ls 0 2);
   Alcotest.(check (option (float 1e-9))) "latency 2" (Some 2.0)
     (Linkstate.distance_latency ls 0 2)
 
@@ -76,13 +92,17 @@ let test_events () =
 
 let test_valid_source_route () =
   let ls = line5 () in
-  Alcotest.(check bool) "good route" true (Linkstate.valid_source_route ls [ 0; 1; 2 ]);
-  Alcotest.(check bool) "gap" false (Linkstate.valid_source_route ls [ 0; 2 ]);
-  Alcotest.(check bool) "empty" false (Linkstate.valid_source_route ls []);
-  Alcotest.(check bool) "singleton" true (Linkstate.valid_source_route ls [ 3 ]);
+  Alcotest.(check bool) "good route" true (valid ls [ 0; 1; 2 ]);
+  Alcotest.(check bool) "gap" false (valid ls [ 0; 2 ]);
+  Alcotest.(check bool) "empty" false (valid ls []);
+  Alcotest.(check bool) "singleton" true (valid ls [ 3 ]);
+  let gap = block_of [ 0; 2; 3; 4 ] in
+  Alcotest.(check bool) "slice past the gap" true (Linkstate.valid_source_route ls gap 1);
+  Alcotest.(check bool) "last hop alone" true (Linkstate.valid_source_route ls gap 3);
+  Alcotest.(check bool) "slice past the end" false (Linkstate.valid_source_route ls gap 4);
   Linkstate.fail_link ls 1 2;
   Alcotest.(check bool) "failed link invalidates" false
-    (Linkstate.valid_source_route ls [ 0; 1; 2 ])
+    (valid ls [ 0; 1; 2 ])
 
 let test_counts_and_flood () =
   let ls = Linkstate.create (Gen.ring 6 ~latency_ms:1.0) in
@@ -109,20 +129,20 @@ let test_zero_latency_hops () =
       (6, 4, 0.0); (4, 7, 1.0) ];
   let ls = Linkstate.create g in
   for dst = 0 to 7 do
-    let hops = Option.map (fun p -> List.length p - 1) (Linkstate.path ls 0 dst) in
+    let hops = Option.map (fun p -> List.length p - 1) (path ls 0 dst) in
     Alcotest.(check (option int))
       (Printf.sprintf "hops to %d = path" dst)
       hops (Linkstate.distance_hops ls 0 dst)
   done;
   Alcotest.(check (option (list int))) "7 through the settled 4" (Some [ 0; 1; 2; 3; 4; 7 ])
-    (Linkstate.path ls 0 7)
+    (path ls 0 7)
 
 let test_spf_cache_invalidation () =
   let ls = line5 () in
-  ignore (Linkstate.path ls 0 4);
+  ignore (path ls 0 4);
   Linkstate.fail_link ls 3 4;
   (* The memoised SPF must not serve the stale path. *)
-  Alcotest.(check (option (list int))) "stale path dropped" None (Linkstate.path ls 0 4)
+  Alcotest.(check (option (list int))) "stale path dropped" None (path ls 0 4)
 
 (* The compact-state pin: with a complete tree from every source of
    AS1239's 604 routers, the whole [Linkstate] (graph, adjacency and every
@@ -152,24 +172,24 @@ let test_large_ring () =
     let h = Linkstate.price_hop_into ls 0 1 ~latency:reg 0 in
     (h, reg.(0))
   in
-  Alcotest.(check (option (list int))) "direct" (Some [ 0; 1 ]) (Linkstate.path ls 0 1);
+  Alcotest.(check (option (list int))) "direct" (Some [ 0; 1 ]) (path ls 0 1);
   Linkstate.fail_link ls 0 1;
   let long_way = 0 :: List.init (n - 1) (fun i -> n - 1 - i) in
-  Alcotest.(check (option (list int))) "long way round" (Some long_way) (Linkstate.path ls 0 1);
+  Alcotest.(check (option (list int))) "long way round" (Some long_way) (path ls 0 1);
   Alcotest.(check (pair int (float 0.0))) "priced the long way"
     (n - 1, float_of_int (n - 1))
     (price ());
-  Alcotest.(check bool) "failed link rejected" false (Linkstate.valid_source_route ls [ 0; 1 ]);
-  Alcotest.(check bool) "long way valid" true (Linkstate.valid_source_route ls long_way);
+  Alcotest.(check bool) "failed link rejected" false (valid ls [ 0; 1 ]);
+  Alcotest.(check bool) "long way valid" true (valid ls long_way);
   Alcotest.(check bool) "still reachable" true (Linkstate.reachable ls 0 1);
   Linkstate.fail_link ls 2000 2001;
   Alcotest.(check bool) "two cuts partition" false (Linkstate.reachable ls 0 1);
-  Alcotest.(check (option (list int))) "no path across the cuts" None (Linkstate.path ls 0 1);
+  Alcotest.(check (option (list int))) "no path across the cuts" None (path ls 0 1);
   Linkstate.restore_link ls 2000 2001;
   Linkstate.restore_link ls 0 1;
-  Alcotest.(check (option (list int))) "restored" (Some [ 0; 1 ]) (Linkstate.path ls 0 1);
+  Alcotest.(check (option (list int))) "restored" (Some [ 0; 1 ]) (path ls 0 1);
   Alcotest.(check (pair int (float 0.0))) "priced direct" (1, 1.0) (price ());
-  Alcotest.(check bool) "restored link valid" true (Linkstate.valid_source_route ls [ 0; 1 ])
+  Alcotest.(check bool) "restored link valid" true (valid ls [ 0; 1 ])
 
 (* Parents, hop counts and frontier routers are 16-bit fields with 0xFFFF
    for "none", so [create] takes at most 65,534 routers. *)
@@ -218,13 +238,13 @@ let test_invalidation_golden () =
         (ctx ^ " hops")
         (Linkstate.distance_hops fresh a b)
         (Linkstate.distance_hops ls a b);
-      match Linkstate.path ls a b with
+      match path ls a b with
       | None ->
         Alcotest.(check bool) (ctx ^ " both unreachable") false
           (Linkstate.reachable fresh a b)
       | Some p ->
         Alcotest.(check bool) (ctx ^ " path valid") true
-          (Linkstate.valid_source_route ls p);
+          (valid ls p);
         (match Linkstate.distance_latency fresh a b with
          | Some d -> Alcotest.(check (float 1e-9)) (ctx ^ " path cost") d (path_cost p)
          | None -> Alcotest.fail (ctx ^ ": cached path where golden has none"))
@@ -232,7 +252,7 @@ let test_invalidation_golden () =
   in
   (* Warm the cache so events exercise invalidation, not cold rebuilds. *)
   for s = 0 to n - 1 do
-    ignore (Linkstate.path ls s ((s + 7) mod n))
+    ignore (path ls s ((s + 7) mod n))
   done;
   for step = 1 to 40 do
     (match Prng.int rng 4 with
@@ -498,7 +518,7 @@ let agrees g ls rf a b =
   let creg = [| 0.0 |] in
   let ch = Network.charge_spf_into ls kernel_m Metrics.Data a b ~latency:creg 0 in
   Option.iter (Metrics.charge_path ref_m Metrics.Data) rpath;
-  Linkstate.path ls a b = rpath
+  path ls a b = rpath
   && same_float_opt (Linkstate.distance_to ls a b) rdist
   && same_float_opt (Linkstate.distance_latency ls a b) rdist
   && Linkstate.distance_hops ls a b = rhops
@@ -545,6 +565,64 @@ let prop_kernel_matches_reference =
             Reference.restore_router rf r
           | 4 -> ok := Linkstate.diameter_hops ls = Reference.diameter_hops rf
           | _ -> ok := agrees g ls rf (Prng.int rng n) (Prng.int rng n)
+      done;
+      !ok)
+
+(* The route kernel against the reference's parent chain, for every pair
+   after every event: the block's routers are the chain from the source to
+   the destination, its size is [2 * (hops + 1)] bytes for the kernel's own
+   hop count (the empty block when that is -1), and every slice of it is a
+   valid source route. *)
+let prop_route_block_matches_chain =
+  QCheck.Test.make ~name:"route block = reference parent chain under fail/restore"
+    ~count:200 QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let rng = Prng.create seed in
+      let g = tie_heavy_graph rng in
+      let n = Graph.n g in
+      let edges = Array.of_list (Graph.links g) in
+      let ls = Linkstate.create g and rf = Reference.create g in
+      let pair_ok a b =
+        let block = Linkstate.route ls a b in
+        let hops = Linkstate.distance_hops_count ls a b in
+        let expected = match Reference.path rf a b with Some p -> p | None -> [] in
+        routers_of block = expected
+        && Bytes.length block = (if hops < 0 then 0 else 2 * (hops + 1))
+        && List.for_all
+             (fun start -> Linkstate.valid_source_route ls block start)
+             (List.init (Bytes.length block / 2) Fun.id)
+      in
+      let all_ok () =
+        let ok = ref true in
+        for a = 0 to n - 1 do
+          for b = 0 to n - 1 do
+            if !ok && not (pair_ok a b) then ok := false
+          done
+        done;
+        !ok
+      in
+      let ok = ref (all_ok ()) in
+      for _ = 1 to 20 do
+        if !ok then begin
+          (match Prng.int rng 4 with
+           | 0 when Array.length edges > 0 ->
+             let { Graph.u; v; _ } = edges.(Prng.int rng (Array.length edges)) in
+             Linkstate.fail_link ls u v;
+             Reference.fail_link rf u v
+           | 1 when Array.length edges > 0 ->
+             let { Graph.u; v; _ } = edges.(Prng.int rng (Array.length edges)) in
+             Linkstate.restore_link ls u v;
+             Reference.restore_link rf u v
+           | 2 ->
+             let r = Prng.int rng n in
+             Linkstate.fail_router ls r;
+             Reference.fail_router rf r
+           | _ ->
+             let r = Prng.int rng n in
+             Linkstate.restore_router ls r;
+             Reference.restore_router rf r);
+          ok := all_ok ()
+        end
       done;
       !ok)
 
@@ -693,8 +771,8 @@ let prop_paths_are_valid_routes =
     (fun (seed, (a, b)) ->
       let g = Gen.waxman (Prng.create seed) ~n:40 ~alpha:0.4 ~beta:0.2 in
       let ls = Linkstate.create g in
-      match Linkstate.path ls a b with
-      | Some p -> Linkstate.valid_source_route ls p
+      match path ls a b with
+      | Some p -> valid ls p
       | None -> false (* connected graph: must always have a path *))
 
 let prop_hops_symmetric =
@@ -721,6 +799,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_paths_are_valid_routes;
           QCheck_alcotest.to_alcotest prop_hops_symmetric;
           QCheck_alcotest.to_alcotest prop_kernel_matches_reference;
+          QCheck_alcotest.to_alcotest prop_route_block_matches_chain;
           QCheck_alcotest.to_alcotest prop_reachable_matches_trees;
           QCheck_alcotest.to_alcotest prop_min_hops_matches_bfs;
         ] );

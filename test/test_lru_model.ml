@@ -106,7 +106,7 @@ let prop_lru_matches_model =
 let ptr rng =
   let router = Prng.int rng 32 in
   Pointer.make Pointer.Cached ~dst:(Id.random rng) ~dst_router:router
-    ~route:(Sourceroute.singleton router)
+    ~route:(Sourceroute.singleton router) ~start:0
 
 let prop_pointer_cache_agreement =
   QCheck.Test.make ~name:"Pointer_cache audit stays clean under churned workloads"
@@ -187,6 +187,7 @@ let cops_arb =
 
 let cptr id router =
   Pointer.make Pointer.Cached ~dst:id ~dst_router:router ~route:(Sourceroute.singleton router)
+    ~start:0
 
 let model_best entries ~cur ~target =
   List.fold_left

@@ -85,9 +85,7 @@ let intra_fingerprint ~traced () =
     | None -> 0
   in
   let wrong = if victim_router = 9 then 10 else 9 in
-  (match Network.spf_route net 25 wrong with
-   | Some r -> Network.cache_route_to net victim wrong (Rofl_core.Sourceroute.hops r)
-   | None -> ());
+  Network.cache_route_to net victim wrong (Network.spf_route net 25 wrong);
   let rn =
     Network.lookup ?trace:(sink traced) ~visited:true net ~from:25 ~target:victim
       ~category:Metrics.Data ~use_cache:true
@@ -95,7 +93,7 @@ let intra_fingerprint ~traced () =
   keep rn;
   add "intra-nack status=%s msgs=%d visited=%d" (status_str rn.Network.status)
     rn.Network.msgs
-    (List.length rn.Network.visited);
+    (Rofl_core.Sourceroute.routers rn.Network.visited);
   for k = 0 to 29 do
     let from =
       let f = (11 * k) + 2 mod 30 in
@@ -113,7 +111,7 @@ let intra_fingerprint ~traced () =
     keep r;
     add "intra#%d status=%s msgs=%d lat=%.12g visited=%d" k (status_str r.Network.status)
       r.Network.msgs r.Network.latency_ms
-      (List.length r.Network.visited)
+      (Rofl_core.Sourceroute.routers r.Network.visited)
   done;
   List.iter
     (fun (c, n) -> add "intra-cat %s=%d" c n)
