@@ -19,25 +19,6 @@
 module Table = Rofl_util.Table
 module E = Rofl_experiments
 
-let targets : (string * string * (E.Common.scale -> Table.t list)) list =
-  [
-    ("fig5a", "intra: cumulative join overhead vs IDs", E.Fig5.fig5a);
-    ("fig5b", "intra: CDF of per-host join overhead", E.Fig5.fig5b);
-    ("fig5c", "intra: CDF of join latency", E.Fig5.fig5c);
-    ("fig6a", "intra: stretch vs pointer-cache size", E.Fig6.fig6a);
-    ("fig6b", "intra: load balance vs OSPF", E.Fig6.fig6b);
-    ("fig6c", "intra: router memory vs IDs", E.Fig6.fig6c);
-    ("fig7", "intra: PoP partition repair overhead", E.Fig7.fig7);
-    ("fig8a", "inter: join overhead by strategy", E.Fig8.fig8a);
-    ("fig8b", "inter: stretch CDF vs finger budget", E.Fig8.fig8b);
-    ("fig8c", "inter: stretch vs per-AS cache; bloom peering", E.Fig8.fig8c);
-    ("churn", "churn lab: steady-state SLOs under continuous churn", E.Churnlab.churn);
-    ("summary", "paper §6.4 numbers vs measured", E.Summary.summary);
-    ("ablations", "all design-choice ablations", E.Ablations.all);
-    ("compare-compact", "compact routing vs ROFL on the same ISP", E.Compare.compact_vs_rofl);
-    ("msg-sizes", "control-message wire sizes (§6.3)", E.Compare.message_sizes);
-  ]
-
 (* ---------------- per-target GC accounting ---------------- *)
 
 type gc_cost = {
@@ -352,10 +333,9 @@ let micro () =
      later events stay queued, so both sift through ten levels.  The clock
      does not move, so the row gates the queue path alone; a moving clock
      re-boxes the time once per distinct event time. *)
-  let engine = Rofl_netsim.Engine.create () in
-  let event () = () in
+  let engine = Rofl_netsim.Engine.create ~exec:(fun _ () -> ()) in
   for seq = 0 to 1022 do
-    Rofl_netsim.Engine.schedule_keyed engine ~time_ms:1e9 ~rail:1 ~seq ~arg:0 event
+    Rofl_netsim.Engine.schedule_keyed engine ~time_ms:1e9 ~rail:1 ~seq ~arg:0 ()
   done;
   let dispatch_seq = ref 0 in
   let verify_cred = Rofl_crypto.Identity.credential_for id_a in
@@ -407,7 +387,7 @@ let micro () =
              let seq = !dispatch_seq in
              dispatch_seq := seq + 1;
              let now = Rofl_netsim.Engine.now engine in
-             Rofl_netsim.Engine.schedule_keyed engine ~time_ms:now ~rail:0 ~seq ~arg:0 event;
+             Rofl_netsim.Engine.schedule_keyed engine ~time_ms:now ~rail:0 ~seq ~arg:0 ();
              Rofl_netsim.Engine.run_until engine now));
       Test.make ~name:"spf-cold-as3967"
         (Staged.stage (fun () ->
@@ -1220,7 +1200,11 @@ let () =
   let wanted =
     match args with
     | [] ->
-      List.map (fun (n, _, _) -> n) targets
+      (* Every registered experiment but the campaign labs CI runs on their
+         own ("services" below is this harness's throughput target). *)
+      List.filter
+        (fun n -> not (List.mem n [ "alpha-frontier"; "services"; "megachurn"; "attack" ]))
+        (List.map (fun e -> e.E.Registry.name) E.Registry.all)
       @ [ "shards"; "micro"; "services"; "alpha" ]
     | _ -> args
   in
@@ -1255,10 +1239,10 @@ let () =
         timings := ("alpha", cost) :: !timings
       end
       else begin
-        match List.find_opt (fun (n, _, _) -> n = name) targets with
-        | Some (_, desc, f) ->
-          Printf.printf "--- %s: %s ---\n" name desc;
-          let tables, cost = measure (fun () -> f scale) in
+        match E.Registry.find name with
+        | Some e ->
+          Printf.printf "--- %s: %s ---\n" name e.E.Registry.doc;
+          let tables, cost = measure (fun () -> e.E.Registry.run scale) in
           List.iter Table.print tables;
           (match !csv_dir with
            | Some dir ->

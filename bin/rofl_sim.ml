@@ -19,31 +19,7 @@ module Internet = Rofl_asgraph.Internet
 module Net = Rofl_inter.Net
 module Route = Rofl_inter.Route
 
-let experiments : (string * string * (E.Common.scale -> Table.t list)) list =
-  [
-    ("fig5a", "intradomain cumulative join overhead vs IDs", E.Fig5.fig5a);
-    ("fig5b", "intradomain CDF of per-host join overhead", E.Fig5.fig5b);
-    ("fig5c", "intradomain CDF of join latency", E.Fig5.fig5c);
-    ("fig6a", "intradomain stretch vs pointer-cache size", E.Fig6.fig6a);
-    ("fig6b", "intradomain load balance vs OSPF", E.Fig6.fig6b);
-    ("fig6c", "intradomain router memory vs IDs", E.Fig6.fig6c);
-    ("fig7", "PoP partition repair overhead", E.Fig7.fig7);
-    ("fig8a", "interdomain join overhead by strategy", E.Fig8.fig8a);
-    ("fig8b", "interdomain stretch CDF vs fingers", E.Fig8.fig8b);
-    ("fig8c", "interdomain stretch vs per-AS cache", E.Fig8.fig8c);
-    ("churn", "steady-state SLOs under continuous churn", E.Churnlab.churn);
-    ("alpha-frontier", "lookup latency vs control traffic across alpha x tuning",
-     E.Churnlab.alpha_frontier);
-    ("services", "service-discovery SLOs under flash crowds and republish storms",
-     E.Serviceslab.services);
-    ("megachurn", "million-host audited campaign on compact state", E.Churnlab.megachurn);
-    ("attack", "eclipse/poison/forge attack grid vs diversity and verification defenses",
-     E.Attacklab.attack);
-    ("summary", "paper §6.4 summary vs measured", E.Summary.summary);
-    ("ablations", "all design-choice ablations", E.Ablations.all);
-    ("compare-compact", "compact routing vs ROFL", E.Compare.compact_vs_rofl);
-    ("msg-sizes", "control-message wire sizes", E.Compare.message_sizes);
-  ]
+module Registry = E.Registry
 
 open Cmdliner
 
@@ -108,9 +84,7 @@ let run_named names quick seed csv jobs shards hosts alpha =
   (match shards with Some s -> E.Common.set_shards s | None -> ());
   (match alpha with Some a -> E.Common.set_alpha a | None -> ());
   let scale = scale_of quick seed hosts in
-  let missing =
-    List.filter (fun n -> not (List.exists (fun (m, _, _) -> m = n) experiments)) names
-  in
+  let missing = List.filter (fun n -> Registry.find n = None) names in
   if missing <> [] then begin
     Printf.eprintf "unknown experiment(s): %s\n" (String.concat ", " missing);
     1
@@ -118,9 +92,9 @@ let run_named names quick seed csv jobs shards hosts alpha =
   else begin
     List.iter
       (fun name ->
-        let _, desc, f = List.find (fun (m, _, _) -> m = name) experiments in
-        Printf.printf "--- %s: %s ---\n" name desc;
-        let tables = f scale in
+        let e = Option.get (Registry.find name) in
+        Printf.printf "--- %s: %s ---\n" name e.Registry.doc;
+        let tables = e.Registry.run scale in
         List.iter Table.print tables;
         match csv with
         | Some dir -> List.iter (fun t -> ignore (Table.save_csv t ~dir)) tables
@@ -329,7 +303,7 @@ let doctor_cmd =
   in
   Cmd.v (Cmd.info "doctor" ~doc) term
 
-let exp_cmd (cmd_name, desc, _) =
+let exp_cmd { Registry.name = cmd_name; doc = desc; _ } =
   let term =
     Term.(
       const (fun quick seed csv jobs shards hosts alpha ->
@@ -344,8 +318,9 @@ let all_cmd =
   let term =
     Term.(
       const (fun quick seed csv jobs shards hosts alpha ->
-          run_named (List.map (fun (n, _, _) -> n) experiments) quick seed csv jobs
-            shards hosts alpha)
+          run_named
+            (List.map (fun e -> e.Registry.name) Registry.all)
+            quick seed csv jobs shards hosts alpha)
       $ quick_flag $ seed_opt $ csv_opt $ jobs_opt $ shards_opt $ hosts_opt
       $ alpha_opt)
   in
@@ -356,7 +331,9 @@ let list_cmd =
   let term =
     Term.(
       const (fun () ->
-          List.iter (fun (n, d, _) -> Printf.printf "%-10s %s\n" n d) experiments;
+          List.iter
+            (fun e -> Printf.printf "%-10s %s\n" e.Registry.name e.Registry.doc)
+            Registry.all;
           0)
       $ const ())
   in
@@ -373,5 +350,5 @@ let () =
              if tr then `Ok (run_trace seed) else `Help (`Pager, None))
         $ trace_flag $ seed_opt))
   in
-  let cmds = all_cmd :: list_cmd :: doctor_cmd :: List.map exp_cmd experiments in
+  let cmds = all_cmd :: list_cmd :: doctor_cmd :: List.map exp_cmd Registry.all in
   exit (Cmd.eval' (Cmd.group ~default info cmds))

@@ -17,7 +17,6 @@ module Failure = Rofl_intra.Failure
 module Invariant = Rofl_intra.Invariant
 module Vnode = Rofl_core.Vnode
 module Churn = Rofl_workload.Churn
-module Engine = Rofl_netsim.Engine
 
 let () =
   Rofl_util.Logging.setup ();
@@ -84,41 +83,33 @@ let () =
     joins leaves moves;
   let gateways = Array.of_list (Isp.edge_routers isp) in
   let session_ids = Hashtbl.create 64 in
-  (* Replay the trace through the discrete-event engine: each event fires at
-     its simulated time. *)
-  let engine = Engine.create () in
+  (* Replay the trace in order: [Churn.generate] sorts its events by time,
+     equal times in generation order. *)
   List.iter
     (fun ev ->
-      Engine.schedule_at engine ~time_ms:(Churn.event_time ev) (fun () ->
-          match ev with
-          | Churn.Join { seq; _ } ->
-            (match
-               Network.join_fresh_host net ~gateway:(Prng.sample rng gateways)
-                 ~cls:Vnode.Stable
-             with
-             | Ok (id, _) -> Hashtbl.replace session_ids seq id
-             | Error _ -> ())
-          | Churn.Leave { seq; _ } ->
-            (match Hashtbl.find_opt session_ids seq with
-             | Some id ->
-               ignore (Failure.fail_host net id);
-               Hashtbl.remove session_ids seq
-             | None -> ())
-          | Churn.Move { seq; _ } ->
-            (match Hashtbl.find_opt session_ids seq with
-             | Some id ->
-               ignore
-                 (Failure.mobile_rehome net id ~new_gateway:(Prng.sample rng gateways))
-             | None -> ())
-          | Churn.Crash { seq; _ } ->
-            (match Hashtbl.find_opt session_ids seq with
-             | Some id ->
-               ignore (Failure.fail_host net id);
-               Hashtbl.remove session_ids seq
-             | None -> ())))
+      match ev with
+      | Churn.Join { seq; _ } ->
+        (match
+           Network.join_fresh_host net ~gateway:(Prng.sample rng gateways)
+             ~cls:Vnode.Stable
+         with
+         | Ok (id, _) -> Hashtbl.replace session_ids seq id
+         | Error _ -> ())
+      | Churn.Move { seq; _ } ->
+        (match Hashtbl.find_opt session_ids seq with
+         | Some id ->
+           ignore
+             (Failure.mobile_rehome net id ~new_gateway:(Prng.sample rng gateways))
+         | None -> ())
+      | Churn.Leave { seq; _ } | Churn.Crash { seq; _ } ->
+        (match Hashtbl.find_opt session_ids seq with
+         | Some id ->
+           ignore (Failure.fail_host net id);
+           Hashtbl.remove session_ids seq
+         | None -> ()))
     trace;
-  Engine.run engine;
-  Printf.printf "simulated clock after replay: %.1f ms\n" (Engine.now engine);
+  Printf.printf "simulated clock after replay: %.1f ms\n"
+    (List.fold_left (fun t ev -> Float.max t (Churn.event_time ev)) 0.0 trace);
   ping "after churn";
   let r = Invariant.check net in
   Printf.printf "ring invariants after churn: %s (%d members)\n"

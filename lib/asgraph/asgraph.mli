@@ -39,7 +39,9 @@ val is_provider_edge : t -> customer:int -> provider:int -> bool
 val is_peer_edge : t -> int -> int -> bool
 
 val multihomed : t -> int -> bool
-(** More than one (non-backup) provider. *)
+(** More than one (non-backup) provider.
+    Exported for tests: test_asgraph checks the generated relationships through
+    it. *)
 
 val validate : t -> (unit, string) result
 (** Check the customer–provider subgraph is acyclic and peering is

@@ -127,8 +127,3 @@ let stubs t =
   let acc = ref [] in
   Array.iteri (fun a tier -> if tier = 4 then acc := a :: !acc) t.tier_of;
   List.rev !acc
-
-let transit t =
-  let acc = ref [] in
-  Array.iteri (fun a tier -> if tier < 4 then acc := a :: !acc) t.tier_of;
-  List.rev !acc

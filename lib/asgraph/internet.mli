@@ -33,5 +33,3 @@ val generate : Rofl_util.Prng.t -> params -> t
     non-tier-1 AS reaching the tier-1 clique. *)
 
 val stubs : t -> int list
-
-val transit : t -> int list

@@ -29,8 +29,6 @@ let create g =
     stamp = 0;
   }
 
-let graph t = t.g
-
 let rec push_providers t dx tail = function
   | [] -> tail
   | p :: rest ->

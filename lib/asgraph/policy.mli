@@ -17,8 +17,6 @@ type t
 
 val create : Asgraph.t -> t
 
-val graph : t -> Asgraph.t
-
 val bgp_distance : t -> src:int -> dst:int -> int option
 (** AS-hop length of the BGP-selected path, [None] if no policy-compliant
     path exists.  [Some 0] when [src = dst].  Each query climbs provider

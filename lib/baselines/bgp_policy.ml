@@ -5,8 +5,6 @@ type t = { p : Policy.t }
 
 let create g = { p = Policy.create g }
 
-let policy t = t.p
-
 let path_stretch t ~src ~dst =
   if src = dst then None
   else

@@ -7,8 +7,6 @@ type t
 
 val create : Rofl_asgraph.Asgraph.t -> t
 
-val policy : t -> Rofl_asgraph.Policy.t
-
 val sample_stretches :
   t -> Rofl_util.Prng.t -> ases:int array -> samples:int -> float list
 (** Stretch over random distinct AS pairs (undefined pairs skipped). *)

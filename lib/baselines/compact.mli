@@ -41,7 +41,8 @@ val in_cluster : t -> int -> int -> bool
 val route_hops : t -> src:int -> dst:int -> int option
 (** Hop count of the compact route ([None] if disconnected):
     direct when [dst] is in the source's cluster or a landmark route
-    otherwise.  Guaranteed at most 3× the shortest path. *)
+    otherwise.  Guaranteed at most 3× the shortest path.
+    Exported for tests: test_baselines checks the stretch bound on it. *)
 
 val stretch : t -> src:int -> dst:int -> float option
 (** Compact route length over the true shortest path. *)

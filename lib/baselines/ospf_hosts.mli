@@ -17,10 +17,12 @@ val route : t -> src:int -> dst:int -> int
 
 val router_load : t -> int array
 (** Traversal counts per router, same accounting as
-    {!Rofl_netsim.Metrics.charge_path}. *)
+    {!Rofl_netsim.Metrics.charge_path}.
+    Exported for tests: test_baselines checks the charged load. *)
 
 val load_fractions : t -> float array
 (** Per-router fraction of all message traversals. *)
 
 val entries_per_router : t -> int
-(** Topology routes only (OSPF proper). *)
+(** Topology routes only (OSPF proper).
+    Exported for tests: test_baselines checks the per-router table size. *)

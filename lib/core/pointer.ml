@@ -21,18 +21,6 @@ let[@inline] start p = p.at lsr 2
 let placeholder =
   make Cached ~dst:Id.zero ~dst_router:0 ~route:(Sourceroute.singleton 0) ~start:0
 
-let route_length p = Sourceroute.length p.route (start p)
-
 let uses_router p r = Sourceroute.contains_router p.route (start p) r
 
 let uses_link p u v = Sourceroute.uses_link p.route (start p) u v
-
-let kind_to_string = function
-  | Successor -> "succ"
-  | Predecessor -> "pred"
-  | Finger -> "finger"
-  | Cached -> "cached"
-
-let pp ppf p =
-  Format.fprintf ppf "%s->%a@r%d (%d hops)" (kind_to_string (kind p)) Id.pp p.dst
-    p.dst_router (route_length p)

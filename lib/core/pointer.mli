@@ -42,7 +42,3 @@ val uses_router : t -> int -> bool
 (** The pointer's source route traverses the given router. *)
 
 val uses_link : t -> int -> int -> bool
-
-val kind_to_string : kind -> string
-
-val pp : Format.formatter -> t -> unit

@@ -18,6 +18,7 @@ val create : capacity:int -> t
     ignores every insert. *)
 
 val capacity : t -> int
+(** Kept for perfbench, which reports the cache fill ratio. *)
 
 val length : t -> int
 
@@ -43,9 +44,11 @@ val drop_if : t -> (Pointer.t -> bool) -> int
     returns the number dropped. *)
 
 val iter : t -> (Pointer.t -> unit) -> unit
-(** Most recently used first. *)
+(** Most recently used first.
+    Exported for tests: the cache tests compare the entries with models. *)
 
 val clear : t -> unit
+(** Exported for tests: test_lru_model replays it against a list model. *)
 
 val audit : t -> string list
 (** Structural agreement between the recency list and the ring-ordered

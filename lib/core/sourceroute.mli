@@ -38,7 +38,8 @@ val destination : t -> int
 
 val length : t -> int -> int
 (** [length t start]: links traversed by the slice from [start] (0 for a
-    slice of one router). *)
+    slice of one router).
+    Exported for tests: test_core and test_intra check slice lengths. *)
 
 val contains_router : t -> int -> int -> bool
 (** [contains_router t start r]: the slice from [start] visits [r]. *)

@@ -77,6 +77,8 @@ val state_entries : t -> int
 
 val audit : t -> string list
 (** Empty iff the successor columns hold exactly the keys and routers of
-    [succ_ptrs], and the group is strictly in clockwise order. *)
+    [succ_ptrs], and the group is strictly in clockwise order.
+    Exported for tests: test_intra's column properties run it after every
+    mutation. *)
 
 val host_class_to_string : host_class -> string

@@ -43,7 +43,8 @@ val respond : keypair -> challenge -> response
 
 val verify : public -> challenge -> response -> bool
 (** Router-side check.  [verify pub c (respond kp c)] holds iff
-    [public kp = pub]. *)
+    [public kp = pub].
+    Exported for tests: test_crypto checks the challenge-response half alone. *)
 
 val authenticate :
   Rofl_util.Prng.t ->
@@ -58,7 +59,8 @@ val authenticate :
 val registered : unit -> int
 (** Keypairs on record whose public key is still reachable.  The registry
     behind {!verify} holds public keys weakly: once nothing holds a keypair
-    or its public key, the entry goes with the next major collection. *)
+    or its public key, the entry goes with the next major collection.
+    Exported for tests: test_crypto checks the weak registry through it. *)
 
 val credential_for : Rofl_idspace.Id.t -> keypair
 (** Canonical simulation credential for an identifier minted directly from
@@ -104,3 +106,4 @@ val admit : sybil_auditor -> Rofl_idspace.Id.t -> (unit, string) result
 val release : sybil_auditor -> Rofl_idspace.Id.t -> unit
 
 val admitted : sybil_auditor -> int
+(** Exported for tests: test_crypto checks the registry's admission count. *)

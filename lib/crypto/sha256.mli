@@ -21,6 +21,8 @@ type ctx
 (** Streaming context. *)
 
 val init : unit -> ctx
+(** Exported for tests: test_crypto streams through a fresh context and compares
+    with {!digest}. *)
 
 val update : ctx -> string -> unit
 

@@ -51,6 +51,8 @@ type t = {
 }
 
 val to_lines : t -> string list
+(** Exported for tests: test_doctor round-trips artifacts through it and
+    {!of_lines}. *)
 
 val of_lines : string list -> (t, string) result
 (** Exported for tests: test_doctor round-trips artifacts and rejects

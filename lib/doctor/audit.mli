@@ -1,11 +1,11 @@
 (** Continuous checkpoint audits over a running campaign.
 
-    An audit attaches to the protocol's event engine through the
-    {!Rofl_netsim.Engine.set_monitor} observer — {e not} through scheduled
-    events, which would shift FIFO tie-breaking sequence numbers and change
-    the simulation — and sweeps {!Checks.proto_checks} every [every_ms] of
-    simulated time.  Audits are pure observers: attaching one to a campaign
-    leaves every table byte-identical. *)
+    An audit attaches to the protocol's shard coordinator through the
+    {!Rofl_netsim.Shard.set_monitor} observer — {e not} through scheduled
+    events, which would take event keys and change the simulation — and
+    sweeps {!Checks.proto_checks} every [every_ms] of simulated time.
+    Audits are pure observers: attaching one to a campaign leaves every
+    table byte-identical. *)
 
 type config = {
   every_ms : float;        (** checkpoint cadence (simulated ms, > 0) *)

@@ -266,11 +266,6 @@ module Directory = Rofl_services.Directory
 module Provider_store = Rofl_services.Provider_store
 module Resolver = Rofl_services.Resolver
 
-(* Ring owner of an identifier under the current membership.  The data
-   plane settles greedily on the identifier closest clockwise *to* the
-   target without passing it — the target's predecessor: the greatest
-   member <= id in unsigned order, wrapping to the largest member when the
-   id precedes them all.  O(log n) per query over a sorted snapshot. *)
 let ring_owner members id =
   let n = Array.length members in
   if n = 0 then None

@@ -60,6 +60,15 @@ val inter_checks :
 (** The existing {!Rofl_inter.Interinvariant} sweep (["inter-invariant"]) and
     optional routability sampling (["inter-routability"]). *)
 
+val ring_owner :
+  Rofl_idspace.Id.t array -> Rofl_idspace.Id.t -> Rofl_idspace.Id.t option
+(** [ring_owner members id] is the ring owner of [id] under the data
+    plane's settle rule: the member closest clockwise {e to} [id] without
+    passing it (its predecessor), i.e. the greatest member [<= id] in
+    unsigned order, wrapping to the largest member when [id] precedes them
+    all; [None] for an empty membership.  [members] must be sorted.
+    O(log n) per query. *)
+
 val services_checks : at_ms:float -> Rofl_services.Directory.t -> violation list
 (** Checkpoint sweep of the service-discovery layer: no record resident
     grace-past its TTL (["svc-expiry"]; the grace is two republish

@@ -11,6 +11,7 @@ module Churn = Rofl_workload.Churn
 module Hostdist = Rofl_workload.Hostdist
 module Artifact = Rofl_doctor.Artifact
 module Audit = Rofl_doctor.Audit
+module Checks = Rofl_doctor.Checks
 
 type params = {
   horizon_ms : float;
@@ -130,22 +131,6 @@ let ring_successor members id =
         | Some b -> if Id.compare_dist id m id b < 0 then Some m else best)
     None members
   |> Option.value ~default:id
-
-(* Ring owner of [id] under the data plane's settle rule — the member
-   closest clockwise *to* [id] without passing it (its predecessor): the
-   greatest member <= id in unsigned order, wrapping to the largest member
-   when [id] precedes them all.  [members] must be sorted. *)
-let ring_owner members id =
-  let n = Array.length members in
-  if n = 0 then None
-  else begin
-    let lo = ref 0 and hi = ref n in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if Id.compare members.(mid) id <= 0 then lo := mid + 1 else hi := mid
-    done;
-    Some members.(if !lo = 0 then n - 1 else !lo - 1)
-  end
 
 (* Keypair-mining budget per sybil: expected draws per hit is the member
    count (the arc is ~1/n of the ring), so this covers rings four orders of
@@ -482,7 +467,7 @@ let run_events ~seed ~name ~graph ~gateways ?audit ?(shards = 1) ?pool
       let good = ref 0 in
       Array.iter
         (fun target ->
-          let truth = ring_owner members target in
+          let truth = Checks.ring_owner members target in
           let from = gateways.(Prng.int og (Array.length gateways)) in
           match (Proto.lookup_owner proto ~from target, truth) with
           | Some owner, Some truth when Id.equal owner truth -> incr good

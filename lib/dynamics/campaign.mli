@@ -157,7 +157,8 @@ val run_graph :
   report
 (** Run one campaign on an arbitrary topology; joins, moves and lookup
     origins are placed on [gateways] (must be non-empty).  Equivalent to
-    {!run_events} over {!churn_events}. *)
+    {!run_events} over {!churn_events}.  Exported for tests: test_dynamics
+    and test_shards run campaigns on their own graphs. *)
 
 val run :
   seed:int ->

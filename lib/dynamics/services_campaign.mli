@@ -74,19 +74,6 @@ type report = {
   audit : Rofl_doctor.Audit.summary option;
 }
 
-val run_graph :
-  seed:int ->
-  name:string ->
-  graph:Rofl_topology.Graph.t ->
-  gateways:int array ->
-  ?audit:Rofl_doctor.Audit.config ->
-  ?shards:int ->
-  ?pool:Rofl_util.Pool.t ->
-  params ->
-  report
-(** When [audit] is given, {!Rofl_doctor.Checks.services_checks} rides the
-    checkpoint sweeps alongside the proto invariants. *)
-
 val run :
   seed:int ->
   profile:Rofl_topology.Isp.profile ->
@@ -96,4 +83,6 @@ val run :
   params ->
   report
 (** Generate the ISP topology for [profile] (same derivation as the churn
-    campaigns) and run on it, gateways = the edge routers. *)
+    campaigns) and run on it, gateways = the edge routers.  When [audit] is
+    given, {!Rofl_doctor.Checks.services_checks} rides the checkpoint sweeps
+    alongside the proto invariants. *)

@@ -52,6 +52,8 @@ val set_jobs : int -> unit
     [set_jobs 1] forces strictly sequential execution. *)
 
 val jobs : unit -> int
+(** Kept for the bench harness, which records the jobs setting in its header and
+    BENCH.json. *)
 
 val set_shards : int -> unit
 (** Partition campaign engines into this many shards (clamped to at least
@@ -122,8 +124,8 @@ val log_checkpoints : int -> int list
 (** 1, 2, 5, 10, 20, 50 … up to and including [n]. *)
 
 val hop_mix : Rofl_routing.Trace.t list -> (string * int) list
-(** Aggregate per-hop event totals over many walk traces, keyed by
-    {!Rofl_routing.Trace.kind_to_string}; every kind is present. *)
+(** Aggregate per-hop event totals over many walk traces, keyed by kind
+    name as in {!Rofl_routing.Trace.counts}; every kind is present. *)
 
 val mean_stretch_intra :
   Rofl_intra.Network.t -> Rofl_idspace.Id.t array -> gateway:(unit -> int) ->

@@ -150,5 +150,3 @@ let of_bytes_exn s =
 let to_hex id = Printf.sprintf "%016Lx%016Lx" id.hi id.lo
 
 let to_short_string id = String.sub (to_hex id) 0 8
-
-let pp ppf id = Format.pp_print_string ppf (to_short_string id)

@@ -14,7 +14,8 @@ val of_int64_pair : int64 -> int64 -> t
 (** [of_int64_pair hi lo]. *)
 
 val of_int : int -> t
-(** Embeds a non-negative integer into the low bits. *)
+(** Embeds a non-negative integer into the low bits.
+    Exported for tests: the tests build small, readable identifiers with it. *)
 
 val compare : t -> t -> int
 (** Total unsigned order (not ring order).  Allocation-free. *)
@@ -40,13 +41,15 @@ val succ_id : t -> t
 (** Clockwise neighbour (wraps from all-ones to zero). *)
 
 val pred_id : t -> t
-(** Counter-clockwise neighbour (wraps from zero to all-ones). *)
+(** Counter-clockwise neighbour (wraps from zero to all-ones).
+    Exported for tests: the tests probe the identifier just below a member. *)
 
 val add : t -> t -> t
 (** Addition modulo 2^128. *)
 
 val sub : t -> t -> t
-(** Subtraction modulo 2^128. *)
+(** Subtraction modulo 2^128.
+    Exported for tests: the tests check ring arithmetic with it. *)
 
 val distance : t -> t -> t
 (** [distance a b] is the clockwise distance from [a] to [b]
@@ -91,7 +94,8 @@ val compare_dist : t -> t -> t -> t -> int
     preferred comparator for sorting candidates by ring distance. *)
 
 val bit : t -> int -> int
-(** [bit id i] is bit [i] counted from the most significant (i = 0). *)
+(** [bit id i] is bit [i] counted from the most significant (i = 0).
+    Exported for tests: test_idspace checks the bit order against {!compare}. *)
 
 val random : Rofl_util.Prng.t -> t
 (** Uniformly random identifier. *)
@@ -102,8 +106,7 @@ val of_bytes_exn : string -> t
 val to_bytes : t -> string
 
 val to_hex : t -> string
+(** Exported for tests: goldens and failure messages print full identifiers. *)
 
 val to_short_string : t -> string
 (** First 8 hex digits, for logs. *)
-
-val pp : Format.formatter -> t -> unit

@@ -39,7 +39,8 @@ val mem : Id.t -> 'a t -> bool
 (** O(log n), allocation-free. *)
 
 val find : Id.t -> 'a t -> 'a option
-(** O(log n); allocates only the [Some]. *)
+(** O(log n); allocates only the [Some].
+    Exported for tests: test_idspace compares it with a map model. *)
 
 val successor : Id.t -> 'a t -> (Id.t * 'a) option
 (** [successor x r] is the first identifier strictly clockwise of [x]
@@ -68,7 +69,9 @@ val iter : (Id.t -> 'a -> unit) -> 'a t -> unit
 val audit : 'a t -> string list
 (** Structural checks: every chunk holds 1 to 128 entries, the spine names
     each chunk's first member, the size is the sum of the chunk lengths and
-    every stored key is its identifier's [Id.key].  Empty iff consistent. *)
+    every stored key is its identifier's [Id.key].  Empty iff consistent.
+    Exported for tests: test_idspace's model property checks the chunk
+    structure. *)
 
 (** {2:cursors Allocation-free cursors}
 

@@ -27,10 +27,6 @@ val graph : ctx -> Rofl_asgraph.Asgraph.t
 
 val policy : ctx -> Rofl_asgraph.Policy.t
 
-val compare : t -> t -> int
-(** Structural total order (for sets/dedup).  Bottom-up breadth ordering is
-    what the [levels_for_real]/[peer_levels] lists provide. *)
-
 val equal : t -> t -> bool
 
 val key : ctx -> t -> int

@@ -74,6 +74,7 @@ val locate : t -> Id.t -> int option
 (** Home AS of a live identifier. *)
 
 val host_count : t -> int
+(** Exported for tests: test_inter_edge and test_routing count hosts. *)
 
 type join_outcome = {
   host : host;

@@ -16,17 +16,22 @@ val fail_router :
 (** Take a router down.  Resident host identifiers fail over to the gateway
     chosen by [pick_gateway] (agreed failover list; [None] drops the host);
     remote vnodes holding pointers to or through the dead router tear them
-    down and repair; caches purge affected routes. *)
+    down and repair; caches purge affected routes.
+    Exported for tests: test_intra, test_intra_edge and test_routing fail
+    routers. *)
 
 val restore_router : Network.t -> int -> int
-(** Bring a router back: its default vnode re-floods and rejoins the ring. *)
+(** Bring a router back: its default vnode re-floods and rejoins the ring.
+    Exported for tests: test_intra restores a failed router. *)
 
 val fail_link : Network.t -> int -> int -> int
 (** Link failure without (necessarily) a partition: the network map reroutes
     pointer source routes; pointer caches invalidate entries crossing the
-    link.  Charged as one LSA flood. *)
+    link.  Charged as one LSA flood.
+    Exported for tests: test_intra repairs the ring after a link failure. *)
 
 val restore_link : Network.t -> int -> int -> int
+(** Exported for tests: test_intra restores a failed link. *)
 
 val disconnect_routers : Network.t -> int list -> int
 (** Cut every link between the given router set and the rest of the network

@@ -22,7 +22,6 @@ type config = {
   pred_group_size : int;
   cache_capacity : int;
   cache_control_paths : bool;
-  authenticate_joins : bool;
   sybil_limit : int;
 }
 
@@ -32,7 +31,6 @@ let default_config =
     pred_group_size = 2;
     cache_capacity = 1024;
     cache_control_paths = true;
-    authenticate_joins = true;
     sybil_limit = 100_000;
   }
 
@@ -812,13 +810,10 @@ let join_host t ~gateway ~id ~cls =
 let join_fresh_host t ~gateway ~cls =
   let kp = Identity.generate t.rng in
   let id = Identity.id_of_keypair kp in
-  let auth =
-    if t.cfg.authenticate_joins then
-      Identity.authenticate t.rng ~claimed_id:id (Identity.public kp) (fun c ->
-          Identity.respond kp c)
-    else Ok ()
-  in
-  match auth with
+  match
+    Identity.authenticate t.rng ~claimed_id:id (Identity.public kp) (fun c ->
+        Identity.respond kp c)
+  with
   | Error e -> Error e
   | Ok () ->
     (match join_host t ~gateway ~id ~cls with

@@ -20,13 +20,12 @@ type config = {
   pred_group_size : int;
   cache_capacity : int;      (** pointer-cache entries per router *)
   cache_control_paths : bool;(** fill caches from join/control traffic *)
-  authenticate_joins : bool; (** run the self-certifying handshake on join *)
   sybil_limit : int;         (** max resident IDs per router (audit, §2.1) *)
 }
 
 val default_config : config
-(** 4 successors, 2 predecessors, 1024 cache entries, caching and
-    authentication on, sybil limit 100k. *)
+(** 4 successors, 2 predecessors, 1024 cache entries, caching on, sybil
+    limit 100k. *)
 
 module Vnode_table : Hashtbl.S with type key = Id.t
 (** Tables keyed by identifier, hashed with {!Id.hash}.  Their iteration
@@ -187,7 +186,8 @@ val ring_size : t -> int
     Kept for the repository benchmark: perfbench/main.ml reads it. *)
 
 val host_count : t -> int
-(** Stable + ephemeral host identifiers currently alive. *)
+(** Stable + ephemeral host identifiers currently alive.
+    Exported for tests: test_intra and test_routing count the joined hosts. *)
 
 val router_state_entries : t -> int -> int
 (** Ring-state pointer entries pinned at a router (vnode succ/pred lists +

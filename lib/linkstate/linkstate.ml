@@ -115,8 +115,6 @@ let no_tree =
   { src = -1; dist = no_floats; lab = Bytes.empty; fkey = no_floats; fent = no_ints;
     fsize = 0; pushes = 0; complete = true }
 
-let graph t = t.g
-
 let on_event t f = t.listeners <- f :: t.listeners
 
 (* Every event changes the live topology, so it retires the component

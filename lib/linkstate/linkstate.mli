@@ -36,11 +36,11 @@ val create : Rofl_topology.Graph.t -> t
     Raises [Invalid_argument] for a graph of 65,535 routers or more: a tree
     stores parents and hop counts as 16-bit fields. *)
 
-val graph : t -> Rofl_topology.Graph.t
-
 val on_event : t -> (event -> unit) -> unit
 (** Register a callback invoked synchronously on every topology change —
-    the "notifies the routing layer of such events" hook. *)
+    the "notifies the routing layer of such events" hook.
+    Exported for tests: test_linkstate checks that every failure and restore is
+    announced. *)
 
 val fail_link : t -> int -> int -> unit
 (** Mark a link down (idempotent; the link must exist in the graph). *)
@@ -137,4 +137,6 @@ val lsa_flood_cost : t -> int
     accounting. *)
 
 val diameter_hops : t -> int
-(** Max eccentricity over live routers (0 if none). *)
+(** Max eccentricity over live routers (0 if none).
+    Exported for tests: test_linkstate checks it against the graph's BFS
+    diameter. *)

@@ -51,13 +51,16 @@ type counter =
   | Lookup_retries
 
 val name : counter -> string
-(** Stable report name (["join"], ["join-reply"], ["svc-cache-hit"], ...). *)
+(** Stable report name (["join"], ["join-reply"], ["svc-cache-hit"], ...).
+    Exported for tests: test_core pins the frozen category names. *)
 
 val messages : counter list
-(** The message categories, in declaration order. *)
+(** The message categories, in declaration order.
+    Exported for tests: test_core pins the frozen category names. *)
 
 val events : counter list
-(** The event counters, in declaration order. *)
+(** The event counters, in declaration order.
+    Exported for tests: test_core and test_netsim walk every counter. *)
 
 type t
 

@@ -63,12 +63,12 @@ type 'e t = {
 let new_outbox () =
   { dst = [||]; time = [||]; rail = [||]; seq = [||]; arg = [||]; ev = [||]; len = 0 }
 
-let create_typed ?pool ~exec ~shards ~window_ms () =
+let create ?pool ~exec ~shards ~window_ms () =
   if shards < 1 then invalid_arg "Shard.create: shards must be >= 1";
   if shards > 1 && not (window_ms > 0.0) then
     invalid_arg "Shard.create: window_ms must be positive with shards > 1";
   {
-    engines = Array.init shards (fun _ -> Engine.create_typed ~exec);
+    engines = Array.init shards (fun _ -> Engine.create ~exec);
     pool;
     window_ms;
     outbox = Array.init shards (fun _ -> new_outbox ());
@@ -83,14 +83,7 @@ let create_typed ?pool ~exec ~shards ~window_ms () =
     elapsed_s = 0.0;
   }
 
-let create ?pool ~shards ~window_ms () =
-  create_typed ?pool ~exec:(fun _ f -> f ()) ~shards ~window_ms ()
-
-let shards t = Array.length t.engines
-
 let engine t i = t.engines.(i)
-
-let window_ms t = t.window_ms
 
 let now t = t.clock
 
@@ -280,9 +273,6 @@ let run_until t horizon =
   t.elapsed_s <- t.elapsed_s +. (Unix.gettimeofday () -. t0)
 
 let peak_global t = t.peak
-
-let scheduled_total t =
-  Array.fold_left (fun acc e -> acc + Engine.scheduled_total e) 0 t.engines
 
 let executed_total t =
   Array.fold_left (fun acc e -> acc + Engine.executed_total e) 0 t.engines

@@ -29,29 +29,20 @@
 
 type 'e t
 
-val create : ?pool:Rofl_util.Pool.t -> shards:int -> window_ms:float -> unit -> (unit -> unit) t
-(** [create ?pool ~shards ~window_ms ()] builds a coordinator over [shards]
-    fresh closure engines ({!Engine.create}).  [window_ms] must be positive
-    when [shards > 1] ([infinity] is the natural value for a single shard,
-    where no message ever crosses).  Without a [pool] (or with a 1-job
-    pool) windows run sequentially — same results, no parallelism.
-
-    Exported for tests: the protocol builds its coordinator with
-    {!create_typed}. *)
-
-val create_typed :
+val create :
   ?pool:Rofl_util.Pool.t -> exec:(int -> 'e -> unit) -> shards:int -> window_ms:float ->
   unit -> 'e t
-(** {!create} over engines built by {!Engine.create_typed} [~exec]. *)
-
-val shards : 'e t -> int
+(** [create ?pool ~exec ~shards ~window_ms ()] builds a coordinator over
+    [shards] engines, each built by {!Engine.create} [~exec].  [window_ms]
+    must be positive when [shards > 1] ([infinity] is the natural value for
+    a single shard, where no message ever crosses).  Without a [pool] (or
+    with a 1-job pool) windows run sequentially — same results, no
+    parallelism. *)
 
 val engine : 'e t -> int -> 'e Engine.t
 (** The engine owning partition [i].  During a window, partition [i]'s
     events run on one pool domain and must touch only shard-[i] state;
     outside [run_until] the caller may inspect engines freely. *)
-
-val window_ms : 'e t -> float
 
 val now : 'e t -> float
 (** The merged barrier clock: every shard has executed all events at or
@@ -82,18 +73,15 @@ val at_global :
 val run_until : 'e t -> float -> unit
 (** Execute all events and globals with time <= the horizon.  The merged
     clock advances to at least the horizon, and the monitor observes the
-    horizon boundary even when nothing fired (matching
-    {!Engine.run_until}'s idle-boundary contract). *)
+    horizon boundary even when nothing fired, so checkpoint audits keep
+    seeing time pass across quiescent stretches. *)
 
 val pending : 'e t -> int
 (** Total in-flight events across all shards. *)
 
 val peak_global : 'e t -> int
 (** High-water mark of total pending events, sampled at sync points only —
-    the K-independent replacement for {!Engine.peak_pending} in campaign
-    reports. *)
-
-val scheduled_total : 'e t -> int
+    K-independent, so campaign reports read it. *)
 
 val executed_total : 'e t -> int
 
@@ -104,9 +92,11 @@ val fingerprint : 'e t -> int
 
 val set_monitor : 'e t -> (float -> unit) -> unit
 (** Coordinator-level observer, invoked with the merged barrier clock at
-    sync points (global-event times and run horizons).  This is where the
-    ring doctor attaches under sharding: per-engine monitors would fire at
-    K-dependent interior barriers and race with other shards' domains. *)
+    sync points (global-event times and run horizons); the ring doctor
+    attaches here.  The observer runs outside the event queues, so it
+    shifts no event key; it must not schedule events, raise, or mutate
+    simulation state.  A per-engine observer would fire at K-dependent
+    interior barriers and race with other shards' domains. *)
 
 val clear_monitor : 'e t -> unit
 
@@ -121,3 +111,4 @@ type stats = {
     results, never inside them. *)
 
 val stats : 'e t -> stats
+(** Kept for perfbench and the bench shards rows, which report it. *)

@@ -1526,7 +1526,7 @@ let create ~rng ?(cfg = default_config) ?(shards = 1) ?pool ?(bootstrap_hosts = 
     {
       graph;
       cfg;
-      coord = Shard.create_typed ?pool ~exec ~shards:k ~window_ms:window ();
+      coord = Shard.create ?pool ~exec ~shards:k ~window_ms:window ();
       nshards = k;
       shard_of;
       rails = Array.make n 0;

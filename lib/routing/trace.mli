@@ -32,16 +32,17 @@ type event = {
 
 type t = event list
 
-val kind_to_string : kind -> string
-
 val level_to_string : level -> string
 (** ["intra"], ["peer"], ["root"], ["AS<n>"] or ["vAS<n>"]: the names
     interdomain levels print under. *)
 
 val count : t -> kind -> int
+(** Exported for tests: test_routing checks the per-kind totals against the walk
+    counters. *)
 
 val counts : t -> (string * int) list
-(** Event totals keyed by {!kind_to_string}, every kind present. *)
+(** Event totals keyed by kind name (["ring"], ["cache"], ...), every
+    kind present. *)
 
 val to_lines : t -> string list
 (** One human-readable line per event, numbered in walk order. *)

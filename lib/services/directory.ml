@@ -119,7 +119,7 @@ let resolver_for t router =
   match t.resolvers.(router) with
   | Some r -> r
   | None ->
-    let r = Resolver.create ~metrics:t.metrics ~router t.cfg.cache in
+    let r = Resolver.create ~metrics:t.metrics t.cfg.cache in
     t.resolvers.(router) <- Some r;
     r
 
@@ -249,7 +249,7 @@ let publish_matching t ~now pred =
         let slot =
           match
             Provider_store.publish t.store ~service:t.i_service.(k)
-              ~provider:t.i_provider.(k) ~origin:t.i_origin.(k) ~owner ~now
+              ~provider:t.i_provider.(k) ~owner ~now
               ~ttl_ms
           with
           | `Placed s | `Refreshed s -> s

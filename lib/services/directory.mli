@@ -25,7 +25,8 @@
     the residency invariant the doctor audits. *)
 
 val ttl_ms : float
-(** 10 s: the record TTL granted by each publish. *)
+(** 10 s: the record TTL granted by each publish.
+    Exported for tests: test_services sweeps one TTL past a publish. *)
 
 val republish_period_ms : float
 (** 4 s: the origin republish cadence. *)

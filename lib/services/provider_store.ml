@@ -21,10 +21,8 @@ type t = {
   mutable cap : int;
   mutable service : Id.t array;
   mutable provider : Id.t array;
-  mutable origin : int array;      (* publishing router *)
   mutable owner : int array;       (* hosting router, -1 = free slot *)
   mutable expires_ms : float array;
-  mutable version : int array;     (* bumped on every refresh *)
   mutable gen : int array;         (* bumped on every alloc: slot-handle epoch *)
   mutable r_next : int array;      (* router chain next, or freelist next when free *)
   mutable r_prev : int array;
@@ -43,10 +41,8 @@ let create ~routers ~hint () =
     cap;
     service = Array.make cap Id.zero;
     provider = Array.make cap Id.zero;
-    origin = Array.make cap (-1);
     owner = Array.make cap (-1);
     expires_ms = Array.make cap 0.0;
-    version = Array.make cap 0;
     gen = Array.make cap 0;
     r_next = Array.init cap (fun i -> if i + 1 < cap then i + 1 else -1);
     r_prev = Array.make cap (-1);
@@ -60,8 +56,6 @@ let create ~routers ~hint () =
 
 let live t = t.live
 
-let capacity t = t.cap
-
 let grow t =
   let old = t.cap in
   let cap = 2 * old in
@@ -69,10 +63,8 @@ let grow t =
   let extend_int fill a = Array.append a (Array.make old fill) in
   t.service <- extend_id t.service;
   t.provider <- extend_id t.provider;
-  t.origin <- extend_int (-1) t.origin;
   t.owner <- extend_int (-1) t.owner;
   t.expires_ms <- Array.append t.expires_ms (Array.make old 0.0);
-  t.version <- extend_int 0 t.version;
   t.gen <- extend_int 0 t.gen;
   t.r_next <- Array.append t.r_next (Array.init old (fun i ->
       if old + i + 1 < cap then old + i + 1 else -1));
@@ -94,16 +86,14 @@ let find t ~service ~provider ~owner =
     (* every slot in the chain already matches [service] *)
     walk h
 
-let alloc t ~service ~provider ~origin ~owner ~now ~ttl_ms =
+let alloc t ~service ~provider ~owner ~now ~ttl_ms =
   if t.free < 0 then grow t;
   let s = t.free in
   t.free <- t.r_next.(s);
   t.service.(s) <- service;
   t.provider.(s) <- provider;
-  t.origin.(s) <- origin;
   t.owner.(s) <- owner;
   t.expires_ms.(s) <- now +. ttl_ms;
-  t.version.(s) <- 0;
   t.gen.(s) <- t.gen.(s) + 1;
   let rh = t.rhead.(owner) in
   t.r_next.(s) <- rh;
@@ -118,15 +108,13 @@ let alloc t ~service ~provider ~origin ~owner ~now ~ttl_ms =
   t.live <- t.live + 1;
   s
 
-let publish t ~service ~provider ~origin ~owner ~now ~ttl_ms =
+let publish t ~service ~provider ~owner ~now ~ttl_ms =
   let s = find t ~service ~provider ~owner in
   if s >= 0 then begin
-    t.origin.(s) <- origin;
     t.expires_ms.(s) <- now +. ttl_ms;
-    t.version.(s) <- t.version.(s) + 1;
     `Refreshed s
   end
-  else `Placed (alloc t ~service ~provider ~origin ~owner ~now ~ttl_ms)
+  else `Placed (alloc t ~service ~provider ~owner ~now ~ttl_ms)
 
 let remove t s =
   let owner = t.owner.(s) in
@@ -142,7 +130,6 @@ let remove t s =
   t.owner.(s) <- -1;
   t.service.(s) <- Id.zero;
   t.provider.(s) <- Id.zero;
-  t.origin.(s) <- -1;
   t.r_next.(s) <- t.free;
   t.r_prev.(s) <- -1;
   t.s_next.(s) <- -1;
@@ -163,11 +150,8 @@ let sweep t ~now =
   !dropped
 
 let service t s = t.service.(s)
-let provider t s = t.provider.(s)
-let origin t s = t.origin.(s)
 let owner t s = t.owner.(s)
 let expires_ms t s = t.expires_ms.(s)
-let version t s = t.version.(s)
 let gen t s = t.gen.(s)
 
 let iter_service t service f =

@@ -39,23 +39,19 @@ type entry = {
 
 type t = {
   cfg : config;
-  router : int;
   cache : (Id.t, entry) Lru.t;
   metrics : Metrics.t;
   mutable served_expired : int;
 }
 
-let create ~metrics ~router cfg =
+let create ~metrics cfg =
   {
     cfg;
-    router;
     cache = Lru.create ~capacity:cfg.capacity;
     metrics;
     served_expired = 0;
   }
 
-let router t = t.router
-let config t = t.cfg
 let length t = Lru.length t.cache
 let served_expired t = t.served_expired
 

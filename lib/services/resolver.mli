@@ -32,11 +32,10 @@ type entry = {
 
 type t
 
-val create : metrics:Rofl_netsim.Metrics.t -> router:int -> config -> t
+val create : metrics:Rofl_netsim.Metrics.t -> config -> t
 
-val router : t -> int
-val config : t -> config
 val length : t -> int
+(** Exported for tests: test_lru_model checks the size against its model. *)
 
 val find : t -> now:float -> Rofl_idspace.Id.t -> entry option
 (** Consult the cache: a fresh entry is a (positive or negative) hit and is

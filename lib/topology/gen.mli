@@ -5,10 +5,12 @@
     generators return connected graphs. *)
 
 val ring : int -> latency_ms:float -> Graph.t
-(** A cycle of [n >= 3] routers. *)
+(** A cycle of [n >= 3] routers.
+    Exported for tests: the tests build small cycle graphs with it. *)
 
 val line : int -> latency_ms:float -> Graph.t
-(** A path of [n >= 2] routers. *)
+(** A path of [n >= 2] routers.
+    Exported for tests: the tests build small path graphs with it. *)
 
 val waxman :
   Rofl_util.Prng.t -> n:int -> alpha:float -> beta:float -> Graph.t

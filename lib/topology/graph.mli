@@ -31,6 +31,7 @@ val neighbors : t -> int -> (int * float) list
 (** [(neighbor, latency)] pairs. *)
 
 val links : t -> link list
+(** Exported for tests: the tests enumerate every link to fail or check it. *)
 
 val iter_links : t -> (link -> unit) -> unit
 
@@ -49,4 +50,5 @@ val is_connected : t -> bool
 
 val diameter_hops : t -> int
 (** Exact unweighted diameter over the largest component (BFS from every
-    router; fine at the few-hundred-router scale used here). *)
+    router; fine at the few-hundred-router scale used here).
+    Exported for tests: test_topology and test_intra check diameters. *)

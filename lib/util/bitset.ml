@@ -4,8 +4,6 @@ let create n =
   if n < 0 then invalid_arg "Bitset.create: negative size";
   { bits = Bytes.make ((n + 7) / 8) '\000'; n }
 
-let size b = b.n
-
 let check b i = if i < 0 || i >= b.n then invalid_arg "Bitset: index out of range"
 
 let set b i =
@@ -46,11 +44,6 @@ let inter a b =
   done;
   out
 
-
-let iter b f =
-  for i = 0 to b.n - 1 do
-    if mem b i then f i
-  done
 
 let to_list b =
   let acc = ref [] in

@@ -8,8 +8,6 @@ type t
 val create : int -> t
 (** All-zeros set over a universe of the given size. *)
 
-val size : t -> int
-
 val set : t -> int -> unit
 
 val mem : t -> int -> bool
@@ -20,8 +18,7 @@ val union_into : dst:t -> t -> unit
 (** OR a set into [dst]; sizes must match. *)
 
 val inter : t -> t -> t
-
-val iter : t -> (int -> unit) -> unit
-(** Visit members in increasing order. *)
+(** Exported for tests: test_util checks it against a list model. *)
 
 val to_list : t -> int list
+(** Exported for tests: test_util reads sets back through it. *)

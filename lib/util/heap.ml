@@ -125,11 +125,3 @@ let pop h =
     let prio = h.prio.(0) in
     Some (prio, take h)
   end
-
-let clear h =
-  h.prio <- [||];
-  h.rail <- [||];
-  h.seq <- [||];
-  h.arg <- [||];
-  h.value <- [||];
-  h.size <- 0

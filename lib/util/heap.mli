@@ -36,7 +36,9 @@ val pop : 'a t -> (float * 'a) option
 (** Remove and return the minimum-priority element (FIFO among ties).
     The vacated slot is cleared, so a popped element becomes unreachable
     through the heap as soon as the caller drops it — draining the simulator
-    event queue cannot retain event closures between campaign phases. *)
+    event queue cannot retain event closures between campaign phases.
+    Exported for tests: test_util's heap model and test_linkstate's reference
+    Dijkstra pop through it. *)
 
 val min_prio_into : 'a t -> float array -> int -> unit
 (** [min_prio_into h reg i] writes the minimum priority into [reg.(i)] (a
@@ -52,5 +54,3 @@ val min_arg : 'a t -> int
 val take : 'a t -> 'a
 (** {!pop} without the option: remove the minimum entry, clear its slot and
     return its payload.  Raises [Invalid_argument] on an empty heap. *)
-
-val clear : 'a t -> unit

@@ -1,5 +1,3 @@
-let src = Logs.Src.create "rofl" ~doc:"ROFL reproduction"
-
 let make_src name = Logs.Src.create ("rofl." ^ name) ~doc:("ROFL " ^ name)
 
 let level_of_env () =

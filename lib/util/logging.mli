@@ -4,9 +4,6 @@
     call {!setup} once.  Simulation hot paths only log at [Debug], so the
     default [Warning] level costs nothing. *)
 
-val src : Logs.src
-(** The root [rofl] source, for library code without a more specific one. *)
-
 val make_src : string -> Logs.src
 (** [make_src "intra"] creates the [rofl.intra] source. *)
 

@@ -17,8 +17,6 @@ let split g =
   let seed = bits64 g in
   { state = seed }
 
-let copy g = { state = g.state }
-
 let int g bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
   (* Rejection sampling to avoid modulo bias. *)

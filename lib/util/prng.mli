@@ -17,9 +17,6 @@ val split : t -> t
     child per subsystem so that adding draws to one subsystem does not perturb
     another. *)
 
-val copy : t -> t
-(** Duplicate the current state (the copy replays the same future stream). *)
-
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 
@@ -33,7 +30,7 @@ val float : t -> float -> float
 (** [float g x] is uniform in [\[0, x)]. *)
 
 val bool : t -> bool
-(** Fair coin. *)
+(** Fair coin.  Exported for tests: the tests draw coin flips with it. *)
 
 val exponential : t -> float -> float
 (** [exponential g mean] draws from Exp with the given mean. *)

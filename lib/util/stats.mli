@@ -22,5 +22,3 @@ val quantiles_of_cdf : (float * float) list -> float list -> float list
 
 val moving_average : float list -> window:int -> float list
 (** Trailing moving average with the given window (window >= 1). *)
-
-val sum : float list -> float

@@ -64,8 +64,6 @@ let render_csv t =
   (* [rows] is stored newest-first; [rev_map] restores insertion order. *)
   String.concat "\n" (line t.columns :: List.rev_map line t.rows) ^ "\n"
 
-let title t = t.title
-
 let slug s =
   String.map
     (fun c ->

@@ -20,8 +20,6 @@ val render : t -> string
 val print : t -> unit
 (** [render] to stdout followed by a blank line. *)
 
-val title : t -> string
-
 val save_csv : t -> dir:string -> string
 (** Write the table as RFC-4180-ish CSV (header row then data rows; cells
     containing commas, quotes or newlines are quoted) under [dir] (created

@@ -43,4 +43,5 @@ type session = {
 
 val sessions : event list -> session list
 (** Per-session view of a trace, sorted by [seq] — what a campaign replays
-    and what the property tests measure lifetimes over. *)
+    and what the property tests measure lifetimes over.
+    Exported for tests: test_workload checks the session lifetimes. *)

@@ -98,8 +98,3 @@ let generate rng ~horizon_ms ~services ~rate_per_s ~flash_start_ms ~flash_len_ms
           (match a with Resolve { seq; _ } | Flap { seq; _ } -> seq)
           (match b with Resolve { seq; _ } | Flap { seq; _ } -> seq))
     !events
-
-let count events =
-  List.fold_left
-    (fun (r, f) ev -> match ev with Resolve _ -> (r + 1, f) | Flap _ -> (r, f + 1))
-    (0, 0) events

@@ -30,8 +30,6 @@ val flash_focus : int
 (** 2: the flash crowd hammers the [min flash_focus services] hottest
     ranks. *)
 
-val event_time : event -> float
-
 val generate :
   Rofl_util.Prng.t ->
   horizon_ms:float ->
@@ -44,6 +42,3 @@ val generate :
 (** The flash crowd covers [\[flash_start_ms, flash_start_ms +
     flash_len_ms)]; [flash_len_ms <= 0] disables it, and
     [flap_rate_per_s <= 0] generates no flaps. *)
-
-val count : event list -> int * int
-(** (resolves, flaps). *)

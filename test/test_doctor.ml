@@ -310,6 +310,42 @@ let qcheck_params_round_trip =
       (* [=] equates 0.0 and -0.0, so also compare what the copy writes *)
       | Ok p' -> p' = p && Campaign.params_to_strings p' = kvs)
 
+(* [Checks.ring_owner] against a list scan: the greatest member <= id in
+   unsigned order, else (the id precedes every member) the largest one. *)
+let model_owner members id =
+  match List.filter (fun m -> Rofl_idspace.Id.compare m id <= 0) members with
+  | [] -> List.nth_opt (List.rev members) 0
+  | below -> List.nth_opt (List.rev below) 0
+
+let qcheck_ring_owner_model =
+  let module Id = Rofl_idspace.Id in
+  let gen =
+    QCheck.Gen.(
+      map3
+        (fun seed n pick ->
+          let rng = Prng.create seed in
+          let members = List.sort_uniq Id.compare (List.init n (fun _ -> Id.random rng)) in
+          (* An exact member, one below the smallest member (the wrap), or
+             a fresh identifier; an empty membership has no owner. *)
+          let id =
+            match (members, pick) with
+            | _ :: _, 0 -> List.nth members (Prng.int rng (List.length members))
+            | smallest :: _, 1 -> Id.pred_id smallest
+            | _ -> Id.random rng
+          in
+          (members, id))
+        int (int_bound 12) (int_bound 2))
+  in
+  QCheck.Test.make ~count:1000 ~name:"ring_owner = list-scan model"
+    (QCheck.make
+       ~print:(fun (ms, id) ->
+         Printf.sprintf "%s in [%s]" (Id.to_short_string id)
+           (String.concat "; " (List.map Id.to_short_string ms)))
+       gen)
+    (fun (members, id) ->
+      Option.equal Id.equal (Checks.ring_owner (Array.of_list members) id)
+        (model_owner members id))
+
 let () =
   Alcotest.run "rofl_doctor"
     [
@@ -340,4 +376,5 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_params_round_trip;
         ] );
       ( "shrink", [ Alcotest.test_case "synthetic oracle" `Quick test_shrink_minimizes ] );
+      ("oracle", [ QCheck_alcotest.to_alcotest qcheck_ring_owner_model ]);
     ]

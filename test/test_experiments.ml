@@ -125,7 +125,7 @@ let test_compare_targets () =
 let row_cells table label =
   let prefix = label ^ " " in
   match List.find_opt (String.starts_with ~prefix) (String.split_on_char '\n' (Table.render table)) with
-  | None -> Alcotest.failf "%s: no row %S" (Table.title table) label
+  | None -> Alcotest.failf "no row %S in:\n%s" label (Table.render table)
   | Some line ->
     String.sub line (String.length label) (String.length line - String.length label)
     |> String.split_on_char ' '
@@ -190,14 +190,10 @@ let golden_jobs4 =
     ("churn", "650cfb7bdf17f1a37b2d28e807489598a3a947b35ee9b78e5de9aec099183147");
   ]
 
-let target_fn = function
-  | "fig5a" -> E.Fig5.fig5a
-  | "fig6a" -> E.Fig6.fig6a
-  | "fig7" -> E.Fig7.fig7
-  | "fig8a" -> E.Fig8.fig8a
-  | "fig8b" -> E.Fig8.fig8b
-  | "churn" -> E.Churnlab.churn
-  | t -> Alcotest.fail ("unknown golden target " ^ t)
+let target_fn name =
+  match E.Registry.find name with
+  | Some e -> e.E.Registry.run
+  | None -> Alcotest.fail ("unknown golden target " ^ name)
 
 let check_digests scale golden =
   List.iter

@@ -5,7 +5,8 @@ module Id = Rofl_idspace.Id
 module Ring = Rofl_idspace.Ring
 module Prng = Rofl_util.Prng
 
-let id_testable = Alcotest.testable (fun ppf id -> Id.pp ppf id) Id.equal
+let id_testable =
+  Alcotest.testable (fun ppf id -> Format.pp_print_string ppf (Id.to_short_string id)) Id.equal
 
 let id i = Id.of_int i
 
@@ -373,7 +374,7 @@ let map_k_successors k x m =
 
 let arb_pool_id =
   QCheck.make
-    ~print:(fun i -> Format.asprintf "%a" Id.pp i)
+    ~print:Id.to_short_string
     QCheck.Gen.(
       oneof
         [

@@ -54,9 +54,9 @@ let test_two_router_network () =
   Alcotest.(check bool) "and back" true (d0.Forward.delivered_to <> None)
 
 let test_no_auth_config () =
-  let cfg = { Network.default_config with Network.authenticate_joins = false } in
-  let net, _ = net_with ~cfg ~n:10 3 in
-  (* Arbitrary (non-hash) identifiers are fine when auth is off. *)
+  let net, _ = net_with ~n:10 3 in
+  (* [join_host] takes arbitrary (non-hash) identifiers: the handshake is
+     [join_fresh_host]'s. *)
   (match Network.join_host net ~gateway:0 ~id:(Id.of_int 42) ~cls:Vnode.Stable with
    | Ok _ -> ()
    | Error e -> Alcotest.failf "plain-id join failed: %s" e);
@@ -146,8 +146,7 @@ let test_metrics_isolated_per_network () =
     (Metrics.total b.Network.metrics)
 
 let test_leave_then_rejoin_same_id () =
-  let cfg = { Network.default_config with Network.authenticate_joins = false } in
-  let net, _ = net_with ~cfg ~n:10 9 in
+  let net, _ = net_with ~n:10 9 in
   let id = Id.of_int 777 in
   (match Network.join_host net ~gateway:2 ~id ~cls:Vnode.Stable with
    | Ok _ -> ()

@@ -311,7 +311,7 @@ let prop_resolver_matches_model =
   QCheck.Test.make ~name:"Resolver cache agrees with the TTL'd LRU model" ~count:500
     rops_arb (fun ops ->
       let metrics = Metrics.create ~routers:1 in
-      let r = Resolver.create ~metrics ~router:0 resolver_cfg in
+      let r = Resolver.create ~metrics resolver_cfg in
       let keys = Array.init 8 (fun k -> Id.random (Prng.create (k + 1))) in
       (* model: assoc list MRU-first of (key index, (positive, fresh_until)) *)
       let m = ref [] in

@@ -90,159 +90,89 @@ let test_metrics_reset_and_merge () =
   Metrics.reset c;
   Alcotest.(check (list (pair string int))) "inject-only reset" [] (Metrics.categories c)
 
-let test_engine_ordering () =
-  let e = Engine.create () in
+(* An engine whose payloads are labels, logged as they run. *)
+let logging_engine () =
   let log = ref [] in
-  Engine.schedule e ~delay_ms:5.0 (fun () -> log := "b" :: !log);
-  Engine.schedule e ~delay_ms:1.0 (fun () -> log := "a" :: !log);
-  Engine.schedule e ~delay_ms:9.0 (fun () -> log := "c" :: !log);
-  Engine.run e;
-  Alcotest.(check (list string)) "time order" [ "a"; "b"; "c" ] (List.rev !log);
-  Alcotest.(check (float 1e-9)) "clock at last event" 9.0 (Engine.now e)
+  (Engine.create ~exec:(fun _ l -> log := l :: !log), fun () -> List.rev !log)
 
+let test_engine_ordering () =
+  let e, log = logging_engine () in
+  Engine.schedule_keyed e ~time_ms:5.0 ~rail:0 ~seq:0 ~arg:0 "b";
+  Engine.schedule_keyed e ~time_ms:1.0 ~rail:0 ~seq:1 ~arg:0 "a";
+  Engine.schedule_keyed e ~time_ms:9.0 ~rail:0 ~seq:2 ~arg:0 "c";
+  Engine.run_before e infinity;
+  Alcotest.(check (list string)) "time order" [ "a"; "b"; "c" ] (log ());
+  Alcotest.(check (float 1e-9)) "clock at last event" 9.0 (Engine.now e);
+  Alcotest.(check int) "executed" 3 (Engine.executed_total e)
+
+(* Each event schedules the next one from inside [exec], with its int. *)
 let test_engine_cascading () =
-  let e = Engine.create () in
   let fired = ref 0 in
-  let rec chain n =
-    if n > 0 then
-      Engine.schedule e ~delay_ms:1.0 (fun () ->
-          incr fired;
-          chain (n - 1))
+  let engine = ref None in
+  let exec n () =
+    incr fired;
+    match !engine with
+    | Some e when n > 1 ->
+      Engine.schedule_keyed e ~time_ms:(Engine.now e +. 1.0) ~rail:0 ~seq:!fired ~arg:(n - 1) ()
+    | _ -> ()
   in
-  chain 5;
-  Engine.run e;
+  let e = Engine.create ~exec in
+  engine := Some e;
+  Engine.schedule_keyed e ~time_ms:1.0 ~rail:0 ~seq:0 ~arg:5 ();
+  Engine.run_before e infinity;
   Alcotest.(check int) "all fired" 5 !fired;
   Alcotest.(check (float 1e-9)) "clock advanced" 5.0 (Engine.now e)
 
+(* [run_until] runs the horizon instant and moves the clock to it;
+   [run_before] stops short of it and leaves the clock at the last event. *)
 let test_engine_run_until () =
-  let e = Engine.create () in
-  let fired = ref [] in
-  List.iter
-    (fun t -> Engine.schedule e ~delay_ms:t (fun () -> fired := t :: !fired))
+  let e, log = logging_engine () in
+  List.iteri
+    (fun seq t -> Engine.schedule_keyed e ~time_ms:t ~rail:0 ~seq ~arg:0 t)
     [ 1.0; 2.0; 3.0; 4.0 ];
   Engine.run_until e 2.5;
-  Alcotest.(check (list (float 1e-9))) "only early events" [ 1.0; 2.0 ] (List.rev !fired);
+  Alcotest.(check (list (float 1e-9))) "only early events" [ 1.0; 2.0 ] (log ());
   Alcotest.(check int) "two pending" 2 (Engine.pending e);
   Alcotest.(check (float 1e-9)) "clock at horizon" 2.5 (Engine.now e);
-  Engine.run e;
-  Alcotest.(check int) "drained" 0 (Engine.pending e)
+  Engine.run_before e 4.0;
+  Alcotest.(check (list (float 1e-9))) "strictly before" [ 1.0; 2.0; 3.0 ] (log ());
+  Alcotest.(check (float 1e-9)) "clock at last event" 3.0 (Engine.now e);
+  let reg = [| infinity |] in
+  Alcotest.(check bool) "next time" true (Engine.next_time_into e reg && reg.(0) = 4.0);
+  Engine.run_until e 4.0;
+  Alcotest.(check (list (float 1e-9))) "horizon instant runs" [ 1.0; 2.0; 3.0; 4.0 ] (log ());
+  Alcotest.(check int) "drained" 0 (Engine.pending e);
+  Alcotest.(check bool) "no next time" false (Engine.next_time_into e reg)
 
 let test_engine_rejects_past () =
-  let e = Engine.create () in
-  Engine.schedule e ~delay_ms:5.0 (fun () -> ());
-  Engine.run e;
-  Alcotest.check_raises "past" (Invalid_argument "Engine.schedule_at: time in the past")
-    (fun () -> Engine.schedule_at e ~time_ms:1.0 (fun () -> ()));
-  Alcotest.check_raises "negative delay"
-    (Invalid_argument "Engine.schedule: negative delay") (fun () ->
-      Engine.schedule e ~delay_ms:(-1.0) (fun () -> ()))
-
-let test_engine_ties_fifo () =
-  let e = Engine.create () in
-  let log = ref [] in
-  Engine.schedule e ~delay_ms:1.0 (fun () -> log := 1 :: !log);
-  Engine.schedule e ~delay_ms:1.0 (fun () -> log := 2 :: !log);
-  Engine.run e;
-  Alcotest.(check (list int)) "FIFO among ties" [ 1; 2 ] (List.rev !log)
-
-(* Regression: ties must stay FIFO at scale, and events scheduled from a
-   running callback at the *same* timestamp must run after every
-   already-queued event with that timestamp (heap rebalancing must not
-   reorder equal keys). *)
-let test_engine_ties_fifo_stress () =
-  let e = Engine.create () in
-  let log = ref [] in
-  for i = 0 to 9 do
-    Engine.schedule e ~delay_ms:1.0 (fun () ->
-        log := i :: !log;
-        if i mod 2 = 0 then
-          (* Re-entrant schedule at the current time: lands behind the whole
-             first batch, still in emission order among themselves. *)
-          Engine.schedule e ~delay_ms:0.0 (fun () -> log := (100 + i) :: !log))
-  done;
-  Engine.run e;
-  let expected = [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9; 100; 102; 104; 106; 108 ] in
-  Alcotest.(check (list int)) "FIFO under re-entrant ties" expected (List.rev !log)
-
-let test_engine_queue_depth_stats () =
-  let e = Engine.create () in
-  Alcotest.(check int) "fresh peak" 0 (Engine.peak_pending e);
-  Alcotest.(check int) "fresh total" 0 (Engine.scheduled_total e);
-  Engine.schedule e ~delay_ms:1.0 (fun () -> ());
-  Engine.schedule e ~delay_ms:2.0 (fun () -> ());
-  Engine.schedule e ~delay_ms:3.0 (fun () -> ());
-  Alcotest.(check int) "peak tracks depth" 3 (Engine.peak_pending e);
-  Engine.run e;
-  Alcotest.(check int) "drained" 0 (Engine.pending e);
-  Alcotest.(check int) "peak is a high-water mark" 3 (Engine.peak_pending e);
-  Alcotest.(check int) "total counts every schedule" 3 (Engine.scheduled_total e);
-  (* A cascade holds the queue at depth 1 but keeps counting schedules. *)
-  let rec chain n =
-    if n > 0 then Engine.schedule e ~delay_ms:1.0 (fun () -> chain (n - 1))
-  in
-  chain 5;
-  Engine.run e;
-  Alcotest.(check int) "cascade never deepens the queue" 3 (Engine.peak_pending e);
-  Alcotest.(check int) "cascade counted" 8 (Engine.scheduled_total e)
-
-(* Pin the clear/reset split: [clear] truncates the future but must keep
-   the statistical record (the doctor reads peak/scheduled after a phase is
-   cancelled), while [reset] returns the engine to its freshly-created
-   state so a reused engine cannot leak one phase's counters into the next
-   report. *)
-let test_engine_clear_keeps_stats_reset_zeroes () =
-  let e = Engine.create () in
-  let fired = ref 0 in
-  Engine.schedule e ~delay_ms:1.0 (fun () -> incr fired);
-  Engine.schedule e ~delay_ms:2.0 (fun () -> incr fired);
-  Engine.run e;
-  Engine.schedule e ~delay_ms:5.0 (fun () -> incr fired);
-  Engine.schedule e ~delay_ms:6.0 (fun () -> incr fired);
-  Engine.clear e;
-  Alcotest.(check int) "clear drops the queue" 0 (Engine.pending e);
-  Alcotest.(check int) "peak survives clear" 2 (Engine.peak_pending e);
-  Alcotest.(check int) "scheduled survives clear" 4 (Engine.scheduled_total e);
-  Alcotest.(check int) "executed survives clear" 2 (Engine.executed_total e);
-  Alcotest.(check bool) "digest survives clear" true (Engine.digest e <> 0);
-  Alcotest.(check (float 1e-9)) "clock survives clear" 2.0 (Engine.now e);
-  Engine.reset e;
-  Alcotest.(check int) "peak zeroed" 0 (Engine.peak_pending e);
-  Alcotest.(check int) "scheduled zeroed" 0 (Engine.scheduled_total e);
-  Alcotest.(check int) "executed zeroed" 0 (Engine.executed_total e);
-  Alcotest.(check int) "digest zeroed" 0 (Engine.digest e);
-  Alcotest.(check (float 1e-9)) "clock zeroed" 0.0 (Engine.now e);
-  (* The reset engine behaves like a fresh one. *)
-  Engine.schedule e ~delay_ms:1.0 (fun () -> incr fired);
-  Engine.run e;
-  Alcotest.(check int) "usable after reset" 3 !fired;
-  Alcotest.(check int) "stats restart" 1 (Engine.scheduled_total e)
+  let e, _ = logging_engine () in
+  Engine.schedule_keyed e ~time_ms:5.0 ~rail:0 ~seq:0 ~arg:0 ();
+  Engine.run_until e 5.0;
+  Alcotest.check_raises "past" (Invalid_argument "Engine.schedule_keyed: time in the past")
+    (fun () -> Engine.schedule_keyed e ~time_ms:1.0 ~rail:0 ~seq:1 ~arg:0 ())
 
 (* Keyed events at one timestamp drain in (rail, seq) order whatever order
    they were pushed in — the property the shard coordinator's byte-identity
-   rests on — with plain (rail -1) entries ahead of every keyed one. *)
+   rests on — and the digest depends on the executed keys alone. *)
 let test_engine_keyed_order_content_derived () =
   let run_order pushes =
-    let e = Engine.create () in
-    let log = ref [] in
+    let e, log = logging_engine () in
     List.iter
-      (fun (rail, seq) ->
-        if rail < 0 then
-          Engine.schedule e ~delay_ms:1.0 (fun () -> log := (rail, seq) :: !log)
-        else
-          Engine.schedule_keyed e ~time_ms:1.0 ~rail ~seq ~arg:0 (fun () ->
-              log := (rail, seq) :: !log))
+      (fun (rail, seq) -> Engine.schedule_keyed e ~time_ms:1.0 ~rail ~seq ~arg:0 (rail, seq))
       pushes;
-    Engine.run e;
-    (List.rev !log, Engine.digest e)
+    Engine.run_until e 1.0;
+    (log (), Engine.digest e)
   in
-  let keys = [ (2, 0); (0, 0); (-1, 0); (3, 0); (1, 0) ] in
-  let expected = [ (-1, 0); (0, 0); (1, 0); (2, 0); (3, 0) ] in
+  let keys = [ (2, 0); (0, 0); (3, 0); (1, 0) ] in
+  let expected = [ (0, 0); (1, 0); (2, 0); (3, 0) ] in
   let order_a, digest_a = run_order keys in
   let order_b, digest_b = run_order (List.rev keys) in
   Alcotest.(check (list (pair int int))) "key order, not push order" expected order_a;
   Alcotest.(check (list (pair int int))) "reversed pushes, same order" expected order_b;
   Alcotest.(check bool) "same executed multiset, same digest" true
     (digest_a = digest_b && digest_a <> 0);
+  let _, digest_c = run_order [ (0, 0); (1, 0); (2, 0); (3, 1) ] in
+  Alcotest.(check bool) "another key, another digest" true (digest_c <> digest_a);
   (* Within a rail, seq orders ties; pushes interleaved across rails (each
      rail's seqs monotone, as the contract requires) drain in key order. *)
   let interleaved = [ (1, 0); (0, 5); (1, 4); (0, 6) ] in
@@ -298,7 +228,7 @@ let run_keyed ~shards seeds =
       send ~src:sx { time; rail = ev.at; seq = draw ev.at; at = dst; tag; child = None }
     | None -> ()
   in
-  let c = Shard.create_typed ~exec ~shards ~window_ms:1.0 () in
+  let c = Shard.create ~exec ~shards ~window_ms:1.0 () in
   coord := Some c;
   List.iter
     (fun (time, at, tag, child) ->
@@ -356,7 +286,7 @@ let[@inline never] send_tracked coord w =
    payload is flushed and run, the outbox columns must not keep it
    reachable, however long the coordinator lives. *)
 let test_shard_outbox_releases_payloads () =
-  let coord = Shard.create ~shards:2 ~window_ms:1.0 () in
+  let coord = Shard.create ~exec:(fun _ f -> f ()) ~shards:2 ~window_ms:1.0 () in
   let w = Weak.create 1 in
   send_tracked coord w;
   Shard.run_until coord 10.0;
@@ -382,11 +312,6 @@ let () =
           Alcotest.test_case "cascading" `Quick test_engine_cascading;
           Alcotest.test_case "run_until" `Quick test_engine_run_until;
           Alcotest.test_case "rejects past" `Quick test_engine_rejects_past;
-          Alcotest.test_case "FIFO ties" `Quick test_engine_ties_fifo;
-          Alcotest.test_case "FIFO ties stress" `Quick test_engine_ties_fifo_stress;
-          Alcotest.test_case "queue depth stats" `Quick test_engine_queue_depth_stats;
-          Alcotest.test_case "clear keeps stats, reset zeroes" `Quick
-            test_engine_clear_keeps_stats_reset_zeroes;
           Alcotest.test_case "keyed order content-derived" `Quick
             test_engine_keyed_order_content_derived;
         ] );

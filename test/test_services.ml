@@ -35,20 +35,20 @@ let make_proto ?(hosts = 150) seed =
 let test_store_basics () =
   let st = Provider_store.create ~routers:8 ~hint:4 () in
   let svc = Id.random (Prng.create 1) and prov = Id.random (Prng.create 2) in
-  (match Provider_store.publish st ~service:svc ~provider:prov ~origin:1 ~owner:3
+  (match Provider_store.publish st ~service:svc ~provider:prov ~owner:3
            ~now:0.0 ~ttl_ms:100.0 with
    | `Placed _ -> ()
    | `Refreshed _ -> Alcotest.fail "fresh publish reported as refresh");
   Alcotest.(check int) "live" 1 (Provider_store.live st);
   (* same pair, same owner: refresh *)
-  (match Provider_store.publish st ~service:svc ~provider:prov ~origin:1 ~owner:3
+  (match Provider_store.publish st ~service:svc ~provider:prov ~owner:3
            ~now:50.0 ~ttl_ms:100.0 with
    | `Refreshed _ -> ()
    | `Placed _ -> Alcotest.fail "refresh reported as fresh placement");
   Alcotest.(check int) "still one record" 1 (Provider_store.live st);
   (* same pair at a different owner: a second copy (the old one decays) *)
   ignore
-    (Provider_store.publish st ~service:svc ~provider:prov ~origin:1 ~owner:5
+    (Provider_store.publish st ~service:svc ~provider:prov ~owner:5
        ~now:60.0 ~ttl_ms:100.0);
   Alcotest.(check int) "copy per owner" 2 (Provider_store.live st);
   let buf = Array.make (Provider_store.service_records st svc) Id.zero in
@@ -95,7 +95,7 @@ let prop_store_matches_model =
            | `Publish (i, ttl) ->
              let service, provider, owner = of_i i in
              ignore
-               (Provider_store.publish st ~service ~provider ~origin:0 ~owner ~now
+               (Provider_store.publish st ~service ~provider ~owner ~now
                   ~ttl_ms:ttl);
              Hashtbl.replace model i (now +. ttl)
            | `Sweep ->
@@ -250,7 +250,7 @@ let test_checks_expiry_fault () =
      it is a violation of the sweep-cadence invariant. *)
   ignore
     (Provider_store.publish (Directory.store dir) ~service:(Id.random (Prng.create 99))
-       ~provider:(Id.random (Prng.create 98)) ~origin:0 ~owner:1 ~now:0.0 ~ttl_ms:1.0);
+       ~provider:(Id.random (Prng.create 98)) ~owner:1 ~now:0.0 ~ttl_ms:1.0);
   let grace = 2.0 *. Directory.republish_period_ms in
   let vs = Checks.services_checks ~at_ms:(1.0 +. grace +. 1.0) dir in
   let expiry = List.filter (fun v -> v.Checks.check = "svc-expiry") vs in

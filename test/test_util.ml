@@ -217,12 +217,12 @@ let heap_property =
       out = List.sort compare floats)
 
 (* Model check of the event-queue discipline: random interleavings of plain
-   and keyed pushes, pops through both the option API and the in-place
-   accessors, and clears, against a sorted list keyed (prio, rail, seq).
-   Four priorities and three rails make ties the common case.  Plain pushes
-   sit on rail -1 with the heap's own counter, which survives [clear], and
-   carry int 0; a keyed push carries its op index, read back on a pop. *)
-type heap_op = Push of int | Keyed of int * int | Pop | Take | Clear
+   and keyed pushes and of pops through both the option API and the
+   in-place accessors, against a sorted list keyed (prio, rail, seq).  Four
+   priorities and three rails make ties the common case.  Plain pushes sit
+   on rail -1 with the heap's own counter and carry int 0; a keyed push
+   carries its op index, read back on a pop. *)
+type heap_op = Push of int | Keyed of int * int | Pop | Take
 
 let heap_op_gen =
   QCheck.Gen.(
@@ -232,7 +232,6 @@ let heap_op_gen =
         (3, map2 (fun p r -> Keyed (p, r)) (int_bound 3) (int_bound 2));
         (2, return Pop);
         (2, return Take);
-        (1, return Clear);
       ])
 
 (* Replays [ops] (the payload of op [i] is [payload i]) against [h] and the
@@ -271,10 +270,6 @@ let heap_replay h ~payload ops =
       true
     | Pop -> pop_matches ~flat:false
     | Take -> pop_matches ~flat:true
-    | Clear ->
-      Heap.clear h;
-      model := [];
-      true
   in
   let rec run i = function
     | [] -> true
@@ -291,16 +286,14 @@ let heap_model_property =
     (fun ops -> heap_replay (Heap.create ()) ~payload:Fun.id ops)
 
 (* The weak-pointer check over a long model run: every payload is a fresh
-   block, the queue grows to hundreds of entries between rare clears, and
-   once the run has drained the heap none of
-   them may stay reachable through the payload column of the heap, which is
-   still alive when the collector runs. *)
+   block, the queue grows to hundreds of entries, and once the run has
+   drained the heap none of them may stay reachable through the payload
+   column of the heap, which is still alive when the collector runs. *)
 let test_heap_model_releases_payloads () =
   let g = Prng.create 0x4ea9 in
   let ops =
     List.init 5_000 (fun _ ->
         match Prng.int g 500 with
-        | 0 -> Clear
         | k when k < 150 -> Push (Prng.int g 4)
         | k when k < 300 -> Keyed (Prng.int g 4, Prng.int g 3)
         | k when k < 400 -> Pop

@@ -1,43 +1,180 @@
 #!/usr/bin/env bash
 # Lists every value exported by a lib/**/*.mli that no code in lib/ or bin/
 # reads outside its own module, and diffs that list against
-# tools/unread_exports.allow.  A reader is any whole-word occurrence of the
-# value's name in another .ml or .mli file, so a comment or a same-named
-# value elsewhere counts as one: the list is a lower bound on what is unread.
+# tools/unread_exports.allow.
+#
+# A file reads [name], exported by module [M], when, outside comments and
+# string literals, it has
+#   - [M.name] (the last module of a path: [Rofl_netsim.Engine.now] reads
+#     Engine's [now]);
+#   - [A.name], where the file binds [module A = ...M] or applies a functor
+#     of M ([module W = Walk.Make (S)] makes [W.walk] a read of Walk's
+#     [walk]);
+#   - a bare [name], where the file has [open M], [include M], [M.( ... )]
+#     or [let open M in].
+# A [val] inside a [module type] is not an export; one inside a submodule
+# signature ([module Make (S : SUBSTRATE) : sig ... end]) is read through
+# the file's module or the submodule's name.
 #
 # Each allowlist line is "path name # reason".  A kept export's reason is
 # its bin tag, "(a) reference", "(a) test hook", "(a) perfbench" and so on;
 # the why itself is the value's doc comment, which must say "Kept ..." or
 # "Exported for tests ...".  Bin (b), a helper that only builds test state,
 # lives in test/ and needs no line.  Dead code, bin (c), is deleted, not
-# parked: a line tagged "(c)" fails.  The script also fails when an export
-# is unread and not allowlisted, when an allowlisted export has gained a
-# reader (or is gone), when an allowlist line gives no reason, and when a
-# kept export's doc comment gives none.
+# parked: a line tagged "(c)" fails, and so does an export that nothing
+# reads at all, tests, bench, perfbench and examples included.  The script
+# also fails when an export is unread and not allowlisted, when an
+# allowlisted export has gained a reader (or is gone), when an allowlist
+# line gives no reason, and when a kept export's doc comment gives none.
 #
-# Usage: bash tools/unread_exports.sh            (from the repository root)
+# Usage: bash tools/unread_exports.sh [ROOT]
+#   ROOT is the tree to check (default: the repository root); its allowlist
+#   is ROOT/tools/unread_exports.allow, and a missing one is empty.
 set -eu
-cd "$(dirname "$0")/.."
+cd "${1:-$(dirname "$0")/..}"
 allow=tools/unread_exports.allow
+[ -f "$allow" ] || allow=/dev/null
 
+# "path name read" for each export that lib/ and bin/ do not read, where
+# "read" is "none" when no other directory reads it either.
 unread() {
-  # "file name" for each exported value, then "file:word" for each distinct
-  # identifier in each source file; awk reports the values whose name occurs
-  # in no file but their own .mli and .ml.
-  {
-    find lib -name '*.mli' | sort | xargs grep -HE "^[[:space:]]*val[[:space:]]+[a-z_]" |
-      sed -E "s/^([^:]+):[[:space:]]*val[[:space:]]+([a-z_][A-Za-z0-9_']*).*/val \1 \2/"
-    find lib bin -name '*.ml' -o -name '*.mli' | sort |
-      xargs grep -oHE "[A-Za-z_][A-Za-z0-9_']*" | sort -u | sed 's/^\([^:]*\):/word \1 /'
-  } | awk '
-    $1 == "val" { if (!(($2, $3) in seen)) { seen[$2, $3] = 1; vals[++n] = $2 " " $3 } ; next }
-    { own = $2; sub(/\.mli?$/, "", own); files[$3] = files[$3] " " own }
+  find lib bin test bench perfbench examples -name '*.ml' -o -name '*.mli' 2>/dev/null |
+    sort | xargs awk '
+    # Blank out comments (nested) and string and char literals, keeping
+    # [cdepth] and [instr] across the lines of one file.
+    function strip(s,   out, i, n, c, d, j) {
+      if (!cdepth && !instr && !index(s, "(*") && !index(s, "\"") && !index(s, "'\''"))
+        return s
+      out = ""; n = length(s); i = 1
+      while (i <= n) {
+        c = substr(s, i, 1)
+        if (instr) {
+          if (c == "\\") i++
+          else if (c == "\"") instr = 0
+          i++; continue
+        }
+        d = substr(s, i, 2)
+        if (d == "(*") { cdepth++; i += 2; continue }
+        if (cdepth && d == "*)") { cdepth--; i += 2; continue }
+        if (c == "\"") { instr = 1; i++; out = out " "; continue }
+        if (c == "'\''" && (i == 1 || substr(s, i - 1, 1) !~ /[A-Za-z0-9_'\'']/)) {
+          if (substr(s, i + 2, 1) == "'\''") { i += 3; out = out " "; continue }
+          if (substr(s, i + 1, 1) == "\\") {
+            j = index(substr(s, i + 2), "'\''")
+            if (j) { i += j + 2; out = out " "; continue }
+          }
+        }
+        if (!cdepth) out = out c
+        i++
+      }
+      return out
+    }
+    function modname(path,   b) {
+      b = path; sub(/.*\//, "", b); sub(/\.mli?$/, "", b)
+      return toupper(substr(b, 1, 1)) substr(b, 2)
+    }
+    function stem(path,   b) { b = path; sub(/\.mli?$/, "", b); return b }
+    function add(list, item) { return index(list " ", " " item " ") ? list : list " " item }
+    # Module path "A.B.C" as the space-separated list " A B C".
+    function comps(p,   k, parts, r, i) {
+      k = split(p, parts, "."); r = ""
+      for (i = 1; i <= k; i++) if (parts[i] != "") r = r " " parts[i]
+      return r
+    }
+    FNR == 1 { cdepth = 0; instr = 0; depth = 0; file = FILENAME }
+    {
+      s = strip($0)
+      # Aliases and functor applications: module A = P.Q (args)
+      t = s
+      while (match(t, /module[ \t]+[A-Z][A-Za-z0-9_'\'']*[ \t]*=[ \t]*[A-Z][A-Za-z0-9_'\''.]*/)) {
+        m = substr(t, RSTART, RLENGTH); t = substr(t, RSTART + RLENGTH)
+        sub(/^module[ \t]+/, "", m)
+        a = m; sub(/[ \t]*=.*/, "", a)
+        p = m; sub(/^[^=]*=[ \t]*/, "", p)
+        alias[file, a] = alias[file, a] comps(p)
+      }
+      # open M, open! M, include M, let open M in
+      t = s
+      while (match(t, /(open!?|include)[ \t]+[A-Z][A-Za-z0-9_'\''.]*/)) {
+        pre = RSTART > 1 ? substr(t, RSTART - 1, 1) : " "
+        m = substr(t, RSTART, RLENGTH); t = substr(t, RSTART + RLENGTH)
+        if (pre ~ /[A-Za-z0-9_'\'']/) continue
+        sub(/.*[ \t.]/, "", m)
+        opens[file] = opens[file] " " m
+      }
+      # Local opens M.( ... )
+      t = s
+      while (match(t, /[A-Z][A-Za-z0-9_'\''.]*\.\(/)) {
+        m = substr(t, RSTART, RLENGTH - 2); t = substr(t, RSTART + RLENGTH)
+        sub(/.*\./, "", m)
+        opens[file] = opens[file] " " m
+      }
+      # Qualified names P.M.name, and bare names
+      t = s; last = " "
+      while (match(t, /[A-Za-z_][A-Za-z0-9_'\'']*(\.[A-Za-z_][A-Za-z0-9_'\'']*)*/)) {
+        pre = RSTART > 1 ? substr(t, RSTART - 1, 1) : last
+        m = substr(t, RSTART, RLENGTH); t = substr(t, RSTART + RLENGTH)
+        last = substr(m, length(m), 1)
+        if (pre == ".") continue
+        k = split(m, parts, ".")
+        n = parts[k]
+        if (n !~ /^[a-z_]/) continue
+        if (k == 1) { if (!((file, n) in bare)) { bare[file, n] = 1; bares[n] = bares[n] " " file } }
+        else {
+          q = parts[k - 1]
+          if (q ~ /^[A-Z]/ && !((file, q, n) in qual)) {
+            qual[file, q, n] = 1; quals[n] = quals[n] " " file "|" q
+          }
+        }
+      }
+      # Exports: the vals of lib/**/*.mli outside any module type.
+      if (file ~ /^lib\/.*\.mli$/) {
+        t = s; prev = ""; pend = ""
+        while (match(t, /[A-Za-z_][A-Za-z0-9_'\'']*/)) {
+          w = substr(t, RSTART, RLENGTH); t = substr(t, RSTART + RLENGTH)
+          if (prev == "module") pend = (w == "type") ? "-" : w
+          else if (w == "sig") { depth++; frame[depth] = pend; pend = "" }
+          else if (w == "end" && depth > 0) depth--
+          else if (prev == "val" && w ~ /^[a-z_]/) {
+            inmt = 0; qs = " " modname(file)
+            for (i = 1; i <= depth; i++) {
+              if (frame[i] == "-") inmt = 1
+              else if (frame[i] != "") qs = qs " " frame[i]
+            }
+            if (!inmt && !((file, w) in isexp)) {
+              isexp[file, w] = 1; ne++; ename[ne] = w; efile[ne] = file; equal[ne] = qs " "
+            }
+          }
+          prev = w
+        }
+      }
+    }
+    # The modules a module path [q] may name in [f]: itself and, if it is
+    # an alias there, every module of the aliased path.
+    function resolve(f, q) { return " " q ((f, q) in alias ? alias[f, q] : "") " " }
+    function hits(f, q, qs,   k, cs, i) {
+      k = split(resolve(f, q), cs, " ")
+      for (i = 1; i <= k; i++) if (index(qs, " " cs[i] " ")) return 1
+      return 0
+    }
+    function dir(f) { sub(/\/.*/, "", f); return f }
     END {
-      for (i = 1; i <= n; i++) {
-        split(vals[i], v, " "); mod = v[1]; sub(/\.mli$/, "", mod)
-        k = split(files[v[2]], fs, " "); read = 0
-        for (j = 1; j <= k; j++) if (fs[j] != mod) { read = 1; break }
-        if (!read) print vals[i]
+      for (e = 1; e <= ne; e++) {
+        n = ename[e]; own = stem(efile[e]); qs = equal[e]; readers = ""
+        k = split(quals[n], rs, " ")
+        for (i = 1; i <= k; i++) {
+          split(rs[i], fq, "|")
+          if (stem(fq[1]) != own && hits(fq[1], fq[2], qs)) readers = add(readers, dir(fq[1]))
+        }
+        k = split(bares[n], rs, " ")
+        for (i = 1; i <= k; i++) {
+          if (stem(rs[i]) == own || !(rs[i] in opens)) continue
+          ko = split(opens[rs[i]], os, " ")
+          for (j = 1; j <= ko; j++)
+            if (hits(rs[i], os[j], qs)) { readers = add(readers, dir(rs[i])); break }
+        }
+        if (index(readers " ", " lib ") || index(readers " ", " bin ")) continue
+        print efile[e], n, (readers == "" ? "none" : "elsewhere")
       }
     }' | sort
 }
@@ -53,17 +190,24 @@ if grep -E '^[^ #]+ [^ #]+ # \(c\)' "$allow" > /dev/null; then
   grep -E '^[^ #]+ [^ #]+ # \(c\)' "$allow"
   status=1
 fi
-got=$(unread)
+all=$(unread)
+dead=$(echo "$all" | awk '$3 == "none" { print $1, $2 }')
+got=$(echo "$all" | awk '$3 != "none" && NF { print $1, $2 }')
 want=$(sed -nE 's/^([^ #]+) ([^ #]+) # .*/\1 \2/p' "$allow" | sort)
-new=$(comm -23 <(echo "$got" | sort) <(echo "$want"))
-stale=$(comm -13 <(echo "$got" | sort) <(echo "$want"))
+new=$(comm -23 <(echo "$got") <(echo "$want") | grep . || true)
+stale=$(comm -13 <(echo "$got") <(echo "$want") | comm -23 - <(echo "$dead") | grep . || true)
+if [ -n "$dead" ]; then
+  echo "exports nothing reads, tests included (delete them and the tests whose only subject they are):"
+  echo "$dead"
+  status=1
+fi
 if [ -n "$new" ]; then
   echo "exports with no reader in lib/ or bin/ (delete them, or allowlist them with a reason):"
   echo "$new"
   status=1
 fi
 if [ -n "$stale" ]; then
-  echo "allowlisted exports that now have a reader or no longer exist (drop their lines):"
+  echo "allowlisted exports that now have a reader in lib/ or bin/ or no longer exist (drop their lines):"
   echo "$stale"
   status=1
 fi
