@@ -215,7 +215,7 @@ let micro () =
   let intra_join_i = ref 0 in
   (* Owner reads on a converged AS3967 actor ring of 2,000 bootstrap hosts,
      rotating through 512 fixed (source router, target) pairs, a quarter of
-     them random targets, the rest members: [Proto.lookup_owner] as
+     them random targets, the rest members: [Owner.lookup_owner] as
      async-churn's owner phase calls it. *)
   let owner_proto, owner_pairs =
     let orng = named "lookup-owner-as3967" in
@@ -451,7 +451,7 @@ let micro () =
              let i = !owner_i land 511 in
              incr owner_i;
              let from, target = Array.unsafe_get owner_pairs i in
-             ignore (Rofl_proto.Proto.lookup_owner owner_proto ~from target)));
+             ignore (Rofl_proto.Owner.lookup_owner owner_proto ~from target)));
       Test.make ~name:"proto-stabilize-as3967"
         (Staged.stage (fun () -> Rofl_proto.Proto.run_for stab_proto 50.0));
       (* Attack-lab rows: the defense's per-admission price (one full
@@ -751,9 +751,9 @@ let services_bench (scale : E.Common.scale) quick =
 
 (* ---------------- alpha-parallel lookup throughput ---------------- *)
 
-(* Lookups/sec of [Proto.walk_owner] at α ∈ {1, 2, 4} over one
+(* Lookups/sec of [Owner.walk_owner] at α ∈ {1, 2, 4} over one
    bootstrapped ring with pointer caches enabled, so the diversified branch
-   starts are live.  α=1 is gated to the sequential [Proto.lookup_owner]
+   starts are live.  α=1 is gated to the sequential [Owner.lookup_owner]
    verdicts and to the recorded owner-walk goldens ({!Owner_golden}: owner,
    hops, latency), and α>1 to the sequential verdict — a throughput number
    from a wrong engine is worthless.  Rows report the
@@ -776,6 +776,7 @@ let alpha_bench (scale : E.Common.scale) quick =
   let module Id = Rofl_idspace.Id in
   let module Isp = Rofl_topology.Isp in
   let module Proto = Rofl_proto.Proto in
+  let module Owner = Rofl_proto.Owner in
   let gate_fail fmt =
     Printf.ksprintf
       (fun s ->
@@ -818,15 +819,15 @@ let alpha_bench (scale : E.Common.scale) quick =
   (* Gate 2: any α agrees with the sequential verdict — every lookup at
      α=1 (with no duplicate work), the first [gate] at α>1. *)
   let gate = min 256 total in
-  let walks = List.map (fun alpha -> (alpha, Proto.owner_walk ~alpha)) [ 1; 2; 4 ] in
+  let walks = List.map (fun alpha -> (alpha, Owner.owner_walk ~alpha)) [ 1; 2; 4 ] in
   List.iter
-    (fun (alpha, (w : Proto.owner_walk)) ->
+    (fun (alpha, (w : Owner.owner_walk)) ->
       for k = 0 to (if alpha = 1 then total else gate) - 1 do
-        Proto.walk_owner proto w ~from:from.(k) ~target:targets.(k);
+        Owner.walk_owner proto w ~from:from.(k) ~target:targets.(k);
         if alpha = 1 && w.w_wasted_hops <> 0 then
           gate_fail "alpha=1 lookup %d wasted %d hops" k w.w_wasted_hops;
         let same =
-          match Proto.lookup_owner proto ~from:from.(k) targets.(k) with
+          match Owner.lookup_owner proto ~from:from.(k) targets.(k) with
           | Some owner -> w.w_winner >= 0 && Id.equal owner w.w_owner
           | None -> w.w_winner < 0
         in
@@ -837,10 +838,10 @@ let alpha_bench (scale : E.Common.scale) quick =
     walks;
   (* Duplicate-work price, measured outside the timed loop: one full pass
      per α, the losing-branch ring hops divided down to per-lookup. *)
-  let walk_all (w : Proto.owner_walk) =
+  let walk_all (w : Owner.owner_walk) =
     let wasted = ref 0 in
     for k = 0 to total - 1 do
-      Proto.walk_owner proto w ~from:from.(k) ~target:targets.(k);
+      Owner.walk_owner proto w ~from:from.(k) ~target:targets.(k);
       wasted := !wasted + w.w_wasted_hops
     done;
     !wasted

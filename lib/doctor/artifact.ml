@@ -10,7 +10,7 @@ type fault =
           then — the coordinated-failure half of an eclipse *)
   | Poison of { at_ms : float; fraction : float }
       (** flip a content-keyed [fraction] of routers to
-          [Proto.Poison_succs] conduct *)
+          [Types.Poison_succs] conduct *)
   | Forge of { at_ms : float; count : int }
       (** submit [count] joins whose credentials belong to a different
           identifier — the forged-claim workload the verification gate

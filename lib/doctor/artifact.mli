@@ -34,7 +34,7 @@ type fault =
           coordinated-failure half of an eclipse *)
   | Poison of { at_ms : float; fraction : float }
       (** flip a content-keyed [fraction] of routers to
-          [Rofl_proto.Proto.Poison_succs] conduct *)
+          [Rofl_proto.Types.Poison_succs] conduct *)
   | Forge of { at_ms : float; count : int }
       (** submit [count] joins whose credentials belong to a different
           identifier — the forged-claim workload the verification gate

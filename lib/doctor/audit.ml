@@ -1,5 +1,6 @@
 module Shard = Rofl_netsim.Shard
 module Proto = Rofl_proto.Proto
+module State = Rofl_proto.State
 
 type config = {
   every_ms : float;
@@ -19,8 +20,8 @@ let config_for (pc : Proto.config) =
      of simulated time at default periods. *)
   let rpc_budget =
     let rec go i acc =
-      if i > Proto.rpc_retries then acc
-      else go (i + 1) (acc +. (Proto.rpc_timeout_ms *. (Proto.rpc_backoff ** float_of_int i)))
+      if i > State.rpc_retries then acc
+      else go (i + 1) (acc +. (State.rpc_timeout_ms *. (State.rpc_backoff ** float_of_int i)))
     in
     go 0 0.0
   in

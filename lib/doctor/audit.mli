@@ -15,7 +15,7 @@ type config = {
 val config_for : Rofl_proto.Proto.config -> config
 (** Derive a cadence and grace from a protocol configuration: checkpoints
     every stabilisation period, stale grace of eight worst-case repair
-    chains (period + the full {!Rofl_proto.Proto.rpc_retries} probe retry
+    chains (period + the full {!Rofl_proto.State.rpc_retries} probe retry
     budget each). *)
 
 type summary = {

@@ -1,5 +1,10 @@
 module Id = Rofl_idspace.Id
 module Proto = Rofl_proto.Proto
+module Oracle = Rofl_proto.Oracle
+module State = Rofl_proto.State
+module Tune = Rofl_proto.Tune
+module Types = Rofl_proto.Types
+module Pcache = Rofl_proto.Pcache
 module Pointer_cache = Rofl_core.Pointer_cache
 module Network = Rofl_intra.Network
 module Invariant = Rofl_intra.Invariant
@@ -101,10 +106,11 @@ let proto_checks ~stale_grace_ms ~at_ms (p : Proto.t) =
     views;
   (* Pointer caches must respect their configured capacity: an entry count
      past the cap means insert/evict bookkeeping broke. *)
-  if not (Proto.pcache_capacity_ok p) then
+  let caches = p.Types.pcaches in
+  if not (Array.for_all (fun (c : Pcache.t) -> c.len <= c.cap) caches) then
     emit "pcache-capacity" "proto"
       "a router's pointer cache exceeds its configured capacity (%d entries total)"
-      (Proto.pcache_entries p);
+      (Array.fold_left (fun acc (c : Pcache.t) -> acc + c.len) 0 caches);
   (* Network-size estimation drift: on a converged ring of reasonable size,
      the median of the per-node density estimates must land within a small
      factor of the true membership.  Per-node samples are Erlang-noisy
@@ -114,7 +120,7 @@ let proto_checks ~stale_grace_ms ~at_ms (p : Proto.t) =
      stale spans and legitimately miss. *)
   let n_members = List.length (Proto.members p) in
   if n_members >= 64 && Proto.ring_converged p then begin
-    let nhat = Proto.estimate_n p in
+    let nhat = Tune.estimate_n p in
     let actual = float_of_int n_members in
     if nhat < actual /. 4.0 || nhat > actual *. 4.0 then
       emit "nhat-drift" "proto"
@@ -128,13 +134,13 @@ let proto_checks ~stale_grace_ms ~at_ms (p : Proto.t) =
       if open_ms > stale_grace_ms then
         emit "stale-grace" (short rid)
           "successor stale for %.0f ms (grace %.0f ms)" open_ms stale_grace_ms)
-    (Proto.stale_open_since p);
+    (Oracle.stale_open_since p);
   (* ---- attack-detection invariants.  These audit the *declared* policy
      ([Proto.config]), not the enforcement switch: a ring that declares a
      diversity quota but runs with [quota_enforce = false] is exactly the
      configuration whose saturation these checks exist to surface. *)
   let cfg = Proto.config p in
-  let groups = Proto.router_groups p in
+  let groups = p.Types.groups in
   (* Eclipse saturation: more *admitted* backups from one diversity group
      (PoP) than the declared per-group quota.  A backup tail monopolised by
      one group is one coordinated crash away from a black hole — the
@@ -148,7 +154,7 @@ let proto_checks ~stale_grace_ms ~at_ms (p : Proto.t) =
         let counts = Hashtbl.create 8 in
         List.iter
           (fun (b, r) ->
-            if not (Rofl_idspace.Id.equal b (Proto.router_label r)) then
+            if not (Rofl_idspace.Id.equal b (State.router_label r)) then
               let g = groups.(r) in
               Hashtbl.replace counts g
                 (1 + Option.value ~default:0 (Hashtbl.find_opt counts g)))
@@ -169,7 +175,7 @@ let proto_checks ~stale_grace_ms ~at_ms (p : Proto.t) =
      fabricated it — the Poison_succs signature. *)
   let poisoned = Hashtbl.create 8 in
   let suspect id ~holder ~via =
-    if not (Proto.ever_member p id) then
+    if not (Oracle.ever_member p id) then
       if not (Hashtbl.mem poisoned id) then begin
         Hashtbl.replace poisoned id ();
         emit "poison-residency" (short id) "%s pointer of %s names a never-admitted id"
@@ -183,14 +189,18 @@ let proto_checks ~stale_grace_ms ~at_ms (p : Proto.t) =
       List.iter (fun (b, _) -> suspect b ~holder ~via:"backup") vw.v_succ_list;
       match vw.v_pred with Some (pr, _) -> suspect pr ~holder ~via:"predecessor" | None -> ())
     views;
-  Proto.pcache_iter p (fun ~router id _ ->
-      suspect id ~holder:(Printf.sprintf "router-%d" router) ~via:"pointer-cache");
+  Array.iteri
+    (fun router (c : Pcache.t) ->
+      for i = 0 to c.len - 1 do
+        suspect c.ids.(i) ~holder:(Printf.sprintf "router-%d" router) ~via:"pointer-cache"
+      done)
+    caches;
   (* Forged admissions: residents whose join claim failed verification but
      were admitted anyway (only possible with [verify_joins] off) — the
      ground truth behind the headline unverified-join hole. *)
   List.iter
     (fun (vw : Proto.resident_view) ->
-      if Proto.is_tainted p vw.v_id then
+      if Hashtbl.mem p.Types.tainted vw.v_id then
         emit "forged-admission" (short vw.v_id)
           "resident at router %d was admitted under a failed identity proof"
           vw.v_router)
@@ -198,7 +208,7 @@ let proto_checks ~stale_grace_ms ~at_ms (p : Proto.t) =
   (* Pointer-cache diversity quota: enforcement bookkeeping, symmetric to
      pcache-capacity — if insertion's group accounting broke, some cache
      holds more entries of one group than its admission quota allows. *)
-  if cfg.Proto.quota_enforce && not (Proto.pcache_quota_ok p) then
+  if cfg.Proto.quota_enforce && not (Array.for_all Pcache.group_quota_ok caches) then
     emit "pcache-quota" "proto"
       "a router's pointer cache exceeds the per-group quota of %d" cfg.Proto.succ_quota;
   List.rev !out

@@ -6,6 +6,11 @@ module Isp = Rofl_topology.Isp
 module Shard = Rofl_netsim.Shard
 module Metrics = Rofl_netsim.Metrics
 module Proto = Rofl_proto.Proto
+module Oracle = Rofl_proto.Oracle
+module Owner = Rofl_proto.Owner
+module State = Rofl_proto.State
+module Tune = Rofl_proto.Tune
+module Types = Rofl_proto.Types
 module Identity = Rofl_crypto.Identity
 module Churn = Rofl_workload.Churn
 module Hostdist = Rofl_workload.Hostdist
@@ -257,7 +262,7 @@ let run_events ~seed ~name ~graph ~gateways ?audit ?(shards = 1) ?pool
                hashes of their keys; that honest negative is the point.
                What the attacker buys: the victim's successor list fills
                with co-conspirators, armed for a coordinated crash. *)
-            let vid = Proto.router_label victim in
+            let vid = State.router_label victim in
             let arc_end = ring_successor (Proto.members proto) vid in
             let g =
               Prng.create (Hashtbl.hash (seed, "eclipse-mine", victim, 0x0c4a7))
@@ -326,7 +331,7 @@ let run_events ~seed ~name ~graph ~gateways ?audit ?(shards = 1) ?pool
               let tmp = order.(i) in
               order.(i) <- order.(j);
               order.(j) <- tmp;
-              Proto.set_behaviour proto order.(i) Proto.Poison_succs
+              Proto.set_behaviour proto order.(i) Types.Poison_succs
             done
           | `Forge count ->
             (* Joins claiming identifiers whose credentials belong to
@@ -352,7 +357,7 @@ let run_events ~seed ~name ~graph ~gateways ?audit ?(shards = 1) ?pool
                Array.iter
                  (fun target ->
                    let from = gateways.(Prng.int og (Array.length gateways)) in
-                   match Proto.lookup_owner proto ~from target with
+                   match Owner.lookup_owner proto ~from target with
                    | Some owner when Hashtbl.mem sybil_set owner -> incr captured
                    | Some _ | None -> ())
                  targets;
@@ -385,7 +390,7 @@ let run_events ~seed ~name ~graph ~gateways ?audit ?(shards = 1) ?pool
             | [] ->
               (* Nobody to look up yet: exercise the always-alive ring of
                  router identifiers instead of skipping the sample. *)
-              Proto.router_label (Prng.int looktarget_rng (Graph.n graph))
+              State.router_label (Prng.int looktarget_rng (Graph.n graph))
             | _ ->
               let seq = List.nth eligible (Prng.int looktarget_rng (List.length eligible)) in
               ids.(seq)
@@ -453,7 +458,7 @@ let run_events ~seed ~name ~graph ~gateways ?audit ?(shards = 1) ?pool
   in
   let lookups_ok = List.length ok_lat in
   let lookups = List.length outcomes in
-  let stale = Proto.stale_windows proto in
+  let stale = Oracle.stale_windows proto in
   (* Post-drain victim sweep: did the ring repair the eclipsed arc?  Each
      target's ground truth is its ring owner (predecessor) among the
      *final* membership — the sybils are gone if the fault crashed them,
@@ -469,7 +474,7 @@ let run_events ~seed ~name ~graph ~gateways ?audit ?(shards = 1) ?pool
         (fun target ->
           let truth = Checks.ring_owner members target in
           let from = gateways.(Prng.int og (Array.length gateways)) in
-          match (Proto.lookup_owner proto ~from target, truth) with
+          match (Owner.lookup_owner proto ~from target, truth) with
           | Some owner, Some truth when Id.equal owner truth -> incr good
           | _ -> ())
         targets;
@@ -496,7 +501,7 @@ let run_events ~seed ~name ~graph ~gateways ?audit ?(shards = 1) ?pool
     lat_p99_ms = percentile_or ok_lat 99.0 ~default:0.0;
     stale_count = List.length stale;
     stale_p95_ms = percentile_or stale 95.0 ~default:0.0;
-    stale_unrepaired = Proto.stale_open proto;
+    stale_unrepaired = Oracle.stale_open proto;
     reconverged = (match converged_at with Some _ -> true | None -> false);
     reconverge_ms =
       (match converged_at with
@@ -506,7 +511,7 @@ let run_events ~seed ~name ~graph ~gateways ?audit ?(shards = 1) ?pool
     rpc_timeouts = s.Proto.rpc_timeouts;
     wasted_hops = Metrics.get m Metrics.Wasted_hops;
     cancellations = Metrics.get m Metrics.Cancellations;
-    auto_state = Proto.auto_state proto;
+    auto_state = Tune.auto_state proto;
     ctrl_msgs = Metrics.categories m;
     total_msgs = s.Proto.messages;
     msgs_per_event =
@@ -637,17 +642,17 @@ let fixed key sc value =
 
 let retired =
   [
-    fixed "succ_list_len" int_s Proto.succ_list_len;
-    fixed "rpc_timeout_ms" float_s Proto.rpc_timeout_ms;
-    fixed "rpc_retries" int_s Proto.rpc_retries;
-    fixed "rpc_backoff" float_s Proto.rpc_backoff;
-    fixed "pred_timeout_ms" float_s Proto.pred_timeout_ms;
-    fixed "join_retries" int_s Proto.join_retries;
-    fixed "lookup_retries" int_s Proto.lookup_retries;
-    fixed "stuck_wait_ms" float_s Proto.stuck_wait_ms;
-    fixed "stuck_wait_limit" int_s Proto.stuck_wait_limit;
-    fixed "pcache_refresh_ttl_ms" float_s Proto.pcache_refresh_ttl_ms;
-    fixed "pcache_refresh_budget" int_s Proto.pcache_refresh_budget;
+    fixed "succ_list_len" int_s State.succ_list_len;
+    fixed "rpc_timeout_ms" float_s State.rpc_timeout_ms;
+    fixed "rpc_retries" int_s State.rpc_retries;
+    fixed "rpc_backoff" float_s State.rpc_backoff;
+    fixed "pred_timeout_ms" float_s State.pred_timeout_ms;
+    fixed "join_retries" int_s State.join_retries;
+    fixed "lookup_retries" int_s State.lookup_retries;
+    fixed "stuck_wait_ms" float_s State.stuck_wait_ms;
+    fixed "stuck_wait_limit" int_s State.stuck_wait_limit;
+    fixed "pcache_refresh_ttl_ms" float_s State.pcache_refresh_ttl_ms;
+    fixed "pcache_refresh_budget" int_s State.pcache_refresh_budget;
   ]
 
 let params_to_strings p = List.map (fun f -> (f.key, f.write p)) fields

@@ -119,7 +119,7 @@ val run_events :
   ?shards:int ->
   ?pool:Rofl_util.Pool.t ->
   ?groups:int array ->
-  ?behaviours:Rofl_proto.Proto.behaviour array ->
+  ?behaviours:Rofl_proto.Types.behaviour array ->
   params ->
   Rofl_doctor.Artifact.event list ->
   report
@@ -152,7 +152,7 @@ val run_graph :
   ?shards:int ->
   ?pool:Rofl_util.Pool.t ->
   ?groups:int array ->
-  ?behaviours:Rofl_proto.Proto.behaviour array ->
+  ?behaviours:Rofl_proto.Types.behaviour array ->
   params ->
   report
 (** Run one campaign on an arbitrary topology; joins, moves and lookup
@@ -183,7 +183,7 @@ val params_to_strings : params -> (string * string) list
 val params_of_strings : (string * string) list -> (params, string) result
 (** Rebuild params from artifact lines over {!default_params}; unknown keys,
     malformed scalars and a [lookup_alpha] below 1 are errors.  Keys of
-    values that are now {!Rofl_proto.Proto} constants ([succ_list_len],
+    values that are now {!Rofl_proto.State} constants ([succ_list_len],
     [rpc_timeout_ms], ...), which older artifacts carry, are accepted only
     at the constant's value; any other value is an error naming the key as
     fixed. *)

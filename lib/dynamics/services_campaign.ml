@@ -29,7 +29,7 @@ module Checks = Rofl_doctor.Checks
 
    - demand is quantised to the tick cadence: events in ((k-1)·tick, k·tick]
      execute at the k·tick boundary, resolutions batched per tick, each
-     miss one owner walk ([Rofl_proto.Proto.walk_owner]).  Latency is the
+     miss one owner walk ([Rofl_proto.Owner.walk_owner]).  Latency is the
      walk's priced physical latency plus the shortest-path response leg;
      cache hits answer locally at zero latency.
 

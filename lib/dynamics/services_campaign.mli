@@ -8,7 +8,7 @@
     resolutions ({!Rofl_workload.Services}) batched on a tick
     cadence through {!Rofl_services.Directory.resolve_batch} — cache hits
     local, each miss one priced owner walk
-    ({!Rofl_proto.Proto.walk_owner}).  Provider flaps
+    ({!Rofl_proto.Owner.walk_owner}).  Provider flaps
     toggle intents (the stale-answer source), republish runs on the
     directory's phase-staggered schedule (or all at once as a storm), and
     TTL sweeps drop decayed records.  The report is the layer's SLO sheet:

@@ -656,8 +656,6 @@ let iter_path t src dst f x =
     if st.dist.(dst) < infinity then iter_chain st.lab src dst f x
   end
 
-let distance_latency = distance_to
-
 let rec first_hop lab src v =
   let p = parent lab v in
   if p = src then v else first_hop lab src p

@@ -79,10 +79,11 @@ val route : t -> int -> int -> Bytes.t
     chain.  A dead endpoint or a partition gives one shared empty block. *)
 
 val distance_to : t -> int -> int -> float option
-(** Early-exit single-pair latency distance; equals {!distance_latency}.
+(** Early-exit single-pair latency distance: the total latency of {!route}.
 
     Exported for tests: test_linkstate checks the early-exit query against a
-    reference Dijkstra. *)
+    reference Dijkstra, and incremental SPF latencies against fresh
+    builds. *)
 
 val distance_hops : t -> int -> int -> int option
 (** Hop length of {!route} (0 when [src = dst]). *)
@@ -109,12 +110,6 @@ val iter_path : t -> int -> int -> ('a -> int -> unit) -> 'a -> unit
     [t src dst], from [dst] back to [src]; nothing when unreachable.  Builds
     no route, and passing a top-level [f] with its argument [x] allocates no
     closure either. *)
-
-val distance_latency : t -> int -> int -> float option
-(** Total latency of {!route}.
-
-    Exported for tests: test_linkstate checks incremental SPF latencies
-    against fresh builds and a reference Dijkstra. *)
 
 val next_hop : t -> int -> int -> int option
 (** First hop on {!route} from [src] towards [dst] ([None] when [src = dst]

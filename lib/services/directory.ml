@@ -1,6 +1,8 @@
 module Id = Rofl_idspace.Id
 module Metrics = Rofl_netsim.Metrics
 module Proto = Rofl_proto.Proto
+module Owner = Rofl_proto.Owner
+module State = Rofl_proto.State
 
 (* The service-discovery directory over one actor network.
 
@@ -15,7 +17,7 @@ module Proto = Rofl_proto.Proto
    - *Placed records* — the {!Provider_store}: the copy of each intent that
      currently lives at the ring owner of its service identifier, plus any
      decaying copies at previous owners.  Placement is resolved through the
-     α=1 owner walk ({!Proto.walk_owner}), never through an oracle: a
+     α=1 owner walk ({!Owner.walk_owner}), never through an oracle: a
      publish goes where the walk says the owner is.
 
    - *Resolver caches* — one bounded LRU {!Resolver} per querying router,
@@ -48,8 +50,8 @@ type t = {
   routers : int;
   metrics : Metrics.t;
   store : Provider_store.t;
-  place : Proto.owner_walk;          (* publish walks, alpha = 1 *)
-  miss : Proto.owner_walk;           (* resolve-miss walks, cfg.alpha *)
+  place : Owner.owner_walk;          (* publish walks, alpha = 1 *)
+  miss : Owner.owner_walk;           (* resolve-miss walks, cfg.alpha *)
   mutable miss_wasted : int;         (* losing-branch ring hops, cumulative *)
   mutable miss_cancelled : int;      (* cancelled branches, cumulative *)
   resolvers : Resolver.t option array;
@@ -84,8 +86,8 @@ let create ~proto ~routers ~hint cfg =
     routers;
     metrics = Metrics.create ~routers;
     store = Provider_store.create ~routers ~hint ();
-    place = Proto.owner_walk ~alpha:1;
-    miss = Proto.owner_walk ~alpha:cfg.alpha;
+    place = Owner.owner_walk ~alpha:1;
+    miss = Owner.owner_walk ~alpha:cfg.alpha;
     miss_wasted = 0;
     miss_cancelled = 0;
     resolvers = Array.make routers None;
@@ -243,7 +245,7 @@ let publish_matching t ~now pred =
   for k = 0 to t.icount - 1 do
     if t.i_active.(k) && pred k then begin
       incr walked;
-      Proto.walk_owner t.proto w ~from:t.i_origin.(k) ~target:t.i_service.(k);
+      Owner.walk_owner t.proto w ~from:t.i_origin.(k) ~target:t.i_service.(k);
       if w.w_winner >= 0 then begin
         let owner = w.w_router.(w.w_winner) in
         let slot =
@@ -341,10 +343,10 @@ let resolve_batch t ~now ~n ~(from : int array) ~(services : Id.t array) =
   for i = 0 to n - 1 do
     if not t.r_hit.(i) then begin
       let service = services.(i) in
-      Proto.walk_owner t.proto w ~from:from.(i) ~target:service;
+      Owner.walk_owner t.proto w ~from:from.(i) ~target:service;
       t.miss_wasted <- t.miss_wasted + w.w_wasted_hops;
       t.miss_cancelled <- t.miss_cancelled + w.w_cancelled;
-      let charged = Proto.charged w in
+      let charged = Owner.charged w in
       let link_hops = w.w_link_hops.(charged) + w.w_wasted_link_hops in
       if w.w_winner >= 0 then begin
         let owner = w.w_router.(w.w_winner) in
@@ -356,9 +358,9 @@ let resolve_batch t ~now ~n ~(from : int array) ~(services : Id.t array) =
         Resolver.install (resolver_for t from.(i)) ~now service answer;
         t.r_pos.(i) <- cnt > 0;
         t.r_lat.(i) <-
-          w.w_latency_ms.(charged) +. Proto.latency_between t.proto owner from.(i);
+          w.w_latency_ms.(charged) +. State.latency_between t.proto owner from.(i);
         Metrics.incr t.metrics Metrics.Svc_resolve_msg
-          (link_hops + Proto.link_hops_between t.proto owner from.(i));
+          (link_hops + State.link_hops_between t.proto owner from.(i));
         let ok, stale = judge t ~service ~served:answer in
         t.r_ok.(i) <- ok;
         t.r_stale.(i) <- stale;

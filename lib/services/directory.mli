@@ -10,7 +10,7 @@
       oracle stale-answer SLOs compare against;
     - {e placed records} — the {!Provider_store} copies at ring owners,
       placed through the α=1 owner walk
-      ({!Rofl_proto.Proto.walk_owner}), refreshed each republish period
+      ({!Rofl_proto.Owner.walk_owner}), refreshed each republish period
       and decaying by TTL;
     - {e resolver caches} — one bounded LRU {!Resolver} per querying
       router, with negative entries.
@@ -105,7 +105,7 @@ val resolve_batch :
   t -> now:float -> n:int -> from:int array -> services:Rofl_idspace.Id.t array -> unit
 (** Resolve [services.(i)] from router [from.(i)] for [i < n]: cache hits
     answer locally at zero latency; each miss walks to its ring owner with
-    {!Rofl_proto.Proto.walk_owner} (at [config.alpha]), reads the provider
+    {!Rofl_proto.Owner.walk_owner} (at [config.alpha]), reads the provider
     records there, and installs a (positive or negative) cache entry.
     Every query is looked up in its cache before any answer is installed,
     so no miss hits an answer installed by another miss of the same batch.

@@ -3,6 +3,7 @@ module Prng = Rofl_util.Prng
 module Isp = Rofl_topology.Isp
 module Graph = Rofl_topology.Graph
 module Proto = Rofl_proto.Proto
+module Owner = Rofl_proto.Owner
 
 let ring () =
   let isp = Isp.generate (Prng.create 2006) Isp.as3967 in
@@ -27,19 +28,19 @@ let ring () =
   (t, from, targets)
 
 let summary t ~alpha ~from ~targets =
-  let w = Proto.owner_walk ~alpha in
+  let w = Owner.owner_walk ~alpha in
   let resolved = ref 0 and ring = ref 0 and link = ref 0 and lat = ref 0.0 in
   let wasted = ref 0 and wasted_link = ref 0 and cancel = ref 0 in
   let owners = Buffer.create 4096 in
   Array.iteri
     (fun k from ->
-      Proto.walk_owner t w ~from ~target:targets.(k);
+      Owner.walk_owner t w ~from ~target:targets.(k);
       if w.w_winner >= 0 then begin
         incr resolved;
         Buffer.add_string owners (Id.to_hex w.w_owner);
         Buffer.add_string owners (string_of_int w.w_router.(w.w_winner))
       end;
-      let c = Proto.charged w in
+      let c = Owner.charged w in
       ring := !ring + w.w_hops.(c);
       link := !link + w.w_link_hops.(c);
       lat := !lat +. w.w_latency_ms.(c);

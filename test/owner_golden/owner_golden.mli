@@ -20,7 +20,7 @@ val summary :
   targets:Rofl_idspace.Id.t array ->
   string
 (** Walks lookup [k] from [from.(k)] toward [targets.(k)] with
-    {!Rofl_proto.Proto.walk_owner} at [alpha], in order, and sums the
+    {!Rofl_proto.Owner.walk_owner} at [alpha], in order, and sums the
     records into one line: resolved count, Σ ring hops, Σ link hops and
     Σ latency ([%.6f]) of the charged branches, Σ wasted ring and link hops,
     cancellations, and the MD5 of the concatenated (owner hex, owner router)

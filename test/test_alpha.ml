@@ -1,4 +1,4 @@
-(* The α-branch owner walk ([Proto.walk_owner]): at α=1 it must reproduce
+(* The α-branch owner walk ([Owner.walk_owner]): at α=1 it must reproduce
    the recorded sequential batch-walk golden and the per-lookup
    [lookup_owner] reference, both must give the verdict of an independent
    recursive model of the walk, any α must agree with the sequential verdict
@@ -12,6 +12,8 @@ module Prng = Rofl_util.Prng
 module Gen = Rofl_topology.Gen
 module Sha256 = Rofl_crypto.Sha256
 module Proto = Rofl_proto.Proto
+module Owner = Rofl_proto.Owner
+module Tune = Rofl_proto.Tune
 
 let spread_id k =
   Id.of_bytes_exn (String.sub (Sha256.digest (Printf.sprintf "a:%d" k)) 0 16)
@@ -132,7 +134,7 @@ let qcheck_owner_walks_match_model =
       in
       let rs = Model.by_router t ~n in
       let rng = Prng.create (seed + 7) in
-      let w = Proto.owner_walk ~alpha:1 in
+      let w = Owner.owner_walk ~alpha:1 in
       for k = 0 to count - 1 do
         let from = Prng.int rng n in
         let target =
@@ -145,8 +147,8 @@ let qcheck_owner_walks_match_model =
         in
         let show = function Some id -> Id.to_hex id | None -> "none" in
         let want = Model.lookup_owner rs ~from target in
-        let got = Proto.lookup_owner t ~from target in
-        Proto.walk_owner t w ~from ~target;
+        let got = Owner.lookup_owner t ~from target in
+        Owner.walk_owner t w ~from ~target;
         let walked = if w.w_winner >= 0 then Some w.w_owner else None in
         if not (Option.equal Id.equal want got && Option.equal Id.equal want walked) then
           QCheck.Test.fail_reportf "#%d from %d to %s: model %s, lookup_owner %s, walk_owner %s"
@@ -163,12 +165,12 @@ let test_alpha_goldens () =
       Alcotest.(check string) (Printf.sprintf "alpha=%d golden" alpha) expect
         (Owner_golden.summary t ~alpha ~from ~targets))
     Owner_golden.expected;
-  let w = Proto.owner_walk ~alpha:1 in
+  let w = Owner.owner_walk ~alpha:1 in
   Array.iteri
     (fun i f ->
-      Proto.walk_owner t w ~from:f ~target:targets.(i);
+      Owner.walk_owner t w ~from:f ~target:targets.(i);
       Alcotest.(check int) (Printf.sprintf "#%d branches" i) 1 w.w_branches;
-      match Proto.lookup_owner t ~from:f targets.(i) with
+      match Owner.lookup_owner t ~from:f targets.(i) with
       | Some owner ->
         Alcotest.(check bool)
           (Printf.sprintf "#%d owner = lookup_owner" i)
@@ -185,12 +187,12 @@ let test_any_alpha_verdict_eq_sequential () =
   let from, targets = lookup_set ~n ~count:40 members in
   List.iter
     (fun alpha ->
-      let w = Proto.owner_walk ~alpha in
+      let w = Owner.owner_walk ~alpha in
       Array.iteri
         (fun i f ->
-          Proto.walk_owner t w ~from:f ~target:targets.(i);
+          Owner.walk_owner t w ~from:f ~target:targets.(i);
           let label = Printf.sprintf "alpha=%d #%d" alpha i in
-          (match Proto.lookup_owner t ~from:f targets.(i) with
+          (match Owner.lookup_owner t ~from:f targets.(i) with
            | Some owner ->
              Alcotest.(check bool) (label ^ " resolved") true (w.w_winner >= 0);
              Alcotest.(check bool) (label ^ " same owner") true (Id.equal owner w.w_owner)
@@ -209,8 +211,8 @@ let test_any_alpha_verdict_eq_sequential () =
 (* ---- QCheck: a lookup's results do not depend on the walks before it ----- *)
 
 (* Everything the walk reports for its last lookup, the latency bit for bit. *)
-let results (w : Proto.owner_walk) =
-  let c = Proto.charged w in
+let results (w : Owner.owner_walk) =
+  let c = Owner.charged w in
   ( (if w.w_winner >= 0 then Id.to_hex w.w_owner else "-"),
     (if w.w_winner >= 0 then w.w_router.(w.w_winner) else -1),
     w.w_winner,
@@ -231,11 +233,11 @@ let qcheck_walk_order_free =
       let perm = Array.init count Fun.id in
       Prng.shuffle (Prng.create (seed + 3)) perm;
       (* both orders through one set of registers *)
-      let w = Proto.owner_walk ~alpha in
+      let w = Owner.owner_walk ~alpha in
       let run order =
         Array.map
           (fun k ->
-            Proto.walk_owner t w ~from:from.(k) ~target:targets.(k);
+            Owner.walk_owner t w ~from:from.(k) ~target:targets.(k);
             results w)
           order
       in
@@ -257,14 +259,14 @@ let qcheck_walk_order_free =
 let test_alpha1_eq_lookup_owner_mid_repair () =
   let t, members, n = build_proto ~seed:42 ~crash:true () in
   let from, targets = lookup_set ~n ~count:40 members in
-  let w = Proto.owner_walk ~alpha:1 in
+  let w = Owner.owner_walk ~alpha:1 in
   Array.iteri
     (fun k f ->
-      Proto.walk_owner t w ~from:f ~target:targets.(k);
+      Owner.walk_owner t w ~from:f ~target:targets.(k);
       Alcotest.(check bool)
         (Printf.sprintf "proto#%d owner agrees" k)
         true
-        (match Proto.lookup_owner t ~from:f targets.(k) with
+        (match Owner.lookup_owner t ~from:f targets.(k) with
          | Some owner -> w.w_winner >= 0 && Id.equal owner w.w_owner
          | None -> w.w_winner < 0))
     from
@@ -283,7 +285,7 @@ let test_alpha_below_one_rejected () =
         | _ -> Alcotest.failf "%s accepted alpha=%d" label alpha
         | exception Invalid_argument _ -> ()
       in
-      raises "Proto.owner_walk" (fun () -> ignore (Proto.owner_walk ~alpha));
+      raises "Owner.owner_walk" (fun () -> ignore (Owner.owner_walk ~alpha));
       raises "Proto.create" (fun () ->
           ignore
             (Proto.create ~rng:(Prng.create 3)
@@ -306,7 +308,7 @@ let test_estimate_n_accuracy () =
       in
       ignore (Proto.run_until_quiescent t ~max_ms:120_000.0);
       let actual = float_of_int (List.length (Proto.members t)) in
-      let nhat = Proto.estimate_n t in
+      let nhat = Tune.estimate_n t in
       Alcotest.(check bool)
         (Printf.sprintf "N=%d: estimate %.0f within factor 2 of %.0f" hosts nhat
            actual)

@@ -6,6 +6,7 @@
 module Prng = Rofl_util.Prng
 module Isp = Rofl_topology.Isp
 module Proto = Rofl_proto.Proto
+module Types = Rofl_proto.Types
 module Campaign = Rofl_dynamics.Campaign
 module Artifact = Rofl_doctor.Artifact
 module Audit = Rofl_doctor.Audit
@@ -160,7 +161,7 @@ let run_with_behaviours ~seed behaviour =
 
 let test_droppers_black_hole_lookups () =
   let honest = run_with_behaviours ~seed:5 None in
-  let attacked = run_with_behaviours ~seed:5 (Some Proto.Drop_lookups) in
+  let attacked = run_with_behaviours ~seed:5 (Some Types.Drop_lookups) in
   Alcotest.(check bool) "honest ring resolves lookups" true
     (honest.Campaign.success_rate > 0.9);
   Alcotest.(check bool) "dropping routers black-hole the workload" true
@@ -168,7 +169,7 @@ let test_droppers_black_hole_lookups () =
 
 let test_misrouters_corrupt_lookups () =
   let honest = run_with_behaviours ~seed:5 None in
-  let attacked = run_with_behaviours ~seed:5 (Some Proto.Misroute) in
+  let attacked = run_with_behaviours ~seed:5 (Some Types.Misroute) in
   Alcotest.(check bool) "misrouting strictly hurts the success SLO" true
     (attacked.Campaign.success_rate < honest.Campaign.success_rate)
 

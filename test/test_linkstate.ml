@@ -45,7 +45,7 @@ let test_latency_weighted () =
   Alcotest.(check (option (list int))) "takes the cheap detour" (Some [ 0; 1; 2 ])
     (path ls 0 2);
   Alcotest.(check (option (float 1e-9))) "latency 2" (Some 2.0)
-    (Linkstate.distance_latency ls 0 2)
+    (Linkstate.distance_to ls 0 2)
 
 let test_next_hop () =
   let ls = line5 () in
@@ -232,8 +232,8 @@ let test_invalidation_golden () =
       let ctx = Printf.sprintf "step %d pair %d-%d" step a b in
       Alcotest.(check (option (float 1e-9)))
         (ctx ^ " latency")
-        (Linkstate.distance_latency fresh a b)
-        (Linkstate.distance_latency ls a b);
+        (Linkstate.distance_to fresh a b)
+        (Linkstate.distance_to ls a b);
       Alcotest.(check (option int))
         (ctx ^ " hops")
         (Linkstate.distance_hops fresh a b)
@@ -245,7 +245,7 @@ let test_invalidation_golden () =
       | Some p ->
         Alcotest.(check bool) (ctx ^ " path valid") true
           (valid ls p);
-        (match Linkstate.distance_latency fresh a b with
+        (match Linkstate.distance_to fresh a b with
          | Some d -> Alcotest.(check (float 1e-9)) (ctx ^ " path cost") d (path_cost p)
          | None -> Alcotest.fail (ctx ^ ": cached path where golden has none"))
     done
@@ -520,7 +520,7 @@ let agrees g ls rf a b =
   Option.iter (Metrics.charge_path ref_m Metrics.Data) rpath;
   path ls a b = rpath
   && same_float_opt (Linkstate.distance_to ls a b) rdist
-  && same_float_opt (Linkstate.distance_latency ls a b) rdist
+  && same_float_opt (Linkstate.distance_to ls a b) rdist
   && Linkstate.distance_hops ls a b = rhops
   && Linkstate.next_hop ls a b = rnext
   && Linkstate.reachable ls a b = Option.is_some rpath

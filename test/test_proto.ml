@@ -6,6 +6,9 @@ module Prng = Rofl_util.Prng
 module Gen = Rofl_topology.Gen
 module Isp = Rofl_topology.Isp
 module Proto = Rofl_proto.Proto
+module Oracle = Rofl_proto.Oracle
+module Owner = Rofl_proto.Owner
+module State = Rofl_proto.State
 module Network = Rofl_intra.Network
 module Vnode = Rofl_core.Vnode
 module Store = Rofl_proto.Store
@@ -66,7 +69,7 @@ let test_lookup_owner_after_convergence () =
   ignore (Proto.run_until_quiescent t ~max_ms:120_000.0);
   List.iter
     (fun id ->
-      match Proto.lookup_owner t ~from:(Prng.int rng 30) id with
+      match Owner.lookup_owner t ~from:(Prng.int rng 30) id with
       | Some got ->
         Alcotest.(check bool)
           (Printf.sprintf "lookup finds %s" (Id.to_short_string id))
@@ -182,8 +185,8 @@ let test_crash_failover_from_succ_list () =
   Alcotest.(check bool) "probe timeouts observed" true (s.Proto.rpc_timeouts > 0);
   Alcotest.(check bool) "failover promoted a backup" true (s.Proto.failovers > 0);
   (* The stale-successor window around the crash closed. *)
-  Alcotest.(check bool) "stale window measured" true (Proto.stale_windows t <> []);
-  Alcotest.(check int) "no stale pointer left" 0 (Proto.stale_open t)
+  Alcotest.(check bool) "stale window measured" true (Oracle.stale_windows t <> []);
+  Alcotest.(check int) "no stale pointer left" 0 (Oracle.stale_open t)
 
 let test_crash_mid_join_race () =
   let t, ids, rng = populated 22 ~hosts:20 in
@@ -312,7 +315,7 @@ let quota_filter ~quota ~groups entries =
     let counts = Hashtbl.create 8 in
     List.filter
       (fun (i, r) ->
-        Id.equal i (Proto.router_label r)
+        Id.equal i (State.router_label r)
         ||
         let g = groups.(r) in
         let c = match Hashtbl.find_opt counts g with Some c -> c | None -> 0 in
@@ -338,7 +341,7 @@ let commit store s ~self ?succ ~limit ~quota ~groups () =
   Store.normalize store s ~self
     ~succ:(match succ with Some x -> x | None -> self)
     ~limit ~quota ~groups
-    ~exempt:(fun i r -> Id.equal i (Proto.router_label r))
+    ~exempt:(fun i r -> Id.equal i (State.router_label r))
 
 (* Candidates come from a small pool — self, the successor, router labels
    (exempt from quotas when hosted at their own router), random ids — on a
@@ -355,7 +358,7 @@ let normalizer_matches_pipeline =
         Array.concat
           [
             [| self; succ_id |];
-            Array.init 3 (fun r -> Proto.router_label r);
+            Array.init 3 (fun r -> State.router_label r);
             Array.init 4 (fun _ -> Id.random g);
           ]
       in
@@ -463,7 +466,7 @@ let test_succ_group_converged () =
             (Some (hex (entry (i + 1))))
             (Option.map hex v.Proto.v_succ);
           Alcotest.(check (list (pair string int))) (label ^ ": successor group")
-            (List.init (Proto.succ_list_len - 1) (fun k -> hex (entry (i + 2 + k))))
+            (List.init (State.succ_list_len - 1) (fun k -> hex (entry (i + 2 + k))))
             (List.map hex v.Proto.v_succ_list))
         views)
     [ 1; 2 ]

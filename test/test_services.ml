@@ -16,6 +16,7 @@ module Graph = Rofl_topology.Graph
 module Shard = Rofl_netsim.Shard
 module Metrics = Rofl_netsim.Metrics
 module Proto = Rofl_proto.Proto
+module Owner = Rofl_proto.Owner
 module Provider_store = Rofl_services.Provider_store
 module Resolver = Rofl_services.Resolver
 module Directory = Rofl_services.Directory
@@ -129,11 +130,11 @@ let test_batch_stats_equivalence () =
         else members.(Prng.int rng (Array.length members)))
   in
   (* the α=1 walk the directory places and resolves through *)
-  let w = Proto.owner_walk ~alpha:1 in
+  let w = Owner.owner_walk ~alpha:1 in
   for k = 0 to n - 1 do
-    Proto.walk_owner proto w ~from:from.(k) ~target:targets.(k);
+    Owner.walk_owner proto w ~from:from.(k) ~target:targets.(k);
     let resolved = w.w_winner >= 0 in
-    (match (Proto.lookup_owner proto ~from:from.(k) targets.(k), resolved) with
+    (match (Owner.lookup_owner proto ~from:from.(k) targets.(k), resolved) with
      | Some expect, true ->
        Alcotest.(check bool)
          (Printf.sprintf "owner %d matches lookup_owner" k)
@@ -222,7 +223,7 @@ let test_checks_residency_fault () =
   let owners =
     List.filter_map
       (fun k ->
-        if k < 4 then Proto.lookup_owner proto ~from:0 (Directory.intent_service dir k)
+        if k < 4 then Owner.lookup_owner proto ~from:0 (Directory.intent_service dir k)
         else None)
       [ 0; 1; 2; 3 ]
     |> List.sort_uniq Id.compare

@@ -12,7 +12,10 @@
 module Prng = Rofl_util.Prng
 module Isp = Rofl_topology.Isp
 module Proto = Rofl_proto.Proto
+module Types = Rofl_proto.Types
 module Campaign = Rofl_dynamics.Campaign
+module Id = Rofl_idspace.Id
+module Shard = Rofl_netsim.Shard
 
 (* Small topology, short horizon: contiguous ID-range partitioning over 24
    routers puts every shard boundary in play, and gateway draws scatter
@@ -124,6 +127,109 @@ let test_superseded_join () =
         true (same_report r base))
     [ 2; 4 ]
 
+(* ---- generated traces straight on Proto ---------------------------------
+
+   The campaigns above draw their workload from one generator; this
+   property drives [Proto] with small arbitrary traces instead: joins,
+   moves, leaves and crashes of a pool of four identifiers, and lookups of
+   those identifiers or of router labels, up to 20 ms apart.  Join and
+   lookup timeouts of 5 and 10 ms sit below most round trips on the
+   doctor-mini ISP, so joins retry, stale join responses meet joins that a
+   move has re-registered elsewhere, and lookups time out.  Every shard
+   count must give the same event fingerprint, the same [Proto.stats] and
+   the same lookup outcomes; QCheck shrinks a failing trace and prints it. *)
+
+type op =
+  | Join of int * int  (** identifier, gateway *)
+  | Move of int * int  (** identifier, new gateway *)
+  | Leave of int
+  | Crash of int
+  | Lookup of int * int  (** origin router, target: identifier < 4, else a label *)
+
+let pool = Array.init 4 (fun i -> Id.random (Prng.create (0xC0DE + i)))
+
+let show (t, op) =
+  match op with
+  | Join (i, g) -> Printf.sprintf "%d:join %d@%d" t i g
+  | Move (i, g) -> Printf.sprintf "%d:move %d@%d" t i g
+  | Leave i -> Printf.sprintf "%d:leave %d" t i
+  | Crash i -> Printf.sprintf "%d:crash %d" t i
+  | Lookup (r, x) -> Printf.sprintf "%d:lookup %d->%d" t r x
+
+let mini_graph =
+  (Isp.generate (Prng.create 7)
+     { Isp.profile_name = "doctor-mini"; routers = 24; hosts = 1_000; pop_count = 3 })
+    .Isp.graph
+
+(* The trace's fingerprint, stats and sorted lookup outcomes at [shards]. *)
+let replay ~shards trace =
+  let cfg =
+    { Proto.default_config with Proto.join_timeout_ms = 5.0; lookup_timeout_ms = 10.0 }
+  in
+  let p = Proto.create ~rng:(Prng.create 11) ~cfg ~shards ~bootstrap_hosts:30 mini_graph in
+  let outcomes = ref [] in
+  List.iter
+    (fun (t, op) ->
+      Shard.at_global (Proto.coordinator p) ~time_ms:(float_of_int t) (fun () ->
+          match op with
+          | Join (i, g) -> Proto.join p ~gateway:g pool.(i)
+          | Move (i, g) -> ignore (Proto.move p ~new_gateway:g pool.(i))
+          | Leave i -> ignore (Proto.leave p pool.(i))
+          | Crash i -> ignore (Proto.crash p pool.(i))
+          | Lookup (r, x) ->
+            let target = if x < 4 then pool.(x) else Rofl_proto.State.router_label (x - 4) in
+            Proto.lookup_async p ~from:r target (fun (o : Proto.lookup_outcome) ->
+                outcomes :=
+                  (o.completed_ms, o.issued_ms, Id.to_hex o.target, o.ok, o.attempts)
+                  :: !outcomes)))
+    trace;
+  Proto.start_stabilizer p;
+  Proto.run_for p 1_000.0;
+  Proto.stop_stabilizer p;
+  Proto.run_for p 500.0;
+  (Shard.fingerprint (Proto.coordinator p), Proto.stats p, List.sort compare !outcomes)
+
+let gen_trace =
+  let open QCheck.Gen in
+  let id = int_range 0 3 and router = int_range 0 23 in
+  let op =
+    frequency
+      [
+        (3, map2 (fun i g -> Join (i, g)) id router);
+        (3, map2 (fun i g -> Move (i, g)) id router);
+        (1, map (fun i -> Leave i) id);
+        (1, map (fun i -> Crash i) id);
+        (3, map2 (fun r x -> Lookup (r, x)) router (int_range 0 27));
+      ]
+  in
+  (* Instants as gaps of up to 20 ms, so a move often follows its join. *)
+  map
+    (fun steps -> snd (List.fold_left_map (fun t (dt, o) -> (t + dt, (t + dt, o))) 0 steps))
+    (list_size (int_range 1 24) (pair (int_range 0 20) op))
+
+let arb_trace =
+  QCheck.make gen_trace ~shrink:QCheck.Shrink.list
+    ~print:(fun tr -> String.concat "; " (List.map show tr))
+
+let prop_k_invisible =
+  QCheck.Test.make ~name:"generated traces equal at K = 1..4" ~count:150 arb_trace
+    (fun trace ->
+      let base = replay ~shards:1 trace in
+      List.for_all (fun k -> compare (replay ~shards:k trace) base = 0) [ 2; 3; 4 ])
+
+(* The property is only as strong as its traces: the fixed generator seed
+   below must produce join retries, lookup retries and RPC timeouts. *)
+let test_traces_exercise_retries () =
+  let rand = Random.State.make [| 43 |] in
+  let sum f =
+    List.fold_left (fun acc _ ->
+        let _, st, _ = replay ~shards:1 (QCheck.Gen.generate1 ~rand gen_trace) in
+        acc + f st) 0 (List.init 20 Fun.id)
+  in
+  Alcotest.(check bool) "join retries" true (sum (fun s -> s.Proto.join_retries) > 0);
+  Alcotest.(check bool) "lookup retries" true (sum (fun s -> s.Proto.lookup_retries) > 0);
+  Alcotest.(check bool) "rpc timeouts" true (sum (fun s -> s.Proto.rpc_timeouts) > 0)
+
 (* ---- campaign goldens ----------------------------------------------------
 
    The tests above compare a campaign at K shards against itself at K = 1,
@@ -164,9 +270,9 @@ let run_byzantine p =
   let behaviours =
     Array.init (Rofl_topology.Graph.n isp.Isp.graph) (fun r ->
         match r mod 6 with
-        | 1 -> Proto.Drop_lookups
-        | 4 -> Proto.Misroute
-        | _ -> Proto.Honest)
+        | 1 -> Types.Drop_lookups
+        | 4 -> Types.Misroute
+        | _ -> Types.Honest)
   in
   Campaign.run_graph ~seed:golden_seed ~name:"byzantine" ~graph:isp.Isp.graph
     ~gateways:(Array.of_list (Isp.edge_routers isp))
@@ -237,6 +343,9 @@ let () =
           Alcotest.test_case "audited campaign, fixed seed" `Quick
             test_audited_fixed_seed;
           Alcotest.test_case "superseded join, fixed seed" `Quick test_superseded_join;
+          QCheck_alcotest.to_alcotest prop_k_invisible;
+          Alcotest.test_case "generated traces retry and time out" `Quick
+            test_traces_exercise_retries;
         ] );
       ( "golden",
         List.map

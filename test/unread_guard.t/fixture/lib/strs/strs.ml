@@ -16,3 +16,8 @@ end
 module Make (X : S) = struct
   let made = X.in_signature
 end
+
+type config = { width : int }
+
+let config = { width = 0 }
+let by_label s = s

@@ -27,6 +27,15 @@ val test_only : string -> string
 val parked : string -> string
 (** Kept as a reference, though nothing reads it. *)
 
+type config = { width : int }
+
+val config : config
+(** Named elsewhere only as a type: a record field's, an annotation's and
+    an exception argument's. *)
+
+val by_label : string -> string
+(** Read as a labelled argument, [~f:Strs.by_label]. *)
+
 module type S = sig
   val in_signature : int
 end

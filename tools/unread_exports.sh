@@ -11,7 +11,10 @@
 #     of M ([module W = Walk.Make (S)] makes [W.walk] a read of Walk's
 #     [walk]);
 #   - a bare [name], where the file has [open M], [include M], [M.( ... )]
-#     or [let open M in].
+#     or [let open M in];
+# each only in expression position: a name in a type (after a [:] that is
+# not a label's, after [of], or in a [type ... =] declaration) reads no
+# value.
 # A [val] inside a [module type] is not an export; one inside a submodule
 # signature ([module Make (S : SUBSTRATE) : sig ... end]) is read through
 # the file's module or the submodule's name.
@@ -81,7 +84,29 @@ unread() {
       for (i = 1; i <= k; i++) if (parts[i] != "") r = r " " parts[i]
       return r
     }
-    FNR == 1 { cdepth = 0; instr = 0; depth = 0; file = FILENAME }
+    # Type context: [tdecl] inside a type declaration, [ann] inside a type
+    # annotation opened at bracket depth [annd] ([pd] is the current one).
+    function gap(g,   i, c) {
+      for (i = 1; i <= length(g); i++) {
+        c = substr(g, i, 1)
+        if (c ~ /[([{]/) pd++
+        else if (c ~ /[)\]}]/) { pd--; if (ann && pd < annd) ann = 0 }
+        else if (c == ":") {
+          if (substr(g, i + 1, 1) ~ /[:=]/) i++
+          else if (!(i == 1 && label) && !ann) { ann = 1; annd = pd }
+        }
+        else if (c ~ /[=;|]/ && ann && pd <= annd) ann = 0
+      }
+    }
+    function word(w, g) {
+      if (w == "type" && pw != "module" && g !~ /\($/) { tdecl = 1; ann = 0 }
+      else if (w == "of") { ann = 1; annd = pd }
+      else if (w ~ /^(let|val|in|module|open|include|exception|external|end|struct|sig|and|with|then|else|do|done|match|fun|function|if|begin)$/) {
+        ann = 0; if (w != "and") tdecl = 0
+      }
+      pw = w
+    }
+    FNR == 1 { cdepth = 0; instr = 0; depth = 0; file = FILENAME; pd = 0; ann = 0; tdecl = 0; pw = ""; label = 0 }
     {
       s = strip($0)
       # Aliases and functor applications: module A = P.Q (args)
@@ -113,12 +138,15 @@ unread() {
       t = s; last = " "
       while (match(t, /[A-Za-z_][A-Za-z0-9_'\'']*(\.[A-Za-z_][A-Za-z0-9_'\'']*)*/)) {
         pre = RSTART > 1 ? substr(t, RSTART - 1, 1) : last
+        g = substr(t, 1, RSTART - 1); gap(g)
         m = substr(t, RSTART, RLENGTH); t = substr(t, RSTART + RLENGTH)
         last = substr(m, length(m), 1)
         if (pre == ".") continue
+        label = pre ~ /[~?]/
         k = split(m, parts, ".")
         n = parts[k]
-        if (n !~ /^[a-z_]/) continue
+        if (k == 1) word(n, g)
+        if (n !~ /^[a-z_]/ || tdecl || ann) continue
         if (k == 1) { if (!((file, n) in bare)) { bare[file, n] = 1; bares[n] = bares[n] " " file } }
         else {
           q = parts[k - 1]
@@ -127,6 +155,7 @@ unread() {
           }
         }
       }
+      gap(t)
       # Exports: the vals of lib/**/*.mli outside any module type.
       if (file ~ /^lib\/.*\.mli$/) {
         t = s; prev = ""; pend = ""
