@@ -132,9 +132,8 @@ let micro () =
   for i = 0 to 4095 do
     let dst = Id.random cache_rng in
     let router = i mod Rofl_topology.Graph.n isp.Rofl_topology.Isp.graph in
-    Rofl_core.Pointer_cache.insert cache
-      (Rofl_core.Pointer.make Rofl_core.Pointer.Cached ~dst ~dst_router:router
-         ~route:(Rofl_core.Sourceroute.singleton router) ~start:0)
+    Rofl_core.Pointer_cache.insert cache Rofl_core.Pointer.Cached ~dst ~dst_router:router
+      ~route:(Rofl_core.Sourceroute.singleton router) ~start:0
   done;
   let ring_rng = named "ring-2k" in
   let members = Array.init 2048 (fun _ -> Id.random ring_rng) in
@@ -173,7 +172,11 @@ let micro () =
           ~dst_router:router
           ~route:(Rofl_core.Sourceroute.singleton router) ~start:0)
   in
-  Array.iter (Rofl_core.Pointer_cache.insert full_cache) fresh;
+  let insert_fresh (p : Rofl_core.Pointer.t) =
+    Rofl_core.Pointer_cache.insert full_cache Rofl_core.Pointer.Cached ~dst:p.dst
+      ~dst_router:p.dst_router ~route:p.route ~start:0
+  in
+  Array.iter insert_fresh fresh;
   let evict_i = ref 0 in
   (* Greedy lookups on AS3967 after 500 joins have filled the pointer
      caches, rotating through 512 precomputed (source, target) pairs. *)
@@ -213,6 +216,26 @@ let micro () =
     (net, Array.init 512 (fun _ -> (Id.random jrng, Rofl_util.Prng.int jrng routers)))
   in
   let intra_join_i = ref 0 in
+  (* One stabilisation sweep plus one invariant check on a converged AS3967
+     ring of 500 hosts, on a network of its own: both visit every one of
+     the ring's members and every group pointer, and neither may allocate
+     per member. *)
+  let sweep_intra =
+    let srng = named "intra-sweep-as3967" in
+    let net = Rofl_intra.Network.create ~rng:srng isp.Rofl_topology.Isp.graph in
+    for _ = 1 to 500 do
+      match
+        Rofl_intra.Network.join_host net ~gateway:(Rofl_util.Prng.int srng routers)
+          ~id:(Id.random srng) ~cls:Rofl_core.Vnode.Stable
+      with
+      | Ok _ -> ()
+      | Error e -> failwith ("bench: sweep warm-up join failed: " ^ e)
+    done;
+    ignore (Rofl_intra.Network.stabilize net ~category:Rofl_netsim.Metrics.Repair);
+    if not (Rofl_intra.Invariant.check net).Rofl_intra.Invariant.ok then
+      failwith "bench: sweep ring not converged";
+    net
+  in
   (* Owner reads on a converged AS3967 actor ring of 2,000 bootstrap hosts,
      rotating through 512 fixed (source router, target) pairs, a quarter of
      them random targets, the rest members: [Owner.lookup_owner] as
@@ -405,7 +428,7 @@ let micro () =
         (Staged.stage (fun () ->
              let i = !evict_i land 511 in
              incr evict_i;
-             Rofl_core.Pointer_cache.insert full_cache (Array.unsafe_get fresh i)));
+             insert_fresh (Array.unsafe_get fresh i)));
       Test.make ~name:"inter-route-within"
         (Staged.stage (fun () ->
              let i = !route_i land 511 in
@@ -446,6 +469,11 @@ let micro () =
              ignore
                (Rofl_intra.Network.join_host join_intra ~gateway ~id ~cls:Rofl_core.Vnode.Stable);
              ignore (Rofl_intra.Network.leave_host join_intra id)));
+      Test.make ~name:"intra-sweep-as3967"
+        (Staged.stage (fun () ->
+             ignore
+               (Rofl_intra.Network.stabilize sweep_intra ~category:Rofl_netsim.Metrics.Repair);
+             ignore (Rofl_intra.Invariant.check sweep_intra)));
       Test.make ~name:"lookup-owner-as3967"
         (Staged.stage (fun () ->
              let i = !owner_i land 511 in

@@ -30,15 +30,16 @@ val make :
 
 val kind : t -> kind
 
+val pack : kind -> dst_router:int -> route:Sourceroute.t -> start:int -> int
+(** The {!t.at} of the pointer {!make} would build from the same
+    arguments, after the same checks: {!Pointer_cache} stores it in a
+    column instead of building the record. *)
+
+val kind_of_at : int -> kind
+(** The kind packed in the low two bits of an {!t.at}. *)
+
 val start : t -> int
 (** The hop of {!t.route} at which the pointer's route begins: the holder's
     router. *)
-
-val placeholder : t
-(** A cached pointer to {!Rofl_idspace.Id.zero} at router 0: the fill value
-    of preallocated pointer slots and registers, never a real route. *)
-
-val uses_router : t -> int -> bool
-(** The pointer's source route traverses the given router. *)
 
 val uses_link : t -> int -> int -> bool

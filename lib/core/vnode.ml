@@ -122,38 +122,49 @@ let add_succ v (p : Pointer.t) ~max_group =
 let add_pred v p ~max_group =
   v.preds <- take max_group (dedup_by_dst (sort_counter_clockwise v.id (p :: v.preds)))
 
-(* Keep the successors [keep] accepts, in order, calling it once per
-   successor in order; the arrays are rebuilt only when one goes.  Returns
-   how many went. *)
-let filter_succs v keep =
+(* The first successor from slot [i] on that [doomed] takes ([n] if none),
+   asking it once per successor in order. *)
+let rec first_doomed v doomed ptrs n i =
+  if i = n || doomed v (Array.unsafe_get ptrs i) then i
+  else first_doomed v doomed ptrs n (i + 1)
+
+(* Drop the successors [doomed] takes, asking it once per successor in
+   order; the arrays are rebuilt only when one goes.  Returns how many
+   went. *)
+let drop_succs v doomed =
   let ptrs = v.succ_ptrs in
   let n = Array.length ptrs in
-  let rec first_gone i = if i = n || not (keep ptrs.(i)) then i else first_gone (i + 1) in
-  let gone = first_gone 0 in
+  let gone = first_doomed v doomed ptrs n 0 in
   if gone = n then 0
   else begin
     let rev_kept = ref [] in
     for j = 0 to n - 1 do
-      if j < gone || (j > gone && keep ptrs.(j)) then rev_kept := ptrs.(j) :: !rev_kept
+      if j < gone || (j > gone && not (doomed v ptrs.(j))) then
+        rev_kept := ptrs.(j) :: !rev_kept
     done;
     let kept = Array.of_list (List.rev !rev_kept) in
     install v kept;
     n - Array.length kept
   end
 
-(* [List.filter], but the list itself when nothing goes. *)
-let rec filter_shared keep = function
+(* The predecessors [doomed] spares, asked in order; the list itself when
+   none goes. *)
+let rec spare_preds v doomed = function
   | [] -> []
   | p :: rest as l ->
-    let kept = keep p in
-    let rest' = filter_shared keep rest in
-    if not kept then rest' else if rest' == rest then l else p :: rest'
+    let gone = doomed v p in
+    let rest' = spare_preds v doomed rest in
+    if gone then rest' else if rest' == rest then l else p :: rest'
 
 let drop_pointers_if v doomed =
-  let count = ref (filter_succs v (fun p -> not (doomed p))) in
-  let keep p = if doomed p then begin incr count; false end else true in
-  v.preds <- filter_shared keep v.preds;
-  !count
+  let succs_gone = drop_succs v doomed in
+  let preds = v.preds in
+  let kept = spare_preds v doomed preds in
+  if kept == preds then succs_gone
+  else begin
+    v.preds <- kept;
+    succs_gone + List.length preds - List.length kept
+  end
 
 let filter_map_pointers v f =
   install v (Array.of_list (List.filter_map f (succs v)));

@@ -61,10 +61,13 @@ val add_succ : t -> Pointer.t -> max_group:int -> unit
 
 val add_pred : t -> Pointer.t -> max_group:int -> unit
 
-val drop_pointers_if : t -> (Pointer.t -> bool) -> int
-(** Remove every succ/pred pointer satisfying the predicate; returns how many
-    were dropped (used on failure notifications).  The predicate sees the
-    successors, then the predecessors, each group nearest first. *)
+val drop_pointers_if : t -> (t -> Pointer.t -> bool) -> int
+(** [drop_pointers_if v doomed] removes every succ/pred pointer [p] with
+    [doomed v p]; returns how many were dropped (used on failure
+    notifications).  The predicate is asked once per pointer: the
+    successors, then the predecessors, each group nearest first.  It is
+    handed the holder, so one predicate serves a whole sweep; when no
+    pointer goes, nothing is allocated. *)
 
 val filter_map_pointers : t -> (Pointer.t -> Pointer.t option) -> unit
 (** Replace every succ/pred pointer [p] by [f p], dropping those mapped to

@@ -32,6 +32,17 @@ let public kp = kp.pub
 
 let id_of_public pub = Id.of_bytes_exn (String.sub (Sha256.digest pub) 0 16)
 
+(* A digest is taken into the domain's own 32 bytes when only compared. *)
+let digest_scratch = Domain.DLS.new_key (fun () -> Bytes.create 32)
+
+(* [id_of_public pub = id], without building either side's bytes. *)
+let binds id pub =
+  let ctx = Sha256.domain_ctx () in
+  Sha256.update ctx pub;
+  let d = Domain.DLS.get digest_scratch in
+  Sha256.finalize_into ctx d;
+  Id.is_prefix_of id d
+
 let id_of_keypair kp = id_of_public kp.pub
 
 type challenge = string
@@ -40,8 +51,16 @@ let fresh_challenge g = Id.to_bytes (Id.random g)
 
 type response = { pub : public; tag : string }
 
+(* The signed message is "resp:" ^ challenge ^ pub, fed to the HMAC run in
+   those three parts instead of concatenated. *)
+let sign ctx challenge pub =
+  Sha256.update ctx "resp:";
+  Sha256.update ctx challenge;
+  Sha256.update ctx pub;
+  ctx
+
 let respond (kp : keypair) challenge =
-  { pub = kp.pub; tag = Hmac.mac_keyed (hmac_key kp) ("resp:" ^ challenge ^ kp.pub) }
+  { pub = kp.pub; tag = Hmac.finish (sign (Hmac.start_keyed (hmac_key kp)) challenge kp.pub) }
 
 (* Without real signatures the verifier cannot recompute an HMAC keyed by the
    prover's secret, so the simulation verifies the binding structurally: the
@@ -86,7 +105,7 @@ let verify pub challenge resp =
   &&
   match registry_find pub with
   | None -> false
-  | Some kp -> Hmac.verify_keyed (hmac_key kp) ~msg:("resp:" ^ challenge ^ pub) ~tag:resp.tag
+  | Some kp -> Hmac.check (sign (Hmac.start_keyed (hmac_key kp)) challenge pub) ~tag:resp.tag
 
 (* Registration happens implicitly at generation time in the simulation. *)
 let generate g =
@@ -115,14 +134,15 @@ let credential_for id =
    simulation credential minted with the identifier — and the HMAC tag was
    produced with that key's secret over this exact challenge. *)
 let check_response ~claimed challenge (resp : response) =
-  let msg = "resp:" ^ challenge ^ resp.pub in
-  if Id.equal claimed (id_of_public resp.pub) then
+  if binds claimed resp.pub then
     match registry_find resp.pub with
     | None -> false
-    | Some kp -> Hmac.verify_keyed (hmac_key kp) ~msg ~tag:resp.tag
+    | Some kp ->
+      Hmac.check (sign (Hmac.start_keyed (hmac_key kp)) challenge resp.pub) ~tag:resp.tag
   else begin
     let kp = credential_for claimed in
-    String.equal resp.pub kp.pub && Hmac.verify ~key:kp.secret ~msg ~tag:resp.tag
+    String.equal resp.pub kp.pub
+    && Hmac.check (sign (Hmac.start ~key:kp.secret) challenge resp.pub) ~tag:resp.tag
   end
 
 let verify_claim g ~claimed prover =
@@ -145,7 +165,7 @@ let grind g ~accept ~budget =
   go 0
 
 let authenticate g ~claimed_id pub prover =
-  if not (Id.equal claimed_id (id_of_public pub)) then
+  if not (binds claimed_id pub) then
     Error "identifier does not match hash of public key"
   else begin
     let challenge = fresh_challenge g in

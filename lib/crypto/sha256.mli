@@ -21,8 +21,8 @@ type ctx
 (** Streaming context. *)
 
 val init : unit -> ctx
-(** Exported for tests: test_crypto streams through a fresh context and compares
-    with {!digest}. *)
+(** A fresh context of its own.  test_crypto streams through one and
+    compares with {!digest}. *)
 
 val update : ctx -> string -> unit
 

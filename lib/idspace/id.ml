@@ -136,16 +136,19 @@ let bit id i =
 let random g =
   { hi = Rofl_util.Prng.bits64 g; lo = Rofl_util.Prng.bits64 g }
 
+(* The block is never written again, so it becomes the string itself. *)
 let to_bytes id =
   let b = Bytes.create 16 in
   Bytes.set_int64_be b 0 id.hi;
   Bytes.set_int64_be b 8 id.lo;
-  Bytes.to_string b
+  Bytes.unsafe_to_string b
+
+let is_prefix_of id b =
+  Int64.equal (Bytes.get_int64_be b 0) id.hi && Int64.equal (Bytes.get_int64_be b 8) id.lo
 
 let of_bytes_exn s =
   if String.length s <> 16 then invalid_arg "Id.of_bytes_exn: need 16 bytes";
-  let b = Bytes.of_string s in
-  { hi = Bytes.get_int64_be b 0; lo = Bytes.get_int64_be b 8 }
+  { hi = String.get_int64_be s 0; lo = String.get_int64_be s 8 }
 
 let to_hex id = Printf.sprintf "%016Lx%016Lx" id.hi id.lo
 

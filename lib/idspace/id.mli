@@ -105,6 +105,11 @@ val of_bytes_exn : string -> t
 
 val to_bytes : t -> string
 
+val is_prefix_of : t -> Bytes.t -> bool
+(** [is_prefix_of id b]: [b] starts with the 16 bytes of [to_bytes id].
+    Reads [b] in place: allocates nothing, unlike [of_bytes_exn].  Raises
+    [Invalid_argument] if [b] is shorter than 16 bytes. *)
+
 val to_hex : t -> string
 (** Exported for tests: goldens and failure messages print full identifiers. *)
 

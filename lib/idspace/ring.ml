@@ -231,15 +231,17 @@ let k_successors k x t =
     go [] (cursor_gt x t) n
   end
 
+(* Loops, not [Array.iter]: a walk builds no closure of its own. *)
 let iter f t =
   let version = t.version in
-  Array.iter
-    (fun ch ->
-      for i = 0 to ch.len - 1 do
-        f ch.ids.(i) ch.vals.(i);
-        if t.version <> version then invalid_arg "Ring.iter: the callback changed the ring"
-      done)
-    t.chunks
+  let chunks = t.chunks in
+  for ci = 0 to Array.length chunks - 1 do
+    let ch = chunks.(ci) in
+    for i = 0 to ch.len - 1 do
+      f ch.ids.(i) ch.vals.(i);
+      if t.version <> version then invalid_arg "Ring.iter: the callback changed the ring"
+    done
+  done
 
 let to_list t =
   let acc = ref [] in

@@ -83,6 +83,9 @@ val audit : 'a t -> string list
 type cursor = int
 (** [< 0] means "no position" (empty ring / not found). *)
 
+val cursor_none : cursor
+(** The "no position" cursor, for walks that return one. *)
+
 val cursor_is_none : cursor -> bool
 
 val cursor_equal : cursor -> cursor -> bool

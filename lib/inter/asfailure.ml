@@ -93,12 +93,8 @@ let fail_stub (t : Net.t) as_idx ~samples =
       Net.count_in_blooms t as_idx (-1))
     dead_hosts;
   t.Net.resident_rings.(as_idx) <- Ring.create ();
-  Array.iter
-    (fun c ->
-      ignore
-        (Pointer_cache.drop_if c (fun (p : Rofl_core.Pointer.t) ->
-             p.Rofl_core.Pointer.dst_router = as_idx)))
-    t.Net.caches;
+  let homed_here c s = Pointer_cache.dst_router c s = as_idx in
+  Array.iter (fun c -> ignore (Pointer_cache.drop_if c homed_here)) t.Net.caches;
   {
     ids_lost = List.length resident;
     repair_msgs = Metrics.total t.Net.metrics - before;

@@ -34,7 +34,7 @@ type host = {
   id : Id.t;
   home_as : int;
   strategy : strategy;
-  ptr : Pointer.t;
+  home_route : Sourceroute.t;
   joined : Level.t list;
   mutable fingers : (Level.t * Id.t) list;
   mutable alive_h : bool;
@@ -144,7 +144,8 @@ let charge_leg t category d =
 (* [h]'s pointer, cached at [as_idx] unless that is [h]'s home. *)
 let cache_insert t as_idx (h : host) =
   if t.cfg.cache_capacity > 0 && as_idx <> h.home_as then
-    Pointer_cache.insert t.caches.(as_idx) h.ptr
+    Pointer_cache.insert t.caches.(as_idx) Pointer.Cached ~dst:h.id ~dst_router:h.home_as
+      ~route:h.home_route ~start:0
 
 (* An AS's filter summarises exactly the live identifiers homed in its
    customer cone, so membership is a cone test; only the count is kept, for
@@ -240,12 +241,16 @@ let join_with_levels t ~as_idx ~id ~strategy ~levels =
   if Hashtbl.mem t.hosts id then Error "identifier already joined"
   else if not (as_alive t as_idx) then Error "home AS is down"
   else begin
-    let ptr =
-      Pointer.make Pointer.Cached ~dst:id ~dst_router:as_idx
-        ~route:(Sourceroute.singleton as_idx) ~start:0
-    in
     let h =
-      { id; home_as = as_idx; strategy; ptr; joined = levels; fingers = []; alive_h = true }
+      {
+        id;
+        home_as = as_idx;
+        strategy;
+        home_route = Sourceroute.singleton as_idx;
+        joined = levels;
+        fingers = [];
+        alive_h = true;
+      }
     in
     let lookup_msgs = ref 0 in
     let prev_succ = ref None in

@@ -36,8 +36,9 @@ type host = {
   id : Id.t;
   home_as : int;
   strategy : strategy;
-  ptr : Rofl_core.Pointer.t;
-  (** the cached pointer every AS on a join path stores for this host *)
+  home_route : Rofl_core.Sourceroute.t;
+  (** the one-AS route to [home_as] that every AS on a join path caches
+      for this host, one block shared by all of them *)
   joined : Level.t list; (** bottom-up *)
   mutable fingers : (Level.t * Id.t) list;
   mutable alive_h : bool;

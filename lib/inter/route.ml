@@ -6,7 +6,6 @@ module Policy = Rofl_asgraph.Policy
 module Walk = Rofl_routing.Walk
 module Trace = Rofl_routing.Trace
 module Metrics = Rofl_netsim.Metrics
-module Pointer = Rofl_core.Pointer
 module Pointer_cache = Rofl_core.Pointer_cache
 
 type result = {
@@ -115,15 +114,17 @@ let cache_candidate (t : Net.t) as_idx ~pos ~dst ~dst_home =
     in
     if dst_below || fp_conservatism then None
     else
-      let p = Pointer_cache.best_match t.Net.caches.(as_idx) ~cur:pos ~target:dst in
-      if p == Pointer.placeholder then None
+      let c = t.Net.caches.(as_idx) in
+      let s = Pointer_cache.best_match c ~cur:pos ~target:dst in
+      if s = Pointer_cache.none then None
       else
-        match Hashtbl.find_opt t.Net.hosts p.Pointer.dst with
-        | Some ch when ch.Net.alive_h && ch.Net.home_as = p.Pointer.dst_router
-                       && Id.between_incl pos p.Pointer.dst dst ->
-          Some (p.Pointer.dst, ch)
+        let cid = Pointer_cache.dst c s in
+        match Hashtbl.find_opt t.Net.hosts cid with
+        | Some ch when ch.Net.alive_h && ch.Net.home_as = Pointer_cache.dst_router c s
+                       && Id.between_incl pos cid dst ->
+          Some (cid, ch)
         | Some _ | None ->
-          Pointer_cache.remove t.Net.caches.(as_idx) p.Pointer.dst;
+          Pointer_cache.remove c cid;
           None
   end
 

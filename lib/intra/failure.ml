@@ -3,6 +3,7 @@ module Ring = Rofl_idspace.Ring
 module Vnode = Rofl_core.Vnode
 module Pointer = Rofl_core.Pointer
 module Pointer_cache = Rofl_core.Pointer_cache
+module Sourceroute = Rofl_core.Sourceroute
 module Graph = Rofl_topology.Graph
 module Linkstate = Rofl_linkstate.Linkstate
 module Metrics = Rofl_netsim.Metrics
@@ -10,15 +11,24 @@ module Identity = Rofl_crypto.Identity
 
 let total (t : Network.t) = Metrics.total t.Network.metrics
 
+(* A failure's doom test reads the four fields of a pointer,
+   [doomed dst dst_router route start], so one test judges ring pointers
+   and cache entries alike.  The sweeps below build one predicate per
+   event, never one per member or entry, and allocate nothing for a member
+   or entry that survives. *)
+
 (* Drop every pointer that leads to or through dead equipment, charging
    tear-downs along the surviving prefix of each path, then repair.  Here
    and below, members are visited in {!Network.iter_members}' order, not
    the identifier table's hash order. *)
 let teardown_and_repair (t : Network.t) ~doomed =
+  let doomed_ptr _ (p : Pointer.t) =
+    doomed p.Pointer.dst p.Pointer.dst_router p.Pointer.route (Pointer.start p)
+  in
   Network.iter_members t
     (fun (vn : Vnode.t) ->
       if vn.Vnode.alive then begin
-        let dropped = Vnode.drop_pointers_if vn doomed in
+        let dropped = Vnode.drop_pointers_if vn doomed_ptr in
         if dropped > 0 then begin
           Metrics.incr t.Network.metrics Metrics.Teardown dropped;
           (match vn.Vnode.host_class with
@@ -48,8 +58,12 @@ let teardown_and_repair (t : Network.t) ~doomed =
       end)
 
 let purge_caches (t : Network.t) ~doomed =
+  let doomed_entry c s =
+    doomed (Pointer_cache.dst c s) (Pointer_cache.dst_router c s) (Pointer_cache.route c s)
+      (Pointer_cache.start c s)
+  in
   Array.iter
-    (fun (r : Network.router) -> ignore (Pointer_cache.drop_if r.Network.cache doomed))
+    (fun (r : Network.router) -> ignore (Pointer_cache.drop_if r.Network.cache doomed_entry))
     t.Network.routers
 
 let fail_host (t : Network.t) id =
@@ -87,7 +101,9 @@ let fail_router (t : Network.t) idx ~pick_gateway =
   r.Network.residents <- [];
   Hashtbl.reset r.Network.attachments;
   (* Remote state referencing the dead router tears down and repairs. *)
-  let doomed (p : Pointer.t) = p.Pointer.dst_router = idx || Pointer.uses_router p idx in
+  let doomed _ dst_router route start =
+    dst_router = idx || Sourceroute.contains_router route start idx
+  in
   purge_caches t ~doomed;
   teardown_and_repair t ~doomed;
   (* Hosts fail over to the next router on their agreed list. *)
@@ -138,7 +154,7 @@ let fail_link (t : Network.t) u v =
   Linkstate.fail_link t.Network.ls u v;
   charge_lsa t Metrics.Flood;
   let crosses (p : Pointer.t) = Pointer.uses_link p u v in
-  purge_caches t ~doomed:crosses;
+  purge_caches t ~doomed:(fun _ _ route start -> Sourceroute.uses_link route start u v);
   (* The network map reroutes ring pointers transparently: refresh source
      routes that crossed the link; tear down only if now unreachable. *)
   Network.iter_members t
@@ -189,12 +205,8 @@ let disconnect_routers (t : Network.t) routers =
   (* Zero-ID advertisements piggyback on the link-state flood in each
      component; charged once over the surviving links. *)
   charge_lsa t Metrics.Zero_id;
-  let doomed (p : Pointer.t) =
-    not (Rofl_core.Sourceroute.is_valid t.Network.ls p.Pointer.route (Pointer.start p))
-    ||
-    match Network.find_vnode t p.Pointer.dst with
-    | Some (dv : Vnode.t) -> not dv.Vnode.alive
-    | None -> true
+  let doomed dst _ route start =
+    (not (Sourceroute.is_valid t.Network.ls route start)) || not (Network.is_live t dst)
   in
   purge_caches t ~doomed;
   teardown_and_repair t ~doomed;
@@ -206,17 +218,16 @@ let disconnect_routers (t : Network.t) routers =
         match vn.Vnode.host_class with
         | Vnode.Stable | Vnode.Router_default ->
           let ok =
-            match Vnode.first_succ vn with
-            | Some (p : Pointer.t) ->
-              Linkstate.reachable t.Network.ls vn.Vnode.hosted_at p.Pointer.dst_router
-            | None -> false
+            Vnode.succ_count vn > 0
+            && Linkstate.reachable t.Network.ls vn.Vnode.hosted_at
+                 vn.Vnode.succ_ptrs.(0).Pointer.dst_router
           in
           if not ok then Network.repair_successor t vn;
           let pred_ok =
-            match Vnode.first_pred vn with
-            | Some (p : Pointer.t) ->
+            match vn.Vnode.preds with
+            | (p : Pointer.t) :: _ ->
               Linkstate.reachable t.Network.ls vn.Vnode.hosted_at p.Pointer.dst_router
-            | None -> false
+            | [] -> false
           in
           if not pred_ok then Network.repair_predecessor t vn
         | Vnode.Ephemeral -> ()

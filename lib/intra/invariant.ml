@@ -14,29 +14,39 @@ type report = {
   stale_tail_entries : int;
 }
 
-(* The oracle successor within [vn]'s connected component. *)
-let expected_successor (t : Network.t) (vn : Vnode.t) =
-  let limit = Ring.cardinal t.Network.oracle in
-  let rec go cur steps =
-    if steps > limit then None
-    else
-      match Ring.successor cur t.Network.oracle with
-      | Some (sid, _) when Id.equal sid vn.Vnode.id -> None
-      | Some (sid, (sv : Vnode.t)) ->
-        if
-          sv.Vnode.alive
-          && Linkstate.reachable t.Network.ls vn.Vnode.hosted_at sv.Vnode.hosted_at
-        then Some (sid, sv)
-        else go sid (steps + 1)
-      | None -> None
-  in
-  go vn.Vnode.id 0
+(* Entry [i] of a group: a dead head is [report]ed, a dead tail entry only
+   counted.  Returns [stale] plus that count. *)
+let judge_entry t (vn : Vnode.t) report label stale i (p : Pointer.t) =
+  if Network.is_live t p.Pointer.dst then stale
+  else if i = 0 then begin
+    report
+      (Printf.sprintf "%s: %s head points to dead id %s" (Id.to_short_string vn.Vnode.id)
+         label (Id.to_short_string p.Pointer.dst));
+    stale
+  end
+  else stale + 1
 
+let rec check_succs t (vn : Vnode.t) report stale i =
+  if i = Array.length vn.Vnode.succ_ptrs then stale
+  else
+    check_succs t vn report
+      (judge_entry t vn report "successor" stale i vn.Vnode.succ_ptrs.(i))
+      (i + 1)
+
+let rec check_preds t vn report stale i = function
+  | [] -> stale
+  | p :: rest ->
+    check_preds t vn report (judge_entry t vn report "predecessor" stale i p) (i + 1) rest
+
+(* A sweep over every member that allocates nothing for a member it finds
+   in order: liveness tests are option-free, the oracle successor is a
+   cursor, and violations alone build strings. *)
 let check (t : Network.t) =
   let violations = ref [] in
   let checked = ref 0 in
   let stale_tails = ref 0 in
-  let bad fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
+  let report s = violations := s :: !violations in
+  let bad fmt = Printf.ksprintf report fmt in
   Network.iter_members t (fun (vn : Vnode.t) ->
       let id = vn.Vnode.id in
       if vn.Vnode.alive then begin
@@ -44,45 +54,37 @@ let check (t : Network.t) =
         match vn.Vnode.host_class with
         | Vnode.Stable | Vnode.Router_default ->
           (* (b) successor pointer agreement. *)
-          (match (Vnode.first_succ vn, expected_successor t vn) with
-           | Some (p : Pointer.t), Some (want, _) ->
-             if not (Id.equal p.Pointer.dst want) then
-               bad "%s: successor %s, oracle expects %s" (Id.to_short_string id)
-                 (Id.to_short_string p.Pointer.dst) (Id.to_short_string want)
-           | None, Some (want, _) ->
-             bad "%s: missing successor, oracle expects %s" (Id.to_short_string id)
-               (Id.to_short_string want)
-           | Some _, None | None, None -> ());
+          let c = Network.oracle_successor_of t vn in
+          if not (Ring.cursor_is_none c) then begin
+            let want = Ring.id_at t.Network.oracle c in
+            if Vnode.succ_count vn = 0 then
+              bad "%s: missing successor, oracle expects %s" (Id.to_short_string id)
+                (Id.to_short_string want)
+            else begin
+              let got = vn.Vnode.succ_ptrs.(0).Pointer.dst in
+              if not (Id.equal got want) then
+                bad "%s: successor %s, oracle expects %s" (Id.to_short_string id)
+                  (Id.to_short_string got) (Id.to_short_string want)
+            end
+          end;
           (* (c) group HEADS lead to live state; stale tails are lazily
              repaired and only counted. *)
-          let dead (p : Pointer.t) =
-            match Network.find_vnode t p.Pointer.dst with
-            | Some (dv : Vnode.t) -> not dv.Vnode.alive
-            | None -> true
-          in
-          let check_entry label i (p : Pointer.t) =
-            if dead p then
-              if i = 0 then
-                bad "%s: %s head points to dead id %s" (Id.to_short_string id) label
-                  (Id.to_short_string p.Pointer.dst)
-              else incr stale_tails
-          in
-          Array.iteri (check_entry "successor") vn.Vnode.succ_ptrs;
-          List.iteri (check_entry "predecessor") vn.Vnode.preds
+          stale_tails := check_succs t vn report !stale_tails 0;
+          stale_tails := check_preds t vn report !stale_tails 0 vn.Vnode.preds
         | Vnode.Ephemeral ->
           (* Attachment present at the ring predecessor. *)
-          (match Vnode.first_pred vn with
-           | Some (p : Pointer.t) ->
+          (match vn.Vnode.preds with
+           | (p : Pointer.t) :: _ ->
              let pr = t.Network.routers.(p.Pointer.dst_router) in
-             (match Hashtbl.find_opt pr.Network.attachments id with
-              | Some host when host = vn.Vnode.hosted_at -> ()
-              | Some host ->
+             (match Hashtbl.find pr.Network.attachments id with
+              | host when host = vn.Vnode.hosted_at -> ()
+              | host ->
                 bad "%s: attachment points to router %d, host is at %d"
                   (Id.to_short_string id) host vn.Vnode.hosted_at
-              | None ->
+              | exception Not_found ->
                 bad "%s: no attachment at predecessor router %d" (Id.to_short_string id)
                   p.Pointer.dst_router)
-           | None -> bad "%s: ephemeral id with no predecessor" (Id.to_short_string id))
+           | [] -> bad "%s: ephemeral id with no predecessor" (Id.to_short_string id))
       end);
   {
     ok = !violations = [];

@@ -237,10 +237,13 @@ module Lookup_substrate = struct
     mutable pick_id : Id.t;
     mutable pick_d : int;
     mutable pick_vn : Vnode.t;
-    mutable pick_ptr : Pointer.t;
+    mutable pick_slot : int;
   }
 
-  and pick = No_pick | Pick_local | Pick_remote
+  (* [Pick_local] is the resident [pick_vn], [Pick_remote] its successor
+     in slot [pick_slot] of the group, [Pick_cached] the entry in slot
+     [pick_slot] of the cache at [cur]. *)
+  and pick = No_pick | Pick_local | Pick_remote | Pick_cached
 
   type verdict = lookup_result
 
@@ -297,10 +300,9 @@ module Lookup_substrate = struct
   let nack st cur owner chased =
     let t = st.net in
     let _ = charge_spf t Metrics.Teardown cur owner in
+    let to_chased _ (p : Pointer.t) = Id.equal p.Pointer.dst chased in
     List.iter
-      (fun (vn : Vnode.t) ->
-        ignore
-          (Vnode.drop_pointers_if vn (fun (p : Pointer.t) -> Id.equal p.Pointer.dst chased)))
+      (fun (vn : Vnode.t) -> ignore (Vnode.drop_pointers_if vn to_chased))
       t.routers.(owner).residents;
     Pointer_cache.remove t.routers.(owner).cache chased;
     Pointer_cache.remove t.routers.(cur).cache chased
@@ -330,42 +332,58 @@ module Lookup_substrate = struct
     (match st.exclude with Some e -> not (Id.equal e id) | None -> true)
     && (match st.pick with
         | No_pick -> true
-        | Pick_local | Pick_remote ->
+        | Pick_local | Pick_remote | Pick_cached ->
           Id.closer_clockwise_keyed ~target:st.target d id st.pick_d st.pick_id)
 
   (* Pointer routes are recorded from links actually traversed (or SPF
      paths), so consecutive pairs are always graph links: with no failure
      outstanding they are valid by construction and the per-hop scan can be
      skipped.  Validity is checked last: it is the costly test. *)
-  let consider_pointer st ~healthy (p : Pointer.t) d =
+  let consider_succ st ~healthy (vn : Vnode.t) i d =
+    let (p : Pointer.t) = Array.unsafe_get vn.Vnode.succ_ptrs i in
     if improves st p.Pointer.dst d
        && (healthy || Sourceroute.is_valid st.net.ls p.Pointer.route (Pointer.start p))
     then begin
       st.pick <- Pick_remote;
       st.pick_id <- p.Pointer.dst;
       st.pick_d <- d;
-      st.pick_ptr <- p
+      st.pick_vn <- vn;
+      st.pick_slot <- i
     end
 
-  let consider_remote st cur ~healthy (p : Pointer.t) =
-    (* Same-router pointers are covered by Local candidates (or are stale);
-       a remote candidate must actually lead elsewhere. *)
-    if p.Pointer.dst_router <> cur then
-      consider_pointer st ~healthy p ((st.target_key - Id.key p.Pointer.dst) land Id.key_mask)
+  (* The cache's best match at [cur], read from its columns.  Like a
+     successor, an entry hosted at [cur] itself is covered by the Local
+     candidates (or is stale): a remote candidate must lead elsewhere. *)
+  let consider_cached st cur ~healthy c =
+    let s = Pointer_cache.best_match c ~cur:st.target ~target:st.target in
+    if s <> Pointer_cache.none && Pointer_cache.dst_router c s <> cur then begin
+      let id = Pointer_cache.dst c s in
+      let d = (st.target_key - Id.key id) land Id.key_mask in
+      if improves st id d
+         && (healthy
+             || Sourceroute.is_valid st.net.ls (Pointer_cache.route c s)
+                  (Pointer_cache.start c s))
+      then begin
+        st.pick <- Pick_cached;
+        st.pick_id <- id;
+        st.pick_d <- d;
+        st.pick_slot <- s
+      end
+    end
 
-  (* The successor columns of [vn] from slot [i] on: the same candidates in
-     the same order as [consider_remote] over the group, reading the
-     router and key columns first.  A successor whose key distance exceeds
-     a positive running best's is farther from the target (the argument is
-     in id.mli), so {!Id.closer_clockwise_keyed} would answer "not closer"
-     from the keys alone: it is rejected without loading its pointer. *)
+  (* The successor columns of [vn] from slot [i] on, in the group's order,
+     reading the router and key columns first.  A successor whose key
+     distance exceeds a positive running best's is farther from the target
+     (the argument is in id.mli), so {!Id.closer_clockwise_keyed} would
+     answer "not closer" from the keys alone: it is rejected without
+     loading its pointer. *)
   let rec consider_succs st cur ~healthy (vn : Vnode.t) i =
     let cols = vn.Vnode.succ_cols in
     if 2 * i < Array.length cols then begin
       if Array.unsafe_get cols ((2 * i) + 1) <> cur then begin
         let d = (st.target_key - Array.unsafe_get cols (2 * i)) land Id.key_mask in
         if not (st.pick <> No_pick && st.pick_d > 0 && d > st.pick_d)
-        then consider_pointer st ~healthy (Array.unsafe_get vn.Vnode.succ_ptrs i) d
+        then consider_succ st ~healthy vn i d
       end;
       consider_succs st cur ~healthy vn (i + 1)
     end
@@ -403,10 +421,7 @@ module Lookup_substrate = struct
     let r = st.net.routers.(cur) in
     let healthy = Linkstate.healthy st.net.ls in
     select_among st ~healthy r.residents;
-    if st.use_cache then begin
-      let p = Pointer_cache.best_match r.cache ~cur:st.target ~target:st.target in
-      if p != Pointer.placeholder then consider_remote st cur ~healthy p
-    end;
+    if st.use_cache then consider_cached st cur ~healthy r.cache;
     st.pick <> No_pick
 
   let deliver_here st =
@@ -418,36 +433,44 @@ module Lookup_substrate = struct
         (* The closest known identifier is resident right here and its
            successors all overshoot: this vnode is the predecessor. *)
         Some (finish st (Predecessor vn))
-    | Pick_remote | No_pick -> None
+    | Pick_remote | Pick_cached | No_pick -> None
+
+  let commit_to st ~dst ~dst_router kind route start =
+    let cur = st.cur in
+    st.commit_owner <- cur;
+    st.commit_chased <- dst;
+    st.commit_kind <-
+      (match kind with
+       | Pointer.Cached -> Trace.Cache
+       | Pointer.Successor | Pointer.Predecessor | Pointer.Finger -> Trace.Ring);
+    if Sourceroute.router route start = cur then begin
+      st.route <- route;
+      st.route_at <- start + 1;
+      true
+    end
+    else begin
+      (* Route does not start here (cached suffix mismatch): fall back to
+         the network map. *)
+      let route = spf_route st.net cur dst_router in
+      if Sourceroute.routers route = 0 then false
+      else begin
+        st.route <- route;
+        st.route_at <- 1;
+        true
+      end
+    end
 
   let commit st =
     match st.pick with
     | Pick_local | No_pick -> false (* unreachable: deliver_here terminates on locals *)
     | Pick_remote ->
-      let cur = st.cur and p = st.pick_ptr in
-      st.commit_owner <- cur;
-      st.commit_chased <- p.Pointer.dst;
-      st.commit_kind <-
-        (match Pointer.kind p with
-         | Pointer.Cached -> Trace.Cache
-         | Pointer.Successor | Pointer.Predecessor | Pointer.Finger -> Trace.Ring);
-      let route = p.Pointer.route and start = Pointer.start p in
-      if Sourceroute.router route start = cur then begin
-        st.route <- route;
-        st.route_at <- start + 1;
-        true
-      end
-      else begin
-        (* Route does not start here (cached suffix mismatch): fall back to
-           the network map. *)
-        let route = spf_route st.net cur p.Pointer.dst_router in
-        if Sourceroute.routers route = 0 then false
-        else begin
-          st.route <- route;
-          st.route_at <- 1;
-          true
-        end
-      end
+      let (p : Pointer.t) = st.pick_vn.Vnode.succ_ptrs.(st.pick_slot) in
+      commit_to st ~dst:p.Pointer.dst ~dst_router:p.Pointer.dst_router (Pointer.kind p)
+        p.Pointer.route (Pointer.start p)
+    | Pick_cached ->
+      let c = st.net.routers.(st.cur).cache and s = st.pick_slot in
+      commit_to st ~dst:(Pointer_cache.dst c s) ~dst_router:(Pointer_cache.dst_router c s)
+        (Pointer_cache.kind c s) (Pointer_cache.route c s) (Pointer_cache.start c s)
 
   let exhausted st = st.route_at >= Sourceroute.routers st.route
 
@@ -515,7 +538,7 @@ module Lookup_substrate = struct
       pick_id = target;
       pick_d = 0;
       pick_vn = t.routers.(from).default_vnode;
-      pick_ptr = Pointer.placeholder;
+      pick_slot = Pointer_cache.none;
     }
     in
     if visited then push_visited st from;
@@ -540,9 +563,28 @@ let rank_residents ?exclude t ~cur ~target residents =
   match st.Lookup_substrate.pick with
   | Lookup_substrate.No_pick -> None
   | Lookup_substrate.Pick_local -> Some (Local st.Lookup_substrate.pick_vn)
-  | Lookup_substrate.Pick_remote -> Some (Remote st.Lookup_substrate.pick_ptr)
+  | Lookup_substrate.Pick_remote ->
+    Some (Remote st.Lookup_substrate.pick_vn.Vnode.succ_ptrs.(st.Lookup_substrate.pick_slot))
+  | Lookup_substrate.Pick_cached -> assert false (* the cache is not consulted *)
 
 let find_vnode t id = Vnode_table.find_opt t.vnodes id
+
+(* A dead vnode no table holds: what an option-free probe answers for an
+   identifier that has no vnode, so a liveness test reads one field and
+   allocates nothing. *)
+let gone =
+  let vn = Vnode.create Id.zero Vnode.Router_default ~hosted_at:(-1) in
+  Vnode.mark_dead vn;
+  vn
+
+let vnode_or_gone t id =
+  match Vnode_table.find t.vnodes id with vn -> vn | exception Not_found -> gone
+
+let is_live t id = (vnode_or_gone t id).Vnode.alive
+
+let live_and_reachable t ~from id =
+  let vn = vnode_or_gone t id in
+  vn.Vnode.alive && Linkstate.reachable t.ls from vn.Vnode.hosted_at
 
 (* The oracle holds exactly the table's default and stable vnodes, in ring
    order; only the ephemeral ones need sorting.  The ephemeral list is
@@ -595,34 +637,29 @@ let cache_route_to t id dst_router route =
     for i = 0 to n - 1 do
       let r = Sourceroute.router route i in
       if r <> dst_router then
-        Pointer_cache.insert t.routers.(r).cache
-          (Pointer.make Pointer.Cached ~dst:id ~dst_router ~route ~start:i)
+        Pointer_cache.insert t.routers.(r).cache Pointer.Cached ~dst:id ~dst_router ~route
+          ~start:i
     done
 
 (* -- repairs ------------------------------------------------------------ *)
 
 (* Ring-walk to the first member that is alive and reachable from [vn]'s
    router: under a partition this yields the per-component ring the zero-ID
-   protocol converges to (§3.2). *)
-let oracle_successor_of t (vn : Vnode.t) =
+   protocol converges to (§3.2).  One O(log n) search, then O(1) cursor
+   steps over the dead/unreachable run; a top-level loop over immediate
+   ints, so the walk allocates nothing. *)
+let rec successor_from t (vn : Vnode.t) c steps =
   let r = t.oracle in
-  let limit = Ring.cardinal r in
-  (* One O(log n) search, then O(1) cursor steps over the dead/unreachable
-     run — the seed re-ran a tree search per skipped member. *)
-  let rec go c steps =
-    if steps > limit || Ring.cursor_is_none c then None
-    else begin
-      let sid = Ring.id_at r c in
-      if Id.equal sid vn.Vnode.id then None
-      else begin
-        let (sv : Vnode.t) = Ring.value_at r c in
-        if sv.Vnode.alive && Linkstate.reachable t.ls vn.Vnode.hosted_at sv.Vnode.hosted_at
-        then Some (sid, sv)
-        else go (Ring.cursor_next r c) (steps + 1)
-      end
-    end
-  in
-  go (Ring.cursor_gt vn.Vnode.id r) 0
+  if steps > Ring.cardinal r || Ring.cursor_is_none c then Ring.cursor_none
+  else if Id.equal (Ring.id_at r c) vn.Vnode.id then Ring.cursor_none
+  else begin
+    let (sv : Vnode.t) = Ring.value_at r c in
+    if sv.Vnode.alive && Linkstate.reachable t.ls vn.Vnode.hosted_at sv.Vnode.hosted_at then c
+    else successor_from t vn (Ring.cursor_next r c) (steps + 1)
+  end
+
+let oracle_successor_of t (vn : Vnode.t) =
+  successor_from t vn (Ring.cursor_gt vn.Vnode.id t.oracle) 0
 
 let oracle_predecessor_of t (vn : Vnode.t) =
   let r = t.oracle in
@@ -643,11 +680,7 @@ let oracle_predecessor_of t (vn : Vnode.t) =
   go (Ring.cursor_lt vn.Vnode.id r) 0
 
 let repair_successor t (vn : Vnode.t) =
-  let alive (p : Pointer.t) =
-    match find_vnode t p.Pointer.dst with
-    | Some v -> v.Vnode.alive && Linkstate.reachable t.ls vn.Vnode.hosted_at v.Vnode.hosted_at
-    | None -> false
-  in
+  let alive (p : Pointer.t) = live_and_reachable t ~from:vn.Vnode.hosted_at p.Pointer.dst in
   let survivors = List.filter alive (Vnode.succs vn) in
   match survivors with
   | (first : Pointer.t) :: _ ->
@@ -657,26 +690,24 @@ let repair_successor t (vn : Vnode.t) =
     ()
   | [] ->
     (* Group exhausted: re-discover via the network map / ring walk. *)
-    (match oracle_successor_of t vn with
-     | Some (sid, (sv : Vnode.t)) ->
-       (match
-          make_pointer t Pointer.Successor ~from_router:vn.Vnode.hosted_at ~dst:sid
-            ~dst_router:sv.Vnode.hosted_at
-        with
-        | Some p ->
-          Vnode.set_succs vn [ p ];
-          let _ = charge_spf t Metrics.Repair vn.Vnode.hosted_at sv.Vnode.hosted_at in
-          let _ = charge_spf t Metrics.Repair sv.Vnode.hosted_at vn.Vnode.hosted_at in
-          ()
-        | None -> Vnode.set_succs vn [])
-     | None -> Vnode.set_succs vn [])
+    let c = oracle_successor_of t vn in
+    if Ring.cursor_is_none c then Vnode.set_succs vn []
+    else begin
+      let (sv : Vnode.t) = Ring.value_at t.oracle c in
+      match
+        make_pointer t Pointer.Successor ~from_router:vn.Vnode.hosted_at ~dst:sv.Vnode.id
+          ~dst_router:sv.Vnode.hosted_at
+      with
+      | Some p ->
+        Vnode.set_succs vn [ p ];
+        let _ = charge_spf t Metrics.Repair vn.Vnode.hosted_at sv.Vnode.hosted_at in
+        let _ = charge_spf t Metrics.Repair sv.Vnode.hosted_at vn.Vnode.hosted_at in
+        ()
+      | None -> Vnode.set_succs vn []
+    end
 
 let repair_predecessor t (vn : Vnode.t) =
-  let alive (p : Pointer.t) =
-    match find_vnode t p.Pointer.dst with
-    | Some v -> v.Vnode.alive && Linkstate.reachable t.ls vn.Vnode.hosted_at v.Vnode.hosted_at
-    | None -> false
-  in
+  let alive (p : Pointer.t) = live_and_reachable t ~from:vn.Vnode.hosted_at p.Pointer.dst in
   let survivors = List.filter alive vn.Vnode.preds in
   match survivors with
   | _ :: _ -> Vnode.set_preds vn survivors
@@ -712,11 +743,11 @@ let splice_stable t ~gateway (vn : Vnode.t) (pred : Vnode.t) =
       (fun (p : Pointer.t) ->
         if Id.equal p.Pointer.dst vn.Vnode.id then None
         else
-          match find_vnode t p.Pointer.dst with
-          | Some (sv : Vnode.t) when sv.Vnode.alive ->
+          let sv = vnode_or_gone t p.Pointer.dst in
+          if sv.Vnode.alive then
             make_pointer t Pointer.Successor ~from_router:gateway ~dst:p.Pointer.dst
               ~dst_router:sv.Vnode.hosted_at
-          | Some _ | None -> None)
+          else None)
       (Vnode.succs pred)
   in
   Vnode.set_succs vn inherited ~max_group:t.cfg.succ_group_size;
@@ -735,21 +766,20 @@ let splice_stable t ~gateway (vn : Vnode.t) (pred : Vnode.t) =
    | Some p -> Vnode.add_pred vn p ~max_group:t.cfg.pred_group_size
    | None -> ());
   (* Notify our successor to adopt us as predecessor. *)
-  (match Vnode.first_succ vn with
-   | Some (sp : Pointer.t) ->
-     (match find_vnode t sp.Pointer.dst with
-      | Some (sv : Vnode.t) ->
-        let h1 = charge_spf_at t 1 Metrics.Join gateway sv.Vnode.hosted_at in
-        let h2 = charge_spf t Metrics.Join_reply sv.Vnode.hosted_at gateway in
-        msgs := !msgs + h1 + h2;
-        (match
-           make_pointer t Pointer.Predecessor ~from_router:sv.Vnode.hosted_at
-             ~dst:vn.Vnode.id ~dst_router:gateway
-         with
-         | Some p -> Vnode.add_pred sv p ~max_group:t.cfg.pred_group_size
-         | None -> ())
-      | None -> ())
-   | None -> ());
+  if Vnode.succ_count vn > 0 then begin
+    let sv = vnode_or_gone t vn.Vnode.succ_ptrs.(0).Pointer.dst in
+    if sv != gone then begin
+      let h1 = charge_spf_at t 1 Metrics.Join gateway sv.Vnode.hosted_at in
+      let h2 = charge_spf t Metrics.Join_reply sv.Vnode.hosted_at gateway in
+      msgs := !msgs + h1 + h2;
+      match
+        make_pointer t Pointer.Predecessor ~from_router:sv.Vnode.hosted_at ~dst:vn.Vnode.id
+          ~dst_router:gateway
+      with
+      | Some p -> Vnode.add_pred sv p ~max_group:t.cfg.pred_group_size
+      | None -> ()
+    end
+  end;
   !msgs
 
 let join_host t ~gateway ~id ~cls =
@@ -850,14 +880,13 @@ let leave_host t id =
     let flooded = Hashtbl.create 16 in
     Array.iter
       (fun r' ->
-        match Pointer_cache.find r'.cache id with
-        | Some _ ->
-          if not (Hashtbl.mem flooded r'.idx) then begin
-            Hashtbl.add flooded r'.idx ();
-            let _ = charge_spf t Metrics.Directed_flood gateway r'.idx in
-            Pointer_cache.remove r'.cache id
-          end
-        | None -> ())
+        if Pointer_cache.find r'.cache id <> Pointer_cache.none
+           && not (Hashtbl.mem flooded r'.idx)
+        then begin
+          Hashtbl.add flooded r'.idx ();
+          let _ = charge_spf t Metrics.Directed_flood gateway r'.idx in
+          Pointer_cache.remove r'.cache id
+        end)
       t.routers;
     (* Neighbours repair around the gap.  Tear-downs go to every ring
        member that may hold group state for the departed identifier — the
@@ -881,7 +910,7 @@ let leave_host t id =
     in
     let ccw = collect Ring.predecessor t.cfg.succ_group_size in
     let cw = collect Ring.successor t.cfg.pred_group_size in
-    let is_dead (p : Pointer.t) = Id.equal p.Pointer.dst id in
+    let is_dead _ (p : Pointer.t) = Id.equal p.Pointer.dst id in
     List.iter
       (fun (pv : Vnode.t) ->
         let head_was_dead =
@@ -895,15 +924,14 @@ let leave_host t id =
           (* Hand over the departed vnode's successors. *)
           Array.iter
             (fun (sp : Pointer.t) ->
-              match find_vnode t sp.Pointer.dst with
-              | Some (sv : Vnode.t) when sv.Vnode.alive ->
-                (match
-                   make_pointer t Pointer.Successor ~from_router:pv.Vnode.hosted_at
-                     ~dst:sp.Pointer.dst ~dst_router:sv.Vnode.hosted_at
-                 with
-                 | Some fresh -> Vnode.add_succ pv fresh ~max_group:t.cfg.succ_group_size
-                 | None -> ())
-              | Some _ | None -> ())
+              let sv = vnode_or_gone t sp.Pointer.dst in
+              if sv.Vnode.alive then
+                match
+                  make_pointer t Pointer.Successor ~from_router:pv.Vnode.hosted_at
+                    ~dst:sp.Pointer.dst ~dst_router:sv.Vnode.hosted_at
+                with
+                | Some fresh -> Vnode.add_succ pv fresh ~max_group:t.cfg.succ_group_size
+                | None -> ())
             vn.Vnode.succ_ptrs;
           if head_was_dead then repair_successor t pv
         end)
@@ -920,15 +948,14 @@ let leave_host t id =
           let _ = charge_spf t Metrics.Teardown gateway sv.Vnode.hosted_at in
           List.iter
             (fun (pp : Pointer.t) ->
-              match find_vnode t pp.Pointer.dst with
-              | Some (pv : Vnode.t) when pv.Vnode.alive ->
-                (match
-                   make_pointer t Pointer.Predecessor ~from_router:sv.Vnode.hosted_at
-                     ~dst:pp.Pointer.dst ~dst_router:pv.Vnode.hosted_at
-                 with
-                 | Some fresh -> Vnode.add_pred sv fresh ~max_group:t.cfg.pred_group_size
-                 | None -> ())
-              | Some _ | None -> ())
+              let pv = vnode_or_gone t pp.Pointer.dst in
+              if pv.Vnode.alive then
+                match
+                  make_pointer t Pointer.Predecessor ~from_router:sv.Vnode.hosted_at
+                    ~dst:pp.Pointer.dst ~dst_router:pv.Vnode.hosted_at
+                with
+                | Some fresh -> Vnode.add_pred sv fresh ~max_group:t.cfg.pred_group_size
+                | None -> ())
             vn.Vnode.preds;
           if head_was_dead then repair_predecessor t sv
         end)
@@ -957,26 +984,21 @@ let rejoin_ring t (vn : Vnode.t) ~category =
    entries.  Returns messages charged. *)
 let stabilize t ~category =
   let before = Metrics.total t.metrics in
+  (* One predicate for the sweep: it is handed each holder. *)
+  let dead (holder : Vnode.t) (p : Pointer.t) =
+    Id.equal p.Pointer.dst holder.Vnode.id
+    || not (live_and_reachable t ~from:holder.Vnode.hosted_at p.Pointer.dst)
+  in
   Ring.iter
     (fun _ (vn : Vnode.t) ->
       if vn.Vnode.alive then begin
-        let dead (p : Pointer.t) =
-          Id.equal p.Pointer.dst vn.Vnode.id
-          ||
-          match find_vnode t p.Pointer.dst with
-          | Some (dv : Vnode.t) ->
-            (not dv.Vnode.alive)
-            || not (Linkstate.reachable t.ls vn.Vnode.hosted_at dv.Vnode.hosted_at)
-          | None -> true
-        in
         ignore (Vnode.drop_pointers_if vn dead);
-        match oracle_successor_of t vn with
-        | None -> ()
-        | Some (sid, (sv : Vnode.t)) ->
+        let c = oracle_successor_of t vn in
+        if not (Ring.cursor_is_none c) then begin
+          let (sv : Vnode.t) = Ring.value_at t.oracle c in
+          let sid = sv.Vnode.id in
           let ok =
-            match Vnode.first_succ vn with
-            | Some (p : Pointer.t) -> Id.equal p.Pointer.dst sid
-            | None -> false
+            Vnode.succ_count vn > 0 && Id.equal vn.Vnode.succ_ptrs.(0).Pointer.dst sid
           in
           if not ok then begin
             (match
@@ -995,6 +1017,7 @@ let stabilize t ~category =
                 | None -> ())
              | None -> ())
           end
+        end
       end)
     t.oracle;
   Metrics.total t.metrics - before

@@ -141,6 +141,18 @@ val leave_host : t -> Id.t -> (unit, string) result
 
 val find_vnode : t -> Id.t -> Vnode.t option
 
+val is_live : t -> Id.t -> bool
+(** [id] is a live member: the option-free form of {!find_vnode}'s
+    [Some v when v.alive], for sweeps that test every pointer. *)
+
+val oracle_successor_of : t -> Vnode.t -> Ring.cursor
+(** The oracle ring's successor of [vn] within its connected component:
+    the first member clockwise that is alive and reachable from [vn]'s
+    router, as a cursor into {!t.oracle} ({!Ring.cursor_none} when there is
+    none but [vn]).  Under a partition this is the per-component ring the
+    zero-ID protocol converges to (§3.2).  One search, then cursor steps:
+    nothing is allocated.  The cursor dies at the oracle's next change. *)
+
 val iter_members : t -> (Vnode.t -> unit) -> unit
 (** Every vnode of {!t.vnodes} in a stated order, not the table's hash
     order: the ring members (default and stable) in ring order from

@@ -166,7 +166,7 @@ let chain_next t s = t.next.(s)
 
 let owner t s = t.owner.(s)
 
-let rid t s = t.rid.(s)
+let[@inline] rid t s = t.rid.(s)
 
 let rkey t s = t.rkey.(s)
 
@@ -174,7 +174,7 @@ let succ t s =
   let r = t.succ_router.(s) in
   if r < 0 then None else Some (t.succ_id.(s), r)
 
-let succ_rid t s = t.succ_id.(s)
+let[@inline] succ_rid t s = t.succ_id.(s)
 
 let succ_key t s = t.succ_key.(s)
 

@@ -96,7 +96,6 @@ let prop_slices_match_list_model =
           && Sourceroute.uses_link r start u v = model_uses_link u v suffix
           && Sourceroute.uses_link r start v u = model_uses_link u v suffix
           && Pointer.start p = start
-          && Pointer.uses_router p u = List.mem u suffix
           && Pointer.uses_link p v u = model_uses_link u v suffix
           && rejected)
         (List.init (List.length hops) Fun.id))
@@ -108,7 +107,8 @@ let test_pointer_make () =
     Pointer.make Pointer.Successor ~dst:(id 5) ~dst_router:2 ~route:(route [ 0; 1; 2 ]) ~start:0
   in
   Alcotest.(check int) "route length" 2 (Sourceroute.length p.Pointer.route (Pointer.start p));
-  Alcotest.(check bool) "uses router" true (Pointer.uses_router p 1);
+  Alcotest.(check bool) "uses router" true
+    (Sourceroute.contains_router p.Pointer.route (Pointer.start p) 1);
   Alcotest.(check bool) "uses link" true (Pointer.uses_link p 1 2);
   Alcotest.(check bool) "uses link reversed" true (Pointer.uses_link p 2 1);
   Alcotest.(check bool) "no such link" false (Pointer.uses_link p 0 2)
@@ -178,10 +178,10 @@ let test_vnode_remove_drop () =
   let vn = Vnode.create (id 0) Vnode.Stable ~hosted_at:0 in
   Vnode.add_succ vn (ptr Pointer.Successor 1 1) ~max_group:4;
   Vnode.add_succ vn (ptr Pointer.Successor 2 2) ~max_group:4;
-  let dropped = Vnode.drop_pointers_if vn (fun p -> p.Pointer.dst_router = 1) in
+  let dropped = Vnode.drop_pointers_if vn (fun _ p -> p.Pointer.dst_router = 1) in
   Alcotest.(check int) "removed" 1 (Vnode.succ_count vn);
   Alcotest.(check int) "removed count" 1 dropped;
-  let dropped = Vnode.drop_pointers_if vn (fun p -> p.Pointer.dst_router = 2) in
+  let dropped = Vnode.drop_pointers_if vn (fun _ p -> p.Pointer.dst_router = 2) in
   Alcotest.(check int) "dropped count" 1 dropped;
   Alcotest.(check int) "empty" 0 (Vnode.state_entries vn)
 
@@ -196,28 +196,33 @@ let test_vnode_classes () =
 
 let cptr i router = ptr Pointer.Cached i router
 
-(* [Pointer_cache.best_match] with its placeholder miss as [None]. *)
+(* The cache entry [p] would be. *)
+let cache_insert c (p : Pointer.t) =
+  Pointer_cache.insert c (Pointer.kind p) ~dst:p.Pointer.dst ~dst_router:p.Pointer.dst_router
+    ~route:p.Pointer.route ~start:(Pointer.start p)
+
+(* [Pointer_cache.best_match]'s identifier, its miss as [None]. *)
 let best_match c ~cur ~target =
-  let p = Pointer_cache.best_match c ~cur ~target in
-  if p == Pointer.placeholder then None else Some p
+  let s = Pointer_cache.best_match c ~cur ~target in
+  if s = Pointer_cache.none then None else Some (Pointer_cache.dst c s)
 
 let test_cache_insert_find () =
   let c = Pointer_cache.create ~capacity:4 in
-  Pointer_cache.insert c (cptr 10 1);
-  Pointer_cache.insert c (cptr 20 2);
-  Alcotest.(check bool) "find" true (Pointer_cache.find c (id 10) <> None);
+  cache_insert c (cptr 10 1);
+  cache_insert c (cptr 20 2);
+  Alcotest.(check bool) "find" true (Pointer_cache.find c (id 10) <> Pointer_cache.none);
   Alcotest.(check int) "length" 2 (Pointer_cache.length c)
 
 let test_cache_best_match () =
   let c = Pointer_cache.create ~capacity:8 in
-  List.iter (fun i -> Pointer_cache.insert c (cptr i i)) [ 10; 20; 30; 40 ];
+  List.iter (fun i -> cache_insert c (cptr i i)) [ 10; 20; 30; 40 ];
   (* Closest not past 35 is 30. *)
   (match best_match c ~cur:(id 5) ~target:(id 35) with
-   | Some p -> Alcotest.(check bool) "closest not past" true (Id.equal p.Pointer.dst (id 30))
+   | Some d -> Alcotest.(check bool) "closest not past" true (Id.equal d (id 30))
    | None -> Alcotest.fail "expected match");
   (* Exact hit wins. *)
   (match best_match c ~cur:(id 5) ~target:(id 20) with
-   | Some p -> Alcotest.(check bool) "exact" true (Id.equal p.Pointer.dst (id 20))
+   | Some d -> Alcotest.(check bool) "exact" true (Id.equal d (id 20))
    | None -> Alcotest.fail "expected exact match");
   (* Nothing in (cur, target]: no match. *)
   (match best_match c ~cur:(id 41) ~target:(id 45) with
@@ -226,17 +231,17 @@ let test_cache_best_match () =
 
 let test_cache_best_match_wraparound () =
   let c = Pointer_cache.create ~capacity:4 in
-  Pointer_cache.insert c (cptr 250 1);
+  cache_insert c (cptr 250 1);
   (* Target 5 with cur 200: 250 is in (200, 5] across the wrap. *)
   (match best_match c ~cur:(id 200) ~target:(id 5) with
-   | Some p -> Alcotest.(check bool) "wraps" true (Id.equal p.Pointer.dst (id 250))
+   | Some d -> Alcotest.(check bool) "wraps" true (Id.equal d (id 250))
    | None -> Alcotest.fail "expected wrap match")
 
 let test_cache_eviction_syncs_index () =
   let c = Pointer_cache.create ~capacity:2 in
-  Pointer_cache.insert c (cptr 10 1);
-  Pointer_cache.insert c (cptr 20 2);
-  Pointer_cache.insert c (cptr 30 3) (* evicts 10 *);
+  cache_insert c (cptr 10 1);
+  cache_insert c (cptr 20 2);
+  cache_insert c (cptr 30 3) (* evicts 10 *);
   Alcotest.(check int) "capacity respected" 2 (Pointer_cache.length c);
   (match best_match c ~cur:(id 5) ~target:(id 15) with
    | None -> ()
@@ -244,20 +249,20 @@ let test_cache_eviction_syncs_index () =
 
 let test_cache_drop_if () =
   let c = Pointer_cache.create ~capacity:8 in
-  List.iter (fun i -> Pointer_cache.insert c (cptr i i)) [ 1; 2; 3; 4 ];
-  let dropped = Pointer_cache.drop_if c (fun p -> p.Pointer.dst_router mod 2 = 0) in
+  List.iter (fun i -> cache_insert c (cptr i i)) [ 1; 2; 3; 4 ];
+  let dropped = Pointer_cache.drop_if c (fun c s -> Pointer_cache.dst_router c s mod 2 = 0) in
   Alcotest.(check int) "two dropped" 2 dropped;
   Alcotest.(check int) "two left" 2 (Pointer_cache.length c)
 
 let test_cache_zero_capacity () =
   let c = Pointer_cache.create ~capacity:0 in
-  Pointer_cache.insert c (cptr 1 1);
+  cache_insert c (cptr 1 1);
   Alcotest.(check int) "stores nothing" 0 (Pointer_cache.length c);
   Alcotest.(check bool) "no match" true
     (best_match c ~cur:(id 0) ~target:(id 5) = None);
-  List.iter (fun i -> Pointer_cache.insert c (cptr i i)) [ 1; 2; 3; 2 ];
+  List.iter (fun i -> cache_insert c (cptr i i)) [ 1; 2; 3; 2 ];
   Alcotest.(check int) "still nothing" 0 (Pointer_cache.length c);
-  Alcotest.(check bool) "no exact hit" true (Pointer_cache.find c (id 2) = None);
+  Alcotest.(check bool) "no exact hit" true (Pointer_cache.find c (id 2) = Pointer_cache.none);
   Pointer_cache.iter c (fun _ -> Alcotest.fail "iterated an empty cache");
   Alcotest.(check (list string)) "audit clean" [] (Pointer_cache.audit c)
 
@@ -272,7 +277,7 @@ let prop_cache_best_match_correct =
     (fun (entries, target_i) ->
       let entries = List.sort_uniq compare entries in
       let c = Pointer_cache.create ~capacity:64 in
-      List.iter (fun i -> Pointer_cache.insert c (cptr i i)) entries;
+      List.iter (fun i -> cache_insert c (cptr i i)) entries;
       let target = id target_i in
       let expected =
         List.fold_left
@@ -285,9 +290,7 @@ let prop_cache_best_match_correct =
             | _ -> Some cand)
           None entries
       in
-      let got =
-        best_match c ~cur:target ~target |> Option.map (fun p -> p.Pointer.dst)
-      in
+      let got = best_match c ~cur:target ~target in
       match (expected, got) with
       | Some e, Some g -> Id.equal e g
       | None, None -> true

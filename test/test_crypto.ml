@@ -109,14 +109,20 @@ let test_hmac_rfc4231_case6_long_key () =
     "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
     (Hmac.mac_hex ~key "Test Using Larger Than Block-Size Key - Hash Key First")
 
+(* A one-shot check through the streaming run. *)
+let verify ~key ~msg ~tag =
+  let ctx = Hmac.start ~key in
+  Sha256.update ctx msg;
+  Hmac.check ctx ~tag
+
 let test_hmac_verify () =
   let key = "secret" and msg = "payload" in
   let tag = Hmac.mac ~key msg in
-  Alcotest.(check bool) "valid" true (Hmac.verify ~key ~msg ~tag);
-  Alcotest.(check bool) "wrong msg" false (Hmac.verify ~key ~msg:"other" ~tag);
-  Alcotest.(check bool) "wrong key" false (Hmac.verify ~key:"nope" ~msg ~tag);
+  Alcotest.(check bool) "valid" true (verify ~key ~msg ~tag);
+  Alcotest.(check bool) "wrong msg" false (verify ~key ~msg:"other" ~tag);
+  Alcotest.(check bool) "wrong key" false (verify ~key:"nope" ~msg ~tag);
   Alcotest.(check bool) "truncated tag" false
-    (Hmac.verify ~key ~msg ~tag:(String.sub tag 0 16))
+    (verify ~key ~msg ~tag:(String.sub tag 0 16))
 
 (* RFC 2104 written out over one-shot digests: the reference both the
    streaming and the prepared-key paths must reproduce. *)
@@ -126,6 +132,17 @@ let reference_mac ~key msg =
   let pad byte = String.map (fun c -> Char.chr (Char.code c lxor byte)) key in
   Sha256.digest (pad 0x5c ^ Sha256.digest (pad 0x36 ^ msg))
 
+(* One run under a prepared key, fed the whole message. *)
+let mac_keyed k msg =
+  let ctx = Hmac.start_keyed k in
+  Sha256.update ctx msg;
+  Hmac.finish ctx
+
+let verify_keyed k ~msg ~tag =
+  let ctx = Hmac.start_keyed k in
+  Sha256.update ctx msg;
+  Hmac.check ctx ~tag
+
 let prop_hmac_matches_reference =
   QCheck.Test.make ~name:"mac and mac_keyed = RFC 2104 reference, keys of 0-200 bytes"
     ~count:300
@@ -134,9 +151,37 @@ let prop_hmac_matches_reference =
       let want = reference_mac ~key msg in
       let k = Hmac.key key in
       String.equal want (Hmac.mac ~key msg)
-      && String.equal want (Hmac.mac_keyed k msg)
-      && Hmac.verify_keyed k ~msg ~tag:want
-      && String.equal want (Hmac.mac_keyed k msg))
+      && String.equal want (mac_keyed k msg)
+      && verify_keyed k ~msg ~tag:want
+      && String.equal want (mac_keyed k msg))
+
+(* The identity handshake signs "resp:" ^ challenge ^ public key, fed to
+   the HMAC run in three parts: under a raw or a prepared key, finished or
+   checked, the parts must give the concatenation's tag, and a check must
+   reject a tag off by one bit. *)
+let prop_hmac_parts_match_concatenation =
+  QCheck.Test.make ~name:"tag fed in parts = tag of the concatenated message" ~count:300
+    QCheck.(
+      triple (string_of_size (Gen.int_range 0 200)) (string_of_size (Gen.int_range 0 40))
+        (string_of_size (Gen.int_range 0 80)))
+    (fun (key, challenge, pub) ->
+      let want = Hmac.mac ~key ("resp:" ^ challenge ^ pub) in
+      let parts ctx =
+        Sha256.update ctx "resp:";
+        Sha256.update ctx challenge;
+        Sha256.update ctx pub;
+        ctx
+      in
+      let k = Hmac.key key in
+      let forged =
+        String.mapi (fun i c -> if i = 0 then Char.chr (Char.code c lxor 1) else c) want
+      in
+      String.equal want (Hmac.finish (parts (Hmac.start ~key)))
+      && String.equal want (Hmac.finish (parts (Hmac.start_keyed k)))
+      && Hmac.check (parts (Hmac.start ~key)) ~tag:want
+      && Hmac.check (parts (Hmac.start_keyed k)) ~tag:want
+      && (not (Hmac.check (parts (Hmac.start ~key)) ~tag:forged))
+      && not (Hmac.check (parts (Hmac.start_keyed k)) ~tag:forged))
 
 let test_hex_helper_sanity () =
   Alcotest.(check string) "roundtrip" "\x0b\x0b" (hex_to_string "0b0b")
@@ -256,6 +301,7 @@ let () =
           Alcotest.test_case "verify" `Quick test_hmac_verify;
           Alcotest.test_case "hex helper" `Quick test_hex_helper_sanity;
           QCheck_alcotest.to_alcotest prop_hmac_matches_reference;
+          QCheck_alcotest.to_alcotest prop_hmac_parts_match_concatenation;
         ] );
       ( "identity",
         [

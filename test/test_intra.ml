@@ -422,6 +422,65 @@ let prop_random_churn_keeps_invariants =
       done;
       (Invariant.check net).Invariant.ok)
 
+(* The oracle successor of [vn] as the walk first computed it, kept here
+   as the model of {!Network.oracle_successor_of}: a fresh
+   [Ring.successor] search per step, skipping members that are dead or
+   unreachable from [vn]'s router. *)
+let model_oracle_successor (t : Network.t) (vn : Vnode.t) =
+  let limit = Rofl_idspace.Ring.cardinal t.Network.oracle in
+  let rec go cur steps =
+    if steps > limit then None
+    else
+      match Rofl_idspace.Ring.successor cur t.Network.oracle with
+      | Some (sid, _) when Id.equal sid vn.Vnode.id -> None
+      | Some (sid, (sv : Vnode.t)) ->
+        if
+          sv.Vnode.alive
+          && Linkstate.reachable t.Network.ls vn.Vnode.hosted_at sv.Vnode.hosted_at
+        then Some sid
+        else go sid (steps + 1)
+      | None -> None
+  in
+  go vn.Vnode.id 0
+
+(* Random leaf PoPs (at most two core routers, as the repair benchmark
+   picks them) cut off one after another on AS3967: under every cut, and
+   after the heal, the cursor walk names each member's model successor. *)
+let prop_oracle_successor_cursor_matches_model =
+  QCheck.Test.make ~name:"oracle successor cursor walk = per-step model under leaf-PoP cuts"
+    ~count:12 (QCheck.int_range 1 10_000)
+    (fun seed ->
+      let net, isp, rng = isp_net seed in
+      ignore (join_n net rng 60);
+      let leaves =
+        Array.of_list
+          (List.filter (fun (p : Isp.pop) -> List.length p.Isp.core <= 2)
+             (Array.to_list isp.Isp.pops))
+      in
+      let agree label =
+        Network.iter_members net (fun vn ->
+            let c = Network.oracle_successor_of net vn in
+            let got =
+              if Rofl_idspace.Ring.cursor_is_none c then None
+              else Some (Rofl_idspace.Ring.id_at net.Network.oracle c)
+            in
+            if not (Option.equal Id.equal got (model_oracle_successor net vn)) then
+              QCheck.Test.fail_reportf "%s: %s: cursor walk and model disagree" label
+                (Id.to_short_string vn.Vnode.id))
+      in
+      let cut = List.init (1 + Prng.int rng 2) (fun _ -> Prng.sample rng leaves) in
+      List.iteri
+        (fun i (pop : Isp.pop) ->
+          ignore (Failure.disconnect_routers net (Isp.routers_of_pop isp pop.Isp.pop_id));
+          agree (Printf.sprintf "cut %d" i))
+        cut;
+      List.iter
+        (fun (pop : Isp.pop) ->
+          ignore (Failure.reconnect_routers net (Isp.routers_of_pop isp pop.Isp.pop_id)))
+        cut;
+      agree "healed";
+      true)
+
 (* ---------- successor columns ---------- *)
 
 (* Identifiers clustered so that their keys (the top 62 bits) fall 0, 1,
@@ -621,7 +680,7 @@ let prop_columns_mirror_succs =
         | 4 ->
           let r = Prng.int rng 5 in
           let doomed (p : Pointer.t) = p.dst_router = r in
-          let dropped = Vnode.drop_pointers_if vn doomed in
+          let dropped = Vnode.drop_pointers_if vn (fun _ p -> doomed p) in
           let before = List.length !model + List.length !preds in
           model := List.filter (fun p -> not (doomed p)) !model;
           preds := List.filter (fun p -> not (doomed p)) !preds;
@@ -694,7 +753,9 @@ let test_compact_routes () =
   let cached = ref [] in
   Array.iter
     (fun (r : Network.router) ->
-      Rofl_core.Pointer_cache.iter r.Network.cache (fun p -> cached := p.Pointer.route :: !cached))
+      let c = r.Network.cache in
+      Rofl_core.Pointer_cache.iter c (fun s ->
+          cached := Rofl_core.Pointer_cache.route c s :: !cached))
     net.Network.routers;
   let n = List.length !cached in
   (* The array's own header and slots are not route words. *)
@@ -751,6 +812,7 @@ let () =
           Alcotest.test_case "mobility" `Quick test_mobility_keeps_label;
           Alcotest.test_case "stabilize idempotent" `Quick test_stabilize_idempotent;
           q prop_random_churn_keeps_invariants;
+          q prop_oracle_successor_cursor_matches_model;
         ] );
       ( "columns",
         [ q prop_columns_rank_like_lists; q prop_columns_mirror_succs ] );

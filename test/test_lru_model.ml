@@ -103,10 +103,11 @@ let prop_lru_matches_model =
 
 (* ---- Pointer_cache: recency list and ring index stay in agreement ------ *)
 
-let ptr rng =
-  let router = Prng.int rng 32 in
-  Pointer.make Pointer.Cached ~dst:(Id.random rng) ~dst_router:router
-    ~route:(Sourceroute.singleton router) ~start:0
+let insert_random cache rng =
+  let router = Prng.int rng 32 and dst = Id.random rng in
+  Pointer_cache.insert cache Pointer.Cached ~dst ~dst_router:router
+    ~route:(Sourceroute.singleton router) ~start:0;
+  dst
 
 let prop_pointer_cache_agreement =
   QCheck.Test.make ~name:"Pointer_cache audit stays clean under churned workloads"
@@ -118,10 +119,7 @@ let prop_pointer_cache_agreement =
       let inserted = ref [] in
       for _ = 1 to 200 do
         match Prng.int rng 6 with
-        | 0 | 1 | 2 ->
-          let p = ptr rng in
-          inserted := p.Pointer.dst :: !inserted;
-          Pointer_cache.insert cache p
+        | 0 | 1 | 2 -> inserted := insert_random cache rng :: !inserted
         | 3 ->
           (match !inserted with
            | [] -> ()
@@ -139,24 +137,30 @@ let prop_pointer_cache_agreement =
 (* ---- Pointer_cache vs a brute-force model ------------------------------- *)
 
 (* The model is the cache's contents, most-recently-used first, as
-   (identifier, dst_router) pairs; [best_match] is answered by scanning it
-   for the identifier in (cur, target] closest to target.  Identifiers come
-   from a dense pool: a few [hi] words whose [Id.key] coincides (the key
-   drops the low two bits of [hi]) crossed with a few [lo] words, including
-   the ring's wrap point, so key ties and the cyclic predecessor both get
-   exercised. *)
+   (identifier, (dst_router, start, kind)) pairs: every column of an entry,
+   the route column read as its length and destination.  [best_match] is
+   answered by scanning it for the identifier in (cur, target] closest to
+   target, and the drops judge the columns the cache hands their
+   predicates.  Identifiers come from a dense pool: a few [hi] words whose
+   [Id.key] coincides (the key drops the low two bits of [hi]) crossed with
+   a few [lo] words, including the ring's wrap point, so key ties and the
+   cyclic predecessor both get exercised. *)
 
 let dense_ids =
   let his = [ 0L; 1L; 3L; 4L; -4L; -1L ] and los = [ 0L; 1L; 5L; Int64.min_int; -1L ] in
   Array.of_list
     (List.concat_map (fun hi -> List.map (fun lo -> Id.of_int64_pair hi lo) los) his)
 
+let kinds = [| Pointer.Successor; Pointer.Predecessor; Pointer.Finger; Pointer.Cached |]
+
 type cop =
-  | C_insert of int * int
+  | C_insert of int * int * int * int  (** identifier, router, start, kind *)
   | C_find of int
   | C_best of int * int  (** cur, target *)
   | C_remove of int
-  | C_drop_odd
+  | C_drop_odd  (** the router column *)
+  | C_drop_far  (** the start column *)
+  | C_drop_cached  (** the kind column *)
   | C_clear
 
 let cop_gen =
@@ -164,20 +168,27 @@ let cop_gen =
   QCheck.Gen.(
     frequency
       [
-        (8, map2 (fun i r -> C_insert (i, r)) idx (int_bound 9));
+        ( 8,
+          map
+            (fun (i, r, st, k) -> C_insert (i, r, st, k))
+            (quad idx (int_bound 9) (int_bound 3) (int_bound 3)) );
         (2, map (fun i -> C_find i) idx);
         (6, map2 (fun c t -> C_best (c, t)) idx idx);
         (2, map (fun i -> C_remove i) idx);
         (1, return C_drop_odd);
+        (1, return C_drop_far);
+        (1, return C_drop_cached);
         (1, return C_clear);
       ])
 
 let cop_print = function
-  | C_insert (i, r) -> Printf.sprintf "insert %d@%d" i r
+  | C_insert (i, r, st, k) -> Printf.sprintf "insert %d@%d start %d kind %d" i r st k
   | C_find i -> Printf.sprintf "find %d" i
   | C_best (c, t) -> Printf.sprintf "best cur=%d target=%d" c t
   | C_remove i -> Printf.sprintf "remove %d" i
   | C_drop_odd -> "drop-odd"
+  | C_drop_far -> "drop-far"
+  | C_drop_cached -> "drop-cached"
   | C_clear -> "clear"
 
 let cops_arb =
@@ -185,66 +196,87 @@ let cops_arb =
     ~print:(fun ops -> String.concat "; " (List.map cop_print ops))
     QCheck.Gen.(list_size (int_bound 120) cop_gen)
 
-let cptr id router =
-  Pointer.make Pointer.Cached ~dst:id ~dst_router:router ~route:(Sourceroute.singleton router)
-    ~start:0
+(* A route of [start + 1] hops ending at [router]: the slice from [start]
+   is the router alone. *)
+let route_to ~start router =
+  let b = Bytes.create (2 * (start + 1)) in
+  for j = 0 to start - 1 do
+    Bytes.set_uint16_le b (2 * j) (20 + j)
+  done;
+  Bytes.set_uint16_le b (2 * start) router;
+  Sourceroute.of_block b
 
 let model_best entries ~cur ~target =
   List.fold_left
-    (fun acc (id, r) ->
+    (fun acc (id, cols) ->
       if not (Id.between_incl cur id target) then acc
       else
         match acc with
         | Some (bid, _) when Id.compare (Id.distance id target) (Id.distance bid target) >= 0 ->
           acc
-        | Some _ | None -> Some (id, r))
+        | Some _ | None -> Some (id, cols))
     None entries
+
+(* An entry's columns, checking that the route column fits the others. *)
+let columns c s =
+  let route = Pointer_cache.route c s and start = Pointer_cache.start c s in
+  let router = Pointer_cache.dst_router c s in
+  if Sourceroute.routers route <> start + 1 || Sourceroute.destination route <> router then
+    QCheck.Test.fail_reportf "%s: route column does not fit start %d and router %d"
+      (Id.to_short_string (Pointer_cache.dst c s)) start router;
+  (router, start, Pointer_cache.kind c s)
 
 let cache_contents c =
   let acc = ref [] in
-  Pointer_cache.iter c (fun p -> acc := (p.Pointer.dst, p.Pointer.dst_router) :: !acc);
+  Pointer_cache.iter c (fun s -> acc := (Pointer_cache.dst c s, columns c s) :: !acc);
   List.rev !acc
 
 let touch m id =
   match List.assoc_opt id !m with
-  | Some r -> m := (id, r) :: List.remove_assoc id !m
+  | Some cols -> m := (id, cols) :: List.remove_assoc id !m
   | None -> ()
 
+(* Drop by a column predicate on both sides; the counts must agree. *)
+let drop c m doomed_cols =
+  let dropped = Pointer_cache.drop_if c (fun c s -> doomed_cols (columns c s)) in
+  let kept = List.filter (fun (_, cols) -> not (doomed_cols cols)) !m in
+  let want = List.length !m - List.length kept in
+  m := kept;
+  dropped = want
+
 let pointer_cache_step c cap m op =
-  let as_pair = Option.map (fun (p : Pointer.t) -> (p.Pointer.dst, p.Pointer.dst_router)) in
+  let entry s =
+    if s = Pointer_cache.none then None else Some (Pointer_cache.dst c s, columns c s)
+  in
   match op with
-  | C_insert (i, r) ->
-    let id = dense_ids.(i) in
-    Pointer_cache.insert c (cptr id r);
+  | C_insert (i, r, start, k) ->
+    let id = dense_ids.(i) and kind = kinds.(k) in
+    Pointer_cache.insert c kind ~dst:id ~dst_router:r ~route:(route_to ~start r) ~start;
     if cap > 0 then begin
       let rest = List.remove_assoc id !m in
       let rest =
         if List.length rest >= cap then List.filteri (fun j _ -> j < cap - 1) rest else rest
       in
-      m := (id, r) :: rest
+      m := (id, (r, start, kind)) :: rest
     end;
     true
   | C_find i ->
     let id = dense_ids.(i) in
-    let want = Option.map (fun r -> (id, r)) (List.assoc_opt id !m) in
+    let want = Option.map (fun cols -> (id, cols)) (List.assoc_opt id !m) in
     touch m id;
-    as_pair (Pointer_cache.find c id) = want
+    entry (Pointer_cache.find c id) = want
   | C_best (ci, ti) ->
     let cur = dense_ids.(ci) and target = dense_ids.(ti) in
     let want = model_best !m ~cur ~target in
     Option.iter (fun (id, _) -> touch m id) want;
-    let p = Pointer_cache.best_match c ~cur ~target in
-    as_pair (if p == Pointer.placeholder then None else Some p) = want
+    entry (Pointer_cache.best_match c ~cur ~target) = want
   | C_remove i ->
     Pointer_cache.remove c dense_ids.(i);
     m := List.remove_assoc dense_ids.(i) !m;
     true
-  | C_drop_odd ->
-    let dropped = Pointer_cache.drop_if c (fun p -> p.Pointer.dst_router mod 2 = 1) in
-    let kept = List.filter (fun (_, r) -> r mod 2 = 0) !m in
-    let want = List.length !m - List.length kept in
-    m := kept;
-    dropped = want
+  | C_drop_odd -> drop c m (fun (r, _, _) -> r mod 2 = 1)
+  | C_drop_far -> drop c m (fun (_, start, _) -> start >= 2)
+  | C_drop_cached -> drop c m (fun (_, _, kind) -> kind = Pointer.Cached)
   | C_clear ->
     Pointer_cache.clear c;
     m := [];
