@@ -362,10 +362,17 @@ let micro () =
   done;
   let dispatch_seq = ref 0 in
   let verify_cred = Rofl_crypto.Identity.credential_for id_a in
+  (* One float and one bounded int draw: the generator's state is a byte
+     block and its draws inline, so neither boxes. *)
+  let prng_rng = named "prng-draw" in
   let verify_rng = named "verify-handshake" in
   let grind_rng = named "grind-16" in
   let tests =
     [
+      Test.make ~name:"prng-draw"
+        (Staged.stage (fun () ->
+             ignore (Rofl_util.Prng.float prng_rng 1.0 < 0.5);
+             ignore (Rofl_util.Prng.int prng_rng 1000 < 500)));
       Test.make ~name:"id-distance"
         (Staged.stage (fun () -> ignore (Id.distance id_a id_b)));
       Test.make ~name:"id-between"

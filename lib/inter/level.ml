@@ -24,15 +24,18 @@ type ctx = {
   vas : int array array;
   vas_adj : int list array;
   (* [route_within]'s scratch: the destination's climb distances, valid
-     where [mark] equals [stamp], and the best offer so far.  A ctx belongs
-     to one [Net], and a [Net] to one task, so the scratch is never
-     shared. *)
+     where [mark] equals [stamp], the best offer so far, and the last
+     route's inclusive AS path ([path_len] hops of [path], which grows on
+     demand).  A ctx belongs to one [Net], and a [Net] to one task, so the
+     scratch is never shared. *)
   mark : int array;
   mark_dist : int array;
   mutable stamp : int;
   mutable best_cost : int;
   mutable best_peak : int;
   mutable best_peer : int;
+  mutable path : int array;
+  mutable path_len : int;
 }
 
 let no_climb = { anc = [||]; dist = [||]; sorted = [||]; sorted_dist = [||] }
@@ -68,6 +71,8 @@ let make_ctx g =
     best_cost = -1;
     best_peak = -1;
     best_peer = -1;
+    path = Array.make 64 0;
+    path_len = 0;
   }
 
 let graph ctx = ctx.g
@@ -108,19 +113,24 @@ let to_trace = function
 
 let to_string l = Rofl_routing.Trace.level_to_string (to_trace l)
 
+let rec in_some_cone g ms x i =
+  i < Array.length ms && (Asgraph.in_cone g ~root:(Array.unsafe_get ms i) x || in_some_cone g ms x (i + 1))
+
 let member ctx level x =
   match level with
   | Root -> true
   | Real a -> Asgraph.in_cone ctx.g ~root:a x
-  | Peer_group v ->
-    Array.exists (fun m -> Asgraph.in_cone ctx.g ~root:m x) ctx.vas.(v)
+  | Peer_group v -> in_some_cone ctx.g ctx.vas.(v) x 0
+
+let rec members_all ctx outer ms i =
+  i >= Array.length ms || (member ctx outer (Array.unsafe_get ms i) && members_all ctx outer ms (i + 1))
 
 let subsumes ctx ~outer ~inner =
   match (outer, inner) with
   | Root, _ -> true
   | _, Root -> false
   | _, Real a -> member ctx outer a
-  | _, Peer_group v -> Array.for_all (fun m -> member ctx outer m) ctx.vas.(v)
+  | _, Peer_group v -> members_all ctx outer ctx.vas.(v) 0
 
 (* The breadth-first climb table is built exactly as it always was, so
    that [Hashtbl.iter] visits it in the same order; only the flattened
@@ -198,16 +208,26 @@ let step_up ctx x a =
   if da < 0 then invalid_arg "Level.climb_path: not an ancestor";
   first_nearer ctx a da (Asgraph.providers ctx.g x)
 
-(* The inclusive provider-edge path from [x] up to its ancestor [a],
-   followed by [tail]. *)
-let rec climb_onto ctx x a tail =
-  if x = a then x :: tail else x :: climb_onto ctx (step_up ctx x a) a tail
+(* Writes the climb from [x] up to its ancestor [a] into the path at
+   [i], [i + 1], ...: [x] first, [a] last. *)
+let rec write_climb ctx x a i =
+  Array.unsafe_set ctx.path i x;
+  if x <> a then write_climb ctx (step_up ctx x a) a (i + 1)
 
-(* The same path reversed (from [a] down to [x]) onto [acc]; with [~top:false]
-   it stops below [a]. *)
-let rec descend_onto ctx x a ~top acc =
-  if x = a then if top then x :: acc else acc
-  else descend_onto ctx (step_up ctx x a) a ~top (x :: acc)
+(* Writes the same climb back to front, from [i] down: [x] at [i], then
+   each step up one slot lower, stopping at [a], which is written only
+   with [~top]. *)
+let rec write_descent ctx x a ~top i =
+  if x <> a then begin
+    Array.unsafe_set ctx.path i x;
+    write_descent ctx (step_up ctx x a) a ~top (i - 1)
+  end
+  else if top then Array.unsafe_set ctx.path i x
+
+let reserve_path ctx len =
+  if Array.length ctx.path < len then
+    ctx.path <- Array.make (max len (2 * Array.length ctx.path)) 0;
+  ctx.path_len <- len
 
 let[@inline] marked ctx a =
   if Array.unsafe_get ctx.mark a = ctx.stamp then Array.unsafe_get ctx.mark_dist a else -1
@@ -254,28 +274,47 @@ let best_within ctx level src dst =
   ctx.best_cost
 
 let route_within ctx level src dst =
-  if src = dst then (if member ctx level src then Some (0, [ src ]) else None)
-  else if not (member ctx level src && member ctx level dst) then None
+  ctx.path_len <- 0;
+  if src = dst then begin
+    if member ctx level src then begin
+      reserve_path ctx 1;
+      ctx.path.(0) <- src;
+      0
+    end
+    else -1
+  end
+  else if not (member ctx level src && member ctx level dst) then -1
   else begin
     let cost = best_within ctx level src dst in
-    if cost < 0 then None
-    else begin
+    if cost >= 0 then begin
+      (* The path has [cost + 1] ASes: the climb to the peak, then the
+         descent (from the peer hop, when there is one) written from [dst]
+         backwards. *)
       let peak = ctx.best_peak and peer = ctx.best_peer in
-      let down =
-        if peer < 0 then descend_onto ctx dst peak ~top:false []
-        else descend_onto ctx dst peer ~top:true []
-      in
-      Some (cost, climb_onto ctx src peak down)
-    end
+      reserve_path ctx (cost + 1);
+      write_climb ctx src peak 0;
+      if peer < 0 then write_descent ctx dst peak ~top:false cost
+      else write_descent ctx dst peer ~top:true cost
+    end;
+    cost
   end
 
+let path_length ctx = ctx.path_len
+
+let path_hop ctx i =
+  if i < 0 || i >= ctx.path_len then invalid_arg "Level.path_hop";
+  Array.unsafe_get ctx.path i
+
 let distance_within ctx level src dst =
-  if src = dst then (if member ctx level src then Some 0 else None)
-  else if not (member ctx level src && member ctx level dst) then None
-  else begin
-    let cost = best_within ctx level src dst in
-    if cost < 0 then None else Some cost
-  end
+  if src = dst then (if member ctx level src then 0 else -1)
+  else if not (member ctx level src && member ctx level dst) then -1
+  else best_within ctx level src dst
+
+let mark_clear ctx = ctx.stamp <- ctx.stamp + 1
+
+let mark ctx a = ctx.mark.(a) <- ctx.stamp
+
+let is_marked ctx a = ctx.mark.(a) = ctx.stamp
 
 let sort_levels ctx ls =
   List.sort_uniq

@@ -8,8 +8,9 @@
     The context memoises each AS's provider climb (as flat arrays) and its
     real-level list, so that level-restricted valley-free distances (the
     cost of following an external pointer at a level without violating
-    isolation) are cheap.  A context carries scratch for {!route_within}:
-    it belongs to one task and must not be shared across domains. *)
+    isolation) are cheap.  A context carries scratch for {!route_within}
+    (the last route's AS path) and for {!mark}: it belongs to one task and
+    must not be shared across domains. *)
 
 type t =
   | Root
@@ -60,16 +61,40 @@ val up_distance : ctx -> int -> int -> int option
 (** [up_distance ctx x a]: provider-edge hops climbing from [x] to [a];
     [None] if [a] is not an ancestor.  Memoised. *)
 
-val route_within : ctx -> t -> int -> int -> (int * int list) option
-(** Shortest valley-free AS path between two ASes using only ASes inside the
-    level (with the virtual AS additionally allowing its peer hop).  Returns
-    (hops, inclusive AS path).  [None] when disconnected at this level.
-    Among equal-cost peaks the first in the source's climb order wins. *)
+val route_within : ctx -> t -> int -> int -> int
+(** [route_within ctx level src dst]: the hops of the shortest valley-free
+    AS path between two ASes using only ASes inside the level (with the
+    virtual AS additionally allowing its peer hop), or [-1] when the level
+    does not connect them.  The inclusive path, [src] first and [dst] last,
+    is left in the context's scratch, read by {!path_length} and
+    {!path_hop} until the next call; a [-1] leaves it empty.  Among
+    equal-cost peaks the first in the source's climb order wins.  Builds
+    nothing: the scratch grows only when a path is longer than any
+    before. *)
 
-val distance_within : ctx -> t -> int -> int -> int option
-(** Hops of {!route_within}, without building the path.  Symmetric: the
-    cost counts provider hops up from both ends and at most one peer hop,
-    with every AS checked against the level on either side. *)
+val path_length : ctx -> int
+(** ASes on the last {!route_within} path: its cost plus one, or [0]. *)
+
+val path_hop : ctx -> int -> int
+(** [path_hop ctx i]: the [i]th AS of the last {!route_within} path,
+    [0 <= i < path_length ctx]. *)
+
+val distance_within : ctx -> t -> int -> int -> int
+(** The cost of {!route_within} ([-1]: not connected), without writing the
+    path.  Symmetric: the cost counts provider hops up from both ends and
+    at most one peer hop, with every AS checked against the level on
+    either side. *)
+
+val mark_clear : ctx -> unit
+(** Empties the context's AS mark set (shared scratch with
+    {!route_within}, which clears it too: read the set before the next
+    route). *)
+
+val mark : ctx -> int -> unit
+(** Adds an AS to the mark set. *)
+
+val is_marked : ctx -> int -> bool
+(** Is an AS in the mark set since the last {!mark_clear}? *)
 
 val levels_for_real : ctx -> int -> t list
 (** Bottom-up list of real-AS levels in an AS's up-hierarchy (the AS itself

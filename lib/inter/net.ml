@@ -40,20 +40,46 @@ type host = {
   mutable alive_h : bool;
 }
 
+type walk_scratch = {
+  mutable as_path : int array;
+  mutable as_path_len : int;
+  peer_slot0 : int array;
+  tried : int array;
+  mutable walk_stamp : int;
+}
+
 type t = {
   ctx : Level.ctx;
   cfg : config;
   rng : Prng.t;
   rings : host Ring.t array;
   unjoined : host Ring.t;
-  as_level_cache : (int, Level.t list) Hashtbl.t;
+  as_level_memo : Level.t list array;
   hosts : (Id.t, host) Hashtbl.t;
   resident_rings : host Ring.t array;
   caches : Pointer_cache.t array;
   bloom_counts : int array;
   failed_as : (int, unit) Hashtbl.t;
   metrics : Metrics.t;
+  walk : walk_scratch;
 }
+
+(* Only bloom-filter peering consults peers' filters, so only it numbers
+   the peering links: AS [a]'s [k]th peer (in [Asgraph.peers] order) is
+   slot [peer_slot0.(a) + k]. *)
+let walk_scratch cfg g =
+  let peer_slot0, tried =
+    match cfg.peering_mode with
+    | Bloom_filters ->
+      let n = Asgraph.n g in
+      let slot0 = Array.make (n + 1) 0 in
+      for a = 0 to n - 1 do
+        slot0.(a + 1) <- slot0.(a) + List.length (Asgraph.peers g a)
+      done;
+      (slot0, Array.make slot0.(n) 0)
+    | No_peering | Virtual_as -> ([||], [||])
+  in
+  { as_path = Array.make 32 0; as_path_len = 0; peer_slot0; tried; walk_stamp = 0 }
 
 let create ?(cfg = default_config) ~rng g =
   let n = Asgraph.n g in
@@ -65,13 +91,14 @@ let create ?(cfg = default_config) ~rng g =
     rng;
     rings = Array.make (Level.key ctx Level.Root + 1) unjoined;
     unjoined;
-    as_level_cache = Hashtbl.create 256;
+    as_level_memo = Array.make n [];
     hosts = Hashtbl.create 4096;
     resident_rings = Array.make n unjoined;
     caches = Array.init n (fun _ -> Pointer_cache.create ~capacity:cfg.cache_capacity);
     bloom_counts = Array.make n 0;
     failed_as = Hashtbl.create 8;
     metrics = Metrics.create ~routers:n;
+    walk = walk_scratch cfg g;
   }
 
 (* Slot [k]'s own ring, made on first use in place of [unjoined]. *)
@@ -118,9 +145,9 @@ let effective_levels t x strategy =
      | No_peering | Bloom_filters -> Level.levels_for_real t.ctx x)
 
 let as_levels t x =
-  match Hashtbl.find_opt t.as_level_cache x with
-  | Some ls -> ls
-  | None ->
+  match t.as_level_memo.(x) with
+  | _ :: _ as ls -> ls
+  | [] ->
     let reals =
       List.filter (fun l -> not (Level.equal l Level.Root)) (Level.levels_for_real t.ctx x)
     in
@@ -129,7 +156,7 @@ let as_levels t x =
       | Virtual_as -> reals @ Level.peer_levels t.ctx x @ [ Level.Root ]
       | No_peering | Bloom_filters -> reals @ [ Level.Root ]
     in
-    Hashtbl.add t.as_level_cache x ls;
+    t.as_level_memo.(x) <- ls;
     ls
 
 (* A join leg of [d] AS hops costs [d] messages, or one when both ends
@@ -237,6 +264,63 @@ let acquire_fingers t (h : host) =
     !msgs
   end
 
+(* [h]'s pointer at every AS of the last {!Level.route_within} path. *)
+let cache_along t (h : host) =
+  if t.cfg.cache_capacity > 0 then
+    for i = 0 to Level.path_length t.ctx - 1 do
+      cache_insert t (Level.path_hop t.ctx i) h
+    done
+
+(* Predecessor lookup at a level [r] already holding a successor
+   [succ_h]: request towards the predecessor's AS and reply back, plus one
+   successor notification (Algorithm 3).  Returns the messages charged. *)
+let lookup_and_notify t (h : host) level r (succ_h : host) =
+  let pc = Ring.cursor_lt h.id r in
+  let msgs =
+    if Ring.cursor_is_none pc then 0
+    else begin
+      let pred_h = Ring.value_at r pc in
+      let d = Level.route_within t.ctx level h.home_as pred_h.home_as in
+      if d < 0 then 0
+      else begin
+        (* The reply retraces the request, and a level's route cost is
+           symmetric, so it costs the same. *)
+        let msgs = charge_leg t Metrics.Join d in
+        ignore (charge_leg t Metrics.Join_reply d);
+        cache_along t h;
+        cache_along t pred_h;
+        2 * msgs
+      end
+    end
+  in
+  let d = Level.distance_within t.ctx level h.home_as succ_h.home_as in
+  if d < 0 then msgs else msgs + charge_leg t Metrics.Join d
+
+(* Joins [h] at each level in turn and returns the lookup messages.  With
+   [dedup], a level whose successor is the previous level's ([prev_succ],
+   meaningful once [has_prev]) is not looked up again. *)
+let rec join_levels t (h : host) ~dedup ~has_prev prev_succ msgs = function
+  | [] -> msgs
+  | level :: rest ->
+    let r = ring t level in
+    let sc = Ring.cursor_gt h.id r in
+    if Ring.cursor_is_none sc then begin
+      (* First member at this level: bootstrap registration. *)
+      let d = anchor_distance t h.home_as level in
+      Metrics.incr t.metrics Metrics.Join d;
+      Ring.add h.id h r;
+      join_levels t h ~dedup ~has_prev prev_succ (msgs + d) rest
+    end
+    else begin
+      let sid = Ring.id_at r sc and succ_h = Ring.value_at r sc in
+      let msgs =
+        if dedup && has_prev && Id.equal prev_succ sid then msgs
+        else msgs + lookup_and_notify t h level r succ_h
+      in
+      Ring.add h.id h r;
+      join_levels t h ~dedup ~has_prev:true sid msgs rest
+    end
+
 let join_with_levels t ~as_idx ~id ~strategy ~levels =
   if Hashtbl.mem t.hosts id then Error "identifier already joined"
   else if not (as_alive t as_idx) then Error "home AS is down"
@@ -252,52 +336,17 @@ let join_with_levels t ~as_idx ~id ~strategy ~levels =
         alive_h = true;
       }
     in
-    let lookup_msgs = ref 0 in
-    let prev_succ = ref None in
-    List.iter
-      (fun level ->
-        let r = ring t level in
-        (match Ring.successor id r with
-         | None ->
-           (* First member at this level: bootstrap registration. *)
-           let d = anchor_distance t as_idx level in
-           Metrics.incr t.metrics Metrics.Join d;
-           lookup_msgs := !lookup_msgs + d
-         | Some (sid, succ_h) ->
-           let dedup =
-             t.cfg.dedup_lookups
-             && (match strategy with Multihomed | Peering -> true | Ephemeral | Single_homed -> false)
-             && (match !prev_succ with Some p -> Id.equal p sid | None -> false)
-           in
-           if not dedup then begin
-             (* Predecessor lookup: request towards the predecessor's AS and
-                reply back, plus one successor notification (Algorithm 3). *)
-             (match Ring.predecessor id r with
-              | Some (_, pred_h) ->
-                (match Level.route_within t.ctx level as_idx pred_h.home_as with
-                 | Some (d, path) ->
-                   (* The reply retraces the request, and a level's route
-                      cost is symmetric, so it costs the same. *)
-                   let msgs = charge_leg t Metrics.Join d in
-                   ignore (charge_leg t Metrics.Join_reply d);
-                   lookup_msgs := !lookup_msgs + (2 * msgs);
-                   List.iter (fun a -> cache_insert t a h) path;
-                   List.iter (fun a -> cache_insert t a pred_h) path
-                 | None -> ())
-              | None -> ());
-             match Level.distance_within t.ctx level as_idx succ_h.home_as with
-             | Some d -> lookup_msgs := !lookup_msgs + charge_leg t Metrics.Join d
-             | None -> ()
-           end;
-           prev_succ := Some sid);
-        Ring.add id h r)
-      levels;
+    let dedup =
+      t.cfg.dedup_lookups
+      && (match strategy with Multihomed | Peering -> true | Ephemeral | Single_homed -> false)
+    in
+    let lookup_msgs = join_levels t h ~dedup ~has_prev:false id 0 levels in
     Hashtbl.replace t.hosts id h;
     Ring.add id h (own t t.resident_rings as_idx);
     (* Bloom aggregation: the ID is summarised at every AS above it. *)
     count_in_blooms t as_idx 1;
     let finger_msgs = acquire_fingers t h in
-    Ok { host = h; lookup_msgs = !lookup_msgs; finger_msgs }
+    Ok { host = h; lookup_msgs; finger_msgs }
   end
 
 let join_id t ~as_idx ~id ~strategy =
@@ -323,15 +372,17 @@ let remove_host t id =
     List.iter
       (fun level ->
         let r = ring t level in
-        (match (Ring.predecessor id r, Ring.successor id r) with
-         | Some (pid, pred_h), Some (sid, _) when not (Id.equal pid sid) ->
-           if not (Hashtbl.mem seen (pid, sid)) then begin
-             Hashtbl.add seen (pid, sid) ();
-             match Level.distance_within t.ctx level h.home_as pred_h.home_as with
-             | Some d -> ignore (charge_leg t Metrics.Teardown d)
-             | None -> ()
-           end
-         | _ -> ());
+        let pc = Ring.cursor_lt id r and sc = Ring.cursor_gt id r in
+        if not (Ring.cursor_is_none pc || Ring.cursor_is_none sc) then begin
+          let pid = Ring.id_at r pc and sid = Ring.id_at r sc in
+          if (not (Id.equal pid sid)) && not (Hashtbl.mem seen (pid, sid)) then begin
+            Hashtbl.add seen (pid, sid) ();
+            let d =
+              Level.distance_within t.ctx level h.home_as (Ring.value_at r pc).home_as
+            in
+            if d >= 0 then ignore (charge_leg t Metrics.Teardown d)
+          end
+        end;
         Ring.remove id r)
       h.joined;
     h.alive_h <- false;

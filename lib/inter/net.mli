@@ -44,6 +44,21 @@ type host = {
   mutable alive_h : bool;
 }
 
+(** The interdomain walk's scratch (see {!Route}), reused by every walk on
+    the network: one walk at a time. *)
+type walk_scratch = {
+  mutable as_path : int array;
+  (** the walk's AS path so far, [as_path_len] entries; grows on demand *)
+  mutable as_path_len : int;
+  peer_slot0 : int array;
+  (** bloom-filter peering only ([[||]] otherwise): AS [a]'s [k]th peer in
+      [Asgraph.peers] order owns slot [peer_slot0.(a) + k] of [tried] *)
+  tried : int array;
+  (** per peering-link slot, the stamp of the last walk that consulted that
+      peer's filter over it *)
+  mutable walk_stamp : int;
+}
+
 type t = {
   ctx : Level.ctx;
   cfg : config;
@@ -54,7 +69,8 @@ type t = {
   unjoined : host Ring.t;
   (** the empty ring shared by every slot of [rings] and [resident_rings]
       not yet used; never updated *)
-  as_level_cache : (int, Level.t list) Hashtbl.t;
+  as_level_memo : Level.t list array;
+  (** per AS, {!as_levels}; [[]] until first asked *)
   hosts : (Id.t, host) Hashtbl.t;
   resident_rings : host Ring.t array;
   (** per AS, ring-ordered; [unjoined] until the AS's first resident joins *)
@@ -63,6 +79,7 @@ type t = {
   (** per AS, bloom-filter peering only: live ids summarised below it *)
   failed_as : (int, unit) Hashtbl.t;
   metrics : Rofl_netsim.Metrics.t;
+  walk : walk_scratch;
 }
 
 val create : ?cfg:config -> rng:Rofl_util.Prng.t -> Rofl_asgraph.Asgraph.t -> t

@@ -20,142 +20,61 @@ type result = {
   trace : Trace.t;
 }
 
-(* Closest live resident of [as_idx] in the clockwise interval (pos, dst]:
-   [dst] itself when resident, otherwise its ring predecessor.  Cursor-based
-   so the per-step [prepare] probe allocates nothing on a miss. *)
-let best_local_resident (t : Net.t) as_idx ~pos ~dst =
-  let r = t.Net.resident_rings.(as_idx) in
-  let c =
-    let cf = Ring.cursor_find dst r in
-    if Ring.cursor_is_none cf then Ring.cursor_lt dst r else cf
-  in
-  if Ring.cursor_is_none c then None
-  else begin
-    let mid = Ring.id_at r c in
-    let mh = Ring.value_at r c in
-    if mh.Net.alive_h && Id.between_incl pos mid dst then Some (mid, mh) else None
-  end
+(* Appends an AS to the walk's path in the network's scratch. *)
+let push (t : Net.t) a =
+  let w = t.Net.walk in
+  let n = w.Net.as_path_len in
+  if n = Array.length w.Net.as_path then begin
+    let bigger = Array.make (2 * n) 0 in
+    Array.blit w.Net.as_path 0 bigger 0 n;
+    w.Net.as_path <- bigger
+  end;
+  Array.unsafe_set w.Net.as_path n a;
+  w.Net.as_path_len <- n + 1
 
-(* Best candidate at the lowest usable level of [h]'s joined set: the level
-   successor, improved by any finger at the same level.
+let rec path_list path i acc = if i < 0 then acc else path_list path (i - 1) (path.(i) :: acc)
 
-   Levels whose subtree contains the destination (a test the per-subtree
-   host summaries of §2.3 answer) are preferred bottom-up — once inside the
-   smallest destination-containing subtree the packet never leaves it, which
-   is the isolation property.  Only when no joined level contains the
-   destination (wrong branch of the hierarchy) does the walk fall back to
-   the lowest level making any clockwise progress.  A level's ring holds
-   [dst] exactly when [dst_levels], the destination's joined levels, names
-   the level, so [dst_levels] answers the containment test. *)
-let lowest_level_candidate (t : Net.t) (h : Net.host) ~cur ~pos ~dst ~dst_levels ~ceiling =
-  let candidate_at level =
-    let r = Net.ring t level in
-    let succ_cand =
-      let c = Ring.cursor_gt pos r in
-      if Ring.cursor_is_none c then None
-      else begin
-        let sid = Ring.id_at r c in
-        let sh = Ring.value_at r c in
-        if sh.Net.alive_h && Id.between_incl pos sid dst then Some (sid, sh) else None
-      end
-    in
-    (* Fused keep-first ranking (same tie precedence as {!Walk.best} over
-       successor-then-fingers): an eligible finger replaces the incumbent
-       only when strictly closer to [dst]. *)
-    let best =
-      List.fold_left
-        (fun acc (flevel, fid) ->
-          if not (Level.equal flevel level) then acc
-          else
-            match Hashtbl.find_opt t.Net.hosts fid with
-            | Some fh when fh.Net.alive_h && Id.between_incl pos fid dst -> (
-              match acc with
-              | Some (bid, _) when not (Id.closer_clockwise ~target:dst fid bid) -> acc
-              | Some _ | None -> Some (fid, fh))
-            | Some _ | None -> acc)
-        succ_cand h.Net.fingers
-    in
-    match best with Some (cid, ch) -> Some (level, cid, ch) | None -> None
-  in
-  let rec joined level = function
-    | [] -> false
-    | l :: rest -> Level.equal l level || joined level rest
-  in
-  let rec scan narrows = function
-    | [] -> None
-    | level :: rest ->
-      let c =
-        if narrows
-           && not
-                (Level.subsumes t.Net.ctx ~outer:ceiling ~inner:level
-                && joined level dst_levels)
-        then None
-        else candidate_at level
-      in
-      (match c with
-       | Some (level, cid, ch) -> Some (level, cid, ch, narrows)
-       | None -> scan narrows rest)
-  in
-  let levels = Net.as_levels t cur in
-  match scan true levels with Some _ as c -> c | None -> scan false levels
-
-(* Cache shortcut, guarded so it can never violate isolation: if the
-   destination is below this AS the bloom filter necessarily says so (no
-   false negatives) and the cache is bypassed (§4.1). *)
-let cache_candidate (t : Net.t) as_idx ~pos ~dst ~dst_home =
-  if t.Net.cfg.Net.cache_capacity = 0 then None
-  else begin
-    let dst_below =
-      dst_home >= 0 && Asgraph.in_cone (Level.graph t.Net.ctx) ~root:as_idx dst_home
-    in
-    let fp_conservatism =
-      t.Net.cfg.Net.peering_mode = Net.Bloom_filters
-      && Prng.float t.Net.rng 1.0 < t.Net.cfg.Net.bloom_fpr
-    in
-    if dst_below || fp_conservatism then None
-    else
-      let c = t.Net.caches.(as_idx) in
-      let s = Pointer_cache.best_match c ~cur:pos ~target:dst in
-      if s = Pointer_cache.none then None
-      else
-        let cid = Pointer_cache.dst c s in
-        match Hashtbl.find_opt t.Net.hosts cid with
-        | Some ch when ch.Net.alive_h && ch.Net.home_as = Pointer_cache.dst_router c s
-                       && Id.between_incl pos cid dst ->
-          Some (cid, ch)
-        | Some _ | None ->
-          Pointer_cache.remove c cid;
-          None
-  end
-
+(* Prices a move from [a] to [b] at [level] and charges it to [data]: load
+   at every AS of the route, in path order, then its hops.  The ASes past
+   [a] extend the walk's path.  Returns the hops, or -1 (nothing charged)
+   when the level does not connect the two; the route stays readable in
+   the level scratch until the next {!Level.route_within}. *)
 let charge_move (t : Net.t) level a b =
-  match Level.route_within t.Net.ctx level a b with
-  | Some (0, _) -> Some (0, [])
-  | Some (d, path) ->
-    Metrics.charge_span t.Net.metrics Metrics.Data ~hops:d path;
-    (match path with
-     | [] -> Some (d, [])
-     | _ :: tail -> Some (d, tail))
-  | None -> None
+  let ctx = t.Net.ctx in
+  let d = Level.route_within ctx level a b in
+  if d > 0 then begin
+    for i = 0 to d do
+      Metrics.add_load t.Net.metrics (Level.path_hop ctx i)
+    done;
+    Metrics.incr t.Net.metrics Metrics.Data d;
+    for i = 1 to d do
+      push t (Level.path_hop ctx i)
+    done
+  end;
+  d
 
-let charge_unrestricted (t : Net.t) a b =
-  charge_move t Level.Root a b
+let rec joined level = function
+  | [] -> false
+  | l :: rest -> Level.equal l level || joined level rest
 
 (* The greedy loop — candidate ranking, per-move commit, step guard — lives
    in {!Rofl_routing.Walk}; this substrate supplies the AS-granularity
    state.  One Walk step is one pointer traversal: a level-restricted ring
    move (possibly diverted mid-path over a bloom peering link, §4.2) or an
    unrestricted cache shortcut.  Position lives in the state record (the
-   packet's AS, ring position, and position host move together), and so
-   does the picked move, which is also the committed route: a move is
-   consumed whole.  The destination is looked up once, at the start: its
-   home AS and joined levels cannot change while a packet is in flight. *)
+   packet's AS, ring position, and position host move together), and so do
+   both candidates [select] found and which one it picked: a move is
+   consumed whole.  The AS path grows in the network's scratch and becomes
+   a list once, at [finish].  The destination is looked up once, at the
+   start: its home AS and joined levels cannot change while a packet is in
+   flight. *)
 module Route_substrate = struct
   type st = {
     net : Net.t;
     dst : Id.t;
     dst_home : int; (* -1: no live host holds [dst] *)
     dst_levels : Level.t list; (* the levels [dst] joined; [] when unknown *)
+    stamp : int; (* this walk's mark in [Net.walk.tried] *)
     mutable cur : int;
     mutable pos : Id.t;
     mutable pos_host : Net.host;
@@ -165,16 +84,20 @@ module Route_substrate = struct
     mutable peer_crossings : int;
     mutable backtracks : int;
     mutable max_breadth : int;
-    mutable rev_path : int list;
     mutable ceiling : Level.t;
-    mutable tried_peers : (int * int, unit) Hashtbl.t option; (* made at first use *)
     tracer : Trace.builder option; (* [None]: record nothing *)
-    mutable move : move;
+    (* The ring candidate: its level, identifier, host, and whether taking
+       it narrows the ceiling. *)
+    mutable ring_level : Level.t;
+    mutable ring_id : Id.t;
+    mutable ring_host : Net.host;
+    mutable ring_narrows : bool;
+    (* The cache candidate. *)
+    mutable cache_id : Id.t;
+    mutable cache_host : Net.host;
+    (* The picked move: the cache candidate, or else the ring one. *)
+    mutable cache_picked : bool;
   }
-
-  and move =
-    | Ring_move of Level.t * Id.t * Net.host * bool  (** level, id, host, narrows *)
-    | Cache_move of Id.t * Net.host
 
   type verdict = result
 
@@ -186,10 +109,11 @@ module Route_substrate = struct
   let exhausted _ = true
 
   let finish st delivered =
+    let w = st.net.Net.walk in
     {
       delivered;
       as_hops = st.as_hops;
-      as_path = List.rev st.rev_path;
+      as_path = path_list w.Net.as_path (w.Net.as_path_len - 1) [];
       pointer_hops = st.pointer_hops;
       cache_hops = st.cache_hops;
       peer_crossings = st.peer_crossings;
@@ -212,204 +136,313 @@ module Route_substrate = struct
       Trace.record b ~kind ~router ~level:Trace.Peer ~dist:(Id.distance st.pos st.dst)
     | None -> ()
 
-  let extend_path st tail = List.iter (fun a -> st.rev_path <- a :: st.rev_path) tail
+  (* Keep-first over the fingers at [level] (same tie precedence as
+     {!Walk.best} over successor-then-fingers): an eligible finger replaces
+     the incumbent ring candidate only when strictly closer to [dst]. *)
+  let rec fold_fingers st level found = function
+    | [] -> found
+    | (flevel, fid) :: rest ->
+      if not (Level.equal flevel level) then fold_fingers st level found rest
+      else begin
+        match Hashtbl.find st.net.Net.hosts fid with
+        | exception Not_found -> fold_fingers st level found rest
+        | fh ->
+          if fh.Net.alive_h && Id.between_incl st.pos fid st.dst
+             && ((not found) || Id.closer_clockwise ~target:st.dst fid st.ring_id)
+          then begin
+            st.ring_id <- fid;
+            st.ring_host <- fh;
+            fold_fingers st level true rest
+          end
+          else fold_fingers st level found rest
+      end
+
+  (* The level successor of the position, improved by any finger at the
+     same level, into the ring registers. *)
+  let candidate_at st level narrows =
+    let r = Net.ring st.net level in
+    let c = Ring.cursor_gt st.pos r in
+    let succ_found =
+      (not (Ring.cursor_is_none c))
+      &&
+      let sid = Ring.id_at r c and sh = Ring.value_at r c in
+      sh.Net.alive_h && Id.between_incl st.pos sid st.dst
+      && begin
+        st.ring_id <- sid;
+        st.ring_host <- sh;
+        true
+      end
+    in
+    fold_fingers st level succ_found st.pos_host.Net.fingers
+    && begin
+      st.ring_level <- level;
+      st.ring_narrows <- narrows;
+      true
+    end
+
+  let rec scan_levels st narrows = function
+    | [] -> false
+    | level :: rest ->
+      if narrows
+         && not
+              (Level.subsumes st.net.Net.ctx ~outer:st.ceiling ~inner:level
+              && joined level st.dst_levels)
+      then scan_levels st narrows rest
+      else candidate_at st level narrows || scan_levels st narrows rest
+
+  (* Best candidate at the lowest usable level of the position host's
+     joined set.
+
+     Levels whose subtree contains the destination (a test the per-subtree
+     host summaries of §2.3 answer) are preferred bottom-up — once inside
+     the smallest destination-containing subtree the packet never leaves
+     it, which is the isolation property.  Only when no joined level
+     contains the destination (wrong branch of the hierarchy) does the walk
+     fall back to the lowest level making any clockwise progress.  A
+     level's ring holds [dst] exactly when [dst_levels], the destination's
+     joined levels, names the level, so [dst_levels] answers the
+     containment test. *)
+  let lowest_level_candidate st =
+    let levels = Net.as_levels st.net st.cur in
+    scan_levels st true levels || scan_levels st false levels
+
+  (* Cache shortcut, guarded so it can never violate isolation: if the
+     destination is below this AS the bloom filter necessarily says so (no
+     false negatives) and the cache is bypassed (§4.1).  The
+     false-positive draw is taken whether or not the destination is
+     below. *)
+  let cache_candidate st =
+    let t = st.net in
+    if t.Net.cfg.Net.cache_capacity = 0 then false
+    else begin
+      let dst_below =
+        st.dst_home >= 0 && Asgraph.in_cone (Level.graph t.Net.ctx) ~root:st.cur st.dst_home
+      in
+      let fp_conservatism =
+        t.Net.cfg.Net.peering_mode = Net.Bloom_filters
+        && Prng.float t.Net.rng 1.0 < t.Net.cfg.Net.bloom_fpr
+      in
+      if dst_below || fp_conservatism then false
+      else begin
+        let c = t.Net.caches.(st.cur) in
+        let s = Pointer_cache.best_match c ~cur:st.pos ~target:st.dst in
+        if s = Pointer_cache.none then false
+        else begin
+          let cid = Pointer_cache.dst c s in
+          match Hashtbl.find t.Net.hosts cid with
+          | ch
+            when ch.Net.alive_h && ch.Net.home_as = Pointer_cache.dst_router c s
+                 && Id.between_incl st.pos cid st.dst ->
+            st.cache_id <- cid;
+            st.cache_host <- ch;
+            true
+          | _ | (exception Not_found) ->
+            Pointer_cache.remove c cid;
+            false
+        end
+      end
+    end
 
   (* After a bloom hit at peer [p] that really holds the destination below
      it: descend within [p]'s subtree to the destination's AS. *)
   let descend st p =
-    match charge_move st.net (Level.Real p) p st.dst_home with
-    | Some (d, tail) ->
+    let d = charge_move st.net (Level.Real p) p st.dst_home in
+    if d < 0 then finish st false
+    else begin
       st.as_hops <- st.as_hops + d;
-      extend_path st tail;
       st.cur <- st.dst_home;
       finish st true
-    | None -> finish st false
+    end
 
   let arrived st = if st.dst_home = st.cur then Some (finish st true) else None
 
-  (* Free intra-AS move to the closest local resident. *)
+  (* Free intra-AS move to the closest live resident of the current AS in
+     the clockwise interval (pos, dst]: [dst] itself when resident,
+     otherwise its ring predecessor. *)
   let prepare st =
-    match best_local_resident st.net st.cur ~pos:st.pos ~dst:st.dst with
-    | Some (mid, mh) when not (Id.equal mid st.pos) ->
-      st.pos <- mid;
-      st.pos_host <- mh
-    | Some _ | None -> ()
+    let r = st.net.Net.resident_rings.(st.cur) in
+    let c =
+      let cf = Ring.cursor_find st.dst r in
+      if Ring.cursor_is_none cf then Ring.cursor_lt st.dst r else cf
+    in
+    if not (Ring.cursor_is_none c) then begin
+      let mid = Ring.id_at r c and mh = Ring.value_at r c in
+      if mh.Net.alive_h && Id.between_incl st.pos mid st.dst && not (Id.equal mid st.pos)
+      then begin
+        st.pos <- mid;
+        st.pos_host <- mh
+      end
+    end
 
   (* {!Walk.best} over [ring move; cache move]: the cached pointer
      overrides the ring candidate only when strictly closer.  The cache
      lookup runs whichever wins, after the ring scan: it draws from the
      network's rng. *)
-  let pick st m =
-    st.move <- m;
-    true
-
   let select st =
-    let ring =
-      lowest_level_candidate st.net st.pos_host ~cur:st.cur ~pos:st.pos ~dst:st.dst
-        ~dst_levels:st.dst_levels ~ceiling:st.ceiling
-    in
-    match ring, cache_candidate st.net st.cur ~pos:st.pos ~dst:st.dst ~dst_home:st.dst_home with
-    | Some (level, rid, rh, narrows), Some (cid, ch) ->
-      if Id.closer_clockwise ~target:st.dst cid rid then pick st (Cache_move (cid, ch))
-      else pick st (Ring_move (level, rid, rh, narrows))
-    | Some (level, rid, rh, narrows), None -> pick st (Ring_move (level, rid, rh, narrows))
-    | None, Some (cid, ch) -> pick st (Cache_move (cid, ch))
-    | None, None -> false
+    let ring = lowest_level_candidate st in
+    let cache = cache_candidate st in
+    if ring && cache then begin
+      st.cache_picked <- Id.closer_clockwise ~target:st.dst st.cache_id st.ring_id;
+      true
+    end
+    else if ring || cache then begin
+      st.cache_picked <- cache;
+      true
+    end
+    else false
 
   let target st = st.dst
 
-  let picked_id st =
-    match st.move with Ring_move (_, cid, _, _) -> cid | Cache_move (cid, _) -> cid
+  let picked_id st = if st.cache_picked then st.cache_id else st.ring_id
 
   let deliver_here _ = None
   let commit _ = true
 
-  (* Claims the peering link [a]-[p] for this packet: false when it was
-     already tried (or [p] is down), so each filter is consulted once. *)
-  let first_try st a p =
-    if not (Net.as_alive st.net p) then false
-    else
-      match st.tried_peers with
-      | Some tried when Hashtbl.mem tried (a, p) -> false
-      | Some tried ->
-        Hashtbl.add tried (a, p) ();
-        true
-      | None ->
-        let tried = Hashtbl.create 4 in
-        Hashtbl.add tried (a, p) ();
-        st.tried_peers <- Some tried;
-        true
-
-  (* Bloom-filter peering (§4.2): consult the peers' filters; a hit crosses
-     the peering link and descends, a false positive backtracks. *)
-  let try_peers st =
-    let t = st.net in
-    let g = Level.graph t.Net.ctx in
-    let peers = Asgraph.peers g st.cur in
-    let rec attempt = function
-      | [] -> None
-      | p :: rest ->
-        if not (first_try st st.cur p) then attempt rest
-        else begin
-          if Net.bloom_check t p ~home:st.dst_home then begin
-            (* Cross the peering link. *)
-            Metrics.charge_hop t.Net.metrics Metrics.Data p;
-            st.as_hops <- st.as_hops + 1;
-            st.peer_crossings <- st.peer_crossings + 1;
-            st.rev_path <- p :: st.rev_path;
-            record_peer st Trace.Flood ~router:p;
-            if st.dst_home >= 0 && Asgraph.in_cone g ~root:p st.dst_home then
-              (* Descend within the peer's subtree to the destination. *)
-              Some (descend st p)
-            else begin
-              (* False positive: the packet comes back over the peering
-                 link and continues (§4.2). *)
-              Metrics.charge_hop t.Net.metrics Metrics.Data st.cur;
-              st.as_hops <- st.as_hops + 1;
-              st.backtracks <- st.backtracks + 1;
-              st.rev_path <- st.cur :: st.rev_path;
-              record_peer st Trace.Backtrack ~router:st.cur;
-              attempt rest
-            end
-          end
-          else attempt rest
-        end
-    in
-    attempt peers
-
-  (* Transit-AS bloom checks (§4.2): as a move's packet passes through an
-     AS, that AS may consult its peers' filters and divert the packet over
-     the peering link; a false positive sends it back onto its path. *)
-  let transit_divert st path_tail =
-    let t = st.net in
-    if t.Net.cfg.Net.peering_mode <> Net.Bloom_filters then None
-    else begin
-      let g = Level.graph t.Net.ctx in
-      (* Only the ascent of the move consults peers: after crossing, a
-         packet may not go back up the hierarchy (§4.2), so checks beyond
-         the path's peak are moot. *)
-      let rec scan_as budget remaining =
-        match remaining with
-        | [] -> None
-        | _ when budget = 0 -> None
-        | a :: rest ->
-          let rec scan_peers = function
-            | [] -> scan_as (budget - 1) rest
-            | p :: more ->
-              if not (first_try st a p) then scan_peers more
-              else begin
-                if Net.bloom_check t p ~home:st.dst_home then begin
-                  Metrics.charge_hop t.Net.metrics Metrics.Data p;
-                  st.as_hops <- st.as_hops + 1;
-                  st.peer_crossings <- st.peer_crossings + 1;
-                  record_peer st Trace.Flood ~router:p;
-                  if st.dst_home >= 0 && Asgraph.in_cone g ~root:p st.dst_home then Some (a, p)
-                  else begin
-                    (* False positive: back over the peering link. *)
-                    Metrics.charge_hop t.Net.metrics Metrics.Data a;
-                    st.as_hops <- st.as_hops + 1;
-                    st.backtracks <- st.backtracks + 1;
-                    record_peer st Trace.Backtrack ~router:a;
-                    scan_peers more
-                  end
-                end
-                else scan_peers more
-              end
-          in
-          scan_peers (Asgraph.peers g a)
-      in
-      scan_as 2 path_tail
+  (* Claims the peering link from [a] to its [k]th peer [p] for this
+     packet: false when it was already tried (or [p] is down), so each
+     filter is consulted once. *)
+  let first_try st a k p =
+    Net.as_alive st.net p
+    &&
+    let w = st.net.Net.walk in
+    let i = w.Net.peer_slot0.(a) + k in
+    w.Net.tried.(i) <> st.stamp
+    && begin
+      w.Net.tried.(i) <- st.stamp;
+      true
     end
+
+  (* Bloom-filter peering (§4.2) at the current AS: consult the peers'
+     filters from the [k]th on; a hit crosses the peering link and
+     descends, a false positive backtracks. *)
+  let rec attempt_peers st g k = function
+    | [] -> None
+    | p :: rest ->
+      let t = st.net in
+      if not (first_try st st.cur k p) then attempt_peers st g (k + 1) rest
+      else if Net.bloom_check t p ~home:st.dst_home then begin
+        (* Cross the peering link. *)
+        Metrics.charge_hop t.Net.metrics Metrics.Data p;
+        st.as_hops <- st.as_hops + 1;
+        st.peer_crossings <- st.peer_crossings + 1;
+        push t p;
+        record_peer st Trace.Flood ~router:p;
+        if st.dst_home >= 0 && Asgraph.in_cone g ~root:p st.dst_home then
+          (* Descend within the peer's subtree to the destination. *)
+          Some (descend st p)
+        else begin
+          (* False positive: the packet comes back over the peering link
+             and continues (§4.2). *)
+          Metrics.charge_hop t.Net.metrics Metrics.Data st.cur;
+          st.as_hops <- st.as_hops + 1;
+          st.backtracks <- st.backtracks + 1;
+          push t st.cur;
+          record_peer st Trace.Backtrack ~router:st.cur;
+          attempt_peers st g (k + 1) rest
+        end
+      end
+      else attempt_peers st g (k + 1) rest
+
+  let try_peers st =
+    let g = Level.graph st.net.Net.ctx in
+    attempt_peers st g 0 (Asgraph.peers g st.cur)
+
+  (* Transit AS [a] consults its peers' filters from the [k]th on: the peer
+     that really holds the destination below it, or -1.  A false positive
+     crosses and comes back. *)
+  let rec divert_peers st g a k = function
+    | [] -> -1
+    | p :: more ->
+      let t = st.net in
+      if not (first_try st a k p) then divert_peers st g a (k + 1) more
+      else if Net.bloom_check t p ~home:st.dst_home then begin
+        Metrics.charge_hop t.Net.metrics Metrics.Data p;
+        st.as_hops <- st.as_hops + 1;
+        st.peer_crossings <- st.peer_crossings + 1;
+        record_peer st Trace.Flood ~router:p;
+        if st.dst_home >= 0 && Asgraph.in_cone g ~root:p st.dst_home then p
+        else begin
+          (* False positive: back over the peering link. *)
+          Metrics.charge_hop t.Net.metrics Metrics.Data a;
+          st.as_hops <- st.as_hops + 1;
+          st.backtracks <- st.backtracks + 1;
+          record_peer st Trace.Backtrack ~router:a;
+          divert_peers st g a (k + 1) more
+        end
+      end
+      else divert_peers st g a (k + 1) more
+
+  (* Only the ascent of the move consults peers: after crossing, a packet
+     may not go back up the hierarchy (§4.2), so the first two ASes past
+     the move's start ([i] = 1, 2 of the [d]-hop route in the level
+     scratch) are asked, in path order. *)
+  let rec divert_along st g d i =
+    if i > d || i > 2 then -1
+    else begin
+      let a = Level.path_hop st.net.Net.ctx i in
+      let p = divert_peers st g a 0 (Asgraph.peers g a) in
+      if p >= 0 then p else divert_along st g d (i + 1)
+    end
+
+  (* Transit-AS bloom checks (§4.2): as a [d]-hop move's packet passes
+     through an AS, that AS may consult its peers' filters and divert the
+     packet over the peering link; a false positive sends it back onto its
+     path.  The peer that took the packet, or -1. *)
+  let transit_divert st d =
+    if st.net.Net.cfg.Net.peering_mode <> Net.Bloom_filters then -1
+    else divert_along st (Level.graph st.net.Net.ctx) d 1
 
   let stuck st = finish st false
 
+  let follow_cache st =
+    let cid = st.cache_id and ch = st.cache_host in
+    let d = charge_move st.net Level.Root st.cur ch.Net.home_as in
+    if d < 0 then Some (stuck st)
+    else begin
+      st.as_hops <- st.as_hops + d;
+      st.pointer_hops <- st.pointer_hops + 1;
+      st.cache_hops <- st.cache_hops + 1;
+      st.ceiling <- Level.Root;
+      st.cur <- ch.Net.home_as;
+      st.pos <- cid;
+      st.pos_host <- ch;
+      record st Trace.Cache ~router:ch.Net.home_as Level.Root cid;
+      None
+    end
+
+  let follow_ring st =
+    let level = st.ring_level and cid = st.ring_id and ch = st.ring_host in
+    let d = charge_move st.net level st.cur ch.Net.home_as in
+    if d < 0 then Some (stuck st)
+    else begin
+      st.as_hops <- st.as_hops + d;
+      st.pointer_hops <- st.pointer_hops + 1;
+      st.max_breadth <- Int.max st.max_breadth (Level.breadth st.net.Net.ctx level);
+      let p = transit_divert st d in
+      if p >= 0 then begin
+        push st.net p;
+        Some (descend st p)
+      end
+      else begin
+        st.cur <- ch.Net.home_as;
+        st.pos <- cid;
+        st.pos_host <- ch;
+        if st.ring_narrows then st.ceiling <- level;
+        record st Trace.Ring ~router:ch.Net.home_as level cid;
+        None
+      end
+    end
+
+  (* Before taking a root-level (blind) ring move in bloom-filter mode,
+     consult the peers' filters. *)
   let follow st =
-    match st.move with
-    | Cache_move (cid, ch) ->
-      (match charge_unrestricted st.net st.cur ch.Net.home_as with
-       | None -> Some (stuck st)
-       | Some (d, tail) ->
-         st.as_hops <- st.as_hops + d;
-         extend_path st tail;
-         st.pointer_hops <- st.pointer_hops + 1;
-         st.cache_hops <- st.cache_hops + 1;
-         st.ceiling <- Level.Root;
-         st.cur <- ch.Net.home_as;
-         st.pos <- cid;
-         st.pos_host <- ch;
-         record st Trace.Cache ~router:ch.Net.home_as Level.Root cid;
-         None)
-    | Ring_move (level, cid, ch, narrows) ->
-      (* Before taking a root-level (blind) move in bloom-filter mode,
-         consult the peers' filters. *)
-      let peer_shortcut =
-        if st.net.Net.cfg.Net.peering_mode = Net.Bloom_filters then
-          match level with
-          | Level.Root -> try_peers st
-          | Level.Real _ | Level.Peer_group _ -> None
-        else None
-      in
-      (match peer_shortcut with
-       | Some _ as finished -> finished
-       | None ->
-         (match charge_move st.net level st.cur ch.Net.home_as with
-          | None -> Some (stuck st)
-          | Some (d, tail) ->
-            st.as_hops <- st.as_hops + d;
-            extend_path st tail;
-            st.pointer_hops <- st.pointer_hops + 1;
-            st.max_breadth <- max st.max_breadth (Level.breadth st.net.Net.ctx level);
-            (match transit_divert st tail with
-             | Some (_via, p) ->
-               st.rev_path <- p :: st.rev_path;
-               Some (descend st p)
-             | None ->
-               st.cur <- ch.Net.home_as;
-               st.pos <- cid;
-               st.pos_host <- ch;
-               if narrows then st.ceiling <- level;
-               record st Trace.Ring ~router:ch.Net.home_as level cid;
-               None)))
+    if st.cache_picked then follow_cache st
+    else if st.net.Net.cfg.Net.peering_mode = Net.Bloom_filters
+            && (match st.ring_level with
+                | Level.Root -> true
+                | Level.Real _ | Level.Peer_group _ -> false)
+    then match try_peers st with Some _ as finished -> finished | None -> follow_ring st
+    else follow_ring st
 
   let no_candidate st =
     if st.net.Net.cfg.Net.peering_mode = Net.Bloom_filters then
@@ -423,16 +456,21 @@ module Route_walk = Walk.Make (Route_substrate)
 
 let route_from ?trace (t : Net.t) ~src ~dst =
   let dst_home, dst_levels =
-    match Hashtbl.find_opt t.Net.hosts dst with
-    | Some h -> ((if h.Net.alive_h then h.Net.home_as else -1), h.Net.joined)
-    | None -> (-1, [])
+    match Hashtbl.find t.Net.hosts dst with
+    | h -> ((if h.Net.alive_h then h.Net.home_as else -1), h.Net.joined)
+    | exception Not_found -> (-1, [])
   in
+  let w = t.Net.walk in
+  w.Net.walk_stamp <- w.Net.walk_stamp + 1;
+  w.Net.as_path_len <- 0;
+  push t src.Net.home_as;
   let st =
     {
       Route_substrate.net = t;
       dst;
       dst_home;
       dst_levels;
+      stamp = w.Net.walk_stamp;
       cur = src.Net.home_as;
       pos = src.Net.id;
       pos_host = src;
@@ -442,11 +480,15 @@ let route_from ?trace (t : Net.t) ~src ~dst =
       peer_crossings = 0;
       backtracks = 0;
       max_breadth = 0;
-      rev_path = [ src.Net.home_as ];
       ceiling = Level.Root;
-      tried_peers = None;
       tracer = trace;
-      move = Route_substrate.Cache_move (src.Net.id, src);
+      ring_level = Level.Root;
+      ring_id = src.Net.id;
+      ring_host = src;
+      ring_narrows = false;
+      cache_id = src.Net.id;
+      cache_host = src;
+      cache_picked = false;
     }
   in
   Metrics.inject t.Net.metrics Metrics.Data src.Net.home_as;
@@ -465,28 +507,41 @@ let stretch_vs_bgp t ~src ~dst =
        if not r.delivered then None
        else Some (float_of_int (max r.as_hops 1) /. float_of_int bgp))
 
+let rec mark_real_levels ctx = function
+  | [] -> ()
+  | Level.Real a :: rest ->
+    Level.mark ctx a;
+    mark_real_levels ctx rest
+  | (Level.Peer_group _ | Level.Root) :: rest -> mark_real_levels ctx rest
+
+let rec any_marked ctx = function
+  | [] -> false
+  | a :: rest -> Level.is_marked ctx a || any_marked ctx rest
+
+(* Is [a] inside the cone of a marked AS of [ups]? *)
+let rec under_marked g ctx a = function
+  | [] -> false
+  | anc :: rest ->
+    (Level.is_marked ctx anc && Asgraph.in_cone g ~root:anc a) || under_marked g ctx a rest
+
+let rec all_under_marked g ctx ups = function
+  | [] -> true
+  | a :: rest -> under_marked g ctx a ups && all_under_marked g ctx ups rest
+
 let isolation_respected t r ~src ~dst =
   if r.peer_crossings > 0 || r.cache_hops > 0 then true
   else begin
-    match Hashtbl.find_opt t.Net.hosts dst with
-    | None -> true
-    | Some dst_h ->
-      let g = Level.graph t.Net.ctx in
+    match Hashtbl.find t.Net.hosts dst with
+    | exception Not_found -> true
+    | dst_h ->
+      let ctx = t.Net.ctx in
+      let g = Level.graph ctx in
       let ups_src = Asgraph.up_hierarchy g src.Net.home_as in
       (* The guarantee is relative to the hierarchy the destination actually
          joined: an ephemeral or single-homed destination is only reachable
-         through the levels it registered at (§2.3). *)
-      let dst_joined = Hashtbl.create 16 in
-      List.iter
-        (fun level ->
-          match level with
-          | Level.Real a -> Hashtbl.replace dst_joined a ()
-          | Level.Peer_group _ | Level.Root -> ())
-        dst_h.Net.joined;
-      let common = List.filter (Hashtbl.mem dst_joined) ups_src in
-      if common = [] then true
-      else
-        List.for_all
-          (fun a -> List.exists (fun anc -> Asgraph.in_cone g ~root:anc a) common)
-          r.as_path
+         through the levels it registered at (§2.3).  The common ancestors
+         are the marked ASes of [ups_src]. *)
+      Level.mark_clear ctx;
+      mark_real_levels ctx dst_h.Net.joined;
+      (not (any_marked ctx ups_src)) || all_under_marked g ctx ups_src r.as_path
   end

@@ -6,7 +6,14 @@
     which preserves the isolation property (§4.1).  Pointer caches shortcut
     when their bloom guard allows (§4.1); in bloom-filter peering mode, the
     AS checks its peers' filters and crosses the peering link directly,
-    backtracking on false positives (§4.2). *)
+    backtracking on false positives (§4.2).
+
+    A walk allocates per call, not per hop: its candidates and picked move
+    are registers of one state record, the AS path grows in the network's
+    scratch ([Net.walk]) and becomes a list once, and each move's route is
+    read from the level scratch ({!Level.route_within}).  That scratch
+    belongs to the network, so a walk must not be re-entered: nothing may
+    start another walk or a join on the same network until it returns. *)
 
 type result = {
   delivered : bool;
@@ -26,7 +33,8 @@ val route_from :
   ?trace:Rofl_routing.Trace.builder ->
   Net.t -> src:Net.host -> dst:Rofl_idspace.Id.t -> result
 (** Route one packet from a source host's AS towards an identifier.
-    Charged to the [data] category.  [trace] is the sink for per-hop
+    Charged to the [data] category: load at every AS of each move's route,
+    in path order, and the move's hops.  [trace] is the sink for per-hop
     events, as in {!Rofl_intra.Network.lookup}: only trace readers pass
     one, and without it the walk records nothing. *)
 

@@ -876,14 +876,12 @@ let leave_host t id =
     (match vn.Vnode.preds with
      | (p : Pointer.t) :: _ -> Hashtbl.remove t.routers.(p.Pointer.dst_router).attachments id
      | [] -> ());
-    (* Directed flood clearing cached state for this identifier. *)
-    let flooded = Hashtbl.create 16 in
+    (* Directed flood clearing cached state for this identifier: one
+       message to each router caching it (the array names each router
+       once). *)
     Array.iter
       (fun r' ->
-        if Pointer_cache.find r'.cache id <> Pointer_cache.none
-           && not (Hashtbl.mem flooded r'.idx)
-        then begin
-          Hashtbl.add flooded r'.idx ();
+        if Pointer_cache.find r'.cache id <> Pointer_cache.none then begin
           let _ = charge_spf t Metrics.Directed_flood gateway r'.idx in
           Pointer_cache.remove r'.cache id
         end)

@@ -160,10 +160,6 @@ let inject m c origin =
   m.present.(index c) <- true;
   add_load m origin
 
-let charge_span m c ~hops routers =
-  List.iter (add_load m) routers;
-  incr m c hops
-
 let get m c = m.counts.(index c)
 
 let total m =

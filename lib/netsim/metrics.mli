@@ -91,11 +91,6 @@ val inject : t -> counter -> int -> unit
 (** [inject m c origin] accounts a walk's injection: load at the origin
     router, zero messages; [c] is listed by {!categories} from now on. *)
 
-val charge_span : t -> counter -> hops:int -> int list -> unit
-(** [charge_span m c ~hops routers] charges a move modelled as [hops]
-    messages of which only [routers] are individually visible: each listed
-    router gets load, and [c] gets [hops]. *)
-
 val get : t -> counter -> int
 
 val total : t -> int

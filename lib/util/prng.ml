@@ -1,37 +1,48 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives in an 8-byte block read and written through the
+   unboxed bytes primitives, so a draw boxes nothing: with [bits64] and
+   [mix64] inlined, an [int64] never leaves registers.  The byte order is
+   the machine's own; the block is never read any other way. *)
+type t = Bytes.t
+
+external get_state : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set_state : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let g = Bytes.create 8 in
+  set_state g 0 s;
+  g
 
-let mix64 z =
+let create seed = of_state (Int64.of_int seed)
+
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let bits64 g =
-  g.state <- Int64.add g.state golden_gamma;
-  mix64 g.state
+let[@inline] bits64 g =
+  let s = Int64.add (get_state g 0) golden_gamma in
+  set_state g 0 s;
+  mix64 s
 
-let split g =
-  let seed = bits64 g in
-  { state = seed }
+let split g = of_state (bits64 g)
+
+(* Rejection sampling to avoid modulo bias. *)
+let rec draw_below g bound =
+  let r = Int64.to_int (Int64.shift_right_logical (bits64 g) 2) in
+  let v = r mod bound in
+  if r - v + (bound - 1) < 0 then draw_below g bound else v
 
 let int g bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
-  (* Rejection sampling to avoid modulo bias. *)
-  let rec draw () =
-    let r = Int64.to_int (Int64.shift_right_logical (bits64 g) 2) in
-    let v = r mod bound in
-    if r - v + (bound - 1) < 0 then draw () else v
-  in
-  draw ()
+  draw_below g bound
 
 let int_in g lo hi =
   if hi < lo then invalid_arg "Prng.int_in: empty range";
   lo + int g (hi - lo + 1)
 
-let float g x =
+let[@inline] float g x =
   (* 53 random bits into [0,1). *)
   let bits = Int64.to_float (Int64.shift_right_logical (bits64 g) 11) in
   bits /. 9007199254740992.0 *. x

@@ -3,10 +3,15 @@
     All randomness in the repository flows through this module so that every
     experiment is reproducible from a single integer seed.  The generator is
     splitmix64 (Steele, Lea & Flood 2014): fast, 64-bit state, passes BigCrush
-    when used as a stream, and trivially splittable by deriving child seeds. *)
+    when used as a stream, and trivially splittable by deriving child seeds.
+
+    Draws allocate nothing: the state is one 8-byte block updated in place,
+    and {!bits64} and {!float} are inlined into their callers, so the
+    [int64] and [float] they compute stay unboxed (the bench row
+    [rofl/prng-draw] gates a {!float} plus an {!int} at 0 words). *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state.  A generator belongs to one task. *)
 
 val create : int -> t
 (** [create seed] makes a generator from a seed.  Equal seeds give equal

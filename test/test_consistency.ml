@@ -17,6 +17,8 @@ module Vnode = Rofl_core.Vnode
 module Sourceroute = Rofl_core.Sourceroute
 module Metrics = Rofl_netsim.Metrics
 
+let distance_opt d = if d < 0 then None else Some d
+
 (* Level.route_within over a real AS must agree with the independent
    Policy.vf_distance_within implementation. *)
 let test_level_vs_policy_distances () =
@@ -32,7 +34,7 @@ let test_level_vs_policy_distances () =
     Alcotest.(check (option int))
       (Printf.sprintf "root distance %d->%d" a b)
       (Policy.vf_distance_within policy ~root:None a b)
-      (Level.distance_within ctx Level.Root a b);
+      (distance_opt (Level.distance_within ctx Level.Root a b));
     (* Restricted to a shared ancestor, when one exists. *)
     let ups = Asgraph.up_hierarchy g a in
     List.iter
@@ -41,7 +43,7 @@ let test_level_vs_policy_distances () =
           Alcotest.(check (option int))
             (Printf.sprintf "cone(%d) distance %d->%d" anc a b)
             (Policy.vf_distance_within policy ~root:(Some anc) a b)
-            (Level.distance_within ctx (Level.Real anc) a b))
+            (distance_opt (Level.distance_within ctx (Level.Real anc) a b)))
       ups
   done
 
@@ -61,10 +63,13 @@ let test_route_within_path_shape () =
   in
   for _ = 1 to 300 do
     let a = Prng.int rng n and b = Prng.int rng n in
-    match Level.route_within ctx Level.Root a b with
-    | None -> Alcotest.failf "no root-level route %d->%d" a b
-    | Some (d, path) ->
+    let d = Level.route_within ctx Level.Root a b in
+    if d < 0 then Alcotest.failf "no root-level route %d->%d" a b
+    else begin
+      let path = List.init (Level.path_length ctx) (Level.path_hop ctx) in
       Alcotest.(check int) "hops = |path|-1" d (List.length path - 1);
+      Alcotest.(check (pair int int)) "path runs from a to b" (a, b)
+        (List.hd path, List.nth path d);
       (* Adjacent and valley-free: up* peer? down*. *)
       let rec check_shape state = function
         | x :: (y :: _ as rest) ->
@@ -78,6 +83,7 @@ let test_route_within_path_shape () =
         | [ _ ] | [] -> ()
       in
       check_shape `Climb path
+    end
   done
 
 (* The stretch denominator (min-hop BFS) can never exceed the hop length of

@@ -63,21 +63,32 @@ let test_level_up_distance () =
   Alcotest.(check (option int)) "3 to 0" (Some 2) (Level.up_distance ctx 3 0);
   Alcotest.(check (option int)) "3 to 2" None (Level.up_distance ctx 3 2)
 
+(* [Level.route_within] with the path its scratch holds read out as a
+   list; [None] when the level does not connect the two. *)
+let route_list ctx level src dst =
+  let d = Level.route_within ctx level src dst in
+  if d < 0 then None else Some (d, List.init (Level.path_length ctx) (Level.path_hop ctx))
+
+let distance_opt d = if d < 0 then None else Some d
+
 let test_level_route_within () =
   let ctx = Level.make_ctx (toy ()) in
-  (match Level.route_within ctx (Level.Real 1) 3 4 with
+  (match route_list ctx (Level.Real 1) 3 4 with
    | Some (2, [ 3; 1; 4 ]) -> ()
    | Some (d, p) ->
      Alcotest.failf "unexpected: %d hops via %s" d
        (String.concat "," (List.map string_of_int p))
    | None -> Alcotest.fail "no route");
+  Alcotest.(check int) "a disconnected level leaves no path" (-1)
+    (Level.route_within ctx (Level.Real 2) 3 5);
+  Alcotest.(check int) "empty path" 0 (Level.path_length ctx);
   Alcotest.(check (option int)) "3->5 inside cone(1) (multihoming)" (Some 2)
-    (Level.distance_within ctx (Level.Real 1) 3 5);
+    (distance_opt (Level.distance_within ctx (Level.Real 1) 3 5));
   Alcotest.(check (option int)) "3->5 blocked in cone(2)" None
-    (Level.distance_within ctx (Level.Real 2) 3 5);
+    (distance_opt (Level.distance_within ctx (Level.Real 2) 3 5));
   (* Peer-group level: 3 -> 5 may cross the 1-2 peering link. *)
   Alcotest.(check (option int)) "peer-group route" (Some 2)
-    (Level.distance_within ctx (Level.Peer_group 0) 3 5)
+    (distance_opt (Level.distance_within ctx (Level.Peer_group 0) 3 5))
 
 let test_level_chains () =
   let ctx = Level.make_ctx (toy ()) in
@@ -292,7 +303,7 @@ let prop_level_kernel_matches_reference =
             fail "levels_for_real %d" x
         | _ ->
           let l = level () and src = Prng.int rng n and dst = Prng.int rng n in
-          let got = Level.route_within ctx l src dst
+          let got = route_list ctx l src dst
           and want = Reference.route_within r l src dst in
           if got <> want then
             fail "route_within %s %d %d: %s, reference %s" (Level.to_string l) src dst
@@ -326,8 +337,9 @@ let prop_distance_within_symmetric =
         in
         List.iter
           (fun l ->
-            let ab = Level.distance_within ctx l a b and ba = Level.distance_within ctx l b a in
-            let cost = Option.map fst (Level.route_within ctx l a b) in
+            let ab = distance_opt (Level.distance_within ctx l a b)
+            and ba = distance_opt (Level.distance_within ctx l b a) in
+            let cost = Option.map fst (route_list ctx l a b) in
             if ab <> ba || ab <> cost then
               QCheck.Test.fail_reportf "seed %d, %s %d %d: %s one way, %s back, route %s" seed
                 (Level.to_string l) a b (show ab) (show ba) (show cost))

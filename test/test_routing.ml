@@ -336,6 +336,92 @@ let golden_inter_fpr =
     "inter[fpr]-cat teardown=6";
   ]
 
+(* inter-fig's configuration (perfbench): bloom-filter peering, 128-entry
+   caches and Peering joins, here on the small Internet.  The walks pin
+   every AS of each path and the counts, and the net rng's next draw pins
+   how many filter and cache draws the walks took. *)
+let interfig_cfg =
+  { Net.default_config with Net.peering_mode = Net.Bloom_filters; Net.cache_capacity = 128 }
+
+let interfig_walks () =
+  let rng = Prng.create 45 in
+  let inet = Internet.generate rng Internet.small_params in
+  let net_rng = Prng.split rng in
+  let net = Net.create ~cfg:interfig_cfg ~rng:net_rng inet.Internet.graph in
+  let stubs = Array.of_list (Internet.stubs inet) in
+  let hosts =
+    Array.init 150 (fun _ ->
+        (Net.join net ~as_idx:(Prng.sample rng stubs) ~strategy:Net.Peering).Net.host)
+  in
+  let walks =
+    List.init 40 (fun k ->
+        let src = Prng.sample rng hosts and dst = (Prng.sample rng hosts).Net.id in
+        let r = Route.route_from net ~src ~dst in
+        Printf.sprintf "#%d del=%b as=%d ptr=%d cache=%d peer=%d back=%d path=%s" k
+          r.Route.delivered r.Route.as_hops r.Route.pointer_hops r.Route.cache_hops
+          r.Route.peer_crossings r.Route.backtracks
+          (String.concat "." (List.map string_of_int r.Route.as_path)))
+  in
+  let cats =
+    List.map (fun (c, n) -> Printf.sprintf "cat %s=%d" c n) (Metrics.categories net.Net.metrics)
+  in
+  let load = Metrics.router_load net.Net.metrics in
+  let load_line =
+    Printf.sprintf "load sum=%d hash=%d" (Array.fold_left ( + ) 0 load)
+      (Array.fold_left (fun h l -> ((h * 31) + l) land 0x3fffffff) 0 load)
+  in
+  (walks @ cats @ [ load_line ], Prng.bits64 net_rng)
+
+let golden_interfig =
+  [
+    "#0 del=true as=14 ptr=5 cache=3 peer=0 back=0 path=55.41.7.28.107.28.50.17.98.17.48.31.9.16.89";
+    "#1 del=true as=12 ptr=4 cache=1 peer=0 back=0 path=89.16.93.18.4.103.4.28.107.28.4.34.94";
+    "#2 del=true as=6 ptr=1 cache=0 peer=1 back=0 path=62.4.33.92.9.33.66";
+    "#3 del=true as=16 ptr=5 cache=3 peer=0 back=0 path=91.22.8.76.8.22.78.22.50.22.88.22.8.2.7.41.55";
+    "#4 del=true as=7 ptr=2 cache=1 peer=0 back=0 path=92.33.4.103.7.0.35.119";
+    "#5 del=true as=11 ptr=2 cache=0 peer=0 back=0 path=68.30.6.1.13.23.100.23.13.1.26.78";
+    "#6 del=true as=10 ptr=2 cache=1 peer=0 back=0 path=73.14.0.6.33.92.33.6.0.5.115";
+    "#7 del=true as=6 ptr=2 cache=1 peer=0 back=0 path=76.8.22.78.22.8.103";
+    "#8 del=true as=4 ptr=2 cache=0 peer=0 back=0 path=58.16.70.16.97";
+    "#9 del=true as=9 ptr=1 cache=0 peer=1 back=0 path=82.5.0.9.16.56.2.7.41.55";
+    "#10 del=true as=15 ptr=3 cache=1 peer=0 back=0 path=88.22.8.2.7.41.55.41.7.9.17.46.17.5.21.49";
+    "#11 del=true as=23 ptr=6 cache=2 peer=0 back=0 path=49.21.4.28.50.22.78.38.5.95.11.1.9.16.97.16.9.1.8.103.8.1.13.111";
+    "#12 del=true as=9 ptr=2 cache=1 peer=1 back=0 path=79.28.7.67.4.18.93.9.16.93";
+    "#13 del=true as=16 ptr=4 cache=1 peer=1 back=0 path=116.16.58.16.70.16.9.1.39.83.39.1.11.105.0.11.105";
+    "#14 del=true as=10 ptr=4 cache=2 peer=0 back=0 path=70.20.58.16.77.16.9.17.110.17.98";
+    "#15 del=true as=0 ptr=0 cache=0 peer=0 back=0 path=68";
+    "#16 del=true as=5 ptr=2 cache=1 peer=0 back=0 path=84.9.31.48.31.66";
+    "#17 del=true as=5 ptr=1 cache=0 peer=1 back=0 path=62.4.103.9.33.66";
+    "#18 del=true as=16 ptr=5 cache=2 peer=0 back=0 path=91.22.88.22.8.103.4.28.50.17.5.21.49.21.4.34.53";
+    "#19 del=true as=24 ptr=6 cache=2 peer=0 back=0 path=82.5.17.48.17.5.42.108.42.14.1.6.106.6.1.9.16.58.16.70.16.9.1.39.83";
+    "#20 del=true as=16 ptr=3 cache=1 peer=1 back=0 path=105.11.0.5.38.78.22.8.76.8.2.0.4.51.0.4.51";
+    "#21 del=true as=11 ptr=2 cache=1 peer=1 back=0 path=79.28.4.19.90.19.4.33.92.9.33.92";
+    "#22 del=true as=6 ptr=3 cache=0 peer=0 back=0 path=70.16.97.16.56.16.113";
+    "#23 del=true as=8 ptr=2 cache=0 peer=0 back=0 path=108.42.14.1.8.103.8.22.88";
+    "#24 del=true as=17 ptr=4 cache=3 peer=1 back=0 path=73.14.42.108.42.5.17.50.22.8.76.8.1.11.105.0.11.105";
+    "#25 del=true as=20 ptr=4 cache=2 peer=0 back=0 path=68.30.6.1.9.31.48.17.5.21.81.21.4.28.107.28.7.2.8.22.88";
+    "#26 del=true as=13 ptr=3 cache=2 peer=0 back=0 path=116.18.4.28.107.28.4.33.92.33.6.0.5.115";
+    "#27 del=true as=18 ptr=3 cache=1 peer=1 back=0 path=73.14.42.108.42.14.1.9.16.113.16.9.1.15.25.61.7.25.61";
+    "#28 del=true as=7 ptr=2 cache=0 peer=0 back=0 path=116.18.4.20.58.20.4.75";
+    "#29 del=true as=8 ptr=1 cache=0 peer=1 back=0 path=59.7.0.6.30.68.1.15.75";
+    "#30 del=true as=6 ptr=1 cache=0 peer=1 back=0 path=47.4.21.60.9.16.113";
+    "#31 del=true as=4 ptr=2 cache=2 peer=0 back=0 path=88.22.50.17.96";
+    "#32 del=true as=9 ptr=3 cache=2 peer=0 back=0 path=95.11.105.11.0.4.20.70.16.63";
+    "#33 del=true as=2 ptr=1 cache=0 peer=0 back=0 path=77.16.58";
+    "#34 del=true as=15 ptr=3 cache=1 peer=0 back=0 path=103.4.28.107.28.7.2.8.22.88.22.8.1.10.19.101";
+    "#35 del=true as=4 ptr=1 cache=0 peer=0 back=0 path=63.16.9.17.110";
+    "#36 del=true as=4 ptr=2 cache=1 peer=0 back=0 path=101.19.58.20.70";
+    "#37 del=true as=12 ptr=4 cache=0 peer=0 back=0 path=108.42.14.1.9.16.113.16.72.16.97.16.77";
+    "#38 del=true as=12 ptr=3 cache=1 peer=0 back=0 path=84.9.31.48.17.5.21.49.21.5.0.35.119";
+    "#39 del=true as=9 ptr=3 cache=1 peer=0 back=0 path=112.4.106.4.24.117.17.5.21.81";
+    "cat data=419";
+    "cat join=3299";
+    "cat join-reply=1502";
+    "load sum=579 hash=891076073";
+  ]
+
+let golden_interfig_next_draw = 0xf7dc6dba639cf19eL
+
 (* --- tests -------------------------------------------------------------- *)
 
 let check_lines name expected actual =
@@ -351,6 +437,11 @@ let test_golden_inter_default () =
 let test_golden_inter_bloom () =
   check_lines "inter bloom fingerprint" golden_inter_bloom
     (inter_fingerprint ~traced:false ~name:"bloom" bloom_cfg).inter_lines
+
+let test_golden_interfig () =
+  let lines, next = interfig_walks () in
+  check_lines "inter-fig walks" golden_interfig lines;
+  Alcotest.(check int64) "net rng's next draw" golden_interfig_next_draw next
 
 let test_golden_inter_fpr () =
   check_lines "inter fpr fingerprint" golden_inter_fpr
@@ -501,6 +592,7 @@ let () =
           Alcotest.test_case "inter default fingerprint" `Slow test_golden_inter_default;
           Alcotest.test_case "inter bloom fingerprint" `Slow test_golden_inter_bloom;
           Alcotest.test_case "inter fpr fingerprint" `Slow test_golden_inter_fpr;
+          Alcotest.test_case "inter-fig walks" `Slow test_golden_interfig;
         ] );
       ( "walk",
         [

@@ -137,6 +137,80 @@ let test_prng_pick_distinct_all () =
   check Alcotest.(list int) "all of [0,8)" [ 0; 1; 2; 3; 4; 5; 6; 7 ]
     (List.sort compare picked)
 
+(* Known answers: the streams of the record-based generator (state in a
+   mutable [int64] field), recorded before the state moved into a byte
+   block.  Every campaign and table draws from this stream. *)
+let test_prng_known_answers () =
+  let g = Prng.create 20260101 in
+  List.iter
+    (fun want -> check Alcotest.int64 "bits64" want (Prng.bits64 g))
+    [ 0xf2acd20ec0fad03aL; 0x2c482c33d2ab04c6L; 0xc0fa83c1251e50b4L; 0xc570b66e1b950bebL ];
+  List.iter
+    (fun (bound, want) -> check Alcotest.int (Printf.sprintf "int %d" bound) want (Prng.int g bound))
+    [ (1, 0); (7, 0); (100, 82); (1000003, 461856); (max_int, 1117965433089734650);
+      (1 lsl 40, 811978367335) ];
+  List.iter
+    (fun want -> check (Alcotest.float 0.0) "float" want (Prng.float g 1.0))
+    [ 0x1.6dd5898228feap-2; 0x1.3f8b7125a07dap-2; 0x1.9634f38b9cbfbp-1; 0x1.0c4776472b1e8p-2 ];
+  check (Alcotest.float 0.0) "float 3.5" 0x1.d9532c90afc92p+0 (Prng.float g 3.5);
+  let child = Prng.split g in
+  List.iter
+    (fun want -> check Alcotest.int64 "split child" want (Prng.bits64 child))
+    [ 0x246c5855b489fbe4L; 0xc0dfc89b2eb723ecL; 0xcd0ef80358695f5bL ];
+  check Alcotest.int64 "parent after split" 0xd2e506de83c240a8L (Prng.bits64 g)
+
+(* The record-based generator as it was, kept here as the reference the
+   byte-block state must reproduce draw for draw. *)
+module Record_prng = struct
+  type t = { mutable state : int64 }
+
+  let create seed = { state = Int64.of_int seed }
+
+  let mix64 z =
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+    Int64.logxor z (Int64.shift_right_logical z 31)
+
+  let bits64 g =
+    g.state <- Int64.add g.state 0x9E3779B97F4A7C15L;
+    mix64 g.state
+
+  let split g = { state = bits64 g }
+
+  let int g bound =
+    let rec draw () =
+      let r = Int64.to_int (Int64.shift_right_logical (bits64 g) 2) in
+      let v = r mod bound in
+      if r - v + (bound - 1) < 0 then draw () else v
+    in
+    draw ()
+
+  let float g x =
+    let bits = Int64.to_float (Int64.shift_right_logical (bits64 g) 11) in
+    bits /. 9007199254740992.0 *. x
+end
+
+(* A draw script: 0 = bits64, 1 = int, 2 = float, 3 = split (later draws
+   come from the child). *)
+let prop_prng_matches_record =
+  QCheck.Test.make ~name:"prng = record-based reference, draw for draw" ~count:200
+    QCheck.(pair int (small_list (pair (int_bound 3) (int_range 1 max_int))))
+    (fun (seed, script) ->
+      let g = ref (Prng.create seed) and r = ref (Record_prng.create seed) in
+      List.for_all
+        (fun (op, bound) ->
+          match op with
+          | 0 -> Prng.bits64 !g = Record_prng.bits64 !r
+          | 1 -> Prng.int !g bound = Record_prng.int !r bound
+          | 2 ->
+            let x = float_of_int bound in
+            Int64.bits_of_float (Prng.float !g x) = Int64.bits_of_float (Record_prng.float !r x)
+          | _ ->
+            g := Prng.split !g;
+            r := Record_prng.split !r;
+            true)
+        script)
+
 (* ---------- Heap ---------- *)
 
 let test_heap_ordering () =
@@ -508,6 +582,8 @@ let () =
           Alcotest.test_case "shuffle permutes" `Quick test_prng_shuffle_permutation;
           Alcotest.test_case "pick_distinct" `Quick test_prng_pick_distinct;
           Alcotest.test_case "pick_distinct all" `Quick test_prng_pick_distinct_all;
+          Alcotest.test_case "known answers" `Quick test_prng_known_answers;
+          q prop_prng_matches_record;
         ] );
       ( "heap",
         [
