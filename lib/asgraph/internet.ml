@@ -54,26 +54,25 @@ let generate rng params =
     done
   done;
   (* Pick k distinct providers for [a] from an index range, weighted towards
-     low indices (big providers attract more customers). *)
+     low indices (big providers attract more customers), in draw order. *)
   let pick_providers a lo hi k =
     let range = hi - lo + 1 in
     let k = min k range in
-    let chosen = Hashtbl.create 4 in
-    let attempts = ref 0 in
-    while Hashtbl.length chosen < k && !attempts < 200 do
+    let chosen = ref [] and attempts = ref 0 in
+    while List.length !chosen < k && !attempts < 200 do
       incr attempts;
       let p = lo + (Prng.zipf rng ~n:range ~s:0.8 - 1) in
-      if p <> a && not (Hashtbl.mem chosen p) then Hashtbl.add chosen p ()
+      if p <> a && not (List.mem p !chosen) then chosen := p :: !chosen
     done;
-    Hashtbl.fold (fun p () acc -> p :: acc) chosen []
+    List.rev !chosen
   in
   let is_multihomed () = Prng.float rng 1.0 < params.multihome_fraction in
   let provider_count () = if is_multihomed () then Prng.int_in rng 2 3 else 1 in
   let connect a lo hi =
     let ps = pick_providers a lo hi (provider_count ()) in
     let ps = if ps = [] then [ lo ] else ps in
-    (* One provider is primary; each extra one is a backup link with
-       probability backup_fraction. *)
+    (* The first provider drawn is primary; each extra one is a backup link
+       with probability backup_fraction. *)
     List.iteri
       (fun i p ->
         if i > 0 && Prng.float rng 1.0 < params.backup_fraction then

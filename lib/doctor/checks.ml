@@ -148,18 +148,17 @@ let proto_checks ~stale_grace_ms ~at_ms (p : Proto.t) =
      router's own label hosted at itself) are exempt, mirroring the
      enforcement filter: their placement is the operator's topology, and
      small rings legitimately run same-PoP label streaks. *)
-  if cfg.Proto.succ_quota > 0 && Array.length groups > 0 then
+  if cfg.Proto.succ_quota > 0 && Array.length groups > 0 then begin
+    let counts = Array.make (1 + Array.fold_left max 0 groups) 0 in
     List.iter
       (fun (vw : Proto.resident_view) ->
-        let counts = Hashtbl.create 8 in
+        Array.fill counts 0 (Array.length counts) 0;
         List.iter
           (fun (b, r) ->
             if not (Rofl_idspace.Id.equal b (State.router_label r)) then
-              let g = groups.(r) in
-              Hashtbl.replace counts g
-                (1 + Option.value ~default:0 (Hashtbl.find_opt counts g)))
+              counts.(groups.(r)) <- counts.(groups.(r)) + 1)
           vw.v_succ_list;
-        Hashtbl.iter
+        Array.iteri
           (fun g c ->
             if c > cfg.Proto.succ_quota then
               emit "eclipse-saturation" (short vw.v_id)
@@ -167,7 +166,8 @@ let proto_checks ~stale_grace_ms ~at_ms (p : Proto.t) =
                 (List.length vw.v_succ_list)
                 g cfg.Proto.succ_quota)
           counts)
-      views;
+      views
+  end;
   (* Poisoned pointers: an identifier referenced by someone's pointer state
      (successor, backup tail, predecessor, or a pointer-cache entry) that
      was never admitted to the ring.  Residents only learn identifiers from

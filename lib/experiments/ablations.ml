@@ -37,8 +37,7 @@ let ablate_cache (scale : Common.scale) =
       in
       let rng = Prng.create (scale.Common.seed + 21) in
       let samples =
-        Common.mean_stretch_intra run.Common.net run.Common.ids
-          ~gateway:run.Common.gateway ~pairs:scale.Common.intra_pairs ~rng
+        Common.mean_stretch_intra run ~pairs:scale.Common.intra_pairs ~rng
       in
       Table.add_row t
         [ label; "4096"; (if samples = [] then "-" else Table.fmt_float (Stats.mean samples)) ])

@@ -220,14 +220,17 @@ type intra_run = {
   join_msgs : int list;
   join_latency : float list;
   checkpoints : (int * int * float) list;
-  gateway : unit -> int;
+  gateway_rng : Prng.t;
 }
+
+let gateway_sampler run = Hostdist.gateway_sampler (Prng.copy run.gateway_rng) run.isp
 
 let build_intra ?cfg ~seed ~hosts profile =
   let rng = Prng.create (seed + Hashtbl.hash profile.Isp.profile_name) in
   let isp = Isp.generate rng profile in
   let net = Network.create ?cfg ~rng isp.Isp.graph in
-  let gateway = Hostdist.gateway_sampler (Prng.split rng) isp in
+  let gateway_rng = Prng.split rng in
+  let gateway = Hostdist.gateway_sampler gateway_rng isp in
   (* Checkpoint membership is asked after every one of [hosts] joins; the
      list scan was O(|marks|) per join, so probe a set instead. *)
   let marks = Hashtbl.create 16 in
@@ -257,7 +260,7 @@ let build_intra ?cfg ~seed ~hosts profile =
     join_msgs = List.rev !join_msgs;
     join_latency = List.rev !join_latency;
     checkpoints = List.rev !checkpoints;
-    gateway;
+    gateway_rng;
   }
 
 let intra_cache : (int * int * string, intra_run) memo = make_memo 8
@@ -339,13 +342,14 @@ let hop_mix traces =
     (fun acc tr -> List.map2 (fun (k, a) (_, n) -> (k, a + n)) acc (Trace.counts tr))
     (Trace.counts []) traces
 
-let mean_stretch_intra net ids ~gateway ~pairs ~rng =
+let mean_stretch_intra run ~pairs ~rng =
+  let gateway = gateway_sampler run in
   let samples = ref [] in
-  if Array.length ids > 0 then
+  if Array.length run.ids > 0 then
     for _ = 1 to pairs do
-      let dst = Prng.sample rng ids in
+      let dst = Prng.sample rng run.ids in
       let src = gateway () in
-      match Forward.stretch net ~src_gateway:src ~dst with
+      match Forward.stretch run.net ~src_gateway:src ~dst with
       | Some s -> samples := s :: !samples
       | None -> ()
     done;

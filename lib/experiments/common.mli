@@ -90,8 +90,13 @@ type intra_run = {
   checkpoints : (int * int * float) list;
   (** (hosts joined, cumulative ROFL join msgs, avg router ring-state
       entries) at log-spaced points *)
-  gateway : unit -> int;                (** gateway sampler *)
+  gateway_rng : Rofl_util.Prng.t; (** as the joins left it; only copied *)
 }
+(** Once built, a run's rings, cache contents and generators never change:
+    consumers only route on it, and draw gateways from their own copy. *)
+
+val gateway_sampler : intra_run -> unit -> int
+(** PoP-weighted gateways, drawn from a copy of [gateway_rng]. *)
 
 val build_intra :
   ?cfg:Rofl_intra.Network.config ->
@@ -118,7 +123,13 @@ val build_inter :
   Rofl_asgraph.Internet.params ->
   inter_run
 (** Generate the AS graph (cached per (seed, params)), join [hosts]
-    identifiers at Zipf-popular stub ASes with the given strategy. *)
+    identifiers at Zipf-popular stub ASes with the given strategy.
+    Memoised: consumers only route on the network. *)
+
+val build_inter_uncached :
+  ?cfg:Rofl_inter.Net.config -> seed:int -> hosts:int -> strategy:Rofl_inter.Net.strategy ->
+  Rofl_asgraph.Internet.params -> inter_run
+(** [build_inter] unmemoised, for a consumer that fails part of the network. *)
 
 val log_checkpoints : int -> int list
 (** 1, 2, 5, 10, 20, 50 … up to and including [n]. *)
@@ -127,7 +138,5 @@ val hop_mix : Rofl_routing.Trace.t list -> (string * int) list
 (** Aggregate per-hop event totals over many walk traces, keyed by kind
     name as in {!Rofl_routing.Trace.counts}; every kind is present. *)
 
-val mean_stretch_intra :
-  Rofl_intra.Network.t -> Rofl_idspace.Id.t array -> gateway:(unit -> int) ->
-  pairs:int -> rng:Rofl_util.Prng.t -> float list
-(** Stretch samples between random gateways and random identifiers. *)
+val mean_stretch_intra : intra_run -> pairs:int -> rng:Rofl_util.Prng.t -> float list
+(** Stretch samples from {!gateway_sampler} gateways to [rng]-drawn identifiers. *)

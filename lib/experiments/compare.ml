@@ -26,8 +26,7 @@ let compact_vs_rofl (scale : Common.scale) =
       in
       let rng = Prng.create (scale.Common.seed + 71) in
       let samples =
-        Common.mean_stretch_intra run.Common.net run.Common.ids
-          ~gateway:run.Common.gateway ~pairs:scale.Common.intra_pairs ~rng
+        Common.mean_stretch_intra run ~pairs:scale.Common.intra_pairs ~rng
       in
       let rofl_state =
         (* Ring state plus cache occupancy. *)

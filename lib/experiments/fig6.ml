@@ -35,8 +35,7 @@ let fig6a (scale : Common.scale) =
         in
         let rng = Prng.create (scale.Common.seed + cache + 99) in
         let samples =
-          Common.mean_stretch_intra run.Common.net run.Common.ids
-            ~gateway:run.Common.gateway ~pairs:scale.Common.intra_pairs ~rng
+          Common.mean_stretch_intra run ~pairs:scale.Common.intra_pairs ~rng
         in
         if samples = [] then "-" else Table.fmt_float (Stats.mean samples))
       points
@@ -61,11 +60,12 @@ let fig6b (scale : Common.scale) =
         let (run : Common.intra_run) = Common.default_intra_run scale profile in
         let net = run.Common.net in
         let rng = Prng.create (scale.Common.seed + 4242) in
+        let gateway = Common.gateway_sampler run in
         (* Fresh counters so the loads below are data traffic only. *)
         Metrics.reset net.Network.metrics;
         let ospf = Ospf.create run.Common.isp.Isp.graph in
         for _ = 1 to scale.Common.intra_pairs do
-          let src = run.Common.gateway () in
+          let src = gateway () in
           let dst = Prng.sample rng run.Common.ids in
           let d = Forward.route_packet net ~from:src ~dest:dst in
           (match d.Forward.delivered_to with

@@ -50,8 +50,7 @@ let summary (scale : Common.scale) =
      in
      let rng = Prng.create (scale.Common.seed + 3) in
      let samples =
-       Common.mean_stretch_intra run.Common.net run.Common.ids
-         ~gateway:run.Common.gateway ~pairs:scale.Common.intra_pairs ~rng
+       Common.mean_stretch_intra run ~pairs:scale.Common.intra_pairs ~rng
      in
      Table.add_row t
        [
@@ -67,15 +66,14 @@ let summary (scale : Common.scale) =
       Common.build_inter ~seed:scale.Common.seed ~hosts:scale.Common.inter_hosts
         ~strategy scale.Common.inter_params
     in
-    (run, Stats.mean (List.map float_of_int run.Common.lookup_msgs))
+    Stats.mean (List.map float_of_int run.Common.lookup_msgs)
   in
-  let strategy_means =
-    Common.parallel_map join_mean
-      [ Net.Ephemeral; Net.Single_homed; Net.Multihomed; Net.Peering ]
-  in
-  let eph, single, multi, peering_run, peering =
-    match strategy_means with
-    | [ (_, e); (_, s); (_, m); (pr, p) ] -> (e, s, m, pr, p)
+  let eph, single, multi, peering =
+    match
+      Common.parallel_map join_mean
+        [ Net.Ephemeral; Net.Single_homed; Net.Multihomed; Net.Peering ]
+    with
+    | [ e; s; m; p ] -> (e, s, m, p)
     | _ -> assert false
   in
   Table.add_row t
@@ -111,14 +109,14 @@ let summary (scale : Common.scale) =
          "Fig 8b";
        ]
    | [] -> ());
-  (* Stub failure containment, measured on a fingered network (the paper's
-     operating point; finger shortcuts keep transit walks off random stubs). *)
-  let failure_run =
-    let cfg = { Net.default_config with Net.finger_budget = 160 } in
+  (* The inter per-hop mix and the stub failure run on a fingered network
+     (the paper's operating point; finger shortcuts keep transit walks off
+     random stubs); the failure changes it, so it gets a build of its own. *)
+  let cfg = { Net.default_config with Net.finger_budget = 160 } in
+  let mix_run =
     Common.build_inter ~cfg ~seed:scale.Common.seed ~hosts:scale.Common.inter_hosts
       ~strategy:Net.Multihomed scale.Common.inter_params
   in
-  ignore peering_run;
   (* Per-hop anatomy of the walks (trace instrumentation; no paper value):
      how much of the forwarding work is ring state vs cache shortcuts vs
      peering-filter crossings and reversals. *)
@@ -128,12 +126,13 @@ let summary (scale : Common.scale) =
   (match intra_runs with
    | run :: _ when Array.length run.Common.ids > 0 ->
      let rng = Prng.create (scale.Common.seed + 7) in
+     let gateway = Common.gateway_sampler run in
      let traces = ref [] in
      for _ = 1 to min 200 scale.Common.intra_pairs do
        let dst = Prng.sample rng run.Common.ids in
        let r =
          Network.lookup ~trace:(Trace.builder ()) run.Common.net
-           ~from:(run.Common.gateway ()) ~target:dst ~category:Metrics.Data ~use_cache:true
+           ~from:(gateway ()) ~target:dst ~category:Metrics.Data ~use_cache:true
        in
        traces := r.Network.trace :: !traces
      done;
@@ -143,15 +142,19 @@ let summary (scale : Common.scale) =
   (let rng = Prng.create (scale.Common.seed + 8) in
    let traces = ref [] in
    for _ = 1 to min 200 scale.Common.inter_pairs do
-     let a = Prng.sample rng failure_run.Common.hosts_arr in
-     let b = Prng.sample rng failure_run.Common.hosts_arr in
+     let a = Prng.sample rng mix_run.Common.hosts_arr in
+     let b = Prng.sample rng mix_run.Common.hosts_arr in
      let r =
-       Route.route_from ~trace:(Trace.builder ()) failure_run.Common.net ~src:a ~dst:b.Net.id
+       Route.route_from ~trace:(Trace.builder ()) mix_run.Common.net ~src:a ~dst:b.Net.id
      in
      traces := r.Route.trace :: !traces
    done;
    Table.add_row t
      [ "inter per-hop mix"; "-"; fmt_mix (Common.hop_mix !traces); "per-hop trace" ]);
+  let failure_run =
+    Common.build_inter_uncached ~cfg ~seed:scale.Common.seed ~hosts:scale.Common.inter_hosts
+      ~strategy:Net.Multihomed scale.Common.inter_params
+  in
   let stubs = Array.of_list (Internet.stubs failure_run.Common.inet) in
   let rng = Prng.create (scale.Common.seed + 6) in
   let victim = Prng.sample rng stubs in

@@ -16,10 +16,7 @@ type stub_failure = {
    component excludes pairs that originate or terminate at [via] itself
    (whose traffic is necessarily lost with the AS). *)
 let fractions_affected (t : Net.t) ~via ~samples =
-  let hosts =
-    Hashtbl.fold (fun _ h acc -> if h.Net.alive_h then h :: acc else acc) t.Net.hosts []
-    |> Array.of_list
-  in
+  let hosts = Net.live_hosts t in
   if Array.length hosts < 2 || samples = 0 then (0.0, 0.0)
   else begin
     let affected = ref 0 and measured = ref 0 in

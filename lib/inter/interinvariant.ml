@@ -15,45 +15,48 @@ let check (t : Net.t) =
   let bad fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
   let hosts_checked = ref 0 in
   let g = Level.graph t.Net.ctx in
-  (* Per-host checks. *)
-  Hashtbl.iter
-    (fun id (h : Net.host) ->
-      if h.Net.alive_h then begin
-        incr hosts_checked;
-        (* Membership of exactly the joined rings. *)
-        List.iter
-          (fun level ->
-            if not (Ring.mem id (Net.ring t level)) then
-              bad "%s missing from joined ring %s" (Id.to_short_string id)
-                (Level.to_string level))
-          h.Net.joined;
-        (* Every joined level covers the home AS. *)
-        List.iter
-          (fun level ->
-            if not (Level.member t.Net.ctx level h.Net.home_as) then
-              bad "%s joined level %s not covering AS%d" (Id.to_short_string id)
-                (Level.to_string level) h.Net.home_as)
-          h.Net.joined;
-        (* Residents ring agrees. *)
-        if not (Ring.mem id t.Net.resident_rings.(h.Net.home_as)) then
-          bad "%s not in residents of its home AS%d" (Id.to_short_string id) h.Net.home_as;
-        (* Fingers point at live members of the right ring. *)
-        List.iter
-          (fun (level, fid) ->
-            match Hashtbl.find_opt t.Net.hosts fid with
-            | Some fh when fh.Net.alive_h ->
-              if not (Ring.mem fid (Net.ring t level)) then
-                bad "%s finger %s absent from ring %s" (Id.to_short_string id)
-                  (Id.to_short_string fid) (Level.to_string level)
-            | Some _ | None ->
-              (* Stale fingers are pruned lazily by routing; only complain if
-                 the finger's ring still claims it. *)
-              if Ring.mem fid (Net.ring t level) then
-                bad "ring %s contains dead finger target %s" (Level.to_string level)
-                  (Id.to_short_string fid))
-          h.Net.fingers
-      end)
-    t.Net.hosts;
+  (* Per-host checks, in identifier order; the count catches a host the Root ring lacks. *)
+  let hosts = Net.live_hosts t in
+  if Array.length hosts <> Hashtbl.length t.Net.hosts then
+    bad "%d hosts in the host table, %d live in the Root ring" (Hashtbl.length t.Net.hosts)
+      (Array.length hosts);
+  Array.iter
+    (fun (h : Net.host) ->
+      let id = h.Net.id in
+      incr hosts_checked;
+      (* Membership of exactly the joined rings. *)
+      List.iter
+        (fun level ->
+          if not (Ring.mem id (Net.ring t level)) then
+            bad "%s missing from joined ring %s" (Id.to_short_string id)
+              (Level.to_string level))
+        h.Net.joined;
+      (* Every joined level covers the home AS. *)
+      List.iter
+        (fun level ->
+          if not (Level.member t.Net.ctx level h.Net.home_as) then
+            bad "%s joined level %s not covering AS%d" (Id.to_short_string id)
+              (Level.to_string level) h.Net.home_as)
+        h.Net.joined;
+      (* Residents ring agrees. *)
+      if not (Ring.mem id t.Net.resident_rings.(h.Net.home_as)) then
+        bad "%s not in residents of its home AS%d" (Id.to_short_string id) h.Net.home_as;
+      (* Fingers point at live members of the right ring. *)
+      List.iter
+        (fun (level, fid) ->
+          match Hashtbl.find_opt t.Net.hosts fid with
+          | Some fh when fh.Net.alive_h ->
+            if not (Ring.mem fid (Net.ring t level)) then
+              bad "%s finger %s absent from ring %s" (Id.to_short_string id)
+                (Id.to_short_string fid) (Level.to_string level)
+          | Some _ | None ->
+            (* Stale fingers are pruned lazily by routing; only complain if
+               the finger's ring still claims it. *)
+            if Ring.mem fid (Net.ring t level) then
+              bad "ring %s contains dead finger target %s" (Level.to_string level)
+                (Id.to_short_string fid))
+        h.Net.fingers)
+    hosts;
   (* Per-ring checks: every member is a live host that joined this level.
      With the per-host check above, a ring holds an identifier exactly when
      its host's [joined] names the level, which lets a walk answer ring
@@ -97,10 +100,7 @@ let check (t : Net.t) =
   }
 
 let check_routability (t : Net.t) ~samples =
-  let hosts =
-    Hashtbl.fold (fun _ h acc -> if h.Net.alive_h then h :: acc else acc) t.Net.hosts []
-    |> Array.of_list
-  in
+  let hosts = Net.live_hosts t in
   let violations = ref [] in
   let checked = ref 0 in
   if Array.length hosts >= 2 then

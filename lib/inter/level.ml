@@ -4,11 +4,10 @@ module Policy = Rofl_asgraph.Policy
 type t = Root | Real of int | Peer_group of int
 
 (* An AS's provider climb: every ancestor with its climb distance, in two
-   orders.  [anc]/[dist] keep the order in which [Hashtbl.iter] visits the
-   breadth-first climb table (see [build_climb]) -- [route_within] scans them, and
-   the first equal-cost peak it offers wins, so this order decides ties.
-   [sorted]/[sorted_dist] hold the same pairs by ancestor, for binary
-   search. *)
+   orders.  [anc]/[dist] hold them in breadth-first discovery order (see
+   [build_climb]) -- [route_within] scans them, and the first equal-cost
+   peak it offers wins, so this order decides ties.  [sorted]/[sorted_dist]
+   hold the same pairs by ancestor, for binary search. *)
 type climb = {
   anc : int array;
   dist : int array;
@@ -132,41 +131,29 @@ let subsumes ctx ~outer ~inner =
   | _, Real a -> member ctx outer a
   | _, Peer_group v -> members_all ctx outer ctx.vas.(v) 0
 
-(* The breadth-first climb table is built exactly as it always was, so
-   that [Hashtbl.iter] visits it in the same order; only the flattened
-   arrays outlive the call. *)
+(* Breadth-first climb from [x]: each ancestor is recorded the first time
+   it is reached, providers in [Asgraph.providers] order. *)
 let build_climb ctx x =
-  let tbl = Hashtbl.create 32 in
-  let q = Queue.create () in
-  Hashtbl.replace tbl x 0;
-  Queue.push x q;
+  let q = Queue.create () and found = ref [ (x, 0) ] in
+  Queue.push (x, 0) q;
   while not (Queue.is_empty q) do
-    let cur = Queue.pop q in
-    let d = Hashtbl.find tbl cur in
+    let cur, d = Queue.pop q in
     List.iter
       (fun p ->
-        if not (Hashtbl.mem tbl p) then begin
-          Hashtbl.replace tbl p (d + 1);
-          Queue.push p q
+        if not (List.mem_assoc p !found) then begin
+          found := (p, d + 1) :: !found;
+          Queue.push (p, d + 1) q
         end)
       (Asgraph.providers ctx.g cur)
   done;
-  let len = Hashtbl.length tbl in
-  let anc = Array.make len 0 and dist = Array.make len 0 in
-  let i = ref 0 in
-  Hashtbl.iter
-    (fun a d ->
-      anc.(!i) <- a;
-      dist.(!i) <- d;
-      incr i)
-    tbl;
-  let perm = Array.init len Fun.id in
-  Array.sort (fun i j -> Int.compare anc.(i) anc.(j)) perm;
+  let pairs = Array.of_list (List.rev !found) in
+  let sorted = Array.copy pairs in
+  Array.sort Stdlib.compare sorted;
   {
-    anc;
-    dist;
-    sorted = Array.map (fun i -> anc.(i)) perm;
-    sorted_dist = Array.map (fun i -> dist.(i)) perm;
+    anc = Array.map fst pairs;
+    dist = Array.map snd pairs;
+    sorted = Array.map fst sorted;
+    sorted_dist = Array.map snd sorted;
   }
 
 let climb ctx x =

@@ -122,6 +122,11 @@ let locate t id =
 
 let host_count t = Hashtbl.length t.hosts
 
+let live_hosts t =
+  Ring.to_list (ring t Level.Root)
+  |> List.filter_map (fun (_, h) -> if h.alive_h then Some h else None)
+  |> Array.of_list
+
 let strategy_to_string = function
   | Ephemeral -> "ephemeral"
   | Single_homed -> "single-homed"

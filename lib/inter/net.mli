@@ -94,6 +94,10 @@ val locate : t -> Id.t -> int option
 val host_count : t -> int
 (** Exported for tests: test_inter_edge and test_routing count hosts. *)
 
+val live_hosts : t -> host array
+(** Every live host in identifier order, from the [Root] ring (which every
+    host joins): [hosts] is only looked up, never iterated in hash order. *)
+
 type join_outcome = {
   host : host;
   lookup_msgs : int;  (** per-level predecessor/successor discovery *)

@@ -86,6 +86,7 @@ let fail_router (t : Network.t) idx ~pick_gateway =
   in
   let orphan_attachments =
     Hashtbl.fold (fun id host acc -> (id, host) :: acc) r.Network.attachments []
+    |> List.sort (fun (a, _) (b, _) -> Id.compare a b)
   in
   (* The link-state layer floods the failure. *)
   Linkstate.fail_router t.Network.ls idx;

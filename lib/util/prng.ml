@@ -28,6 +28,8 @@ let[@inline] bits64 g =
 
 let split g = of_state (bits64 g)
 
+let copy g = Bytes.copy g
+
 (* Rejection sampling to avoid modulo bias. *)
 let rec draw_below g bound =
   let r = Int64.to_int (Int64.shift_right_logical (bits64 g) 2) in

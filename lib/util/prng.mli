@@ -22,6 +22,9 @@ val split : t -> t
     child per subsystem so that adding draws to one subsystem does not perturb
     another. *)
 
+val copy : t -> t
+(** [copy g] draws what [g] would draw next, without advancing [g]. *)
+
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 

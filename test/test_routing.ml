@@ -9,7 +9,11 @@
    lookup), bloom-filter peer crossings and false-positive backtracking
    (the [fpr] variant), and departed-destination failures.  If a refactor
    of the walk core changes any delivery status, hop count, latency, or
-   metrics total here, this test fails. *)
+   metrics total here, this test fails.  The interdomain lines were
+   re-recorded once when the AS graph's providers and the level climbs took
+   explicit orders (draw order, breadth-first discovery order) in place of
+   hash-table iteration order, which had made them depend on the hash
+   seed. *)
 
 module Id = Rofl_idspace.Id
 module Prng = Rofl_util.Prng
@@ -230,109 +234,109 @@ let golden_intra =
 let golden_inter_default =
   [
     "inter[default]-joins hosts=120";
-    "inter[default]#0 del=true as=12 ptr=3 cache=0 peer=0 back=0 breadth=61 path=13";
-    "inter[default]#1 del=true as=28 ptr=6 cache=0 peer=0 back=0 breadth=71 path=29";
+    "inter[default]#0 del=true as=16 ptr=4 cache=0 peer=0 back=0 breadth=87 path=17";
+    "inter[default]#1 del=true as=36 ptr=8 cache=0 peer=0 back=0 breadth=87 path=37";
     "inter[default]#2 del=true as=82 ptr=18 cache=0 peer=0 back=0 breadth=-1 path=83";
-    "inter[default]#3 del=true as=27 ptr=5 cache=0 peer=0 back=0 breadth=-1 path=28";
-    "inter[default]#4 del=true as=8 ptr=2 cache=0 peer=0 back=0 breadth=-1 path=9";
-    "inter[default]#5 del=true as=7 ptr=2 cache=0 peer=0 back=0 breadth=19 path=8";
-    "inter[default]#6 del=true as=64 ptr=12 cache=0 peer=0 back=0 breadth=-1 path=65";
-    "inter[default]#7 del=true as=14 ptr=4 cache=0 peer=0 back=0 breadth=61 path=15";
-    "inter[default]#8 del=true as=6 ptr=3 cache=0 peer=0 back=0 breadth=9 path=7";
-    "inter[default]#9 del=true as=11 ptr=4 cache=0 peer=0 back=0 breadth=31 path=12";
+    "inter[default]#3 del=true as=42 ptr=8 cache=0 peer=0 back=0 breadth=-1 path=43";
+    "inter[default]#4 del=true as=15 ptr=4 cache=0 peer=0 back=0 breadth=87 path=16";
+    "inter[default]#5 del=true as=7 ptr=2 cache=0 peer=0 back=0 breadth=20 path=8";
+    "inter[default]#6 del=true as=66 ptr=12 cache=0 peer=0 back=0 breadth=-1 path=67";
+    "inter[default]#7 del=true as=34 ptr=7 cache=0 peer=0 back=0 breadth=-1 path=35";
+    "inter[default]#8 del=true as=35 ptr=7 cache=0 peer=0 back=0 breadth=87 path=36";
+    "inter[default]#9 del=true as=9 ptr=3 cache=0 peer=0 back=0 breadth=31 path=10";
     "inter[default]#10 del=true as=4 ptr=1 cache=0 peer=0 back=0 breadth=-1 path=5";
-    "inter[default]#11 del=true as=9 ptr=3 cache=0 peer=0 back=0 breadth=30 path=10";
-    "inter[default]#12 del=true as=25 ptr=6 cache=0 peer=0 back=0 breadth=-1 path=26";
+    "inter[default]#11 del=true as=9 ptr=3 cache=0 peer=0 back=0 breadth=31 path=10";
+    "inter[default]#12 del=true as=17 ptr=5 cache=0 peer=0 back=0 breadth=-1 path=18";
     "inter[default]#13 del=true as=7 ptr=1 cache=0 peer=0 back=0 breadth=-1 path=8";
-    "inter[default]#14 del=true as=66 ptr=15 cache=0 peer=0 back=0 breadth=-1 path=67";
-    "inter[default]#15 del=true as=17 ptr=5 cache=0 peer=0 back=0 breadth=71 path=18";
+    "inter[default]#14 del=true as=65 ptr=15 cache=0 peer=0 back=0 breadth=-1 path=66";
+    "inter[default]#15 del=true as=4 ptr=2 cache=0 peer=0 back=0 breadth=87 path=5";
     "inter[default]#16 del=true as=20 ptr=3 cache=0 peer=0 back=0 breadth=-1 path=21";
-    "inter[default]#17 del=true as=4 ptr=1 cache=0 peer=0 back=0 breadth=16 path=5";
-    "inter[default]#18 del=true as=31 ptr=6 cache=0 peer=0 back=0 breadth=-1 path=32";
-    "inter[default]#19 del=true as=30 ptr=9 cache=0 peer=0 back=0 breadth=61 path=31";
+    "inter[default]#17 del=true as=30 ptr=7 cache=0 peer=0 back=0 breadth=87 path=31";
+    "inter[default]#18 del=true as=32 ptr=6 cache=0 peer=0 back=0 breadth=-1 path=33";
+    "inter[default]#19 del=true as=14 ptr=3 cache=0 peer=0 back=0 breadth=-1 path=15";
     "inter[default]#20 del=true as=5 ptr=2 cache=0 peer=0 back=0 breadth=5 path=6";
-    "inter[default]#21 del=true as=26 ptr=6 cache=0 peer=0 back=0 breadth=47 path=27";
+    "inter[default]#21 del=true as=22 ptr=5 cache=0 peer=0 back=0 breadth=44 path=23";
     "inter[default]#22 del=true as=15 ptr=4 cache=0 peer=0 back=0 breadth=-1 path=16";
-    "inter[default]#23 del=true as=15 ptr=4 cache=0 peer=0 back=0 breadth=61 path=16";
-    "inter[default]#24 del=true as=21 ptr=7 cache=0 peer=0 back=0 breadth=30 path=22";
+    "inter[default]#23 del=true as=18 ptr=5 cache=0 peer=0 back=0 breadth=-1 path=19";
+    "inter[default]#24 del=true as=21 ptr=7 cache=0 peer=0 back=0 breadth=31 path=22";
     "inter[default]#25 del=false as=11 ptr=3 cache=0 peer=0 back=0 breadth=-1 path=12";
-    "inter[default]#26 del=false as=31 ptr=10 cache=0 peer=0 back=0 breadth=-1 path=32";
-    "inter[default]-cat data=596";
-    "inter[default]-cat join=2705";
-    "inter[default]-cat join-reply=1253";
+    "inter[default]#26 del=false as=20 ptr=8 cache=0 peer=0 back=0 breadth=87 path=21";
+    "inter[default]-cat data=656";
+    "inter[default]-cat join=2723";
+    "inter[default]-cat join-reply=1272";
     "inter[default]-cat teardown=6";
   ]
 
 let golden_inter_bloom =
   [
     "inter[bloom]-joins hosts=120";
-    "inter[bloom]#0 del=true as=10 ptr=2 cache=0 peer=1 back=0 breadth=61 path=11";
-    "inter[bloom]#1 del=true as=9 ptr=2 cache=1 peer=0 back=0 breadth=71 path=10";
+    "inter[bloom]#0 del=true as=12 ptr=3 cache=1 peer=0 back=0 breadth=87 path=13";
+    "inter[bloom]#1 del=true as=10 ptr=2 cache=0 peer=0 back=0 breadth=87 path=11";
     "inter[bloom]#2 del=true as=11 ptr=3 cache=1 peer=0 back=0 breadth=-1 path=12";
-    "inter[bloom]#3 del=true as=11 ptr=2 cache=0 peer=0 back=0 breadth=-1 path=12";
-    "inter[bloom]#4 del=true as=9 ptr=1 cache=0 peer=1 back=0 breadth=-1 path=10";
-    "inter[bloom]#5 del=true as=7 ptr=2 cache=0 peer=0 back=0 breadth=19 path=8";
-    "inter[bloom]#6 del=true as=7 ptr=3 cache=1 peer=0 back=0 breadth=-1 path=8";
-    "inter[bloom]#7 del=true as=9 ptr=2 cache=1 peer=0 back=0 breadth=61 path=10";
-    "inter[bloom]#8 del=true as=10 ptr=2 cache=1 peer=1 back=0 breadth=61 path=11";
+    "inter[bloom]#3 del=true as=16 ptr=3 cache=1 peer=0 back=0 breadth=-1 path=17";
+    "inter[bloom]#4 del=true as=9 ptr=2 cache=1 peer=0 back=0 breadth=15 path=10";
+    "inter[bloom]#5 del=true as=7 ptr=2 cache=0 peer=0 back=0 breadth=20 path=8";
+    "inter[bloom]#6 del=true as=9 ptr=2 cache=1 peer=1 back=0 breadth=-1 path=10";
+    "inter[bloom]#7 del=true as=10 ptr=2 cache=1 peer=0 back=0 breadth=-1 path=11";
+    "inter[bloom]#8 del=true as=8 ptr=3 cache=1 peer=0 back=0 breadth=-1 path=9";
     "inter[bloom]#9 del=true as=5 ptr=1 cache=1 peer=0 back=0 breadth=0 path=6";
     "inter[bloom]#10 del=true as=15 ptr=3 cache=0 peer=0 back=0 breadth=-1 path=16";
-    "inter[bloom]#11 del=true as=3 ptr=1 cache=0 peer=0 back=0 breadth=30 path=4";
+    "inter[bloom]#11 del=true as=3 ptr=1 cache=0 peer=0 back=0 breadth=31 path=4";
     "inter[bloom]#12 del=true as=9 ptr=1 cache=0 peer=1 back=0 breadth=-1 path=10";
     "inter[bloom]#13 del=true as=9 ptr=2 cache=0 peer=0 back=0 breadth=-1 path=10";
-    "inter[bloom]#14 del=true as=11 ptr=3 cache=2 peer=0 back=0 breadth=-1 path=12";
-    "inter[bloom]#15 del=true as=8 ptr=2 cache=2 peer=0 back=0 breadth=0 path=9";
-    "inter[bloom]#16 del=true as=11 ptr=2 cache=1 peer=1 back=0 breadth=-1 path=12";
-    "inter[bloom]#17 del=true as=4 ptr=1 cache=0 peer=0 back=0 breadth=16 path=5";
-    "inter[bloom]#18 del=true as=15 ptr=3 cache=1 peer=1 back=0 breadth=-1 path=16";
-    "inter[bloom]#19 del=true as=10 ptr=2 cache=0 peer=1 back=0 breadth=61 path=11";
+    "inter[bloom]#14 del=true as=26 ptr=6 cache=2 peer=0 back=0 breadth=-1 path=27";
+    "inter[bloom]#15 del=true as=4 ptr=2 cache=0 peer=0 back=0 breadth=87 path=5";
+    "inter[bloom]#16 del=true as=17 ptr=3 cache=2 peer=0 back=0 breadth=-1 path=18";
+    "inter[bloom]#17 del=true as=16 ptr=3 cache=0 peer=1 back=0 breadth=87 path=17";
+    "inter[bloom]#18 del=true as=22 ptr=4 cache=2 peer=1 back=0 breadth=-1 path=23";
+    "inter[bloom]#19 del=true as=10 ptr=2 cache=1 peer=1 back=0 breadth=-1 path=11";
     "inter[bloom]#20 del=true as=5 ptr=2 cache=0 peer=0 back=0 breadth=5 path=6";
-    "inter[bloom]#21 del=true as=14 ptr=3 cache=1 peer=0 back=0 breadth=47 path=15";
+    "inter[bloom]#21 del=true as=14 ptr=3 cache=1 peer=0 back=0 breadth=44 path=15";
     "inter[bloom]#22 del=true as=14 ptr=3 cache=0 peer=1 back=0 breadth=-1 path=15";
-    "inter[bloom]#23 del=true as=5 ptr=1 cache=1 peer=0 back=0 breadth=0 path=6";
-    "inter[bloom]#24 del=true as=12 ptr=2 cache=1 peer=1 back=0 breadth=47 path=13";
-    "inter[bloom]#25 del=false as=7 ptr=2 cache=1 peer=0 back=0 breadth=12 path=8";
-    "inter[bloom]#26 del=false as=17 ptr=4 cache=3 peer=0 back=0 breadth=-1 path=18";
-    "inter[bloom]-cat data=257";
-    "inter[bloom]-cat finger=1582";
-    "inter[bloom]-cat join=2562";
-    "inter[bloom]-cat join-reply=1186";
+    "inter[bloom]#23 del=true as=10 ptr=2 cache=1 peer=1 back=0 breadth=87 path=11";
+    "inter[bloom]#24 del=true as=12 ptr=2 cache=1 peer=1 back=0 breadth=44 path=13";
+    "inter[bloom]#25 del=false as=7 ptr=2 cache=1 peer=0 back=0 breadth=13 path=8";
+    "inter[bloom]#26 del=false as=12 ptr=3 cache=2 peer=0 back=0 breadth=5 path=13";
+    "inter[bloom]-cat data=302";
+    "inter[bloom]-cat finger=1581";
+    "inter[bloom]-cat join=2570";
+    "inter[bloom]-cat join-reply=1201";
     "inter[bloom]-cat teardown=6";
   ]
 
 let golden_inter_fpr =
   [
     "inter[fpr]-joins hosts=120";
-    "inter[fpr]#0 del=true as=10 ptr=2 cache=0 peer=1 back=0 breadth=61 path=11";
-    "inter[fpr]#1 del=true as=28 ptr=6 cache=0 peer=0 back=0 breadth=71 path=29";
-    "inter[fpr]#2 del=true as=11 ptr=1 cache=0 peer=2 back=1 breadth=-1 path=10";
-    "inter[fpr]#3 del=true as=27 ptr=5 cache=0 peer=0 back=0 breadth=-1 path=28";
-    "inter[fpr]#4 del=true as=8 ptr=1 cache=0 peer=1 back=0 breadth=-1 path=9";
-    "inter[fpr]#5 del=true as=9 ptr=2 cache=0 peer=1 back=1 breadth=19 path=8";
+    "inter[fpr]#0 del=true as=9 ptr=2 cache=0 peer=1 back=0 breadth=87 path=10";
+    "inter[fpr]#1 del=true as=36 ptr=8 cache=0 peer=0 back=0 breadth=87 path=37";
+    "inter[fpr]#2 del=true as=9 ptr=1 cache=0 peer=1 back=0 breadth=-1 path=10";
+    "inter[fpr]#3 del=true as=44 ptr=8 cache=0 peer=1 back=1 breadth=-1 path=43";
+    "inter[fpr]#4 del=true as=15 ptr=4 cache=0 peer=0 back=0 breadth=87 path=16";
+    "inter[fpr]#5 del=true as=9 ptr=2 cache=0 peer=1 back=1 breadth=20 path=8";
     "inter[fpr]#6 del=true as=8 ptr=1 cache=0 peer=1 back=0 breadth=-1 path=9";
-    "inter[fpr]#7 del=true as=16 ptr=4 cache=0 peer=1 back=1 breadth=61 path=15";
-    "inter[fpr]#8 del=true as=6 ptr=3 cache=0 peer=0 back=0 breadth=9 path=7";
+    "inter[fpr]#7 del=true as=38 ptr=7 cache=0 peer=2 back=2 breadth=-1 path=35";
+    "inter[fpr]#8 del=true as=13 ptr=2 cache=0 peer=1 back=0 breadth=87 path=14";
     "inter[fpr]#9 del=true as=11 ptr=1 cache=0 peer=2 back=1 breadth=31 path=10";
     "inter[fpr]#10 del=true as=7 ptr=1 cache=0 peer=1 back=0 breadth=-1 path=8";
-    "inter[fpr]#11 del=true as=11 ptr=3 cache=0 peer=1 back=1 breadth=30 path=10";
-    "inter[fpr]#12 del=true as=10 ptr=1 cache=0 peer=1 back=0 breadth=-1 path=11";
+    "inter[fpr]#11 del=true as=9 ptr=3 cache=0 peer=0 back=0 breadth=31 path=10";
+    "inter[fpr]#12 del=true as=9 ptr=1 cache=0 peer=1 back=0 breadth=-1 path=10";
     "inter[fpr]#13 del=true as=7 ptr=1 cache=0 peer=0 back=0 breadth=-1 path=8";
-    "inter[fpr]#14 del=true as=54 ptr=12 cache=0 peer=1 back=0 breadth=-1 path=55";
-    "inter[fpr]#15 del=true as=9 ptr=2 cache=0 peer=1 back=0 breadth=71 path=10";
+    "inter[fpr]#14 del=true as=71 ptr=15 cache=0 peer=3 back=3 breadth=-1 path=66";
+    "inter[fpr]#15 del=true as=4 ptr=2 cache=0 peer=0 back=0 breadth=87 path=5";
     "inter[fpr]#16 del=true as=16 ptr=2 cache=0 peer=1 back=0 breadth=-1 path=17";
-    "inter[fpr]#17 del=true as=4 ptr=1 cache=0 peer=0 back=0 breadth=16 path=5";
-    "inter[fpr]#18 del=true as=35 ptr=6 cache=0 peer=1 back=0 breadth=-1 path=36";
-    "inter[fpr]#19 del=true as=14 ptr=2 cache=0 peer=2 back=1 breadth=61 path=13";
+    "inter[fpr]#17 del=true as=16 ptr=2 cache=0 peer=2 back=1 breadth=87 path=15";
+    "inter[fpr]#18 del=true as=36 ptr=6 cache=0 peer=1 back=0 breadth=-1 path=37";
+    "inter[fpr]#19 del=true as=15 ptr=2 cache=0 peer=1 back=0 breadth=-1 path=16";
     "inter[fpr]#20 del=true as=5 ptr=2 cache=0 peer=0 back=0 breadth=5 path=6";
-    "inter[fpr]#21 del=true as=15 ptr=2 cache=0 peer=2 back=1 breadth=47 path=14";
+    "inter[fpr]#21 del=true as=17 ptr=2 cache=0 peer=3 back=2 breadth=44 path=14";
     "inter[fpr]#22 del=true as=20 ptr=4 cache=0 peer=2 back=1 breadth=-1 path=19";
-    "inter[fpr]#23 del=true as=13 ptr=2 cache=0 peer=1 back=0 breadth=61 path=14";
-    "inter[fpr]#24 del=true as=23 ptr=7 cache=0 peer=1 back=1 breadth=30 path=22";
-    "inter[fpr]#25 del=false as=11 ptr=3 cache=0 peer=0 back=0 breadth=-1 path=12";
-    "inter[fpr]#26 del=false as=37 ptr=10 cache=0 peer=3 back=3 breadth=-1 path=32";
-    "inter[fpr]-cat data=425";
-    "inter[fpr]-cat join=2562";
-    "inter[fpr]-cat join-reply=1186";
+    "inter[fpr]#23 del=true as=18 ptr=5 cache=0 peer=0 back=0 breadth=-1 path=19";
+    "inter[fpr]#24 del=true as=21 ptr=7 cache=0 peer=0 back=0 breadth=31 path=22";
+    "inter[fpr]#25 del=false as=13 ptr=3 cache=0 peer=1 back=1 breadth=-1 path=12";
+    "inter[fpr]#26 del=false as=24 ptr=8 cache=0 peer=2 back=2 breadth=87 path=21";
+    "inter[fpr]-cat data=500";
+    "inter[fpr]-cat join=2570";
+    "inter[fpr]-cat join-reply=1201";
     "inter[fpr]-cat teardown=6";
   ]
 
@@ -374,35 +378,35 @@ let interfig_walks () =
 
 let golden_interfig =
   [
-    "#0 del=true as=14 ptr=5 cache=3 peer=0 back=0 path=55.41.7.28.107.28.50.17.98.17.48.31.9.16.89";
-    "#1 del=true as=12 ptr=4 cache=1 peer=0 back=0 path=89.16.93.18.4.103.4.28.107.28.4.34.94";
+    "#0 del=true as=14 ptr=5 cache=3 peer=0 back=0 path=55.41.7.28.107.28.50.22.98.17.48.17.9.16.89";
+    "#1 del=true as=15 ptr=5 cache=4 peer=1 back=0 path=89.16.63.16.113.16.72.16.97.16.9.4.103.4.34.94";
     "#2 del=true as=6 ptr=1 cache=0 peer=1 back=0 path=62.4.33.92.9.33.66";
     "#3 del=true as=16 ptr=5 cache=3 peer=0 back=0 path=91.22.8.76.8.22.78.22.50.22.88.22.8.2.7.41.55";
-    "#4 del=true as=7 ptr=2 cache=1 peer=0 back=0 path=92.33.4.103.7.0.35.119";
+    "#4 del=true as=7 ptr=2 cache=1 peer=0 back=0 path=92.33.4.103.4.0.35.119";
     "#5 del=true as=11 ptr=2 cache=0 peer=0 back=0 path=68.30.6.1.13.23.100.23.13.1.26.78";
-    "#6 del=true as=10 ptr=2 cache=1 peer=0 back=0 path=73.14.0.6.33.92.33.6.0.5.115";
+    "#6 del=true as=10 ptr=2 cache=1 peer=0 back=0 path=73.14.3.6.33.92.33.6.0.5.115";
     "#7 del=true as=6 ptr=2 cache=1 peer=0 back=0 path=76.8.22.78.22.8.103";
     "#8 del=true as=4 ptr=2 cache=0 peer=0 back=0 path=58.16.70.16.97";
     "#9 del=true as=9 ptr=1 cache=0 peer=1 back=0 path=82.5.0.9.16.56.2.7.41.55";
     "#10 del=true as=15 ptr=3 cache=1 peer=0 back=0 path=88.22.8.2.7.41.55.41.7.9.17.46.17.5.21.49";
-    "#11 del=true as=23 ptr=6 cache=2 peer=0 back=0 path=49.21.4.28.50.22.78.38.5.95.11.1.9.16.97.16.9.1.8.103.8.1.13.111";
-    "#12 del=true as=9 ptr=2 cache=1 peer=1 back=0 path=79.28.7.67.4.18.93.9.16.93";
+    "#11 del=true as=23 ptr=6 cache=2 peer=0 back=0 path=49.21.5.17.50.22.78.38.5.95.11.1.9.16.97.16.9.1.8.103.8.1.13.111";
+    "#12 del=true as=9 ptr=2 cache=1 peer=1 back=0 path=79.28.7.67.4.18.93.9.17.93";
     "#13 del=true as=16 ptr=4 cache=1 peer=1 back=0 path=116.16.58.16.70.16.9.1.39.83.39.1.11.105.0.11.105";
-    "#14 del=true as=10 ptr=4 cache=2 peer=0 back=0 path=70.20.58.16.77.16.9.17.110.17.98";
+    "#14 del=true as=8 ptr=3 cache=3 peer=0 back=0 path=70.20.58.16.77.16.9.17.98";
     "#15 del=true as=0 ptr=0 cache=0 peer=0 back=0 path=68";
-    "#16 del=true as=5 ptr=2 cache=1 peer=0 back=0 path=84.9.31.48.31.66";
-    "#17 del=true as=5 ptr=1 cache=0 peer=1 back=0 path=62.4.103.9.33.66";
-    "#18 del=true as=16 ptr=5 cache=2 peer=0 back=0 path=91.22.88.22.8.103.4.28.50.17.5.21.49.21.4.34.53";
-    "#19 del=true as=24 ptr=6 cache=2 peer=0 back=0 path=82.5.17.48.17.5.42.108.42.14.1.6.106.6.1.9.16.58.16.70.16.9.1.39.83";
+    "#16 del=true as=5 ptr=2 cache=1 peer=0 back=0 path=84.9.17.48.31.66";
+    "#17 del=true as=8 ptr=2 cache=1 peer=1 back=0 path=62.4.103.4.28.50.9.33.66";
+    "#18 del=true as=18 ptr=6 cache=2 peer=0 back=0 path=91.22.88.22.8.103.4.28.50.17.48.31.4.21.49.21.4.34.53";
+    "#19 del=true as=18 ptr=5 cache=2 peer=0 back=0 path=82.5.17.48.31.4.106.15.1.9.16.58.16.70.16.9.1.39.83";
     "#20 del=true as=16 ptr=3 cache=1 peer=1 back=0 path=105.11.0.5.38.78.22.8.76.8.2.0.4.51.0.4.51";
     "#21 del=true as=11 ptr=2 cache=1 peer=1 back=0 path=79.28.4.19.90.19.4.33.92.9.33.92";
     "#22 del=true as=6 ptr=3 cache=0 peer=0 back=0 path=70.16.97.16.56.16.113";
-    "#23 del=true as=8 ptr=2 cache=0 peer=0 back=0 path=108.42.14.1.8.103.8.22.88";
-    "#24 del=true as=17 ptr=4 cache=3 peer=1 back=0 path=73.14.42.108.42.5.17.50.22.8.76.8.1.11.105.0.11.105";
-    "#25 del=true as=20 ptr=4 cache=2 peer=0 back=0 path=68.30.6.1.9.31.48.17.5.21.81.21.4.28.107.28.7.2.8.22.88";
+    "#23 del=true as=6 ptr=2 cache=0 peer=0 back=0 path=108.42.4.103.8.22.88";
+    "#24 del=true as=8 ptr=1 cache=0 peer=1 back=0 path=73.14.1.9.16.61.0.11.105";
+    "#25 del=true as=20 ptr=4 cache=2 peer=0 back=0 path=68.30.6.1.9.17.48.17.5.21.81.21.4.28.107.28.7.2.8.22.88";
     "#26 del=true as=13 ptr=3 cache=2 peer=0 back=0 path=116.18.4.28.107.28.4.33.92.33.6.0.5.115";
-    "#27 del=true as=18 ptr=3 cache=1 peer=1 back=0 path=73.14.42.108.42.14.1.9.16.113.16.9.1.15.25.61.7.25.61";
-    "#28 del=true as=7 ptr=2 cache=0 peer=0 back=0 path=116.18.4.20.58.20.4.75";
+    "#27 del=true as=9 ptr=1 cache=0 peer=1 back=0 path=73.14.1.9.16.61.0.9.16.61";
+    "#28 del=true as=7 ptr=2 cache=0 peer=0 back=0 path=116.18.4.19.58.19.4.75";
     "#29 del=true as=8 ptr=1 cache=0 peer=1 back=0 path=59.7.0.6.30.68.1.15.75";
     "#30 del=true as=6 ptr=1 cache=0 peer=1 back=0 path=47.4.21.60.9.16.113";
     "#31 del=true as=4 ptr=2 cache=2 peer=0 back=0 path=88.22.50.17.96";
@@ -411,16 +415,16 @@ let golden_interfig =
     "#34 del=true as=15 ptr=3 cache=1 peer=0 back=0 path=103.4.28.107.28.7.2.8.22.88.22.8.1.10.19.101";
     "#35 del=true as=4 ptr=1 cache=0 peer=0 back=0 path=63.16.9.17.110";
     "#36 del=true as=4 ptr=2 cache=1 peer=0 back=0 path=101.19.58.20.70";
-    "#37 del=true as=12 ptr=4 cache=0 peer=0 back=0 path=108.42.14.1.9.16.113.16.72.16.97.16.77";
-    "#38 del=true as=12 ptr=3 cache=1 peer=0 back=0 path=84.9.31.48.17.5.21.49.21.5.0.35.119";
-    "#39 del=true as=9 ptr=3 cache=1 peer=0 back=0 path=112.4.106.4.24.117.17.5.21.81";
-    "cat data=419";
-    "cat join=3299";
-    "cat join-reply=1502";
-    "load sum=579 hash=891076073";
+    "#37 del=true as=6 ptr=1 cache=0 peer=1 back=0 path=108.42.4.47.9.16.77";
+    "#38 del=true as=12 ptr=3 cache=1 peer=0 back=0 path=84.9.17.48.17.5.21.49.21.5.0.35.119";
+    "#39 del=true as=13 ptr=4 cache=1 peer=0 back=0 path=112.4.42.108.42.4.106.4.24.117.17.5.21.81";
+    "cat data=397";
+    "cat join=3180";
+    "cat join-reply=1449";
+    "load sum=553 hash=397810257";
   ]
 
-let golden_interfig_next_draw = 0xf7dc6dba639cf19eL
+let golden_interfig_next_draw = 0xcff21be4a3fc2fc1L
 
 (* --- tests -------------------------------------------------------------- *)
 
