@@ -297,7 +297,6 @@ let services_checks ~at_ms (dir : Directory.t) =
   let short = Id.to_short_string in
   let proto = Directory.proto dir in
   let store = Directory.store dir in
-  let cfg = Directory.config dir in
   (* No expired record may outlive the sweep cadence by more than the grace:
      a record still resident grace-past its TTL means the expiry sweep
      stopped (or a refresh wrote a past deadline).  The grace is two
@@ -354,5 +353,5 @@ let services_checks ~at_ms (dir : Directory.t) =
   if served > 0 then
     emit "svc-stale-serve" "resolvers"
       "%d answers served from entries decayed past the %.0fms grace window"
-      served cfg.Directory.cache.Resolver.stale_grace_ms;
+      served Resolver.stale_grace_ms;
   List.rev !out

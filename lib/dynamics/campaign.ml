@@ -97,11 +97,54 @@ let stream seed purpose = Prng.create (Hashtbl.hash (seed, purpose, 0x0c4a7))
 
 (* Per-event randomness is keyed by the event itself, never by its position
    in the trace: dropping an event during shrinking must not reshuffle the
-   gateway of every later one, or the shrinker's oracle would be chasing a
+   draws of every later one, or the shrinker's oracle would be chasing a
    different campaign on every candidate. *)
+let keyed seed purpose k = Prng.create (Hashtbl.hash (seed, purpose, k, 0x0c4a7))
+
+(* The gateway key is a flat 5-tuple, not [keyed]'s nested pair: the
+   recorded campaign tables place every host by this exact hash. *)
 let gateway_for ~seed gateways kind seq =
   let r = Prng.create (Hashtbl.hash (seed, "gateway", kind, seq, 0x0c4a7)) in
   gateways.(Prng.int r (Array.length gateways))
+
+let percentile_or xs p ~default =
+  match xs with [] -> default | _ -> Stats.percentile xs p
+
+type network = {
+  name : string;
+  graph : Graph.t;
+  gateways : int array;
+  groups : int array;
+}
+
+let topology ~seed (profile : Isp.profile) =
+  let rng = Prng.create (seed + Hashtbl.hash profile.Isp.profile_name) in
+  (Isp.generate rng profile, rng)
+
+let network ~seed profile =
+  let isp, _ = topology ~seed profile in
+  {
+    name = profile.Isp.profile_name;
+    graph = isp.Isp.graph;
+    gateways = Array.of_list (Isp.edge_routers isp);
+    groups = isp.Isp.pop_of_router;
+  }
+
+let create_proto ~seed ?shards ?pool ?behaviours ~lookup_hint ~cfg ~bootstrap_hosts net =
+  if net.gateways = [||] then invalid_arg "Campaign: no gateway routers";
+  Proto.create ~rng:(stream seed "proto") ~cfg ?shards ?pool ~bootstrap_hosts
+    ~lookup_hint ~groups:net.groups ?behaviours net.graph
+
+(* The auditor rides the coordinator's monitor hook: a pure observer firing
+   at shard sync points, so attaching one changes no table. *)
+let observe ?audit ?extra proto drive =
+  let auditor = Option.map (fun cfg -> Audit.create ?extra cfg proto) audit in
+  Option.iter Audit.install auditor;
+  Proto.start_stabilizer proto;
+  let result = drive () in
+  Proto.stop_stabilizer proto;
+  Option.iter Audit.detach auditor;
+  (result, Option.map Audit.summary auditor)
 
 (* Fresh identifiers for every session, unique against the bootstrap router
    labels and each other. *)
@@ -119,9 +162,6 @@ let session_ids ~seed ~taken n =
         end
       in
       fresh ())
-
-let percentile_or xs p ~default =
-  match xs with [] -> default | _ -> Stats.percentile xs p
 
 (* First member strictly clockwise of [id]: the far end of the arc [id]
    owns under the data plane's predecessor-owner semantics.  [id] itself
@@ -156,9 +196,8 @@ let churn_events ~seed (p : params) =
     ~move_fraction:p.move_fraction ~crash_fraction:p.crash_fraction ()
   |> List.map (fun e -> Artifact.Churn e)
 
-let run_events ~seed ~name ~graph ~gateways ?audit ?(shards = 1) ?pool
-    ?(groups = [||]) ?behaviours (p : params) events =
-  if gateways = [||] then invalid_arg "Campaign.run_events: no gateway routers";
+let run ~seed ?audit ?shards ?pool ?behaviours ?events net (p : params) =
+  let events = match events with Some e -> e | None -> churn_events ~seed p in
   (* Pre-size the per-shard lookup tables for the open-loop concurrency
      Little's law predicts (rate x worst-case response time). *)
   let lookup_hint =
@@ -167,9 +206,10 @@ let run_events ~seed ~name ~graph ~gateways ?audit ?(shards = 1) ?pool
         (ceil (p.lookup_rate_per_s *. p.proto_cfg.Proto.lookup_timeout_ms /. 1000.0))
   in
   let proto =
-    Proto.create ~rng:(stream seed "proto") ~cfg:p.proto_cfg ~shards ?pool
-      ~bootstrap_hosts:p.bootstrap_hosts ~lookup_hint ~groups ?behaviours graph
+    create_proto ~seed ?shards ?pool ?behaviours ~lookup_hint ~cfg:p.proto_cfg
+      ~bootstrap_hosts:p.bootstrap_hosts net
   in
+  let graph = net.graph and gateways = net.gateways in
   let coord = Proto.coordinator proto in
   let trace =
     List.filter_map (function Artifact.Churn e -> Some e | Artifact.Fault _ -> None) events
@@ -223,14 +263,27 @@ let run_events ~seed ~name ~graph ~gateways ?audit ?(shards = 1) ?pool
   let grind_draws = ref 0 in
   let eclipse_targets = ref None in
   let victim_capture = ref (-1.0) in
+  (* Victim-arc sweep: the share of [targets] whose resolved owner passes
+     [ok], each resolved from a gateway drawn from the [purpose] stream. *)
+  let sweep purpose targets ok =
+    let og = stream seed purpose in
+    let hits = ref 0 in
+    Array.iter
+      (fun target ->
+        let from = gateways.(Prng.int og (Array.length gateways)) in
+        if ok target (Owner.lookup_owner proto ~from target) then incr hits)
+      targets;
+    float_of_int !hits /. float_of_int victim_sweep_len
+  in
   (* Reconvergence is measured from the last *churn* event: injected faults
      are the thing being diagnosed, not workload to recover from. *)
   let last_event_ms =
     List.fold_left (fun acc ev -> Float.max acc (Churn.event_time ev)) 0.0 trace
   in
-  (* Campaign-side session liveness, for lookup targeting: seq -> join time.
-     Maintained by the scheduled churn events themselves. *)
-  let live = Hashtbl.create 64 in
+  (* Campaign-side session liveness, for lookup targeting: seq -> join time,
+     nan while the session is not live.  Maintained by the scheduled churn
+     events themselves. *)
+  let joined_at = Array.make n_sessions Float.nan in
   (* Churn closures read and mutate state across every shard (departures,
      cross-shard joins), so they run as global events: every shard parked at
      the event's time — and global times are exactly the sync points the
@@ -240,17 +293,17 @@ let run_events ~seed ~name ~graph ~gateways ?audit ?(shards = 1) ?pool
       Shard.at_global coord ~time_ms:at_ms (fun () ->
           match action with
           | `Join (seq, gw) ->
-            Hashtbl.replace live seq at_ms;
+            joined_at.(seq) <- at_ms;
             Proto.join proto ~gateway:gw ids.(seq)
           | `Leave seq ->
-            Hashtbl.remove live seq;
+            joined_at.(seq) <- Float.nan;
             ignore (Proto.leave proto ids.(seq))
           | `Move (seq, gw) ->
             (* The session stays alive through a move; only its router
                changes.  Keep the original join time for warmup purposes. *)
             ignore (Proto.move proto ~new_gateway:gw ids.(seq))
           | `Crash seq ->
-            Hashtbl.remove live seq;
+            joined_at.(seq) <- Float.nan;
             ignore (Proto.crash proto ids.(seq))
           | `Cross_splice -> ignore (Proto.inject_cross_splice proto)
           | `Stab_off -> Proto.stop_stabilizer proto
@@ -264,9 +317,7 @@ let run_events ~seed ~name ~graph ~gateways ?audit ?(shards = 1) ?pool
                with co-conspirators, armed for a coordinated crash. *)
             let vid = State.router_label victim in
             let arc_end = ring_successor (Proto.members proto) vid in
-            let g =
-              Prng.create (Hashtbl.hash (seed, "eclipse-mine", victim, 0x0c4a7))
-            in
+            let g = keyed seed "eclipse-mine" victim in
             let accept id =
               Id.between vid id arc_end
               && (not (Hashtbl.mem sybil_set id))
@@ -299,7 +350,7 @@ let run_events ~seed ~name ~graph ~gateways ?audit ?(shards = 1) ?pool
                fixed now so the pre-crash and post-drain sweeps measure the
                same keyspace.  Rejection sampling from a content-keyed
                stream; expected draws per target is the member count. *)
-            let tg = Prng.create (Hashtbl.hash (seed, "victim-targets", victim, 0x0c4a7)) in
+            let tg = keyed seed "victim-targets" victim in
             let targets = Array.make victim_sweep_len vid in
             let budget = ref 5_000_000 in
             for i = 0 to victim_sweep_len - 1 do
@@ -324,7 +375,7 @@ let run_events ~seed ~name ~graph ~gateways ?audit ?(shards = 1) ?pool
             let k =
               max 0 (min n (int_of_float (Float.round (fraction *. float_of_int n))))
             in
-            let g = Prng.create (Hashtbl.hash (seed, "poison-routers", 0x0c4a7)) in
+            let g = stream seed "poison-routers" in
             let order = Array.init n (fun i -> i) in
             for i = 0 to k - 1 do
               let j = i + Prng.int g (n - i) in
@@ -337,7 +388,7 @@ let run_events ~seed ~name ~graph ~gateways ?audit ?(shards = 1) ?pool
             (* Joins claiming identifiers whose credentials belong to
                someone else — the workload the verification gate rejects
                (and, with it off, admits as tainted residents). *)
-            let g = Prng.create (Hashtbl.hash (seed, "forge", 0x0c4a7)) in
+            let g = stream seed "forge" in
             for i = 0 to count - 1 do
               let claimed = Id.random g in
               let cred = Identity.credential_for (Id.random g) in
@@ -347,22 +398,14 @@ let run_events ~seed ~name ~graph ~gateways ?audit ?(shards = 1) ?pool
                   ~cred claimed
             done
           | `Victim_sweep ->
-            (match !eclipse_targets with
-             | None -> ()
-             | Some targets ->
-               let og =
-                 Prng.create (Hashtbl.hash (seed, "victim-origins", 0x0c4a7))
-               in
-               let captured = ref 0 in
-               Array.iter
-                 (fun target ->
-                   let from = gateways.(Prng.int og (Array.length gateways)) in
-                   match Owner.lookup_owner proto ~from target with
-                   | Some owner when Hashtbl.mem sybil_set owner -> incr captured
-                   | Some _ | None -> ())
-                 targets;
-               victim_capture :=
-                 float_of_int !captured /. float_of_int victim_sweep_len)))
+            Option.iter
+              (fun targets ->
+                victim_capture :=
+                  sweep "victim-origins" targets (fun _ owner ->
+                      match owner with
+                      | Some owner -> Hashtbl.mem sybil_set owner
+                      | None -> false))
+              !eclipse_targets))
     planned;
   (* Open-loop lookup workload: Poisson launch times fixed up front, target
      and origin drawn at launch time from dedicated streams.  Outcomes
@@ -378,13 +421,13 @@ let run_events ~seed ~name ~graph ~gateways ?audit ?(shards = 1) ?pool
     let at = at +. Prng.exponential looktime_rng mean_gap_ms in
     if at < p.horizon_ms then begin
       Shard.at_global coord ~time_ms:at (fun () ->
-          let eligible =
-            Hashtbl.fold
-              (fun seq joined acc ->
-                if joined +. p.lookup_warmup_ms <= at then seq :: acc else acc)
-              live []
-            |> List.sort compare
-          in
+          (* Ascending sequence numbers; a nan join time compares false. *)
+          let eligible = ref [] in
+          for seq = n_sessions - 1 downto 0 do
+            if joined_at.(seq) +. p.lookup_warmup_ms <= at then
+              eligible := seq :: !eligible
+          done;
+          let eligible = !eligible in
           let target =
             match eligible with
             | [] ->
@@ -403,39 +446,24 @@ let run_events ~seed ~name ~graph ~gateways ?audit ?(shards = 1) ?pool
     end
   in
   if p.lookup_rate_per_s > 0.0 then plan_lookups 0.0;
-  (* The auditor rides the coordinator's monitor hook: a pure observer
-     firing at shard sync points, so attaching one changes no table. *)
-  let auditor =
-    Option.map
-      (fun cfg ->
-        let a = Audit.create cfg proto in
-        Audit.install a;
-        a)
-      audit
-  in
   (* Run: stabilisation timers tick throughout; after the horizon, keep
      stabilising until the ring reconverges and every lookup has resolved. *)
-  Proto.start_stabilizer proto;
-  Shard.run_until coord p.horizon_ms;
-  let deadline = p.horizon_ms +. p.drain_max_ms in
-  let period = p.proto_cfg.Proto.stabilize_period_ms in
-  let rec drain () =
-    let now = Shard.now coord in
-    if Proto.ring_converged proto && Proto.lookups_outstanding proto = 0 then Some now
-    else if now >= deadline then None
-    else begin
-      Shard.run_until coord (now +. period);
-      drain ()
-    end
-  in
-  let converged_at = drain () in
-  Proto.stop_stabilizer proto;
-  let audit_summary =
-    Option.map
-      (fun a ->
-        Audit.detach a;
-        Audit.summary a)
-      auditor
+  let converged_at, audit_summary =
+    observe ?audit proto (fun () ->
+        Shard.run_until coord p.horizon_ms;
+        let deadline = p.horizon_ms +. p.drain_max_ms in
+        let period = p.proto_cfg.Proto.stabilize_period_ms in
+        let rec drain () =
+          let now = Shard.now coord in
+          if Proto.ring_converged proto && Proto.lookups_outstanding proto = 0 then
+            Some now
+          else if now >= deadline then None
+          else begin
+            Shard.run_until coord (now +. period);
+            drain ()
+          end
+        in
+        drain ())
   in
   let s = Proto.stats proto in
   (* Merge the per-shard buckets into one order that no shard layout can
@@ -468,24 +496,17 @@ let run_events ~seed ~name ~graph ~gateways ?audit ?(shards = 1) ?pool
     | None -> -1.0
     | Some targets ->
       let members = Array.of_list (Proto.members proto) in
-      let og = Prng.create (Hashtbl.hash (seed, "victim-origins-post", 0x0c4a7)) in
-      let good = ref 0 in
-      Array.iter
-        (fun target ->
-          let truth = Checks.ring_owner members target in
-          let from = gateways.(Prng.int og (Array.length gateways)) in
-          match (Owner.lookup_owner proto ~from target, truth) with
-          | Some owner, Some truth when Id.equal owner truth -> incr good
-          | _ -> ())
-        targets;
-      float_of_int !good /. float_of_int victim_sweep_len
+      sweep "victim-origins-post" targets (fun target owner ->
+          match (owner, Checks.ring_owner members target) with
+          | Some owner, Some truth -> Id.equal owner truth
+          | _ -> false)
   in
   let joins_evt, leaves_evt, moves_evt, crashes_evt = Churn.count trace in
   let events_n = joins_evt + leaves_evt + moves_evt + crashes_evt in
   let sim_end = Shard.now coord in
   let m = Proto.metrics proto in
   {
-    name;
+    name = net.name;
     params = p;
     joins = s.Proto.joins_completed;
     leaves = s.Proto.leaves_completed;
@@ -530,23 +551,6 @@ let run_events ~seed ~name ~graph ~gateways ?audit ?(shards = 1) ?pool
     victim_capture = !victim_capture;
     victim_repair;
   }
-
-let run_graph ~seed ~name ~graph ~gateways ?audit ?shards ?pool ?groups ?behaviours
-    (p : params) =
-  run_events ~seed ~name ~graph ~gateways ?audit ?shards ?pool ?groups ?behaviours p
-    (churn_events ~seed p)
-
-let run ~seed ~profile ?audit ?shards ?pool ?(events : Artifact.event list option)
-    (p : params) =
-  (* Same topology derivation as the experiment engine's intra runs, so a
-     churn campaign on as3967 sees the same network fig5/6/7 measure. *)
-  let rng = Prng.create (seed + Hashtbl.hash profile.Isp.profile_name) in
-  let isp = Isp.generate rng profile in
-  let gateways = Array.of_list (Isp.edge_routers isp) in
-  let events = match events with Some e -> e | None -> churn_events ~seed p in
-  (* Router → PoP is the diversity-group key of the quota defenses. *)
-  run_events ~seed ~name:profile.Isp.profile_name ~graph:isp.Isp.graph ~gateways
-    ?audit ?shards ?pool ~groups:isp.Isp.pop_of_router p events
 
 (* Round-tripping params through repro artifacts.  Hex floats ([%h]) keep
    every scalar bit-identical across write/read, which the shrinker's

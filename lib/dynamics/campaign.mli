@@ -105,30 +105,80 @@ type report = {
 val victim_sweep_len : int
 (** Targets per victim-arc SLO sweep (64). *)
 
+type network = {
+  name : string;          (** the report's name *)
+  graph : Rofl_topology.Graph.t;
+  gateways : int array;   (** where hosts attach: joins, moves, lookup origins *)
+  groups : int array;     (** router -> PoP, the quota key; [[||]] = none *)
+}
+
+val topology :
+  seed:int -> Rofl_topology.Isp.profile -> Rofl_topology.Isp.t * Rofl_util.Prng.t
+(** The network rule, shared with the static intradomain runs: the ISP
+    generated from [Prng.create (seed + Hashtbl.hash profile_name)], and
+    that generator, for a caller that keeps drawing from it. *)
+
+val network : seed:int -> Rofl_topology.Isp.profile -> network
+(** {!topology}'s graph, named after the profile, with hosts at its edge
+    routers and its router->PoP map as the groups. *)
+
+val stream : int -> string -> Rofl_util.Prng.t
+(** [stream seed purpose]: one campaign stream. *)
+
+val keyed : int -> string -> 'a -> Rofl_util.Prng.t
+(** [keyed seed purpose key]: randomness keyed by an event's content, so
+    dropping an event moves no other event's draws. *)
+
+val percentile_or : float list -> float -> default:float -> float
+(** {!Rofl_util.Stats.percentile}, or [default] for an empty list. *)
+
+val create_proto :
+  seed:int ->
+  ?shards:int ->
+  ?pool:Rofl_util.Pool.t ->
+  ?behaviours:Rofl_proto.Types.behaviour array ->
+  lookup_hint:int ->
+  cfg:Rofl_proto.Proto.config ->
+  bootstrap_hosts:int ->
+  network ->
+  Rofl_proto.Proto.t
+(** The campaign's actor network, seeded from the ["proto"] stream.  Raises
+    [Invalid_argument] when the network has no gateway. *)
+
+val observe :
+  ?audit:Rofl_doctor.Audit.config ->
+  ?extra:(float -> Rofl_doctor.Checks.violation list) ->
+  Rofl_proto.Proto.t ->
+  (unit -> 'a) ->
+  'a * Rofl_doctor.Audit.summary option
+(** The run lifecycle: install the auditor when [audit] is given (with
+    [extra] checks after the proto checks), start the stabiliser, run,
+    stop it, then detach and summarise the auditor.  The auditor is a pure
+    observer. *)
+
 val churn_events : seed:int -> params -> Rofl_doctor.Artifact.event list
 (** The churn trace a campaign at this seed replays, as doctor events —
-    exactly what {!run_graph} feeds {!run_events}, exposed so the doctor
-    can audit, shrink and persist it. *)
+    what {!run} replays when given no [?events], exposed so the doctor can
+    audit, shrink and persist it. *)
 
-val run_events :
+val run :
   seed:int ->
-  name:string ->
-  graph:Rofl_topology.Graph.t ->
-  gateways:int array ->
   ?audit:Rofl_doctor.Audit.config ->
   ?shards:int ->
   ?pool:Rofl_util.Pool.t ->
-  ?groups:int array ->
   ?behaviours:Rofl_proto.Types.behaviour array ->
+  ?events:Rofl_doctor.Artifact.event list ->
+  network ->
   params ->
-  Rofl_doctor.Artifact.event list ->
   report
-(** Run a campaign over an explicit event list — churn plus injected faults
-    ({!Rofl_doctor.Artifact.fault}).  With [?audit], a checkpoint auditor
-    observes the run (purely — every table stays byte-identical) and its
-    summary lands in the report.  The same (seed, graph, params, events)
-    always produces the same report, whatever events were dropped: this is
-    the replay primitive behind [rofl_sim doctor --replay].
+(** Run a campaign on [network] over an explicit event list — churn plus
+    injected faults ({!Rofl_doctor.Artifact.fault}); default
+    {!churn_events}.  Joins, moves and lookup origins are placed on the
+    network's gateways.  With [?audit], a checkpoint auditor observes the
+    run (purely — every table stays byte-identical) and its summary lands
+    in the report.  The same (seed, network, params, events) always
+    produces the same report, whatever events were dropped: this is the
+    replay primitive behind [rofl_sim doctor --replay].
 
     [?shards] partitions the routers across that many event engines under a
     conservative-window coordinator, and [?pool] runs the shard windows on
@@ -136,44 +186,11 @@ val run_events :
     the report (SLO tables, audit summary, event fingerprint) is
     byte-identical at any shards/pool setting.
 
-    [?groups] keys the per-PoP quota defenses (one diversity-group index
-    per router); [?behaviours] assigns initial per-router conduct.  Attack
-    faults in the event list ({!Rofl_doctor.Artifact.Eclipse} /
-    [Poison] / [Forge]) execute as global events with all randomness
-    content-keyed on (seed, purpose), so adversarial campaigns keep the
-    byte-identical-at-any-shards property. *)
-
-val run_graph :
-  seed:int ->
-  name:string ->
-  graph:Rofl_topology.Graph.t ->
-  gateways:int array ->
-  ?audit:Rofl_doctor.Audit.config ->
-  ?shards:int ->
-  ?pool:Rofl_util.Pool.t ->
-  ?groups:int array ->
-  ?behaviours:Rofl_proto.Types.behaviour array ->
-  params ->
-  report
-(** Run one campaign on an arbitrary topology; joins, moves and lookup
-    origins are placed on [gateways] (must be non-empty).  Equivalent to
-    {!run_events} over {!churn_events}.  Exported for tests: test_dynamics
-    and test_shards run campaigns on their own graphs. *)
-
-val run :
-  seed:int ->
-  profile:Rofl_topology.Isp.profile ->
-  ?audit:Rofl_doctor.Audit.config ->
-  ?shards:int ->
-  ?pool:Rofl_util.Pool.t ->
-  ?events:Rofl_doctor.Artifact.event list ->
-  params ->
-  report
-(** Campaign on a generated ISP topology (same derivation as the experiment
-    engine), with hosts attached at its access routers; the topology's
-    router→PoP map keys the quota defenses.  [?events] overrides the
-    churn trace (e.g. churn plus attack faults); default
-    {!churn_events}. *)
+    [?behaviours] assigns initial per-router conduct.  Attack faults in the
+    event list ({!Rofl_doctor.Artifact.Eclipse} / [Poison] / [Forge])
+    execute as global events with all randomness content-keyed on (seed,
+    purpose), so adversarial campaigns keep the byte-identical-at-any-shards
+    property. *)
 
 val params_to_strings : params -> (string * string) list
 (** Flatten params (including the protocol config) to named scalars for a

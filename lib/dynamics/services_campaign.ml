@@ -1,8 +1,6 @@
 module Id = Rofl_idspace.Id
 module Prng = Rofl_util.Prng
-module Stats = Rofl_util.Stats
 module Graph = Rofl_topology.Graph
-module Isp = Rofl_topology.Isp
 module Shard = Rofl_netsim.Shard
 module Metrics = Rofl_netsim.Metrics
 module Proto = Rofl_proto.Proto
@@ -37,17 +35,18 @@ module Checks = Rofl_doctor.Checks
    probing throughout, so resolution traffic shares the network with live
    ring maintenance, sharded and parallel like any proto campaign. *)
 
+(* Batching cadence of the open loop, and provider flaps per second. *)
+let tick_ms = 100.0
+let flap_rate_per_s = 1.0
 
 type params = {
   horizon_ms : float;
   drain_ms : float;            (* post-horizon ticks: republish/sweep only *)
-  tick_ms : float;             (* batching cadence of the open loop *)
   bootstrap_hosts : int;
   services : int;
   rate_per_s : float;
   flash_start_ms : float;
   flash_len_ms : float;        (* <= 0 disables the flash crowd *)
-  flap_rate_per_s : float;
   storm_at_ms : float;         (* <= 0 disables the republish storm *)
   dir_cfg : Directory.config;
   proto_cfg : Proto.config;
@@ -57,13 +56,11 @@ let default_params =
   {
     horizon_ms = 20_000.0;
     drain_ms = 2_000.0;
-    tick_ms = 100.0;
     bootstrap_hosts = 500;
     services = 200;
     rate_per_s = 200.0;
     flash_start_ms = 8_000.0;
     flash_len_ms = 4_000.0;
-    flap_rate_per_s = 1.0;
     storm_at_ms = 0.0;
     dir_cfg = Directory.default_config;
     proto_cfg = Proto.default_config;
@@ -103,60 +100,55 @@ type report = {
   audit : Audit.summary option;
 }
 
-let stream seed purpose = Prng.create (Hashtbl.hash (seed, purpose, 0x0c4a7))
+let service_id ~seed rank = Id.random (Campaign.keyed seed "svc-id" rank)
+let provider_id ~seed rank j = Id.random (Campaign.keyed seed "svc-provider" (rank, j))
 
-(* Content-keyed per-event randomness, as in the churn campaign: dropping an
-   event from a trace must not reshuffle every later draw. *)
-let keyed seed purpose k = Prng.create (Hashtbl.hash (seed, purpose, k, 0x0c4a7))
-
-let service_id ~seed rank = Id.random (keyed seed "svc-id" rank)
-let provider_id ~seed rank j = Id.random (keyed seed "svc-provider" (rank, j))
-
-let percentile_or xs p ~default =
-  match xs with [] -> default | _ -> Stats.percentile xs p
-
-let run_graph ~seed ~name ~graph ~gateways ?audit ?(shards = 1) ?pool (p : params) =
-  if gateways = [||] then invalid_arg "Services_campaign.run_graph: no gateway routers";
-  if p.tick_ms <= 0.0 then invalid_arg "Services_campaign.run_graph: tick must be positive";
+let run ~seed ?audit ?shards ?pool (net : Campaign.network) (p : params) =
+  let gateways = net.Campaign.gateways in
+  (* No lookup hint: resolutions are owner walks, not proto lookups. *)
   let proto =
-    Proto.create ~rng:(stream seed "proto") ~cfg:p.proto_cfg ~shards ?pool
-      ~bootstrap_hosts:p.bootstrap_hosts graph
+    Campaign.create_proto ~seed ?shards ?pool ~lookup_hint:0 ~cfg:p.proto_cfg
+      ~bootstrap_hosts:p.bootstrap_hosts net
   in
   let coord = Proto.coordinator proto in
+  (* Each provider's origin is a content-keyed gateway, where its host
+     attaches to the network. *)
+  let register dir rank j ~service ~provider =
+    let origin_rng = Campaign.keyed seed "svc-origin" (rank, j) in
+    ignore
+      (Directory.register dir ~service ~provider
+         ~origin:gateways.(Prng.int origin_rng (Array.length gateways)))
+  in
   (* Little's-law load hint: the steady record population is the intent set,
      and the resolve batch width is rate x tick. *)
   let intents = p.services * Services.providers_per_service in
   let batch_hint =
-    16 + int_of_float (ceil (p.rate_per_s *. p.tick_ms /. 1000.0))
+    16 + int_of_float (ceil (p.rate_per_s *. tick_ms /. 1000.0))
   in
   let dir =
-    Directory.create ~proto ~routers:(Graph.n graph) ~hint:(max intents batch_hint)
-      p.dir_cfg
+    Directory.create ~proto ~routers:(Graph.n net.Campaign.graph)
+      ~hint:(max intents batch_hint) p.dir_cfg
   in
-  (* The publication set: services x providers, each provider's origin a
-     content-keyed gateway (where its host attaches to the network). *)
+  (* The publication set: services x providers. *)
   for rank = 1 to p.services do
     let service = service_id ~seed rank in
     for j = 0 to Services.providers_per_service - 1 do
-      let origin_rng = keyed seed "svc-origin" (rank, j) in
-      ignore
-        (Directory.register dir ~service ~provider:(provider_id ~seed rank j)
-           ~origin:gateways.(Prng.int origin_rng (Array.length gateways)))
+      register dir rank j ~service ~provider:(provider_id ~seed rank j)
     done
   done;
   (* Demand trace, bucketed by tick. *)
   let events =
-    Services.generate (stream seed "svc-demand") ~horizon_ms:p.horizon_ms
+    Services.generate (Campaign.stream seed "svc-demand") ~horizon_ms:p.horizon_ms
       ~services:p.services ~rate_per_s:p.rate_per_s ~flash_start_ms:p.flash_start_ms
-      ~flash_len_ms:p.flash_len_ms ~flap_rate_per_s:p.flap_rate_per_s
+      ~flash_len_ms:p.flash_len_ms ~flap_rate_per_s
   in
-  let ticks_horizon = int_of_float (ceil (p.horizon_ms /. p.tick_ms)) in
+  let ticks_horizon = int_of_float (ceil (p.horizon_ms /. tick_ms)) in
   let ticks_total =
-    ticks_horizon + int_of_float (ceil (p.drain_ms /. p.tick_ms))
+    ticks_horizon + int_of_float (ceil (p.drain_ms /. tick_ms))
   in
   let bucket_of at =
     (* events in ((k-1)·tick, k·tick] run at boundary k; k is 1-based *)
-    min ticks_horizon (max 1 (int_of_float (ceil (at /. p.tick_ms))))
+    min ticks_horizon (max 1 (int_of_float (ceil (at /. tick_ms))))
   in
   let resolves_b = Array.make (ticks_total + 1) [] in
   let flaps_b = Array.make (ticks_total + 1) [] in
@@ -187,7 +179,7 @@ let run_graph ~seed ~name ~graph ~gateways ?audit ?(shards = 1) ?pool (p : param
   let bsvc = ref (Array.make !bcap Id.zero) in
   let storm_done = ref (p.storm_at_ms <= 0.0) in
   for k = 1 to ticks_total do
-    let time_ms = float_of_int k *. p.tick_ms in
+    let time_ms = float_of_int k *. tick_ms in
     Shard.at_global coord ~time_ms (fun () ->
         let now = Shard.now coord in
         (* provider flaps first: the tick's resolutions see the new truth *)
@@ -197,12 +189,7 @@ let run_graph ~seed ~name ~graph ~gateways ?audit ?(shards = 1) ?pool (p : param
             let provider = provider_id ~seed rank j in
             if Directory.provider_active dir ~service ~provider then
               ignore (Directory.unregister dir ~service ~provider)
-            else begin
-              let origin_rng = keyed seed "svc-origin" (rank, j) in
-              ignore
-                (Directory.register dir ~service ~provider
-                   ~origin:gateways.(Prng.int origin_rng (Array.length gateways)))
-            end)
+            else register dir rank j ~service ~provider)
           flaps_b.(k);
         if (not !storm_done) && time_ms >= p.storm_at_ms then begin
           storm_done := true;
@@ -222,7 +209,7 @@ let run_graph ~seed ~name ~graph ~gateways ?audit ?(shards = 1) ?pool (p : param
            let from = !bfrom and svcs = !bsvc in
            List.iteri
              (fun i (rank, seq) ->
-               from.(i) <- gateways.(Prng.int (keyed seed "svc-gw" seq)
+               from.(i) <- gateways.(Prng.int (Campaign.keyed seed "svc-gw" seq)
                                         (Array.length gateways));
                svcs.(i) <-
                  (if rank = 0 then
@@ -232,7 +219,7 @@ let run_graph ~seed ~name ~graph ~gateways ?audit ?(shards = 1) ?pool (p : param
                        unmeasurable. *)
                     let pool = max 1 (p.services / 8) in
                     Id.random
-                      (keyed seed "svc-unknown"
+                      (Campaign.keyed seed "svc-unknown"
                          (Hashtbl.hash (seed, "svc-unknown-pick", seq) mod pool))
                   else service_id ~seed rank))
              batch;
@@ -251,24 +238,9 @@ let run_graph ~seed ~name ~graph ~gateways ?audit ?(shards = 1) ?pool (p : param
              if Directory.res_stale dir i then incr stale
            done))
   done;
-  let auditor =
-    Option.map
-      (fun cfg ->
-        let extra at_ms = Checks.services_checks ~at_ms dir in
-        let a = Audit.create ~extra cfg proto in
-        Audit.install a;
-        a)
-      audit
-  in
-  Proto.start_stabilizer proto;
-  Shard.run_until coord (float_of_int ticks_total *. p.tick_ms);
-  Proto.stop_stabilizer proto;
-  let audit_summary =
-    Option.map
-      (fun a ->
-        Audit.detach a;
-        Audit.summary a)
-      auditor
+  let (), audit_summary =
+    Campaign.observe ?audit ~extra:(fun at_ms -> Checks.services_checks ~at_ms dir) proto
+      (fun () -> Shard.run_until coord (float_of_int ticks_total *. tick_ms))
   in
   let sim_end = Shard.now coord in
   let m = Directory.metrics dir in
@@ -280,7 +252,7 @@ let run_graph ~seed ~name ~graph ~gateways ?audit ?(shards = 1) ?pool (p : param
   let lats = List.rev !lats and miss_lats = List.rev !miss_lats in
   let frac a b = if b = 0 then 1.0 else float_of_int a /. float_of_int b in
   {
-    name;
+    name = net.Campaign.name;
     params = p;
     resolves = nresolves;
     hits = !hits;
@@ -291,10 +263,10 @@ let run_graph ~seed ~name ~graph ~gateways ?audit ?(shards = 1) ?pool (p : param
     ok_rate = frac !ok nresolves;
     stale = !stale;
     stale_rate = (if nresolves = 0 then 0.0 else frac !stale nresolves);
-    lat_p50_ms = percentile_or lats 50.0 ~default:0.0;
-    lat_p95_ms = percentile_or lats 95.0 ~default:0.0;
-    lat_p99_ms = percentile_or lats 99.0 ~default:0.0;
-    miss_p95_ms = percentile_or miss_lats 95.0 ~default:0.0;
+    lat_p50_ms = Campaign.percentile_or lats 50.0 ~default:0.0;
+    lat_p95_ms = Campaign.percentile_or lats 95.0 ~default:0.0;
+    lat_p99_ms = Campaign.percentile_or lats 99.0 ~default:0.0;
+    miss_p95_ms = Campaign.percentile_or miss_lats 95.0 ~default:0.0;
     republishes = Metrics.get m Metrics.Svc_republish;
     publish_msgs;
     resolve_msgs;
@@ -312,12 +284,3 @@ let run_graph ~seed ~name ~graph ~gateways ?audit ?(shards = 1) ?pool (p : param
     sim_end_ms = sim_end;
     audit = audit_summary;
   }
-
-let run ~seed ~profile ?audit ?shards ?pool (p : params) =
-  (* Same topology derivation as the churn campaigns: gateways are the ISP's
-     edge routers, where hosts (and so providers and resolvers) attach. *)
-  let rng = Prng.create (seed + Hashtbl.hash profile.Isp.profile_name) in
-  let isp = Isp.generate rng profile in
-  let gateways = Array.of_list (Isp.edge_routers isp) in
-  run_graph ~seed ~name:profile.Isp.profile_name ~graph:isp.Isp.graph ~gateways
-    ?audit ?shards ?pool p

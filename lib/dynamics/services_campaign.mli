@@ -24,13 +24,11 @@ type params = {
   horizon_ms : float;
   drain_ms : float;            (** extra ticks past the horizon: republish
                                    and sweeps only, no new demand *)
-  tick_ms : float;             (** batching cadence of the open loop *)
   bootstrap_hosts : int;
   services : int;
   rate_per_s : float;
   flash_start_ms : float;
   flash_len_ms : float;        (** <= 0 disables the flash crowd *)
-  flap_rate_per_s : float;
   storm_at_ms : float;         (** <= 0 disables the republish storm *)
   dir_cfg : Rofl_services.Directory.config;
   proto_cfg : Rofl_proto.Proto.config;
@@ -76,13 +74,14 @@ type report = {
 
 val run :
   seed:int ->
-  profile:Rofl_topology.Isp.profile ->
   ?audit:Rofl_doctor.Audit.config ->
   ?shards:int ->
   ?pool:Rofl_util.Pool.t ->
+  Campaign.network ->
   params ->
   report
-(** Generate the ISP topology for [profile] (same derivation as the churn
-    campaigns) and run on it, gateways = the edge routers.  When [audit] is
-    given, {!Rofl_doctor.Checks.services_checks} rides the checkpoint sweeps
+(** Run a campaign on the network (see {!Campaign.network}); providers
+    and resolvers attach at its gateways.  Demand is batched every 100 ms
+    and providers flap once a second on average.  When [audit] is given,
+    {!Rofl_doctor.Checks.services_checks} rides the checkpoint sweeps
     alongside the proto invariants. *)

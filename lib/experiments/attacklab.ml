@@ -50,18 +50,14 @@ let eclipse_params (scale : Common.scale) ~enforce =
       { Proto.default_config with Proto.succ_quota = 2; quota_enforce = enforce };
   }
 
-let eclipse_events ~seed ~horizon_ms p ~count =
-  Campaign.churn_events ~seed p
-  @ [
-      Artifact.Fault
-        (Artifact.Eclipse
-           {
-             at_ms = 0.35 *. horizon_ms;
-             victim = eclipse_victim;
-             count;
-             crash_at_ms = 0.7 *. horizon_ms;
-           });
-    ]
+let eclipse_fault ~horizon_ms ~count =
+  Artifact.Eclipse
+    {
+      at_ms = 0.35 *. horizon_ms;
+      victim = eclipse_victim;
+      count;
+      crash_at_ms = 0.7 *. horizon_ms;
+    }
 
 let eclipse_columns =
   [
@@ -118,9 +114,8 @@ let poison_params (scale : Common.scale) ~verify =
     proto_cfg = { Proto.default_config with Proto.verify_joins = verify };
   }
 
-let poison_events ~seed ~horizon_ms p ~fraction =
-  Campaign.churn_events ~seed p
-  @ [ Artifact.Fault (Artifact.Poison { at_ms = 0.15 *. horizon_ms; fraction }) ]
+let poison_fault ~horizon_ms ~fraction =
+  Artifact.Poison { at_ms = 0.15 *. horizon_ms; fraction }
 
 let poison_columns =
   [
@@ -172,9 +167,7 @@ let forge_params (scale : Common.scale) ~verify =
     proto_cfg = { Proto.default_config with Proto.verify_joins = verify };
   }
 
-let forge_events ~seed ~horizon_ms p ~count =
-  Campaign.churn_events ~seed p
-  @ [ Artifact.Fault (Artifact.Forge { at_ms = 0.3 *. horizon_ms; count }) ]
+let forge_fault ~horizon_ms ~count = Artifact.Forge { at_ms = 0.3 *. horizon_ms; count }
 
 let forge_columns =
   [
@@ -209,23 +202,19 @@ type cell =
 let run_cell (scale : Common.scale) cell =
   let seed = scale.Common.seed in
   let horizon_ms = scale.Common.attack_horizon_ms in
-  let shards = Common.shards () and pool = Common.pool () in
+  (* Each cell is its churn trace plus one attack fault. *)
+  let run profile p fault =
+    Campaign.run ~seed ~shards:(Common.shards ()) ~pool:(Common.pool ())
+      ~events:(Campaign.churn_events ~seed p @ [ Artifact.Fault fault ])
+      (Campaign.network ~seed profile) p
+  in
   match cell with
   | Eclipse_cell (profile, count, enforce) ->
-    let p = eclipse_params scale ~enforce in
-    Campaign.run ~seed ~profile ~shards ~pool
-      ~events:(eclipse_events ~seed ~horizon_ms p ~count)
-      p
+    run profile (eclipse_params scale ~enforce) (eclipse_fault ~horizon_ms ~count)
   | Poison_cell (profile, fraction, verify) ->
-    let p = poison_params scale ~verify in
-    Campaign.run ~seed ~profile ~shards ~pool
-      ~events:(poison_events ~seed ~horizon_ms p ~fraction)
-      p
+    run profile (poison_params scale ~verify) (poison_fault ~horizon_ms ~fraction)
   | Forge_cell (profile, count, verify) ->
-    let p = forge_params scale ~verify in
-    Campaign.run ~seed ~profile ~shards ~pool
-      ~events:(forge_events ~seed ~horizon_ms p ~count)
-      p
+    run profile (forge_params scale ~verify) (forge_fault ~horizon_ms ~count)
 
 let on_off b = if b then "on" else "OFF"
 

@@ -8,19 +8,11 @@ module Audit = Rofl_doctor.Audit
    own topology, own derived streams), so the whole grid fans over the
    domain pool with byte-identical tables at any --jobs setting. *)
 
-(* The --alpha knob rides into the protocol config here: α=1 leaves the
+(* One cell of the churn grid; the doctor audits the same cells at α=1.
+   The --alpha knob rides into the protocol config here: α=1 leaves the
    config exactly at the defaults (pointer cache off), so existing tables
    and goldens are unchanged unless the knob is turned. *)
-let proto_cfg_at ~period_ms ~alpha ~auto =
-  {
-    Proto.default_config with
-    Proto.stabilize_period_ms = period_ms;
-    lookup_alpha = alpha;
-    pcache_capacity = (if alpha > 1 then 8 else 0);
-    stabilize_auto = auto;
-  }
-
-let params_of (scale : Common.scale) ~lifetime_s ~period_ms =
+let params_of (scale : Common.scale) ~alpha ~lifetime_s ~period_ms =
   {
     Campaign.default_params with
     Campaign.horizon_ms = scale.Common.churn_horizon_ms;
@@ -29,8 +21,20 @@ let params_of (scale : Common.scale) ~lifetime_s ~period_ms =
     move_fraction = 0.2;
     crash_fraction = 0.2;
     lookup_rate_per_s = scale.Common.churn_lookup_per_s;
-    proto_cfg = proto_cfg_at ~period_ms ~alpha:(Common.alpha ()) ~auto:false;
+    proto_cfg =
+      {
+        Proto.default_config with
+        Proto.stabilize_period_ms = period_ms;
+        lookup_alpha = alpha;
+        pcache_capacity = (if alpha > 1 then 8 else 0);
+      };
   }
+
+(* A campaign on the scale's seed, at the --shards/--jobs settings. *)
+let run (scale : Common.scale) ?audit profile p =
+  let seed = scale.Common.seed in
+  Campaign.run ~seed ?audit ~shards:(Common.shards ()) ~pool:(Common.pool ())
+    (Campaign.network ~seed profile) p
 
 let metric_columns =
   [
@@ -92,18 +96,14 @@ let churn (scale : Common.scale) =
       scale.Common.isps
   in
   let sweep = List.map (fun period -> `Sweep period) scale.Common.churn_periods_ms in
+  let cell profile ~lifetime_s ~period_ms =
+    run scale profile (params_of scale ~alpha:(Common.alpha ()) ~lifetime_s ~period_ms)
+  in
   let reports =
     Common.parallel_map
-      (fun cell ->
-        match cell with
-        | `Grid (profile, lifetime_s) ->
-          Campaign.run ~seed:scale.Common.seed ~profile
-            ~shards:(Common.shards ()) ~pool:(Common.pool ())
-            (params_of scale ~lifetime_s ~period_ms:default_period)
-        | `Sweep period_ms ->
-          Campaign.run ~seed:scale.Common.seed ~profile:sweep_profile
-            ~shards:(Common.shards ()) ~pool:(Common.pool ())
-            (params_of scale ~lifetime_s:sweep_lifetime ~period_ms))
+      (function
+        | `Grid (profile, lifetime_s) -> cell profile ~lifetime_s ~period_ms:default_period
+        | `Sweep period_ms -> cell sweep_profile ~lifetime_s:sweep_lifetime ~period_ms)
       (grid @ sweep)
   in
   let n_grid = List.length grid in
@@ -185,21 +185,21 @@ let alpha_frontier (scale : Common.scale) =
   let reports =
     Common.parallel_map
       (fun (profile, alpha, auto) ->
-        let base = params_of scale ~lifetime_s ~period_ms:default_period in
+        let base = params_of scale ~alpha ~lifetime_s ~period_ms:default_period in
         let p =
           {
             base with
             Campaign.proto_cfg =
               {
-                (proto_cfg_at ~period_ms:default_period ~alpha ~auto) with
+                base.Campaign.proto_cfg with
+                Proto.stabilize_auto = auto;
                 (* one cache config for every cell, so α and tuning are the
                    only axes — α=1 rows carry the same refresh traffic *)
-                Proto.pcache_capacity = 8;
+                pcache_capacity = 8;
               };
           }
         in
-        Campaign.run ~seed:scale.Common.seed ~profile ~shards:(Common.shards ())
-          ~pool:(Common.pool ()) p)
+        run scale profile p)
       cells
   in
   let t =
@@ -247,11 +247,7 @@ let megachurn_params (scale : Common.scale) =
 let megachurn (scale : Common.scale) =
   let profile = List.hd scale.Common.isps in
   let p = megachurn_params scale in
-  let r =
-    Campaign.run ~seed:scale.Common.seed ~profile
-      ~audit:(Audit.config_for p.Campaign.proto_cfg)
-      ~shards:(Common.shards ()) ~pool:(Common.pool ()) p
-  in
+  let r = run scale ~audit:(Audit.config_for p.Campaign.proto_cfg) profile p in
   let checkpoints, violations =
     match r.Campaign.audit with
     | None -> ("-", "-")

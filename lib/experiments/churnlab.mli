@@ -16,6 +16,17 @@
     engine honours the [--shards] setting with byte-identical tables at any
     value (the fingerprint column makes the comparison visible). *)
 
+val params_of :
+  Common.scale ->
+  alpha:int ->
+  lifetime_s:float ->
+  period_ms:float ->
+  Rofl_dynamics.Campaign.params
+(** One cell of the churn grid: the scale's horizon, arrival and lookup
+    rates, this mean lifetime, 20 % moves and 20 % crashes, stabilising
+    every [period_ms] with [alpha] lookup branches (a pointer cache of 8
+    above 1).  The doctor audits the same cells at [alpha = 1]. *)
+
 val churn : Common.scale -> Rofl_util.Table.t list
 
 val alpha_frontier : Common.scale -> Rofl_util.Table.t list

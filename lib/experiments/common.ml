@@ -226,8 +226,7 @@ type intra_run = {
 let gateway_sampler run = Hostdist.gateway_sampler (Prng.copy run.gateway_rng) run.isp
 
 let build_intra ?cfg ~seed ~hosts profile =
-  let rng = Prng.create (seed + Hashtbl.hash profile.Isp.profile_name) in
-  let isp = Isp.generate rng profile in
+  let isp, rng = Rofl_dynamics.Campaign.topology ~seed profile in
   let net = Network.create ?cfg ~rng isp.Isp.graph in
   let gateway_rng = Prng.split rng in
   let gateway = Hostdist.gateway_sampler gateway_rng isp in

@@ -1,5 +1,4 @@
 module Table = Rofl_util.Table
-module Prng = Rofl_util.Prng
 module Isp = Rofl_topology.Isp
 module Proto = Rofl_proto.Proto
 module Campaign = Rofl_dynamics.Campaign
@@ -43,23 +42,14 @@ let profile_of_spec spec =
      | _ -> Error (Printf.sprintf "malformed isp spec %S" spec))
   | _ -> Error (Printf.sprintf "unknown graph spec %S" spec)
 
-(* Same topology derivation as {!Campaign.run}, so auditing a grid cell and
-   replaying its artifact build the identical network. *)
-let topology ~seed (profile : Isp.profile) =
-  let rng = Prng.create (seed + Hashtbl.hash profile.Isp.profile_name) in
-  let isp = Isp.generate rng profile in
-  (isp.Isp.graph, Array.of_list (Isp.edge_routers isp), isp.Isp.pop_of_router)
-
-let audited_report sc events =
-  let graph, gateways, groups = topology ~seed:sc.sc_seed sc.sc_profile in
-  (* The shards setting rides along (byte-identical results guaranteed), so
-     [rofl_sim doctor --shards N] audits the sharded execution path and an
-     artifact still replays identically at any setting.  The PoP map keys
-     the quota defenses and the eclipse-saturation audit. *)
-  Campaign.run_events ~seed:sc.sc_seed ~name:sc.sc_profile.Isp.profile_name ~graph
-    ~gateways
+(* The shards setting rides along (byte-identical results guaranteed), so
+   [rofl_sim doctor --shards N] audits the sharded execution path and an
+   artifact still replays identically at any setting. *)
+let audited sc events =
+  Campaign.run ~seed:sc.sc_seed
     ~audit:(Audit.config_for sc.sc_params.Campaign.proto_cfg)
-    ~shards:(Common.shards ()) ~pool:(Common.pool ()) ~groups sc.sc_params events
+    ~shards:(Common.shards ()) ~pool:(Common.pool ()) ~events
+    (Campaign.network ~seed:sc.sc_seed sc.sc_profile) sc.sc_params
 
 let summary_of (r : Campaign.report) =
   match r.Campaign.audit with
@@ -67,7 +57,7 @@ let summary_of (r : Campaign.report) =
   | None -> { Audit.checkpoints = 0; violations = []; total_violations = 0 }
 
 let reproduces sc fingerprint events =
-  let s = summary_of (audited_report sc events) in
+  let s = summary_of (audited sc events) in
   List.exists (fun v -> Checks.fingerprint v = fingerprint) s.Audit.violations
 
 (* ---- audited campaign grid --------------------------------------------- *)
@@ -78,17 +68,6 @@ type grid = {
   failing : (scenario * Campaign.report) list; (* cells with violations *)
 }
 
-let grid_params (scale : Common.scale) ~lifetime_s =
-  {
-    Campaign.default_params with
-    Campaign.horizon_ms = scale.Common.churn_horizon_ms;
-    arrival_rate_per_s = scale.Common.churn_arrival_per_s;
-    mean_lifetime_s = lifetime_s;
-    move_fraction = 0.2;
-    crash_fraction = 0.2;
-    lookup_rate_per_s = scale.Common.churn_lookup_per_s;
-  }
-
 let audit_campaigns (scale : Common.scale) =
   let cells =
     List.concat_map
@@ -98,14 +77,16 @@ let audit_campaigns (scale : Common.scale) =
             {
               sc_seed = scale.Common.seed;
               sc_profile = profile;
-              sc_params = grid_params scale ~lifetime_s:lt;
+              sc_params =
+                Churnlab.params_of scale ~alpha:1 ~lifetime_s:lt
+                  ~period_ms:Proto.default_config.Proto.stabilize_period_ms;
               sc_faults = [];
             })
           scale.Common.churn_lifetimes_s)
       scale.Common.isps
   in
   let reports =
-    Common.parallel_map (fun sc -> audited_report sc (scenario_events sc)) cells
+    Common.parallel_map (fun sc -> audited sc (scenario_events sc)) cells
   in
   let t =
     Table.create
@@ -183,64 +164,58 @@ type fault_kind = Stab_off_crash | Loopy_splice | Eclipse_inject | Poison_inject
 let mini_profile =
   { Isp.profile_name = "doctor-mini"; routers = 24; hosts = 1_000; pop_count = 3 }
 
-let inject_scenario ~seed = function
+(* A 4 s campaign on the mini ISP, one arrival a second, no lookups. *)
+let mini_params =
+  {
+    Campaign.default_params with
+    Campaign.horizon_ms = 4_000.0;
+    arrival_rate_per_s = 1.0;
+    lookup_rate_per_s = 0.0;
+  }
+
+let inject_scenario ~seed kind =
+  let sc sc_params fault =
+    { sc_seed = seed; sc_profile = mini_profile; sc_params; sc_faults = [ fault ] }
+  in
+  let no_departures =
+    { mini_params with Campaign.move_fraction = 0.0; crash_fraction = 0.0 }
+  in
+  match kind with
   | Stab_off_crash ->
     (* Kill the stabilizer early, then let churn crash members: every stale
        successor window stays open forever and blows through the grace. *)
-    {
-      sc_seed = seed;
-      sc_profile = mini_profile;
-      sc_params =
-        {
-          Campaign.default_params with
-          Campaign.horizon_ms = 6_000.0;
-          arrival_rate_per_s = 2.0;
-          mean_lifetime_s = 2.0;
-          move_fraction = 0.0;
-          crash_fraction = 1.0;
-          lookup_rate_per_s = 0.0;
-        };
-      sc_faults = [ Artifact.Stab_off { at_ms = 1_500.0 } ];
-    }
+    sc
+      {
+        mini_params with
+        Campaign.horizon_ms = 6_000.0;
+        arrival_rate_per_s = 2.0;
+        mean_lifetime_s = 2.0;
+        move_fraction = 0.0;
+        crash_fraction = 1.0;
+      }
+      (Artifact.Stab_off { at_ms = 1_500.0 })
   | Loopy_splice ->
     (* Reintroduce the loopy-network bug (untwist repair off) and splice the
        ring across itself: inversion evidence in the successor lists is then
        permanent, exactly what the untwist repair would have consumed. *)
-    {
-      sc_seed = seed;
-      sc_profile = mini_profile;
-      sc_params =
-        {
-          Campaign.default_params with
-          Campaign.horizon_ms = 4_000.0;
-          arrival_rate_per_s = 1.0;
-          lookup_rate_per_s = 0.0;
-          proto_cfg = { Proto.default_config with Proto.untwist = false };
-        };
-      sc_faults = [ Artifact.Cross_splice { at_ms = 2_000.0 } ];
-    }
+    sc
+      {
+        mini_params with
+        Campaign.proto_cfg = { Proto.default_config with Proto.untwist = false };
+      }
+      (Artifact.Cross_splice { at_ms = 2_000.0 })
   | Eclipse_inject ->
     (* Declared-but-unenforced diversity quota: the sybils (mined genuine
        keypairs, so verification rightly admits them) concentrate router
        5's backup tail in the attacker's PoP.  No coordinated crash — the
        saturation must persist for checkpoint audits to catch. *)
-    {
-      sc_seed = seed;
-      sc_profile = mini_profile;
-      sc_params =
-        {
-          Campaign.default_params with
-          Campaign.horizon_ms = 4_000.0;
-          arrival_rate_per_s = 1.0;
-          move_fraction = 0.0;
-          crash_fraction = 0.0;
-          lookup_rate_per_s = 0.0;
-          proto_cfg =
-            { Proto.default_config with Proto.succ_quota = 2; quota_enforce = false };
-        };
-      sc_faults =
-        [ Artifact.Eclipse { at_ms = 2_000.0; victim = 5; count = 5; crash_at_ms = -1.0 } ];
-    }
+    sc
+      {
+        no_departures with
+        Campaign.proto_cfg =
+          { Proto.default_config with Proto.succ_quota = 2; quota_enforce = false };
+      }
+      (Artifact.Eclipse { at_ms = 2_000.0; victim = 5; count = 5; crash_at_ms = -1.0 })
   | Poison_inject ->
     (* A third of the routers start prepending fabricated backups to their
        stabilisation replies; adopters' successor lists then reference
@@ -248,20 +223,7 @@ let inject_scenario ~seed = function
        evidence.  (Join verification does not help here: adoption happens
        on the stabilisation path, which is why promotion is verified
        separately.) *)
-    {
-      sc_seed = seed;
-      sc_profile = mini_profile;
-      sc_params =
-        {
-          Campaign.default_params with
-          Campaign.horizon_ms = 4_000.0;
-          arrival_rate_per_s = 1.0;
-          move_fraction = 0.0;
-          crash_fraction = 0.0;
-          lookup_rate_per_s = 0.0;
-        };
-      sc_faults = [ Artifact.Poison { at_ms = 1_500.0; fraction = 0.3 } ];
-    }
+    sc no_departures (Artifact.Poison { at_ms = 1_500.0; fraction = 0.3 })
 
 type hunt =
   | Clean of Campaign.report
@@ -276,7 +238,7 @@ type hunt =
 
 let hunt_and_shrink sc =
   let events = scenario_events sc in
-  let r = audited_report sc events in
+  let r = audited sc events in
   match Audit.first (summary_of r) with
   | None -> Clean r
   | Some first ->
@@ -328,7 +290,7 @@ let replay (a : Artifact.t) =
   let sc =
     { sc_seed = a.Artifact.seed; sc_profile = profile; sc_params = params; sc_faults = [] }
   in
-  let r = audited_report sc a.Artifact.events in
+  let r = audited sc a.Artifact.events in
   let s = summary_of r in
   let hit =
     List.find_opt

@@ -31,16 +31,6 @@ val graph_spec : Rofl_topology.Isp.profile -> string
 val profile_of_spec : string -> (Rofl_topology.Isp.profile, string) result
 (** Exported for tests: test_doctor round-trips an artifact's graph line. *)
 
-val audited_report :
-  scenario -> Rofl_doctor.Artifact.event list -> Rofl_dynamics.Campaign.report
-(** Run the scenario's campaign over an explicit event list with a
-    checkpoint auditor attached (cadence/grace from
-    {!Rofl_doctor.Audit.config_for}); topology derivation matches
-    {!Rofl_dynamics.Campaign.run}.
-
-    Kept as a reference: test_doctor compares an audited campaign against
-    the plain one (pure observer). *)
-
 type grid = {
   tables : Rofl_util.Table.t list;
   total_violations : int;

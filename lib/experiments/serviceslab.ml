@@ -79,9 +79,10 @@ let metric_cells (r : Sc.report) =
   ]
 
 let run_cell (scale : Common.scale) ~profile p =
-  Sc.run ~seed:scale.Common.seed ~profile
+  Sc.run ~seed:scale.Common.seed
     ~audit:(Audit.config_for p.Sc.proto_cfg)
-    ~shards:(Common.shards ()) ~pool:(Common.pool ()) p
+    ~shards:(Common.shards ()) ~pool:(Common.pool ())
+    (Rofl_dynamics.Campaign.network ~seed:scale.Common.seed profile) p
 
 let services (scale : Common.scale) =
   let profile = List.hd scale.Common.isps in

@@ -18,8 +18,10 @@ let stuck_wait_limit = 3
 let pcache_refresh_ttl_ms = 400.0
 let pcache_refresh_budget = 4
 
-(* Deterministic, well-spread default identifier per router.  A seeded PRNG
-   draw keeps this library independent of rofl_crypto. *)
+(* Deterministic, well-spread default identifier per router: one PRNG draw
+   seeded by the router index.  The static engine hashes "router:i" instead
+   ([Rofl_intra.Network.router_id]); deriving labels that way here would
+   move every router label, and with it every recorded campaign table. *)
 let router_label i =
   let g = Prng.create (0x5EED + i) in
   Id.random g

@@ -113,7 +113,6 @@ let create ~proto ~routers ~hint cfg =
   }
 
 let proto t = t.proto
-let config t = t.cfg
 let metrics t = t.metrics
 let store t = t.store
 

@@ -49,7 +49,6 @@ val create : proto:Rofl_proto.Proto.t -> routers:int -> hint:int -> config -> t
     [Invalid_argument] if [config.alpha < 1]. *)
 
 val proto : t -> Rofl_proto.Proto.t
-val config : t -> config
 val store : t -> Provider_store.t
 
 val metrics : t -> Rofl_netsim.Metrics.t

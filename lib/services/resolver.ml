@@ -14,22 +14,18 @@ module Metrics = Rofl_netsim.Metrics
    catch.  Hit/miss/negative/eviction counts are charged to the directory's
    shared {!Metrics} registry. *)
 
+(* Freshness windows of a positive and a negative answer; serving past
+   fresh + grace is an invariant violation. *)
+let cache_ttl_ms = 2_000.0
+let neg_ttl_ms = 1_000.0
+let stale_grace_ms = 1_000.0
+
 type config = {
   capacity : int;          (* bound on cached services; 0 disables caching *)
-  cache_ttl_ms : float;    (* freshness window of a positive answer *)
-  neg_ttl_ms : float;      (* freshness window of a negative answer *)
-  stale_grace_ms : float;  (* serving past fresh+grace is an invariant violation *)
   serve_stale : bool;      (* fault injection: keep serving decayed entries *)
 }
 
-let default_config =
-  {
-    capacity = 1024;
-    cache_ttl_ms = 2_000.0;
-    neg_ttl_ms = 1_000.0;
-    stale_grace_ms = 1_000.0;
-    serve_stale = false;
-  }
+let default_config = { capacity = 1024; serve_stale = false }
 
 type entry = {
   providers : Id.t array;  (* [||] = negative entry *)
@@ -76,7 +72,7 @@ let find t ~now service =
       (* Fault path: the answer decayed and we serve it anyway.  Within the
          grace window that is merely a stale answer; past it, it is the
          served-expired violation the doctor audits for. *)
-      if now >= e.fresh_until_ms +. t.cfg.stale_grace_ms then
+      if now >= e.fresh_until_ms +. stale_grace_ms then
         t.served_expired <- t.served_expired + 1;
       count_hit t e;
       Some e
@@ -89,7 +85,7 @@ let find t ~now service =
 
 let install t ~now service providers =
   let ttl =
-    if Array.length providers = 0 then t.cfg.neg_ttl_ms else t.cfg.cache_ttl_ms
+    if Array.length providers = 0 then neg_ttl_ms else cache_ttl_ms
   in
   let e = { providers; installed_ms = now; fresh_until_ms = now +. ttl } in
   match Lru.put t.cache service e with

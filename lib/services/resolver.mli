@@ -12,17 +12,17 @@
     Hits, misses, negative hits and evictions are charged to the
     directory's shared {!Rofl_netsim.Metrics} registry. *)
 
+val stale_grace_ms : float
+(** Serving an answer this long past its freshness window (1 s) violates
+    the audit. *)
+
 type config = {
   capacity : int;          (** bound on cached services; 0 disables caching *)
-  cache_ttl_ms : float;    (** freshness window of a positive answer *)
-  neg_ttl_ms : float;      (** freshness window of a negative answer *)
-  stale_grace_ms : float;  (** serving past fresh+grace violates the audit *)
   serve_stale : bool;      (** fault injection: keep serving decayed entries *)
 }
 
 val default_config : config
-(** 1024 entries, 2 s positive / 1 s negative freshness, 1 s grace, fault
-    knob off. *)
+(** 1024 entries, fault knob off. *)
 
 type entry = {
   providers : Rofl_idspace.Id.t array;  (** [[||]] = negative entry *)
@@ -44,8 +44,8 @@ val find : t -> now:float -> Rofl_idspace.Id.t -> entry option
     past the grace window. *)
 
 val install : t -> now:float -> Rofl_idspace.Id.t -> Rofl_idspace.Id.t array -> unit
-(** Cache an owner's answer ([[||]] installs a negative entry with the
-    negative TTL); evicts the least-recently-used binding when full. *)
+(** Cache an owner's answer, fresh for 2 s ([[||]] installs a negative
+    entry, fresh for 1 s); evicts the least-recently-used binding when full. *)
 
 val served_expired : t -> int
 (** Positive or negative answers served from entries decayed past the grace

@@ -15,6 +15,8 @@ module Checks = Rofl_doctor.Checks
 let profile =
   { Isp.profile_name = "attack-mini"; routers = 24; hosts = 1_000; pop_count = 3 }
 
+let network seed = Campaign.network ~seed profile
+
 (* [compare] treats nan = nan (unlike polymorphic =), and unreconverged
    campaigns carry [reconverge_ms = nan]. *)
 let same_report a b = compare (a : Campaign.report) (b : Campaign.report) = 0
@@ -37,7 +39,7 @@ let forge_events ~seed ~count p =
 
 let run_forge ~seed ~count ~verify ?shards () =
   let p = quiet_params ~verify in
-  Campaign.run ~seed ~profile ?shards ~events:(forge_events ~seed ~count p) p
+  Campaign.run ~seed ?shards ~events:(forge_events ~seed ~count p) (network seed) p
 
 (* ---- the verification gate ---------------------------------------------- *)
 
@@ -92,10 +94,10 @@ let eclipse_events ~seed ~count ~crash_at_ms p =
 
 let run_eclipse ~seed ~count ~enforce ?(crash_at_ms = -1.0) ?shards () =
   let p = eclipse_params ~enforce in
-  Campaign.run ~seed ~profile ?shards
+  Campaign.run ~seed ?shards
     ~audit:(Audit.config_for p.Campaign.proto_cfg)
     ~events:(eclipse_events ~seed ~count ~crash_at_ms p)
-    p
+    (network seed) p
 
 let saturations (r : Campaign.report) =
   match r.Campaign.audit with
@@ -143,10 +145,8 @@ let test_eclipse_report_shard_identical () =
 (* ---- byzantine conduct -------------------------------------------------- *)
 
 let run_with_behaviours ~seed behaviour =
-  let rng = Prng.create (seed + Hashtbl.hash profile.Isp.profile_name) in
-  let isp = Isp.generate rng profile in
-  let n = Rofl_topology.Graph.n isp.Isp.graph in
-  let gateways = Array.of_list (Isp.edge_routers isp) in
+  let net = network seed in
+  let n = Rofl_topology.Graph.n net.Campaign.graph in
   let p =
     {
       (quiet_params ~verify:true) with
@@ -155,9 +155,7 @@ let run_with_behaviours ~seed behaviour =
     }
   in
   let behaviours = Option.map (fun b -> Array.make n b) behaviour in
-  Campaign.run_events ~seed ~name:profile.Isp.profile_name ~graph:isp.Isp.graph
-    ~gateways ~groups:isp.Isp.pop_of_router ?behaviours p
-    (Campaign.churn_events ~seed p)
+  Campaign.run ~seed ?behaviours net p
 
 let test_droppers_black_hole_lookups () =
   let honest = run_with_behaviours ~seed:5 None in
@@ -188,11 +186,11 @@ let poison_params ~verify =
 
 let run_poison ~seed ~verify ?shards () =
   let p = poison_params ~verify in
-  Campaign.run ~seed ~profile ?shards
+  Campaign.run ~seed ?shards
     ~events:
       (Campaign.churn_events ~seed p
       @ [ Artifact.Fault (Artifact.Poison { at_ms = 600.0; fraction = 0.5 }) ])
-    p
+    (network seed) p
 
 let test_poison_report_shard_identical () =
   let base = run_poison ~seed:13 ~verify:true ~shards:1 () in

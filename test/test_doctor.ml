@@ -7,6 +7,7 @@
 module E = Rofl_experiments
 module Doctorlab = E.Doctorlab
 module Campaign = Rofl_dynamics.Campaign
+module Sc = Rofl_dynamics.Services_campaign
 module Audit = Rofl_doctor.Audit
 module Checks = Rofl_doctor.Checks
 module Artifact = Rofl_doctor.Artifact
@@ -39,10 +40,16 @@ let summary_of (r : Campaign.report) =
   | Some s -> s
   | None -> Alcotest.fail "expected an audit summary in the report"
 
+let run_scenario ?audit sc =
+  Campaign.run ~seed:sc.Doctorlab.sc_seed ?audit ~events:(Doctorlab.scenario_events sc)
+    (Campaign.network ~seed:sc.Doctorlab.sc_seed sc.Doctorlab.sc_profile)
+    sc.Doctorlab.sc_params
+
+let audit_of (p : Campaign.params) = Audit.config_for p.Campaign.proto_cfg
+
 let test_clean_campaign_green () =
   let sc = clean_scenario 3 in
-  let r = Doctorlab.audited_report sc (Doctorlab.scenario_events sc) in
-  let s = summary_of r in
+  let s = summary_of (run_scenario ~audit:(audit_of sc.Doctorlab.sc_params) sc) in
   Alcotest.(check bool) "no violations" true (Audit.ok s);
   Alcotest.(check bool) "checkpoints actually ran" true (s.Audit.checkpoints > 20)
 
@@ -50,18 +57,36 @@ let test_clean_campaign_green () =
    report — tables included — is identical with and without it. *)
 let test_audit_is_pure_observer () =
   let sc = clean_scenario 5 in
-  let events = Doctorlab.scenario_events sc in
-  let audited = Doctorlab.audited_report sc events in
-  let rng = Prng.create (sc.Doctorlab.sc_seed + Hashtbl.hash mini.Isp.profile_name) in
-  let isp = Isp.generate rng mini in
-  let plain =
-    Campaign.run_events ~seed:sc.Doctorlab.sc_seed ~name:mini.Isp.profile_name
-      ~graph:isp.Isp.graph
-      ~gateways:(Array.of_list (Isp.edge_routers isp))
-      sc.Doctorlab.sc_params events
-  in
+  let audited = run_scenario ~audit:(audit_of sc.Doctorlab.sc_params) sc in
+  let plain = run_scenario sc in
   Alcotest.(check bool) "reports identical modulo the audit field" true
     ({ audited with Campaign.audit = None } = plain)
+
+(* The same for a services campaign, whose auditor also runs the directory
+   checks at every checkpoint. *)
+let test_services_audit_is_pure_observer () =
+  let p =
+    {
+      Sc.default_params with
+      Sc.horizon_ms = 1_500.0;
+      drain_ms = 300.0;
+      bootstrap_hosts = 120;
+      services = 15;
+      rate_per_s = 50.0;
+      flash_start_ms = 600.0;
+      flash_len_ms = 300.0;
+      storm_at_ms = 1_000.0;
+    }
+  in
+  let net = Campaign.network ~seed:5 mini in
+  let audited = Sc.run ~seed:5 ~audit:(Audit.config_for p.Sc.proto_cfg) net p in
+  let plain = Sc.run ~seed:5 net p in
+  Alcotest.(check bool) "resolutions ran" true (plain.Sc.resolves > 0);
+  (match audited.Sc.audit with
+   | Some s -> Alcotest.(check bool) "checkpoints ran" true (s.Audit.checkpoints > 20)
+   | None -> Alcotest.fail "expected an audit summary in the report");
+  Alcotest.(check bool) "reports identical modulo the audit field" true
+    (compare { audited with Sc.audit = None } plain = 0)
 
 let check_hunt kind ~expect_check seed =
   match Doctorlab.hunt_and_shrink (Doctorlab.inject_scenario ~seed kind) with
@@ -353,6 +378,8 @@ let () =
         [
           Alcotest.test_case "clean campaign green" `Quick test_clean_campaign_green;
           Alcotest.test_case "pure observer" `Quick test_audit_is_pure_observer;
+          Alcotest.test_case "services audit is a pure observer" `Quick
+            test_services_audit_is_pure_observer;
           Alcotest.test_case "grid jobs determinism" `Slow test_grid_jobs_determinism;
         ] );
       ( "hunt",

@@ -9,7 +9,14 @@ module Proto = Rofl_proto.Proto
 
 let graph seed = Gen.waxman (Prng.create seed) ~n:30 ~alpha:0.4 ~beta:0.2
 
-let gateways = Array.init 30 (fun i -> i)
+(* Hosts attach anywhere; no diversity groups. *)
+let network seed =
+  {
+    Campaign.name = "waxman30";
+    graph = graph seed;
+    gateways = Array.init 30 (fun i -> i);
+    groups = [||];
+  }
 
 let low_churn =
   {
@@ -27,7 +34,7 @@ let harsh_churn =
 
 let test_low_churn_slos () =
   let r =
-    Campaign.run_graph ~seed:42 ~name:"waxman30" ~graph:(graph 1) ~gateways low_churn
+    Campaign.run ~seed:42 (network 1) low_churn
   in
   Alcotest.(check bool) "sessions joined" true (r.Campaign.joins >= 3);
   Alcotest.(check bool) "lookups launched" true (r.Campaign.lookups > 30);
@@ -54,7 +61,7 @@ let test_low_churn_slos () =
 
 let test_harsh_churn_still_heals () =
   let r =
-    Campaign.run_graph ~seed:43 ~name:"waxman30" ~graph:(graph 1) ~gateways harsh_churn
+    Campaign.run ~seed:43 (network 1) harsh_churn
   in
   Alcotest.(check bool) "crashes happened" true (r.Campaign.crashes > 0);
   Alcotest.(check bool) "failovers repaired them" true (r.Campaign.failovers > 0);
@@ -65,26 +72,26 @@ let test_harsh_churn_still_heals () =
 
 let test_campaign_deterministic () =
   let run () =
-    Campaign.run_graph ~seed:7 ~name:"waxman30" ~graph:(graph 2) ~gateways harsh_churn
+    Campaign.run ~seed:7 (network 2) harsh_churn
   in
   let a = run () and b = run () in
   Alcotest.(check bool) "identical reports for identical (seed, graph, params)" true
     (a = b);
   let c =
-    Campaign.run_graph ~seed:8 ~name:"waxman30" ~graph:(graph 2) ~gateways harsh_churn
+    Campaign.run ~seed:8 (network 2) harsh_churn
   in
   Alcotest.(check bool) "another seed gives another campaign" true
     (c.Campaign.total_msgs <> a.Campaign.total_msgs || c.Campaign.joins <> a.Campaign.joins)
 
 let test_no_lookups_edge () =
   let p = { low_churn with Campaign.lookup_rate_per_s = 0.0 } in
-  let r = Campaign.run_graph ~seed:9 ~name:"waxman30" ~graph:(graph 3) ~gateways p in
+  let r = Campaign.run ~seed:9 (network 3) p in
   Alcotest.(check int) "no lookup launched" 0 r.Campaign.lookups;
   Alcotest.(check (float 1e-9)) "success rate defaults to 1" 1.0 r.Campaign.success_rate;
   Alcotest.(check bool) "still reconverges" true r.Campaign.reconverged
 
 let test_isp_campaign () =
-  (* The profile-driven entry point the churn experiment uses. *)
+  (* On the ISP network the churn experiment derives. *)
   let p =
     {
       low_churn with
@@ -93,7 +100,9 @@ let test_isp_campaign () =
       lookup_rate_per_s = 5.0;
     }
   in
-  let r = Campaign.run ~seed:11 ~profile:Rofl_topology.Isp.as3967 p in
+  let r =
+    Campaign.run ~seed:11 (Campaign.network ~seed:11 Rofl_topology.Isp.as3967) p
+  in
   Alcotest.(check string) "named after the profile" "AS3967" r.Campaign.name;
   Alcotest.(check bool) "reconverged" true r.Campaign.reconverged;
   Alcotest.(check bool) "available" true (r.Campaign.success_rate >= 0.99)

@@ -331,13 +331,11 @@ let rops_arb =
     ~print:(fun ops -> String.concat "; " (List.map rop_print ops))
     QCheck.Gen.(list_size (int_bound 80) rop_gen)
 
-let resolver_cfg =
-  {
-    Resolver.default_config with
-    Resolver.capacity = 3;
-    cache_ttl_ms = 1_000.0;
-    neg_ttl_ms = 500.0;
-  }
+let resolver_cfg = { Resolver.default_config with Resolver.capacity = 3 }
+
+(* The resolver's freshness windows: positive answers 2 s, negative 1 s. *)
+let pos_ttl_ms = 2_000.0
+let neg_ttl_ms = 1_000.0
 
 let prop_resolver_matches_model =
   QCheck.Test.make ~name:"Resolver cache agrees with the TTL'd LRU model" ~count:500
@@ -348,7 +346,7 @@ let prop_resolver_matches_model =
       (* model: assoc list MRU-first of (key index, (positive, fresh_until)) *)
       let m = ref [] in
       let m_install k pos now =
-        let ttl = if pos then resolver_cfg.Resolver.cache_ttl_ms else resolver_cfg.Resolver.neg_ttl_ms in
+        let ttl = if pos then pos_ttl_ms else neg_ttl_ms in
         m := (k, (pos, now +. ttl)) :: List.remove_assoc k !m;
         let rec take n = function
           | x :: rest when n > 0 -> x :: take (n - 1) rest
@@ -372,7 +370,7 @@ let prop_resolver_matches_model =
       in
       List.for_all
         (fun (i, op) ->
-          let now = float_of_int i *. 300.0 in
+          let now = float_of_int i *. 600.0 in
           match op with
           | Install (k, pos) ->
             Resolver.install r ~now keys.(k) (if pos then [| keys.(k) |] else [||]);

@@ -267,13 +267,7 @@ let test_checks_serve_stale_fault () =
   let cfg =
     {
       Directory.default_config with
-      Directory.cache =
-        {
-          Resolver.default_config with
-          Resolver.cache_ttl_ms = 10.0;
-          stale_grace_ms = 5.0;
-          serve_stale = true;
-        };
+      Directory.cache = { Resolver.default_config with Resolver.serve_stale = true };
     }
   in
   let dir = Directory.create ~proto ~routers:256 ~hint:4 cfg in
@@ -281,13 +275,14 @@ let test_checks_serve_stale_fault () =
   ignore (Directory.register dir ~service:svc ~provider:(Id.random (Prng.create 32)) ~origin:0);
   ignore (Directory.republish_due dir ~now:0.0);
   let from = [| 0 |] and services = [| svc |] in
-  (* miss installs the entry; the second resolve is far past TTL + grace,
-     and the fault knob serves it anyway *)
+  (* miss installs the entry; the second resolve is past the 2 s freshness
+     window + the grace, and the fault knob serves it anyway *)
+  let late = 2_000.0 +. Resolver.stale_grace_ms +. 1_000.0 in
   Directory.resolve_batch dir ~now:0.0 ~n:1 ~from ~services;
-  Directory.resolve_batch dir ~now:100.0 ~n:1 ~from ~services;
+  Directory.resolve_batch dir ~now:late ~n:1 ~from ~services;
   Alcotest.(check bool) "stale answer served under the knob" true
     (Directory.served_expired_total dir > 0);
-  let vs = Checks.services_checks ~at_ms:100.0 dir in
+  let vs = Checks.services_checks ~at_ms:late dir in
   Alcotest.(check bool) "doctor catches the served-expired answer" true
     (List.exists (fun v -> v.Checks.check = "svc-stale-serve") vs)
 
@@ -296,22 +291,22 @@ let test_checks_serve_stale_fault () =
 let campaign_params =
   {
     Sc.default_params with
-    Sc.horizon_ms = 1_500.0;
+    Sc.horizon_ms = 3_000.0;
     drain_ms = 300.0;
-    tick_ms = 100.0;
     bootstrap_hosts = 120;
     services = 15;
     rate_per_s = 50.0;
     flash_start_ms = 600.0;
     flash_len_ms = 300.0;
     storm_at_ms = 1_000.0;
-    flap_rate_per_s = 2.0;
   }
 
 let run_at shards =
-  Sc.run ~seed:11 ~profile:Isp.as3967
+  Sc.run ~seed:11
     ~audit:(Audit.config_for campaign_params.Sc.proto_cfg)
-    ~shards campaign_params
+    ~shards
+    (Rofl_dynamics.Campaign.network ~seed:11 Isp.as3967)
+    campaign_params
 
 let test_campaign_sanity () =
   let r = run_at 1 in

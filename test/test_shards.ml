@@ -36,7 +36,7 @@ let params ~bootstrap ~arrival ~lookups =
     bootstrap_hosts = bootstrap;
   }
 
-let report ~seed ~shards p = Campaign.run ~seed ~profile ~shards p
+let report ~seed ~shards p = Campaign.run ~seed ~shards (Campaign.network ~seed profile) p
 
 (* Structural comparison via [compare], not [=]: an unconverged campaign
    reports [reconverge_ms = nan], and [nan = nan] is false while
@@ -77,8 +77,9 @@ let prop_sharding_invisible =
 let test_audited_fixed_seed () =
   let p = params ~bootstrap:150 ~arrival:4.0 ~lookups:10.0 in
   let audit = Rofl_doctor.Audit.config_for p.Campaign.proto_cfg in
-  let r1 = Campaign.run ~seed:4242 ~profile ~audit ~shards:1 p in
-  let r4 = Campaign.run ~seed:4242 ~profile ~audit ~shards:4 p in
+  let net = Campaign.network ~seed:4242 profile in
+  let r1 = Campaign.run ~seed:4242 ~audit ~shards:1 net p in
+  let r4 = Campaign.run ~seed:4242 ~audit ~shards:4 net p in
   Alcotest.(check bool) "audited reports identical" true (same_report r1 r4);
   match (r1.Campaign.audit, r4.Campaign.audit) with
   | Some a1, Some a4 ->
@@ -112,7 +113,8 @@ let test_superseded_join () =
       proto_cfg = { Proto.default_config with Proto.join_timeout_ms = 30.0 };
     }
   in
-  let run shards = Campaign.run ~seed:3 ~profile:moves_profile ~shards p in
+  let net = Campaign.network ~seed:3 moves_profile in
+  let run shards = Campaign.run ~seed:3 ~shards net p in
   let base = run 1 in
   Alcotest.(check bool) "the trace moves identifiers" true (base.Campaign.moves > 0);
   List.iter
@@ -265,18 +267,15 @@ let golden_params =
 (* Byzantine conduct on a fixed router pattern: a sixth of the routers
    swallow lookups and another sixth misroute them. *)
 let run_byzantine p =
-  let rng = Prng.create (golden_seed + Hashtbl.hash profile.Isp.profile_name) in
-  let isp = Isp.generate rng profile in
+  let net = Campaign.network ~seed:golden_seed profile in
   let behaviours =
-    Array.init (Rofl_topology.Graph.n isp.Isp.graph) (fun r ->
+    Array.init (Rofl_topology.Graph.n net.Campaign.graph) (fun r ->
         match r mod 6 with
         | 1 -> Types.Drop_lookups
         | 4 -> Types.Misroute
         | _ -> Types.Honest)
   in
-  Campaign.run_graph ~seed:golden_seed ~name:"byzantine" ~graph:isp.Isp.graph
-    ~gateways:(Array.of_list (Isp.edge_routers isp))
-    ~groups:isp.Isp.pop_of_router ~behaviours p
+  Campaign.run ~seed:golden_seed ~behaviours net p
 
 let golden_cases =
   [
@@ -298,13 +297,14 @@ let golden_cases =
             Campaign.proto_cfg = { Proto.default_config with Proto.verify_joins = true };
           }
         in
-        Campaign.run ~seed:golden_seed ~profile
+        Campaign.run ~seed:golden_seed
           ~events:
             (Campaign.churn_events ~seed:golden_seed p
             @ [
                 Rofl_doctor.Artifact.Fault
                   (Rofl_doctor.Artifact.Poison { at_ms = 300.0; fraction = 0.5 });
               ])
+          (Campaign.network ~seed:golden_seed profile)
           p );
   ]
 
